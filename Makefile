@@ -1,13 +1,14 @@
 # Tier-1 verification and developer loops. `make verify` is the full
 # pre-merge gate: build + tests (shuffled, so order-dependent tests cannot
 # hide), static vetting, fedsu-lint, the race detector over every package,
-# and a short fuzz smoke over the wire codecs.
+# a short fuzz smoke over the wire codecs, and the bench/ module's own vet
+# and tests.
 
 GO ?= go
 FUZZTIME ?= 10s
 
 .PHONY: tier1 vet lint race fuzz verify bench bench-agg bench-grid \
-	bench-tree bench-codec tier1-f32 race-f32 verify-f32
+	bench-tree bench-codec tier1-f32 race-f32 verify-f32 bench-check
 
 tier1:
 	$(GO) build ./...
@@ -49,14 +50,12 @@ race-f32:
 verify-f32: tier1-f32 race-f32
 
 # Short fuzz smoke over the rpc wire contract (nil-vs-abstain regression),
-# the sparse mask codecs, the self-describing vector payload flrpc ships,
-# and the tier partial-aggregate message. `go test -fuzz` accepts one
-# target per invocation, hence five runs. Seeds live in testdata/fuzz/
-# and f.Add.
+# the self-describing vector payload flrpc ships, the tier
+# partial-aggregate message, and the chain stages. `go test -fuzz` accepts
+# one target per invocation, hence one run each. Seeds live in
+# testdata/fuzz/ and f.Add.
 fuzz:
 	$(GO) test -fuzz '^FuzzAggWire$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flrpc/
-	$(GO) test -fuzz '^FuzzBitmapPayload$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/
-	$(GO) test -fuzz '^FuzzIndexPayload$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/
 	$(GO) test -fuzz '^FuzzVectorPayload$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/
 	$(GO) test -fuzz '^FuzzPartialPayload$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/
 	$(GO) test -fuzz '^FuzzQuantStage$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
@@ -64,7 +63,14 @@ fuzz:
 	$(GO) test -fuzz '^FuzzEntropyStage$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
 	$(GO) test -fuzz '^FuzzChainRoundTrip$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
 
-verify: tier1 vet lint race fuzz
+# bench/ is its own module (BENCHMARK.json's program), so `./...` above
+# never compiles it: vet and test it here, or a refactor of fl/flrpc/sparse
+# that breaks the benchmark's build or its output checks surfaces only in
+# the benchmark pipeline.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+verify: tier1 vet lint race fuzz bench-check
 
 # Kernel and layer microbenchmarks (see BENCH_kernels.json for the tracked
 # before/after numbers).

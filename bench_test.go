@@ -322,36 +322,3 @@ func BenchmarkTheorem1Schedule(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationEncoding compares the bitmap and varint-index payload
-// encodings across densities.
-func BenchmarkAblationEncoding(b *testing.B) {
-	const total = 200_000
-	for _, density := range []float64{0.001, 0.03, 0.3} {
-		rng := rand.New(rand.NewSource(3))
-		mask := make([]bool, total)
-		var indices []int
-		var values []float64
-		for i := range mask {
-			if rng.Float64() < density {
-				mask[i] = true
-				indices = append(indices, i)
-				values = append(values, rng.NormFloat64())
-			}
-		}
-		b.Run(fmt.Sprintf("bitmap/density=%v", density), func(b *testing.B) {
-			var n int
-			for i := 0; i < b.N; i++ {
-				n = len(sparse.EncodeBitmapPayload(mask, values))
-			}
-			b.ReportMetric(float64(n), "bytes")
-		})
-		b.Run(fmt.Sprintf("index/density=%v", density), func(b *testing.B) {
-			var n int
-			for i := 0; i < b.N; i++ {
-				n = len(sparse.EncodeIndexPayload(indices, values))
-			}
-			b.ReportMetric(float64(n), "bytes")
-		})
-	}
-}

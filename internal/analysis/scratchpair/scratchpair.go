@@ -3,10 +3,8 @@
 // enforces the project's Get/Put families:
 //
 //	tensor.GetScratch / tensor.PutScratch   (scratch tensors, arena.go)
-//	sparse.GetWireBuf / sparse.PutWireBuf   (pooled wire buffers, pool.go)
-//	sparse.GetVec     / sparse.PutVec       (pooled vectors, pool.go)
-//	codec.GetBuf      / codec.PutBuf        (chain stage buffers, codec/pool.go)
-//	codec.GetVals     / codec.PutVals       (chain value scratch, codec/pool.go)
+//	codec.GetBuf      / codec.PutBuf        (pooled wire buffers, codec/pool.go)
+//	codec.GetVals     / codec.PutVals       (pooled vectors, codec/pool.go)
 //
 // The pools recycle backing stores through sync.Pool; a Get without a Put
 // does not crash anything — it silently demotes the pool to plain
@@ -40,7 +38,7 @@ import (
 // Analyzer is the scratchpair check.
 var Analyzer = &analysis.Analyzer{
 	Name: "scratchpair",
-	Doc: "check that pooled Get/Put calls (GetScratch, GetWireBuf, GetVec) are paired on all paths\n\n" +
+	Doc: "check that pooled Get/Put calls (GetScratch, GetBuf, GetVals) are paired on all paths\n\n" +
 		"Every resource drawn from a project pool must be released, deferred, " +
 		"returned, or stored before the acquiring function exits, on every " +
 		"control-flow path including early and error returns.",
@@ -59,8 +57,6 @@ type pairSpec struct {
 // pairs is the table of enforced pools. putNames is its release-side index.
 var pairs = []pairSpec{
 	{pkg: "fedsu/internal/tensor", get: "GetScratch", put: "PutScratch", noun: "scratch tensor"},
-	{pkg: "fedsu/internal/sparse", get: "GetWireBuf", put: "PutWireBuf", noun: "pooled wire buffer"},
-	{pkg: "fedsu/internal/sparse", get: "GetVec", put: "PutVec", noun: "pooled vector"},
 	{pkg: "fedsu/internal/sparse/codec", get: "GetBuf", put: "PutBuf", noun: "pooled codec buffer"},
 	{pkg: "fedsu/internal/sparse/codec", get: "GetVals", put: "PutVals", noun: "pooled codec value slice"},
 }

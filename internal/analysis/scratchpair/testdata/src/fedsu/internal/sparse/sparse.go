@@ -1,26 +1,6 @@
-// Package sparse is a miniature replica of the real pooled wire-buffer API,
-// just large enough for the scratchpair corpus to type-check. The package
-// path matters: the analyzer matches GetWireBuf/PutWireBuf and
-// GetVec/PutVec by their defining package.
+// Package sparse is a miniature replica of the real vector encoder, just
+// large enough for the scratchpair corpus to type-check.
 package sparse
-
-// GetWireBuf draws a pooled byte buffer with capacity at least n.
-func GetWireBuf(n int) *[]byte {
-	b := make([]byte, 0, n)
-	return &b
-}
-
-// PutWireBuf returns a buffer to the pool.
-func PutWireBuf(p *[]byte) {}
-
-// GetVec draws a pooled float64 slice of length n.
-func GetVec(n int) *[]float64 {
-	v := make([]float64, n)
-	return &v
-}
-
-// PutVec returns a vector to the pool.
-func PutVec(p *[]float64) {}
 
 // AppendVectorPayload stands in for the real encoder.
 func AppendVectorPayload(dst []byte, vec []float64) []byte {

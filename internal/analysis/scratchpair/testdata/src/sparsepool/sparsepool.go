@@ -1,9 +1,12 @@
-// Package sparsepool is the scratchpair corpus for the sparse wire-buffer
-// and vector pools: the same pairing contract as the tensor arena, checked
-// against the patterns the rpc hot path actually uses.
+// Package sparsepool is the scratchpair corpus for the codec wire-buffer
+// and value-slice pools: the same pairing contract as the tensor arena,
+// checked against the patterns the rpc hot path actually uses.
 package sparsepool
 
-import "fedsu/internal/sparse"
+import (
+	"fedsu/internal/sparse"
+	"fedsu/internal/sparse/codec"
+)
 
 type coordinator struct {
 	strays map[int]*[]float64
@@ -11,20 +14,20 @@ type coordinator struct {
 
 // balancedWireBuf is the client encode path: acquire, encode, release.
 func balancedWireBuf(values []float64) int {
-	buf := sparse.GetWireBuf(len(values))
-	defer sparse.PutWireBuf(buf)
+	buf := codec.GetBuf(len(values))
+	defer codec.PutBuf(buf)
 	*buf = sparse.AppendVectorPayload(*buf, values)
 	return len(*buf)
 }
 
 // leakWireBuf forgets the release on the error path.
 func leakWireBuf(values []float64) error {
-	buf := sparse.GetWireBuf(len(values)) // want `pooled wire buffer "buf" is not released by PutWireBuf`
+	buf := codec.GetBuf(len(values)) // want `pooled codec buffer "buf" is not released by PutBuf`
 	*buf = sparse.AppendVectorPayload(*buf, values)
 	if len(*buf) == 0 {
 		return errEmpty
 	}
-	sparse.PutWireBuf(buf)
+	codec.PutBuf(buf)
 	return nil
 }
 
@@ -34,8 +37,8 @@ func leakWireBuf(values []float64) error {
 func branchLocalDefer(abstain bool, n int) int {
 	var vecBuf *[]float64
 	if !abstain {
-		vecBuf = sparse.GetVec(n)
-		defer sparse.PutVec(vecBuf)
+		vecBuf = codec.GetVals(n)
+		defer codec.PutVals(vecBuf)
 	}
 	if vecBuf == nil {
 		return 0
@@ -46,7 +49,7 @@ func branchLocalDefer(abstain bool, n int) int {
 // transferToMap hands ownership to a map that outlives the call — the
 // fl.Server stray-contribution pattern, drained at barrier completion.
 func (c *coordinator) transferToMap(clientID int, values []float64) {
-	buf := sparse.GetVec(len(values))
+	buf := codec.GetVals(len(values))
 	copy(*buf, values)
 	if c.strays == nil {
 		c.strays = map[int]*[]float64{}
@@ -56,24 +59,24 @@ func (c *coordinator) transferToMap(clientID int, values []float64) {
 
 // discardedVec can never be released.
 func discardedVec(n int) {
-	sparse.GetVec(n) // want `GetVec result discarded`
+	codec.GetVals(n) // want `GetVals result discarded`
 }
 
 // leakVecInLoop acquires per iteration without releasing.
 func leakVecInLoop(n int) {
 	for i := 0; i < n; i++ {
-		v := sparse.GetVec(n) // want `pooled vector "v" acquired in a loop body is still held`
+		v := codec.GetVals(n) // want `pooled codec value slice "v" acquired in a loop body is still held`
 		(*v)[0] = float64(i)
 	}
 }
 
 // mixedPools holds one resource from each pool; both must pair.
 func mixedPools(values []float64) {
-	vec := sparse.GetVec(len(values))
-	buf := sparse.GetWireBuf(8) // want `pooled wire buffer "buf" is not released by PutWireBuf`
+	vec := codec.GetVals(len(values))
+	buf := codec.GetBuf(8) // want `pooled codec buffer "buf" is not released by PutBuf`
 	copy(*vec, values)
 	*buf = sparse.AppendVectorPayload(*buf, *vec)
-	sparse.PutVec(vec)
+	codec.PutVals(vec)
 }
 
 var errEmpty = errorString("empty")

@@ -138,15 +138,19 @@ func submitInOrder(t *testing.T, s *Server, round int, order []int, vecs map[int
 	return results, errs
 }
 
-// waitSubs polls until the collective has registered want submissions.
+// waitSubs polls until the collective's leaves have resolved want inputs
+// (staged submissions and evictions alike).
 func waitSubs(t *testing.T, s *Server, round int, kind string, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		s.mu.Lock()
 		subs := -1
-		if o := s.ops[opKey{round: round, kind: kind}]; o != nil {
-			subs = o.subs
+		if c := s.cols[opKey{round: round, kind: kind}]; c != nil {
+			subs = 0
+			for _, leaf := range c.tiers[0] {
+				subs += leaf.subs
+			}
 		}
 		s.mu.Unlock()
 		if subs >= want {

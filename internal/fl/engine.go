@@ -198,11 +198,10 @@ type Engine struct {
 	strategy string
 
 	// Population mode (cfg.Population > 0): the device registry, the
-	// population-scale timing model, the optional tree collective, and one
-	// slot proxy per client rebinding its collective identity each round.
+	// population-scale timing model, and one slot proxy per client
+	// rebinding its collective identity each round.
 	pop      *Population
 	popModel *netem.PopulationModel
-	tree     *Tree
 	proxies  []*slotProxy
 
 	// chain is the parsed Compress spec (nil for the default wire); it is
@@ -284,7 +283,14 @@ func NewEngineWithShards(cfg Config, builder nn.Builder, ds *data.Dataset, shard
 			chain = nil // the explicit default spec is the legacy wire
 		}
 	}
-	server := NewServer(cfg.NumClients)
+	// One collective; Fanout only picks its topology (setupPopulation
+	// validates the value).
+	var server *Server
+	if cfg.Fanout >= 2 {
+		server = NewTree(cfg.Fanout)
+	} else {
+		server = NewServer(cfg.NumClients)
+	}
 	if cfg.CollectiveDeadline > 0 {
 		server.SetDeadline(cfg.CollectiveDeadline)
 	}

@@ -172,6 +172,6 @@ func (e *Engine) runAsync(ctx context.Context, applies, evalEvery int) ([]RoundS
 // by the apply contract.
 func (e *Engine) AsyncGlobal() []float64 { return e.server.AsyncGlobal() }
 
-// Server exposes the engine's aggregation server (read-mostly accessors:
-// eviction counters, async version).
+// Server exposes the engine's collective, flat or tree (read-mostly
+// accessors: eviction counters, tier stats, async version).
 func (e *Engine) Server() *Server { return e.server }

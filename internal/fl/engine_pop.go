@@ -10,24 +10,6 @@ import (
 	"fedsu/internal/sparse"
 )
 
-// Compile-time proof that both aggregation tiers satisfy the collective
-// contract the population driver dispatches through.
-var (
-	_ collective = (*Server)(nil)
-	_ collective = (*Tree)(nil)
-)
-
-// collective is the round-synchronous aggregation tier the engine drives:
-// the flat Server and the hierarchical Tree expose the same contract, so
-// population rounds dispatch to either without caring which is behind it.
-type collective interface {
-	sparse.Aggregator
-	SetRoster(ids []int)
-	BeginRound(round int, participants []int)
-	EvictionCount() int
-	TimeoutCount() int
-}
-
 // slotProxy rebinds a physical client slot's collective identity to the
 // population id of whichever cohort member the slot plays this round.
 // Strategy syncers capture their clientID at construction; in population
@@ -58,9 +40,8 @@ func (p *slotProxy) AggregateErrorCtx(ctx context.Context, clientID, round int, 
 }
 
 // setupPopulation validates the population-mode configuration and builds
-// the registry, the population timing model, and (Fanout >= 2) the tree
-// collective. Called once from NewEngineWithShards, before clients are
-// constructed.
+// the registry and the population timing model. Called once from
+// NewEngineWithShards, before clients are constructed.
 func (e *Engine) setupPopulation() error {
 	cfg := &e.cfg
 	if cfg.Population <= 0 {
@@ -118,37 +99,19 @@ func (e *Engine) setupPopulation() error {
 	}
 	e.pop = pop
 	e.popModel = model
-	if cfg.Fanout >= 2 {
-		e.tree = NewTree(cfg.Fanout)
-		if cfg.CollectiveDeadline > 0 {
-			e.tree.SetDeadline(cfg.CollectiveDeadline)
-		}
-	}
 	return nil
 }
 
 // Population exposes the device registry (nil outside population mode).
 func (e *Engine) Population() *Population { return e.pop }
 
-// Tree exposes the hierarchical collective (nil when flat).
-func (e *Engine) Tree() *Tree { return e.tree }
-
-// collective returns the aggregation tier the current configuration folds
-// through.
-func (e *Engine) collective() collective {
-	if e.tree != nil {
-		return e.tree
-	}
-	return e.server
-}
-
 // slotCollective returns the aggregator handed to the next client slot's
-// strategy factory: the server directly in classic mode, a member-id
-// rebinding proxy over the tree or server in population mode.
+// strategy factory: the collective directly in classic mode, a member-id
+// rebinding proxy over it in population mode.
 func (e *Engine) slotCollective() sparse.Aggregator {
 	var agg sparse.Aggregator = e.server
 	if e.pop != nil {
-		p := &slotProxy{agg: e.collective()}
+		p := &slotProxy{agg: e.server}
 		e.proxies = append(e.proxies, p)
 		agg = p
 	}
@@ -161,9 +124,9 @@ func (e *Engine) slotCollective() sparse.Aggregator {
 // runPopRound executes one population-mode round: sample the cohort,
 // time it through the population-scale network model, rebind slots to
 // their members, and fold through the configured collective. The global
-// the cohort receives is bit-identical between the tree and the flat
-// server (both run the canonical rank-aligned fold), so Fanout is purely
-// a systems knob.
+// the cohort receives is bit-identical at every fanout (every topology
+// runs the canonical rank-aligned fold), so Fanout is purely a systems
+// knob.
 func (e *Engine) runPopRound(ctx context.Context, evaluate bool) (RoundStats, error) {
 	k := e.round
 	cohort := e.pop.SampleCohort(k, e.cfg.Cohort)
@@ -199,14 +162,11 @@ func (e *Engine) runPopRound(ctx context.Context, evaluate bool) (RoundStats, er
 		isParticipant[slotOf[id]] = true
 	}
 
-	coll := e.collective()
+	coll := e.server
 	coll.SetRoster(cohort)
 	coll.BeginRound(k, outcome.Participants)
 	evictionsBefore, timeoutsBefore := coll.EvictionCount(), coll.TimeoutCount()
-	var tierBefore TierStats
-	if e.tree != nil {
-		tierBefore = e.tree.Stats()
-	}
+	tierBefore := coll.Stats()
 
 	// Concurrent local training + synchronization, under the same
 	// process-global compute-token budget as classic rounds (token
@@ -268,22 +228,20 @@ func (e *Engine) runPopRound(ctx context.Context, evaluate bool) (RoundStats, er
 	stats.SimTime = e.simTime
 	stats.Evicted = coll.EvictionCount() - evictionsBefore
 	stats.Timeouts = coll.TimeoutCount() - timeoutsBefore
-	if e.tree != nil {
-		st := e.tree.Stats()
-		stats.Tiers = st.Tiers
-		stats.LeafFolds = st.LeafFolds - tierBefore.LeafFolds
-		stats.ForwardedPartials = st.ForwardedPartials - tierBefore.ForwardedPartials
-		for i, ev := range st.TierEvictions {
-			prev := 0
-			if i < len(tierBefore.TierEvictions) {
-				prev = tierBefore.TierEvictions[i]
+	st := coll.Stats()
+	stats.Tiers = st.Tiers
+	stats.LeafFolds = st.LeafFolds - tierBefore.LeafFolds
+	stats.ForwardedPartials = st.ForwardedPartials - tierBefore.ForwardedPartials
+	for i, ev := range st.TierEvictions {
+		prev := 0
+		if i < len(tierBefore.TierEvictions) {
+			prev = tierBefore.TierEvictions[i]
+		}
+		if d := ev - prev; d > 0 {
+			for len(stats.TierEvictions) <= i {
+				stats.TierEvictions = append(stats.TierEvictions, 0)
 			}
-			if d := ev - prev; d > 0 {
-				for len(stats.TierEvictions) <= i {
-					stats.TierEvictions = append(stats.TierEvictions, 0)
-				}
-				stats.TierEvictions[i] = d
-			}
+			stats.TierEvictions[i] = d
 		}
 	}
 

@@ -6,16 +6,15 @@ import (
 	"sync/atomic"
 
 	"fedsu/internal/par"
-	"fedsu/internal/sparse"
+	"fedsu/internal/sparse/codec"
 )
 
-// This file holds the reusable streaming fold-node extracted from the
-// fl.Server op machinery: the component that accepts contributions for an
-// ordered roster of positions, folds them incrementally as the resolution
-// frontier advances, and produces the collective sum. fl.Server composes
-// one fold node per collective; the hierarchical aggregation tree
-// (tree.go) composes one per tier node, which is what makes a multi-tier
-// run bit-identical to the flat server.
+// This file holds the streaming fold node: the component that accepts
+// contributions for an ordered roster of positions, folds them
+// incrementally as the resolution frontier advances, and produces the
+// collective sum. The collective (tree.go) composes one per tier node —
+// the flat collective is the topology with a single node — which is what
+// makes a multi-tier run bit-identical to the flat one.
 //
 // # Canonical pairwise fold order
 //
@@ -57,6 +56,25 @@ import (
 // into pooled buffers the node owns. A caller abandoning its wait detaches
 // first — the contribution is copied and any level slot aliasing the
 // caller's slice is repointed at the copy (see detach).
+
+// Per-position submission status, published with atomic stores so the fold
+// path can read it without the collective's mutex.
+const (
+	posPending uint32 = iota // not yet resolved
+	posStaged                // contribution staged
+	posSkip                  // resolved without contributing (abstain, non-participant, evicted)
+)
+
+// foldGrain aligns parallel fold chunks; any value works for bit-identity
+// (the per-element addition order never depends on chunking), this one just
+// amortizes dispatch.
+const foldGrain = 1024
+
+// drainMinBatch keeps opportunistic mid-barrier drains from paying a fold
+// pass per contribution: a drain that would fold fewer staged buffers than
+// this leaves them for a later, larger batch (the completion drain takes
+// everything).
+const drainMinBatch = 4
 
 // foldPlan op kinds: elementwise ops executed chunk-sequentially by the
 // plan kernel. add2 is dst += src; add3 is dst = a + b (dst disjoint or
@@ -170,43 +188,41 @@ func newFoldNode() *foldNode {
 	return f
 }
 
-// arm resets the node for a new collective over the given pending set.
-// order/pos/status/staged storage is recycled across collectives.
-func (f *foldNode) arm(pending map[int]bool) {
-	f.order = f.order[:0]
-	for id := range pending {
-		f.order = append(f.order, id)
-	}
-	sortInts(f.order)
+// arm readies the node for a new collective over ids, the ascending slice
+// of roster ids it covers (a leaf's rank block; the whole roster for the
+// flat collective). ids is copied, so the caller may reuse it.
+func (f *foldNode) arm(ids []int) {
+	f.order = append(f.order[:0], ids...)
 	for p, id := range f.order {
 		f.pos[id] = p
 	}
-	n := len(f.order)
-	if cap(f.status) >= n {
-		f.status = f.status[:n]
-		f.staged = f.staged[:n]
-		f.ownedPtr = f.ownedPtr[:n]
-	} else {
-		f.status = make([]atomic.Uint32, n)
-		f.staged = make([][]float64, n)
-		f.ownedPtr = make([]*[]float64, n)
-	}
-	for i := range f.status {
-		f.status[i].Store(posPending)
-		f.staged[i] = nil
-		f.ownedPtr[i] = nil
-	}
+	f.armSlots(len(ids))
 	f.weights = nil
 }
 
 // armRanks is arm for a roster that is already the dense rank sequence
-// 0..n-1 (tree tiers), with optional per-rank weights enabled.
-func (f *foldNode) armRanks(n int, weighted bool) {
+// 0..n-1 (the tiers above the leaves), with per-rank weights: a child's
+// partial counts its own contributor total toward the mean divisor.
+func (f *foldNode) armRanks(n int) {
 	f.order = f.order[:0]
 	for id := 0; id < n; id++ {
 		f.order = append(f.order, id)
 		f.pos[id] = id
 	}
+	f.armSlots(n)
+	if cap(f.weights) >= n {
+		f.weights = f.weights[:n]
+	} else {
+		f.weights = make([]int, n)
+	}
+	for i := range f.weights {
+		f.weights[i] = 1
+	}
+}
+
+// armSlots sizes the per-position arrays for n pending positions,
+// recycling their storage across collectives.
+func (f *foldNode) armSlots(n int) {
 	if cap(f.status) >= n {
 		f.status = f.status[:n]
 		f.staged = f.staged[:n]
@@ -220,18 +236,6 @@ func (f *foldNode) armRanks(n int, weighted bool) {
 		f.status[i].Store(posPending)
 		f.staged[i] = nil
 		f.ownedPtr[i] = nil
-	}
-	if weighted {
-		if cap(f.weights) >= n {
-			f.weights = f.weights[:n]
-		} else {
-			f.weights = make([]int, n)
-		}
-		for i := range f.weights {
-			f.weights[i] = 1
-		}
-	} else {
-		f.weights = nil
 	}
 }
 
@@ -248,38 +252,35 @@ func (f *foldNode) reset() {
 	}
 	f.levels = f.levels[:0]
 	for _, p := range f.spare {
-		sparse.PutVec(p)
+		codec.PutVals(p)
 	}
 	f.spare = f.spare[:0]
 	f.plan = f.plan[:0]
 	for p := range f.staged {
-		sparse.PutVec(f.ownedPtr[p])
+		codec.PutVals(f.ownedPtr[p])
 		f.ownedPtr[p] = nil
 		f.staged[p] = nil
 	}
 	for id, s := range f.strays {
-		sparse.PutVec(s.buf)
+		codec.PutVals(s.buf)
 		delete(f.strays, id)
 	}
 }
 
-// stage publishes a contribution (or a skip) at the given id and
-// opportunistically drains. Returns the caller's detach position (-1 when
-// nothing was reference-staged) and whether the id was in the roster.
-func (f *foldNode) stage(id int, values []float64, contributing bool) (detach int, inRoster bool) {
-	p, ok := f.pos[id]
-	if !ok {
-		return -1, false
-	}
+// stage publishes the contribution (or, when not contributing, the skip)
+// of roster member id and opportunistically drains. Returns the caller's
+// detach position, -1 when nothing was reference-staged.
+func (f *foldNode) stage(id int, values []float64, contributing bool) int {
+	p := f.pos[id]
 	if !contributing {
 		f.status[p].Store(posSkip)
 		f.tryDrain()
-		return -1, true
+		return -1
 	}
 	f.staged[p] = values
 	f.status[p].Store(posStaged)
 	f.tryDrain()
-	return p, true
+	return p
 }
 
 // stageWeighted stages a tree-tier partial: the contribution counts
@@ -297,12 +298,13 @@ func (f *foldNode) stageWeighted(rank int, values []float64, weight int) int {
 	return rank
 }
 
-// addStray records a contribution from an id outside the roster snapshot
-// (readmitted mid-round, or a participant excluded from SetRoster). Its
-// presence forces a full ordered refold at completion. Strays are rare:
-// copy eagerly rather than wiring them into the detach path.
+// addStray records a contribution from an id that is not a pending member
+// (readmitted mid-round, or a participant excluded from SetRoster). Its id
+// can interleave anywhere in the fold order, so its presence forces a full
+// ordered refold at completion. Strays are rare: copy eagerly rather than
+// wiring them into the detach path.
 func (f *foldNode) addStray(id int, values []float64, weight int) {
-	buf := sparse.GetVec(len(values))
+	buf := codec.GetVals(len(values))
 	copy(*buf, values)
 	f.mu.Lock()
 	if f.strays == nil {
@@ -468,9 +470,9 @@ func (f *foldNode) getBufLocked() *[]float64 {
 		if cap(*buf) >= f.sumLen {
 			return buf
 		}
-		sparse.PutVec(buf)
+		codec.PutVals(buf)
 	}
-	return sparse.GetVec(f.sumLen)
+	return codec.GetVals(f.sumLen)
 }
 
 // execPlanLocked runs the accumulated fold plan with one parallel pass
@@ -531,8 +533,7 @@ func (f *foldNode) finalizeLocked() ([]float64, int) {
 }
 
 // scaleResultLocked scales the finalized sum in place by 1/weight with
-// one parallel pass — the mean both the flat server and the tree root
-// publish. Caller holds mu.
+// one parallel pass — the mean the root publishes. Caller holds mu.
 func (f *foldNode) scaleResultLocked(weight int) {
 	if f.result == nil || weight <= 0 {
 		return
@@ -547,8 +548,8 @@ func (f *foldNode) scaleResultLocked(weight int) {
 // restoring the canonical rank order over the combined contributor list
 // when stray ids would otherwise have interleaved below the already-
 // consumed frontier. With strays present the rank structure is the dense
-// index over the combined ascending contributors (a server-only path; the
-// tree forbids strays). Caller holds mu.
+// index over the combined ascending contributors (single-leaf topologies
+// only; aligned-block trees reject strays). Caller holds mu.
 func (f *foldNode) refoldLocked() {
 	// Drop counter state; owned buffers become spares for the replay.
 	for i := range f.levels {
@@ -620,21 +621,21 @@ func (f *foldNode) complete(scaleMean bool) (res []float64, weight int, err erro
 // the fold before finalize). Caller holds mu.
 func (f *foldNode) releaseStagedLocked() {
 	for p := range f.staged {
-		sparse.PutVec(f.ownedPtr[p])
+		codec.PutVals(f.ownedPtr[p])
 		f.ownedPtr[p] = nil
 		f.staged[p] = nil
 	}
 	for id, s := range f.strays {
-		sparse.PutVec(s.buf)
+		codec.PutVals(s.buf)
 		delete(f.strays, id)
 	}
 	for i := range f.levels {
-		sparse.PutVec(f.levels[i].owned)
+		codec.PutVals(f.levels[i].owned)
 		f.levels[i] = levelSlot{alias: -1}
 	}
 	f.levels = f.levels[:0]
 	for _, p := range f.spare {
-		sparse.PutVec(p)
+		codec.PutVals(p)
 	}
 	f.spare = f.spare[:0]
 }
@@ -648,7 +649,7 @@ func (f *foldNode) releaseStagedLocked() {
 func (f *foldNode) detach(p int) {
 	f.mu.Lock()
 	if f.staged[p] != nil && f.ownedPtr[p] == nil {
-		buf := sparse.GetVec(len(f.staged[p]))
+		buf := codec.GetVals(len(f.staged[p]))
 		copy(*buf, f.staged[p])
 		f.staged[p] = *buf
 		f.ownedPtr[p] = buf

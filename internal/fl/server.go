@@ -1,15 +1,14 @@
-// Package fl implements the federated-learning engine: the aggregation
-// server (Algorithm 1's Central_Server), the client local-training loop,
-// and the round driver that couples them with the netem timing model and a
-// synchronization strategy (FedAvg, CMFL, APF, or FedSU).
+// Package fl implements the federated-learning engine: the collective
+// (Algorithm 1's Central_Server — one barrier state machine, Tree, whose
+// flat topology is Server and whose buffered-async discipline bypasses the
+// barrier), the client local-training loop, and the round driver that
+// couples them with the netem timing model and a synchronization strategy
+// (FedAvg, CMFL, APF, or FedSU).
 package fl
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 )
 
 // ErrEvicted reports that a client was evicted from the session after
@@ -32,539 +31,37 @@ func (e *EvictedError) Error() string {
 // Unwrap makes errors.Is(err, ErrEvicted) hold.
 func (e *EvictedError) Unwrap() error { return ErrEvicted }
 
-// Server is the in-process aggregation service. Each collective
-// (model-average or error-average, per round) is a barrier: every client of
-// the round must submit before any receives the element-wise mean over the
-// contributing participants.
-//
-// Submission order across clients is arbitrary (clients run in goroutines),
-// but results are deterministic: contributions combine in the canonical
-// rank-aligned pairwise order of the fold node (fold.go) — a fixed
-// balanced binary tree over ascending client-id ranks — and the parallel
-// fold shards over the parameter index so every element sees the exact
-// same addition sequence at every worker count. The same canonical order
-// is what makes a hierarchical tree run (tree.go) bit-identical to this
-// flat server.
-//
-// # Streaming aggregation
-//
-// The server never holds its mutex across O(model) work. A submission is
-// copied into a pooled staging buffer outside the lock, published to the
-// collective's fold state, and folded into the running sum as soon as every
-// lower client id has resolved (submitted, abstained, or been evicted) — the
-// "frontier". Folding happens under a per-collective fold lock on whichever
-// client goroutine gets there first, parallelized over the parameter
-// dimension by internal/par, so ingest overlaps with stragglers' uploads
-// and the barrier-close step only has to drain whatever is still staged.
-//
-// # Fault tolerance
-//
-// With a deadline set (SetDeadline), a barrier that does not fill within
-// the deadline of its first submission closes with the submissions it has:
-// the missing clients are evicted from the roster, the mean is computed
-// over the actual contributors, and later submissions from evicted clients
-// fail with ErrEvicted. An alive probe (SetAliveProbe) grants one deadline
-// extension when a missing client still heartbeats — distinguishing slow
-// from dead — so the worst-case barrier span is two deadlines. With no
-// deadline (the default) barriers block until they fill, exactly the
-// pre-fault-tolerance behaviour.
-type Server struct {
-	mu           sync.Mutex
-	numClients   int
-	participants map[int]bool
-	round        int
-	ops          map[opKey]*op
+// Server is the flat collective: the Tree (tree.go, where the barrier state
+// machine is documented) whose single leaf spans the whole roster. It is
+// the same type — every setter and getter of one is available on the other
+// — and the only things the flat topology has to itself are the implied
+// roster {0..n-1}, stray contributions (one spanning leaf can refold them
+// in id order; aligned blocks cannot rank them) and the buffered-async
+// discipline of server_async.go, which bypasses barriers altogether.
+type Server = Tree
 
-	// opFree recycles completed op shells (maps, slices, fold scratch)
-	// across rounds so a steady-state collective allocates nothing but its
-	// done channel and result.
-	opFree []*op
-
-	// roster is the set of client ids expected at every barrier; nil means
-	// the implied roster {0..numClients-1}. Evicted ids are removed.
-	roster  map[int]bool
-	evicted map[int]bool
-
-	deadline   time.Duration
-	aliveProbe func(clientID int) bool
-	idempotent bool
-
-	// Cumulative fault counters (see EvictionCount / TimeoutCount).
-	evictions int
-	timeouts  int
-
-	// Buffered-async aggregation mode (see SetAsync / server_async.go).
-	// When enabled, submissions bypass the barrier machinery entirely:
-	// they fold into per-kind weighted accumulators as they arrive and the
-	// global applies every acfg.K contributions.
-	async  bool
-	acfg   AsyncConfig
-	amu    sync.Mutex
-	achan  map[string]*asyncChan
-	astale int
-}
-
-type opKey struct {
-	round int
-	kind  string
-}
-
-// Per-position submission status, published with atomic stores so the fold
-// path can read it without the server mutex.
-const (
-	posPending uint32 = iota // not yet resolved
-	posStaged                // contribution copied and staged
-	posSkip                  // resolved without contributing (abstain, non-participant, evicted)
-)
-
-// foldGrain aligns parallel fold chunks; any value works for bit-identity
-// (the per-element addition order never depends on chunking), this one just
-// amortizes dispatch.
-const foldGrain = 1024
-
-// drainMinBatch keeps opportunistic mid-barrier drains from paying a fold
-// pass per contribution: a drain that would fold fewer staged buffers than
-// this leaves them for a later, larger batch (the completion drain takes
-// everything).
-const drainMinBatch = 4
-
-type op struct {
-	// Barrier bookkeeping, guarded by Server.mu.
-	need      int
-	subs      int
-	submitted map[int]bool
-	pending   map[int]bool
-	finished  bool
-	timer     *time.Timer
-	extended  bool
-
-	// gen increments every time this op shell is (re)armed by newOpLocked.
-	// A deadline timer captures the generation it was armed for, and expire
-	// ignores a firing whose generation no longer matches: a timer that
-	// outlives its barrier (fires after the op returned to the free list,
-	// or after the shell was recycled into a new collective — even one at
-	// the same (round, kind) key, which a checkpoint replay can produce)
-	// must be a no-op instead of evicting the new barrier's clients.
-	gen uint64
-
-	// fold is the streaming fold node (fold.go): the roster order, staged
-	// contributions, stray handling, and the canonical pairwise reduction
-	// all live there. The op contributes only barrier bookkeeping.
-	fold *foldNode
-
-	// Published before done closes; read by waiters after.
-	result  []float64
-	failure error
-	done    chan struct{}
-}
-
-// NewServer constructs a server expecting numClients submissions per
-// collective.
+// NewServer constructs the flat collective expecting submissions from
+// clients {0..numClients-1} per barrier, until SetRoster declares another
+// roster.
 func NewServer(numClients int) *Server {
-	return &Server{
-		numClients:   numClients,
-		participants: map[int]bool{},
-		evicted:      map[int]bool{},
-		ops:          map[opKey]*op{},
-	}
+	s := newTree(0)
+	s.SetNumClients(numClients)
+	return s
 }
 
-// SetDeadline bounds every collective barrier: d after the first submission
-// arrives, the barrier closes with whoever has submitted and evicts the
-// rest. Zero (the default) disables the bound and restores blocking
-// barriers. It must not be called while collectives are in flight.
-func (s *Server) SetDeadline(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.deadline = d
-}
-
-// SetAliveProbe installs a liveness oracle consulted when a deadline
-// expires: a missing-but-alive client (a slow straggler, per its
-// heartbeats) buys the barrier one extension of the same deadline before
-// eviction proceeds. A nil probe (the default) treats every missing client
-// as dead.
-func (s *Server) SetAliveProbe(probe func(clientID int) bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.aliveProbe = probe
-}
-
-// SetIdempotent makes duplicate submissions benign: a client resubmitting
-// to a collective it already joined (a retry after a dropped connection)
-// waits for and receives the collective result instead of an error. The
-// first submission's values win. The default (false) keeps strict
-// double-submit errors, which catch strategy bugs in-process.
-func (s *Server) SetIdempotent(v bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.idempotent = v
-}
-
-// SetRoster declares the client ids expected at every barrier, replacing
-// the implied {0..numClients-1}. Already-evicted ids are ignored until
-// readmitted. It must not be called while collectives are in flight.
-func (s *Server) SetRoster(ids []int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.roster = make(map[int]bool, len(ids))
-	for _, id := range ids {
-		if !s.evicted[id] {
-			s.roster[id] = true
-		}
+// SetNumClients declares the implied roster {0..n-1}, used when clients
+// join or leave between rounds. Unlike SetRoster it keeps evicted ids in
+// their rank slots (resolved as skips at every barrier), so Readmit takes
+// effect at the next collective without a roster call. It must not be
+// called while a round's collectives are in flight.
+func (t *Tree) SetNumClients(n int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.roster = t.roster[:0]
+	for id := 0; id < n; id++ {
+		t.roster = append(t.roster, id)
 	}
-}
-
-// Readmit clears a client's evicted status (a rejoin after reconnecting).
-// It does NOT edit the current roster: membership is declared by SetRoster
-// (or the implied {0..numClients-1}), and the readmitted id re-enters at
-// the next SetRoster that lists it (or the next op creation on the implied
-// roster). The historical behaviour — injecting the id straight into the
-// active roster — made later barriers of the in-flight session require a
-// submission from a client the caller's roster never listed, which
-// ghost-blocked the barrier when that client made no further calls; until
-// the next SetRoster, a readmitted client's submissions count through the
-// stray-contribution path instead.
-func (s *Server) Readmit(clientID int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.evicted, clientID)
-}
-
-// Evicted returns the currently evicted client ids in ascending order.
-func (s *Server) Evicted() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int, 0, len(s.evicted))
-	for id := range s.evicted {
-		out = append(out, id)
-	}
-	sortInts(out)
-	return out
-}
-
-// EvictionCount returns the cumulative number of deadline evictions.
-func (s *Server) EvictionCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.evictions
-}
-
-// TimeoutCount returns the cumulative number of collectives closed by
-// deadline expiry.
-func (s *Server) TimeoutCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.timeouts
-}
-
-// BeginRound declares the active round and the participation quorum: only
-// listed clients' submissions contribute to averages this round (everyone
-// still synchronizes and receives results). It also garbage-collects
-// collectives from earlier rounds, recycling their op shells.
-func (s *Server) BeginRound(round int, participants []int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.round = round
-	clear(s.participants)
-	for _, id := range participants {
-		s.participants[id] = true
-	}
-	// Drop all completed collectives. BeginRound is only called when no
-	// collective is in flight (every barrier of the previous round has
-	// released its waiters, and waiters hold direct op pointers), and a
-	// checkpoint restore may legitimately replay an earlier round index,
-	// so the whole map is cleared rather than just older rounds. Finished
-	// ops go back to the free list; an unfinished op (contract violation)
-	// is dropped rather than recycled, since waiters may still hold it.
-	for k, o := range s.ops {
-		if o.timer != nil {
-			o.timer.Stop()
-			o.timer = nil
-		}
-		if o.finished {
-			s.recycleOpLocked(o)
-		}
-		delete(s.ops, k)
-	}
-}
-
-// SetNumClients adjusts the expected submission count, used when clients
-// join or leave between rounds. It must not be called while a round's
-// collectives are in flight.
-func (s *Server) SetNumClients(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.numClients = n
-}
-
-// AggregateModel implements sparse.Aggregator. values is only read for the
-// duration of the call — the server stages its own copy — so callers may
-// reuse the slice immediately after return. The returned slice is shared
-// by every waiter of the collective and must not be mutated.
-func (s *Server) AggregateModel(clientID, round int, values []float64) ([]float64, error) {
-	return s.aggregate(context.Background(), clientID, round, "model", values)
-}
-
-// AggregateError implements sparse.Aggregator, with the same ownership
-// contract as AggregateModel.
-func (s *Server) AggregateError(clientID, round int, values []float64) ([]float64, error) {
-	return s.aggregate(context.Background(), clientID, round, "error", values)
-}
-
-// AggregateModelCtx implements sparse.ContextAggregator: the barrier wait
-// aborts with ctx.Err() on cancellation. The submission itself stays
-// registered (the server's staged copy, so the caller's slice is safe to
-// reuse even after an abandoned wait), and the collective still completes
-// for the other clients.
-func (s *Server) AggregateModelCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
-	return s.aggregate(ctx, clientID, round, "model", values)
-}
-
-// AggregateErrorCtx implements sparse.ContextAggregator.
-func (s *Server) AggregateErrorCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
-	return s.aggregate(ctx, clientID, round, "error", values)
-}
-
-// newOpLocked builds (or recycles) an op for the current roster. Caller
-// holds s.mu.
-func (s *Server) newOpLocked() *op {
-	var o *op
-	if n := len(s.opFree); n > 0 {
-		o, s.opFree = s.opFree[n-1], s.opFree[:n-1]
-	} else {
-		o = &op{
-			submitted: map[int]bool{},
-			pending:   map[int]bool{},
-			fold:      newFoldNode(),
-		}
-	}
-	o.gen++
-	o.done = make(chan struct{})
-	if s.roster != nil {
-		for id := range s.roster {
-			o.pending[id] = true
-		}
-	} else {
-		for id := 0; id < s.numClients; id++ {
-			if !s.evicted[id] {
-				o.pending[id] = true
-			}
-		}
-	}
-	o.need = len(o.pending)
-	o.fold.arm(o.pending)
-	return o
-}
-
-// recycleOpLocked resets a finished op shell onto the free list. Caller
-// holds s.mu; no waiter can still be inside the op (BeginRound contract).
-func (s *Server) recycleOpLocked(o *op) {
-	clear(o.submitted)
-	clear(o.pending)
-	o.subs, o.need = 0, 0
-	o.finished, o.extended = false, false
-	o.result, o.failure = nil, nil
-	o.done = nil
-	// Completion already released the staged buffers; a straggler that
-	// published after the barrier closed is swept by the node's reset.
-	o.fold.reset()
-	s.opFree = append(s.opFree, o)
-}
-
-func (s *Server) aggregate(ctx context.Context, clientID, round int, kind string, values []float64) ([]float64, error) {
-	s.mu.Lock()
-	if s.evicted[clientID] {
-		s.mu.Unlock()
-		return nil, &EvictedError{ClientID: clientID}
-	}
-	if s.async {
-		s.mu.Unlock()
-		return s.asyncSubmit(ctx, clientID, kind, values)
-	}
-	key := opKey{round: round, kind: kind}
-	o, ok := s.ops[key]
-	if !ok {
-		o = s.newOpLocked()
-		if s.deadline > 0 {
-			// The closure captures the op pointer and its generation: a
-			// firing that outlives this barrier (op recycled, shell reused —
-			// possibly under the same key after a checkpoint replay) fails
-			// the identity check in expire and is a no-op.
-			gen := o.gen
-			o.timer = time.AfterFunc(s.deadline, func() { s.expire(key, o, gen) })
-		}
-		s.ops[key] = o
-	}
-	if o.submitted[clientID] {
-		if !s.idempotent {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("fl: client %d double-submitted %s collective of round %d", clientID, kind, round)
-		}
-		// Retry after a dropped connection: the first submission is already
-		// in the barrier; just wait for (or return) the result.
-		s.mu.Unlock()
-		return s.wait(ctx, o, -1)
-	}
-	o.submitted[clientID] = true
-	delete(o.pending, clientID)
-	contributing := values != nil && s.participants[clientID]
-	closed := o.finished
-	s.mu.Unlock()
-
-	detach := -1
-	if !closed {
-		// O(model) work — staging and any opportunistic fold — happens
-		// here, outside the server mutex.
-		detach = s.stage(o, clientID, values, contributing)
-
-		s.mu.Lock()
-		o.subs++
-		completer := !o.finished && o.subs >= o.need
-		if completer {
-			o.finished = true
-			if o.timer != nil {
-				o.timer.Stop()
-			}
-		}
-		s.mu.Unlock()
-		if completer {
-			s.complete(o)
-		}
-	}
-	return s.wait(ctx, o, detach)
-}
-
-// stage publishes a contribution to the fold node and opportunistically
-// drains the fold frontier. Roster contributions are staged by reference —
-// the submitting caller stays blocked until the barrier closes, so its
-// slice is stable for the fold's lifetime; an abandoned wait detaches a
-// copy first (see wait). The returned position is the caller's detach
-// index, or -1 when nothing reference-staged. This fixes the historical
-// aliasing bug where the server retained the slice past the call and a
-// client reusing its round vector could corrupt an open barrier.
-func (s *Server) stage(o *op, clientID int, values []float64, contributing bool) int {
-	if !contributing {
-		o.fold.stage(clientID, nil, false)
-		return -1
-	}
-	p, inRoster := o.fold.stage(clientID, values, true)
-	if inRoster {
-		return p
-	}
-	// A contributor outside the op's roster snapshot (readmitted mid-round,
-	// or a participant excluded from SetRoster). It still counts toward the
-	// mean, but its id can interleave anywhere in the fold order, so its
-	// presence forces completion to refold everything from the retained
-	// contributions.
-	o.fold.addStray(clientID, values, 1)
-	return -1
-}
-
-// complete drains the remaining fold work, publishes the mean (or the
-// failure), releases the staged buffers, and wakes every waiter. It runs
-// outside s.mu on exactly one goroutine per op (guarded by o.finished).
-func (s *Server) complete(o *op) {
-	res, _, err := o.fold.complete(true)
-	if err != nil {
-		o.failure = err
-	} else {
-		o.result = res
-	}
-	close(o.done)
-}
-
-// wait blocks until the op completes or ctx is cancelled. detach is the
-// caller's reference-staged position (-1 if none): on an abandoned wait
-// the contribution is snapshotted into a pooled buffer first, because the
-// caller may legally reuse its slice the moment this returns while the
-// barrier is still open.
-func (s *Server) wait(ctx context.Context, o *op, detach int) ([]float64, error) {
-	select {
-	case <-o.done:
-	case <-ctx.Done():
-		if detach >= 0 {
-			o.fold.detach(detach)
-		}
-		return nil, ctx.Err()
-	}
-	if o.failure != nil {
-		return nil, o.failure
-	}
-	return o.result, nil
-}
-
-// expire closes a deadline-expired barrier: every pending client is either
-// granted one collective-wide extension (if the alive probe vouches for
-// any of them and none was granted yet) or evicted, after which the mean
-// is computed over the actual contributors. Evicting a client also removes
-// it from every other in-flight collective so a dead client cannot stall
-// the round's remaining barriers for another full deadline.
-//
-// armed and gen identify the barrier the timer was armed for. A stale
-// firing — the op completed and was recycled (possibly reused for a new
-// collective, even at the same key) between the timer going off and this
-// lock acquisition — fails the identity check and does nothing.
-func (s *Server) expire(key opKey, armed *op, gen uint64) {
-	s.mu.Lock()
-	o := s.ops[key]
-	if o == nil || o != armed || o.gen != gen || o.finished || len(o.pending) == 0 {
-		s.mu.Unlock()
-		return
-	}
-	if !o.extended && s.aliveProbe != nil {
-		for id := range o.pending {
-			if s.aliveProbe(id) {
-				o.extended = true
-				o.timer.Reset(s.deadline)
-				s.mu.Unlock()
-				return
-			}
-		}
-	}
-	s.timeouts++
-	missing := make([]int, 0, len(o.pending))
-	for id := range o.pending {
-		missing = append(missing, id)
-	}
-	var completable []*op
-	for _, id := range missing {
-		s.evictLocked(id, &completable)
-	}
-	s.mu.Unlock()
-	// The heavy close-out (drain, scale, waking waiters) runs unlocked.
-	for _, c := range completable {
-		s.complete(c)
-	}
-}
-
-// evictLocked removes a client from the roster and from every in-flight
-// collective. Barriers that now have all remaining submissions are marked
-// finished and appended to completable for the caller to close out after
-// releasing s.mu. Caller holds s.mu.
-func (s *Server) evictLocked(clientID int, completable *[]*op) {
-	if s.evicted[clientID] {
-		return
-	}
-	s.evicted[clientID] = true
-	s.evictions++
-	delete(s.roster, clientID)
-	delete(s.participants, clientID)
-	for _, o := range s.ops {
-		if o.finished || !o.pending[clientID] {
-			continue
-		}
-		delete(o.pending, clientID)
-		o.need--
-		o.fold.skip(clientID)
-		if o.subs >= o.need {
-			o.finished = true
-			if o.timer != nil {
-				o.timer.Stop()
-			}
-			*completable = append(*completable, o)
-		}
-	}
+	t.rankRosterLocked()
 }
 
 func sortInts(a []int) {

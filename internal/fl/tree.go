@@ -7,61 +7,95 @@ import (
 	"time"
 )
 
-// Tree is the hierarchical aggregation service: the same collective
-// barrier contract as Server, but the fold is distributed over a
-// multi-tier tree of fold nodes (fold.go). Each leaf aggregator folds the
-// submissions of its fanout-sized slice of the cohort roster locally and
-// forwards ONE partial — (canonical sum, contributor weight) — to its
-// parent; tiers repeat until the root, which scales the total by the
-// total weight. Root work is O(fanout), not O(participants), which is
-// what lets a cohort sampled from a 10^5–10^6 population aggregate
-// without a single server folding every submission.
+// Tree is the aggregation service — Algorithm 1's Central_Server. Each
+// collective (model-average or error-average, per round) is a barrier:
+// every roster member must resolve (submit, abstain, or be evicted) before
+// any waiter receives the element-wise mean over the contributing
+// participants. There is ONE barrier state machine, built over tiers of
+// fold nodes (fold.go); the topology decides everything else:
 //
-// # Bit-identity with the flat server
+//   - NewServer(n), the flat collective, is the topology with a single leaf
+//     spanning the whole roster, implied as {0..n-1} until SetRoster.
+//   - NewTree(f) cuts the roster into ALIGNED blocks of f ranks (f rounded
+//     up to a power of two), one leaf aggregator per block. Each leaf folds
+//     its block locally and forwards ONE partial — (canonical sum,
+//     contributor weight) — to its parent; tiers repeat until the root,
+//     which scales the total by the total weight. Root work is O(fanout),
+//     not O(participants), which is what lets a cohort sampled from a
+//     10^5–10^6 population aggregate without one node folding every
+//     submission.
 //
-// Because every fold node combines its children in the canonical
-// rank-aligned pairwise order (see fold.go), and because leaves cover
-// ALIGNED power-of-two blocks of roster ranks (fanout is rounded up to a
-// power of two), the tree evaluates exactly the same balanced binary
-// addition tree over roster ranks as the flat server — the grouping of
-// every float64 addition is identical, so the global vector is identical
-// to the last bit at any fanout and any par worker count. The identical
-// contributor count makes the final 1/n scale identical too. This is
-// enforced by TestTreeFlatBitIdentity across fanouts {2, 8, 32}.
+// # Determinism and bit-identity across topologies
+//
+// Submission order across clients is arbitrary (clients run in
+// goroutines), but results are deterministic: every fold node combines its
+// inputs in the canonical rank-aligned pairwise order — a fixed balanced
+// binary tree over ascending roster ranks — and the parallel fold shards
+// over the parameter index, so every element sees the same addition
+// sequence at every worker count. Because leaves cover aligned
+// power-of-two rank blocks, a tree evaluates exactly the same balanced
+// addition tree as the single leaf does: the global vector is identical to
+// the last bit at any fanout (TestTreeFlatBitIdentity).
+//
+// # Streaming aggregation
+//
+// The collective never holds its mutex across O(model) work. A submission
+// is staged by reference outside the lock and folded into its leaf's
+// running sum as soon as every lower rank of the leaf has resolved — the
+// "frontier" — on whichever client goroutine gets there first, so ingest
+// overlaps with stragglers' uploads and closing a node only has to drain
+// what is still staged.
 //
 // # Fault tolerance
 //
-// SetDeadline bounds the whole collective: the deadline runs from the
-// first submission, one alive-probe extension applies (same semantics as
-// Server), and on expiry the missing clients are evicted from their
-// leaves, every tier completes with the partials it has (an empty leaf
-// forwards the identity), and the mean is over actual contributors.
-// Per-tier eviction and forwarding counters are exposed for RoundStats.
+// With a deadline set (SetDeadline), a barrier that does not fill within
+// the deadline of its first submission closes with the submissions it has:
+// the missing members are evicted, every tier completes with the partials
+// it has (an empty leaf forwards the identity), the mean is over the
+// actual contributors, and later submissions from evicted clients fail
+// with ErrEvicted. An alive probe (SetAliveProbe) grants one deadline
+// extension when a missing client still heartbeats — distinguishing slow
+// from dead — so the worst-case barrier span is two deadlines. An eviction
+// resolves the client in every in-flight collective at once, and in every
+// collective armed later it keeps its rank slot, resolved as a skip, until
+// the next SetRoster drops it: a dead client costs a round one deadline,
+// and aligned blocks never shift mid-round. With no deadline (the default)
+// barriers block until they fill.
 //
-// # Restrictions
+// # What the topology enables
 //
-// The tree forbids stray contributions (ids outside the roster snapshot
-// error immediately): a stray cannot be assigned a rank without refolding
-// the whole tree, and the population/cohort flow always declares the
-// roster up front. Buffered-async mode and mid-round roster edits are
-// Server-only features.
+// Stray contributions (ids that are not pending members: outside the
+// roster, or readmitted mid-round) fold only into a single spanning leaf,
+// which can refold everything in id order at completion; an aligned-block
+// tree cannot rank a stray and rejects it. Remote partials
+// (AggregatePartial) need a parent tier to stage into, hence two tiers or
+// more. The implied roster belongs to NewServer. Buffered-async mode
+// (SetAsync, server_async.go) bypasses the barrier entirely and is offered
+// on the flat collective only.
 type Tree struct {
-	mu           sync.Mutex
-	fanout       int
+	mu sync.Mutex
+
+	// fanout is the leaf block width in roster ranks; zero is the flat
+	// collective, whose one leaf spans the roster whatever its length.
+	fanout int
+
+	// roster is the ascending list of ids expected at every barrier, and
+	// pos its id → rank index.
 	roster       []int
 	pos          map[int]int
 	participants map[int]bool
-	round        int
 	cols         map[opKey]*treeCol
 
 	deadline   time.Duration
 	aliveProbe func(clientID int) bool
+	idempotent bool
 	evicted    map[int]bool
 
+	// Cumulative fault counters (see EvictionCount / TimeoutCount).
 	evictions int
 	timeouts  int
 
-	// Subtree (relay) mode: when upstream is non-nil this tree is one
+	// Subtree (relay) mode: when upstream is non-nil this collective is one
 	// aligned block of a larger roster — the root node forwards its raw
 	// partial through upstream instead of scaling a mean, and publishes
 	// whatever the upstream returns. upstreamBase is the block's first
@@ -76,43 +110,68 @@ type Tree struct {
 	leafFolds     int
 	partials      int
 
+	// gen numbers the armed collectives; nodeFree and colFree recycle their
+	// shells (maps, tier slices, fold scratch) across rounds so a
+	// steady-state collective allocates nothing but its done channel and
+	// result.
 	gen      uint64
-	nodeFree []*foldNode
+	nodeFree []*tierNode
 	colFree  []*treeCol
+
+	// Buffered-async aggregation mode (see SetAsync / server_async.go).
+	// When enabled, submissions bypass the barrier machinery entirely:
+	// they fold into per-kind weighted accumulators as they arrive and the
+	// global applies every acfg.K contributions.
+	async  bool
+	acfg   AsyncConfig
+	amu    sync.Mutex
+	achan  map[string]*asyncChan
+	astale int
+}
+
+type opKey struct {
+	round int
+	kind  string
 }
 
 // treeCol is one collective (round, kind): the tier topology plus the
 // barrier bookkeeping, all guarded by Tree.mu except the fold nodes.
 type treeCol struct {
-	gen      uint64
-	key      opKey
-	tiers    [][]*treeTierNode
-	need     int
-	subs     int
-	pending  map[int]bool
-	submit   map[int]bool
-	finished bool
-	timer    *time.Timer
-	extended bool
+	// gen is the arming generation. A deadline timer captures the
+	// generation it was armed for, and expire ignores a firing whose
+	// generation no longer matches: a timer that outlives its barrier
+	// (fires after the shell returned to the free list, or was recycled
+	// into a new collective — even one at the same (round, kind) key,
+	// which a checkpoint replay can produce) must be a no-op instead of
+	// evicting the new barrier's clients.
+	gen       uint64
+	key       opKey
+	tiers     [][]*tierNode
+	pending   map[int]bool // roster members not yet resolved
+	submitted map[int]bool
+	finished  bool
+	timer     *time.Timer
+	extended  bool
 
+	// Published before done closes; read by waiters after.
 	result  []float64
 	failure error
 	done    chan struct{}
 }
 
-// treeTierNode is one aggregator of the tree. done flips under Tree.mu
+// tierNode is one aggregator of a collective. done flips under Tree.mu
 // when the last expected input resolves; the flagged goroutine runs the
 // node's fold completion outside the lock and forwards the partial.
-type treeTierNode struct {
-	fold      *foldNode
-	tier      int
-	index     int // position within its tier == child rank at the parent
-	need      int
-	subs      int
-	done      bool
-	remote    bool // resolved by a remote partial (AggregatePartial)
-	contribed bool // forwarded a non-identity partial (counters)
-	failure   error
+type tierNode struct {
+	fold    *foldNode
+	col     *treeCol
+	tier    int
+	index   int // position within its tier == child rank at the parent
+	need    int
+	subs    int
+	done    bool
+	remote  bool // resolved by a remote partial (AggregatePartial)
+	failure error
 }
 
 // NewTree builds a hierarchical aggregator with the given fanout (values
@@ -124,35 +183,60 @@ func NewTree(fanout int) *Tree {
 	for f < fanout {
 		f <<= 1
 	}
+	return newTree(f)
+}
+
+func newTree(fanout int) *Tree {
 	return &Tree{
-		fanout:  f,
-		pos:     map[int]int{},
-		cols:    map[opKey]*treeCol{},
-		evicted: map[int]bool{},
+		fanout:       fanout,
+		pos:          map[int]int{},
+		participants: map[int]bool{},
+		cols:         map[opKey]*treeCol{},
+		evicted:      map[int]bool{},
 	}
 }
 
-// Fanout returns the effective (power-of-two) fanout.
+// Fanout returns the effective (power-of-two) leaf block width; zero for
+// the flat collective, whose single leaf spans the whole roster.
 func (t *Tree) Fanout() int { return t.fanout }
 
-// SetDeadline bounds every collective barrier (see Server.SetDeadline).
+// SetDeadline bounds every collective barrier: d after the first submission
+// arrives, the barrier closes with whoever has submitted and evicts the
+// rest. Zero (the default) disables the bound and restores blocking
+// barriers. It must not be called while collectives are in flight.
 func (t *Tree) SetDeadline(d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.deadline = d
 }
 
-// SetAliveProbe installs the liveness oracle consulted on deadline expiry
-// (see Server.SetAliveProbe).
+// SetAliveProbe installs a liveness oracle consulted when a deadline
+// expires: a missing-but-alive client (a slow straggler, per its
+// heartbeats) buys the barrier one extension of the same deadline before
+// eviction proceeds. A nil probe (the default) treats every missing client
+// as dead.
 func (t *Tree) SetAliveProbe(probe func(clientID int) bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.aliveProbe = probe
 }
 
-// SetRoster declares the cohort for subsequent collectives, in any order;
-// ranks are assigned by ascending id. Must not be called while
-// collectives are in flight.
+// SetIdempotent makes duplicate submissions benign: a client resubmitting
+// to a collective it already joined, or a relay resubmitting a block's
+// partial (a retry after a dropped connection), waits for and receives the
+// collective result instead of an error. The first submission's values
+// win. The default (false) keeps strict double-submit errors, which catch
+// strategy bugs in-process.
+func (t *Tree) SetIdempotent(v bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.idempotent = v
+}
+
+// SetRoster declares the client ids expected at every barrier, in any
+// order; ranks are assigned by ascending id. Already-evicted ids are
+// dropped until readmitted. It must not be called while collectives are in
+// flight.
 func (t *Tree) SetRoster(ids []int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -163,36 +247,29 @@ func (t *Tree) SetRoster(ids []int) {
 		}
 	}
 	sortInts(t.roster)
+	t.rankRosterLocked()
+}
+
+// rankRosterLocked rebuilds the id → rank index. Caller holds t.mu.
+func (t *Tree) rankRosterLocked() {
 	clear(t.pos)
 	for p, id := range t.roster {
 		t.pos[id] = p
 	}
 }
 
-// BeginRound declares the active round and participation quorum and
-// garbage-collects the previous round's collectives (see
-// Server.BeginRound).
-func (t *Tree) BeginRound(round int, participants []int) {
+// Readmit clears a client's evicted status (a rejoin after reconnecting).
+// It does NOT edit the roster: an id SetRoster dropped re-enters at the
+// next SetRoster that lists it, and one that still holds a rank slot (the
+// implied roster, or an eviction since the last SetRoster) is expected
+// again from the next collective armed. Injecting the id straight into the
+// active roster would make later barriers of the in-flight session require
+// a submission from a client the caller's roster never listed, which
+// ghost-blocks the barrier when that client makes no further calls.
+func (t *Tree) Readmit(clientID int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.round = round
-	if t.participants == nil {
-		t.participants = make(map[int]bool, len(participants))
-	}
-	clear(t.participants)
-	for _, id := range participants {
-		t.participants[id] = true
-	}
-	for k, c := range t.cols {
-		if c.timer != nil {
-			c.timer.Stop()
-			c.timer = nil
-		}
-		if c.finished {
-			t.recycleColLocked(c)
-		}
-		delete(t.cols, k)
-	}
+	delete(t.evicted, clientID)
 }
 
 // Evicted returns the currently evicted client ids in ascending order.
@@ -207,36 +284,28 @@ func (t *Tree) Evicted() []int {
 	return out
 }
 
-// Readmit clears a client's evicted status; it re-enters at the next
-// SetRoster that lists it.
-func (t *Tree) Readmit(clientID int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.evicted, clientID)
-}
-
-// EvictionCount returns the cumulative number of client evictions.
+// EvictionCount returns the cumulative number of deadline evictions.
 func (t *Tree) EvictionCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.evictions
 }
 
-// TimeoutCount returns the cumulative number of deadline-closed
-// collectives.
+// TimeoutCount returns the cumulative number of collectives closed by
+// deadline expiry.
 func (t *Tree) TimeoutCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.timeouts
 }
 
-// TierStats is the per-tree telemetry snapshot surfaced in RoundStats.
+// TierStats is the per-tier telemetry snapshot surfaced in RoundStats.
 type TierStats struct {
 	// Tiers is the number of aggregation tiers (leaves included, root
-	// included) of the most recent topology.
+	// included) of the most recent topology; 1 for the flat collective.
 	Tiers int
-	// LeafFolds counts completed leaf fold batches (one per leaf per
-	// collective).
+	// LeafFolds counts completed leaf fold batches forwarded to a parent
+	// (one per leaf per collective; a single-tier collective has none).
 	LeafFolds int
 	// ForwardedPartials counts partial messages sent upward (leaf and mid
 	// tiers; the root consumes, never forwards).
@@ -247,38 +316,77 @@ type TierStats struct {
 	TierEvictions []int
 }
 
-// Stats returns cumulative tree telemetry.
+// Stats returns cumulative per-tier telemetry.
 func (t *Tree) Stats() TierStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	tiers := 0
 	if n := len(t.roster); n > 0 {
 		tiers = 1
-		for w := (n + t.fanout - 1) / t.fanout; w > 1; w = (w + t.fanout - 1) / t.fanout {
-			tiers++
+		if t.fanout > 0 {
+			for w := (n + t.fanout - 1) / t.fanout; w > 1; w = (w + t.fanout - 1) / t.fanout {
+				tiers++
+			}
 		}
 	}
-	out := TierStats{
+	return TierStats{
 		Tiers:             tiers,
 		LeafFolds:         t.leafFolds,
 		ForwardedPartials: t.partials,
 		TierEvictions:     append([]int(nil), t.tierEvictions...),
 	}
-	return out
 }
 
-// AggregateModel implements sparse.Aggregator (see Server.AggregateModel
-// for the ownership contract).
+// BeginRound declares the active round and the participation quorum: only
+// listed clients' submissions contribute to averages this round (everyone
+// still synchronizes and receives results). It also garbage-collects the
+// previous round's collectives, recycling their shells.
+func (t *Tree) BeginRound(round int, participants []int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	clear(t.participants)
+	for _, id := range participants {
+		t.participants[id] = true
+	}
+	// Drop all collectives. BeginRound is only called when none is in
+	// flight (every barrier of the previous round has released its
+	// waiters, and waiters hold direct pointers), and a checkpoint restore
+	// may legitimately replay an earlier round index, so the whole map is
+	// cleared rather than just older rounds. An unfinished collective
+	// (contract violation) is dropped rather than recycled, since waiters
+	// may still hold it.
+	for k, c := range t.cols {
+		if c.timer != nil {
+			c.timer.Stop()
+			c.timer = nil
+		}
+		if c.finished {
+			t.recycleColLocked(c)
+		}
+		delete(t.cols, k)
+	}
+}
+
+// AggregateModel implements sparse.Aggregator. values is only read for the
+// duration of the call — it is staged by reference while the caller blocks,
+// and an abandoned wait detaches a copy — so callers may reuse the slice
+// immediately after return. The returned slice is shared by every waiter
+// of the collective and must not be mutated.
 func (t *Tree) AggregateModel(clientID, round int, values []float64) ([]float64, error) {
 	return t.aggregate(context.Background(), clientID, round, "model", values)
 }
 
-// AggregateError implements sparse.Aggregator.
+// AggregateError implements sparse.Aggregator, with the same ownership
+// contract as AggregateModel.
 func (t *Tree) AggregateError(clientID, round int, values []float64) ([]float64, error) {
 	return t.aggregate(context.Background(), clientID, round, "error", values)
 }
 
-// AggregateModelCtx implements sparse.ContextAggregator.
+// AggregateModelCtx implements sparse.ContextAggregator: the barrier wait
+// aborts with ctx.Err() on cancellation. The submission itself stays
+// registered (as a detached copy, so the caller's slice is safe to reuse
+// even after an abandoned wait), and the collective still completes for
+// the other clients.
 func (t *Tree) AggregateModelCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
 	return t.aggregate(ctx, clientID, round, "model", values)
 }
@@ -288,127 +396,114 @@ func (t *Tree) AggregateErrorCtx(ctx context.Context, clientID, round int, value
 	return t.aggregate(ctx, clientID, round, "error", values)
 }
 
-// newColLocked builds (or recycles) the tier topology for the current
-// roster. Leaves cover aligned fanout-sized rank blocks; each tier above
-// folds fanout children until one root remains. Caller holds t.mu.
-func (t *Tree) newColLocked(key opKey) *treeCol {
+// colLocked returns the collective for key, arming it (topology, pending
+// set, deadline timer) on first touch. Leaves cover aligned fanout-sized
+// rank blocks — one block spanning everything when fanout is zero — and
+// each tier above folds fanout children until one root remains. ready
+// lists nodes that armed with nothing left to wait for (every member
+// already evicted); the caller cascades them after releasing t.mu. Caller
+// holds t.mu.
+func (t *Tree) colLocked(key opKey) (*treeCol, []*tierNode) {
+	if c, ok := t.cols[key]; ok {
+		return c, nil
+	}
 	var c *treeCol
+	var ready []*tierNode
 	if n := len(t.colFree); n > 0 {
 		c, t.colFree = t.colFree[n-1], t.colFree[:n-1]
 	} else {
-		c = &treeCol{pending: map[int]bool{}, submit: map[int]bool{}}
+		c = &treeCol{pending: map[int]bool{}, submitted: map[int]bool{}}
 	}
 	t.gen++
 	c.gen = t.gen
 	c.key = key
 	c.done = make(chan struct{})
-	for _, id := range t.roster {
-		c.pending[id] = true
-	}
-	c.need = len(t.roster)
 
-	// Tier 0: leaves over rank blocks. The leaf fold is armed with the
-	// actual member ids of its block, so stage-by-id and local detach
-	// positions work exactly as in the flat server.
 	n := len(t.roster)
-	width := (n + t.fanout - 1) / t.fanout
-	if width < 1 {
-		width = 1
+	span := t.fanout
+	if span == 0 {
+		span = max(n, 1)
 	}
-	leaves := make([]*treeTierNode, 0, width)
-	pending := map[int]bool{}
+	width := max((n+span-1)/span, 1)
 	for l := 0; l < width; l++ {
-		lo := l * t.fanout
-		hi := lo + t.fanout
-		if hi > n {
-			hi = n
-		}
-		node := &treeTierNode{fold: t.getNodeLocked(), tier: 0, index: l, need: hi - lo}
-		clear(pending)
-		for r := lo; r < hi; r++ {
-			pending[t.roster[r]] = true
-		}
-		node.fold.arm(pending)
-		leaves = append(leaves, node)
+		lo := l * span
+		hi := min(lo+span, n)
+		t.addNodeLocked(c, 0, hi-lo).fold.arm(t.roster[lo:hi])
 	}
-	c.tiers = c.tiers[:0]
-	c.tiers = append(c.tiers, leaves)
-
-	// Tiers above: weighted rank folds over child indexes, until width 1.
-	tier := 1
-	for width > 1 {
-		parentWidth := (width + t.fanout - 1) / t.fanout
-		nodes := make([]*treeTierNode, 0, parentWidth)
-		for i := 0; i < parentWidth; i++ {
-			lo := i * t.fanout
-			hi := lo + t.fanout
-			if hi > width {
-				hi = width
-			}
-			node := &treeTierNode{fold: t.getNodeLocked(), tier: tier, index: i, need: hi - lo}
-			node.fold.armRanks(hi-lo, true)
-			nodes = append(nodes, node)
+	for tier := 1; width > 1; tier++ {
+		parents := (width + span - 1) / span
+		for i := 0; i < parents; i++ {
+			children := min((i+1)*span, width) - i*span
+			t.addNodeLocked(c, tier, children).fold.armRanks(children)
 		}
-		c.tiers = append(c.tiers, nodes)
-		width = parentWidth
-		tier++
+		width = parents
 	}
 	for len(t.tierEvictions) < len(c.tiers) {
 		t.tierEvictions = append(t.tierEvictions, 0)
 	}
-	return c
+	// An evicted member keeps its rank slot, resolved as a skip, so block
+	// alignment holds until the next SetRoster.
+	for _, id := range t.roster {
+		c.pending[id] = true
+		if t.evicted[id] {
+			ready = t.resolveLocked(c, id, ready)
+		}
+	}
+	if t.deadline > 0 {
+		gen := c.gen
+		c.timer = time.AfterFunc(t.deadline, func() { t.expire(key, c, gen) })
+	}
+	t.cols[key] = c
+	return c, ready
 }
 
-func (t *Tree) getNodeLocked() *foldNode {
+// addNodeLocked appends a recycled (or new) node expecting need inputs to
+// the given tier of c, reusing the tier slices a recycled shell kept.
+// Caller holds t.mu.
+func (t *Tree) addNodeLocked(c *treeCol, tier, need int) *tierNode {
+	var node *tierNode
 	if n := len(t.nodeFree); n > 0 {
-		f := t.nodeFree[n-1]
-		t.nodeFree = t.nodeFree[:n-1]
-		return f
+		node, t.nodeFree = t.nodeFree[n-1], t.nodeFree[:n-1]
+	} else {
+		node = &tierNode{fold: newFoldNode()}
 	}
-	return newFoldNode()
+	if tier == len(c.tiers) {
+		if tier < cap(c.tiers) {
+			c.tiers = c.tiers[:tier+1]
+		} else {
+			c.tiers = append(c.tiers, nil)
+		}
+	}
+	*node = tierNode{fold: node.fold, col: c, tier: tier, index: len(c.tiers[tier]), need: need}
+	c.tiers[tier] = append(c.tiers[tier], node)
+	return node
 }
 
 // recycleColLocked resets a finished collective's shells onto the free
-// lists. Caller holds t.mu; no waiter can still be inside (BeginRound
-// contract).
+// lists. Completion already released the staged buffers; a straggler that
+// published after the barrier closed is swept by the fold reset. Caller
+// holds t.mu; no waiter can still be inside (BeginRound contract).
 func (t *Tree) recycleColLocked(c *treeCol) {
 	clear(c.pending)
-	clear(c.submit)
-	c.key = opKey{}
-	c.need, c.subs = 0, 0
-	c.finished, c.extended = false, false
-	c.result, c.failure = nil, nil
-	c.done = nil
-	for _, tier := range c.tiers {
+	clear(c.submitted)
+	for i, tier := range c.tiers {
 		for _, node := range tier {
 			node.fold.reset()
-			t.nodeFree = append(t.nodeFree, node.fold)
-			node.fold = nil
+			node.col = nil
+			t.nodeFree = append(t.nodeFree, node)
 		}
+		c.tiers[i] = tier[:0]
 	}
-	c.tiers = c.tiers[:0]
+	*c = treeCol{tiers: c.tiers[:0], pending: c.pending, submitted: c.submitted}
 	t.colFree = append(t.colFree, c)
 }
 
-// leafFor maps a roster rank to its leaf node and is only valid while the
-// collective's topology is alive. Caller holds t.mu.
-func (c *treeCol) leafFor(rank, fanout int) *treeTierNode {
-	return c.tiers[0][rank/fanout]
-}
-
-// colLocked returns the collective for key, building it (and arming its
-// deadline timer) on first touch. Caller holds t.mu.
-func (t *Tree) colLocked(key opKey) *treeCol {
-	c, ok := t.cols[key]
-	if !ok {
-		c = t.newColLocked(key)
-		if t.deadline > 0 {
-			gen := c.gen
-			c.timer = time.AfterFunc(t.deadline, func() { t.expire(key, c, gen) })
-		}
-		t.cols[key] = c
+// leafLocked maps a roster rank to its leaf node. Caller holds t.mu.
+func (t *Tree) leafLocked(c *treeCol, rank int) *tierNode {
+	if t.fanout == 0 {
+		return c.tiers[0][0]
 	}
-	return c
+	return c.tiers[0][rank/t.fanout]
 }
 
 func (t *Tree) aggregate(ctx context.Context, clientID, round int, kind string, values []float64) ([]float64, error) {
@@ -417,48 +512,67 @@ func (t *Tree) aggregate(ctx context.Context, clientID, round int, kind string, 
 		t.mu.Unlock()
 		return nil, &EvictedError{ClientID: clientID}
 	}
-	rank, inRoster := t.pos[clientID]
-	if !inRoster {
+	if t.async {
 		t.mu.Unlock()
-		return nil, fmt.Errorf("fl: client %d is outside the tree roster (stray contributions are a flat-server feature)", clientID)
+		return t.asyncSubmit(ctx, clientID, kind, values)
 	}
-	key := opKey{round: round, kind: kind}
-	c := t.colLocked(key)
-	if c.submit[clientID] {
+	c, ready := t.colLocked(opKey{round: round, kind: kind})
+	if c.submitted[clientID] {
+		strict := !t.idempotent
 		t.mu.Unlock()
-		return nil, fmt.Errorf("fl: client %d double-submitted %s collective of round %d", clientID, kind, round)
+		if strict {
+			return nil, fmt.Errorf("fl: client %d double-submitted %s collective of round %d", clientID, kind, round)
+		}
+		// Retry after a dropped connection: the first submission is already
+		// in the barrier; just wait for (or return) the result.
+		return t.wait(ctx, c, nil, -1)
 	}
-	c.submit[clientID] = true
+	// A member is a roster id this collective still waits for. Anything
+	// else — outside the roster, or resolved by an eviction and readmitted
+	// since — is a stray: it still counts toward the mean, but only a
+	// single spanning leaf can place it.
+	member := c.pending[clientID]
+	if !member && t.fanout != 0 {
+		t.mu.Unlock()
+		t.cascade(ready)
+		return nil, fmt.Errorf("fl: client %d is not a pending member of the tree roster (stray contributions need the flat collective)", clientID)
+	}
+	c.submitted[clientID] = true
 	delete(c.pending, clientID)
 	contributing := values != nil && t.participants[clientID]
-	closed := c.finished
-	leaf := c.leafFor(rank, t.fanout)
+	leaf := t.leafLocked(c, t.pos[clientID])
+	closed := leaf.done
 	t.mu.Unlock()
 
-	detachPos := -1
-	var detachLeaf *treeTierNode
+	detach := -1
+	var closing *tierNode
 	if !closed {
-		// O(model) staging and opportunistic leaf folding, outside t.mu.
-		p, _ := leaf.fold.stage(clientID, values, contributing)
-		if contributing {
-			detachPos, detachLeaf = p, leaf
+		// O(model) work — staging and any opportunistic fold — happens
+		// here, outside t.mu. Member contributions are staged by reference:
+		// the submitting caller stays blocked until the barrier closes, so
+		// its slice is stable for the fold's lifetime, and an abandoned wait
+		// detaches a copy first (see wait).
+		if member {
+			detach = leaf.fold.stage(clientID, values, contributing)
+		} else if contributing {
+			leaf.fold.addStray(clientID, values, 1)
 		}
 		t.mu.Lock()
-		c.subs++
 		leaf.subs++
-		ready := t.nodeReadyLocked(leaf)
-		t.mu.Unlock()
-		if ready {
-			t.cascade(c, leaf)
+		if t.nodeReadyLocked(leaf) {
+			closing = leaf
 		}
+		t.mu.Unlock()
 	}
-	return t.wait(ctx, c, detachLeaf, detachPos)
+	t.cascade(ready)
+	t.climb(closing)
+	return t.wait(ctx, c, leaf, detach)
 }
 
 // nodeReadyLocked marks a node done when its last input resolved,
 // returning whether the caller should run its completion. Caller holds
 // t.mu.
-func (t *Tree) nodeReadyLocked(n *treeTierNode) bool {
+func (t *Tree) nodeReadyLocked(n *tierNode) bool {
 	if !n.done && n.subs >= n.need {
 		n.done = true
 		return true
@@ -466,93 +580,98 @@ func (t *Tree) nodeReadyLocked(n *treeTierNode) bool {
 	return false
 }
 
-// cascade completes a finished node outside t.mu and forwards its partial
-// upward, continuing as long as completions ripple toward the root.
-func (t *Tree) cascade(c *treeCol, node *treeTierNode) {
+// climb completes a ready node (nil is a no-op) outside t.mu and forwards
+// its partial upward, continuing as long as completions ripple toward the
+// root.
+func (t *Tree) climb(node *tierNode) {
 	for node != nil {
-		root := node.tier == len(c.tiers)-1
-		if root {
-			t.mu.Lock()
-			up, base := t.upstream, t.upstreamBase
-			t.mu.Unlock()
-			if up != nil {
-				// Subtree mode: the "root" is one aligned block of a larger
-				// roster. Forward the raw (sum, weight) partial upward and
-				// publish whatever global the upstream hands back.
-				sum, weight, err := node.fold.complete(false)
-				var global []float64
-				if err == nil {
-					global, err = up(c.key.round, c.key.kind, base, sum, weight)
-				}
-				t.finishRoot(c, node, global, err)
-				return
-			}
+		node = t.completeNode(node)
+	}
+}
+
+// cascade climbs from every node an eviction (or an arming over evicted
+// members) left ready.
+func (t *Tree) cascade(ready []*tierNode) {
+	for _, node := range ready {
+		t.climb(node)
+	}
+}
+
+// completeNode closes one node's fold. The root publishes the collective;
+// any other node stages its partial into its parent and returns the parent
+// when that was the parent's last input.
+func (t *Tree) completeNode(node *tierNode) *tierNode {
+	c := node.col
+	if node.tier == len(c.tiers)-1 {
+		t.mu.Lock()
+		up, base := t.upstream, t.upstreamBase
+		t.mu.Unlock()
+		if up == nil {
 			res, _, err := node.fold.complete(true)
 			t.finishRoot(c, node, res, err)
-			return
+			return nil
 		}
-		res, weight, err := node.fold.complete(false)
-		parent := c.tiers[node.tier+1][node.index/t.fanout]
-		childRank := node.index % t.fanout
-		forwarded := false
-		if err != nil {
-			node.failure = err
-			parent.fold.stageWeighted(childRank, nil, 0)
-		} else if res == nil || weight == 0 {
-			parent.fold.stageWeighted(childRank, nil, 0)
-		} else {
-			parent.fold.stageWeighted(childRank, res, weight)
-			forwarded = true
+		// Subtree mode: the "root" is one aligned block of a larger
+		// roster. Forward the raw (sum, weight) partial upward and
+		// publish whatever global the upstream hands back.
+		sum, weight, err := node.fold.complete(false)
+		var global []float64
+		if err == nil {
+			global, err = up(c.key.round, c.key.kind, base, sum, weight)
 		}
-
-		t.mu.Lock()
-		if node.tier == 0 {
-			t.leafFolds++
-		}
-		if forwarded {
-			t.partials++
-			node.contribed = true
-		} else {
-			// This input to the parent tier resolved empty.
-			t.tierEvictions[node.tier+1]++
-		}
-		parent.subs++
-		ready := t.nodeReadyLocked(parent)
-		t.mu.Unlock()
-		if !ready {
-			return
-		}
-		node = parent
+		t.finishRoot(c, node, global, err)
+		return nil
 	}
+	span := t.fanout
+	res, weight, err := node.fold.complete(false)
+	parent := c.tiers[node.tier+1][node.index/span]
+	if err != nil {
+		node.failure = err
+	}
+	forwarded := err == nil && res != nil && weight > 0
+	if !forwarded {
+		res, weight = nil, 0
+	}
+	parent.fold.stageWeighted(node.index%span, res, weight)
+
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if node.tier == 0 {
+		t.leafFolds++
+	}
+	if forwarded {
+		t.partials++
+	} else {
+		// This input to the parent tier resolved empty.
+		t.tierEvictions[node.tier+1]++
+	}
+	parent.subs++
+	if t.nodeReadyLocked(parent) {
+		return parent
+	}
+	return nil
 }
 
 // finishRoot publishes the collective result and wakes every waiter. A
 // failure recorded anywhere in the tree wins over the (partial) result;
 // the lowest tier, lowest index failure is chosen so the reported error
 // does not depend on completion timing.
-func (t *Tree) finishRoot(c *treeCol, root *treeTierNode, res []float64, err error) {
-	if err != nil {
-		root.failure = err
-	}
+func (t *Tree) finishRoot(c *treeCol, root *tierNode, res []float64, err error) {
+	root.failure = err
 	t.mu.Lock()
 	var failure error
 	for _, tier := range c.tiers {
 		for _, node := range tier {
-			if node.failure != nil {
+			if failure == nil && node.failure != nil {
 				failure = node.failure
-				break
 			}
-		}
-		if failure != nil {
-			break
 		}
 	}
 	if failure != nil {
 		if root.failure == failure && root.tier > 0 {
-			c.failure = fmt.Errorf("fl: tier %d aggregator: %w", root.tier, failure)
-		} else {
-			c.failure = failure
+			failure = fmt.Errorf("fl: tier %d aggregator: %w", root.tier, failure)
 		}
+		c.failure = failure
 	} else {
 		c.result = res
 	}
@@ -564,14 +683,17 @@ func (t *Tree) finishRoot(c *treeCol, root *treeTierNode, res []float64, err err
 	close(c.done)
 }
 
-// wait blocks until the collective completes or ctx cancels; an abandoned
-// wait detaches the caller's staged slice from its leaf first.
-func (t *Tree) wait(ctx context.Context, c *treeCol, leaf *treeTierNode, detach int) ([]float64, error) {
+// wait blocks until the collective completes or ctx is cancelled. detach
+// is the caller's reference-staged position in node's fold (-1 if none):
+// on an abandoned wait the contribution is snapshotted into a pooled
+// buffer first, because the caller may legally reuse its slice the moment
+// this returns while the barrier is still open.
+func (t *Tree) wait(ctx context.Context, c *treeCol, node *tierNode, detach int) ([]float64, error) {
 	select {
 	case <-c.done:
 	case <-ctx.Done():
-		if leaf != nil && detach >= 0 {
-			leaf.fold.detach(detach)
+		if detach >= 0 {
+			node.fold.detach(detach)
 		}
 		return nil, ctx.Err()
 	}
@@ -581,10 +703,15 @@ func (t *Tree) wait(ctx context.Context, c *treeCol, leaf *treeTierNode, detach 
 	return c.result, nil
 }
 
-// expire closes a deadline-expired collective: one alive-probe extension,
-// then the missing clients are evicted from their leaves and every
-// affected tier completes with what it has (see Server.expire for the
-// generation guard).
+// expire closes a deadline-expired barrier: every pending member is either
+// granted one collective-wide extension (if the alive probe vouches for
+// any of them and none was granted yet) or evicted, after which every
+// affected tier completes with what it has.
+//
+// armed and gen identify the barrier the timer was armed for. A stale
+// firing — the collective completed and was recycled (possibly reused for
+// a new collective, even at the same key) between the timer going off and
+// this lock acquisition — fails the identity check and does nothing.
 func (t *Tree) expire(key opKey, armed *treeCol, gen uint64) {
 	t.mu.Lock()
 	c := t.cols[key]
@@ -603,22 +730,43 @@ func (t *Tree) expire(key opKey, armed *treeCol, gen uint64) {
 		}
 	}
 	t.timeouts++
-	var ready []*treeTierNode
+	var ready []*tierNode
 	for id := range c.pending {
-		delete(c.pending, id)
-		t.evicted[id] = true
-		t.evictions++
-		t.tierEvictions[0]++
-		rank := t.pos[id]
-		leaf := c.leafFor(rank, t.fanout)
-		leaf.fold.skip(id)
-		leaf.subs++
-		if t.nodeReadyLocked(leaf) {
-			ready = append(ready, leaf)
-		}
+		ready = t.evictLocked(id, ready)
 	}
 	t.mu.Unlock()
-	for _, leaf := range ready {
-		t.cascade(c, leaf)
+	// The heavy close-out (drain, scale, waking waiters) runs unlocked.
+	t.cascade(ready)
+}
+
+// evictLocked evicts a client and resolves it in every in-flight
+// collective, so a dead client cannot stall the round's remaining barriers
+// for another full deadline. It returns ready extended by the nodes that
+// now have all their inputs, for the caller to cascade after releasing
+// t.mu. Caller holds t.mu.
+func (t *Tree) evictLocked(clientID int, ready []*tierNode) []*tierNode {
+	t.evicted[clientID] = true
+	t.evictions++
+	t.tierEvictions[0]++
+	delete(t.participants, clientID)
+	for _, c := range t.cols {
+		if c.pending[clientID] {
+			ready = t.resolveLocked(c, clientID, ready)
+		}
 	}
+	return ready
+}
+
+// resolveLocked resolves pending member id of c without a contribution:
+// its rank folds as the identity and its leaf stops waiting for it (joining
+// ready if that was its last input). Caller holds t.mu.
+func (t *Tree) resolveLocked(c *treeCol, id int, ready []*tierNode) []*tierNode {
+	delete(c.pending, id)
+	leaf := t.leafLocked(c, t.pos[id])
+	leaf.fold.skip(id)
+	leaf.subs++
+	if t.nodeReadyLocked(leaf) {
+		ready = append(ready, leaf)
+	}
+	return ready
 }

@@ -60,10 +60,11 @@ func (t *Tree) AggregatePartial(round int, kind string, rankLo int, sum []float6
 // (nil sum) reports an empty block (every member evicted at the remote
 // leaf). sum is not retained past the call.
 //
-// A resubmission of a block that was already resolved by a remote
-// partial is idempotent (it waits and returns the published global, the
-// retry-after-reconnect contract of flrpc); a partial for a block with
-// direct member submissions, or one that expired, is an error.
+// With SetIdempotent, a resubmission of a block that was already resolved
+// by a remote partial waits and returns the published global (the
+// retry-after-reconnect contract of flrpc); otherwise it is an error, as is
+// a partial for a block with direct member submissions or one that
+// expired.
 func (t *Tree) AggregatePartialCtx(ctx context.Context, round int, kind string, rankLo int, sum []float64, weight int) ([]float64, error) {
 	t.mu.Lock()
 	n := len(t.roster)
@@ -71,62 +72,51 @@ func (t *Tree) AggregatePartialCtx(ctx context.Context, round int, kind string, 
 		t.mu.Unlock()
 		return nil, fmt.Errorf("fl: partial submitted before SetRoster")
 	}
+	if t.fanout == 0 || n <= t.fanout {
+		t.mu.Unlock()
+		return nil, fmt.Errorf("fl: roster of %d fits a single tier at fanout %d; submit members directly", n, t.fanout)
+	}
 	if rankLo < 0 || rankLo >= n || rankLo%t.fanout != 0 {
 		t.mu.Unlock()
 		return nil, fmt.Errorf("fl: partial rank %d is not an aligned leaf block of a %d-member roster (fanout %d)", rankLo, n, t.fanout)
 	}
-	key := opKey{round: round, kind: kind}
-	c := t.colLocked(key)
-	if len(c.tiers) < 2 {
+	c, ready := t.colLocked(opKey{round: round, kind: kind})
+	leaf := t.leafLocked(c, rankLo)
+	var err error
+	switch {
+	case leaf.done && leaf.remote && t.idempotent:
+		// Resubmission after a transport retry: the first copy already
+		// resolved the block; hand back the same global.
 		t.mu.Unlock()
-		return nil, fmt.Errorf("fl: roster of %d fits a single tier at fanout %d; submit members directly", n, t.fanout)
+		return t.wait(ctx, c, nil, -1)
+	case leaf.done:
+		err = fmt.Errorf("fl: leaf block at rank %d already resolved (by a partial, by expiry, or folded locally)", rankLo)
+	case leaf.subs > 0:
+		err = fmt.Errorf("fl: leaf block at rank %d has %d resolved members; a remote partial cannot replace a partially folded block", rankLo, leaf.subs)
+	case weight < 0 || weight > leaf.need:
+		err = fmt.Errorf("fl: partial weight %d outside the block's %d members", weight, leaf.need)
+	case weight > 0 && len(sum) == 0:
+		err = fmt.Errorf("fl: partial weight %d with empty sum", weight)
 	}
-	leaf := c.leafFor(rankLo, t.fanout)
-	if leaf.done {
-		if leaf.remote {
-			// Idempotent resubmission after a transport retry: the first
-			// copy already resolved the block; hand back the same global.
-			t.mu.Unlock()
-			return t.wait(ctx, c, nil, -1)
-		}
+	if err != nil {
 		t.mu.Unlock()
-		return nil, fmt.Errorf("fl: leaf block at rank %d already resolved (expired or folded locally)", rankLo)
-	}
-	if leaf.subs > 0 {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("fl: leaf block at rank %d has %d direct member submissions; a remote partial cannot replace a partially folded block", rankLo, leaf.subs)
-	}
-	if weight < 0 || weight > leaf.need {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("fl: partial weight %d outside the block's %d members", weight, leaf.need)
-	}
-	if weight > 0 && len(sum) == 0 {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("fl: partial weight %d with empty sum", weight)
+		t.cascade(ready)
+		return nil, err
 	}
 	// The partial speaks for every member of the block: they are submitted
 	// (a later direct submission is a double-submit) and no longer pending
 	// (deadline expiry must not evict them).
-	hi := rankLo + t.fanout
-	if hi > n {
-		hi = n
-	}
-	for r := rankLo; r < hi; r++ {
-		id := t.roster[r]
-		c.submit[id] = true
-		if c.pending[id] {
-			delete(c.pending, id)
-			c.subs++
-		}
+	for _, id := range t.roster[rankLo:min(rankLo+t.fanout, n)] {
+		c.submitted[id] = true
+		delete(c.pending, id)
 	}
 	leaf.done = true
 	leaf.remote = true
 	parent := c.tiers[1][leaf.index/t.fanout]
-	childRank := leaf.index % t.fanout
 	if weight > 0 {
 		t.partials++
-		leaf.contribed = true
 	} else {
+		sum = nil
 		t.tierEvictions[1]++
 	}
 	t.mu.Unlock()
@@ -135,22 +125,15 @@ func (t *Tree) AggregatePartialCtx(ctx context.Context, round int, kind string, 
 	// wait until the collective closes, exactly the Aggregate ownership
 	// contract, so the caller's buffer is recyclable on return. An
 	// abandoned wait detaches it from the parent fold first.
-	detach := -1
-	if weight > 0 {
-		detach = parent.fold.stageWeighted(childRank, sum, weight)
-	} else {
-		parent.fold.stageWeighted(childRank, nil, 0)
-	}
+	detach := parent.fold.stageWeighted(leaf.index%t.fanout, sum, weight)
 	t.mu.Lock()
 	parent.subs++
-	ready := t.nodeReadyLocked(parent)
+	var closing *tierNode
+	if t.nodeReadyLocked(parent) {
+		closing = parent
+	}
 	t.mu.Unlock()
-	if ready {
-		t.cascade(c, parent)
-	}
-	var detachNode *treeTierNode
-	if detach >= 0 {
-		detachNode = parent
-	}
-	return t.wait(ctx, c, detachNode, detach)
+	t.cascade(ready)
+	t.climb(closing)
+	return t.wait(ctx, c, parent, detach)
 }

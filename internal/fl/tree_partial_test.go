@@ -84,13 +84,21 @@ func TestTreePartialBitIdentity(t *testing.T) {
 	}
 }
 
-// TestTreePartialIdempotent: resubmitting a block's partial (the flrpc
-// retry-after-reconnect path) returns the published global instead of a
-// double-submit error.
+// TestTreePartialIdempotent: with SetIdempotent (the coordinator's
+// setting) resubmitting a block's partial — the flrpc retry-after-reconnect
+// path — returns the published global; without it the resubmission is the
+// same strict double-submit error a member gets.
 func TestTreePartialIdempotent(t *testing.T) {
+	for _, idempotent := range []bool{true, false} {
+		testTreePartialResubmission(t, idempotent)
+	}
+}
+
+func testTreePartialResubmission(t *testing.T, idempotent bool) {
 	roster := []int{0, 1, 2, 3}
 	vecs := map[int][]float64{2: {4, 8}, 3: {8, 16}}
 	tr := NewTree(2)
+	tr.SetIdempotent(idempotent)
 	tr.SetRoster(roster)
 	tr.BeginRound(0, roster)
 	sum := []float64{2, 6} // members 0+1 folded remotely: {0,2} + {2,4}
@@ -113,6 +121,12 @@ func TestTreePartialIdempotent(t *testing.T) {
 	}
 	wg.Wait()
 	res, err := tr.AggregatePartial(0, "model", 0, sum, 2)
+	if !idempotent {
+		if err == nil {
+			t.Fatal("strict collective accepted a resubmitted partial")
+		}
+		return
+	}
 	if err != nil {
 		t.Fatalf("idempotent resubmission rejected: %v", err)
 	}
@@ -149,7 +163,7 @@ func TestTreePartialValidation(t *testing.T) {
 		defer wg.Done()
 		_, _ = tr.AggregateModel(10, 0, []float64{1})
 	}()
-	waitTreeSubs(t, tr, 0, "model", 1)
+	waitSubs(t, tr, 0, "model", 1)
 	if _, err := tr.AggregatePartial(0, "model", 0, []float64{5}, 2); err == nil {
 		t.Fatal("partial over a partially folded block accepted")
 	}

@@ -11,49 +11,6 @@ import (
 	"fedsu/internal/par"
 )
 
-// submitTreeInOrder forces an exact arrival order against a Tree, the
-// tree-side twin of submitInOrder.
-func submitTreeInOrder(t *testing.T, tr *Tree, round int, order []int, vecs map[int][]float64) (map[int][]float64, map[int]error) {
-	t.Helper()
-	results := make(map[int][]float64, len(order))
-	errs := make(map[int]error, len(order))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for k, id := range order {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			res, err := tr.AggregateModel(id, round, vecs[id])
-			mu.Lock()
-			results[id], errs[id] = res, err
-			mu.Unlock()
-		}(id)
-		waitTreeSubs(t, tr, round, "model", k+1)
-	}
-	wg.Wait()
-	return results, errs
-}
-
-func waitTreeSubs(t *testing.T, tr *Tree, round int, kind string, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		tr.mu.Lock()
-		subs := -1
-		if c := tr.cols[opKey{round: round, kind: kind}]; c != nil {
-			subs = c.subs
-		}
-		tr.mu.Unlock()
-		if subs >= want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %d submissions to tree %s/%d", want, kind, round)
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-}
-
 // TestTreeFlatBitIdentity is the tentpole acceptance bar: over the same
 // sampled cohort, the hierarchical tree's global vector must equal the
 // flat server's to the last bit — across fanouts {2, 8, 32}, worker
@@ -115,7 +72,7 @@ func TestTreeFlatBitIdentity(t *testing.T) {
 				tr := NewTree(fanout)
 				tr.SetRoster(cohort)
 				tr.BeginRound(0, cohort)
-				results, errs := submitTreeInOrder(t, tr, 0, order, vecs)
+				results, errs := submitInOrder(t, tr, 0, order, vecs)
 				for id, err := range errs {
 					if err != nil {
 						t.Fatalf("fanout=%d workers=%d order=%d client %d: %v", fanout, workers, oi, id, err)
@@ -156,7 +113,7 @@ func TestTreeDeadlineEviction(t *testing.T) {
 	tr.SetDeadline(40 * time.Millisecond)
 	tr.SetRoster(roster)
 	tr.BeginRound(0, roster)
-	results, errs := submitTreeInOrder(t, tr, 0, submitters, vecs)
+	results, errs := submitInOrder(t, tr, 0, submitters, vecs)
 	for _, id := range submitters {
 		if errs[id] != nil {
 			t.Fatalf("client %d: %v", id, errs[id])
@@ -204,7 +161,7 @@ func TestTreeDoubleSubmit(t *testing.T) {
 		defer wg.Done()
 		_, _ = tr.AggregateModel(0, 0, []float64{1, 2})
 	}()
-	waitTreeSubs(t, tr, 0, "model", 1)
+	waitSubs(t, tr, 0, "model", 1)
 	if _, err := tr.AggregateModel(0, 0, []float64{1, 2}); err == nil {
 		t.Fatal("double submission was accepted")
 	}
@@ -223,7 +180,7 @@ func TestTreeLateSubmissionGetsResult(t *testing.T) {
 	tr.SetRoster([]int{0, 1, 2})
 	tr.BeginRound(0, []int{0, 1, 2})
 	vecs := map[int][]float64{0: {2, 4}, 1: {4, 8}}
-	results, errs := submitTreeInOrder(t, tr, 0, []int{0, 1}, vecs)
+	results, errs := submitInOrder(t, tr, 0, []int{0, 1}, vecs)
 	for id, err := range errs {
 		if err != nil {
 			t.Fatalf("client %d: %v", id, err)
@@ -252,7 +209,7 @@ func TestTreeCallerSliceNotAliased(t *testing.T) {
 			panic("cancelled wait returned no error")
 		}
 	}()
-	waitTreeSubs(t, tr, 0, "model", 1)
+	waitSubs(t, tr, 0, "model", 1)
 	cancel()
 	<-done
 	vec[0], vec[1], vec[2] = -1e9, -1e9, -1e9
@@ -281,7 +238,7 @@ func TestTreeStatsCounters(t *testing.T) {
 	tr := NewTree(fanout)
 	tr.SetRoster(roster)
 	tr.BeginRound(0, roster)
-	_, errs := submitTreeInOrder(t, tr, 0, roster, vecs)
+	_, errs := submitInOrder(t, tr, 0, roster, vecs)
 	for id, err := range errs {
 		if err != nil {
 			t.Fatalf("client %d: %v", id, err)
@@ -316,7 +273,7 @@ func TestTreeMultiRoundRecycling(t *testing.T) {
 			ranked[r] = vecs[id]
 		}
 		want := canonicalMean(ranked)
-		results, errs := submitTreeInOrder(t, tr, round, cohort, vecs)
+		results, errs := submitInOrder(t, tr, round, cohort, vecs)
 		for id, err := range errs {
 			if err != nil {
 				t.Fatalf("round %d client %d: %v", round, id, err)

@@ -347,8 +347,8 @@ func (c *Client) call(ctx context.Context, kind string, clientID, round int, val
 			*chainBuf = c.chain.AppendEncode((*chainBuf)[:0], values)
 			args.Payload = *chainBuf
 		} else {
-			wireBuf := sparse.GetWireBuf(sparse.VectorPayloadSize(values))
-			defer sparse.PutWireBuf(wireBuf)
+			wireBuf := codec.GetBuf(sparse.VectorPayloadSize(values))
+			defer codec.PutBuf(wireBuf)
 			*wireBuf = sparse.AppendVectorPayload(*wireBuf, values)
 			args.Payload = *wireBuf
 		}
@@ -376,8 +376,8 @@ func (c *Client) call(ctx context.Context, kind string, clientID, round int, val
 // resubmission after a reconnect idempotently, so a retried partial
 // whose first copy landed is safe.
 func (c *Client) SubmitPartial(ctx context.Context, round int, kind string, p sparse.Partial) ([]float64, error) {
-	wireBuf := sparse.GetWireBuf(sparse.PartialPayloadSize(len(p.Sum)))
-	defer sparse.PutWireBuf(wireBuf)
+	wireBuf := codec.GetBuf(sparse.PartialPayloadSize(len(p.Sum)))
+	defer codec.PutBuf(wireBuf)
 	*wireBuf = sparse.AppendPartialPayload(*wireBuf, p)
 	args := PartialArgs{ClientID: c.ClientID(), Round: round, Kind: kind, Payload: *wireBuf}
 	c.counters.Add("agg_tx_bytes", int64(len(args.Payload)))

@@ -2,6 +2,7 @@ package flrpc
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -90,9 +91,15 @@ func TestDeadClientEvictedSessionContinues(t *testing.T) {
 
 // A client whose connection drops mid-Aggregate reconnects, rejoins by id,
 // resubmits, and still receives the collective result — the coordinator
-// treats the resubmission idempotently.
+// treats the resubmission idempotently, whichever topology it folds over.
 func TestReconnectMidAggregate(t *testing.T) {
-	_, addr := startCoordinatorWith(t, Config{NumClients: 2, ModelSize: 1})
+	for _, fanout := range []int{0, 2} {
+		t.Run(fmt.Sprintf("fanout=%d", fanout), func(t *testing.T) { testReconnectMidAggregate(t, fanout) })
+	}
+}
+
+func testReconnectMidAggregate(t *testing.T, fanout int) {
+	_, addr := startCoordinatorWith(t, Config{NumClients: 2, ModelSize: 1, Fanout: fanout})
 	a, err := DialWith(addr, DialConfig{Name: "a", RetryBase: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

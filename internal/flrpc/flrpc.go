@@ -190,10 +190,9 @@ type Config struct {
 	// hierarchical fl.Tree: leaf-aggregator relays reserve aligned id
 	// blocks (JoinArgs.BlockSize) and submit one partial per collective
 	// (SubmitPartial), so root work is O(fanout) rather than
-	// O(participants). Direct clients still work (mixed trees are fine)
-	// but lose the flat server's idempotent-resubmission affordance —
-	// only relay partials are retried idempotently. Incompatible with
-	// Async. Zero keeps the flat fl.Server.
+	// O(participants). Direct clients still work (mixed trees are fine),
+	// with the same idempotent resubmission as in flat mode. Incompatible
+	// with Async. Zero keeps the flat fl.Server.
 	Fanout int
 	// Compress selects the compression chain for collective replies, as a
 	// codec chain spec ("topk,q4,rans" — see codec.Parse). The decode side
@@ -232,8 +231,8 @@ type Coordinator struct {
 	// reclamation is left to the GC. Guarded by mu.
 	replyEnc map[aggKey][]byte
 
-	// hbMu guards lastSeen alone. It is never held while calling into srv,
-	// and srv's deadline expiry calls alive() while holding its own lock —
+	// hbMu guards lastSeen alone. It is never held while calling into coll,
+	// and coll's deadline expiry calls alive() while holding its own lock —
 	// a shared mutex here would invert the lock order and deadlock.
 	hbMu     sync.Mutex
 	lastSeen map[int]time.Time
@@ -241,10 +240,10 @@ type Coordinator struct {
 	counters *trace.Counters
 	// chain is the parsed Compress spec (nil for the default wire).
 	chain *codec.Chain
-	// Exactly one of srv/tree is non-nil: the flat collective, or the
-	// hierarchical one (Config.Fanout).
-	srv  *fl.Server
-	tree *fl.Tree
+	// coll is the collective: flat, or the aligned-block tree Config.Fanout
+	// selects — one state machine either way (fl.Server is fl.Tree with a
+	// single spanning leaf).
+	coll *fl.Tree
 	// blockOf maps every id of a relay-reserved block to the block's base
 	// id, for heartbeat attribution (a relay's Ping keeps its whole block
 	// alive). Guarded by mu.
@@ -289,23 +288,19 @@ func NewCoordinatorWith(cfg Config) (*Coordinator, error) {
 		if cfg.Async.Enabled() {
 			return nil, fmt.Errorf("flrpc: tree mode (Fanout %d) is synchronous-only; async is a flat-server feature", cfg.Fanout)
 		}
-		c.tree = fl.NewTree(cfg.Fanout)
-		if cfg.Deadline > 0 {
-			c.tree.SetDeadline(cfg.Deadline)
-			c.tree.SetAliveProbe(c.alive)
-		}
-		return c, nil
+		c.coll = fl.NewTree(cfg.Fanout)
+	} else {
+		c.coll = fl.NewServer(cfg.NumClients)
 	}
-	c.srv = fl.NewServer(cfg.NumClients)
-	// Resubmission after a client reconnect must be benign, not a
+	// Resubmission after a client or relay reconnect must be benign, not a
 	// double-submit error.
-	c.srv.SetIdempotent(true)
+	c.coll.SetIdempotent(true)
 	if cfg.Deadline > 0 {
-		c.srv.SetDeadline(cfg.Deadline)
-		c.srv.SetAliveProbe(c.alive)
+		c.coll.SetDeadline(cfg.Deadline)
+		c.coll.SetAliveProbe(c.alive)
 	}
 	if cfg.Async.Enabled() {
-		if err := c.srv.SetAsync(cfg.Async); err != nil {
+		if err := c.coll.SetAsync(cfg.Async); err != nil {
 			return nil, err
 		}
 	}
@@ -314,29 +309,14 @@ func NewCoordinatorWith(cfg Config) (*Coordinator, error) {
 
 // AsyncVersion returns the number of async global applications (zero in
 // synchronous mode).
-func (c *Coordinator) AsyncVersion() int {
-	if c.srv == nil {
-		return 0
-	}
-	return c.srv.AsyncVersion()
-}
+func (c *Coordinator) AsyncVersion() int { return c.coll.AsyncVersion() }
 
 // StaleDropCount returns contributions dropped for exceeding MaxStaleness.
-func (c *Coordinator) StaleDropCount() int {
-	if c.srv == nil {
-		return 0
-	}
-	return c.srv.StaleDropCount()
-}
+func (c *Coordinator) StaleDropCount() int { return c.coll.StaleDropCount() }
 
-// TierStats returns the tree collective's per-tier telemetry (zero value
-// in flat mode).
-func (c *Coordinator) TierStats() fl.TierStats {
-	if c.tree == nil {
-		return fl.TierStats{}
-	}
-	return c.tree.Stats()
-}
+// TierStats returns the collective's per-tier telemetry (a single tier and
+// no forwarded partials in flat mode).
+func (c *Coordinator) TierStats() fl.TierStats { return c.coll.Stats() }
 
 // alive reports whether a client was heard from within the heartbeat
 // grace window; consulted by the server when a barrier deadline expires.
@@ -369,29 +349,10 @@ func (c *Coordinator) heard(clientID int) {
 func (c *Coordinator) Counters() *trace.Counters { return c.counters }
 
 // Evicted returns the ids evicted so far, ascending.
-func (c *Coordinator) Evicted() []int {
-	if c.tree != nil {
-		return c.tree.Evicted()
-	}
-	return c.srv.Evicted()
-}
+func (c *Coordinator) Evicted() []int { return c.coll.Evicted() }
 
 // EvictionCount returns the cumulative number of deadline evictions.
-func (c *Coordinator) EvictionCount() int {
-	if c.tree != nil {
-		return c.tree.EvictionCount()
-	}
-	return c.srv.EvictionCount()
-}
-
-// readmit clears evicted status on whichever collective is active.
-func (c *Coordinator) readmit(clientID int) {
-	if c.tree != nil {
-		c.tree.Readmit(clientID)
-		return
-	}
-	c.srv.Readmit(clientID)
-}
+func (c *Coordinator) EvictionCount() int { return c.coll.EvictionCount() }
 
 // Join implements the session handshake, including rejoin-by-id after a
 // client reconnects and block reservation for leaf-aggregator relays.
@@ -402,7 +363,7 @@ func (c *Coordinator) Join(args JoinArgs, reply *JoinReply) error {
 		if args.ClientID < 0 || args.ClientID >= c.nextID {
 			return fmt.Errorf("flrpc: rejoin of unknown client %d", args.ClientID)
 		}
-		c.readmit(args.ClientID)
+		c.coll.Readmit(args.ClientID)
 		c.counters.Inc("rejoins")
 		c.heard(args.ClientID)
 		*reply = JoinReply{ClientID: args.ClientID, NumClients: c.numClients, ModelSize: c.modelSize}
@@ -410,10 +371,10 @@ func (c *Coordinator) Join(args JoinArgs, reply *JoinReply) error {
 	}
 	span := 1
 	if args.BlockSize > 0 {
-		if c.tree == nil {
+		fanout := c.coll.Fanout()
+		if fanout == 0 {
 			return fmt.Errorf("flrpc: block join against a flat coordinator (no Fanout configured)")
 		}
-		fanout := c.tree.Fanout()
 		if c.nextID%fanout != 0 {
 			return fmt.Errorf("flrpc: block join at id %d is not aligned to fanout %d (join relays before direct clients)", c.nextID, fanout)
 		}
@@ -463,13 +424,8 @@ func (c *Coordinator) beginRoundLocked(round int) {
 		return
 	}
 	ids := append([]int(nil), c.allIDs...)
-	if c.tree != nil {
-		c.tree.SetRoster(ids)
-		c.tree.BeginRound(round, ids)
-	} else {
-		c.srv.SetRoster(ids)
-		c.srv.BeginRound(round, ids)
-	}
+	c.coll.SetRoster(ids)
+	c.coll.BeginRound(round, ids)
 	c.begun[round] = true
 	delete(c.begun, round-2) // bounded bookkeeping
 	for k := range c.replyEnc {
@@ -477,15 +433,6 @@ func (c *Coordinator) beginRoundLocked(round int) {
 			delete(c.replyEnc, k)
 		}
 	}
-}
-
-// collective returns the active aggregation service (flat or tree); both
-// satisfy the ctx-aware dispatch contract.
-func (c *Coordinator) collective() sparse.Aggregator {
-	if c.tree != nil {
-		return c.tree
-	}
-	return c.srv
 }
 
 // Aggregate implements the blocking collective call.
@@ -500,15 +447,15 @@ func (c *Coordinator) Aggregate(args AggArgs, reply *AggReply) error {
 	c.heard(args.ClientID)
 	c.counters.Add("agg_rx_bytes", int64(len(args.Payload)))
 
-	// Decode the contribution into a pooled vector. The fl.Server stages
+	// Decode the contribution into a pooled vector. The collective stages
 	// submissions by reference and drops them when the barrier closes, and
 	// this handler blocks inside the collective until exactly then, so the
 	// buffer is recyclable once the dispatch below returns. modelSize bounds
 	// the claimed vector length against hostile payloads.
 	var vecBuf *[]float64
 	if !args.Abstain {
-		vecBuf = sparse.GetVec(c.modelSize)
-		defer sparse.PutVec(vecBuf)
+		vecBuf = codec.GetVals(c.modelSize)
+		defer codec.PutVals(vecBuf)
 	}
 	var dst []float64
 	if vecBuf != nil {
@@ -525,9 +472,9 @@ func (c *Coordinator) Aggregate(args AggArgs, reply *AggReply) error {
 	// aggregation in the codebase.
 	switch args.Kind {
 	case "model":
-		res, err = sparse.AggModel(context.Background(), c.collective(), args.ClientID, args.Round, values)
+		res, err = sparse.AggModel(context.Background(), c.coll, args.ClientID, args.Round, values)
 	case "error":
-		res, err = sparse.AggError(context.Background(), c.collective(), args.ClientID, args.Round, values)
+		res, err = sparse.AggError(context.Background(), c.coll, args.ClientID, args.Round, values)
 	default:
 		return fmt.Errorf("flrpc: unknown collective kind %q", args.Kind)
 	}
@@ -596,10 +543,8 @@ func (c *Coordinator) encodeVector(res []float64) []byte {
 // and a resubmission after a relay reconnect is idempotent.
 func (c *Coordinator) SubmitPartial(args PartialArgs, reply *AggReply) error {
 	c.mu.Lock()
-	if c.tree == nil {
-		c.mu.Unlock()
-		return fmt.Errorf("flrpc: partial submitted to a flat coordinator (no Fanout configured)")
-	}
+	// Only a tree coordinator hands out blocks (see Join), so a flat one
+	// rejects every partial here.
 	base, ok := c.blockOf[args.ClientID]
 	if !ok || base != args.ClientID {
 		c.mu.Unlock()
@@ -614,8 +559,8 @@ func (c *Coordinator) SubmitPartial(args PartialArgs, reply *AggReply) error {
 	// Decode into a pooled vector; the tree stages the sum by reference
 	// and this handler blocks until the collective closes, so the buffer
 	// is recyclable on return (the Aggregate ownership contract).
-	vecBuf := sparse.GetVec(c.modelSize)
-	defer sparse.PutVec(vecBuf)
+	vecBuf := codec.GetVals(c.modelSize)
+	defer codec.PutVals(vecBuf)
 	p, err := sparse.DecodePartialPayloadInto(*vecBuf, args.Payload, c.modelSize)
 	if err != nil {
 		return fmt.Errorf("flrpc: relay %d round %d: %w", args.ClientID, args.Round, err)
@@ -627,7 +572,7 @@ func (c *Coordinator) SubmitPartial(args PartialArgs, reply *AggReply) error {
 		return fmt.Errorf("flrpc: unknown collective kind %q", args.Kind)
 	}
 	c.counters.Add("relay_traffic_bytes", p.Traffic)
-	res, err := c.tree.AggregatePartialCtx(context.Background(), args.Round, args.Kind, p.RankLo, p.Sum, p.Weight)
+	res, err := c.coll.AggregatePartialCtx(context.Background(), args.Round, args.Kind, p.RankLo, p.Sum, p.Weight)
 	if err != nil {
 		return err
 	}

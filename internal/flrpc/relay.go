@@ -86,7 +86,7 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	r := &Relay{coord: coord, up: up}
 	// The local tree covers one aligned block of the root roster: its
 	// root forwards the raw partial upstream instead of scaling a mean.
-	coord.tree.SetUpstream(up.ClientID(), r.forward)
+	coord.coll.SetUpstream(up.ClientID(), r.forward)
 	return r, nil
 }
 

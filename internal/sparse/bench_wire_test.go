@@ -3,6 +3,8 @@ package sparse
 import (
 	"fmt"
 	"testing"
+
+	"fedsu/internal/sparse/codec"
 )
 
 // BenchmarkVectorPayload tracks the pooled encode/decode round trip flrpc
@@ -20,10 +22,10 @@ func BenchmarkVectorPayload(b *testing.B) {
 			for i := 0; i < n; i += step {
 				vec[i] = 1 + float64(i)
 			}
-			buf := GetWireBuf(VectorPayloadSize(vec))
-			defer PutWireBuf(buf)
-			dst := GetVec(n)
-			defer PutVec(dst)
+			buf := codec.GetBuf(VectorPayloadSize(vec))
+			defer codec.PutBuf(buf)
+			dst := codec.GetVals(n)
+			defer codec.PutVals(dst)
 			b.SetBytes(int64(VectorPayloadSize(vec)))
 			b.ReportAllocs()
 			b.ResetTimer()

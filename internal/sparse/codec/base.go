@@ -76,7 +76,7 @@ func DenseBaseSize(n int) int {
 }
 
 // bitmapBodyBytes is the bitmap body size: length header, one bit per
-// parameter, four bytes per selected value (sparse.BitmapPayloadBytes).
+// parameter, four bytes per selected value.
 func bitmapBodyBytes(totalParams, selected int) int {
 	return 8 + (totalParams+7)/8 + 4*selected
 }

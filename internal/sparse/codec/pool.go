@@ -5,13 +5,23 @@ import (
 	"sync"
 )
 
-// Pooled scratch for the chain's intermediate images: the same
-// power-of-two size-class, pointer-to-slice pooling contract as
-// sparse.GetWireBuf/PutWireBuf (and checked by the same fedsu-lint
-// scratchpair analyzer). Get returns storage with UNSPECIFIED contents
-// beyond the documented length; Put transfers ownership back, after
-// which neither the pointer nor any alias may be touched. Safe for
+// The one pool of wire and vector buffers — the chain's intermediate
+// images, flrpc's encode/decode buffers and the fold's level sums all
+// draw from it. The tensor-arena pattern applied to the communication
+// path: power-of-two size classes, pointer-to-slice pooling (a bare
+// []byte in a sync.Pool re-boxes the slice header on every Put),
+// fragmentation bounded at 2×, so a steady-state Get/Put pair performs
+// no allocation.
+//
+// Contract (mirrors tensor.GetScratch/PutScratch, and checked by the same
+// fedsu-lint scratchpair analyzer): Get returns storage with UNSPECIFIED
+// contents beyond the documented length; Put transfers ownership back,
+// after which neither the pointer nor any alias may be touched. Safe for
 // concurrent use.
+
+// poolClasses covers 2^0 .. 2^(poolClasses-1) bytes or elements; the top
+// class is 2^26 (64 MiB of bytes, 512 MiB of float64s) — larger requests
+// bypass the pool and fall to the GC.
 
 const poolClasses = 27
 

@@ -49,6 +49,19 @@ func PartialPayloadSize(n int) int {
 	return 1 + 8*4 + 8*n
 }
 
+// growBytes extends dst by n bytes in a single step (one allocation at
+// most), returning the lengthened slice; the new bytes are unspecified and
+// must be fully overwritten by the caller.
+func growBytes(dst []byte, n int) []byte {
+	total := len(dst) + n
+	if cap(dst) >= total {
+		return dst[:total]
+	}
+	grown := make([]byte, total)
+	copy(grown, dst)
+	return grown
+}
+
 // AppendPartialPayload appends the encoding of p to dst and returns the
 // extended slice, growing dst at most once. An identity partial (nil
 // Sum, zero Weight) encodes with span 0.
@@ -80,7 +93,7 @@ func DecodePartialPayload(b []byte) (Partial, error) {
 }
 
 // DecodePartialPayloadInto decodes a partial payload, reusing dst's
-// storage for the sum when its capacity suffices (a pooled GetVec slice
+// storage for the sum when its capacity suffices (a pooled codec.GetVals slice
 // makes steady-state decoding allocation-free). maxParams bounds the
 // claimed sum length — receivers that know the model size should pass
 // it; maxParams <= 0 applies defaultMaxPartialParams. The claimed span is

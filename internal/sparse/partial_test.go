@@ -3,6 +3,8 @@ package sparse
 import (
 	"math"
 	"testing"
+
+	"fedsu/internal/sparse/codec"
 )
 
 func TestPartialPayloadRoundTrip(t *testing.T) {
@@ -53,13 +55,13 @@ func TestPartialPayloadDecodeIntoReuse(t *testing.T) {
 	}
 	enc := EncodePartialPayload(Partial{Weight: 4, Sum: sum})
 	allocs := testing.AllocsPerRun(100, func() {
-		buf := GetVec(len(sum))
+		buf := codec.GetVals(len(sum))
 		p, err := DecodePartialPayloadInto(*buf, enc, len(sum))
 		if err != nil {
 			t.Fatal(err)
 		}
 		*buf = p.Sum
-		PutVec(buf)
+		codec.PutVals(buf)
 	})
 	if !raceEnabled && allocs > 0 {
 		t.Fatalf("pooled partial decode allocates %.1f times per run", allocs)

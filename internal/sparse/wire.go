@@ -87,7 +87,7 @@ func DecodeVectorPayload(b []byte) ([]float64, error) {
 }
 
 // DecodeVectorPayloadInto decodes a vector payload, reusing dst's storage
-// when its capacity suffices (so a pooled GetVec slice makes steady-state
+// when its capacity suffices (so a pooled codec.GetVals slice makes steady-state
 // decoding allocation-free). maxParams bounds the claimed vector length —
 // receivers that know the model size should pass it; maxParams <= 0 applies
 // defaultMaxVectorParams. The returned slice is fully overwritten: elided

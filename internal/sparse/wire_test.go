@@ -1,10 +1,11 @@
 package sparse
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
+
+	"fedsu/internal/sparse/codec"
 )
 
 func quantizeAll(vec []float64) []float64 {
@@ -118,47 +119,21 @@ func TestVectorPayloadDecodeInto(t *testing.T) {
 	}
 }
 
-func TestAppendPayloadsMatchEncode(t *testing.T) {
-	mask := []bool{true, false, false, true, true, false, true, false, true}
-	values := []float64{1, -2, 3.5, math.Pi, -0.125}
-	if !bytes.Equal(EncodeBitmapPayload(mask, values), AppendBitmapPayload(nil, mask, values)) {
-		t.Fatal("AppendBitmapPayload diverges from EncodeBitmapPayload")
-	}
-	indices := []int{0, 3, 4, 6, 300}
-	if !bytes.Equal(EncodeIndexPayload(indices, values), AppendIndexPayload(nil, indices, values)) {
-		t.Fatal("AppendIndexPayload diverges from EncodeIndexPayload")
-	}
-	// Appending after a prefix leaves the prefix intact and the payload
-	// decodable.
-	pre := []byte{0xde, 0xad}
-	out := AppendIndexPayload(append([]byte(nil), pre...), indices, values)
-	if !bytes.Equal(out[:2], pre) {
-		t.Fatal("AppendIndexPayload clobbered the prefix")
-	}
-	gotIdx, gotVals, err := DecodeIndexPayload(out[2:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotIdx) != len(indices) || gotIdx[4] != 300 || float32(gotVals[3]) != float32(math.Pi) {
-		t.Fatalf("appended payload decoded wrong: %v %v", gotIdx, gotVals)
-	}
-}
-
 func TestWireBufPool(t *testing.T) {
-	p := GetWireBuf(100)
+	p := codec.GetBuf(100)
 	if len(*p) != 0 || cap(*p) < 100 {
-		t.Fatalf("GetWireBuf(100): len=%d cap=%d", len(*p), cap(*p))
+		t.Fatalf("codec.GetBuf(100): len=%d cap=%d", len(*p), cap(*p))
 	}
-	*p = AppendIndexPayload(*p, []int{1, 2}, []float64{1, 2})
-	PutWireBuf(p)
-	PutWireBuf(nil) // no-op
+	*p = AppendVectorPayload(*p, []float64{1, 2})
+	codec.PutBuf(p)
+	codec.PutBuf(nil) // no-op
 
-	q := GetVec(64)
+	q := codec.GetVals(64)
 	if len(*q) != 64 {
-		t.Fatalf("GetVec(64): len=%d", len(*q))
+		t.Fatalf("codec.GetVals(64): len=%d", len(*q))
 	}
-	PutVec(q)
-	PutVec(nil)
+	codec.PutVals(q)
+	codec.PutVals(nil)
 
 	// Steady state: a Get/encode/Put cycle should not allocate.
 	vec := make([]float64, 4096)
@@ -167,16 +142,16 @@ func TestWireBufPool(t *testing.T) {
 	}
 	need := VectorPayloadSize(vec)
 	allocs := testing.AllocsPerRun(100, func() {
-		buf := GetWireBuf(need)
+		buf := codec.GetBuf(need)
 		*buf = AppendVectorPayload(*buf, vec)
-		out := GetVec(len(vec))
+		out := codec.GetVals(len(vec))
 		var err error
 		*out, err = DecodeVectorPayloadInto(*out, *buf, len(vec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		PutVec(out)
-		PutWireBuf(buf)
+		codec.PutVals(out)
+		codec.PutBuf(buf)
 	})
 	// Under the race detector sync.Pool drops a fraction of Puts on purpose,
 	// so the zero-allocation property only holds in a normal build.
