@@ -8,7 +8,7 @@ GO ?= go
 FUZZTIME ?= 10s
 
 .PHONY: tier1 vet lint race fuzz verify bench bench-agg bench-grid \
-	bench-tree bench-codec tier1-f32 race-f32 verify-f32 bench-check
+	bench-tree bench-codec tier1-f32 race-f32 verify-f32 bench-check bench-pair
 
 tier1:
 	$(GO) build ./...
@@ -109,3 +109,13 @@ bench-grid:
 	$(GO) run ./cmd/fedsu-bench -exp table1 -scale fast -parallel $(GRIDSLOTS) \
 		-gridbench $(GRIDREPS) $(GRIDFLAGS) > BENCH_grid.json
 	@cat BENCH_grid.json
+
+# Paired before/after run of the BENCHMARK.json benchmark (choosing-metrics
+# §8): PAIRS alternating pairs of BASE (checked out into a git worktree
+# under .bench_build/) and the working tree on one WORKLOAD, then per-metric
+# medians, quartiles and pairs won. ~1 min per pair.
+BASE ?= HEAD
+WORKLOAD ?= tcp_fedsu_chain
+PAIRS ?= 10
+bench-pair:
+	bash scripts/bench-pair.sh $(BASE) $(WORKLOAD) $(PAIRS)

@@ -1,8 +1,9 @@
 // Package ctxdispatch enforces the collective-dispatch contract inside the
 // federated engine (internal/fl) and the TCP transport (internal/flrpc):
 // aggregator and syncer calls must go through the ctx-aware dispatch
-// helpers — sparse.AggModel, sparse.AggError, sparse.SyncContext — never
-// directly through Aggregator.AggregateModel / Aggregator.AggregateError /
+// helpers — sparse.AggModel, sparse.AggError, sparse.SyncContext, or
+// sparse.Wire.Collect, which runs either collective for a strategy and
+// accounts it — never directly through Aggregator.AggregateModel / Aggregator.AggregateError /
 // Syncer.Sync.
 //
 // The dispatchers are what make cancellation work end-to-end: they route to
@@ -29,7 +30,7 @@ import (
 // Analyzer is the ctxdispatch check.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxdispatch",
-	Doc: "require sparse.AggModel/AggError/SyncContext dispatch in internal/fl and internal/flrpc\n\n" +
+	Doc: "require sparse.AggModel/AggError/Wire.Collect/SyncContext dispatch in internal/fl and internal/flrpc\n\n" +
 		"Direct Aggregator.AggregateModel/AggregateError and Syncer.Sync calls " +
 		"bypass the ContextAggregator/ContextSyncer fast path and lose " +
 		"cancellation; route through the sparse package's dispatch helpers.",
@@ -44,8 +45,8 @@ var scope = map[string]bool{
 
 // dispatcher names the required helper for each forbidden direct call.
 var dispatcher = map[string]string{
-	"AggregateModel": "sparse.AggModel",
-	"AggregateError": "sparse.AggError",
+	"AggregateModel": "sparse.AggModel, or Wire.Collect from a strategy",
+	"AggregateError": "sparse.AggError, or Wire.Collect from a strategy",
 	"Sync":           "sparse.SyncContext",
 }
 

@@ -10,8 +10,8 @@ import (
 
 // direct makes every forbidden call shape.
 func direct(agg sparse.Aggregator, s sparse.Syncer) {
-	agg.AggregateModel(0, 1, nil) // want `direct call to AggregateModel bypasses ctx-aware dispatch; use sparse.AggModel`
-	agg.AggregateError(0, 1, nil) // want `direct call to AggregateError bypasses ctx-aware dispatch; use sparse.AggError`
+	agg.AggregateModel(0, 1, nil) // want `direct call to AggregateModel bypasses ctx-aware dispatch; use sparse.AggModel, or Wire.Collect from a strategy`
+	agg.AggregateError(0, 1, nil) // want `direct call to AggregateError bypasses ctx-aware dispatch; use sparse.AggError, or Wire.Collect from a strategy`
 	s.Sync(1, nil, true)          // want `direct call to Sync bypasses ctx-aware dispatch; use sparse.SyncContext`
 }
 
@@ -20,6 +20,13 @@ func dispatched(ctx context.Context, agg sparse.Aggregator, s sparse.Syncer) {
 	sparse.AggModel(ctx, agg, 0, 1, nil)
 	sparse.AggError(ctx, agg, 0, 1, nil)
 	sparse.SyncContext(ctx, s, 1, nil, true)
+}
+
+// accounted is the strategies' idiom: the dispatcher goes to Collect as a
+// value, and Collect makes the call.
+func accounted(ctx context.Context, w *sparse.Wire, agg sparse.Aggregator) {
+	w.Collect(ctx, sparse.AggModel, agg, 0, 1, nil, nil)
+	w.Collect(ctx, sparse.AggError, agg, 0, 1, nil, nil)
 }
 
 // suppressed documents a sanctioned direct call.

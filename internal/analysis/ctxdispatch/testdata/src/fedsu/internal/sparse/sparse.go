@@ -47,6 +47,18 @@ func AggError(ctx context.Context, agg Aggregator, clientID, round int, values [
 	return agg.AggregateError(clientID, round, values)
 }
 
+// Dispatcher is the shape AggModel and AggError share.
+type Dispatcher func(ctx context.Context, agg Aggregator, clientID, round int, values []float64) ([]float64, error)
+
+// Wire mirrors the real accounting handle.
+type Wire struct{}
+
+// Collect runs either collective through its dispatcher and accounts it.
+func (w *Wire) Collect(ctx context.Context, dispatch Dispatcher, agg Aggregator, clientID, round int, send, image []float64) ([]float64, int, int, error) {
+	res, err := dispatch(ctx, agg, clientID, round, send)
+	return res, 0, 0, err
+}
+
 // SyncContext dispatches a strategy synchronization.
 func SyncContext(ctx context.Context, s Syncer, round int, local []float64, contributor bool) ([]float64, Traffic, error) {
 	if cs, ok := s.(ContextSyncer); ok {

@@ -5,7 +5,7 @@
 // version — fl.Server.AsyncGlobal, the AggregateModel/AggregateError
 // entry points (whose op.result is likewise one slice delivered to every
 // barrier participant), and the sparse dispatch helpers (AggModel,
-// AggError, SyncContext) that forward them. A caller that writes through
+// AggError, Wire.Collect, SyncContext) that forward them. A caller that writes through
 // such a slice corrupts the model under every other client simultaneously
 // — silently, because each client's own view stays self-consistent.
 //
@@ -62,6 +62,7 @@ var sources = map[string]map[string]int{
 	"fedsu/internal/sparse": {
 		"AggModel":    0,
 		"AggError":    0,
+		"Collect":     0,
 		"SyncContext": 0,
 	},
 }

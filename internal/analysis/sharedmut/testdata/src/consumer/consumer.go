@@ -73,6 +73,13 @@ func badSyncContextWrite(ctx context.Context, vec []float64) {
 	out[0] = 1 // want `write through "out", a shared aggregation result`
 }
 
+// Collect forwards the collective's shared result like the dispatcher it
+// is handed.
+func badCollectWrite(ctx context.Context, w *sparse.Wire, vec []float64) {
+	res, _, _, _ := w.Collect(ctx, sparse.AggModel, nil, 0, 1, vec, nil)
+	res[0] = 1 // want `write through "res", a shared aggregation result`
+}
+
 // A closure-captured alias is still an alias.
 func badClosureWrite(s *fl.Server) func() {
 	g := s.AsyncGlobal()
@@ -122,6 +129,15 @@ func okTrafficUse(ctx context.Context, vec []float64) int {
 	_, tr, _ := sparse.SyncContext(ctx, nil, 1, vec, true)
 	tr.Up += 10
 	return tr.Up
+}
+
+// Collect's byte counts are the caller's own values, and the image buffer
+// it fills is the caller's to begin with.
+func okCollectSizesAndImage(ctx context.Context, w *sparse.Wire, vec, image []float64) int {
+	_, up, down, _ := w.Collect(ctx, sparse.AggModel, nil, 0, 1, vec, image)
+	up += down
+	image[0] = 0
+	return up
 }
 
 // Sanctioned exception, annotated with a reason.

@@ -25,6 +25,15 @@ func okReleaseBeforeBarrier(ctx context.Context, vec []float64) {
 	sparse.SyncContext(ctx, nil, 1, vec, true)
 }
 
+// Naming a dispatcher as Collect's argument is not a call of it; the
+// barrier is the Collect call, here reached with the token released.
+func okReleaseBeforeCollect(ctx context.Context, w *sparse.Wire, agg sparse.Aggregator, vec []float64) {
+	par.AcquireToken()
+	train()
+	par.ReleaseToken()
+	w.Collect(ctx, sparse.AggModel, agg, 0, 1, vec, nil)
+}
+
 func okDeferredRelease() float64 {
 	par.AcquireToken()
 	defer par.ReleaseToken()
@@ -127,6 +136,13 @@ func badHoldAcrossAggModel(ctx context.Context, agg sparse.Aggregator, vec []flo
 	par.AcquireToken()
 	defer par.ReleaseToken()
 	sparse.AggModel(ctx, agg, 0, 1, vec) // want `compute token held across collective barrier AggModel`
+}
+
+// The strategies' accounting front of the same two collectives.
+func badHoldAcrossCollect(ctx context.Context, w *sparse.Wire, agg sparse.Aggregator, vec []float64) {
+	par.AcquireToken()
+	defer par.ReleaseToken()
+	w.Collect(ctx, sparse.AggModel, agg, 0, 1, vec, nil) // want `compute token held across collective barrier Collect`
 }
 
 // A deferred release does not excuse a mid-function rendezvous: it runs

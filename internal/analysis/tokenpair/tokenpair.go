@@ -16,7 +16,8 @@
 //     tokens deadlocks the budget once capacity drains to one;
 //   - release BEFORE every blocking rendezvous with other token holders:
 //     collective barriers (Client.SyncRound/SyncRoundCtx, the
-//     sparse.SyncContext / AggModel / AggError dispatchers, and the tree
+//     sparse.SyncContext / AggModel / AggError dispatchers, Wire.Collect,
+//     which runs either for a strategy, and the tree
 //     collective's Tree.AggregatePartial/AggregatePartialCtx relay ingest,
 //     which parks until the root publishes) and channel handshakes. This
 //     is the PR 5 engine rule — the token is a throttle, not a lock, and
@@ -56,7 +57,7 @@ var barriers = map[string]map[string]bool{
 		"SyncRound": true, "SyncRoundCtx": true,
 		"AggregatePartial": true, "AggregatePartialCtx": true,
 	},
-	"fedsu/internal/sparse": {"SyncContext": true, "AggModel": true, "AggError": true},
+	"fedsu/internal/sparse": {"SyncContext": true, "AggModel": true, "AggError": true, "Collect": true},
 }
 
 func run(pass *analysis.Pass) error {

@@ -390,7 +390,7 @@ func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contr
 	if delta && m.wireErr == nil {
 		m.wireErr = make([]float64, m.size)
 	}
-	var send []float64
+	var send, img []float64
 	if contributor {
 		send = m.scratchSend[:len(regular)]
 		for j, i := range regular {
@@ -402,21 +402,26 @@ func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contr
 		}
 	}
 	if delta && send != nil {
-		// Error feedback: probe the chain's wire image of this submission
-		// and carry the loss into the next round. The probe is the same
-		// deterministic encode→decode the transport performs, so both ends
-		// of a TCP session and the in-process wrapper agree on it exactly.
-		img := m.wire.Image(send)
-		for j, i := range regular {
-			m.wireErr[i] = send[j] - img[j]
-		}
+		// The submission's wire image comes back in the error collective's
+		// send scratch, which is idle until that collective is built below.
+		img = m.scratchErrSend[:len(send)]
 	}
-	aggModel, err := sparse.AggModel(ctx, m.agg, m.id, round, send)
+	aggModel, upBytes, downBytes, err := m.wire.Collect(ctx, sparse.AggModel, m.agg, m.id, round, send, img)
 	if err != nil {
 		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: aggregate model round %d: %w", round, err)
 	}
 	if aggModel != nil && len(aggModel) != len(regular) {
 		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: model aggregate returned %d values for %d regular params", len(aggModel), len(regular))
+	}
+	if img != nil {
+		// Error feedback: carry what the chain lost of this submission into
+		// the next round. img is what the transport's one encode decodes to,
+		// on either transport, and the residual advances only now that the
+		// collective has taken the submission: a failed call retried for the
+		// same round must not fold it in twice.
+		for j, i := range regular {
+			m.wireErr[i] = send[j] - img[j]
+		}
 	}
 
 	out := m.scratchOut
@@ -453,10 +458,8 @@ func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contr
 	}
 
 	// Collective 2: error feedback for parameters whose no-checking period
-	// expires this round (full FedSU only). errUpBytes/errDownBytes record
-	// its wire cost; they stay zero in rounds where the collective never
-	// runs (no message, not even a header).
-	var errUpBytes, errDownBytes int
+	// expires this round (full FedSU only). A round where it never runs
+	// adds nothing to the traffic (no message, not even a header).
 	if m.opts.Variant == VariantFull && len(checking) > 0 {
 		var errSend []float64
 		if contributor {
@@ -465,15 +468,15 @@ func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contr
 				errSend[j] = m.accumErr[i]
 			}
 		}
-		aggErr, err := sparse.AggError(ctx, m.agg, m.id, round, errSend)
+		aggErr, up, down, err := m.wire.Collect(ctx, sparse.AggError, m.agg, m.id, round, errSend, nil)
 		if err != nil {
 			return nil, sparse.Traffic{}, fmt.Errorf("fedsu: aggregate error round %d: %w", round, err)
 		}
 		if aggErr != nil && len(aggErr) != len(checking) {
 			return nil, sparse.Traffic{}, fmt.Errorf("fedsu: error aggregate returned %d values for %d checking params", len(aggErr), len(checking))
 		}
-		errUpBytes = m.wire.Bytes(errSend)
-		errDownBytes = m.wire.ReplyBytes(aggErr)
+		upBytes += up
+		downBytes += down
 		for j, i := range checking {
 			var e float64
 			if aggErr != nil {
@@ -498,14 +501,20 @@ func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contr
 	}
 
 	// Tick down no-checking periods. Parameters that checked this round
-	// were just reset (or reverted) and are skipped; v1/v2 use the tick as
-	// their fixed-period exit back to regular updating.
+	// were just reset (or reverted) and are skipped (next walks checking,
+	// ascending like i); v1/v2 use the tick as their fixed-period exit back
+	// to regular updating.
+	next := 0
 	for i := 0; i < m.size; i++ {
+		checked := next < len(checking) && checking[next] == i
+		if checked {
+			next++
+		}
 		if m.mode[i] != modeSpeculative {
 			continue
 		}
 		if m.opts.Variant == VariantFull {
-			if !containsSorted(checking, i) {
+			if !checked {
 				m.noCheckLeft[i]--
 			}
 		} else {
@@ -527,12 +536,12 @@ func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contr
 	if m.opts.Variant == VariantFull {
 		nChk = len(checking)
 	}
-	// Actual encoded bytes of the collective payloads: an abstaining
+	// Shipped bytes of the collective payloads: an abstaining
 	// non-contributor uploads framing only, and a collective with no
 	// contributors answers with a header-only downlink.
 	tr := sparse.Traffic{
-		UpBytes:       m.wire.Bytes(send) + errUpBytes,
-		DownBytes:     m.wire.ReplyBytes(aggModel) + errDownBytes,
+		UpBytes:       upBytes,
+		DownBytes:     downBytes,
 		SyncedParams:  nReg,
 		CheckedParams: nChk,
 		TotalParams:   m.size,
@@ -548,7 +557,7 @@ func (m *Manager) bootstrap(ctx context.Context, round int, local []float64, con
 		send = m.scratchSend[:m.size]
 		copy(send, local)
 	}
-	agg, err := sparse.AggModel(ctx, m.agg, m.id, round, send)
+	agg, up, down, err := m.wire.Collect(ctx, sparse.AggModel, m.agg, m.id, round, send, nil)
 	if err != nil {
 		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: bootstrap aggregate: %w", err)
 	}
@@ -567,8 +576,8 @@ func (m *Manager) bootstrap(ctx context.Context, round int, local []float64, con
 	m.started = true
 	m.seenTotal++
 	return out, sparse.Traffic{
-		UpBytes:      m.wire.Bytes(send),
-		DownBytes:    m.wire.ReplyBytes(agg),
+		UpBytes:      up,
+		DownBytes:    down,
 		SyncedParams: m.size,
 		TotalParams:  m.size,
 		FullBytes:    m.wire.FullRef(m.size),
@@ -715,20 +724,4 @@ func (m *Manager) feedbackSignal(i int, accumErr, slope float64) float64 {
 		denom = 1e-12
 	}
 	return math.Abs(accumErr) / denom
-}
-
-func containsSorted(sorted []int, v int) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case sorted[mid] == v:
-			return true
-		case sorted[mid] < v:
-			lo = mid + 1
-		default:
-			hi = mid
-		}
-	}
-	return false
 }

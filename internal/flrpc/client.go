@@ -336,8 +336,9 @@ func (c *Client) AggregateErrorCtx(ctx context.Context, clientID, round int, val
 func (c *Client) call(ctx context.Context, kind string, clientID, round int, values []float64) ([]float64, error) {
 	args := AggArgs{ClientID: clientID, Round: round, Kind: kind, Abstain: values == nil}
 	if values != nil {
-		// Encode into a pooled buffer — sized exactly by VectorPayloadSize
-		// on the default wire, grown by the chain encoder otherwise.
+		// Encode into a pooled buffer — sized by the dense upper bound on
+		// the default wire (the encoder scans the vector once, not twice),
+		// grown by the chain encoder otherwise.
 		// net/rpc writes the request synchronously inside Go — by the time
 		// any attempt returns (even via ctx), the bytes are on the wire — so
 		// the buffer is recyclable when this call exits, retries included.
@@ -347,7 +348,7 @@ func (c *Client) call(ctx context.Context, kind string, clientID, round int, val
 			*chainBuf = c.chain.AppendEncode((*chainBuf)[:0], values)
 			args.Payload = *chainBuf
 		} else {
-			wireBuf := codec.GetBuf(sparse.VectorPayloadSize(values))
+			wireBuf := codec.GetBuf(codec.DenseBaseSize(len(values)))
 			defer codec.PutBuf(wireBuf)
 			*wireBuf = sparse.AppendVectorPayload(*wireBuf, values)
 			args.Payload = *wireBuf
@@ -365,6 +366,17 @@ func (c *Client) call(ctx context.Context, kind string, clientID, round int, val
 	out, derr := reply.contribution(c.ModelSize())
 	if derr != nil {
 		return nil, fmt.Errorf("flrpc: aggregate %s round %d: %w", kind, round, derr)
+	}
+	// Report what was shipped to the calling strategy, with the upload's
+	// wire image — one decode of the bytes just sent — when it asked.
+	if r := sparse.ReceiptFrom(ctx); r != nil {
+		r.UpBytes = sparse.HeaderBytes + len(args.Payload)
+		r.DownBytes = sparse.HeaderBytes + len(reply.Payload)
+		if r.Image != nil && values != nil {
+			if _, err := codec.DecodeInto(r.Image, args.Payload, len(values)); err != nil {
+				return nil, fmt.Errorf("flrpc: aggregate %s round %d: upload image: %w", kind, round, err)
+			}
+		}
 	}
 	return out, nil
 }

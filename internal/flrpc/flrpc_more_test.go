@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fedsu/internal/sparse"
+	"fedsu/internal/sparse/codec"
 )
 
 func TestCoordinatorValidation(t *testing.T) {
@@ -76,7 +77,7 @@ func TestWireBytesCounters(t *testing.T) {
 	go func() { defer wg.Done(); a.AggregateModel(a.ClientID(), 0, []float64{1, 0, 2, 0}) }()
 	go func() { defer wg.Done(); b.AggregateModel(b.ClientID(), 0, []float64{3, 0, 4, 0}) }()
 	wg.Wait()
-	want := int64(sparse.VectorPayloadSize([]float64{1, 0, 2, 0}))
+	want := int64(codec.BaseSize([]float64{1, 0, 2, 0}))
 	if got := a.Counters().Get("agg_tx_bytes"); got != want {
 		t.Errorf("client tx bytes = %d, want %d", got, want)
 	}

@@ -131,7 +131,7 @@ func (a *APF) SyncCtx(ctx context.Context, round int, local []float64, contribut
 			}
 		}
 	}
-	agg, err := AggModel(ctx, a.agg, a.id, round, send)
+	agg, up, down, err := a.wire.Collect(ctx, AggModel, a.agg, a.id, round, send, nil)
 	if err != nil {
 		return nil, Traffic{}, fmt.Errorf("apf: aggregate round %d: %w", round, err)
 	}
@@ -202,11 +202,11 @@ func (a *APF) SyncCtx(ctx context.Context, round int, local []float64, contribut
 	}
 	copy(a.prevGlobal, out)
 
-	// Actual encoded bytes of the compacted active-parameter vectors; an
+	// Shipped bytes of the compacted active-parameter vectors; an
 	// abstaining client or an empty collective costs framing only.
 	return out, Traffic{
-		UpBytes:      a.wire.Bytes(send),
-		DownBytes:    a.wire.ReplyBytes(agg),
+		UpBytes:      up,
+		DownBytes:    down,
 		SyncedParams: len(active),
 		TotalParams:  a.size,
 		FullBytes:    a.wire.FullRef(a.size),

@@ -22,11 +22,11 @@ func BenchmarkVectorPayload(b *testing.B) {
 			for i := 0; i < n; i += step {
 				vec[i] = 1 + float64(i)
 			}
-			buf := codec.GetBuf(VectorPayloadSize(vec))
+			buf := codec.GetBuf(codec.BaseSize(vec))
 			defer codec.PutBuf(buf)
 			dst := codec.GetVals(n)
 			defer codec.PutVals(dst)
-			b.SetBytes(int64(VectorPayloadSize(vec)))
+			b.SetBytes(int64(codec.BaseSize(vec)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

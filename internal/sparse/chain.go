@@ -9,9 +9,13 @@ import (
 // Wire binds a strategy's traffic accounting to the compression chain the
 // transport actually ships. The zero value (nil Chain) is the legacy
 // default wire — the PR 4 bitmap/index codec — so existing constructions
-// keep their historical byte counts untouched.
+// keep their historical byte counts untouched. Strategies issue their
+// collectives through Collect; Bytes, ReplyBytes and Image compute what it
+// reports from a vector, for a leg nothing encoded and for probes.
 type Wire struct {
 	Chain *codec.Chain
+	// rc is Collect's per-call receipt, reused call after call.
+	rc Receipt
 }
 
 // Enabled reports whether a non-default chain is attached: the cue for
@@ -91,6 +95,59 @@ func (w Wire) Image(values []float64) []float64 {
 	return w.Chain.WireImage(values)
 }
 
+// Receipt is what one collective call put on the wire, filled in by
+// whoever encoded it — flrpc.Client over TCP, ChainAggregator in-process —
+// so the strategy that issued the call never re-encodes a payload to learn
+// its size. It is the ctx Collect dispatches with, so it passes through
+// every wrapper that forwards ctx; living in the strategy's Wire, attaching
+// it allocates nothing (context.WithValue would, once per collective).
+type Receipt struct {
+	context.Context
+	// UpBytes and DownBytes are the shipped message sizes, HeaderBytes
+	// included; zero when nothing on the call path encoded.
+	UpBytes, DownBytes int
+	// Image, when the strategy supplies it (len == the upload's), receives
+	// the upload's wire image: what receivers decoded.
+	Image []float64
+}
+
+type receiptKey struct{}
+
+func (r *Receipt) Value(key any) any {
+	if key == (receiptKey{}) {
+		return r
+	}
+	return r.Context.Value(key)
+}
+
+// ReceiptFrom returns the receipt of the Collect call ctx descends from,
+// nil when there is none (a direct AggModel/AggError call).
+func ReceiptFrom(ctx context.Context) *Receipt {
+	r, _ := ctx.Value(receiptKey{}).(*Receipt)
+	return r
+}
+
+// Collect runs one collective for a strategy — dispatch is AggModel or
+// AggError — and reports what it cost on the wire: the encoder's receipt
+// when the call path encoded the legs, the sizes computed under this wire
+// when nothing did (an in-process default-wire run). A non-nil image
+// (len(send) long) receives the upload's wire image the same way. The
+// result is shared and must not be mutated.
+func (w *Wire) Collect(ctx context.Context, dispatch Dispatcher, agg Aggregator, clientID, round int, send, image []float64) (res []float64, up, down int, err error) {
+	w.rc = Receipt{Context: ctx, Image: image}
+	res, err = dispatch(&w.rc, agg, clientID, round, send)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if w.rc.UpBytes != 0 {
+		return res, w.rc.UpBytes, w.rc.DownBytes, nil
+	}
+	if image != nil {
+		copy(image, w.Image(send))
+	}
+	return res, w.Bytes(send), w.ReplyBytes(res), nil
+}
+
 // WireSetter is implemented by strategies whose byte accounting can be
 // rebound to a chain. The engine calls SetWire right after the Factory
 // builds the strategy, before the first Sync.
@@ -112,7 +169,8 @@ func SetSyncerWire(s Syncer, w Wire) {
 // does on each leg. Wrapping the aggregator — rather than having
 // strategies pre-image their sends — means values are encoded exactly
 // once on either transport, so in-process and TCP runs stay bit-identical
-// even for stages whose re-encoding is not a fixed point (low-rank).
+// even for stages whose re-encoding is not a fixed point (low-rank). As the
+// party that encodes, it fills the caller's Receipt.
 type ChainAggregator struct {
 	agg   Aggregator
 	chain *codec.Chain
@@ -132,30 +190,39 @@ func WrapAggregator(agg Aggregator, chain *codec.Chain) Aggregator {
 
 // AggregateModel implements Aggregator.
 func (c *ChainAggregator) AggregateModel(clientID, round int, values []float64) ([]float64, error) {
-	return c.AggregateModelCtx(context.Background(), clientID, round, values)
+	return c.collect(context.Background(), AggModel, clientID, round, values)
 }
 
 // AggregateError implements Aggregator.
 func (c *ChainAggregator) AggregateError(clientID, round int, values []float64) ([]float64, error) {
-	return c.AggregateErrorCtx(context.Background(), clientID, round, values)
+	return c.collect(context.Background(), AggError, clientID, round, values)
 }
 
-// AggregateModelCtx implements ContextAggregator. The submission leg
-// runs the session chain; the result leg runs its Reply variant, exactly
-// what the TCP coordinator's reply encoder ships.
+// AggregateModelCtx implements ContextAggregator.
 func (c *ChainAggregator) AggregateModelCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
-	out, err := AggModel(ctx, c.agg, clientID, round, c.chain.RoundTrip(values))
-	if err != nil {
-		return nil, err
-	}
-	return c.chain.Reply().RoundTrip(out), nil
+	return c.collect(ctx, AggModel, clientID, round, values)
 }
 
 // AggregateErrorCtx implements ContextAggregator.
 func (c *ChainAggregator) AggregateErrorCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
-	out, err := AggError(ctx, c.agg, clientID, round, c.chain.RoundTrip(values))
+	return c.collect(ctx, AggError, clientID, round, values)
+}
+
+// collect round-trips the submission through the session chain and the
+// result through its Reply variant, exactly what the TCP coordinator's
+// reply encoder ships. The inner aggregator reads the submission only
+// until it returns, so the caller's Image buffer can stage it.
+func (c *ChainAggregator) collect(ctx context.Context, dispatch Dispatcher, clientID, round int, values []float64) ([]float64, error) {
+	r := ReceiptFrom(ctx)
+	if r == nil {
+		r = &Receipt{} // nobody is asking; filled and dropped
+	}
+	sent, up := c.chain.RoundTripSized(r.Image, values)
+	out, err := dispatch(ctx, c.agg, clientID, round, sent)
 	if err != nil {
 		return nil, err
 	}
-	return c.chain.Reply().RoundTrip(out), nil
+	res, down := c.chain.Reply().RoundTripSized(nil, out)
+	r.UpBytes, r.DownBytes = HeaderBytes+up, HeaderBytes+down
+	return res, nil
 }

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -210,5 +211,77 @@ func TestOneStageChainBytesMatchLegacyEncoder(t *testing.T) {
 				t.Fatalf("vector %v byte %d: legacy %#x, chain %#x", v, j, legacy[j], chained[j])
 			}
 		}
+	}
+}
+
+// reportingAgg stands in for a transport that encodes: it echoes the
+// submission into a reused buffer and fills the caller's receipt with fixed
+// sizes and an image of 1s.
+type reportingAgg struct{ buf []float64 }
+
+func (a *reportingAgg) AggregateModel(id, round int, v []float64) ([]float64, error) {
+	return a.AggregateModelCtx(context.Background(), id, round, v)
+}
+
+func (a *reportingAgg) AggregateError(id, round int, v []float64) ([]float64, error) {
+	return a.AggregateModelCtx(context.Background(), id, round, v)
+}
+
+func (a *reportingAgg) AggregateErrorCtx(ctx context.Context, id, round int, v []float64) ([]float64, error) {
+	return a.AggregateModelCtx(ctx, id, round, v)
+}
+
+func (a *reportingAgg) AggregateModelCtx(ctx context.Context, _, _ int, v []float64) ([]float64, error) {
+	if r := ReceiptFrom(ctx); r != nil {
+		r.UpBytes, r.DownBytes = 1000, 2000
+		for i := range r.Image {
+			r.Image[i] = 1
+		}
+	}
+	a.buf = append(a.buf[:0], v...)
+	return a.buf, nil
+}
+
+// Collect reports the encoder's receipt when the call path encoded — under
+// a cancellable caller ctx too — and the sizes and image computed under the
+// wire when nothing did, and allocates nothing.
+func TestCollect(t *testing.T) {
+	ch := mustChain(t, "topk,q4")
+	w := Wire{Chain: ch}
+	send := []float64{0, 1.25, -3.5, 0, 0.125, 9}
+	image := make([]float64, len(send))
+
+	res, up, down, err := w.Collect(context.Background(), AggModel, identityAgg{}, 0, 0, send, image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up != w.Bytes(send) || down != w.ReplyBytes(res) {
+		t.Errorf("nothing encoded: charged %d/%d, the wire computes %d/%d", up, down, w.Bytes(send), w.ReplyBytes(res))
+	}
+	for i, v := range w.Image(send) {
+		if math.Float64bits(image[i]) != math.Float64bits(v) {
+			t.Errorf("nothing encoded: image[%d] = %v, the wire computes %v", i, image[i], v)
+		}
+	}
+	if _, up, down, _ := w.Collect(context.Background(), AggError, identityAgg{}, 0, 0, nil, nil); up != HeaderBytes || down != HeaderBytes {
+		t.Errorf("abstention into an empty collective charged %d/%d, want the header both ways", up, down)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	agg := &reportingAgg{}
+	if _, up, down, _ := w.Collect(ctx, AggModel, agg, 0, 0, send, image); up != 1000 || down != 2000 || image[0] != 1 {
+		t.Errorf("encoder's receipt not reported: %d/%d, image[0] = %v", up, down, image[0])
+	}
+	before := ch.Encodes()
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, _, _, err := w.Collect(ctx, AggError, agg, 0, 0, send, image); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a receipted collective allocates %.1f times, want 0", allocs)
+	}
+	if ch.Encodes() != before {
+		t.Error("Collect encoded a leg the transport had already reported")
 	}
 }

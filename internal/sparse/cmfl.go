@@ -79,19 +79,21 @@ func (c *CMFL) SyncCtx(ctx context.Context, round int, local []float64, contribu
 	if !contributor || !relevant {
 		send = nil
 	}
-	global, err := AggModel(ctx, c.agg, c.id, round, send)
+	global, up, down, err := c.wire.Collect(ctx, AggModel, c.agg, c.id, round, send, nil)
 	if err != nil {
 		return nil, Traffic{}, fmt.Errorf("cmfl: aggregate round %d: %w", round, err)
 	}
 
 	out := make([]float64, c.size)
 	if global == nil {
-		// Every client withheld; the global model is unchanged.
+		// Every client withheld; the global model is unchanged, and the
+		// server still redistributes it (see the downlink note below).
 		if c.prevGlobal != nil {
 			copy(out, c.prevGlobal)
 		} else {
 			copy(out, local)
 		}
+		down = c.wire.ReplyBytes(out)
 	} else {
 		copy(out, global)
 	}
@@ -106,16 +108,15 @@ func (c *CMFL) SyncCtx(ctx context.Context, round int, local []float64, contribu
 	}
 	c.prevGlobal = out
 
-	// Actual encoded bytes: a withheld (or abstaining) upload costs the
-	// framing header only. The downlink always carries the full global model
-	// the client syncs to — CMFL saves uplink, never downlink — so it is
-	// charged as the dense encoding of out rather than global (the two
-	// coincide whenever anyone contributed; when the whole fleet withheld the
-	// server still redistributes the unchanged model).
+	// Shipped bytes: a withheld (or abstaining) upload costs the framing
+	// header only. The downlink always carries the full global model the
+	// client syncs to — CMFL saves uplink, never downlink — so when the
+	// whole fleet withheld it is charged as the encoding of the unchanged
+	// model rather than the header-only reply.
 	tr := Traffic{
-		DownBytes:   c.wire.ReplyBytes(out),
+		DownBytes:   down,
 		TotalParams: c.size,
-		UpBytes:     c.wire.Bytes(send),
+		UpBytes:     up,
 		FullBytes:   c.wire.FullRef(c.size),
 	}
 	if relevant {

@@ -42,9 +42,7 @@ func (baseStage) Decode(dst []float64, payload []byte, maxParams int) ([]float64
 // by exact encoded size, so BaseSize(vec) always predicts the number of
 // bytes appended.
 func AppendBase(dst []byte, vec []float64) []byte {
-	nnz, varBytes := baseStats(vec)
-	bitmapSize := 1 + bitmapBodyBytes(len(vec), nnz)
-	indexSize := 1 + 8 + 8 + varBytes + 4*nnz
+	nnz, bitmapSize, indexSize := baseSizes(vec)
 	base := len(dst)
 	if bitmapSize <= indexSize {
 		dst = growBytes(dst, bitmapSize)
@@ -59,13 +57,17 @@ func AppendBase(dst []byte, vec []float64) []byte {
 // BaseSize is the exact encoded size of vec under the base stage, in
 // bytes, without materializing the payload.
 func BaseSize(vec []float64) int {
-	nnz, varBytes := baseStats(vec)
-	bitmapSize := 1 + bitmapBodyBytes(len(vec), nnz)
-	indexSize := 1 + 8 + 8 + varBytes + 4*nnz
-	if bitmapSize <= indexSize {
-		return bitmapSize
-	}
-	return indexSize
+	_, bitmapSize, indexSize := baseSizes(vec)
+	return min(bitmapSize, indexSize)
+}
+
+// baseSizes prices both forms for the selection (the bitmap takes ties).
+// bitmap ≤ index ⇔ ⌈n/8⌉ ≤ 8 + varBytes, so the index form is out of the
+// race once its footprint reaches ⌈n/8⌉ − 8 (at the latest when the nonzero
+// count does; from the start for n ≤ 64): indexSize is exact if smaller.
+func baseSizes(vec []float64) (nnz, bitmapSize, indexSize int) {
+	nnz, varBytes := baseStats(vec, (len(vec)+7)/8-8)
+	return nnz, 1 + bitmapBodyBytes(len(vec), nnz), 1 + 8 + 8 + varBytes + 4*nnz
 }
 
 // DenseBaseSize is BaseSize for a fully-dense vector of n parameters,
@@ -87,14 +89,23 @@ func uvarintLen(x uint64) int {
 	return (bits.Len64(x|1) + 6) / 7
 }
 
-// baseStats scans vec once for the nonzero count and the exact
-// delta-varint footprint of the nonzero positions.
-func baseStats(vec []float64) (nnz, varBytes int) {
-	prev := 0
-	for i, v := range vec {
-		if v != 0 {
+// baseStats scans vec once for the nonzero count and the delta-varint
+// footprint of the nonzero positions. The footprint is priced only while
+// below limit, past which the caller's bitmap alternative has won whatever
+// follows (it only grows, by at least a byte per nonzero); the rest of the
+// vector is a compare-and-count loop. varBytes is exact when it comes back
+// below limit and a lower bound ≥ limit otherwise.
+func baseStats(vec []float64, limit int) (nnz, varBytes int) {
+	prev, i := 0, 0
+	for ; i < len(vec) && varBytes < limit; i++ {
+		if vec[i] != 0 {
 			varBytes += uvarintLen(uint64(i - prev))
 			prev = i
+			nnz++
+		}
+	}
+	for _, v := range vec[i:] {
+		if v != 0 {
 			nnz++
 		}
 	}

@@ -26,6 +26,7 @@ type Chain struct {
 	// implicit base serialization inserted before an entropy stage when
 	// the vector is still numeric.
 	counters []stageCounter
+	encodes  atomic.Int64 // see Encodes
 	// reply is the downlink variant of this chain (quantizers widened to
 	// 8 bits — see Reply); it is the chain itself when no stage widens.
 	reply *Chain
@@ -225,6 +226,7 @@ func (c *Chain) AppendEncode(dst []byte, values []float64) []byte {
 }
 
 func (c *Chain) appendEncode(dst []byte, values []float64, counted bool) []byte {
+	c.encodes.Add(1)
 	bufA := GetBuf(64)
 	defer PutBuf(bufA)
 	bufB := GetBuf(64)
@@ -306,28 +308,40 @@ func (c *Chain) DensePayloadSize(n int) int {
 // carries no payload. The per-stage counters are charged: an in-process
 // round-trip stands in for a real wire message.
 func (c *Chain) RoundTrip(values []float64) []float64 {
-	return c.roundTrip(values, true)
+	out, _ := c.roundTrip(nil, values, true)
+	return out
+}
+
+// RoundTripSized is RoundTrip that also reports the encoded payload's
+// length — what the message cost, from the one encode — and decodes the
+// image into dst when its capacity suffices. nil values: (nil, 0).
+func (c *Chain) RoundTripSized(dst, values []float64) ([]float64, int) {
+	return c.roundTrip(dst, values, true)
 }
 
 // WireImage is RoundTrip without charging the per-stage counters: a
 // strategy-side probe of what the receiver will observe (the error-
 // feedback residual computation), not a wire message.
 func (c *Chain) WireImage(values []float64) []float64 {
-	return c.roundTrip(values, false)
+	out, _ := c.roundTrip(nil, values, false)
+	return out
 }
 
-func (c *Chain) roundTrip(values []float64, counted bool) []float64 {
+func (c *Chain) roundTrip(dst, values []float64, counted bool) ([]float64, int) {
 	if values == nil {
-		return nil
+		return nil, 0
 	}
 	buf := GetBuf(64)
 	defer PutBuf(buf)
 	*buf = c.appendEncode((*buf)[:0], values, counted)
-	out, err := DecodeInto(make([]float64, len(values)), *buf, len(values))
+	if cap(dst) < len(values) {
+		dst = make([]float64, len(values))
+	}
+	out, err := DecodeInto(dst, *buf, len(values))
 	if err != nil {
 		panic(fmt.Sprintf("codec: chain %q round trip: %v", c.spec, err))
 	}
-	return out
+	return out, len(*buf)
 }
 
 // DecodeInto decodes any chain payload (the chain itself is not needed:
@@ -336,6 +350,10 @@ func (c *Chain) roundTrip(values []float64, counted bool) []float64 {
 func (c *Chain) DecodeInto(dst []float64, b []byte, maxParams int) ([]float64, error) {
 	return DecodeInto(dst, b, maxParams)
 }
+
+// Encodes is how many vectors the chain has encoded so far, wire messages
+// and uncounted probes (PayloadSize, WireImage) alike.
+func (c *Chain) Encodes() int64 { return c.encodes.Load() }
 
 // Counters snapshots the per-stage byte accounting. The trailing
 // implicit base serialization (inserted when an entropy stage receives a

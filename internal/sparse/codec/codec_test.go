@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -102,6 +103,67 @@ func TestBaseMatchesReference(t *testing.T) {
 		}
 		if ch.PayloadSize(vec) != len(want) {
 			t.Errorf("%s: default chain PayloadSize=%d, want %d", name, ch.PayloadSize(vec), len(want))
+		}
+	}
+}
+
+// TestBaseSizeMatchesExhaustive checks the early cut-off in baseStats
+// against the exhaustive reference, which prices both forms in full: at
+// the lengths around the n ≤ 64 "index can never win" edge, at densities
+// straddling the ~3 % crossover, and with the nonzeros packed at either
+// end (large first delta, or a footprint that crosses the limit late).
+// The quantizer shares the scan for its own index/bitmap choice, so its
+// mode byte is checked against the exhaustive footprint too.
+func TestBaseSizeMatchesExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	q4, err := NewQuant(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, vec []float64) {
+		t.Helper()
+		want := refBaseEncode(vec)
+		if got := BaseSize(vec); got != len(want) {
+			t.Errorf("%s: BaseSize=%d, exhaustive %d", name, got, len(want))
+		}
+		if got := AppendBase(nil, vec); !bytes.Equal(got, want) {
+			t.Errorf("%s: AppendBase differs from the exhaustive encoder (%d vs %d bytes)", name, len(got), len(want))
+		}
+		footprint, prev := 0, 0
+		for i, v := range vec {
+			if v != 0 {
+				footprint += uvarintLen(uint64(i - prev))
+				prev = i
+			}
+		}
+		wantMode := byte(quantModeBitmap)
+		if footprint < (len(vec)+7)/8 {
+			wantMode = quantModeIndex
+		}
+		enc, err := q4.Encode(nil, Vector{Values: vec})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if enc[2] != wantMode {
+			t.Errorf("%s: quant mode 0x%02x, exhaustive footprint %d of %d bitmap bytes wants 0x%02x", name, enc[2], footprint, (len(vec)+7)/8, wantMode)
+		}
+	}
+	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 66, 127, 128, 129, 1000, 4096, 30000} {
+		for _, density := range []float64{0, 0.005, 0.02, 0.025, 0.028, 0.03, 0.032, 0.035, 0.04, 0.1, 0.5, 1} {
+			vec := make([]float64, n)
+			for i := range vec {
+				if rng.Float64() < density {
+					vec[i] = rng.NormFloat64()
+				}
+			}
+			check("random n="+strconv.Itoa(n)+" d="+strconv.FormatFloat(density, 'g', -1, 64), vec)
+			k := int(density * float64(n))
+			head, tail := make([]float64, n), make([]float64, n)
+			for i := 0; i < k; i++ {
+				head[i], tail[n-1-i] = 1, 1
+			}
+			check("head n="+strconv.Itoa(n)+" k="+strconv.Itoa(k), head)
+			check("tail n="+strconv.Itoa(n)+" k="+strconv.Itoa(k), tail)
 		}
 	}
 }

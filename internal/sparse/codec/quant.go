@@ -109,8 +109,8 @@ func (q *quantStage) Decode(dst []float64, payload []byte, maxParams int) ([]flo
 }
 
 func (q *quantStage) append(dst []byte, vec []float64) []byte {
-	nnz, varBytes := baseStats(vec)
 	bitmapPart := (len(vec) + 7) / 8
+	nnz, varBytes := baseStats(vec, bitmapPart)
 	symBytes := (nnz*q.bits + 7) / 8
 	mode, indexPart := byte(quantModeBitmap), bitmapPart
 	if varBytes < bitmapPart {

@@ -110,7 +110,7 @@ func (q *QSGD) SyncCtx(ctx context.Context, round int, local []float64, contribu
 		if contributor {
 			send = append([]float64(nil), local...)
 		}
-		agg, err := AggModel(ctx, q.agg, q.id, round, send)
+		agg, up, down, err := q.wire.Collect(ctx, AggModel, q.agg, q.id, round, send, nil)
 		if err != nil {
 			return nil, Traffic{}, fmt.Errorf("qsgd: bootstrap: %w", err)
 		}
@@ -122,11 +122,11 @@ func (q *QSGD) SyncCtx(ctx context.Context, round int, local []float64, contribu
 		}
 		q.prevGlobal = append([]float64(nil), out...)
 		// The bootstrap is a plain full-precision exchange, so it is charged
-		// at the vector codec's actual encoded size; the quantized rounds
-		// below keep QSGD's own bits-per-value payload model.
+		// at what the wire shipped; the quantized rounds below keep QSGD's
+		// own bits-per-value payload model.
 		return out, Traffic{
-			UpBytes:      q.wire.Bytes(send),
-			DownBytes:    q.wire.ReplyBytes(agg),
+			UpBytes:      up,
+			DownBytes:    down,
 			SyncedParams: q.size,
 			TotalParams:  q.size,
 			FullBytes:    q.wire.FullRef(q.size),
@@ -141,7 +141,7 @@ func (q *QSGD) SyncCtx(ctx context.Context, round int, local []float64, contribu
 	if contributor {
 		send = q.Quantize(update)
 	}
-	aggUpd, err := AggModel(ctx, q.agg, q.id, round, send)
+	aggUpd, up, down, err := q.wire.Collect(ctx, AggModel, q.agg, q.id, round, send, nil)
 	if err != nil {
 		return nil, Traffic{}, fmt.Errorf("qsgd: aggregate round %d: %w", round, err)
 	}
@@ -155,23 +155,20 @@ func (q *QSGD) SyncCtx(ctx context.Context, round int, local []float64, contribu
 	}
 	copy(q.prevGlobal, out)
 
-	tr := Traffic{
+	if !q.wire.Enabled() {
+		// Analytic wire cost in place of what the default wire shipped:
+		// bits per value + the shared scale, both directions (downlink
+		// carries the aggregated update at the same width). The default
+		// vector codec has no sub-float32 width, so the model stands in for
+		// a bespoke QSGD packing. Under a chain the shipped bytes stand.
+		up = (q.size*q.bits+7)/8 + 8 + HeaderBytes
+		down = up
+	}
+	return out, Traffic{
+		UpBytes:      up,
+		DownBytes:    down,
 		SyncedParams: q.size,
 		TotalParams:  q.size,
 		FullBytes:    q.wire.FullRef(q.size),
-	}
-	if q.wire.Enabled() {
-		// Measured chain bytes: what the negotiated wire actually ships.
-		tr.UpBytes = q.wire.Bytes(send)
-		tr.DownBytes = q.wire.ReplyBytes(aggUpd)
-	} else {
-		// Analytic wire cost: bits per value + the shared scale, both
-		// directions (downlink carries the aggregated update at the same
-		// width). The default vector codec has no sub-float32 width, so the
-		// model stands in for a bespoke QSGD packing.
-		payload := (q.size*q.bits+7)/8 + 8
-		tr.UpBytes = payload + HeaderBytes
-		tr.DownBytes = payload + HeaderBytes
-	}
-	return out, tr, nil
+	}, nil
 }

@@ -128,6 +128,9 @@ func AggError(ctx context.Context, agg Aggregator, clientID, round int, values [
 	return agg.AggregateError(clientID, round, values)
 }
 
+// Dispatcher is AggModel or AggError as a value (Wire.Collect runs either).
+type Dispatcher func(ctx context.Context, agg Aggregator, clientID, round int, values []float64) ([]float64, error)
+
 // ContextSyncer is an optional extension of Syncer whose synchronization
 // accepts a context, propagated into the aggregator's collectives. All
 // in-tree strategies implement it.
@@ -190,7 +193,7 @@ func (f *FedAvg) SyncCtx(ctx context.Context, round int, local []float64, contri
 	if !contributor {
 		send = nil
 	}
-	global, err := AggModel(ctx, f.agg, f.id, round, send)
+	global, up, down, err := f.wire.Collect(ctx, AggModel, f.agg, f.id, round, send, nil)
 	if err != nil {
 		return nil, Traffic{}, fmt.Errorf("fedavg: aggregate round %d: %w", round, err)
 	}
@@ -200,12 +203,12 @@ func (f *FedAvg) SyncCtx(ctx context.Context, round int, local []float64, contri
 	} else {
 		copy(out, global)
 	}
-	// Charge what the wire codec actually ships: an abstaining client's
-	// uplink is framing only, and a round with no contributors has a
-	// header-only downlink.
+	// Charged at what the wire shipped: an abstaining client's uplink is
+	// framing only, and a round with no contributors has a header-only
+	// downlink.
 	tr := Traffic{
-		UpBytes:      f.wire.Bytes(send),
-		DownBytes:    f.wire.ReplyBytes(global),
+		UpBytes:      up,
+		DownBytes:    down,
 		SyncedParams: f.size,
 		TotalParams:  f.size,
 		FullBytes:    f.wire.FullRef(f.size),

@@ -30,10 +30,9 @@ const defaultMaxVectorParams = codec.DefaultMaxParams
 // MessageBytes is the actual wire cost of one collective message carrying
 // vec: HeaderBytes of framing plus the vector codec's exact encoded size.
 // A nil vec (abstention, or a collective that produced no result) costs the
-// header alone. This is the number the strategies charge their Traffic
-// accounting with — actual encoded bytes, not a per-parameter estimate.
-// Chain-aware strategies charge Wire.Bytes instead, which reduces to this
-// under the default chain.
+// header alone. This is what Wire.Collect charges a default-wire leg that
+// nothing on the call path encoded — actual encoded bytes, not a
+// per-parameter estimate — and what a transport that did encode it reports.
 func MessageBytes(vec []float64) int {
 	if vec == nil {
 		return HeaderBytes
@@ -68,16 +67,10 @@ func EncodeVectorPayload(vec []float64) []byte {
 
 // AppendVectorPayload appends the base-stage vector encoding of vec to
 // dst and returns the extended slice, growing dst at most once. The
-// format tag is chosen by exact encoded size, so VectorPayloadSize(vec)
-// always predicts the number of bytes appended.
+// format tag is chosen by exact encoded size, so codec.BaseSize(vec) always
+// predicts the number of bytes appended.
 func AppendVectorPayload(dst []byte, vec []float64) []byte {
 	return codec.AppendBase(dst, vec)
-}
-
-// VectorPayloadSize is the exact encoded size of vec, in bytes, without
-// materializing the payload — the number netem traffic accounting charges.
-func VectorPayloadSize(vec []float64) int {
-	return codec.BaseSize(vec)
 }
 
 // DecodeVectorPayload decodes a vector payload into a fresh slice,

@@ -19,8 +19,8 @@ func quantizeAll(vec []float64) []float64 {
 func checkVectorRoundTrip(t *testing.T, name string, vec []float64) []byte {
 	t.Helper()
 	enc := EncodeVectorPayload(vec)
-	if got := VectorPayloadSize(vec); got != len(enc) {
-		t.Fatalf("%s: VectorPayloadSize=%d but encoded %d bytes", name, got, len(enc))
+	if got := codec.BaseSize(vec); got != len(enc) {
+		t.Fatalf("%s: BaseSize=%d but encoded %d bytes", name, got, len(enc))
 	}
 	dec, err := DecodeVectorPayloadInto(nil, enc, len(vec))
 	if err != nil {
@@ -80,7 +80,7 @@ func TestVectorPayloadFormatSelection(t *testing.T) {
 		t.Fatalf("1%% vector encoded with format 0x%02x, want index", enc[0])
 	}
 	// The index form must beat gob's per-zero cost by a wide margin.
-	if size := VectorPayloadSize(sparse); size > 8+100*10 {
+	if size := codec.BaseSize(sparse); size > 8+100*10 {
 		t.Fatalf("1%% of 10k encoded to %d bytes, want well under 1008", size)
 	}
 }
@@ -140,7 +140,7 @@ func TestWireBufPool(t *testing.T) {
 	for i := range vec {
 		vec[i] = float64(i)
 	}
-	need := VectorPayloadSize(vec)
+	need := codec.BaseSize(vec)
 	allocs := testing.AllocsPerRun(100, func() {
 		buf := codec.GetBuf(need)
 		*buf = AppendVectorPayload(*buf, vec)
@@ -179,8 +179,8 @@ func FuzzVectorPayload(f *testing.F) {
 		// (decoded values are already float32-exact, so this round-trip is
 		// lossless).
 		enc := EncodeVectorPayload(vec)
-		if got := VectorPayloadSize(vec); got != len(enc) {
-			t.Fatalf("VectorPayloadSize=%d, encoded %d bytes", got, len(enc))
+		if got := codec.BaseSize(vec); got != len(enc) {
+			t.Fatalf("BaseSize=%d, encoded %d bytes", got, len(enc))
 		}
 		back, err := DecodeVectorPayloadInto(nil, enc, len(vec))
 		if err != nil {
