@@ -49,13 +49,15 @@ race-f32:
 
 verify-f32: tier1-f32 race-f32
 
-# Short fuzz smoke over the rpc wire contract (nil-vs-abstain regression),
-# the self-describing vector payload flrpc ships, the tier
-# partial-aggregate message, and the chain stages. `go test -fuzz` accepts
+# Short fuzz smoke over the flrpc wire contract (the nil-vs-abstain-vs-empty
+# property on the header flags, then raw bytes into the frame reader and
+# both decoders behind it), the self-describing vector payload flrpc ships,
+# the tier partial-aggregate message, and the chain stages. `go test -fuzz` accepts
 # one target per invocation, hence one run each. Seeds live in
 # testdata/fuzz/ and f.Add.
 fuzz:
 	$(GO) test -fuzz '^FuzzAggWire$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flrpc/
+	$(GO) test -fuzz '^FuzzFrame$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flrpc/
 	$(GO) test -fuzz '^FuzzVectorPayload$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/
 	$(GO) test -fuzz '^FuzzPartialPayload$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/
 	$(GO) test -fuzz '^FuzzQuantStage$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
@@ -111,11 +113,15 @@ bench-grid:
 	@cat BENCH_grid.json
 
 # Paired before/after run of the BENCHMARK.json benchmark (choosing-metrics
-# §8): PAIRS alternating pairs of BASE (checked out into a git worktree
-# under .bench_build/) and the working tree on one WORKLOAD, then per-metric
-# medians, quartiles and pairs won. ~1 min per pair.
+# §8): PAIRS alternating pairs of BASE (unpacked with git archive under
+# .bench_build/) and the working tree on one WORKLOAD — or, with
+# WORKLOAD=all, on every workload back to back inside each pair — then per
+# workload and metric the medians, quartiles and pairs won, and after every
+# pair whether both sides ended on the same fingerprint. Pair i runs seed
+# SEED0+i-1. ~1 min per pair and workload.
 BASE ?= HEAD
 WORKLOAD ?= tcp_fedsu_chain
 PAIRS ?= 10
+SEED0 ?= 301
 bench-pair:
-	bash scripts/bench-pair.sh $(BASE) $(WORKLOAD) $(PAIRS)
+	bash scripts/bench-pair.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED0)

@@ -4,7 +4,11 @@
 //
 // Transport failures mid-round are retried with exponential backoff and a
 // transparent reconnect-and-rejoin (-retries); -heartbeat keeps the
-// coordinator informed that a slow client is still alive. Ctrl-C cancels
+// coordinator informed that a slow client is still alive. What the
+// coordinator refuses — eviction after a missed deadline, a submission for
+// a round the session has left, a payload it cannot decode, a protocol
+// version it does not speak — arrives as a typed error and ends the round
+// at once instead of being retried. Ctrl-C cancels
 // the in-flight round cleanly instead of leaving the process parked on a
 // barrier.
 //

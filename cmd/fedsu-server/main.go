@@ -8,6 +8,14 @@
 // wedge the session. Clients heartbeating within -hb-grace count as slow
 // rather than dead and buy the barrier one extension.
 //
+// Clients and relays speak flrpc's framed protocol (DESIGN.md §5m): the
+// first frame of a connection carries a magic and a version, so a peer
+// built against another protocol version is refused at join with a message
+// naming both; frames are bounded by the session's model size; failures
+// come back as typed status codes. On SIGINT/SIGTERM the server closes its
+// listener and every connection it accepted and waits for their handlers
+// before printing its counters.
+//
 // Usage:
 //
 //	fedsu-server -addr :7070 -clients 4 -workload cnn -scale 16 -deadline 30s

@@ -1,5 +1,5 @@
 // Package errwrap keeps the typed-error contract intact across the wrap
-// chain and across the net/rpc wire boundary.
+// chain and across the flrpc wire boundary.
 //
 // Two rules, both born from the PR 2 fault-tolerance work:
 //
@@ -9,12 +9,13 @@
 //     in the chain severs it.
 //
 //   - Code must not compare error *text* (err.Error() == "...",
-//     strings.Contains(err.Error(), ...)). net/rpc flattens server-side
-//     errors to strings, and internal/flrpc owns the single designated
-//     recovery shim that re-types them; everywhere else a string match is
-//     a latent bug that breaks the moment a message is reworded. The shim
-//     itself carries `//lint:allow errwrap`, which is the only sanctioned
-//     way to add another.
+//     strings.Contains(err.Error(), ...)): a string match is a latent bug
+//     that breaks the moment a message is reworded. No text-matching shim
+//     remains in the tree — the one internal/flrpc kept while net/rpc
+//     flattened server-side errors to strings went with net/rpc; its
+//     framed transport carries a typed status byte instead. A wire
+//     boundary that truly delivers nothing but text would have to carry
+//     `//lint:allow errwrap`, which is the only sanctioned way to add one.
 package errwrap
 
 import (
@@ -32,9 +33,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "errwrap",
 	Doc: "require %w for wrapped errors and forbid error-string comparisons\n\n" +
 		"fmt.Errorf must wrap error-typed arguments with %w so errors.Is/As " +
-		"survive (fl.ErrEvicted crosses the net/rpc boundary this way), and " +
-		"error text must never be compared outside flrpc's designated " +
-		"recovery shim.",
+		"survive (fl.ErrEvicted reaches flrpc's status byte this way), and " +
+		"error text must never be compared: no text-matching shim remains.",
 	Run: run,
 }
 

@@ -53,9 +53,10 @@ func typedMatch(err error) bool {
 	return errors.Is(err, ErrEvicted)
 }
 
-// shim is the sanctioned wire-boundary exception.
+// shim is what a sanctioned wire-boundary exception would look like; the
+// tree has none since flrpc stopped receiving errors as flattened text.
 func shim(err error) bool {
-	//lint:allow errwrap -- net/rpc flattens errors to strings; this is the recovery shim
+	//lint:allow errwrap -- this peer delivers errors as text only
 	return strings.Contains(err.Error(), "evicted from session")
 }
 

@@ -2,11 +2,11 @@ package flrpc
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
-	"net/rpc"
-	"strings"
 	"sync"
 	"time"
 
@@ -82,7 +82,7 @@ type Client struct {
 	chain *codec.Chain
 
 	mu      sync.Mutex
-	rpc     *rpc.Client
+	rpc     *conn
 	dialing chan struct{} // non-nil while a dial attempt is in flight; closed when it settles
 	joined  bool
 	closed  bool
@@ -137,7 +137,7 @@ func DialWith(addr string, cfg DialConfig) (*Client, error) {
 // full dial timeout — so concurrent callers coordinate through a
 // single-flight channel: the first caller in dials while the rest wait for
 // the attempt to settle, then re-check the installed connection.
-func (c *Client) ensureConn() (*rpc.Client, error) {
+func (c *Client) ensureConn() (*conn, error) {
 	for {
 		c.mu.Lock()
 		if c.closed {
@@ -183,54 +183,53 @@ func (c *Client) ensureConn() (*rpc.Client, error) {
 }
 
 // dialAndJoin performs one connection attempt — TCP dial, then the Join
-// (or Rejoin) handshake — holding no locks. addr, cfg, and counters are
-// immutable after construction, so they are safe to read here.
-func (c *Client) dialAndJoin(joined bool, id int) (*rpc.Client, JoinReply, error) {
+// (or Rejoin) handshake, whose first frame carries the protocol's magic and
+// version — holding no locks. addr, cfg, and counters are immutable after
+// construction, so they are safe to read here.
+func (c *Client) dialAndJoin(joined bool, id int) (*conn, JoinReply, error) {
 	var reply JoinReply
-	conn, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
 	if err != nil {
 		return nil, reply, fmt.Errorf("flrpc: dial %s: %w", c.addr, err)
 	}
-	rc := rpc.NewClient(conn)
-	args := JoinArgs{Name: c.cfg.Name, BlockSize: c.cfg.BlockSize}
+	rc := newConn(nc)
+	rc.startClient()
+	req, block := frame{typ: typeJoin}, c.cfg.BlockSize
 	if joined {
-		args.Rejoin = true
-		args.ClientID = id
-		args.BlockSize = 0 // rejoin re-admits the already-reserved block base
+		// Rejoin re-admits the already-reserved id (or block base).
+		req.flags, req.id, block = flagRejoin, id, 0
 		c.counters.Inc("reconnects")
 	}
-	if err := rc.Call(ServiceName+".Join", args, &reply); err != nil {
+	le := binary.LittleEndian
+	hello := append(le.AppendUint32(nil, protoMagic), protoVersion)
+	req.payload = append(le.AppendUint32(hello, uint32(block)), c.cfg.Name...)
+	rep, err := rc.roundTrip(context.Background(), &req)
+	if err == nil && len(rep.payload) != 8 {
+		err = fmt.Errorf("%d-byte reply: %w", len(rep.payload), ErrMalformed)
+	}
+	if err != nil {
 		rc.Close()
 		return nil, reply, fmt.Errorf("flrpc: join: %w", err)
 	}
+	reply = JoinReply{ClientID: rep.id, NumClients: int(le.Uint32(rep.payload)), ModelSize: int(le.Uint32(rep.payload[4:]))}
+	rep.release()
 	if joined && reply.ClientID != id {
 		rc.Close()
 		return nil, reply, fmt.Errorf("flrpc: rejoined as client %d, was %d", reply.ClientID, id)
 	}
+	rc.limit.Store(int64(frameLimit(reply.ModelSize)))
 	return rc, reply, nil
 }
 
 // invalidate discards rc (closing it) if it is still the current
 // connection, so the next call reconnects.
-func (c *Client) invalidate(rc *rpc.Client) {
+func (c *Client) invalidate(rc *conn) {
 	c.mu.Lock()
 	if c.rpc == rc {
 		c.rpc = nil
 	}
 	c.mu.Unlock()
 	rc.Close()
-}
-
-// do issues one RPC, honouring ctx cancellation while the call is in
-// flight (the underlying connection keeps draining the reply).
-func (c *Client) do(ctx context.Context, rc *rpc.Client, method string, args, reply any) error {
-	call := rc.Go(method, args, reply, make(chan *rpc.Call, 1))
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case done := <-call.Done:
-		return done.Error
-	}
 }
 
 // heartbeatLoop pings the coordinator on the configured interval until
@@ -249,10 +248,9 @@ func (c *Client) heartbeatLoop() {
 				c.counters.Inc("heartbeat_failures")
 				continue
 			}
-			var reply PingReply
-			if err := rc.Call(ServiceName+".Ping", PingArgs{ClientID: c.ClientID()}, &reply); err != nil {
+			if _, err := rc.roundTrip(context.Background(), &frame{typ: typePing, id: c.ClientID()}); err != nil {
 				c.counters.Inc("heartbeat_failures")
-				if _, app := err.(rpc.ServerError); !app {
+				if app := (*remoteError)(nil); !errors.As(err, &app) {
 					c.invalidate(rc)
 				}
 			}
@@ -334,47 +332,38 @@ func (c *Client) AggregateErrorCtx(ctx context.Context, clientID, round int, val
 // Application-level errors (eviction, unknown kind, length mismatch) are
 // terminal: retrying them cannot succeed.
 func (c *Client) call(ctx context.Context, kind string, clientID, round int, values []float64) ([]float64, error) {
-	args := AggArgs{ClientID: clientID, Round: round, Kind: kind, Abstain: values == nil}
+	req := frame{typ: typeAggregate, flags: flagAbstain, kind: kindByte(kind), id: clientID, round: round}
 	if values != nil {
 		// Encode into a pooled buffer — sized by the dense upper bound on
 		// the default wire (the encoder scans the vector once, not twice),
-		// grown by the chain encoder otherwise.
-		// net/rpc writes the request synchronously inside Go — by the time
-		// any attempt returns (even via ctx), the bytes are on the wire — so
-		// the buffer is recyclable when this call exits, retries included.
+		// grown by the chain encoder otherwise. Every attempt writes the
+		// frame from this buffer before it returns (even via ctx), so the
+		// buffer is recyclable when this call exits, retries included.
+		var wireBuf *[]byte
 		if c.chain != nil {
-			chainBuf := codec.GetBuf(64)
-			defer codec.PutBuf(chainBuf)
-			*chainBuf = c.chain.AppendEncode((*chainBuf)[:0], values)
-			args.Payload = *chainBuf
+			wireBuf = codec.GetBuf(64)
+			*wireBuf = c.chain.AppendEncode((*wireBuf)[:0], values)
 		} else {
-			wireBuf := codec.GetBuf(codec.DenseBaseSize(len(values)))
-			defer codec.PutBuf(wireBuf)
+			wireBuf = codec.GetBuf(codec.DenseBaseSize(len(values)))
 			*wireBuf = sparse.AppendVectorPayload(*wireBuf, values)
-			args.Payload = *wireBuf
 		}
-		c.counters.Add("agg_tx_bytes", int64(len(args.Payload)))
+		defer codec.PutBuf(wireBuf)
+		req.flags, req.payload = 0, *wireBuf
+		c.counters.Add("agg_tx_bytes", int64(len(req.payload)))
 	}
-	reply, err := c.doAgg(ctx, ServiceName+".Aggregate", fmt.Sprintf("aggregate %s round %d", kind, round), args)
+	desc := fmt.Sprintf("aggregate %s round %d", kind, round)
+	out, down, err := c.doAgg(ctx, desc, &req)
 	if err != nil {
 		return nil, err
-	}
-	// contribution() decodes the vector payload; reply.Nil is the source
-	// of truth for "no contributors". The decode allocates a fresh slice
-	// on purpose: the result is handed to strategy code that retains it
-	// across the round.
-	out, derr := reply.contribution(c.ModelSize())
-	if derr != nil {
-		return nil, fmt.Errorf("flrpc: aggregate %s round %d: %w", kind, round, derr)
 	}
 	// Report what was shipped to the calling strategy, with the upload's
 	// wire image — one decode of the bytes just sent — when it asked.
 	if r := sparse.ReceiptFrom(ctx); r != nil {
-		r.UpBytes = sparse.HeaderBytes + len(args.Payload)
-		r.DownBytes = sparse.HeaderBytes + len(reply.Payload)
+		r.UpBytes = sparse.HeaderBytes + len(req.payload)
+		r.DownBytes = sparse.HeaderBytes + down
 		if r.Image != nil && values != nil {
-			if _, err := codec.DecodeInto(r.Image, args.Payload, len(values)); err != nil {
-				return nil, fmt.Errorf("flrpc: aggregate %s round %d: upload image: %w", kind, round, err)
+			if _, err := codec.DecodeInto(r.Image, req.payload, len(values)); err != nil {
+				return nil, fmt.Errorf("flrpc: %s: upload image: %w", desc, err)
 			}
 		}
 	}
@@ -391,61 +380,54 @@ func (c *Client) SubmitPartial(ctx context.Context, round int, kind string, p sp
 	wireBuf := codec.GetBuf(sparse.PartialPayloadSize(len(p.Sum)))
 	defer codec.PutBuf(wireBuf)
 	*wireBuf = sparse.AppendPartialPayload(*wireBuf, p)
-	args := PartialArgs{ClientID: c.ClientID(), Round: round, Kind: kind, Payload: *wireBuf}
-	c.counters.Add("agg_tx_bytes", int64(len(args.Payload)))
-	reply, err := c.doAgg(ctx, ServiceName+".SubmitPartial", fmt.Sprintf("partial %s round %d", kind, round), args)
-	if err != nil {
-		return nil, err
-	}
-	out, derr := reply.contribution(c.ModelSize())
-	if derr != nil {
-		return nil, fmt.Errorf("flrpc: partial %s round %d: %w", kind, round, derr)
-	}
-	return out, nil
+	req := frame{typ: typePartial, kind: kindByte(kind), id: c.ClientID(), round: round, payload: *wireBuf}
+	c.counters.Add("agg_tx_bytes", int64(len(req.payload)))
+	out, _, err := c.doAgg(ctx, fmt.Sprintf("partial %s round %d", kind, round), &req)
+	return out, err
 }
 
-// doAgg issues one blocking collective RPC with retry, exponential
+// doAgg issues one blocking collective call with retry, exponential
 // backoff + jitter, and transparent reconnect-and-rejoin on transport
-// failures. Application-level errors (eviction, unknown kind, length
-// mismatch) are terminal: retrying them cannot succeed. desc labels
-// errors (e.g. "aggregate model round 3").
-func (c *Client) doAgg(ctx context.Context, method, desc string, args any) (AggReply, error) {
+// failures, and decodes the reply: the collective result (nil when the
+// reply's flag says nobody contributed) and its payload length. The decode
+// allocates a fresh slice on purpose — the result is handed to strategy
+// code that retains it across the round — and the pooled buffer the reply
+// was read into is released here. Application-level errors (a *remoteError:
+// eviction, stale round, unknown kind, malformed payload) are terminal:
+// retrying them cannot succeed. desc labels errors (e.g. "aggregate model
+// round 3").
+func (c *Client) doAgg(ctx context.Context, desc string, req *frame) ([]float64, int, error) {
 	backoff := c.cfg.RetryBase
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			c.counters.Inc("retries")
 			if err := sleepCtx(ctx, jitter(backoff)); err != nil {
-				return AggReply{}, fmt.Errorf("flrpc: %s: %w", desc, err)
+				return nil, 0, fmt.Errorf("flrpc: %s: %w", desc, err)
 			}
-			backoff *= 2
-			if backoff > c.cfg.RetryMax {
-				backoff = c.cfg.RetryMax
-			}
+			backoff = min(2*backoff, c.cfg.RetryMax)
 		}
 		rc, err := c.ensureConn()
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		var reply AggReply
-		err = c.do(ctx, rc, method, args, &reply)
+		rep, err := rc.roundTrip(ctx, req)
 		if err == nil {
-			c.counters.Add("agg_rx_bytes", int64(len(reply.Payload)))
-			return reply, nil
+			defer rep.release()
+			n := len(rep.payload)
+			c.counters.Add("agg_rx_bytes", int64(n))
+			out, err := AggReply{Payload: rep.payload, Nil: rep.flags&flagNil != 0}.contribution(c.ModelSize())
+			if err != nil {
+				return nil, 0, fmt.Errorf("flrpc: %s: %w", desc, err)
+			}
+			return out, n, nil
 		}
 		if ctx.Err() != nil {
-			return AggReply{}, fmt.Errorf("flrpc: %s: %w", desc, ctx.Err())
+			return nil, 0, fmt.Errorf("flrpc: %s: %w", desc, ctx.Err())
 		}
-		if se, ok := err.(rpc.ServerError); ok {
-			// The designated recovery shim: net/rpc flattens server-side
-			// errors to strings, so the typed eviction error can only be
-			// recovered here, by matching fl.EvictedError's wire marker.
-			//lint:allow errwrap -- net/rpc delivers errors as flattened strings
-			if strings.Contains(se.Error(), evictedMarker) {
-				return AggReply{}, fmt.Errorf("flrpc: %s: %w: %w", desc, se, ErrEvicted)
-			}
-			return AggReply{}, fmt.Errorf("flrpc: %s: %w", desc, se)
+		if app := (*remoteError)(nil); errors.As(err, &app) {
+			return nil, 0, fmt.Errorf("flrpc: %s: %w", desc, err)
 		}
 		// Transport failure: drop the connection and retry; the rejoin on
 		// reconnect plus the coordinator's idempotent resubmission makes
@@ -453,7 +435,7 @@ func (c *Client) doAgg(ctx context.Context, method, desc string, args any) (AggR
 		lastErr = err
 		c.invalidate(rc)
 	}
-	return AggReply{}, fmt.Errorf("flrpc: %s after %d retries: %w", desc, c.cfg.MaxRetries, lastErr)
+	return nil, 0, fmt.Errorf("flrpc: %s after %d retries: %w", desc, c.cfg.MaxRetries, lastErr)
 }
 
 // jitter spreads a backoff interval over [d/2, d) so a fleet knocked over

@@ -1,17 +1,19 @@
 // Package flrpc provides the real-network deployment mode of the federated
-// engine: a TCP coordinator exposing the aggregation collectives over
-// net/rpc (stdlib), and a client-side sparse.Aggregator that calls into
-// it. It plays the role RPyC plays in the paper's Python implementation.
+// engine: a TCP coordinator exposing the aggregation collectives over a
+// small framed transport (frame.go), and a client-side sparse.Aggregator
+// that calls into it. It plays the role RPyC plays in the paper's Python
+// implementation.
 //
-// The rpc envelope is gob, but the parameter vectors themselves travel as
-// sparse vector-codec payloads (sparse.AppendVectorPayload): a
-// self-describing bitmap/index body over the nonzero entries with float32
-// values — the paper's 32-bit traffic model — instead of gob's ~9
-// bytes-per-float64 framing. Encode buffers are pooled on the client and
-// decode vectors are pooled on the coordinator, so a steady-state
-// collective round performs no payload allocation on the hot path; the
-// coordinator additionally encodes each collective's reply once and serves
-// the cached bytes to every waiter.
+// The parameter vectors travel as sparse vector-codec payloads
+// (sparse.AppendVectorPayload): a self-describing bitmap/index body over the
+// nonzero entries with float32 values — the paper's 32-bit traffic model.
+// Each payload moves once per hop: written to the socket straight from the
+// pooled buffer it was encoded into, read from the socket straight into a
+// pooled buffer sized from the frame's length prefix, and released as soon
+// as it is decoded (into a pooled vector on the coordinator), so a
+// steady-state collective round allocates nothing per message; the
+// coordinator additionally encodes each collective's reply exactly once and
+// serves the cached bytes to every waiter.
 //
 // The in-process engine (internal/fl) and this package share the exact same
 // strategy code: a FedSU manager cannot tell whether its Aggregator is the
@@ -33,11 +35,13 @@ package flrpc
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net"
-	"net/rpc"
+	"slices"
 	"sync"
 	"time"
 
@@ -46,17 +50,6 @@ import (
 	"fedsu/internal/sparse/codec"
 	"fedsu/internal/trace"
 )
-
-// ServiceName is the registered net/rpc service.
-const ServiceName = "FedSU"
-
-// ErrEvicted aliases fl.ErrEvicted: the coordinator evicted this client
-// after a missed collective deadline. Match with errors.Is.
-var ErrEvicted = fl.ErrEvicted
-
-// evictedMarker recovers the typed eviction error from the flattened
-// string net/rpc delivers; it must match fl.EvictedError's message.
-const evictedMarker = "evicted from session"
 
 // JoinArgs identifies a joining client.
 type JoinArgs struct {
@@ -89,14 +82,6 @@ type JoinReply struct {
 	ModelSize int
 }
 
-// PingArgs is a client heartbeat.
-type PingArgs struct {
-	ClientID int
-}
-
-// PingReply acknowledges a heartbeat.
-type PingReply struct{}
-
 // AggArgs is one collective submission.
 type AggArgs struct {
 	ClientID int
@@ -104,11 +89,9 @@ type AggArgs struct {
 	// Kind selects the collective: "model" or "error".
 	Kind string
 	// Payload is the contribution encoded with the sparse vector codec
-	// (sparse.AppendVectorPayload). Abstain — not an empty Payload — is the
-	// wire truth for abstention: gob flattens a non-nil empty slice to nil
-	// in transit, and every real contribution (including the zero-length
-	// one) encodes to a non-empty payload, so the flag keeps the two
-	// unambiguous on arrival.
+	// (sparse.AppendVectorPayload). Abstain — a header flag, not an empty
+	// Payload — is the wire truth for abstention; every real contribution,
+	// the zero-length one included, encodes to a non-empty payload.
 	Payload []byte
 	Abstain bool
 }
@@ -129,8 +112,8 @@ func (a AggArgs) contribution(dst []float64, maxParams int) ([]float64, error) {
 // AggReply returns the collective result.
 type AggReply struct {
 	// Payload is the element-wise mean over contributors, encoded with the
-	// sparse vector codec; Nil reports that no client contributed (the wire
-	// truth, for the same gob nil-vs-empty reason as AggArgs.Abstain).
+	// sparse vector codec; Nil (a header flag) reports that no client
+	// contributed.
 	Payload []byte
 	Nil     bool
 }
@@ -143,22 +126,6 @@ func (r AggReply) contribution(maxParams int) ([]float64, error) {
 		return nil, nil
 	}
 	return sparse.DecodeVectorPayloadInto(nil, r.Payload, maxParams)
-}
-
-// PartialArgs is one tier partial-aggregate submission: a leaf relay's
-// already-folded block, replacing its members' individual uploads.
-type PartialArgs struct {
-	// ClientID is the relay's block base id (assigned by the block Join).
-	ClientID int
-	Round    int
-	// Kind selects the collective: "model" or "error".
-	Kind string
-	// Payload is the partial encoded with the partial-aggregate codec
-	// (sparse.AppendPartialPayload): raw float64 sum + contributor weight
-	// + accounted traffic. Raw float64 because a partial is an
-	// intermediate of the canonical fold — quantizing it would break the
-	// tree-vs-flat bit-identity contract.
-	Payload []byte
 }
 
 // Config assembles a fault-tolerant coordinator.
@@ -215,6 +182,14 @@ type aggKey struct {
 	kind  string
 }
 
+// replyEntry is one collective's encoded mean. Whoever inserts the entry
+// encodes, then closes ready; every other waiter blocks on ready, not on the
+// coordinator lock. A nil payload records that no client contributed.
+type replyEntry struct {
+	ready   chan struct{}
+	payload []byte
+}
+
 // Coordinator is the TCP-facing aggregation service.
 type Coordinator struct {
 	mu         sync.Mutex
@@ -223,13 +198,18 @@ type Coordinator struct {
 	modelSize  int
 	nextID     int
 	allIDs     []int
-	begun      map[int]bool
+	// latest is the round most recently opened on the collective, and
+	// waiting the handlers currently inside it: while there are any, a
+	// submission for an older round is answered without the collective
+	// (see enter).
+	latest  int
+	waiting int
 	// replyEnc caches each collective's encoded mean so N waiters ship the
 	// same bytes instead of paying N encodes. Entries are plain allocations
-	// (not pooled buffers): a reply to an evicted straggler can still be
-	// draining through net/rpc when the entry ages out two rounds later, so
+	// (not pooled buffers): they outlive the handlers that made them — a
+	// late duplicate is served from here up to two rounds later — so
 	// reclamation is left to the GC. Guarded by mu.
-	replyEnc map[aggKey][]byte
+	replyEnc map[aggKey]*replyEntry
 
 	// hbMu guards lastSeen alone. It is never held while calling into coll,
 	// and coll's deadline expiry calls alive() while holding its own lock —
@@ -269,8 +249,8 @@ func NewCoordinatorWith(cfg Config) (*Coordinator, error) {
 		cfg:        cfg,
 		numClients: cfg.NumClients,
 		modelSize:  cfg.ModelSize,
-		begun:      map[int]bool{},
-		replyEnc:   map[aggKey][]byte{},
+		latest:     math.MinInt,
+		replyEnc:   map[aggKey]*replyEntry{},
 		lastSeen:   map[int]time.Time{},
 		counters:   trace.NewCounters(),
 		blockOf:    map[int]int{},
@@ -361,7 +341,7 @@ func (c *Coordinator) Join(args JoinArgs, reply *JoinReply) error {
 	defer c.mu.Unlock()
 	if args.Rejoin {
 		if args.ClientID < 0 || args.ClientID >= c.nextID {
-			return fmt.Errorf("flrpc: rejoin of unknown client %d", args.ClientID)
+			return fmt.Errorf("flrpc: rejoin of %w %d", ErrUnknownClient, args.ClientID)
 		}
 		c.coll.Readmit(args.ClientID)
 		c.counters.Inc("rejoins")
@@ -384,7 +364,7 @@ func (c *Coordinator) Join(args JoinArgs, reply *JoinReply) error {
 		span = args.BlockSize
 	}
 	if c.nextID+span > c.numClients {
-		return fmt.Errorf("flrpc: session full (%d clients)", c.numClients)
+		return fmt.Errorf("flrpc: %w (%d clients)", ErrSessionFull, c.numClients)
 	}
 	id := c.nextID
 	c.nextID += span
@@ -399,85 +379,149 @@ func (c *Coordinator) Join(args JoinArgs, reply *JoinReply) error {
 	return nil
 }
 
-// Ping implements the heartbeat: it only refreshes the client's liveness
+// ping is the heartbeat: it only refreshes the client's liveness
 // timestamp, letting a deadline-expired barrier tell slow from dead.
-func (c *Coordinator) Ping(args PingArgs, reply *PingReply) error {
-	c.mu.Lock()
-	known := args.ClientID >= 0 && args.ClientID < c.nextID
-	c.mu.Unlock()
-	if !known {
-		return fmt.Errorf("flrpc: ping from unknown client %d", args.ClientID)
+func (c *Coordinator) ping(clientID int) error {
+	if !c.known(clientID, false) {
+		return fmt.Errorf("flrpc: ping from %w %d", ErrUnknownClient, clientID)
 	}
 	c.counters.Inc("heartbeats")
-	c.heard(args.ClientID)
+	c.heard(clientID)
 	return nil
 }
 
-// beginRoundLocked lazily opens a round's collectives on the round's
-// first submission. All connected clients participate in the
+// known reports whether id was assigned by a Join — as the base of a
+// relay's block, when asBlock is set. Only a tree coordinator hands out
+// blocks (see Join), so a flat one knows none.
+func (c *Coordinator) known(id int, asBlock bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if base, ok := c.blockOf[id]; asBlock {
+		return ok && base == id
+	}
+	return id >= 0 && id < c.nextID
+}
+
+// enter admits a submission to its round's collectives, opening the round
+// on its first submission, and returns nil; the caller dispatches into the
+// collective and then calls leave. All connected clients participate in the
 // real-network mode; stragglers are governed by actual wall-clock, not
 // emulation. The roster and quorum are the ids that actually joined — a
-// session started below its -clients capacity must not barrier on
-// phantom ids that never connected. Caller holds c.mu.
-func (c *Coordinator) beginRoundLocked(round int) {
-	if c.begun[round] || c.cfg.Async.Enabled() {
-		return
-	}
-	ids := append([]int(nil), c.allIDs...)
-	c.coll.SetRoster(ids)
-	c.coll.BeginRound(round, ids)
-	c.begun[round] = true
-	delete(c.begun, round-2) // bounded bookkeeping
-	for k := range c.replyEnc {
-		if k.round <= round-2 {
-			delete(c.replyEnc, k)
+// session started below its -clients capacity must not barrier on phantom
+// ids that never connected.
+//
+// Opening a round drops every collective in flight (fl.Tree.BeginRound), so
+// a submission for a round the session has left — the retry of an
+// evicted-then-rejoined client, a frame delayed across a reconnect — must
+// not reopen it while a handler is inside a barrier. It is answered from
+// the reply cache when its collective is still there, otherwise with
+// ErrStaleRound; only with nothing in flight (a whole fleet resuming from a
+// checkpoint) does an older round reopen, which also forgets the first
+// pass's cached replies from that round on.
+func (c *Coordinator) enter(clientID, round int, kind string) (*replyEntry, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.cfg.Async.Enabled() && round != c.latest {
+		if round < c.latest {
+			if slices.Contains(c.coll.Evicted(), clientID) {
+				return nil, &fl.EvictedError{ClientID: clientID}
+			}
+			if e := c.replyEnc[aggKey{round, kind}]; e != nil {
+				return e, nil
+			}
+			if c.waiting > 0 {
+				return nil, fmt.Errorf("flrpc: client %d round %d, session is at round %d: %w", clientID, round, c.latest, ErrStaleRound)
+			}
+		}
+		ids := append([]int(nil), c.allIDs...)
+		c.coll.SetRoster(ids)
+		c.coll.BeginRound(round, ids)
+		c.latest = round
+		for k := range c.replyEnc {
+			if k.round <= round-2 || k.round >= round {
+				delete(c.replyEnc, k)
+			}
 		}
 	}
+	c.waiting++
+	return nil, nil
+}
+
+// leave records that a handler admitted by enter is out of the collective.
+func (c *Coordinator) leave() {
+	c.mu.Lock()
+	c.waiting--
+	c.mu.Unlock()
 }
 
 // Aggregate implements the blocking collective call.
 func (c *Coordinator) Aggregate(args AggArgs, reply *AggReply) error {
-	c.mu.Lock()
-	if args.ClientID < 0 || args.ClientID >= c.nextID {
-		c.mu.Unlock()
-		return fmt.Errorf("flrpc: unknown client %d", args.ClientID)
+	return c.submit(context.Background(), false, args, nil, reply)
+}
+
+// submit runs one collective call under the calling connection's context:
+// a member's upload, or (partial) the tier call of a leaf relay, which
+// ships its block's already-folded (sum, weight) in place of the members'
+// submissions — tree mode only — and blocks until the round's global mean
+// is published, which it then serves to its own clients. A resubmission
+// after a reconnect is idempotent in both. frame, when non-nil, is the
+// pooled buffer args.Payload aliases: it is released once the payload is
+// decoded, before the barrier wait.
+func (c *Coordinator) submit(ctx context.Context, partial bool, args AggArgs, frame *[]byte, reply *AggReply) error {
+	defer func() { codec.PutBuf(frame) }()
+	if !c.known(args.ClientID, partial) {
+		return fmt.Errorf("flrpc: %w %d (as a relay's block base: %v)", ErrUnknownClient, args.ClientID, partial)
 	}
-	c.beginRoundLocked(args.Round)
-	c.mu.Unlock()
+	if args.Kind != "model" && args.Kind != "error" {
+		return fmt.Errorf("flrpc: %w %q", ErrUnknownKind, args.Kind)
+	}
 	c.heard(args.ClientID)
 	c.counters.Add("agg_rx_bytes", int64(len(args.Payload)))
 
-	// Decode the contribution into a pooled vector. The collective stages
-	// submissions by reference and drops them when the barrier closes, and
-	// this handler blocks inside the collective until exactly then, so the
-	// buffer is recyclable once the dispatch below returns. modelSize bounds
-	// the claimed vector length against hostile payloads.
-	var vecBuf *[]float64
+	// Decode into a pooled vector. The collective stages submissions by
+	// reference and drops them when the barrier closes, and this handler
+	// blocks inside the collective until exactly then, so the vector is
+	// recyclable once the dispatch below returns. modelSize bounds the
+	// claimed length against hostile payloads.
+	var dst, values []float64
 	if !args.Abstain {
-		vecBuf = codec.GetVals(c.modelSize)
+		vecBuf := codec.GetVals(c.modelSize)
 		defer codec.PutVals(vecBuf)
-	}
-	var dst []float64
-	if vecBuf != nil {
 		dst = *vecBuf
 	}
-	values, err := args.contribution(dst, c.modelSize)
+	var p sparse.Partial
+	var err error
+	if partial {
+		c.counters.Inc("partials_rx")
+		if p, err = sparse.DecodePartialPayloadInto(dst, args.Payload, c.modelSize); err == nil && p.RankLo != args.ClientID {
+			err = fmt.Errorf("partial is for rank %d; blocks are keyed by base id", p.RankLo)
+		}
+	} else {
+		values, err = args.contribution(dst, c.modelSize)
+	}
+	codec.PutBuf(frame)
+	frame = nil
 	if err != nil {
-		return fmt.Errorf("flrpc: client %d round %d: %w", args.ClientID, args.Round, err)
+		return fmt.Errorf("flrpc: client %d round %d: %w: %w", args.ClientID, args.Round, ErrMalformed, err)
 	}
+	cached, err := c.enter(args.ClientID, args.Round, args.Kind)
+	if cached != nil || err != nil {
+		c.serveCached(cached, reply)
+		return err
+	}
+	c.counters.Add("relay_traffic_bytes", p.Traffic)
+	// Members route through the ctx-aware dispatchers (the ctxdispatch
+	// contract); ctx is the connection's, so a dead peer's wait detaches.
 	var res []float64
-	// Route through the ctx-aware dispatchers (the ctxdispatch contract):
-	// net/rpc hands the handler no context, but the dispatch helpers keep
-	// this call on the same cancellation-capable path as every other
-	// aggregation in the codebase.
-	switch args.Kind {
-	case "model":
-		res, err = sparse.AggModel(context.Background(), c.coll, args.ClientID, args.Round, values)
-	case "error":
-		res, err = sparse.AggError(context.Background(), c.coll, args.ClientID, args.Round, values)
+	switch {
+	case partial:
+		res, err = c.coll.AggregatePartialCtx(ctx, args.Round, args.Kind, p.RankLo, p.Sum, p.Weight)
+	case args.Kind == "model":
+		res, err = sparse.AggModel(ctx, c.coll, args.ClientID, args.Round, values)
 	default:
-		return fmt.Errorf("flrpc: unknown collective kind %q", args.Kind)
+		res, err = sparse.AggError(ctx, c.coll, args.ClientID, args.Round, values)
 	}
+	c.leave()
 	if err != nil {
 		return err
 	}
@@ -485,42 +529,47 @@ func (c *Coordinator) Aggregate(args AggArgs, reply *AggReply) error {
 	return nil
 }
 
-// encodeReply fills reply with the collective result, serving cached
-// bytes when the result is round-stable.
-func (c *Coordinator) encodeReply(round int, kind string, res []float64, reply *AggReply) {
-	if res == nil {
-		reply.Nil = true
+// serveCached answers from a reply-cache entry once it is encoded; a nil
+// entry (the submission was refused) leaves reply alone.
+func (c *Coordinator) serveCached(e *replyEntry, reply *AggReply) {
+	if e == nil {
 		return
 	}
+	<-e.ready
+	reply.Payload, reply.Nil = e.payload, e.payload == nil
+	c.counters.Add("agg_tx_bytes", int64(len(e.payload)))
+}
+
+// encodeReply fills reply with the collective result. Every waiter of a
+// barrier receives the same mean: the first to arrive inserts the cache
+// entry and encodes — outside the coordinator lock — and the rest wait on
+// the entry, so a collective is encoded exactly once.
+func (c *Coordinator) encodeReply(round int, kind string, res []float64, reply *AggReply) {
 	if c.cfg.Async.Enabled() {
 		// No reply cache in async mode: the global evolves with every K-th
 		// submission, so a (round, kind) key does not identify one stable
 		// result the way a closed barrier's mean does.
-		reply.Payload = c.encodeVector(res)
-		c.counters.Add("agg_tx_bytes", int64(len(reply.Payload)))
+		if reply.Nil = res == nil; !reply.Nil {
+			reply.Payload = c.encodeVector(res)
+			c.counters.Add("agg_tx_bytes", int64(len(reply.Payload)))
+		}
 		return
 	}
-	// Every waiter of the collective receives the same mean; encode it once
-	// and serve the cached bytes. The double-checked pattern keeps the
-	// O(model) encode outside the coordinator lock — a racing duplicate
-	// encode is possible but bounded and byte-identical (chain encoding is
-	// deterministic: the quantizer's rounding is a pure seeded hash).
 	k := aggKey{round: round, kind: kind}
 	c.mu.Lock()
-	payload, ok := c.replyEnc[k]
+	e, ok := c.replyEnc[k]
+	if !ok {
+		e = &replyEntry{ready: make(chan struct{})}
+		c.replyEnc[k] = e
+	}
 	c.mu.Unlock()
 	if !ok {
-		payload = c.encodeVector(res)
-		c.mu.Lock()
-		if cached, dup := c.replyEnc[k]; dup {
-			payload = cached
-		} else {
-			c.replyEnc[k] = payload
+		if res != nil {
+			e.payload = c.encodeVector(res)
 		}
-		c.mu.Unlock()
+		close(e.ready)
 	}
-	reply.Payload = payload
-	c.counters.Add("agg_tx_bytes", int64(len(payload)))
+	c.serveCached(e, reply)
 }
 
 // encodeVector encodes a collective result with the configured chain's
@@ -535,65 +584,116 @@ func (c *Coordinator) encodeVector(res []float64) []byte {
 	return sparse.EncodeVectorPayload(res)
 }
 
-// SubmitPartial implements the tier collective call: a leaf relay ships
-// its block's already-folded (sum, weight) partial in place of the
-// block's member submissions, and blocks until the round's global mean
-// is published — which it then serves to its own clients. Tree mode
-// only. The decode is allocation-bounded by the session's model size,
-// and a resubmission after a relay reconnect is idempotent.
-func (c *Coordinator) SubmitPartial(args PartialArgs, reply *AggReply) error {
-	c.mu.Lock()
-	// Only a tree coordinator hands out blocks (see Join), so a flat one
-	// rejects every partial here.
-	base, ok := c.blockOf[args.ClientID]
-	if !ok || base != args.ClientID {
-		c.mu.Unlock()
-		return fmt.Errorf("flrpc: partial from %d, which is not a block base id", args.ClientID)
+// serveConn runs one connection until it fails, the peer hangs up or
+// parent ends: the read loop takes frames, answers Join and Ping itself and
+// hands each collective call to its own goroutine, so a Ping overtakes a
+// blocked Aggregate. Handlers run under the connection's context: when the
+// loop ends their barrier waits detach, and serveConn returns once they
+// have.
+func (c *Coordinator) serveConn(parent context.Context, nc net.Conn) {
+	ctx, cancel := context.WithCancel(parent)
+	stop := context.AfterFunc(parent, func() { nc.Close() }) // Serve shutting down ends the read loop
+	defer stop()
+	cn := newConn(nc)
+	var handlers sync.WaitGroup
+	defer func() {
+		cancel()
+		nc.Close()
+		handlers.Wait()
+	}()
+	slots := make(chan struct{}, maxInFlight)
+	for {
+		req, err := cn.readFrame()
+		if err != nil {
+			if errors.Is(err, ErrMalformed) {
+				// Over the limit: nothing was read past the header, so say
+				// why before hanging up.
+				_ = cn.respond(ctx, &req, 0, req.id, nil, err)
+			}
+			return
+		}
+		id, body := req.id, []byte(nil)
+		switch joined := cn.limit.Load() != preJoinLimit; { // a successful join lifts the limit
+		case req.typ == typeJoin:
+			var reply JoinReply
+			if err = c.join(&req, &reply); err == nil {
+				cn.limit.Store(int64(frameLimit(c.modelSize)))
+				body = binary.LittleEndian.AppendUint32(body, uint32(reply.NumClients))
+				body = binary.LittleEndian.AppendUint32(body, uint32(reply.ModelSize))
+			}
+			id = reply.ClientID
+		case joined && req.typ == typePing:
+			err = c.ping(req.id)
+		case joined && (req.typ == typeAggregate || req.typ == typePartial):
+			slots <- struct{}{}
+			handlers.Add(1)
+			go func() {
+				defer handlers.Done()
+				defer func() { <-slots }()
+				c.serveAgg(ctx, cn, &req)
+			}()
+			continue
+		default:
+			err = fmt.Errorf("flrpc: frame type %d unknown, or sent before join: %w", req.typ, ErrMalformed)
+		}
+		req.release()
+		if cn.respond(ctx, &req, 0, id, body, err) != nil {
+			return
+		}
 	}
-	c.beginRoundLocked(args.Round)
-	c.mu.Unlock()
-	c.heard(args.ClientID)
-	c.counters.Add("agg_rx_bytes", int64(len(args.Payload)))
-	c.counters.Inc("partials_rx")
-
-	// Decode into a pooled vector; the tree stages the sum by reference
-	// and this handler blocks until the collective closes, so the buffer
-	// is recyclable on return (the Aggregate ownership contract).
-	vecBuf := codec.GetVals(c.modelSize)
-	defer codec.PutVals(vecBuf)
-	p, err := sparse.DecodePartialPayloadInto(*vecBuf, args.Payload, c.modelSize)
-	if err != nil {
-		return fmt.Errorf("flrpc: relay %d round %d: %w", args.ClientID, args.Round, err)
-	}
-	if p.RankLo != args.ClientID {
-		return fmt.Errorf("flrpc: relay %d shipped a partial for rank %d; blocks are keyed by base id", args.ClientID, p.RankLo)
-	}
-	if args.Kind != "model" && args.Kind != "error" {
-		return fmt.Errorf("flrpc: unknown collective kind %q", args.Kind)
-	}
-	c.counters.Add("relay_traffic_bytes", p.Traffic)
-	res, err := c.coll.AggregatePartialCtx(context.Background(), args.Round, args.Kind, p.RankLo, p.Sum, p.Weight)
-	if err != nil {
-		return err
-	}
-	c.encodeReply(args.Round, args.Kind, res, reply)
-	return nil
 }
 
-// Serve runs the coordinator on the listener until the listener closes.
+// join decodes the first frame of a connection — magic, version, block
+// size, name — and runs the handshake.
+func (c *Coordinator) join(req *frame, reply *JoinReply) error {
+	var hello [9]byte
+	le := binary.LittleEndian
+	if n := copy(hello[:], req.payload); n < len(hello) || le.Uint32(hello[:]) != protoMagic || hello[4] != protoVersion {
+		return fmt.Errorf("flrpc: join: peer speaks %#x version %d, this coordinator speaks %#x version %d: %w",
+			le.Uint32(hello[:]), hello[4], uint32(protoMagic), protoVersion, ErrVersion)
+	}
+	return c.Join(JoinArgs{
+		Name: string(req.payload[len(hello):]), Rejoin: req.flags&flagRejoin != 0,
+		ClientID: req.id, BlockSize: int(le.Uint32(hello[5:])),
+	}, reply)
+}
+
+// serveAgg runs one collective call and writes its reply; a failed write
+// leaves the stream mid-frame, so it ends the connection.
+func (c *Coordinator) serveAgg(ctx context.Context, cn *conn, req *frame) {
+	args := AggArgs{ClientID: req.id, Round: req.round, Payload: req.payload, Abstain: req.flags&flagAbstain != 0}
+	if int(req.kind) < len(kindNames) {
+		args.Kind = kindNames[req.kind]
+	}
+	var reply AggReply
+	err := c.submit(ctx, req.typ == typePartial, args, req.buf, &reply)
+	var flags byte
+	if reply.Nil {
+		flags = flagNil
+	}
+	if cn.respond(ctx, req, flags, req.id, reply.Payload, err) != nil {
+		cn.nc.Close()
+	}
+}
+
+// Serve runs the coordinator on the listener until the listener closes,
+// then closes the connections it accepted and waits for their goroutines.
 // It returns the first accept error (net.ErrClosed after Close).
 func Serve(l net.Listener, c *Coordinator) error {
-	s := rpc.NewServer()
-	if err := s.RegisterName(ServiceName, c); err != nil {
-		return fmt.Errorf("flrpc: register: %w", err)
-	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var conns sync.WaitGroup
 	for {
-		conn, err := l.Accept()
+		nc, err := l.Accept()
 		if err != nil {
+			cancel()
+			conns.Wait()
 			return err
 		}
-		//lint:allow goleak -- idiomatic net/rpc accept loop: ServeConn exits when the peer disconnects, and Service.Close tears down the listener that feeds it
-		go s.ServeConn(conn)
+		conns.Add(1)
+		go func() {
+			defer conns.Done()
+			c.serveConn(ctx, nc)
+		}()
 	}
 }
 
