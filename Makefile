@@ -52,8 +52,9 @@ verify-f32: tier1-f32 race-f32
 # Short fuzz smoke over the flrpc wire contract (the nil-vs-abstain-vs-empty
 # property on the header flags, then raw bytes into the frame reader and
 # both decoders behind it), the self-describing vector payload flrpc ships,
-# the tier partial-aggregate message, and the chain stages. `go test -fuzz` accepts
-# one target per invocation, hence one run each. Seeds live in
+# the tier partial-aggregate message, the chain stages, and the base stage's
+# word-wide bitmap decoder against its per-bit reference. `go test -fuzz`
+# accepts one target per invocation, hence one run each. Seeds live in
 # testdata/fuzz/ and f.Add.
 fuzz:
 	$(GO) test -fuzz '^FuzzAggWire$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flrpc/
@@ -64,6 +65,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzLowRankStage$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
 	$(GO) test -fuzz '^FuzzEntropyStage$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
 	$(GO) test -fuzz '^FuzzChainRoundTrip$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
+	$(GO) test -fuzz '^FuzzBaseWordVsScalar$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
 
 # bench/ is its own module (BENCHMARK.json's program), so `./...` above
 # never compiles it: vet and test it here, or a refactor of fl/flrpc/sparse
@@ -95,9 +97,11 @@ bench-tree:
 
 # Compression-chain stage benchmarks (see BENCH_codec.json for the
 # tracked medians): per-stage encode ns/op, B/op, and encoded bytes at
-# densities 0.1%, 1%, 10%, and dense. Take the median of the 3 counts.
+# densities 0.1%, 1%, 10%, and dense; then the base stage's encode and
+# decode kernels at 600k parameters over dense and random masks
+# (EXPERIMENTS.md, "Word-wide base kernels"). Take the median of the 3 counts.
 bench-codec:
-	$(GO) test ./internal/sparse/codec/ -run xxx -bench '^BenchmarkChain' -benchmem -count 3
+	$(GO) test ./internal/sparse/codec/ -run xxx -bench '^Benchmark(Chain|Base)' -benchmem -count 3
 
 # End-to-end harness benchmark: the Table I grid, sequential-uncached vs
 # parallel-cached (the grid scheduler of internal/exp), medians over

@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"sync"
@@ -25,53 +26,71 @@ const (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "tcp_cluster:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole example, reporting to w.
+func run(w io.Writer) error {
 	l, err := fedsu.StartCoordinator("127.0.0.1:0", numClients, dim)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer l.Close()
-	fmt.Printf("coordinator listening on %s\n", l.Addr())
+	fmt.Fprintf(w, "coordinator listening on %s\n", l.Addr())
 
+	// Every client joins before any starts round 0: a collective opened
+	// while the session is still filling closes over the members it has, and
+	// a late joiner then finds the session rounds ahead of it.
 	var wg sync.WaitGroup
 	finals := make([][]float64, numClients)
 	specRounds := make([]int, numClients)
-	for c := 0; c < numClients; c++ {
+	errs := make([]error, numClients)
+	train := make([]func(), numClients)
+	for c := range train {
+		conn, err := fedsu.DialCoordinator(l.Addr().String(), fmt.Sprintf("worker-%d", c))
+		if err != nil {
+			return err
+		}
+		defer conn.Close()
+		train[c] = func() { finals[c], specRounds[c], errs[c] = runClient(conn, conn.ClientID()) }
+	}
+	for _, f := range train {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
-			finals[c], specRounds[c] = runClient(l.Addr().String(), c)
-		}(c)
+			f()
+		}()
 	}
 	wg.Wait()
 
 	// All clients must hold the identical model after the last round.
-	for c := 1; c < numClients; c++ {
+	for c := 0; c < numClients; c++ {
+		if errs[c] != nil {
+			return errs[c]
+		}
 		for i := range finals[0] {
 			if finals[0][i] != finals[c][i] {
-				fail(fmt.Errorf("client %d diverged at parameter %d", c, i))
+				return fmt.Errorf("client %d diverged at parameter %d", c, i)
 			}
 		}
 	}
-	fmt.Printf("\nall %d clients hold identical models after %d rounds over TCP\n",
+	fmt.Fprintf(w, "\nall %d clients hold identical models after %d rounds over TCP\n",
 		numClients, rounds)
-	fmt.Printf("speculative parameter-rounds per client: %v\n", specRounds)
+	fmt.Fprintf(w, "speculative parameter-rounds per client: %v\n", specRounds)
+	return nil
 }
 
-// runClient joins the session and trains a toy model: each client pulls the
+// runClient trains a toy model over a joined session: each client pulls the
 // shared parameters toward its private target (non-IID), with the global
 // optimum at the targets' mean; several coordinates drift linearly so FedSU
 // has something to speculate on.
-func runClient(addr string, idx int) (final []float64, specTotal int) {
-	conn, err := fedsu.DialCoordinator(addr, fmt.Sprintf("worker-%d", idx))
-	if err != nil {
-		fail(err)
-	}
-	defer conn.Close()
-	id := conn.ClientID()
-
+func runClient(conn fedsu.Aggregator, id int) (final []float64, specTotal int, err error) {
 	mgr, err := fedsu.NewManager(id, dim, conn, fedsu.DefaultOptions())
 	if err != nil {
-		fail(err)
+		return nil, 0, err
 	}
 	rng := rand.New(rand.NewSource(int64(100 + id)))
 	params := make([]float64, dim)
@@ -94,15 +113,10 @@ func runClient(addr string, idx int) (final []float64, specTotal int) {
 		}
 		out, _, err := mgr.Sync(k, local, true)
 		if err != nil {
-			fail(err)
+			return nil, 0, err
 		}
 		params = out
 		specTotal += mgr.PredictableCount()
 	}
-	return params, specTotal
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "tcp_cluster:", err)
-	os.Exit(1)
+	return params, specTotal, nil
 }

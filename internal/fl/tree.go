@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -157,6 +158,9 @@ type treeCol struct {
 	result  []float64
 	failure error
 	done    chan struct{}
+	// holders counts the Aggregate calls between looking the collective up
+	// and returning: BeginRound recycles the shell under none of them.
+	holders atomic.Int32
 }
 
 // tierNode is one aggregator of a collective. done flips under Tree.mu
@@ -349,18 +353,19 @@ func (t *Tree) BeginRound(round int, participants []int) {
 		t.participants[id] = true
 	}
 	// Drop all collectives. BeginRound is only called when none is in
-	// flight (every barrier of the previous round has released its
-	// waiters, and waiters hold direct pointers), and a checkpoint restore
-	// may legitimately replay an earlier round index, so the whole map is
-	// cleared rather than just older rounds. An unfinished collective
-	// (contract violation) is dropped rather than recycled, since waiters
-	// may still hold it.
+	// flight (every barrier of the previous round has closed), and a
+	// checkpoint restore may legitimately replay an earlier round index, so
+	// the whole map is cleared rather than just older rounds. Waiters hold
+	// direct pointers and may not have woken yet (over flrpc a fast client's
+	// next round arrives while a slow handler is still on its way out), so a
+	// collective that is unfinished (contract violation) or still held is
+	// dropped rather than recycled.
 	for k, c := range t.cols {
 		if c.timer != nil {
 			c.timer.Stop()
 			c.timer = nil
 		}
-		if c.finished {
+		if c.finished && c.holders.Load() == 0 {
 			t.recycleColLocked(c)
 		}
 		delete(t.cols, k)
@@ -482,7 +487,7 @@ func (t *Tree) addNodeLocked(c *treeCol, tier, need int) *tierNode {
 // recycleColLocked resets a finished collective's shells onto the free
 // lists. Completion already released the staged buffers; a straggler that
 // published after the barrier closed is swept by the fold reset. Caller
-// holds t.mu; no waiter can still be inside (BeginRound contract).
+// holds t.mu; no waiter is still inside (c.holders is zero).
 func (t *Tree) recycleColLocked(c *treeCol) {
 	clear(c.pending)
 	clear(c.submitted)
@@ -517,6 +522,8 @@ func (t *Tree) aggregate(ctx context.Context, clientID, round int, kind string, 
 		return t.asyncSubmit(ctx, clientID, kind, values)
 	}
 	c, ready := t.colLocked(opKey{round: round, kind: kind})
+	c.holders.Add(1)
+	defer c.holders.Add(-1)
 	if c.submitted[clientID] {
 		strict := !t.idempotent
 		t.mu.Unlock()

@@ -81,6 +81,8 @@ func (t *Tree) AggregatePartialCtx(ctx context.Context, round int, kind string, 
 		return nil, fmt.Errorf("fl: partial rank %d is not an aligned leaf block of a %d-member roster (fanout %d)", rankLo, n, t.fanout)
 	}
 	c, ready := t.colLocked(opKey{round: round, kind: kind})
+	c.holders.Add(1)
+	defer c.holders.Add(-1)
 	leaf := t.leafLocked(c, rankLo)
 	var err error
 	switch {

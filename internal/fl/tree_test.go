@@ -286,3 +286,45 @@ func TestTreeMultiRoundRecycling(t *testing.T) {
 		}
 	}
 }
+
+// TestBeginRoundSparesAHeldCollective: over flrpc a fast client's next round
+// reaches BeginRound while a slower handler of the closed barrier has not
+// woken yet (found by examples/tcp_cluster under the race detector: the
+// waiter read a recycled shell, or waited on the next collective's channel).
+// A collective an Aggregate call still holds is dropped, not recycled: the
+// late waiter finds its result, and the next round gets another shell.
+func TestBeginRoundSparesAHeldCollective(t *testing.T) {
+	ids := []int{0, 1}
+	s := NewServer(2)
+	s.BeginRound(0, ids)
+	results, errs := submitAll(t, s, 0, "model", ids, map[int][]float64{0: {2}, 1: {4}})
+	wantAll(t, "round 0", results, errs, []float64{3})
+
+	s.mu.Lock()
+	held := s.cols[opKey{round: 0, kind: "model"}]
+	held.holders.Add(1) // a waiter between the barrier closing and its return
+	s.mu.Unlock()
+
+	s.BeginRound(1, ids)
+	results, errs = submitAll(t, s, 1, "model", ids, map[int][]float64{0: {10}, 1: {20}})
+	wantAll(t, "round 1", results, errs, []float64{15})
+	s.mu.Lock()
+	reused := s.cols[opKey{round: 1, kind: "model"}] == held
+	s.mu.Unlock()
+	if reused {
+		t.Fatal("a held collective's shell was recycled into the next round")
+	}
+	if res, err := s.wait(context.Background(), held, nil, -1); err != nil || !sameBits(res, []float64{3}) {
+		t.Errorf("the late waiter got %v, %v; want round 0's mean [3]", res, err)
+	}
+
+	// Released, the next BeginRound recycles as before.
+	held.holders.Add(-1)
+	s.BeginRound(2, ids)
+	s.mu.Lock()
+	free := len(s.colFree)
+	s.mu.Unlock()
+	if free == 0 {
+		t.Error("a finished collective nobody holds was not recycled")
+	}
+}

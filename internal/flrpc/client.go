@@ -361,6 +361,7 @@ func (c *Client) call(ctx context.Context, kind string, clientID, round int, val
 	if r := sparse.ReceiptFrom(ctx); r != nil {
 		r.UpBytes = sparse.HeaderBytes + len(req.payload)
 		r.DownBytes = sparse.HeaderBytes + down
+		r.Owned = true // doAgg decoded the reply into a slice of its own
 		if r.Image != nil && values != nil {
 			if _, err := codec.DecodeInto(r.Image, req.payload, len(values)); err != nil {
 				return nil, fmt.Errorf("flrpc: %s: upload image: %w", desc, err)

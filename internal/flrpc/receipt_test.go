@@ -361,3 +361,56 @@ func TestHeaderOnlyLegs(t *testing.T) {
 		})
 	}
 }
+
+// lastAgg remembers the slice the aggregator behind it returned.
+type lastAgg struct {
+	*Client
+	last []float64
+}
+
+func (a *lastAgg) AggregateModelCtx(ctx context.Context, id, round int, v []float64) ([]float64, error) {
+	out, err := a.Client.AggregateModelCtx(ctx, id, round, v)
+	a.last = out
+	return out, err
+}
+
+// TestFedAvgOverTCPKeepsTheDecodedResult: the client decodes each reply
+// into a slice of the caller's own and marks the receipt Owned, so FedAvg
+// starts the next round from that very slice instead of a second 8n copy.
+func TestFedAvgOverTCPKeepsTheDecodedResult(t *testing.T) {
+	const k, n = 2, 500
+	_, addr := startCoordinatorWith(t, Config{NumClients: k, ModelSize: n})
+	clients := make([]*Client, k) // all dialed before any starts round 0
+	for i := range clients {
+		c, err := Dial(addr, "owned")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		clients[i] = c
+	}
+	var wg sync.WaitGroup
+	for _, c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			agg := &lastAgg{Client: c}
+			local := make([]float64, n)
+			for j := range local {
+				local[j] = float64(c.ClientID() + j + 1)
+			}
+			out, _, err := sparse.NewFedAvg(c.ClientID(), n, agg).SyncCtx(context.Background(), 0, local, true)
+			if err != nil || len(out) != n {
+				t.Errorf("client %d: %d values, %v", c.ClientID(), len(out), err)
+				return
+			}
+			if &out[0] != &agg.last[0] {
+				t.Errorf("client %d: FedAvg copied a result the transport had decoded for it alone", c.ClientID())
+			}
+			if want := float64(k+1) / 2; out[0] != want { // the mean of id+1 over the fleet
+				t.Errorf("client %d: out[0] = %v, want %v", c.ClientID(), out[0], want)
+			}
+		}()
+	}
+	wg.Wait()
+}

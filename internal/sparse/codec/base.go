@@ -39,14 +39,28 @@ func (baseStage) Decode(dst []float64, payload []byte, maxParams int) ([]float64
 
 // AppendBase appends the base-stage encoding of vec to dst and returns
 // the extended slice, growing dst at most once. The format tag is chosen
-// by exact encoded size, so BaseSize(vec) always predicts the number of
-// bytes appended.
+// by exact encoded size (the bitmap takes ties), so BaseSize(vec) always
+// predicts the number of bytes appended.
+//
+// bitmap ≤ index ⇔ ⌈n/8⌉ ≤ 8 + varBytes, so the index form is out of the
+// race once its footprint reaches ⌈n/8⌉ − 8 (at the latest when the nonzero
+// count does; from the start for n ≤ 64). The bitmap's value region starts
+// at a fixed offset whatever the count, so from there on, when dst has room
+// for every remaining value to be nonzero (a pooled buffer sized by
+// DenseBaseSize), the rest of the vector is not counted first: it is encoded
+// in the one pass and the slice cut to what was written.
 func AppendBase(dst []byte, vec []float64) []byte {
-	nnz, bitmapSize, indexSize := baseSizes(vec)
-	base := len(dst)
+	base, n := len(dst), len(vec)
+	i, nnz, varBytes := basePrefix(vec, (n+7)/8-8)
+	if most := 1 + bitmapBodyBytes(n, nnz+n-i); i < n && cap(dst)-base >= most {
+		dst = dst[:base+most]
+		return dst[:base+1+bitmapBodyBytes(n, encodeBaseBitmap(dst[base:], vec))]
+	}
+	nnz += countNonzero(vec[i:])
+	bitmapSize, indexSize := 1+bitmapBodyBytes(n, nnz), 1+8+8+varBytes+4*nnz
 	if bitmapSize <= indexSize {
 		dst = growBytes(dst, bitmapSize)
-		encodeBaseBitmap(dst[base:], vec, nnz)
+		encodeBaseBitmap(dst[base:], vec)
 	} else {
 		dst = growBytes(dst, indexSize)
 		encodeBaseIndex(dst[base:], vec, nnz)
@@ -55,19 +69,10 @@ func AppendBase(dst []byte, vec []float64) []byte {
 }
 
 // BaseSize is the exact encoded size of vec under the base stage, in
-// bytes, without materializing the payload.
+// bytes, without materializing the payload: indexSize is exact if smaller.
 func BaseSize(vec []float64) int {
-	_, bitmapSize, indexSize := baseSizes(vec)
-	return min(bitmapSize, indexSize)
-}
-
-// baseSizes prices both forms for the selection (the bitmap takes ties).
-// bitmap ≤ index ⇔ ⌈n/8⌉ ≤ 8 + varBytes, so the index form is out of the
-// race once its footprint reaches ⌈n/8⌉ − 8 (at the latest when the nonzero
-// count does; from the start for n ≤ 64): indexSize is exact if smaller.
-func baseSizes(vec []float64) (nnz, bitmapSize, indexSize int) {
 	nnz, varBytes := baseStats(vec, (len(vec)+7)/8-8)
-	return nnz, 1 + bitmapBodyBytes(len(vec), nnz), 1 + 8 + 8 + varBytes + 4*nnz
+	return min(1+bitmapBodyBytes(len(vec), nnz), 1+8+8+varBytes+4*nnz)
 }
 
 // DenseBaseSize is BaseSize for a fully-dense vector of n parameters,
@@ -93,43 +98,108 @@ func uvarintLen(x uint64) int {
 // footprint of the nonzero positions. The footprint is priced only while
 // below limit, past which the caller's bitmap alternative has won whatever
 // follows (it only grows, by at least a byte per nonzero); the rest of the
-// vector is a compare-and-count loop. varBytes is exact when it comes back
-// below limit and a lower bound ≥ limit otherwise.
+// vector is only counted. varBytes is exact when it comes back below limit
+// and a lower bound ≥ limit otherwise.
 func baseStats(vec []float64, limit int) (nnz, varBytes int) {
-	prev, i := 0, 0
-	for ; i < len(vec) && varBytes < limit; i++ {
+	i, nnz, varBytes := basePrefix(vec, limit)
+	return nnz + countNonzero(vec[i:]), varBytes
+}
+
+// basePrefix is the priced part of baseStats: it stops at a position i where
+// the footprint of vec[:i] has reached limit, or at len(vec). It prices a
+// mask word per step — inside a word every delta but the first is below 64,
+// one varint byte — and the last < 64 positions one by one.
+func basePrefix(vec []float64, limit int) (i, nnz, varBytes int) {
+	prev := 0
+	for ; varBytes < limit && len(vec)-i >= 64; i += 64 {
+		if w := maskWord((*[64]float64)(vec[i:])); w != 0 {
+			c := bits.OnesCount64(w)
+			varBytes += uvarintLen(uint64(i+bits.TrailingZeros64(w)-prev)) + c - 1
+			prev, nnz = i+63-bits.LeadingZeros64(w), nnz+c
+		}
+	}
+	for ; varBytes < limit && i < len(vec); i++ {
 		if vec[i] != 0 {
 			varBytes += uvarintLen(uint64(i - prev))
 			prev = i
 			nnz++
 		}
 	}
-	for _, v := range vec[i:] {
-		if v != 0 {
+	return i, nnz, varBytes
+}
+
+// nonzeroBit is 1 for v != 0 and 0 for ±0, without a branch: shifting the
+// sign out leaves zero for exactly ±0 (a NaN is nonzero, as under !=).
+func nonzeroBit(v float64) uint64 {
+	x := math.Float64bits(v) << 1
+	return (x | -x) >> 63
+}
+
+// maskWord packs the != 0 tests of 64 values into a word, bit j for c[j]
+// (two half-words, so the shift-or chains of the halves overlap).
+func maskWord(c *[64]float64) uint64 {
+	var lo, hi uint64
+	for j, v := range c[:32] {
+		lo = lo>>1 | nonzeroBit(v)<<63
+		hi = hi>>1 | nonzeroBit(c[32+j])<<63
+	}
+	return lo>>32 | hi
+}
+
+func countNonzero(vec []float64) (nnz int) {
+	for _, v := range vec {
+		nnz += int(nonzeroBit(v))
+	}
+	return nnz
+}
+
+// putF32 and getF32 are the base wire format's only value conversions.
+func putF32(dst []byte, v float64) {
+	//lint:allow precision -- the base wire format stores values as f32 by contract (PR 4 byte-identity)
+	binary.LittleEndian.PutUint32(dst, math.Float32bits(float32(v)))
+}
+
+func getF32(src []byte) float64 {
+	//lint:allow precision -- widening the f32 wire value back to the f64 vector, exact
+	return float64(math.Float32frombits(binary.LittleEndian.Uint32(src)))
+}
+
+// encodeBaseBitmap writes the bitmap form of vec into out, which has room
+// for at least vec's nonzeros, and returns their count. It works a
+// 64-position mask word per step: the word is stored once, an all-ones word
+// converts its 64 values in a straight loop, any other word scatters its set
+// positions; the last < 64 positions go bit by bit.
+func encodeBaseBitmap(out []byte, vec []float64) (nnz int) {
+	out[0] = FormatBitmap
+	binary.LittleEndian.PutUint64(out[1:9], uint64(len(vec)))
+	nb := (len(vec) + 7) / 8
+	bm, vals := out[9:9+nb], out[9+nb:]
+	for ; len(vec) >= 64; vec, bm = vec[64:], bm[8:] {
+		chunk := (*[64]float64)(vec)
+		w := maskWord(chunk)
+		binary.LittleEndian.PutUint64(bm, w)
+		if w == ^uint64(0) {
+			dense := (*[256]byte)(vals[4*nnz:])
+			for j, v := range chunk {
+				putF32(dense[4*j:], v)
+			}
+			nnz += 64
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			putF32(vals[4*nnz:], chunk[bits.TrailingZeros64(w)&63])
 			nnz++
 		}
 	}
-	return nnz, varBytes
-}
-
-// encodeBaseBitmap writes the bitmap form into out, which has exactly
-// the required size.
-func encodeBaseBitmap(out []byte, vec []float64, nnz int) {
-	out[0] = FormatBitmap
-	body := out[1:]
-	binary.LittleEndian.PutUint64(body[:8], uint64(len(vec)))
-	bm := body[8 : 8+(len(vec)+7)/8]
 	clear(bm)
-	vals := body[8+len(bm):]
-	k := 0
 	for i, v := range vec {
 		if v != 0 {
 			bm[i/8] |= 1 << (i % 8)
-			//lint:allow precision -- the base wire format stores values as f32 by contract (PR 4 byte-identity)
-			binary.LittleEndian.PutUint32(vals[4*k:], math.Float32bits(float32(v)))
-			k++
+			putF32(vals[4*nnz:], v)
+			nnz++
 		}
 	}
+	return nnz
 }
 
 // encodeBaseIndex writes the index form into out, which has exactly the
@@ -147,13 +217,16 @@ func encodeBaseIndex(out []byte, vec []float64, nnz int) {
 		if v != 0 {
 			pos += binary.PutUvarint(body[pos:], uint64(i-prev))
 			prev = i
-			//lint:allow precision -- the base wire format stores values as f32 by contract (PR 4 byte-identity)
-			binary.LittleEndian.PutUint32(body[valBase+4*k:], math.Float32bits(float32(v)))
+			putF32(body[valBase+4*k:], v)
 			k++
 		}
 	}
 }
 
+// decodeBaseBitmap is encodeBaseBitmap's inverse, a mask word per step: the
+// word's popcount is checked against the value bytes left once, then an
+// all-zero word clears its 64 positions, an all-ones word widens 64 values
+// in a straight loop, any other word clears and scatters.
 func decodeBaseBitmap(dst []float64, b []byte, maxParams int) ([]float64, error) {
 	if len(b) < 8 {
 		return nil, fmt.Errorf("codec: bitmap vector payload too short (%d bytes)", len(b))
@@ -167,24 +240,40 @@ func decodeBaseBitmap(dst []float64, b []byte, maxParams int) ([]float64, error)
 	}
 	n := int(n64)
 	nb := (n + 7) / 8
-	bm := b[:nb]
-	vals := b[nb:]
-	out := sizeVector(dst, n)
-	k := 0
-	for i := 0; i < n; i++ {
-		if bm[i/8]&(1<<(i%8)) != 0 {
-			if 4*k+4 > len(vals) {
-				return nil, fmt.Errorf("codec: bitmap vector payload truncated")
+	bm, vals := b[:nb], b[nb:]
+	out := SizeVector(dst, n)
+	rest := out
+	for ; len(rest) >= 64; rest, bm = rest[64:], bm[8:] {
+		w := binary.LittleEndian.Uint64(bm)
+		used := 4 * bits.OnesCount64(w)
+		if used > len(vals) {
+			return nil, fmt.Errorf("codec: bitmap vector payload truncated")
+		}
+		chunk, src := rest[:64], vals[:used]
+		vals = vals[used:]
+		if w == ^uint64(0) {
+			dense := (*[256]byte)(src)
+			for j := range chunk {
+				chunk[j] = getF32(dense[4*j:])
 			}
-			//lint:allow precision -- widening the f32 wire value back to the f64 vector, exact
-			out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(vals[4*k:])))
-			k++
-		} else {
-			out[i] = 0
+			continue
+		}
+		clear(chunk)
+		for ; w != 0; w, src = w&(w-1), src[4:] {
+			chunk[bits.TrailingZeros64(w)] = getF32(src)
 		}
 	}
-	if len(vals) != 4*k {
-		return nil, fmt.Errorf("codec: bitmap vector payload has %d value bytes, want %d", len(vals), 4*k)
+	for i := range rest {
+		rest[i] = 0
+		if bm[i/8]&(1<<(i%8)) != 0 {
+			if len(vals) < 4 {
+				return nil, fmt.Errorf("codec: bitmap vector payload truncated")
+			}
+			rest[i], vals = getF32(vals), vals[4:]
+		}
+	}
+	if got := len(b) - nb; len(vals) != 0 {
+		return nil, fmt.Errorf("codec: bitmap vector payload has %d value bytes, want %d", got, got-len(vals))
 	}
 	return out, nil
 }
@@ -205,7 +294,7 @@ func decodeBaseIndex(dst []float64, b []byte, maxParams int) ([]float64, error) 
 		return nil, fmt.Errorf("codec: index vector payload truncated")
 	}
 	total, count := int(total64), int(count64)
-	out := sizeVector(dst, total)
+	out := SizeVector(dst, total)
 	clear(out)
 	valBase := len(b) - 4*count
 	pos := 0
@@ -225,8 +314,7 @@ func decodeBaseIndex(dst []float64, b []byte, maxParams int) ([]float64, error) 
 		if idx >= total {
 			return nil, fmt.Errorf("codec: index out of range at entry %d", k)
 		}
-		//lint:allow precision -- widening the f32 wire value back to the f64 vector, exact
-		out[idx] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[valBase+4*k:])))
+		out[idx] = getF32(b[valBase+4*k:])
 		prev = idx
 	}
 	if pos != valBase {

@@ -104,10 +104,10 @@ func decodeDepth(dst []float64, b []byte, maxParams, depth int) ([]float64, erro
 	}
 }
 
-// sizeVector returns dst resized to n, reusing its storage when possible.
+// SizeVector returns dst resized to n, reusing its storage when possible.
 // Never nil: a decoded empty vector stays distinguishable from "no
 // vector" (flrpc's abstain/Nil wire flags rely on it).
-func sizeVector(dst []float64, n int) []float64 {
+func SizeVector(dst []float64, n int) []float64 {
 	if dst == nil && n == 0 {
 		return []float64{}
 	}

@@ -243,7 +243,7 @@ func decodeLowRank(dst []float64, b []byte, maxParams int) ([]float64, error) {
 		//lint:allow precision -- widening the f32 factor back to f64, exact
 		V[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(vb[4*i:])))
 	}
-	out := sizeVector(dst, m*n)
+	out := SizeVector(dst, m*n)
 	for i := 0; i < m; i++ {
 		uRow := U[i*r : (i+1)*r]
 		o := out[i*n : (i+1)*n]

@@ -326,7 +326,7 @@ func decodeQuant(dst []float64, b []byte, maxParams int) ([]float64, error) {
 	}
 	n, nnz := int(n64), int(nnz64)
 	symBytes := (nnz*qbits + 7) / 8
-	out := sizeVector(dst, n)
+	out := SizeVector(dst, n)
 	clear(out)
 	steps := float64(int(1)<<qbits - 1)
 

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"fedsu/internal/sparse/codec"
 )
 
 // Partial-aggregate wire message: what a tree tier (fl.Tree leaf or mid
@@ -136,7 +138,7 @@ func DecodePartialPayloadInto(dst []float64, b []byte, maxParams int) (Partial, 
 	if span == 0 {
 		return p, nil
 	}
-	sum := sizeVector(dst, int(span))
+	sum := codec.SizeVector(dst, int(span))
 	for i := range sum {
 		sum[i] = math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:]))
 	}

@@ -197,11 +197,18 @@ func (f *FedAvg) SyncCtx(ctx context.Context, round int, local []float64, contri
 	if err != nil {
 		return nil, Traffic{}, fmt.Errorf("fedavg: aggregate round %d: %w", round, err)
 	}
-	out := make([]float64, f.size)
-	if global == nil {
-		copy(out, local)
-	} else {
-		copy(out, global)
+	// A result the transport decoded for this client alone is returned as
+	// it is; a shared one, or the local vector a round without contributors
+	// keeps, is copied.
+	out := global
+	if global == nil || len(global) != f.size || !f.wire.rc.Owned {
+		src := global
+		if src == nil {
+			src = local
+		}
+		fresh := make([]float64, f.size)
+		copy(fresh, src)
+		out = fresh
 	}
 	// Charged at what the wire shipped: an abstaining client's uplink is
 	// framing only, and a round with no contributors has a header-only

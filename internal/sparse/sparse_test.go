@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -88,6 +89,68 @@ func TestFedAvgPassesThrough(t *testing.T) {
 		t.Errorf("FedAvg ratio = %v, want 0", tr.SparsificationRatio())
 	}
 }
+
+// ownedAgg is identityAgg behind a transport that decodes every reply into
+// a slice of the caller's own, and says so on the receipt (flrpc.Client).
+type ownedAgg struct {
+	identityAgg
+	cut  int // values dropped off the result's end
+	last []float64
+}
+
+func (a *ownedAgg) AggregateModelCtx(ctx context.Context, id, round int, values []float64) ([]float64, error) {
+	a.last, _ = a.AggregateModel(id, round, values)
+	a.last = a.last[:max(0, len(a.last)-a.cut)]
+	if r := ReceiptFrom(ctx); r != nil {
+		r.UpBytes, r.DownBytes, r.Owned = 1, 1, true
+	}
+	return a.last, nil
+}
+
+func (a *ownedAgg) AggregateErrorCtx(ctx context.Context, id, round int, values []float64) ([]float64, error) {
+	return a.AggregateModelCtx(ctx, id, round, values)
+}
+
+// TestFedAvgKeepsAnOwnedResult: a result the receipt marks as the caller's
+// own is returned as it is; a shared one (the in-process aggregators), a
+// missing one and one of the wrong length are copied into a vector of the
+// model's size.
+func TestFedAvgKeepsAnOwnedResult(t *testing.T) {
+	local := []float64{1, 2, 3}
+	owned := &ownedAgg{}
+	out, _, err := NewFedAvg(0, 3, owned).Sync(0, local, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &out[0] != &owned.last[0] {
+		t.Error("an owned result was copied")
+	}
+	shared := []float64{4, 5, 6}
+	out, _, err = NewFedAvg(0, 3, sharedAgg{shared}).Sync(0, local, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &out[0] == &shared[0] || out[2] != 6 {
+		t.Errorf("a shared result must be copied, got %v (aliased %v)", out, &out[0] == &shared[0])
+	}
+	out, _, err = NewFedAvg(0, 3, owned).Sync(1, local, false) // nobody contributes
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 3 || &out[0] == &local[0] || out[1] != 2 {
+		t.Errorf("a round without a result keeps a copy of local, got %v", out)
+	}
+	out, _, err = NewFedAvg(0, 3, &ownedAgg{cut: 1}).Sync(0, local, true)
+	if err != nil || len(out) != 3 || out[1] != 2 || out[2] != 0 {
+		t.Errorf("a short result must come back at the model's size, got %v, %v", out, err)
+	}
+}
+
+// sharedAgg hands every caller the same slice, like fl.Server.
+type sharedAgg struct{ res []float64 }
+
+func (a sharedAgg) AggregateModel(_, _ int, _ []float64) ([]float64, error) { return a.res, nil }
+func (a sharedAgg) AggregateError(_, _ int, _ []float64) ([]float64, error) { return a.res, nil }
 
 func TestFedAvgLengthMismatch(t *testing.T) {
 	s := NewFedAvg(0, 3, identityAgg{})

@@ -89,16 +89,3 @@ func DecodeVectorPayload(b []byte) ([]float64, error) {
 func DecodeVectorPayloadInto(dst []float64, b []byte, maxParams int) ([]float64, error) {
 	return codec.DecodeInto(dst, b, maxParams)
 }
-
-// sizeVector returns dst resized to n, reusing its storage when possible.
-// The result is never nil: a decoded empty vector must stay distinguishable
-// from "no vector" (flrpc's abstain/Nil flags rely on it).
-func sizeVector(dst []float64, n int) []float64 {
-	if dst == nil && n == 0 {
-		return []float64{}
-	}
-	if cap(dst) >= n {
-		return dst[:n]
-	}
-	return make([]float64, n)
-}
