@@ -55,7 +55,9 @@ verify-f32: tier1-f32 race-f32
 # the tier partial-aggregate message, the chain stages, and the base stage's
 # word-wide bitmap decoder against its per-bit reference. `go test -fuzz`
 # accepts one target per invocation, hence one run each. Seeds live in
-# testdata/fuzz/ and f.Add.
+# testdata/fuzz/ and f.Add. PR 18 added no target: FuzzEntropyStage now
+# aims at tag 0x07 (and demands the retired-format error for 0x06),
+# FuzzQuantStage checks the dense mode against the bitmap form.
 fuzz:
 	$(GO) test -fuzz '^FuzzAggWire$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flrpc/
 	$(GO) test -fuzz '^FuzzFrame$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flrpc/
@@ -99,9 +101,12 @@ bench-tree:
 # tracked medians): per-stage encode ns/op, B/op, and encoded bytes at
 # densities 0.1%, 1%, 10%, and dense; then the base stage's encode and
 # decode kernels at 600k parameters over dense and random masks
-# (EXPERIMENTS.md, "Word-wide base kernels"). Take the median of the 3 counts.
+# (EXPERIMENTS.md, "Word-wide base kernels"); then the entropy stage's coder
+# against the retired per-symbol reference (entropy_ref_test.go) on q4-upload
+# and q8-reply shaped payloads (EXPERIMENTS.md, "Chain hot path"). Take the
+# median of the 3 counts.
 bench-codec:
-	$(GO) test ./internal/sparse/codec/ -run xxx -bench '^Benchmark(Chain|Base)' -benchmem -count 3
+	$(GO) test ./internal/sparse/codec/ -run xxx -bench '^Benchmark(Chain|Base|Entropy)' -benchmem -count 3
 
 # End-to-end harness benchmark: the Table I grid, sequential-uncached vs
 # parallel-cached (the grid scheduler of internal/exp), medians over

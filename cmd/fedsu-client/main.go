@@ -7,7 +7,8 @@
 // coordinator informed that a slow client is still alive. What the
 // coordinator refuses — eviction after a missed deadline, a submission for
 // a round the session has left, a payload it cannot decode, a protocol
-// version it does not speak — arrives as a typed error and ends the round
+// version it does not speak (version 2 now: a client and a server from
+// different builds do not mix) — arrives as a typed error and ends the round
 // at once instead of being retried. Ctrl-C cancels
 // the in-flight round cleanly instead of leaving the process parked on a
 // barrier.

@@ -11,7 +11,9 @@
 // Clients and relays speak flrpc's framed protocol (DESIGN.md §5m): the
 // first frame of a connection carries a magic and a version, so a peer
 // built against another protocol version is refused at join with a message
-// naming both; frames are bounded by the session's model size; failures
+// naming both (the protocol is at version 2 since the -compress entropy
+// stage changed its bitstream: run one build on every party); frames are
+// bounded by the session's model size; failures
 // come back as typed status codes. On SIGINT/SIGTERM the server closes its
 // listener and every connection it accepted and waits for their handlers
 // before printing its counters.

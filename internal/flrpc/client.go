@@ -333,16 +333,23 @@ func (c *Client) AggregateErrorCtx(ctx context.Context, clientID, round int, val
 // terminal: retrying them cannot succeed.
 func (c *Client) call(ctx context.Context, kind string, clientID, round int, values []float64) ([]float64, error) {
 	req := frame{typ: typeAggregate, flags: flagAbstain, kind: kindByte(kind), id: clientID, round: round}
+	r := sparse.ReceiptFrom(ctx) // nil on a direct Aggregate* call
 	if values != nil {
-		// Encode into a pooled buffer — sized by the dense upper bound on
-		// the default wire (the encoder scans the vector once, not twice),
-		// grown by the chain encoder otherwise. Every attempt writes the
-		// frame from this buffer before it returns (even via ctx), so the
-		// buffer is recyclable when this call exits, retries included.
+		// Encode into a pooled buffer sized by the dense upper bound (the
+		// default encoder scans the vector once, not twice; the chain's
+		// buffer comes back from the pool class it ends in). The chain encode
+		// also yields the upload's wire image when the strategy asked for it.
+		// Every attempt writes the frame from this buffer before it returns
+		// (even via ctx), so the buffer is recyclable when this call exits,
+		// retries included.
 		var wireBuf *[]byte
 		if c.chain != nil {
-			wireBuf = codec.GetBuf(64)
-			*wireBuf = c.chain.AppendEncode((*wireBuf)[:0], values)
+			var image []float64
+			if r != nil {
+				image = r.Image
+			}
+			wireBuf = codec.GetBuf(c.chain.DensePayloadSize(len(values)))
+			*wireBuf, _ = c.chain.AppendEncodeImage((*wireBuf)[:0], values, image)
 		} else {
 			wireBuf = codec.GetBuf(codec.DenseBaseSize(len(values)))
 			*wireBuf = sparse.AppendVectorPayload(*wireBuf, values)
@@ -356,17 +363,11 @@ func (c *Client) call(ctx context.Context, kind string, clientID, round int, val
 	if err != nil {
 		return nil, err
 	}
-	// Report what was shipped to the calling strategy, with the upload's
-	// wire image — one decode of the bytes just sent — when it asked.
-	if r := sparse.ReceiptFrom(ctx); r != nil {
+	// Report what was shipped to the calling strategy.
+	if r != nil {
 		r.UpBytes = sparse.HeaderBytes + len(req.payload)
 		r.DownBytes = sparse.HeaderBytes + down
 		r.Owned = true // doAgg decoded the reply into a slice of its own
-		if r.Image != nil && values != nil {
-			if _, err := codec.DecodeInto(r.Image, req.payload, len(values)); err != nil {
-				return nil, fmt.Errorf("flrpc: %s: upload image: %w", desc, err)
-			}
-		}
 	}
 	return out, nil
 }

@@ -29,9 +29,12 @@ import (
 // on a non-zero status, the error text) follows.
 
 const (
-	headerSize   = 20
-	protoMagic   = 0x55534446 // "FDSU"
-	protoVersion = 1
+	headerSize = 20
+	protoMagic = 0x55534446 // "FDSU"
+	// protoVersion 2: chain payloads carry the block-model entropy stage
+	// (tag 0x07) and the quantizer's dense mode; a version-1 peer would fail
+	// on them mid-round, so it is refused at Join.
+	protoVersion = 2
 	// preJoinLimit bounds every frame until Join has told both ends the
 	// session's model size, and every error text after.
 	preJoinLimit = 4096

@@ -220,9 +220,12 @@ func TestJoinRejectsOtherProtocols(t *testing.T) {
 		payload []byte
 		both    []string
 	}{
-		{"version", hello(protoMagic, 9), []string{"version 9", "version 1"}},
+		{"version", hello(protoMagic, 9), []string{"version 9", "version 2"}},
+		// A PR 17-or-older peer: its 0x06 entropy frames are retired, so it
+		// must fail here and not mid-round on the first chain payload.
+		{"version 1", hello(protoMagic, 1), []string{"speaks 0x55534446 version 1,", "version 2"}},
 		{"magic", hello(0xdeadbeef, protoVersion), []string{"0xdeadbeef", "0x55534446"}},
-		{"short", []byte{1, 2}, []string{"version 0", "version 1"}},
+		{"short", []byte{1, 2}, []string{"version 0", "version 2"}},
 	} {
 		cn := rawDial(t, addr)
 		rep := exchange(t, cn, frame{typ: typeJoin, payload: tc.payload})

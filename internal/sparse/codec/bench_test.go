@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -150,5 +151,68 @@ func BenchmarkBaseDecode(b *testing.B) {
 			}
 			benchSink = out
 		})
+	}
+}
+
+// Entropy-stage benchmarks: the range coder alone (no frame, no inner
+// decode) on the two payload shapes that carry the chain workload's bytes,
+// the block-adaptive coder beside the per-symbol Fenwick reference it
+// replaced (entropy_ref_test.go). MB/s is over the inner payload.
+var entropyCoders = []struct {
+	name   string
+	encode func(dst, inner []byte) []byte
+	decode func(out, body []byte) bool
+}{
+	{"block", appendEntropy, decodeRange},
+	{"reference", refAppendEntropy, refDecodeRange},
+}
+
+func entropyBenchShapes(b *testing.B) []entropyShape {
+	var out []entropyShape
+	for _, s := range entropyShapes(b) {
+		if s.name == "q4-upload-130k" || s.name == "q8-reply-130k" {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+var benchBytes []byte
+
+func BenchmarkEntropyEncode(b *testing.B) {
+	for _, s := range entropyBenchShapes(b) {
+		for _, c := range entropyCoders {
+			b.Run(c.name+"/"+s.name, func(b *testing.B) {
+				b.SetBytes(int64(len(s.inner)))
+				buf := make([]byte, 0, len(s.inner)+16)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					buf = c.encode(buf[:0], s.inner)
+				}
+				benchBytes = buf
+				b.ReportMetric(float64(len(buf)), "encodedB")
+			})
+		}
+	}
+}
+
+func BenchmarkEntropyDecode(b *testing.B) {
+	for _, s := range entropyBenchShapes(b) {
+		for _, c := range entropyCoders {
+			enc := c.encode(nil, s.inner)
+			_, w := binary.Uvarint(enc[2:])
+			body := enc[2+w:]
+			b.Run(c.name+"/"+s.name, func(b *testing.B) {
+				b.SetBytes(int64(len(s.inner)))
+				out := make([]byte, len(s.inner))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !c.decode(out, body) {
+						b.Fatal("coded body refused")
+					}
+				}
+				benchBytes = out
+			})
+		}
 	}
 }

@@ -222,25 +222,51 @@ func (c *Chain) IsDefault() bool {
 // Internal stage failures panic (they indicate a composability bug the
 // parser should have rejected, not a data condition).
 func (c *Chain) AppendEncode(dst []byte, values []float64) []byte {
-	return c.appendEncode(dst, values, true)
+	dst, _ = c.appendEncode(dst, values, nil, true)
+	return dst
 }
 
-func (c *Chain) appendEncode(dst []byte, values []float64, counted bool) []byte {
+// AppendEncodeImage is AppendEncode that also decodes the wire image —
+// bitwise what DecodeInto makes of the appended bytes — into image (reused
+// when its capacity covers values; nil asks for none) and returns it: the
+// sender's error-feedback reference, from the one encode. Entropy coding
+// is lossless, so the image is read off the payload that enters the first
+// entropy stage, before any range coding.
+func (c *Chain) AppendEncodeImage(dst []byte, values, image []float64) ([]byte, []float64) {
+	return c.appendEncode(dst, values, image, true)
+}
+
+func (c *Chain) appendEncode(dst []byte, values, image []float64, counted bool) ([]byte, []float64) {
 	c.encodes.Add(1)
-	bufA := GetBuf(64)
+	// Both intermediates come from the pool class the larger one ends in —
+	// the base serialization unless the quantizer reads the values itself.
+	size := DenseBaseSize(len(values))
+	if _, ok := c.stages[0].(*quantStage); ok {
+		size = c.DensePayloadSize(len(values))
+	}
+	bufA := GetBuf(size)
 	defer PutBuf(bufA)
-	bufB := GetBuf(64)
+	bufB := GetBuf(size)
 	defer PutBuf(bufB)
 	cur, nxt := bufA, bufB
 
+	imaged := image == nil
 	v := Vector{Values: values}
+	serialize := func() { // the implicit base stage, charged to the trailing counter
+		*cur = AppendBase((*cur)[:0], v.Values)
+		if counted {
+			c.counters[len(c.stages)].count(8*len(v.Values), len(*cur))
+		}
+		v = Vector{Bytes: *cur}
+	}
 	for i, st := range c.stages {
-		if _, needsBytes := st.(entropyStage); needsBytes && v.Bytes == nil {
-			*cur = AppendBase((*cur)[:0], v.Values)
-			if counted {
-				c.counters[len(c.stages)].count(8*len(v.Values), len(*cur))
+		if _, entropy := st.(entropyStage); entropy {
+			if v.Bytes == nil {
+				serialize()
 			}
-			v = Vector{Bytes: *cur}
+			if !imaged {
+				image, imaged = c.decodeOwn(image, v.Bytes, len(values)), true
+			}
 		}
 		in := 8 * len(v.Values)
 		if v.Bytes != nil {
@@ -261,13 +287,22 @@ func (c *Chain) appendEncode(dst []byte, values []float64, counted bool) []byte 
 		cur, nxt = nxt, cur
 	}
 	if v.Bytes == nil { // every stage skipped: fall through to the base codec
-		*cur = AppendBase((*cur)[:0], v.Values)
-		if counted {
-			c.counters[len(c.stages)].count(8*len(v.Values), len(*cur))
-		}
-		v = Vector{Bytes: *cur}
+		serialize()
 	}
-	return append(dst, v.Bytes...)
+	if !imaged {
+		image = c.decodeOwn(image, v.Bytes, len(values))
+	}
+	return append(dst, v.Bytes...), image
+}
+
+// decodeOwn decodes a payload this chain has just produced; a failure is a
+// codec bug, not a data condition.
+func (c *Chain) decodeOwn(dst []float64, payload []byte, n int) []float64 {
+	out, err := DecodeInto(dst, payload, n)
+	if err != nil {
+		panic(fmt.Sprintf("codec: chain %q round trip: %v", c.spec, err))
+	}
+	return out
 }
 
 // PayloadSize is the exact encoded size of values under the chain, in
@@ -279,9 +314,9 @@ func (c *Chain) PayloadSize(values []float64) int {
 	if c.IsDefault() {
 		return BaseSize(values)
 	}
-	buf := GetBuf(64)
+	buf := GetBuf(c.DensePayloadSize(len(values)))
 	defer PutBuf(buf)
-	*buf = c.appendEncode((*buf)[:0], values, false)
+	*buf, _ = c.appendEncode((*buf)[:0], values, nil, false)
 	return len(*buf)
 }
 
@@ -296,7 +331,7 @@ func (c *Chain) DensePayloadSize(n int) int {
 	for _, st := range c.stages {
 		if q, ok := st.(*quantStage); ok {
 			blocks := (n + quantBlock - 1) / quantBlock
-			return 1 + quantHeaderBytes + (n+7)/8 + quantRangeBytes*blocks + (n*q.bits+7)/8
+			return 1 + quantHeaderBytes + quantRangeBytes*blocks + (n*q.bits+7)/8 // mode 0x03: no index part
 		}
 	}
 	return DenseBaseSize(n)
@@ -331,17 +366,13 @@ func (c *Chain) roundTrip(dst, values []float64, counted bool) ([]float64, int) 
 	if values == nil {
 		return nil, 0
 	}
-	buf := GetBuf(64)
+	buf := GetBuf(c.DensePayloadSize(len(values)))
 	defer PutBuf(buf)
-	*buf = c.appendEncode((*buf)[:0], values, counted)
-	if cap(dst) < len(values) {
+	if dst == nil || cap(dst) < len(values) {
 		dst = make([]float64, len(values))
 	}
-	out, err := DecodeInto(dst, *buf, len(values))
-	if err != nil {
-		panic(fmt.Sprintf("codec: chain %q round trip: %v", c.spec, err))
-	}
-	return out, len(*buf)
+	*buf, dst = c.appendEncode((*buf)[:0], values, dst, counted)
+	return dst, len(*buf)
 }
 
 // DecodeInto decodes any chain payload (the chain itself is not needed:

@@ -29,7 +29,8 @@ const (
 	formatPartial = 0x03 // reserved: tree partial codec, never chained
 	FormatQuant   = 0x04 // k-bit stochastically quantized values
 	FormatLowRank = 0x05 // U·Vᵀ factor pair
-	FormatEntropy = 0x06 // range-coded wrapper around an inner payload
+	formatFenwick = 0x06 // retired: the per-symbol Fenwick-model range coder (PR 10–16)
+	FormatEntropy = 0x07 // range-coded wrapper around an inner payload
 )
 
 // DefaultMaxParams bounds the decoded vector length when the caller does
@@ -97,6 +98,8 @@ func decodeDepth(dst []float64, b []byte, maxParams, depth int) ([]float64, erro
 		return decodeLowRank(dst, b[1:], maxParams)
 	case FormatEntropy:
 		return decodeEntropy(dst, b[1:], maxParams, depth)
+	case formatFenwick:
+		return nil, fmt.Errorf("codec: tag 0x06 is a retired format (the entropy stage ships 0x07)")
 	case formatPartial:
 		return nil, fmt.Errorf("codec: tag 0x03 is the tree partial codec, not a chain payload")
 	default:

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -136,9 +137,12 @@ func TestBaseSizeMatchesExhaustive(t *testing.T) {
 				prev = i
 			}
 		}
-		wantMode := byte(quantModeBitmap)
+		wantMode, nnz := byte(quantModeBitmap), countNonzero(vec)
 		if footprint < (len(vec)+7)/8 {
 			wantMode = quantModeIndex
+		}
+		if nnz == len(vec) && nnz > 0 { // PR 18: a vector with no zero ships no index part
+			wantMode = quantModeDense
 		}
 		enc, err := q4.Encode(nil, Vector{Values: vec})
 		if err != nil {
@@ -280,6 +284,7 @@ func TestQuantCrossover(t *testing.T) {
 	for i := range dense {
 		dense[i] = float64(i%7) + 1
 	}
+	dense[100] = 0 // PR 18: without a zero the vector would ship mode 0x03, no index part at all
 	sparse := make([]float64, 100000)
 	sparse[5], sparse[70000] = 1.5, -2.5
 	encDense, _ := st.Encode(nil, Vector{Values: dense})
@@ -548,6 +553,20 @@ func TestDecodeBounds(t *testing.T) {
 		if _, err := DecodeInto(nil, b, 1<<20); err == nil {
 			t.Errorf("%s: decode accepted hostile payload", name)
 		}
+	}
+	// A coded frame is also bounded by what its body can carry: 16 body
+	// bytes claiming 1 MiB pass the maxParams bound and must still be refused
+	// before the inner buffer is taken.
+	bomb := append(binary.AppendUvarint([]byte{FormatEntropy, entropyCoded}, 1<<20), make([]byte, 16)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeInto(nil, bomb, 1<<20)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "16 coded bytes carry") {
+		t.Errorf("entropy-bomb with a body: %v, want the coded-bytes bound", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("entropy-bomb with a body allocated %d bytes before it was refused", got)
 	}
 	// Nested entropy frames beyond the depth cap must be rejected.
 	inner := AppendBase(nil, []float64{1, 2, 3})

@@ -12,10 +12,12 @@ import (
 // small (a 1%-dense round is a few KB), and a static frequency table
 // costs 256+ header bytes the adaptive coder never ships. The coder is
 // the carry-counting range coder (cache + pending-0xFF scheme) over a
-// Fenwick-tree cumulative-frequency model, fully deterministic: both
-// ends update the model identically symbol by symbol.
+// block-adaptive model: both ends count symbols identically and fold the
+// counts into static coding tables on the same schedule, so a symbol
+// costs the encoder two multiplications and the decoder one division and
+// one table lookup (see entropyModel).
 //
-// Layout after the 0x06 tag:
+// Layout after the 0x07 tag:
 //
 //	[flag u8: 0 raw, 1 coded][rawLen uvarint][raw or coded bytes]
 //
@@ -23,7 +25,8 @@ import (
 // (already-dense float32 bits), the inner bytes ship untouched plus two
 // bytes of framing. Decoding recurses on the inner payload's own tag,
 // depth-capped by decodeDepth; rawLen is bounded by the worst-case
-// encodable payload for maxParams before any allocation.
+// encodable payload for maxParams, and a coded frame's also by what its
+// body can carry, before any allocation.
 
 const (
 	entropyRaw   = 0x00
@@ -49,7 +52,7 @@ func (entropyStage) Encode(dst []byte, v Vector) ([]byte, error) {
 
 func (entropyStage) Decode(dst []float64, payload []byte, maxParams int) ([]float64, error) {
 	if len(payload) < 1 || payload[0] != FormatEntropy {
-		return nil, fmt.Errorf("codec: entropy stage expects a 0x06 payload")
+		return nil, fmt.Errorf("codec: entropy stage expects a 0x07 payload")
 	}
 	return decodeEntropy(dst, payload[1:], maxParams, 0)
 }
@@ -69,13 +72,24 @@ func appendEntropy(dst []byte, inner []byte) []byte {
 	dst = binary.AppendUvarint(dst[:base+2], uint64(len(inner)))
 	dst[base+1] = entropyCoded
 	mark := len(dst)
-	enc := rangeEncoder{out: dst}
+	enc := rangeEncoder{cacheSize: 1, out: dst}
+	low, rng := uint64(0), uint32(0xFFFFFFFF)
 	var m entropyModel
 	m.init()
-	for _, by := range inner {
-		enc.encode(&m, by)
+	for _, s := range inner {
+		r := rng >> entropyBits
+		low += uint64(r) * uint64(m.cum[s])
+		rng = r * uint32(m.freq[s])
+		for rng < 1<<24 {
+			low = enc.shiftLow(low)
+			rng <<= 8
+		}
+		m.seen(s)
 	}
-	dst = enc.flush()
+	for i := 0; i < 5; i++ {
+		low = enc.shiftLow(low)
+	}
+	dst = enc.out
 	if len(dst)-mark >= len(inner) {
 		// Coding expanded the payload: escape to the raw form.
 		dst = dst[:mark]
@@ -106,17 +120,16 @@ func decodeEntropy(dst []float64, b []byte, maxParams, depth int) ([]float64, er
 		}
 		return decodeDepth(dst, body, maxParams, depth+1)
 	case entropyCoded:
+		// Every symbol narrows the range by 4096/3841 or more (0.0927 bits),
+		// so a body carries under 87 symbols per byte.
+		if rawLen > 87*len(body)+8 {
+			return nil, fmt.Errorf("codec: entropy inner length %d exceeds what %d coded bytes carry", rawLen, len(body))
+		}
 		innerPtr := GetBuf(rawLen)
 		defer PutBuf(innerPtr)
 		inner := growBytes(*innerPtr, rawLen)
-		dec := newRangeDecoder(body)
-		var m entropyModel
-		m.init()
-		for i := range inner {
-			inner[i] = dec.decode(&m)
-		}
-		if dec.overrun {
-			return nil, fmt.Errorf("codec: entropy coded payload truncated")
+		if !decodeRange(inner, body) {
+			return nil, fmt.Errorf("codec: entropy coded payload truncated or overlong")
 		}
 		return decodeDepth(dst, inner, maxParams, depth+1)
 	default:
@@ -124,173 +137,143 @@ func decodeEntropy(dst []float64, b []byte, maxParams, depth int) ([]float64, er
 	}
 }
 
-// entropyModel is an adaptive order-0 model over the byte alphabet:
-// plain frequencies plus a Fenwick tree for O(log 256) cumulative sums
-// and symbol lookup. Totals stay well under the coder's 2^24 range
-// floor, so range/total never truncates to zero.
+// entropyModel is an adaptive order-0 model over the byte alphabet whose
+// coding tables are static between folds. The counts are the retired 0x06
+// coder's — a prior of 1, entropyInc per occurrence, halved once they sum
+// past entropyLimit (a window of 0.7–1.4k symbols) — but instead of
+// updating a cumulative tree per symbol, a fold rescales them to
+// frequencies that sum to 2^entropyBits with a floor of 1, so the coder
+// divides by a shift and the decoder finds a symbol by one lookup. The
+// first fold comes after 16 symbols; each interval doubles the last up to
+// entropyMaxStep. What the lag costs in bytes, and why these constants:
+// DESIGN.md §5l.
 type entropyModel struct {
-	freq [256]uint32
-	tree [257]uint32 // Fenwick, 1-based
-	tot  uint32
+	freq, cum [256]uint16
+	// slot maps a target below 2^entropyBits to its symbol, for the decoder;
+	// padded for fold's 8-byte stores.
+	slot [1<<entropyBits + 8]byte
+	cnt  [256]uint32
+	step int // symbols between the last two folds
+	left int // symbols until the next one
 }
 
 const (
+	entropyBits    = 12
 	entropyInc     = 24
-	entropyRescale = 1 << 15
+	entropyLimit   = 1 << 15
+	entropyMaxStep = 512
 )
 
 func (m *entropyModel) init() {
-	for i := range m.freq {
-		m.freq[i] = 1
+	for s := range m.cnt {
+		m.cnt[s] = 1
 	}
-	m.rebuild()
+	m.step = 8 // the first fold doubles it
+	m.fold()
 }
 
-func (m *entropyModel) rebuild() {
-	clear(m.tree[:])
-	m.tot = 0
+func (m *entropyModel) seen(s byte) {
+	m.cnt[s] += entropyInc
+	if m.left--; m.left == 0 {
+		m.fold()
+	}
+}
+
+func (m *entropyModel) fold() {
+	var sum uint32
+	for _, c := range m.cnt {
+		sum += c
+	}
+	if sum >= entropyLimit {
+		sum = 0
+		for s, c := range m.cnt {
+			m.cnt[s] = (c + 1) >> 1
+			sum += m.cnt[s]
+		}
+	}
+	// Each symbol keeps 1; the other 4096−256 are shared in proportion and
+	// what flooring leaves over goes to the most frequent symbol.
+	scale := uint64((1<<entropyBits-256)<<20) / uint64(sum)
+	used, best := uint32(0), 0
+	for s, c := range m.cnt {
+		f := 1 + uint32(uint64(c)*scale>>20)
+		m.freq[s] = uint16(f)
+		used += f
+		if c > m.cnt[best] {
+			best = s
+		}
+	}
+	m.freq[best] += uint16(1<<entropyBits - used)
+	c := 0
 	for s, f := range m.freq {
-		m.tot += f
-		i := s + 1
-		for ; i <= 256; i += i & (-i) {
-			m.tree[i] += f
+		m.cum[s] = uint16(c)
+		end, pat := c+int(f), uint64(s)*0x0101010101010101
+		for ; c < end; c += 8 { // overshoot is rewritten by the next symbol
+			binary.LittleEndian.PutUint64(m.slot[c:], pat)
 		}
+		c = end
 	}
+	if m.step < entropyMaxStep {
+		m.step *= 2
+	}
+	m.left = m.step
 }
 
-// cum is the cumulative frequency of symbols strictly below s.
-func (m *entropyModel) cum(s int) uint32 {
-	var c uint32
-	for i := s; i > 0; i -= i & (-i) {
-		c += m.tree[i]
-	}
-	return c
-}
-
-// find returns the symbol whose cumulative interval contains target,
-// plus that symbol's cumulative base.
-func (m *entropyModel) find(target uint32) (sym int, base uint32) {
-	idx := 0
-	for bit := 256; bit > 0; bit >>= 1 {
-		next := idx + bit
-		if next <= 256 && m.tree[next] <= target {
-			target -= m.tree[next]
-			base += m.tree[next]
-			idx = next
-		}
-	}
-	return idx, base
-}
-
-func (m *entropyModel) update(s int) {
-	m.freq[s] += entropyInc
-	for i := s + 1; i <= 256; i += i & (-i) {
-		m.tree[i] += entropyInc
-	}
-	m.tot += entropyInc
-	if m.tot >= entropyRescale {
-		for i := range m.freq {
-			m.freq[i] = (m.freq[i] + 1) >> 1
-		}
-		m.rebuild()
-	}
-}
-
-// rangeEncoder is the carry-counting range coder: 32-bit range, 33-bit
-// low accumulator whose overflow bit propagates through a cached byte
-// and a run of pending 0xFFs.
+// rangeEncoder is the output half of the carry-counting range coder: the
+// 32-bit range and 33-bit low accumulator live in the caller's loop, the
+// accumulator's overflow bit propagates here through a cached byte and a
+// run of pending 0xFFs.
 type rangeEncoder struct {
-	low       uint64
-	rng       uint32
 	cache     byte
 	cacheSize int64
 	out       []byte
 }
 
-func (e *rangeEncoder) encode(m *entropyModel, sym byte) {
-	if e.rng == 0 { // first call
-		e.rng = 0xFFFFFFFF
-		e.cacheSize = 1
-	}
-	s := int(sym)
-	cum, f, tot := m.cum(s+1), m.freq[s], m.tot
-	cumBase := cum - f
-	r := e.rng / tot
-	e.low += uint64(r) * uint64(cumBase)
-	e.rng = r * f
-	for e.rng < 1<<24 {
-		e.shiftLow()
-		e.rng <<= 8
-	}
-	m.update(s)
-}
-
-func (e *rangeEncoder) shiftLow() {
-	if uint32(e.low) < 0xFF000000 || e.low>>32 != 0 {
-		carry := byte(e.low >> 32)
+func (e *rangeEncoder) shiftLow(low uint64) uint64 {
+	if uint32(low) < 0xFF000000 || low>>32 != 0 {
+		carry := byte(low >> 32)
 		e.out = append(e.out, e.cache+carry)
 		for ; e.cacheSize > 1; e.cacheSize-- {
 			e.out = append(e.out, 0xFF+carry)
 		}
-		e.cache = byte(e.low >> 24)
+		e.cache = byte(low >> 24)
 		e.cacheSize = 0
 	}
 	e.cacheSize++
-	e.low = (e.low << 8) & 0xFFFFFFFF
+	return (low << 8) & 0xFFFFFFFF
 }
 
-func (e *rangeEncoder) flush() []byte {
-	if e.rng == 0 { // nothing encoded
-		e.rng = 0xFFFFFFFF
-		e.cacheSize = 1
+// decodeRange fills out from a coded body and reports whether the body
+// held exactly the bytes that took: a byte per renormalization after the
+// encoder's leading cache byte and four of code. Reads past the end see
+// zeros, so a hostile body decodes to garbage and fails the count.
+func decodeRange(out, body []byte) bool {
+	var m entropyModel
+	m.init()
+	var code uint32
+	rng, pos := uint32(0xFFFFFFFF), 1
+	for ; pos < 5; pos++ {
+		code = code<<8 | byteAt(body, pos)
 	}
-	for i := 0; i < 5; i++ {
-		e.shiftLow()
+	for i := range out {
+		r := rng >> entropyBits
+		s := m.slot[min(code/r, 1<<entropyBits-1)]
+		code -= r * uint32(m.cum[s])
+		rng = r * uint32(m.freq[s])
+		for ; rng < 1<<24; pos++ {
+			code = code<<8 | byteAt(body, pos)
+			rng <<= 8
+		}
+		out[i] = s
+		m.seen(s)
 	}
-	return e.out
+	return pos == len(body)
 }
 
-type rangeDecoder struct {
-	code    uint32
-	rng     uint32
-	in      []byte
-	pos     int
-	overrun bool
-}
-
-func newRangeDecoder(in []byte) *rangeDecoder {
-	d := &rangeDecoder{rng: 0xFFFFFFFF, in: in}
-	d.next() // leading zero byte emitted by the encoder's initial cache
-	for i := 0; i < 4; i++ {
-		d.code = d.code<<8 | uint32(d.next())
+// byteAt is b[i], or zero past the end.
+func byteAt(b []byte, i int) uint32 {
+	if i < len(b) {
+		return uint32(b[i])
 	}
-	return d
-}
-
-func (d *rangeDecoder) next() byte {
-	if d.pos >= len(d.in) {
-		d.overrun = true
-		return 0
-	}
-	by := d.in[d.pos]
-	d.pos++
-	return by
-}
-
-func (d *rangeDecoder) decode(m *entropyModel) byte {
-	r := d.rng / m.tot
-	target := d.code / r
-	if target >= m.tot {
-		target = m.tot - 1
-	}
-	sym, base := m.find(target)
-	f := m.freq[sym]
-	d.code -= r * base
-	d.rng = r * f
-	for d.rng < 1<<24 {
-		d.code = d.code<<8 | uint32(d.next())
-		d.rng <<= 8
-	}
-	m.update(sym)
-	return byte(sym)
+	return 0
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -39,6 +40,11 @@ func FuzzQuantStage(f *testing.F) {
 	seed2, _ := q2.Encode(nil, Vector{Values: sparse})
 	f.Add(seed2, uint8(2))
 	f.Add([]byte{FormatQuant, 4, 1}, uint8(8))
+	// No zero anywhere: mode 0x03, no index part (tag stripped — the target
+	// prepends it), whole and with its count one short.
+	dense, _ := q4.Encode(nil, Vector{Values: []float64{3, 1.5, -1, -2.25, 0.125}})
+	f.Add(dense[1:], uint8(6))
+	f.Add(append(append(dense[1:11:11], 4), dense[12:]...), uint8(3))
 	f.Fuzz(func(t *testing.T, raw []byte, bits uint8) {
 		if _, err := DecodeInto(nil, append([]byte{FormatQuant}, raw...), 1<<16); err != nil {
 			// Hostile payload rejected — fine. Also fuzz the encode side.
@@ -56,6 +62,18 @@ func FuzzQuantStage(f *testing.F) {
 		dec, err := DecodeInto(nil, enc, len(vec))
 		if err != nil {
 			t.Fatalf("canonical encoding rejected: %v", err)
+		}
+		if enc[2] == quantModeDense {
+			// The dense form is the old bitmap form minus an all-ones bitmap.
+			old, err := DecodeInto(nil, bitmapFormOf(t, enc), len(vec))
+			if err != nil {
+				t.Fatalf("bitmap form of a dense encoding rejected: %v", err)
+			}
+			for i := range dec {
+				if math.Float64bits(dec[i]) != math.Float64bits(old[i]) {
+					t.Fatalf("dense and bitmap forms disagree at %d: %v vs %v", i, dec[i], old[i])
+				}
+			}
 		}
 		lo, hi := quantRange(vec)
 		tol := (hi-lo)*1e-12 + 1e-9 // grid arithmetic is float, not exact
@@ -112,16 +130,20 @@ func FuzzLowRankStage(f *testing.F) {
 }
 
 // FuzzEntropyStage: arbitrary coded streams must never panic the range
-// decoder, and every canonical coding must invert exactly.
+// decoder, the retired 0x06 tag is refused whatever follows it, and every
+// canonical coding must invert exactly and fail when cut short.
 func FuzzEntropyStage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5})
 	f.Add(AppendBase(nil, []float64{0, 1, 0, -2}))
-	f.Add(appendEntropy(nil, AppendBase(nil, make([]float64, 64))))
+	f.Add(appendEntropy(nil, AppendBase(nil, make([]float64, 64)))[1:])
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		// Decode side: treat raw as a hostile 0x06 payload.
+		// Decode side: treat raw as a hostile 0x07 payload.
 		if _, err := DecodeInto(nil, append([]byte{FormatEntropy}, raw...), 1<<12); err != nil {
 			// rejection is fine
+		}
+		if _, err := DecodeInto(nil, append([]byte{formatFenwick}, raw...), 1<<12); err == nil || !strings.Contains(err.Error(), "retired format") {
+			t.Fatalf("tag 0x06 answered %v, want the retired-format error", err)
 		}
 		// Encode side: the coder must losslessly invert any inner bytes.
 		if len(raw) == 0 || len(raw) > 1<<12 {
@@ -140,18 +162,15 @@ func FuzzEntropyStage(f *testing.F) {
 				t.Fatal("raw escape corrupted payload")
 			}
 		case entropyCoded:
-			dec := newRangeDecoder(body)
-			var m entropyModel
-			m.init()
 			got := make([]byte, len(raw))
-			for i := range got {
-				got[i] = dec.decode(&m)
-			}
-			if dec.overrun {
-				t.Fatal("canonical coding under-ran its own stream")
+			if !decodeRange(got, body) {
+				t.Fatal("canonical coding does not end with its last symbol")
 			}
 			if !bytes.Equal(got, raw) {
 				t.Fatal("range coder did not invert")
+			}
+			if decodeRange(got, body[:len(body)-1]) {
+				t.Fatal("a body cut one byte short was accepted")
 			}
 		default:
 			t.Fatalf("unknown flag 0x%02x", flag)

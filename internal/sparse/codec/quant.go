@@ -28,7 +28,7 @@ import (
 // Layout after the 0x04 tag:
 //
 //	[bits u8][mode u8][n u64][nnz u64]
-//	[index part: bitmap (mode 1) or delta varints (mode 2)]
+//	[index part: bitmap (mode 1), delta varints (mode 2), nothing (mode 3)]
 //	[block ranges: lo f64, hi f64 per block containing a nonzero]
 //	[bit-packed symbols, nnz·bits bits, little-endian packing]
 //
@@ -37,11 +37,14 @@ import (
 // exact size (ceil(n/8) vs the varint footprint), a different break-even
 // density than the base stage's, where the index form pays an extra
 // 8-byte count field. Blocks with no nonzeros ship no range pair — the
-// decoder reconstructs which blocks are present from the index part.
+// decoder reconstructs which blocks are present from the index part. A
+// vector with no zero at all (what core.Manager syncs: it compacts first)
+// ships no index part: nnz == n says where every value goes.
 
 const (
 	quantModeBitmap = 0x01
 	quantModeIndex  = 0x02
+	quantModeDense  = 0x03
 )
 
 // quantHeaderBytes is the fixed body prefix: bits, mode, n, nnz.
@@ -116,6 +119,9 @@ func (q *quantStage) append(dst []byte, vec []float64) []byte {
 	if varBytes < bitmapPart {
 		mode, indexPart = quantModeIndex, varBytes
 	}
+	if nnz == len(vec) && nnz > 0 {
+		mode, indexPart = quantModeDense, 0
+	}
 
 	// Pass 1: per-block [lo, hi] over finite nonzeros, in block order. A
 	// block whose nonzeros are all non-finite gets the degenerate (0, 0)
@@ -189,9 +195,10 @@ func (q *quantStage) append(dst []byte, vec []float64) []byte {
 				scale = steps / (hi - lo)
 			}
 		}
-		if mode == quantModeBitmap {
+		switch mode {
+		case quantModeBitmap:
 			idx[i/8] |= 1 << (i % 8)
-		} else {
+		case quantModeIndex:
 			pos += binary.PutUvarint(idx[pos:], uint64(i-prev))
 			prev = i
 		}
@@ -327,11 +334,24 @@ func decodeQuant(dst []float64, b []byte, maxParams int) ([]float64, error) {
 	n, nnz := int(n64), int(nnz64)
 	symBytes := (nnz*qbits + 7) / 8
 	out := SizeVector(dst, n)
-	clear(out)
 	steps := float64(int(1)<<qbits - 1)
 
 	switch mode {
+	case quantModeDense:
+		rangePart := quantRangeBytes * ((n + quantBlock - 1) / quantBlock)
+		if nnz != n || n == 0 || len(b) != rangePart+symBytes {
+			return nil, fmt.Errorf("codec: quant dense payload has %d bytes for %d of %d values, want %d", len(b), nnz, n, rangePart+symBytes)
+		}
+		grid := blockGrid{rng: b[:rangePart], steps: steps, curB: -1}
+		syms := newSymReader(b[rangePart:], qbits)
+		for base := 0; base < n; base += quantBlock {
+			lo, step, _ := grid.at(base)
+			for i := base; i < min(base+quantBlock, n); i++ {
+				out[i] = lo + float64(syms.next())*step
+			}
+		}
 	case quantModeBitmap:
+		clear(out)
 		nb := (n + 7) / 8
 		if len(b) < nb {
 			return nil, fmt.Errorf("codec: quant bitmap truncated (%d of %d bytes)", len(b), nb)
@@ -365,6 +385,7 @@ func decodeQuant(dst []float64, b []byte, maxParams int) ([]float64, error) {
 			}
 		}
 	case quantModeIndex:
+		clear(out)
 		// First pass over the varints: find where the index part ends and
 		// how many non-empty blocks the positions span.
 		pos, prev, nBlocks, curB := 0, 0, 0, -1
