@@ -1,19 +1,33 @@
 # Tier-1 verification and developer loops. `make verify` is the full
 # pre-merge gate: build + tests (shuffled, so order-dependent tests cannot
-# hide), static vetting, fedsu-lint, the race detector over every package,
-# a short fuzz smoke over the wire codecs, and the bench/ module's own vet
-# and tests.
+# hide), the same for the kernel packages with the assembly compiled out,
+# static vetting, fedsu-lint, the race detector over every package, a short
+# fuzz smoke over the wire codecs and the matmul driver, and the bench/
+# module's own vet and tests.
 
 GO ?= go
 FUZZTIME ?= 10s
 
 .PHONY: tier1 vet lint race fuzz verify bench bench-agg bench-grid \
-	bench-tree bench-codec tier1-f32 race-f32 verify-f32 bench-check bench-pair
+	bench-tree bench-codec tier1-f32 race-f32 verify-f32 bench-check bench-pair \
+	tier1-purego
 
 tier1:
 	$(GO) build ./...
 	$(GO) test -shuffle=on ./...
 
+# The Go tile lane: internal/tensor has two implementations of one
+# micro-kernel contract (DESIGN.md §5c), AVX2 assembly and a Go tile, and a
+# runner with AVX2 never executes the second. The purego tag compiles the
+# assembly out, so the Go tile carries the three packages whose tests prove
+# bit-identity (tensor: against the retired scalar kernels; nn, fl: across
+# worker counts, replicas and transports).
+tier1-purego:
+	$(GO) build -tags purego ./...
+	$(GO) test -tags purego -shuffle=on ./internal/tensor/... ./internal/nn/... ./internal/fl/...
+
+# `go vet` includes asmdecl, which checks internal/tensor/kernel_amd64.s
+# against its Go declarations (argument offsets, frame sizes).
 vet:
 	$(GO) vet ./...
 
@@ -57,7 +71,10 @@ verify-f32: tier1-f32 race-f32
 # accepts one target per invocation, hence one run each. Seeds live in
 # testdata/fuzz/ and f.Add. PR 18 added no target: FuzzEntropyStage now
 # aims at tag 0x07 (and demands the retired-format error for 0x06),
-# FuzzQuantStage checks the dense mode against the bitmap form.
+# FuzzQuantStage checks the dense mode against the bitmap form. The last
+# target is not a wire codec: FuzzMicroKernel drives the matmul driver over
+# (shape, operand strides, seed) and holds the selected micro-kernel and the
+# Go tile to a naive ordered sum.
 fuzz:
 	$(GO) test -fuzz '^FuzzAggWire$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flrpc/
 	$(GO) test -fuzz '^FuzzFrame$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flrpc/
@@ -68,6 +85,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzEntropyStage$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
 	$(GO) test -fuzz '^FuzzChainRoundTrip$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
 	$(GO) test -fuzz '^FuzzBaseWordVsScalar$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
+	$(GO) test -fuzz '^FuzzMicroKernel$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/tensor/
 
 # bench/ is its own module (BENCHMARK.json's program), so `./...` above
 # never compiles it: vet and test it here, or a refactor of fl/flrpc/sparse
@@ -76,7 +94,7 @@ fuzz:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-verify: tier1 vet lint race fuzz bench-check
+verify: tier1 tier1-purego vet lint race fuzz bench-check
 
 # Kernel and layer microbenchmarks (see BENCH_kernels.json for the tracked
 # before/after numbers).

@@ -91,6 +91,9 @@ func (c *Client) TrainLocal(iters, batchSize int) float64 {
 		}
 		c.opt.Step(c.model.Params())
 	}
+	// Between rounds a replica keeps parameters only: its activations go
+	// back to the arena for whichever client trains next.
+	c.model.ReleaseScratch()
 	return total / float64(iters)
 }
 

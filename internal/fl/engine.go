@@ -590,6 +590,7 @@ func (e *Engine) evaluateVector(vec []float64) (acc, loss float64) {
 		lossSum += l * float64(w)
 		n += w
 	}
+	e.evalModel.ReleaseScratch() // idle until the next evaluation
 	return accSum / float64(n), lossSum / float64(n)
 }
 

@@ -6,6 +6,7 @@ import "fedsu/internal/tensor"
 // storage width E.
 type ReLU[E tensor.Elem] struct {
 	mask []bool
+	y, g *tensor.Tensor // step buffers (scratch.go)
 }
 
 var (
@@ -18,35 +19,45 @@ func NewReLU() *ReLU[float64] { return newReLUOf[float64]() }
 
 func newReLUOf[E tensor.Elem]() *ReLU[E] { return &ReLU[E]{} }
 
-// Forward implements Layer.
+// Forward implements Layer: one pass writes the output and the mask.
 func (r *ReLU[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	y := x.Clone()
-	if cap(r.mask) < y.Len() {
-		r.mask = make([]bool, y.Len())
+	r.y = stepScratchLike(r.y, x)
+	xd, yd := tensor.DataOf[E](x), tensor.DataOf[E](r.y)
+	if cap(r.mask) < len(xd) {
+		r.mask = make([]bool, len(xd))
 	}
-	r.mask = r.mask[:y.Len()]
-	d := tensor.DataOf[E](y)
-	for i, v := range d {
-		if v > 0 {
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
-			d[i] = 0
+	mask := r.mask[:len(xd)]
+	r.mask = mask
+	yd = yd[:len(xd)]
+	for i, v := range xd {
+		pos := v > 0
+		mask[i] = pos
+		if !pos {
+			v = 0
 		}
+		yd[i] = v
 	}
-	return y
+	return r.y
 }
 
-// Backward implements Layer.
+// Backward implements Layer: one pass writes the masked gradient.
 func (r *ReLU[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	g := grad.Clone()
-	d := tensor.DataOf[E](g)
-	for i := range d {
-		if !r.mask[i] {
-			d[i] = 0
+	r.g = stepScratchLike(r.g, grad)
+	gd, od := tensor.DataOf[E](grad), tensor.DataOf[E](r.g)
+	mask := r.mask[:len(gd)]
+	od = od[:len(gd)]
+	for i, v := range gd {
+		if !mask[i] {
+			v = 0
 		}
+		od[i] = v
 	}
-	return g
+	return r.g
+}
+
+func (r *ReLU[E]) releaseScratch() {
+	putScratch(&r.y)
+	putScratch(&r.g)
 }
 
 // Params implements Layer.
@@ -66,7 +77,10 @@ func NewFlatten() *Flatten { return &Flatten{} }
 
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	f.lastShape = x.Shape()
+	f.lastShape = f.lastShape[:0]
+	for i := 0; i < x.Dims(); i++ {
+		f.lastShape = append(f.lastShape, x.Dim(i))
+	}
 	n := x.Dim(0)
 	return x.Reshape(n, x.Len()/n)
 }

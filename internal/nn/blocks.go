@@ -74,6 +74,15 @@ func (b *ResidualBlock[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
+func (b *ResidualBlock[E]) releaseScratch() {
+	b.lastX = nil
+	b.body.releaseScratch()
+	if b.shortcut != nil {
+		releaseScratchOf(b.shortcut)
+	}
+	b.relu.releaseScratch()
+}
+
 // Params implements Layer.
 func (b *ResidualBlock[E]) Params() []*Param {
 	ps := b.body.Params()
@@ -200,6 +209,14 @@ func (b *DenseBlock[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		grad = gIn
 	}
 	return grad
+}
+
+func (b *DenseBlock[E]) releaseScratch() {
+	clear(b.lastInputs) // after a forward-only pass they still name the layers' buffers
+	for _, l := range b.layers {
+		l.relu.releaseScratch()
+		l.conv.releaseScratch()
+	}
 }
 
 // Params implements Layer.

@@ -20,6 +20,12 @@ type Conv2D[E tensor.Elem] struct {
 	lastN, lastH   int
 	lastW          int
 	lastOH, lastOW int
+
+	// noInputGrad is set by NewModel on the network's first layer: nobody
+	// reads ∂loss/∂input there, so Backward does not compute it.
+	noInputGrad bool
+
+	out, dx *tensor.Tensor // step buffers (scratch.go)
 }
 
 var (
@@ -88,8 +94,8 @@ func newConv2DOf[E tensor.Elem](rng *rand.Rand, inC, outC, kernel int, opts ...C
 
 // Forward implements Layer. The im2col matrix and the pre-reorder product
 // are drawn from the scratch arena: the former is retained (Backward
-// consumes then releases it), the latter is returned before Forward exits,
-// so steady-state training allocates only the NCHW output.
+// consumes then releases it), the latter is returned before Forward exits;
+// the NCHW output is a step buffer.
 func (c *Conv2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	dt := tensor.DTypeOf[E]()
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
@@ -107,35 +113,35 @@ func (c *Conv2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 
 	y := tensor.GetScratchOf(dt, c.outC, spatial) // (outC, N*OH*OW)
 	tensor.MatMulInto(y, c.weight.Value, cols)
-	if c.useBias {
-		bd := tensor.DataOf[E](c.bias.Value)
-		yd := tensor.DataOf[E](y)
-		for oc := 0; oc < c.outC; oc++ {
-			row := yd[oc*spatial : (oc+1)*spatial]
-			b := bd[oc]
-			for i := range row {
-				row[i] += b
-			}
-		}
-	}
-	// Reorder (outC, N, OH, OW) → (N, outC, OH, OW).
-	out := tensor.NewOf(dt, n, c.outC, oh, ow)
-	od, yd := tensor.DataOf[E](out), tensor.DataOf[E](y)
+	// Reorder (outC, N, OH, OW) → (N, outC, OH, OW), adding the bias on the way.
+	c.out = stepScratch(c.out, dt, n, c.outC, oh, ow)
+	od, yd := tensor.DataOf[E](c.out), tensor.DataOf[E](y)
 	plane := oh * ow
+	var bd []E
+	if c.useBias {
+		bd = tensor.DataOf[E](c.bias.Value)
+	}
 	for oc := 0; oc < c.outC; oc++ {
 		for ni := 0; ni < n; ni++ {
 			src := yd[(oc*n+ni)*plane : (oc*n+ni+1)*plane]
 			dst := od[(ni*c.outC+oc)*plane : (ni*c.outC+oc+1)*plane]
-			copy(dst, src)
+			if bd == nil {
+				copy(dst, src)
+				continue
+			}
+			b := bd[oc]
+			for i, v := range src {
+				dst[i] = v + b
+			}
 		}
 	}
 	tensor.PutScratch(y)
-	return out
+	return c.out
 }
 
 // Backward implements Layer. All intermediates (the reordered gradient, the
 // column gradient, and the retained im2col matrix) live in the scratch
-// arena; only the returned input gradient is allocated.
+// arena; the returned input gradient is a step buffer.
 func (c *Conv2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dt := tensor.DTypeOf[E]()
 	n, oh, ow := c.lastN, c.lastOH, c.lastOW
@@ -153,6 +159,11 @@ func (c *Conv2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	// dW += g × colsᵀ; cols is (K, spatial) so use the TransB accumulator.
 	tensor.MatMulTransBAcc(c.weight.Grad, g, c.lastCols)
+	// The cached im2col matrix is the layer's dominant memory holding
+	// (K × N·OH·OW floats); release it as soon as backward has consumed it
+	// so deep models do not retain every layer's unrolled activations
+	// simultaneously between iterations.
+	putScratch(&c.lastCols)
 	if c.useBias {
 		// The bias gradient sums N*OH*OW terms per channel: widen to a
 		// float64 accumulator and round once into the stored gradient.
@@ -166,19 +177,26 @@ func (c *Conv2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			bd[oc] += roundE[E](s)
 		}
 	}
+	if c.noInputGrad {
+		tensor.PutScratch(g)
+		return nil
+	}
 	// dCols = Wᵀ × g, W stored (outC, K): MatMulTransA.
 	dCols := tensor.GetScratchOf(dt, c.inC*c.p.KernelH*c.p.KernelW, spatial)
 	tensor.MatMulTransAInto(dCols, c.weight.Value, g)
 	tensor.PutScratch(g)
-	// The cached im2col matrix is the layer's dominant memory holding
-	// (K × N·OH·OW floats); release it as soon as backward has consumed it
-	// so deep models do not retain every layer's unrolled activations
-	// simultaneously between iterations.
-	tensor.PutScratch(c.lastCols)
-	c.lastCols = nil
-	dx := tensor.Col2Im(dCols, n, c.inC, c.lastH, c.lastW, c.p)
+	c.dx = stepScratch(c.dx, dt, n, c.inC, c.lastH, c.lastW)
+	tensor.Col2ImInto(c.dx, dCols, c.p)
 	tensor.PutScratch(dCols)
-	return dx
+	return c.dx
+}
+
+func (c *Conv2D[E]) skipInputGrad() { c.noInputGrad = true }
+
+func (c *Conv2D[E]) releaseScratch() {
+	putScratch(&c.lastCols)
+	putScratch(&c.out)
+	putScratch(&c.dx)
 }
 
 // Params implements Layer.

@@ -42,7 +42,7 @@ func gradCheck(t *testing.T, layer Layer, x *tensor.Tensor, tol float64) {
 		p.ZeroGrad()
 	}
 	layer.Forward(x, true)
-	dx := layer.Backward(loss.grad())
+	dx := layer.Backward(loss.grad()).Clone() // it must outlive the Forward calls below
 
 	const h = 1e-5
 	eval := func() float64 { return loss.value(layer.Forward(x, true)) }

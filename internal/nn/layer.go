@@ -50,6 +50,11 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 //
 // Layers are stateful across a Forward/Backward pair and therefore not safe
 // for concurrent use; each federated client owns a private model replica.
+//
+// Lifetime: the tensor Forward or Backward returns may be a buffer the layer
+// keeps and overwrites, so it is valid until the next Forward, Backward or
+// ReleaseScratch of the model the layer belongs to (scratch.go). Clone what
+// must outlive that.
 type Layer interface {
 	// Forward computes the layer output. train distinguishes training-time
 	// behaviour (batch-norm batch statistics) from inference.
@@ -64,6 +69,33 @@ type Layer interface {
 // Sequential chains layers, feeding each layer's output to the next.
 type Sequential struct {
 	layers []Layer
+	// inputLayers is how many leading layers Backward may stop after with a
+	// nil gradient: 0 until markInputLayer finds a layer to mark.
+	inputLayers int
+}
+
+// inputGradSkipper is implemented by parameterised layers that can leave
+// ∂loss/∂input uncomputed and return nil from Backward.
+type inputGradSkipper interface {
+	skipInputGrad()
+}
+
+// markInputLayer tells the chain's first parameterised layer — looking
+// through a leading Flatten, which has no gradient of its own to lose — that
+// its input is the network's input, whose gradient nobody reads.
+func (s *Sequential) markInputLayer() {
+	i := 0
+	if len(s.layers) > 1 {
+		if _, ok := s.layers[0].(*Flatten); ok {
+			i = 1
+		}
+	}
+	if i < len(s.layers) {
+		if l, ok := s.layers[i].(inputGradSkipper); ok {
+			l.skipInputGrad()
+			s.inputLayers = i + 1
+		}
+	}
 }
 
 var _ Layer = (*Sequential)(nil)
@@ -84,12 +116,25 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It returns nil when the chain's input layer was
+// marked by markInputLayer; a nil gradient from any other layer is a bug.
 func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	for i := len(s.layers) - 1; i >= 0; i-- {
 		grad = s.layers[i].Backward(grad)
+		if grad == nil {
+			if i >= s.inputLayers {
+				panic(fmt.Sprintf("nn: layer %d of a Sequential returned a nil gradient", i))
+			}
+			return nil
+		}
 	}
 	return grad
+}
+
+func (s *Sequential) releaseScratch() {
+	for _, l := range s.layers {
+		releaseScratchOf(l)
+	}
 }
 
 // Params implements Layer, concatenating all child parameters in order.

@@ -15,6 +15,9 @@ type Linear[E tensor.Elem] struct {
 
 	in, out int
 	lastX   *tensor.Tensor
+
+	noInputGrad bool           // see Conv2D.noInputGrad
+	y, dx       *tensor.Tensor // step buffers (scratch.go)
 }
 
 var (
@@ -48,18 +51,22 @@ func (l *Linear[E]) Out() int { return l.out }
 // Forward implements Layer.
 func (l *Linear[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	n := x.Dim(0)
-	x2 := x.Reshape(n, x.Len()/n)
+	x2 := x
+	if x.Dims() != 2 {
+		x2 = x.Reshape(n, x.Len()/n)
+	}
 	l.lastX = x2
-	y := tensor.MatMul(x2, l.weight.Value)
+	l.y = stepScratch(l.y, tensor.DTypeOf[E](), n, l.out)
+	tensor.MatMulInto(l.y, x2, l.weight.Value)
 	bd := tensor.DataOf[E](l.bias.Value)
-	yd := tensor.DataOf[E](y)
+	yd := tensor.DataOf[E](l.y)
 	for i := 0; i < n; i++ {
 		row := yd[i*l.out : (i+1)*l.out]
 		for j := range row {
 			row[j] += bd[j]
 		}
 	}
-	return y
+	return l.y
 }
 
 // Backward implements Layer.
@@ -77,8 +84,21 @@ func (l *Linear[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			bd[j] += row[j]
 		}
 	}
+	if l.noInputGrad {
+		return nil
+	}
 	// dx = grad × Wᵀ, with W stored (in, out): use MatMulTransB.
-	return tensor.MatMulTransB(grad, l.weight.Value)
+	l.dx = stepScratch(l.dx, tensor.DTypeOf[E](), n, l.in)
+	tensor.MatMulTransBInto(l.dx, grad, l.weight.Value)
+	return l.dx
+}
+
+func (l *Linear[E]) skipInputGrad() { l.noInputGrad = true }
+
+func (l *Linear[E]) releaseScratch() {
+	l.lastX = nil // a view of the previous layer's buffer
+	putScratch(&l.y)
+	putScratch(&l.dx)
 }
 
 // Params implements Layer.

@@ -17,8 +17,9 @@ import (
 // keeps them where the activations live without giving up full-width loss
 // accumulation.
 type SoftmaxCrossEntropy[E tensor.Elem] struct {
-	lastProbs  *tensor.Tensor
+	lastProbs  *tensor.Tensor // step buffer (scratch.go)
 	lastLabels []int
+	grad       *tensor.Tensor // step buffer
 }
 
 var (
@@ -39,7 +40,7 @@ func newSoftmaxCrossEntropyOf[E tensor.Elem]() *SoftmaxCrossEntropy[E] {
 // labels and caches the probabilities for Backward.
 func (s *SoftmaxCrossEntropy[E]) Forward(logits *tensor.Tensor, labels []int) float64 {
 	n, c := logits.Dim(0), logits.Dim(1)
-	probs := tensor.NewOf(tensor.DTypeOf[E](), n, c)
+	probs := stepScratch(s.lastProbs, tensor.DTypeOf[E](), n, c)
 	ld, pd := tensor.DataOf[E](logits), tensor.DataOf[E](probs)
 	loss := 0.0
 	for i := 0; i < n; i++ {
@@ -76,8 +77,9 @@ func (s *SoftmaxCrossEntropy[E]) Forward(logits *tensor.Tensor, labels []int) fl
 // Backward returns dLoss/dLogits = (probs − onehot)/N.
 func (s *SoftmaxCrossEntropy[E]) Backward() *tensor.Tensor {
 	n, c := s.lastProbs.Dim(0), s.lastProbs.Dim(1)
-	grad := s.lastProbs.Clone()
-	gd := tensor.DataOf[E](grad)
+	s.grad = stepScratchLike(s.grad, s.lastProbs)
+	s.grad.CopyFrom(s.lastProbs)
+	gd := tensor.DataOf[E](s.grad)
 	inv := 1.0 / float64(n)
 	for i := 0; i < n; i++ {
 		gd[i*c+s.lastLabels[i]] -= 1
@@ -86,7 +88,12 @@ func (s *SoftmaxCrossEntropy[E]) Backward() *tensor.Tensor {
 			row[j] = roundE[E](toF64(row[j]) * inv)
 		}
 	}
-	return grad
+	return s.grad
+}
+
+func (s *SoftmaxCrossEntropy[E]) releaseScratch() {
+	putScratch(&s.lastProbs)
+	putScratch(&s.grad)
 }
 
 // Accuracy returns the fraction of rows of logits whose argmax matches the

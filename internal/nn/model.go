@@ -15,6 +15,7 @@ type lossHead interface {
 	Forward(logits *tensor.Tensor, labels []int) float64
 	// Backward returns dLoss/dLogits for the cached batch.
 	Backward() *tensor.Tensor
+	scratchHolder
 }
 
 // Model couples a network with a classification loss and exposes the flat
@@ -43,13 +44,18 @@ type Model struct {
 // order is the construction order of the layers and is therefore identical
 // across model replicas built with the same constructor, which is what
 // allows clients to exchange flat vectors. The loss head is instantiated at
-// the parameter storage width.
+// the parameter storage width. A model never reads the gradient with respect
+// to its own input, so the first parameterised layer of a Sequential net is
+// told not to compute it.
 func NewModel(name string, net Layer, numClasses int) *Model {
 	m := &Model{
 		Name:       name,
 		net:        net,
 		params:     net.Params(),
 		numClasses: numClasses,
+	}
+	if seq, ok := net.(*Sequential); ok {
+		seq.markInputLayer()
 	}
 	if len(m.params) > 0 {
 		m.dtype = m.params[0].Value.DType()
@@ -87,7 +93,19 @@ func (m *Model) DType() tensor.DType { return m.dtype }
 // Params returns the model parameters in synchronization order.
 func (m *Model) Params() []*Param { return m.params }
 
-// Forward runs the network and returns logits.
+// ReleaseScratch returns the step buffers the layers and the loss head keep
+// between steps (scratch.go) to the tensor arena. Whoever drives the model
+// calls it when a run of steps is over — a client after its local
+// iterations, the engine after an evaluation — so an idle replica holds no
+// activations. Tensors previously returned by Forward are invalid afterwards;
+// the next step draws fresh buffers.
+func (m *Model) ReleaseScratch() {
+	releaseScratchOf(m.net)
+	m.loss.releaseScratch()
+}
+
+// Forward runs the network and returns logits, valid until the model's next
+// Forward, TrainStep, Loss, Evaluate or ReleaseScratch.
 func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return m.net.Forward(x, train)
 }

@@ -1,19 +1,18 @@
 package nn
 
-import (
-	"math"
+import "fedsu/internal/tensor"
 
-	"fedsu/internal/tensor"
-)
-
-// MaxPool2D is a max-pooling layer over NCHW tensors. Window comparisons
-// happen on exactly-widened float64 values, so the selected element (and its
-// argmax index) is identical to a storage-width comparison at either E.
+// MaxPool2D is a max-pooling layer over NCHW tensors. Windows are compared
+// at storage width, first tap first: the output is the first tap unless a
+// later one is strictly greater, so ties keep the earliest tap and a window
+// whose first tap is NaN (every later comparison is false) yields NaN.
 type MaxPool2D[E tensor.Elem] struct {
 	p tensor.ConvParams
 
-	argmax    []int // flat input index chosen for each output element
-	lastShape []int
+	argmax  []int  // flat input index chosen for each output element
+	inShape [4]int // of the last Forward's input
+
+	out, dx *tensor.Tensor // step buffers (scratch.go)
 }
 
 var (
@@ -38,20 +37,25 @@ func newMaxPool2DOf[E tensor.Elem](window, stride int) *MaxPool2D[E] {
 func (m *MaxPool2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := m.p.OutSize(h, w)
-	m.lastShape = x.Shape()
-	out := tensor.NewOf(tensor.DTypeOf[E](), n, c, oh, ow)
-	if cap(m.argmax) < out.Len() {
-		m.argmax = make([]int, out.Len())
+	m.inShape = [4]int{n, c, h, w}
+	m.out = stepScratch(m.out, tensor.DTypeOf[E](), n, c, oh, ow)
+	if cap(m.argmax) < m.out.Len() {
+		m.argmax = make([]int, m.out.Len())
 	}
-	m.argmax = m.argmax[:out.Len()]
-	xd, od := tensor.DataOf[E](x), tensor.DataOf[E](out)
+	m.argmax = m.argmax[:m.out.Len()]
+	xd, od := tensor.DataOf[E](x), tensor.DataOf[E](m.out)
+	if m.p.KernelH == 2 && m.p.KernelW == 2 && m.p.StrideH == 2 && m.p.StrideW == 2 {
+		maxPool2x2(od, m.argmax, xd, n*c, h, w, oh, ow)
+		return m.out
+	}
 	oi := 0
 	for ni := 0; ni < n; ni++ {
 		for ci := 0; ci < c; ci++ {
 			base := (ni*c + ci) * h * w
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
-					best, bidx := math.Inf(-1), -1
+					var best E
+					bidx := -1
 					for ky := 0; ky < m.p.KernelH; ky++ {
 						iy := oy*m.p.StrideH + ky
 						if iy >= h {
@@ -63,29 +67,65 @@ func (m *MaxPool2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 								continue
 							}
 							idx := base + iy*w + ix
-							if v := toF64(xd[idx]); v > best {
+							if v := xd[idx]; bidx < 0 || v > best {
 								best, bidx = v, idx
 							}
 						}
 					}
-					od[oi] = roundE[E](best) // exact: best is a widened element
+					od[oi] = best
 					m.argmax[oi] = bidx
 					oi++
 				}
 			}
 		}
 	}
-	return out
+	return m.out
+}
+
+// maxPool2x2 is the window 2 / stride 2 case: OutSize guarantees every
+// window lies inside the plane, so no tap needs a range test. Taps are
+// visited in the general path's order (row by row, left to right).
+func maxPool2x2[E tensor.Elem](od []E, argmax []int, xd []E, planes, h, w, oh, ow int) {
+	oi := 0
+	for pl := 0; pl < planes; pl++ {
+		for oy := 0; oy < oh; oy++ {
+			top := (pl*h + 2*oy) * w
+			r0 := xd[top : top+2*ow]
+			r1 := xd[top+w : top+w+2*ow]
+			orow, arow := od[oi:oi+ow], argmax[oi:oi+ow]
+			for ox := range orow {
+				best, bi := r0[2*ox], 0
+				if v := r0[2*ox+1]; v > best {
+					best, bi = v, 1
+				}
+				if v := r1[2*ox]; v > best {
+					best, bi = v, w
+				}
+				if v := r1[2*ox+1]; v > best {
+					best, bi = v, w+1
+				}
+				orow[ox], arow[ox] = best, top+2*ox+bi
+			}
+			oi += ow
+		}
+	}
 }
 
 // Backward implements Layer.
 func (m *MaxPool2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.NewOf(tensor.DTypeOf[E](), m.lastShape...)
-	dd, gd := tensor.DataOf[E](dx), tensor.DataOf[E](grad)
+	s := m.inShape
+	m.dx = stepScratch(m.dx, tensor.DTypeOf[E](), s[0], s[1], s[2], s[3])
+	m.dx.Zero()
+	dd, gd := tensor.DataOf[E](m.dx), tensor.DataOf[E](grad)
 	for oi, idx := range m.argmax {
 		dd[idx] += gd[oi]
 	}
-	return dx
+	return m.dx
+}
+
+func (m *MaxPool2D[E]) releaseScratch() {
+	putScratch(&m.out)
+	putScratch(&m.dx)
 }
 
 // Params implements Layer.

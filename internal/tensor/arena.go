@@ -90,6 +90,9 @@ func GetScratchOf(dt DType, shape ...int) *Tensor {
 	return t
 }
 
+// GetScratchLike returns a scratch tensor of x's dtype and shape.
+func GetScratchLike(x *Tensor) *Tensor { return GetScratchOf(x.dt, x.shape...) }
+
 // PutScratch returns a tensor to its dtype's arena; the arena will recycle
 // the whole object. Passing nil is a no-op so callers can release
 // optimistically. The tensor (and any view of it) must not be used

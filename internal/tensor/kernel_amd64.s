@@ -1,0 +1,141 @@
+//go:build amd64 && !purego
+
+#include "textflag.h"
+
+// The AVX2 register-tile micro-kernel (contract: matmul.go, DESIGN §5c).
+//
+// One call computes a 4-row × 2-register tile of C: eight YMM accumulators
+// (Y0..Y7, row-major: row r lives in Y(2r), Y(2r+1)), each lane a different
+// output column. Every p step loads the two B registers once, broadcasts one
+// A element per row, and applies a separate multiply and add — never an FMA,
+// whose single rounding would change bits against the scalar code.
+//
+// Register use, shared by both element widths:
+//
+//	DI  &C[0][0]     R8  ldc in bytes     BX  3*ldc
+//	SI  &A[0][p]     R9  ars in bytes     R12 3*ars     R10 acs in bytes
+//	DX  &B[p][0]     R11 ldb in bytes
+//	CX  remaining p steps                 AX  mode (0 store, 1 seed, 2 add-to)
+
+// ROW does one row of one p step: acc(lo,hi) += bcast(a) * (Y8,Y9).
+#define ROW(BCAST, MUL, ADD, aaddr, lo, hi) \
+	BCAST aaddr, Y10; \
+	MUL   Y8, Y10, Y11; \
+	MUL   Y9, Y10, Y12; \
+	ADD   Y11, lo, lo; \
+	ADD   Y12, hi, hi
+
+// TILE is the whole kernel body after the arguments are in registers and
+// the strides are scaled to bytes.
+#define TILE(MOVU, BCAST, MUL, ADD, XOR) \
+	LEAQ (R8)(R8*2), BX; \
+	LEAQ (R9)(R9*2), R12; \
+	CMPQ AX, $1; \
+	JNE  zero; \
+	MOVU (DI), Y0; \
+	MOVU 32(DI), Y1; \
+	MOVU (DI)(R8*1), Y2; \
+	MOVU 32(DI)(R8*1), Y3; \
+	MOVU (DI)(R8*2), Y4; \
+	MOVU 32(DI)(R8*2), Y5; \
+	MOVU (DI)(BX*1), Y6; \
+	MOVU 32(DI)(BX*1), Y7; \
+	JMP  start; \
+zero: \
+	XOR  Y0, Y0, Y0; \
+	XOR  Y1, Y1, Y1; \
+	XOR  Y2, Y2, Y2; \
+	XOR  Y3, Y3, Y3; \
+	XOR  Y4, Y4, Y4; \
+	XOR  Y5, Y5, Y5; \
+	XOR  Y6, Y6, Y6; \
+	XOR  Y7, Y7, Y7; \
+start: \
+	CMPQ CX, $0; \
+	JLE  done; \
+loop: \
+	MOVU (DX), Y8; \
+	MOVU 32(DX), Y9; \
+	ROW(BCAST, MUL, ADD, (SI), Y0, Y1); \
+	ROW(BCAST, MUL, ADD, (SI)(R9*1), Y2, Y3); \
+	ROW(BCAST, MUL, ADD, (SI)(R9*2), Y4, Y5); \
+	ROW(BCAST, MUL, ADD, (SI)(R12*1), Y6, Y7); \
+	ADDQ R10, SI; \
+	ADDQ R11, DX; \
+	DECQ CX; \
+	JNZ  loop; \
+done: \
+	CMPQ AX, $2; \
+	JNE  store; \
+	ADD  (DI), Y0, Y0; \
+	ADD  32(DI), Y1, Y1; \
+	ADD  (DI)(R8*1), Y2, Y2; \
+	ADD  32(DI)(R8*1), Y3, Y3; \
+	ADD  (DI)(R8*2), Y4, Y4; \
+	ADD  32(DI)(R8*2), Y5, Y5; \
+	ADD  (DI)(BX*1), Y6, Y6; \
+	ADD  32(DI)(BX*1), Y7, Y7; \
+store: \
+	MOVU Y0, (DI); \
+	MOVU Y1, 32(DI); \
+	MOVU Y2, (DI)(R8*1); \
+	MOVU Y3, 32(DI)(R8*1); \
+	MOVU Y4, (DI)(R8*2); \
+	MOVU Y5, 32(DI)(R8*2); \
+	MOVU Y6, (DI)(BX*1); \
+	MOVU Y7, 32(DI)(BX*1); \
+	VZEROUPPER; \
+	RET
+
+// func kernel4x8F64(c *float64, ldc int, a *float64, ars, acs int, b *float64, ldb, k, mode int)
+TEXT ·kernel4x8F64(SB), NOSPLIT, $0-72
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ ars+24(FP), R9
+	MOVQ acs+32(FP), R10
+	MOVQ b+40(FP), DX
+	MOVQ ldb+48(FP), R11
+	MOVQ k+56(FP), CX
+	MOVQ mode+64(FP), AX
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	SHLQ $3, R11
+	TILE(VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VXORPD)
+
+// func kernel4x16F32(c *float32, ldc int, a *float32, ars, acs int, b *float32, ldb, k, mode int)
+TEXT ·kernel4x16F32(SB), NOSPLIT, $0-72
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ ars+24(FP), R9
+	MOVQ acs+32(FP), R10
+	MOVQ b+40(FP), DX
+	MOVQ ldb+48(FP), R11
+	MOVQ k+56(FP), CX
+	MOVQ mode+64(FP), AX
+	SHLQ $2, R8
+	SHLQ $2, R9
+	SHLQ $2, R10
+	SHLQ $2, R11
+	TILE(VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VXORPS)
+
+// func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxIn+0(FP), AX
+	MOVL ecxIn+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET

@@ -6,45 +6,88 @@ import (
 	"fedsu/internal/par"
 )
 
-// The matmul kernels are register-blocked (tileRows output rows share each
-// streamed row of B), parallelized over the par pool, and instantiated per
-// element width via the Elem type parameter: the public entry points
-// dispatch once on the operands' dtype and the compiler stencils a separate
-// loop body for float32 and float64, so both widths keep their accumulators
-// in registers. Three properties are load-bearing for the rest of the stack:
+// Every matrix product in this package is one driver over one register-tile
+// micro-kernel. The kernel's contract (tileFunc) is
 //
-//   - Bit-determinism: every output element is accumulated in a fixed order
-//     (p = 0..k-1) and the tileRows block decomposition is anchored at
-//     absolute row indices (par.ParallelizeGrain keeps chunk boundaries
-//     tile-aligned), so results are bitwise identical at every worker count,
-//     including the serial fallback — at both precisions.
+//	C[4×W] (= | +=) Σ_p A[i·ars + p·acs] · B[p·ldb + j … j+W)
+//
+// with W = 8 at float64 and 16 at float32: vector lanes are different output
+// columns, so each lane carries one element's private sum; every p step is a
+// separate multiply then a separate add (never a fused multiply-add, whose
+// single rounding would change bits), taken in p = 0..k-1 order; and the
+// accumulators start from zero or from C. Each output element is therefore
+// the same ordered sum of rounded products the scalar code computes, and
+// there are exactly two implementations of the contract: Go assembly for
+// amd64 with AVX2 (kernel_amd64.s) and goTile below, which is also what the
+// driver's fringe runs on. They agree bit for bit (microkernel_test.go, which
+// also holds them against the scalar kernels this design retired).
+//
+// The three products are the same kernel under different strides:
+//
+//   - A × B reads row-major B in place (ars = k, acs = 1): nothing is packed.
+//   - Aᵀ × B is the same call with ars = 1, acs = m.
+//   - A × Bᵀ has no row-major right operand, so it transposes the smaller of
+//     its two operands into arena scratch; if that was A it computes the
+//     transposed product Cᵀ = B × Aᵀ and folds it back.
+//
+// Three properties are load-bearing for the rest of the stack:
+//
+//   - Bit-determinism: an element's value depends on nothing but its own
+//     ordered sum, so results are bitwise identical at every worker count,
+//     tile decomposition and kernel implementation — at both precisions.
 //   - No hidden allocation: the *Into and *Acc variants write caller-owned
 //     storage, which the nn layers draw from the scratch arena.
 //   - Accumulator width = storage width: each dot product sums k terms into
-//     an E-typed register (standard practice for f32 GEMM — per-element
-//     error is O(√k)·ulp on random data, dominated by the f32 storage
-//     rounding itself, while widening the eight-way register tile to f64
-//     would double its register pressure and halve the bandwidth win).
-//     O(n)-term statistics reductions elsewhere (loss, norms, batchnorm
-//     moments) do widen to float64; see tensor.Sum and the nn layer notes.
+//     an E-typed lane (standard practice for f32 GEMM — per-element error is
+//     O(√k)·ulp on random data, dominated by the f32 storage rounding
+//     itself). O(n)-term statistics reductions elsewhere (loss, norms,
+//     batchnorm moments) do widen to float64; see tensor.Sum and the nn
+//     layer notes.
 //
-// Small products fall back to the serial kernel so eval-scale tensors do
-// not pay goroutine handoff; the cutoff is tunable for tests via
-// SetParallelCutoff.
+// Non-finite inputs propagate by IEEE rules: 0·Inf is NaN and reaches the
+// output. Small products run serially so eval-scale tensors do not pay
+// goroutine handoff; the cutoff is tunable for tests via SetParallelCutoff.
 
-// tileRows is the register-block height: that many output rows accumulate
-// against each streamed row of B, quartering B's memory traffic.
+// tileRows is the micro-kernel's height in output rows; the row split hands
+// workers whole tiles.
 const tileRows = 4
 
-// tileK and tileJ bound the B panel (tileK×tileJ elements = 512 KiB at
-// float64, 256 KiB at float32) that the cache-blocked kernels keep hot in
-// L2 while all row tiles accumulate against it. Tiling only reorders *which
-// element* is updated next, never the p-order of updates to a single
-// element, so it preserves bit-identical results.
+// tileCols is the micro-kernel's width W in output columns: two 256-bit
+// registers of E.
+func tileCols[E Elem]() int {
+	if dtypeOf[E]() == Float32 {
+		return 16
+	}
+	return 8
+}
+
+// tileMode says where a tile's accumulators start and how they land in C.
+// The values are shared with the assembly.
+type tileMode int
+
 const (
-	tileK = 128
-	tileJ = 512
+	tileStore tileMode = iota // C = Σ, summed from zero
+	tileSeed                  // C = (…((C + t₀) + t₁)…): summed from C
+	tileAddTo                 // C = C + Σ, Σ summed from zero
 )
+
+// tileFunc computes one full tileRows×tileCols tile: c, a and b are slices
+// starting at the tile's first element of each operand, k >= 1.
+type tileFunc[E Elem] func(c []E, ldc int, a []E, ars, acs int, b []E, ldb, k int, mode tileMode)
+
+// tile64 and tile32 are the micro-kernels the driver calls: the Go tile,
+// unless kernel_amd64.go's init found a CPU for the assembly (build tag
+// amd64 && !purego). Nothing else but a test reassigns them; tileImpl names
+// the choice for test logs.
+var (
+	tile64   tileFunc[float64] = goTile[float64]
+	tile32   tileFunc[float32] = goTile[float32]
+	tileImpl                   = "go"
+)
+
+// accSeedCutoff is the work size (multiply-adds) at which MatMulAcc changes
+// rounding sequence; see MatMulAcc.
+const accSeedCutoff = 1 << 15
 
 // parallelCutoff is the minimum work size (multiply-adds for matmul,
 // elements moved for im2col/col2im) that engages the worker pool.
@@ -63,6 +106,113 @@ func parallelWorthwhile(work int64) bool {
 	return par.Workers() > 1 && work >= parallelCutoff
 }
 
+// gemm is the one driver: C (m×n, row stride ldc) from A addressed as
+// a[i*ars+p*acs] and row-major B (k×n, row stride ldb). Rows are split over
+// the worker pool in whole tiles; any split gives the same bits.
+func gemm[E Elem](tile tileFunc[E], c []E, ldc int, a []E, ars, acs int, b []E, ldb, m, k, n int, mode tileMode) {
+	if k == 0 {
+		if mode == tileStore {
+			for i := 0; i < m; i++ {
+				fillSlice(c[i*ldc:i*ldc+n], 0)
+			}
+		}
+		return
+	}
+	if parallelWorthwhile(int64(m) * int64(k) * int64(n)) {
+		par.ParallelizeGrain(m, tileRows, func(lo, hi int) {
+			gemmRows(tile, c, ldc, a, ars, acs, b, ldb, lo, hi, k, n, mode)
+		})
+		return
+	}
+	gemmRows(tile, c, ldc, a, ars, acs, b, ldb, 0, m, k, n, mode)
+}
+
+// gemmRows computes output rows [lo, hi): full tiles through the
+// micro-kernel, column strip by column strip so the k×W panel of B stays in
+// cache while the row tiles pass over it, then the n mod W columns and the
+// (hi-lo) mod 4 rows that are left through goBlock.
+func gemmRows[E Elem](tile tileFunc[E], c []E, ldc int, a []E, ars, acs int, b []E, ldb, lo, hi, k, n int, mode tileMode) {
+	w := tileCols[E]()
+	full := lo + (hi-lo)/tileRows*tileRows
+	nt := n - n%w
+	for j := 0; j < nt; j += w {
+		for i := lo; i < full; i += tileRows {
+			tile(c[i*ldc+j:], ldc, a[i*ars:], ars, acs, b[j:], ldb, k, mode)
+		}
+	}
+	if nt < n && lo < full {
+		goBlock(c[lo*ldc+nt:], ldc, a[lo*ars:], ars, acs, b[nt:], ldb, full-lo, n-nt, k, mode)
+	}
+	if full < hi {
+		goBlock(c[full*ldc:], ldc, a[full*ars:], ars, acs, b, ldb, hi-full, n, k, mode)
+	}
+}
+
+// goTile is the micro-kernel in Go: the tile every build without the
+// assembly runs on, and the reference the assembly is held to.
+func goTile[E Elem](c []E, ldc int, a []E, ars, acs int, b []E, ldb, k int, mode tileMode) {
+	goBlock(c, ldc, a, ars, acs, b, ldb, tileRows, tileCols[E](), k, mode)
+}
+
+// goBlock computes a rows×cols block by the micro-kernel's contract, a row
+// at a time.
+func goBlock[E Elem](c []E, ldc int, a []E, ars, acs int, b []E, ldb, rows, cols, k int, mode tileMode) {
+	for i := 0; i < rows; i++ {
+		goRow(c[i*ldc:i*ldc+cols], a[i*ars:], acs, b, ldb, k, mode)
+	}
+}
+
+// goRow computes one output row, eight columns at a time: eight independent
+// sums in registers hide the add latency, and their B values are one window
+// of a row of B. The E(…) conversions round each product before it is added:
+// on architectures where the compiler would otherwise fuse the pair, the
+// language guarantees an explicit conversion is not fused through.
+func goRow[E Elem](ci, a []E, acs int, b []E, ldb, k int, mode tileMode) {
+	j := 0
+	for ; j+8 <= len(ci); j += 8 {
+		cj := ci[j : j+8 : j+8]
+		var s0, s1, s2, s3, s4, s5, s6, s7 E
+		if mode == tileSeed {
+			s0, s1, s2, s3, s4, s5, s6, s7 = cj[0], cj[1], cj[2], cj[3], cj[4], cj[5], cj[6], cj[7]
+		}
+		ai, bi := 0, j
+		for p := 0; p < k; p++ {
+			av, bp := a[ai], b[bi:bi+8:bi+8]
+			s0 += E(av * bp[0])
+			s1 += E(av * bp[1])
+			s2 += E(av * bp[2])
+			s3 += E(av * bp[3])
+			s4 += E(av * bp[4])
+			s5 += E(av * bp[5])
+			s6 += E(av * bp[6])
+			s7 += E(av * bp[7])
+			ai += acs
+			bi += ldb
+		}
+		if mode == tileAddTo {
+			s0, s1, s2, s3 = cj[0]+s0, cj[1]+s1, cj[2]+s2, cj[3]+s3
+			s4, s5, s6, s7 = cj[4]+s4, cj[5]+s5, cj[6]+s6, cj[7]+s7
+		}
+		cj[0], cj[1], cj[2], cj[3], cj[4], cj[5], cj[6], cj[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	}
+	for ; j < len(ci); j++ {
+		var s E
+		if mode == tileSeed {
+			s = ci[j]
+		}
+		ai, bi := 0, j
+		for p := 0; p < k; p++ {
+			s += E(a[ai] * b[bi])
+			ai += acs
+			bi += ldb
+		}
+		if mode == tileAddTo {
+			s = ci[j] + s
+		}
+		ci[j] = s
+	}
+}
+
 // MatMul computes C = A × B for 2-D tensors A (m×k) and B (k×n), returning a
 // new m×n tensor of the operands' dtype.
 func MatMul(a, b *Tensor) *Tensor {
@@ -77,9 +227,9 @@ func MatMul(a, b *Tensor) *Tensor {
 	checkSameDType("MatMul", a, b)
 	c := NewOf(a.dt, m, n)
 	if a.dt == Float32 {
-		matmul(c.data32, a.data32, b.data32, m, k, n, false)
+		matmul(tile32, c.data32, a.data32, b.data32, m, k, n, tileStore)
 	} else {
-		matmul(c.data, a.data, b.data, m, k, n, false)
+		matmul(tile64, c.data, a.data, b.data, m, k, n, tileStore)
 	}
 	return c
 }
@@ -95,15 +245,16 @@ func MatMulInto(dst, a, b *Tensor) {
 	}
 	checkSameDType("MatMulInto", dst, a, b)
 	if dst.dt == Float32 {
-		matmul(dst.data32, a.data32, b.data32, m, k, n, false)
+		matmul(tile32, dst.data32, a.data32, b.data32, m, k, n, tileStore)
 	} else {
-		matmul(dst.data, a.data, b.data, m, k, n, false)
+		matmul(tile64, dst.data, a.data, b.data, m, k, n, tileStore)
 	}
 }
 
-// MatMulAcc computes dst += A × B without materializing the product,
-// accumulating each element's contributions in the fixed p = 0..k-1 order
-// (serial and parallel paths agree bitwise, like every kernel here).
+// MatMulAcc computes dst += A × B without materializing the product. Below
+// accSeedCutoff multiply-adds each element's accumulator starts from dst and
+// takes the k products in p order; from there up the k products are summed
+// from zero and the sum is added to dst once.
 func MatMulAcc(dst, a, b *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[1]
@@ -111,253 +262,22 @@ func MatMulAcc(dst, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulAcc shape mismatch dst=%v a=%v b=%v", dst.shape, a.shape, b.shape))
 	}
 	checkSameDType("MatMulAcc", dst, a, b)
+	// Which of the two sequences runs was once decided by whether the
+	// product was large enough to pack Bᵀ; the pack is gone, the boundary is
+	// kept so no MatMulAcc result changes.
+	mode := tileAddTo
+	if int64(m)*int64(k)*int64(n) < accSeedCutoff {
+		mode = tileSeed
+	}
 	if dst.dt == Float32 {
-		matmul(dst.data32, a.data32, b.data32, m, k, n, true)
+		matmul(tile32, dst.data32, a.data32, b.data32, m, k, n, mode)
 	} else {
-		matmul(dst.data, a.data, b.data, m, k, n, true)
+		matmul(tile64, dst.data, a.data, b.data, m, k, n, mode)
 	}
 }
 
-// packCutoff is the work size (multiply-adds) above which MatMul packs Bᵀ
-// into an arena buffer and runs the store-free dot kernel; the O(k·n) pack
-// cost is noise there. Below it the in-place accumulate kernel wins.
-const packCutoff = 1 << 15
-
-func matmul[E Elem](c, a, b []E, m, k, n int, acc bool) {
-	work := int64(m) * int64(k) * int64(n)
-	if work < packCutoff {
-		matmulBlock(c, a, b, 0, m, 0, n, k, n, acc)
-		return
-	}
-	// Pack Bᵀ so every output element is a contiguous dot product: the
-	// inner loop carries its sum in registers (no store per element), which
-	// on scalar Go code roughly doubles throughput over the accumulate
-	// kernel. Element values are unchanged bit-for-bit: both forms apply
-	// the identical sequence of rounded multiply-adds in p order.
-	bts := GetScratchOf(dtypeOf[E](), n*k)
-	bt := DataOf[E](bts)
-	transposeInto(bt, b, k, n)
-	if parallelWorthwhile(work) {
-		par.ParallelizeGrain(m, tileRows, func(lo, hi int) {
-			matmulPackedRows(c, a, bt, lo, hi, k, n, acc)
-		})
-	} else {
-		matmulPackedRows(c, a, bt, 0, m, k, n, acc)
-	}
-	PutScratch(bts)
-}
-
-// transposeInto writes the r×c matrix src into dst column-major (dst is
-// c×r), using cache-friendly square tiles. Pure data movement — layout only.
-func transposeInto[E Elem](dst, src []E, r, c int) {
-	const tile = 32
-	if parallelWorthwhile(int64(r) * int64(c) * 8) {
-		par.ParallelizeGrain(c, tile, func(lo, hi int) {
-			transposeTiles(dst, src, r, c, lo, hi)
-		})
-		return
-	}
-	transposeTiles(dst, src, r, c, 0, c)
-}
-
-func transposeTiles[E Elem](dst, src []E, r, c, jLo, jHi int) {
-	const tile = 32
-	for j0 := jLo; j0 < jHi; j0 += tile {
-		j1 := j0 + tile
-		if j1 > jHi {
-			j1 = jHi
-		}
-		for i0 := 0; i0 < r; i0 += tile {
-			i1 := i0 + tile
-			if i1 > r {
-				i1 = r
-			}
-			for j := j0; j < j1; j++ {
-				dj := dst[j*r+i0 : j*r+i1]
-				for i := range dj {
-					dj[i] = src[(i0+i)*c+j]
-				}
-			}
-		}
-	}
-}
-
-// matmulPackedRows computes output rows [lo, hi) against the packed (n×k)
-// Bᵀ: each element is one contiguous dot product accumulated in registers,
-// with a 4-column register tile sharing every streamed A row. Elements are
-// independent ordered reductions, so any chunking yields identical bits.
-// Accumulators are E-typed (storage width) — see the file comment.
-func matmulPackedRows[E Elem](c, a, bt []E, lo, hi, k, n int, acc bool) {
-	// 4×2 register tile: four A rows share every streamed Bᵀ row, so the
-	// packed matrix is pulled through the cache hierarchy once per four
-	// output rows instead of once per row. Each of the eight sums is still
-	// an independent ordered dot product — tiling changes nothing bitwise.
-	i := lo
-	for ; i+tileRows <= hi; i += tileRows {
-		a0 := a[(i+0)*k : (i+1)*k]
-		a1 := a[(i+1)*k : (i+2)*k]
-		a2 := a[(i+2)*k : (i+3)*k]
-		a3 := a[(i+3)*k : (i+4)*k]
-		j := 0
-		for ; j+2 <= n; j += 2 {
-			bA := bt[(j+0)*k:][:len(a0)]
-			bB := bt[(j+1)*k:][:len(a0)]
-			var s00, s01, s10, s11, s20, s21, s30, s31 E
-			for p, bv0 := range bA {
-				bv1 := bB[p]
-				v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
-				s00 += v0 * bv0
-				s01 += v0 * bv1
-				s10 += v1 * bv0
-				s11 += v1 * bv1
-				s20 += v2 * bv0
-				s21 += v2 * bv1
-				s30 += v3 * bv0
-				s31 += v3 * bv1
-			}
-			if acc {
-				c[(i+0)*n+j] += s00
-				c[(i+0)*n+j+1] += s01
-				c[(i+1)*n+j] += s10
-				c[(i+1)*n+j+1] += s11
-				c[(i+2)*n+j] += s20
-				c[(i+2)*n+j+1] += s21
-				c[(i+3)*n+j] += s30
-				c[(i+3)*n+j+1] += s31
-			} else {
-				c[(i+0)*n+j], c[(i+0)*n+j+1] = s00, s01
-				c[(i+1)*n+j], c[(i+1)*n+j+1] = s10, s11
-				c[(i+2)*n+j], c[(i+2)*n+j+1] = s20, s21
-				c[(i+3)*n+j], c[(i+3)*n+j+1] = s30, s31
-			}
-		}
-		for ; j < n; j++ {
-			bj := bt[j*k:][:len(a0)]
-			var s0, s1, s2, s3 E
-			for p, bv := range bj {
-				s0 += a0[p] * bv
-				s1 += a1[p] * bv
-				s2 += a2[p] * bv
-				s3 += a3[p] * bv
-			}
-			if acc {
-				c[(i+0)*n+j] += s0
-				c[(i+1)*n+j] += s1
-				c[(i+2)*n+j] += s2
-				c[(i+3)*n+j] += s3
-			} else {
-				c[(i+0)*n+j], c[(i+1)*n+j], c[(i+2)*n+j], c[(i+3)*n+j] = s0, s1, s2, s3
-			}
-		}
-	}
-	for ; i < hi; i++ {
-		ai := a[i*k : (i+1)*k]
-		ci := c[i*n : (i+1)*n]
-		j := 0
-		for ; j+tileRows <= n; j += tileRows {
-			// Re-slicing to len(ai) lets the compiler drop the four inner
-			// bounds checks.
-			b0 := bt[(j+0)*k:][:len(ai)]
-			b1 := bt[(j+1)*k:][:len(ai)]
-			b2 := bt[(j+2)*k:][:len(ai)]
-			b3 := bt[(j+3)*k:][:len(ai)]
-			var s0, s1, s2, s3 E
-			for p, av := range ai {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-			}
-			if acc {
-				ci[j] += s0
-				ci[j+1] += s1
-				ci[j+2] += s2
-				ci[j+3] += s3
-			} else {
-				ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
-			}
-		}
-		for ; j < n; j++ {
-			bj := bt[j*k:][:len(ai)]
-			var s E
-			for p, av := range ai {
-				s += av * bj[p]
-			}
-			if acc {
-				ci[j] += s
-			} else {
-				ci[j] = s
-			}
-		}
-	}
-}
-
-// matmulBlock computes the output block rows [iLo, iHi) × cols [jLo, jHi),
-// overwriting it (or accumulating onto it when acc is set). The row range
-// is processed in absolute tileRows register tiles (row chunks arrive
-// tile-aligned from ParallelizeGrain except the final tail) and the k/j
-// dimensions in tileK×tileJ cache panels, so every element accumulates its
-// k products in exactly the order p = 0..k-1 regardless of chunking or
-// panel boundaries.
-func matmulBlock[E Elem](c, a, b []E, iLo, iHi, jLo, jHi, k, n int, acc bool) {
-	if !acc {
-		for i := iLo; i < iHi; i++ {
-			row := c[i*n+jLo : i*n+jHi]
-			for j := range row {
-				row[j] = 0
-			}
-		}
-	}
-	for jc := jLo; jc < jHi; jc += tileJ {
-		jcHi := jc + tileJ
-		if jcHi > jHi {
-			jcHi = jHi
-		}
-		for pc := 0; pc < k; pc += tileK {
-			pcHi := pc + tileK
-			if pcHi > k {
-				pcHi = k
-			}
-			i := iLo
-			for ; i+tileRows <= iHi; i += tileRows {
-				c0 := c[(i+0)*n+jc : (i+0)*n+jcHi]
-				c1 := c[(i+1)*n+jc : (i+1)*n+jcHi]
-				c2 := c[(i+2)*n+jc : (i+2)*n+jcHi]
-				c3 := c[(i+3)*n+jc : (i+3)*n+jcHi]
-				a0 := a[(i+0)*k : (i+1)*k]
-				a1 := a[(i+1)*k : (i+2)*k]
-				a2 := a[(i+2)*k : (i+3)*k]
-				a3 := a[(i+3)*k : (i+4)*k]
-				for p := pc; p < pcHi; p++ {
-					v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
-					if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-						continue
-					}
-					bp := b[p*n+jc : p*n+jcHi]
-					for j, bv := range bp {
-						c0[j] += v0 * bv
-						c1[j] += v1 * bv
-						c2[j] += v2 * bv
-						c3[j] += v3 * bv
-					}
-				}
-			}
-			for ; i < iHi; i++ {
-				ci := c[i*n+jc : i*n+jcHi]
-				ai := a[i*k : (i+1)*k]
-				for p := pc; p < pcHi; p++ {
-					av := ai[p]
-					if av == 0 {
-						continue
-					}
-					bp := b[p*n+jc : p*n+jcHi]
-					for j, bv := range bp {
-						ci[j] += av * bv
-					}
-				}
-			}
-		}
-	}
+func matmul[E Elem](tile tileFunc[E], c, a, b []E, m, k, n int, mode tileMode) {
+	gemm(tile, c, n, a, k, 1, b, n, m, k, n, mode)
 }
 
 func checkTransA(a, b *Tensor) (k, m, n int) {
@@ -376,9 +296,9 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 	checkSameDType("MatMulTransA", a, b)
 	c := NewOf(a.dt, m, n)
 	if a.dt == Float32 {
-		matmulTransA(c.data32, a.data32, b.data32, k, m, n, false)
+		matmulTransA(tile32, c.data32, a.data32, b.data32, k, m, n, tileStore)
 	} else {
-		matmulTransA(c.data, a.data, b.data, k, m, n, false)
+		matmulTransA(tile64, c.data, a.data, b.data, k, m, n, tileStore)
 	}
 	return c
 }
@@ -391,14 +311,15 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 	}
 	checkSameDType("MatMulTransAInto", dst, a, b)
 	if dst.dt == Float32 {
-		matmulTransA(dst.data32, a.data32, b.data32, k, m, n, false)
+		matmulTransA(tile32, dst.data32, a.data32, b.data32, k, m, n, tileStore)
 	} else {
-		matmulTransA(dst.data, a.data, b.data, k, m, n, false)
+		matmulTransA(tile64, dst.data, a.data, b.data, k, m, n, tileStore)
 	}
 }
 
 // MatMulTransAAcc computes dst += Aᵀ × B, the gradient-accumulation
-// primitive (dW += xᵀ·grad) that avoids a temporary plus an Add pass.
+// primitive (dW += xᵀ·grad) that avoids a temporary plus an Add pass: each
+// element's accumulator starts from dst and takes the k products in p order.
 func MatMulTransAAcc(dst, a, b *Tensor) {
 	k, m, n := checkTransA(a, b)
 	if dst.shape[0] != m || dst.shape[1] != n {
@@ -406,89 +327,16 @@ func MatMulTransAAcc(dst, a, b *Tensor) {
 	}
 	checkSameDType("MatMulTransAAcc", dst, a, b)
 	if dst.dt == Float32 {
-		matmulTransA(dst.data32, a.data32, b.data32, k, m, n, true)
+		matmulTransA(tile32, dst.data32, a.data32, b.data32, k, m, n, tileSeed)
 	} else {
-		matmulTransA(dst.data, a.data, b.data, k, m, n, true)
+		matmulTransA(tile64, dst.data, a.data, b.data, k, m, n, tileSeed)
 	}
 }
 
-func matmulTransA[E Elem](c, a, b []E, k, m, n int, acc bool) {
-	if parallelWorthwhile(int64(m) * int64(k) * int64(n)) {
-		// Split over output columns: every worker walks the full p loop, so
-		// each element still accumulates in p order regardless of chunking.
-		par.Parallelize(n, func(jlo, jhi int) {
-			matmulTransACols(c, a, b, k, m, n, jlo, jhi, acc)
-		})
-		return
-	}
-	matmulTransACols(c, a, b, k, m, n, 0, n, acc)
-}
-
-// matmulTransACols computes output columns [jlo, jhi). The p loop streams
-// rows of A and B while tileRows rows of C share each B row slab; the
-// column range is processed in panels sized so the touched C panel
-// (m × panel) stays cache-resident across all k passes. The i-tile
-// decomposition covers the full row range in every worker and panels only
-// reorder whole-element groups, so results are chunk-invariant. This kernel
-// accumulates directly into C at storage width: each element receives its k
-// contributions in p order, matching the dot-kernel rounding sequence
-// exactly, so both code paths agree bitwise per precision.
-func matmulTransACols[E Elem](c, a, b []E, k, m, n, jlo, jhi int, acc bool) {
-	if !acc {
-		for i := 0; i < m; i++ {
-			row := c[i*n+jlo : i*n+jhi]
-			for j := range row {
-				row[j] = 0
-			}
-		}
-	}
-	// C panel budget: tileK*tileJ elements (512 KiB at float64), spread over
-	// m rows.
-	panel := tileK * tileJ / m
-	if panel < 32 {
-		panel = 32
-	}
-	if panel > tileJ {
-		panel = tileJ
-	}
-	for jc := jlo; jc < jhi; jc += panel {
-		jcHi := jc + panel
-		if jcHi > jhi {
-			jcHi = jhi
-		}
-		w := jcHi - jc
-		for p := 0; p < k; p++ {
-			ap := a[p*m : (p+1)*m]
-			bp := b[p*n+jc : p*n+jcHi]
-			i := 0
-			for ; i+tileRows <= m; i += tileRows {
-				v0, v1, v2, v3 := ap[i], ap[i+1], ap[i+2], ap[i+3]
-				if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-					continue
-				}
-				c0 := c[(i+0)*n+jc : (i+0)*n+jc+w]
-				c1 := c[(i+1)*n+jc : (i+1)*n+jc+w]
-				c2 := c[(i+2)*n+jc : (i+2)*n+jc+w]
-				c3 := c[(i+3)*n+jc : (i+3)*n+jc+w]
-				for j, bv := range bp {
-					c0[j] += v0 * bv
-					c1[j] += v1 * bv
-					c2[j] += v2 * bv
-					c3[j] += v3 * bv
-				}
-			}
-			for ; i < m; i++ {
-				av := ap[i]
-				if av == 0 {
-					continue
-				}
-				ci := c[i*n+jc : i*n+jc+w]
-				for j, bv := range bp {
-					ci[j] += av * bv
-				}
-			}
-		}
-	}
+// matmulTransA is the micro-kernel walking A (k×m) down its columns: output
+// row i reads a[p*m+i].
+func matmulTransA[E Elem](tile tileFunc[E], c, a, b []E, k, m, n int, mode tileMode) {
+	gemm(tile, c, n, a, 1, m, b, n, m, k, n, mode)
 }
 
 func checkTransB(a, b *Tensor) (m, k, n int) {
@@ -506,9 +354,9 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 	checkSameDType("MatMulTransB", a, b)
 	c := NewOf(a.dt, m, n)
 	if a.dt == Float32 {
-		matmulTransB(c.data32, a.data32, b.data32, m, k, n, false)
+		matmulTransB(tile32, c.data32, a.data32, b.data32, m, k, n, false)
 	} else {
-		matmulTransB(c.data, a.data, b.data, m, k, n, false)
+		matmulTransB(tile64, c.data, a.data, b.data, m, k, n, false)
 	}
 	return c
 }
@@ -521,9 +369,9 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	}
 	checkSameDType("MatMulTransBInto", dst, a, b)
 	if dst.dt == Float32 {
-		matmulTransB(dst.data32, a.data32, b.data32, m, k, n, false)
+		matmulTransB(tile32, dst.data32, a.data32, b.data32, m, k, n, false)
 	} else {
-		matmulTransB(dst.data, a.data, b.data, m, k, n, false)
+		matmulTransB(tile64, dst.data, a.data, b.data, m, k, n, false)
 	}
 }
 
@@ -537,20 +385,86 @@ func MatMulTransBAcc(dst, a, b *Tensor) {
 	}
 	checkSameDType("MatMulTransBAcc", dst, a, b)
 	if dst.dt == Float32 {
-		matmulTransB(dst.data32, a.data32, b.data32, m, k, n, true)
+		matmulTransB(tile32, dst.data32, a.data32, b.data32, m, k, n, true)
 	} else {
-		matmulTransB(dst.data, a.data, b.data, m, k, n, true)
+		matmulTransB(tile64, dst.data, a.data, b.data, m, k, n, true)
 	}
 }
 
-// matmulTransB runs the shared dot kernel directly: B stored n×k is already
-// the packed-Bᵀ layout matmulPackedRows wants.
-func matmulTransB[E Elem](c, a, b []E, m, k, n int, acc bool) {
-	if parallelWorthwhile(int64(m) * int64(k) * int64(n)) {
-		par.Parallelize(m, func(lo, hi int) {
-			matmulPackedRows(c, a, b, lo, hi, k, n, acc)
+// matmulTransB computes C (+)= A × Bᵀ for A m×k and B n×k. The micro-kernel
+// wants its right operand row-major in p, which neither is, so the smaller of
+// the two is transposed into scratch. If that is B the product runs directly.
+// If it is A the product runs transposed, Cᵀ = B × Aᵀ, into scratch whose
+// rows are padded to whole tiles (so a narrow m still fills vector lanes),
+// and is folded back element by element. Either way an element is its k
+// products summed from zero, then stored or added to C once.
+func matmulTransB[E Elem](tile tileFunc[E], c, a, b []E, m, k, n int, acc bool) {
+	dt := dtypeOf[E]()
+	if n <= m {
+		bts := GetScratchOf(dt, k, n)
+		transposeInto(DataOf[E](bts), n, b, n, k)
+		mode := tileStore
+		if acc {
+			mode = tileAddTo
+		}
+		gemm(tile, c, n, a, k, 1, DataOf[E](bts), n, m, k, n, mode)
+		PutScratch(bts)
+		return
+	}
+	w := tileCols[E]()
+	mp := (m + w - 1) / w * w
+	ats, cts := GetScratchOf(dt, k, mp), GetScratchOf(dt, n, mp)
+	ct := DataOf[E](cts)
+	transposeInto(DataOf[E](ats), mp, a, m, k)
+	gemm(tile, ct, mp, b, k, 1, DataOf[E](ats), mp, n, k, mp, tileStore)
+	for i := 0; i < m; i++ {
+		ci := c[i*n : (i+1)*n]
+		if acc {
+			for j := range ci {
+				ci[j] += ct[j*mp+i]
+			}
+		} else {
+			for j := range ci {
+				ci[j] = ct[j*mp+i]
+			}
+		}
+	}
+	PutScratch(ats)
+	PutScratch(cts)
+}
+
+// transposeInto writes the r×c matrix src transposed into dst (c rows of
+// stride ldd >= r), zeroing the ldd-r columns of padding, using
+// cache-friendly square tiles. Pure data movement — layout only.
+func transposeInto[E Elem](dst []E, ldd int, src []E, r, c int) {
+	const tile = 32
+	if parallelWorthwhile(int64(r) * int64(c) * 8) {
+		par.ParallelizeGrain(c, tile, func(lo, hi int) {
+			transposeTiles(dst, ldd, src, r, c, lo, hi)
 		})
 		return
 	}
-	matmulPackedRows(c, a, b, 0, m, k, n, acc)
+	transposeTiles(dst, ldd, src, r, c, 0, c)
+}
+
+func transposeTiles[E Elem](dst []E, ldd int, src []E, r, c, jLo, jHi int) {
+	const tile = 32
+	for j0 := jLo; j0 < jHi; j0 += tile {
+		j1 := min(j0+tile, jHi)
+		for i0 := 0; i0 < r; i0 += tile {
+			// Rows of src are walked along their length: the operand A × Bᵀ
+			// transposes is the one with few rows and long ones.
+			for i := i0; i < min(i0+tile, r); i++ {
+				d := dst[j0*ldd+i:]
+				for jj, v := range src[i*c+j0 : i*c+j1] {
+					d[jj*ldd] = v
+				}
+			}
+		}
+		if ldd > r {
+			for j := j0; j < j1; j++ {
+				fillSlice(dst[j*ldd+r:(j+1)*ldd], 0)
+			}
+		}
+	}
 }

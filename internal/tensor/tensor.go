@@ -109,7 +109,9 @@ func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", shape))
+			// Formatting a copy keeps shape itself from escaping, so callers'
+			// variadic shape lists stay on their stacks.
+			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", append([]int(nil), shape...)))
 		}
 		n *= d
 	}
