@@ -2,8 +2,8 @@
 # pre-merge gate: build + tests (shuffled, so order-dependent tests cannot
 # hide), the same for the kernel packages with the assembly compiled out,
 # static vetting, fedsu-lint, the race detector over every package, a short
-# fuzz smoke over the wire codecs and the matmul driver, and the bench/
-# module's own vet and tests.
+# fuzz smoke over the wire codecs, the matmul driver and the element-wise
+# kernels, and the bench/ module's own vet and tests.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -16,18 +16,20 @@ tier1:
 	$(GO) build ./...
 	$(GO) test -shuffle=on ./...
 
-# The Go tile lane: internal/tensor has two implementations of one
-# micro-kernel contract (DESIGN.md §5c), AVX2 assembly and a Go tile, and a
-# runner with AVX2 never executes the second. The purego tag compiles the
-# assembly out, so the Go tile carries the three packages whose tests prove
-# bit-identity (tensor: against the retired scalar kernels; nn, fl: across
-# worker counts, replicas and transports).
+# The Go lane: internal/tensor has two implementations of each kernel
+# contract (DESIGN.md §5c) — the matmul tile, and the element-wise family
+# the fold runs (AddTo, AddPair, AddPairTo, Scale) — AVX2 assembly and Go,
+# and a runner with AVX2 never executes the second. The purego tag compiles
+# the assembly out, so the Go code carries the three packages whose tests
+# prove bit-identity (tensor: against the retired scalar kernels and a naive
+# loop; nn, fl: across worker counts, replicas, topologies and transports).
 tier1-purego:
 	$(GO) build -tags purego ./...
 	$(GO) test -tags purego -shuffle=on ./internal/tensor/... ./internal/nn/... ./internal/fl/...
 
-# `go vet` includes asmdecl, which checks internal/tensor/kernel_amd64.s
-# against its Go declarations (argument offsets, frame sizes).
+# `go vet` includes asmdecl, which checks internal/tensor/kernel_amd64.s —
+# the tile and the element-wise heads, which take slices — against its Go
+# declarations (argument offsets, frame sizes).
 vet:
 	$(GO) vet ./...
 
@@ -72,9 +74,11 @@ verify-f32: tier1-f32 race-f32
 # testdata/fuzz/ and f.Add. PR 18 added no target: FuzzEntropyStage now
 # aims at tag 0x07 (and demands the retired-format error for 0x06),
 # FuzzQuantStage checks the dense mode against the bitmap form. The last
-# target is not a wire codec: FuzzMicroKernel drives the matmul driver over
-# (shape, operand strides, seed) and holds the selected micro-kernel and the
-# Go tile to a naive ordered sum.
+# two targets are not wire codecs: FuzzMicroKernel drives the matmul driver
+# over (shape, operand strides, seed) and holds the selected micro-kernel and
+# the Go tile to a naive ordered sum; FuzzVecKernels drives the element-wise
+# kernels over (length, operand offsets, seed, operation) and holds the
+# selected lane and the Go loops to a naive loop, NaN payloads included.
 fuzz:
 	$(GO) test -fuzz '^FuzzAggWire$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flrpc/
 	$(GO) test -fuzz '^FuzzFrame$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flrpc/
@@ -86,6 +90,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzChainRoundTrip$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
 	$(GO) test -fuzz '^FuzzBaseWordVsScalar$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
 	$(GO) test -fuzz '^FuzzMicroKernel$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/tensor/
+	$(GO) test -fuzz '^FuzzVecKernels$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/tensor/
 
 # bench/ is its own module (BENCHMARK.json's program), so `./...` above
 # never compiles it: vet and test it here, or a refactor of fl/flrpc/sparse
@@ -111,9 +116,13 @@ bench-agg:
 # Hierarchical-aggregation benchmark (see BENCH_tree.json for the tracked
 # medians): the root's per-round workload flat vs tree at equal
 # participants — 1000-member cohort from 100k registered, fanout 8/32.
+# Then the layer under it: the fold's element-wise kernels at 50k and 600k
+# elements, destination L2-hot or drawn cold from a ring of 64, the selected
+# lane ("asm") against the Go loops (EXPERIMENTS.md, "Fold at memory speed").
 # Take the median of the 3 counts.
 bench-tree:
 	$(GO) test ./internal/fl/ -run xxx -bench '^BenchmarkTreeRootFold' -benchmem -count 3
+	$(GO) test ./internal/tensor/ -run xxx -bench '^BenchmarkVecAdd$$' -count 3
 
 # Compression-chain stage benchmarks (see BENCH_codec.json for the
 # tracked medians): per-stage encode ns/op, B/op, and encoded bytes at

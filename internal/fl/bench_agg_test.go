@@ -29,7 +29,13 @@ type benchFleet struct {
 }
 
 func newBenchFleet(clients, size int) *benchFleet {
-	f := &benchFleet{srv: NewServer(clients)}
+	return newBenchFleetOn(NewServer(clients), clients, size)
+}
+
+// newBenchFleetOn is newBenchFleet over a collective the caller built (a
+// tree, a relay-mode subtree); ids 0..clients-1 are declared as its roster.
+func newBenchFleetOn(srv *Server, clients, size int) *benchFleet {
+	f := &benchFleet{srv: srv}
 	f.ids = make([]int, clients)
 	f.vecs = make([][]float64, clients)
 	f.start = make([]chan int, clients)
@@ -53,6 +59,7 @@ func newBenchFleet(clients, size int) *benchFleet {
 			}
 		}(i)
 	}
+	srv.SetRoster(f.ids)
 	return f
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"fedsu/internal/par"
 	"fedsu/internal/sparse/codec"
+	"fedsu/internal/tensor"
 )
 
 // This file holds the streaming fold node: the component that accepts
@@ -32,9 +33,10 @@ import (
 // not associative. The pairwise order also grows rounding error O(log n)
 // instead of the left fold's O(n).
 //
-// IEEE-754 addition is commutative (a+b == b+a bitwise, including NaN
-// payload propagation for the quiet NaNs Go produces), so only the
-// grouping — never the operand order inside one merge — has to be pinned.
+// IEEE-754 addition commutes bitwise except when both operands are NaN:
+// x86 then returns the first operand's payload, and only the canonical NaN
+// Go arithmetic produces makes that moot. So every merge is also written
+// left + right, lower ranks first, whichever side owns the destination.
 //
 // # Streaming implementation
 //
@@ -65,9 +67,10 @@ const (
 	posSkip                  // resolved without contributing (abstain, non-participant, evicted)
 )
 
-// foldGrain aligns parallel fold chunks; any value works for bit-identity
-// (the per-element addition order never depends on chunking), this one just
-// amortizes dispatch.
+// foldGrain aligns parallel fold chunks and is the block the plan kernel
+// works at a time; any value works for bit-identity (the per-element
+// addition order never depends on chunking), this one amortizes dispatch
+// and keeps an op's three operands (8 KiB each) in L1.
 const foldGrain = 1024
 
 // drainMinBatch keeps opportunistic mid-barrier drains from paying a fold
@@ -76,13 +79,22 @@ const foldGrain = 1024
 // everything).
 const drainMinBatch = 4
 
-// foldPlan op kinds: elementwise ops executed chunk-sequentially by the
-// plan kernel. add2 is dst += src; add3 is dst = a + b (dst disjoint or
-// equal to a previously freed buffer); copyOp is dst = a.
+// foldPlan op kinds: elementwise ops executed grain by grain, in plan order
+// within each, by the plan kernel. add2 is dst += a1; add3 is dst = a1 + a2 (dst disjoint, a2
+// itself, or a previously freed buffer); add3To is dst += (a1 + a2), the
+// fusion of an add3 into a buffer nothing else reads and the add2 consuming
+// it; copyOp is dst = a1.
 const (
 	foldOpAdd2 = iota
 	foldOpAdd3
+	foldOpAdd3To
 	foldOpCopy
+)
+
+// The plan's kernels, and whether mergeLocked fuses; only tests reassign them.
+var (
+	addTo, addPair, addPairTo, scaleBy = tensor.AddTo, tensor.AddPair, tensor.AddPairTo, tensor.Scale
+	fusePairAdd                        = true
 )
 
 type foldOp struct {
@@ -114,7 +126,8 @@ type foldNode struct {
 	// read by the fold path (atomic acquire); staged[p] is published by
 	// the posStaged store and only read after the corresponding load.
 	// staged[p] normally references the submitting caller's slice;
-	// ownedPtr[p] is non-nil iff staged[p] is a pooled copy (detach).
+	// ownedPtr[p] is non-nil iff staged[p] is pooled storage the node owns:
+	// a detach copy, or a child's partial handed up with its buffer.
 	status   []atomic.Uint32
 	staged   [][]float64
 	ownedPtr []*[]float64
@@ -146,7 +159,7 @@ type foldNode struct {
 	scaleFn  func(lo, hi int)
 	scaleInv float64
 
-	// Published under mu before the owner closes its done channel.
+	// The finalized sum while complete scales it.
 	result []float64
 }
 
@@ -159,32 +172,26 @@ type strayEntry struct {
 func newFoldNode() *foldNode {
 	f := &foldNode{pos: map[int]int{}, sumLen: -1}
 	f.planFn = func(lo, hi int) {
-		for _, op := range f.plan {
-			dst := op.dst[lo:hi]
-			switch op.kind {
-			case foldOpAdd2:
-				src := op.a1[lo:hi]
-				for i := range dst {
-					dst[i] += src[i]
+		// The whole plan on one grain before the next: a destination stays
+		// in L1 from the op that writes it to the op that adds it on.
+		for ; lo < hi; lo += foldGrain {
+			end := min(lo+foldGrain, hi)
+			for _, op := range f.plan {
+				dst := op.dst[lo:end]
+				switch op.kind {
+				case foldOpAdd2:
+					addTo(dst, op.a1[lo:end])
+				case foldOpAdd3:
+					addPair(dst, op.a1[lo:end], op.a2[lo:end])
+				case foldOpAdd3To:
+					addPairTo(dst, op.a1[lo:end], op.a2[lo:end])
+				case foldOpCopy:
+					copy(dst, op.a1[lo:end])
 				}
-			case foldOpAdd3:
-				a := op.a1[lo:hi]
-				b := op.a2[lo:hi]
-				for i := range dst {
-					dst[i] = a[i] + b[i]
-				}
-			case foldOpCopy:
-				copy(dst, op.a1[lo:hi])
 			}
 		}
 	}
-	f.scaleFn = func(lo, hi int) {
-		dst := f.result[lo:hi]
-		inv := f.scaleInv
-		for i := range dst {
-			dst[i] *= inv
-		}
-	}
+	f.scaleFn = func(lo, hi int) { scaleBy(f.result[lo:hi], f.scaleInv) }
 	return f
 }
 
@@ -247,24 +254,8 @@ func (f *foldNode) reset() {
 	f.sumLen = -1
 	f.lenFail = nil
 	f.result = nil
-	for i := range f.levels {
-		f.levels[i] = levelSlot{alias: -1}
-	}
-	f.levels = f.levels[:0]
-	for _, p := range f.spare {
-		codec.PutVals(p)
-	}
-	f.spare = f.spare[:0]
 	f.plan = f.plan[:0]
-	for p := range f.staged {
-		codec.PutVals(f.ownedPtr[p])
-		f.ownedPtr[p] = nil
-		f.staged[p] = nil
-	}
-	for id, s := range f.strays {
-		codec.PutVals(s.buf)
-		delete(f.strays, id)
-	}
+	f.releaseStagedLocked()
 }
 
 // stage publishes the contribution (or, when not contributing, the skip)
@@ -284,15 +275,16 @@ func (f *foldNode) stage(id int, values []float64, contributing bool) int {
 }
 
 // stageWeighted stages a tree-tier partial: the contribution counts
-// weight toward the mean divisor. Caller must have armed with weights.
-func (f *foldNode) stageWeighted(rank int, values []float64, weight int) int {
+// weight toward the mean divisor. A non-nil own is the pooled buffer behind
+// values, and the node takes it over. Caller must have armed with weights.
+func (f *foldNode) stageWeighted(rank int, values []float64, own *[]float64, weight int) int {
 	if values == nil || weight <= 0 {
 		f.status[rank].Store(posSkip)
 		f.tryDrain()
 		return -1
 	}
 	f.weights[rank] = weight
-	f.staged[rank] = values
+	f.staged[rank], f.ownedPtr[rank] = values, own
 	f.status[rank].Store(posStaged)
 	f.tryDrain()
 	return rank
@@ -408,6 +400,13 @@ func (f *foldNode) insertLocked(vec []float64, aliasPos, weight, id int) {
 			f.lenFail = fmt.Errorf("fl: client %d submitted %d values, others %d", id, len(vec), f.sumLen)
 		} else {
 			cur = levelSlot{vec: vec, alias: aliasPos}
+			if f.weights != nil && aliasPos >= 0 && f.ownedPtr[aliasPos] != nil {
+				// A tier above the leaves never refolds (strays need the
+				// spanning leaf), so a staged buffer it owns moves into the
+				// counter and merges accumulate into it in place.
+				cur = levelSlot{vec: vec, owned: f.ownedPtr[aliasPos], alias: -1}
+				f.staged[aliasPos], f.ownedPtr[aliasPos] = nil, nil
+			}
 			f.folded += weight
 		}
 	}
@@ -436,21 +435,28 @@ func (f *foldNode) ensureLevel(k int) {
 	}
 }
 
-// mergeLocked plans the elementwise addition of two non-⊥ subtree sums,
-// preferring to accumulate into a buffer the node already owns. Operand
-// order inside the addition is free (IEEE-754 addition commutes); only
-// the grouping is canonical. Caller holds mu.
+// mergeLocked plans the elementwise addition a + b of two non-⊥ subtree
+// sums, preferring to accumulate into a buffer the node already owns.
+// Caller holds mu.
 func (f *foldNode) mergeLocked(a, b levelSlot) levelSlot {
 	switch {
 	case a.owned != nil:
-		f.plan = append(f.plan, foldOp{kind: foldOpAdd2, dst: a.vec, a1: b.vec})
+		last := len(f.plan) - 1
+		if fusePairAdd && b.owned != nil && f.sumLen > 0 && last >= 0 &&
+			f.plan[last].kind == foldOpAdd3 && &f.plan[last].dst[0] == &b.vec[0] {
+			// b is x + y from the op just planned and is read only here:
+			// a += (x + y) in one pass, same grouping, b never written.
+			f.plan[last].kind, f.plan[last].dst = foldOpAdd3To, a.vec
+		} else {
+			f.plan = append(f.plan, foldOp{kind: foldOpAdd2, dst: a.vec, a1: b.vec})
+		}
 		if b.owned != nil {
 			f.spare = append(f.spare, b.owned)
 		}
-		return levelSlot{vec: a.vec, owned: a.owned, alias: -1}
+		return a
 	case b.owned != nil:
-		f.plan = append(f.plan, foldOp{kind: foldOpAdd2, dst: b.vec, a1: a.vec})
-		return levelSlot{vec: b.vec, owned: b.owned, alias: -1}
+		f.plan = append(f.plan, foldOp{kind: foldOpAdd3, dst: b.vec, a1: a.vec, a2: b.vec})
+		return b
 	default:
 		buf := f.getBufLocked()
 		dst := (*buf)[:f.sumLen]
@@ -461,8 +467,8 @@ func (f *foldNode) mergeLocked(a, b levelSlot) levelSlot {
 
 // getBufLocked reuses a buffer freed by an earlier merge of this
 // collective, falling back to the pool. Reuse within one plan is safe:
-// the plan kernel executes ops sequentially per chunk, so a buffer read
-// by an earlier op is only overwritten by a later op on the same chunk.
+// the plan kernel executes ops sequentially per grain, so a buffer read
+// by an earlier op is only overwritten by a later op on the same grain.
 func (f *foldNode) getBufLocked() *[]float64 {
 	if n := len(f.spare); n > 0 {
 		buf := f.spare[n-1]
@@ -492,9 +498,9 @@ func (f *foldNode) execPlanLocked() {
 // virtual ⊥ ranks padding the roster to a power of two merge as the
 // identity, leaving exactly the right-spine combination of the completed
 // subtrees. The result is materialized into owned storage (never an
-// aliased caller slice). Caller holds mu; returns sum (nil when nothing
-// folded) and the weighted contribution count.
-func (f *foldNode) finalizeLocked() ([]float64, int) {
+// aliased caller slice). Caller holds mu; returns the pooled buffer holding
+// the sum (nil when nothing folded) and the weighted contribution count.
+func (f *foldNode) finalizeLocked() (*[]float64, int) {
 	if f.lenFail != nil {
 		return nil, 0
 	}
@@ -524,12 +530,9 @@ func (f *foldNode) finalizeLocked() ([]float64, int) {
 		res = levelSlot{vec: dst, owned: buf, alias: -1}
 	}
 	f.execPlanLocked()
-	// The result is handed to every waiter and retained indefinitely; its
-	// backing buffer leaves the pool for good (the pool mints a fresh
-	// allocation later — same steady-state cost as the historical
-	// per-collective make).
-	f.result = res.vec
-	return f.result, f.folded
+	// The buffer leaves the node with the sum: complete's caller owns it.
+	f.result, *res.owned = res.vec, res.vec
+	return res.owned, f.folded
 }
 
 // scaleResultLocked scales the finalized sum in place by 1/weight with
@@ -593,11 +596,14 @@ func (f *foldNode) refoldLocked() {
 // complete drains the remaining work and produces the collective result
 // (the raw canonical sum, or the mean when scaleMean is set) plus the
 // weighted contributor count, or the deterministic length-mismatch
-// failure. It releases every staged reference before returning — caller
+// failure. res is a pooled buffer and the caller's from here on: a parent
+// node takes it over (stageWeighted), a relay returns it once forwarded, and
+// only the root's published mean, whose readers nobody can count, is left to
+// the collector. It releases every staged reference before returning — caller
 // slices go back to their owners, pooled copies and strays to the pool —
 // so a post-completion detach sees nil and does nothing. It must run on
 // exactly one goroutine per collective (the owner's finished flag).
-func (f *foldNode) complete(scaleMean bool) (res []float64, weight int, err error) {
+func (f *foldNode) complete(scaleMean bool) (res *[]float64, weight int, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.drainLocked(true)
@@ -616,9 +622,10 @@ func (f *foldNode) complete(scaleMean bool) (res []float64, weight int, err erro
 	return res, weight, err
 }
 
-// releaseStagedLocked drops every staged reference and sweeps the counter
-// levels (which still hold owned buffers when a length failure aborted
-// the fold before finalize). Caller holds mu.
+// releaseStagedLocked is the one list of what a node gives back to the
+// pool: it drops every staged reference and sweeps the counter levels
+// (which still hold owned buffers when a length failure aborted the fold
+// before finalize). Caller holds mu, or is reset.
 func (f *foldNode) releaseStagedLocked() {
 	for p := range f.staged {
 		codec.PutVals(f.ownedPtr[p])

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fedsu/internal/sparse/codec"
 )
 
 // Tree is the aggregation service — Algorithm 1's Central_Server. Each
@@ -114,7 +116,7 @@ type Tree struct {
 	// gen numbers the armed collectives; nodeFree and colFree recycle their
 	// shells (maps, tier slices, fold scratch) across rounds so a
 	// steady-state collective allocates nothing but its done channel and
-	// result.
+	// the root's result.
 	gen      uint64
 	nodeFree []*tierNode
 	colFree  []*treeCol
@@ -614,8 +616,9 @@ func (t *Tree) completeNode(node *tierNode) *tierNode {
 		up, base := t.upstream, t.upstreamBase
 		t.mu.Unlock()
 		if up == nil {
+			// The mean stays out of the pool: its readers cannot be counted.
 			res, _, err := node.fold.complete(true)
-			t.finishRoot(c, node, res, err)
+			t.finishRoot(c, node, vals(res), err)
 			return nil
 		}
 		// Subtree mode: the "root" is one aligned block of a larger
@@ -624,8 +627,9 @@ func (t *Tree) completeNode(node *tierNode) *tierNode {
 		sum, weight, err := node.fold.complete(false)
 		var global []float64
 		if err == nil {
-			global, err = up(c.key.round, c.key.kind, base, sum, weight)
+			global, err = up(c.key.round, c.key.kind, base, vals(sum), weight)
 		}
+		codec.PutVals(sum)
 		t.finishRoot(c, node, global, err)
 		return nil
 	}
@@ -635,11 +639,8 @@ func (t *Tree) completeNode(node *tierNode) *tierNode {
 	if err != nil {
 		node.failure = err
 	}
-	forwarded := err == nil && res != nil && weight > 0
-	if !forwarded {
-		res, weight = nil, 0
-	}
-	parent.fold.stageWeighted(node.index%span, res, weight)
+	forwarded := res != nil // an error or an empty node returns no sum
+	parent.fold.stageWeighted(node.index%span, vals(res), res, weight)
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -657,6 +658,14 @@ func (t *Tree) completeNode(node *tierNode) *tierNode {
 		return parent
 	}
 	return nil
+}
+
+// vals is the vector in a pooled buffer, nil for none.
+func vals(p *[]float64) []float64 {
+	if p == nil {
+		return nil
+	}
+	return *p
 }
 
 // finishRoot publishes the collective result and wakes every waiter. A

@@ -31,7 +31,8 @@ import (
 // enclosing tree and returns the published global. rankLo is the
 // subtree's first rank in the enclosing roster; sum is the raw canonical
 // sum over weight contributors (nil sum with zero weight when every
-// member was evicted). The hook runs on the completing submitter's
+// member was evicted). sum is not retained past the call: its buffer is
+// recycled when the hook returns. The hook runs on the completing submitter's
 // goroutine with no Tree lock held, so it may block on network I/O.
 type UpstreamFunc func(round int, kind string, rankLo int, sum []float64, weight int) ([]float64, error)
 
@@ -127,7 +128,7 @@ func (t *Tree) AggregatePartialCtx(ctx context.Context, round int, kind string, 
 	// wait until the collective closes, exactly the Aggregate ownership
 	// contract, so the caller's buffer is recyclable on return. An
 	// abandoned wait detaches it from the parent fold first.
-	detach := parent.fold.stageWeighted(leaf.index%t.fanout, sum, weight)
+	detach := parent.fold.stageWeighted(leaf.index%t.fanout, sum, nil, weight)
 	t.mu.Lock()
 	parent.subs++
 	var closing *tierNode

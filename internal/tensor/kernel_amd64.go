@@ -13,6 +13,22 @@ func kernel4x8F64(c *float64, ldc int, a *float64, ars, acs int, b *float64, ldb
 //go:noescape
 func kernel4x16F32(c *float32, ldc int, a *float32, ars, acs int, b *float32, ldb, k, mode int)
 
+// Element-wise heads (contract: vec.go). Each works the leading len(dst)&^15
+// elements, 32 bytes a step with unaligned loads and stores, and returns that
+// count; the other operands are at least as long as dst.
+
+//go:noescape
+func vecAddTo(dst, src []float64) int
+
+//go:noescape
+func vecAddPair(dst, a, b []float64) int
+
+//go:noescape
+func vecAddPairTo(dst, a, b []float64) int
+
+//go:noescape
+func vecScale(dst []float64, s float64) int
+
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
@@ -39,6 +55,7 @@ func hasAVX2() bool {
 func init() {
 	if hasAVX2() {
 		tile64, tile32, tileImpl = avx2Tile64, avx2Tile32, "avx2"
+		headAddTo, headAddPair, headAddPairTo, headScale = vecAddTo, vecAddPair, vecAddPairTo, vecScale
 	}
 }
 

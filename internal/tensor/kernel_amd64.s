@@ -121,6 +121,79 @@ TEXT ·kernel4x16F32(SB), NOSPLIT, $0-72
 	SHLQ $2, R11
 	TILE(VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VXORPS)
 
+// The element-wise heads (contract: vec.go). One step of each works 32 bytes
+// at offset o from AX: a separate load, then the add with the Go statement's
+// first operand in the middle (first-source) position, so a lane with two
+// NaNs keeps the payload the scalar code keeps.
+#define ADDTO(o) \
+	VMOVUPD o(DI)(AX*1), Y0; \
+	VADDPD  o(SI)(AX*1), Y0, Y0; \
+	VMOVUPD Y0, o(DI)(AX*1)
+
+#define ADDPAIR(o) \
+	VMOVUPD o(SI)(AX*1), Y0; \
+	VADDPD  o(DX)(AX*1), Y0, Y0; \
+	VMOVUPD Y0, o(DI)(AX*1)
+
+#define ADDPAIRTO(o) \
+	VMOVUPD o(SI)(AX*1), Y0; \
+	VADDPD  o(DX)(AX*1), Y0, Y0; \
+	VMOVUPD o(DI)(AX*1), Y1; \
+	VADDPD  Y0, Y1, Y1; \
+	VMOVUPD Y1, o(DI)(AX*1)
+
+#define SCALE(o) \
+	VMOVUPD o(DI)(AX*1), Y0; \
+	VMULPD  Y2, Y0, Y0; \
+	VMOVUPD Y0, o(DI)(AX*1)
+
+// VEC rounds len(dst) in CX down to a multiple of 16 elements, returns it
+// and runs STEP over that many bytes, four steps a turn.
+#define VEC(STEP, ret) \
+	ANDQ $~15, CX; \
+	MOVQ CX, ret; \
+	JZ   done; \
+	SHLQ $3, CX; \
+	XORQ AX, AX; \
+loop: \
+	STEP(0); STEP(32); STEP(64); STEP(96); \
+	ADDQ $128, AX; \
+	CMPQ AX, CX; \
+	JLT  loop; \
+done: \
+	VZEROUPPER; \
+	RET
+
+// func vecAddTo(dst, src []float64) int
+TEXT ·vecAddTo(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	VEC(ADDTO, ret+48(FP))
+
+// func vecAddPair(dst, a, b []float64) int
+TEXT ·vecAddPair(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	VEC(ADDPAIR, ret+72(FP))
+
+// func vecAddPairTo(dst, a, b []float64) int
+TEXT ·vecAddPairTo(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	VEC(ADDPAIRTO, ret+72(FP))
+
+// func vecScale(dst []float64, s float64) int
+TEXT ·vecScale(SB), NOSPLIT, $0-40
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	VBROADCASTSD s+24(FP), Y2
+	VEC(SCALE, ret+32(FP))
+
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX
