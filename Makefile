@@ -2,8 +2,8 @@
 # pre-merge gate: build + tests (shuffled, so order-dependent tests cannot
 # hide), the same for the kernel packages with the assembly compiled out,
 # static vetting, fedsu-lint, the race detector over every package, a short
-# fuzz smoke over the wire codecs, the matmul driver and the element-wise
-# kernels, and the bench/ module's own vet and tests.
+# fuzz smoke over the wire codecs, the matmul driver and the element-wise and
+# convert kernels, and the bench/ module's own vet and tests.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -17,19 +17,22 @@ tier1:
 	$(GO) test -shuffle=on ./...
 
 # The Go lane: internal/tensor has two implementations of each kernel
-# contract (DESIGN.md §5c) — the matmul tile, and the element-wise family
-# the fold runs (AddTo, AddPair, AddPairTo, Scale) — AVX2 assembly and Go,
-# and a runner with AVX2 never executes the second. The purego tag compiles
-# the assembly out, so the Go code carries the three packages whose tests
-# prove bit-identity (tensor: against the retired scalar kernels and a naive
-# loop; nn, fl: across worker counts, replicas, topologies and transports).
+# contract (DESIGN.md §5c) — the matmul tile, the element-wise family the
+# fold runs (AddTo, AddPair, AddPairTo, Scale) and the float64↔float32 trio
+# the default wire converts on (NonzeroMask, NarrowLE, WidenLE) — AVX2
+# assembly and Go, and a runner with AVX2 never executes the second. The
+# purego tag compiles the assembly out, so the Go code carries the packages
+# whose tests prove bit-identity (tensor: against the retired scalar kernels
+# and a naive loop; nn, fl: across worker counts, replicas, topologies and
+# transports; sparse, flrpc: the codec against its per-bit reference and its
+# pinned payloads, TCP against in-process).
 tier1-purego:
 	$(GO) build -tags purego ./...
-	$(GO) test -tags purego -shuffle=on ./internal/tensor/... ./internal/nn/... ./internal/fl/...
+	$(GO) test -tags purego -shuffle=on ./internal/tensor/... ./internal/nn/... ./internal/fl/... ./internal/sparse/... ./internal/flrpc/...
 
 # `go vet` includes asmdecl, which checks internal/tensor/kernel_amd64.s —
-# the tile and the element-wise heads, which take slices — against its Go
-# declarations (argument offsets, frame sizes).
+# the tile, the element-wise and convert heads, which take slices, and the
+# mask word — against its Go declarations (argument offsets, frame sizes).
 vet:
 	$(GO) vet ./...
 
@@ -78,7 +81,9 @@ verify-f32: tier1-f32 race-f32
 # over (shape, operand strides, seed) and holds the selected micro-kernel and
 # the Go tile to a naive ordered sum; FuzzVecKernels drives the element-wise
 # kernels over (length, operand offsets, seed, operation) and holds the
-# selected lane and the Go loops to a naive loop, NaN payloads included.
+# selected lane and the Go loops to a naive loop, NaN payloads included;
+# FuzzConvertKernels does the same for the float64↔float32 trio over (length,
+# offset, raw bit patterns) against v != 0, float32(v) and float64(f).
 fuzz:
 	$(GO) test -fuzz '^FuzzAggWire$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flrpc/
 	$(GO) test -fuzz '^FuzzFrame$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flrpc/
@@ -91,6 +96,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzBaseWordVsScalar$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
 	$(GO) test -fuzz '^FuzzMicroKernel$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/tensor/
 	$(GO) test -fuzz '^FuzzVecKernels$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/tensor/
+	$(GO) test -fuzz '^FuzzConvertKernels$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/tensor/
 
 # bench/ is its own module (BENCHMARK.json's program), so `./...` above
 # never compiles it: vet and test it here, or a refactor of fl/flrpc/sparse

@@ -78,7 +78,8 @@ func NewManager(clientID, size int, agg Aggregator, opts Options) (*Manager, err
 type Aggregator = sparse.Aggregator
 
 // Syncer is the common interface of all synchronization strategies (FedSU
-// and the baselines).
+// and the baselines). The vector Sync returns is the strategy's own, valid
+// until the next Sync on the same strategy; copy it to keep it longer.
 type Syncer = sparse.Syncer
 
 // Traffic accounts one client's communication during one synchronization.

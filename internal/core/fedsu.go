@@ -205,7 +205,10 @@ type Manager struct {
 	// caller — see the ownership note on Sync. scratchSend/scratchErrSend
 	// back the collective submissions; the aggregator only reads them for
 	// the duration of the call (the fl.Server contract), so reusing them
-	// the following round is safe.
+	// the following round is safe. Each collective also lends the transport
+	// a scratch that is idle while it runs, to decode the result into: the
+	// model collective scratchDraw (filled only by diagnose, after the result
+	// is consumed), the error collective scratchSend (consumed by then).
 	scratchRegular  []int
 	scratchChecking []int
 	scratchSend     []float64
@@ -406,7 +409,7 @@ func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contr
 		// send scratch, which is idle until that collective is built below.
 		img = m.scratchErrSend[:len(send)]
 	}
-	aggModel, upBytes, downBytes, err := m.wire.Collect(ctx, sparse.AggModel, m.agg, m.id, round, send, img)
+	aggModel, upBytes, downBytes, err := m.wire.Collect(ctx, sparse.AggModel, m.agg, m.id, round, send, img, m.scratchDraw)
 	if err != nil {
 		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: aggregate model round %d: %w", round, err)
 	}
@@ -468,7 +471,7 @@ func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contr
 				errSend[j] = m.accumErr[i]
 			}
 		}
-		aggErr, up, down, err := m.wire.Collect(ctx, sparse.AggError, m.agg, m.id, round, errSend, nil)
+		aggErr, up, down, err := m.wire.Collect(ctx, sparse.AggError, m.agg, m.id, round, errSend, nil, m.scratchSend)
 		if err != nil {
 			return nil, sparse.Traffic{}, fmt.Errorf("fedsu: aggregate error round %d: %w", round, err)
 		}
@@ -557,7 +560,7 @@ func (m *Manager) bootstrap(ctx context.Context, round int, local []float64, con
 		send = m.scratchSend[:m.size]
 		copy(send, local)
 	}
-	agg, up, down, err := m.wire.Collect(ctx, sparse.AggModel, m.agg, m.id, round, send, nil)
+	agg, up, down, err := m.wire.Collect(ctx, sparse.AggModel, m.agg, m.id, round, send, nil, m.scratchDraw)
 	if err != nil {
 		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: bootstrap aggregate: %w", err)
 	}

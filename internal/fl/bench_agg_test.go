@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -26,6 +27,9 @@ type benchFleet struct {
 	done    sync.WaitGroup
 	failure error
 	mu      sync.Mutex
+	// held, set before the first round, makes every submitter a counted
+	// reader: it waits under a Hold and releases it on return.
+	held bool
 }
 
 func newBenchFleet(clients, size int) *benchFleet {
@@ -48,8 +52,16 @@ func newBenchFleetOn(srv *Server, clients, size int) *benchFleet {
 		f.vecs[i] = vec
 		f.start[i] = make(chan int, 1)
 		go func(i int) {
+			var hold Hold
+			ctx := WithHold(context.Background(), &hold)
 			for round := range f.start[i] {
-				_, err := f.srv.AggregateModel(i, round, f.vecs[i])
+				var err error
+				if f.held {
+					_, err = f.srv.AggregateModelCtx(ctx, i, round, f.vecs[i])
+					hold.Release()
+				} else {
+					_, err = f.srv.AggregateModel(i, round, f.vecs[i])
+				}
 				if err != nil {
 					f.mu.Lock()
 					f.failure = err

@@ -254,7 +254,7 @@ func (f *foldNode) reset() {
 	f.sumLen = -1
 	f.lenFail = nil
 	f.result = nil
-	f.plan = f.plan[:0]
+	f.dropPlan()
 	f.releaseStagedLocked()
 }
 
@@ -472,6 +472,7 @@ func (f *foldNode) mergeLocked(a, b levelSlot) levelSlot {
 func (f *foldNode) getBufLocked() *[]float64 {
 	if n := len(f.spare); n > 0 {
 		buf := f.spare[n-1]
+		f.spare[n-1] = nil // see dropPlan
 		f.spare = f.spare[:n-1]
 		if cap(*buf) >= f.sumLen {
 			return buf
@@ -479,6 +480,15 @@ func (f *foldNode) getBufLocked() *[]float64 {
 		codec.PutVals(buf)
 	}
 	return codec.GetVals(f.sumLen)
+}
+
+// dropPlan empties the plan and zeroes its ops: a truncated slice still
+// references what its old elements named, and a node on the free list would
+// pin those vectors — pooled buffers long since returned, callers' slices —
+// past every collection.
+func (f *foldNode) dropPlan() {
+	clear(f.plan)
+	f.plan = f.plan[:0]
 }
 
 // execPlanLocked runs the accumulated fold plan with one parallel pass
@@ -490,7 +500,7 @@ func (f *foldNode) execPlanLocked() {
 		return
 	}
 	par.ParallelizeGrain(f.sumLen, foldGrain, f.planFn)
-	f.plan = f.plan[:0]
+	f.dropPlan()
 }
 
 // finalizeLocked merges the residual counter levels into the collective
@@ -562,7 +572,7 @@ func (f *foldNode) refoldLocked() {
 		f.levels[i] = levelSlot{alias: -1}
 	}
 	f.levels = f.levels[:0]
-	f.plan = f.plan[:0]
+	f.dropPlan()
 	f.rank, f.folded = 0, 0
 	f.sumLen = -1
 	f.lenFail = nil
@@ -598,8 +608,9 @@ func (f *foldNode) refoldLocked() {
 // weighted contributor count, or the deterministic length-mismatch
 // failure. res is a pooled buffer and the caller's from here on: a parent
 // node takes it over (stageWeighted), a relay returns it once forwarded, and
-// only the root's published mean, whose readers nobody can count, is left to
-// the collector. It releases every staged reference before returning — caller
+// the root's published mean stays with its collective, which returns it when
+// every reader was counted (Hold) and leaves it to the collector otherwise.
+// It releases every staged reference before returning — caller
 // slices go back to their owners, pooled copies and strays to the pool —
 // so a post-completion detach sees nil and does nothing. It must run on
 // exactly one goroutine per collective (the owner's finished flag).
@@ -641,8 +652,9 @@ func (f *foldNode) releaseStagedLocked() {
 		f.levels[i] = levelSlot{alias: -1}
 	}
 	f.levels = f.levels[:0]
-	for _, p := range f.spare {
+	for i, p := range f.spare {
 		codec.PutVals(p)
+		f.spare[i] = nil
 	}
 	f.spare = f.spare[:0]
 }

@@ -232,9 +232,10 @@ func TestTreeKernelLanesAgree(t *testing.T) {
 
 // TestTreeSteadyStateAllocs pins the ownership hand-off: after two warm-up
 // rounds a collective over a fanout-8, 64-member tree allocates the root's
-// published vector and small change — not a vector per node — and a
-// relay-mode subtree, whose forwarded sum comes back when the upstream hook
-// returns, not even that.
+// published vector and small change — not a vector per node; a relay-mode
+// subtree, whose forwarded sum comes back when the upstream hook returns, not
+// even that; and neither does a tree or a flat collective whose every waiter
+// read the result under a Hold, so that it goes back with the shell.
 func TestTreeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops objects at random under the race detector")
@@ -244,15 +245,25 @@ func TestTreeSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	const members, size, rounds = 64, 4096, 20
-	const budget = 8*size + 2048
 	global := make([]float64, size)
 	relay := NewTree(8)
 	relay.SetUpstream(0, func(round int, kind string, rankLo int, sum []float64, weight int) ([]float64, error) {
 		return global, nil
 	})
-	for name, tr := range map[string]*Tree{"tree": NewTree(8), "relay": relay} {
-		f := newBenchFleetOn(tr, members, size)
+	for _, c := range []struct {
+		name   string
+		tr     *Tree
+		held   bool
+		budget uint64
+	}{
+		{"tree", NewTree(8), false, 8*size + 2048},
+		{"relay", relay, false, 2048},
+		{"tree, every waiter holds", NewTree(8), true, 2048},
+		{"flat, every waiter holds", NewServer(members), true, 2048},
+	} {
+		f := newBenchFleetOn(c.tr, members, size)
 		defer f.close()
+		f.held = c.held
 		f.round(0)
 		f.round(1)
 		var before, after runtime.MemStats
@@ -265,9 +276,9 @@ func TestTreeSteadyStateAllocs(t *testing.T) {
 			t.Fatal(f.failure)
 		}
 		perRound := (after.TotalAlloc - before.TotalAlloc) / rounds
-		t.Logf("%s: %d B/round (one vector is %d B)", name, perRound, 8*size)
-		if perRound > budget {
-			t.Errorf("%s: a steady-state collective allocates %d B, budget %d B", name, perRound, budget)
+		t.Logf("%s: %d B/round (one vector is %d B)", c.name, perRound, 8*size)
+		if perRound > c.budget {
+			t.Errorf("%s: a steady-state collective allocates %d B, budget %d B", c.name, perRound, c.budget)
 		}
 	}
 }

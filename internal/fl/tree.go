@@ -115,8 +115,8 @@ type Tree struct {
 
 	// gen numbers the armed collectives; nodeFree and colFree recycle their
 	// shells (maps, tier slices, fold scratch) across rounds so a
-	// steady-state collective allocates nothing but its done channel and
-	// the root's result.
+	// steady-state collective allocates nothing but its done channel and,
+	// when a waiter took it without a Hold, the root's result.
 	gen      uint64
 	nodeFree []*tierNode
 	colFree  []*treeCol
@@ -160,9 +160,38 @@ type treeCol struct {
 	result  []float64
 	failure error
 	done    chan struct{}
+	// resultBuf is the pooled buffer under result, nil for a relayed global
+	// (the upstream's slice). BeginRound returns it with the shell unless
+	// escaped says a waiter took result without a Hold and may keep it.
+	resultBuf *[]float64
+	escaped   atomic.Bool
 	// holders counts the Aggregate calls between looking the collective up
-	// and returning: BeginRound recycles the shell under none of them.
+	// and returning, and the Holds not yet released: BeginRound recycles the
+	// shell under none of them.
 	holders atomic.Int32
+}
+
+// Hold is a counted reader's claim on one collective's result. A call made
+// under WithHold reads the slice it returns only until Release; when every
+// waiter of a collective held and released, the result's buffer is recycled
+// with the collective instead of falling to the collector. A Hold that is
+// never released only forfeits that.
+type Hold struct{ col *treeCol }
+
+type holdKey struct{}
+
+// WithHold returns ctx carrying h for one Aggregate*Ctx or
+// AggregatePartialCtx call.
+func WithHold(ctx context.Context, h *Hold) context.Context {
+	return context.WithValue(ctx, holdKey{}, h)
+}
+
+// Release ends the claim; the result must not be read afterwards.
+func (h *Hold) Release() {
+	if h.col != nil {
+		h.col.holders.Add(-1)
+		h.col = nil
+	}
 }
 
 // tierNode is one aggregator of a collective. done flips under Tree.mu
@@ -368,6 +397,9 @@ func (t *Tree) BeginRound(round int, participants []int) {
 			c.timer = nil
 		}
 		if c.finished && c.holders.Load() == 0 {
+			if !c.escaped.Load() {
+				codec.PutVals(c.resultBuf)
+			}
 			t.recycleColLocked(c)
 		}
 		delete(t.cols, k)
@@ -616,9 +648,8 @@ func (t *Tree) completeNode(node *tierNode) *tierNode {
 		up, base := t.upstream, t.upstreamBase
 		t.mu.Unlock()
 		if up == nil {
-			// The mean stays out of the pool: its readers cannot be counted.
 			res, _, err := node.fold.complete(true)
-			t.finishRoot(c, node, vals(res), err)
+			t.finishRoot(c, node, vals(res), res, err)
 			return nil
 		}
 		// Subtree mode: the "root" is one aligned block of a larger
@@ -630,7 +661,7 @@ func (t *Tree) completeNode(node *tierNode) *tierNode {
 			global, err = up(c.key.round, c.key.kind, base, vals(sum), weight)
 		}
 		codec.PutVals(sum)
-		t.finishRoot(c, node, global, err)
+		t.finishRoot(c, node, global, nil, err)
 		return nil
 	}
 	span := t.fanout
@@ -671,8 +702,9 @@ func vals(p *[]float64) []float64 {
 // finishRoot publishes the collective result and wakes every waiter. A
 // failure recorded anywhere in the tree wins over the (partial) result;
 // the lowest tier, lowest index failure is chosen so the reported error
-// does not depend on completion timing.
-func (t *Tree) finishRoot(c *treeCol, root *tierNode, res []float64, err error) {
+// does not depend on completion timing. buf is the pooled buffer under res,
+// if any: it stays with the collective until BeginRound (see treeCol).
+func (t *Tree) finishRoot(c *treeCol, root *tierNode, res []float64, buf *[]float64, err error) {
 	root.failure = err
 	t.mu.Lock()
 	var failure error
@@ -691,6 +723,7 @@ func (t *Tree) finishRoot(c *treeCol, root *tierNode, res []float64, err error) 
 	} else {
 		c.result = res
 	}
+	c.resultBuf = buf // a failure publishes no result; the buffer still goes back with the shell
 	c.finished = true
 	if c.timer != nil {
 		c.timer.Stop()
@@ -715,6 +748,12 @@ func (t *Tree) wait(ctx context.Context, c *treeCol, node *tierNode, detach int)
 	}
 	if c.failure != nil {
 		return nil, c.failure
+	}
+	if h, _ := ctx.Value(holdKey{}).(*Hold); h != nil && h.col == nil {
+		c.holders.Add(1) // on top of the caller's own count, which ends when it returns
+		h.col = c
+	} else {
+		c.escaped.Store(true)
 	}
 	return c.result, nil
 }

@@ -333,7 +333,10 @@ func (c *Client) AggregateErrorCtx(ctx context.Context, clientID, round int, val
 // terminal: retrying them cannot succeed.
 func (c *Client) call(ctx context.Context, kind string, clientID, round int, values []float64) ([]float64, error) {
 	req := frame{typ: typeAggregate, flags: flagAbstain, kind: kindByte(kind), id: clientID, round: round}
-	r := sparse.ReceiptFrom(ctx) // nil on a direct Aggregate* call
+	r := sparse.ReceiptFrom(ctx)
+	if r == nil {
+		r = &sparse.Receipt{} // a direct Aggregate* call: filled and dropped
+	}
 	if values != nil {
 		// Encode into a pooled buffer sized by the dense upper bound (the
 		// default encoder scans the vector once, not twice; the chain's
@@ -344,12 +347,8 @@ func (c *Client) call(ctx context.Context, kind string, clientID, round int, val
 		// retries included.
 		var wireBuf *[]byte
 		if c.chain != nil {
-			var image []float64
-			if r != nil {
-				image = r.Image
-			}
 			wireBuf = codec.GetBuf(c.chain.DensePayloadSize(len(values)))
-			*wireBuf, _ = c.chain.AppendEncodeImage((*wireBuf)[:0], values, image)
+			*wireBuf, _ = c.chain.AppendEncodeImage((*wireBuf)[:0], values, r.Image)
 		} else {
 			wireBuf = codec.GetBuf(codec.DenseBaseSize(len(values)))
 			*wireBuf = sparse.AppendVectorPayload(*wireBuf, values)
@@ -359,16 +358,14 @@ func (c *Client) call(ctx context.Context, kind string, clientID, round int, val
 		c.counters.Add("agg_tx_bytes", int64(len(req.payload)))
 	}
 	desc := fmt.Sprintf("aggregate %s round %d", kind, round)
-	out, down, err := c.doAgg(ctx, desc, &req)
+	out, down, err := c.doAgg(ctx, desc, &req, r.Dst)
 	if err != nil {
 		return nil, err
 	}
 	// Report what was shipped to the calling strategy.
-	if r != nil {
-		r.UpBytes = sparse.HeaderBytes + len(req.payload)
-		r.DownBytes = sparse.HeaderBytes + down
-		r.Owned = true // doAgg decoded the reply into a slice of its own
-	}
+	r.UpBytes = sparse.HeaderBytes + len(req.payload)
+	r.DownBytes = sparse.HeaderBytes + down
+	r.Owned = true // doAgg decoded the reply for this caller alone
 	return out, nil
 }
 
@@ -384,7 +381,7 @@ func (c *Client) SubmitPartial(ctx context.Context, round int, kind string, p sp
 	*wireBuf = sparse.AppendPartialPayload(*wireBuf, p)
 	req := frame{typ: typePartial, kind: kindByte(kind), id: c.ClientID(), round: round, payload: *wireBuf}
 	c.counters.Add("agg_tx_bytes", int64(len(req.payload)))
-	out, _, err := c.doAgg(ctx, fmt.Sprintf("partial %s round %d", kind, round), &req)
+	out, _, err := c.doAgg(ctx, fmt.Sprintf("partial %s round %d", kind, round), &req, nil)
 	return out, err
 }
 
@@ -392,13 +389,14 @@ func (c *Client) SubmitPartial(ctx context.Context, round int, kind string, p sp
 // backoff + jitter, and transparent reconnect-and-rejoin on transport
 // failures, and decodes the reply: the collective result (nil when the
 // reply's flag says nobody contributed) and its payload length. The decode
-// allocates a fresh slice on purpose — the result is handed to strategy
-// code that retains it across the round — and the pooled buffer the reply
-// was read into is released here. Application-level errors (a *remoteError:
-// eviction, stale round, unknown kind, malformed payload) are terminal:
-// retrying them cannot succeed. desc labels errors (e.g. "aggregate model
-// round 3").
-func (c *Client) doAgg(ctx context.Context, desc string, req *frame) ([]float64, int, error) {
+// lands in dst — storage the calling strategy lent through its Receipt —
+// when dst has the capacity, and in a fresh slice the caller may keep
+// otherwise (a direct Aggregate* call, a relay's SubmitPartial); the pooled
+// buffer the reply was read into is released here. Application-level errors
+// (a *remoteError: eviction, stale round, unknown kind, malformed payload)
+// are terminal: retrying them cannot succeed. desc labels errors (e.g.
+// "aggregate model round 3").
+func (c *Client) doAgg(ctx context.Context, desc string, req *frame, dst []float64) ([]float64, int, error) {
 	backoff := c.cfg.RetryBase
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
@@ -419,7 +417,7 @@ func (c *Client) doAgg(ctx context.Context, desc string, req *frame) ([]float64,
 			defer rep.release()
 			n := len(rep.payload)
 			c.counters.Add("agg_rx_bytes", int64(n))
-			out, err := AggReply{Payload: rep.payload, Nil: rep.flags&flagNil != 0}.contribution(c.ModelSize())
+			out, err := AggReply{Payload: rep.payload, Nil: rep.flags&flagNil != 0}.contribution(dst, c.ModelSize())
 			if err != nil {
 				return nil, 0, fmt.Errorf("flrpc: %s: %w", desc, err)
 			}

@@ -120,12 +120,13 @@ type AggReply struct {
 
 // contribution decodes the collective result with the same ambiguity
 // resolved in the reply direction: Nil is the truth for "no contributors",
-// and a non-nil-but-empty mean decodes back to empty but non-nil.
-func (r AggReply) contribution(maxParams int) ([]float64, error) {
+// and a non-nil-but-empty mean decodes back to empty but non-nil. dst
+// follows sparse.DecodeVectorPayloadInto.
+func (r AggReply) contribution(dst []float64, maxParams int) ([]float64, error) {
 	if r.Nil {
 		return nil, nil
 	}
-	return sparse.DecodeVectorPayloadInto(nil, r.Payload, maxParams)
+	return sparse.DecodeVectorPayloadInto(dst, r.Payload, maxParams)
 }
 
 // Config assembles a fault-tolerant coordinator.
@@ -512,6 +513,11 @@ func (c *Coordinator) submit(ctx context.Context, partial bool, args AggArgs, fr
 	c.counters.Add("relay_traffic_bytes", p.Traffic)
 	// Members route through the ctx-aware dispatchers (the ctxdispatch
 	// contract); ctx is the connection's, so a dead peer's wait detaches.
+	// This handler reads the mean only to encode the reply, so it waits as a
+	// counted reader and the mean's buffer can return to the pool.
+	var hold fl.Hold
+	defer hold.Release()
+	ctx = fl.WithHold(ctx, &hold)
 	var res []float64
 	switch {
 	case partial:
@@ -575,13 +581,15 @@ func (c *Coordinator) encodeReply(round int, kind string, res []float64, reply *
 // encodeVector encodes a collective result with the configured chain's
 // Reply variant (quantizers widened to 8 bits — the mean of K k-bit
 // uploads needs the finer grid), or the default vector codec when no
-// chain is configured. The returned slice is a plain allocation (never
-// pooled): reply-cache entries outlive the handler.
+// chain is configured: into dense capacity, which lets the encoder work in
+// one pass instead of sizing the vector first. The returned slice is a plain
+// allocation (never pooled): reply-cache entries outlive the handler, and a
+// responder to a stale retry may still be writing one after enter dropped it.
 func (c *Coordinator) encodeVector(res []float64) []byte {
 	if c.chain != nil {
 		return c.chain.Reply().AppendEncode(nil, res)
 	}
-	return sparse.EncodeVectorPayload(res)
+	return sparse.AppendVectorPayload(make([]byte, 0, codec.DenseBaseSize(len(res))), res)
 }
 
 // serveConn runs one connection until it fails, the peer hangs up or

@@ -94,7 +94,7 @@ func FuzzAggWire(f *testing.F) {
 			}
 			var vec []float64
 			if reply {
-				vec, err = AggReply{Payload: got.payload, Nil: got.flags&flagNil != 0}.contribution(len(values))
+				vec, err = AggReply{Payload: got.payload, Nil: got.flags&flagNil != 0}.contribution(nil, len(values))
 			} else {
 				vec, err = AggArgs{Payload: got.payload, Abstain: got.flags&flagAbstain != 0}.contribution(nil, len(values))
 			}
@@ -168,7 +168,7 @@ func FuzzFrame(f *testing.F) {
 		case fr.status >= numStatus && !errors.Is(err, ErrMalformed):
 			t.Fatalf("unknown status %d is not a malformed message: %v", fr.status, err)
 		case err == nil:
-			vals, err := AggReply{Payload: fr.payload, Nil: fr.flags&flagNil != 0}.contribution(n)
+			vals, err := AggReply{Payload: fr.payload, Nil: fr.flags&flagNil != 0}.contribution(nil, n)
 			if err == nil && (fr.flags&flagNil != 0) != (vals == nil) {
 				t.Fatalf("nil flag %v decoded to %v", fr.flags&flagNil != 0, vals)
 			}

@@ -131,7 +131,7 @@ func (a *APF) SyncCtx(ctx context.Context, round int, local []float64, contribut
 			}
 		}
 	}
-	agg, up, down, err := a.wire.Collect(ctx, AggModel, a.agg, a.id, round, send, nil)
+	agg, up, down, err := a.wire.Collect(ctx, AggModel, a.agg, a.id, round, send, nil, nil)
 	if err != nil {
 		return nil, Traffic{}, fmt.Errorf("apf: aggregate round %d: %w", round, err)
 	}

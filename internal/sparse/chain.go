@@ -109,10 +109,14 @@ type Receipt struct {
 	// Image, when the strategy supplies it (len == the upload's), receives
 	// the upload's wire image: what receivers decoded.
 	Image []float64
+	// Dst, when the strategy supplies it, is storage of its own that a
+	// transport decoding the result for this caller alone decodes into, when
+	// its capacity suffices.
+	Dst []float64
 	// Owned says the result is the caller's alone to keep and mutate:
-	// flrpc.Client sets it, having decoded the reply into a fresh slice. The
-	// in-process aggregators hand every client one shared slice and leave it
-	// unset.
+	// flrpc.Client sets it, having decoded the reply into Dst's storage or a
+	// fresh slice. The in-process aggregators hand every client one shared
+	// slice and leave it unset.
 	Owned bool
 }
 
@@ -137,9 +141,11 @@ func ReceiptFrom(ctx context.Context) *Receipt {
 // when the call path encoded the legs, the sizes computed under this wire
 // when nothing did (an in-process default-wire run). A non-nil image
 // (len(send) long) receives the upload's wire image the same way. The
-// result is shared and must not be mutated, unless the receipt says Owned.
-func (w *Wire) Collect(ctx context.Context, dispatch Dispatcher, agg Aggregator, clientID, round int, send, image []float64) (res []float64, up, down int, err error) {
-	w.rc = Receipt{Context: ctx, Image: image}
+// result is shared and must not be mutated, unless the receipt says Owned —
+// then it is the caller's, in dst's storage when a transport decoded it and
+// dst had the capacity (dst may be nil).
+func (w *Wire) Collect(ctx context.Context, dispatch Dispatcher, agg Aggregator, clientID, round int, send, image, dst []float64) (res []float64, up, down int, err error) {
+	w.rc = Receipt{Context: ctx, Image: image, Dst: dst}
 	res, err = dispatch(&w.rc, agg, clientID, round, send)
 	if err != nil {
 		return nil, 0, 0, err

@@ -79,7 +79,7 @@ func (c *CMFL) SyncCtx(ctx context.Context, round int, local []float64, contribu
 	if !contributor || !relevant {
 		send = nil
 	}
-	global, up, down, err := c.wire.Collect(ctx, AggModel, c.agg, c.id, round, send, nil)
+	global, up, down, err := c.wire.Collect(ctx, AggModel, c.agg, c.id, round, send, nil, nil)
 	if err != nil {
 		return nil, Traffic{}, fmt.Errorf("cmfl: aggregate round %d: %w", round, err)
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"fedsu/internal/tensor"
 )
 
 // The base stage is the PR 4 self-describing bitmap/index codec, ported
@@ -112,7 +114,7 @@ func baseStats(vec []float64, limit int) (nnz, varBytes int) {
 func basePrefix(vec []float64, limit int) (i, nnz, varBytes int) {
 	prev := 0
 	for ; varBytes < limit && len(vec)-i >= 64; i += 64 {
-		if w := maskWord((*[64]float64)(vec[i:])); w != 0 {
+		if w := tensor.NonzeroMask((*[64]float64)(vec[i:])); w != 0 {
 			c := bits.OnesCount64(w)
 			varBytes += uvarintLen(uint64(i+bits.TrailingZeros64(w)-prev)) + c - 1
 			prev, nnz = i+63-bits.LeadingZeros64(w), nnz+c
@@ -128,27 +130,14 @@ func basePrefix(vec []float64, limit int) (i, nnz, varBytes int) {
 	return i, nnz, varBytes
 }
 
-// nonzeroBit is 1 for v != 0 and 0 for ±0, without a branch: shifting the
-// sign out leaves zero for exactly ±0 (a NaN is nonzero, as under !=).
-func nonzeroBit(v float64) uint64 {
-	x := math.Float64bits(v) << 1
-	return (x | -x) >> 63
-}
-
-// maskWord packs the != 0 tests of 64 values into a word, bit j for c[j]
-// (two half-words, so the shift-or chains of the halves overlap).
-func maskWord(c *[64]float64) uint64 {
-	var lo, hi uint64
-	for j, v := range c[:32] {
-		lo = lo>>1 | nonzeroBit(v)<<63
-		hi = hi>>1 | nonzeroBit(c[32+j])<<63
-	}
-	return lo>>32 | hi
-}
-
 func countNonzero(vec []float64) (nnz int) {
+	for ; len(vec) >= 64; vec = vec[64:] {
+		nnz += bits.OnesCount64(tensor.NonzeroMask((*[64]float64)(vec)))
+	}
 	for _, v := range vec {
-		nnz += int(nonzeroBit(v))
+		if v != 0 {
+			nnz++
+		}
 	}
 	return nnz
 }
@@ -167,7 +156,7 @@ func getF32(src []byte) float64 {
 // encodeBaseBitmap writes the bitmap form of vec into out, which has room
 // for at least vec's nonzeros, and returns their count. It works a
 // 64-position mask word per step: the word is stored once, an all-ones word
-// converts its 64 values in a straight loop, any other word scatters its set
+// narrows its 64 values in one call, any other word scatters its set
 // positions; the last < 64 positions go bit by bit.
 func encodeBaseBitmap(out []byte, vec []float64) (nnz int) {
 	out[0] = FormatBitmap
@@ -176,13 +165,10 @@ func encodeBaseBitmap(out []byte, vec []float64) (nnz int) {
 	bm, vals := out[9:9+nb], out[9+nb:]
 	for ; len(vec) >= 64; vec, bm = vec[64:], bm[8:] {
 		chunk := (*[64]float64)(vec)
-		w := maskWord(chunk)
+		w := tensor.NonzeroMask(chunk)
 		binary.LittleEndian.PutUint64(bm, w)
 		if w == ^uint64(0) {
-			dense := (*[256]byte)(vals[4*nnz:])
-			for j, v := range chunk {
-				putF32(dense[4*j:], v)
-			}
+			tensor.NarrowLE(vals[4*nnz:], chunk[:])
 			nnz += 64
 			continue
 		}
@@ -223,10 +209,10 @@ func encodeBaseIndex(out []byte, vec []float64, nnz int) {
 	}
 }
 
-// decodeBaseBitmap is encodeBaseBitmap's inverse, a mask word per step: the
-// word's popcount is checked against the value bytes left once, then an
-// all-zero word clears its 64 positions, an all-ones word widens 64 values
-// in a straight loop, any other word clears and scatters.
+// decodeBaseBitmap is encodeBaseBitmap's inverse: a run of all-ones words is
+// checked against the value bytes left once and widened in one pass; any
+// other word has its popcount checked the same way, then clears its 64
+// positions and scatters what it has.
 func decodeBaseBitmap(dst []float64, b []byte, maxParams int) ([]float64, error) {
 	if len(b) < 8 {
 		return nil, fmt.Errorf("codec: bitmap vector payload too short (%d bytes)", len(b))
@@ -243,21 +229,26 @@ func decodeBaseBitmap(dst []float64, b []byte, maxParams int) ([]float64, error)
 	bm, vals := b[:nb], b[nb:]
 	out := SizeVector(dst, n)
 	rest := out
-	for ; len(rest) >= 64; rest, bm = rest[64:], bm[8:] {
+	for len(rest) >= 64 {
 		w := binary.LittleEndian.Uint64(bm)
+		if w == ^uint64(0) {
+			run := 1
+			for 64*run+64 <= len(rest) && binary.LittleEndian.Uint64(bm[8*run:]) == ^uint64(0) {
+				run++
+			}
+			if 256*run > len(vals) {
+				return nil, fmt.Errorf("codec: bitmap vector payload truncated")
+			}
+			tensor.WidenLE(rest[:64*run], vals[:256*run])
+			rest, bm, vals = rest[64*run:], bm[8*run:], vals[256*run:]
+			continue
+		}
 		used := 4 * bits.OnesCount64(w)
 		if used > len(vals) {
 			return nil, fmt.Errorf("codec: bitmap vector payload truncated")
 		}
 		chunk, src := rest[:64], vals[:used]
-		vals = vals[used:]
-		if w == ^uint64(0) {
-			dense := (*[256]byte)(src)
-			for j := range chunk {
-				chunk[j] = getF32(dense[4*j:])
-			}
-			continue
-		}
+		rest, bm, vals = rest[64:], bm[8:], vals[used:]
 		clear(chunk)
 		for ; w != 0; w, src = w&(w-1), src[4:] {
 			chunk[bits.TrailingZeros64(w)] = getF32(src)

@@ -216,6 +216,94 @@ func TestBaseWordDecoderMalformed(t *testing.T) {
 	}
 }
 
+// runShapes are vectors built around runs of all-ones mask words, the
+// decoder's one-check-one-pass case: runs of 1, 2 and 1 000 words broken by a
+// mixed word, and a run that ends at the < 64 tail.
+var runShapes = []struct {
+	name string
+	runs []int // all-ones words per run; a mixed word follows each but the last
+	tail int   // positions after the last whole word, every other one set
+}{
+	{"1-2-1000", []int{1, 2, 1000}, 0},
+	{"1000-then-tail", []int{1000}, 37},
+	{"2-1-then-tail", []int{2, 1}, 63},
+	{"one-word", []int{1}, 0},
+}
+
+// runVector builds a shape's vector and returns, per run, the offset of its
+// first value byte in the bitmap body and its length in bytes.
+func runVector(runs []int, tail int, rng *rand.Rand) (vec []float64, starts, sizes []int) {
+	var mask []bool
+	nnz := 0
+	for r, words := range runs {
+		starts, sizes = append(starts, 4*nnz), append(sizes, 256*words)
+		for i := 0; i < 64*words; i++ {
+			mask = append(mask, true)
+		}
+		nnz += 64 * words
+		if r < len(runs)-1 {
+			for i := 0; i < 64; i++ {
+				mask = append(mask, i%3 == 0)
+			}
+			nnz += 22
+		}
+	}
+	for i := 0; i < tail; i++ {
+		mask = append(mask, i%2 == 0)
+	}
+	vec = maskedVector(mask, rng)
+	valBase := 8 + (len(vec)+7)/8
+	for r := range starts {
+		starts[r] += valBase
+	}
+	return vec, starts, sizes
+}
+
+// TestBaseWordRuns holds both kernels to the scalar reference on the run
+// shapes, then cuts the payload inside every run: both decoders refuse with
+// the same error, and neither the accepting nor the refusing decode writes
+// past dst[:n].
+func TestBaseWordRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, sh := range runShapes {
+		vec, starts, sizes := runVector(sh.runs, sh.tail, rng)
+		n := len(vec)
+		if got, want := AppendBase(nil, vec), scalarAppendBase(vec); !bytes.Equal(got, want) {
+			t.Errorf("%s: AppendBase differs from the scalar encoder (%d vs %d bytes)", sh.name, len(got), len(want))
+		}
+		body := bitmapBody(vec)
+		decodeGuarded := func(b []byte) error {
+			buf := make([]float64, n+8)
+			for i := range buf {
+				buf[i] = 7
+			}
+			_, err := decodeBaseBitmap(buf[:0], b, n)
+			for i, v := range buf[n:] {
+				if v != 7 {
+					t.Fatalf("%s: decoding %d of %d bytes wrote dst[%d]", sh.name, len(b), len(body), n+i)
+				}
+			}
+			return err
+		}
+		if _, err := decodeBothBitmap(t, body, n); err != nil {
+			t.Fatalf("%s: canonical body rejected: %v", sh.name, err)
+		}
+		if err := decodeGuarded(body); err != nil {
+			t.Fatalf("%s: canonical body rejected into a roomy dst: %v", sh.name, err)
+		}
+		for r, start := range starts {
+			for _, cut := range []int{start, start + 4, start + sizes[r]/2, start + sizes[r] - 1} {
+				if _, err := decodeBothBitmap(t, body[:cut], n); err == nil {
+					t.Errorf("%s: body cut to %d bytes, inside run %d at [%d, %d), accepted", sh.name, cut, r, start, start+sizes[r])
+				}
+				if err := decodeGuarded(body[:cut]); err == nil {
+					t.Errorf("%s: body cut to %d bytes accepted into a roomy dst", sh.name, cut)
+				}
+			}
+		}
+	}
+}
+
 // FuzzBaseWordVsScalar feeds raw bytes, as a bitmap body, to the word
 // decoder and the scalar reference: same accept/reject decision, same
 // error, same bits. An accepted vector is then re-encoded by both encoders,
@@ -228,6 +316,17 @@ func FuzzBaseWordVsScalar(f *testing.F) {
 		f.Add(body)
 		f.Add(body[:len(body)-1])
 		f.Add(append(bytes.Clone(body), 0))
+	}
+	for _, sh := range runShapes {
+		runs := append([]int(nil), sh.runs...)
+		for i := range runs {
+			runs[i] = min(runs[i], 40) // a 1 000-word seed slows the mutator a hundredfold
+		}
+		vec, starts, sizes := runVector(runs, sh.tail, rng)
+		body := bitmapBody(vec)
+		f.Add(body)
+		last := len(starts) - 1
+		f.Add(body[:starts[last]+sizes[last]/2])
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		vec, err := decodeBothBitmap(t, body, 1<<16)

@@ -94,6 +94,11 @@ type Aggregator interface {
 // participation quorum; non-contributors follow the identical control flow
 // (so their strategy state stays consistent with the fleet) but abstain
 // from the collectives.
+//
+// The returned vector belongs to the strategy: it is valid until the next
+// Sync on the same strategy starts, which may reuse its storage (FedAvg and
+// core.Manager do; over TCP the transport decodes the next result straight
+// into it). A caller that keeps a round's output across rounds copies it.
 type Syncer interface {
 	// Name identifies the strategy ("fedavg", "cmfl", "apf", "fedsu").
 	Name() string
@@ -158,13 +163,15 @@ type FedAvg struct {
 	size int
 	agg  Aggregator
 	wire Wire
+	// out backs the vector Sync returns (see Syncer's lifetime rule).
+	out []float64
 }
 
 var _ ContextSyncer = (*FedAvg)(nil)
 
 // NewFedAvg constructs the full-synchronization strategy.
 func NewFedAvg(clientID, size int, agg Aggregator) *FedAvg {
-	return &FedAvg{id: clientID, size: size, agg: agg}
+	return &FedAvg{id: clientID, size: size, agg: agg, out: make([]float64, size)}
 }
 
 // FedAvgFactory adapts NewFedAvg to the Factory signature.
@@ -193,22 +200,21 @@ func (f *FedAvg) SyncCtx(ctx context.Context, round int, local []float64, contri
 	if !contributor {
 		send = nil
 	}
-	global, up, down, err := f.wire.Collect(ctx, AggModel, f.agg, f.id, round, send, nil)
+	global, up, down, err := f.wire.Collect(ctx, AggModel, f.agg, f.id, round, send, nil, f.out)
 	if err != nil {
 		return nil, Traffic{}, fmt.Errorf("fedavg: aggregate round %d: %w", round, err)
 	}
-	// A result the transport decoded for this client alone is returned as
-	// it is; a shared one, or the local vector a round without contributors
-	// keeps, is copied.
-	out := global
-	if global == nil || len(global) != f.size || !f.wire.rc.Owned {
-		src := global
-		if src == nil {
-			src = local
-		}
-		fresh := make([]float64, f.size)
-		copy(fresh, src)
-		out = fresh
+	switch {
+	case global == nil:
+		// A round without contributors keeps the local vector.
+		copy(f.out, local)
+	case len(global) != f.size:
+		return nil, Traffic{}, fmt.Errorf("fedavg: model aggregate returned %d values for %d", len(global), f.size)
+	case f.wire.rc.Owned:
+		// Decoded for this client alone: into f.out when it had the capacity.
+		f.out = global
+	default:
+		copy(f.out, global)
 	}
 	// Charged at what the wire shipped: an abstaining client's uplink is
 	// framing only, and a round with no contributors has a header-only
@@ -220,5 +226,5 @@ func (f *FedAvg) SyncCtx(ctx context.Context, round int, local []float64, contri
 		TotalParams:  f.size,
 		FullBytes:    f.wire.FullRef(f.size),
 	}
-	return out, tr, nil
+	return f.out, tr, nil
 }

@@ -3,6 +3,7 @@ package sparse
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -112,9 +113,8 @@ func (a *ownedAgg) AggregateErrorCtx(ctx context.Context, id, round int, values 
 }
 
 // TestFedAvgKeepsAnOwnedResult: a result the receipt marks as the caller's
-// own is returned as it is; a shared one (the in-process aggregators), a
-// missing one and one of the wrong length are copied into a vector of the
-// model's size.
+// own is returned as it is; a shared one (the in-process aggregators) and a
+// missing one are copied into the strategy's own vector.
 func TestFedAvgKeepsAnOwnedResult(t *testing.T) {
 	local := []float64{1, 2, 3}
 	owned := &ownedAgg{}
@@ -140,9 +140,27 @@ func TestFedAvgKeepsAnOwnedResult(t *testing.T) {
 	if len(out) != 3 || &out[0] == &local[0] || out[1] != 2 {
 		t.Errorf("a round without a result keeps a copy of local, got %v", out)
 	}
-	out, _, err = NewFedAvg(0, 3, &ownedAgg{cut: 1}).Sync(0, local, true)
-	if err != nil || len(out) != 3 || out[1] != 2 || out[2] != 0 {
-		t.Errorf("a short result must come back at the model's size, got %v, %v", out, err)
+}
+
+// TestFedAvgWrongLengthResult: a collective result that is not the model's
+// length is an error naming both lengths, owned or shared, short or long —
+// not a vector silently cut or zero-padded to fit.
+func TestFedAvgWrongLengthResult(t *testing.T) {
+	local := []float64{1, 2, 3}
+	for name, agg := range map[string]Aggregator{
+		"owned, short":  &ownedAgg{cut: 1},
+		"shared, short": sharedAgg{[]float64{4, 5}},
+		"shared, long":  sharedAgg{[]float64{4, 5, 6, 7}},
+		"shared, empty": sharedAgg{[]float64{}},
+	} {
+		out, _, err := NewFedAvg(0, 3, agg).Sync(0, local, true)
+		if err == nil || out != nil {
+			t.Errorf("%s: got %v, %v; want an error", name, out, err)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "for 3") || !strings.Contains(msg, "returned") {
+			t.Errorf("%s: error %q does not name both lengths", name, msg)
+		}
 	}
 }
 

@@ -29,6 +29,19 @@ func vecAddPairTo(dst, a, b []float64) int
 //go:noescape
 func vecScale(dst []float64, s float64) int
 
+// The float64↔float32 kernels (contract: vec.go): the mask of one 64-value
+// word, and the convert heads, which work the leading multiple of 16 values,
+// dst and src sized for each other by the wrappers.
+
+//go:noescape
+func vecMaskWord(c *[64]float64) uint64
+
+//go:noescape
+func vecNarrowLE(dst []byte, src []float64) int
+
+//go:noescape
+func vecWidenLE(dst []float64, src []byte) int
+
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
@@ -56,6 +69,7 @@ func init() {
 	if hasAVX2() {
 		tile64, tile32, tileImpl = avx2Tile64, avx2Tile32, "avx2"
 		headAddTo, headAddPair, headAddPairTo, headScale = vecAddTo, vecAddPair, vecAddPairTo, vecScale
+		maskWord, headNarrowLE, headWidenLE = vecMaskWord, vecNarrowLE, vecWidenLE
 	}
 }
 

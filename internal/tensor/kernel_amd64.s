@@ -194,6 +194,72 @@ TEXT ·vecScale(SB), NOSPLIT, $0-40
 	VBROADCASTSD s+24(FP), Y2
 	VEC(SCALE, ret+32(FP))
 
+// The float64↔float32 kernels (contract: vec.go). MASK4 tests four values
+// against +0 with NEQ_UQ — true for a NaN, false for −0 — and ors the four
+// lane signs into acc at bit sh. Two accumulators, so the shift-or chains
+// overlap.
+#define MASK4(o, sh, acc) \
+	VCMPPD    $4, o(SI), Y15, Y0; \
+	VMOVMSKPD Y0, DX; \
+	SHLQ      $sh, DX; \
+	ORQ       DX, acc
+
+// func vecMaskWord(c *[64]float64) uint64
+TEXT ·vecMaskWord(SB), NOSPLIT, $0-16
+	MOVQ   c+0(FP), SI
+	VXORPD Y15, Y15, Y15
+	XORQ   AX, AX
+	XORQ   BX, BX
+	MASK4(0, 0, AX);    MASK4(32, 4, BX);   MASK4(64, 8, AX);   MASK4(96, 12, BX)
+	MASK4(128, 16, AX); MASK4(160, 20, BX); MASK4(192, 24, AX); MASK4(224, 28, BX)
+	MASK4(256, 32, AX); MASK4(288, 36, BX); MASK4(320, 40, AX); MASK4(352, 44, BX)
+	MASK4(384, 48, AX); MASK4(416, 52, BX); MASK4(448, 56, AX); MASK4(480, 60, BX)
+	ORQ    BX, AX
+	MOVQ   AX, ret+8(FP)
+	VZEROUPPER
+	RET
+
+// CONVERT works the leading len&^15 values (len in CX), 16 a turn, AX the
+// element index: STEP(k) converts values 4k..4k+3 of the turn.
+#define CONVERT(STEP, ret) \
+	ANDQ $~15, CX; \
+	MOVQ CX, ret; \
+	JZ   done; \
+	XORQ AX, AX; \
+loop: \
+	STEP(0); STEP(1); STEP(2); STEP(3); \
+	ADDQ $16, AX; \
+	CMPQ AX, CX; \
+	JLT  loop; \
+done: \
+	VZEROUPPER; \
+	RET
+
+// VCVTPD2PS rounds by MXCSR like the scalar CVTSD2SS Go compiles float32(v)
+// to; both quiet a signalling NaN and cut its payload to the top 22 bits.
+#define NARROW(k) \
+	VCVTPD2PSY (32*k)(SI)(AX*8), X0; \
+	VMOVUPS    X0, (16*k)(DI)(AX*4)
+
+// VCVTPS2PD is exact but for quieting a signalling NaN, as CVTSS2SD does.
+#define WIDEN(k) \
+	VCVTPS2PD (16*k)(SI)(AX*4), Y0; \
+	VMOVUPD   Y0, (32*k)(DI)(AX*8)
+
+// func vecNarrowLE(dst []byte, src []float64) int
+TEXT ·vecNarrowLE(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
+	CONVERT(NARROW, ret+48(FP))
+
+// func vecWidenLE(dst []float64, src []byte) int
+TEXT ·vecWidenLE(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	CONVERT(WIDEN, ret+48(FP))
+
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX

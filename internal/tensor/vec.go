@@ -1,5 +1,10 @@
 package tensor
 
+import (
+	"encoding/binary"
+	"math"
+)
+
 // Element-wise float64 kernels (contract: DESIGN §5c, "Element-wise
 // kernels"): every lane is the one IEEE operation of the Go statement in the
 // function's tail loop, operands in that order — when both are NaN, x86
@@ -54,5 +59,56 @@ func AddPairTo(dst, a, b []float64) {
 func Scale(dst []float64, s float64) {
 	for i := headScale(dst, s); i < len(dst); i++ {
 		dst[i] *= s
+	}
+}
+
+// The float64↔float32 members (the default wire's conversions; contract:
+// DESIGN §5c, "Element-wise kernels"). The packed converts round the way the
+// scalar ones do — the same MXCSR nearest-even, NaNs quieted with the payload
+// cut or padded, overflow to ±Inf, subnormals kept — so a lane's bits do not
+// depend on who converted it. The convert heads work a leading multiple of 16
+// values; maskWord is replaced whole, as the matmul tile is.
+var (
+	maskWord     = goMaskWord
+	headNarrowLE = func(dst []byte, src []float64) int { return 0 }
+	headWidenLE  = func(dst []float64, src []byte) int { return 0 }
+)
+
+// NonzeroMask packs the != 0 tests of c into a word, bit j for c[j]: a NaN is
+// nonzero, ±0 is zero.
+func NonzeroMask(c *[64]float64) uint64 { return maskWord(c) }
+
+// nonzeroBit is 1 for v != 0 and 0 for ±0, without a branch: shifting the
+// sign out leaves zero for exactly ±0 (a NaN is nonzero, as under !=).
+func nonzeroBit(v float64) uint64 {
+	x := math.Float64bits(v) << 1
+	return (x | -x) >> 63
+}
+
+// goMaskWord builds the word in two halves, so their shift-or chains overlap.
+func goMaskWord(c *[64]float64) uint64 {
+	var lo, hi uint64
+	for j, v := range c[:32] {
+		lo = lo>>1 | nonzeroBit(v)<<63
+		hi = hi>>1 | nonzeroBit(c[32+j])<<63
+	}
+	return lo>>32 | hi
+}
+
+// NarrowLE stores float32(src[i]) at dst[4i:4i+4], little-endian.
+func NarrowLE(dst []byte, src []float64) {
+	dst = dst[:4*len(src)]
+	for i := headNarrowLE(dst, src); i < len(src); i++ {
+		//lint:allow precision -- narrowing is this kernel's contract (the base wire format stores f32)
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(float32(src[i])))
+	}
+}
+
+// WidenLE sets dst[i] to the little-endian float32 at src[4i:4i+4], widened.
+func WidenLE(dst []float64, src []byte) {
+	src = src[:4*len(dst)]
+	for i := headWidenLE(dst, src); i < len(dst); i++ {
+		//lint:allow precision -- widening the f32 wire value back to f64, exact
+		dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
 	}
 }

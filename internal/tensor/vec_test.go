@@ -20,7 +20,14 @@ func withGoVec(f func()) {
 	headAddPair = func(dst, a, b []float64) int { return 0 }
 	headAddPairTo = headAddPair
 	headScale = func(dst []float64, s float64) int { return 0 }
-	defer func() { headAddTo, headAddPair, headAddPairTo, headScale = p1, p2, p3, p4 }()
+	c1, c2, c3 := maskWord, headNarrowLE, headWidenLE
+	maskWord = goMaskWord
+	headNarrowLE = func([]byte, []float64) int { return 0 }
+	headWidenLE = func([]float64, []byte) int { return 0 }
+	defer func() {
+		headAddTo, headAddPair, headAddPairTo, headScale = p1, p2, p3, p4
+		maskWord, headNarrowLE, headWidenLE = c1, c2, c3
+	}()
 	f()
 }
 
