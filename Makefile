@@ -24,11 +24,12 @@ tier1:
 # purego tag compiles the assembly out, so the Go code carries the packages
 # whose tests prove bit-identity (tensor: against the retired scalar kernels
 # and a naive loop; nn, fl: across worker counts, replicas, topologies and
-# transports; sparse, flrpc: the codec against its per-bit reference and its
-# pinned payloads, TCP against in-process).
+# transports; sparse, flrpc: the codec against its per-bit and per-element
+# references and its pinned payloads, TCP against in-process; core: Manager
+# against the Algorithm 1 oracle, through the chain on the Go lane too).
 tier1-purego:
 	$(GO) build -tags purego ./...
-	$(GO) test -tags purego -shuffle=on ./internal/tensor/... ./internal/nn/... ./internal/fl/... ./internal/sparse/... ./internal/flrpc/...
+	$(GO) test -tags purego -shuffle=on ./internal/tensor/... ./internal/nn/... ./internal/fl/... ./internal/sparse/... ./internal/core/... ./internal/flrpc/...
 
 # `go vet` includes asmdecl, which checks internal/tensor/kernel_amd64.s —
 # the tile, the element-wise and convert heads, which take slices, and the
@@ -84,6 +85,11 @@ verify-f32: tier1-f32 race-f32
 # selected lane and the Go loops to a naive loop, NaN payloads included;
 # FuzzConvertKernels does the same for the float64↔float32 trio over (length,
 # offset, raw bit patterns) against v != 0, float32(v) and float64(f).
+# FuzzQuantStage also holds the block encoder and decoder to the per-element
+# reference (quant_ref_test.go); FuzzAlgorithm1 drives core.Manager and the
+# Algorithm 1 oracle (algorithm1_ref_test.go) over option sets and
+# trajectories with raw bit patterns injected, and demands equal outputs and
+# equal state after every round.
 fuzz:
 	$(GO) test -fuzz '^FuzzAggWire$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flrpc/
 	$(GO) test -fuzz '^FuzzFrame$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flrpc/
@@ -97,6 +103,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzMicroKernel$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/tensor/
 	$(GO) test -fuzz '^FuzzVecKernels$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/tensor/
 	$(GO) test -fuzz '^FuzzConvertKernels$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/tensor/
+	$(GO) test -fuzz '^FuzzAlgorithm1$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core/
 
 # bench/ is its own module (BENCHMARK.json's program), so `./...` above
 # never compiles it: vet and test it here, or a refactor of fl/flrpc/sparse
@@ -136,8 +143,10 @@ bench-tree:
 # decode kernels at 600k parameters over dense and random masks
 # (EXPERIMENTS.md, "Word-wide base kernels"); then the entropy stage's coder
 # against the retired per-symbol reference (entropy_ref_test.go) on q4-upload
-# and q8-reply shaped payloads (EXPERIMENTS.md, "Chain hot path"). Take the
-# median of the 3 counts.
+# and q8-reply shaped payloads (EXPERIMENTS.md, "Chain hot path"); the
+# ChainCompact rows are a zero-free 51 200-value vector — quant mode 0x03, the
+# form every core.Manager submission ships, which the "dense" rows never took
+# (EXPERIMENTS.md, "A block at a time"). Take the median of the 3 counts.
 bench-codec:
 	$(GO) test ./internal/sparse/codec/ -run xxx -bench '^Benchmark(Chain|Base|Entropy)' -benchmem -count 3
 

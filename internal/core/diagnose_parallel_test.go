@@ -8,7 +8,7 @@ import (
 )
 
 // runDiagnoseTrajectory drives rounds of Sync over a vector large enough
-// that diagnose fans out across the worker pool (size > diagnoseGrain) and
+// that the commit fans out across the worker pool (size > diagnoseGrain) and
 // returns every round's output concatenated, plus the final speculative
 // mask. Trajectories mix linear parameters (which promote), oscillating
 // ones (which never do), and stagnating ones, so the scan exercises every
@@ -43,12 +43,12 @@ func runDiagnoseTrajectory(t *testing.T, opts Options, rounds int) ([]float64, [
 }
 
 // TestDiagnoseParallelDeterminism pins the bit-identity contract of the
-// parallelized O(d) diagnosis scan: serial (1 worker) and fanned-out
-// execution must produce byte-for-byte the same sync outputs and the same
-// final speculative mask — for full FedSU and, crucially, for v2, whose
-// launch lottery consumes a shared rng that the parallel path must pre-draw
-// in serial order. This mirrors the serial-vs-parallel determinism pattern
-// of internal/tensor.
+// parallelized O(d) commit pass (diagnosis included): serial (1 worker) and
+// fanned-out execution must produce byte-for-byte the same sync outputs and
+// the same final speculative mask — for full FedSU and for v2, whose launch
+// lottery is a hash of (seed, round, parameter) and so owes nothing to the
+// order chunks run in. This mirrors the serial-vs-parallel determinism
+// pattern of internal/tensor.
 func TestDiagnoseParallelDeterminism(t *testing.T) {
 	const rounds = 9
 	variants := []Options{

@@ -29,7 +29,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"fedsu/internal/par"
 	"fedsu/internal/sparse"
@@ -161,15 +160,11 @@ const (
 	modeSpeculative
 )
 
-// Manager is the per-client FedSU state machine (the paper's
-// FedSU_Manager). It implements sparse.Syncer.
-type Manager struct {
-	id   int
-	size int
-	agg  sparse.Aggregator
-	opts Options
-	wire sparse.Wire
-
+// paramArrays is the manager's per-parameter state, one slot per scalar
+// parameter in every slice. It is a struct of its own so a pass over the
+// parameters can copy the slice headers into a local once (p := m.paramArrays)
+// instead of reloading each through m after every store.
+type paramArrays struct {
 	// Global-trajectory diagnosis state (identical across clients).
 	prevGlobal []float64 // x_{k-1} after the previous sync
 	lastG      []float64 // first-order difference g_{k-1}
@@ -196,29 +191,43 @@ type Manager struct {
 	// lazily on the first delta-domain sync; nil on the default wire.
 	wireErr []float64
 
+	// Cumulative speculative rounds per parameter, for the Fig. 7 linearity
+	// CDF (with Manager.seenTotal).
+	specTotal []int64
+}
+
+// Manager is the per-client FedSU state machine (the paper's
+// FedSU_Manager). It implements sparse.Syncer.
+type Manager struct {
+	id   int
+	size int
+	agg  sparse.Aggregator
+	opts Options
+	wire sparse.Wire
+
+	paramArrays
+
 	round   int
 	started bool
-	rng     *rand.Rand // v2 launch lottery (shared seed across clients)
 
 	// Per-sync scratch, reused across rounds so a steady-state Sync
 	// performs no allocation. scratchOut backs the vector returned to the
 	// caller — see the ownership note on Sync. scratchSend/scratchErrSend
-	// back the collective submissions; the aggregator only reads them for
-	// the duration of the call (the fl.Server contract), so reusing them
-	// the following round is safe. Each collective also lends the transport
-	// a scratch that is idle while it runs, to decode the result into: the
-	// model collective scratchDraw (filled only by diagnose, after the result
-	// is consumed), the error collective scratchSend (consumed by then).
-	scratchRegular  []int
-	scratchChecking []int
-	scratchSend     []float64
-	scratchErrSend  []float64
-	scratchOut      []float64
-	scratchDraw     []float64 // pre-drawn v2 lottery values for diagnose
+	// back the collective submissions, compacted to their heads; the
+	// aggregator only reads them for the duration of the call (the fl.Server
+	// contract), so reusing them the following round is safe. Each collective
+	// also lends the transport storage to decode its result into: the model
+	// collective scratchRecv, the error collective what scratchSend has left
+	// behind the model submission; the model submission's wire image comes
+	// back in the tail of scratchErrSend. ranks holds, per diagnoseGrain
+	// boundary, how many regular and checking parameters precede it.
+	scratchSend    []float64
+	scratchErrSend []float64
+	scratchRecv    []float64
+	scratchOut     []float64
+	ranks          [][2]int32
 
-	// Cumulative speculative-round counters for the Fig. 7 linearity CDF.
-	specTotal []int64
-	seenTotal int64
+	seenTotal int64 // rounds seen, the Fig. 7 linearity CDF's denominator
 }
 
 var _ sparse.ContextSyncer = (*Manager)(nil)
@@ -234,30 +243,29 @@ func NewManager(clientID, size int, agg sparse.Aggregator, opts Options) (*Manag
 	}
 	m := &Manager{
 		id: clientID, size: size, agg: agg, opts: opts,
-		prevGlobal:    make([]float64, size),
-		lastG:         make([]float64, size),
-		hasLastG:      make([]bool, size),
-		emaG2:         make([]float64, size),
-		emaAbsG2:      make([]float64, size),
-		emaG:          make([]float64, size),
-		emaAbsG:       make([]float64, size),
-		emaSeen:       make([]bool, size),
-		history:       make([]int32, size),
-		mode:          make([]paramMode, size),
-		slope:         make([]float64, size),
-		noCheckPeriod: make([]int32, size),
-		noCheckLeft:   make([]int32, size),
-		accumErr:      make([]float64, size),
-		specRounds:    make([]int32, size),
-		specTotal:     make([]int64, size),
-		rng:           rand.New(rand.NewSource(opts.Seed)),
-
-		scratchRegular:  make([]int, 0, size),
-		scratchChecking: make([]int, 0, size),
-		scratchSend:     make([]float64, size),
-		scratchErrSend:  make([]float64, size),
-		scratchOut:      make([]float64, size),
-		scratchDraw:     make([]float64, size),
+		paramArrays: paramArrays{
+			prevGlobal:    make([]float64, size),
+			lastG:         make([]float64, size),
+			hasLastG:      make([]bool, size),
+			emaG2:         make([]float64, size),
+			emaAbsG2:      make([]float64, size),
+			emaG:          make([]float64, size),
+			emaAbsG:       make([]float64, size),
+			emaSeen:       make([]bool, size),
+			history:       make([]int32, size),
+			mode:          make([]paramMode, size),
+			slope:         make([]float64, size),
+			noCheckPeriod: make([]int32, size),
+			noCheckLeft:   make([]int32, size),
+			accumErr:      make([]float64, size),
+			specRounds:    make([]int32, size),
+			specTotal:     make([]int64, size),
+		},
+		scratchSend:    make([]float64, size),
+		scratchErrSend: make([]float64, size),
+		scratchRecv:    make([]float64, size),
+		scratchOut:     make([]float64, size),
+		ranks:          make([][2]int32, (size+diagnoseGrain-1)/diagnoseGrain),
 	}
 	for i := range m.mode {
 		m.mode[i] = modeRegular
@@ -350,195 +358,89 @@ func (m *Manager) Sync(round int, local []float64, contributor bool) ([]float64,
 // SyncCtx implements sparse.ContextSyncer: the collectives honour ctx
 // cancellation when the aggregator supports it. The returned vector is
 // manager-owned scratch — see Sync.
+//
+// A round is two passes around its two collectives. stage reads the state
+// and builds both submissions; the collectives run; commit then moves every
+// parameter's state, once, in index order. Nothing the manager remembers
+// changes before both collectives have returned, so a round that fails in
+// either one can be retried as if it had never been tried.
 func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contributor bool) ([]float64, sparse.Traffic, error) {
 	if len(local) != m.size {
 		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: vector length %d, want %d", len(local), m.size)
 	}
-	m.round = round
-
 	if !m.started {
 		// Bootstrap round: full synchronization to establish the first
 		// global snapshot every later diagnosis derives from.
 		return m.bootstrap(ctx, round, local, contributor)
 	}
 
-	// Partition parameters: regular (synchronized), speculative
-	// (predicted), and speculative-with-expiring-check (error aggregated).
-	// The index slices never outgrow their construction-time capacity
-	// (both are bounded by m.size), so the appends below cannot
-	// reallocate.
-	regular := m.scratchRegular[:0]
-	checking := m.scratchChecking[:0]
-	for i := 0; i < m.size; i++ {
-		switch m.mode[i] {
-		case modeRegular:
-			regular = append(regular, i)
-		case modeSpeculative:
-			if m.noCheckLeft[i] <= 1 {
-				checking = append(checking, i)
-			}
-		}
-	}
-
-	// Collective 1: aggregate the regular parameters' values. Under a
-	// lossy chain the collective runs in the delta domain: clients ship
-	// local − prevGlobal and add the reference back after aggregation.
-	// prevGlobal is identical on every client (it is the post-sync
-	// global), so the averaged delta plus the reference equals the
+	// Under a lossy chain the model collective runs in the delta domain:
+	// clients ship local − prevGlobal and add the reference back after
+	// aggregation. prevGlobal is identical on every client (it is the
+	// post-sync global), so the averaged delta plus the reference equals the
 	// averaged values — but the chain's quantization grids then span the
-	// per-round update range instead of the absolute weight range, which
-	// is what keeps a 4-bit cell trainable. The default wire stays in the
-	// value domain, bit-identical to every pre-chain run.
+	// per-round update range instead of the absolute weight range, which is
+	// what keeps a 4-bit cell trainable. The default wire stays in the value
+	// domain, bit-identical to every pre-chain run.
 	delta := m.wire.Enabled()
 	if delta && m.wireErr == nil {
 		m.wireErr = make([]float64, m.size)
 	}
-	var send, img []float64
+	nReg, nChk := m.stage(local, contributor, delta)
+
+	// Collective 1: the regular parameters' values. The submission's wire
+	// image comes back in the tail of scratchErrSend; the error submission
+	// sits at its head and nReg + nChk ≤ size, so the two never meet.
+	var send, img, errSend []float64
 	if contributor {
-		send = m.scratchSend[:len(regular)]
-		for j, i := range regular {
-			if delta {
-				send[j] = local[i] - m.prevGlobal[i] + m.wireErr[i]
-			} else {
-				send[j] = local[i]
-			}
+		send, errSend = m.scratchSend[:nReg], m.scratchErrSend[:nChk]
+		if delta {
+			img = m.scratchErrSend[m.size-nReg:]
 		}
 	}
-	if delta && send != nil {
-		// The submission's wire image comes back in the error collective's
-		// send scratch, which is idle until that collective is built below.
-		img = m.scratchErrSend[:len(send)]
-	}
-	aggModel, upBytes, downBytes, err := m.wire.Collect(ctx, sparse.AggModel, m.agg, m.id, round, send, img, m.scratchDraw)
+	aggModel, upBytes, downBytes, err := m.wire.Collect(ctx, sparse.AggModel, m.agg, m.id, round, send, img, m.scratchRecv)
 	if err != nil {
 		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: aggregate model round %d: %w", round, err)
 	}
-	if aggModel != nil && len(aggModel) != len(regular) {
-		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: model aggregate returned %d values for %d regular params", len(aggModel), len(regular))
-	}
-	if img != nil {
-		// Error feedback: carry what the chain lost of this submission into
-		// the next round. img is what the transport's one encode decodes to,
-		// on either transport, and the residual advances only now that the
-		// collective has taken the submission: a failed call retried for the
-		// same round must not fold it in twice.
-		for j, i := range regular {
-			m.wireErr[i] = send[j] - img[j]
-		}
-	}
-
-	out := m.scratchOut
-
-	// Regular parameters take the aggregated global value (reference plus
-	// aggregated delta under a lossy chain).
-	for j, i := range regular {
-		switch {
-		case aggModel == nil:
-			out[i] = m.q(local[i])
-		case delta:
-			out[i] = m.q(m.prevGlobal[i] + aggModel[j])
-		default:
-			out[i] = m.q(aggModel[j])
-		}
-	}
-
-	// Speculative parameters are refined by the predicted per-round update
-	// (masked replacement), and their local prediction error accumulates.
-	// Under Quantize the prediction itself is snapped to the wire image, so
-	// the value the client stores (and trains from next round) is exactly
-	// the value the manager accounted for.
-	for i := 0; i < m.size; i++ {
-		if m.mode[i] != modeSpeculative {
-			continue
-		}
-		predicted := m.q(m.prevGlobal[i] + m.slope[i])
-		out[i] = predicted
-		// e_r = g̃_r − g_k, with the local update standing in for the true
-		// gradient until aggregation.
-		m.accumErr[i] += local[i] - predicted
-		m.specRounds[i]++
-		m.specTotal[i]++
+	if aggModel != nil && len(aggModel) != nReg {
+		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: model aggregate returned %d values for %d regular params", len(aggModel), nReg)
 	}
 
 	// Collective 2: error feedback for parameters whose no-checking period
 	// expires this round (full FedSU only). A round where it never runs
-	// adds nothing to the traffic (no message, not even a header).
-	if m.opts.Variant == VariantFull && len(checking) > 0 {
-		var errSend []float64
-		if contributor {
-			errSend = m.scratchErrSend[:len(checking)]
-			for j, i := range checking {
-				errSend[j] = m.accumErr[i]
-			}
-		}
-		aggErr, up, down, err := m.wire.Collect(ctx, sparse.AggError, m.agg, m.id, round, errSend, nil, m.scratchSend)
+	// adds nothing to the traffic (no message, not even a header). Its
+	// result may land behind the model submission, which is spent.
+	var aggErr []float64
+	if nChk > 0 {
+		var up, down int
+		aggErr, up, down, err = m.wire.Collect(ctx, sparse.AggError, m.agg, m.id, round, errSend, nil, m.scratchSend[nReg:])
 		if err != nil {
 			return nil, sparse.Traffic{}, fmt.Errorf("fedsu: aggregate error round %d: %w", round, err)
 		}
-		if aggErr != nil && len(aggErr) != len(checking) {
-			return nil, sparse.Traffic{}, fmt.Errorf("fedsu: error aggregate returned %d values for %d checking params", len(aggErr), len(checking))
+		if aggErr != nil && len(aggErr) != nChk {
+			return nil, sparse.Traffic{}, fmt.Errorf("fedsu: error aggregate returned %d values for %d checking params", len(aggErr), nChk)
 		}
 		upBytes += up
 		downBytes += down
-		for j, i := range checking {
-			var e float64
-			if aggErr != nil {
-				e = aggErr[j]
-			} else {
-				e = m.accumErr[i]
-			}
-			s := m.feedbackSignal(i, e, m.slope[i])
-			if s < m.opts.TS {
-				// Linear pattern persists: extend the no-checking period by
-				// one round and keep speculating.
-				m.noCheckPeriod[i]++
-				m.noCheckLeft[i] = m.noCheckPeriod[i]
-				m.accumErr[i] = 0
-			} else {
-				// Prediction diverged: rectify with the aggregated error
-				// and return the parameter to regular updating.
-				out[i] = m.q(out[i] + e)
-				m.revertToRegular(i)
-			}
-		}
 	}
 
-	// Tick down no-checking periods. Parameters that checked this round
-	// were just reset (or reverted) and are skipped (next walks checking,
-	// ascending like i); v1/v2 use the tick as their fixed-period exit back
-	// to regular updating.
-	next := 0
-	for i := 0; i < m.size; i++ {
-		checked := next < len(checking) && checking[next] == i
-		if checked {
-			next++
-		}
-		if m.mode[i] != modeSpeculative {
-			continue
-		}
-		if m.opts.Variant == VariantFull {
-			if !checked {
-				m.noCheckLeft[i]--
-			}
-		} else {
-			m.noCheckLeft[i]--
-			if m.noCheckLeft[i] <= 0 {
-				m.revertToRegular(i)
-			}
-		}
+	// Every parameter's step touches only its own slots, so the commit fans
+	// out across the worker pool in grain-aligned chunks, each starting from
+	// the ranks stage recorded; output is bit-identical at every worker count
+	// (TestDiagnoseParallelDeterminism). Dispatch directly when it cannot
+	// fan out: ParallelizeGrain would run the same single chunk inline, but
+	// building its closure costs one heap allocation per round, and
+	// small-model Sync pins zero.
+	if m.size <= diagnoseGrain || par.Workers() == 1 {
+		m.commit(round, local, aggModel, aggErr, img, 0, m.size)
+	} else {
+		par.ParallelizeGrain(m.size, diagnoseGrain, func(lo, hi int) {
+			m.commit(round, local, aggModel, aggErr, img, lo, hi)
+		})
 	}
-
-	// Diagnosis: update the oscillation statistics of regular parameters
-	// from the new global values and promote those below T_ℛ.
-	m.diagnose(out, regular)
-
-	copy(m.prevGlobal, out)
+	m.round = round
 	m.seenTotal++
 
-	nReg, nChk := len(regular), 0
-	if m.opts.Variant == VariantFull {
-		nChk = len(checking)
-	}
 	// Shipped bytes of the collective payloads: an abstaining
 	// non-contributor uploads framing only, and a collective with no
 	// contributors answers with a header-only downlink.
@@ -550,7 +452,185 @@ func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contr
 		TotalParams:   m.size,
 		FullBytes:     m.wire.FullRef(m.size),
 	}
-	return out, tr, nil
+	return m.scratchOut, tr, nil
+}
+
+// diagnoseGrain is the number of parameters per chunk of a round's commit,
+// and so the spacing of the ranks stage records. Every parameter's update
+// touches only its own slots, so the chunk decomposition cannot change the
+// arithmetic; the grain exists purely so models below a few thousand
+// parameters run inline (keeping small-model Sync allocation-free) while
+// paper-scale vectors fan the O(d) scan across the worker pool.
+const diagnoseGrain = 2048
+
+// stage is a round's read-only pass: it partitions the parameters into
+// regular (synchronized), speculative (predicted) and — full FedSU only —
+// speculative with an expiring no-checking period, and fills a contributor's
+// two submissions, compacted in index order: the regular parameters' values
+// (local − prevGlobal plus the carried residual under a lossy chain) into
+// scratchSend, and for every checking parameter the accumulated error this
+// round's commit will leave, Σe_r + (local − predicted), into
+// scratchErrSend. It returns both counts, having recorded them as they stood
+// at each diagnoseGrain boundary.
+func (m *Manager) stage(local []float64, contributor, delta bool) (nReg, nChk int) {
+	p := m.paramArrays
+	send, errSend := m.scratchSend, m.scratchErrSend
+	full, quantize := m.opts.Variant == VariantFull, m.opts.Quantize
+	for b0 := 0; b0 < m.size; b0 += diagnoseGrain {
+		m.ranks[b0/diagnoseGrain] = [2]int32{int32(nReg), int32(nChk)}
+		for i := b0; i < min(b0+diagnoseGrain, m.size); i++ {
+			switch {
+			case p.mode[i] == modeRegular:
+				if contributor {
+					v := local[i]
+					if delta {
+						v = v - p.prevGlobal[i] + p.wireErr[i]
+					}
+					send[nReg] = v
+				}
+				nReg++
+			case full && p.noCheckLeft[i] <= 1:
+				if contributor {
+					errSend[nChk] = p.accumErr[i] + (local[i] - wireImage(quantize, p.prevGlobal[i]+p.slope[i]))
+				}
+				nChk++
+			}
+		}
+	}
+	return nReg, nChk
+}
+
+// commit is a round's writing pass over parameters [lo, hi), lo a multiple
+// of diagnoseGrain. A regular parameter takes the aggregated global value
+// (reference plus aggregated delta under a lossy chain), carries what the
+// chain lost of its submission into the next round, and is diagnosed: its
+// oscillation statistics move to the new global value and it is promoted
+// when the ratio drops below T_ℛ (or, under v2, by lottery). A speculative
+// parameter is refined by the predicted per-round update (masked
+// replacement) while its local prediction error accumulates; when its
+// no-checking period expires the aggregated error either extends the period
+// or rectifies the value and returns the parameter to regular updating; v1
+// and v2 leave after their fixed period instead. A parameter promoted or
+// reverted this round is next looked at in its new mode next round.
+func (m *Manager) commit(round int, local, aggModel, aggErr, img []float64, lo, hi int) {
+	o, p := m.opts, m.paramArrays
+	full, quantize, th := o.Variant == VariantFull, o.Quantize, o.Theta
+	delta := m.wire.Enabled()
+	out, prev, send := m.scratchOut, p.prevGlobal, m.scratchSend
+	j, c := int(m.ranks[lo/diagnoseGrain][0]), int(m.ranks[lo/diagnoseGrain][1])
+	for i := lo; i < hi; i++ {
+		if p.mode[i] != modeRegular {
+			// Under Quantize the prediction itself is snapped to the wire
+			// image, so the value the client stores (and trains from next
+			// round) is exactly the value the manager accounted for.
+			x := wireImage(quantize, prev[i]+p.slope[i])
+			// e_r = g̃_r − g_k, with the local update standing in for the
+			// true gradient until aggregation.
+			acc := p.accumErr[i] + (local[i] - x)
+			p.specRounds[i]++
+			p.specTotal[i]++
+			switch {
+			case full && p.noCheckLeft[i] <= 1:
+				e := acc
+				if aggErr != nil {
+					e = aggErr[c]
+				}
+				c++
+				if m.feedbackSignal(i, e, p.slope[i]) < o.TS {
+					// Linear pattern persists: extend the no-checking period
+					// by one round and keep speculating.
+					p.noCheckPeriod[i]++
+					p.noCheckLeft[i] = p.noCheckPeriod[i]
+					acc = 0
+				} else {
+					// Prediction diverged: rectify with the aggregated error
+					// and return the parameter to regular updating.
+					x = wireImage(quantize, x+e)
+					acc = 0
+					m.revertToRegular(i)
+				}
+			case full:
+				p.noCheckLeft[i]--
+			case p.noCheckLeft[i] <= 1:
+				// v1/v2 leave when their fixed period has run.
+				acc = 0
+				m.revertToRegular(i)
+			default:
+				p.noCheckLeft[i]--
+			}
+			p.accumErr[i] = acc
+			out[i], prev[i] = x, x
+			continue
+		}
+
+		var x float64
+		switch {
+		case aggModel == nil:
+			x = wireImage(quantize, local[i])
+		case delta:
+			x = wireImage(quantize, prev[i]+aggModel[j])
+		default:
+			x = wireImage(quantize, aggModel[j])
+		}
+		if img != nil {
+			// Error feedback: img is what the transport's one encode of the
+			// submission decodes to, on either transport.
+			p.wireErr[i] = send[j] - img[j]
+		}
+		j++
+
+		g := x - prev[i]
+		ag := math.Abs(g)
+		seen := p.emaSeen[i]
+		if !p.hasLastG[i] {
+			p.emaG[i], p.emaAbsG[i] = g, ag
+			p.hasLastG[i] = true
+		} else {
+			g2 := g - p.lastG[i]
+			// Second differences at the float64 roundoff floor of the
+			// gradient scale are measurement noise, not oscillation;
+			// without the clamp a perfectly linear trajectory would show a
+			// ratio made of pure rounding error.
+			if math.Abs(g2) < 1e-9*ag {
+				g2 = 0
+			}
+			if !seen {
+				p.emaG2[i], p.emaAbsG2[i] = g2, math.Abs(g2)
+				p.emaSeen[i], seen = true, true
+			} else {
+				p.emaG2[i] = th*p.emaG2[i] + (1-th)*g2
+				p.emaAbsG2[i] = th*p.emaAbsG2[i] + (1-th)*math.Abs(g2)
+			}
+			p.emaG[i] = th*p.emaG[i] + (1-th)*g
+			p.emaAbsG[i] = th*p.emaAbsG[i] + (1-th)*ag
+		}
+		p.lastG[i] = g
+		p.history[i]++
+		out[i], prev[i] = x, x
+
+		var promote bool
+		if o.Variant == VariantV2 {
+			promote = launchDraw(o.Seed, round, i) < o.LaunchProb
+		} else {
+			// ℛ < T_ℛ; a zero denominator is a perfectly linear trajectory
+			// (see OscillationRatio).
+			promote = int(p.history[i]) >= o.MinHistory && seen && g != 0 &&
+				(p.emaAbsG2[i] == 0 || math.Abs(p.emaG2[i])/p.emaAbsG2[i] < o.TR)
+		}
+		if promote {
+			period := int32(1)
+			if !full {
+				period = int32(o.FixedPeriod)
+			}
+			p.mode[i] = modeSpeculative
+			p.slope[i] = p.emaG[i]
+			if o.RawSlope {
+				p.slope[i] = g
+			}
+			p.accumErr[i], p.specRounds[i] = 0, 0
+			p.noCheckPeriod[i], p.noCheckLeft[i] = period, period
+		}
+	}
 }
 
 // bootstrap performs the first full synchronization.
@@ -560,7 +640,7 @@ func (m *Manager) bootstrap(ctx context.Context, round int, local []float64, con
 		send = m.scratchSend[:m.size]
 		copy(send, local)
 	}
-	agg, up, down, err := m.wire.Collect(ctx, sparse.AggModel, m.agg, m.id, round, send, nil, m.scratchDraw)
+	agg, up, down, err := m.wire.Collect(ctx, sparse.AggModel, m.agg, m.id, round, send, nil, m.scratchRecv)
 	if err != nil {
 		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: bootstrap aggregate: %w", err)
 	}
@@ -576,6 +656,7 @@ func (m *Manager) bootstrap(ctx context.Context, round int, local []float64, con
 		}
 	}
 	copy(m.prevGlobal, out)
+	m.round = round
 	m.started = true
 	m.seenTotal++
 	return out, sparse.Traffic{
@@ -585,109 +666,6 @@ func (m *Manager) bootstrap(ctx context.Context, round int, local []float64, con
 		TotalParams:  m.size,
 		FullBytes:    m.wire.FullRef(m.size),
 	}, nil
-}
-
-// diagnoseGrain is the minimum number of regular parameters per parallel
-// chunk in diagnose. Every EMA/promotion update touches only its own
-// parameter's slots, so the chunk decomposition cannot change the
-// arithmetic; the grain exists purely so models below a few thousand
-// parameters run inline (keeping small-model Sync allocation-free) while
-// paper-scale vectors fan the O(d) scan across the worker pool.
-const diagnoseGrain = 2048
-
-// diagnose refreshes the second-order oscillation statistics of the given
-// regular parameters against the new global vector and promotes parameters
-// whose ratio drops below T_ℛ (or, under v2, by lottery). The per-parameter
-// scan runs on the par pool; output is bit-identical to serial execution at
-// every worker count because each iteration reads and writes only slots of
-// its own parameter (see TestDiagnoseParallelDeterminism).
-func (m *Manager) diagnose(global []float64, regular []int) {
-	// The v2 launch lottery consumes the shared rng; pre-draw serially — one
-	// Float64 per regular parameter, in index order, exactly the sequence
-	// the serial loop consumed — so the parallel scan stays deterministic.
-	var draws []float64
-	if m.opts.Variant == VariantV2 {
-		draws = m.scratchDraw[:len(regular)]
-		for j := range draws {
-			draws[j] = m.rng.Float64()
-		}
-	}
-	// Dispatch directly when the scan cannot fan out: ParallelizeGrain would
-	// run the same single chunk inline, but building its closure costs one
-	// heap allocation per round, and small-model Sync pins zero. A fanned
-	// scan (paper-scale vectors on a multi-worker pool) accepts the
-	// transient closure + waitgroup allocations, like the tensor kernels.
-	if len(regular) <= diagnoseGrain || par.Workers() == 1 {
-		m.diagnoseRange(global, regular, draws, 0, len(regular))
-		return
-	}
-	par.ParallelizeGrain(len(regular), diagnoseGrain, func(lo, hi int) {
-		m.diagnoseRange(global, regular, draws, lo, hi)
-	})
-}
-
-// diagnoseRange processes regular[lo:hi]; it is the body diagnose fans out.
-func (m *Manager) diagnoseRange(global []float64, regular []int, draws []float64, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		i := regular[j]
-		g := global[i] - m.prevGlobal[i]
-		if m.hasLastG[i] {
-			g2 := g - m.lastG[i]
-			// Second differences at the float64 roundoff floor of the
-			// gradient scale are measurement noise, not oscillation;
-			// without the clamp a perfectly linear trajectory would show a
-			// ratio made of pure rounding error.
-			if math.Abs(g2) < 1e-9*math.Abs(g) {
-				g2 = 0
-			}
-			if !m.emaSeen[i] {
-				m.emaG2[i], m.emaAbsG2[i] = g2, math.Abs(g2)
-				m.emaSeen[i] = true
-			} else {
-				th := m.opts.Theta
-				m.emaG2[i] = th*m.emaG2[i] + (1-th)*g2
-				m.emaAbsG2[i] = th*m.emaAbsG2[i] + (1-th)*math.Abs(g2)
-			}
-		}
-		if !m.hasLastG[i] {
-			m.emaG[i], m.emaAbsG[i] = g, math.Abs(g)
-		} else {
-			th := m.opts.Theta
-			m.emaG[i] = th*m.emaG[i] + (1-th)*g
-			m.emaAbsG[i] = th*m.emaAbsG[i] + (1-th)*math.Abs(g)
-		}
-		m.lastG[i] = g
-		m.hasLastG[i] = true
-		m.history[i]++
-
-		promote := false
-		switch m.opts.Variant {
-		case VariantV2:
-			promote = draws[j] < m.opts.LaunchProb
-		default:
-			promote = int(m.history[i]) >= m.opts.MinHistory &&
-				m.emaSeen[i] &&
-				m.OscillationRatio(i) < m.opts.TR &&
-				g != 0
-		}
-		if promote {
-			m.mode[i] = modeSpeculative
-			if m.opts.RawSlope {
-				m.slope[i] = g
-			} else {
-				m.slope[i] = m.emaG[i]
-			}
-			m.accumErr[i] = 0
-			m.specRounds[i] = 0
-			if m.opts.Variant == VariantFull {
-				m.noCheckPeriod[i] = 1
-				m.noCheckLeft[i] = 1
-			} else {
-				m.noCheckPeriod[i] = int32(m.opts.FixedPeriod)
-				m.noCheckLeft[i] = int32(m.opts.FixedPeriod)
-			}
-		}
-	}
 }
 
 // revertToRegular returns parameter i to regular synchronized updating,
@@ -704,14 +682,34 @@ func (m *Manager) revertToRegular(i int) {
 	m.specRounds[i] = 0
 }
 
-// q maps v to its wire image when Quantize is set (identity otherwise).
-// Every value written to the sync output goes through it, so a float32
-// model loads the output exactly.
-func (m *Manager) q(v float64) float64 {
-	if m.opts.Quantize {
+// wireImage maps v to its wire image under Options.Quantize (identity
+// otherwise). Every value written to the sync output goes through it, so a
+// float32 model loads the output exactly.
+func wireImage(quantize bool, v float64) float64 {
+	if quantize {
 		return sparse.QuantizeWire(v)
 	}
 	return v
+}
+
+// launchDraw is v2's launch lottery: a uniform [0,1) draw that is a pure
+// function of (seed, round, parameter) — the construction the chain
+// quantizer's rounding uses — so every client of a round draws the same
+// value for a parameter whenever it joined, restored or resumed, on any
+// worker count.
+func launchDraw(seed int64, round, i int) float64 {
+	x := mix64(uint64(seed) + mix64(uint64(round)+mix64(uint64(i))))
+	return float64(x>>11) / (1 << 53)
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	return x
 }
 
 // feedbackSignal computes 𝒮 = |Σe_r| / |g_k| (Eq. 3). Unless RawErrorNorm

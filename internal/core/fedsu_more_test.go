@@ -1,15 +1,12 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"fedsu/internal/sparse"
-	"fedsu/internal/sparse/codec"
 )
 
 // fleetAgg simulates an N-client fleet for a single manager under test: the
@@ -301,91 +298,4 @@ func (s *scriptedAgg) AggregateError(_, _ int, values []float64) ([]float64, err
 		return nil, nil
 	}
 	return make([]float64, len(values)), nil
-}
-
-// failOnceAgg fails the model collective of one round on its first attempt
-// — before anything is submitted, as a cancelled or dropped call does — and
-// otherwise forwards to inner, ctx included.
-type failOnceAgg struct {
-	inner     sparse.Aggregator
-	failRound int
-	failed    bool
-}
-
-func (f *failOnceAgg) AggregateModel(id, round int, v []float64) ([]float64, error) {
-	return f.AggregateModelCtx(context.Background(), id, round, v)
-}
-
-func (f *failOnceAgg) AggregateError(id, round int, v []float64) ([]float64, error) {
-	return f.AggregateErrorCtx(context.Background(), id, round, v)
-}
-
-func (f *failOnceAgg) AggregateModelCtx(ctx context.Context, id, round int, v []float64) ([]float64, error) {
-	if round == f.failRound && !f.failed {
-		f.failed = true
-		return nil, errors.New("collective dropped")
-	}
-	return sparse.AggModel(ctx, f.inner, id, round, v)
-}
-
-func (f *failOnceAgg) AggregateErrorCtx(ctx context.Context, id, round int, v []float64) ([]float64, error) {
-	return sparse.AggError(ctx, f.inner, id, round, v)
-}
-
-// TestFailedCollectiveDoesNotAdvanceResidual: the error-feedback residual
-// of a lossy chain is committed only once the model collective has taken
-// the submission. A collective that fails on round r and is retried for
-// the same round must leave the run bit-equal to one that never failed —
-// committing the residual before the call folded it into the retry twice.
-func TestFailedCollectiveDoesNotAdvanceResidual(t *testing.T) {
-	const (
-		size      = 600
-		rounds    = 8
-		failRound = 3
-	)
-	traj := func(k int) []float64 {
-		// Per-round movement well below the 4-bit grid step of the larger
-		// components, so the residual carries real mass between rounds.
-		rng := rand.New(rand.NewSource(int64(100 + k)))
-		v := make([]float64, size)
-		for i := range v {
-			v[i] = math.Sin(float64(i)) + 0.01*float64(k)*rng.NormFloat64()
-		}
-		return v
-	}
-	run := func(fail int) [][]float64 {
-		chain, err := codec.Parse("topk,q4,rans", 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		agg := &failOnceAgg{inner: sparse.WrapAggregator(&identityAgg{}, chain), failRound: fail}
-		m, err := NewManager(0, size, agg, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.SetWire(sparse.Wire{Chain: chain})
-		var outs [][]float64
-		for k := 0; k < rounds; k++ {
-			out, _, err := m.Sync(k, traj(k), true)
-			if k == fail {
-				if err == nil {
-					t.Fatalf("round %d: the dropped collective did not surface", k)
-				}
-				out, _, err = m.Sync(k, traj(k), true)
-			}
-			if err != nil {
-				t.Fatalf("round %d: %v", k, err)
-			}
-			outs = append(outs, append([]float64(nil), out...))
-		}
-		return outs
-	}
-	clean, retried := run(-1), run(failRound)
-	for k := range clean {
-		for i := range clean[k] {
-			if math.Float64bits(clean[k][i]) != math.Float64bits(retried[k][i]) {
-				t.Fatalf("round %d param %d: %v after a retried collective, %v without the failure", k, i, retried[k][i], clean[k][i])
-			}
-		}
-	}
 }

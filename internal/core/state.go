@@ -6,8 +6,21 @@ import "fmt"
 // Per the paper's dynamicity handling (Sec. V), a client joining mid-run
 // downloads — besides the latest model — the predictability mask and
 // no-checking information; State carries exactly that (plus the diagnosis
-// EMAs so the joiner's future decisions match the fleet's). It is
-// gob-encodable for the TCP wire protocol.
+// EMAs so the joiner's future decisions match the fleet's). It travels
+// in-process to a joiner (fl.Engine.AddClient) and through internal/ckpt's
+// binary format to disk; nothing puts it on the TCP wire.
+//
+// A snapshot is everything Algorithm 1's next decision depends on, and
+// nothing else. Three pieces of manager state are left out on purpose:
+//
+//   - the lossy chain's error-feedback residual (wireErr) is what this
+//     client's own past submissions lost on the wire — a joiner has sent
+//     nothing, and a resumed client restarting it at zero forgoes at most one
+//     quantization step per parameter, once;
+//   - the Fig. 7 counters (specTotal, seenTotal) are a report about this
+//     client's run so far, not an input to it;
+//   - v2's launch lottery has no state: a draw is a function of (Seed, round,
+//     parameter), so a restored manager launches what the fleet launches.
 type State struct {
 	Size       int
 	Round      int

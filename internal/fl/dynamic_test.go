@@ -56,6 +56,48 @@ func TestAddClientMidTraining(t *testing.T) {
 	}
 }
 
+// TestAddClientV2JoinerMaskAgrees: under fedsu-v2 the joiner must launch the
+// parameters the fleet launches from its first round on. The launch lottery
+// is a pure function of (seed, round, parameter); while it was a random
+// stream the snapshot did not carry, the joiner drew from the seed's start
+// while the fleet was mid-stream, and the next model collective saw
+// submissions of different lengths.
+func TestAddClientV2JoinerMaskAgrees(t *testing.T) {
+	e, _ := tinyEngine(t, "fedsu-v2", 8)
+	ds := data.Synthesize(data.SynthConfig{
+		Name: "extra", Channels: 1, Size: 8, Classes: 4,
+		Samples: 64, Noise: 0.2, Seed: 99,
+	})
+	joiner, err := e.AddClient(data.NewSubset(ds, []int{0, 1, 2, 3, 4, 5, 6, 7}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor := e.Clients()[0]
+	launched := 0
+	for r := 0; r < 4; r++ {
+		if _, err := e.RunRound(context.Background(), false); err != nil {
+			t.Fatalf("round %d after the join: %v", r, err)
+		}
+		dm := donor.Syncer().(*core.Manager).PredictableMask()
+		jm := joiner.Syncer().(*core.Manager).PredictableMask()
+		dv, jv := donor.Model().Vector(), joiner.Model().Vector()
+		for i := range dm {
+			if dm[i] != jm[i] {
+				t.Fatalf("round %d after the join: donor=%v joiner=%v at parameter %d", r, dm[i], jm[i], i)
+			}
+			if dv[i] != jv[i] {
+				t.Fatalf("round %d after the join: models differ at parameter %d", r, i)
+			}
+			if dm[i] {
+				launched++
+			}
+		}
+	}
+	if launched == 0 {
+		t.Fatal("vacuous run: the lottery launched nothing")
+	}
+}
+
 func TestRemoveClient(t *testing.T) {
 	e, _ := tinyEngine(t, "fedavg", 4)
 	id := e.Clients()[2].ID

@@ -85,6 +85,64 @@ func BenchmarkChainRoundTrip(b *testing.B) {
 	}
 }
 
+// compactBenchParams is the length of the vector core.Manager compacts a
+// 150k-parameter round into when a third of the model is speculative.
+const compactBenchParams = 51_200
+
+// compactVector has no zero anywhere — benchVector(1) has one at index 0
+// (sin 0), which keeps its "dense" rows on the bitmap mode — so it takes the
+// quant stage's mode 0x03, the form every core.Manager submission and every
+// reply ships: per-round updates at layer-dependent scales.
+func compactVector() []float64 {
+	vec := make([]float64, compactBenchParams)
+	for i := range vec {
+		layerScale := math.Pow(10, float64((i/8192)%4)-4) // 1e-4 .. 1e-1
+		vec[i] = (0.25 + math.Abs(math.Sin(float64(i)))) * layerScale
+		if i%3 == 0 {
+			vec[i] = -vec[i]
+		}
+	}
+	return vec
+}
+
+// BenchmarkChainCompact times a compacted submission through the chains the
+// chain workload runs: encode+image is the upload (AppendEncodeImage, what
+// flrpc.Client calls), decode the coordinator's side of it; q8 is the reply.
+func BenchmarkChainCompact(b *testing.B) {
+	vec := compactVector()
+	for _, spec := range []string{"topk,q4", "topk,q4,rans", "topk,q8,rans"} {
+		ch, err := Parse(spec, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		payload := ch.AppendEncode(nil, vec)
+		if payload[0] == FormatQuant && payload[2] != quantModeDense {
+			b.Fatalf("%s: compact vector shipped quant mode 0x%02x", spec, payload[2])
+		}
+		b.Run(spec+"/encode+image", func(b *testing.B) {
+			b.SetBytes(8 * compactBenchParams)
+			buf := GetBuf(len(payload) + 64)
+			defer PutBuf(buf)
+			image := make([]float64, len(vec))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				*buf, image = ch.AppendEncodeImage((*buf)[:0], vec, image)
+			}
+			b.ReportMetric(float64(len(payload)), "encodedB")
+		})
+		b.Run(spec+"/decode", func(b *testing.B) {
+			b.SetBytes(8 * compactBenchParams)
+			dst := make([]float64, len(vec))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeInto(dst, payload, len(vec)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // Base-stage kernel benchmarks at the tcp_dense model size. benchVector's
 // fixed stride is the branch predictor's best case (at 50 % the per-bit
 // decoder ran 3× faster on stride 2 than on a random mask), so these draw

@@ -75,7 +75,7 @@ func appendEntropy(dst []byte, inner []byte) []byte {
 	enc := rangeEncoder{cacheSize: 1, out: dst}
 	low, rng := uint64(0), uint32(0xFFFFFFFF)
 	var m entropyModel
-	m.init()
+	m.init(nil)
 	for _, s := range inner {
 		r := rng >> entropyBits
 		low += uint64(r) * uint64(m.cum[s])
@@ -84,7 +84,7 @@ func appendEntropy(dst []byte, inner []byte) []byte {
 			low = enc.shiftLow(low)
 			rng <<= 8
 		}
-		m.seen(s)
+		m.seen(s, nil)
 	}
 	for i := 0; i < 5; i++ {
 		low = enc.shiftLow(low)
@@ -149,13 +149,16 @@ func decodeEntropy(dst []float64, b []byte, maxParams, depth int) ([]float64, er
 // DESIGN.md §5l.
 type entropyModel struct {
 	freq, cum [256]uint16
-	// slot maps a target below 2^entropyBits to its symbol, for the decoder;
-	// padded for fold's 8-byte stores.
-	slot [1<<entropyBits + 8]byte
-	cnt  [256]uint32
-	step int // symbols between the last two folds
-	left int // symbols until the next one
+	cnt       [256]uint32
+	step      int // symbols between the last two folds
+	left      int // symbols until the next one
 }
+
+// entropySlots maps a target below 2^entropyBits to its symbol, padded for
+// fold's 8-byte stores. Only the decoder looks symbols up, so only the decoder
+// owns one and hands it to its model's folds; the encoder passes nil and its
+// folds stop at cum — most of a fold is these 4 KiB of stores.
+type entropySlots [1<<entropyBits + 8]byte
 
 const (
 	entropyBits    = 12
@@ -164,22 +167,22 @@ const (
 	entropyMaxStep = 512
 )
 
-func (m *entropyModel) init() {
+func (m *entropyModel) init(slot *entropySlots) {
 	for s := range m.cnt {
 		m.cnt[s] = 1
 	}
 	m.step = 8 // the first fold doubles it
-	m.fold()
+	m.fold(slot)
 }
 
-func (m *entropyModel) seen(s byte) {
+func (m *entropyModel) seen(s byte, slot *entropySlots) {
 	m.cnt[s] += entropyInc
 	if m.left--; m.left == 0 {
-		m.fold()
+		m.fold(slot)
 	}
 }
 
-func (m *entropyModel) fold() {
+func (m *entropyModel) fold(slot *entropySlots) {
 	var sum uint32
 	for _, c := range m.cnt {
 		sum += c
@@ -207,9 +210,12 @@ func (m *entropyModel) fold() {
 	c := 0
 	for s, f := range m.freq {
 		m.cum[s] = uint16(c)
-		end, pat := c+int(f), uint64(s)*0x0101010101010101
-		for ; c < end; c += 8 { // overshoot is rewritten by the next symbol
-			binary.LittleEndian.PutUint64(m.slot[c:], pat)
+		end := c + int(f)
+		if slot != nil {
+			pat := uint64(s) * 0x0101010101010101
+			for ; c < end; c += 8 { // overshoot is rewritten by the next symbol
+				binary.LittleEndian.PutUint64(slot[c:], pat)
+			}
 		}
 		c = end
 	}
@@ -249,7 +255,8 @@ func (e *rangeEncoder) shiftLow(low uint64) uint64 {
 // zeros, so a hostile body decodes to garbage and fails the count.
 func decodeRange(out, body []byte) bool {
 	var m entropyModel
-	m.init()
+	var slot entropySlots
+	m.init(&slot)
 	var code uint32
 	rng, pos := uint32(0xFFFFFFFF), 1
 	for ; pos < 5; pos++ {
@@ -257,7 +264,7 @@ func decodeRange(out, body []byte) bool {
 	}
 	for i := range out {
 		r := rng >> entropyBits
-		s := m.slot[min(code/r, 1<<entropyBits-1)]
+		s := slot[min(code/r, 1<<entropyBits-1)]
 		code -= r * uint32(m.cum[s])
 		rng = r * uint32(m.freq[s])
 		for ; rng < 1<<24; pos++ {
@@ -265,7 +272,7 @@ func decodeRange(out, body []byte) bool {
 			rng <<= 8
 		}
 		out[i] = s
-		m.seen(s)
+		m.seen(s, &slot)
 	}
 	return pos == len(body)
 }

@@ -240,3 +240,59 @@ func TestRetiredEntropyTag(t *testing.T) {
 		t.Fatal("reference coder does not invert")
 	}
 }
+
+// TestEntropyEncoderModelMatchesDecoder: the encoder's folds are handed no
+// slot table and skip building it, and nothing else. Over skewed and uniform
+// streams long enough to halve the counts several times, both models hold the
+// same coding tables after every symbol, and the decoder's slot table agrees
+// with them at every fold.
+func TestEntropyEncoderModelMatchesDecoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, skew := range []int{1, 4, 64, 256} {
+		var enc, dec entropyModel
+		var slot entropySlots
+		enc.init(nil)
+		dec.init(&slot)
+		for i := 0; i < 6000; i++ {
+			s := byte(rng.Intn(skew) * rng.Intn(2) * (256 / skew))
+			folds := enc.left == 1
+			enc.seen(s, nil)
+			dec.seen(s, &slot)
+			if enc.freq != dec.freq || enc.cum != dec.cum || enc.cnt != dec.cnt || enc.step != dec.step || enc.left != dec.left {
+				t.Fatalf("skew %d: models diverge after symbol %d", skew, i)
+			}
+			if !folds {
+				continue
+			}
+			for sym, c := range dec.cum {
+				for target := int(c); target < int(c)+int(dec.freq[sym]); target++ {
+					if slot[target] != byte(sym) {
+						t.Fatalf("skew %d symbol %d: slot[%d] = %d, want %d", skew, i, target, slot[target], sym)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEntropyDecodeSteadyStateAllocs: the decoder's 4 KiB slot table lives in
+// its frame — a model that kept a pointer to it moved it to the heap, once
+// per decoded message.
+func TestEntropyDecodeSteadyStateAllocs(t *testing.T) {
+	chain, err := Parse("topk,q4,rans", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := updateVector(rand.New(rand.NewSource(3)), 4096, false)
+	payload := chain.AppendEncode(nil, vec)
+	dst := make([]float64, len(vec))
+	decode := func() {
+		if _, err := DecodeInto(dst, payload, len(vec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode() // fills the buffer pool
+	if allocs := testing.AllocsPerRun(50, decode); allocs >= 1 {
+		t.Errorf("decoding a coded payload allocates %.1f times per message, want 0", allocs)
+	}
+}

@@ -28,8 +28,9 @@ func fuzzVec(raw []byte) []float64 {
 }
 
 // FuzzQuantStage: decoding arbitrary 0x04 payloads must never panic or
-// over-allocate, and the quantizer's canonical encodings must round-trip
-// onto their own grid.
+// over-allocate, the quantizer's canonical encodings must round-trip onto
+// their own grid, and the block encoder and decoder must match the
+// per-element reference (quant_ref_test.go) on every input.
 func FuzzQuantStage(f *testing.F) {
 	q4, _ := NewQuant(4, 7)
 	seed1, _ := q4.Encode(nil, Vector{Values: []float64{0, 1.5, 0, -2.25, 0.125}})
@@ -46,15 +47,32 @@ func FuzzQuantStage(f *testing.F) {
 	f.Add(dense[1:], uint8(6))
 	f.Add(append(append(dense[1:11:11], 4), dense[12:]...), uint8(3))
 	f.Fuzz(func(t *testing.T, raw []byte, bits uint8) {
-		if _, err := DecodeInto(nil, append([]byte{FormatQuant}, raw...), 1<<16); err != nil {
-			// Hostile payload rejected — fine. Also fuzz the encode side.
+		// A hostile payload is refused by the block decoder and the
+		// per-element reference alike, or decodes to the same bits.
+		got, err := decodeQuant(nil, raw, 1<<16)
+		ref, refErr := refDecodeQuant(nil, raw, 1<<16)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("block decoder: %v, reference: %v", err, refErr)
+		}
+		if err == nil {
+			if err := sameBits(got, ref); err != nil {
+				t.Fatalf("block decoder and reference disagree: %v", err)
+			}
 		}
 		b := int(bits%7) + 2
 		st, err := NewQuant(b, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The encode side, first on the raw bit patterns (NaN, ±Inf and
+		// denormals included), then on the finite fold of them.
+		rawVec := make([]float64, min(len(raw)/8, 1<<12))
+		for i := range rawVec {
+			rawVec[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		checkQuantAgainstReference(t, st.(*quantStage), rawVec)
 		vec := fuzzVec(raw)
+		checkQuantAgainstReference(t, st.(*quantStage), vec)
 		enc, err := st.Encode(nil, Vector{Values: vec})
 		if err != nil {
 			t.Fatalf("encode: %v", err)

@@ -111,46 +111,38 @@ func (q *quantStage) Decode(dst []float64, payload []byte, maxParams int) ([]flo
 	return decodeQuant(dst, payload[1:], maxParams)
 }
 
+// append encodes vec a quantBlock at a time: gather the block's nonzeros,
+// take their range, decide every symbol, pack. All three index modes run the
+// same per-block kernel (symbols); they differ in what the gather emits — a
+// bitmap bit, a delta varint, or nothing, when the block slice itself is the
+// nonzero set. The bytes are those of the per-element encoder this replaced
+// (quant_ref_test.go).
 func (q *quantStage) append(dst []byte, vec []float64) []byte {
-	bitmapPart := (len(vec) + 7) / 8
+	n := len(vec)
+	bitmapPart := (n + 7) / 8
 	nnz, varBytes := baseStats(vec, bitmapPart)
 	symBytes := (nnz*q.bits + 7) / 8
 	mode, indexPart := byte(quantModeBitmap), bitmapPart
 	if varBytes < bitmapPart {
 		mode, indexPart = quantModeIndex, varBytes
 	}
-	if nnz == len(vec) && nnz > 0 {
+	// Blocks with no nonzeros ship no range pair, and the symbols start
+	// behind the last pair: count the pairs first.
+	blocks := 0
+	if nnz == n && nnz > 0 {
 		mode, indexPart = quantModeDense, 0
-	}
-
-	// Pass 1: per-block [lo, hi] over finite nonzeros, in block order. A
-	// block whose nonzeros are all non-finite gets the degenerate (0, 0)
-	// grid, matching the single-value case's "everything decodes to lo".
-	rngBuf := GetVals(2 * (len(vec)/quantBlock + 1))
-	defer PutVals(rngBuf)
-	ranges := (*rngBuf)[:0]
-	curB := -1
-	for i, v := range vec {
-		if v == 0 {
-			continue
-		}
-		if b := i / quantBlock; b != curB {
-			curB = b
-			ranges = append(ranges, math.Inf(1), math.Inf(-1))
-		}
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			continue
-		}
-		k := len(ranges)
-		ranges[k-2] = math.Min(ranges[k-2], v)
-		ranges[k-1] = math.Max(ranges[k-1], v)
-	}
-	for j := 0; j < len(ranges); j += 2 {
-		if ranges[j] > ranges[j+1] {
-			ranges[j], ranges[j+1] = 0, 0
+		blocks = (n + quantBlock - 1) / quantBlock
+	} else {
+		for b0 := 0; b0 < n; b0 += quantBlock {
+			for _, v := range vec[b0:min(b0+quantBlock, n)] {
+				if v != 0 {
+					blocks++
+					break
+				}
+			}
 		}
 	}
-	rangePart := quantRangeBytes * len(ranges) / 2
+	rangePart := quantRangeBytes * blocks
 
 	base := len(dst)
 	dst = growBytes(dst, 1+quantHeaderBytes+indexPart+rangePart+symBytes)
@@ -159,103 +151,129 @@ func (q *quantStage) append(dst []byte, vec []float64) []byte {
 	body := out[1:]
 	body[0] = byte(q.bits)
 	body[1] = mode
-	binary.LittleEndian.PutUint64(body[2:], uint64(len(vec)))
+	binary.LittleEndian.PutUint64(body[2:], uint64(n))
 	binary.LittleEndian.PutUint64(body[10:], uint64(nnz))
 	idx := body[quantHeaderBytes : quantHeaderBytes+indexPart]
 	rng := body[quantHeaderBytes+indexPart : quantHeaderBytes+indexPart+rangePart]
-	syms := body[quantHeaderBytes+indexPart+rangePart:]
+	pack := symPacker{out: body[quantHeaderBytes+indexPart+rangePart:], bits: uint(q.bits)}
 	if mode == quantModeBitmap {
 		clear(idx)
 	}
-	for j, f := range ranges {
-		binary.LittleEndian.PutUint64(rng[8*j:], math.Float64bits(f))
-	}
 
-	// Pass 2: index bits/varints plus grid symbols, swapping grids at
-	// block boundaries.
+	var (
+		vals [quantBlock]float64 // the block's nonzeros, gathered
+		offs [quantBlock]uint8   // their offsets inside the block
+		syms [quantBlock]uint8
+	)
+	if mode == quantModeDense {
+		for k := range offs {
+			offs[k] = uint8(k)
+		}
+	}
 	steps := float64(int(1)<<q.bits - 1)
-	var lo, scale float64
-	curB = -1
-	r := 0
-	var acc uint64
-	accBits := 0
-	pos := 0 // varint cursor (index mode)
-	prev := 0
-	for i, v := range vec {
-		if v == 0 {
-			continue
-		}
-		if b := i / quantBlock; b != curB {
-			curB = b
-			lo = ranges[2*r]
-			hi := ranges[2*r+1]
-			r++
-			scale = 0
-			if hi > lo {
-				scale = steps / (hi - lo)
+	pos, prev := 0, 0 // varint cursor and last position (index mode)
+	for b0 := 0; b0 < n; b0 += quantBlock {
+		nz := vec[b0:min(b0+quantBlock, n)]
+		if mode != quantModeDense {
+			k := 0
+			for j, v := range nz {
+				if v == 0 {
+					continue
+				}
+				vals[k], offs[k] = v, uint8(j)
+				k++
+				if i := b0 + j; mode == quantModeBitmap {
+					idx[i/8] |= 1 << (i % 8)
+				} else {
+					pos += binary.PutUvarint(idx[pos:], uint64(i-prev))
+					prev = i
+				}
 			}
+			if k == 0 {
+				continue
+			}
+			nz = vals[:k]
 		}
-		switch mode {
-		case quantModeBitmap:
-			idx[i/8] |= 1 << (i % 8)
-		case quantModeIndex:
-			pos += binary.PutUvarint(idx[pos:], uint64(i-prev))
-			prev = i
+		lo, hi := blockRange(nz)
+		binary.LittleEndian.PutUint64(rng, math.Float64bits(lo))
+		binary.LittleEndian.PutUint64(rng[8:], math.Float64bits(hi))
+		rng = rng[quantRangeBytes:]
+		scale := 0.0
+		if hi > lo {
+			scale = steps / (hi - lo)
 		}
-		sym := q.symbol(v, lo, scale, steps, i)
-		acc |= uint64(sym) << accBits
-		accBits += q.bits
-		for accBits >= 8 {
-			syms[0] = byte(acc)
-			syms = syms[1:]
-			acc >>= 8
-			accBits -= 8
-		}
+		blockSyms := syms[:len(nz)]
+		q.symbols(blockSyms, nz, offs[:len(nz)], b0, lo, scale, steps)
+		pack.put(blockSyms)
 	}
-	if accBits > 0 {
-		syms[0] = byte(acc)
-	}
+	pack.flush()
 	return dst
 }
 
-// symbol maps one nonzero value onto the grid with seeded stochastic
-// rounding. Non-finite values clamp deterministically (NaN to the low
-// edge): the stage is documented lossy and total, never failing.
-func (q *quantStage) symbol(v, lo, scale, steps float64, pos int) int {
-	t := (v - lo) * scale
-	if math.IsNaN(t) || t < 0 {
-		t = 0
-	} else if t > steps {
-		t = steps
-	}
-	// Grid values must re-quantize to themselves (value-level idempotence,
-	// asserted by FuzzChainRoundTrip): snap near-integer t before rounding
-	// so the float error of decode→re-encode cannot flip a coin.
-	r := math.Round(t)
-	if math.Abs(t-r) <= 1e-9 {
-		return int(r)
-	}
-	f := math.Floor(t)
-	if rnd01(q.seed, pos, math.Float64bits(v)) < t-f {
-		f++
-	}
-	return int(f)
-}
-
-// quantRange is the affine grid's [lo, hi] over finite nonzero values.
-func quantRange(vec []float64) (lo, hi float64) {
+// blockRange is the affine grid's [lo, hi] over the finite values of a
+// block's nonzeros; a block with none gets the degenerate (0, 0) grid, on
+// which everything decodes to lo. v-v is zero exactly for a finite v, and
+// among finite nonzeros the comparisons pick what math.Min and math.Max do.
+func blockRange(nz []float64) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, v := range vec {
-		if v == 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+	for _, v := range nz {
+		if v-v != 0 {
 			continue
 		}
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
 	}
-	if lo > hi { // no finite nonzero values
+	if lo > hi {
 		return 0, 0
 	}
 	return lo, hi
+}
+
+// symbols maps a block's nonzeros onto its grid with seeded stochastic
+// rounding; nz[k] sits at position b0+offs[k]. Non-finite values clamp
+// deterministically (NaN to the low edge): the stage is documented lossy and
+// total, never failing.
+//
+// Grid values must re-quantize to themselves (value-level idempotence,
+// asserted by FuzzChainRoundTrip), so a t within 1e-9 of an integer snaps to
+// it and only the rest round up on a draw below their fraction. With t in
+// [0, 255], f = trunc(t) and d = t − f, both d and (f+1) − t are exact
+// differences of neighbouring floats, so the two snap tests are
+// |t − math.Round(t)| ≤ 1e-9 and d is t − math.Floor(t) without the calls.
+// The draw is a uniform [0,1) that is a pure function of (seed, position,
+// value bits) — the determinism contract of the stage — so taking it for
+// every value, snapped or not, changes no symbol and lets the decision be
+// arithmetic on comparison results: a branch on a coin flip mispredicts every
+// other value (DESIGN.md §5l).
+func (q *quantStage) symbols(syms []uint8, nz []float64, offs []uint8, b0 int, lo, scale, steps float64) {
+	offs, syms = offs[:len(nz)], syms[:len(nz)] // one bounds check each, here
+	for k, v := range nz {
+		t := (v - lo) * scale
+		if !(t >= 0) { // negative or NaN
+			t = 0
+		} else if t > steps {
+			t = steps
+		}
+		fi := int(t)
+		f := float64(fi)
+		d := t - f
+		x := mix64(q.seed + mix64(uint64(b0+int(offs[k]))+mix64(math.Float64bits(v))))
+		draw := float64(x>>11) / (1 << 53)
+		snapUp := b2i(d >= 0.5) & b2i((f+1)-t <= 1e-9)
+		syms[k] = uint8(fi + b2i(d > 1e-9)&(snapUp|b2i(draw < d)))
+	}
+}
+
+// b2i is 1 for true; the compiler turns it into a flag read, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // mix64 is the splitmix64 finalizer, the repo's standard seeded hash
@@ -269,11 +287,79 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// rnd01 is a uniform [0,1) draw that is a pure function of (seed,
-// position, value bits) — the determinism contract of the stage.
-func rnd01(seed uint64, pos int, vbits uint64) float64 {
-	x := mix64(seed + mix64(uint64(pos)+mix64(vbits)))
-	return float64(x>>11) / (1 << 53)
+// symPacker writes symbols bits wide, little-endian, behind one another.
+// With no bits pending a byte-wide or nibble-wide block goes out whole; in
+// the dense mode every full block is a whole number of bytes, so q4 and q8
+// never touch the accumulator before the last block.
+type symPacker struct {
+	out  []byte
+	bits uint
+	acc  uint64
+	have uint
+}
+
+func (p *symPacker) put(syms []uint8) {
+	if p.have == 0 && p.bits == 8 {
+		p.out = p.out[copy(p.out, syms):]
+		return
+	}
+	if p.have == 0 && p.bits == 4 {
+		pairs := len(syms) / 2
+		out := p.out[:pairs]
+		for k := range out {
+			out[k] = syms[2*k] | syms[2*k+1]<<4
+		}
+		p.out, syms = p.out[pairs:], syms[2*pairs:]
+	}
+	for _, s := range syms {
+		p.acc |= uint64(s) << p.have
+		if p.have += p.bits; p.have >= 8 {
+			p.out[0] = byte(p.acc)
+			p.out = p.out[1:]
+			p.acc >>= 8
+			p.have -= 8
+		}
+	}
+}
+
+func (p *symPacker) flush() {
+	if p.have > 0 {
+		p.out[0] = byte(p.acc)
+	}
+}
+
+// symUnpacker is symPacker's inverse. Bounds are checked by the callers'
+// exact size arithmetic before construction; a read past the end sees zeros.
+type symUnpacker struct {
+	in   []byte
+	bits uint
+	acc  uint64
+	have uint
+}
+
+func (u *symUnpacker) next() uint64 {
+	if u.have < u.bits { // bits ≤ 8: one byte always covers a symbol
+		if len(u.in) > 0 {
+			u.acc |= uint64(u.in[0]) << u.have
+			u.in = u.in[1:]
+		}
+		u.have += 8
+	}
+	sym := u.acc & (1<<u.bits - 1)
+	u.acc >>= u.bits
+	u.have -= u.bits
+	return sym
+}
+
+// gridAt reads one block's [lo, hi] pair and returns the grid's origin and
+// step.
+func gridAt(rng []byte, steps float64) (lo, step float64) {
+	lo = math.Float64frombits(binary.LittleEndian.Uint64(rng))
+	hi := math.Float64frombits(binary.LittleEndian.Uint64(rng[8:]))
+	if hi > lo && steps > 0 {
+		step = (hi - lo) / steps
+	}
+	return lo, step
 }
 
 // blockGrid tracks the decoder's current per-block grid, advancing
@@ -296,13 +382,8 @@ func (g *blockGrid) at(i int) (lo, step float64, ok bool) {
 			return 0, 0, false
 		}
 		g.curB = b
-		g.lo = math.Float64frombits(binary.LittleEndian.Uint64(g.rng))
-		hi := math.Float64frombits(binary.LittleEndian.Uint64(g.rng[8:]))
+		g.lo, g.step = gridAt(g.rng, g.steps)
 		g.rng = g.rng[quantRangeBytes:]
-		g.step = 0
-		if hi > g.lo && g.steps > 0 {
-			g.step = (hi - g.lo) / g.steps
-		}
 	}
 	return g.lo, g.step, true
 }
@@ -342,12 +423,38 @@ func decodeQuant(dst []float64, b []byte, maxParams int) ([]float64, error) {
 		if nnz != n || n == 0 || len(b) != rangePart+symBytes {
 			return nil, fmt.Errorf("codec: quant dense payload has %d bytes for %d of %d values, want %d", len(b), nnz, n, rangePart+symBytes)
 		}
-		grid := blockGrid{rng: b[:rangePart], steps: steps, curB: -1}
-		syms := newSymReader(b[rangePart:], qbits)
+		// A block at a time: a full block is a whole number of bytes, so q8
+		// reads a byte a value and q4 two values a byte through the block's
+		// sixteen grid points — the expression the general path evaluates,
+		// evaluated once per symbol value. Other widths, and q4's odd last
+		// block, unpack through the accumulator.
+		rng := b[:rangePart]
+		syms := symUnpacker{in: b[rangePart:], bits: uint(qbits)}
 		for base := 0; base < n; base += quantBlock {
-			lo, step, _ := grid.at(base)
-			for i := base; i < min(base+quantBlock, n); i++ {
-				out[i] = lo + float64(syms.next())*step
+			lo, step := gridAt(rng, steps)
+			rng = rng[quantRangeBytes:]
+			blk := out[base:min(base+quantBlock, n)]
+			switch {
+			case qbits == 8:
+				in := syms.in[:len(blk)]
+				for k, s := range in {
+					blk[k] = lo + float64(s)*step
+				}
+				syms.in = syms.in[len(in):]
+			case qbits == 4 && len(blk)%2 == 0:
+				var grid [16]float64
+				for s := range grid {
+					grid[s] = lo + float64(s)*step
+				}
+				in := syms.in[:len(blk)/2]
+				for k, s := range in {
+					blk[2*k], blk[2*k+1] = grid[s&15], grid[s>>4]
+				}
+				syms.in = syms.in[len(in):]
+			default:
+				for k := range blk {
+					blk[k] = lo + float64(syms.next())*step
+				}
 			}
 		}
 	case quantModeBitmap:
@@ -377,7 +484,7 @@ func decodeQuant(dst []float64, b []byte, maxParams int) ([]float64, error) {
 			return nil, fmt.Errorf("codec: quant bitmap payload has %d bytes, want %d", len(b), nb+rangePart+symBytes)
 		}
 		grid := blockGrid{rng: b[nb : nb+rangePart], steps: steps, curB: -1}
-		syms := newSymReader(b[nb+rangePart:], qbits)
+		syms := symUnpacker{in: b[nb+rangePart:], bits: uint(qbits)}
 		for i := 0; i < n; i++ {
 			if positions[i/8]&(1<<(i%8)) != 0 {
 				lo, step, _ := grid.at(i)
@@ -414,7 +521,7 @@ func decodeQuant(dst []float64, b []byte, maxParams int) ([]float64, error) {
 			return nil, fmt.Errorf("codec: quant index payload has %d bytes, want %d", len(b), varEnd+rangePart+symBytes)
 		}
 		grid := blockGrid{rng: b[varEnd : varEnd+rangePart], steps: steps, curB: -1}
-		syms := newSymReader(b[varEnd+rangePart:], qbits)
+		syms := symUnpacker{in: b[varEnd+rangePart:], bits: uint(qbits)}
 		pos, prev = 0, 0
 		for k := 0; k < nnz; k++ {
 			d, _ := binary.Uvarint(b[pos:])
@@ -431,33 +538,4 @@ func decodeQuant(dst []float64, b []byte, maxParams int) ([]float64, error) {
 		return nil, fmt.Errorf("codec: unknown quant index mode 0x%02x", mode)
 	}
 	return out, nil
-}
-
-// symReader unpacks little-endian bit-packed symbols. Bounds are checked
-// by the callers' exact size arithmetic before construction.
-type symReader struct {
-	b    []byte
-	bits int
-	acc  uint64
-	have int
-}
-
-func newSymReader(b []byte, bits int) *symReader {
-	return &symReader{b: b, bits: bits}
-}
-
-func (r *symReader) next() uint64 {
-	for r.have < r.bits {
-		var by byte
-		if len(r.b) > 0 {
-			by = r.b[0]
-			r.b = r.b[1:]
-		}
-		r.acc |= uint64(by) << r.have
-		r.have += 8
-	}
-	sym := r.acc & (1<<r.bits - 1)
-	r.acc >>= r.bits
-	r.have -= r.bits
-	return sym
 }
