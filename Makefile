@@ -10,7 +10,7 @@ FUZZTIME ?= 10s
 
 .PHONY: tier1 vet lint race fuzz verify bench bench-agg bench-grid \
 	bench-tree bench-codec tier1-f32 race-f32 verify-f32 bench-check bench-pair \
-	tier1-purego
+	tier1-purego loc
 
 tier1:
 	$(GO) build ./...
@@ -30,6 +30,12 @@ tier1:
 tier1-purego:
 	$(GO) build -tags purego ./...
 	$(GO) test -tags purego -shuffle=on ./internal/tensor/... ./internal/nn/... ./internal/fl/... ./internal/sparse/... ./internal/core/... ./internal/flrpc/...
+
+# Non-test line count, the ROADMAP's method: tracked .go and .s files
+# minus _test.go, bench/ and testdata/. A simplicity PR states its line
+# claim as this number before and after.
+loc:
+	@git ls-files '*.go' '*.s' | grep -v -e '_test\.go$$' -e '^bench/' -e 'testdata/' | xargs cat | wc -l
 
 # `go vet` includes asmdecl, which checks internal/tensor/kernel_amd64.s —
 # the tile, the element-wise and convert heads, which take slices, and the

@@ -122,8 +122,7 @@ func main() {
 			sparse.SetSyncerWire(syncer, sparse.Wire{Chain: chain})
 		}
 	}
-	optimizer := opt.NewSGD(w.LR, opt.WithWeightDecay(0.001))
-	client := fl.NewClient(id, model, optimizer, shard, syncer, *seed+int64(id)*7919)
+	client := fl.NewClient(id, model, newOptimizer(w), shard, syncer, *seed+int64(id)*7919)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -153,6 +152,14 @@ func main() {
 	if s := conn.Counters().String(); s != "" {
 		fmt.Printf("fedsu-client: %s\n", s)
 	}
+}
+
+// newOptimizer builds the client's optimizer: the one an in-process engine
+// gives every client of the same workload, SGD at the emulation learning
+// rate (the stand-in model is built at the emulation scale too) with weight
+// decay 0.001.
+func newOptimizer(w exp.Workload) *opt.SGD {
+	return opt.NewSGD(w.EffectiveLR(), opt.WithWeightDecay(0.001))
 }
 
 func fatal(err error) {

@@ -34,7 +34,6 @@ import (
 	"fedsu/internal/fl"
 	"fedsu/internal/flrpc"
 	"fedsu/internal/netem"
-	"fedsu/internal/nn"
 	"fedsu/internal/sparse"
 	"fedsu/internal/tensor"
 )
@@ -157,6 +156,8 @@ type SimulationConfig struct {
 	FedSU Options
 	// Netem overrides the cluster timing model; zero value uses the
 	// paper's testbed parameters (13.7 Mbps clients, 70 % participation).
+	// Any other value is used as given, with NumClients and Seed filled
+	// from the run when left zero.
 	Netem netem.Config
 	// ProxMu adds a FedProx proximal term to the local objective (zero,
 	// the paper's setup, disables it).
@@ -203,7 +204,9 @@ type Simulation struct {
 	workload string
 }
 
-// NewSimulation assembles an emulated run.
+// NewSimulation assembles an emulated run: it fills in the defaults above
+// and builds the engine the experiment drivers build for the same
+// configuration, so a simulation trains exactly the run exp.RunOne would.
 func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 	w, err := exp.WorkloadByName(cfg.Workload)
 	if err != nil {
@@ -234,38 +237,25 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if dt == tensor.Float32 {
-		// Keep the FedSU state machine in the wire image the float32
-		// clients actually store (see core.Options.Quantize).
-		cfg.FedSU.Quantize = true
-	}
-	factory, err := fl.StrategyFactoryWith(cfg.Scheme, cfg.FedSU)
-	if err != nil {
-		return nil, err
-	}
-	flCfg := fl.Config{
-		NumClients:     cfg.Clients,
+	engine, err := exp.NewEngine(exp.Config{
+		Clients:        cfg.Clients,
+		Rounds:         cfg.Rounds,
 		LocalIters:     cfg.LocalIters,
 		BatchSize:      cfg.BatchSize,
-		LR:             w.EffectiveLR(),
-		WeightDecay:    0.001,
-		DirichletAlpha: 1.0,
-		EvalSamples:    256,
-		EvalBatch:      64,
-		Seed:           cfg.Seed,
-		Netem:          cfg.Netem,
-		WireParams:     w.WireParams,
-		ProxMu:         cfg.ProxMu,
+		Samples:        cfg.Samples,
+		ModelScale:     cfg.ModelScale,
 		DType:          dt,
+		EvalEvery:      cfg.EvalEvery,
+		Seed:           cfg.Seed,
+		FedSU:          cfg.FedSU,
+		Netem:          cfg.Netem,
+		ProxMu:         cfg.ProxMu,
 		Async:          cfg.Async,
 		EventThreshold: cfg.EventThreshold,
-		Compress:       cfg.Compress,
 		Population:     cfg.Population,
 		Fanout:         cfg.Fanout,
-	}
-	ds := w.Dataset(cfg.Samples, cfg.Seed+31)
-	builder := func() *nn.Model { return w.ModelOf(dt, w.EffectiveScale(cfg.ModelScale), cfg.Seed+97) }
-	engine, err := fl.NewEngine(flCfg, builder, ds, factory)
+		Compress:       cfg.Compress,
+	}, w, cfg.Scheme)
 	if err != nil {
 		return nil, err
 	}

@@ -70,6 +70,38 @@ func TestSimulationEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSimulationHonoursPartialNetem: a Netem override that leaves
+// NumClients zero is used as given, with NumClients and Seed filled from
+// the run — not silently replaced by the 13.7 Mbps testbed defaults.
+func TestSimulationHonoursPartialNetem(t *testing.T) {
+	meanRound := func(net NetworkConfig) float64 {
+		t.Helper()
+		sim, err := NewSimulation(SimulationConfig{
+			Workload: "cnn", Scheme: "fedavg",
+			Clients: 3, Rounds: 2, LocalIters: 1, BatchSize: 4,
+			Samples: 128, ModelScale: 32, Seed: 1, Netem: net,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := sim.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats[len(stats)-1].SimTime / float64(len(stats))
+	}
+	partial := NetworkConfig{ClientUplinkMbps: 1, ClientDownlinkMbps: 1, ServerBandwidthMbps: 10_000, Participation: 1}
+	complete := partial
+	complete.NumClients, complete.Seed = 3, 1
+	got, want, testbed := meanRound(partial), meanRound(complete), meanRound(NetworkConfig{})
+	if got != want {
+		t.Errorf("partial netem: %.3f s/round, the same links spelled out in full: %.3f s/round", got, want)
+	}
+	if got < 5*testbed {
+		t.Errorf("1 Mbps links: %.3f s/round, barely slower than the 13.7 Mbps testbed's %.3f", got, testbed)
+	}
+}
+
 func TestSimulationValidation(t *testing.T) {
 	if _, err := NewSimulation(SimulationConfig{Workload: "nope", Scheme: "fedsu"}); err == nil {
 		t.Error("unknown workload must fail")

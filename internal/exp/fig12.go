@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"fedsu/internal/fl"
-	"fedsu/internal/nn"
 	"fedsu/internal/stats"
 	"fedsu/internal/trace"
 )
@@ -25,7 +24,7 @@ type Fig1Result struct {
 func RunFig1(ctx context.Context, cfg Config, samplesPerModel int) (*Fig1Result, error) {
 	res := &Fig1Result{Trajectories: map[string][]*trace.Series{}}
 	for _, w := range []Workload{CNNWorkload(), DenseNetWorkload()} {
-		series, _, err := trackTrajectories(ctx, cfg, w, "fedavg", samplesPerModel)
+		series, _, _, err := trackTrajectories(ctx, cfg, w, "fedavg", samplesPerModel)
 		if err != nil {
 			return nil, err
 		}
@@ -34,31 +33,14 @@ func RunFig1(ctx context.Context, cfg Config, samplesPerModel int) (*Fig1Result,
 	return res, nil
 }
 
-// trackTrajectories runs one engine round-by-round, recording the global
-// value of sampled parameter indices each round. It also returns the
-// per-round global update vectors for normalized-difference analysis.
-func trackTrajectories(ctx context.Context, cfg Config, w Workload, scheme string, nSamples int) ([]*trace.Series, [][]float64, error) {
-	factory, err := fl.StrategyFactoryWith(scheme, cfg.FedSU)
+// trackTrajectories trains the (w, scheme) run of cfg — the engine RunOne
+// trains — round by round, recording the global value of sampled parameter
+// indices each round. It also returns the per-round global update vectors
+// for normalized-difference analysis, and the finished engine.
+func trackTrajectories(ctx context.Context, cfg Config, w Workload, scheme string, nSamples int) ([]*trace.Series, [][]float64, *fl.Engine, error) {
+	engine, err := NewEngine(cfg, w, scheme)
 	if err != nil {
-		return nil, nil, err
-	}
-	flCfg := fl.Config{
-		NumClients:     cfg.Clients,
-		LocalIters:     cfg.LocalIters,
-		BatchSize:      cfg.BatchSize,
-		LR:             w.LR,
-		WeightDecay:    0.001,
-		DirichletAlpha: 1.0,
-		EvalSamples:    64,
-		Seed:           cfg.Seed,
-		WireParams:     w.WireParams,
-		DType:          cfg.DType,
-	}
-	ds := w.Dataset(cfg.Samples, cfg.Seed+31)
-	builder := func() *nn.Model { return w.ModelOf(cfg.DType, cfg.ModelScale, cfg.Seed+97) }
-	engine, err := fl.NewEngine(flCfg, builder, ds, factory)
-	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 
 	size := len(engine.GlobalVector())
@@ -76,7 +58,7 @@ func trackTrajectories(ctx context.Context, cfg Config, w Workload, scheme strin
 	prev := engine.GlobalVector()
 	for k := 0; k < cfg.Rounds; k++ {
 		if _, err := engine.RunRound(ctx, false); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		cur := engine.GlobalVector()
 		upd := make([]float64, size)
@@ -89,7 +71,7 @@ func trackTrajectories(ctx context.Context, cfg Config, w Workload, scheme strin
 			series[i].Add(float64(k), cur[p])
 		}
 	}
-	return series, updates, nil
+	return series, updates, engine, nil
 }
 
 // Fig2Result holds the cross-round normalized-difference measurements of
@@ -116,7 +98,7 @@ func RunFig2(ctx context.Context, cfg Config) (*Fig2Result, error) {
 		FracThreshold: 0.05,
 	}
 	for _, w := range []Workload{CNNWorkload(), DenseNetWorkload()} {
-		_, updates, err := trackTrajectories(ctx, cfg, w, "fedavg", 1)
+		_, updates, _, err := trackTrajectories(ctx, cfg, w, "fedavg", 1)
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,6 @@ import (
 
 	"fedsu/internal/core"
 	"fedsu/internal/fl"
-	"fedsu/internal/nn"
 	"fedsu/internal/sparse"
 	"fedsu/internal/stats"
 	"fedsu/internal/trace"
@@ -35,33 +34,17 @@ type Fig6Result struct {
 func RunFig6(ctx context.Context, cfg Config, w Workload) (*Fig6Result, error) {
 	// FedSU run with per-round mask tracking over a pool of candidate
 	// parameters; the most-speculative candidate is reported.
-	engine, err := newExpEngine(cfg, w, "fedsu")
+	var cand []int
+	traj, masks, _, err := trackParams(ctx, cfg, w, "fedsu", func(size int) []int {
+		rng := rand.New(rand.NewSource(cfg.Seed + 17))
+		cand = make([]int, 32)
+		for i := range cand {
+			cand[i] = rng.Intn(size)
+		}
+		return cand
+	})
 	if err != nil {
 		return nil, err
-	}
-	size := len(engine.GlobalVector())
-	rng := rand.New(rand.NewSource(cfg.Seed + 17))
-	const pool = 32
-	cand := make([]int, pool)
-	for i := range cand {
-		cand[i] = rng.Intn(size)
-	}
-	traj := make([][]float64, pool)
-	masks := make([][]bool, pool)
-	for k := 0; k < cfg.Rounds; k++ {
-		if _, err := engine.RunRound(ctx, false); err != nil {
-			return nil, err
-		}
-		vec := engine.GlobalVector()
-		mgr, ok := sparse.UnwrapSyncer(engine.Clients()[0].Syncer()).(*core.Manager)
-		if !ok {
-			return nil, fmt.Errorf("exp: fig6 requires a FedSU manager")
-		}
-		mask := mgr.PredictableMask()
-		for i, p := range cand {
-			traj[i] = append(traj[i], vec[p])
-			masks[i] = append(masks[i], mask[p])
-		}
 	}
 	// Pick the candidate with the most speculative rounds.
 	best, bestSpec := 0, -1
@@ -94,53 +77,47 @@ func RunFig6(ctx context.Context, cfg Config, w Workload) (*Fig6Result, error) {
 	}
 
 	// FedAvg reference trajectory on the identical workload and seed.
-	series, _, err := trackOneParam(ctx, cfg, w, "fedavg", cand[best])
+	ref, _, _, err := trackParams(ctx, cfg, w, "fedavg", func(int) []int { return []int{cand[best]} })
 	if err != nil {
 		return nil, err
 	}
-	res.FedAvg = series
+	res.FedAvg = trace.NewSeries("fedavg", "round", "value")
+	for k, v := range ref[0] {
+		res.FedAvg.Add(float64(k), v)
+	}
 	return res, nil
 }
 
-// newExpEngine builds an engine for the given workload and scheme using the
-// experiment config.
-func newExpEngine(cfg Config, w Workload, scheme string) (*fl.Engine, error) {
-	factory, err := fl.StrategyFactoryWith(scheme, cfg.FedSU)
+// trackParams trains the (w, scheme) run of cfg — the engine RunOne trains —
+// for cfg.Rounds rounds without evaluation. pick chooses the parameters to
+// follow from the model size; every round records their global values and,
+// under FedSU, their predictability-mask bits. The finished engine is
+// returned too.
+func trackParams(ctx context.Context, cfg Config, w Workload, scheme string, pick func(size int) []int) ([][]float64, [][]bool, *fl.Engine, error) {
+	engine, err := NewEngine(cfg, w, scheme)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	flCfg := fl.Config{
-		NumClients:     cfg.Clients,
-		LocalIters:     cfg.LocalIters,
-		BatchSize:      cfg.BatchSize,
-		LR:             w.EffectiveLR(),
-		WeightDecay:    0.001,
-		DirichletAlpha: 1.0,
-		EvalSamples:    64,
-		Seed:           cfg.Seed,
-		WireParams:     w.WireParams,
-		DType:          cfg.DType,
-	}
-	ds := w.Dataset(cfg.Samples, cfg.Seed+31)
-	builder := func() *nn.Model { return w.ModelOf(cfg.DType, w.EffectiveScale(cfg.ModelScale), cfg.Seed+97) }
-	return fl.NewEngine(flCfg, builder, ds, factory)
-}
-
-// trackOneParam runs a scheme and records a single parameter's global value
-// per round.
-func trackOneParam(ctx context.Context, cfg Config, w Workload, scheme string, param int) (*trace.Series, *fl.Engine, error) {
-	engine, err := newExpEngine(cfg, w, scheme)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := trace.NewSeries(scheme, "round", "value")
+	params := pick(len(engine.GlobalVector()))
+	traj := make([][]float64, len(params))
+	masks := make([][]bool, len(params))
 	for k := 0; k < cfg.Rounds; k++ {
 		if _, err := engine.RunRound(ctx, false); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		s.Add(float64(k), engine.GlobalVector()[param])
+		vec := engine.GlobalVector()
+		var mask []bool
+		if mgr, ok := sparse.UnwrapSyncer(engine.Clients()[0].Syncer()).(*core.Manager); ok {
+			mask = mgr.PredictableMask()
+		}
+		for i, p := range params {
+			traj[i] = append(traj[i], vec[p])
+			if mask != nil {
+				masks[i] = append(masks[i], mask[p])
+			}
+		}
 	}
-	return s, engine, nil
+	return traj, masks, engine, nil
 }
 
 // ApproximationError returns the mean absolute gap between the FedSU and

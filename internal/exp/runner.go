@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fedsu/internal/core"
+	"fedsu/internal/data"
 	"fedsu/internal/fl"
 	"fedsu/internal/netem"
 	"fedsu/internal/nn"
@@ -43,6 +44,9 @@ type Config struct {
 	// netem.DefaultConfig at the run's client count); NumClients and Seed
 	// are filled from the run when left zero.
 	Netem netem.Config
+	// ProxMu adds a FedProx proximal term to every client's local
+	// objective (fl.Config.ProxMu); zero, the paper's setup, disables it.
+	ProxMu float64
 	// Async switches runs to buffered-async rounds (fl.Config.Async);
 	// Rounds then counts global applications. Zero keeps sync barriers.
 	Async fl.AsyncConfig
@@ -166,12 +170,36 @@ func RunOne(ctx context.Context, cfg Config, w Workload, scheme string) (*Run, e
 	return runOne(ctx, cfg, w, scheme, nil)
 }
 
-// runOne is RunOne with an optional artifact cache: when arts is non-nil,
-// the dataset and its Dirichlet partition come from the cache (built once
-// per key, shared read-only across concurrent runs) instead of being
-// synthesized per run. Cached and uncached paths are bit-identical because
-// both artifacts are pure functions of their key.
+// runOne is RunOne with an optional artifact cache (see newEngine).
 func runOne(ctx context.Context, cfg Config, w Workload, scheme string, arts *Artifacts) (*Run, error) {
+	engine, err := newEngine(cfg, w, scheme, arts)
+	if err != nil {
+		return nil, err
+	}
+	logf(cfg.Verbose, "run %s/%s: %d clients, %d rounds", w.Name, scheme, cfg.Clients, cfg.Rounds)
+	stats, err := engine.Run(ctx, cfg.Rounds, cfg.EvalEvery)
+	if err != nil {
+		return nil, fmt.Errorf("exp: %s/%s: %w", w.Name, scheme, err)
+	}
+	return &Run{Workload: w.Name, Scheme: scheme, Stats: stats, Engine: engine}, nil
+}
+
+// NewEngine builds the engine for one (workload, scheme) run of cfg. It is
+// the one place a Config becomes an fl.Config: RunOne, the grid drivers, the
+// trajectory drivers of Figs. 1, 2 and 6, and fedsu.NewSimulation all train
+// the engine it returns. Under float32 the FedSU managers run with Quantize
+// set, so the speculative state machine works in the wire image the clients
+// actually store.
+func NewEngine(cfg Config, w Workload, scheme string) (*fl.Engine, error) {
+	return newEngine(cfg, w, scheme, nil)
+}
+
+// newEngine is NewEngine with an optional artifact cache: when arts is
+// non-nil, the dataset and its Dirichlet partition come from the cache
+// (built once per key, shared read-only across concurrent runs) instead of
+// being synthesized per run. Cached and uncached paths are bit-identical
+// because both artifacts are pure functions of their key.
+func newEngine(cfg Config, w Workload, scheme string, arts *Artifacts) (*fl.Engine, error) {
 	fedsuOpts := cfg.FedSU
 	if cfg.DType == tensor.Float32 {
 		fedsuOpts.Quantize = true
@@ -186,10 +214,12 @@ func runOne(ctx context.Context, cfg Config, w Workload, scheme string, arts *Ar
 		BatchSize:      cfg.BatchSize,
 		LR:             w.EffectiveLR(),
 		WeightDecay:    0.001,
+		ProxMu:         cfg.ProxMu,
 		DirichletAlpha: 1.0,
 		EvalSamples:    256,
 		EvalBatch:      64,
 		Seed:           cfg.Seed,
+		Netem:          cfg.Netem,
 		WireParams:     w.WireParams,
 		DType:          cfg.DType,
 		Async:          cfg.Async,
@@ -198,33 +228,19 @@ func runOne(ctx context.Context, cfg Config, w Workload, scheme string, arts *Ar
 		Fanout:         cfg.Fanout,
 		Compress:       cfg.Compress,
 	}
-	if cfg.Netem != (netem.Config{}) {
-		flCfg.Netem = cfg.Netem
-		if flCfg.Netem.NumClients == 0 {
-			flCfg.Netem.NumClients = cfg.Clients
-		}
-		if flCfg.Netem.Seed == 0 {
-			flCfg.Netem.Seed = cfg.Seed
-		}
-	}
 	dsSeed := cfg.Seed + 31
-	var engine *fl.Engine
 	builder := func() *nn.Model { return w.ModelOf(cfg.DType, w.EffectiveScale(cfg.ModelScale), cfg.Seed+97) }
+	var ds *data.Dataset
+	var shards []*data.Subset
 	if arts != nil {
-		ds := arts.Dataset(w, cfg.Samples, dsSeed)
-		shards := arts.Partition(w, ds, cfg.Samples, dsSeed,
-			flCfg.NumClients, flCfg.DirichletAlpha, flCfg.Seed)
-		engine, err = fl.NewEngineWithShards(flCfg, builder, ds, shards, factory)
+		ds = arts.Dataset(w, cfg.Samples, dsSeed)
+		shards = arts.Partition(w, ds, cfg.Samples, dsSeed, flCfg.NumClients, flCfg.DirichletAlpha, flCfg.Seed)
 	} else {
-		engine, err = fl.NewEngine(flCfg, builder, w.Dataset(cfg.Samples, dsSeed), factory)
+		ds = w.Dataset(cfg.Samples, dsSeed)
 	}
+	engine, err := fl.NewEngineWithShards(flCfg, builder, ds, shards, factory)
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s/%s: %w", w.Name, scheme, err)
 	}
-	logf(cfg.Verbose, "run %s/%s: %d clients, %d rounds", w.Name, scheme, cfg.Clients, cfg.Rounds)
-	stats, err := engine.Run(ctx, cfg.Rounds, cfg.EvalEvery)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s/%s: %w", w.Name, scheme, err)
-	}
-	return &Run{Workload: w.Name, Scheme: scheme, Stats: stats, Engine: engine}, nil
+	return engine, nil
 }

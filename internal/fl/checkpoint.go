@@ -10,8 +10,9 @@ import (
 
 // Checkpoint captures the engine's resumable state: the global model, the
 // round counter, and the FedSU manager state when the active strategy is
-// FedSU. Optimizer momentum is not captured; the paper's setup trains with
-// plain SGD + weight decay, which is stateless across rounds.
+// FedSU. The optimizer carries no state: clients train with plain SGD +
+// weight decay, the paper's setup (an LRDecayWarm schedule's step count
+// restarts on restore).
 func (e *Engine) Checkpoint() *ckpt.Checkpoint {
 	c := &ckpt.Checkpoint{
 		Scheme: e.strategy,

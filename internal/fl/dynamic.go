@@ -7,15 +7,15 @@ import (
 	"fedsu/internal/core"
 	"fedsu/internal/data"
 	"fedsu/internal/netem"
-	"fedsu/internal/opt"
 	"fedsu/internal/sparse"
 )
 
 // AddClient admits a new participant between rounds, implementing the
-// paper's dynamicity handling (Sec. V): the joiner downloads the latest
-// global model and — when the strategy is FedSU — the current
-// predictability-mask and no-checking state, cloned from an incumbent
-// client so its future masking decisions match the fleet's.
+// paper's dynamicity handling (Sec. V): the joiner is built like every
+// member of the fleet (newClient) and then downloads the latest global
+// model and — when the strategy is FedSU — the current predictability-mask
+// and no-checking state, cloned from an incumbent client so its future
+// masking decisions match the fleet's.
 //
 // The netem cluster is rebuilt for the new size; per-client compute speeds
 // are redrawn deterministically from the configured seed.
@@ -29,29 +29,24 @@ func (e *Engine) AddClient(shard *data.Subset) (*Client, error) {
 	id := e.nextID
 	e.nextID++
 
-	model := e.builder()
-	model.LoadVector(e.clients[0].model.Vector())
-	optimizer := opt.NewSGD(e.cfg.LR,
-		opt.WithMomentum(e.cfg.Momentum),
-		opt.WithWeightDecay(e.cfg.WeightDecay))
-	syncer := e.factory(id, model.Size(), e.slotCollective())
-	sparse.SetSyncerWire(syncer, e.wire())
+	c, err := e.newClient(id, shard)
+	if err != nil {
+		return nil, err
+	}
+	c.model.LoadVector(e.clients[0].model.Vector())
 
 	// FedSU state transfer: mask + no-checking information (Sec. V). The
 	// probe resolves through any event-trigger middleware to the strategy
 	// underneath.
 	if donor, ok := sparse.UnwrapSyncer(e.clients[0].syncer).(*core.Manager); ok {
-		joiner, ok := sparse.UnwrapSyncer(syncer).(*core.Manager)
+		joiner, ok := sparse.UnwrapSyncer(c.syncer).(*core.Manager)
 		if !ok {
-			return nil, fmt.Errorf("fl: factory produced %T for a FedSU fleet", syncer)
+			return nil, fmt.Errorf("fl: factory produced %T for a FedSU fleet", c.syncer)
 		}
 		if err := joiner.Restore(donor.Snapshot()); err != nil {
 			return nil, fmt.Errorf("fl: state transfer to joiner: %w", err)
 		}
 	}
-
-	c := NewClient(id, model, optimizer, shard, syncer, e.cfg.Seed+int64(id)*7919)
-	c.SetProximal(e.cfg.ProxMu)
 	e.clients = append(e.clients, c)
 	return c, e.resize()
 }

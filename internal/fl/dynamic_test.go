@@ -2,10 +2,12 @@ package fl
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"fedsu/internal/core"
 	"fedsu/internal/data"
+	"fedsu/internal/nn"
 )
 
 func TestAddClientMidTraining(t *testing.T) {
@@ -95,6 +97,67 @@ func TestAddClientV2JoinerMaskAgrees(t *testing.T) {
 	}
 	if launched == 0 {
 		t.Fatal("vacuous run: the lottery launched nothing")
+	}
+}
+
+// TestJoinerIsBuiltLikeTheFleet: a mid-run joiner is an ordinary client
+// that receives the fleet's model and mask (PAPER.md §V). Built by a second
+// recipe, it uploaded every round ungated under an event trigger and
+// trained at a constant rate while the fleet's learning rate decayed.
+func TestJoinerIsBuiltLikeTheFleet(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"event-trigger", func(c *Config) { c.EventThreshold = 0.5 }},
+		{"lr-decay", func(c *Config) { c.LRDecayWarm = 3 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := data.Synthesize(data.SynthConfig{
+				Name: "tiny", Channels: 1, Size: 8, Classes: 4,
+				Samples: 256, Noise: 0.2, Jitter: 1, Seed: 11,
+			})
+			cfg := Config{
+				NumClients: 3, LocalIters: 4, BatchSize: 8, LR: 0.05, WeightDecay: 0.0005,
+				ProxMu: 0.01, DirichletAlpha: 1.0, EvalSamples: 32, Seed: 3,
+			}
+			tc.mut(&cfg)
+			builder := func() *nn.Model {
+				return nn.NewMLP(nn.ModelConfig{InChannels: 1, ImageSize: 8, NumClasses: 4, Seed: 5}, 16)
+			}
+			factory, err := StrategyFactory("fedsu")
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewEngine(cfg, builder, ds, factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			if _, err := e.RunRound(ctx, false); err != nil {
+				t.Fatal(err)
+			}
+			fleet := e.Clients()[0]
+			// A fleet client's rate after its first round; the joiner must
+			// reach the same rate after its own first round.
+			wantLR := fleet.opt.LR()
+			joiner, err := e.AddClientFromDataset(32, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.RunRound(ctx, false); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fmt.Sprintf("%T", joiner.Syncer()), fmt.Sprintf("%T", fleet.Syncer()); got != want {
+				t.Errorf("joiner syncs through %s, the fleet through %s", got, want)
+			}
+			if got := joiner.opt.LR(); got != wantLR {
+				t.Errorf("joiner's rate after one round = %v, a fleet client's = %v", got, wantLR)
+			}
+			if joiner.proxMu != fleet.proxMu {
+				t.Errorf("joiner's proximal term = %v, the fleet's = %v", joiner.proxMu, fleet.proxMu)
+			}
+		})
 	}
 }
 

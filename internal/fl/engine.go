@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"fedsu/internal/data"
 	"fedsu/internal/netem"
@@ -17,16 +16,20 @@ import (
 	"fedsu/internal/tensor"
 )
 
-// Config assembles an emulated federated training run.
+// Config assembles an emulated federated training run. The experiment
+// drivers and fedsu.NewSimulation all write it in one place,
+// internal/exp's NewEngine.
 type Config struct {
-	// NumClients is the client count (128 in the paper's testbed).
+	// NumClients is the client count (128 in the paper's testbed); in
+	// population mode it is also the per-round cohort size.
 	NumClients int
 	// LocalIters is F_s, the SGD iterations per round (50 in the paper).
 	LocalIters int
 	// BatchSize is the mini-batch size (32 in the paper).
 	BatchSize int
-	// LR, Momentum, WeightDecay configure the client optimizer.
-	LR, Momentum, WeightDecay float64
+	// LR and WeightDecay configure the client optimizer, plain SGD as in
+	// the paper.
+	LR, WeightDecay float64
 	// ProxMu adds a FedProx proximal term μ/2·‖x − x_round‖² to each
 	// client's local objective; zero (the paper's setup) disables it.
 	ProxMu float64
@@ -42,22 +45,15 @@ type Config struct {
 	EvalBatch int
 	// Seed drives data partitioning and client mini-batch sampling.
 	Seed int64
-	// Netem configures the cluster timing model; zero value means
-	// netem.DefaultConfig(NumClients).
+	// Netem configures the cluster timing model; the zero value means
+	// netem.DefaultConfig(NumClients). Any other value is used as given,
+	// except that NumClients and Seed are filled from the run when zero.
+	// Local training is timed by netem.DefaultComputeModel.
 	Netem netem.Config
-	// Compute calibrates local-training time; zero value means
-	// netem.DefaultComputeModel.
-	Compute netem.ComputeModel
 	// WireParams overrides the parameter count used for byte and compute
 	// accounting, letting scaled-down models report paper-scale traffic.
 	// Zero means the actual model size.
 	WireParams int
-	// CollectiveDeadline bounds each aggregation barrier: a client that
-	// fails to submit within the deadline of the first submission is
-	// evicted and the round completes over the survivors. Zero (the
-	// default, and the emulation's normal setting — in-process clients
-	// cannot die) keeps blocking barriers.
-	CollectiveDeadline time.Duration
 	// Async switches the run to buffered-async rounds (Async.K >= 1):
 	// clients become independent arrival processes and the server applies
 	// a staleness-weighted global every K contributions. The zero value
@@ -74,30 +70,24 @@ type Config struct {
 	EventThreshold float64
 	// Population enables population-scale cohort rounds: Population
 	// registered descriptors form the device registry (10^5–10^6 in
-	// cross-device deployments), and each round trains the cohort drawn by
-	// Population.SampleCohort(round, Cohort) — deterministic given (Seed,
+	// cross-device deployments), and each round trains the NumClients-sized
+	// cohort drawn by Population.SampleCohort — deterministic given (Seed,
 	// round), so runs reproduce and checkpoints resume without storing any
 	// sampling state. The engine's NumClients model replicas act as slots:
 	// slot i plays cohort member cohort[i] for the round (cross-device
 	// clients are stateless between selections, so a slot's replica — which
 	// holds the global model after every sync — is exactly the state a
-	// freshly selected device would download). Zero keeps classic
-	// fixed-fleet rounds. Population mode is synchronous-only and the
-	// fleet is fixed-size (AddClient/RemoveClient are rejected).
+	// freshly selected device would download). Rounds are timed by
+	// netem.DefaultPopulationConfig. Zero keeps classic fixed-fleet rounds.
+	// Population mode is synchronous-only and the fleet is fixed-size
+	// (AddClient/RemoveClient are rejected).
 	Population int
-	// Cohort is the per-round sampled cohort size in population mode; zero
-	// defaults to NumClients, any other value must equal NumClients (one
-	// slot per sampled member).
-	Cohort int
 	// Fanout >= 2 aggregates population-mode rounds through a hierarchical
 	// fl.Tree instead of the flat server: leaves fold cohort blocks and
 	// forward one partial upward, so root work is O(fanout) rather than
 	// O(cohort). The global is bit-identical to the flat fold at any
 	// fanout. Zero keeps the flat collective.
 	Fanout int
-	// PopNetem configures the population-scale timing model; the zero
-	// value means netem.DefaultPopulationConfig(Population, fanout).
-	PopNetem netem.PopulationConfig
 	// Compress selects the wire compression chain for collective payloads,
 	// as a codec chain spec ("topk,q4,rans" — see codec.Parse). Every
 	// member upload and global download passes through the chain: in
@@ -194,7 +184,6 @@ type Engine struct {
 	clients  []*Client
 	server   *Server
 	cluster  *netem.Cluster
-	compute  netem.ComputeModel
 	strategy string
 
 	// Population mode (cfg.Population > 0): the device registry, the
@@ -249,14 +238,17 @@ func NewEngineWithShards(cfg Config, builder nn.Builder, ds *data.Dataset, shard
 	if cfg.LocalIters <= 0 || cfg.BatchSize <= 0 {
 		return nil, fmt.Errorf("fl: LocalIters/BatchSize must be positive, got %d/%d", cfg.LocalIters, cfg.BatchSize)
 	}
-	if cfg.Netem.NumClients == 0 {
+	switch {
+	case cfg.Netem == (netem.Config{}):
 		cfg.Netem = netem.DefaultConfig(cfg.NumClients)
+	case cfg.Netem.NumClients == 0:
+		cfg.Netem.NumClients = cfg.NumClients
+	}
+	if cfg.Netem.Seed == 0 {
+		cfg.Netem.Seed = cfg.Seed
 	}
 	if cfg.Netem.NumClients != cfg.NumClients {
 		return nil, fmt.Errorf("fl: netem clients %d != engine clients %d", cfg.Netem.NumClients, cfg.NumClients)
-	}
-	if cfg.Compute == (netem.ComputeModel{}) {
-		cfg.Compute = netem.DefaultComputeModel()
 	}
 	cluster, err := netem.NewCluster(cfg.Netem)
 	if err != nil {
@@ -291,9 +283,6 @@ func NewEngineWithShards(cfg Config, builder nn.Builder, ds *data.Dataset, shard
 	} else {
 		server = NewServer(cfg.NumClients)
 	}
-	if cfg.CollectiveDeadline > 0 {
-		server.SetDeadline(cfg.CollectiveDeadline)
-	}
 	if cfg.Async.Enabled() {
 		if err := server.SetAsync(cfg.Async); err != nil {
 			return nil, err
@@ -312,7 +301,6 @@ func NewEngineWithShards(cfg Config, builder nn.Builder, ds *data.Dataset, shard
 		cfg:       cfg,
 		server:    server,
 		cluster:   cluster,
-		compute:   cfg.Compute,
 		evalModel: probe,
 		dataset:   ds,
 		builder:   builder,
@@ -324,34 +312,40 @@ func NewEngineWithShards(cfg Config, builder nn.Builder, ds *data.Dataset, shard
 		return nil, err
 	}
 	for i := 0; i < cfg.NumClients; i++ {
-		model := builder()
-		optOpts := []opt.SGDOpt{
-			opt.WithMomentum(cfg.Momentum),
-			opt.WithWeightDecay(cfg.WeightDecay),
+		c, err := e.newClient(i, shards[i])
+		if err != nil {
+			return nil, err
 		}
-		if cfg.LRDecayWarm > 0 {
-			optOpts = append(optOpts, opt.WithSchedule(opt.InverseSqrt(cfg.LRDecayWarm)))
-		}
-		optimizer := opt.NewSGD(cfg.LR, optOpts...)
-		syncer := factory(i, model.Size(), e.slotCollective())
-		sparse.SetSyncerWire(syncer, e.wire())
-		if cfg.Async.Enabled() {
-			switch sparse.UnwrapSyncer(syncer).Name() {
-			case "fedavg", "cmfl", "qsgd":
-			default:
-				return nil, fmt.Errorf("fl: async mode requires a full-vector strategy (fedavg/cmfl/qsgd), got %q: subset submissions cannot fold into the shared async accumulator", sparse.UnwrapSyncer(syncer).Name())
-			}
-		}
-		if cfg.EventThreshold > 0 {
-			syncer = sparse.NewEventTrigger(syncer, cfg.EventThreshold)
-		}
-		c := NewClient(i, model, optimizer, shards[i], syncer, cfg.Seed+int64(i)*7919)
-		c.SetProximal(cfg.ProxMu)
 		e.clients = append(e.clients, c)
 	}
 	e.strategy = e.clients[0].syncer.Name()
 	e.buildEvalSet()
 	return e, nil
+}
+
+// newClient builds client id over shard exactly as every member of the
+// fleet is built, whether at construction or when it joins mid-run: a fresh
+// model replica, SGD with the configured weight decay and schedule, the
+// strategy on the engine's collective and wire (behind the event trigger
+// when one is configured), and the proximal term.
+func (e *Engine) newClient(id int, shard *data.Subset) (*Client, error) {
+	cfg := &e.cfg
+	model := e.builder()
+	optOpts := []opt.SGDOpt{opt.WithWeightDecay(cfg.WeightDecay)}
+	if cfg.LRDecayWarm > 0 {
+		optOpts = append(optOpts, opt.WithSchedule(opt.InverseSqrt(cfg.LRDecayWarm)))
+	}
+	syncer := e.factory(id, model.Size(), e.slotCollective())
+	sparse.SetSyncerWire(syncer, e.wire())
+	if name := sparse.UnwrapSyncer(syncer).Name(); cfg.Async.Enabled() && name != "fedavg" && name != "cmfl" && name != "qsgd" {
+		return nil, fmt.Errorf("fl: async mode requires a full-vector strategy (fedavg/cmfl/qsgd), got %q: subset submissions cannot fold into the shared async accumulator", name)
+	}
+	if cfg.EventThreshold > 0 {
+		syncer = sparse.NewEventTrigger(syncer, cfg.EventThreshold)
+	}
+	c := NewClient(id, model, opt.NewSGD(cfg.LR, optOpts...), shard, syncer, cfg.Seed+int64(id)*7919)
+	c.SetProximal(cfg.ProxMu)
+	return c, nil
 }
 
 // Strategy returns the active strategy name.
@@ -404,8 +398,9 @@ func (e *Engine) wire() sparse.Wire { return sparse.Wire{Chain: e.chain} }
 // wire) so drivers can report its per-stage byte counters.
 func (e *Engine) Chain() *codec.Chain { return e.chain }
 
-// RunRound executes one full round: timing-model participant selection,
-// concurrent local training and synchronization, and evaluation.
+// RunRound executes one synchronous round, fixed-fleet or population:
+// the membership-and-timing step (admit), concurrent local training and
+// synchronization, traffic and timing accounting, and evaluation.
 func (e *Engine) RunRound(ctx context.Context, evaluate bool) (RoundStats, error) {
 	// Bail before spawning any training goroutines: a cancelled context must
 	// not burn a full round of local SGD first.
@@ -414,9 +409,6 @@ func (e *Engine) RunRound(ctx context.Context, evaluate bool) (RoundStats, error
 	}
 	if e.cfg.Async.Enabled() {
 		return RoundStats{}, fmt.Errorf("fl: RunRound is the synchronous-barrier driver; async mode runs through Run (event loop)")
-	}
-	if e.pop != nil {
-		return e.runPopRound(ctx, evaluate)
 	}
 	// Dynamic departures (RemoveClient) can drain the roster entirely; every
 	// aggregate below divides by the client count and probes clients[0].
@@ -428,32 +420,14 @@ func (e *Engine) RunRound(ctx context.Context, evaluate bool) (RoundStats, error
 	// Timing: per-client loads use the previous round's actual payload
 	// bytes (full model on the first round) scaled to wire-parameter size.
 	scale := float64(e.wireParams()) / float64(e.evalModel.Size())
-	computeSec := e.compute.RoundCompute(e.wireParams(), e.cfg.LocalIters)
-	loads := e.prevLoads
-	if loads == nil {
-		full := int(float64(e.wire().DenseBytes(e.evalModel.Size())) * scale)
-		loads = e.cluster.UniformLoad(full, full, computeSec)
-	}
-	outcome := e.cluster.Round(loads)
-	// outcome.Participants are positional cluster slots; translate to the
-	// stable client ids the server keys on (they differ once clients have
-	// joined or left).
-	isParticipant := make([]bool, len(e.clients))
-	participantIDs := make([]int, 0, len(outcome.Participants))
-	for _, slot := range outcome.Participants {
-		isParticipant[slot] = true
-		participantIDs = append(participantIDs, e.clients[slot].ID)
-	}
-	// The roster (who must reach every barrier) is the full client set by
-	// stable id — distinct from the participation quorum, and necessary
-	// once dynamic join/leave makes ids diverge from {0..n-1}.
-	roster := make([]int, len(e.clients))
-	for i, c := range e.clients {
-		roster[i] = c.ID
-	}
-	e.server.SetRoster(roster)
-	e.server.BeginRound(k, participantIDs)
+	computeSec := netem.DefaultComputeModel().RoundCompute(e.wireParams(), e.cfg.LocalIters)
+	full := int(float64(e.wire().DenseBytes(e.evalModel.Size())) * scale)
+	stats, isParticipant := e.admit(k, full, computeSec)
 	evictionsBefore, timeoutsBefore := e.server.EvictionCount(), e.server.TimeoutCount()
+	var tierBefore TierStats
+	if e.pop != nil {
+		tierBefore = e.server.Stats()
+	}
 
 	// Concurrent local training + synchronization.
 	type result struct {
@@ -488,7 +462,6 @@ func (e *Engine) RunRound(ctx context.Context, evaluate bool) (RoundStats, error
 	}
 	wg.Wait()
 
-	stats := RoundStats{Round: k, Participants: len(outcome.Participants)}
 	var trafficTotal sparse.Traffic
 	ratioSum := 0.0
 	nextLoads := make([]netem.ClientLoad, len(e.clients))
@@ -513,11 +486,13 @@ func (e *Engine) RunRound(ctx context.Context, evaluate bool) (RoundStats, error
 		stats.PredictableFraction = float64(pc.PredictableCount()) / float64(e.evalModel.Size())
 	}
 
-	stats.Duration = outcome.Duration
-	e.simTime += outcome.Duration
+	e.simTime += stats.Duration
 	stats.SimTime = e.simTime
 	stats.Evicted = e.server.EvictionCount() - evictionsBefore
 	stats.Timeouts = e.server.TimeoutCount() - timeoutsBefore
+	if e.pop != nil {
+		stats.addTierDeltas(tierBefore, e.server.Stats())
+	}
 
 	if err := ctx.Err(); err != nil {
 		// Cancelled after every client already synchronized: the round is
@@ -531,13 +506,92 @@ func (e *Engine) RunRound(ctx context.Context, evaluate bool) (RoundStats, error
 	}
 
 	if evaluate {
-		acc, loss := e.EvaluateGlobal()
-		stats.Accuracy, stats.Loss = acc, loss
+		stats.Accuracy, stats.Loss = e.EvaluateGlobal()
 	} else {
 		stats.Accuracy, stats.Loss = -1, -1
 	}
 	e.round++
 	return stats, nil
+}
+
+// admit is a synchronous round's membership-and-timing step. A fixed fleet
+// times round k through the netem cluster and opens the collective over
+// every client. A population samples the cohort, rebinds each slot to the
+// member it plays, times the round through the population model (the
+// earliest participation quorum closes it, then the partial cascade climbs
+// the tree) and opens the collective over the cohort. Loads are the
+// previous round's payloads, or full bytes each way on the first round.
+// admit returns the round's stats so far and which slots contribute.
+func (e *Engine) admit(k, full int, computeSec float64) (RoundStats, []bool) {
+	loads := e.prevLoads
+	isParticipant := make([]bool, len(e.clients))
+	if e.pop == nil {
+		if loads == nil {
+			loads = e.cluster.UniformLoad(full, full, computeSec)
+		}
+		outcome := e.cluster.Round(loads)
+		// The roster (who must reach every barrier) is the full client set
+		// by stable id — distinct from the participation quorum, and
+		// necessary once dynamic join/leave makes ids diverge from
+		// {0..n-1}. outcome.Participants are positional cluster slots.
+		roster := make([]int, len(e.clients))
+		for i, c := range e.clients {
+			roster[i] = c.ID
+		}
+		ids := make([]int, 0, len(outcome.Participants))
+		for _, slot := range outcome.Participants {
+			isParticipant[slot] = true
+			ids = append(ids, roster[slot])
+		}
+		e.server.SetRoster(roster)
+		e.server.BeginRound(k, ids)
+		return RoundStats{Round: k, Participants: len(ids), Duration: outcome.Duration}, isParticipant
+	}
+
+	cohort := e.pop.SampleCohort(k, len(e.clients))
+	// Rebind each slot to the member it plays BEFORE any goroutine spawns:
+	// the spawn is the happens-before edge the proxies rely on.
+	slotOf := make(map[int]int, len(cohort))
+	for i, id := range cohort {
+		e.proxies[i].memberID = id
+		slotOf[id] = i
+	}
+	if loads == nil {
+		loads = netem.UniformCohortLoad(len(cohort), full, full, computeSec)
+	}
+	outcome := e.popModel.CohortRound(k, cohort, loads, sparse.PartialPayloadSize(e.wireParams()))
+	for _, id := range outcome.Participants {
+		isParticipant[slotOf[id]] = true
+	}
+	e.server.SetRoster(cohort)
+	e.server.BeginRound(k, outcome.Participants)
+	return RoundStats{
+		Round:        k,
+		Participants: len(outcome.Participants),
+		CohortSize:   len(cohort),
+		RootRxBytes:  outcome.RootRxBytes,
+		Duration:     outcome.Duration,
+	}, isParticipant
+}
+
+// addTierDeltas records a population round's tier telemetry: the depth
+// after the round and the counters' growth during it.
+func (st *RoundStats) addTierDeltas(before, after TierStats) {
+	st.Tiers = after.Tiers
+	st.LeafFolds = after.LeafFolds - before.LeafFolds
+	st.ForwardedPartials = after.ForwardedPartials - before.ForwardedPartials
+	for i, ev := range after.TierEvictions {
+		prev := 0
+		if i < len(before.TierEvictions) {
+			prev = before.TierEvictions[i]
+		}
+		if d := ev - prev; d > 0 {
+			for len(st.TierEvictions) <= i {
+				st.TierEvictions = append(st.TierEvictions, 0)
+			}
+			st.TierEvictions[i] = d
+		}
+	}
 }
 
 // Run executes rounds sequentially, evaluating every evalEvery rounds (and

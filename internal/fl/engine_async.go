@@ -35,7 +35,7 @@ func (e *Engine) runAsync(ctx context.Context, applies, evalEvery int) ([]RoundS
 	proc := e.cluster.AsyncProcess()
 
 	scale := float64(e.wireParams()) / float64(e.evalModel.Size())
-	computeSec := e.compute.RoundCompute(e.wireParams(), e.cfg.LocalIters)
+	computeSec := netem.DefaultComputeModel().RoundCompute(e.wireParams(), e.cfg.LocalIters)
 	full := int(float64(e.wire().DenseBytes(e.evalModel.Size())) * scale)
 	loads := make([]netem.ClientLoad, n)
 	for i := range loads {

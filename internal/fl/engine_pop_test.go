@@ -127,9 +127,7 @@ func TestEnginePopulationValidation(t *testing.T) {
 			t.Errorf("%s: constructed without error", name)
 		}
 	}
-	fails("cohort without population", func(c *Config) { c.Cohort = 4 })
 	fails("fanout without population", func(c *Config) { c.Fanout = 4 })
-	fails("cohort != slots", func(c *Config) { c.Population = 32; c.Cohort = 8 })
 	fails("population below cohort", func(c *Config) { c.Population = 2 })
 	fails("fanout of 1", func(c *Config) { c.Population = 32; c.Fanout = 1 })
 	fails("async population", func(c *Config) { c.Population = 32; c.Async = AsyncConfig{K: 2} })

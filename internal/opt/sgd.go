@@ -1,6 +1,6 @@
-// Package opt implements the optimizers and learning-rate schedules used by
-// federated clients: SGD with momentum and weight decay (the paper's
-// optimizer) and the schedules its convergence analysis admits.
+// Package opt implements the optimizer and learning-rate schedules used by
+// federated clients: SGD with weight decay (the paper's optimizer) and the
+// schedules its convergence analysis admits.
 package opt
 
 import (
@@ -10,33 +10,23 @@ import (
 	"fedsu/internal/tensor"
 )
 
-// SGD is stochastic gradient descent with optional momentum and decoupled
-// L2 weight decay, matching the paper's training setup (SGD, weight decay
-// 0.001).
+// SGD is stochastic gradient descent with L2 weight decay, matching the
+// paper's training setup (SGD, weight decay 0.001). Apart from the step
+// count its schedule reads, it keeps no state between steps.
 //
 // The update runs at the parameter storage width: scalars (learning rate,
-// momentum, weight decay) round once per Step and the per-element arithmetic
-// — including the velocity buffer — stays in the parameter's dtype. At
-// float32 this halves the optimizer's memory footprint along with the
-// model's; at float64 it is the historical update bit-for-bit.
+// weight decay) round once per Step and the per-element arithmetic stays in
+// the parameter's dtype. At float64 it is the historical update
+// bit-for-bit.
 type SGD struct {
 	lr          float64
-	momentum    float64
 	weightDecay float64
 	schedule    Schedule
-
-	velocity   map[*nn.Param][]float64
-	velocity32 map[*nn.Param][]float32
-	step       int
+	step        int
 }
 
 // SGDOpt customizes an SGD optimizer at construction time.
 type SGDOpt func(*SGD)
-
-// WithMomentum enables classical momentum with coefficient m.
-func WithMomentum(m float64) SGDOpt {
-	return func(s *SGD) { s.momentum = m }
-}
 
 // WithWeightDecay enables L2 weight decay with coefficient wd.
 func WithWeightDecay(wd float64) SGDOpt {
@@ -72,55 +62,24 @@ func (s *SGD) Step(params []*nn.Param) {
 			continue
 		}
 		if p.Value.DType() == tensor.Float32 {
-			var vel []float32
-			if s.momentum != 0 {
-				if s.velocity32 == nil {
-					s.velocity32 = make(map[*nn.Param][]float32)
-				}
-				var ok bool
-				if vel, ok = s.velocity32[p]; !ok {
-					vel = make([]float32, p.Value.Len())
-					s.velocity32[p] = vel
-				}
-			}
-			sgdUpdate(tensor.DataOf[float32](p.Value), tensor.DataOf[float32](p.Grad), vel,
-				float32(lr), float32(s.momentum), float32(s.weightDecay)) //lint:allow precision -- optimizer scalars round once per step at the dispatch boundary
+			sgdUpdate(tensor.DataOf[float32](p.Value), tensor.DataOf[float32](p.Grad),
+				float32(lr), float32(s.weightDecay)) //lint:allow precision -- optimizer scalars round once per step at the dispatch boundary
 			continue
 		}
-		var vel []float64
-		if s.momentum != 0 {
-			if s.velocity == nil {
-				s.velocity = make(map[*nn.Param][]float64)
-			}
-			var ok bool
-			if vel, ok = s.velocity[p]; !ok {
-				vel = make([]float64, p.Value.Len())
-				s.velocity[p] = vel
-			}
-		}
-		sgdUpdate(tensor.DataOf[float64](p.Value), tensor.DataOf[float64](p.Grad), vel,
-			lr, s.momentum, s.weightDecay)
+		sgdUpdate(tensor.DataOf[float64](p.Value), tensor.DataOf[float64](p.Grad), lr, s.weightDecay)
 	}
 	s.step++
 }
 
-// sgdUpdate applies the storage-width SGD update to one parameter. vel is
-// nil when momentum is zero.
-func sgdUpdate[E tensor.Elem](v, g, vel []E, lr, momentum, weightDecay E) {
+// sgdUpdate applies the storage-width SGD update to one parameter.
+func sgdUpdate[E tensor.Elem](v, g []E, lr, weightDecay E) {
 	if weightDecay != 0 {
 		for i := range g {
 			g[i] += weightDecay * v[i]
 		}
 	}
-	if momentum != 0 {
-		for i := range v {
-			vel[i] = momentum*vel[i] + g[i]
-			v[i] -= lr * vel[i]
-		}
-	} else {
-		for i := range v {
-			v[i] -= lr * g[i]
-		}
+	for i := range v {
+		v[i] -= lr * g[i]
 	}
 }
 

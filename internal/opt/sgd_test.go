@@ -41,24 +41,6 @@ func TestSGDWeightDecay(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumAccumulates(t *testing.T) {
-	p := makeParam(0)
-	s := NewSGD(1, WithMomentum(0.9))
-	// Constant unit gradient: velocities 1, 1.9, 2.71, ...
-	wantVel := []float64{1, 1.9, 2.71}
-	total := 0.0
-	for _, wv := range wantVel {
-		p.Grad.Data()[0] = 1
-		s.Step([]*nn.Param{p})
-		total += wv
-		if got := p.Value.At(0); math.Abs(got+total) > 1e-9 {
-			t.Fatalf("after velocity %v: value = %v, want %v", wv, got, -total)
-		}
-		p.Grad.Data()[0] = 0
-		p.ZeroGrad()
-	}
-}
-
 func TestSGDSkipsNoOpt(t *testing.T) {
 	p := makeParam(5)
 	p.NoOpt = true
