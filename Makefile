@@ -95,7 +95,8 @@ verify-f32: tier1-f32 race-f32
 # reference (quant_ref_test.go); FuzzAlgorithm1 drives core.Manager and the
 # Algorithm 1 oracle (algorithm1_ref_test.go) over option sets and
 # trajectories with raw bit patterns injected, and demands equal outputs and
-# equal state after every round.
+# equal state after every round. FuzzCheckpointRead feeds raw bytes through
+# ckpt.Read into fl.Engine.Restore and demands an error or an exact restore.
 fuzz:
 	$(GO) test -fuzz '^FuzzAggWire$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flrpc/
 	$(GO) test -fuzz '^FuzzFrame$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flrpc/
@@ -110,6 +111,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzVecKernels$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/tensor/
 	$(GO) test -fuzz '^FuzzConvertKernels$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/tensor/
 	$(GO) test -fuzz '^FuzzAlgorithm1$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core/
+	$(GO) test -fuzz '^FuzzCheckpointRead$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/fl/
 
 # bench/ is its own module (BENCHMARK.json's program), so `./...` above
 # never compiles it: vet and test it here, or a refactor of fl/flrpc/sparse

@@ -122,14 +122,14 @@ func main() {
 			sparse.SetSyncerWire(syncer, sparse.Wire{Chain: chain})
 		}
 	}
-	client := fl.NewClient(id, model, newOptimizer(w), shard, syncer, *seed+int64(id)*7919)
+	client := fl.NewClient(id, model, newOptimizer(w), shard, syncer, *seed)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
 	var total sparse.Traffic
 	for k := 0; k < *rounds; k++ {
-		loss := client.TrainLocal(*iters, *batch)
+		loss := client.TrainLocal(k, *iters, *batch)
 		tr, err := client.SyncRoundCtx(ctx, k, true)
 		if err != nil {
 			switch {

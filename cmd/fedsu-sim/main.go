@@ -33,7 +33,7 @@ func run(args []string, stdout io.Writer) error {
 		workload   = fs.String("workload", "cnn", "model/dataset pair: "+strings.Join(fedsu.WorkloadNames(), ", "))
 		scheme     = fs.String("scheme", "fedsu", "sync strategy: "+strings.Join(fedsu.StrategyNames(), ", "))
 		clients    = fs.Int("clients", 8, "number of emulated clients")
-		rounds     = fs.Int("rounds", 60, "training rounds")
+		rounds     = fs.Int("rounds", 60, "training rounds (a resumed run finishes this horizon)")
 		iters      = fs.Int("iters", 5, "local SGD iterations per round (paper: 50)")
 		batch      = fs.Int("batch", 8, "mini-batch size (paper: 32)")
 		samples    = fs.Int("samples", 1024, "synthetic dataset size")
@@ -46,8 +46,8 @@ func run(args []string, stdout io.Writer) error {
 		evalEvery  = fs.Int("eval-every", 2, "evaluate the global model every n rounds")
 		proxMu     = fs.Float64("prox", 0, "FedProx proximal coefficient (0 disables)")
 		dtype      = fs.String("dtype", "float64", "compute precision: float64 (bit-identical legacy results) or float32 (half the memory bandwidth, lossless wire)")
-		ckptPath   = fs.String("checkpoint", "", "save a checkpoint here after the final round")
-		resumePath = fs.String("resume", "", "resume from a checkpoint before training")
+		ckptPath   = fs.String("checkpoint", "", "save a checkpoint here after the final round (synchronous runs)")
+		resumePath = fs.String("resume", "", "resume from a checkpoint before training and run on to -rounds")
 		async      = fs.Bool("async", false, "buffered-async rounds: clients run as independent arrival processes; -rounds counts global applications")
 		asyncK     = fs.Int("k", 0, "async buffer size: apply the global every K contributions (default clients/2)")
 		staleness  = fs.Int("staleness", 8, "async: drop contributions more than this many versions behind (-1 = unlimited)")
@@ -61,6 +61,9 @@ func run(args []string, stdout io.Writer) error {
 	fs.Parse(args)
 	if *evalEvery < 1 {
 		return fmt.Errorf("-eval-every must be at least 1, got %d", *evalEvery)
+	}
+	if *async && *ckptPath != "" {
+		return fmt.Errorf("-checkpoint: async runs do not resume from a checkpoint")
 	}
 
 	opts := fedsu.DefaultOptions()
@@ -117,8 +120,15 @@ func run(args []string, stdout io.Writer) error {
 
 	fmt.Fprintf(stdout, "%-6s %-10s %-9s %-9s %-9s %-8s %-8s\n",
 		"round", "time(s)", "acc", "loss", "trainloss", "sparse", "predict")
-	ctx := context.Background()
-	emit := func(st fedsu.RoundStats) {
+	// Sync and async runs both go through the simulation's driver, which
+	// finishes the -rounds horizon (from wherever -resume left the run) and
+	// evaluates on absolute rounds; async stats arrive per global
+	// application.
+	stats, err := sim.Run(context.Background())
+	if err != nil {
+		return err
+	}
+	for _, st := range stats {
 		accStr := "-"
 		lossStr := "-"
 		if st.Accuracy >= 0 {
@@ -133,26 +143,6 @@ func run(args []string, stdout io.Writer) error {
 				st.Round, st.SimTime, st.Accuracy, st.Loss, st.TrainLoss,
 				st.SparsificationRatio, st.PredictableFraction,
 				st.Traffic.UpBytes, st.Traffic.DownBytes)
-		}
-	}
-	if *async {
-		// Async rounds run through the engine's event loop (per-arrival
-		// scheduling), not the per-round driver; stats arrive per global
-		// application.
-		stats, err := sim.Run(ctx)
-		if err != nil {
-			return err
-		}
-		for _, st := range stats {
-			emit(st)
-		}
-	} else {
-		for i := 0; i < *rounds; i++ {
-			st, err := sim.RunRound(ctx, (i+1)%*evalEvery == 0 || i == *rounds-1)
-			if err != nil {
-				return err
-			}
-			emit(st)
 		}
 	}
 	if *ckptPath != "" {

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -18,6 +20,17 @@ func TestEvalEveryRejectsNonPositive(t *testing.T) {
 	}
 }
 
+// TestAsyncCheckpointRefused: an async run cannot resume, so -checkpoint
+// with -async is refused before training rather than writing a file every
+// -resume would reject.
+func TestAsyncCheckpointRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "async.ckpt")
+	err := run([]string{"-async", "-checkpoint", path, "-rounds", "1", "-clients", "2", "-samples", "64", "-iters", "1"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-checkpoint") {
+		t.Errorf("got %v, want an error naming -checkpoint", err)
+	}
+}
+
 // TestRunOneRound drives the command end to end at a tiny size: one round,
 // evaluated because it is the last.
 func TestRunOneRound(t *testing.T) {
@@ -28,5 +41,41 @@ func TestRunOneRound(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	if len(lines) != 2 || !strings.HasPrefix(lines[1], "0 ") || strings.Contains(lines[1], " - ") {
 		t.Fatalf("want a header and one evaluated round, got:\n%s", out.String())
+	}
+}
+
+// TestResumeAtEveryRound is the command-line arm of the fl suite of the same
+// name: for every round r, a -rounds r run that saves a checkpoint, then a
+// -resume run at the full -rounds, must print exactly the lines the
+// uninterrupted run printed for rounds r onwards — the same horizon, the
+// same evaluated rounds, the same bits down to the emulated clock.
+func TestResumeAtEveryRound(t *testing.T) {
+	const rounds = 5
+	base := []string{"-clients", "3", "-samples", "96", "-iters", "2", "-scale", "32", "-eval-every", "2"}
+	sim := func(extra ...string) []string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(append(append([]string(nil), base...), extra...), &out); err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, l := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+			if l != "" && l[0] >= '0' && l[0] <= '9' {
+				lines = append(lines, l) // round lines; not the header or notices
+			}
+		}
+		return lines
+	}
+	straight := sim("-rounds", fmt.Sprint(rounds))
+	if len(straight) != rounds {
+		t.Fatalf("straight run printed %d rounds, want %d", len(straight), rounds)
+	}
+	for r := 1; r < rounds; r++ {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		sim("-rounds", fmt.Sprint(r), "-checkpoint", path)
+		resumed := sim("-rounds", fmt.Sprint(rounds), "-resume", path)
+		if strings.Join(resumed, "\n") != strings.Join(straight[r:], "\n") {
+			t.Fatalf("resumed at round %d:\n%s\nwant\n%s", r, strings.Join(resumed, "\n"), strings.Join(straight[r:], "\n"))
+		}
 	}
 }

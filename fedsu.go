@@ -61,10 +61,6 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 // error-feedback protocol.
 type Manager = core.Manager
 
-// ManagerState is a portable snapshot of a Manager, used to bring
-// dynamically-joining clients up to date.
-type ManagerState = core.State
-
 // NewManager builds a FedSU manager for a model with size scalar
 // parameters, using agg for the global collectives.
 func NewManager(clientID, size int, agg Aggregator, opts Options) (*Manager, error) {
@@ -202,6 +198,7 @@ type Simulation struct {
 	rounds   int
 	evalEv   int
 	workload string
+	async    bool
 }
 
 // NewSimulation assembles an emulated run: it fills in the defaults above
@@ -259,19 +256,25 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{engine: engine, rounds: cfg.Rounds, evalEv: cfg.EvalEvery, workload: w.Name}, nil
+	return &Simulation{engine: engine, rounds: cfg.Rounds, evalEv: cfg.EvalEvery, workload: w.Name, async: cfg.Async.Enabled()}, nil
 }
 
-// SaveCheckpoint persists the simulation's resumable state (global model,
-// round counter, and FedSU mask state) atomically to path.
+// SaveCheckpoint persists everything the simulation's next round reads
+// (global model, round counter, emulated clock, and every client's strategy
+// state) atomically to path. An async simulation writes nothing and returns
+// fl.ErrAsyncResume: no checkpoint could resume it.
 func (s *Simulation) SaveCheckpoint(path string) error {
+	if s.async {
+		return fl.ErrAsyncResume
+	}
 	c := s.engine.Checkpoint()
 	c.Workload = s.workload
 	return ckpt.Save(path, c)
 }
 
-// LoadCheckpoint restores a previously-saved checkpoint; the workload and
-// scheme must match this simulation's configuration.
+// LoadCheckpoint restores a previously-saved checkpoint; the workload,
+// scheme and client count must match this simulation's configuration. Run
+// then finishes the configured Rounds, bit-equal to the run that saved it.
 func (s *Simulation) LoadCheckpoint(path string) error {
 	c, err := ckpt.Load(path, s.workload, s.engine.Strategy())
 	if err != nil {
@@ -280,7 +283,8 @@ func (s *Simulation) LoadCheckpoint(path string) error {
 	return s.engine.Restore(c)
 }
 
-// Run executes the configured rounds and returns per-round statistics.
+// Run executes the rounds left until the configured Rounds (all of them,
+// unless a checkpoint was loaded) and returns their statistics.
 func (s *Simulation) Run(ctx context.Context) ([]RoundStats, error) {
 	return s.engine.Run(ctx, s.rounds, s.evalEv)
 }
@@ -297,8 +301,8 @@ func (s *Simulation) Engine() *fl.Engine { return s.engine }
 
 // Join admits a new client mid-run with a fresh shard of n dataset samples,
 // exercising the paper's dynamicity handling: the joiner receives the
-// latest model plus (under FedSU) the predictability-mask and no-checking
-// state.
+// latest model plus the fleet-shared strategy state (under FedSU, the
+// predictability-mask and no-checking information).
 func (s *Simulation) Join(n int, seed int64) error {
 	_, err := s.engine.AddClientFromDataset(n, seed)
 	return err

@@ -1,8 +1,11 @@
-// Package ckpt persists federated training state: the global model vector,
-// the round counter, and — when FedSU is active — the manager's
-// predictability-mask and no-checking state, so a client or a whole
-// emulated run can resume after a restart exactly where it stopped. The
-// on-disk format is gob with a versioned header.
+// Package ckpt persists a federated run so that it resumes exactly where it
+// stopped: the global model, the round counter, the emulated clock and the
+// last round's per-client loads (the timing model's next input), and the
+// strategy state as the strategies encode it through the sparse.Stateful
+// seam — the fleet-shared view once and each client's local view. Nothing
+// else is stored because nothing else is read: batch draws, the learning
+// rate, cohorts and timing jitter are recomputed from (seed, client,
+// round). The on-disk format is gob with a versioned header.
 package ckpt
 
 import (
@@ -10,13 +13,15 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
-	"fedsu/internal/core"
+	"fedsu/internal/netem"
 )
 
 // FormatVersion identifies the checkpoint layout; bump on incompatible
-// changes.
-const FormatVersion = 1
+// changes. Version 1 stored one FedSU manager's fields for the whole fleet;
+// version 2 stores every strategy's state, per view and per client.
+const FormatVersion = 2
 
 // Checkpoint is the persisted training state.
 type Checkpoint struct {
@@ -27,10 +32,17 @@ type Checkpoint struct {
 	Workload, Scheme string
 	// Round is the next round index to run.
 	Round int
+	// SimTime is the emulated clock at the end of the last round.
+	SimTime float64
 	// Model is the flat global parameter vector.
 	Model []float64
-	// Manager is the FedSU state (nil for baseline strategies).
-	Manager *core.State
+	// Loads are the last round's per-client payloads and compute, which
+	// time the next round (nil before the first round).
+	Loads []netem.ClientLoad
+	// Shared is the strategy state every client holds identically
+	// (sparse.Shared); Local[i] is client i's own (sparse.Local).
+	Shared []byte
+	Local  [][]byte
 }
 
 // Write serializes the checkpoint to w.
@@ -58,7 +70,7 @@ func Read(r io.Reader) (*Checkpoint, error) {
 // directory, then rename, so a crash mid-write never corrupts an existing
 // checkpoint.
 func Save(path string, c *Checkpoint) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".ckpt-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
 	if err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
@@ -95,13 +107,4 @@ func Load(path, wantWorkload, wantScheme string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("ckpt: checkpoint is for scheme %q, want %q", c.Scheme, wantScheme)
 	}
 	return c, nil
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
 }

@@ -2,39 +2,30 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/gob"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
-	"fedsu/internal/core"
+	"fedsu/internal/netem"
 )
 
-type nilAgg struct{}
-
-func (nilAgg) AggregateModel(_, _ int, v []float64) ([]float64, error) { return v, nil }
-func (nilAgg) AggregateError(_, _ int, v []float64) ([]float64, error) { return v, nil }
-
-func sampleCheckpoint(t *testing.T) *Checkpoint {
-	t.Helper()
-	mgr, err := core.NewManager(0, 3, nilAgg{}, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 6; k++ {
-		if _, _, err := mgr.Sync(k, []float64{float64(k), 1, -2}, true); err != nil {
-			t.Fatal(err)
-		}
-	}
+func sampleCheckpoint() *Checkpoint {
 	return &Checkpoint{
 		Workload: "cnn",
 		Scheme:   "fedsu",
 		Round:    6,
+		SimTime:  12.5,
 		Model:    []float64{5, 1, -2},
-		Manager:  mgr.Snapshot(),
+		Loads:    []netem.ClientLoad{{DownBytes: 10, UpBytes: 20, ComputeSeconds: 0.5}, {DownBytes: 11, UpBytes: 21}},
+		Shared:   []byte{1, 2, 3},
+		Local:    [][]byte{{4}, {5, 6}},
 	}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	c := sampleCheckpoint(t)
+	c := sampleCheckpoint()
 	var buf bytes.Buffer
 	if err := Write(&buf, c); err != nil {
 		t.Fatal(err)
@@ -43,46 +34,32 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Round != 6 || got.Workload != "cnn" || got.Scheme != "fedsu" {
-		t.Errorf("metadata = %+v", got)
-	}
-	for i, v := range c.Model {
-		if got.Model[i] != v {
-			t.Errorf("model[%d] = %v, want %v", i, got.Model[i], v)
-		}
-	}
-	if got.Manager == nil || got.Manager.Size != 3 {
-		t.Error("manager state lost")
+	if !reflect.DeepEqual(got, c) {
+		t.Errorf("read back %+v, wrote %+v", got, c)
 	}
 }
 
-func TestReadRejectsBadVersion(t *testing.T) {
-	c := sampleCheckpoint(t)
-	var buf bytes.Buffer
-	if err := Write(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	// Re-encode with a corrupted version.
-	bad, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Version = 99
-	var buf2 bytes.Buffer
-	// Write resets the version; encode manually to preserve the bad one.
-	buf2.Reset()
-	if err := encodeRaw(&buf2, bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(&buf2); err == nil {
-		t.Error("bad version must be rejected")
+// TestReadRejectsOtherVersions: a file of any other version — the
+// single-manager version 1 included — is refused by an error naming both.
+func TestReadRejectsOtherVersions(t *testing.T) {
+	for _, v := range []int{1, 99} {
+		c := sampleCheckpoint()
+		c.Version = v
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(c); err != nil { // Write would stamp FormatVersion
+			t.Fatal(err)
+		}
+		_, err := Read(&buf)
+		if err == nil || !strings.Contains(err.Error(), "version") || !strings.Contains(err.Error(), "2") {
+			t.Errorf("version %d: got %v, want an error naming versions %d and 2", v, err, v)
+		}
 	}
 }
 
 func TestSaveLoad(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
-	c := sampleCheckpoint(t)
+	c := sampleCheckpoint()
 	if err := Save(path, c); err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +84,10 @@ func TestSaveLoad(t *testing.T) {
 func TestSaveAtomicOverwrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
-	a := sampleCheckpoint(t)
-	if err := Save(path, a); err != nil {
+	if err := Save(path, sampleCheckpoint()); err != nil {
 		t.Fatal(err)
 	}
-	b := sampleCheckpoint(t)
+	b := sampleCheckpoint()
 	b.Round = 42
 	if err := Save(path, b); err != nil {
 		t.Fatal(err)

@@ -281,27 +281,30 @@ func (a *algorithm1) mask() []bool {
 }
 
 // state renders the oracle's rows in core.State's layout, for comparison
-// with Manager.Snapshot.
-func (a *algorithm1) state(round int) *State {
+// with a manager's live state. The oracle runs the default wire: no residual.
+func (a *algorithm1) state() *State {
 	n := len(a.p)
 	s := &State{
-		Size: n, Round: round, Started: a.started,
-		PrevGlobal: make([]float64, n), LastG: make([]float64, n), HasLastG: make([]bool, n),
-		EmaG2: make([]float64, n), EmaAbsG2: make([]float64, n), EmaG: make([]float64, n),
-		EmaAbsG: make([]float64, n), EmaSeen: make([]bool, n), History: make([]int32, n),
-		Mode: make([]uint8, n), Slope: make([]float64, n), NoCheckPeriod: make([]int32, n),
-		NoCheckLeft: make([]int32, n), AccumErr: make([]float64, n), SpecRounds: make([]int32, n),
+		SharedState: SharedState{
+			Started:    a.started,
+			PrevGlobal: make([]float64, n), LastG: make([]float64, n), HasLastG: make([]bool, n),
+			EmaG2: make([]float64, n), EmaAbsG2: make([]float64, n), EmaG: make([]float64, n),
+			EmaAbsG: make([]float64, n), EmaSeen: make([]bool, n), History: make([]int32, n),
+			Mode: make([]paramMode, n), Slope: make([]float64, n), NoCheckPeriod: make([]int32, n),
+			NoCheckLeft: make([]int32, n), SpecRounds: make([]int32, n),
+		},
+		LocalState: LocalState{AccumErr: make([]float64, n), SpecTotal: make([]int64, n), SeenTotal: int64(a.rounds)},
 	}
 	for i, p := range a.p {
 		s.PrevGlobal[i], s.LastG[i], s.HasLastG[i] = p.x, p.g1, p.hasG1
 		s.EmaG2[i], s.EmaAbsG2[i], s.EmaSeen[i] = p.meanG2, p.meanAbs2, p.hasG2
 		s.EmaG[i], s.EmaAbsG[i], s.History[i] = p.meanG, p.meanAbsG, int32(p.observed)
-		s.Mode[i] = uint8(modeRegular)
+		s.Mode[i] = modeRegular
 		if p.predictable {
-			s.Mode[i] = uint8(modeSpeculative)
+			s.Mode[i] = modeSpeculative
 		}
 		s.Slope[i], s.NoCheckPeriod[i], s.NoCheckLeft[i] = p.slope, int32(p.period), int32(p.left)
-		s.AccumErr[i], s.SpecRounds[i] = p.sumErr, int32(p.specRounds)
+		s.AccumErr[i], s.SpecRounds[i], s.SpecTotal[i] = p.sumErr, int32(p.specRounds), int64(p.specTotal)
 	}
 	return s
 }

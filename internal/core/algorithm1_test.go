@@ -209,14 +209,49 @@ func firstDiff[T comparable](a, b []T) int {
 	return -1
 }
 
+// snapshot deep-copies a manager's state, both views.
+func snapshot(m *Manager) *State {
+	s := m.st
+	for _, v := range []reflect.Value{reflect.ValueOf(&s.SharedState).Elem(), reflect.ValueOf(&s.LocalState).Elem()} {
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Slice && !f.IsNil() {
+				c := reflect.MakeSlice(f.Type(), f.Len(), f.Len())
+				reflect.Copy(c, f)
+				f.Set(c)
+			}
+		}
+	}
+	return &s
+}
+
+// restore loads a copy of s, both views, into m: a restart's restore.
+func restore(m *Manager, s *State) error {
+	src := &Manager{st: *s}
+	for _, v := range []sparse.View{sparse.Shared, sparse.Local} {
+		install, err := sparse.DecodeState(m, sparse.AppendState(nil, src, v), v, m.size)
+		if err != nil {
+			return err
+		}
+		install()
+	}
+	return nil
+}
+
 // sameState compares two snapshots field by field, floats with sameValue,
 // and names the first parameter that differs.
 func sameState(a, b *State) error {
-	va, vb := reflect.ValueOf(*a), reflect.ValueOf(*b)
+	return sameFields(reflect.ValueOf(*a), reflect.ValueOf(*b))
+}
+
+func sameFields(va, vb reflect.Value) error {
 	for f := 0; f < va.NumField(); f++ {
 		name, fa, fb := va.Type().Field(f).Name, va.Field(f).Interface(), vb.Field(f).Interface()
 		at := -1
 		switch xa := fa.(type) {
+		case SharedState, LocalState:
+			if err := sameFields(va.Field(f), vb.Field(f)); err != nil {
+				return err
+			}
 		case []float64:
 			if err := sameValues(xa, fb.([]float64)); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
@@ -225,8 +260,10 @@ func sameState(a, b *State) error {
 			at = firstDiff(xa, fb.([]bool))
 		case []int32:
 			at = firstDiff(xa, fb.([]int32))
-		case []uint8:
-			at = firstDiff(xa, fb.([]uint8))
+		case []int64:
+			at = firstDiff(xa, fb.([]int64))
+		case []paramMode:
+			at = firstDiff(xa, fb.([]paramMode))
 		default:
 			if fa != fb {
 				return fmt.Errorf("%s: %v vs %v", name, fa, fb)
@@ -288,7 +325,7 @@ func runFleetLockStep(t *testing.T, opts Options, clients, size, rounds int, see
 		for c := 0; c < clients; c++ {
 			local := traj.local(k, c, size)
 			contributes := (k+c)%5 != 0
-			res[c].before = append([]int32(nil), mgrs[c].noCheckPeriod...)
+			res[c].before = append([]int32(nil), mgrs[c].st.NoCheckPeriod...)
 			wg.Add(2)
 			go func(c int) {
 				defer wg.Done()
@@ -312,7 +349,7 @@ func runFleetLockStep(t *testing.T, opts Options, clients, size, rounds int, see
 			if r.tr.SyncedParams != r.synced || r.tr.CheckedParams != r.checked {
 				t.Fatalf("round %d client %d: synced/checked %d/%d, oracle %d/%d", k, c, r.tr.SyncedParams, r.tr.CheckedParams, r.synced, r.checked)
 			}
-			if err := sameState(mgrs[c].Snapshot(), refs[c].state(k)); err != nil {
+			if err := sameState(snapshot(mgrs[c]), refs[c].state()); err != nil {
 				t.Fatalf("round %d client %d: state: %v", k, c, err)
 			}
 			if err := sameValues(mgrs[c].LinearFractions(), refs[c].linearFractions()); err != nil {
@@ -326,7 +363,7 @@ func runFleetLockStep(t *testing.T, opts Options, clients, size, rounds int, see
 				t.Fatalf("round %d: clients 0 and %d hold different masks", k, c)
 			}
 		}
-		for i, after := range mgrs[0].noCheckPeriod {
+		for i, after := range mgrs[0].st.NoCheckPeriod {
 			switch before := res[0].before[i]; {
 			case before == 0 && after > 0:
 				promoted++
@@ -397,14 +434,14 @@ func TestAlgorithm1CheckpointResume(t *testing.T) {
 					if rtr != tr {
 						t.Fatalf("round %d after a resume: traffic %+v, want %+v", k, rtr, tr)
 					}
-					if err := sameState(resumed.Snapshot(), m.Snapshot()); err != nil {
+					if err := sameState(snapshot(resumed), snapshot(m)); err != nil {
 						t.Fatalf("round %d after a resume: %v", k, err)
 					}
 				}
 				if resumed, err = NewManager(0, size, agg, opts); err != nil {
 					t.Fatal(err)
 				}
-				if err := resumed.Restore(m.Snapshot()); err != nil {
+				if err := restore(resumed, snapshot(m)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -463,10 +500,10 @@ func TestTwoPassMatchesMultiLoop(t *testing.T) {
 						if tr != refTr {
 							t.Fatalf("round %d: traffic %+v, multi-loop %+v", k, tr, refTr)
 						}
-						if err := sameState(two.Snapshot(), multi.Snapshot()); err != nil {
+						if err := sameState(snapshot(two), snapshot(multi)); err != nil {
 							t.Fatalf("round %d: state: %v", k, err)
 						}
-						if err := sameValues(two.wireErr, multi.wireErr); err != nil {
+						if err := sameValues(two.st.WireErr, multi.st.WireErr); err != nil {
 							t.Fatalf("round %d: residual: %v", k, err)
 						}
 						if err := sameValues(two.LinearFractions(), multi.LinearFractions()); err != nil {
@@ -536,7 +573,7 @@ func FuzzAlgorithm1(f *testing.F) {
 			if tr.SyncedParams != synced || tr.CheckedParams != checked {
 				t.Fatalf("round %d: synced/checked %d/%d, oracle %d/%d", k, tr.SyncedParams, tr.CheckedParams, synced, checked)
 			}
-			if err := sameState(m.Snapshot(), ref.state(k)); err != nil {
+			if err := sameState(snapshot(m), ref.state()); err != nil {
 				t.Fatalf("round %d: state: %v", k, err)
 			}
 		}
@@ -620,8 +657,8 @@ func TestFailedCollectiveDoesNotAdvanceResidual(t *testing.T) {
 							rounds = k + 6
 						}
 						tr.outs = append(tr.outs, append([]float64(nil), out...))
-						tr.snaps = append(tr.snaps, m.Snapshot())
-						tr.residuals = append(tr.residuals, append([]float64(nil), m.wireErr...))
+						tr.snaps = append(tr.snaps, snapshot(m))
+						tr.residuals = append(tr.residuals, append([]float64(nil), m.st.WireErr...))
 						tr.fractions = append(tr.fractions, m.LinearFractions())
 					}
 					return tr, inner.failed
@@ -674,9 +711,11 @@ func TestV2JoinerMaskAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := joiner.Restore(donor.Snapshot()); err != nil {
+	install, err := sparse.DecodeState(joiner, sparse.AppendState(nil, donor, sparse.Shared), sparse.Shared, size)
+	if err != nil {
 		t.Fatal(err)
 	}
+	install()
 	for k := 6; k < 14; k++ {
 		local := traj.local(k, 0, size)
 		dout, _, err1 := donor.Sync(k, local, true)

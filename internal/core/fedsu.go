@@ -32,6 +32,7 @@ import (
 
 	"fedsu/internal/par"
 	"fedsu/internal/sparse"
+	"fedsu/internal/sparse/codec"
 )
 
 // Variant selects the FedSU algorithm variant; the ablation study (Fig. 8)
@@ -160,42 +161,6 @@ const (
 	modeSpeculative
 )
 
-// paramArrays is the manager's per-parameter state, one slot per scalar
-// parameter in every slice. It is a struct of its own so a pass over the
-// parameters can copy the slice headers into a local once (p := m.paramArrays)
-// instead of reloading each through m after every store.
-type paramArrays struct {
-	// Global-trajectory diagnosis state (identical across clients).
-	prevGlobal []float64 // x_{k-1} after the previous sync
-	lastG      []float64 // first-order difference g_{k-1}
-	hasLastG   []bool
-	emaG2      []float64 // ⟨g′⟩θ
-	emaAbsG2   []float64 // ⟨|g′|⟩θ
-	emaG       []float64 // ⟨g⟩θ — smoothed slope estimator
-	emaAbsG    []float64 // ⟨|g|⟩θ — typical per-round movement scale
-	emaSeen    []bool
-	history    []int32 // observed rounds per parameter since last reset
-
-	// Speculative-updating state.
-	mode          []paramMode
-	slope         []float64 // g_k profiled at speculation start
-	noCheckPeriod []int32   // current no-checking period length
-	noCheckLeft   []int32   // rounds until the next error check
-	accumErr      []float64 // Σ e_r since the last check (local)
-	specRounds    []int32   // rounds spent in the current speculative phase
-
-	// wireErr carries the lossy chain's per-parameter residual (sent minus
-	// wire image) into the next round's submission — error feedback in the
-	// EF-SGD sense, so components below the quantization step accumulate
-	// until they cross it instead of being rounded away forever. Allocated
-	// lazily on the first delta-domain sync; nil on the default wire.
-	wireErr []float64
-
-	// Cumulative speculative rounds per parameter, for the Fig. 7 linearity
-	// CDF (with Manager.seenTotal).
-	specTotal []int64
-}
-
 // Manager is the per-client FedSU state machine (the paper's
 // FedSU_Manager). It implements sparse.Syncer.
 type Manager struct {
@@ -205,10 +170,10 @@ type Manager struct {
 	opts Options
 	wire sparse.Wire
 
-	paramArrays
-
-	round   int
-	started bool
+	// st is the live state (state.go). A pass over the parameters copies it
+	// into a local once (p := m.st), loading every slice header a single
+	// time instead of reloading each through m after every store.
+	st State
 
 	// Per-sync scratch, reused across rounds so a steady-state Sync
 	// performs no allocation. scratchOut backs the vector returned to the
@@ -226,8 +191,6 @@ type Manager struct {
 	scratchRecv    []float64
 	scratchOut     []float64
 	ranks          [][2]int32
-
-	seenTotal int64 // rounds seen, the Fig. 7 linearity CDF's denominator
 }
 
 var _ sparse.ContextSyncer = (*Manager)(nil)
@@ -243,32 +206,15 @@ func NewManager(clientID, size int, agg sparse.Aggregator, opts Options) (*Manag
 	}
 	m := &Manager{
 		id: clientID, size: size, agg: agg, opts: opts,
-		paramArrays: paramArrays{
-			prevGlobal:    make([]float64, size),
-			lastG:         make([]float64, size),
-			hasLastG:      make([]bool, size),
-			emaG2:         make([]float64, size),
-			emaAbsG2:      make([]float64, size),
-			emaG:          make([]float64, size),
-			emaAbsG:       make([]float64, size),
-			emaSeen:       make([]bool, size),
-			history:       make([]int32, size),
-			mode:          make([]paramMode, size),
-			slope:         make([]float64, size),
-			noCheckPeriod: make([]int32, size),
-			noCheckLeft:   make([]int32, size),
-			accumErr:      make([]float64, size),
-			specRounds:    make([]int32, size),
-			specTotal:     make([]int64, size),
-		},
 		scratchSend:    make([]float64, size),
 		scratchErrSend: make([]float64, size),
 		scratchRecv:    make([]float64, size),
 		scratchOut:     make([]float64, size),
 		ranks:          make([][2]int32, (size+diagnoseGrain-1)/diagnoseGrain),
 	}
-	for i := range m.mode {
-		m.mode[i] = modeRegular
+	sparse.MakeFields(&m.st, size)
+	for i := range m.st.Mode {
+		m.st.Mode[i] = modeRegular
 	}
 	return m, nil
 }
@@ -300,7 +246,7 @@ func (m *Manager) SetWire(w sparse.Wire) { m.wire = w }
 // PredictableMask returns a copy of the current predictability mask.
 func (m *Manager) PredictableMask() []bool {
 	mask := make([]bool, m.size)
-	for i, md := range m.mode {
+	for i, md := range m.st.Mode {
 		mask[i] = md == modeSpeculative
 	}
 	return mask
@@ -309,7 +255,7 @@ func (m *Manager) PredictableMask() []bool {
 // PredictableCount returns how many parameters are currently speculative.
 func (m *Manager) PredictableCount() int {
 	n := 0
-	for _, md := range m.mode {
+	for _, md := range m.st.Mode {
 		if md == modeSpeculative {
 			n++
 		}
@@ -322,13 +268,13 @@ func (m *Manager) PredictableCount() int {
 // second-order difference was exactly zero — a perfectly linear trajectory —
 // so the ratio is 0 (|⟨g′⟩θ| ≤ ⟨|g′|⟩θ guarantees the numerator is zero too).
 func (m *Manager) OscillationRatio(i int) float64 {
-	if !m.emaSeen[i] {
+	if !m.st.EmaSeen[i] {
 		return 1
 	}
-	if m.emaAbsG2[i] == 0 {
+	if m.st.EmaAbsG2[i] == 0 {
 		return 0
 	}
-	return math.Abs(m.emaG2[i]) / m.emaAbsG2[i]
+	return math.Abs(m.st.EmaG2[i]) / m.st.EmaAbsG2[i]
 }
 
 // LinearFractions returns, per parameter, the fraction of observed rounds
@@ -336,11 +282,11 @@ func (m *Manager) OscillationRatio(i int) float64 {
 // the paper plots in Fig. 7.
 func (m *Manager) LinearFractions() []float64 {
 	out := make([]float64, m.size)
-	if m.seenTotal == 0 {
+	if m.st.SeenTotal == 0 {
 		return out
 	}
 	for i := range out {
-		out[i] = float64(m.specTotal[i]) / float64(m.seenTotal)
+		out[i] = float64(m.st.SpecTotal[i]) / float64(m.st.SeenTotal)
 	}
 	return out
 }
@@ -368,7 +314,7 @@ func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contr
 	if len(local) != m.size {
 		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: vector length %d, want %d", len(local), m.size)
 	}
-	if !m.started {
+	if !m.st.Started {
 		// Bootstrap round: full synchronization to establish the first
 		// global snapshot every later diagnosis derives from.
 		return m.bootstrap(ctx, round, local, contributor)
@@ -383,8 +329,8 @@ func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contr
 	// what keeps a 4-bit cell trainable. The default wire stays in the value
 	// domain, bit-identical to every pre-chain run.
 	delta := m.wire.Enabled()
-	if delta && m.wireErr == nil {
-		m.wireErr = make([]float64, m.size)
+	if delta && m.st.WireErr == nil {
+		m.st.WireErr = make([]float64, m.size)
 	}
 	nReg, nChk := m.stage(local, contributor, delta)
 
@@ -438,8 +384,7 @@ func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contr
 			m.commit(round, local, aggModel, aggErr, img, lo, hi)
 		})
 	}
-	m.round = round
-	m.seenTotal++
+	m.st.SeenTotal++
 
 	// Shipped bytes of the collective payloads: an abstaining
 	// non-contributor uploads framing only, and a collective with no
@@ -473,25 +418,25 @@ const diagnoseGrain = 2048
 // scratchErrSend. It returns both counts, having recorded them as they stood
 // at each diagnoseGrain boundary.
 func (m *Manager) stage(local []float64, contributor, delta bool) (nReg, nChk int) {
-	p := m.paramArrays
+	p := m.st
 	send, errSend := m.scratchSend, m.scratchErrSend
 	full, quantize := m.opts.Variant == VariantFull, m.opts.Quantize
 	for b0 := 0; b0 < m.size; b0 += diagnoseGrain {
 		m.ranks[b0/diagnoseGrain] = [2]int32{int32(nReg), int32(nChk)}
 		for i := b0; i < min(b0+diagnoseGrain, m.size); i++ {
 			switch {
-			case p.mode[i] == modeRegular:
+			case p.Mode[i] == modeRegular:
 				if contributor {
 					v := local[i]
 					if delta {
-						v = v - p.prevGlobal[i] + p.wireErr[i]
+						v = v - p.PrevGlobal[i] + p.WireErr[i]
 					}
 					send[nReg] = v
 				}
 				nReg++
-			case full && p.noCheckLeft[i] <= 1:
+			case full && p.NoCheckLeft[i] <= 1:
 				if contributor {
-					errSend[nChk] = p.accumErr[i] + (local[i] - wireImage(quantize, p.prevGlobal[i]+p.slope[i]))
+					errSend[nChk] = p.AccumErr[i] + (local[i] - wireImage(quantize, p.PrevGlobal[i]+p.Slope[i]))
 				}
 				nChk++
 			}
@@ -513,34 +458,34 @@ func (m *Manager) stage(local []float64, contributor, delta bool) (nReg, nChk in
 // and v2 leave after their fixed period instead. A parameter promoted or
 // reverted this round is next looked at in its new mode next round.
 func (m *Manager) commit(round int, local, aggModel, aggErr, img []float64, lo, hi int) {
-	o, p := m.opts, m.paramArrays
+	o, p := m.opts, m.st
 	full, quantize, th := o.Variant == VariantFull, o.Quantize, o.Theta
 	delta := m.wire.Enabled()
-	out, prev, send := m.scratchOut, p.prevGlobal, m.scratchSend
+	out, prev, send := m.scratchOut, p.PrevGlobal, m.scratchSend
 	j, c := int(m.ranks[lo/diagnoseGrain][0]), int(m.ranks[lo/diagnoseGrain][1])
 	for i := lo; i < hi; i++ {
-		if p.mode[i] != modeRegular {
+		if p.Mode[i] != modeRegular {
 			// Under Quantize the prediction itself is snapped to the wire
 			// image, so the value the client stores (and trains from next
 			// round) is exactly the value the manager accounted for.
-			x := wireImage(quantize, prev[i]+p.slope[i])
+			x := wireImage(quantize, prev[i]+p.Slope[i])
 			// e_r = g̃_r − g_k, with the local update standing in for the
 			// true gradient until aggregation.
-			acc := p.accumErr[i] + (local[i] - x)
-			p.specRounds[i]++
-			p.specTotal[i]++
+			acc := p.AccumErr[i] + (local[i] - x)
+			p.SpecRounds[i]++
+			p.SpecTotal[i]++
 			switch {
-			case full && p.noCheckLeft[i] <= 1:
+			case full && p.NoCheckLeft[i] <= 1:
 				e := acc
 				if aggErr != nil {
 					e = aggErr[c]
 				}
 				c++
-				if m.feedbackSignal(i, e, p.slope[i]) < o.TS {
+				if m.feedbackSignal(i, e, p.Slope[i]) < o.TS {
 					// Linear pattern persists: extend the no-checking period
 					// by one round and keep speculating.
-					p.noCheckPeriod[i]++
-					p.noCheckLeft[i] = p.noCheckPeriod[i]
+					p.NoCheckPeriod[i]++
+					p.NoCheckLeft[i] = p.NoCheckPeriod[i]
 					acc = 0
 				} else {
 					// Prediction diverged: rectify with the aggregated error
@@ -550,15 +495,15 @@ func (m *Manager) commit(round int, local, aggModel, aggErr, img []float64, lo, 
 					m.revertToRegular(i)
 				}
 			case full:
-				p.noCheckLeft[i]--
-			case p.noCheckLeft[i] <= 1:
+				p.NoCheckLeft[i]--
+			case p.NoCheckLeft[i] <= 1:
 				// v1/v2 leave when their fixed period has run.
 				acc = 0
 				m.revertToRegular(i)
 			default:
-				p.noCheckLeft[i]--
+				p.NoCheckLeft[i]--
 			}
-			p.accumErr[i] = acc
+			p.AccumErr[i] = acc
 			out[i], prev[i] = x, x
 			continue
 		}
@@ -575,18 +520,18 @@ func (m *Manager) commit(round int, local, aggModel, aggErr, img []float64, lo, 
 		if img != nil {
 			// Error feedback: img is what the transport's one encode of the
 			// submission decodes to, on either transport.
-			p.wireErr[i] = send[j] - img[j]
+			p.WireErr[i] = send[j] - img[j]
 		}
 		j++
 
 		g := x - prev[i]
 		ag := math.Abs(g)
-		seen := p.emaSeen[i]
-		if !p.hasLastG[i] {
-			p.emaG[i], p.emaAbsG[i] = g, ag
-			p.hasLastG[i] = true
+		seen := p.EmaSeen[i]
+		if !p.HasLastG[i] {
+			p.EmaG[i], p.EmaAbsG[i] = g, ag
+			p.HasLastG[i] = true
 		} else {
-			g2 := g - p.lastG[i]
+			g2 := g - p.LastG[i]
 			// Second differences at the float64 roundoff floor of the
 			// gradient scale are measurement noise, not oscillation;
 			// without the clamp a perfectly linear trajectory would show a
@@ -595,17 +540,17 @@ func (m *Manager) commit(round int, local, aggModel, aggErr, img []float64, lo, 
 				g2 = 0
 			}
 			if !seen {
-				p.emaG2[i], p.emaAbsG2[i] = g2, math.Abs(g2)
-				p.emaSeen[i], seen = true, true
+				p.EmaG2[i], p.EmaAbsG2[i] = g2, math.Abs(g2)
+				p.EmaSeen[i], seen = true, true
 			} else {
-				p.emaG2[i] = th*p.emaG2[i] + (1-th)*g2
-				p.emaAbsG2[i] = th*p.emaAbsG2[i] + (1-th)*math.Abs(g2)
+				p.EmaG2[i] = th*p.EmaG2[i] + (1-th)*g2
+				p.EmaAbsG2[i] = th*p.EmaAbsG2[i] + (1-th)*math.Abs(g2)
 			}
-			p.emaG[i] = th*p.emaG[i] + (1-th)*g
-			p.emaAbsG[i] = th*p.emaAbsG[i] + (1-th)*ag
+			p.EmaG[i] = th*p.EmaG[i] + (1-th)*g
+			p.EmaAbsG[i] = th*p.EmaAbsG[i] + (1-th)*ag
 		}
-		p.lastG[i] = g
-		p.history[i]++
+		p.LastG[i] = g
+		p.History[i]++
 		out[i], prev[i] = x, x
 
 		var promote bool
@@ -614,21 +559,21 @@ func (m *Manager) commit(round int, local, aggModel, aggErr, img []float64, lo, 
 		} else {
 			// ℛ < T_ℛ; a zero denominator is a perfectly linear trajectory
 			// (see OscillationRatio).
-			promote = int(p.history[i]) >= o.MinHistory && seen && g != 0 &&
-				(p.emaAbsG2[i] == 0 || math.Abs(p.emaG2[i])/p.emaAbsG2[i] < o.TR)
+			promote = int(p.History[i]) >= o.MinHistory && seen && g != 0 &&
+				(p.EmaAbsG2[i] == 0 || math.Abs(p.EmaG2[i])/p.EmaAbsG2[i] < o.TR)
 		}
 		if promote {
 			period := int32(1)
 			if !full {
 				period = int32(o.FixedPeriod)
 			}
-			p.mode[i] = modeSpeculative
-			p.slope[i] = p.emaG[i]
+			p.Mode[i] = modeSpeculative
+			p.Slope[i] = p.EmaG[i]
 			if o.RawSlope {
-				p.slope[i] = g
+				p.Slope[i] = g
 			}
-			p.accumErr[i], p.specRounds[i] = 0, 0
-			p.noCheckPeriod[i], p.noCheckLeft[i] = period, period
+			p.AccumErr[i], p.SpecRounds[i] = 0, 0
+			p.NoCheckPeriod[i], p.NoCheckLeft[i] = period, period
 		}
 	}
 }
@@ -655,10 +600,9 @@ func (m *Manager) bootstrap(ctx context.Context, round int, local []float64, con
 			out[i] = sparse.QuantizeWire(v)
 		}
 	}
-	copy(m.prevGlobal, out)
-	m.round = round
-	m.started = true
-	m.seenTotal++
+	copy(m.st.PrevGlobal, out)
+	m.st.Started = true
+	m.st.SeenTotal++
 	return out, sparse.Traffic{
 		UpBytes:      up,
 		DownBytes:    down,
@@ -675,11 +619,11 @@ func (m *Manager) bootstrap(ctx context.Context, round int, local []float64, con
 // parameter that is again linear re-promotes without rebuilding history
 // from scratch.
 func (m *Manager) revertToRegular(i int) {
-	m.mode[i] = modeRegular
-	m.noCheckPeriod[i] = 0
-	m.noCheckLeft[i] = 0
-	m.accumErr[i] = 0
-	m.specRounds[i] = 0
+	m.st.Mode[i] = modeRegular
+	m.st.NoCheckPeriod[i] = 0
+	m.st.NoCheckLeft[i] = 0
+	m.st.AccumErr[i] = 0
+	m.st.SpecRounds[i] = 0
 }
 
 // wireImage maps v to its wire image under Options.Quantize (identity
@@ -698,18 +642,8 @@ func wireImage(quantize bool, v float64) float64 {
 // value for a parameter whenever it joined, restored or resumed, on any
 // worker count.
 func launchDraw(seed int64, round, i int) float64 {
-	x := mix64(uint64(seed) + mix64(uint64(round)+mix64(uint64(i))))
+	x := codec.Mix64(uint64(seed) + codec.Mix64(uint64(round)+codec.Mix64(uint64(i))))
 	return float64(x>>11) / (1 << 53)
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
 }
 
 // feedbackSignal computes 𝒮 = |Σe_r| / |g_k| (Eq. 3). Unless RawErrorNorm
@@ -718,8 +652,8 @@ func mix64(x uint64) uint64 {
 // is judged against its movement scale rather than a near-zero divisor.
 func (m *Manager) feedbackSignal(i int, accumErr, slope float64) float64 {
 	denom := math.Abs(slope)
-	if !m.opts.RawErrorNorm && m.emaAbsG[i] > denom {
-		denom = m.emaAbsG[i]
+	if !m.opts.RawErrorNorm && m.st.EmaAbsG[i] > denom {
+		denom = m.st.EmaAbsG[i]
 	}
 	if denom < 1e-12 {
 		denom = 1e-12

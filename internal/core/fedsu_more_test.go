@@ -91,8 +91,8 @@ func TestRawSlopeVsSmoothedSlope(t *testing.T) {
 			if _, _, err := m.Sync(k, []float64{trueSlope * float64(k)}, true); err != nil {
 				t.Fatal(err)
 			}
-			if m.mode[0] == modeSpeculative {
-				return m.slope[0]
+			if m.st.Mode[0] == modeSpeculative {
+				return m.st.Slope[0]
 			}
 		}
 		return math.NaN()
@@ -110,7 +110,7 @@ func TestRawSlopeVsSmoothedSlope(t *testing.T) {
 func TestFeedbackSignalNormalization(t *testing.T) {
 	opts := DefaultOptions()
 	m, _ := newTestManager(t, 1, opts)
-	m.emaAbsG[0] = 0.5
+	m.st.EmaAbsG[0] = 0.5
 
 	// Default: floored at the movement scale.
 	if got := m.feedbackSignal(0, 1.0, 0.001); math.Abs(got-2.0) > 1e-12 {

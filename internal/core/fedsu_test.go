@@ -167,8 +167,8 @@ func TestNoCheckPeriodGrowsWhilePredictionHolds(t *testing.T) {
 	m, _ := newTestManager(t, 1, opts)
 	traj := func(k int) []float64 { return []float64{float64(k + 1)} }
 	drive(t, m, 30, traj)
-	if m.noCheckPeriod[0] < 3 {
-		t.Errorf("no-check period = %d, want additive growth ≥ 3", m.noCheckPeriod[0])
+	if m.st.NoCheckPeriod[0] < 3 {
+		t.Errorf("no-check period = %d, want additive growth ≥ 3", m.st.NoCheckPeriod[0])
 	}
 	if m.PredictableCount() != 1 {
 		t.Error("perfectly linear parameter must stay predictable")
@@ -232,7 +232,7 @@ func TestV1FixedPeriodExit(t *testing.T) {
 	}
 	// The parameter should have cycled in and out of speculation; verify it
 	// was in speculative mode but bounded by the fixed period.
-	if m.specTotal[0] == 0 {
+	if m.st.SpecTotal[0] == 0 {
 		t.Error("v1 never speculated on a linear parameter")
 	}
 	frac := m.LinearFractions()[0]
@@ -261,7 +261,7 @@ func TestV2RandomLaunch(t *testing.T) {
 		t.Error("v2 must never aggregate errors")
 	}
 	total := int64(0)
-	for _, s := range m.specTotal {
+	for _, s := range m.st.SpecTotal {
 		total += s
 	}
 	if total == 0 {
@@ -338,14 +338,14 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		return []float64{float64(k), 2 * float64(k), -1}
 	}
 	drive(t, m, 10, traj)
-	snap := m.Snapshot()
+	snap := snapshot(m)
 
 	agg2 := &identityAgg{}
 	m2, err := NewManager(1, 3, agg2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.Restore(snap); err != nil {
+	if err := restore(m2, snap); err != nil {
 		t.Fatal(err)
 	}
 	// Continued trajectories must produce identical outputs and masks.
@@ -368,7 +368,7 @@ func TestRestoreSizeMismatch(t *testing.T) {
 	opts := DefaultOptions()
 	m, _ := newTestManager(t, 3, opts)
 	other, _ := newTestManager(t, 4, opts)
-	if err := m.Restore(other.Snapshot()); err == nil {
+	if err := restore(m, snapshot(other)); err == nil {
 		t.Error("size-mismatched restore must fail")
 	}
 }

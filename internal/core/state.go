@@ -1,104 +1,78 @@
 package core
 
-import "fmt"
+import "fedsu/internal/sparse"
 
-// State is a portable snapshot of a Manager's per-parameter bookkeeping.
-// Per the paper's dynamicity handling (Sec. V), a client joining mid-run
-// downloads — besides the latest model — the predictability mask and
-// no-checking information; State carries exactly that (plus the diagnosis
-// EMAs so the joiner's future decisions match the fleet's). It travels
-// in-process to a joiner (fl.Engine.AddClient) and through internal/ckpt's
-// binary format to disk; nothing puts it on the TCP wire.
+// State is a Manager's live state, one slot per scalar parameter in every
+// slice. It is the state itself, not a copy kept in step with it: the
+// Manager holds one and the sparse.Stateful seam allocates and encodes it
+// field by field, so a field added here is carried everywhere. It has two
+// views.
 //
-// A snapshot is everything Algorithm 1's next decision depends on, and
-// nothing else. Three pieces of manager state are left out on purpose:
+//   - SharedState is what every client holds bit-identically, because only
+//     post-sync global values move it: per the paper's dynamicity handling
+//     (Sec. V), a client joining mid-run downloads it — the predictability
+//     mask and no-checking information, plus the diagnosis EMAs so its
+//     future decisions match the fleet's. A checkpoint stores it once.
+//   - LocalState is what this client's own submissions produced: the
+//     prediction error accumulated since the last check, the lossy chain's
+//     error-feedback residual, and the Fig. 7 counters. A joiner starts it
+//     at zero — it has sent nothing; a restart restores it from its own
+//     checkpoint blob.
 //
-//   - the lossy chain's error-feedback residual (wireErr) is what this
-//     client's own past submissions lost on the wire — a joiner has sent
-//     nothing, and a resumed client restarting it at zero forgoes at most one
-//     quantization step per parameter, once;
-//   - the Fig. 7 counters (specTotal, seenTotal) are a report about this
-//     client's run so far, not an input to it;
-//   - v2's launch lottery has no state: a draw is a function of (Seed, round,
-//     parameter), so a restored manager launches what the fleet launches.
+// v2's launch lottery has no state: a draw is a function of (Seed, round,
+// parameter), so a joined or restored manager launches what the fleet
+// launches.
 type State struct {
-	Size       int
-	Round      int
-	Started    bool
-	PrevGlobal []float64
-	LastG      []float64
+	SharedState
+	LocalState
+}
+
+// SharedState is the fleet-shared view of a Manager's state.
+type SharedState struct {
+	Started bool
+
+	// Global-trajectory diagnosis state.
+	PrevGlobal []float64 // x_{k-1} after the previous sync
+	LastG      []float64 // first-order difference g_{k-1}
 	HasLastG   []bool
-	EmaG2      []float64
-	EmaAbsG2   []float64
-	EmaG       []float64
-	EmaAbsG    []float64
+	EmaG2      []float64 // ⟨g′⟩θ
+	EmaAbsG2   []float64 // ⟨|g′|⟩θ
+	EmaG       []float64 // ⟨g⟩θ — smoothed slope estimator
+	EmaAbsG    []float64 // ⟨|g|⟩θ — typical per-round movement scale
 	EmaSeen    []bool
-	History    []int32
+	History    []int32 // observed rounds per parameter since last reset
 
-	Mode          []uint8
-	Slope         []float64
-	NoCheckPeriod []int32
-	NoCheckLeft   []int32
-	AccumErr      []float64
-	SpecRounds    []int32
+	// Speculative-updating state.
+	Mode          []paramMode
+	Slope         []float64 // g_k profiled at speculation start
+	NoCheckPeriod []int32   // current no-checking period length
+	NoCheckLeft   []int32   // rounds until the next error check
+	SpecRounds    []int32   // rounds spent in the current speculative phase
 }
 
-// Snapshot captures the manager's current state.
-func (m *Manager) Snapshot() *State {
-	s := &State{
-		Size:          m.size,
-		Round:         m.round,
-		Started:       m.started,
-		PrevGlobal:    append([]float64(nil), m.prevGlobal...),
-		LastG:         append([]float64(nil), m.lastG...),
-		HasLastG:      append([]bool(nil), m.hasLastG...),
-		EmaG2:         append([]float64(nil), m.emaG2...),
-		EmaAbsG2:      append([]float64(nil), m.emaAbsG2...),
-		EmaG:          append([]float64(nil), m.emaG...),
-		EmaAbsG:       append([]float64(nil), m.emaAbsG...),
-		EmaSeen:       append([]bool(nil), m.emaSeen...),
-		History:       append([]int32(nil), m.history...),
-		Slope:         append([]float64(nil), m.slope...),
-		NoCheckPeriod: append([]int32(nil), m.noCheckPeriod...),
-		NoCheckLeft:   append([]int32(nil), m.noCheckLeft...),
-		AccumErr:      append([]float64(nil), m.accumErr...),
-		SpecRounds:    append([]int32(nil), m.specRounds...),
-	}
-	s.Mode = make([]uint8, m.size)
-	for i, md := range m.mode {
-		s.Mode[i] = uint8(md)
-	}
-	return s
+// LocalState is the client-local view of a Manager's state.
+type LocalState struct {
+	AccumErr []float64 // Σ e_r since the last check
+
+	// WireErr carries the lossy chain's per-parameter residual (sent minus
+	// wire image) into the next round's submission — error feedback in the
+	// EF-SGD sense, so components below the quantization step accumulate
+	// until they cross it instead of being rounded away forever. Allocated
+	// on the first delta-domain sync; nil on the default wire.
+	WireErr []float64 `state:"lazy"`
+
+	// SpecTotal counts speculative rounds per parameter and SeenTotal the
+	// rounds seen: the Fig. 7 linearity CDF.
+	SpecTotal []int64
+	SeenTotal int64
 }
 
-// Restore overwrites the manager's state from a snapshot taken on another
-// (same-sized) manager. The joiner's local error restarts at zero — errors
-// are client-local observations, not shared state — so AccumErr from the
-// donor is intentionally not blindly trusted: it is copied, which matches a
-// donor mid-window, and the next error check re-aggregates across clients
-// anyway.
-func (m *Manager) Restore(s *State) error {
-	if s.Size != m.size {
-		return fmt.Errorf("core: restore size %d into manager of size %d", s.Size, m.size)
+var _ sparse.Stateful = (*Manager)(nil)
+
+// State implements sparse.Stateful.
+func (m *Manager) State(v sparse.View) any {
+	if v == sparse.Shared {
+		return &m.st.SharedState
 	}
-	m.round = s.Round
-	m.started = s.Started
-	copy(m.prevGlobal, s.PrevGlobal)
-	copy(m.lastG, s.LastG)
-	copy(m.hasLastG, s.HasLastG)
-	copy(m.emaG2, s.EmaG2)
-	copy(m.emaAbsG2, s.EmaAbsG2)
-	copy(m.emaG, s.EmaG)
-	copy(m.emaAbsG, s.EmaAbsG)
-	copy(m.emaSeen, s.EmaSeen)
-	copy(m.history, s.History)
-	for i, md := range s.Mode {
-		m.mode[i] = paramMode(md)
-	}
-	copy(m.slope, s.Slope)
-	copy(m.noCheckPeriod, s.NoCheckPeriod)
-	copy(m.noCheckLeft, s.NoCheckLeft)
-	copy(m.accumErr, s.AccumErr)
-	copy(m.specRounds, s.SpecRounds)
-	return nil
+	return &m.st.LocalState
 }

@@ -15,16 +15,16 @@ import (
 // Kept as the reference the two-pass code is held to bit for bit on both
 // wires (TestTwoPassMatchesMultiLoop); it allocates what it needs, and it
 // moves state as it goes — which is why a failed error collective left a
-// round half-applied (TestFailedCollectiveDoesNotAdvanceResidual). Two
-// deliberate differences: the v2 lottery is launchDraw (the retired rand.Rand
-// stream was the joiner bug), and m.round moves with the commit.
+// round half-applied (TestFailedCollectiveDoesNotAdvanceResidual). One
+// deliberate difference: the v2 lottery is launchDraw (the retired rand.Rand
+// stream was the joiner bug).
 
 func (m *Manager) refSync(round int, local []float64, contributor bool) ([]float64, sparse.Traffic, error) {
 	ctx := context.Background()
 	if len(local) != m.size {
 		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: vector length %d, want %d", len(local), m.size)
 	}
-	if !m.started {
+	if !m.st.Started {
 		out, tr, err := m.bootstrap(ctx, round, local, contributor)
 		return append([]float64(nil), out...), tr, err
 	}
@@ -37,11 +37,11 @@ func (m *Manager) refSync(round int, local []float64, contributor bool) ([]float
 	regular := []int(nil)
 	checking := []int(nil)
 	for i := 0; i < m.size; i++ {
-		switch m.mode[i] {
+		switch m.st.Mode[i] {
 		case modeRegular:
 			regular = append(regular, i)
 		case modeSpeculative:
-			if m.noCheckLeft[i] <= 1 {
+			if m.st.NoCheckLeft[i] <= 1 {
 				checking = append(checking, i)
 			}
 		}
@@ -57,15 +57,15 @@ func (m *Manager) refSync(round int, local []float64, contributor bool) ([]float
 	// is what keeps a 4-bit cell trainable. The default wire stays in the
 	// value domain, bit-identical to every pre-chain run.
 	delta := m.wire.Enabled()
-	if delta && m.wireErr == nil {
-		m.wireErr = make([]float64, m.size)
+	if delta && m.st.WireErr == nil {
+		m.st.WireErr = make([]float64, m.size)
 	}
 	var send, img []float64
 	if contributor {
 		send = make([]float64, len(regular))
 		for j, i := range regular {
 			if delta {
-				send[j] = local[i] - m.prevGlobal[i] + m.wireErr[i]
+				send[j] = local[i] - m.st.PrevGlobal[i] + m.st.WireErr[i]
 			} else {
 				send[j] = local[i]
 			}
@@ -90,7 +90,7 @@ func (m *Manager) refSync(round int, local []float64, contributor bool) ([]float
 		// collective has taken the submission: a failed call retried for the
 		// same round must not fold it in twice.
 		for j, i := range regular {
-			m.wireErr[i] = send[j] - img[j]
+			m.st.WireErr[i] = send[j] - img[j]
 		}
 	}
 
@@ -103,7 +103,7 @@ func (m *Manager) refSync(round int, local []float64, contributor bool) ([]float
 		case aggModel == nil:
 			out[i] = wireImage(m.opts.Quantize, local[i])
 		case delta:
-			out[i] = wireImage(m.opts.Quantize, m.prevGlobal[i]+aggModel[j])
+			out[i] = wireImage(m.opts.Quantize, m.st.PrevGlobal[i]+aggModel[j])
 		default:
 			out[i] = wireImage(m.opts.Quantize, aggModel[j])
 		}
@@ -115,16 +115,16 @@ func (m *Manager) refSync(round int, local []float64, contributor bool) ([]float
 	// the value the client stores (and trains from next round) is exactly
 	// the value the manager accounted for.
 	for i := 0; i < m.size; i++ {
-		if m.mode[i] != modeSpeculative {
+		if m.st.Mode[i] != modeSpeculative {
 			continue
 		}
-		predicted := wireImage(m.opts.Quantize, m.prevGlobal[i]+m.slope[i])
+		predicted := wireImage(m.opts.Quantize, m.st.PrevGlobal[i]+m.st.Slope[i])
 		out[i] = predicted
 		// e_r = g̃_r − g_k, with the local update standing in for the true
 		// gradient until aggregation.
-		m.accumErr[i] += local[i] - predicted
-		m.specRounds[i]++
-		m.specTotal[i]++
+		m.st.AccumErr[i] += local[i] - predicted
+		m.st.SpecRounds[i]++
+		m.st.SpecTotal[i]++
 	}
 
 	// Collective 2: error feedback for parameters whose no-checking period
@@ -135,7 +135,7 @@ func (m *Manager) refSync(round int, local []float64, contributor bool) ([]float
 		if contributor {
 			errSend = make([]float64, len(checking))
 			for j, i := range checking {
-				errSend[j] = m.accumErr[i]
+				errSend[j] = m.st.AccumErr[i]
 			}
 		}
 		aggErr, up, down, err := m.wire.Collect(ctx, sparse.AggError, m.agg, m.id, round, errSend, nil, nil)
@@ -152,15 +152,15 @@ func (m *Manager) refSync(round int, local []float64, contributor bool) ([]float
 			if aggErr != nil {
 				e = aggErr[j]
 			} else {
-				e = m.accumErr[i]
+				e = m.st.AccumErr[i]
 			}
-			s := m.feedbackSignal(i, e, m.slope[i])
+			s := m.feedbackSignal(i, e, m.st.Slope[i])
 			if s < m.opts.TS {
 				// Linear pattern persists: extend the no-checking period by
 				// one round and keep speculating.
-				m.noCheckPeriod[i]++
-				m.noCheckLeft[i] = m.noCheckPeriod[i]
-				m.accumErr[i] = 0
+				m.st.NoCheckPeriod[i]++
+				m.st.NoCheckLeft[i] = m.st.NoCheckPeriod[i]
+				m.st.AccumErr[i] = 0
 			} else {
 				// Prediction diverged: rectify with the aggregated error
 				// and return the parameter to regular updating.
@@ -180,16 +180,16 @@ func (m *Manager) refSync(round int, local []float64, contributor bool) ([]float
 		if checked {
 			next++
 		}
-		if m.mode[i] != modeSpeculative {
+		if m.st.Mode[i] != modeSpeculative {
 			continue
 		}
 		if m.opts.Variant == VariantFull {
 			if !checked {
-				m.noCheckLeft[i]--
+				m.st.NoCheckLeft[i]--
 			}
 		} else {
-			m.noCheckLeft[i]--
-			if m.noCheckLeft[i] <= 0 {
+			m.st.NoCheckLeft[i]--
+			if m.st.NoCheckLeft[i] <= 0 {
 				m.revertToRegular(i)
 			}
 		}
@@ -199,9 +199,8 @@ func (m *Manager) refSync(round int, local []float64, contributor bool) ([]float
 	// from the new global values and promote those below T_ℛ.
 	m.refDiagnoseRange(round, out, regular)
 
-	copy(m.prevGlobal, out)
-	m.round = round
-	m.seenTotal++
+	copy(m.st.PrevGlobal, out)
+	m.st.SeenTotal++
 
 	nReg, nChk := len(regular), 0
 	if m.opts.Variant == VariantFull {
@@ -224,9 +223,9 @@ func (m *Manager) refSync(round int, local []float64, contributor bool) ([]float
 // refDiagnoseRange is the retired diagnose walk over the regular list.
 func (m *Manager) refDiagnoseRange(round int, global []float64, regular []int) {
 	for _, i := range regular {
-		g := global[i] - m.prevGlobal[i]
-		if m.hasLastG[i] {
-			g2 := g - m.lastG[i]
+		g := global[i] - m.st.PrevGlobal[i]
+		if m.st.HasLastG[i] {
+			g2 := g - m.st.LastG[i]
 			// Second differences at the float64 roundoff floor of the
 			// gradient scale are measurement noise, not oscillation;
 			// without the clamp a perfectly linear trajectory would show a
@@ -234,51 +233,51 @@ func (m *Manager) refDiagnoseRange(round int, global []float64, regular []int) {
 			if math.Abs(g2) < 1e-9*math.Abs(g) {
 				g2 = 0
 			}
-			if !m.emaSeen[i] {
-				m.emaG2[i], m.emaAbsG2[i] = g2, math.Abs(g2)
-				m.emaSeen[i] = true
+			if !m.st.EmaSeen[i] {
+				m.st.EmaG2[i], m.st.EmaAbsG2[i] = g2, math.Abs(g2)
+				m.st.EmaSeen[i] = true
 			} else {
 				th := m.opts.Theta
-				m.emaG2[i] = th*m.emaG2[i] + (1-th)*g2
-				m.emaAbsG2[i] = th*m.emaAbsG2[i] + (1-th)*math.Abs(g2)
+				m.st.EmaG2[i] = th*m.st.EmaG2[i] + (1-th)*g2
+				m.st.EmaAbsG2[i] = th*m.st.EmaAbsG2[i] + (1-th)*math.Abs(g2)
 			}
 		}
-		if !m.hasLastG[i] {
-			m.emaG[i], m.emaAbsG[i] = g, math.Abs(g)
+		if !m.st.HasLastG[i] {
+			m.st.EmaG[i], m.st.EmaAbsG[i] = g, math.Abs(g)
 		} else {
 			th := m.opts.Theta
-			m.emaG[i] = th*m.emaG[i] + (1-th)*g
-			m.emaAbsG[i] = th*m.emaAbsG[i] + (1-th)*math.Abs(g)
+			m.st.EmaG[i] = th*m.st.EmaG[i] + (1-th)*g
+			m.st.EmaAbsG[i] = th*m.st.EmaAbsG[i] + (1-th)*math.Abs(g)
 		}
-		m.lastG[i] = g
-		m.hasLastG[i] = true
-		m.history[i]++
+		m.st.LastG[i] = g
+		m.st.HasLastG[i] = true
+		m.st.History[i]++
 
 		promote := false
 		switch m.opts.Variant {
 		case VariantV2:
 			promote = launchDraw(m.opts.Seed, round, i) < m.opts.LaunchProb
 		default:
-			promote = int(m.history[i]) >= m.opts.MinHistory &&
-				m.emaSeen[i] &&
+			promote = int(m.st.History[i]) >= m.opts.MinHistory &&
+				m.st.EmaSeen[i] &&
 				m.OscillationRatio(i) < m.opts.TR &&
 				g != 0
 		}
 		if promote {
-			m.mode[i] = modeSpeculative
+			m.st.Mode[i] = modeSpeculative
 			if m.opts.RawSlope {
-				m.slope[i] = g
+				m.st.Slope[i] = g
 			} else {
-				m.slope[i] = m.emaG[i]
+				m.st.Slope[i] = m.st.EmaG[i]
 			}
-			m.accumErr[i] = 0
-			m.specRounds[i] = 0
+			m.st.AccumErr[i] = 0
+			m.st.SpecRounds[i] = 0
 			if m.opts.Variant == VariantFull {
-				m.noCheckPeriod[i] = 1
-				m.noCheckLeft[i] = 1
+				m.st.NoCheckPeriod[i] = 1
+				m.st.NoCheckLeft[i] = 1
 			} else {
-				m.noCheckPeriod[i] = int32(m.opts.FixedPeriod)
-				m.noCheckLeft[i] = int32(m.opts.FixedPeriod)
+				m.st.NoCheckPeriod[i] = int32(m.opts.FixedPeriod)
+				m.st.NoCheckLeft[i] = int32(m.opts.FixedPeriod)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"fedsu/internal/nn"
 	"fedsu/internal/opt"
 	"fedsu/internal/sparse"
+	"fedsu/internal/sparse/codec"
 	"fedsu/internal/tensor"
 )
 
@@ -23,7 +24,8 @@ type Client struct {
 	opt    *opt.SGD
 	shard  *data.Subset
 	syncer sparse.Syncer
-	rng    *rand.Rand
+	seed   int64
+	rng    *rand.Rand // re-seeded every round (TrainLocal)
 
 	vec []float64
 
@@ -35,7 +37,8 @@ type Client struct {
 }
 
 // NewClient assembles a client. The model must be a fresh replica with the
-// same layout and initialization as every other client's.
+// same layout and initialization as every other client's. seed keys the
+// client's batch draws together with its id and the round (TrainLocal).
 func NewClient(id int, model *nn.Model, optimizer *opt.SGD, shard *data.Subset, syncer sparse.Syncer, seed int64) *Client {
 	return &Client{
 		ID:     id,
@@ -44,6 +47,7 @@ func NewClient(id int, model *nn.Model, optimizer *opt.SGD, shard *data.Subset, 
 		opt:    optimizer,
 		shard:  shard,
 		syncer: syncer,
+		seed:   seed,
 		rng:    rand.New(rand.NewSource(seed)),
 		vec:    make([]float64, model.Size()),
 	}
@@ -63,11 +67,15 @@ func (c *Client) ShardSize() int { return c.shard.Len() }
 // (0 disables it).
 func (c *Client) SetProximal(mu float64) { c.proxMu = mu }
 
-// TrainLocal runs iters mini-batch SGD iterations on the local shard and
-// returns the mean training loss. With a proximal coefficient set, each
-// iteration's gradient is augmented with μ(x − x_round), anchoring local
-// training to the round-start (global) model.
-func (c *Client) TrainLocal(iters, batchSize int) float64 {
+// TrainLocal runs round's iters mini-batch SGD iterations on the local
+// shard and returns the mean training loss. With a proximal coefficient
+// set, each iteration's gradient is augmented with μ(x − x_round),
+// anchoring local training to the round-start (global) model.
+//
+// The round fixes the batches, drawn from a stream seeded with a hash of
+// (seed, client, round), and the schedule's step, round·iters: a joiner or
+// a restart trains exactly as a client that ran from the start.
+func (c *Client) TrainLocal(round, iters, batchSize int) float64 {
 	// A client whose shard is empty — possible once cohorts are sampled
 	// from a population far larger than the corpus — trains nothing and
 	// later submits its unchanged round-start replica (plain FedAvg
@@ -81,6 +89,8 @@ func (c *Client) TrainLocal(iters, batchSize int) float64 {
 		}
 		c.model.ExtractVector(c.roundVec)
 	}
+	c.rng.Seed(int64(codec.Mix64(uint64(c.seed) + codec.Mix64(uint64(c.ID)+codec.Mix64(uint64(round))))))
+	c.opt.SetStep(round * iters)
 	total := 0.0
 	for it := 0; it < iters; it++ {
 		x, labels := c.shard.SampleBatchOf(c.dt, c.rng, batchSize)

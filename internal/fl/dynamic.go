@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"fedsu/internal/core"
 	"fedsu/internal/data"
 	"fedsu/internal/netem"
 	"fedsu/internal/sparse"
@@ -13,9 +12,10 @@ import (
 // AddClient admits a new participant between rounds, implementing the
 // paper's dynamicity handling (Sec. V): the joiner is built like every
 // member of the fleet (newClient) and then downloads the latest global
-// model and — when the strategy is FedSU — the current predictability-mask
-// and no-checking state, cloned from an incumbent client so its future
-// masking decisions match the fleet's.
+// model and the fleet-shared view of the strategy state (sparse.Shared:
+// under FedSU, the predictability mask and no-checking information) from an
+// incumbent, so its future decisions match the fleet's. Its local view
+// starts empty: it has submitted nothing.
 //
 // The netem cluster is rebuilt for the new size; per-client compute speeds
 // are redrawn deterministically from the configured seed.
@@ -34,19 +34,12 @@ func (e *Engine) AddClient(shard *data.Subset) (*Client, error) {
 		return nil, err
 	}
 	c.model.LoadVector(e.clients[0].model.Vector())
-
-	// FedSU state transfer: mask + no-checking information (Sec. V). The
-	// probe resolves through any event-trigger middleware to the strategy
-	// underneath.
-	if donor, ok := sparse.UnwrapSyncer(e.clients[0].syncer).(*core.Manager); ok {
-		joiner, ok := sparse.UnwrapSyncer(c.syncer).(*core.Manager)
-		if !ok {
-			return nil, fmt.Errorf("fl: factory produced %T for a FedSU fleet", c.syncer)
-		}
-		if err := joiner.Restore(donor.Snapshot()); err != nil {
-			return nil, fmt.Errorf("fl: state transfer to joiner: %w", err)
-		}
+	shared := sparse.AppendState(nil, e.clients[0].syncer, sparse.Shared)
+	install, err := sparse.DecodeState(c.syncer, shared, sparse.Shared, c.model.Size())
+	if err != nil {
+		return nil, fmt.Errorf("fl: state transfer to joiner: %w", err)
 	}
+	install()
 	e.clients = append(e.clients, c)
 	return c, e.resize()
 }

@@ -103,7 +103,9 @@ func TestAddClientV2JoinerMaskAgrees(t *testing.T) {
 // TestJoinerIsBuiltLikeTheFleet: a mid-run joiner is an ordinary client
 // that receives the fleet's model and mask (PAPER.md §V). Built by a second
 // recipe, it uploaded every round ungated under an event trigger and
-// trained at a constant rate while the fleet's learning rate decayed.
+// trained at a constant rate while the fleet's learning rate decayed. Its
+// schedule is the round's, not its own: after its first round it trains at
+// the rate every fleet client trains at in that round.
 func TestJoinerIsBuiltLikeTheFleet(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -138,9 +140,6 @@ func TestJoinerIsBuiltLikeTheFleet(t *testing.T) {
 				t.Fatal(err)
 			}
 			fleet := e.Clients()[0]
-			// A fleet client's rate after its first round; the joiner must
-			// reach the same rate after its own first round.
-			wantLR := fleet.opt.LR()
 			joiner, err := e.AddClientFromDataset(32, 7)
 			if err != nil {
 				t.Fatal(err)
@@ -151,8 +150,8 @@ func TestJoinerIsBuiltLikeTheFleet(t *testing.T) {
 			if got, want := fmt.Sprintf("%T", joiner.Syncer()), fmt.Sprintf("%T", fleet.Syncer()); got != want {
 				t.Errorf("joiner syncs through %s, the fleet through %s", got, want)
 			}
-			if got := joiner.opt.LR(); got != wantLR {
-				t.Errorf("joiner's rate after one round = %v, a fleet client's = %v", got, wantLR)
+			if got, want := joiner.opt.LR(), fleet.opt.LR(); got != want {
+				t.Errorf("joiner's rate after its first round = %v, a fleet client's = %v", got, want)
 			}
 			if joiner.proxMu != fleet.proxMu {
 				t.Errorf("joiner's proximal term = %v, the fleet's = %v", joiner.proxMu, fleet.proxMu)

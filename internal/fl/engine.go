@@ -343,7 +343,7 @@ func (e *Engine) newClient(id int, shard *data.Subset) (*Client, error) {
 	if cfg.EventThreshold > 0 {
 		syncer = sparse.NewEventTrigger(syncer, cfg.EventThreshold)
 	}
-	c := NewClient(id, model, opt.NewSGD(cfg.LR, optOpts...), shard, syncer, cfg.Seed+int64(id)*7919)
+	c := NewClient(id, model, opt.NewSGD(cfg.LR, optOpts...), shard, syncer, cfg.Seed)
 	c.SetProximal(cfg.ProxMu)
 	return c, nil
 }
@@ -454,7 +454,7 @@ func (e *Engine) RunRound(ctx context.Context, evaluate bool) (RoundStats, error
 			defer wg.Done()
 			c := e.clients[i]
 			par.AcquireToken()
-			loss := c.TrainLocal(e.cfg.LocalIters, e.cfg.BatchSize)
+			loss := c.TrainLocal(k, e.cfg.LocalIters, e.cfg.BatchSize)
 			par.ReleaseToken()
 			tr, err := c.SyncRoundCtx(ctx, k, isParticipant[i])
 			results[i] = result{loss: loss, traffic: tr, err: err}
@@ -529,7 +529,7 @@ func (e *Engine) admit(k, full int, computeSec float64) (RoundStats, []bool) {
 		if loads == nil {
 			loads = e.cluster.UniformLoad(full, full, computeSec)
 		}
-		outcome := e.cluster.Round(loads)
+		outcome := e.cluster.Round(k, loads)
 		// The roster (who must reach every barrier) is the full client set
 		// by stable id — distinct from the participation quorum, and
 		// necessary once dynamic join/leave makes ids diverge from
@@ -594,8 +594,9 @@ func (st *RoundStats) addTierDeltas(before, after TierStats) {
 	}
 }
 
-// Run executes rounds sequentially, evaluating every evalEvery rounds (and
-// on the final round), and returns all round statistics.
+// Run executes rounds until round rounds−1, from round 0 or from wherever
+// a checkpoint left the engine, evaluating after round k when (k+1) is a
+// multiple of evalEvery and after the last; it returns the rounds it ran.
 func (e *Engine) Run(ctx context.Context, rounds, evalEvery int) ([]RoundStats, error) {
 	if evalEvery <= 0 {
 		evalEvery = 1
@@ -606,12 +607,11 @@ func (e *Engine) Run(ctx context.Context, rounds, evalEvery int) ([]RoundStats, 
 		return e.runAsync(ctx, rounds, evalEvery)
 	}
 	var out []RoundStats
-	for i := 0; i < rounds; i++ {
+	for k := e.round; k < rounds; k++ {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		evaluate := (i+1)%evalEvery == 0 || i == rounds-1
-		st, err := e.RunRound(ctx, evaluate)
+		st, err := e.RunRound(ctx, (k+1)%evalEvery == 0 || k == rounds-1)
 		if err != nil {
 			return out, err
 		}

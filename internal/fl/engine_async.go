@@ -24,7 +24,7 @@ import (
 // and dropout draws come from a private per-client RNG stream indexed by
 // its own cycle count; and local training — though it overlaps real-time
 // with the event loop via the par token pool — depends only on the
-// client's own state and RNG. The fold itself is element-sharded
+// client's own state and the cycle it trains for. The fold itself is element-sharded
 // (bit-identical at any worker count), so the same seed yields a
 // bit-identical global trajectory across par.SetWorkers settings.
 func (e *Engine) runAsync(ctx context.Context, applies, evalEvery int) ([]RoundStats, error) {
@@ -51,12 +51,14 @@ func (e *Engine) runAsync(ctx context.Context, applies, evalEvery int) ([]RoundS
 	// NOT concurrent — the event loop serializes it in arrival order,
 	// which is what the determinism contract requires.
 	futures := make([]chan float64, n)
+	cycle := make([]int, n)
 	launch := func(i int) {
 		ch := make(chan float64, 1)
 		futures[i] = ch
+		round := cycle[i]
 		go func() {
 			par.AcquireToken()
-			loss := e.clients[i].TrainLocal(e.cfg.LocalIters, e.cfg.BatchSize)
+			loss := e.clients[i].TrainLocal(round, e.cfg.LocalIters, e.cfg.BatchSize)
 			par.ReleaseToken()
 			ch <- loss
 		}()
@@ -70,7 +72,6 @@ func (e *Engine) runAsync(ctx context.Context, applies, evalEvery int) ([]RoundS
 	}
 
 	nextT := make([]float64, n)
-	cycle := make([]int, n)
 	for i := 0; i < n; i++ {
 		launch(i)
 		nextT[i] = e.simTime + proc.CycleTime(i, loads[i])

@@ -3,6 +3,8 @@ package fl
 import (
 	"fmt"
 	"sort"
+
+	"fedsu/internal/sparse/codec"
 )
 
 // Population is the registry of every client known to the federation —
@@ -165,20 +167,15 @@ func (p *Population) SampleCohort(round, k int) []int {
 	return out
 }
 
-// cohortPriority hashes (seed, round, id) with a SplitMix64-style
-// avalanche finisher: a fixed bijection of the combined key, so equal
-// priorities imply equal (round, id) for a given seed, and every bit of
-// the key diffuses into the priority.
+// cohortPriority hashes (seed, round, id) with the splitmix64 finalizer
+// over the combined key: a fixed bijection of the key, so equal priorities
+// imply equal (round, id) for a given seed, and every bit of the key
+// diffuses into the priority.
 func cohortPriority(seed int64, round, id int) uint64 {
 	x := uint64(seed)
 	x ^= uint64(round)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 	x ^= uint64(uint32(id)) * 0xd1342543de82ef95
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return codec.Mix64(x)
 }
 
 // CohortWeights returns the shard sizes of the given cohort ids, aligned

@@ -30,12 +30,16 @@ func seq(n int) []int {
 }
 
 // TestProximalAnchorsLocalTraining: the larger μ, the smaller the local
-// drift from the round-start model — the FedProx contract.
+// drift from the round-start model — the FedProx contract. Every one of
+// eight rounds' batch draws must drift less under μ = 10 than under μ = 0,
+// and the eight drifts together at most a third as far. μ = 10 is lr·μ = 1,
+// the strongest anchoring a plain SGD step allows (past lr·μ = 2 the term
+// overshoots); per draw it leaves 0.03–0.31 of the free drift.
 func TestProximalAnchorsLocalTraining(t *testing.T) {
-	drift := func(mu float64) float64 {
+	drift := func(mu float64, round int) float64 {
 		c := proxClient(t, mu)
 		start := c.Model().Vector()
-		c.TrainLocal(10, 8)
+		c.TrainLocal(round, 10, 8)
 		end := c.Model().Vector()
 		s := 0.0
 		for i := range start {
@@ -44,10 +48,13 @@ func TestProximalAnchorsLocalTraining(t *testing.T) {
 		}
 		return math.Sqrt(s)
 	}
-	free := drift(0)
-	anchored := drift(5)
-	if anchored >= free {
-		t.Errorf("μ=5 drift %v must be below μ=0 drift %v", anchored, free)
+	free, anchored := 0.0, 0.0
+	for round := 0; round < 8; round++ {
+		f, a := drift(0, round), drift(10, round)
+		if a >= f {
+			t.Errorf("round %d: μ=10 drift %v must be below μ=0 drift %v", round, a, f)
+		}
+		free, anchored = free+f, anchored+a
 	}
 	if anchored > free/3 {
 		t.Errorf("strong proximal term should shrink drift substantially: %v vs %v", anchored, free)
@@ -58,8 +65,8 @@ func TestProximalZeroIsVanillaSGD(t *testing.T) {
 	a := proxClient(t, 0)
 	b := proxClient(t, 0)
 	b.proxMu = 0 // explicit no-op
-	a.TrainLocal(5, 4)
-	b.TrainLocal(5, 4)
+	a.TrainLocal(0, 5, 4)
+	b.TrainLocal(0, 5, 4)
 	va, vb := a.Model().Vector(), b.Model().Vector()
 	for i := range va {
 		if va[i] != vb[i] {

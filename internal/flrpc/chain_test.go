@@ -88,7 +88,7 @@ func TestChainedDistributedMatchesInProcess(t *testing.T) {
 			// Both fleets bind the same wire, so the managers run the
 			// delta-domain collective on both transports.
 			sparse.SetSyncerWire(mgr, sparse.Wire{Chain: chain})
-			clients[i] = fl.NewClient(i, model, opt.NewSGD(0.05), shards[i], mgr, seed+int64(i)*7919)
+			clients[i] = fl.NewClient(i, model, opt.NewSGD(0.05), shards[i], mgr, seed)
 		}
 		for k := 0; k < rounds; k++ {
 			if begin != nil {
@@ -99,7 +99,7 @@ func TestChainedDistributedMatchesInProcess(t *testing.T) {
 				wg.Add(1)
 				go func(c *fl.Client) {
 					defer wg.Done()
-					c.TrainLocal(localIters, batch)
+					c.TrainLocal(k, localIters, batch)
 					if _, err := c.SyncRound(k, true); err != nil {
 						t.Error(err)
 					}

@@ -160,7 +160,7 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			clients[i] = fl.NewClient(i, model, opt.NewSGD(0.05), shards[i], mgr, seed+int64(i)*7919)
+			clients[i] = fl.NewClient(i, model, opt.NewSGD(0.05), shards[i], mgr, seed)
 		}
 		for k := 0; k < rounds; k++ {
 			if begin != nil {
@@ -171,7 +171,7 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 				wg.Add(1)
 				go func(c *fl.Client) {
 					defer wg.Done()
-					c.TrainLocal(localIters, batch)
+					c.TrainLocal(k, localIters, batch)
 					if _, err := c.SyncRound(k, true); err != nil {
 						t.Error(err)
 					}

@@ -20,7 +20,7 @@ func TestBandwidthHeterogeneitySpreadsTimes(t *testing.T) {
 		return c
 	}
 	spread := func(c *Cluster) float64 {
-		out := c.Round(c.UniformLoad(1_000_000, 1_000_000, 0))
+		out := c.Round(0, c.UniformLoad(1_000_000, 1_000_000, 0))
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, v := range out.ClientTimes {
 			lo, hi = math.Min(lo, v), math.Max(hi, v)

@@ -10,7 +10,7 @@ func TestDropoutExcludesClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := c.Round(c.UniformLoad(100, 100, 1))
+	out := c.Round(0, c.UniformLoad(100, 100, 1))
 	if len(out.Participants) == 100 {
 		t.Error("30% dropout should exclude some clients")
 	}
@@ -26,7 +26,7 @@ func TestDropoutZeroIsNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := c.Round(c.UniformLoad(10, 10, 1))
+	out := c.Round(0, c.UniformLoad(10, 10, 1))
 	if len(out.Participants) != 10 {
 		t.Errorf("no dropout: participants = %d, want 10", len(out.Participants))
 	}
@@ -39,7 +39,7 @@ func TestTotalDropoutYieldsEmptyRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := c.Round(c.UniformLoad(10, 10, 1))
+	out := c.Round(0, c.UniformLoad(10, 10, 1))
 	if len(out.Participants) != 0 {
 		t.Errorf("total dropout: participants = %d, want 0", len(out.Participants))
 	}

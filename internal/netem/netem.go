@@ -76,7 +76,6 @@ type Cluster struct {
 	cfg    Config
 	speeds []float64 // per-client compute-speed multiplier (1 = nominal)
 	bwMult []float64 // per-client bandwidth multiplier (1 = nominal)
-	rng    *rand.Rand
 }
 
 // NewCluster builds a cluster from the config, drawing each client's
@@ -102,7 +101,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			bwMult[i] = math.Exp(cfg.BandwidthSigma * rng.NormFloat64())
 		}
 	}
-	return &Cluster{cfg: cfg, speeds: speeds, bwMult: bwMult, rng: rng}, nil
+	return &Cluster{cfg: cfg, speeds: speeds, bwMult: bwMult}, nil
 }
 
 // Config returns the cluster configuration.
@@ -128,15 +127,18 @@ type RoundOutcome struct {
 	ClientTimes []float64
 }
 
-// Round evaluates the timing model for one round. loads must have one entry
-// per client. Per-client time is
+// Round evaluates the timing model for the given round. loads must have one
+// entry per client. Per-client time is
 //
 //	download + compute/speed·jitter + upload + 2·latency,
 //
 // where transfer times are bounded by both the client access link and the
 // client's fair share of the server link. The round closes when the
-// earliest ⌈participation·N⌉ clients have finished.
-func (c *Cluster) Round(loads []ClientLoad) RoundOutcome {
+// earliest ⌈participation·N⌉ clients have finished. A client's jitter and
+// dropout draws hash (seed, client, round), as the population model's do,
+// so a round's outcome does not depend on which rounds this cluster timed
+// before it.
+func (c *Cluster) Round(round int, loads []ClientLoad) RoundOutcome {
 	if len(loads) != c.cfg.NumClients {
 		panic(fmt.Sprintf("netem: Round got %d loads for %d clients", len(loads), c.cfg.NumClients))
 	}
@@ -148,7 +150,8 @@ func (c *Cluster) Round(loads []ClientLoad) RoundOutcome {
 	times := make([]float64, n)
 	order := make([]int, 0, n)
 	for i, l := range loads {
-		jitter := 1 + c.cfg.RoundJitter*(2*c.rng.Float64()-1)
+		// Streams "fleetjit" and "fleetdrp".
+		jitter := 1 + c.cfg.RoundJitter*(2*hashUnit(c.cfg.Seed, 0x666c6565746a6974, uint64(i), uint64(round))-1)
 		down := minf(Mbps(c.cfg.ClientDownlinkMbps)*c.bwMult[i], serverShare)
 		up := minf(Mbps(c.cfg.ClientUplinkMbps)*c.bwMult[i], serverShare)
 		t := float64(l.DownBytes)/down +
@@ -156,7 +159,7 @@ func (c *Cluster) Round(loads []ClientLoad) RoundOutcome {
 			float64(l.UpBytes)/up +
 			2*c.cfg.LatencySeconds
 		times[i] = t
-		if c.cfg.DropoutProb > 0 && c.rng.Float64() < c.cfg.DropoutProb {
+		if c.cfg.DropoutProb > 0 && hashUnit(c.cfg.Seed, 0x666c656574647270, uint64(i), uint64(round)) < c.cfg.DropoutProb {
 			continue // dropped: crash, partition, battery death
 		}
 		order = append(order, i)

@@ -45,7 +45,7 @@ func TestRoundTimingDominatedByTransfer(t *testing.T) {
 	}
 	// 13.7 Mbps = 1.7125e6 B/s. 1.7125 MB up+down → exactly 2 s transfer.
 	bytes := int(Mbps(13.7))
-	out := c.Round(c.UniformLoad(bytes, bytes, 1))
+	out := c.Round(0, c.UniformLoad(bytes, bytes, 1))
 	want := 3.0 // 1 s down + 1 s compute + 1 s up
 	if math.Abs(out.Duration-want) > 1e-9 {
 		t.Errorf("Duration = %v, want %v", out.Duration, want)
@@ -66,7 +66,7 @@ func TestRoundParticipationQuorum(t *testing.T) {
 	for i := 7; i < 10; i++ {
 		loads[i].ComputeSeconds = 100
 	}
-	out := c.Round(loads)
+	out := c.Round(0, loads)
 	if len(out.Participants) != 7 {
 		t.Fatalf("participants = %d, want 7", len(out.Participants))
 	}
@@ -95,8 +95,8 @@ func TestRoundMonotoneInPayload(t *testing.T) {
 			return false
 		}
 		b := int(kb) * 100
-		outSmall := small.Round(small.UniformLoad(b, b, 1))
-		outBig := big.Round(big.UniformLoad(b*2+100, b*2+100, 1))
+		outSmall := small.Round(0, small.UniformLoad(b, b, 1))
+		outBig := big.Round(0, big.UniformLoad(b*2+100, b*2+100, 1))
 		return outSmall.Duration <= outBig.Duration+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -118,7 +118,7 @@ func TestServerBandwidthSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	bytes := int(Mbps(1.37)) // 1 s at the shared rate
-	out := c.Round(c.UniformLoad(bytes, 0, 0))
+	out := c.Round(0, c.UniformLoad(bytes, 0, 0))
 	if math.Abs(out.Duration-1) > 1e-6 {
 		t.Errorf("Duration = %v, want 1 (server-share bound)", out.Duration)
 	}
@@ -134,8 +134,8 @@ func TestHeterogeneityDeterministicPerSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oa := a.Round(a.UniformLoad(1000, 1000, 1))
-	ob := b.Round(b.UniformLoad(1000, 1000, 1))
+	oa := a.Round(0, a.UniformLoad(1000, 1000, 1))
+	ob := b.Round(0, b.UniformLoad(1000, 1000, 1))
 	if oa.Duration != ob.Duration {
 		t.Error("same seed must give identical timing")
 	}
@@ -159,7 +159,7 @@ func TestClientTimesComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := c.Round(c.UniformLoad(100, 100, 0.5))
+	out := c.Round(0, c.UniformLoad(100, 100, 0.5))
 	if len(out.ClientTimes) != 5 {
 		t.Fatalf("ClientTimes length = %d, want 5", len(out.ClientTimes))
 	}

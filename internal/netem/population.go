@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"fedsu/internal/sparse/codec"
 )
 
 // Population-scale timing model: the hierarchical companion to Cluster.
@@ -276,16 +278,11 @@ func UniformCohortLoad(k, downBytes, upBytes int, computeSeconds float64) []Clie
 }
 
 // hashUnit maps (seed, stream, id, round) to a uniform float64 in [0, 1)
-// through a SplitMix64-style avalanche: a pure function of its key, so
+// through the splitmix64 finalizer: a pure function of its key, so
 // profile and jitter draws are order- and history-independent.
 func hashUnit(seed int64, stream, id, round uint64) float64 {
 	x := uint64(seed) ^ stream
 	x ^= id*0xd1342543de82ef95 + 0x2545f4914f6cdd1d
 	x ^= round * 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
+	return float64(codec.Mix64(x)>>11) / (1 << 53)
 }

@@ -88,7 +88,7 @@ func TestRoundQuorumNeverUnderCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := cl.Round(cl.UniformLoad(1000, 1000, 1))
+		out := cl.Round(0, cl.UniformLoad(1000, 1000, 1))
 		if len(out.Participants) != tc.want {
 			t.Errorf("n=%d P=%v: %d participants, want %d", tc.n, tc.p, len(out.Participants), tc.want)
 		}
@@ -148,7 +148,7 @@ func TestAsyncCycleTimeMatchesRoundFormula(t *testing.T) {
 	}
 	p := cl.AsyncProcess()
 	load := ClientLoad{DownBytes: 100_000, UpBytes: 100_000, ComputeSeconds: 3}
-	want := cl.Round(cl.UniformLoad(load.DownBytes, load.UpBytes, load.ComputeSeconds)).ClientTimes[0]
+	want := cl.Round(0, cl.UniformLoad(load.DownBytes, load.UpBytes, load.ComputeSeconds)).ClientTimes[0]
 	if got := p.CycleTime(0, load); math.Abs(got-want) > 1e-9 {
 		t.Errorf("CycleTime = %v, Round per-client time = %v", got, want)
 	}

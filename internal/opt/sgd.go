@@ -48,6 +48,12 @@ func NewSGD(lr float64, opts ...SGDOpt) *SGD {
 	return s
 }
 
+// SetStep moves the schedule to step. A federated client calls it at the
+// start of every round with round·LocalIters, so the rate is a function of
+// the round, not of how many steps this replica happens to have taken: a
+// joiner or a restored client trains at the fleet's rate.
+func (s *SGD) SetStep(step int) { s.step = step }
+
 // LR returns the effective learning rate at the current step.
 func (s *SGD) LR() float64 { return s.lr * s.schedule(s.step) }
 

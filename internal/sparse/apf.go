@@ -34,33 +34,35 @@ type APF struct {
 	stability  float64
 	minHistory int
 
-	prevGlobal []float64
-	sumG       []float64
-	sumAbsG    []float64
-	obs        []int32
+	held[apfState]
+}
 
-	frozen       []bool
-	frozenValue  []float64
-	freezeLeft   []int // rounds of freezing remaining
-	freezePeriod []int // current per-parameter freezing period length
+// apfState is APF's live state, all of it Shared: every field moves only
+// with the global trajectory.
+type apfState struct {
+	PrevGlobal []float64 `state:"lazy"` // nil until the first sync
+	SumG       []float64
+	SumAbsG    []float64
+	Obs        []int32
+
+	Frozen       []bool
+	FrozenValue  []float64
+	FreezeLeft   []int32 // rounds of freezing remaining
+	FreezePeriod []int32 // current per-parameter freezing period length
 }
 
 var _ ContextSyncer = (*APF)(nil)
 
 // NewAPF constructs an APF strategy with the given stability threshold.
 func NewAPF(clientID, size int, agg Aggregator, stability float64) *APF {
-	return &APF{
+	a := &APF{
 		id: clientID, size: size, agg: agg,
-		stability:    stability,
-		minHistory:   2,
-		sumG:         make([]float64, size),
-		sumAbsG:      make([]float64, size),
-		obs:          make([]int32, size),
-		frozen:       make([]bool, size),
-		frozenValue:  make([]float64, size),
-		freezeLeft:   make([]int, size),
-		freezePeriod: make([]int, size),
+		stability:  stability,
+		minHistory: 2,
+		held:       held[apfState]{view: Shared},
 	}
+	MakeFields(&a.st, size)
+	return a
 }
 
 // APFFactory returns a Factory using the paper's default stability
@@ -78,7 +80,7 @@ func (a *APF) SetWire(w Wire) { a.wire = w }
 // FrozenCount returns the number of currently-frozen parameters.
 func (a *APF) FrozenCount() int {
 	n := 0
-	for _, f := range a.frozen {
+	for _, f := range a.st.Frozen {
 		if f {
 			n++
 		}
@@ -89,13 +91,13 @@ func (a *APF) FrozenCount() int {
 // EffectivePerturbation returns the current stability ratio of parameter i
 // (1 when the parameter lacks history).
 func (a *APF) EffectivePerturbation(i int) float64 {
-	if a.sumAbsG[i] == 0 {
-		if a.obs[i] > 0 {
+	if a.st.SumAbsG[i] == 0 {
+		if a.st.Obs[i] > 0 {
 			return 0 // never moved at all
 		}
 		return 1
 	}
-	return math.Abs(a.sumG[i]) / a.sumAbsG[i]
+	return math.Abs(a.st.SumG[i]) / a.st.SumAbsG[i]
 }
 
 // Sync implements Syncer.
@@ -112,20 +114,20 @@ func (a *APF) SyncCtx(ctx context.Context, round int, local []float64, contribut
 	// Gather the active (unfrozen) parameter values for aggregation.
 	active := make([]int, 0, a.size)
 	for i := 0; i < a.size; i++ {
-		if !a.frozen[i] {
+		if !a.st.Frozen[i] {
 			active = append(active, i)
 		}
 	}
 	// Under a lossy chain the collective runs in the delta domain against
 	// the shared previous global (see the FedSU manager for the argument);
 	// the first sync has no reference yet and ships values.
-	delta := a.wire.Enabled() && a.prevGlobal != nil
+	delta := a.wire.Enabled() && a.st.PrevGlobal != nil
 	var send []float64
 	if contributor {
 		send = make([]float64, len(active))
 		for j, i := range active {
 			if delta {
-				send[j] = local[i] - a.prevGlobal[i]
+				send[j] = local[i] - a.st.PrevGlobal[i]
 			} else {
 				send[j] = local[i]
 			}
@@ -138,13 +140,20 @@ func (a *APF) SyncCtx(ctx context.Context, round int, local []float64, contribut
 
 	out := make([]float64, a.size)
 	for i := 0; i < a.size; i++ {
-		if a.frozen[i] {
-			out[i] = a.frozenValue[i]
+		if a.st.Frozen[i] {
+			out[i] = a.st.FrozenValue[i]
 		}
 	}
 	if agg == nil {
+		// Nobody contributed: the global stands where it was (as under CMFL
+		// and QSGD), so every client's freezing state moves alike; only the
+		// first sync, with no global yet, keeps the local values.
+		from := a.st.PrevGlobal
+		if from == nil {
+			from = local
+		}
 		for _, i := range active {
-			out[i] = local[i]
+			out[i] = from[i]
 		}
 	} else {
 		if len(agg) != len(active) {
@@ -152,7 +161,7 @@ func (a *APF) SyncCtx(ctx context.Context, round int, local []float64, contribut
 		}
 		for j, i := range active {
 			if delta {
-				out[i] = a.prevGlobal[i] + agg[j]
+				out[i] = a.st.PrevGlobal[i] + agg[j]
 			} else {
 				out[i] = agg[j]
 			}
@@ -161,46 +170,46 @@ func (a *APF) SyncCtx(ctx context.Context, round int, local []float64, contribut
 
 	// Update stability diagnostics for active parameters and make
 	// freeze/thaw decisions; frozen parameters tick down their period.
-	if a.prevGlobal != nil {
+	if a.st.PrevGlobal != nil {
 		for _, i := range active {
-			g := out[i] - a.prevGlobal[i]
-			a.sumG[i] += g
-			a.sumAbsG[i] += math.Abs(g)
-			a.obs[i]++
-			if int(a.obs[i]) < a.minHistory {
+			g := out[i] - a.st.PrevGlobal[i]
+			a.st.SumG[i] += g
+			a.st.SumAbsG[i] += math.Abs(g)
+			a.st.Obs[i]++
+			if int(a.st.Obs[i]) < a.minHistory {
 				continue
 			}
 			if a.EffectivePerturbation(i) < a.stability {
 				// Converged: freeze for an additively-grown period.
-				a.frozen[i] = true
-				a.frozenValue[i] = out[i]
-				a.freezePeriod[i]++
-				a.freezeLeft[i] = a.freezePeriod[i]
+				a.st.Frozen[i] = true
+				a.st.FrozenValue[i] = out[i]
+				a.st.FreezePeriod[i]++
+				a.st.FreezeLeft[i] = a.st.FreezePeriod[i]
 			} else if a.EffectivePerturbation(i) > 0.5 {
 				// Decisively moving again: restart the stability window and
 				// the period growth.
-				a.freezePeriod[i] = 0
-				a.sumG[i], a.sumAbsG[i], a.obs[i] = 0, 0, 0
+				a.st.FreezePeriod[i] = 0
+				a.st.SumG[i], a.st.SumAbsG[i], a.st.Obs[i] = 0, 0, 0
 			}
 		}
 	}
 	for i := 0; i < a.size; i++ {
-		if a.frozen[i] && !contains(active, i) {
-			a.freezeLeft[i]--
-			if a.freezeLeft[i] <= 0 {
+		if a.st.Frozen[i] && !contains(active, i) {
+			a.st.FreezeLeft[i]--
+			if a.st.FreezeLeft[i] <= 0 {
 				// Thaw for a probe round; stability is re-evaluated on the
 				// next synchronization with the accumulated history intact,
 				// so a still-stable parameter re-freezes with a longer
 				// period.
-				a.frozen[i] = false
+				a.st.Frozen[i] = false
 			}
 		}
 	}
 
-	if a.prevGlobal == nil {
-		a.prevGlobal = make([]float64, a.size)
+	if a.st.PrevGlobal == nil {
+		a.st.PrevGlobal = make([]float64, a.size)
 	}
-	copy(a.prevGlobal, out)
+	copy(a.st.PrevGlobal, out)
 
 	// Shipped bytes of the compacted active-parameter vectors; an
 	// abstaining client or an empty collective costs framing only.

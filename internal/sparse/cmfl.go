@@ -21,16 +21,21 @@ type CMFL struct {
 	// to upload (0.8 in the paper).
 	relevance float64
 
-	prevGlobal       []float64
-	lastGlobalUpdate []float64
-	haveUpdate       bool
+	held[cmflState]
+}
+
+// cmflState is CMFL's live state, all of it Shared: the global model and
+// the global update that produced it, each nil until a sync has set it.
+type cmflState struct {
+	PrevGlobal       []float64 `state:"lazy"`
+	LastGlobalUpdate []float64 `state:"lazy"`
 }
 
 var _ ContextSyncer = (*CMFL)(nil)
 
 // NewCMFL constructs a CMFL strategy with the given relevance threshold.
 func NewCMFL(clientID, size int, agg Aggregator, relevance float64) *CMFL {
-	return &CMFL{id: clientID, size: size, agg: agg, relevance: relevance}
+	return &CMFL{id: clientID, size: size, agg: agg, relevance: relevance, held: held[cmflState]{view: Shared}}
 }
 
 // CMFLFactory returns a Factory using the paper's default threshold 0.8.
@@ -47,13 +52,13 @@ func (c *CMFL) SetWire(w Wire) { c.wire = w }
 // Relevance returns the sign-agreement fraction between the local update
 // and the estimated global update.
 func (c *CMFL) Relevance(local []float64) float64 {
-	if !c.haveUpdate {
+	if c.st.PrevGlobal == nil || c.st.LastGlobalUpdate == nil {
 		return 1
 	}
 	agree := 0
 	for i := range local {
-		u := local[i] - c.prevGlobal[i]
-		g := c.lastGlobalUpdate[i]
+		u := local[i] - c.st.PrevGlobal[i]
+		g := c.st.LastGlobalUpdate[i]
 		if (u >= 0) == (g >= 0) {
 			agree++
 		}
@@ -72,7 +77,7 @@ func (c *CMFL) SyncCtx(ctx context.Context, round int, local []float64, contribu
 		return nil, Traffic{}, fmt.Errorf("cmfl: vector length %d, want %d", len(local), c.size)
 	}
 	relevant := true
-	if c.prevGlobal != nil {
+	if c.st.PrevGlobal != nil {
 		relevant = c.Relevance(local) >= c.relevance
 	}
 	send := local
@@ -88,8 +93,8 @@ func (c *CMFL) SyncCtx(ctx context.Context, round int, local []float64, contribu
 	if global == nil {
 		// Every client withheld; the global model is unchanged, and the
 		// server still redistributes it (see the downlink note below).
-		if c.prevGlobal != nil {
-			copy(out, c.prevGlobal)
+		if c.st.PrevGlobal != nil {
+			copy(out, c.st.PrevGlobal)
 		} else {
 			copy(out, local)
 		}
@@ -98,15 +103,14 @@ func (c *CMFL) SyncCtx(ctx context.Context, round int, local []float64, contribu
 		copy(out, global)
 	}
 
-	if c.prevGlobal != nil {
+	if c.st.PrevGlobal != nil {
 		upd := make([]float64, c.size)
 		for i := range upd {
-			upd[i] = out[i] - c.prevGlobal[i]
+			upd[i] = out[i] - c.st.PrevGlobal[i]
 		}
-		c.lastGlobalUpdate = upd
-		c.haveUpdate = true
+		c.st.LastGlobalUpdate = upd
 	}
-	c.prevGlobal = out
+	c.st.PrevGlobal = out
 
 	// Shipped bytes: a withheld (or abstaining) upload costs the framing
 	// header only. The downlink always carries the full global model the

@@ -67,7 +67,7 @@ func Parse(spec string, seed int64) (*Chain, error) {
 	tokens := make([]string, 0, len(parts))
 	for _, p := range parts {
 		tok := strings.ToLower(strings.TrimSpace(p))
-		stageSeed := mix64(uint64(seed) + uint64(len(stages)) + 1)
+		stageSeed := Mix64(uint64(seed) + uint64(len(stages)) + 1)
 		var st Stage
 		var err error
 		switch {

@@ -126,7 +126,7 @@ func (s *lowRankStage) factor(a []float64, m, n, r int) (U, V []float64) {
 	tmp := make([]float64, m*r)
 	// Deterministic pseudo-random init, decorrelated by position hash.
 	for i := range V {
-		V[i] = float64(mix64(s.seed+mix64(uint64(i)))>>11)/(1<<53) - 0.5
+		V[i] = float64(Mix64(s.seed+Mix64(uint64(i)))>>11)/(1<<53) - 0.5
 	}
 	orthonormalize(V, n, r)
 	for it := 0; it < lowRankIters; it++ {

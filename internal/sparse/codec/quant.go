@@ -261,7 +261,7 @@ func (q *quantStage) symbols(syms []uint8, nz []float64, offs []uint8, b0 int, l
 		fi := int(t)
 		f := float64(fi)
 		d := t - f
-		x := mix64(q.seed + mix64(uint64(b0+int(offs[k]))+mix64(math.Float64bits(v))))
+		x := Mix64(q.seed + Mix64(uint64(b0+int(offs[k]))+Mix64(math.Float64bits(v))))
 		draw := float64(x>>11) / (1 << 53)
 		snapUp := b2i(d >= 0.5) & b2i((f+1)-t <= 1e-9)
 		syms[k] = uint8(fi + b2i(d > 1e-9)&(snapUp|b2i(draw < d)))
@@ -276,9 +276,12 @@ func b2i(b bool) int {
 	return 0
 }
 
-// mix64 is the splitmix64 finalizer, the repo's standard seeded hash
-// (same construction as the cohort sampler's position hashing).
-func mix64(x uint64) uint64 {
+// Mix64 is the splitmix64 finalizer, the repo's one seeded hash: every draw
+// that must be a function of its coordinates rather than of a stream's
+// position — this stage's rounding, v2's launch lottery, a client's batch
+// draws, QSGD's rounding, the cohort sampler's priorities — nests it over
+// (seed, coordinates…).
+func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27

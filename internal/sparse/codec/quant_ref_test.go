@@ -147,7 +147,7 @@ func (q *quantStage) refSymbol(v, lo, scale, steps float64, pos int) int {
 // rnd01 is a uniform [0,1) draw that is a pure function of (seed, position,
 // value bits); symbols writes the same three rounds out in its loop.
 func rnd01(seed uint64, pos int, vbits uint64) float64 {
-	x := mix64(seed + mix64(uint64(pos)+mix64(vbits)))
+	x := Mix64(seed + Mix64(uint64(pos)+Mix64(vbits)))
 	return float64(x>>11) / (1 << 53)
 }
 

@@ -7,9 +7,9 @@ import (
 )
 
 // Unwrapper is implemented by syncer middleware (EventTrigger) to expose
-// the strategy underneath; engine code that probes for a concrete strategy
-// (FedSU state transfer, checkpointing, predictability accounting) resolves
-// wrappers through UnwrapSyncer first.
+// the strategy underneath. The state seam (AppendState, DecodeState) walks
+// every layer through it; engine code that probes for a concrete strategy
+// (predictability accounting) resolves wrappers through UnwrapSyncer first.
 type Unwrapper interface {
 	Unwrap() Syncer
 }
@@ -17,13 +17,18 @@ type Unwrapper interface {
 // UnwrapSyncer peels syncer middleware until it reaches the underlying
 // strategy.
 func UnwrapSyncer(s Syncer) Syncer {
-	for {
-		u, ok := s.(Unwrapper)
-		if !ok {
-			return s
-		}
-		s = u.Unwrap()
+	for u := unwrap(s); u != nil; u = unwrap(s) {
+		s = u
 	}
+	return s
+}
+
+// unwrap is the layer under s, or nil when s is the strategy itself.
+func unwrap(s Syncer) Syncer {
+	if u, ok := s.(Unwrapper); ok {
+		return u.Unwrap()
+	}
+	return nil
 }
 
 // EventTrigger wraps any Syncer with event-triggered participation
@@ -50,12 +55,16 @@ func UnwrapSyncer(s Syncer) Syncer {
 type EventTrigger struct {
 	inner     Syncer
 	threshold float64
-	ref       []float64
+	held[triggerState]
+}
 
-	// triggered / suppressed count contributor rounds passed through vs
+// triggerState is the trigger's state, all of it Local.
+type triggerState struct {
+	// Ref is the vector last offered (nil before the first offer).
+	Ref []float64 `state:"lazy"`
+	// Triggered / Suppressed count contributor rounds passed through vs
 	// gated off, for diagnostics and tests.
-	triggered  int
-	suppressed int
+	Triggered, Suppressed int64
 }
 
 var _ ContextSyncer = (*EventTrigger)(nil)
@@ -64,7 +73,7 @@ var _ Unwrapper = (*EventTrigger)(nil)
 // NewEventTrigger wraps inner with an upload threshold on the L2 norm of
 // the accumulated local change. threshold <= 0 passes every round through.
 func NewEventTrigger(inner Syncer, threshold float64) *EventTrigger {
-	return &EventTrigger{inner: inner, threshold: threshold}
+	return &EventTrigger{inner: inner, threshold: threshold, held: held[triggerState]{view: Local}}
 }
 
 // Name identifies the wrapped strategy; the trigger is transparent
@@ -84,7 +93,7 @@ func (e *EventTrigger) Threshold() float64 { return e.threshold }
 
 // TriggerCounts reports contributor rounds passed through vs suppressed.
 func (e *EventTrigger) TriggerCounts() (triggered, suppressed int) {
-	return e.triggered, e.suppressed
+	return int(e.st.Triggered), int(e.st.Suppressed)
 }
 
 // Sync implements Syncer.
@@ -94,23 +103,24 @@ func (e *EventTrigger) Sync(round int, local []float64, contributor bool) ([]flo
 
 // SyncCtx implements ContextSyncer.
 func (e *EventTrigger) SyncCtx(ctx context.Context, round int, local []float64, contributor bool) ([]float64, Traffic, error) {
-	if contributor && e.threshold > 0 && e.ref != nil {
-		if len(e.ref) != len(local) {
-			return nil, Traffic{}, fmt.Errorf("event trigger: vector length %d, reference %d", len(local), len(e.ref))
+	st := &e.st
+	if contributor && e.threshold > 0 && st.Ref != nil {
+		if len(st.Ref) != len(local) {
+			return nil, Traffic{}, fmt.Errorf("event trigger: vector length %d, reference %d", len(local), len(st.Ref))
 		}
-		if driftNorm(local, e.ref) < e.threshold {
+		if driftNorm(local, st.Ref) < e.threshold {
 			contributor = false
-			e.suppressed++
+			st.Suppressed++
 		}
 	}
 	if contributor {
-		e.triggered++
+		st.Triggered++
 		// The reference advances to the vector offered this round; drift for
 		// the next trigger decision accumulates from here.
-		if e.ref == nil {
-			e.ref = make([]float64, len(local))
+		if len(st.Ref) != len(local) {
+			st.Ref = make([]float64, len(local))
 		}
-		copy(e.ref, local)
+		copy(st.Ref, local)
 	}
 	return SyncContext(ctx, e.inner, round, local, contributor)
 }

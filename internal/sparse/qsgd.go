@@ -4,7 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
+
+	"fedsu/internal/sparse/codec"
 )
 
 // QSGD implements the quantization-style baseline the paper positions
@@ -16,7 +17,9 @@ import (
 //
 // The implementation quantizes per synchronization round over the whole
 // update vector with a shared scale (max-norm), using unbiased stochastic
-// rounding so the expected dequantized update equals the true one.
+// rounding so the expected dequantized update equals the true one. A
+// rounding draw is a hash of (seed, client, round, index), not a stream, so
+// a restarted client rounds exactly as one that never stopped.
 type QSGD struct {
 	id   int
 	size int
@@ -24,9 +27,15 @@ type QSGD struct {
 	wire Wire
 
 	bits int
-	rng  *rand.Rand
+	seed int64
 
-	prevGlobal []float64
+	held[qsgdState]
+}
+
+// qsgdState is QSGD's live state, Shared: the global the next update is
+// measured from, nil until the bootstrap round.
+type qsgdState struct {
+	PrevGlobal []float64 `state:"lazy"`
 }
 
 var _ ContextSyncer = (*QSGD)(nil)
@@ -40,7 +49,8 @@ func NewQSGD(clientID, size int, agg Aggregator, bits int, seed int64) (*QSGD, e
 	return &QSGD{
 		id: clientID, size: size, agg: agg,
 		bits: bits,
-		rng:  rand.New(rand.NewSource(seed + int64(clientID)*65_537)),
+		seed: seed,
+		held: held[qsgdState]{view: Shared},
 	}, nil
 }
 
@@ -67,10 +77,11 @@ func (q *QSGD) SetWire(w Wire) { q.wire = w }
 // Bits returns the configured quantization width.
 func (q *QSGD) Bits() int { return q.bits }
 
-// Quantize stochastically rounds v onto the bit-width grid scaled by the
-// vector's max-norm and returns the dequantized values (what the server
-// would reconstruct). Exported for tests and the compression ablation.
-func (q *QSGD) Quantize(v []float64) []float64 {
+// Quantize stochastically rounds v, this client's update in round, onto the
+// bit-width grid scaled by the vector's max-norm and returns the dequantized
+// values (what the server would reconstruct); element i's draw hashes
+// (seed, client, round, i). Exported for tests and the compression ablation.
+func (q *QSGD) Quantize(round int, v []float64) []float64 {
 	scale := 0.0
 	for _, x := range v {
 		if a := math.Abs(x); a > scale {
@@ -82,11 +93,12 @@ func (q *QSGD) Quantize(v []float64) []float64 {
 		return out
 	}
 	levels := float64(int(1)<<(q.bits-1)) - 1 // signed grid
+	h := codec.Mix64(uint64(q.seed) + codec.Mix64(uint64(q.id)+codec.Mix64(uint64(round))))
 	for i, x := range v {
 		t := x / scale * levels
 		lo := math.Floor(t)
 		p := t - lo
-		if q.rng.Float64() < p {
+		if float64(codec.Mix64(h+codec.Mix64(uint64(i)))>>11)/(1<<53) < p {
 			lo++
 		}
 		out[i] = lo / levels * scale
@@ -105,7 +117,7 @@ func (q *QSGD) SyncCtx(ctx context.Context, round int, local []float64, contribu
 		return nil, Traffic{}, fmt.Errorf("qsgd: vector length %d, want %d", len(local), q.size)
 	}
 	// First round bootstraps full precision to establish a shared base.
-	if q.prevGlobal == nil {
+	if q.st.PrevGlobal == nil {
 		var send []float64
 		if contributor {
 			send = append([]float64(nil), local...)
@@ -120,7 +132,7 @@ func (q *QSGD) SyncCtx(ctx context.Context, round int, local []float64, contribu
 		} else {
 			copy(out, local)
 		}
-		q.prevGlobal = append([]float64(nil), out...)
+		q.st.PrevGlobal = append([]float64(nil), out...)
 		// The bootstrap is a plain full-precision exchange, so it is charged
 		// at what the wire shipped; the quantized rounds below keep QSGD's
 		// own bits-per-value payload model.
@@ -135,11 +147,11 @@ func (q *QSGD) SyncCtx(ctx context.Context, round int, local []float64, contribu
 
 	update := make([]float64, q.size)
 	for i := range update {
-		update[i] = local[i] - q.prevGlobal[i]
+		update[i] = local[i] - q.st.PrevGlobal[i]
 	}
 	var send []float64
 	if contributor {
-		send = q.Quantize(update)
+		send = q.Quantize(round, update)
 	}
 	aggUpd, up, down, err := q.wire.Collect(ctx, AggModel, q.agg, q.id, round, send, nil, nil)
 	if err != nil {
@@ -147,13 +159,13 @@ func (q *QSGD) SyncCtx(ctx context.Context, round int, local []float64, contribu
 	}
 	out := make([]float64, q.size)
 	if aggUpd == nil {
-		copy(out, q.prevGlobal)
+		copy(out, q.st.PrevGlobal)
 	} else {
 		for i := range out {
-			out[i] = q.prevGlobal[i] + aggUpd[i]
+			out[i] = q.st.PrevGlobal[i] + aggUpd[i]
 		}
 	}
-	copy(q.prevGlobal, out)
+	copy(q.st.PrevGlobal, out)
 
 	if !q.wire.Enabled() {
 		// Analytic wire cost in place of what the default wire shipped:

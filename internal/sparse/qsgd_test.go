@@ -26,7 +26,7 @@ func TestQSGDValidation(t *testing.T) {
 
 func TestQuantizeZeroVector(t *testing.T) {
 	q := newTestQSGD(t, 3, 8)
-	out := q.Quantize([]float64{0, 0, 0})
+	out := q.Quantize(0, []float64{0, 0, 0})
 	for _, v := range out {
 		if v != 0 {
 			t.Errorf("zero vector must quantize to zeros, got %v", out)
@@ -42,7 +42,7 @@ func TestQuantizeUnbiased(t *testing.T) {
 	sum := make([]float64, len(in))
 	const n = 20000
 	for i := 0; i < n; i++ {
-		out := q.Quantize(in)
+		out := q.Quantize(i, in)
 		for j, v := range out {
 			sum[j] += v
 		}
@@ -70,7 +70,7 @@ func TestQuantizeBounded(t *testing.T) {
 			}
 		}
 		step := scale / 31 // 6 bits signed → 31 levels
-		out := q.Quantize(in)
+		out := q.Quantize(int(seed), in)
 		for i := range in {
 			if math.Abs(out[i]-in[i]) > step+1e-12 {
 				return false

@@ -241,7 +241,7 @@ func TestAPFFreezesConvergedParameter(t *testing.T) {
 		if _, _, err := s.Sync(k, local, true); err != nil {
 			t.Fatal(err)
 		}
-		for i, f := range s.frozen {
+		for i, f := range s.st.Frozen {
 			if f {
 				frozenRounds[i]++
 			}
@@ -294,14 +294,14 @@ func TestAPFThawAfterPeriod(t *testing.T) {
 			v = float64(k)
 		}
 		s.Sync(k, []float64{v}, true)
-		if frozeAt < 0 && s.frozen[0] {
+		if frozeAt < 0 && s.st.Frozen[0] {
 			frozeAt = k
 		}
 	}
 	if frozeAt < 0 {
 		t.Fatal("parameter never froze")
 	}
-	if s.frozen[0] {
+	if s.st.Frozen[0] {
 		t.Error("parameter should thaw after its freezing period when movement resumes")
 	}
 }
