@@ -3,14 +3,16 @@
 # hide), the same for the kernel packages with the assembly compiled out,
 # static vetting, fedsu-lint, the race detector over every package, a short
 # fuzz smoke over the wire codecs, the matmul driver and the element-wise and
-# convert kernels, and the bench/ module's own vet and tests.
+# convert kernels, and the bench/ module's own vet and tests. Performance is
+# measured by the BENCHMARK.json program (bench/) and compared with
+# `make bench-pair`; the Benchmark* functions run under plain
+# `go test -run xxx -bench`.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: tier1 vet lint race fuzz verify bench bench-agg bench-grid \
-	bench-tree bench-codec tier1-f32 race-f32 verify-f32 bench-check bench-pair \
-	tier1-purego loc
+.PHONY: tier1 vet lint race fuzz verify tier1-f32 race-f32 verify-f32 \
+	bench-check bench-pair tier1-purego loc
 
 tier1:
 	$(GO) build ./...
@@ -127,62 +129,14 @@ bench-check:
 
 verify: tier1 tier1-purego vet lint race fuzz bench-check
 
-# Kernel and layer microbenchmarks (see BENCH_kernels.json for the tracked
-# before/after numbers).
-bench:
-	$(GO) test ./internal/tensor/ ./internal/nn/ -run xxx -bench . -benchmem
-
-# Aggregation hot-loop benchmarks (see BENCH_agg.json for the tracked
-# before/after numbers): the fl.Server streaming collective fold and the
-# pooled sparse vector wire codec. Take the median of the 3 counts.
-bench-agg:
-	$(GO) test ./internal/fl/ -run xxx -bench '^BenchmarkAggregate' -benchmem -count 3
-	$(GO) test ./internal/sparse/ -run xxx -bench '^BenchmarkVectorPayload$$' -benchmem
-
-# Hierarchical-aggregation benchmark (see BENCH_tree.json for the tracked
-# medians): the root's per-round workload flat vs tree at equal
-# participants — 1000-member cohort from 100k registered, fanout 8/32.
-# Then the layer under it: the fold's element-wise kernels at 50k and 600k
-# elements, destination L2-hot or drawn cold from a ring of 64, the selected
-# lane ("asm") against the Go loops (EXPERIMENTS.md, "Fold at memory speed").
-# Take the median of the 3 counts.
-bench-tree:
-	$(GO) test ./internal/fl/ -run xxx -bench '^BenchmarkTreeRootFold' -benchmem -count 3
-	$(GO) test ./internal/tensor/ -run xxx -bench '^BenchmarkVecAdd$$' -count 3
-
-# Compression-chain stage benchmarks (see BENCH_codec.json for the
-# tracked medians): per-stage encode ns/op, B/op, and encoded bytes at
-# densities 0.1%, 1%, 10%, and dense; then the base stage's encode and
-# decode kernels at 600k parameters over dense and random masks
-# (EXPERIMENTS.md, "Word-wide base kernels"); then the entropy stage's coder
-# against the retired per-symbol reference (entropy_ref_test.go) on q4-upload
-# and q8-reply shaped payloads (EXPERIMENTS.md, "Chain hot path"); the
-# ChainCompact rows are a zero-free 51 200-value vector — quant mode 0x03, the
-# form every core.Manager submission ships, which the "dense" rows never took
-# (EXPERIMENTS.md, "A block at a time"). Take the median of the 3 counts.
-bench-codec:
-	$(GO) test ./internal/sparse/codec/ -run xxx -bench '^Benchmark(Chain|Base|Entropy)' -benchmem -count 3
-
-# End-to-end harness benchmark: the Table I grid, sequential-uncached vs
-# parallel-cached (the grid scheduler of internal/exp), medians over
-# GRIDREPS reps per arm. Writes the measurement document to
-# BENCH_grid.json (the tracked copy records the reference host). Tune with
-# e.g. GRIDFLAGS='-rounds 12' for a shorter run.
-GRIDREPS ?= 3
-GRIDSLOTS ?= 4
-GRIDFLAGS ?=
-bench-grid:
-	$(GO) run ./cmd/fedsu-bench -exp table1 -scale fast -parallel $(GRIDSLOTS) \
-		-gridbench $(GRIDREPS) $(GRIDFLAGS) > BENCH_grid.json
-	@cat BENCH_grid.json
-
 # Paired before/after run of the BENCHMARK.json benchmark (choosing-metrics
 # §8): PAIRS alternating pairs of BASE (unpacked with git archive under
 # .bench_build/) and the working tree on one WORKLOAD — or, with
 # WORKLOAD=all, on every workload back to back inside each pair — then per
 # workload and metric the medians, quartiles and pairs won, and after every
 # pair whether both sides ended on the same fingerprint. Pair i runs seed
-# SEED0+i-1. ~1 min per pair and workload.
+# SEED0+i-1. ~1 min per pair and workload. The script builds both sides
+# with -buildvcs=false itself.
 BASE ?= HEAD
 WORKLOAD ?= tcp_fedsu_chain
 PAIRS ?= 10

@@ -8,22 +8,22 @@
 //	fedsu-bench -exp table1 -scale standard -out results/
 //	fedsu-bench -exp fig9 -rounds 120
 //
-// Experiments: fig1 fig2 table1 fig5 fig6 fig7 fig8 fig9 fig10 table2 all,
-// plus "async" — the sync-vs-buffered-async time-to-accuracy comparison
-// under the heterogeneous netem profile (not part of "all", which tracks
-// the paper's own figure set).
+// The experiment ids are the rows of the experiments table below; "all" is
+// the paper's own figure set, which leaves out async, popscale and compose.
+// Every id is checked before the first experiment runs.
 //
 // Grid experiments (table1/fig5, fig8, fig9/fig10) fan their independent
 // runs across -parallel slots sharing one dataset/partition cache; results
-// are bit-identical to -seq at any slot count (internal/exp's scheduler
-// contract). -gridbench N times the table1 grid sequentially-uncached vs
-// parallel-cached and emits the BENCH_grid.json document on stdout.
+// are bit-identical to -parallel 1 at any slot count (internal/exp's
+// scheduler contract).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -40,29 +40,114 @@ func main() {
 	// Deep conv models churn large transient im2col matrices; a tighter GC
 	// target keeps the resident set bounded on memory-constrained hosts.
 	debug.SetGCPercent(50)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "fedsu-bench:", err)
+		os.Exit(1)
+	}
+}
+
+// env is what every experiment runner reads besides its Config.
+type env struct {
+	stdout  io.Writer
+	outDir  string
+	light   bool
+	fanouts []int
+}
+
+// sweepSet is the workload set of the ablation and sensitivity sweeps.
+func (e env) sweepSet() []exp.Workload {
+	if e.light {
+		return []exp.Workload{exp.CNNWorkload()}
+	}
+	return []exp.Workload{exp.CNNWorkload(), exp.DenseNetWorkload()}
+}
+
+// experiment is one -exp id: its runner, and whether "all" includes it.
+type experiment struct {
+	id    string
+	inAll bool
+	run   func(ctx context.Context, cfg exp.Config, e env) error
+}
+
+// experiments is the one table of -exp ids, in the order "all" runs them.
+var experiments = []experiment{
+	{"fig1", true, runFig1},
+	{"fig2", true, runFig2},
+	{"table1", false, runEndToEnd},
+	{"fig5", false, runEndToEnd},
+	{"table1+fig5", true, runEndToEnd},
+	{"fig6", true, runFig6},
+	{"fig7", true, runFig7},
+	{"fig8", true, runFig8},
+	{"fig9", true, runSweep(exp.RunFig9)},
+	{"fig10", true, runSweep(exp.RunFig10)},
+	{"table2", true, runTable2},
+	{"async", false, runAsync},
+	{"popscale", false, runPopScale},
+	{"compose", false, runCompose},
+}
+
+// experimentIDs lists every accepted -exp id, "all" last.
+func experimentIDs() string {
+	ids := make([]string, 0, len(experiments)+1)
+	for _, x := range experiments {
+		ids = append(ids, x.id)
+	}
+	return strings.Join(append(ids, "all"), ", ")
+}
+
+// selectExperiments resolves a comma-separated -exp list, expanding "all",
+// and refuses the whole list if any id is unknown.
+func selectExperiments(list string) ([]experiment, error) {
+	var out []experiment
+	for _, id := range strings.Split(list, ",") {
+		n := len(out)
+		for _, x := range experiments {
+			if x.id == id || id == "all" && x.inAll {
+				out = append(out, x)
+			}
+		}
+		if len(out) == n {
+			return nil, fmt.Errorf("unknown experiment %q (want %s)", id, experimentIDs())
+		}
+	}
+	return out, nil
+}
+
+// run is the whole command: it parses args, runs the selected experiments
+// and reports to stdout; progress goes to stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("fedsu-bench", flag.ContinueOnError)
 	var (
-		expName    = flag.String("exp", "all", "experiment id (fig1..fig10, table1, table2, all)")
-		scale      = flag.String("scale", "fast", "preset: fast or standard")
-		rounds     = flag.Int("rounds", 0, "override rounds")
-		clients    = flag.Int("clients", 0, "override client count")
-		outDir     = flag.String("out", "", "directory for CSV output")
-		seed       = flag.Int64("seed", 1, "random seed")
-		modelScale = flag.Int("modelscale", 0, "override model width divisor (1 = paper scale)")
-		light      = flag.Bool("light", false, "restrict the ablation and sensitivity sweeps to the CNN workload")
-		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "experiment runs in flight at once in the grid experiments")
-		seq        = flag.Bool("seq", false, "force sequential grid execution (same as -parallel 1)")
-		gridBench  = flag.Int("gridbench", 0, "run the table1 grid n times sequential-uncached and n times parallel-cached, report medians, and write the BENCH_grid.json document to stdout")
-		dtype      = flag.String("dtype", "float64", "compute precision: float64 (bit-identical legacy results) or float32 (half the memory bandwidth, lossless wire)")
-		population = flag.Int("population", 0, "registered device count for the popscale experiment (e.g. 100000)")
-		cohort     = flag.Int("cohort", 0, "per-round sampled cohort size in population mode (sets the slot count)")
-		fanouts    = flag.String("fanout", "8,32", "comma-separated tree fanouts the popscale experiment compares against the flat fold")
-		compress   = flag.String("compress", "", "wire compression chain spec applied to every run, e.g. topk,q4,rans (the compose experiment sweeps its own cells)")
+		expName    = fs.String("exp", "all", "comma-separated experiment ids: "+experimentIDs())
+		scale      = fs.String("scale", "fast", "preset: fast or standard")
+		rounds     = fs.Int("rounds", 0, "override rounds")
+		clients    = fs.Int("clients", 0, "override client count")
+		outDir     = fs.String("out", "", "directory for CSV output")
+		seed       = fs.Int64("seed", 1, "random seed")
+		modelScale = fs.Int("modelscale", 0, "override model width divisor (1 = paper scale)")
+		light      = fs.Bool("light", false, "restrict the ablation and sensitivity sweeps to the CNN workload")
+		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "experiment runs in flight at once in the grid experiments (1 = sequential)")
+		dtype      = fs.String("dtype", "float64", "compute precision: float64 (bit-identical legacy results) or float32 (half the memory bandwidth, lossless wire)")
+		population = fs.Int("population", 0, "registered device count for the popscale experiment (e.g. 100000)")
+		cohort     = fs.Int("cohort", 0, "per-round sampled cohort size in population mode (sets the slot count)")
+		fanouts    = fs.String("fanout", "8,32", "comma-separated tree fanouts the popscale experiment compares against the flat fold")
+		compress   = fs.String("compress", "", "wire compression chain spec applied to every run, e.g. topk,q4,rans (the compose experiment sweeps its own cells)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	selected, err := selectExperiments(*expName)
+	if err != nil {
+		return err
+	}
 
 	cfg, err := preset(*scale)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *rounds > 0 {
 		cfg.Rounds = *rounds
@@ -86,19 +171,16 @@ func main() {
 	}
 	popFanouts, err := parseFanouts(*fanouts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	dt, err := tensor.ParseDType(*dtype)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cfg.DType = dt
 	cfg.Compress = *compress
 	cfg.Verbose = os.Stderr
 	cfg.Parallel = *parallel
-	if *seq {
-		cfg.Parallel = 1
-	}
 	// One cache for the whole invocation: -exp all shares corpora and
 	// partitions across table1, fig8, and the sensitivity sweeps.
 	cfg.Artifacts = exp.NewArtifacts()
@@ -107,242 +189,243 @@ func main() {
 	// function of Config and seed.
 	cfg.Clock = time.Now
 
-	if *gridBench > 0 {
-		if err := runGridBench(context.Background(), cfg, *gridBench, *scale); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
 	ctx := context.Background()
-	ids := strings.Split(*expName, ",")
-	if *expName == "all" {
-		ids = []string{"fig1", "fig2", "table1+fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table2"}
-	}
-	for _, id := range ids {
+	e := env{stdout: stdout, outDir: *outDir, light: *light, fanouts: popFanouts}
+	for _, x := range selected {
 		var before runtime.MemStats
 		runtime.ReadMemStats(&before)
 		resetPeakRSS()
 		start := time.Now()
-		if err := runExperiment(ctx, cfg, id, *outDir, *light, popFanouts); err != nil {
-			fatal(fmt.Errorf("%s: %w", id, err))
+		fmt.Fprintf(stdout, "\n=== %s ===\n", x.id)
+		if err := x.run(ctx, cfg, e); err != nil {
+			return fmt.Errorf("%s: %w", x.id, err)
 		}
 		var after runtime.MemStats
 		runtime.ReadMemStats(&after)
 		line := fmt.Sprintf("--- %s: wall %s, allocated %.1f MiB in %d objects",
-			id, time.Since(start).Round(time.Millisecond),
+			x.id, time.Since(start).Round(time.Millisecond),
 			float64(after.TotalAlloc-before.TotalAlloc)/(1<<20),
 			after.Mallocs-before.Mallocs)
 		if rss, ok := peakRSS(); ok {
 			line += fmt.Sprintf(", peak RSS %.1f MiB", rss/(1<<20))
 		}
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
+	}
+	return nil
+}
+
+func runFig1(ctx context.Context, cfg exp.Config, e env) error {
+	res, err := exp.RunFig1(ctx, cfg, 2)
+	if err != nil {
+		return err
+	}
+	for name, series := range res.Trajectories {
+		fmt.Fprintf(e.stdout, "Fig 1 (%s): parameter trajectories\n", name)
+		if err := trace.AsciiPlot(e.stdout, 72, 14, series...); err != nil {
+			return err
+		}
+		if err := writeCSV(e.outDir, "fig1_"+name+".csv", series...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func runFig2(ctx context.Context, cfg exp.Config, e env) error {
+	res, err := exp.RunFig2(ctx, cfg)
+	if err != nil {
+		return err
+	}
+	res.Report(e.stdout)
+	if res.Instantaneous != nil {
+		if err := trace.AsciiPlot(e.stdout, 72, 10, res.Instantaneous); err != nil {
+			return err
+		}
+		if err := writeCSV(e.outDir, "fig2_instantaneous.csv", res.Instantaneous); err != nil {
+			return err
+		}
+	}
+	for name, cdf := range res.CDFs {
+		if err := writeCSV(e.outDir, "fig2_cdf_"+name+".csv", cdf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runEndToEnd is Table I and Fig. 5: one grid, two renderings.
+func runEndToEnd(ctx context.Context, cfg exp.Config, e env) error {
+	ws := exp.Workloads()
+	res, err := exp.RunEndToEnd(ctx, cfg, ws, exp.Schemes())
+	if err != nil {
+		return err
+	}
+	if err := res.Report(e.stdout, ws); err != nil {
+		return err
+	}
+	for _, w := range ws {
+		acc, ratio := res.Fig5Series(w.Name)
+		fmt.Fprintf(e.stdout, "\nFig 5 (%s): time-to-accuracy\n", w.Name)
+		if err := trace.AsciiPlot(e.stdout, 72, 14, acc...); err != nil {
+			return err
+		}
+		if err := writeCSV(e.outDir, "fig5_acc_"+w.Name+".csv", acc...); err != nil {
+			return err
+		}
+		if err := writeCSV(e.outDir, "fig5_ratio_"+w.Name+".csv", ratio...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func runFig6(ctx context.Context, cfg exp.Config, e env) error {
+	res, err := exp.RunFig6(ctx, cfg, exp.CNNWorkload())
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(e.stdout, "Fig 6 (%s, param %d): FedSU vs FedAvg trajectory\n", res.Workload, res.ParamIndex)
+	fmt.Fprintf(e.stdout, "  speculative periods start=%v end=%v\n", res.SpecStart, res.SpecEnd)
+	fmt.Fprintf(e.stdout, "  normalized approximation error: %.4f\n", res.ApproximationError())
+	if err := trace.AsciiPlot(e.stdout, 72, 14, res.FedSU, res.FedAvg); err != nil {
+		return err
+	}
+	return writeCSV(e.outDir, "fig6_"+res.Workload+".csv", res.FedSU, res.FedAvg)
+}
+
+func runFig7(ctx context.Context, cfg exp.Config, e env) error {
+	ws := exp.Workloads()
+	if e.light {
+		ws = e.sweepSet()
+	}
+	res, err := exp.RunFig7(ctx, cfg, ws)
+	if err != nil {
+		return err
+	}
+	res.Report(e.stdout)
+	for name, cdf := range res.CDFs {
+		if err := writeCSV(e.outDir, "fig7_cdf_"+name+".csv", cdf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func runFig8(ctx context.Context, cfg exp.Config, e env) error {
+	ws := e.sweepSet()
+	res, err := exp.RunFig8(ctx, cfg, ws)
+	if err != nil {
+		return err
+	}
+	res.Report(e.stdout)
+	for _, w := range ws {
+		var acc []*trace.Series
+		for _, v := range exp.Variants() {
+			acc = append(acc, res.Accuracy[w.Name][v])
+		}
+		if err := writeCSV(e.outDir, "fig8_acc_"+w.Name+".csv", acc...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runSweep is the runner of one sensitivity sweep (Fig. 9 or 10) over the
+// sweep set.
+func runSweep(sweep func(context.Context, exp.Config, []exp.Workload) (*exp.SweepResult, error)) func(context.Context, exp.Config, env) error {
+	return func(ctx context.Context, cfg exp.Config, e env) error {
+		res, err := sweep(ctx, cfg, e.sweepSet())
+		if err != nil {
+			return err
+		}
+		res.Report(e.stdout)
+		return nil
 	}
 }
 
-func runExperiment(ctx context.Context, cfg exp.Config, id, outDir string, light bool, popFanouts []int) error {
-	sweepSet := []exp.Workload{exp.CNNWorkload(), exp.DenseNetWorkload()}
-	if light {
-		sweepSet = []exp.Workload{exp.CNNWorkload()}
+// runTable2 measures per-round overhead against the netem calibration's
+// compute baselines.
+func runTable2(ctx context.Context, cfg exp.Config, e env) error {
+	base := map[string]float64{}
+	for _, w := range exp.Workloads() {
+		base[w.Name] = 1.2e-7 * float64(w.WireParams) * float64(cfg.LocalIters)
 	}
-	fmt.Printf("\n=== %s ===\n", id)
-	switch id {
-	case "fig1":
-		res, err := exp.RunFig1(ctx, cfg, 2)
-		if err != nil {
-			return err
-		}
-		for name, series := range res.Trajectories {
-			fmt.Printf("Fig 1 (%s): parameter trajectories\n", name)
-			if err := trace.AsciiPlot(os.Stdout, 72, 14, series...); err != nil {
-				return err
-			}
-			if err := writeCSV(outDir, "fig1_"+name+".csv", series...); err != nil {
-				return err
-			}
-		}
-	case "fig2":
-		res, err := exp.RunFig2(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		res.Report(os.Stdout)
-		if res.Instantaneous != nil {
-			if err := trace.AsciiPlot(os.Stdout, 72, 10, res.Instantaneous); err != nil {
-				return err
-			}
-			if err := writeCSV(outDir, "fig2_instantaneous.csv", res.Instantaneous); err != nil {
-				return err
-			}
-		}
-		for name, cdf := range res.CDFs {
-			if err := writeCSV(outDir, "fig2_cdf_"+name+".csv", cdf); err != nil {
-				return err
-			}
-		}
-	case "table1", "fig5", "table1+fig5":
-		ws := exp.Workloads()
-		res, err := exp.RunEndToEnd(ctx, cfg, ws, exp.Schemes())
-		if err != nil {
-			return err
-		}
-		if err := res.Report(os.Stdout, ws); err != nil {
-			return err
-		}
-		for _, w := range ws {
-			acc, ratio := res.Fig5Series(w.Name)
-			fmt.Printf("\nFig 5 (%s): time-to-accuracy\n", w.Name)
-			if err := trace.AsciiPlot(os.Stdout, 72, 14, acc...); err != nil {
-				return err
-			}
-			if err := writeCSV(outDir, "fig5_acc_"+w.Name+".csv", acc...); err != nil {
-				return err
-			}
-			if err := writeCSV(outDir, "fig5_ratio_"+w.Name+".csv", ratio...); err != nil {
-				return err
-			}
-		}
-	case "fig6":
-		res, err := exp.RunFig6(ctx, cfg, exp.CNNWorkload())
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Fig 6 (%s, param %d): FedSU vs FedAvg trajectory\n", res.Workload, res.ParamIndex)
-		fmt.Printf("  speculative periods start=%v end=%v\n", res.SpecStart, res.SpecEnd)
-		fmt.Printf("  normalized approximation error: %.4f\n", res.ApproximationError())
-		if err := trace.AsciiPlot(os.Stdout, 72, 14, res.FedSU, res.FedAvg); err != nil {
-			return err
-		}
-		return writeCSV(outDir, "fig6_"+res.Workload+".csv", res.FedSU, res.FedAvg)
-	case "fig7":
-		fig7WS := exp.Workloads()
-		if light {
-			fig7WS = sweepSet
-		}
-		res, err := exp.RunFig7(ctx, cfg, fig7WS)
-		if err != nil {
-			return err
-		}
-		res.Report(os.Stdout)
-		for name, cdf := range res.CDFs {
-			if err := writeCSV(outDir, "fig7_cdf_"+name+".csv", cdf); err != nil {
-				return err
-			}
-		}
-	case "fig8":
-		ws := sweepSet
-		res, err := exp.RunFig8(ctx, cfg, ws)
-		if err != nil {
-			return err
-		}
-		res.Report(os.Stdout)
-		for _, w := range ws {
-			var acc []*trace.Series
-			for _, v := range exp.Variants() {
-				acc = append(acc, res.Accuracy[w.Name][v])
-			}
-			if err := writeCSV(outDir, "fig8_acc_"+w.Name+".csv", acc...); err != nil {
-				return err
-			}
-		}
-	case "fig9", "fig10":
-		ws := sweepSet
-		var res *exp.SweepResult
-		var err error
-		if id == "fig9" {
-			res, err = exp.RunFig9(ctx, cfg, ws)
-		} else {
-			res, err = exp.RunFig10(ctx, cfg, ws)
-		}
-		if err != nil {
-			return err
-		}
-		res.Report(os.Stdout)
-	case "async":
-		w := exp.CNNWorkload()
-		res, err := exp.RunAsyncCompare(ctx, cfg, w)
-		if err != nil {
-			return err
-		}
-		res.Report(os.Stdout)
-		var acc []*trace.Series
-		for _, mode := range exp.AsyncModes() {
-			acc = append(acc, res.Accuracy[mode])
-		}
-		fmt.Printf("\nAsync (%s): sync vs async time-to-accuracy\n", w.Name)
-		if err := trace.AsciiPlot(os.Stdout, 72, 14, acc...); err != nil {
-			return err
-		}
-		if err := writeCSV(outDir, "async_acc_"+w.Name+".csv", acc...); err != nil {
-			return err
-		}
-		if outDir != "" {
-			f, err := os.Create(filepath.Join(outDir, "async_acc_"+w.Name+".svg"))
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := trace.WriteSVG(f, trace.SVGOptions{
-				Title:  "Sync vs buffered-async time-to-accuracy (" + w.Name + ")",
-				XLabel: "emulated seconds", YLabel: "accuracy",
-			}, acc...); err != nil {
-				return err
-			}
-		}
-	case "popscale":
-		// Table-I-style run at population scale: a cohort sampled per
-		// round from the registered devices, folded flat and through
-		// hierarchical trees; identical training trajectory, different
-		// root ingest.
-		if cfg.Population == 0 {
-			cfg.Population = 100_000
-		}
-		w := exp.CNNWorkload()
-		res, err := exp.RunPopScale(ctx, cfg, w, "fedavg", popFanouts)
-		if err != nil {
-			return err
-		}
-		if err := res.Table().Render(os.Stdout); err != nil {
-			return err
-		}
-	case "compose":
-		// Composable-compression grid: FedSU alone and under chained
-		// sparsify→quantize→entropy wire paths, plus a QSGD×entropy
-		// reference. Byte columns are measured wire bytes, not analytic.
-		// The default horizon (set in main) is long enough for every cell
-		// to reach the converged plateau, so the accuracy column isolates
-		// the chains' asymptotic cost, not a mid-training snapshot.
-		w := exp.CNNWorkload()
-		res, err := exp.RunComposition(ctx, cfg, w, exp.ComposeCells())
-		if err != nil {
-			return err
-		}
-		if err := res.Table().Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-		return res.StageTable().Render(os.Stdout)
-	case "table2":
-		// Per-round compute baselines from the netem calibration.
-		base := map[string]float64{}
-		for _, w := range exp.Workloads() {
-			base[w.Name] = 1.2e-7 * float64(w.WireParams) * float64(cfg.LocalIters)
-		}
-		res, err := exp.RunTable2(ctx, cfg, exp.Workloads(), base)
-		if err != nil {
-			return err
-		}
-		res.Report(os.Stdout)
-	default:
-		return fmt.Errorf("unknown experiment (want fig1..fig10, table1, table2, async, popscale, compose, all)")
+	res, err := exp.RunTable2(ctx, cfg, exp.Workloads(), base)
+	if err != nil {
+		return err
 	}
+	res.Report(e.stdout)
 	return nil
+}
+
+func runAsync(ctx context.Context, cfg exp.Config, e env) error {
+	w := exp.CNNWorkload()
+	res, err := exp.RunAsyncCompare(ctx, cfg, w)
+	if err != nil {
+		return err
+	}
+	res.Report(e.stdout)
+	var acc []*trace.Series
+	for _, mode := range exp.AsyncModes() {
+		acc = append(acc, res.Accuracy[mode])
+	}
+	fmt.Fprintf(e.stdout, "\nAsync (%s): sync vs async time-to-accuracy\n", w.Name)
+	if err := trace.AsciiPlot(e.stdout, 72, 14, acc...); err != nil {
+		return err
+	}
+	if err := writeCSV(e.outDir, "async_acc_"+w.Name+".csv", acc...); err != nil {
+		return err
+	}
+	if e.outDir == "" {
+		return nil
+	}
+	f, err := os.Create(filepath.Join(e.outDir, "async_acc_"+w.Name+".svg"))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return trace.WriteSVG(f, trace.SVGOptions{
+		Title:  "Sync vs buffered-async time-to-accuracy (" + w.Name + ")",
+		XLabel: "emulated seconds", YLabel: "accuracy",
+	}, acc...)
+}
+
+// runPopScale is a Table-I-style run at population scale: a cohort sampled
+// per round from the registered devices, folded flat and through
+// hierarchical trees; identical training trajectory, different root ingest.
+func runPopScale(ctx context.Context, cfg exp.Config, e env) error {
+	if cfg.Population == 0 {
+		cfg.Population = 100_000
+	}
+	res, err := exp.RunPopScale(ctx, cfg, exp.CNNWorkload(), "fedavg", e.fanouts)
+	if err != nil {
+		return err
+	}
+	return res.Table().Render(e.stdout)
+}
+
+// runCompose is the composable-compression grid: FedSU alone and under
+// chained sparsify→quantize→entropy wire paths, plus a QSGD×entropy
+// reference. Byte columns are measured wire bytes, not analytic. The
+// default horizon (set in run) is long enough for every cell to reach the
+// converged plateau, so the accuracy column isolates the chains' asymptotic
+// cost, not a mid-training snapshot.
+func runCompose(ctx context.Context, cfg exp.Config, e env) error {
+	res, err := exp.RunComposition(ctx, cfg, exp.CNNWorkload(), exp.ComposeCells())
+	if err != nil {
+		return err
+	}
+	if err := res.Table().Render(e.stdout); err != nil {
+		return err
+	}
+	fmt.Fprintln(e.stdout)
+	return res.StageTable().Render(e.stdout)
 }
 
 // preset returns the configuration a -scale name selects.
@@ -388,7 +471,29 @@ func writeCSV(dir, name string, series ...*trace.Series) error {
 	return trace.WriteCSVMulti(f, series...)
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fedsu-bench:", err)
-	os.Exit(1)
+// peakRSS reads the process peak resident set (Linux VmHWM) in bytes.
+// The second return is false where /proc is unavailable.
+func peakRSS() (float64, bool) {
+	b, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			var kb float64
+			if _, err := fmt.Sscanf(strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(rest), "kB")), "%f", &kb); err != nil {
+				return 0, false
+			}
+			return kb * 1024, true
+		}
+	}
+	return 0, false
+}
+
+// resetPeakRSS best-effort rearms the peak-RSS watermark (writing "5" to
+// /proc/self/clear_refs resets VmHWM) so per-phase peaks are attributable.
+// A failure just leaves the watermark monotone — reporting stays valid as
+// an upper bound.
+func resetPeakRSS() {
+	_ = os.WriteFile("/proc/self/clear_refs", []byte("5"), 0)
 }

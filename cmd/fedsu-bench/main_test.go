@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,5 +27,33 @@ func TestPresetRejectsUnknownScale(t *testing.T) {
 		if _, err := preset(name); err == nil || !strings.Contains(err.Error(), "fast, standard") {
 			t.Errorf("%q: got %v, want an error listing fast, standard", name, err)
 		}
+	}
+}
+
+// TestUnknownExperimentRefusedFirst: an unknown id anywhere in -exp is
+// refused before any experiment runs, and the error lists exactly the
+// table's ids.
+func TestUnknownExperimentRefusedFirst(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-exp", "table1,fig3"}, &out)
+	var ids []string
+	for _, x := range experiments {
+		ids = append(ids, x.id)
+	}
+	want := `unknown experiment "fig3" (want ` + strings.Join(append(ids, "all"), ", ") + ")"
+	if err == nil || err.Error() != want {
+		t.Fatalf("got %v, want %s", err, want)
+	}
+	if strings.Contains(out.String(), "===") {
+		t.Fatalf("an experiment started before the list was checked:\n%s", out.String())
+	}
+}
+
+// TestSeqFlagRemoved: -parallel 1 is the one way to ask for a sequential
+// grid.
+func TestSeqFlagRemoved(t *testing.T) {
+	err := run([]string{"-seq", "-exp", "fig3"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -seq") {
+		t.Fatalf("got %v, want -seq refused as an unknown flag", err)
 	}
 }

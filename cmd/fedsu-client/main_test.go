@@ -11,7 +11,7 @@ import (
 // learning rate the in-process engine uses — not the paper's real-corpus
 // rate (resnet18: 0.02, not 0.001).
 func TestOptimizerTrainsAtTheEngineRate(t *testing.T) {
-	for _, w := range exp.AllWorkloads() {
+	for _, w := range exp.Workloads() {
 		if got, want := newOptimizer(w).LR(), w.EffectiveLR(); got != want {
 			t.Errorf("%s: client trains at %v, the engine at %v", w.Name, got, want)
 		}

@@ -1,6 +1,6 @@
-// Command fedsu-plot renders the CSV series emitted by fedsu-bench and
-// fedsu-trace as standalone SVG line charts, so the reproduced figures can
-// be viewed without an external plotting stack.
+// Command fedsu-plot renders the CSV series emitted by fedsu-bench as
+// standalone SVG line charts, so the reproduced figures can be viewed
+// without an external plotting stack.
 //
 // Usage:
 //

@@ -59,6 +59,20 @@ func run(args []string, stdout io.Writer) error {
 		compress   = fs.String("compress", "", "wire compression chain spec, e.g. topk,q4,rans (stages: topk, q2..q8, lowrank[N], rans; empty = default codec)")
 	)
 	fs.Parse(args)
+	// A mode's flags are refused outside that mode instead of being dropped.
+	// Visit walks only the flags set on the command line, so no default
+	// trips this.
+	needs := map[string]string{"cohort": "-population", "k": "-async", "staleness": "-async", "staleness-weight": "-async"}
+	modeOn := map[string]bool{"-population": *population > 0, "-async": *async}
+	var modeErr error
+	fs.Visit(func(f *flag.Flag) {
+		if mode, ok := needs[f.Name]; ok && !modeOn[mode] && modeErr == nil {
+			modeErr = fmt.Errorf("-%s applies only with %s", f.Name, mode)
+		}
+	})
+	if modeErr != nil {
+		return modeErr
+	}
 	if *evalEvery < 1 {
 		return fmt.Errorf("-eval-every must be at least 1, got %d", *evalEvery)
 	}
@@ -82,7 +96,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	nclients := *clients
-	if *population > 0 && *cohortSize > 0 {
+	if *cohortSize > 0 {
 		// In population mode the engine's client slots ARE the cohort.
 		nclients = *cohortSize
 	}

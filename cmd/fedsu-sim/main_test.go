@@ -31,6 +31,24 @@ func TestAsyncCheckpointRefused(t *testing.T) {
 	}
 }
 
+// TestModeFlagsNeedTheirMode: a flag that only means something in one mode
+// is refused, naming the missing mode flag, when that mode is off — not
+// silently dropped from a run that then trains without it.
+func TestModeFlagsNeedTheirMode(t *testing.T) {
+	tiny := []string{"-rounds", "1", "-clients", "2", "-samples", "64", "-iters", "1"}
+	for _, c := range []struct{ flag, value, mode string }{
+		{"-cohort", "2", "-population"},
+		{"-k", "1", "-async"},
+		{"-staleness", "3", "-async"},
+		{"-staleness-weight", "0.7", "-async"},
+	} {
+		err := run(append([]string{c.flag, c.value}, tiny...), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), c.flag+" ") || !strings.Contains(err.Error(), c.mode) {
+			t.Errorf("%s %s: got %v, want an error naming %s", c.flag, c.value, err, c.mode)
+		}
+	}
+}
+
 // TestRunOneRound drives the command end to end at a tiny size: one round,
 // evaluated because it is the last.
 func TestRunOneRound(t *testing.T) {

@@ -374,9 +374,10 @@ func DialCoordinatorWith(addr string, cfg ClientConfig) (*flrpc.Client, error) {
 
 // Workload names accepted by SimulationConfig.
 func WorkloadNames() []string {
-	names := make([]string, 0, 4)
-	for _, w := range exp.AllWorkloads() {
-		names = append(names, w.Name)
+	ws := exp.Workloads()
+	names := make([]string, len(ws))
+	for i, w := range ws {
+		names[i] = w.Name
 	}
 	return names
 }

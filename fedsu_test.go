@@ -2,6 +2,7 @@ package fedsu
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -115,8 +116,8 @@ func TestNamesExposed(t *testing.T) {
 	if len(StrategyNames()) != 7 {
 		t.Errorf("StrategyNames = %v", StrategyNames())
 	}
-	if len(WorkloadNames()) != 4 {
-		t.Errorf("WorkloadNames = %v", WorkloadNames())
+	if got := fmt.Sprint(WorkloadNames()); got != "[cnn densenet121 resnet18]" {
+		t.Errorf("WorkloadNames = %s, want the paper's three", got)
 	}
 }
 

@@ -21,7 +21,7 @@ func balanced(n int) float64 {
 }
 
 // leakEarlyReturn forgets the release on the error path — the exact shape
-// of the conv/LSTM backward regressions this analyzer exists to prevent.
+// of the layer backward regressions this analyzer exists to prevent.
 func leakEarlyReturn(n int) error {
 	t := tensor.GetScratch(n) // want `scratch tensor "t" is not released by PutScratch`
 	if n < 0 {
@@ -109,7 +109,7 @@ func leakOneSwitchArm(kind string, n int) {
 	}
 }
 
-// swapThenRelease is the LSTM double-buffer pattern: the set of held
+// swapThenRelease is a recurrent double-buffer pattern: the set of held
 // tensors is unchanged by the swap and both are released.
 func swapThenRelease(n, steps int) {
 	a := tensor.GetScratch(n)

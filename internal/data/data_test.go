@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fedsu/internal/tensor"
 )
 
 func tinySet(t *testing.T) *Dataset {
@@ -181,21 +183,6 @@ func TestPartitionDirichletSkewIncreasesAsAlphaShrinks(t *testing.T) {
 	}
 }
 
-func TestPartitionIID(t *testing.T) {
-	d := tinySet(t)
-	subsets := PartitionIID(d, 8, 3)
-	total := 0
-	for _, s := range subsets {
-		total += s.Len()
-		if s.Len() != 25 {
-			t.Errorf("IID shard size = %d, want 25", s.Len())
-		}
-	}
-	if total != d.Len() {
-		t.Errorf("total = %d, want %d", total, d.Len())
-	}
-}
-
 func TestSubsetBatchAndSample(t *testing.T) {
 	d := tinySet(t)
 	s := NewSubset(d, []int{0, 4, 8, 12})
@@ -207,9 +194,9 @@ func TestSubsetBatchAndSample(t *testing.T) {
 		t.Error("subset batch must map relative to absolute indices")
 	}
 	rng := rand.New(rand.NewSource(1))
-	xs, ls := s.SampleBatch(rng, 16)
+	xs, ls := s.SampleBatchOf(tensor.Float64, rng, 16)
 	if xs.Dim(0) != 16 || len(ls) != 16 {
-		t.Fatal("SampleBatch wrong size")
+		t.Fatal("SampleBatchOf wrong size")
 	}
 }
 

@@ -86,7 +86,7 @@ func (d *Dataset) BatchOf(dt tensor.DType, indices []int) (*tensor.Tensor, []int
 // Like Dataset, a Subset is immutable after construction: NewSubset copies
 // the index slice and no method writes to it or to the parent. Sharing one
 // Subset (or one partition of Subsets) across engines is safe; per-call
-// randomness is injected via SampleBatch's rng parameter, so the Subset
+// randomness is injected via SampleBatchOf's rng parameter, so the Subset
 // itself holds no mutable sampling state.
 type Subset struct {
 	parent  *Dataset
@@ -115,16 +115,10 @@ func (s *Subset) BatchOf(dt tensor.DType, rel []int) (*tensor.Tensor, []int) {
 	return s.parent.BatchOf(dt, abs)
 }
 
-// SampleBatch draws a uniform float64 batch of the given size with
-// replacement from the subset using rng, the mini-batch sampling used by
-// local SGD.
-func (s *Subset) SampleBatch(rng *rand.Rand, size int) (*tensor.Tensor, []int) {
-	return s.SampleBatchOf(tensor.Float64, rng, size)
-}
-
-// SampleBatchOf is SampleBatch at an explicit input dtype. The index draws
-// consume rng identically at either width, so replicas differing only in
-// precision train on the same sample sequence.
+// SampleBatchOf draws a uniform batch of the given size and input dtype
+// with replacement from the subset using rng. The index draws consume rng
+// identically at either width, so replicas differing only in precision
+// train on the same sample sequence.
 func (s *Subset) SampleBatchOf(dt tensor.DType, rng *rand.Rand, size int) (*tensor.Tensor, []int) {
 	rel := make([]int, size)
 	for i := range rel {

@@ -54,19 +54,6 @@ func PartitionDirichlet(d *Dataset, numClients int, alpha float64, seed int64) [
 	return subsets
 }
 
-// PartitionIID splits the dataset uniformly at random into equal shards.
-func PartitionIID(d *Dataset, numClients int, seed int64) []*Subset {
-	rng := rand.New(rand.NewSource(seed))
-	idx := rng.Perm(d.Len())
-	subsets := make([]*Subset, numClients)
-	for i := range subsets {
-		lo := i * d.Len() / numClients
-		hi := (i + 1) * d.Len() / numClients
-		subsets[i] = NewSubset(d, idx[lo:hi])
-	}
-	return subsets
-}
-
 // dirichlet draws one sample from a symmetric Dirichlet(α) over n bins via
 // normalized Gamma(α, 1) variates.
 func dirichlet(rng *rand.Rand, n int, alpha float64) []float64 {

@@ -42,8 +42,8 @@ func fingerprint(r *Run) string {
 }
 
 // bitIdentGrid returns the Table-I grid the determinism proof runs: every
-// scheme on two workloads that share nothing (cnn) and that share a corpus
-// with nobody in the grid (lstm), at a scale small enough for tier-1. Set
+// scheme on two workloads that share no corpus (cnn/EMNIST and
+// resnet18/FMNIST), at a scale small enough for tier-1. Set
 // FEDSU_BITIDENT_FULL=1 to run the full FastConfig three-workload grid
 // instead (minutes, not seconds).
 func bitIdentGrid(t *testing.T) (Config, []Workload) {
@@ -52,7 +52,7 @@ func bitIdentGrid(t *testing.T) (Config, []Workload) {
 	}
 	cfg := microConfig()
 	cfg.Rounds = 6
-	return cfg, []Workload{CNNWorkload(), LSTMWorkload()}
+	return cfg, []Workload{CNNWorkload(), ResNetWorkload()}
 }
 
 // TestGridBitIdentity is the scheduler's core acceptance check: the Table-I
@@ -148,7 +148,7 @@ func TestGridBitIdentityFloat32(t *testing.T) {
 func TestEndToEndParallelMatchesSequential(t *testing.T) {
 	cfg := microConfig()
 	cfg.Rounds = 4
-	ws := []Workload{CNNWorkload(), LSTMWorkload()}
+	ws := []Workload{CNNWorkload(), ResNetWorkload()}
 
 	seq, err := RunEndToEnd(context.Background(), cfg, ws, Schemes())
 	if err != nil {

@@ -31,12 +31,6 @@ type Table2Row struct {
 	MemoryInflationRatio float64
 }
 
-// ManagerStateBytesPerParam is the per-parameter FedSU bookkeeping cost of
-// this Go implementation: six float64 trajectories/EMAs (prevGlobal, lastG,
-// emaG2, emaAbsG2, slope, accumErr), four int32 counters, two bools, and
-// one int64 statistic.
-const ManagerStateBytesPerParam = 6*8 + 4*4 + 2*1 + 8
-
 // WireStateBytesPerParam estimates the same state in a float32 edge
 // deployment (what the paper's Python module stores): five float32
 // diagnostics, one float32 error, one small counter, and mask bits.

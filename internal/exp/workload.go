@@ -13,6 +13,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"fedsu/internal/data"
 	"fedsu/internal/nn"
@@ -52,8 +53,8 @@ type Workload struct {
 	// DataName identifies the underlying corpus ("emnist", "fmnist",
 	// "cifar10"), independent of the workload label. It keys the
 	// shared-artifact dataset cache, so workloads that train different
-	// models on the same stand-in (resnet18 and lstm both use FMNIST)
-	// share one synthesized corpus. Empty falls back to Name.
+	// models on the same stand-in share one synthesized corpus. Empty falls
+	// back to Name.
 	DataName string
 
 	buildModel   func(scale int, seed int64, dt tensor.DType) *nn.Model
@@ -112,36 +113,6 @@ func (w Workload) DataKey() string {
 // order: CNN/EMNIST, DenseNet-121/CIFAR-10, ResNet-18/FMNIST.
 func Workloads() []Workload {
 	return []Workload{CNNWorkload(), DenseNetWorkload(), ResNetWorkload()}
-}
-
-// AllWorkloads returns the paper's workloads plus this library's
-// extensions (the row-LSTM sequence workload).
-func AllWorkloads() []Workload {
-	return append(Workloads(), LSTMWorkload())
-}
-
-// LSTMWorkload is an extension beyond the paper's zoo: a row-LSTM sequence
-// classifier on the FMNIST stand-in (each image row is one timestep),
-// mirroring the recurrent workloads CMFL evaluated. Recurrent parameter
-// trajectories give FedSU a fourth, qualitatively different pattern family.
-func LSTMWorkload() Workload {
-	return Workload{
-		Name:           "lstm",
-		DataName:       "fmnist",
-		TargetAccuracy: 0.80,
-		LR:             0.01,
-		EmuLR:          0.05,
-		EmuScale:       8,
-		WireParams:     4_000_000,
-		buildModel: func(scale int, seed int64, dt tensor.DType) *nn.Model {
-			return nn.NewRowLSTM(nn.ModelConfig{
-				InChannels: 1, ImageSize: 28, NumClasses: 10, Scale: scale, Seed: seed, DType: dt,
-			})
-		},
-		buildDataset: func(samples int, seed int64) *data.Dataset {
-			return data.FMNIST(data.WithSamples(samples), data.WithSeed(seed))
-		},
-	}
 }
 
 // CNNWorkload is the paper's CNN-on-EMNIST workload (target accuracy 0.60,
@@ -212,12 +183,15 @@ func DenseNetWorkload() Workload {
 
 // WorkloadByName resolves a workload label.
 func WorkloadByName(name string) (Workload, error) {
-	for _, w := range AllWorkloads() {
+	ws := Workloads()
+	names := make([]string, len(ws))
+	for i, w := range ws {
 		if w.Name == name {
 			return w, nil
 		}
+		names[i] = w.Name
 	}
-	return Workload{}, fmt.Errorf("exp: unknown workload %q", name)
+	return Workload{}, fmt.Errorf("exp: unknown workload %q (have %s)", name, strings.Join(names, ", "))
 }
 
 // logf writes progress when a sink is configured.

@@ -108,8 +108,8 @@ func benchmarkAggregate(b *testing.B, clients, size int) {
 	}
 }
 
-// BenchmarkAggregate is the headline number tracked in BENCH_agg.json:
-// 64 clients × 100k parameters, the scale of the paper's CNN workload.
+// BenchmarkAggregate is the headline collective: 64 clients × 100k
+// parameters, the scale of the paper's CNN workload.
 func BenchmarkAggregate(b *testing.B) { benchmarkAggregate(b, 64, 100_000) }
 
 // BenchmarkAggregateSmall covers the many-barriers-per-round regime (FedSU

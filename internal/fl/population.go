@@ -1,11 +1,6 @@
 package fl
 
-import (
-	"fmt"
-	"sort"
-
-	"fedsu/internal/sparse/codec"
-)
+import "fedsu/internal/sparse/codec"
 
 // Population is the registry of every client known to the federation —
 // the 10^5–10^6 registered descriptors from which each round samples a
@@ -176,38 +171,4 @@ func cohortPriority(seed int64, round, id int) uint64 {
 	x ^= uint64(round)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 	x ^= uint64(uint32(id)) * 0xd1342543de82ef95
 	return codec.Mix64(x)
-}
-
-// CohortWeights returns the shard sizes of the given cohort ids, aligned
-// by index (the weighting input for size-weighted policies).
-func (p *Population) CohortWeights(cohort []int) []int {
-	out := make([]int, len(cohort))
-	for i, id := range cohort {
-		if m, ok := p.Member(id); ok {
-			out[i] = m.ShardSize
-		}
-	}
-	return out
-}
-
-// IDs returns every registered id in ascending order.
-func (p *Population) IDs() []int {
-	out := make([]int, 0, len(p.members))
-	for _, m := range p.members {
-		out = append(out, m.ID)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Validate checks registry invariants (no duplicate ids by construction;
-// shard sizes non-negative) and returns a descriptive error for the first
-// violation.
-func (p *Population) Validate() error {
-	for _, m := range p.members {
-		if m.ShardSize < 0 {
-			return fmt.Errorf("fl: population member %d has negative shard size %d", m.ID, m.ShardSize)
-		}
-	}
-	return nil
 }

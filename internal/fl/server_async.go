@@ -160,13 +160,6 @@ func (s *Server) SetAsync(cfg AsyncConfig) error {
 	return nil
 }
 
-// AsyncEnabled reports whether buffered-async mode is active.
-func (s *Server) AsyncEnabled() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.async
-}
-
 // asyncSubmit folds one submission into the kind's channel. Caller has
 // already cleared the eviction check under s.mu and released it.
 func (s *Server) asyncSubmit(ctx context.Context, clientID int, kind string, values []float64) ([]float64, error) {

@@ -304,25 +304,30 @@ func TestAsyncFoldBitDeterminism(t *testing.T) {
 // barrier mode; a zero config disables async.
 func TestSetAsyncValidates(t *testing.T) {
 	s := NewServer(2)
+	asyncOn := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.async
+	}
 	if err := s.SetAsync(AsyncConfig{K: 1, StalenessWeight: 1.5}); err == nil {
 		t.Fatal("StalenessWeight > 1 accepted")
 	}
 	if err := s.SetAsync(AsyncConfig{K: 1, StalenessWeight: -0.1}); err == nil {
 		t.Fatal("negative StalenessWeight accepted")
 	}
-	if s.AsyncEnabled() {
+	if asyncOn() {
 		t.Fatal("rejected config left async enabled")
 	}
 	if err := s.SetAsync(AsyncConfig{K: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if !s.AsyncEnabled() {
+	if !asyncOn() {
 		t.Fatal("valid config did not enable async")
 	}
 	if err := s.SetAsync(AsyncConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if s.AsyncEnabled() {
+	if asyncOn() {
 		t.Fatal("zero config did not disable async")
 	}
 	// Default staleness weight resolves to 0.5.

@@ -69,7 +69,7 @@ func TestFloat32WireLossless(t *testing.T) {
 							c.ID, i, math.Float64bits(v), math.Float64bits(q))
 					}
 				}
-				dec, err := sparse.DecodeVectorPayload(sparse.EncodeVectorPayload(vec))
+				dec, err := sparse.DecodeVectorPayloadInto(nil, sparse.EncodeVectorPayload(vec), 0)
 				if err != nil {
 					t.Fatalf("client %d: decode: %v", c.ID, err)
 				}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"fedsu/internal/sparse"
-	"fedsu/internal/trace"
 )
 
 // Relay is a leaf aggregator of the distributed tree: an RPC server to
@@ -116,9 +115,6 @@ func (r *Relay) BaseID() int { return r.up.ClientID() }
 // ModelSize returns the session's parameter-vector length, adopted from
 // the root.
 func (r *Relay) ModelSize() int { return r.up.ModelSize() }
-
-// UpstreamCounters exposes the upstream leg's operational counters.
-func (r *Relay) UpstreamCounters() *trace.Counters { return r.up.Counters() }
 
 // Close releases the upstream connection; the member-facing listener is
 // owned by whoever called Listen.

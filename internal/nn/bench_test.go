@@ -11,9 +11,9 @@ import (
 // benchConvForwardBackward times one training step of a mid-network
 // convolution (16→32 channels, 3×3, batch 8 at 16×16) at the given storage
 // width, the shape class that dominates per-client wall-clock in the
-// emulated runs. allocs/op is the headline number: the im2col/col2im and
-// gate scratch must come from the arena, not the GC. The F32 variant moves
-// half the bytes through the same kernels (BENCH_kernels.json tracks both).
+// emulated runs. allocs/op is the headline number: the im2col/col2im
+// scratch must come from the arena, not the GC. The F32 variant moves half
+// the bytes through the same kernels.
 func benchConvForwardBackward[E tensor.Elem](b *testing.B) {
 	dt := tensor.DTypeOf[E]()
 	rng := rand.New(rand.NewSource(1))
@@ -52,26 +52,6 @@ func benchLinearForwardBackward[E tensor.Elem](b *testing.B) {
 
 func BenchmarkLinearForwardBackward(b *testing.B)    { benchLinearForwardBackward[float64](b) }
 func BenchmarkLinearForwardBackwardF32(b *testing.B) { benchLinearForwardBackward[float32](b) }
-
-// benchLSTMForwardBackward times a full BPTT step of the row-LSTM cell.
-func benchLSTMForwardBackward[E tensor.Elem](b *testing.B) {
-	dt := tensor.DTypeOf[E]()
-	rng := rand.New(rand.NewSource(1))
-	lstm := newLSTMOf[E](rng, 28, 64)
-	x := tensor.NewOf(dt, 8, 1, 28, 28)
-	x.RandNormal(rng, 0, 1)
-	grad := tensor.NewOf(dt, 8, 64)
-	grad.RandNormal(rng, 0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := lstm.Forward(x, true)
-		dx := lstm.Backward(grad)
-		_, _ = h, dx
-	}
-}
-
-func BenchmarkLSTMForwardBackward(b *testing.B)    { benchLSTMForwardBackward[float64](b) }
-func BenchmarkLSTMForwardBackwardF32(b *testing.B) { benchLSTMForwardBackward[float32](b) }
 
 // benchPaperCNNStep times one local SGD iteration of sim_cnn's model at its
 // shape — the paper's CNN at Scale 4, batch 8, one worker — so the step's

@@ -26,7 +26,4 @@ func TestGradCheckThroughParallelKernels(t *testing.T) {
 	t.Run("conv", func(t *testing.T) {
 		gradCheck(t, NewConv2D(rng, 2, 3, 3, WithPadding(1)), randInput(3, 2, 2, 8, 8), 1e-4)
 	})
-	t.Run("lstm", func(t *testing.T) {
-		gradCheck(t, NewLSTM(rng, 5, 7), randInput(4, 2, 1, 6, 5), 2e-4)
-	})
 }

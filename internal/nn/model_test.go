@@ -148,22 +148,6 @@ func TestModelLearnsTinyTask(t *testing.T) {
 	}
 }
 
-func TestBuilderFor(t *testing.T) {
-	cfg := testCfg(16)
-	for _, arch := range []string{"cnn", "resnet18", "mlp"} {
-		b, err := BuilderFor(arch, cfg)
-		if err != nil {
-			t.Fatalf("BuilderFor(%q): %v", arch, err)
-		}
-		if m := b(); m.Name != arch {
-			t.Errorf("built model name = %q, want %q", m.Name, arch)
-		}
-	}
-	if _, err := BuilderFor("transformer", cfg); err == nil {
-		t.Error("BuilderFor with unknown arch should fail")
-	}
-}
-
 func TestBatchNormTrainVsEval(t *testing.T) {
 	bn := NewBatchNorm2D(2)
 	x := randInput(3, 4, 2, 3, 3)

@@ -209,22 +209,3 @@ func namePrefix(m *Model) {
 // Builder constructs a fresh model replica; federated clients use it so
 // every replica has an identical layout and initialization.
 type Builder func() *Model
-
-// BuilderFor returns a Builder for one of the paper's architectures:
-// "cnn", "resnet18", "densenet121", or "mlp".
-func BuilderFor(arch string, cfg ModelConfig) (Builder, error) {
-	switch arch {
-	case "cnn":
-		return func() *Model { return NewPaperCNN(cfg) }, nil
-	case "resnet18":
-		return func() *Model { return NewResNet18(cfg) }, nil
-	case "densenet121":
-		return func() *Model { return NewDenseNet121(cfg) }, nil
-	case "lstm":
-		return func() *Model { return NewRowLSTM(cfg) }, nil
-	case "mlp":
-		return func() *Model { return NewMLP(cfg, 64) }, nil
-	default:
-		return nil, fmt.Errorf("nn: unknown architecture %q", arch)
-	}
-}

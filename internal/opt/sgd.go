@@ -97,17 +97,6 @@ func Constant() Schedule {
 	return func(int) float64 { return 1 }
 }
 
-// StepDecay multiplies the rate by factor every interval steps.
-func StepDecay(interval int, factor float64) Schedule {
-	return func(step int) float64 {
-		m := 1.0
-		for s := interval; s <= step; s += interval {
-			m *= factor
-		}
-		return m
-	}
-}
-
 // InverseSqrt implements the 1/√(1+step/warm) schedule satisfying the
 // divergent-sum / vanishing-ratio conditions of Theorem 1 (Eq. 13).
 func InverseSqrt(warm int) Schedule {

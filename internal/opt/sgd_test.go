@@ -59,12 +59,6 @@ func TestSchedules(t *testing.T) {
 			t.Error("constant schedule must always be 1")
 		}
 	})
-	t.Run("step-decay", func(t *testing.T) {
-		s := StepDecay(10, 0.5)
-		if s(9) != 1 || s(10) != 0.5 || s(20) != 0.25 {
-			t.Errorf("step decay = %v %v %v, want 1 0.5 0.25", s(9), s(10), s(20))
-		}
-	})
 	t.Run("inverse-sqrt", func(t *testing.T) {
 		s := InverseSqrt(100)
 		if s(0) != 1 {
@@ -87,7 +81,8 @@ func TestSchedules(t *testing.T) {
 
 func TestSGDScheduleApplied(t *testing.T) {
 	p := makeParam(0)
-	s := NewSGD(1, WithSchedule(StepDecay(1, 0.5)))
+	halving := func(step int) float64 { return math.Pow(0.5, float64(step)) }
+	s := NewSGD(1, WithSchedule(halving))
 	for i := 0; i < 3; i++ {
 		p.Grad.Data()[0] = 1
 		s.Step([]*nn.Param{p})

@@ -9,8 +9,8 @@ import (
 
 // Chain-stage benchmarks: encode cost and output size per chain at the
 // densities the strategies actually produce (FedSU uploads run ~0.1–10%
-// dense; replies and bootstrap rounds are dense). `make bench-codec`
-// runs these with -count 3; BENCH_codec.json tracks the medians.
+// dense; replies and bootstrap rounds are dense). Run them with
+// -count 3 and compare medians.
 
 const benchParams = 1 << 16
 

@@ -184,9 +184,6 @@ func validate(tokens []string, stages []Stage) error {
 	return nil
 }
 
-// Spec is the canonical chain spec string.
-func (c *Chain) Spec() string { return c.spec }
-
 // Reply is the chain the downlink (collective replies) ships: the same
 // stages with every quantizer widened to 8 bits. The mean of K k-bit
 // uploads lands between the k-bit grid points, so re-snapping it at k
@@ -196,15 +193,6 @@ func (c *Chain) Spec() string { return c.spec }
 // quantizer (including the default) reply with themselves. The reply
 // chain carries its own per-stage counters.
 func (c *Chain) Reply() *Chain { return c.reply }
-
-// Stages lists the stage names in order.
-func (c *Chain) Stages() []string {
-	out := make([]string, len(c.stages))
-	for i, st := range c.stages {
-		out[i] = st.Name()
-	}
-	return out
-}
 
 // IsDefault reports whether the chain is the degenerate one-stage base
 // chain, whose wire image is the historical PR 4 encoding.

@@ -88,9 +88,6 @@ func (e *EventTrigger) Unwrap() Syncer { return e.inner }
 // chain accounting survives middleware wrapping in either order.
 func (e *EventTrigger) SetWire(w Wire) { SetSyncerWire(e.inner, w) }
 
-// Threshold returns the configured trigger threshold.
-func (e *EventTrigger) Threshold() float64 { return e.threshold }
-
 // TriggerCounts reports contributor rounds passed through vs suppressed.
 func (e *EventTrigger) TriggerCounts() (triggered, suppressed int) {
 	return int(e.st.Triggered), int(e.st.Suppressed)

@@ -74,9 +74,6 @@ func (q *QSGD) Name() string { return "qsgd" }
 // redundancy) instead of the analytic bits-per-value model.
 func (q *QSGD) SetWire(w Wire) { q.wire = w }
 
-// Bits returns the configured quantization width.
-func (q *QSGD) Bits() int { return q.bits }
-
 // Quantize stochastically rounds v, this client's update in round, onto the
 // bit-width grid scaled by the vector's max-norm and returns the dequantized
 // values (what the server would reconstruct); element i's draw hashes

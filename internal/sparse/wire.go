@@ -73,12 +73,6 @@ func AppendVectorPayload(dst []byte, vec []float64) []byte {
 	return codec.AppendBase(dst, vec)
 }
 
-// DecodeVectorPayload decodes a vector payload into a fresh slice,
-// applying the default length cap.
-func DecodeVectorPayload(b []byte) ([]float64, error) {
-	return DecodeVectorPayloadInto(nil, b, 0)
-}
-
 // DecodeVectorPayloadInto decodes a vector payload, reusing dst's storage
 // when its capacity suffices (so a pooled codec.GetVals slice makes steady-state
 // decoding allocation-free). maxParams bounds the claimed vector length —

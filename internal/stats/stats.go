@@ -1,80 +1,12 @@
 // Package stats provides the light statistical machinery the FedSU
-// reproduction needs: exponential moving averages (the smoothing in the
-// second-order oscillation ratio), streaming mean/variance, CDFs for the
-// paper's distribution figures, and the normalized-difference metric of
-// Fig. 2.
+// reproduction's figures need: CDFs for the paper's distribution figures
+// and the normalized-difference metric of Fig. 2.
 package stats
 
 import (
 	"math"
 	"sort"
 )
-
-// EMA is an exponential moving average ⟨v⟩θ = θ·⟨v⟩θ + (1−θ)·v, matching the
-// paper's Eq. 2 smoothing operator. The first observation initializes the
-// average directly so early values are not biased toward zero.
-type EMA struct {
-	theta float64
-	value float64
-	seen  bool
-}
-
-// NewEMA constructs an EMA with decay factor theta ∈ [0, 1); values of
-// theta close to 1 approximate a long observation window.
-func NewEMA(theta float64) *EMA { return &EMA{theta: theta} }
-
-// Update folds v into the average and returns the new value.
-func (e *EMA) Update(v float64) float64 {
-	if !e.seen {
-		e.value = v
-		e.seen = true
-		return v
-	}
-	e.value = e.theta*e.value + (1-e.theta)*v
-	return e.value
-}
-
-// Value returns the current average (zero before any update).
-func (e *EMA) Value() float64 { return e.value }
-
-// Seen reports whether at least one value has been folded in.
-func (e *EMA) Seen() bool { return e.seen }
-
-// Reset clears the average to its initial state.
-func (e *EMA) Reset() { e.value, e.seen = 0, false }
-
-// Welford accumulates a streaming mean and variance using Welford's
-// numerically-stable recurrence.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the summary.
-func (w *Welford) Add(v float64) {
-	w.n++
-	d := v - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (v - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (zero with no observations).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the population variance.
-func (w *Welford) Var() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Std returns the population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
 // CDF summarizes a sample as an empirical cumulative distribution function.
 type CDF struct {
@@ -152,34 +84,4 @@ func NormalizedDifference(d1, d2 []float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Sqrt(diff) / math.Sqrt(base)
-}
-
-// Mean returns the arithmetic mean of xs (zero for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range xs {
-		s += v
-	}
-	return s / float64(len(xs))
-}
-
-// Percentile returns the p-th percentile (p ∈ [0,100]) of xs by nearest-rank
-// on a sorted copy.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	i := int(p / 100 * float64(len(s)-1))
-	return s[i]
 }

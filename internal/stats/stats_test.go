@@ -7,101 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestEMAFirstValueInitializes(t *testing.T) {
-	e := NewEMA(0.9)
-	if e.Seen() {
-		t.Fatal("fresh EMA must report not seen")
-	}
-	if got := e.Update(5); got != 5 {
-		t.Errorf("first update = %v, want 5", got)
-	}
-	if !e.Seen() {
-		t.Error("EMA must report seen after update")
-	}
-}
-
-func TestEMARecurrence(t *testing.T) {
-	e := NewEMA(0.9)
-	e.Update(10)
-	got := e.Update(0)
-	if math.Abs(got-9) > 1e-12 {
-		t.Errorf("second update = %v, want 9", got)
-	}
-	got = e.Update(9)
-	if math.Abs(got-9) > 1e-12 {
-		t.Errorf("third update = %v, want 9", got)
-	}
-}
-
-func TestEMAReset(t *testing.T) {
-	e := NewEMA(0.5)
-	e.Update(3)
-	e.Reset()
-	if e.Seen() || e.Value() != 0 {
-		t.Error("Reset must clear state")
-	}
-}
-
-// Property: the EMA of a constant sequence is that constant.
-func TestEMAConstantFixedPoint(t *testing.T) {
-	f := func(v float64, n uint8) bool {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-		e := NewEMA(0.9)
-		for i := 0; i <= int(n%50); i++ {
-			e.Update(v)
-		}
-		return math.Abs(e.Value()-v) <= 1e-9*(1+math.Abs(v))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: the EMA stays within the min/max envelope of its inputs.
-func TestEMABoundedByInputs(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		e := NewEMA(0.8)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := 0; i < 40; i++ {
-			v := rng.NormFloat64()
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-			e.Update(v)
-		}
-		return e.Value() >= lo-1e-12 && e.Value() <= hi+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWelford(t *testing.T) {
-	w := &Welford{}
-	vals := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, v := range vals {
-		w.Add(v)
-	}
-	if w.N() != 8 {
-		t.Errorf("N = %d, want 8", w.N())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Errorf("Mean = %v, want 5", w.Mean())
-	}
-	if math.Abs(w.Std()-2) > 1e-12 {
-		t.Errorf("Std = %v, want 2", w.Std())
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	w := &Welford{}
-	if w.Mean() != 0 || w.Var() != 0 {
-		t.Error("empty Welford must report zeros")
-	}
-}
-
 func TestCDF(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 3, 4})
 	tests := []struct {
@@ -180,24 +85,5 @@ func TestNormalizedDifference(t *testing.T) {
 	}
 	if got := NormalizedDifference([]float64{0}, []float64{1}); !math.IsInf(got, 1) {
 		t.Errorf("zero base with nonzero diff = %v, want +Inf", got)
-	}
-}
-
-func TestMeanAndPercentile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if got := Mean(xs); got != 2.5 {
-		t.Errorf("Mean = %v, want 2.5", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Errorf("Mean(nil) = %v, want 0", got)
-	}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("P0 = %v, want 1", got)
-	}
-	if got := Percentile(xs, 100); got != 4 {
-		t.Errorf("P100 = %v, want 4", got)
-	}
-	if got := Percentile(xs, 50); got != 2 {
-		t.Errorf("P50 = %v, want 2 (nearest rank)", got)
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // The scratch arena recycles short-lived tensors — im2col matrices,
-// activation reorder buffers, LSTM gate pre-activations — that the training
-// loop would otherwise allocate and discard every step. Whole *Tensor
+// activation reorder buffers, transposed operands — that the training loop
+// would otherwise allocate and discard every step. Whole *Tensor
 // objects are pooled (storage, shape and stride slices included) in
 // power-of-two size classes, so a steady-state Get/Put pair performs no
 // allocation at all; fragmentation is bounded at 2×.

@@ -8,8 +8,7 @@ import (
 // benchMatMul times C = A × B for square n×n operands at the given storage
 // width. Run with -benchmem: the kernel itself must not allocate beyond the
 // output tensor. The F32 variants are the float32 compute path's headline
-// numbers (BENCH_kernels.json tracks both widths): same FLOP count, half
-// the bytes moved per operand.
+// numbers: same FLOP count, half the bytes moved per operand.
 func benchMatMul(b *testing.B, dt DType, n int) {
 	rng := rand.New(rand.NewSource(1))
 	a := NewOf(dt, n, n)

@@ -89,7 +89,7 @@ func TestParallelKernelsBitDeterministic(t *testing.T) {
 					ta := MatMulTransA(at, b)
 					tb := MatMulTransB(a, bt)
 					ac := acc0.Clone()
-					MatMulAcc(ac, a, b)
+					MatMulTransBAcc(ac, a, bt)
 					return out{f64Of(mm), f64Of(ta), f64Of(tb), f64Of(ac)}
 				}
 
@@ -100,7 +100,7 @@ func TestParallelKernelsBitDeterministic(t *testing.T) {
 					sameBits(t, "MatMul "+tag, serial.mm, got.mm)
 					sameBits(t, "MatMulTransA "+tag, serial.ta, got.ta)
 					sameBits(t, "MatMulTransB "+tag, serial.tb, got.tb)
-					sameBits(t, "MatMulAcc "+tag, serial.ac, got.ac)
+					sameBits(t, "MatMulTransBAcc "+tag, serial.ac, got.ac)
 				}
 			}
 		})

@@ -85,10 +85,6 @@ var (
 	tileImpl                   = "go"
 )
 
-// accSeedCutoff is the work size (multiply-adds) at which MatMulAcc changes
-// rounding sequence; see MatMulAcc.
-const accSeedCutoff = 1 << 15
-
 // parallelCutoff is the minimum work size (multiply-adds for matmul,
 // elements moved for im2col/col2im) that engages the worker pool.
 var parallelCutoff int64 = 1 << 18
@@ -227,9 +223,9 @@ func MatMul(a, b *Tensor) *Tensor {
 	checkSameDType("MatMul", a, b)
 	c := NewOf(a.dt, m, n)
 	if a.dt == Float32 {
-		matmul(tile32, c.data32, a.data32, b.data32, m, k, n, tileStore)
+		matmul(tile32, c.data32, a.data32, b.data32, m, k, n)
 	} else {
-		matmul(tile64, c.data, a.data, b.data, m, k, n, tileStore)
+		matmul(tile64, c.data, a.data, b.data, m, k, n)
 	}
 	return c
 }
@@ -245,39 +241,14 @@ func MatMulInto(dst, a, b *Tensor) {
 	}
 	checkSameDType("MatMulInto", dst, a, b)
 	if dst.dt == Float32 {
-		matmul(tile32, dst.data32, a.data32, b.data32, m, k, n, tileStore)
+		matmul(tile32, dst.data32, a.data32, b.data32, m, k, n)
 	} else {
-		matmul(tile64, dst.data, a.data, b.data, m, k, n, tileStore)
+		matmul(tile64, dst.data, a.data, b.data, m, k, n)
 	}
 }
 
-// MatMulAcc computes dst += A × B without materializing the product. Below
-// accSeedCutoff multiply-adds each element's accumulator starts from dst and
-// takes the k products in p order; from there up the k products are summed
-// from zero and the sum is added to dst once.
-func MatMulAcc(dst, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if b.shape[0] != k || dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulAcc shape mismatch dst=%v a=%v b=%v", dst.shape, a.shape, b.shape))
-	}
-	checkSameDType("MatMulAcc", dst, a, b)
-	// Which of the two sequences runs was once decided by whether the
-	// product was large enough to pack Bᵀ; the pack is gone, the boundary is
-	// kept so no MatMulAcc result changes.
-	mode := tileAddTo
-	if int64(m)*int64(k)*int64(n) < accSeedCutoff {
-		mode = tileSeed
-	}
-	if dst.dt == Float32 {
-		matmul(tile32, dst.data32, a.data32, b.data32, m, k, n, mode)
-	} else {
-		matmul(tile64, dst.data, a.data, b.data, m, k, n, mode)
-	}
-}
-
-func matmul[E Elem](tile tileFunc[E], c, a, b []E, m, k, n int, mode tileMode) {
-	gemm(tile, c, n, a, k, 1, b, n, m, k, n, mode)
+func matmul[E Elem](tile tileFunc[E], c, a, b []E, m, k, n int) {
+	gemm(tile, c, n, a, k, 1, b, n, m, k, n, tileStore)
 }
 
 func checkTransA(a, b *Tensor) (k, m, n int) {

@@ -22,8 +22,7 @@ const (
 	refTileJ = 512
 )
 
-// refPackCutoff is the work size above which the retired MatMul packed Bᵀ;
-// accSeedCutoff must stay equal to it for MatMulAcc to keep its results.
+// refPackCutoff is the work size above which the retired MatMul packed Bᵀ.
 const refPackCutoff = 1 << 15
 
 func refMatmul[E Elem](c, a, b []E, m, k, n int, acc bool) {

@@ -72,9 +72,8 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 }
 
 // FromSliceOf wraps data in a tensor of the matching dtype — the generic
-// counterpart of FromSlice used by precision-parameterized layers to view
-// caller-owned buffers (e.g. the LSTM step caches) as tensors without a
-// copy. Ownership transfers like FromSlice.
+// counterpart of FromSlice, viewing a caller-owned buffer as a tensor
+// without a copy. Ownership transfers like FromSlice.
 func FromSliceOf[E Elem](data []E, shape ...int) *Tensor {
 	n := checkShape(shape)
 	if len(data) != n {

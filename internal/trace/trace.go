@@ -44,43 +44,6 @@ func (s *Series) LastY() float64 {
 	return s.Y[len(s.Y)-1]
 }
 
-// MaxY returns the maximum y value (NaN when empty).
-func (s *Series) MaxY() float64 {
-	if len(s.Y) == 0 {
-		return math.NaN()
-	}
-	m := math.Inf(-1)
-	for _, v := range s.Y {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// MeanY returns the mean y value (NaN when empty).
-func (s *Series) MeanY() float64 {
-	if len(s.Y) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, v := range s.Y {
-		sum += v
-	}
-	return sum / float64(len(s.Y))
-}
-
-// FirstXWhereY returns the smallest x whose y meets pred, or NaN if none
-// does — e.g. time-to-target-accuracy.
-func (s *Series) FirstXWhereY(pred func(y float64) bool) float64 {
-	for i, y := range s.Y {
-		if pred(y) {
-			return s.X[i]
-		}
-	}
-	return math.NaN()
-}
-
 // WriteCSV emits the series as two-column CSV.
 func (s *Series) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "%s,%s\n", s.XLabel, s.YLabel); err != nil {

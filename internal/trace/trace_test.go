@@ -9,8 +9,8 @@ import (
 
 func TestSeriesBasics(t *testing.T) {
 	s := NewSeries("acc", "time", "accuracy")
-	if !math.IsNaN(s.LastY()) || !math.IsNaN(s.MaxY()) || !math.IsNaN(s.MeanY()) {
-		t.Error("empty series must report NaN summaries")
+	if !math.IsNaN(s.LastY()) {
+		t.Error("empty series must report a NaN LastY")
 	}
 	s.Add(0, 0.1)
 	s.Add(10, 0.5)
@@ -20,26 +20,6 @@ func TestSeriesBasics(t *testing.T) {
 	}
 	if s.LastY() != 0.4 {
 		t.Errorf("LastY = %v", s.LastY())
-	}
-	if s.MaxY() != 0.5 {
-		t.Errorf("MaxY = %v", s.MaxY())
-	}
-	if math.Abs(s.MeanY()-1.0/3) > 1e-12 {
-		t.Errorf("MeanY = %v", s.MeanY())
-	}
-}
-
-func TestFirstXWhereY(t *testing.T) {
-	s := NewSeries("acc", "t", "a")
-	s.Add(1, 0.2)
-	s.Add(2, 0.6)
-	s.Add(3, 0.7)
-	got := s.FirstXWhereY(func(y float64) bool { return y >= 0.6 })
-	if got != 2 {
-		t.Errorf("FirstXWhereY = %v, want 2", got)
-	}
-	if !math.IsNaN(s.FirstXWhereY(func(y float64) bool { return y > 1 })) {
-		t.Error("unreachable target must return NaN")
 	}
 }
 

@@ -33,6 +33,12 @@ if [ "$workload" = all ]; then
 	workloads="$(awk '/"workloads"/ { on = 1 } /"end_to_end"/ { on = 0 } on && /"name":/ { gsub(/[",]/, ""); print $2 }' "$root/BENCHMARK.json")"
 fi
 
+# Build both sides without VCS stamps: only the working tree is a git
+# checkout (the base comes from git archive), so otherwise only its binary
+# carries build info, which shifts its data layout and once read as a −17 %
+# rounds/s phantom between two builds with identical code.
+export GOFLAGS="${GOFLAGS:+$GOFLAGS }-buildvcs=false"
+
 rm -rf "$base"
 mkdir -p "$base"
 git -C "$root" archive "$base_rev" | tar -x -C "$base"
