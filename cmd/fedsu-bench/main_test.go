@@ -57,3 +57,45 @@ func TestSeqFlagRemoved(t *testing.T) {
 		t.Fatalf("got %v, want -seq refused as an unknown flag", err)
 	}
 }
+
+// TestSelectExperiments: -exp resolves to rows of the experiments table in
+// the order given, "all" expands to the paper's figure set in table order,
+// and a list with any id outside the table selects nothing.
+func TestSelectExperiments(t *testing.T) {
+	paperSet := []string{"fig1", "fig2", "table1+fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table2"}
+	for _, c := range []struct {
+		name, list string
+		want       []string // nil: refused
+	}{
+		{"one", "fig8", []string{"fig8"}},
+		{"order-kept", "table2,fig1", []string{"table2", "fig1"}},
+		{"grid-renderings", "table1,fig5", []string{"table1", "fig5"}},
+		{"all", "all", paperSet},
+		{"all-plus-extension", "all,async", append(append([]string(nil), paperSet...), "async")},
+		{"extensions", "async,popscale,compose", []string{"async", "popscale", "compose"}},
+		{"unknown", "fig3", nil},
+		{"unknown-after-known", "fig1,fig4", nil},
+		{"case-sensitive", "Fig1", nil},
+		{"empty-id", "fig1,", nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sel, err := selectExperiments(c.list)
+			if c.want == nil {
+				if err == nil || !strings.HasPrefix(err.Error(), "unknown experiment ") || sel != nil {
+					t.Fatalf("%q: got %d rows, err %v; want refused", c.list, len(sel), err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("%q: %v", c.list, err)
+			}
+			var got []string
+			for _, x := range sel {
+				got = append(got, x.id)
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("%q selected %v, want %v", c.list, got, c.want)
+			}
+		})
+	}
+}

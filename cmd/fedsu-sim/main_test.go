@@ -42,10 +42,21 @@ func TestModeFlagsNeedTheirMode(t *testing.T) {
 		{"-staleness", "3", "-async"},
 		{"-staleness-weight", "0.7", "-async"},
 	} {
-		err := run(append([]string{c.flag, c.value}, tiny...), io.Discard)
-		if err == nil || !strings.Contains(err.Error(), c.flag+" ") || !strings.Contains(err.Error(), c.mode) {
-			t.Errorf("%s %s: got %v, want an error naming %s", c.flag, c.value, err, c.mode)
-		}
+		t.Run(strings.TrimPrefix(c.flag, "-"), func(t *testing.T) {
+			err := run(append([]string{c.flag, c.value}, tiny...), io.Discard)
+			if err == nil || !strings.Contains(err.Error(), c.flag+" ") || !strings.Contains(err.Error(), c.mode) {
+				t.Errorf("%s %s: got %v, want an error naming %s", c.flag, c.value, err, c.mode)
+			}
+		})
+	}
+}
+
+// TestWorkloadOutsideThePaperRefused: only the paper's three workloads
+// train; any other -workload is refused with the list of those three.
+func TestWorkloadOutsideThePaperRefused(t *testing.T) {
+	err := run([]string{"-workload", "lstm", "-rounds", "1", "-clients", "2", "-samples", "64", "-iters", "1"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "cnn, densenet121, resnet18") {
+		t.Fatalf("got %v, want an error listing cnn, densenet121, resnet18", err)
 	}
 }
 

@@ -1,6 +1,9 @@
 package exp
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestEffectiveLR(t *testing.T) {
 	w := ResNetWorkload()
@@ -44,5 +47,29 @@ func TestTargetAccuraciesMatchPaper(t *testing.T) {
 		if w.TargetAccuracy != targets[w.Name] {
 			t.Errorf("%s: target = %v, want %v", w.Name, w.TargetAccuracy, targets[w.Name])
 		}
+	}
+}
+
+// TestWorkloadByName: each of the paper's three workloads is found under its
+// own name, and any other name is refused with the list of those three.
+func TestWorkloadByName(t *testing.T) {
+	for _, want := range Workloads() {
+		t.Run(want.Name, func(t *testing.T) {
+			got, err := WorkloadByName(want.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Name != want.Name || got.DataKey() != want.DataKey() || got.WireParams != want.WireParams {
+				t.Errorf("got %s (%d params on %s), want %s (%d params on %s)", got.Name, got.WireParams, got.DataKey(), want.Name, want.WireParams, want.DataKey())
+			}
+		})
+	}
+	for _, name := range []string{"lstm", "CNN", ""} {
+		t.Run("refuse/"+name, func(t *testing.T) {
+			_, err := WorkloadByName(name)
+			if err == nil || !strings.HasSuffix(err.Error(), "(have cnn, densenet121, resnet18)") {
+				t.Errorf("got %v, want an error listing cnn, densenet121, resnet18", err)
+			}
+		})
 	}
 }
