@@ -67,8 +67,8 @@ func main() {
 		fatal(err)
 	}
 
-	if dt == tensor.Float32 && *compress != "" {
-		fatal(fmt.Errorf("-compress is unsupported with -dtype float32: chain wire images are not float32-exact"))
+	if err := fl.CheckMode(fl.Config{DType: dt, Compress: *compress}, ""); err != nil {
+		fatal(err)
 	}
 
 	conn, err := fedsu.DialCoordinatorWith(*addr, fedsu.ClientConfig{

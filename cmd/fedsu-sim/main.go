@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"fedsu"
+	"fedsu/internal/fl"
 )
 
 func main() {
@@ -76,9 +77,6 @@ func run(args []string, stdout io.Writer) error {
 	if *evalEvery < 1 {
 		return fmt.Errorf("-eval-every must be at least 1, got %d", *evalEvery)
 	}
-	if *async && *ckptPath != "" {
-		return fmt.Errorf("-checkpoint: async runs do not resume from a checkpoint")
-	}
 
 	opts := fedsu.DefaultOptions()
 	opts.TR, opts.TS, opts.Theta = *tr, *ts, *theta
@@ -87,12 +85,14 @@ func run(args []string, stdout io.Writer) error {
 	if *async {
 		k := *asyncK
 		if k <= 0 {
-			k = *clients / 2
-			if k < 1 {
-				k = 1
-			}
+			k = max(*clients/2, 1)
 		}
 		acfg = fedsu.AsyncConfig{K: k, MaxStaleness: *staleness, StalenessWeight: *staleW}
+	}
+	if *ckptPath != "" {
+		if err := fl.CheckMode(fl.Config{Async: acfg}, "Checkpoint"); err != nil {
+			return fmt.Errorf("-checkpoint: %w", err)
+		}
 	}
 
 	nclients := *clients

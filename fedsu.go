@@ -130,8 +130,7 @@ type SimulationConfig struct {
 	// Workload selects the model/dataset pair: "cnn" (EMNIST), "resnet18"
 	// (FMNIST), or "densenet121" (CIFAR-10).
 	Workload string
-	// Scheme selects the synchronization strategy: "fedsu", "fedsu-v1",
-	// "fedsu-v2", "apf", "cmfl", or "fedavg".
+	// Scheme selects the synchronization strategy, one of StrategyNames.
 	Scheme string
 	// Clients is the number of emulated devices.
 	Clients int
@@ -161,8 +160,8 @@ type SimulationConfig struct {
 	// Async switches the run to buffered-async rounds (Async.K >= 1):
 	// clients become independent arrival processes and the global applies
 	// every K contributions with staleness-weighted averaging. Rounds then
-	// counts global applications. Requires a full-vector scheme
-	// (fedavg/cmfl/qsgd). Zero keeps synchronous barriers.
+	// counts global applications. Zero keeps synchronous barriers. What
+	// async combines with is fl's mode table (fl.CheckMode).
 	Async AsyncConfig
 	// EventThreshold enables event-triggered uploads: a client offers a
 	// contribution only when the L2 norm of its change since its last
@@ -178,8 +177,7 @@ type SimulationConfig struct {
 	// as a codec chain spec (e.g. "topk,q4,rans"): chained sparsify →
 	// quantize → entropy-code stages, with traffic charged at the chain's
 	// measured sizes. Empty keeps the default wire, byte-identical to every
-	// pre-chain run. Requires float64 compute (the chain's wire images are
-	// not float32-exact).
+	// pre-chain run. fl.CheckMode's table says which precisions take it.
 	Compress string
 	// Population enables population-scale cohort rounds: Population
 	// registered devices, with a Clients-sized cohort sampled each round
@@ -188,17 +186,14 @@ type SimulationConfig struct {
 	Population int
 	// Fanout >= 2 folds population rounds through the hierarchical
 	// aggregation tree (bit-identical global, O(fanout) root work); zero
-	// keeps the flat collective. Requires Population.
+	// keeps the flat collective. fl.CheckMode's table says what it needs.
 	Fanout int
 }
 
 // Simulation is a configured emulated run.
 type Simulation struct {
-	engine   *fl.Engine
-	rounds   int
-	evalEv   int
-	workload string
-	async    bool
+	engine *fl.Engine
+	cfg    SimulationConfig // defaults filled, Workload canonical
 }
 
 // NewSimulation assembles an emulated run: it fills in the defaults above
@@ -256,19 +251,20 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{engine: engine, rounds: cfg.Rounds, evalEv: cfg.EvalEvery, workload: w.Name, async: cfg.Async.Enabled()}, nil
+	cfg.Workload = w.Name
+	return &Simulation{engine: engine, cfg: cfg}, nil
 }
 
 // SaveCheckpoint persists everything the simulation's next round reads
 // (global model, round counter, emulated clock, and every client's strategy
-// state) atomically to path. An async simulation writes nothing and returns
-// fl.ErrAsyncResume: no checkpoint could resume it.
+// state) atomically to path. The mode table refuses an async simulation
+// with fl.ErrAsyncResume, writing nothing: no checkpoint could resume it.
 func (s *Simulation) SaveCheckpoint(path string) error {
-	if s.async {
-		return fl.ErrAsyncResume
+	if err := fl.CheckMode(fl.Config{Async: s.cfg.Async}, "Checkpoint"); err != nil {
+		return err
 	}
 	c := s.engine.Checkpoint()
-	c.Workload = s.workload
+	c.Workload = s.cfg.Workload
 	return ckpt.Save(path, c)
 }
 
@@ -276,7 +272,7 @@ func (s *Simulation) SaveCheckpoint(path string) error {
 // scheme and client count must match this simulation's configuration. Run
 // then finishes the configured Rounds, bit-equal to the run that saved it.
 func (s *Simulation) LoadCheckpoint(path string) error {
-	c, err := ckpt.Load(path, s.workload, s.engine.Strategy())
+	c, err := ckpt.Load(path, s.cfg.Workload, s.engine.Strategy())
 	if err != nil {
 		return err
 	}
@@ -286,7 +282,7 @@ func (s *Simulation) LoadCheckpoint(path string) error {
 // Run executes the rounds left until the configured Rounds (all of them,
 // unless a checkpoint was loaded) and returns their statistics.
 func (s *Simulation) Run(ctx context.Context) ([]RoundStats, error) {
-	return s.engine.Run(ctx, s.rounds, s.evalEv)
+	return s.engine.Run(ctx, s.cfg.Rounds, s.cfg.EvalEvery)
 }
 
 // RunRound executes a single round (evaluating the global model when

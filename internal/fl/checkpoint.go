@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -9,11 +8,6 @@ import (
 	"fedsu/internal/netem"
 	"fedsu/internal/sparse"
 )
-
-// ErrAsyncResume is Restore's answer on an async engine: no checkpoint
-// carries its event loop (arrival clocks, cycles, in-flight training) or the
-// server's buffered contributions.
-var ErrAsyncResume = errors.New("fl: async engines do not resume from a checkpoint")
 
 // Checkpoint captures what the next synchronous round reads and cannot
 // recompute (see package ckpt); the fleet-shared strategy state comes from
@@ -39,10 +33,11 @@ func (e *Engine) Checkpoint() *ckpt.Checkpoint {
 // must decode before anything is installed: an error leaves the engine as it
 // was.
 func (e *Engine) Restore(c *ckpt.Checkpoint) error {
+	if err := CheckMode(e.cfg, "Restore"); err != nil {
+		return err
+	}
 	n := e.clients[0].model.Size()
 	switch {
-	case e.cfg.Async.Enabled():
-		return ErrAsyncResume
 	case c.Scheme != "" && c.Scheme != e.strategy:
 		return fmt.Errorf("fl: checkpoint scheme %q, engine scheme %q", c.Scheme, e.strategy)
 	case len(c.Model) != n:

@@ -50,13 +50,17 @@ func resumeEngine(strategy string, mut func(*Config)) (*Engine, error) {
 	return NewEngine(cfg, builder, resumeData(), factory)
 }
 
-// TestResumeAtEveryRound: for every round r of a run, a checkpoint taken
+// TestResumeAtEveryRound is the mode matrix: strategy × {default wire,
+// topk,q4,rans} × {fixed fleet, population flat, population fanout 8} ×
+// {f64, f32} × {sync, async}, plus a FedSU cell under LRDecayWarm and an
+// event trigger. Each cell sets its own dtype. A cell either builds or is
+// refused by the mode table (ErrModeRefused), and no other failure passes.
+// A sync cell must resume exactly: for every round r, a checkpoint taken
 // before round r, written, read back and restored into a freshly built
 // engine finishes the run (Engine.Run to the same horizon) with every
 // RoundStats and the final global bit-equal to the run that never stopped.
-// Cells: strategy × {default wire, topk,q4,rans} × {fixed fleet, population
-// fanout 8} × {f64, f32}, f32 × chain being refused at construction, plus a
-// FedSU cell under LRDecayWarm and an event trigger.
+// An async cell runs two applications, then Restore returns ErrAsyncResume.
+// A population cell refuses AddClient and RemoveClient.
 func TestResumeAtEveryRound(t *testing.T) {
 	const rounds, evalEvery = 7, 2
 	type cell struct {
@@ -65,16 +69,24 @@ func TestResumeAtEveryRound(t *testing.T) {
 	}
 	var cells []cell
 	for _, s := range StrategyNames() {
-		for _, pop := range []bool{false, true} {
+		for _, topo := range []string{"fixed", "pop-flat", "pop-tree"} {
 			for _, dt := range []tensor.DType{tensor.Float64, tensor.Float32} {
 				for _, spec := range []string{"", "topk,q4,rans"} {
-					pop, dt, spec := pop, dt, spec
-					cells = append(cells, cell{fmt.Sprintf("%s/pop=%v/%v/%q", s, pop, dt, spec), s, func(c *Config) {
-						c.DType, c.Compress = dt, spec
-						if pop {
-							c.NumClients, c.Population, c.Fanout = 10, 40, 8
-						}
-					}})
+					for _, async := range []bool{false, true} {
+						topo, dt, spec, async := topo, dt, spec, async
+						cells = append(cells, cell{fmt.Sprintf("%s/%s/%v/%q/async=%v", s, topo, dt, spec, async), s, func(c *Config) {
+							c.DType, c.Compress = dt, spec
+							switch topo {
+							case "pop-flat":
+								c.NumClients, c.Population = 10, 40
+							case "pop-tree":
+								c.NumClients, c.Population, c.Fanout = 10, 40, 8
+							}
+							if async {
+								c.Async = AsyncConfig{K: 2}
+							}
+						}})
+					}
 				}
 			}
 		}
@@ -82,19 +94,37 @@ func TestResumeAtEveryRound(t *testing.T) {
 	cells = append(cells, cell{"fedsu/lr-decay+event", "fedsu", func(c *Config) { c.LRDecayWarm, c.EventThreshold = 4, 0.1 }})
 
 	ctx := context.Background()
+	var ran, refused int
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
 			e, err := resumeEngine(c.strategy, c.mut)
-			var cfg Config
-			c.mut(&cfg)
-			if cfg.DType == tensor.Float32 && cfg.Compress != "" {
-				if err == nil {
-					t.Fatal("a float32 engine accepted a compression chain")
-				}
+			if errors.Is(err, ErrModeRefused) {
+				refused++
 				return
 			}
 			if err != nil {
 				t.Fatal(err)
+			}
+			ran++
+			var cfg Config
+			c.mut(&cfg)
+			if cfg.Population > 0 {
+				if _, err := e.AddClientFromDataset(8, 1); !errors.Is(err, ErrModeRefused) {
+					t.Errorf("AddClient in population mode: got %v, want ErrModeRefused", err)
+				}
+				if err := e.RemoveClient(0); !errors.Is(err, ErrModeRefused) {
+					t.Errorf("RemoveClient in population mode: got %v, want ErrModeRefused", err)
+				}
+			}
+			if cfg.Async.Enabled() {
+				stats, err := e.Run(ctx, 2, 1)
+				if err != nil || len(stats) != 2 {
+					t.Fatalf("async run: %d applications, %v", len(stats), err)
+				}
+				if err := e.Restore(e.Checkpoint()); !errors.Is(err, ErrAsyncResume) {
+					t.Fatalf("async Restore: got %v, want ErrAsyncResume", err)
+				}
+				return
 			}
 			var cks [][]byte
 			var straight []string
@@ -150,6 +180,12 @@ func TestResumeAtEveryRound(t *testing.T) {
 				}
 			}
 		})
+	}
+	if ran+refused == len(cells) {
+		t.Logf("%d cells: %d ran, %d refused by the mode table", len(cells), ran, refused)
+		if ran != 73 || refused != 96 {
+			t.Errorf("%d cells ran and %d were refused, want 73 and 96", ran, refused)
+		}
 	}
 }
 

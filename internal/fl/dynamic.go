@@ -20,7 +20,7 @@ import (
 // The netem cluster is rebuilt for the new size; per-client compute speeds
 // are redrawn deterministically from the configured seed.
 func (e *Engine) AddClient(shard *data.Subset) (*Client, error) {
-	if err := e.popGuard("AddClient"); err != nil {
+	if err := CheckMode(e.cfg, "AddClient"); err != nil {
 		return nil, err
 	}
 	if len(e.clients) == 0 {
@@ -60,7 +60,7 @@ func (e *Engine) AddClientFromDataset(n int, seed int64) (*Client, error) {
 // RemoveClient drops a participant between rounds. The departed client's
 // data simply stops contributing; the fleet continues unchanged otherwise.
 func (e *Engine) RemoveClient(id int) error {
-	if err := e.popGuard("RemoveClient"); err != nil {
+	if err := CheckMode(e.cfg, "RemoveClient"); err != nil {
 		return err
 	}
 	for i, c := range e.clients {

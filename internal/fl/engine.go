@@ -57,10 +57,8 @@ type Config struct {
 	// Async switches the run to buffered-async rounds (Async.K >= 1):
 	// clients become independent arrival processes and the server applies
 	// a staleness-weighted global every K contributions. The zero value
-	// keeps synchronous barrier rounds. Async mode requires a full-vector
-	// strategy (fedavg, cmfl, qsgd); subset-submitting strategies (fedsu,
-	// apf) are rejected at construction because their per-client masks
-	// cannot fold into one shared accumulator.
+	// keeps synchronous barrier rounds. What async combines with is the
+	// mode table's (modes.go).
 	Async AsyncConfig
 	// EventThreshold enables event-triggered participation: a client
 	// offers an upload only when the L2 norm of its accumulated change
@@ -79,8 +77,7 @@ type Config struct {
 	// holds the global model after every sync — is exactly the state a
 	// freshly selected device would download). Rounds are timed by
 	// netem.DefaultPopulationConfig. Zero keeps classic fixed-fleet rounds.
-	// Population mode is synchronous-only and the fleet is fixed-size
-	// (AddClient/RemoveClient are rejected).
+	// What population mode combines with is the mode table's (modes.go).
 	Population int
 	// Fanout >= 2 aggregates population-mode rounds through a hierarchical
 	// fl.Tree instead of the flat server: leaves fold cohort blocks and
@@ -238,6 +235,9 @@ func NewEngineWithShards(cfg Config, builder nn.Builder, ds *data.Dataset, shard
 	if cfg.LocalIters <= 0 || cfg.BatchSize <= 0 {
 		return nil, fmt.Errorf("fl: LocalIters/BatchSize must be positive, got %d/%d", cfg.LocalIters, cfg.BatchSize)
 	}
+	if err := CheckMode(cfg, "NewEngine"); err != nil {
+		return nil, err
+	}
 	switch {
 	case cfg.Netem == (netem.Config{}):
 		cfg.Netem = netem.DefaultConfig(cfg.NumClients)
@@ -261,12 +261,6 @@ func NewEngineWithShards(cfg Config, builder nn.Builder, ds *data.Dataset, shard
 	}
 	var chain *codec.Chain
 	if cfg.Compress != "" {
-		if cfg.DType == tensor.Float32 {
-			// The float32 compute path relies on the wire being lossless for
-			// f32-representable values; chain stages (quantization grids,
-			// factor reconstructions) produce values outside that set.
-			return nil, fmt.Errorf("fl: Compress %q is unsupported with Float32 models: chain wire images are not float32-exact", cfg.Compress)
-		}
 		chain, err = codec.Parse(cfg.Compress, cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("fl: %w", err)
@@ -275,18 +269,15 @@ func NewEngineWithShards(cfg Config, builder nn.Builder, ds *data.Dataset, shard
 			chain = nil // the explicit default spec is the legacy wire
 		}
 	}
-	// One collective; Fanout only picks its topology (setupPopulation
-	// validates the value).
+	// One collective; Fanout only picks its topology.
 	var server *Server
 	if cfg.Fanout >= 2 {
 		server = NewTree(cfg.Fanout)
 	} else {
 		server = NewServer(cfg.NumClients)
 	}
-	if cfg.Async.Enabled() {
-		if err := server.SetAsync(cfg.Async); err != nil {
-			return nil, err
-		}
+	if err := server.SetAsync(cfg.Async); err != nil {
+		return nil, err
 	}
 	if cfg.EventThreshold < 0 {
 		return nil, fmt.Errorf("fl: EventThreshold = %v must be >= 0", cfg.EventThreshold)
@@ -337,8 +328,8 @@ func (e *Engine) newClient(id int, shard *data.Subset) (*Client, error) {
 	}
 	syncer := e.factory(id, model.Size(), e.slotCollective())
 	sparse.SetSyncerWire(syncer, e.wire())
-	if name := sparse.UnwrapSyncer(syncer).Name(); cfg.Async.Enabled() && name != "fedavg" && name != "cmfl" && name != "qsgd" {
-		return nil, fmt.Errorf("fl: async mode requires a full-vector strategy (fedavg/cmfl/qsgd), got %q: subset submissions cannot fold into the shared async accumulator", name)
+	if err := checkMode(*cfg, sparse.UnwrapSyncer(syncer).Name(), "NewEngine"); err != nil {
+		return nil, err
 	}
 	if cfg.EventThreshold > 0 {
 		syncer = sparse.NewEventTrigger(syncer, cfg.EventThreshold)
@@ -407,8 +398,8 @@ func (e *Engine) RunRound(ctx context.Context, evaluate bool) (RoundStats, error
 	if err := ctx.Err(); err != nil {
 		return RoundStats{}, err
 	}
-	if e.cfg.Async.Enabled() {
-		return RoundStats{}, fmt.Errorf("fl: RunRound is the synchronous-barrier driver; async mode runs through Run (event loop)")
+	if err := CheckMode(e.cfg, "RunRound"); err != nil {
+		return RoundStats{}, err
 	}
 	// Dynamic departures (RemoveClient) can drain the roster entirely; every
 	// aggregate below divides by the client count and probes clients[0].

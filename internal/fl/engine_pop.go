@@ -37,25 +37,16 @@ func (p *slotProxy) AggregateErrorCtx(ctx context.Context, clientID, round int, 
 	return sparse.AggError(ctx, p.agg, p.memberID, round, values)
 }
 
-// setupPopulation validates the population-mode configuration and builds
-// the registry and the population timing model. Called once from
+// setupPopulation builds the registry and the population timing model (the
+// mode table has already passed the configuration). Called once from
 // NewEngineWithShards, before clients are constructed.
 func (e *Engine) setupPopulation() error {
 	cfg := &e.cfg
 	if cfg.Population <= 0 {
-		if cfg.Fanout != 0 {
-			return fmt.Errorf("fl: Fanout = %d without Population; the tree collective is the population-scale path", cfg.Fanout)
-		}
 		return nil
-	}
-	if cfg.Async.Enabled() {
-		return fmt.Errorf("fl: population mode is synchronous-only (cohort rounds are barriers); disable Async")
 	}
 	if cfg.Population < cfg.NumClients {
 		return fmt.Errorf("fl: Population = %d below the cohort of NumClients = %d", cfg.Population, cfg.NumClients)
-	}
-	if cfg.Fanout != 0 && cfg.Fanout < 2 {
-		return fmt.Errorf("fl: Fanout = %d; need 0 (flat) or >= 2", cfg.Fanout)
 	}
 
 	pop := NewPopulation(cfg.Seed)
@@ -94,14 +85,4 @@ func (e *Engine) slotCollective() sparse.Aggregator {
 	// pass through the chain's wire image, exactly what a TCP transport
 	// ships, while the tree's internal partial cascade stays raw float64.
 	return sparse.WrapAggregator(agg, e.chain)
-}
-
-// popGuard rejects fleet mutations in population mode: the slot count is
-// the cohort size, and membership churn is modeled by sampling, not by
-// joins and departures.
-func (e *Engine) popGuard(op string) error {
-	if e.pop != nil {
-		return fmt.Errorf("fl: %s is unavailable in population mode; membership churn is modeled by cohort sampling", op)
-	}
-	return nil
 }

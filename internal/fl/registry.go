@@ -2,15 +2,31 @@ package fl
 
 import (
 	"fmt"
-	"sort"
 
 	"fedsu/internal/core"
 	"fedsu/internal/sparse"
 )
 
-// StrategyFactory resolves a strategy name to its client-syncer factory.
-// Recognized names: "fedavg", "cmfl", "apf", "fedsu", "fedsu-v1",
-// "fedsu-v2".
+// strategies is the strategy list, sorted by name: a baseline's factory or a
+// FedSU variant, and whether the strategy submits the full vector every
+// round, as the async fold needs (the Async×subset strategy row in modes.go).
+var strategies = []struct {
+	name       string
+	baseline   sparse.Factory
+	variant    core.Variant
+	fullVector bool
+}{
+	{"apf", sparse.APFFactory, 0, false},
+	{"cmfl", sparse.CMFLFactory, 0, true},
+	{"fedavg", sparse.FedAvgFactory, 0, true},
+	{"fedsu", nil, core.VariantFull, false},
+	{"fedsu-v1", nil, core.VariantV1, false},
+	{"fedsu-v2", nil, core.VariantV2, false},
+	{"qsgd", sparse.QSGDFactory, 0, true},
+}
+
+// StrategyFactory resolves a strategy name (one of StrategyNames) to its
+// client-syncer factory.
 func StrategyFactory(name string) (sparse.Factory, error) {
 	return StrategyFactoryWith(name, core.DefaultOptions())
 }
@@ -18,32 +34,32 @@ func StrategyFactory(name string) (sparse.Factory, error) {
 // StrategyFactoryWith is StrategyFactory with explicit FedSU options for
 // the fedsu* strategies (ignored by the baselines).
 func StrategyFactoryWith(name string, opts core.Options) (sparse.Factory, error) {
-	switch name {
-	case "fedavg":
-		return sparse.FedAvgFactory, nil
-	case "cmfl":
-		return sparse.CMFLFactory, nil
-	case "apf":
-		return sparse.APFFactory, nil
-	case "qsgd":
-		return sparse.QSGDFactory, nil
-	case "fedsu":
-		opts.Variant = core.VariantFull
-		return core.Factory(opts), nil
-	case "fedsu-v1":
-		opts.Variant = core.VariantV1
-		return core.Factory(opts), nil
-	case "fedsu-v2":
-		opts.Variant = core.VariantV2
-		return core.Factory(opts), nil
-	default:
+	switch i := strategyIndex(name); {
+	case i < 0:
 		return nil, fmt.Errorf("fl: unknown strategy %q (known: %v)", name, StrategyNames())
+	case strategies[i].baseline != nil:
+		return strategies[i].baseline, nil
+	default:
+		opts.Variant = strategies[i].variant
+		return core.Factory(opts), nil
 	}
 }
 
-// StrategyNames lists the recognized strategy names.
+// StrategyNames lists the recognized strategy names, sorted.
 func StrategyNames() []string {
-	names := []string{"fedavg", "cmfl", "apf", "qsgd", "fedsu", "fedsu-v1", "fedsu-v2"}
-	sort.Strings(names)
+	names := make([]string, len(strategies))
+	for i, s := range strategies {
+		names[i] = s.name
+	}
 	return names
+}
+
+// strategyIndex is name's row in strategies, or -1.
+func strategyIndex(name string) int {
+	for i, s := range strategies {
+		if s.name == name {
+			return i
+		}
+	}
+	return -1
 }

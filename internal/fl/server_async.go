@@ -40,16 +40,6 @@ type AsyncConfig struct {
 // Enabled reports whether the config describes an active async mode.
 func (c AsyncConfig) Enabled() bool { return c.K > 0 }
 
-func (c AsyncConfig) validate() error {
-	if c.K <= 0 {
-		return fmt.Errorf("fl: async K must be >= 1, got %d", c.K)
-	}
-	if c.StalenessWeight < 0 || c.StalenessWeight > 1 {
-		return fmt.Errorf("fl: async staleness weight must be in (0, 1], got %g", c.StalenessWeight)
-	}
-	return nil
-}
-
 // withDefaults resolves zero values to their documented defaults.
 func (c AsyncConfig) withDefaults() AsyncConfig {
 	if c.StalenessWeight == 0 {
@@ -138,8 +128,12 @@ func newAsyncChan() *asyncChan {
 // to serialize submissions in a seeded order, which the netem-driven
 // engine event loop does; see DESIGN.md §5i.
 //
-// It must not be called while collectives are in flight.
+// The mode table decides which topologies take it (its Async×tree row). It
+// must not be called while collectives are in flight.
 func (s *Server) SetAsync(cfg AsyncConfig) error {
+	if err := CheckMode(Config{Async: cfg, Fanout: s.fanout}, "SetAsync"); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !cfg.Enabled() {
@@ -147,8 +141,8 @@ func (s *Server) SetAsync(cfg AsyncConfig) error {
 		s.acfg = AsyncConfig{}
 		return nil
 	}
-	if err := cfg.validate(); err != nil {
-		return err
+	if cfg.StalenessWeight < 0 || cfg.StalenessWeight > 1 {
+		return fmt.Errorf("fl: async staleness weight must be in (0, 1], got %g", cfg.StalenessWeight)
 	}
 	s.async = true
 	s.acfg = cfg.withDefaults()

@@ -73,8 +73,8 @@ import (
 // tree cannot rank a stray and rejects it. Remote partials
 // (AggregatePartial) need a parent tier to stage into, hence two tiers or
 // more. The implied roster belongs to NewServer. Buffered-async mode
-// (SetAsync, server_async.go) bypasses the barrier entirely and is offered
-// on the flat collective only.
+// (SetAsync, server_async.go) bypasses the barrier entirely; the mode table
+// (modes.go) says which topologies offer it.
 type Tree struct {
 	mu sync.Mutex
 

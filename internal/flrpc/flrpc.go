@@ -159,8 +159,9 @@ type Config struct {
 	// blocks (JoinArgs.BlockSize) and submit one partial per collective
 	// (SubmitPartial), so root work is O(fanout) rather than
 	// O(participants). Direct clients still work (mixed trees are fine),
-	// with the same idempotent resubmission as in flat mode. Incompatible
-	// with Async. Zero keeps the flat fl.Server.
+	// with the same idempotent resubmission as in flat mode. Zero keeps the
+	// flat fl.Server. Which values and combinations run is fl's mode table
+	// (fl.CheckMode).
 	Fanout int
 	// Compress selects the compression chain for collective replies, as a
 	// codec chain spec ("topk,q4,rans" — see codec.Parse). The decode side
@@ -243,6 +244,9 @@ func NewCoordinatorWith(cfg Config) (*Coordinator, error) {
 	if cfg.NumClients <= 0 {
 		return nil, fmt.Errorf("flrpc: numClients = %d", cfg.NumClients)
 	}
+	if err := fl.CheckMode(fl.Config{Async: cfg.Async, Fanout: cfg.Fanout}, "NewCoordinator"); err != nil {
+		return nil, err
+	}
 	if cfg.HeartbeatGrace <= 0 {
 		cfg.HeartbeatGrace = cfg.Deadline
 	}
@@ -266,9 +270,6 @@ func NewCoordinatorWith(cfg Config) (*Coordinator, error) {
 		}
 	}
 	if cfg.Fanout >= 2 {
-		if cfg.Async.Enabled() {
-			return nil, fmt.Errorf("flrpc: tree mode (Fanout %d) is synchronous-only; async is a flat-server feature", cfg.Fanout)
-		}
 		c.coll = fl.NewTree(cfg.Fanout)
 	} else {
 		c.coll = fl.NewServer(cfg.NumClients)
@@ -280,10 +281,8 @@ func NewCoordinatorWith(cfg Config) (*Coordinator, error) {
 		c.coll.SetDeadline(cfg.Deadline)
 		c.coll.SetAliveProbe(c.alive)
 	}
-	if cfg.Async.Enabled() {
-		if err := c.coll.SetAsync(cfg.Async); err != nil {
-			return nil, err
-		}
+	if err := c.coll.SetAsync(cfg.Async); err != nil {
+		return nil, err
 	}
 	return c, nil
 }

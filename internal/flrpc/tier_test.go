@@ -1,6 +1,7 @@
 package flrpc
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -163,6 +164,12 @@ func TestBlockJoinValidation(t *testing.T) {
 	// Async + tree is rejected at construction.
 	if _, err := NewCoordinatorWith(Config{NumClients: 4, ModelSize: 8, Fanout: 2, Async: fl.AsyncConfig{K: 2}}); err == nil {
 		t.Fatal("tree+async coordinator accepted")
+	}
+	// Fanout 1 and negative fanouts are refused, not served flat.
+	for _, f := range []int{1, -1, -8} {
+		if _, err := NewCoordinatorWith(Config{NumClients: 4, ModelSize: 8, Fanout: f}); !errors.Is(err, fl.ErrModeRefused) {
+			t.Errorf("Fanout %d: got %v, want fl.ErrModeRefused", f, err)
+		}
 	}
 }
 
