@@ -88,15 +88,17 @@ verify-f32: tier1-f32 race-f32
 # aims at tag 0x07 (and demands the retired-format error for 0x06),
 # FuzzQuantStage checks the dense mode against the bitmap form. The last
 # two targets are not wire codecs: FuzzMicroKernel drives the matmul driver
-# over (shape, operand strides, seed) and holds the selected micro-kernel and
-# the Go tile to a naive ordered sum; FuzzVecKernels drives the element-wise
+# over (shape, operand strides, seed), or one tile over random and
+# overlapping offset tables, and holds the selected micro-kernel and the Go
+# tile to a naive ordered sum; FuzzVecKernels drives the element-wise
 # kernels over (length, operand offsets, seed, operation) and holds the
 # selected lane and the Go loops to a naive loop, NaN payloads included;
 # FuzzConvertKernels does the same for the float64↔float32 trio over (length,
 # offset, raw bit patterns) against v != 0, float32(v) and float64(f).
 # FuzzLayerPasses drives the step passes — ReLU, MaxPool2D on both paths,
-# Im2ColInto and Col2ImInto — over (NCHW shape, kernel, stride, pad, seed, raw
-# bit patterns) against the retired loops (nn/passes_ref_test.go).
+# and a whole Conv2D against its im2col lowering — over (NCHW shape, kernel,
+# stride, pad, seed, raw bit patterns) against the retired loops
+# (nn/passes_ref_test.go).
 # FuzzQuantStage also holds the block encoder and decoder to the per-element
 # reference (quant_ref_test.go); FuzzAlgorithm1 drives core.Manager and the
 # Algorithm 1 oracle (algorithm1_ref_test.go) over option sets and

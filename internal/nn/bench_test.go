@@ -11,9 +11,10 @@ import (
 // benchConvForwardBackward times one training step of a mid-network
 // convolution (16→32 channels, 3×3, batch 8 at 16×16) at the given storage
 // width, the shape class that dominates per-client wall-clock in the
-// emulated runs. allocs/op is the headline number: the im2col/col2im
-// scratch must come from the arena, not the GC. The F32 variant moves half
-// the bytes through the same kernels.
+// emulated runs. allocs/op is the headline number: the padded input copy,
+// the products' panels, gᵀ and the input gradient's tap buffer must come
+// from the arena, and the offset tables from the layer's plan, not the GC.
+// The F32 variant moves half the bytes through the same kernels.
 func benchConvForwardBackward[E tensor.Elem](b *testing.B) {
 	dt := tensor.DTypeOf[E]()
 	rng := rand.New(rand.NewSource(1))

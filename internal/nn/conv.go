@@ -7,8 +7,10 @@ import (
 	"fedsu/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over NCHW tensors, lowered to matrix
-// multiplication via im2col, parameterized over the storage width E.
+// Conv2D is a 2-D convolution over NCHW tensors, parameterized over the
+// storage width E. Its three products read the input, the weight and the
+// output gradient in place through a tensor.ConvPlan; no column matrix is
+// built.
 type Conv2D[E tensor.Elem] struct {
 	weight *Param // (outC, inC*KH*KW)
 	bias   *Param // (outC)
@@ -17,16 +19,19 @@ type Conv2D[E tensor.Elem] struct {
 	p         tensor.ConvParams
 	useBias   bool
 
-	lastCols       *tensor.Tensor
-	lastN, lastH   int
-	lastW          int
-	lastOH, lastOW int
+	// plan holds the offset tables for the last input shape; a new plane
+	// rebuilds it, a new batch size does not.
+	plan *tensor.ConvPlan
+	// lastX is what Forward read and Backward reads again: a view of the
+	// previous layer's buffer, or xpad for a padded geometry. Backward
+	// clears it.
+	lastX *tensor.Tensor
 
 	// noInputGrad is set by NewModel on the network's first layer: nobody
 	// reads ∂loss/∂input there, so Backward does not compute it.
 	noInputGrad bool
 
-	out, dx *tensor.Tensor // step buffers (scratch.go)
+	xpad, out, dx *tensor.Tensor // step buffers (scratch.go); xpad is the zero-bordered input
 }
 
 var (
@@ -94,102 +99,62 @@ func newConv2DOf[E tensor.Elem](rng *rand.Rand, inC, outC, kernel int, opts ...C
 	return c
 }
 
-// Forward implements Layer. The im2col matrix and the pre-reorder product
-// are drawn from the scratch arena: the former is retained (Backward
-// consumes then releases it), the latter is returned before Forward exits;
-// the NCHW output is a step buffer.
+// Forward implements Layer. It panics unless x is NCHW with inC channels:
+// the products read x through offset tables, which would silently read the
+// wrong memory for a narrower input.
 func (c *Conv2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+	if x.Dims() != 4 || x.Dim(1) != c.inC {
+		panic(fmt.Sprintf("nn: conv input %v, want 4-D NCHW with %d channels", x.Shape(), c.inC))
+	}
 	dt := tensor.DTypeOf[E]()
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	if c.plan == nil || !c.plan.Fits(x) {
+		c.plan = tensor.NewConvPlan(dt, c.inC, h, w, c.outC, c.p)
+	}
+	src := x
+	if c.plan.Padded() {
+		c.xpad = stepScratch(c.xpad, dt, n, c.inC, h+2*c.p.PadH, w+2*c.p.PadW)
+		tensor.PadInto(c.xpad, x, c.p.PadH, c.p.PadW)
+		src = c.xpad
+	}
+	c.lastX = src
 	oh, ow := c.p.OutSize(h, w)
-	spatial := n * oh * ow
-	// An eval-only Forward chain never runs Backward; recycle the previous
-	// call's im2col matrix instead of leaking it from the arena.
-	if c.lastCols != nil {
-		tensor.PutScratch(c.lastCols)
-	}
-	cols := tensor.GetScratchOf(dt, c.inC*c.p.KernelH*c.p.KernelW, spatial)
-	tensor.Im2ColInto(cols, x, c.p)
-	c.lastCols = cols
-	c.lastN, c.lastH, c.lastW, c.lastOH, c.lastOW = n, h, w, oh, ow
-
-	y := tensor.GetScratchOf(dt, c.outC, spatial) // (outC, N*OH*OW)
-	tensor.MatMulInto(y, c.weight.Value, cols)
-	// Reorder (outC, N, OH, OW) → (N, outC, OH, OW), adding the bias on the way.
 	c.out = stepScratch(c.out, dt, n, c.outC, oh, ow)
-	od, yd := tensor.DataOf[E](c.out), tensor.DataOf[E](y)
-	plane := oh * ow
-	var bd []E
+	var bias *tensor.Tensor
 	if c.useBias {
-		bd = tensor.DataOf[E](c.bias.Value)
+		bias = c.bias.Value
 	}
-	for oc := 0; oc < c.outC; oc++ {
-		for ni := 0; ni < n; ni++ {
-			src := yd[(oc*n+ni)*plane : (oc*n+ni+1)*plane]
-			dst := od[(ni*c.outC+oc)*plane : (ni*c.outC+oc+1)*plane]
-			if bd == nil {
-				copy(dst, src)
-				continue
-			}
-			b := bd[oc]
-			for i, v := range src {
-				dst[i] = v + b
-			}
-		}
-	}
-	tensor.PutScratch(y)
+	c.plan.Forward(c.out, src, c.weight.Value, bias)
 	return c.out
 }
 
-// Backward implements Layer. All intermediates (the reordered gradient, the
-// column gradient, and the retained im2col matrix) live in the scratch
-// arena; the returned input gradient is a step buffer.
+// Backward implements Layer. It reads the input Forward read, in place; the
+// returned input gradient is a step buffer.
 func (c *Conv2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dt := tensor.DTypeOf[E]()
-	n, oh, ow := c.lastN, c.lastOH, c.lastOW
-	plane := oh * ow
-	spatial := n * plane
-	// Reorder grad (N, outC, OH, OW) → (outC, N*OH*OW).
-	g := tensor.GetScratchOf(dt, c.outC, spatial)
-	gd, srcd := tensor.DataOf[E](g), tensor.DataOf[E](grad)
-	for ni := 0; ni < n; ni++ {
-		for oc := 0; oc < c.outC; oc++ {
-			src := srcd[(ni*c.outC+oc)*plane : (ni*c.outC+oc+1)*plane]
-			dst := gd[(oc*n+ni)*plane : (oc*n+ni+1)*plane]
-			copy(dst, src)
-		}
-	}
-	// dW += g × colsᵀ; cols is (K, spatial) so use the TransB accumulator.
-	tensor.MatMulTransBAcc(c.weight.Grad, g, c.lastCols)
-	// The cached im2col matrix is the layer's dominant memory holding
-	// (K × N·OH·OW floats); release it as soon as backward has consumed it
-	// so deep models do not retain every layer's unrolled activations
-	// simultaneously between iterations.
-	putScratch(&c.lastCols)
+	c.plan.WeightGrad(c.weight.Grad, c.lastX, grad)
+	c.lastX = nil
 	if c.useBias {
-		// The bias gradient sums N*OH*OW terms per channel: widen to a
-		// float64 accumulator and round once into the stored gradient.
-		bd := tensor.DataOf[E](c.bias.Grad)
+		// The bias gradient sums N*OH*OW terms per channel, image by image:
+		// widen to a float64 accumulator and round once into the stored
+		// gradient.
+		n, plane := grad.Dim(0), grad.Dim(2)*grad.Dim(3)
+		gd, bd := tensor.DataOf[E](grad), tensor.DataOf[E](c.bias.Grad)
 		for oc := 0; oc < c.outC; oc++ {
-			row := gd[oc*spatial : (oc+1)*spatial]
 			s := 0.0
-			for _, v := range row {
-				s += toF64(v)
+			for ni := 0; ni < n; ni++ {
+				for _, v := range gd[(ni*c.outC+oc)*plane : (ni*c.outC+oc+1)*plane] {
+					s += toF64(v)
+				}
 			}
 			bd[oc] += roundE[E](s)
 		}
 	}
 	if c.noInputGrad {
-		tensor.PutScratch(g)
 		return nil
 	}
-	// dCols = Wᵀ × g, W stored (outC, K): MatMulTransA.
-	dCols := tensor.GetScratchOf(dt, c.inC*c.p.KernelH*c.p.KernelW, spatial)
-	tensor.MatMulTransAInto(dCols, c.weight.Value, g)
-	tensor.PutScratch(g)
-	c.dx = stepScratch(c.dx, dt, n, c.inC, c.lastH, c.lastW)
-	tensor.Col2ImInto(c.dx, dCols, c.p)
-	tensor.PutScratch(dCols)
+	h, w := c.plan.Plane()
+	c.dx = stepScratch(c.dx, tensor.DTypeOf[E](), grad.Dim(0), c.inC, h, w)
+	c.plan.InputGrad(c.dx, c.weight.Value, grad)
 	return c.dx
 }
 
@@ -206,7 +171,8 @@ func checkGeometry(layer string, p tensor.ConvParams) {
 func (c *Conv2D[E]) skipInputGrad() { c.noInputGrad = true }
 
 func (c *Conv2D[E]) releaseScratch() {
-	putScratch(&c.lastCols)
+	c.lastX = nil // a view of the previous layer's buffer, or xpad
+	putScratch(&c.xpad)
 	putScratch(&c.out)
 	putScratch(&c.dx)
 }

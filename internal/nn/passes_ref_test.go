@@ -5,8 +5,10 @@ import "fedsu/internal/tensor"
 // The step passes as they were written before they ran branch-free: ReLU
 // with its []bool mask, the max-pool that compared tap by tap, the pool's
 // zero-then-accumulate backward, and tensor's im2col and col2im loops with
-// their per-segment slicing. They are the oracle passes_test.go holds the
-// library to, bit for bit. Never edit them to match the library.
+// their per-segment slicing, which convRef builds the convolution from as it
+// was lowered before its products read NCHW tensors in place. They are the
+// oracle passes_test.go holds the library to, bit for bit. Never edit them
+// to match the library.
 
 func reluForwardRef[E tensor.Elem](yd []E, mask []bool, xd []E) {
 	for i, v := range xd {
@@ -104,8 +106,52 @@ func maxPoolBackwardRef[E tensor.Elem](dd []E, argmax []int, gd []E) {
 	}
 }
 
-// im2colRef and col2imRef are tensor.Im2ColInto's and tensor.Col2ImInto's
-// serial bodies.
+// convRef is Conv2D as an im2col lowering: im2col, y = W × cols, the
+// (outC, N·OH·OW) → NCHW reorder with the bias added on the way; the
+// gradient reordered back, dW += g × colsᵀ (the retired accumulating product
+// is its plain product added to dW once), the bias gradient summed at
+// float64 per channel, dCols = Wᵀ × g and col2im. It returns y without and
+// with the bias, dW and db after one backward onto dW0 and db0, and dx.
+func convRef[E tensor.Elem](x, wt, bias, g, dW0, db0 []E, p tensor.ConvParams, n, c, h, w, outC int) (y, yb, dW, db, dx []E) {
+	oh, ow := p.OutSize(h, w)
+	k, plane := c*p.KernelH*p.KernelW, oh*ow
+	spatial := n * plane
+	cols := make([]E, k*spatial)
+	im2colRef(cols, x, p, n, c, h, w)
+	colsT, wT := tensor.FromSliceOf(cols, k, spatial), tensor.FromSliceOf(wt, outC, k)
+	yc := tensor.DataOf[E](tensor.MatMul(wT, colsT))
+	y, yb = make([]E, n*outC*plane), make([]E, n*outC*plane)
+	gr := make([]E, outC*spatial)
+	for oc := 0; oc < outC; oc++ {
+		for ni := 0; ni < n; ni++ {
+			for i := 0; i < plane; i++ {
+				v := yc[(oc*n+ni)*plane+i]
+				y[(ni*outC+oc)*plane+i] = v
+				yb[(ni*outC+oc)*plane+i] = v + bias[oc]
+				gr[(oc*n+ni)*plane+i] = g[(ni*outC+oc)*plane+i]
+			}
+		}
+	}
+	grT := tensor.FromSliceOf(gr, outC, spatial)
+	dW = append([]E(nil), dW0...)
+	for i, v := range tensor.DataOf[E](tensor.MatMulTransB(grT, colsT)) {
+		dW[i] += v
+	}
+	db = append([]E(nil), db0...)
+	for oc := range db {
+		s := 0.0
+		for _, v := range gr[oc*spatial : (oc+1)*spatial] {
+			s += toF64(v)
+		}
+		db[oc] += roundE[E](s)
+	}
+	dx = make([]E, n*c*h*w)
+	col2imRef(dx, tensor.DataOf[E](tensor.MatMulTransA(wT, grT)), p, n, c, h, w)
+	return y, yb, dW, db, dx
+}
+
+// im2colRef and col2imRef are the serial bodies of tensor's retired
+// Im2ColInto and Col2ImInto.
 func im2colRef[E tensor.Elem](od, xd []E, p tensor.ConvParams, n, c, h, w int) {
 	oh, ow := p.OutSize(h, w)
 	cols := n * oh * ow

@@ -13,12 +13,12 @@ import (
 
 // The step passes against the retired loops of passes_ref_test.go, bit for
 // bit at both widths: ReLU forward and backward, MaxPool2D forward (values
-// and argmax) and backward on the 2×2/2 path and the general one, and
-// tensor.Im2ColInto/Col2ImInto. Operands are normal draws with small
-// integers among them (ties for the pool) and, one value in four, a special
-// bit pattern: quiet NaNs of distinct payload and sign, a signalling NaN, ±0,
-// ±Inf, subnormals. A pass that rounds, quiets or re-signs a value it should
-// only move, or adds a gradient in another order, fails here.
+// and argmax) and backward on the 2×2/2 path and the general one, and a
+// whole Conv2D against its im2col lowering. Operands are normal draws with
+// small integers among them (ties for the pool) and, one value in four, a
+// special bit pattern: quiet NaNs of distinct payload and sign, a signalling
+// NaN, ±0, ±Inf, subnormals. A pass that rounds, quiets or re-signs a value
+// it should only move, or adds a gradient in another order, fails here.
 
 var (
 	passSpecials64 = []uint64{
@@ -142,24 +142,91 @@ func checkPasses[E tensor.Elem](t *testing.T, pc passCase, seed int64, raw []byt
 		sameElems(t, pwhat+" backward", tensor.DataOf[E](pool.Backward(tensor.FromSliceOf(gp, n, c, oh, ow))), wantDx)
 	}
 
-	// Both lowering passes write into destinations full of a NaN they must
-	// overwrite everywhere.
-	oh, ow := pc.p.OutSize(h, w)
-	rows, cols := c*pc.p.KernelH*pc.p.KernelW, n*oh*ow
-	gotCols := tensor.NewOf(dt, rows, cols)
-	gotCols.Fill(math.NaN())
-	tensor.Im2ColInto(gotCols, x, pc.p)
-	wantCols := make([]E, rows*cols)
-	im2colRef(wantCols, xd, pc.p, n, c, h, w)
-	sameElems(t, "Im2ColInto "+what, tensor.DataOf[E](gotCols), wantCols)
+	checkConv[E](t, pc, rng, x, g, what)
+	finite := func(v []E) []E {
+		for i, e := range v {
+			if f := toF64(e); math.IsNaN(f) || math.IsInf(f, 0) {
+				v[i] = E(rng.NormFloat64())
+			}
+		}
+		return v
+	}
+	checkConv[E](t, pc, rng, tensor.FromSliceOf(finite(append([]E(nil), xd...)), n, c, h, w), finite(g), what+" finite")
+}
 
-	cd := passValues[E](rng, rows*cols, raw)
-	gotX := tensor.NewOf(dt, n, c, h, w)
-	gotX.Fill(math.NaN())
-	tensor.Col2ImInto(gotX, tensor.FromSliceOf(cd, rows, cols), pc.p)
-	wantX := make([]E, vol)
-	col2imRef(wantX, cd, pc.p, n, c, h, w)
-	sameElems(t, "Col2ImInto "+what, tensor.DataOf[E](gotX), wantX)
+// sameElemsOrNaN is sameElems except that a NaN matches any NaN: which
+// operand's payload a product or a sum forwards follows operand order, and
+// the products do not keep the lowering's operand roles (DESIGN.md §5c).
+func sameElemsOrNaN[E tensor.Elem](t *testing.T, what string, got, want []E) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, the lowering gives %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if bitsOf(got[i]) != bitsOf(want[i]) && !(got[i] != got[i] && want[i] != want[i]) {
+			t.Fatalf("%s: element %d of %d is %#x, the lowering gives %#x", what, i, len(want), bitsOf(got[i]), bitsOf(want[i]))
+		}
+	}
+}
+
+// checkConv holds Conv2D on input x to convRef for outC ∈ {1, 3, 5, 17}:
+// Forward without and with the bias, then Backward of gradient values drawn
+// from gv (cycled to the output's size) onto nonzero dW and db, once with
+// the input gradient and once as a noInputGrad layer, which must return nil
+// and leave the parameter gradients as the other does.
+func checkConv[E tensor.Elem](t *testing.T, pc passCase, rng *rand.Rand, x *tensor.Tensor, gv []E, what string) {
+	t.Helper()
+	n, c, h, w := pc.n, pc.c, pc.h, pc.w
+	oh, ow := pc.p.OutSize(h, w)
+	k := c * pc.p.KernelH * pc.p.KernelW
+	normal := func(m int) []E {
+		v := make([]E, m)
+		for i := range v {
+			v[i] = E(rng.NormFloat64())
+		}
+		return v
+	}
+	for _, outC := range []int{1, 3, 5, 17} {
+		wt, bias, dW0, db0 := normal(outC*k), normal(outC), normal(outC*k), normal(outC)
+		g := make([]E, n*outC*oh*ow)
+		for i := range g {
+			g[i] = gv[i%len(gv)]
+		}
+		y, yb, dW, db, dx := convRef(tensor.DataOf[E](x), wt, bias, g, dW0, db0, pc.p, n, c, h, w, outC)
+		for _, useBias := range []bool{false, true} {
+			for _, skip := range []bool{false, true} {
+				cv := &Conv2D[E]{inC: c, outC: outC, p: pc.p, useBias: useBias, noInputGrad: skip}
+				cv.weight = newParamOf[E]("weight", outC, k)
+				copy(tensor.DataOf[E](cv.weight.Value), wt)
+				copy(tensor.DataOf[E](cv.weight.Grad), dW0)
+				want := y
+				if useBias {
+					cv.bias = newParamOf[E]("bias", outC)
+					copy(tensor.DataOf[E](cv.bias.Value), bias)
+					copy(tensor.DataOf[E](cv.bias.Grad), db0)
+					want = yb
+				}
+				cwhat := fmt.Sprintf("Conv2D outC=%d bias=%v noInputGrad=%v %s", outC, useBias, skip, what)
+				cv.out = tensor.NewOf(tensor.DTypeOf[E](), n, outC, oh, ow)
+				cv.dx = tensor.NewOf(tensor.DTypeOf[E](), n, c, h, w)
+				cv.out.Fill(math.NaN()) // outputs the passes must overwrite everywhere
+				cv.dx.Fill(math.NaN())
+				sameElemsOrNaN(t, cwhat+" forward", tensor.DataOf[E](cv.Forward(x, true)), want)
+				gotDx := cv.Backward(tensor.FromSliceOf(g, n, outC, oh, ow))
+				sameElemsOrNaN(t, cwhat+" dW", tensor.DataOf[E](cv.weight.Grad), dW)
+				if useBias {
+					sameElemsOrNaN(t, cwhat+" db", tensor.DataOf[E](cv.bias.Grad), db)
+				}
+				if skip {
+					if gotDx != nil {
+						t.Fatalf("%s: a noInputGrad layer returned an input gradient", cwhat)
+					}
+					continue
+				}
+				sameElemsOrNaN(t, cwhat+" dx", tensor.DataOf[E](gotDx), dx)
+			}
+		}
+	}
 }
 
 func conv(kh, kw, sh, sw, ph, pw int) tensor.ConvParams {
@@ -237,6 +304,10 @@ func FuzzLayerPasses(f *testing.F) {
 // are refused when the layer is built. Before, NewMaxPool2D(0, 2) pooled to
 // zeros with argmax −1 and its Backward indexed −1, and a zero stride built
 // fine and divided by zero in the first Forward.
+//
+// Conv2D.Forward refuses an input that is not NCHW with the layer's channel
+// count: the products read the input through offset tables built for that
+// count, so a narrower input would be read past its channels.
 func TestLayerGeometryValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, c := range []struct {
@@ -250,6 +321,10 @@ func TestLayerGeometryValidation(t *testing.T) {
 		{"conv kernel 0", func() { NewConv2D(rng, 1, 1, 0) }},
 		{"conv stride 0", func() { NewConv2D(rng, 1, 1, 3, WithStride(0)) }},
 		{"conv pad -1", func() { NewConv2D(rng, 1, 1, 3, WithPadding(-1)) }},
+		{"conv input of fewer channels", func() { NewConv2D(rng, 3, 2, 3).Forward(tensor.New(2, 2, 8, 8), true) }},
+		{"conv input of more channels", func() { NewConv2D(rng, 3, 2, 3).Forward(tensor.New(2, 4, 8, 8), true) }},
+		{"conv input not 4-D", func() { NewConv2D(rng, 3, 2, 3).Forward(tensor.New(2, 3, 64), true) }},
+		{"conv input 5-D", func() { NewConv2D(rng, 1, 2, 3).Forward(tensor.New(1, 1, 1, 8, 8), true) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			defer func() {

@@ -220,9 +220,9 @@ func heldBuffers(m *Model) int {
 	for _, l := range m.net.(*Sequential).layers {
 		switch l := l.(type) {
 		case *Conv2D[float64]:
-			count(l.lastCols, l.out, l.dx)
+			count(l.lastX, l.xpad, l.out, l.dx)
 		case *Conv2D[float32]:
-			count(l.lastCols, l.out, l.dx)
+			count(l.lastX, l.xpad, l.out, l.dx)
 		case *ReLU[float64]:
 			count(l.y, l.g)
 		case *ReLU[float32]:

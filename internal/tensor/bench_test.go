@@ -48,36 +48,36 @@ func BenchmarkMatMulTransB256(b *testing.B)    { benchMatMulTrans(b, Float64, 25
 func BenchmarkMatMulTransA256F32(b *testing.B) { benchMatMulTrans(b, Float32, 256, MatMulTransA) }
 func BenchmarkMatMulTransB256F32(b *testing.B) { benchMatMulTrans(b, Float32, 256, MatMulTransB) }
 
-// benchIm2Col unrolls a CIFAR-like batch: 8×16×16×16 NCHW input with a
-// 3×3/pad-1 kernel, the geometry the conv layers hit hardest.
-func benchIm2Col(b *testing.B, dt DType) {
+// benchConv times one of a convolution's three products on a CIFAR-like
+// batch: 8×16×16×16 NCHW input, 3×3/pad-1 kernel, 16 output channels, the
+// input already padded as the layer pads it.
+func benchConv(b *testing.B, dt DType, product string) {
 	rng := rand.New(rand.NewSource(1))
-	x := NewOf(dt, 8, 16, 16, 16)
-	x.RandNormal(rng, 0, 1)
 	p := ConvParams{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	pl := NewConvPlan(dt, 16, 16, 16, 16, p)
+	x, src := NewOf(dt, 8, 16, 16, 16), NewOf(dt, 8, 16, 18, 18)
+	x.RandNormal(rng, 0, 1)
+	PadInto(src, x, 1, 1)
+	w, dw := NewOf(dt, 16, 16*9), NewOf(dt, 16, 16*9)
+	w.RandNormal(rng, 0, 1)
+	y, g := NewOf(dt, 8, 16, 16, 16), NewOf(dt, 8, 16, 16, 16)
+	g.RandNormal(rng, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cols := Im2Col(x, p)
-		_ = cols
+		switch product {
+		case "forward":
+			pl.Forward(y, src, w, nil)
+		case "weight":
+			pl.WeightGrad(dw, src, g)
+		case "input":
+			pl.InputGrad(x, w, g)
+		}
 	}
 }
 
-func BenchmarkIm2Col(b *testing.B)    { benchIm2Col(b, Float64) }
-func BenchmarkIm2ColF32(b *testing.B) { benchIm2Col(b, Float32) }
-
-// benchCol2Im times the adjoint on the same geometry.
-func benchCol2Im(b *testing.B, dt DType) {
-	rng := rand.New(rand.NewSource(1))
-	x := NewOf(dt, 8, 16, 16, 16)
-	x.RandNormal(rng, 0, 1)
-	p := ConvParams{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	cols := Im2Col(x, p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := Col2Im(cols, 8, 16, 16, 16, p)
-		_ = out
-	}
-}
-
-func BenchmarkCol2Im(b *testing.B)    { benchCol2Im(b, Float64) }
-func BenchmarkCol2ImF32(b *testing.B) { benchCol2Im(b, Float32) }
+func BenchmarkConvForward(b *testing.B)       { benchConv(b, Float64, "forward") }
+func BenchmarkConvForwardF32(b *testing.B)    { benchConv(b, Float32, "forward") }
+func BenchmarkConvWeightGrad(b *testing.B)    { benchConv(b, Float64, "weight") }
+func BenchmarkConvWeightGradF32(b *testing.B) { benchConv(b, Float32, "weight") }
+func BenchmarkConvInputGrad(b *testing.B)     { benchConv(b, Float64, "input") }
+func BenchmarkConvInputGradF32(b *testing.B)  { benchConv(b, Float32, "input") }

@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-
-	"fedsu/internal/par"
-)
+import "fmt"
 
 // ConvParams describes a 2-D convolution or pooling geometry over NCHW
 // tensors.
@@ -51,97 +47,6 @@ func divFloor(a, b int) int {
 
 func divCeil(a, b int) int { return -divFloor(-a, b) }
 
-// Im2Col unrolls an NCHW input tensor into a matrix of shape
-// (C*KH*KW) × (N*OH*OW) so convolution becomes a single MatMul. This is the
-// standard lowering used by CPU deep-learning stacks.
-func Im2Col(x *Tensor, p ConvParams) *Tensor {
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	oh, ow := p.OutSize(h, w)
-	out := NewOf(x.dt, c*p.KernelH*p.KernelW, n*oh*ow)
-	Im2ColInto(out, x, p)
-	return out
-}
-
-// Im2ColInto is Im2Col writing into caller-owned storage; dst must be
-// (C*KH*KW) × (N*OH*OW) and is fully overwritten (scratch-arena tensors need
-// no pre-zeroing). Output rows are independent, so the row loop parallelizes
-// over the worker pool with results identical to the serial path. Each
-// kernel tap's valid output range is precomputed so the hot loop is a
-// contiguous copy (stride 1) or a branch-free strided gather.
-func Im2ColInto(dst, x *Tensor, p ConvParams) {
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	oh, ow := p.OutSize(h, w)
-	rows := c * p.KernelH * p.KernelW
-	cols := n * oh * ow
-	if dst.shape[0] != rows || dst.shape[1] != cols {
-		panic(fmt.Sprintf("tensor: Im2ColInto dst shape %v, want %dx%d", dst.shape, rows, cols))
-	}
-	checkSameDType("Im2ColInto", dst, x)
-	if dst.dt == Float32 {
-		im2colDispatch(dst.data32, x.data32, p, n, c, h, w, oh, ow, rows, cols)
-	} else {
-		im2colDispatch(dst.data, x.data, p, n, c, h, w, oh, ow, rows, cols)
-	}
-}
-
-// im2colDispatch engages the worker pool when the unroll is large enough;
-// rows write disjoint slabs, so chunking is bit-deterministic at both
-// element widths.
-func im2colDispatch[E Elem](od, xd []E, p ConvParams, n, c, h, w, oh, ow, rows, cols int) {
-	if parallelWorthwhile(int64(rows) * int64(cols)) {
-		par.Parallelize(rows, func(lo, hi int) {
-			im2colRows(od, xd, p, n, c, h, w, oh, ow, lo, hi)
-		})
-		return
-	}
-	im2colRows(od, xd, p, n, c, h, w, oh, ow, 0, rows)
-}
-
-// im2colRows fills output rows [rLo, rHi); row index r decodes to the
-// (channel, kernel-tap) pair r = (ci*KH + kh)*KW + kw. Rows write disjoint
-// slabs, so any chunking is race-free and bit-deterministic. A row holds, per
-// image, OH segments of OW values: zeros where the tap lands in the padding,
-// the tap's input row in between. The input offset of a segment's first valid
-// value moves by StrideH rows from segment to segment, so the loop carries it
-// instead of re-deriving it.
-func im2colRows[E Elem](od, xd []E, p ConvParams, n, c, h, w, oh, ow, rLo, rHi int) {
-	cols, outPlane, inPlane := n*oh*ow, oh*ow, h*w
-	for row := rLo; row < rHi; row++ {
-		kw := row % p.KernelW
-		kh := (row / p.KernelW) % p.KernelH
-		ci := row / (p.KernelW * p.KernelH)
-		oyLo, oyHi := validRange(kh, p.PadH, p.StrideH, h, oh)
-		oxLo, oxHi := validRange(kw, p.PadW, p.StrideW, w, ow)
-		dst := od[row*cols : (row+1)*cols]
-		if oyLo > oyHi || oxLo > oxHi {
-			clear(dst)
-			continue
-		}
-		valid := oxHi - oxLo + 1
-		first := (oyLo*p.StrideH+kh-p.PadH)*w + oxLo*p.StrideW + kw - p.PadW
-		for ni := 0; ni < n; ni++ {
-			img := dst[ni*outPlane : (ni+1)*outPlane]
-			clear(img[:oyLo*ow])
-			clear(img[(oyHi+1)*ow:])
-			src := (ni*c+ci)*inPlane + first
-			for o := oyLo * ow; o <= oyHi*ow; o += ow {
-				d := img[o : o+ow]
-				clear(d[:oxLo])
-				clear(d[oxLo+valid:])
-				if p.StrideW == 1 {
-					copy(d[oxLo:oxLo+valid], xd[src:src+valid])
-				} else {
-					s := xd[src : src+(valid-1)*p.StrideW+1]
-					for j := range d[oxLo : oxLo+valid] {
-						d[oxLo+j] = s[j*p.StrideW]
-					}
-				}
-				src += p.StrideH * w
-			}
-		}
-	}
-}
-
 // MaxPool2x2Into is the 2×2, stride-2 max-pool of the NCHW tensor x into out,
 // (N, C, H/2, W/2), with argmax[i] the flat index into x of the tap out[i]
 // copies; an odd last row or column lies in no window. Taps are compared
@@ -185,95 +90,6 @@ func maxPool2x2[E Elem](od []E, argmax []int, xd []E, planes, h, w int, head fun
 				orow[ox], arow[ox] = xd[idx], idx
 			}
 			oi += ow
-		}
-	}
-}
-
-// Col2Im accumulates a column matrix (as produced by Im2Col) back into an
-// NCHW tensor of the given spatial geometry; overlapping contributions are
-// summed. It is the adjoint of Im2Col and implements the convolution input
-// gradient.
-func Col2Im(cols *Tensor, n, c, h, w int, p ConvParams) *Tensor {
-	x := NewOf(cols.dt, n, c, h, w)
-	Col2ImInto(x, cols, p)
-	return x
-}
-
-// Col2ImInto is Col2Im writing into caller-owned storage; dst must be an
-// NCHW tensor and is fully overwritten (each channel slab is zeroed before
-// accumulation, so scratch-arena tensors need no pre-zeroing). Channels own
-// disjoint output slabs and each channel's kernel taps are visited in a
-// fixed order, so the channel loop parallelizes with bit-identical results
-// at every worker count.
-func Col2ImInto(dst, cols *Tensor, p ConvParams) {
-	n, c, h, w := dst.shape[0], dst.shape[1], dst.shape[2], dst.shape[3]
-	oh, ow := p.OutSize(h, w)
-	colN := n * oh * ow
-	rows := c * p.KernelH * p.KernelW
-	if cols.shape[0] != rows || cols.shape[1] != colN {
-		panic(fmt.Sprintf("tensor: Col2ImInto cols shape %v, want %dx%d", cols.shape, rows, colN))
-	}
-	checkSameDType("Col2ImInto", dst, cols)
-	if dst.dt == Float32 {
-		col2imDispatch(dst.data32, cols.data32, p, n, c, h, w, oh, ow, rows, colN)
-	} else {
-		col2imDispatch(dst.data, cols.data, p, n, c, h, w, oh, ow, rows, colN)
-	}
-}
-
-// col2imDispatch engages the worker pool over channels; channels own
-// disjoint output slabs and taps are visited in a fixed order, so chunking
-// is bit-deterministic at both element widths.
-func col2imDispatch[E Elem](xd, cd []E, p ConvParams, n, c, h, w, oh, ow, rows, colN int) {
-	if parallelWorthwhile(int64(rows) * int64(colN)) {
-		par.Parallelize(c, func(lo, hi int) {
-			col2imChannels(xd, cd, p, n, c, h, w, oh, ow, lo, hi)
-		})
-		return
-	}
-	col2imChannels(xd, cd, p, n, c, h, w, oh, ow, 0, c)
-}
-
-// col2imChannels accumulates channels [cLo, cHi) of the output. Every input
-// element starts at +0 and receives its taps in (kh, kw) order, the order that
-// fixes its bits; within a tap the input offset of a segment moves by StrideH
-// rows, carried by the loop.
-func col2imChannels[E Elem](xd, cd []E, p ConvParams, n, c, h, w, oh, ow, cLo, cHi int) {
-	colN, plane := n*oh*ow, h*w
-	for ci := cLo; ci < cHi; ci++ {
-		for ni := 0; ni < n; ni++ {
-			clear(xd[(ni*c+ci)*plane : (ni*c+ci+1)*plane])
-		}
-		for kh := 0; kh < p.KernelH; kh++ {
-			oyLo, oyHi := validRange(kh, p.PadH, p.StrideH, h, oh)
-			for kw := 0; kw < p.KernelW; kw++ {
-				oxLo, oxHi := validRange(kw, p.PadW, p.StrideW, w, ow)
-				if oxLo > oxHi || oyLo > oyHi {
-					continue
-				}
-				valid := oxHi - oxLo + 1
-				first := (oyLo*p.StrideH+kh-p.PadH)*w + oxLo*p.StrideW + kw - p.PadW
-				row := (ci*p.KernelH+kh)*p.KernelW + kw
-				src := cd[row*colN : (row+1)*colN]
-				for ni := 0; ni < n; ni++ {
-					dst := (ni*c+ci)*plane + first
-					for o := (ni*oh+oyLo)*ow + oxLo; o <= (ni*oh+oyHi)*ow+oxLo; o += ow {
-						s := src[o : o+valid]
-						if p.StrideW == 1 {
-							d := xd[dst : dst+valid]
-							for j := range d {
-								d[j] += s[j]
-							}
-						} else {
-							d := xd[dst : dst+(valid-1)*p.StrideW+1]
-							for j := range s {
-								d[j*p.StrideW] += s[j]
-							}
-						}
-						dst += p.StrideH * w
-					}
-				}
-			}
 		}
 	}
 }

@@ -89,7 +89,7 @@ func TestParallelKernelsBitDeterministic(t *testing.T) {
 					ta := MatMulTransA(at, b)
 					tb := MatMulTransB(a, bt)
 					ac := acc0.Clone()
-					MatMulTransBAcc(ac, a, bt)
+					MatMulTransAAcc(ac, at, b)
 					return out{f64Of(mm), f64Of(ta), f64Of(tb), f64Of(ac)}
 				}
 
@@ -100,15 +100,16 @@ func TestParallelKernelsBitDeterministic(t *testing.T) {
 					sameBits(t, "MatMul "+tag, serial.mm, got.mm)
 					sameBits(t, "MatMulTransA "+tag, serial.ta, got.ta)
 					sameBits(t, "MatMulTransB "+tag, serial.tb, got.tb)
-					sameBits(t, "MatMulTransBAcc "+tag, serial.ac, got.ac)
+					sameBits(t, "MatMulTransAAcc "+tag, serial.ac, got.ac)
 				}
 			}
 		})
 	}
 }
 
-// TestParallelConvLoweringBitDeterministic covers Im2Col/Col2Im the same
-// way: serial and parallel executions must agree bitwise at both widths.
+// TestParallelConvLoweringBitDeterministic covers the convolution's three
+// products the same way: serial and parallel executions agree bitwise at
+// both widths, and both give the im2col lowering's bits.
 func TestParallelConvLoweringBitDeterministic(t *testing.T) {
 	prevCut := SetParallelCutoff(0)
 	defer SetParallelCutoff(prevCut)
@@ -117,32 +118,45 @@ func TestParallelConvLoweringBitDeterministic(t *testing.T) {
 		t.Run(dt.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			cases := []struct {
-				n, c, h, w int
-				p          ConvParams
+				n, c, h, w, outC int
+				p                ConvParams
 			}{
-				{2, 3, 9, 9, ConvParams{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
-				{1, 1, 5, 7, ConvParams{KernelH: 2, KernelW: 4, StrideH: 2, StrideW: 1}},
-				{3, 4, 8, 8, ConvParams{KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}},
+				{2, 3, 9, 9, 5, ConvParams{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
+				{1, 1, 5, 7, 4, ConvParams{KernelH: 2, KernelW: 4, StrideH: 2, StrideW: 1}},
+				{3, 4, 8, 8, 9, ConvParams{KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}},
+				{5, 2, 28, 28, 8, ConvParams{KernelH: 5, KernelW: 5, StrideH: 1, StrideW: 1}},
 			}
 			for ci, tc := range cases {
-				x := NewOf(dt, tc.n, tc.c, tc.h, tc.w)
-				fillRand(x, rng)
 				oh, ow := tc.p.OutSize(tc.h, tc.w)
-				cols0 := NewOf(dt, tc.c*tc.p.KernelH*tc.p.KernelW, tc.n*oh*ow)
-				fillRand(cols0, rng)
+				k := tc.c * tc.p.KernelH * tc.p.KernelW
+				x, w, bias := NewOf(dt, tc.n, tc.c, tc.h, tc.w), NewOf(dt, tc.outC, k), NewOf(dt, tc.outC)
+				g, dw0 := NewOf(dt, tc.n, tc.outC, oh, ow), NewOf(dt, tc.outC, k)
+				for _, r := range []*Tensor{x, w, bias, g, dw0} {
+					fillRand(r, rng)
+				}
+				wantY, wantDw, wantDx := convLowered(x, w, bias, g, dw0, tc.p)
 
-				run := func(workers int) (im, col []float64) {
+				run := func(workers int) (y, dw, dx []float64) {
 					prev := par.SetWorkers(workers)
 					defer par.SetWorkers(prev)
-					return f64Of(Im2Col(x, tc.p)),
-						f64Of(Col2Im(cols0, tc.n, tc.c, tc.h, tc.w, tc.p))
+					pl := NewConvPlan(dt, tc.c, tc.h, tc.w, tc.outC, tc.p)
+					src := x
+					if pl.Padded() {
+						src = NewOf(dt, tc.n, tc.c, tc.h+2*tc.p.PadH, tc.w+2*tc.p.PadW)
+						PadInto(src, x, tc.p.PadH, tc.p.PadW)
+					}
+					yt, dwt, dxt := NewOf(dt, tc.n, tc.outC, oh, ow), dw0.Clone(), NewOf(dt, tc.n, tc.c, tc.h, tc.w)
+					pl.Forward(yt, src, w, bias)
+					pl.WeightGrad(dwt, src, g)
+					pl.InputGrad(dxt, w, g)
+					return f64Of(yt), f64Of(dwt), f64Of(dxt)
 				}
-				serialIm, serialCol := run(1)
-				for _, w := range []int{4, 7} {
-					im, col := run(w)
+				for _, w := range []int{1, 4, 7} {
+					y, dw, dx := run(w)
 					tag := fmt.Sprintf("case=%d workers=%d", ci, w)
-					sameBits(t, "Im2Col "+tag, serialIm, im)
-					sameBits(t, "Col2Im "+tag, serialCol, col)
+					sameBits(t, "Forward "+tag, wantY, y)
+					sameBits(t, "WeightGrad "+tag, wantDw, dw)
+					sameBits(t, "InputGrad "+tag, wantDx, dx)
 				}
 			}
 		})

@@ -2,16 +2,16 @@
 
 package tensor
 
-// Assembly micro-kernels (kernel_amd64.s). Both take raw pointers and element
-// strides; k may be 0. They read A at a[r*ars+p*acs] (r < 4, p < k), B at
-// b[p*ldb .. p*ldb+W) and read/write C at c[r*ldc .. r*ldc+W), W = 8 / 16 —
-// nothing else. The wrappers below are the only callers.
+// Assembly micro-kernels (kernel_amd64.s). Both take raw pointers; k may be
+// 0. They read A at a[arow[r]+acol[p]] (r < 4, p < k), B at
+// b[boff[p] .. boff[p]+W) and read/write C at c[r*ldc .. r*ldc+W),
+// W = 8 / 16 — nothing else. The wrappers below are the only callers.
 
 //go:noescape
-func kernel4x8F64(c *float64, ldc int, a *float64, ars, acs int, b *float64, ldb, k, mode int)
+func kernel4x8F64(c *float64, ldc int, a *float64, arow, acol *int, b *float64, boff *int, k, mode int)
 
 //go:noescape
-func kernel4x16F32(c *float32, ldc int, a *float32, ars, acs int, b *float32, ldb, k, mode int)
+func kernel4x16F32(c *float32, ldc int, a *float32, arow, acol *int, b *float32, boff *int, k, mode int)
 
 // Element-wise heads (contract: vec.go). Each works the leading len(dst)&^15
 // elements, 32 bytes a step with unaligned loads and stores, and returns that
@@ -89,20 +89,22 @@ func init() {
 	}
 }
 
-// avx2Tile64 touches the far corner of each operand in Go — so a shape the
+// avx2Tile64 touches the far corner of each operand in Go — so a call the
 // driver got wrong panics here with an index error instead of the assembly
-// reading or writing past a slice — and enters the kernel. k >= 1: the driver
-// settles an empty inner dimension itself.
-func avx2Tile64(c []float64, ldc int, a []float64, ars, acs int, b []float64, ldb, k int, mode tileMode) {
+// reading or writing past a slice — and enters the kernel. Every driver
+// builds non-decreasing, non-negative tables, so the corners are the last
+// entries; a caller with other tables (the kernel tests) keeps every offset
+// in range itself. k >= 1: the driver settles an empty inner dimension.
+func avx2Tile64(c []float64, ldc int, a []float64, arow, acol []int, b []float64, boff []int, k int, mode tileMode) {
 	_ = c[3*ldc+7]
-	_ = a[3*ars+(k-1)*acs]
-	_ = b[(k-1)*ldb+7]
-	kernel4x8F64(&c[0], ldc, &a[0], ars, acs, &b[0], ldb, k, int(mode))
+	_ = a[arow[3]+acol[k-1]]
+	_ = b[boff[k-1]+7]
+	kernel4x8F64(&c[0], ldc, &a[0], &arow[0], &acol[0], &b[0], &boff[0], k, int(mode))
 }
 
-func avx2Tile32(c []float32, ldc int, a []float32, ars, acs int, b []float32, ldb, k int, mode tileMode) {
+func avx2Tile32(c []float32, ldc int, a []float32, arow, acol []int, b []float32, boff []int, k int, mode tileMode) {
 	_ = c[3*ldc+15]
-	_ = a[3*ars+(k-1)*acs]
-	_ = b[(k-1)*ldb+15]
-	kernel4x16F32(&c[0], ldc, &a[0], ars, acs, &b[0], ldb, k, int(mode))
+	_ = a[arow[3]+acol[k-1]]
+	_ = b[boff[k-1]+15]
+	kernel4x16F32(&c[0], ldc, &a[0], &arow[0], &acol[0], &b[0], &boff[0], k, int(mode))
 }

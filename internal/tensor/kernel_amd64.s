@@ -6,16 +6,18 @@
 //
 // One call computes a 4-row × 2-register tile of C: eight YMM accumulators
 // (Y0..Y7, row-major: row r lives in Y(2r), Y(2r+1)), each lane a different
-// output column. Every p step loads the two B registers once, broadcasts one
-// A element per row, and applies a separate multiply and add — never an FMA,
-// whose single rounding would change bits against the scalar code.
+// output column. Every p step reads its two offsets from the tables, loads
+// the two B registers once from b + boff[p], broadcasts one A element per
+// row from a + arow[r] + acol[p], and applies a separate multiply and add —
+// never an FMA, whose single rounding would change bits against the scalar
+// code.
 //
 // Register use, shared by both element widths:
 //
-//	DI  &C[0][0]     R8  ldc in bytes     BX  3*ldc
-//	SI  &A[0][p]     R9  ars in bytes     R12 3*ars     R10 acs in bytes
-//	DX  &B[p][0]     R11 ldb in bytes
-//	CX  remaining p steps                 AX  mode (0 store, 1 seed, 2 add-to)
+//	DI  &C[0][0]      R8  ldc in bytes      BX  3*ldc, then acol[p]
+//	SI, R9, R12, R13  &A[arow[0..3]]        R10 &acol[k]    R11 &boff[k]
+//	DX  &B            CX  p - k, counting up to 0
+//	AX  mode (0 store, 1 seed, 2 add-to), then boff[p]
 
 // ROW does one row of one p step: acc(lo,hi) += bcast(a) * (Y8,Y9).
 #define ROW(BCAST, MUL, ADD, aaddr, lo, hi) \
@@ -25,11 +27,21 @@
 	ADD   Y11, lo, lo; \
 	ADD   Y12, hi, hi
 
-// TILE is the whole kernel body after the arguments are in registers and
-// the strides are scaled to bytes.
-#define TILE(MOVU, BCAST, MUL, ADD, XOR) \
+// TILE is the whole kernel body after the arguments are in registers, ldc
+// is scaled to bytes and BX points at arow. SCALE is the element size.
+#define TILE(MOVU, BCAST, MUL, ADD, XOR, SCALE) \
+	MOVQ 8(BX), R9; \
+	MOVQ 16(BX), R12; \
+	MOVQ 24(BX), R13; \
+	MOVQ (BX), BX; \
+	LEAQ (SI)(R9*SCALE), R9; \
+	LEAQ (SI)(R12*SCALE), R12; \
+	LEAQ (SI)(R13*SCALE), R13; \
+	LEAQ (SI)(BX*SCALE), SI; \
+	LEAQ (R10)(CX*8), R10; \
+	LEAQ (R11)(CX*8), R11; \
+	NEGQ CX; \
 	LEAQ (R8)(R8*2), BX; \
-	LEAQ (R9)(R9*2), R12; \
 	CMPQ AX, $1; \
 	JNE  zero; \
 	MOVU (DI), Y0; \
@@ -52,19 +64,21 @@ zero: \
 	XOR  Y7, Y7, Y7; \
 start: \
 	CMPQ CX, $0; \
-	JLE  done; \
+	JGE  done; \
 loop: \
-	MOVU (DX), Y8; \
-	MOVU 32(DX), Y9; \
-	ROW(BCAST, MUL, ADD, (SI), Y0, Y1); \
-	ROW(BCAST, MUL, ADD, (SI)(R9*1), Y2, Y3); \
-	ROW(BCAST, MUL, ADD, (SI)(R9*2), Y4, Y5); \
-	ROW(BCAST, MUL, ADD, (SI)(R12*1), Y6, Y7); \
-	ADDQ R10, SI; \
-	ADDQ R11, DX; \
-	DECQ CX; \
+	MOVQ (R11)(CX*8), AX; \
+	MOVU (DX)(AX*SCALE), Y8; \
+	MOVU 32(DX)(AX*SCALE), Y9; \
+	MOVQ (R10)(CX*8), BX; \
+	ROW(BCAST, MUL, ADD, (SI)(BX*SCALE), Y0, Y1); \
+	ROW(BCAST, MUL, ADD, (R9)(BX*SCALE), Y2, Y3); \
+	ROW(BCAST, MUL, ADD, (R12)(BX*SCALE), Y4, Y5); \
+	ROW(BCAST, MUL, ADD, (R13)(BX*SCALE), Y6, Y7); \
+	INCQ CX; \
 	JNZ  loop; \
 done: \
+	LEAQ (R8)(R8*2), BX; \
+	MOVQ mode+64(FP), AX; \
 	CMPQ AX, $2; \
 	JNE  store; \
 	ADD  (DI), Y0, Y0; \
@@ -87,39 +101,33 @@ store: \
 	VZEROUPPER; \
 	RET
 
-// func kernel4x8F64(c *float64, ldc int, a *float64, ars, acs int, b *float64, ldb, k, mode int)
+// func kernel4x8F64(c *float64, ldc int, a *float64, arow, acol *int, b *float64, boff *int, k, mode int)
 TEXT ·kernel4x8F64(SB), NOSPLIT, $0-72
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), R8
 	MOVQ a+16(FP), SI
-	MOVQ ars+24(FP), R9
-	MOVQ acs+32(FP), R10
+	MOVQ arow+24(FP), BX
+	MOVQ acol+32(FP), R10
 	MOVQ b+40(FP), DX
-	MOVQ ldb+48(FP), R11
+	MOVQ boff+48(FP), R11
 	MOVQ k+56(FP), CX
 	MOVQ mode+64(FP), AX
 	SHLQ $3, R8
-	SHLQ $3, R9
-	SHLQ $3, R10
-	SHLQ $3, R11
-	TILE(VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VXORPD)
+	TILE(VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VXORPD, 8)
 
-// func kernel4x16F32(c *float32, ldc int, a *float32, ars, acs int, b *float32, ldb, k, mode int)
+// func kernel4x16F32(c *float32, ldc int, a *float32, arow, acol *int, b *float32, boff *int, k, mode int)
 TEXT ·kernel4x16F32(SB), NOSPLIT, $0-72
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), R8
 	MOVQ a+16(FP), SI
-	MOVQ ars+24(FP), R9
-	MOVQ acs+32(FP), R10
+	MOVQ arow+24(FP), BX
+	MOVQ acol+32(FP), R10
 	MOVQ b+40(FP), DX
-	MOVQ ldb+48(FP), R11
+	MOVQ boff+48(FP), R11
 	MOVQ k+56(FP), CX
 	MOVQ mode+64(FP), AX
 	SHLQ $2, R8
-	SHLQ $2, R9
-	SHLQ $2, R10
-	SHLQ $2, R11
-	TILE(VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VXORPS)
+	TILE(VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VXORPS, 4)
 
 // The element-wise heads (contract: vec.go). One step of each works 32 bytes
 // at offset o from AX: a separate load, then the add with the Go statement's

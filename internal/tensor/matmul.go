@@ -2,33 +2,42 @@ package tensor
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"fedsu/internal/par"
 )
 
-// Every matrix product in this package is one driver over one register-tile
-// micro-kernel. The kernel's contract (tileFunc) is
+// Every matrix product in this package is one register-tile micro-kernel
+// under a driver. The kernel's contract (tileFunc) is
 //
-//	C[4×W] (= | +=) Σ_p A[i·ars + p·acs] · B[p·ldb + j … j+W)
+//	C[4×W] (= | +=) Σ_p a[arow[r] + acol[p]] · b[boff[p] + j … j+W)
 //
-// with W = 8 at float64 and 16 at float32: vector lanes are different output
-// columns, so each lane carries one element's private sum; every p step is a
-// separate multiply then a separate add (never a fused multiply-add, whose
-// single rounding would change bits), taken in p = 0..k-1 order; and the
-// accumulators start from zero or from C. Each output element is therefore
-// the same ordered sum of rounded products the scalar code computes, and
-// there are exactly two implementations of the contract: Go assembly for
-// amd64 with AVX2 (kernel_amd64.s) and goTile below, which is also what the
-// driver's fringe runs on. They agree bit for bit (microkernel_test.go, which
-// also holds them against the scalar kernels this design retired).
+// with W = 8 at float64 and 16 at float32: the operands' addresses come from
+// offset tables, per row of A (arow) and per p step (acol, boff), so one
+// kernel reads a row-major matrix, a transposed one or an NCHW tensor in
+// place. Vector lanes are different output columns, so each lane carries one
+// element's private sum; every p step is a separate multiply then a separate
+// add (never a fused multiply-add, whose single rounding would change bits),
+// taken in p = 0..k-1 order; and the accumulators start from zero or from C.
+// Each output element is therefore the same ordered sum of rounded products
+// the scalar code computes, and there are exactly two implementations of the
+// contract: Go assembly for amd64 with AVX2 (kernel_amd64.s) and goTile
+// below, which is also what the drivers' fringes run on. They agree bit for
+// bit (microkernel_test.go, which also holds them against the scalar kernels
+// this design retired).
 //
-// The three products are the same kernel under different strides:
+// The matrix products are the strided driver gemm, whose tables are
+// arithmetic (arow[r] = r·ars, acol[p] = p·acs, boff[p] = p·ldb):
 //
 //   - A × B reads row-major B in place (ars = k, acs = 1): nothing is packed.
 //   - Aᵀ × B is the same call with ars = 1, acs = m.
 //   - A × Bᵀ has no row-major right operand, so it transposes the smaller of
 //     its two operands into arena scratch; if that was A it computes the
 //     transposed product Cᵀ = B × Aᵀ and folds it back.
+//
+// The convolution (convolve.go) drives the same kernel with tables over NCHW
+// tensors and builds no column matrix.
 //
 // Three properties are load-bearing for the rest of the stack:
 //
@@ -71,9 +80,11 @@ const (
 	tileAddTo                 // C = C + Σ, Σ summed from zero
 )
 
-// tileFunc computes one full tileRows×tileCols tile: c, a and b are slices
-// starting at the tile's first element of each operand, k >= 1.
-type tileFunc[E Elem] func(c []E, ldc int, a []E, ars, acs int, b []E, ldb, k int, mode tileMode)
+// tileFunc computes one full tileRows×tileCols tile: c starts at the tile's
+// first element, A element (r, p) is a[arow[r]+acol[p]] and B row p is
+// b[boff[p] … +W); arow holds at least 4 entries, acol and boff at least k,
+// k >= 1.
+type tileFunc[E Elem] func(c []E, ldc int, a []E, arow, acol []int, b []E, boff []int, k int, mode tileMode)
 
 // tile64 and tile32 are the micro-kernels the driver calls: the Go tile,
 // unless kernel_amd64.go's init found a CPU for the assembly (build tag
@@ -86,7 +97,7 @@ var (
 )
 
 // parallelCutoff is the minimum work size (multiply-adds for matmul,
-// elements moved for im2col/col2im) that engages the worker pool.
+// the convolution's products) that engages the worker pool.
 var parallelCutoff int64 = 1 << 18
 
 // SetParallelCutoff overrides the serial-fallback threshold and returns the
@@ -102,7 +113,24 @@ func parallelWorthwhile(work int64) bool {
 	return par.Workers() > 1 && work >= parallelCutoff
 }
 
-// gemm is the one driver: C (m×n, row stride ldc) from A addressed as
+// offsetPools recycle the tables of the strided driver by power-of-two
+// size class, so a product of any shape draws its tables without
+// allocating in steady state.
+var offsetPools [40]sync.Pool
+
+func getOffsets(n int) *[]int {
+	c := bits.Len(uint(n - 1))
+	if t, ok := offsetPools[c].Get().(*[]int); ok {
+		*t = (*t)[:n]
+		return t
+	}
+	t := make([]int, n, 1<<c)
+	return &t
+}
+
+func putOffsets(t *[]int) { offsetPools[bits.Len(uint(cap(*t)))-1].Put(t) }
+
+// gemm is the strided driver: C (m×n, row stride ldc) from A addressed as
 // a[i*ars+p*acs] and row-major B (k×n, row stride ldb). Rows are split over
 // the worker pool in whole tiles; any split gives the same bits.
 func gemm[E Elem](tile tileFunc[E], c []E, ldc int, a []E, ars, acs int, b []E, ldb, m, k, n int, mode tileMode) {
@@ -114,47 +142,58 @@ func gemm[E Elem](tile tileFunc[E], c []E, ldc int, a []E, ars, acs int, b []E, 
 		}
 		return
 	}
+	t := getOffsets(tileRows + 2*k)
+	arow, acol, boff := (*t)[:tileRows], (*t)[tileRows:tileRows+k], (*t)[tileRows+k:]
+	for r := range arow {
+		arow[r] = r * ars
+	}
+	for p := range acol {
+		acol[p], boff[p] = p*acs, p*ldb
+	}
 	if parallelWorthwhile(int64(m) * int64(k) * int64(n)) {
 		par.ParallelizeGrain(m, tileRows, func(lo, hi int) {
-			gemmRows(tile, c, ldc, a, ars, acs, b, ldb, lo, hi, k, n, mode)
+			gemmRows(tile, c, ldc, a, ars, arow, acol, b, boff, lo, hi, n, mode)
 		})
-		return
+	} else {
+		gemmRows(tile, c, ldc, a, ars, arow, acol, b, boff, 0, m, n, mode)
 	}
-	gemmRows(tile, c, ldc, a, ars, acs, b, ldb, 0, m, k, n, mode)
+	putOffsets(t)
 }
 
 // gemmRows computes output rows [lo, hi): full tiles through the
 // micro-kernel, column strip by column strip so the k×W panel of B stays in
 // cache while the row tiles pass over it, then the n mod W columns and the
-// (hi-lo) mod 4 rows that are left through goBlock.
-func gemmRows[E Elem](tile tileFunc[E], c []E, ldc int, a []E, ars, acs int, b []E, ldb, lo, hi, k, n int, mode tileMode) {
-	w := tileCols[E]()
+// (hi-lo) mod 4 rows that are left through goBlock. Row i of A starts at
+// a[i*ars], so one 4-entry arow serves every tile.
+func gemmRows[E Elem](tile tileFunc[E], c []E, ldc int, a []E, ars int, arow, acol []int, b []E, boff []int, lo, hi, n int, mode tileMode) {
+	k, w := len(acol), tileCols[E]()
 	full := lo + (hi-lo)/tileRows*tileRows
 	nt := n - n%w
 	for j := 0; j < nt; j += w {
 		for i := lo; i < full; i += tileRows {
-			tile(c[i*ldc+j:], ldc, a[i*ars:], ars, acs, b[j:], ldb, k, mode)
+			tile(c[i*ldc+j:], ldc, a[i*ars:], arow, acol, b[j:], boff, k, mode)
 		}
 	}
-	if nt < n && lo < full {
-		goBlock(c[lo*ldc+nt:], ldc, a[lo*ars:], ars, acs, b[nt:], ldb, full-lo, n-nt, k, mode)
+	for i := lo; nt < n && i < full; i += tileRows {
+		goBlock(c[i*ldc+nt:], ldc, a[i*ars:], arow, acol, b[nt:], boff, tileRows, n-nt, mode)
 	}
 	if full < hi {
-		goBlock(c[full*ldc:], ldc, a[full*ars:], ars, acs, b, ldb, hi-full, n, k, mode)
+		goBlock(c[full*ldc:], ldc, a[full*ars:], arow, acol, b, boff, hi-full, n, mode)
 	}
 }
 
 // goTile is the micro-kernel in Go: the tile every build without the
 // assembly runs on, and the reference the assembly is held to.
-func goTile[E Elem](c []E, ldc int, a []E, ars, acs int, b []E, ldb, k int, mode tileMode) {
-	goBlock(c, ldc, a, ars, acs, b, ldb, tileRows, tileCols[E](), k, mode)
+func goTile[E Elem](c []E, ldc int, a []E, arow, acol []int, b []E, boff []int, k int, mode tileMode) {
+	goBlock(c, ldc, a, arow, acol[:k], b, boff, tileRows, tileCols[E](), mode)
 }
 
-// goBlock computes a rows×cols block by the micro-kernel's contract, a row
-// at a time.
-func goBlock[E Elem](c []E, ldc int, a []E, ars, acs int, b []E, ldb, rows, cols, k int, mode tileMode) {
+// goBlock computes a rows×cols block (rows <= len(arow)) by the
+// micro-kernel's contract, a row at a time; the inner dimension is
+// len(acol).
+func goBlock[E Elem](c []E, ldc int, a []E, arow, acol []int, b []E, boff []int, rows, cols int, mode tileMode) {
 	for i := 0; i < rows; i++ {
-		goRow(c[i*ldc:i*ldc+cols], a[i*ars:], acs, b, ldb, k, mode)
+		goRow(c[i*ldc:i*ldc+cols], a[arow[i]:], acol, b, boff[:len(acol)], mode)
 	}
 }
 
@@ -163,7 +202,7 @@ func goBlock[E Elem](c []E, ldc int, a []E, ars, acs int, b []E, ldb, rows, cols
 // of a row of B. The E(…) conversions round each product before it is added:
 // on architectures where the compiler would otherwise fuse the pair, the
 // language guarantees an explicit conversion is not fused through.
-func goRow[E Elem](ci, a []E, acs int, b []E, ldb, k int, mode tileMode) {
+func goRow[E Elem](ci, a []E, acol []int, b []E, boff []int, mode tileMode) {
 	j := 0
 	for ; j+8 <= len(ci); j += 8 {
 		cj := ci[j : j+8 : j+8]
@@ -171,9 +210,9 @@ func goRow[E Elem](ci, a []E, acs int, b []E, ldb, k int, mode tileMode) {
 		if mode == tileSeed {
 			s0, s1, s2, s3, s4, s5, s6, s7 = cj[0], cj[1], cj[2], cj[3], cj[4], cj[5], cj[6], cj[7]
 		}
-		ai, bi := 0, j
-		for p := 0; p < k; p++ {
-			av, bp := a[ai], b[bi:bi+8:bi+8]
+		for p, ao := range acol {
+			bi := boff[p] + j
+			av, bp := a[ao], b[bi:bi+8:bi+8]
 			s0 += E(av * bp[0])
 			s1 += E(av * bp[1])
 			s2 += E(av * bp[2])
@@ -182,12 +221,10 @@ func goRow[E Elem](ci, a []E, acs int, b []E, ldb, k int, mode tileMode) {
 			s5 += E(av * bp[5])
 			s6 += E(av * bp[6])
 			s7 += E(av * bp[7])
-			ai += acs
-			bi += ldb
 		}
-		if mode == tileAddTo {
-			s0, s1, s2, s3 = cj[0]+s0, cj[1]+s1, cj[2]+s2, cj[3]+s3
-			s4, s5, s6, s7 = cj[4]+s4, cj[5]+s5, cj[6]+s6, cj[7]+s7
+		if mode == tileAddTo { // Σ first, as the assembly adds
+			s0, s1, s2, s3 = s0+cj[0], s1+cj[1], s2+cj[2], s3+cj[3]
+			s4, s5, s6, s7 = s4+cj[4], s5+cj[5], s6+cj[6], s7+cj[7]
 		}
 		cj[0], cj[1], cj[2], cj[3], cj[4], cj[5], cj[6], cj[7] = s0, s1, s2, s3, s4, s5, s6, s7
 	}
@@ -196,14 +233,11 @@ func goRow[E Elem](ci, a []E, acs int, b []E, ldb, k int, mode tileMode) {
 		if mode == tileSeed {
 			s = ci[j]
 		}
-		ai, bi := 0, j
-		for p := 0; p < k; p++ {
-			s += E(a[ai] * b[bi])
-			ai += acs
-			bi += ldb
+		for p, ao := range acol {
+			s += E(a[ao] * b[boff[p]+j])
 		}
 		if mode == tileAddTo {
-			s = ci[j] + s
+			s += ci[j]
 		}
 		ci[j] = s
 	}
@@ -274,20 +308,6 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 	return c
 }
 
-// MatMulTransAInto computes dst = Aᵀ × B, fully overwriting dst (m×n).
-func MatMulTransAInto(dst, a, b *Tensor) {
-	k, m, n := checkTransA(a, b)
-	if dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransAInto shape mismatch dst=%v a=%v b=%v", dst.shape, a.shape, b.shape))
-	}
-	checkSameDType("MatMulTransAInto", dst, a, b)
-	if dst.dt == Float32 {
-		matmulTransA(tile32, dst.data32, a.data32, b.data32, k, m, n, tileStore)
-	} else {
-		matmulTransA(tile64, dst.data, a.data, b.data, k, m, n, tileStore)
-	}
-}
-
 // MatMulTransAAcc computes dst += Aᵀ × B, the gradient-accumulation
 // primitive (dW += xᵀ·grad) that avoids a temporary plus an Add pass: each
 // element's accumulator starts from dst and takes the k products in p order.
@@ -325,9 +345,9 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 	checkSameDType("MatMulTransB", a, b)
 	c := NewOf(a.dt, m, n)
 	if a.dt == Float32 {
-		matmulTransB(tile32, c.data32, a.data32, b.data32, m, k, n, false)
+		matmulTransB(tile32, c.data32, a.data32, b.data32, m, k, n)
 	} else {
-		matmulTransB(tile64, c.data, a.data, b.data, m, k, n, false)
+		matmulTransB(tile64, c.data, a.data, b.data, m, k, n)
 	}
 	return c
 }
@@ -340,45 +360,25 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	}
 	checkSameDType("MatMulTransBInto", dst, a, b)
 	if dst.dt == Float32 {
-		matmulTransB(tile32, dst.data32, a.data32, b.data32, m, k, n, false)
+		matmulTransB(tile32, dst.data32, a.data32, b.data32, m, k, n)
 	} else {
-		matmulTransB(tile64, dst.data, a.data, b.data, m, k, n, false)
+		matmulTransB(tile64, dst.data, a.data, b.data, m, k, n)
 	}
 }
 
-// MatMulTransBAcc computes dst += A × Bᵀ. Each element's dot product is
-// formed in a private accumulator and added to dst once, matching the
-// compute-then-Add semantics of the unfused path bit-for-bit.
-func MatMulTransBAcc(dst, a, b *Tensor) {
-	m, k, n := checkTransB(a, b)
-	if dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransBAcc shape mismatch dst=%v a=%v b=%v", dst.shape, a.shape, b.shape))
-	}
-	checkSameDType("MatMulTransBAcc", dst, a, b)
-	if dst.dt == Float32 {
-		matmulTransB(tile32, dst.data32, a.data32, b.data32, m, k, n, true)
-	} else {
-		matmulTransB(tile64, dst.data, a.data, b.data, m, k, n, true)
-	}
-}
-
-// matmulTransB computes C (+)= A × Bᵀ for A m×k and B n×k. The micro-kernel
+// matmulTransB computes C = A × Bᵀ for A m×k and B n×k. The micro-kernel
 // wants its right operand row-major in p, which neither is, so the smaller of
 // the two is transposed into scratch. If that is B the product runs directly.
 // If it is A the product runs transposed, Cᵀ = B × Aᵀ, into scratch whose
 // rows are padded to whole tiles (so a narrow m still fills vector lanes),
-// and is folded back element by element. Either way an element is its k
-// products summed from zero, then stored or added to C once.
-func matmulTransB[E Elem](tile tileFunc[E], c, a, b []E, m, k, n int, acc bool) {
+// and is copied back element by element. Either way an element is its k
+// products summed from zero.
+func matmulTransB[E Elem](tile tileFunc[E], c, a, b []E, m, k, n int) {
 	dt := dtypeOf[E]()
 	if n <= m {
 		bts := GetScratchOf(dt, k, n)
 		transposeInto(DataOf[E](bts), n, b, n, k)
-		mode := tileStore
-		if acc {
-			mode = tileAddTo
-		}
-		gemm(tile, c, n, a, k, 1, DataOf[E](bts), n, m, k, n, mode)
+		gemm(tile, c, n, a, k, 1, DataOf[E](bts), n, m, k, n, tileStore)
 		PutScratch(bts)
 		return
 	}
@@ -390,14 +390,8 @@ func matmulTransB[E Elem](tile tileFunc[E], c, a, b []E, m, k, n int, acc bool) 
 	gemm(tile, ct, mp, b, k, 1, DataOf[E](ats), mp, n, k, mp, tileStore)
 	for i := 0; i < m; i++ {
 		ci := c[i*n : (i+1)*n]
-		if acc {
-			for j := range ci {
-				ci[j] += ct[j*mp+i]
-			}
-		} else {
-			for j := range ci {
-				ci[j] = ct[j*mp+i]
-			}
+		for j := range ci {
+			ci[j] = ct[j*mp+i]
 		}
 	}
 	PutScratch(ats)

@@ -55,14 +55,13 @@ type product struct {
 
 var products = []product{
 	{name: "MatMulInto", run: MatMulInto, ref64: refMatmul[float64], ref32: refMatmul[float32]},
-	{name: "MatMulTransAInto", aT: true, run: MatMulTransAInto,
+	{name: "MatMulTransA", aT: true, run: func(dst, a, b *Tensor) { dst.CopyFrom(MatMulTransA(a, b)) },
 		ref64: func(c, a, b []float64, m, k, n int, acc bool) { refMatmulTransA(c, a, b, k, m, n, acc) },
 		ref32: func(c, a, b []float32, m, k, n int, acc bool) { refMatmulTransA(c, a, b, k, m, n, acc) }},
 	{name: "MatMulTransAAcc", aT: true, acc: true, run: MatMulTransAAcc,
 		ref64: func(c, a, b []float64, m, k, n int, acc bool) { refMatmulTransA(c, a, b, k, m, n, acc) },
 		ref32: func(c, a, b []float32, m, k, n int, acc bool) { refMatmulTransA(c, a, b, k, m, n, acc) }},
 	{name: "MatMulTransBInto", bT: true, run: MatMulTransBInto, ref64: refMatmulTransB[float64], ref32: refMatmulTransB[float32]},
-	{name: "MatMulTransBAcc", bT: true, acc: true, run: MatMulTransBAcc, ref64: refMatmulTransB[float64], ref32: refMatmulTransB[float32]},
 }
 
 // operands builds (a, b, c0) for an m×k×n product in p's storage layout.
@@ -148,7 +147,100 @@ func TestMicroKernelMatchesReference(t *testing.T) {
 				}
 			}
 			t.Logf("%d shapes × %d entry points", shapes, len(products))
+			checkTileTables(t, dt, rng, fill, sameBits)
 		})
+	}
+}
+
+// tileTables draws offset tables for a k-step tile over operands of aLen and
+// bLen values: arbitrary A row offsets, A column offsets at random, and B
+// rows either at random offsets or, with overlap, on a walk whose steps are
+// below W, so that consecutive rows share values.
+func tileTables(rng *rand.Rand, w, k, aLen, bLen int, overlap bool) (arow, acol, boff []int) {
+	arow, acol, boff = make([]int, tileRows), make([]int, k), make([]int, k)
+	for r := range arow {
+		arow[r] = rng.Intn(aLen / 2)
+	}
+	o := rng.Intn(bLen - w + 1)
+	for p := range acol {
+		acol[p] = rng.Intn(aLen / 2)
+		if overlap {
+			o = (o + rng.Intn(w)) % (bLen - w + 1)
+		} else {
+			o = rng.Intn(bLen - w + 1)
+		}
+		boff[p] = o
+	}
+	return arow, acol, boff
+}
+
+// naiveTile is the table contract spelled out: one ordered sum per element
+// of the 4×w tile.
+func naiveTile[E Elem](c []E, ldc int, a []E, arow, acol []int, b []E, boff []int, w int, mode tileMode) {
+	for r := range arow {
+		for j := 0; j < w; j++ {
+			var s E
+			if mode == tileSeed {
+				s = c[r*ldc+j]
+			}
+			for p, ao := range acol {
+				s += E(a[arow[r]+ao] * b[boff[p]+j])
+			}
+			if mode == tileAddTo {
+				s += c[r*ldc+j]
+			}
+			c[r*ldc+j] = s
+		}
+	}
+}
+
+// checkTileTables runs table-addressed tiles — k ∈ {1, 2, 8, 25, 200}, every
+// mode, random and overlapping B rows — on the selected kernel, on goTile and
+// through naiveTile from one C, and holds the three to each other with cmp.
+// C has two columns of slack per row, which no tile may touch.
+func checkTileTables(t *testing.T, dt DType, rng *rand.Rand, fill func(*Tensor), cmp func(*testing.T, string, []float64, []float64)) {
+	t.Helper()
+	w := 8
+	if dt == Float32 {
+		w = 16
+	}
+	for _, k := range []int{1, 2, 8, 25, 200} {
+		for _, mode := range []tileMode{tileStore, tileSeed, tileAddTo} {
+			for _, overlap := range []bool{false, true} {
+				a, b, c0 := NewOf(dt, 64+rng.Intn(300)), NewOf(dt, w+rng.Intn(3*k+w)), NewOf(dt, tileRows*(w+2))
+				fill(a)
+				fill(b)
+				fillRand(c0, rng)
+				arow, acol, boff := tileTables(rng, w, k, a.Len(), b.Len(), overlap)
+				tag := fmt.Sprintf("tables k=%d mode=%d overlap=%v", k, mode, overlap)
+				run := func(f func(c *Tensor)) []float64 {
+					c := c0.Clone()
+					f(c)
+					return f64Of(c)
+				}
+				want := run(func(c *Tensor) {
+					if dt == Float32 {
+						naiveTile(c.data32, w+2, a.data32, arow, acol, b.data32, boff, w, mode)
+					} else {
+						naiveTile(c.data, w+2, a.data, arow, acol, b.data, boff, w, mode)
+					}
+				})
+				type tiles struct {
+					t64 tileFunc[float64]
+					t32 tileFunc[float32]
+				}
+				for name, tile := range map[string]tiles{"selected": {tile64, tile32}, "go": {goTile[float64], goTile[float32]}} {
+					got := run(func(c *Tensor) {
+						if dt == Float32 {
+							tile.t32(c.data32, w+2, a.data32, arow, acol, b.data32, boff, k, mode)
+						} else {
+							tile.t64(c.data, w+2, a.data, arow, acol, b.data, boff, k, mode)
+						}
+					})
+					cmp(t, tag+" "+name+" vs contract", want, got)
+				}
+			}
+		}
 	}
 }
 
@@ -217,6 +309,8 @@ func TestMicroKernelNonFinite(t *testing.T) {
 					})
 				}
 			}
+
+			checkTileTables(t, dt, rng, fill, sameBitsOrNaN)
 
 			// 0·Inf: A is all zero, one B element is +Inf. Small MatMul and
 			// TransA went through the skipping kernels.
@@ -311,15 +405,50 @@ func fuzzGemm[E Elem](t *testing.T, sel tileFunc[E], m, k, n, padC, padA, padB i
 	}
 }
 
-// FuzzMicroKernel fuzzes the driver over shape, operand strides and seed.
+// fuzzTables runs one table-addressed tile, as checkTileTables draws them,
+// on the selected tile and on the Go tile against naiveTile.
+func fuzzTables[E Elem](t *testing.T, sel tileFunc[E], k int, mode tileMode, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	w := tileCols[E]()
+	draw := func(n int) []E {
+		s := make([]E, n)
+		for i := range s {
+			s[i] = E(rng.Float64()*2 - 1)
+		}
+		return s
+	}
+	a, b, c0 := draw(8+rng.Intn(400)), draw(w+rng.Intn(4*k+w)), draw(tileRows*(w+3))
+	arow, acol, boff := tileTables(rng, w, k, len(a), len(b), rng.Intn(2) == 0)
+	want := append([]E(nil), c0...)
+	naiveTile(want, w+3, a, arow, acol, b, boff, w, mode)
+	for name, tile := range map[string]tileFunc[E]{"selected": sel, "go": goTile[E]} {
+		got := append([]E(nil), c0...)
+		tile(got, w+3, a, arow, acol, b, boff, k, mode)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s tile: tables k=%d mode=%d arow=%v: element %d is %v, want %v", name, k, mode, arow, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// FuzzMicroKernel fuzzes the driver over shape, operand strides and seed,
+// and with tables set, one tile over random offset tables.
 func FuzzMicroKernel(f *testing.F) {
-	f.Add(uint8(8), uint8(25), uint16(62), uint8(0), uint8(0), uint8(0), false, uint8(0), int64(1))
-	f.Add(uint8(5), uint8(0), uint16(17), uint8(1), uint8(2), uint8(3), true, uint8(1), int64(2))
-	f.Add(uint8(200), uint8(16), uint16(33), uint8(3), uint8(0), uint8(1), true, uint8(2), int64(3))
-	f.Fuzz(func(t *testing.T, m, k uint8, n uint16, padC, padA, padB uint8, transA bool, mode uint8, seed int64) {
+	f.Add(uint8(8), uint8(25), uint16(62), uint8(0), uint8(0), uint8(0), false, uint8(0), int64(1), false)
+	f.Add(uint8(5), uint8(0), uint16(17), uint8(1), uint8(2), uint8(3), true, uint8(1), int64(2), false)
+	f.Add(uint8(200), uint8(16), uint16(33), uint8(3), uint8(0), uint8(1), true, uint8(2), int64(3), false)
+	f.Add(uint8(1), uint8(25), uint16(1), uint8(0), uint8(0), uint8(0), false, uint8(2), int64(4), true)
+	f.Add(uint8(1), uint8(3), uint16(1), uint8(0), uint8(0), uint8(0), false, uint8(1), int64(5), true)
+	f.Fuzz(func(t *testing.T, m, k uint8, n uint16, padC, padA, padB uint8, transA bool, mode uint8, seed int64, tables bool) {
+		md := tileMode(mode % 3)
+		if tables {
+			fuzzTables(t, tile64, 1+int(k), md, seed)
+			fuzzTables(t, tile32, 1+int(k), md, seed)
+			return
+		}
 		mi, ki, ni := 1+int(m), int(k), 1+int(n%300)
 		pc, pa, pb := int(padC%4), int(padA%4), int(padB%4)
-		md := tileMode(mode % 3)
 		fuzzGemm(t, tile64, mi, ki, ni, pc, pa, pb, transA, md, seed)
 		fuzzGemm(t, tile32, mi, ki, ni, pc, pa, pb, transA, md, seed)
 	})

@@ -229,9 +229,9 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 		x.Data()[i] = float64(i)
 	}
 	p := ConvParams{KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1}
-	cols := Im2Col(x, p)
+	cols := im2col(x, p)
 	if cols.Dim(0) != 2 || cols.Dim(1) != 9 {
-		t.Fatalf("Im2Col shape = %v, want [2 9]", cols.Shape())
+		t.Fatalf("im2col shape = %v, want [2 9]", cols.Shape())
 	}
 	for i := range x.Data() {
 		if cols.Data()[i] != x.Data()[i] {
@@ -248,7 +248,7 @@ func TestIm2ColKnownPatch(t *testing.T) {
 		7, 8, 9,
 	}, 1, 1, 3, 3)
 	p := ConvParams{KernelH: 2, KernelW: 2, StrideH: 1, StrideW: 1}
-	cols := Im2Col(x, p)
+	cols := im2col(x, p)
 	// Row layout: (kh,kw) in row-major; columns are output positions.
 	want := [][]float64{
 		{1, 2, 4, 5}, // kh=0 kw=0
@@ -268,7 +268,7 @@ func TestIm2ColKnownPatch(t *testing.T) {
 func TestIm2ColPadding(t *testing.T) {
 	x := Full(1, 1, 1, 2, 2)
 	p := ConvParams{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	cols := Im2Col(x, p)
+	cols := im2col(x, p)
 	// Center kernel tap (kh=1,kw=1) always lands inside → all ones.
 	centerRow := (1*3 + 1)
 	for c := 0; c < cols.Dim(1); c++ {
@@ -282,9 +282,10 @@ func TestIm2ColPadding(t *testing.T) {
 	}
 }
 
-// Property: Col2Im is the adjoint of Im2Col — for random x and y,
-// ⟨Im2Col(x), y⟩ = ⟨x, Col2Im(y)⟩. This is the exact identity the conv
-// backward pass relies on.
+// Property: col2im is the adjoint of im2col — for random x and y,
+// ⟨im2col(x), y⟩ = ⟨x, col2im(y)⟩. This is the exact identity the conv
+// backward pass relies on, checked on the reference lowering
+// (conv_ref_test.go) the products are held to.
 func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -292,14 +293,14 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 		n, c, h, w := 2, 3, 5, 5
 		x := New(n, c, h, w)
 		x.RandNormal(rng, 0, 1)
-		cols := Im2Col(x, p)
+		cols := im2col(x, p)
 		y := New(cols.Dim(0), cols.Dim(1))
 		y.RandNormal(rng, 0, 1)
 		lhs := 0.0
 		for i := range cols.Data() {
 			lhs += cols.Data()[i] * y.Data()[i]
 		}
-		back := Col2Im(y, n, c, h, w, p)
+		back := col2im(y, n, c, h, w, p)
 		rhs := 0.0
 		for i := range x.Data() {
 			rhs += x.Data()[i] * back.Data()[i]
