@@ -31,6 +31,7 @@ import (
 // benchConfig is the reduced scale used by the harness benchmarks.
 func benchConfig() exp.Config {
 	cfg := exp.FastConfig()
+	cfg.Workload = "cnn"
 	cfg.Clients = 4
 	cfg.Rounds = 24
 	cfg.LocalIters = 3
@@ -90,11 +91,13 @@ func BenchmarkFig5SparsificationRatio(b *testing.B) {
 	cfg.Rounds = 32
 	var fedsuRatio, apfRatio float64
 	for i := 0; i < b.N; i++ {
-		rs, err := exp.RunOne(context.Background(), cfg, exp.CNNWorkload(), "fedsu")
+		cfg.Scheme = "fedsu"
+		rs, err := exp.RunOne(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ra, err := exp.RunOne(context.Background(), cfg, exp.CNNWorkload(), "apf")
+		cfg.Scheme = "apf"
+		ra, err := exp.RunOne(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,10 +244,11 @@ func BenchmarkAblationTheta(b *testing.B) {
 	for _, theta := range []float64{0.5, 0.9, 0.95} {
 		b.Run(fmt.Sprintf("theta=%v", theta), func(b *testing.B) {
 			cfg := benchConfig()
+			cfg.Scheme = "fedsu"
 			cfg.FedSU.Theta = theta
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				run, err := exp.RunOne(context.Background(), cfg, exp.CNNWorkload(), "fedsu")
+				run, err := exp.RunOne(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -266,10 +270,11 @@ func BenchmarkAblationSlope(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			cfg := benchConfig()
 			cfg.Rounds = 32
+			cfg.Scheme = "fedsu"
 			cfg.FedSU.RawSlope = raw
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				run, err := exp.RunOne(context.Background(), cfg, exp.CNNWorkload(), "fedsu")
+				run, err := exp.RunOne(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -296,11 +301,10 @@ func BenchmarkTheorem1Schedule(b *testing.B) {
 					Name: "thm", Channels: 1, Size: 8, Classes: 4,
 					Samples: 512, Noise: 0.2, Jitter: 1, Seed: 11,
 				})
-				cfg := fl.DefaultConfig(4)
-				cfg.LocalIters, cfg.BatchSize = 5, 8
-				cfg.LR = 0.05
-				cfg.EvalSamples = 64
-				cfg.LRDecayWarm = warm
+				cfg := fl.Config{
+					NumClients: 4, LocalIters: 5, BatchSize: 8, LR: 0.05, WeightDecay: 0.001,
+					DirichletAlpha: 1.0, EvalSamples: 64, EvalBatch: 64, Seed: 1, LRDecayWarm: warm,
+				}
 				builder := func() *nn.Model {
 					return nn.NewMLP(nn.ModelConfig{InChannels: 1, ImageSize: 8, NumClasses: 4, Seed: 5}, 24)
 				}

@@ -20,7 +20,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,21 +31,16 @@ import (
 	"time"
 
 	"fedsu/internal/exp"
-	"fedsu/internal/tensor"
 	"fedsu/internal/trace"
 )
 
 func main() {
-	// Deep conv models churn large transient im2col matrices; a tighter GC
-	// target keeps the resident set bounded on memory-constrained hosts.
+	// The grids hold several engines at once (model replicas, datasets,
+	// per-client strategy state); a tighter GC target keeps the peak
+	// resident set 10-20 % lower (fig8 -light -rounds 8 on 2 vCPUs: 110-114
+	// against 117-144 MiB) for about 10 % more wall time.
 	debug.SetGCPercent(50)
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return
-		}
-		fmt.Fprintln(os.Stderr, "fedsu-bench:", err)
-		os.Exit(1)
-	}
+	exp.Main("fedsu-bench", run)
 }
 
 // env is what every experiment runner reads besides its Config.
@@ -65,29 +59,35 @@ func (e env) sweepSet() []exp.Workload {
 	return []exp.Workload{exp.CNNWorkload(), exp.DenseNetWorkload()}
 }
 
-// experiment is one -exp id: its runner, and whether "all" includes it.
+// experiment is one -exp id: its runner, whether "all" includes it, and
+// its horizon when -rounds is unset (0: the preset's).
 type experiment struct {
-	id    string
-	inAll bool
-	run   func(ctx context.Context, cfg exp.Config, e env) error
+	id     string
+	inAll  bool
+	run    func(ctx context.Context, cfg exp.Config, e env) error
+	rounds int
 }
 
 // experiments is the one table of -exp ids, in the order "all" runs them.
 var experiments = []experiment{
-	{"fig1", true, runFig1},
-	{"fig2", true, runFig2},
-	{"table1", false, runEndToEnd},
-	{"fig5", false, runEndToEnd},
-	{"table1+fig5", true, runEndToEnd},
-	{"fig6", true, runFig6},
-	{"fig7", true, runFig7},
-	{"fig8", true, runFig8},
-	{"fig9", true, runSweep(exp.RunFig9)},
-	{"fig10", true, runSweep(exp.RunFig10)},
-	{"table2", true, runTable2},
-	{"async", false, runAsync},
-	{"popscale", false, runPopScale},
-	{"compose", false, runCompose},
+	{"fig1", true, runFig1, 0},
+	{"fig2", true, runFig2, 0},
+	{"table1", false, runEndToEnd, 0},
+	{"fig5", false, runEndToEnd, 0},
+	{"table1+fig5", true, runEndToEnd, 0},
+	{"fig6", true, runFig6, 0},
+	{"fig7", true, runFig7, 0},
+	{"fig8", true, runFig8, 0},
+	{"fig9", true, runSweep(exp.RunFig9), 0},
+	{"fig10", true, runSweep(exp.RunFig10), 0},
+	{"table2", true, runTable2, 0},
+	{"async", false, runAsync, 0},
+	{"popscale", false, runPopScale, 0},
+	// Quantized compose cells converge slower (error feedback carries the
+	// rounding loss forward, it doesn't erase it); every cell gets time to
+	// reach the converged plateau, so the table's accuracy column reads the
+	// chains' asymptotic cost.
+	{"compose", false, runCompose, 96},
 }
 
 // experimentIDs lists every accepted -exp id, "all" last.
@@ -117,70 +117,64 @@ func selectExperiments(list string) ([]experiment, error) {
 	return out, nil
 }
 
+// options are fedsu-bench's own flags. -rounds, -clients and -modelscale
+// override the preset when positive.
+type options struct {
+	exp, scale, out, fanouts           string
+	rounds, clients, modelScale, slots int
+	light                              bool
+}
+
+// newFlags defines fedsu-bench's flag set: the run flags every experiment
+// takes write straight into set, the command's own into o.
+func newFlags(set *exp.Config, o *options) *flag.FlagSet {
+	*set = exp.Config{Seed: 1}
+	fs := flag.NewFlagSet("fedsu-bench", flag.ContinueOnError)
+	fs.StringVar(&o.exp, "exp", "all", "comma-separated experiment ids: "+experimentIDs())
+	fs.StringVar(&o.scale, "scale", "fast", "preset: fast or standard")
+	fs.IntVar(&o.rounds, "rounds", 0, "override rounds")
+	fs.IntVar(&o.clients, "clients", 0, "override client count (with -population, the cohort sampled per round)")
+	fs.IntVar(&o.modelScale, "modelscale", 0, "override model width divisor (1 = paper scale)")
+	fs.StringVar(&o.out, "out", "", "directory for CSV output")
+	fs.BoolVar(&o.light, "light", false, "restrict the ablation and sensitivity sweeps to the CNN workload")
+	fs.IntVar(&o.slots, "parallel", runtime.GOMAXPROCS(0), "experiment runs in flight at once in the grid experiments (1 = sequential)")
+	fs.StringVar(&o.fanouts, "fanout", "8,32", "comma-separated tree fanouts the popscale experiment compares against the flat fold")
+	exp.BindFlags(fs, set, "seed", "dtype", "population", "compress")
+	return fs
+}
+
 // run is the whole command: it parses args, runs the selected experiments
 // and reports to stdout; progress goes to stderr.
 func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("fedsu-bench", flag.ContinueOnError)
-	var (
-		expName    = fs.String("exp", "all", "comma-separated experiment ids: "+experimentIDs())
-		scale      = fs.String("scale", "fast", "preset: fast or standard")
-		rounds     = fs.Int("rounds", 0, "override rounds")
-		clients    = fs.Int("clients", 0, "override client count")
-		outDir     = fs.String("out", "", "directory for CSV output")
-		seed       = fs.Int64("seed", 1, "random seed")
-		modelScale = fs.Int("modelscale", 0, "override model width divisor (1 = paper scale)")
-		light      = fs.Bool("light", false, "restrict the ablation and sensitivity sweeps to the CNN workload")
-		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "experiment runs in flight at once in the grid experiments (1 = sequential)")
-		dtype      = fs.String("dtype", "float64", "compute precision: float64 (bit-identical legacy results) or float32 (half the memory bandwidth, lossless wire)")
-		population = fs.Int("population", 0, "registered device count for the popscale experiment (e.g. 100000)")
-		cohort     = fs.Int("cohort", 0, "per-round sampled cohort size in population mode (sets the slot count)")
-		fanouts    = fs.String("fanout", "8,32", "comma-separated tree fanouts the popscale experiment compares against the flat fold")
-		compress   = fs.String("compress", "", "wire compression chain spec applied to every run, e.g. topk,q4,rans (the compose experiment sweeps its own cells)")
-	)
-	if err := fs.Parse(args); err != nil {
+	var set exp.Config
+	var o options
+	if err := newFlags(&set, &o).Parse(args); err != nil {
 		return err
 	}
-	selected, err := selectExperiments(*expName)
+	selected, err := selectExperiments(o.exp)
 	if err != nil {
 		return err
 	}
-
-	cfg, err := preset(*scale)
+	cfg, err := preset(o.scale)
 	if err != nil {
 		return err
 	}
-	if *rounds > 0 {
-		cfg.Rounds = *rounds
-	} else if *expName == "compose" {
-		// Quantized compose cells converge slower (error feedback carries
-		// the rounding loss forward, it doesn't erase it); give every cell
-		// time to reach the converged plateau so the table's accuracy
-		// column reads the chains' asymptotic cost.
-		cfg.Rounds = 96
+	if o.rounds > 0 {
+		cfg.Rounds = o.rounds
 	}
-	if *clients > 0 {
-		cfg.Clients = *clients
+	if o.clients > 0 {
+		cfg.Clients = o.clients
 	}
-	if *modelScale > 0 {
-		cfg.ModelScale = *modelScale
+	if o.modelScale > 0 {
+		cfg.ModelScale = o.modelScale
 	}
-	cfg.Seed = *seed
-	cfg.Population = *population
-	if *cohort > 0 {
-		cfg.Clients = *cohort
-	}
-	popFanouts, err := parseFanouts(*fanouts)
+	cfg.Seed, cfg.DType, cfg.Population, cfg.Compress = set.Seed, set.DType, set.Population, set.Compress
+	popFanouts, err := parseFanouts(o.fanouts)
 	if err != nil {
 		return err
 	}
-	dt, err := tensor.ParseDType(*dtype)
-	if err != nil {
-		return err
-	}
-	cfg.DType = dt
-	cfg.Compress = *compress
 	cfg.Verbose = os.Stderr
-	cfg.Parallel = *parallel
+	cfg.Parallel = o.slots
 	// One cache for the whole invocation: -exp all shares corpora and
 	// partitions across table1, fig8, and the sensitivity sweeps.
 	cfg.Artifacts = exp.NewArtifacts()
@@ -189,21 +183,25 @@ func run(args []string, stdout io.Writer) error {
 	// function of Config and seed.
 	cfg.Clock = time.Now
 
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+	if o.out != "" {
+		if err := os.MkdirAll(o.out, 0o755); err != nil {
 			return err
 		}
 	}
 
 	ctx := context.Background()
-	e := env{stdout: stdout, outDir: *outDir, light: *light, fanouts: popFanouts}
+	e := env{stdout: stdout, outDir: o.out, light: o.light, fanouts: popFanouts}
 	for _, x := range selected {
+		xcfg := cfg
+		if x.rounds > 0 && o.rounds == 0 {
+			xcfg.Rounds = x.rounds
+		}
 		var before runtime.MemStats
 		runtime.ReadMemStats(&before)
 		resetPeakRSS()
 		start := time.Now()
 		fmt.Fprintf(stdout, "\n=== %s ===\n", x.id)
-		if err := x.run(ctx, cfg, e); err != nil {
+		if err := x.run(ctx, xcfg, e); err != nil {
 			return fmt.Errorf("%s: %w", x.id, err)
 		}
 		var after runtime.MemStats
@@ -412,10 +410,10 @@ func runPopScale(ctx context.Context, cfg exp.Config, e env) error {
 
 // runCompose is the composable-compression grid: FedSU alone and under
 // chained sparsify→quantize→entropy wire paths, plus a QSGD×entropy
-// reference. Byte columns are measured wire bytes, not analytic. The
-// default horizon (set in run) is long enough for every cell to reach the
-// converged plateau, so the accuracy column isolates the chains' asymptotic
-// cost, not a mid-training snapshot.
+// reference. Byte columns are measured wire bytes, not analytic. Its
+// default horizon (the experiments table's) is long enough for every cell
+// to reach the converged plateau, so the accuracy column isolates the
+// chains' asymptotic cost, not a mid-training snapshot.
 func runCompose(ctx context.Context, cfg exp.Config, e env) error {
 	res, err := exp.RunComposition(ctx, cfg, exp.CNNWorkload(), exp.ComposeCells())
 	if err != nil {

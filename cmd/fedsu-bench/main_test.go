@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -58,6 +62,48 @@ func TestSeqFlagRemoved(t *testing.T) {
 	}
 }
 
+// TestCohortFlagRemoved: -clients is the one name for the cohort size; the
+// second name, -cohort, silently dropped -clients when both were set.
+func TestCohortFlagRemoved(t *testing.T) {
+	err := run([]string{"-cohort", "2", "-exp", "fig3"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -cohort") {
+		t.Fatalf("got %v, want -cohort refused as an unknown flag", err)
+	}
+}
+
+// TestExperimentHorizon: an experiment's own horizon applies whenever
+// -rounds is unset, wherever its id sits in -exp, and -rounds overrides
+// every experiment's. compose once kept its 96 rounds only when it was the
+// whole list, so -exp fig1,compose trained it at the preset's 48.
+func TestExperimentHorizon(t *testing.T) {
+	saved := experiments
+	defer func() { experiments = saved }()
+	var got []string
+	experiments = nil
+	for _, x := range saved {
+		x := x
+		x.run = func(_ context.Context, cfg exp.Config, _ env) error {
+			got = append(got, fmt.Sprintf("%s:%d", x.id, cfg.Rounds))
+			return nil
+		}
+		experiments = append(experiments, x)
+	}
+	for _, c := range []struct{ args, want string }{
+		{"-exp compose", "compose:96"},
+		{"-exp fig1,compose", "fig1:48 compose:96"},
+		{"-exp compose,fig8 -scale standard", "compose:96 fig8:150"},
+		{"-exp compose,fig1 -rounds 5", "compose:5 fig1:5"},
+	} {
+		got = nil
+		if err := run(strings.Fields(c.args), io.Discard); err != nil {
+			t.Fatalf("%s: %v", c.args, err)
+		}
+		if s := strings.Join(got, " "); s != c.want {
+			t.Errorf("%s: trained %s, want %s", c.args, s, c.want)
+		}
+	}
+}
+
 // TestSelectExperiments: -exp resolves to rows of the experiments table in
 // the order given, "all" expands to the paper's figure set in table order,
 // and a list with any id outside the table selects nothing.
@@ -97,5 +143,47 @@ func TestSelectExperiments(t *testing.T) {
 				t.Errorf("%q selected %v, want %v", c.list, got, c.want)
 			}
 		})
+	}
+}
+
+// docCommands returns the argument list of every fedsu-bench command line quoted
+// in README.md and EXPERIMENTS.md: fenced lines joined across backslash
+// continuations and inline code spans, each cut at a comment or a shell
+// operator.
+func docCommands(t *testing.T) [][]string {
+	t.Helper()
+	var cmds [][]string
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
+		b, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := strings.ReplaceAll(string(b), "\\\n", " ")
+		for _, part := range strings.Split(text, "fedsu-bench ")[1:] {
+			line, _, _ := strings.Cut(part, "\n")
+			if i := strings.IndexAny(line, "`#&|;>"); i >= 0 {
+				line = line[:i]
+			}
+			cmds = append(cmds, strings.Fields(line))
+		}
+	}
+	if len(cmds) == 0 {
+		t.Fatal("the docs quote no fedsu-bench command")
+	}
+	return cmds
+}
+
+// TestDocCommandsParse: every fedsu-bench command line the docs quote parses
+// with the command's flag set, so a deleted or renamed flag fails here
+// instead of leaving a stale doc.
+func TestDocCommandsParse(t *testing.T) {
+	for _, args := range docCommands(t) {
+		var cfg exp.Config
+		var o options
+		fs := newFlags(&cfg, &o)
+		fs.SetOutput(io.Discard)
+		if err := fs.Parse(args); err != nil || fs.NArg() > 0 {
+			t.Errorf("%q: %v, %d arguments left over", strings.Join(args, " "), err, fs.NArg())
+		}
 	}
 }

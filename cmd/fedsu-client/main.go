@@ -23,146 +23,107 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"fedsu"
-	"fedsu/internal/data"
 	"fedsu/internal/exp"
 	"fedsu/internal/fl"
-	"fedsu/internal/opt"
 	"fedsu/internal/sparse"
-	"fedsu/internal/sparse/codec"
-	"fedsu/internal/tensor"
 )
 
-func main() {
-	var (
-		addr      = flag.String("addr", "127.0.0.1:7070", "coordinator address")
-		name      = flag.String("name", "client", "client label")
-		workload  = flag.String("workload", "cnn", "model/dataset pair: "+strings.Join(fedsu.WorkloadNames(), ", "))
-		scheme    = flag.String("scheme", "fedsu", "sync strategy: "+strings.Join(fedsu.StrategyNames(), ", "))
-		rounds    = flag.Int("rounds", 60, "training rounds")
-		iters     = flag.Int("iters", 5, "local iterations per round")
-		batch     = flag.Int("batch", 8, "mini-batch size")
-		samples   = flag.Int("samples", 1024, "synthetic dataset size (shared across the fleet)")
-		scale     = flag.Int("scale", 0, "model width divisor (0 = per-workload default; must match the server)")
-		seed      = flag.Int64("seed", 1, "fleet-shared seed")
-		retries   = flag.Int("retries", 4, "collective-call retries on transport failure (-1 disables)")
-		dtype     = flag.String("dtype", "float64", "compute precision: float64 or float32 (must match the fleet)")
-		heartbeat = flag.Duration("heartbeat", time.Second, "heartbeat interval so the coordinator can tell slow from dead (0 disables)")
-		compress  = flag.String("compress", "", "wire compression chain spec for uploads, e.g. topk,q4,rans (must match the server's -compress; empty = default codec)")
-	)
-	flag.Parse()
+func main() { exp.Main("fedsu-client", run) }
 
-	w, err := exp.WorkloadByName(*workload)
+// options are the client's own flags, beside the run's exp.Config.
+type options struct {
+	addr, name string
+	retries    int
+	heartbeat  time.Duration
+}
+
+// newFlags sets cfg to fedsu-client's defaults and defines its flag set:
+// the run flags write straight into cfg, the connection's own into o. The
+// fleet size comes from the coordinator at join.
+func newFlags(cfg *exp.Config, o *options) *flag.FlagSet {
+	*cfg = exp.Config{
+		Workload: "cnn", Scheme: "fedsu", Rounds: 60, LocalIters: 5, BatchSize: 8,
+		Samples: 1024, Seed: 1, FedSU: fedsu.DefaultOptions(),
+	}
+	fs := flag.NewFlagSet("fedsu-client", flag.ContinueOnError)
+	exp.BindFlags(fs, cfg, "workload", "scheme", "rounds", "iters", "batch", "samples", "scale", "seed", "dtype", "compress")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7070", "coordinator address")
+	fs.StringVar(&o.name, "name", "client", "client label")
+	fs.IntVar(&o.retries, "retries", 4, "collective-call retries on transport failure (-1 disables)")
+	fs.DurationVar(&o.heartbeat, "heartbeat", time.Second, "heartbeat interval so the coordinator can tell slow from dead (0 disables)")
+	return fs
+}
+
+// run is the whole command: it parses args, joins the session, trains its
+// rounds and reports to stdout. Ctrl-C leaves the session cleanly.
+func run(args []string, stdout io.Writer) error {
+	var cfg exp.Config
+	var o options
+	fs := newFlags(&cfg, &o)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	size, err := exp.ModelSize(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	dt, err := tensor.ParseDType(*dtype)
-	if err != nil {
-		fatal(err)
-	}
-
-	if err := fl.CheckMode(fl.Config{DType: dt, Compress: *compress}, ""); err != nil {
-		fatal(err)
+	if err := fl.CheckMode(fl.Config{DType: cfg.DType, Compress: cfg.Compress}, ""); err != nil {
+		return err
 	}
 
-	conn, err := fedsu.DialCoordinatorWith(*addr, fedsu.ClientConfig{
-		Name:         *name,
-		MaxRetries:   *retries,
-		Heartbeat:    *heartbeat,
-		Compress:     *compress,
-		CompressSeed: *seed,
+	conn, err := fedsu.DialCoordinatorWith(o.addr, fedsu.ClientConfig{
+		Name:         o.name,
+		MaxRetries:   o.retries,
+		Heartbeat:    o.heartbeat,
+		Compress:     cfg.Compress,
+		CompressSeed: cfg.Seed,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer conn.Close()
 	id := conn.ClientID()
-	fmt.Printf("fedsu-client: joined as client %d of %d\n", id, conn.NumClients())
-
-	model := w.ModelOf(dt, w.EffectiveScale(*scale), *seed+97)
-	if model.Size() != conn.ModelSize() {
-		fatal(fmt.Errorf("model size %d does not match session %d (check -workload/-scale/-seed)",
-			model.Size(), conn.ModelSize()))
+	fmt.Fprintf(stdout, "fedsu-client: joined as client %d of %d\n", id, conn.NumClients())
+	if size != conn.ModelSize() {
+		return fmt.Errorf("model size %d does not match session %d (check -workload/-scale/-seed)", size, conn.ModelSize())
 	}
-
-	// Every client generates the same dataset from the shared seed, then
-	// takes its Dirichlet shard by id — the deterministic analogue of each
-	// device owning private data.
-	ds := w.Dataset(*samples, *seed+31)
-	shards := data.PartitionDirichlet(ds, conn.NumClients(), 1.0, *seed)
-	shard := shards[id]
-
-	opts := fedsu.DefaultOptions()
-	if dt == tensor.Float32 {
-		// Keep the FedSU state machine in the wire image the float32 model
-		// actually stores (see core.Options.Quantize).
-		opts.Quantize = true
-	}
-	factory, err := fl.StrategyFactoryWith(*scheme, opts)
+	cfg.Clients = conn.NumClients()
+	client, err := exp.NewClient(cfg, id, conn)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	syncer := factory(id, model.Size(), conn)
-	if *compress != "" {
-		// The transport does the actual encode/decode; the local strategy
-		// only needs the chain for byte accounting, so the printed
-		// sparsification ratio is rebased on the negotiated chain's dense
-		// cost rather than the legacy f32 codec's.
-		chain, err := codec.Parse(*compress, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		if !chain.IsDefault() {
-			sparse.SetSyncerWire(syncer, sparse.Wire{Chain: chain})
-		}
-	}
-	client := fl.NewClient(id, model, newOptimizer(w), shard, syncer, *seed)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
 	var total sparse.Traffic
-	for k := 0; k < *rounds; k++ {
-		loss := client.TrainLocal(k, *iters, *batch)
+	for k := 0; k < cfg.Rounds; k++ {
+		loss := client.TrainLocal(k, cfg.LocalIters, cfg.BatchSize)
 		tr, err := client.SyncRoundCtx(ctx, k, true)
-		if err != nil {
-			switch {
-			case errors.Is(err, context.Canceled):
-				fmt.Println("fedsu-client: interrupted, leaving session")
-				return
-			case errors.Is(err, fedsu.ErrEvicted):
-				fatal(fmt.Errorf("evicted by coordinator at round %d (missed the collective deadline): %w", k, err))
-			default:
-				fatal(err)
-			}
+		switch {
+		case errors.Is(err, context.Canceled):
+			fmt.Fprintln(stdout, "fedsu-client: interrupted, leaving session")
+			return nil
+		case errors.Is(err, fedsu.ErrEvicted):
+			return fmt.Errorf("evicted by coordinator at round %d (missed the collective deadline): %w", k, err)
+		case err != nil:
+			return err
 		}
 		total.Add(tr)
-		fmt.Printf("round %3d: train_loss=%.4f synced=%d/%d up=%dB\n",
+		fmt.Fprintf(stdout, "round %3d: train_loss=%.4f synced=%d/%d up=%dB\n",
 			k, loss, tr.SyncedParams, tr.TotalParams, tr.UpBytes)
 	}
-	fmt.Printf("done: total up=%.2fMB down=%.2fMB mean sparsification=%.1f%%\n",
+	fmt.Fprintf(stdout, "done: total up=%.2fMB down=%.2fMB mean sparsification=%.1f%%\n",
 		float64(total.UpBytes)/1e6, float64(total.DownBytes)/1e6,
 		100*total.SparsificationRatio())
 	if s := conn.Counters().String(); s != "" {
-		fmt.Printf("fedsu-client: %s\n", s)
+		fmt.Fprintf(stdout, "fedsu-client: %s\n", s)
 	}
-}
-
-// newOptimizer builds the client's optimizer: the one an in-process engine
-// gives every client of the same workload, SGD at the emulation learning
-// rate (the stand-in model is built at the emulation scale too) with weight
-// decay 0.001.
-func newOptimizer(w exp.Workload) *opt.SGD {
-	return opt.NewSGD(w.EffectiveLR(), opt.WithWeightDecay(0.001))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fedsu-client:", err)
-	os.Exit(1)
+	return nil
 }

@@ -1,22 +1,115 @@
 package main
 
 import (
+	"io"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"fedsu/internal/exp"
+	"fedsu/internal/fl"
+	"fedsu/internal/sparse"
 )
 
-// TestOptimizerTrainsAtTheEngineRate: a TCP client builds its stand-in model
-// at the workload's emulation scale, so it must also train at the emulation
-// learning rate the in-process engine uses — not the paper's real-corpus
-// rate (resnet18: 0.02, not 0.001).
-func TestOptimizerTrainsAtTheEngineRate(t *testing.T) {
-	for _, w := range exp.Workloads() {
-		if got, want := newOptimizer(w).LR(), w.EffectiveLR(); got != want {
-			t.Errorf("%s: client trains at %v, the engine at %v", w.Name, got, want)
+// TestClientIsBuiltLikeTheEngine: the client fedsu-client builds from its
+// flags for id k is client k of the engine the same config builds — the
+// same learning rate, the same strategy type, and the same vector bits
+// after one local round — at both precisions, under a compression chain,
+// and on every workload. The client once rebuilt the engine's recipe by
+// hand and trained at the paper's real-corpus rate instead of the
+// emulation rate (resnet18: 0.001, not 0.02).
+func TestClientIsBuiltLikeTheEngine(t *testing.T) {
+	const fleet = 3
+	for _, extra := range []string{
+		"-workload cnn",
+		"-workload cnn -dtype float32",
+		"-workload cnn -compress topk,q4,rans",
+		"-workload resnet18",
+		"-workload densenet121",
+	} {
+		t.Run(extra, func(t *testing.T) {
+			var cfg exp.Config
+			var o options
+			args := append([]string{"-scale", "32", "-samples", "96", "-iters", "2", "-batch", "4"}, strings.Fields(extra)...)
+			if err := newFlags(&cfg, &o).Parse(args); err != nil {
+				t.Fatal(err)
+			}
+			cfg.Clients = fleet
+			engine, err := exp.NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := exp.WorkloadByName(cfg.Workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < fleet; k++ {
+				got, err := exp.NewClient(cfg, k, fl.NewServer(fleet))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := engine.Clients()[k]
+				if got.LR() != want.LR() || got.LR() != w.EffectiveLR() {
+					t.Fatalf("client %d trains at %v, the engine's at %v, the workload's emulation rate is %v", k, got.LR(), want.LR(), w.EffectiveLR())
+				}
+				gs, ws := reflect.TypeOf(sparse.UnwrapSyncer(got.Syncer())), reflect.TypeOf(sparse.UnwrapSyncer(want.Syncer()))
+				if gs != ws {
+					t.Fatalf("client %d syncs with %v, the engine's with %v", k, gs, ws)
+				}
+				got.TrainLocal(0, cfg.LocalIters, cfg.BatchSize)
+				want.TrainLocal(0, cfg.LocalIters, cfg.BatchSize)
+				gv, wv := got.Model().Vector(), want.Model().Vector()
+				for i := range wv {
+					if math.Float64bits(gv[i]) != math.Float64bits(wv[i]) {
+						t.Fatalf("client %d: parameter %d is %v after one round, the engine's client holds %v", k, i, gv[i], wv[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// docCommands returns the argument list of every fedsu-client command line quoted
+// in README.md and EXPERIMENTS.md: fenced lines joined across backslash
+// continuations and inline code spans, each cut at a comment or a shell
+// operator.
+func docCommands(t *testing.T) [][]string {
+	t.Helper()
+	var cmds [][]string
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
+		b, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := strings.ReplaceAll(string(b), "\\\n", " ")
+		for _, part := range strings.Split(text, "fedsu-client ")[1:] {
+			line, _, _ := strings.Cut(part, "\n")
+			if i := strings.IndexAny(line, "`#&|;>"); i >= 0 {
+				line = line[:i]
+			}
+			cmds = append(cmds, strings.Fields(line))
 		}
 	}
-	if got := newOptimizer(exp.ResNetWorkload()).LR(); got != 0.02 {
-		t.Errorf("resnet18: client trains at %v, want 0.02", got)
+	if len(cmds) == 0 {
+		t.Fatal("the docs quote no fedsu-client command")
+	}
+	return cmds
+}
+
+// TestDocCommandsParse: every fedsu-client command line the docs quote parses
+// with the command's flag set, so a deleted or renamed flag fails here
+// instead of leaving a stale doc.
+func TestDocCommandsParse(t *testing.T) {
+	for _, args := range docCommands(t) {
+		var cfg exp.Config
+		var o options
+		fs := newFlags(&cfg, &o)
+		fs.SetOutput(io.Discard)
+		if err := fs.Parse(args); err != nil || fs.NArg() > 0 {
+			t.Errorf("%q: %v, %d arguments left over", strings.Join(args, " "), err, fs.NArg())
+		}
 	}
 }

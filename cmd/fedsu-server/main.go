@@ -29,94 +29,85 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"fedsu"
 	"fedsu/internal/exp"
 	"fedsu/internal/flrpc"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "fedsu-server:", err)
-		os.Exit(1)
-	}
-}
+func main() { exp.Main("fedsu-server", run) }
 
 // relayFlags are the flags a relay (-upstream) reads: it serves its block
 // synchronously with the default codec and adopts the model size from the
 // root.
 var relayFlags = map[string]bool{"upstream": true, "addr": true, "clients": true, "deadline": true, "hb-grace": true}
 
+// options are the coordinator's own flags, beside the session's exp.Config.
+type options struct {
+	addr, upstream    string
+	deadline, hbGrace time.Duration
+}
+
+// newFlags sets session to fedsu-server's defaults and defines its flag
+// set: the session flags write straight into session, the coordinator's
+// own into o.
+func newFlags(session *exp.Config, o *options) *flag.FlagSet {
+	*session = exp.Config{Workload: "cnn", Clients: 2, Seed: 1}
+	fs := flag.NewFlagSet("fedsu-server", flag.ContinueOnError)
+	exp.BindFlags(fs, session, "clients", "workload", "scale", "seed", "async", "k", "staleness", "staleness-weight", "fanout", "compress")
+	fs.StringVar(&o.addr, "addr", ":7070", "listen address")
+	fs.DurationVar(&o.deadline, "deadline", 0, "collective barrier deadline; clients missing it are evicted (0 = wait forever)")
+	fs.DurationVar(&o.hbGrace, "hb-grace", 0, "treat clients heard from this recently as alive at deadline expiry (0 = deadline)")
+	fs.StringVar(&o.upstream, "upstream", "", "run as a leaf-aggregator relay of this root coordinator instead of a root (serves -clients members, forwards one partial per round)")
+	return fs
+}
+
 // run is the whole command: it parses args, serves until SIGINT/SIGTERM or
 // a serve failure, and reports to stdout.
 func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("fedsu-server", flag.ExitOnError)
-	var (
-		addr      = fs.String("addr", ":7070", "listen address")
-		clients   = fs.Int("clients", 2, "expected number of clients")
-		workload  = fs.String("workload", "cnn", "model/dataset pair: "+strings.Join(fedsu.WorkloadNames(), ", "))
-		scale     = fs.Int("scale", 0, "model width divisor (0 = per-workload default; must match the clients)")
-		seed      = fs.Int64("seed", 1, "model seed (must match the clients)")
-		deadline  = fs.Duration("deadline", 0, "collective barrier deadline; clients missing it are evicted (0 = wait forever)")
-		hbGrace   = fs.Duration("hb-grace", 0, "treat clients heard from this recently as alive at deadline expiry (0 = deadline)")
-		async     = fs.Bool("async", false, "buffered-async aggregation: fold submissions as they arrive, no round barrier")
-		asyncK    = fs.Int("k", 0, "async buffer size: apply the global every K contributions (default clients/2)")
-		staleness = fs.Int("staleness", 8, "async: drop contributions more than this many versions behind (-1 = unlimited)")
-		staleW    = fs.Float64("staleness-weight", 0.5, "async: per-version contribution weight decay in (0, 1]")
-		fanout    = fs.Int("fanout", 0, "hierarchical aggregation: >= 2 runs the tree collective (relays join aligned id blocks, root folds partials; bit-identical to flat)")
-		upstream  = fs.String("upstream", "", "run as a leaf-aggregator relay of this root coordinator instead of a root (serves -clients members, forwards one partial per round)")
-		compress  = fs.String("compress", "", "wire compression chain spec for replies, e.g. topk,q4,rans (must match the clients' -compress; empty = default codec)")
-	)
-	fs.Parse(args)
-	// A flag its mode does not use is refused instead of being dropped.
+	var session exp.Config
+	var o options
+	fs := newFlags(&session, &o)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// A flag a relay does not read is refused instead of being dropped.
 	// Visit walks only the flags set on the command line.
-	var modeErr error
+	var relayErr error
 	fs.Visit(func(f *flag.Flag) {
-		switch {
-		case modeErr != nil:
-		case *upstream != "" && !relayFlags[f.Name]:
-			modeErr = fmt.Errorf("-%s does not apply with -upstream: a relay takes -addr, -clients, -deadline and -hb-grace", f.Name)
-		case !*async && (f.Name == "k" || f.Name == "staleness" || f.Name == "staleness-weight"):
-			modeErr = fmt.Errorf("-%s applies only with -async", f.Name)
+		if relayErr == nil && o.upstream != "" && !relayFlags[f.Name] {
+			relayErr = fmt.Errorf("-%s does not apply with -upstream: a relay takes -addr, -clients, -deadline and -hb-grace", f.Name)
 		}
 	})
-	if modeErr != nil {
-		return modeErr
+	if relayErr != nil {
+		return relayErr
 	}
-	if *upstream != "" {
-		return runRelay(stdout, *upstream, *addr, *clients, *deadline, *hbGrace)
+	if o.upstream != "" {
+		return runRelay(stdout, o.upstream, o.addr, session.Clients, o.deadline, o.hbGrace)
 	}
-
-	w, err := exp.WorkloadByName(*workload)
+	if err := exp.CheckFlags(fs, &session); err != nil {
+		return err
+	}
+	size, err := exp.ModelSize(session)
 	if err != nil {
 		return err
 	}
-	size := w.Model(w.EffectiveScale(*scale), *seed+97).Size()
-
 	cfg := flrpc.Config{
-		NumClients:     *clients,
+		NumClients:     session.Clients,
 		ModelSize:      size,
-		Deadline:       *deadline,
-		HeartbeatGrace: *hbGrace,
-		Fanout:         *fanout,
-		Compress:       *compress,
-		CompressSeed:   *seed,
-	}
-	if *async {
-		k := *asyncK
-		if k <= 0 {
-			k = max(*clients/2, 1)
-		}
-		cfg.Async = fedsu.AsyncConfig{K: k, MaxStaleness: *staleness, StalenessWeight: *staleW}
+		Deadline:       o.deadline,
+		HeartbeatGrace: o.hbGrace,
+		Fanout:         session.Fanout,
+		Compress:       session.Compress,
+		CompressSeed:   session.Seed,
+		Async:          session.Async,
 	}
 	coord, err := flrpc.NewCoordinatorWith(cfg)
 	if err != nil {
 		return err
 	}
-	svc, err := flrpc.Listen(*addr, coord)
+	svc, err := flrpc.Listen(o.addr, coord)
 	if err != nil {
 		return err
 	}
@@ -127,11 +118,11 @@ func run(args []string, stdout io.Writer) error {
 	if cfg.Fanout >= 2 {
 		mode += fmt.Sprintf(", tree fanout %d", cfg.Fanout)
 	}
-	if *compress != "" {
-		mode += ", compress " + *compress
+	if cfg.Compress != "" {
+		mode += ", compress " + cfg.Compress
 	}
 	fmt.Fprintf(stdout, "fedsu-server: coordinating %d clients on %s (%s, %d params, deadline %v, %s)\n",
-		*clients, svc.Addr(), *workload, size, *deadline, mode)
+		cfg.NumClients, svc.Addr(), session.Workload, size, o.deadline, mode)
 	if err := serve(svc); err != nil {
 		return err
 	}

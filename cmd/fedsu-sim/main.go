@@ -14,117 +14,74 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"fedsu"
+	"fedsu/internal/exp"
 	"fedsu/internal/fl"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "fedsu-sim:", err)
-		os.Exit(1)
+func main() { exp.Main("fedsu-sim", run) }
+
+// files are the paths fedsu-sim reads and writes besides its run.
+type files struct{ csv, checkpoint, resume string }
+
+// newFlags sets cfg to fedsu-sim's defaults and defines its flag set over
+// it: every run flag writes straight into cfg, the file flags into f.
+func newFlags(cfg *exp.Config, f *files) *flag.FlagSet {
+	*cfg = exp.Config{
+		Workload: "cnn", Scheme: "fedsu", Clients: 8, Rounds: 60,
+		LocalIters: 5, BatchSize: 8, Samples: 1024, Seed: 1, EvalEvery: 2,
+		FedSU: fedsu.DefaultOptions(),
 	}
+	fs := flag.NewFlagSet("fedsu-sim", flag.ContinueOnError)
+	exp.BindFlags(fs, cfg, "workload", "scheme", "clients", "rounds", "iters", "batch", "samples", "scale", "seed",
+		"dtype", "async", "k", "staleness", "staleness-weight", "population", "fanout", "compress")
+	fs.Float64Var(&cfg.FedSU.TR, "tr", cfg.FedSU.TR, "FedSU linearity threshold T_R")
+	fs.Float64Var(&cfg.FedSU.TS, "ts", cfg.FedSU.TS, "FedSU error-feedback threshold T_S")
+	fs.Float64Var(&cfg.FedSU.Theta, "theta", cfg.FedSU.Theta, "FedSU EMA decay factor")
+	fs.IntVar(&cfg.EvalEvery, "eval-every", cfg.EvalEvery, "evaluate the global model every n rounds")
+	fs.Float64Var(&cfg.ProxMu, "prox", 0, "FedProx proximal coefficient (0 disables)")
+	fs.Float64Var(&cfg.EventThreshold, "event-threshold", 0, "event-triggered uploads: contribute only when the L2 norm of accumulated change crosses this (0 disables)")
+	fs.StringVar(&f.csv, "csv", "", "write per-round stats CSV to this path")
+	fs.StringVar(&f.checkpoint, "checkpoint", "", "save a checkpoint here after the final round (synchronous runs)")
+	fs.StringVar(&f.resume, "resume", "", "resume from a checkpoint before training and run on to -rounds")
+	return fs
 }
 
 // run is the whole command: it parses args and reports to stdout.
 func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("fedsu-sim", flag.ExitOnError)
-	var (
-		workload   = fs.String("workload", "cnn", "model/dataset pair: "+strings.Join(fedsu.WorkloadNames(), ", "))
-		scheme     = fs.String("scheme", "fedsu", "sync strategy: "+strings.Join(fedsu.StrategyNames(), ", "))
-		clients    = fs.Int("clients", 8, "number of emulated clients")
-		rounds     = fs.Int("rounds", 60, "training rounds (a resumed run finishes this horizon)")
-		iters      = fs.Int("iters", 5, "local SGD iterations per round (paper: 50)")
-		batch      = fs.Int("batch", 8, "mini-batch size (paper: 32)")
-		samples    = fs.Int("samples", 1024, "synthetic dataset size")
-		scale      = fs.Int("scale", 0, "model width divisor (0 = per-workload default, 1 = paper scale)")
-		seed       = fs.Int64("seed", 1, "random seed")
-		tr         = fs.Float64("tr", 0.01, "FedSU linearity threshold T_R")
-		ts         = fs.Float64("ts", 1.0, "FedSU error-feedback threshold T_S")
-		theta      = fs.Float64("theta", 0.9, "FedSU EMA decay factor")
-		csvPath    = fs.String("csv", "", "write per-round stats CSV to this path")
-		evalEvery  = fs.Int("eval-every", 2, "evaluate the global model every n rounds")
-		proxMu     = fs.Float64("prox", 0, "FedProx proximal coefficient (0 disables)")
-		dtype      = fs.String("dtype", "float64", "compute precision: float64 (bit-identical legacy results) or float32 (half the memory bandwidth, lossless wire)")
-		ckptPath   = fs.String("checkpoint", "", "save a checkpoint here after the final round (synchronous runs)")
-		resumePath = fs.String("resume", "", "resume from a checkpoint before training and run on to -rounds")
-		async      = fs.Bool("async", false, "buffered-async rounds: clients run as independent arrival processes; -rounds counts global applications")
-		asyncK     = fs.Int("k", 0, "async buffer size: apply the global every K contributions (default clients/2)")
-		staleness  = fs.Int("staleness", 8, "async: drop contributions more than this many versions behind (-1 = unlimited)")
-		staleW     = fs.Float64("staleness-weight", 0.5, "async: per-version contribution weight decay in (0, 1]")
-		eventThr   = fs.Float64("event-threshold", 0, "event-triggered uploads: contribute only when the L2 norm of accumulated change crosses this (0 disables)")
-		population = fs.Int("population", 0, "registered device count; > 0 samples a -cohort-sized cohort per round instead of a fixed fleet")
-		cohortSize = fs.Int("cohort", 0, "per-round cohort size in population mode (default: -clients)")
-		fanout     = fs.Int("fanout", 0, "hierarchical aggregation-tree fanout in population mode (0 = flat fold; >= 2 = tree, bit-identical global)")
-		compress   = fs.String("compress", "", "wire compression chain spec, e.g. topk,q4,rans (stages: topk, q2..q8, lowrank[N], rans; empty = default codec)")
-	)
-	fs.Parse(args)
-	// A mode's flags are refused outside that mode instead of being dropped.
-	// Visit walks only the flags set on the command line, so no default
-	// trips this.
-	needs := map[string]string{"cohort": "-population", "k": "-async", "staleness": "-async", "staleness-weight": "-async"}
-	modeOn := map[string]bool{"-population": *population > 0, "-async": *async}
-	var modeErr error
-	fs.Visit(func(f *flag.Flag) {
-		if mode, ok := needs[f.Name]; ok && !modeOn[mode] && modeErr == nil {
-			modeErr = fmt.Errorf("-%s applies only with %s", f.Name, mode)
-		}
-	})
-	if modeErr != nil {
-		return modeErr
+	var cfg exp.Config
+	var f files
+	fs := newFlags(&cfg, &f)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	if *evalEvery < 1 {
-		return fmt.Errorf("-eval-every must be at least 1, got %d", *evalEvery)
+	if err := exp.CheckFlags(fs, &cfg); err != nil {
+		return err
 	}
-
-	opts := fedsu.DefaultOptions()
-	opts.TR, opts.TS, opts.Theta = *tr, *ts, *theta
-
-	var acfg fedsu.AsyncConfig
-	if *async {
-		k := *asyncK
-		if k <= 0 {
-			k = max(*clients/2, 1)
-		}
-		acfg = fedsu.AsyncConfig{K: k, MaxStaleness: *staleness, StalenessWeight: *staleW}
+	if cfg.EvalEvery < 1 {
+		return fmt.Errorf("-eval-every must be at least 1, got %d", cfg.EvalEvery)
 	}
-	if *ckptPath != "" {
-		if err := fl.CheckMode(fl.Config{Async: acfg}, "Checkpoint"); err != nil {
+	if f.checkpoint != "" {
+		if err := fl.CheckMode(fl.Config{Async: cfg.Async}, "Checkpoint"); err != nil {
 			return fmt.Errorf("-checkpoint: %w", err)
 		}
 	}
 
-	nclients := *clients
-	if *cohortSize > 0 {
-		// In population mode the engine's client slots ARE the cohort.
-		nclients = *cohortSize
-	}
-
-	sim, err := fedsu.NewSimulation(fedsu.SimulationConfig{
-		Workload: *workload, Scheme: *scheme,
-		Clients: nclients, Rounds: *rounds,
-		LocalIters: *iters, BatchSize: *batch,
-		Samples: *samples, ModelScale: *scale,
-		EvalEvery: *evalEvery, Seed: *seed, FedSU: opts,
-		ProxMu: *proxMu, DType: *dtype,
-		Async: acfg, EventThreshold: *eventThr,
-		Compress:   *compress,
-		Population: *population, Fanout: *fanout,
-	})
+	sim, err := fedsu.NewSimulation(cfg)
 	if err != nil {
 		return err
 	}
-	if *resumePath != "" {
-		if err := sim.LoadCheckpoint(*resumePath); err != nil {
+	if f.resume != "" {
+		if err := sim.LoadCheckpoint(f.resume); err != nil {
 			return err
 		}
-		fmt.Fprintln(stdout, "resumed from", *resumePath)
+		fmt.Fprintln(stdout, "resumed from", f.resume)
 	}
 
 	var csv *os.File
-	if *csvPath != "" {
-		csv, err = os.Create(*csvPath)
+	if f.csv != "" {
+		csv, err = os.Create(f.csv)
 		if err != nil {
 			return err
 		}
@@ -159,11 +116,11 @@ func run(args []string, stdout io.Writer) error {
 				st.Traffic.UpBytes, st.Traffic.DownBytes)
 		}
 	}
-	if *ckptPath != "" {
-		if err := sim.SaveCheckpoint(*ckptPath); err != nil {
+	if f.checkpoint != "" {
+		if err := sim.SaveCheckpoint(f.checkpoint); err != nil {
 			return err
 		}
-		fmt.Fprintln(stdout, "checkpoint saved to", *ckptPath)
+		fmt.Fprintln(stdout, "checkpoint saved to", f.checkpoint)
 	}
 	return nil
 }

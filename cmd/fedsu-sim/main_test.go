@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fedsu/internal/exp"
 )
 
 // TestEvalEveryRejectsNonPositive: -eval-every is the round loop's
@@ -33,19 +36,21 @@ func TestAsyncCheckpointRefused(t *testing.T) {
 
 // TestModeFlagsNeedTheirMode: a flag that only means something in one mode
 // is refused, naming the missing mode flag, when that mode is off — not
-// silently dropped from a run that then trains without it.
+// silently dropped from a run that then trains without it. -cohort, a
+// second name for -clients that silently dropped -clients when both were
+// set, is no flag at all.
 func TestModeFlagsNeedTheirMode(t *testing.T) {
 	tiny := []string{"-rounds", "1", "-clients", "2", "-samples", "64", "-iters", "1"}
-	for _, c := range []struct{ flag, value, mode string }{
-		{"-cohort", "2", "-population"},
-		{"-k", "1", "-async"},
-		{"-staleness", "3", "-async"},
-		{"-staleness-weight", "0.7", "-async"},
+	for _, c := range []struct{ flag, value, want string }{
+		{"-cohort", "2", "flag provided but not defined: -cohort"},
+		{"-k", "1", "-k applies only with -async"},
+		{"-staleness", "3", "-staleness applies only with -async"},
+		{"-staleness-weight", "0.7", "-staleness-weight applies only with -async"},
 	} {
 		t.Run(strings.TrimPrefix(c.flag, "-"), func(t *testing.T) {
 			err := run(append([]string{c.flag, c.value}, tiny...), io.Discard)
-			if err == nil || !strings.Contains(err.Error(), c.flag+" ") || !strings.Contains(err.Error(), c.mode) {
-				t.Errorf("%s %s: got %v, want an error naming %s", c.flag, c.value, err, c.mode)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s %s: got %v, want %q", c.flag, c.value, err, c.want)
 			}
 		})
 	}
@@ -105,6 +110,48 @@ func TestResumeAtEveryRound(t *testing.T) {
 		resumed := sim("-rounds", fmt.Sprint(rounds), "-resume", path)
 		if strings.Join(resumed, "\n") != strings.Join(straight[r:], "\n") {
 			t.Fatalf("resumed at round %d:\n%s\nwant\n%s", r, strings.Join(resumed, "\n"), strings.Join(straight[r:], "\n"))
+		}
+	}
+}
+
+// docCommands returns the argument list of every fedsu-sim command line quoted
+// in README.md and EXPERIMENTS.md: fenced lines joined across backslash
+// continuations and inline code spans, each cut at a comment or a shell
+// operator.
+func docCommands(t *testing.T) [][]string {
+	t.Helper()
+	var cmds [][]string
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
+		b, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := strings.ReplaceAll(string(b), "\\\n", " ")
+		for _, part := range strings.Split(text, "fedsu-sim ")[1:] {
+			line, _, _ := strings.Cut(part, "\n")
+			if i := strings.IndexAny(line, "`#&|;>"); i >= 0 {
+				line = line[:i]
+			}
+			cmds = append(cmds, strings.Fields(line))
+		}
+	}
+	if len(cmds) == 0 {
+		t.Fatal("the docs quote no fedsu-sim command")
+	}
+	return cmds
+}
+
+// TestDocCommandsParse: every fedsu-sim command line the docs quote parses
+// with the command's flag set, so a deleted or renamed flag fails here
+// instead of leaving a stale doc.
+func TestDocCommandsParse(t *testing.T) {
+	for _, args := range docCommands(t) {
+		var cfg exp.Config
+		var o files
+		fs := newFlags(&cfg, &o)
+		fs.SetOutput(io.Discard)
+		if err := fs.Parse(args); err != nil || fs.NArg() > 0 {
+			t.Errorf("%q: %v, %d arguments left over", strings.Join(args, " "), err, fs.NArg())
 		}
 	}
 }

@@ -35,7 +35,6 @@ import (
 	"fedsu/internal/flrpc"
 	"fedsu/internal/netem"
 	"fedsu/internal/sparse"
-	"fedsu/internal/tensor"
 )
 
 // Options configures the FedSU algorithm (thresholds T_ℛ and T_𝒮, EMA decay
@@ -125,133 +124,41 @@ type RoundStats = fl.RoundStats
 type AsyncConfig = fl.AsyncConfig
 
 // SimulationConfig describes an emulated federated run over one of the
-// paper's workloads.
-type SimulationConfig struct {
-	// Workload selects the model/dataset pair: "cnn" (EMNIST), "resnet18"
-	// (FMNIST), or "densenet121" (CIFAR-10).
-	Workload string
-	// Scheme selects the synchronization strategy, one of StrategyNames.
-	Scheme string
-	// Clients is the number of emulated devices.
-	Clients int
-	// Rounds is the training length.
-	Rounds int
-	// LocalIters and BatchSize set the local-training loop (paper: 50/32).
-	LocalIters, BatchSize int
-	// Samples is the synthetic dataset size.
-	Samples int
-	// ModelScale divides model widths (1 = paper scale; larger = faster).
-	ModelScale int
-	// EvalEvery evaluates the global model every n rounds (default 2).
-	EvalEvery int
-	// Seed makes the run reproducible.
-	Seed int64
-	// FedSU overrides the algorithm options; zero value means
-	// DefaultOptions.
-	FedSU Options
-	// Netem overrides the cluster timing model; zero value uses the
-	// paper's testbed parameters (13.7 Mbps clients, 70 % participation).
-	// Any other value is used as given, with NumClients and Seed filled
-	// from the run when left zero.
-	Netem netem.Config
-	// ProxMu adds a FedProx proximal term to the local objective (zero,
-	// the paper's setup, disables it).
-	ProxMu float64
-	// Async switches the run to buffered-async rounds (Async.K >= 1):
-	// clients become independent arrival processes and the global applies
-	// every K contributions with staleness-weighted averaging. Rounds then
-	// counts global applications. Zero keeps synchronous barriers. What
-	// async combines with is fl's mode table (fl.CheckMode).
-	Async AsyncConfig
-	// EventThreshold enables event-triggered uploads: a client offers a
-	// contribution only when the L2 norm of its change since its last
-	// offer crosses the threshold, abstaining with header-only traffic
-	// otherwise. Zero disables gating.
-	EventThreshold float64
-	// DType selects the compute precision: "float64" (or empty — the
-	// historical default, bit-identical results) or "float32" (half the
-	// memory bandwidth and a lossless wire). Aliases "f64"/"f32" are
-	// accepted.
-	DType string
-	// Compress selects the wire compression chain for collective payloads
-	// as a codec chain spec (e.g. "topk,q4,rans"): chained sparsify →
-	// quantize → entropy-code stages, with traffic charged at the chain's
-	// measured sizes. Empty keeps the default wire, byte-identical to every
-	// pre-chain run. fl.CheckMode's table says which precisions take it.
-	Compress string
-	// Population enables population-scale cohort rounds: Population
-	// registered devices, with a Clients-sized cohort sampled each round
-	// (deterministic in (Seed, round)) and timed by the population-scale
-	// network model. Zero keeps classic fixed-fleet rounds.
-	Population int
-	// Fanout >= 2 folds population rounds through the hierarchical
-	// aggregation tree (bit-identical global, O(fanout) root work); zero
-	// keeps the flat collective. fl.CheckMode's table says what it needs.
-	Fanout int
-}
+// paper's workloads. It is exp.Config, the one description of a run that
+// the experiment drivers, the facade and the TCP client all build from;
+// NewSimulation fills its zero-value defaults.
+type SimulationConfig = exp.Config
 
 // Simulation is a configured emulated run.
 type Simulation struct {
 	engine *fl.Engine
-	cfg    SimulationConfig // defaults filled, Workload canonical
+	cfg    SimulationConfig // defaults filled
 }
 
-// NewSimulation assembles an emulated run: it fills in the defaults above
-// and builds the engine the experiment drivers build for the same
-// configuration, so a simulation trains exactly the run exp.RunOne would.
+// NewSimulation assembles an emulated run: it fills the zero-value
+// defaults (8 clients, 50 rounds, 5 local iterations of batch 8, 1024
+// samples, evaluation every 2 rounds, DefaultOptions) and builds the engine
+// exp.NewEngine builds, so a simulation trains exactly the run exp.RunOne
+// would.
 func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
-	w, err := exp.WorkloadByName(cfg.Workload)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 8
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 50
-	}
-	if cfg.LocalIters <= 0 {
-		cfg.LocalIters = 5
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 8
-	}
-	if cfg.Samples <= 0 {
-		cfg.Samples = 1024
-	}
-	if cfg.EvalEvery <= 0 {
-		cfg.EvalEvery = 2
+	for _, d := range []struct {
+		field *int
+		value int
+	}{
+		{&cfg.Clients, 8}, {&cfg.Rounds, 50}, {&cfg.LocalIters, 5},
+		{&cfg.BatchSize, 8}, {&cfg.Samples, 1024}, {&cfg.EvalEvery, 2},
+	} {
+		if *d.field <= 0 {
+			*d.field = d.value
+		}
 	}
 	if cfg.FedSU == (Options{}) {
 		cfg.FedSU = DefaultOptions()
 	}
-	dt, err := tensor.ParseDType(cfg.DType)
+	engine, err := exp.NewEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	engine, err := exp.NewEngine(exp.Config{
-		Clients:        cfg.Clients,
-		Rounds:         cfg.Rounds,
-		LocalIters:     cfg.LocalIters,
-		BatchSize:      cfg.BatchSize,
-		Samples:        cfg.Samples,
-		ModelScale:     cfg.ModelScale,
-		DType:          dt,
-		EvalEvery:      cfg.EvalEvery,
-		Seed:           cfg.Seed,
-		FedSU:          cfg.FedSU,
-		Netem:          cfg.Netem,
-		ProxMu:         cfg.ProxMu,
-		Async:          cfg.Async,
-		EventThreshold: cfg.EventThreshold,
-		Population:     cfg.Population,
-		Fanout:         cfg.Fanout,
-		Compress:       cfg.Compress,
-	}, w, cfg.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Workload = w.Name
 	return &Simulation{engine: engine, cfg: cfg}, nil
 }
 
@@ -368,12 +275,5 @@ func DialCoordinatorWith(addr string, cfg ClientConfig) (*flrpc.Client, error) {
 	return flrpc.DialWith(addr, cfg)
 }
 
-// Workload names accepted by SimulationConfig.
-func WorkloadNames() []string {
-	ws := exp.Workloads()
-	names := make([]string, len(ws))
-	for i, w := range ws {
-		names[i] = w.Name
-	}
-	return names
-}
+// WorkloadNames lists the workload names SimulationConfig accepts.
+func WorkloadNames() []string { return exp.WorkloadNames() }

@@ -51,16 +51,11 @@ func HeterogeneousNetem(clients int, seed int64) netem.Config {
 	return c
 }
 
-// asyncK is the comparison's buffer size: half the fleet. The server
-// applies a new global once the fastest half has reported, so the slow
-// tail contributes (staleness-weighted) without gating anybody.
-func asyncK(clients int) int {
-	k := clients / 2
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
+// asyncK is the default async buffer size, of the comparison and of -k:
+// half the fleet. The server applies a new global once the fastest half
+// has reported, so the slow tail contributes (staleness-weighted) without
+// gating anybody.
+func asyncK(clients int) int { return max(clients/2, 1) }
 
 // RunAsyncCompare runs the sync-vs-async time-to-accuracy comparison for
 // one workload through the grid scheduler. All arms run FedAvg (async
@@ -91,9 +86,9 @@ func RunAsyncCompare(ctx context.Context, cfg Config, w Workload) (*AsyncResult,
 	eventCfg.EventThreshold = 0.05
 
 	grid := []GridRun{
-		{Cfg: syncCfg, Workload: w, Scheme: "fedavg", Label: w.Name + "/sync"},
-		{Cfg: asyncCfg, Workload: w, Scheme: "fedavg", Label: w.Name + "/async"},
-		{Cfg: eventCfg, Workload: w, Scheme: "fedavg", Label: w.Name + "/async-event"},
+		{Cfg: syncCfg.named(w, "fedavg"), Label: w.Name + "/sync"},
+		{Cfg: asyncCfg.named(w, "fedavg"), Label: w.Name + "/async"},
+		{Cfg: eventCfg.named(w, "fedavg"), Label: w.Name + "/async-event"},
 	}
 	runs, err := NewScheduler(cfg).Run(ctx, grid)
 	if err != nil {

@@ -23,17 +23,22 @@ type partitionKey struct {
 	seed    int64
 }
 
-// corpusEntry coalesces concurrent builds of one corpus: the first caller
-// synthesizes inside the sync.Once while later callers for the same key
-// block on it and then share the finished dataset.
-type corpusEntry struct {
+// entry coalesces concurrent builds of one artifact: the first caller
+// builds inside the sync.Once while later callers for the same key block
+// on it and then share the finished artifact.
+type entry[V any] struct {
 	once sync.Once
-	ds   *data.Dataset
+	v    V
 }
 
-type partitionEntry struct {
-	once   sync.Once
-	shards []*data.Subset
+// lookup returns m's entry for key, adding an empty one on first use.
+func lookup[K comparable, V any](mu *sync.Mutex, m map[K]*entry[V], key K) *entry[V] {
+	mu.Lock()
+	defer mu.Unlock()
+	if m[key] == nil {
+		m[key] = &entry[V]{}
+	}
+	return m[key]
 }
 
 // Artifacts is a keyed cache of the read-only inputs experiment runs share:
@@ -48,8 +53,8 @@ type partitionEntry struct {
 // cached and uncached runs produce the same results.
 type Artifacts struct {
 	mu         sync.Mutex
-	corpora    map[corpusKey]*corpusEntry
-	partitions map[partitionKey]*partitionEntry
+	corpora    map[corpusKey]*entry[*data.Dataset]
+	partitions map[partitionKey]*entry[[]*data.Subset]
 
 	datasetBuilds   atomic.Int64
 	partitionBuilds atomic.Int64
@@ -58,8 +63,8 @@ type Artifacts struct {
 // NewArtifacts returns an empty cache.
 func NewArtifacts() *Artifacts {
 	return &Artifacts{
-		corpora:    map[corpusKey]*corpusEntry{},
-		partitions: map[partitionKey]*partitionEntry{},
+		corpora:    map[corpusKey]*entry[*data.Dataset]{},
+		partitions: map[partitionKey]*entry[[]*data.Subset]{},
 	}
 }
 
@@ -67,19 +72,12 @@ func NewArtifacts() *Artifacts {
 // synthesizing it on first use. Concurrent callers with the same key
 // coalesce onto one build.
 func (a *Artifacts) Dataset(w Workload, samples int, seed int64) *data.Dataset {
-	key := corpusKey{data: w.DataKey(), samples: samples, seed: seed}
-	a.mu.Lock()
-	e, ok := a.corpora[key]
-	if !ok {
-		e = &corpusEntry{}
-		a.corpora[key] = e
-	}
-	a.mu.Unlock()
+	e := lookup(&a.mu, a.corpora, corpusKey{data: w.DataKey(), samples: samples, seed: seed})
 	e.once.Do(func() {
 		a.datasetBuilds.Add(1)
-		e.ds = w.Dataset(samples, seed)
+		e.v = w.Dataset(samples, seed)
 	})
-	return e.ds
+	return e.v
 }
 
 // Partition returns the memoized Dirichlet split of a cached corpus,
@@ -87,24 +85,17 @@ func (a *Artifacts) Dataset(w Workload, samples int, seed int64) *data.Dataset {
 // (w, samples, seed) — the key is derived from those parameters, not from
 // the pointer.
 func (a *Artifacts) Partition(w Workload, ds *data.Dataset, samples int, dsSeed int64, clients int, alpha float64, partSeed int64) []*data.Subset {
-	key := partitionKey{
+	e := lookup(&a.mu, a.partitions, partitionKey{
 		corpusKey: corpusKey{data: w.DataKey(), samples: samples, seed: dsSeed},
 		clients:   clients,
 		alpha:     alpha,
 		seed:      partSeed,
-	}
-	a.mu.Lock()
-	e, ok := a.partitions[key]
-	if !ok {
-		e = &partitionEntry{}
-		a.partitions[key] = e
-	}
-	a.mu.Unlock()
+	})
 	e.once.Do(func() {
 		a.partitionBuilds.Add(1)
-		e.shards = data.PartitionDirichlet(ds, clients, alpha, partSeed)
+		e.v = data.PartitionDirichlet(ds, clients, alpha, partSeed)
 	})
-	return e.shards
+	return e.v
 }
 
 // DatasetBuilds reports how many corpora were actually synthesized —

@@ -59,29 +59,13 @@ func RunComposition(ctx context.Context, cfg Config, w Workload, cells []Compose
 		run := cfg
 		run.Compress = cell.Compress
 		label := fmt.Sprintf("%s/%s", w.Name, cell.Name)
-		grid = append(grid, GridRun{Cfg: run, Workload: w, Scheme: cell.Scheme, Label: label})
+		grid = append(grid, GridRun{Cfg: run.named(w, cell.Scheme), Label: label})
 	}
 	runs, err := NewScheduler(cfg).Run(ctx, grid)
 	if err != nil {
 		return nil, err
 	}
 	return &ComposeResult{Cfg: cfg, Workload: w, Cells: cells, Runs: runs}, nil
-}
-
-// FinalAccuracy returns cell i's last evaluated accuracy (NaN when the
-// run never evaluated).
-func (r *ComposeResult) FinalAccuracy(i int) float64 {
-	run := r.Runs[i]
-	acc := math.NaN()
-	if run == nil {
-		return acc
-	}
-	for _, st := range run.Stats {
-		if st.Accuracy >= 0 {
-			acc = st.Accuracy
-		}
-	}
-	return acc
 }
 
 // TotalBytes returns cell i's measured up+down wire bytes over the
@@ -118,7 +102,7 @@ func (r *ComposeResult) Table() *trace.Table {
 			r.Workload.Name, r.Cfg.Clients, r.Cfg.Rounds),
 		"Cell", "Chain", "Final Acc", "ΔAcc", "Up MB", "Down MB", "Bytes ×", "Sparsification",
 	)
-	refAcc := r.FinalAccuracy(0)
+	refAcc := r.Runs[0].FinalAccuracy()
 	for i, cell := range r.Cells {
 		run := r.Runs[i]
 		if run == nil || len(run.Stats) == 0 {
@@ -133,7 +117,7 @@ func (r *ComposeResult) Table() *trace.Table {
 		if chain == "" {
 			chain = "(f32 sparse)"
 		}
-		acc := r.FinalAccuracy(i)
+		acc := run.FinalAccuracy()
 		t.AddRow(
 			cell.Name,
 			chain,

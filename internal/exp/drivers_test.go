@@ -21,7 +21,7 @@ func TestDriversTrainTheRunOneRun(t *testing.T) {
 		cfg.Rounds = 3
 		check := func(arm string, w Workload, scheme string, got []float64) {
 			t.Helper()
-			run, err := RunOne(ctx, cfg, w, scheme)
+			run, err := RunOne(ctx, cfg.named(w, scheme))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,14 +37,14 @@ func TestDriversTrainTheRunOneRun(t *testing.T) {
 			}
 		}
 		for _, w := range []Workload{CNNWorkload(), DenseNetWorkload()} {
-			_, _, e, err := trackTrajectories(ctx, cfg, w, "fedavg", 1)
+			_, _, e, err := trackTrajectories(ctx, cfg.named(w, "fedavg"), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("fig1/2 "+w.Name, w, "fedavg", e.GlobalVector())
 		}
 		for _, scheme := range []string{"fedsu", "fedavg"} {
-			_, _, e, err := trackParams(ctx, cfg, CNNWorkload(), scheme, func(int) []int { return nil })
+			_, _, e, err := trackParams(ctx, cfg.named(CNNWorkload(), scheme), func(int) []int { return nil })
 			if err != nil {
 				t.Fatal(err)
 			}

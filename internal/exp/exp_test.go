@@ -44,7 +44,7 @@ func TestWorkloads(t *testing.T) {
 		t.Fatalf("Workloads = %d, want 3", len(ws))
 	}
 	for _, w := range ws {
-		m := w.Model(32, 1)
+		m := w.ModelOf(tensor.Float64, 32, 1)
 		if m.Size() <= 0 {
 			t.Errorf("%s: empty model", w.Name)
 		}
@@ -71,7 +71,7 @@ func TestRunOneAllSchemes(t *testing.T) {
 		s := s
 		t.Run(s, func(t *testing.T) {
 			t.Parallel()
-			run, err := RunOne(context.Background(), cfg, w, s)
+			run, err := RunOne(context.Background(), cfg.named(w, s))
 			if err != nil {
 				t.Fatal(err)
 			}

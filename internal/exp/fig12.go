@@ -24,7 +24,7 @@ type Fig1Result struct {
 func RunFig1(ctx context.Context, cfg Config, samplesPerModel int) (*Fig1Result, error) {
 	res := &Fig1Result{Trajectories: map[string][]*trace.Series{}}
 	for _, w := range []Workload{CNNWorkload(), DenseNetWorkload()} {
-		series, _, _, err := trackTrajectories(ctx, cfg, w, "fedavg", samplesPerModel)
+		series, _, _, err := trackTrajectories(ctx, cfg.named(w, "fedavg"), samplesPerModel)
 		if err != nil {
 			return nil, err
 		}
@@ -33,12 +33,12 @@ func RunFig1(ctx context.Context, cfg Config, samplesPerModel int) (*Fig1Result,
 	return res, nil
 }
 
-// trackTrajectories trains the (w, scheme) run of cfg — the engine RunOne
-// trains — round by round, recording the global value of sampled parameter
+// trackTrajectories trains the run cfg names — the engine RunOne trains —
+// round by round, recording the global value of sampled parameter
 // indices each round. It also returns the per-round global update vectors
 // for normalized-difference analysis, and the finished engine.
-func trackTrajectories(ctx context.Context, cfg Config, w Workload, scheme string, nSamples int) ([]*trace.Series, [][]float64, *fl.Engine, error) {
-	engine, err := NewEngine(cfg, w, scheme)
+func trackTrajectories(ctx context.Context, cfg Config, nSamples int) ([]*trace.Series, [][]float64, *fl.Engine, error) {
+	engine, err := NewEngine(cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -51,7 +51,7 @@ func trackTrajectories(ctx context.Context, cfg Config, w Workload, scheme strin
 	}
 	series := make([]*trace.Series, nSamples)
 	for i, p := range idx {
-		series[i] = trace.NewSeries(fmt.Sprintf("%s.param%d", w.Name, p), "round", "value")
+		series[i] = trace.NewSeries(fmt.Sprintf("%s.param%d", cfg.Workload, p), "round", "value")
 	}
 
 	var updates [][]float64
@@ -98,7 +98,7 @@ func RunFig2(ctx context.Context, cfg Config) (*Fig2Result, error) {
 		FracThreshold: 0.05,
 	}
 	for _, w := range []Workload{CNNWorkload(), DenseNetWorkload()} {
-		_, updates, _, err := trackTrajectories(ctx, cfg, w, "fedavg", 1)
+		_, updates, _, err := trackTrajectories(ctx, cfg.named(w, "fedavg"), 1)
 		if err != nil {
 			return nil, err
 		}

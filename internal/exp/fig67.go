@@ -35,7 +35,7 @@ func RunFig6(ctx context.Context, cfg Config, w Workload) (*Fig6Result, error) {
 	// FedSU run with per-round mask tracking over a pool of candidate
 	// parameters; the most-speculative candidate is reported.
 	var cand []int
-	traj, masks, _, err := trackParams(ctx, cfg, w, "fedsu", func(size int) []int {
+	traj, masks, _, err := trackParams(ctx, cfg.named(w, "fedsu"), func(size int) []int {
 		rng := rand.New(rand.NewSource(cfg.Seed + 17))
 		cand = make([]int, 32)
 		for i := range cand {
@@ -77,7 +77,7 @@ func RunFig6(ctx context.Context, cfg Config, w Workload) (*Fig6Result, error) {
 	}
 
 	// FedAvg reference trajectory on the identical workload and seed.
-	ref, _, _, err := trackParams(ctx, cfg, w, "fedavg", func(int) []int { return []int{cand[best]} })
+	ref, _, _, err := trackParams(ctx, cfg.named(w, "fedavg"), func(int) []int { return []int{cand[best]} })
 	if err != nil {
 		return nil, err
 	}
@@ -88,13 +88,13 @@ func RunFig6(ctx context.Context, cfg Config, w Workload) (*Fig6Result, error) {
 	return res, nil
 }
 
-// trackParams trains the (w, scheme) run of cfg — the engine RunOne trains —
-// for cfg.Rounds rounds without evaluation. pick chooses the parameters to
+// trackParams trains the run cfg names — the engine RunOne trains — for
+// cfg.Rounds rounds without evaluation. pick chooses the parameters to
 // follow from the model size; every round records their global values and,
 // under FedSU, their predictability-mask bits. The finished engine is
 // returned too.
-func trackParams(ctx context.Context, cfg Config, w Workload, scheme string, pick func(size int) []int) ([][]float64, [][]bool, *fl.Engine, error) {
-	engine, err := NewEngine(cfg, w, scheme)
+func trackParams(ctx context.Context, cfg Config, pick func(size int) []int) ([][]float64, [][]bool, *fl.Engine, error) {
+	engine, err := NewEngine(cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -174,7 +174,7 @@ func RunFig7(ctx context.Context, cfg Config, workloads []Workload) (*Fig7Result
 		ShareLinearMajority: map[string]float64{},
 	}
 	for _, w := range workloads {
-		run, err := RunOne(ctx, cfg, w, "fedsu")
+		run, err := RunOne(ctx, cfg.named(w, "fedsu"))
 		if err != nil {
 			return nil, err
 		}

@@ -11,20 +11,8 @@ import (
 
 // Fig8Result holds the ablation comparison of FedSU against FedSU-v1 (no
 // error feedback) and FedSU-v2 (neither error feedback nor linearity
-// diagnosis) — the paper's Fig. 8.
-type Fig8Result struct {
-	// Accuracy and Ratio map workload → variant → series over emulated
-	// time.
-	Accuracy map[string]map[string]*trace.Series
-	Ratio    map[string]map[string]*trace.Series
-	// FinalAccuracy and MeanRatio summarize each (workload, variant).
-	FinalAccuracy map[string]map[string]float64
-	MeanRatio     map[string]map[string]float64
-	// AccuracyStd is the standard deviation of the accuracy curve's
-	// round-to-round changes, a fluctuation measure: v2 is expected to be
-	// markedly less stable.
-	AccuracyStd map[string]map[string]float64
-}
+// diagnosis) — the paper's Fig. 8. Its curves map workload → variant.
+type Fig8Result struct{ Curves }
 
 // Variants returns the ablation set.
 func Variants() []string { return []string{"fedsu", "fedsu-v1", "fedsu-v2"} }
@@ -34,66 +22,43 @@ func Variants() []string { return []string{"fedsu", "fedsu-v1", "fedsu-v2"} }
 // come from cfg.FedSU (the paper sets 43/0.53 % for CNN and 58/0.81 % for
 // DenseNet, profiled from standard FedSU runs).
 func RunFig8(ctx context.Context, cfg Config, workloads []Workload) (*Fig8Result, error) {
-	res := &Fig8Result{
-		Accuracy:      map[string]map[string]*trace.Series{},
-		Ratio:         map[string]map[string]*trace.Series{},
-		FinalAccuracy: map[string]map[string]float64{},
-		MeanRatio:     map[string]map[string]float64{},
-		AccuracyStd:   map[string]map[string]float64{},
-	}
 	var grid []GridRun
 	for _, w := range workloads {
-		res.Accuracy[w.Name] = map[string]*trace.Series{}
-		res.Ratio[w.Name] = map[string]*trace.Series{}
-		res.FinalAccuracy[w.Name] = map[string]float64{}
-		res.MeanRatio[w.Name] = map[string]float64{}
-		res.AccuracyStd[w.Name] = map[string]float64{}
 		for _, v := range Variants() {
-			grid = append(grid, GridRun{Cfg: cfg, Workload: w, Scheme: v})
+			grid = append(grid, GridRun{Cfg: cfg.named(w, v)})
 		}
 	}
 	runs, err := NewScheduler(cfg).Run(ctx, grid)
 	if err != nil {
 		return nil, err
 	}
+	res := &Fig8Result{}
 	for i, g := range grid {
-		run, w, v := runs[i], g.Workload, g.Scheme
-		acc := trace.NewSeries(v, "time_s", "accuracy")
-		ratio := trace.NewSeries(v, "time_s", "sparsification_ratio")
-		var prevAcc float64
-		var diffs []float64
-		first := true
-		for _, st := range run.Stats {
-			if st.Accuracy >= 0 {
-				acc.Add(st.SimTime, st.Accuracy)
-				if !first {
-					diffs = append(diffs, st.Accuracy-prevAcc)
-				}
-				prevAcc, first = st.Accuracy, false
-			}
-			ratio.Add(st.SimTime, st.SparsificationRatio)
-		}
-		res.Accuracy[w.Name][v] = acc
-		res.Ratio[w.Name][v] = ratio
-		res.FinalAccuracy[w.Name][v] = acc.LastY()
-		res.MeanRatio[w.Name][v] = run.MeanSparsification()
-		res.AccuracyStd[w.Name][v] = stddev(diffs)
+		res.add(g.Cfg.Workload, g.Cfg.Scheme, runs[i])
 	}
 	return res, nil
 }
 
-func stddev(xs []float64) float64 {
-	if len(xs) == 0 {
+// AccuracyStd is the standard deviation of the round-to-round changes of
+// workload w's accuracy curve under variant v, a fluctuation measure: v2
+// is expected to be markedly less stable.
+func (r *Fig8Result) AccuracyStd(w, v string) float64 {
+	acc := r.Accuracy[w][v].Y
+	if len(acc) < 2 {
 		return 0
 	}
+	xs := make([]float64, len(acc)-1)
+	for k := range xs {
+		xs[k] = acc[k+1] - acc[k]
+	}
 	mean := 0.0
-	for _, v := range xs {
-		mean += v
+	for _, x := range xs {
+		mean += x
 	}
 	mean /= float64(len(xs))
 	s := 0.0
-	for _, v := range xs {
-		d := v - mean
+	for _, x := range xs {
+		d := x - mean
 		s += d * d
 	}
 	// Population std; enough for a fluctuation comparison.
@@ -109,7 +74,7 @@ func (r *Fig8Result) Report(w io.Writer) {
 			t.AddRow(name, v,
 				r.FinalAccuracy[name][v],
 				fmt.Sprintf("%.1f%%", 100*r.MeanRatio[name][v]),
-				r.AccuracyStd[name][v])
+				r.AccuracyStd(name, v))
 		}
 	}
 	t.Render(w)

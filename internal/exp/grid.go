@@ -10,23 +10,14 @@ import (
 	"fedsu/internal/trace"
 )
 
-// GridRun is one independent cell of an experiment grid: a full run
-// configuration plus the (workload, scheme) it trains. Cells carry their
-// own Config so sweeps can vary hyper-parameters per cell.
+// GridRun is one independent cell of an experiment grid: the Config of the
+// run it trains, naming its workload and scheme. Cells carry their own
+// Config so sweeps can vary hyper-parameters per cell.
 type GridRun struct {
-	Cfg      Config
-	Workload Workload
-	Scheme   string
+	Cfg Config
 	// Label tags the cell's progress lines; empty derives
 	// "workload/scheme".
 	Label string
-}
-
-func (g GridRun) label() string {
-	if g.Label != "" {
-		return g.Label
-	}
-	return g.Workload.Name + "/" + g.Scheme
 }
 
 // Scheduler fans the independent runs of an experiment grid across a
@@ -76,9 +67,6 @@ func NewScheduler(cfg Config) *Scheduler {
 		clock:   cfg.Clock,
 	}
 }
-
-// Artifacts exposes the scheduler's cache (for build accounting).
-func (s *Scheduler) Artifacts() *Artifacts { return s.arts }
 
 // Run executes every grid cell and returns the results in input order.
 // At most `workers` cells run at once; with one slot, execution is strictly
@@ -152,9 +140,14 @@ func (s *Scheduler) runCell(ctx context.Context, gr GridRun) (*Run, error) {
 		return nil, err
 	}
 	cfg := gr.Cfg
+	cfg.Artifacts = s.arts
 	var pw *trace.PrefixWriter
 	if cfg.Verbose != nil {
-		pw = trace.NewPrefixWriter(s.verbose, "["+gr.label()+"] ")
+		label := gr.Label
+		if label == "" {
+			label = cfg.Workload + "/" + cfg.Scheme
+		}
+		pw = trace.NewPrefixWriter(s.verbose, "["+label+"] ")
 		cfg.Verbose = pw
 		defer pw.Flush()
 	}
@@ -162,7 +155,7 @@ func (s *Scheduler) runCell(ctx context.Context, gr GridRun) (*Run, error) {
 	if s.clock != nil {
 		start = s.clock()
 	}
-	r, err := runOne(ctx, cfg, gr.Workload, gr.Scheme, s.arts)
+	r, err := RunOne(ctx, cfg)
 	if s.clock != nil {
 		wall := s.clock().Sub(start).Round(time.Millisecond)
 		if err != nil {

@@ -50,7 +50,7 @@ func RunPopScale(ctx context.Context, cfg Config, w Workload, scheme string, fan
 		if f > 0 {
 			label = fmt.Sprintf("%s/%s/fanout=%d", w.Name, scheme, f)
 		}
-		grid = append(grid, GridRun{Cfg: cell, Workload: w, Scheme: scheme, Label: label})
+		grid = append(grid, GridRun{Cfg: cell.named(w, scheme), Label: label})
 	}
 	runs, err := NewScheduler(cfg).Run(ctx, grid)
 	if err != nil {
@@ -107,16 +107,12 @@ func (r *PopScaleResult) Table() *trace.Table {
 		rounds := float64(len(run.Stats))
 		var upBytes, rootRx, partials float64
 		tiers := 0
-		finalAcc := math.NaN()
 		for _, st := range run.Stats {
 			upBytes += float64(st.Traffic.UpBytes)
 			rootRx += float64(st.RootRxBytes)
 			partials += float64(st.ForwardedPartials)
 			if st.Tiers > tiers {
 				tiers = st.Tiers
-			}
-			if st.Accuracy >= 0 {
-				finalAcc = st.Accuracy
 			}
 		}
 		fanout := "flat"
@@ -126,7 +122,7 @@ func (r *PopScaleResult) Table() *trace.Table {
 		t.AddRow(
 			fanout,
 			tiers,
-			fmt.Sprintf("%.3f", finalAcc),
+			fmt.Sprintf("%.3f", run.FinalAccuracy()),
 			run.MeanRoundTime(),
 			upBytes/rounds/1e6,
 			rootRx/rounds/1e3,

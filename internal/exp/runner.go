@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"fedsu/internal/core"
@@ -11,11 +12,24 @@ import (
 	"fedsu/internal/fl"
 	"fedsu/internal/netem"
 	"fedsu/internal/nn"
+	"fedsu/internal/sparse"
 	"fedsu/internal/tensor"
+	"fedsu/internal/trace"
 )
 
-// Config sets the emulation scale shared by all experiments.
+// Config describes one run: what it trains (Workload, Scheme), at what
+// scale, under which modes. It is also the harness setting the grid
+// drivers share (Verbose, Parallel, Artifacts, Clock), and the facade's
+// fedsu.SimulationConfig. Every engine, TCP client and coordinator model
+// size is built from it by one recipe (NewEngine, NewClient, ModelSize).
 type Config struct {
+	// Workload names the model/dataset pair: "cnn" (EMNIST), "resnet18"
+	// (FMNIST) or "densenet121" (CIFAR-10). The grid drivers set it per
+	// cell.
+	Workload string
+	// Scheme names the synchronization strategy, one of fl.StrategyNames.
+	// The grid drivers set it per cell.
+	Scheme string
 	// Clients is the emulated client count.
 	Clients int
 	// Rounds is the maximum rounds per run.
@@ -72,8 +86,9 @@ type Config struct {
 	// grid drivers (RunEndToEnd, RunFig8, the sweeps); values below 1 mean
 	// sequential. Results are bit-identical at any setting.
 	Parallel int
-	// Artifacts optionally shares one dataset/partition cache across
-	// drivers (nil gives each driver a private cache).
+	// Artifacts optionally shares one dataset/partition cache across runs
+	// and drivers (nil: a single run synthesizes its own, a grid driver
+	// uses a private cache).
 	Artifacts *Artifacts
 	// Clock, when non-nil, timestamps each grid run for per-run wall-clock
 	// reporting (wired to time.Now by cmd/fedsu-bench; nil keeps library
@@ -102,17 +117,9 @@ func FastConfig() Config {
 // setup (still width-reduced models; raise Rounds/Clients further via flags
 // in cmd/fedsu-bench for full fidelity).
 func StandardConfig() Config {
-	return Config{
-		Clients:    32,
-		Rounds:     150,
-		LocalIters: 10,
-		BatchSize:  16,
-		Samples:    4096,
-		ModelScale: 8,
-		EvalEvery:  2,
-		Seed:       1,
-		FedSU:      core.DefaultOptions(),
-	}
+	c := FastConfig()
+	c.Clients, c.Rounds, c.Samples, c.ModelScale = 32, 150, 4096, 8
+	return c
 }
 
 // Run is one (workload, scheme) emulated training run.
@@ -124,6 +131,42 @@ type Run struct {
 	// Engine is the (finished) engine, kept for post-hoc inspection
 	// (masks, linear fractions, client models).
 	Engine *fl.Engine
+}
+
+// Curves holds a grid's runs, their curves over emulated time and their
+// summaries, each keyed workload → cell label.
+type Curves struct {
+	Runs                     map[string]map[string]*Run
+	Accuracy, Ratio          map[string]map[string]*trace.Series
+	FinalAccuracy, MeanRatio map[string]map[string]float64
+}
+
+// add records run as the cell label of workload w.
+func (c *Curves) add(w, label string, run *Run) {
+	acc := trace.NewSeries(label, "time_s", "accuracy")
+	ratio := trace.NewSeries(label+"-ratio", "time_s", "sparsification_ratio")
+	for _, st := range run.Stats {
+		if st.Accuracy >= 0 {
+			acc.Add(st.SimTime, st.Accuracy)
+		}
+		ratio.Add(st.SimTime, st.SparsificationRatio)
+	}
+	put(&c.Runs, w, label, run)
+	put(&c.Accuracy, w, label, acc)
+	put(&c.Ratio, w, label, ratio)
+	put(&c.FinalAccuracy, w, label, acc.LastY())
+	put(&c.MeanRatio, w, label, run.MeanSparsification())
+}
+
+// put sets (*m)[w][label], making the maps on first use.
+func put[V any](m *map[string]map[string]V, w, label string, v V) {
+	if *m == nil {
+		*m = map[string]map[string]V{}
+	}
+	if (*m)[w] == nil {
+		(*m)[w] = map[string]V{}
+	}
+	(*m)[w][label] = v
 }
 
 // TimeToAccuracy returns the emulated seconds until the held-out accuracy
@@ -143,6 +186,18 @@ func (r *Run) TimeToAccuracy(target float64) (seconds float64, rounds int, reach
 	}
 	last := r.Stats[len(r.Stats)-1]
 	return last.SimTime, last.Round + 1, false
+}
+
+// FinalAccuracy returns the last evaluated held-out accuracy (NaN when the
+// run never evaluated).
+func (r *Run) FinalAccuracy() float64 {
+	acc := math.NaN()
+	for _, st := range r.Stats {
+		if st.Accuracy >= 0 {
+			acc = st.Accuracy
+		}
+	}
+	return acc
 }
 
 // MeanRoundTime returns the average emulated round duration.
@@ -165,50 +220,96 @@ func (r *Run) MeanSparsification() float64 {
 	return s / float64(len(r.Stats))
 }
 
-// RunOne executes one (workload, scheme) training run per the config.
-func RunOne(ctx context.Context, cfg Config, w Workload, scheme string) (*Run, error) {
-	return runOne(ctx, cfg, w, scheme, nil)
-}
-
-// runOne is RunOne with an optional artifact cache (see newEngine).
-func runOne(ctx context.Context, cfg Config, w Workload, scheme string, arts *Artifacts) (*Run, error) {
-	engine, err := newEngine(cfg, w, scheme, arts)
+// RunOne trains the run cfg names: the engine NewEngine builds, for
+// cfg.Rounds rounds.
+func RunOne(ctx context.Context, cfg Config) (*Run, error) {
+	engine, err := NewEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	logf(cfg.Verbose, "run %s/%s: %d clients, %d rounds", w.Name, scheme, cfg.Clients, cfg.Rounds)
+	logf(cfg.Verbose, "run %s/%s: %d clients, %d rounds", cfg.Workload, cfg.Scheme, cfg.Clients, cfg.Rounds)
 	stats, err := engine.Run(ctx, cfg.Rounds, cfg.EvalEvery)
 	if err != nil {
-		return nil, fmt.Errorf("exp: %s/%s: %w", w.Name, scheme, err)
+		return nil, fmt.Errorf("exp: %s/%s: %w", cfg.Workload, cfg.Scheme, err)
 	}
-	return &Run{Workload: w.Name, Scheme: scheme, Stats: stats, Engine: engine}, nil
+	return &Run{Workload: cfg.Workload, Scheme: cfg.Scheme, Stats: stats, Engine: engine}, nil
 }
 
-// NewEngine builds the engine for one (workload, scheme) run of cfg. It is
-// the one place a Config becomes an fl.Config: RunOne, the grid drivers, the
-// trajectory drivers of Figs. 1, 2 and 6, and fedsu.NewSimulation all train
-// the engine it returns. Under float32 the FedSU managers run with Quantize
-// set, so the speculative state machine works in the wire image the clients
-// actually store.
-func NewEngine(cfg Config, w Workload, scheme string) (*fl.Engine, error) {
-	return newEngine(cfg, w, scheme, nil)
+// NewEngine builds the engine of the run cfg names. RunOne, the grid
+// drivers, the trajectory drivers of Figs. 1, 2 and 6, and
+// fedsu.NewSimulation all train the engine it returns.
+func NewEngine(cfg Config) (*fl.Engine, error) {
+	r, err := newRecipe(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ds, shards := r.data()
+	engine, err := fl.NewEngineWithShards(r.fl, r.model, ds, shards, r.factory)
+	if err != nil {
+		return nil, fmt.Errorf("exp: %s/%s: %w", cfg.Workload, cfg.Scheme, err)
+	}
+	return engine, nil
 }
 
-// newEngine is NewEngine with an optional artifact cache: when arts is
-// non-nil, the dataset and its Dirichlet partition come from the cache
-// (built once per key, shared read-only across concurrent runs) instead of
-// being synthesized per run. Cached and uncached paths are bit-identical
-// because both artifacts are pure functions of their key.
-func newEngine(cfg Config, w Workload, scheme string, arts *Artifacts) (*fl.Engine, error) {
+// NewClient builds client id of the run cfg names over agg: the client
+// NewEngine's fleet of cfg.Clients holds under that id — every client
+// synthesizes the fleet's dataset from the shared seed and takes its
+// Dirichlet shard by id, the deterministic analogue of a device owning
+// private data. Its strategy is bound to cfg's compression chain for byte
+// accounting only: agg, a TCP transport, does the encoding.
+func NewClient(cfg Config, id int, agg sparse.Aggregator) (*fl.Client, error) {
+	r, err := newRecipe(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if id < 0 || id >= cfg.Clients {
+		return nil, fmt.Errorf("exp: client %d of a fleet of %d", id, cfg.Clients)
+	}
+	chain, err := r.fl.Chain()
+	if err != nil {
+		return nil, err
+	}
+	_, shards := r.data()
+	return fl.BuildClient(r.fl, id, r.model(), shards[id], r.factory, agg, chain)
+}
+
+// ModelSize is the parameter count of cfg's model, which reads only its
+// workload, scale and seed: a coordinator sizes its session with it.
+func ModelSize(cfg Config) (int, error) {
+	w, err := WorkloadByName(cfg.Workload)
+	if err != nil {
+		return 0, err
+	}
+	return recipe{cfg: cfg, w: w}.model().Size(), nil
+}
+
+// recipe is what a Config resolves to: the one place its workload, scheme
+// and scale become fl's inputs, so an engine's fleet, a TCP client and a
+// coordinator's model size cannot drift apart.
+type recipe struct {
+	cfg     Config
+	w       Workload
+	fl      fl.Config
+	factory sparse.Factory
+}
+
+// newRecipe resolves cfg. Under float32 the FedSU managers run with
+// Quantize set, so the speculative state machine works in the wire image
+// the clients actually store.
+func newRecipe(cfg Config) (recipe, error) {
+	w, err := WorkloadByName(cfg.Workload)
+	if err != nil {
+		return recipe{}, err
+	}
 	fedsuOpts := cfg.FedSU
 	if cfg.DType == tensor.Float32 {
 		fedsuOpts.Quantize = true
 	}
-	factory, err := fl.StrategyFactoryWith(scheme, fedsuOpts)
+	factory, err := fl.StrategyFactoryWith(cfg.Scheme, fedsuOpts)
 	if err != nil {
-		return nil, err
+		return recipe{}, err
 	}
-	flCfg := fl.Config{
+	return recipe{cfg: cfg, w: w, factory: factory, fl: fl.Config{
 		NumClients:     cfg.Clients,
 		LocalIters:     cfg.LocalIters,
 		BatchSize:      cfg.BatchSize,
@@ -227,20 +328,30 @@ func newEngine(cfg Config, w Workload, scheme string, arts *Artifacts) (*fl.Engi
 		Population:     cfg.Population,
 		Fanout:         cfg.Fanout,
 		Compress:       cfg.Compress,
+	}}, nil
+}
+
+// model builds one replica; every replica of a run starts from one seed.
+func (r recipe) model() *nn.Model {
+	return r.w.ModelOf(r.cfg.DType, r.w.EffectiveScale(r.cfg.ModelScale), r.cfg.Seed+97)
+}
+
+// data returns the dataset and its Dirichlet partition over the fleet. With
+// cfg.Artifacts set both come from the cache (built once per key, shared
+// read-only across concurrent runs); the cached and fresh paths are
+// bit-identical because both artifacts are pure functions of their key.
+func (r recipe) data() (*data.Dataset, []*data.Subset) {
+	n, seed := r.cfg.Samples, r.cfg.Seed+31
+	if a := r.cfg.Artifacts; a != nil {
+		ds := a.Dataset(r.w, n, seed)
+		return ds, a.Partition(r.w, ds, n, seed, r.fl.NumClients, r.fl.DirichletAlpha, r.fl.Seed)
 	}
-	dsSeed := cfg.Seed + 31
-	builder := func() *nn.Model { return w.ModelOf(cfg.DType, w.EffectiveScale(cfg.ModelScale), cfg.Seed+97) }
-	var ds *data.Dataset
-	var shards []*data.Subset
-	if arts != nil {
-		ds = arts.Dataset(w, cfg.Samples, dsSeed)
-		shards = arts.Partition(w, ds, cfg.Samples, dsSeed, flCfg.NumClients, flCfg.DirichletAlpha, flCfg.Seed)
-	} else {
-		ds = w.Dataset(cfg.Samples, dsSeed)
-	}
-	engine, err := fl.NewEngineWithShards(flCfg, builder, ds, shards, factory)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s/%s: %w", w.Name, scheme, err)
-	}
-	return engine, nil
+	ds := r.w.Dataset(n, seed)
+	return ds, data.PartitionDirichlet(ds, r.fl.NumClients, r.fl.DirichletAlpha, r.fl.Seed)
+}
+
+// named returns cfg naming the (w, scheme) run.
+func (cfg Config) named(w Workload, scheme string) Config {
+	cfg.Workload, cfg.Scheme = w.Name, scheme
+	return cfg
 }

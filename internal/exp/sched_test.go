@@ -86,7 +86,7 @@ func TestGridBitIdentity(t *testing.T) {
 			for i := range got {
 				if fp := fingerprint(got[i]); fp != wantFP[i] {
 					t.Fatalf("run %d (%s/%s) diverged from sequential\nseq:  %.120s\npar:  %.120s",
-						i, grid[i].Workload.Name, grid[i].Scheme, wantFP[i], fp)
+						i, grid[i].Cfg.Workload, grid[i].Cfg.Scheme, wantFP[i], fp)
 				}
 			}
 		})
@@ -137,7 +137,7 @@ func TestGridBitIdentityFloat32(t *testing.T) {
 	for i := range got {
 		if seq, par := fingerprint(want[i]), fingerprint(got[i]); seq != par {
 			t.Fatalf("float32 run %d (%s/%s) diverged from sequential\nseq:  %.120s\npar:  %.120s",
-				i, grid[i].Workload.Name, grid[i].Scheme, seq, par)
+				i, grid[i].Cfg.Workload, grid[i].Cfg.Scheme, seq, par)
 		}
 	}
 }
@@ -223,9 +223,9 @@ func TestSchedulerErrorPropagation(t *testing.T) {
 	cfg.Rounds = 2
 	cfg.Parallel = 4
 	grid := []GridRun{
-		{Cfg: cfg, Workload: CNNWorkload(), Scheme: "fedavg"},
-		{Cfg: cfg, Workload: CNNWorkload(), Scheme: "no-such-scheme"},
-		{Cfg: cfg, Workload: CNNWorkload(), Scheme: "fedsu"},
+		{Cfg: cfg.named(CNNWorkload(), "fedavg")},
+		{Cfg: cfg.named(CNNWorkload(), "no-such-scheme")},
+		{Cfg: cfg.named(CNNWorkload(), "fedsu")},
 	}
 	_, err := NewScheduler(cfg).Run(context.Background(), grid)
 	if err == nil {
@@ -281,7 +281,7 @@ func TestSchedulerVerbosePrefixing(t *testing.T) {
 	for _, ln := range lines {
 		matched := false
 		for _, g := range grid {
-			tag := "[" + g.Workload.Name + "/" + g.Scheme + "] "
+			tag := "[" + g.Cfg.Workload + "/" + g.Cfg.Scheme + "] "
 			if strings.HasPrefix(ln, tag) {
 				tags[tag]++
 				matched = true

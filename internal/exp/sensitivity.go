@@ -15,12 +15,8 @@ type SweepResult struct {
 	Param string
 	// Values are the swept threshold values.
 	Values []float64
-	// Accuracy and Ratio map workload → threshold label → series.
-	Accuracy map[string]map[string]*trace.Series
-	Ratio    map[string]map[string]*trace.Series
-	// FinalAccuracy and MeanRatio summarize each cell.
-	FinalAccuracy map[string]map[string]float64
-	MeanRatio     map[string]map[string]float64
+	// Curves map workload → threshold label.
+	Curves
 }
 
 // Fig9Thresholds are the paper's T_ℛ sweep values.
@@ -40,20 +36,8 @@ func RunFig10(ctx context.Context, cfg Config, workloads []Workload) (*SweepResu
 }
 
 func runSweep(ctx context.Context, cfg Config, workloads []Workload, param string, values []float64) (*SweepResult, error) {
-	res := &SweepResult{
-		Param:         param,
-		Values:        values,
-		Accuracy:      map[string]map[string]*trace.Series{},
-		Ratio:         map[string]map[string]*trace.Series{},
-		FinalAccuracy: map[string]map[string]float64{},
-		MeanRatio:     map[string]map[string]float64{},
-	}
 	var grid []GridRun
 	for _, w := range workloads {
-		res.Accuracy[w.Name] = map[string]*trace.Series{}
-		res.Ratio[w.Name] = map[string]*trace.Series{}
-		res.FinalAccuracy[w.Name] = map[string]float64{}
-		res.MeanRatio[w.Name] = map[string]float64{}
 		for _, v := range values {
 			c := cfg
 			switch param {
@@ -68,31 +52,16 @@ func runSweep(ctx context.Context, cfg Config, workloads []Workload, param strin
 			// The swept threshold does not change the training data, so
 			// every cell of a workload's sweep shares one cached dataset
 			// and partition.
-			grid = append(grid, GridRun{
-				Cfg: c, Workload: w, Scheme: "fedsu",
-				Label: w.Name + "/" + label,
-			})
+			grid = append(grid, GridRun{Cfg: c.named(w, "fedsu"), Label: w.Name + "/" + label})
 		}
 	}
 	runs, err := NewScheduler(cfg).Run(ctx, grid)
 	if err != nil {
 		return nil, err
 	}
+	res := &SweepResult{Param: param, Values: values}
 	for i, g := range grid {
-		run, w := runs[i], g.Workload
-		label := g.Label[len(w.Name)+1:]
-		acc := trace.NewSeries(label, "time_s", "accuracy")
-		ratio := trace.NewSeries(label, "time_s", "sparsification_ratio")
-		for _, st := range run.Stats {
-			if st.Accuracy >= 0 {
-				acc.Add(st.SimTime, st.Accuracy)
-			}
-			ratio.Add(st.SimTime, st.SparsificationRatio)
-		}
-		res.Accuracy[w.Name][label] = acc
-		res.Ratio[w.Name][label] = ratio
-		res.FinalAccuracy[w.Name][label] = acc.LastY()
-		res.MeanRatio[w.Name][label] = run.MeanSparsification()
+		res.add(g.Cfg.Workload, g.Label[len(g.Cfg.Workload)+1:], runs[i])
 	}
 	return res, nil
 }

@@ -13,8 +13,9 @@ func Schemes() []string { return []string{"fedsu", "apf", "cmfl", "fedavg"} }
 
 // EndToEndResult bundles the runs behind Table I and Fig. 5.
 type EndToEndResult struct {
-	Cfg  Config
-	Runs map[string]map[string]*Run // workload → scheme → run
+	Cfg Config
+	// Curves map workload → scheme.
+	Curves
 }
 
 // RunEndToEnd executes every (workload, scheme) pair of the paper's
@@ -36,7 +37,7 @@ func endToEndGrid(cfg Config, workloads []Workload, schemes []string) []GridRun 
 	grid := make([]GridRun, 0, len(workloads)*len(schemes))
 	for _, w := range workloads {
 		for _, s := range schemes {
-			grid = append(grid, GridRun{Cfg: cfg, Workload: w, Scheme: s})
+			grid = append(grid, GridRun{Cfg: cfg.named(w, s)})
 		}
 	}
 	return grid
@@ -45,14 +46,9 @@ func endToEndGrid(cfg Config, workloads []Workload, schemes []string) []GridRun 
 // assembleEndToEnd indexes the scheduler's input-ordered results back into
 // the workload→scheme map.
 func assembleEndToEnd(cfg Config, grid []GridRun, runs []*Run) *EndToEndResult {
-	res := &EndToEndResult{Cfg: cfg, Runs: map[string]map[string]*Run{}}
+	res := &EndToEndResult{Cfg: cfg}
 	for i, g := range grid {
-		m := res.Runs[g.Workload.Name]
-		if m == nil {
-			m = map[string]*Run{}
-			res.Runs[g.Workload.Name] = m
-		}
-		m[g.Scheme] = runs[i]
+		res.add(g.Cfg.Workload, g.Cfg.Scheme, runs[i])
 	}
 	return res
 }
@@ -91,23 +87,11 @@ func (r *EndToEndResult) Table1(workloads []Workload) *trace.Table {
 // Fig. 5.
 func (r *EndToEndResult) Fig5Series(workload string) (acc, ratio []*trace.Series) {
 	for _, s := range Schemes() {
-		run, ok := r.Runs[workload][s]
-		if !ok {
-			continue
-		}
-		as := trace.NewSeries(s, "time_s", "accuracy")
-		for _, st := range run.Stats {
-			if st.Accuracy >= 0 {
-				as.Add(st.SimTime, st.Accuracy)
+		if a, ok := r.Accuracy[workload][s]; ok {
+			acc = append(acc, a)
+			if s == "apf" || s == "fedsu" {
+				ratio = append(ratio, r.Ratio[workload][s])
 			}
-		}
-		acc = append(acc, as)
-		if s == "apf" || s == "fedsu" {
-			rs := trace.NewSeries(s+"-ratio", "time_s", "sparsification_ratio")
-			for _, st := range run.Stats {
-				rs.Add(st.SimTime, st.SparsificationRatio)
-			}
-			ratio = append(ratio, rs)
 		}
 	}
 	return acc, ratio

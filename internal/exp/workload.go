@@ -61,13 +61,8 @@ type Workload struct {
 	buildDataset func(samples int, seed int64) *data.Dataset
 }
 
-// Model builds a fresh float64 model replica at the given width-reduction
-// scale (the historical default precision).
-func (w Workload) Model(scale int, seed int64) *nn.Model {
-	return w.buildModel(scale, seed, tensor.Float64)
-}
-
-// ModelOf is Model at an explicit compute precision.
+// ModelOf builds a fresh model replica at compute precision dt and the
+// given width-reduction scale.
 func (w Workload) ModelOf(dt tensor.DType, scale int, seed int64) *nn.Model {
 	return w.buildModel(scale, seed, dt)
 }
@@ -183,15 +178,22 @@ func DenseNetWorkload() Workload {
 
 // WorkloadByName resolves a workload label.
 func WorkloadByName(name string) (Workload, error) {
-	ws := Workloads()
-	names := make([]string, len(ws))
-	for i, w := range ws {
+	for _, w := range Workloads() {
 		if w.Name == name {
 			return w, nil
 		}
+	}
+	return Workload{}, fmt.Errorf("exp: unknown workload %q (have %s)", name, strings.Join(WorkloadNames(), ", "))
+}
+
+// WorkloadNames lists the workload labels in presentation order.
+func WorkloadNames() []string {
+	ws := Workloads()
+	names := make([]string, len(ws))
+	for i, w := range ws {
 		names[i] = w.Name
 	}
-	return Workload{}, fmt.Errorf("exp: unknown workload %q (have %s)", name, strings.Join(names, ", "))
+	return names
 }
 
 // logf writes progress when a sink is configured.

@@ -57,6 +57,9 @@ func NewClient(id int, model *nn.Model, optimizer *opt.SGD, shard *data.Subset, 
 // microscopes; treat as read-only between rounds).
 func (c *Client) Model() *nn.Model { return c.model }
 
+// LR is the client's current learning rate.
+func (c *Client) LR() float64 { return c.opt.LR() }
+
 // Syncer exposes the client's synchronization strategy.
 func (c *Client) Syncer() sparse.Syncer { return c.syncer }
 

@@ -106,20 +106,20 @@ type Config struct {
 	DType tensor.DType
 }
 
-// DefaultConfig returns the paper's training hyper-parameters at a reduced
-// client count suitable for in-process emulation.
-func DefaultConfig(numClients int) Config {
-	return Config{
-		NumClients:     numClients,
-		LocalIters:     50,
-		BatchSize:      32,
-		LR:             0.01,
-		WeightDecay:    0.001,
-		DirichletAlpha: 1.0,
-		EvalSamples:    512,
-		EvalBatch:      64,
-		Seed:           1,
+// Chain parses the Compress spec; nil is the default wire, which the
+// explicit default spec also selects.
+func (c Config) Chain() (*codec.Chain, error) {
+	if c.Compress == "" {
+		return nil, nil
 	}
+	chain, err := codec.Parse(c.Compress, c.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("fl: %w", err)
+	}
+	if chain.IsDefault() {
+		return nil, nil
+	}
+	return chain, nil
 }
 
 // RoundStats reports one round of an emulated run.
@@ -259,15 +259,9 @@ func NewEngineWithShards(cfg Config, builder nn.Builder, ds *data.Dataset, shard
 	if probe.DType() != cfg.DType {
 		return nil, fmt.Errorf("fl: config DType %v but builder produces %v models", cfg.DType, probe.DType())
 	}
-	var chain *codec.Chain
-	if cfg.Compress != "" {
-		chain, err = codec.Parse(cfg.Compress, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("fl: %w", err)
-		}
-		if chain.IsDefault() {
-			chain = nil // the explicit default spec is the legacy wire
-		}
+	chain, err := cfg.Chain()
+	if err != nil {
+		return nil, err
 	}
 	// One collective; Fanout only picks its topology.
 	var server *Server
@@ -315,20 +309,24 @@ func NewEngineWithShards(cfg Config, builder nn.Builder, ds *data.Dataset, shard
 }
 
 // newClient builds client id over shard exactly as every member of the
-// fleet is built, whether at construction or when it joins mid-run: a fresh
-// model replica, SGD with the configured weight decay and schedule, the
-// strategy on the engine's collective and wire (behind the event trigger
-// when one is configured), and the proximal term.
+// fleet is built, whether at construction or when it joins mid-run.
 func (e *Engine) newClient(id int, shard *data.Subset) (*Client, error) {
-	cfg := &e.cfg
-	model := e.builder()
+	return BuildClient(e.cfg, id, e.builder(), shard, e.factory, e.slotCollective(), e.chain)
+}
+
+// BuildClient assembles client id of a run configured by cfg, the one
+// recipe of an engine's fleet and of a TCP client (exp.NewClient): model, a
+// fresh replica, trains on shard with cfg's optimizer and proximal term;
+// factory's strategy syncs over agg (behind the event trigger when one is
+// configured) and charges its traffic at chain's message sizes.
+func BuildClient(cfg Config, id int, model *nn.Model, shard *data.Subset, factory sparse.Factory, agg sparse.Aggregator, chain *codec.Chain) (*Client, error) {
 	optOpts := []opt.SGDOpt{opt.WithWeightDecay(cfg.WeightDecay)}
 	if cfg.LRDecayWarm > 0 {
 		optOpts = append(optOpts, opt.WithSchedule(opt.InverseSqrt(cfg.LRDecayWarm)))
 	}
-	syncer := e.factory(id, model.Size(), e.slotCollective())
-	sparse.SetSyncerWire(syncer, e.wire())
-	if err := checkMode(*cfg, sparse.UnwrapSyncer(syncer).Name(), "NewEngine"); err != nil {
+	syncer := factory(id, model.Size(), agg)
+	sparse.SetSyncerWire(syncer, sparse.Wire{Chain: chain})
+	if err := checkMode(cfg, sparse.UnwrapSyncer(syncer).Name(), "NewEngine"); err != nil {
 		return nil, err
 	}
 	if cfg.EventThreshold > 0 {

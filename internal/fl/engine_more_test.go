@@ -33,7 +33,7 @@ func TestWireParamsScalesRoundTime(t *testing.T) {
 			Name: "w", Channels: 1, Size: 8, Classes: 2,
 			Samples: 64, Noise: 0.2, Seed: 1,
 		})
-		cfg := DefaultConfig(2)
+		cfg := defaultConfig(2)
 		cfg.LocalIters, cfg.BatchSize = 1, 2
 		cfg.EvalSamples = 8
 		cfg.WireParams = wire
@@ -100,7 +100,7 @@ func TestEngineLatencyContributes(t *testing.T) {
 	}
 	factory, _ := StrategyFactory("fedavg")
 	dur := func(latency float64) float64 {
-		cfg := DefaultConfig(2)
+		cfg := defaultConfig(2)
 		cfg.LocalIters, cfg.BatchSize, cfg.EvalSamples = 1, 2, 8
 		cfg.Netem = netem.DefaultConfig(2)
 		cfg.Netem.LatencySeconds = latency

@@ -71,7 +71,7 @@ func TestNewEngineWithShardsLengthMismatch(t *testing.T) {
 		Name: "tiny", Channels: 1, Size: 8, Classes: 4,
 		Samples: 64, Noise: 0.2, Jitter: 1, Seed: 11,
 	})
-	cfg := DefaultConfig(4)
+	cfg := defaultConfig(4)
 	builder := func() *nn.Model {
 		return nn.NewMLP(nn.ModelConfig{InChannels: 1, ImageSize: 8, NumClasses: 4, Seed: 5}, 16)
 	}

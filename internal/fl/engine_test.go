@@ -132,7 +132,7 @@ func TestEngineParticipationQuorum(t *testing.T) {
 		Name: "tiny", Channels: 1, Size: 8, Classes: 2,
 		Samples: 128, Noise: 0.2, Seed: 1,
 	})
-	cfg := DefaultConfig(10)
+	cfg := defaultConfig(10)
 	cfg.LocalIters = 2
 	cfg.BatchSize = 4
 	cfg.EvalSamples = 32
@@ -181,5 +181,21 @@ func TestEngineConfigValidation(t *testing.T) {
 func TestStrategyFactoryUnknown(t *testing.T) {
 	if _, err := StrategyFactory("bogus"); err == nil {
 		t.Error("unknown strategy must error")
+	}
+}
+
+// defaultConfig returns the paper's training hyper-parameters at a reduced
+// client count suitable for in-process emulation.
+func defaultConfig(numClients int) Config {
+	return Config{
+		NumClients:     numClients,
+		LocalIters:     50,
+		BatchSize:      32,
+		LR:             0.01,
+		WeightDecay:    0.001,
+		DirichletAlpha: 1.0,
+		EvalSamples:    512,
+		EvalBatch:      64,
+		Seed:           1,
 	}
 }

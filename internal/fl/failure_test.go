@@ -22,7 +22,7 @@ func TestStrategiesSurviveDropouts(t *testing.T) {
 				Name: "drop", Channels: 1, Size: 8, Classes: 3,
 				Samples: 192, Noise: 0.2, Seed: 17,
 			})
-			cfg := DefaultConfig(6)
+			cfg := defaultConfig(6)
 			cfg.LocalIters, cfg.BatchSize = 3, 4
 			cfg.EvalSamples = 32
 			cfg.Seed = 5
@@ -65,7 +65,7 @@ func TestEngineSurvivesTotalDropoutRound(t *testing.T) {
 		Name: "total", Channels: 1, Size: 8, Classes: 2,
 		Samples: 64, Noise: 0.2, Seed: 1,
 	})
-	cfg := DefaultConfig(3)
+	cfg := defaultConfig(3)
 	cfg.LocalIters, cfg.BatchSize = 1, 2
 	cfg.EvalSamples = 8
 	cfg.Netem = netem.DefaultConfig(3)
