@@ -75,7 +75,7 @@ func BenchmarkTable1TimeToAccuracy(b *testing.B) {
 	ws := []exp.Workload{exp.CNNWorkload()}
 	var fedsuT, fedavgT float64
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunEndToEnd(context.Background(), cfg, ws, exp.Schemes())
+		res, err := exp.RunEndToEnd(context.Background(), exp.Harness{}, cfg, ws, exp.Schemes())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func BenchmarkFig7LinearShare(b *testing.B) {
 	cfg.Rounds = 32
 	var share float64
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig7(context.Background(), cfg, []exp.Workload{exp.CNNWorkload()})
+		res, err := exp.RunFig7(context.Background(), exp.Harness{}, cfg, []exp.Workload{exp.CNNWorkload()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func BenchmarkFig8Ablation(b *testing.B) {
 	cfg.FedSU.LaunchProb = 0.01
 	var fullAcc, v2Acc float64
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig8(context.Background(), cfg, []exp.Workload{exp.CNNWorkload()})
+		res, err := exp.RunFig8(context.Background(), exp.Harness{}, cfg, []exp.Workload{exp.CNNWorkload()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func BenchmarkFig9SensitivityTR(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Rounds = 12
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunFig9(context.Background(), cfg, []exp.Workload{exp.CNNWorkload()}); err != nil {
+		if _, err := exp.RunFig9(context.Background(), exp.Harness{}, cfg, []exp.Workload{exp.CNNWorkload()}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func BenchmarkFig10SensitivityTS(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Rounds = 12
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunFig10(context.Background(), cfg, []exp.Workload{exp.CNNWorkload()}); err != nil {
+		if _, err := exp.RunFig10(context.Background(), exp.Harness{}, cfg, []exp.Workload{exp.CNNWorkload()}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,10 +12,10 @@
 // the paper's own figure set, which leaves out async, popscale and compose.
 // Every id is checked before the first experiment runs.
 //
-// Grid experiments (table1/fig5, fig8, fig9/fig10) fan their independent
-// runs across -parallel slots sharing one dataset/partition cache; results
-// are bit-identical to -parallel 1 at any slot count (internal/exp's
-// scheduler contract).
+// Grid experiments (table1/fig5, fig7, fig8, fig9/fig10, async, popscale,
+// compose) fan their independent runs across -parallel slots sharing one
+// dataset/partition cache; results are bit-identical to -parallel 1 at any
+// slot count (the contract of internal/exp's Harness).
 package main
 
 import (
@@ -45,6 +45,7 @@ func main() {
 
 // env is what every experiment runner reads besides its Config.
 type env struct {
+	h       exp.Harness
 	stdout  io.Writer
 	outDir  string
 	light   bool
@@ -173,15 +174,9 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg.Verbose = os.Stderr
-	cfg.Parallel = o.slots
 	// One cache for the whole invocation: -exp all shares corpora and
 	// partitions across table1, fig8, and the sensitivity sweeps.
 	cfg.Artifacts = exp.NewArtifacts()
-	// Wall-clock enters run logic only through this injected clock (the
-	// scheduler stamps per-run wall time with it); results stay a pure
-	// function of Config and seed.
-	cfg.Clock = time.Now
 
 	if o.out != "" {
 		if err := os.MkdirAll(o.out, 0o755); err != nil {
@@ -190,7 +185,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	ctx := context.Background()
-	e := env{stdout: stdout, outDir: o.out, light: o.light, fanouts: popFanouts}
+	// Wall-clock enters run logic only through the harness's injected clock
+	// (Harness.Run stamps per-run wall time with it); results stay a pure
+	// function of Config and seed.
+	h := exp.Harness{Verbose: os.Stderr, Parallel: o.slots, Clock: time.Now}
+	e := env{h: h, stdout: stdout, outDir: o.out, light: o.light, fanouts: popFanouts}
 	for _, x := range selected {
 		xcfg := cfg
 		if x.rounds > 0 && o.rounds == 0 {
@@ -260,7 +259,7 @@ func runFig2(ctx context.Context, cfg exp.Config, e env) error {
 // runEndToEnd is Table I and Fig. 5: one grid, two renderings.
 func runEndToEnd(ctx context.Context, cfg exp.Config, e env) error {
 	ws := exp.Workloads()
-	res, err := exp.RunEndToEnd(ctx, cfg, ws, exp.Schemes())
+	res, err := exp.RunEndToEnd(ctx, e.h, cfg, ws, exp.Schemes())
 	if err != nil {
 		return err
 	}
@@ -302,7 +301,7 @@ func runFig7(ctx context.Context, cfg exp.Config, e env) error {
 	if e.light {
 		ws = e.sweepSet()
 	}
-	res, err := exp.RunFig7(ctx, cfg, ws)
+	res, err := exp.RunFig7(ctx, e.h, cfg, ws)
 	if err != nil {
 		return err
 	}
@@ -317,7 +316,7 @@ func runFig7(ctx context.Context, cfg exp.Config, e env) error {
 
 func runFig8(ctx context.Context, cfg exp.Config, e env) error {
 	ws := e.sweepSet()
-	res, err := exp.RunFig8(ctx, cfg, ws)
+	res, err := exp.RunFig8(ctx, e.h, cfg, ws)
 	if err != nil {
 		return err
 	}
@@ -336,9 +335,9 @@ func runFig8(ctx context.Context, cfg exp.Config, e env) error {
 
 // runSweep is the runner of one sensitivity sweep (Fig. 9 or 10) over the
 // sweep set.
-func runSweep(sweep func(context.Context, exp.Config, []exp.Workload) (*exp.SweepResult, error)) func(context.Context, exp.Config, env) error {
+func runSweep(sweep func(context.Context, exp.Harness, exp.Config, []exp.Workload) (*exp.SweepResult, error)) func(context.Context, exp.Config, env) error {
 	return func(ctx context.Context, cfg exp.Config, e env) error {
-		res, err := sweep(ctx, cfg, e.sweepSet())
+		res, err := sweep(ctx, e.h, cfg, e.sweepSet())
 		if err != nil {
 			return err
 		}
@@ -364,14 +363,14 @@ func runTable2(ctx context.Context, cfg exp.Config, e env) error {
 
 func runAsync(ctx context.Context, cfg exp.Config, e env) error {
 	w := exp.CNNWorkload()
-	res, err := exp.RunAsyncCompare(ctx, cfg, w)
+	res, err := exp.RunAsyncCompare(ctx, e.h, cfg, w)
 	if err != nil {
 		return err
 	}
 	res.Report(e.stdout)
 	var acc []*trace.Series
 	for _, mode := range exp.AsyncModes() {
-		acc = append(acc, res.Accuracy[mode])
+		acc = append(acc, res.Accuracy[w.Name][mode])
 	}
 	fmt.Fprintf(e.stdout, "\nAsync (%s): sync vs async time-to-accuracy\n", w.Name)
 	if err := trace.AsciiPlot(e.stdout, 72, 14, acc...); err != nil {
@@ -401,7 +400,7 @@ func runPopScale(ctx context.Context, cfg exp.Config, e env) error {
 	if cfg.Population == 0 {
 		cfg.Population = 100_000
 	}
-	res, err := exp.RunPopScale(ctx, cfg, exp.CNNWorkload(), "fedavg", e.fanouts)
+	res, err := exp.RunPopScale(ctx, e.h, cfg, exp.CNNWorkload(), "fedavg", e.fanouts)
 	if err != nil {
 		return err
 	}
@@ -415,7 +414,7 @@ func runPopScale(ctx context.Context, cfg exp.Config, e env) error {
 // to reach the converged plateau, so the accuracy column isolates the
 // chains' asymptotic cost, not a mid-training snapshot.
 func runCompose(ctx context.Context, cfg exp.Config, e env) error {
-	res, err := exp.RunComposition(ctx, cfg, exp.CNNWorkload(), exp.ComposeCells())
+	res, err := exp.RunComposition(ctx, e.h, cfg, exp.CNNWorkload(), exp.ComposeCells())
 	if err != nil {
 		return err
 	}
@@ -476,16 +475,12 @@ func peakRSS() (float64, bool) {
 	if err != nil {
 		return 0, false
 	}
-	for _, line := range strings.Split(string(b), "\n") {
-		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
-			var kb float64
-			if _, err := fmt.Sscanf(strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(rest), "kB")), "%f", &kb); err != nil {
-				return 0, false
-			}
-			return kb * 1024, true
-		}
+	_, rest, ok := strings.Cut(string(b), "\nVmHWM:")
+	var kb float64
+	if _, err := fmt.Sscanf(rest, "%f kB", &kb); !ok || err != nil {
+		return 0, false
 	}
-	return 0, false
+	return kb * 1024, true
 }
 
 // resetPeakRSS best-effort rearms the peak-RSS watermark (writing "5" to

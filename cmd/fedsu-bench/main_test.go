@@ -3,14 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"fedsu/internal/doccmd"
 	"fedsu/internal/exp"
 )
 
@@ -146,44 +146,12 @@ func TestSelectExperiments(t *testing.T) {
 	}
 }
 
-// docCommands returns the argument list of every fedsu-bench command line quoted
-// in README.md and EXPERIMENTS.md: fenced lines joined across backslash
-// continuations and inline code spans, each cut at a comment or a shell
-// operator.
-func docCommands(t *testing.T) [][]string {
-	t.Helper()
-	var cmds [][]string
-	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
-		b, err := os.ReadFile(filepath.Join("..", "..", doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		text := strings.ReplaceAll(string(b), "\\\n", " ")
-		for _, part := range strings.Split(text, "fedsu-bench ")[1:] {
-			line, _, _ := strings.Cut(part, "\n")
-			if i := strings.IndexAny(line, "`#&|;>"); i >= 0 {
-				line = line[:i]
-			}
-			cmds = append(cmds, strings.Fields(line))
-		}
-	}
-	if len(cmds) == 0 {
-		t.Fatal("the docs quote no fedsu-bench command")
-	}
-	return cmds
-}
-
 // TestDocCommandsParse: every fedsu-bench command line the docs quote parses
-// with the command's flag set, so a deleted or renamed flag fails here
-// instead of leaving a stale doc.
+// with the command's flag set.
 func TestDocCommandsParse(t *testing.T) {
-	for _, args := range docCommands(t) {
+	doccmd.Check(t, "fedsu-bench", func() *flag.FlagSet {
 		var cfg exp.Config
 		var o options
-		fs := newFlags(&cfg, &o)
-		fs.SetOutput(io.Discard)
-		if err := fs.Parse(args); err != nil || fs.NArg() > 0 {
-			t.Errorf("%q: %v, %d arguments left over", strings.Join(args, " "), err, fs.NArg())
-		}
-	}
+		return newFlags(&cfg, &o)
+	})
 }

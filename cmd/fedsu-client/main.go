@@ -69,8 +69,7 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	size, err := exp.ModelSize(cfg)
-	if err != nil {
+	if _, err := exp.WorkloadByName(cfg.Workload); err != nil {
 		return err
 	}
 	if err := fl.CheckMode(fl.Config{DType: cfg.DType, Compress: cfg.Compress}, ""); err != nil {
@@ -90,13 +89,13 @@ func run(args []string, stdout io.Writer) error {
 	defer conn.Close()
 	id := conn.ClientID()
 	fmt.Fprintf(stdout, "fedsu-client: joined as client %d of %d\n", id, conn.NumClients())
-	if size != conn.ModelSize() {
-		return fmt.Errorf("model size %d does not match session %d (check -workload/-scale/-seed)", size, conn.ModelSize())
-	}
 	cfg.Clients = conn.NumClients()
 	client, err := exp.NewClient(cfg, id, conn)
 	if err != nil {
 		return err
+	}
+	if size := client.Model().Size(); size != conn.ModelSize() {
+		return fmt.Errorf("model size %d does not match session %d (check -workload/-scale/-seed)", size, conn.ModelSize())
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

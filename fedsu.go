@@ -35,6 +35,7 @@ import (
 	"fedsu/internal/flrpc"
 	"fedsu/internal/netem"
 	"fedsu/internal/sparse"
+	"fedsu/internal/tensor"
 )
 
 // Options configures the FedSU algorithm (thresholds T_ℛ and T_𝒮, EMA decay
@@ -126,8 +127,19 @@ type AsyncConfig = fl.AsyncConfig
 // SimulationConfig describes an emulated federated run over one of the
 // paper's workloads. It is exp.Config, the one description of a run that
 // the experiment drivers, the facade and the TCP client all build from;
-// NewSimulation fills its zero-value defaults.
+// NewSimulation fills its zero-value defaults. Its Artifacts cache is the
+// experiment drivers'; a simulation leaves it nil.
 type SimulationConfig = exp.Config
+
+// DType is a simulation's compute precision (SimulationConfig.DType).
+type DType = tensor.DType
+
+// Compute precisions: Float64, the zero value, reproduces the paper's
+// results bit for bit; Float32 halves model and scratch memory.
+const (
+	Float64 = tensor.Float64
+	Float32 = tensor.Float32
+)
 
 // Simulation is a configured emulated run.
 type Simulation struct {

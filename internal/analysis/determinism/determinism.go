@@ -6,7 +6,7 @@
 // serial-vs-parallel kernels, exp/sched_test.go asserts for the parallel
 // experiment grid, and the property that makes federated experiments
 // replayable from a seed. In internal/exp, wall-clock belongs in the
-// injected Config.Clock (wired by cmd/fedsu-bench) — direct time.Now in a
+// injected Harness.Clock (wired by cmd/fedsu-bench) — direct time.Now in a
 // result computation would make runs unreproducible; the deliberate
 // exception is Table II's self-timing overhead measurement, suppressed
 // in place.
@@ -44,7 +44,7 @@ var Analyzer = &analysis.Analyzer{
 		"internal/exp must stay bit-deterministic: no wall-clock, no global " +
 		"rand, no GOMAXPROCS dependence, and no numeric reduction in map " +
 		"iteration order. Experiment wall-clock reporting goes through the " +
-		"injected Config.Clock; async staleness is measured in global " +
+		"injected Harness.Clock; async staleness is measured in global " +
 		"versions, never time.Now.",
 	Run: run,
 }

@@ -8,19 +8,18 @@ import (
 	"time"
 )
 
-// Config mimics the harness config: wall-clock enters only through the
+// Harness mimics the grid harness: wall-clock enters only through the
 // injected Clock, wired by the binary.
-type Config struct {
-	Seed  int64
+type Harness struct {
 	Clock func() time.Time
 }
 
 // runTimed stamps a run with the injected clock — the sanctioned pattern.
-func runTimed(cfg Config) float64 {
-	start := cfg.Clock()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+func runTimed(h Harness, seed int64) float64 {
+	start := h.Clock()
+	rng := rand.New(rand.NewSource(seed))
 	_ = rng.Float64()
-	return cfg.Clock().Sub(start).Seconds()
+	return h.Clock().Sub(start).Seconds()
 }
 
 // wallClock reads ambient time inside run logic: unreproducible.

@@ -21,14 +21,12 @@ func AsyncModes() []string { return []string{"sync", "async", "async-event"} }
 type AsyncResult struct {
 	// Workload names the compared workload.
 	Workload string
-	// Accuracy maps mode → accuracy-over-emulated-time series.
-	Accuracy map[string]*trace.Series
+	// Curves map the compared workload → mode.
+	Curves
 	// TimeToTarget maps mode → emulated seconds to the workload target
 	// (full-run time when the target was not reached; see Reached).
 	TimeToTarget map[string]float64
 	Reached      map[string]bool
-	// FinalAccuracy maps mode → last evaluated accuracy.
-	FinalAccuracy map[string]float64
 	// UpGB maps mode → total encoded uplink gigabytes (emulated model
 	// scale, as accounted by the strategies' traffic counters).
 	UpGB map[string]float64
@@ -64,7 +62,7 @@ func asyncK(clients int) int { return max(clients/2, 1) }
 // as the sync arm — cfg.Rounds × Clients client-arrivals, i.e.
 // Rounds·Clients/K global applications — so neither side sees more
 // training work, only a different aggregation discipline.
-func RunAsyncCompare(ctx context.Context, cfg Config, w Workload) (*AsyncResult, error) {
+func RunAsyncCompare(ctx context.Context, h Harness, cfg Config, w Workload) (*AsyncResult, error) {
 	if cfg.Clients < 2 {
 		return nil, fmt.Errorf("exp: async comparison needs >= 2 clients, got %d", cfg.Clients)
 	}
@@ -90,36 +88,29 @@ func RunAsyncCompare(ctx context.Context, cfg Config, w Workload) (*AsyncResult,
 		{Cfg: asyncCfg.named(w, "fedavg"), Label: w.Name + "/async"},
 		{Cfg: eventCfg.named(w, "fedavg"), Label: w.Name + "/async-event"},
 	}
-	runs, err := NewScheduler(cfg).Run(ctx, grid)
+	runs, err := h.Run(ctx, grid)
 	if err != nil {
 		return nil, err
 	}
 
 	res := &AsyncResult{
-		Workload:      w.Name,
-		Accuracy:      map[string]*trace.Series{},
-		TimeToTarget:  map[string]float64{},
-		Reached:       map[string]bool{},
-		FinalAccuracy: map[string]float64{},
-		UpGB:          map[string]float64{},
-		StaleDrops:    map[string]int{},
+		Workload:     w.Name,
+		TimeToTarget: map[string]float64{},
+		Reached:      map[string]bool{},
+		UpGB:         map[string]float64{},
+		StaleDrops:   map[string]int{},
 	}
 	for i, mode := range AsyncModes() {
 		run := runs[i]
-		acc := trace.NewSeries(mode, "time_s", "accuracy")
+		res.add(w.Name, mode, run)
 		upBytes, drops := 0.0, 0
 		for _, st := range run.Stats {
-			if st.Accuracy >= 0 {
-				acc.Add(st.SimTime, st.Accuracy)
-			}
 			upBytes += float64(st.Traffic.UpBytes)
 			drops += st.StaleDrops
 		}
 		secs, _, reached := run.TimeToAccuracy(w.TargetAccuracy)
-		res.Accuracy[mode] = acc
 		res.TimeToTarget[mode] = secs
 		res.Reached[mode] = reached
-		res.FinalAccuracy[mode] = acc.LastY()
 		res.UpGB[mode] = upBytes / 1e9
 		res.StaleDrops[mode] = drops
 	}
@@ -134,7 +125,7 @@ func (r *AsyncResult) Report(w io.Writer) {
 		t.AddRow(mode,
 			fmt.Sprintf("%.0f", r.TimeToTarget[mode]),
 			r.Reached[mode],
-			fmt.Sprintf("%.3f", r.FinalAccuracy[mode]),
+			fmt.Sprintf("%.3f", r.FinalAccuracy[r.Workload][mode]),
 			fmt.Sprintf("%.2f", r.UpGB[mode]),
 			r.StaleDrops[mode])
 	}

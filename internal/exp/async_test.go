@@ -22,7 +22,7 @@ func TestRunAsyncCompareSmoke(t *testing.T) {
 	cfg := microConfig()
 	cfg.Rounds = 4
 	cfg.ModelScale = 8
-	res, err := RunAsyncCompare(context.Background(), cfg, CNNWorkload())
+	res, err := RunAsyncCompare(context.Background(), Harness{}, cfg, CNNWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestRunAsyncCompareSmoke(t *testing.T) {
 		t.Fatalf("workload = %q", res.Workload)
 	}
 	for _, mode := range AsyncModes() {
-		s := res.Accuracy[mode]
+		s := res.Accuracy["cnn"][mode]
 		if s == nil || s.Len() == 0 {
 			t.Fatalf("%s: empty accuracy series", mode)
 		}
@@ -47,7 +47,7 @@ func TestRunAsyncCompareSmoke(t *testing.T) {
 		if res.UpGB[mode] <= 0 {
 			t.Errorf("%s: UpGB = %v, want > 0", mode, res.UpGB[mode])
 		}
-		if acc := res.FinalAccuracy[mode]; acc <= 0 || acc > 1 {
+		if acc := res.FinalAccuracy["cnn"][mode]; acc <= 0 || acc > 1 {
 			t.Errorf("%s: FinalAccuracy = %v out of (0, 1]", mode, acc)
 		}
 	}
@@ -67,7 +67,7 @@ func TestRunAsyncCompareSmoke(t *testing.T) {
 func TestRunAsyncCompareRejectsSingleClient(t *testing.T) {
 	cfg := microConfig()
 	cfg.Clients = 1
-	if _, err := RunAsyncCompare(context.Background(), cfg, CNNWorkload()); err == nil {
+	if _, err := RunAsyncCompare(context.Background(), Harness{}, cfg, CNNWorkload()); err == nil {
 		t.Fatal("single-client comparison accepted")
 	}
 }

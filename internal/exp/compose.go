@@ -50,7 +50,7 @@ type ComposeResult struct {
 // dataset, partition, and model init are shared through the artifact
 // cache, so the accuracy deltas isolate the chain's lossy stages and
 // the byte columns isolate the chain's wire savings.
-func RunComposition(ctx context.Context, cfg Config, w Workload, cells []ComposeCell) (*ComposeResult, error) {
+func RunComposition(ctx context.Context, h Harness, cfg Config, w Workload, cells []ComposeCell) (*ComposeResult, error) {
 	if len(cells) == 0 {
 		cells = ComposeCells()
 	}
@@ -61,7 +61,7 @@ func RunComposition(ctx context.Context, cfg Config, w Workload, cells []Compose
 		label := fmt.Sprintf("%s/%s", w.Name, cell.Name)
 		grid = append(grid, GridRun{Cfg: run.named(w, cell.Scheme), Label: label})
 	}
-	runs, err := NewScheduler(cfg).Run(ctx, grid)
+	runs, err := h.Run(ctx, grid)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@ func composeConfig() Config {
 // uncompressed reference, and both tables render.
 func TestComposeCellsRun(t *testing.T) {
 	cfg := composeConfig()
-	res, err := RunComposition(context.Background(), cfg, CNNWorkload(), ComposeCells())
+	res, err := RunComposition(context.Background(), Harness{}, cfg, CNNWorkload(), ComposeCells())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,16 +69,12 @@ func TestComposeBitIdentityAcrossWorkers(t *testing.T) {
 		{Name: "FedSU×low-rank", Scheme: "fedsu", Compress: "lowrank"},
 	}
 
-	seqCfg := cfg
-	seqCfg.Parallel = 1
-	want, err := RunComposition(context.Background(), seqCfg, CNNWorkload(), cells)
+	want, err := RunComposition(context.Background(), Harness{Parallel: 1}, cfg, CNNWorkload(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	parCfg := cfg
-	parCfg.Parallel = 4
-	got, err := RunComposition(context.Background(), parCfg, CNNWorkload(), cells)
+	got, err := RunComposition(context.Background(), Harness{Parallel: 4}, cfg, CNNWorkload(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func TestRunOneAllSchemes(t *testing.T) {
 func TestEndToEndAndTable1(t *testing.T) {
 	cfg := microConfig()
 	ws := []Workload{CNNWorkload()}
-	res, err := RunEndToEnd(context.Background(), cfg, ws, Schemes())
+	res, err := RunEndToEnd(context.Background(), Harness{}, cfg, ws, Schemes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestFig6(t *testing.T) {
 func TestFig7(t *testing.T) {
 	cfg := microConfig()
 	cfg.Rounds = 12
-	res, err := RunFig7(context.Background(), cfg, []Workload{CNNWorkload()})
+	res, err := RunFig7(context.Background(), Harness{}, cfg, []Workload{CNNWorkload()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestFig8(t *testing.T) {
 	cfg := microConfig()
 	cfg.FedSU.FixedPeriod = 4
 	cfg.FedSU.LaunchProb = 0.05
-	res, err := RunFig8(context.Background(), cfg, []Workload{CNNWorkload()})
+	res, err := RunFig8(context.Background(), Harness{}, cfg, []Workload{CNNWorkload()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,14 +223,14 @@ func TestFig9And10(t *testing.T) {
 	cfg := microConfig()
 	cfg.Rounds = 5
 	ws := []Workload{CNNWorkload()}
-	r9, err := RunFig9(context.Background(), cfg, ws)
+	r9, err := RunFig9(context.Background(), Harness{}, cfg, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r9.Values) != 4 || r9.Param != "TR" {
 		t.Errorf("Fig9 sweep malformed: %+v", r9.Values)
 	}
-	r10, err := RunFig10(context.Background(), cfg, ws)
+	r10, err := RunFig10(context.Background(), Harness{}, cfg, ws)
 	if err != nil {
 		t.Fatal(err)
 	}

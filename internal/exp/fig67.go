@@ -166,19 +166,23 @@ type Fig7Result struct {
 	ShareLinearMajority map[string]float64
 }
 
-// RunFig7 runs FedSU on the given workloads and collects each parameter's
-// diagnosed-as-linear time fraction.
-func RunFig7(ctx context.Context, cfg Config, workloads []Workload) (*Fig7Result, error) {
+// RunFig7 runs FedSU on the given workloads, on the grid scheduler, and
+// collects each parameter's diagnosed-as-linear time fraction.
+func RunFig7(ctx context.Context, h Harness, cfg Config, workloads []Workload) (*Fig7Result, error) {
 	res := &Fig7Result{
 		CDFs:                map[string]*trace.Series{},
 		ShareLinearMajority: map[string]float64{},
 	}
-	for _, w := range workloads {
-		run, err := RunOne(ctx, cfg.named(w, "fedsu"))
-		if err != nil {
-			return nil, err
-		}
-		mgr, ok := sparse.UnwrapSyncer(run.Engine.Clients()[0].Syncer()).(*core.Manager)
+	grid := make([]GridRun, len(workloads))
+	for i, w := range workloads {
+		grid[i] = GridRun{Cfg: cfg.named(w, "fedsu")}
+	}
+	runs, err := h.Run(ctx, grid)
+	if err != nil {
+		return nil, err
+	}
+	for i, w := range workloads {
+		mgr, ok := sparse.UnwrapSyncer(runs[i].Engine.Clients()[0].Syncer()).(*core.Manager)
 		if !ok {
 			return nil, fmt.Errorf("exp: fig7 requires a FedSU manager")
 		}

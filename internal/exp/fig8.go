@@ -21,14 +21,14 @@ func Variants() []string { return []string{"fedsu", "fedsu-v1", "fedsu-v2"} }
 // DenseNet). The fixed speculative period and launch probability for v1/v2
 // come from cfg.FedSU (the paper sets 43/0.53 % for CNN and 58/0.81 % for
 // DenseNet, profiled from standard FedSU runs).
-func RunFig8(ctx context.Context, cfg Config, workloads []Workload) (*Fig8Result, error) {
+func RunFig8(ctx context.Context, h Harness, cfg Config, workloads []Workload) (*Fig8Result, error) {
 	var grid []GridRun
 	for _, w := range workloads {
 		for _, v := range Variants() {
 			grid = append(grid, GridRun{Cfg: cfg.named(w, v)})
 		}
 	}
-	runs, err := NewScheduler(cfg).Run(ctx, grid)
+	runs, err := h.Run(ctx, grid)
 	if err != nil {
 		return nil, err
 	}

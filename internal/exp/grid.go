@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -20,9 +21,10 @@ type GridRun struct {
 	Label string
 }
 
-// Scheduler fans the independent runs of an experiment grid across a
-// bounded set of run slots while sharing read-only artifacts (datasets,
-// Dirichlet partitions) through one Artifacts cache.
+// Harness runs the independent cells of an experiment grid across a
+// bounded set of run slots, sharing read-only artifacts (datasets,
+// Dirichlet partitions) through one Artifacts cache. It is how a grid runs,
+// apart from what each cell trains: no setting of it changes a result.
 //
 // Determinism: every cell is seeded by its own Config and runs on its own
 // engine; cells interact only through the artifact cache, whose hits are
@@ -36,51 +38,36 @@ type GridRun struct {
 // compute-token budget, which caps concurrent client training at
 // par.Workers() across ALL slots, so run-level × client-level ×
 // kernel-level nesting never oversubscribes the machine.
-type Scheduler struct {
-	workers int
-	arts    *Artifacts
-	verbose *trace.SyncWriter
-	clock   func() time.Time
+type Harness struct {
+	// Verbose receives progress lines when non-nil; concurrent runs emit
+	// whole, per-run-prefixed lines.
+	Verbose io.Writer
+	// Parallel is the number of runs in flight at once; values below 1
+	// mean sequential.
+	Parallel int
+	// Clock, when non-nil, timestamps each run for per-run wall-clock
+	// reporting (wired to time.Now by cmd/fedsu-bench; nil keeps library
+	// runs deterministic and silent).
+	Clock func() time.Time
 
 	// order optionally permutes the slot-submission order (test seam for
 	// proving start-order independence); results stay input-indexed.
 	order []int
 }
 
-// NewScheduler builds a scheduler from the harness knobs of cfg: Parallel
-// run slots (min 1), the shared Artifacts cache (a private cache when nil),
-// the Verbose sink (wrapped so concurrent runs emit whole, per-run-prefixed
-// lines), and the optional Clock for per-run wall-time reporting.
-func NewScheduler(cfg Config) *Scheduler {
-	workers := cfg.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	arts := cfg.Artifacts
-	if arts == nil {
-		arts = NewArtifacts()
-	}
-	return &Scheduler{
-		workers: workers,
-		arts:    arts,
-		verbose: trace.NewSyncWriter(cfg.Verbose),
-		clock:   cfg.Clock,
-	}
-}
-
 // Run executes every grid cell and returns the results in input order.
-// At most `workers` cells run at once; with one slot, execution is strictly
+// At most Parallel cells run at once; with one slot, execution is strictly
 // sequential in input order. The first failure cancels the remaining cells
 // and is returned (preferring a concrete run error over the cancellations
 // it caused).
-func (s *Scheduler) Run(ctx context.Context, runs []GridRun) ([]*Run, error) {
+func (h Harness) Run(ctx context.Context, runs []GridRun) ([]*Run, error) {
 	if len(runs) == 0 {
 		return nil, nil
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	order := s.order
+	order := h.order
 	if order == nil {
 		order = make([]int, len(runs))
 		for i := range order {
@@ -90,12 +77,17 @@ func (s *Scheduler) Run(ctx context.Context, runs []GridRun) ([]*Run, error) {
 		return nil, fmt.Errorf("exp: scheduler order has %d entries for %d runs", len(order), len(runs))
 	}
 
+	// Cells naming no Artifacts share a private cache, and concurrent
+	// cells write whole lines to Verbose.
+	arts := NewArtifacts()
+	if h.Verbose != nil {
+		h.Verbose = trace.NewSyncWriter(h.Verbose)
+	}
 	out := make([]*Run, len(runs))
 	errs := make([]error, len(runs))
-	slots := make(chan struct{}, s.workers)
+	slots := make(chan struct{}, max(h.Parallel, 1))
 	var wg sync.WaitGroup
 	for _, idx := range order {
-		idx := idx
 		// Acquire the slot before spawning: submission stays in `order`,
 		// and a single-slot scheduler degenerates to exactly the
 		// sequential loop it replaced.
@@ -104,7 +96,7 @@ func (s *Scheduler) Run(ctx context.Context, runs []GridRun) ([]*Run, error) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-slots }()
-			out[idx], errs[idx] = s.runCell(ctx, runs[idx])
+			out[idx], errs[idx] = h.runCell(ctx, runs[idx], arts)
 			if errs[idx] != nil {
 				cancel()
 			}
@@ -112,56 +104,55 @@ func (s *Scheduler) Run(ctx context.Context, runs []GridRun) ([]*Run, error) {
 	}
 	wg.Wait()
 
-	var firstErr error
+	// A concrete failure beats the cancellations it triggered in sibling
+	// cells.
+	var cancelled error
 	for _, err := range errs {
-		if err == nil {
-			continue
+		if err != nil && !errors.Is(err, context.Canceled) {
+			return nil, err
 		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		if !errors.Is(err, context.Canceled) {
-			// A concrete failure beats the cancellations it triggered in
-			// sibling cells.
-			firstErr = err
-			break
+		if cancelled == nil {
+			cancelled = err
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if cancelled != nil {
+		return nil, cancelled
 	}
 	return out, nil
 }
 
 // runCell executes one grid cell with per-run verbose prefixing and
 // optional wall-clock reporting.
-func (s *Scheduler) runCell(ctx context.Context, gr GridRun) (*Run, error) {
+func (h Harness) runCell(ctx context.Context, gr GridRun, arts *Artifacts) (*Run, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	cfg := gr.Cfg
-	cfg.Artifacts = s.arts
-	var pw *trace.PrefixWriter
-	if cfg.Verbose != nil {
+	if cfg.Artifacts == nil {
+		cfg.Artifacts = arts
+	}
+	var verbose io.Writer
+	if h.Verbose != nil {
 		label := gr.Label
 		if label == "" {
 			label = cfg.Workload + "/" + cfg.Scheme
 		}
-		pw = trace.NewPrefixWriter(s.verbose, "["+label+"] ")
-		cfg.Verbose = pw
+		pw := trace.NewPrefixWriter(h.Verbose, "["+label+"] ")
 		defer pw.Flush()
+		verbose = pw
+		logf(verbose, "run %s/%s: %d clients, %d rounds", cfg.Workload, cfg.Scheme, cfg.Clients, cfg.Rounds)
 	}
 	var start time.Time
-	if s.clock != nil {
-		start = s.clock()
+	if h.Clock != nil {
+		start = h.Clock()
 	}
 	r, err := RunOne(ctx, cfg)
-	if s.clock != nil {
-		wall := s.clock().Sub(start).Round(time.Millisecond)
+	if h.Clock != nil {
+		wall := h.Clock().Sub(start).Round(time.Millisecond)
 		if err != nil {
-			logf(cfg.Verbose, "failed after %s: %v", wall, err)
+			logf(verbose, "failed after %s: %v", wall, err)
 		} else {
-			logf(cfg.Verbose, "done: wall %s", wall)
+			logf(verbose, "done: wall %s", wall)
 		}
 	}
 	return r, err

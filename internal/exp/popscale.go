@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"fedsu/internal/trace"
 )
@@ -28,18 +29,12 @@ type PopScaleResult struct {
 // scheduler. cfg.Population is the registry size (devices); cfg.Clients
 // is the per-round cohort size. fanouts lists the tree fanouts to compare
 // against the flat baseline (0 is inserted when absent).
-func RunPopScale(ctx context.Context, cfg Config, w Workload, scheme string, fanouts []int) (*PopScaleResult, error) {
+func RunPopScale(ctx context.Context, h Harness, cfg Config, w Workload, scheme string, fanouts []int) (*PopScaleResult, error) {
 	if cfg.Population <= 0 {
 		return nil, fmt.Errorf("exp: popscale needs a population size (got %d)", cfg.Population)
 	}
 	withFlat := fanouts
-	hasFlat := false
-	for _, f := range fanouts {
-		if f == 0 {
-			hasFlat = true
-		}
-	}
-	if !hasFlat {
+	if !slices.Contains(fanouts, 0) {
 		withFlat = append([]int{0}, fanouts...)
 	}
 	grid := make([]GridRun, 0, len(withFlat))
@@ -52,7 +47,7 @@ func RunPopScale(ctx context.Context, cfg Config, w Workload, scheme string, fan
 		}
 		grid = append(grid, GridRun{Cfg: cell.named(w, scheme), Label: label})
 	}
-	runs, err := NewScheduler(cfg).Run(ctx, grid)
+	runs, err := h.Run(ctx, grid)
 	if err != nil {
 		return nil, err
 	}
@@ -67,23 +62,13 @@ func (r *PopScaleResult) BitIdentical(i int) bool {
 	if flat == nil || r.Runs[i] == nil {
 		return false
 	}
-	a, b := flat.Engine.GlobalVector(), r.Runs[i].Engine.GlobalVector()
-	if len(a) != len(b) {
-		return false
-	}
-	for j := range a {
-		if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(flat.Engine.GlobalVector(), r.Runs[i].Engine.GlobalVector(),
+		func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
 }
 
 func (r *PopScaleResult) flatRun() *Run {
-	for i, f := range r.Fanouts {
-		if f == 0 {
-			return r.Runs[i]
-		}
+	if i := slices.Index(r.Fanouts, 0); i >= 0 {
+		return r.Runs[i]
 	}
 	return nil
 }

@@ -3,9 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
-	"time"
 
 	"fedsu/internal/core"
 	"fedsu/internal/data"
@@ -18,10 +16,10 @@ import (
 )
 
 // Config describes one run: what it trains (Workload, Scheme), at what
-// scale, under which modes. It is also the harness setting the grid
-// drivers share (Verbose, Parallel, Artifacts, Clock), and the facade's
-// fedsu.SimulationConfig. Every engine, TCP client and coordinator model
-// size is built from it by one recipe (NewEngine, NewClient, ModelSize).
+// scale, under which modes. It is also the facade's fedsu.SimulationConfig.
+// Every engine, TCP client and coordinator model size is built from it by
+// one recipe (NewEngine, NewClient, ModelSize); how a grid driver runs its
+// cells is a Harness.
 type Config struct {
 	// Workload names the model/dataset pair: "cnn" (EMNIST), "resnet18"
 	// (FMNIST) or "densenet121" (CIFAR-10). The grid drivers set it per
@@ -78,22 +76,10 @@ type Config struct {
 	// Compress is the wire compression chain spec (fl.Config.Compress),
 	// e.g. "topk,q4,rans". Empty keeps the default f32 sparse codec.
 	Compress string
-	// Verbose receives progress lines when non-nil. Grid drivers wrap it so
-	// concurrent runs emit whole, per-run-prefixed lines.
-	Verbose io.Writer
-
-	// Parallel is the number of experiment runs in flight at once in the
-	// grid drivers (RunEndToEnd, RunFig8, the sweeps); values below 1 mean
-	// sequential. Results are bit-identical at any setting.
-	Parallel int
 	// Artifacts optionally shares one dataset/partition cache across runs
 	// and drivers (nil: a single run synthesizes its own, a grid driver
 	// uses a private cache).
 	Artifacts *Artifacts
-	// Clock, when non-nil, timestamps each grid run for per-run wall-clock
-	// reporting (wired to time.Now by cmd/fedsu-bench; nil keeps library
-	// runs deterministic and silent).
-	Clock func() time.Time
 }
 
 // FastConfig returns a laptop-scale configuration used by tests and the
@@ -227,7 +213,6 @@ func RunOne(ctx context.Context, cfg Config) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	logf(cfg.Verbose, "run %s/%s: %d clients, %d rounds", cfg.Workload, cfg.Scheme, cfg.Clients, cfg.Rounds)
 	stats, err := engine.Run(ctx, cfg.Rounds, cfg.EvalEvery)
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s/%s: %w", cfg.Workload, cfg.Scheme, err)

@@ -63,9 +63,7 @@ func TestGridBitIdentity(t *testing.T) {
 	cfg, workloads := bitIdentGrid(t)
 	grid := endToEndGrid(cfg, workloads, Schemes())
 
-	seqCfg := cfg
-	seqCfg.Parallel = 1
-	want, err := NewScheduler(seqCfg).Run(context.Background(), grid)
+	want, err := Harness{Parallel: 1}.Run(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +75,7 @@ func TestGridBitIdentity(t *testing.T) {
 	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
 		workers := workers
 		t.Run(fmt.Sprintf("parallel-%d", workers), func(t *testing.T) {
-			pCfg := cfg
-			pCfg.Parallel = workers
-			got, err := NewScheduler(pCfg).Run(context.Background(), grid)
+			got, err := Harness{Parallel: workers}.Run(context.Background(), grid)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,11 +89,8 @@ func TestGridBitIdentity(t *testing.T) {
 	}
 
 	t.Run("shuffled-order", func(t *testing.T) {
-		pCfg := cfg
-		pCfg.Parallel = 3
-		s := NewScheduler(pCfg)
-		s.order = rand.New(rand.NewSource(99)).Perm(len(grid))
-		got, err := s.Run(context.Background(), grid)
+		h := Harness{Parallel: 3, order: rand.New(rand.NewSource(99)).Perm(len(grid))}
+		got, err := h.Run(context.Background(), grid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,16 +114,12 @@ func TestGridBitIdentityFloat32(t *testing.T) {
 	cfg.Rounds = 4
 	grid := endToEndGrid(cfg, workloads, Schemes())
 
-	seqCfg := cfg
-	seqCfg.Parallel = 1
-	want, err := NewScheduler(seqCfg).Run(context.Background(), grid)
+	want, err := Harness{Parallel: 1}.Run(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	pCfg := cfg
-	pCfg.Parallel = 4
-	got, err := NewScheduler(pCfg).Run(context.Background(), grid)
+	got, err := Harness{Parallel: 4}.Run(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +139,12 @@ func TestEndToEndParallelMatchesSequential(t *testing.T) {
 	cfg.Rounds = 4
 	ws := []Workload{CNNWorkload(), ResNetWorkload()}
 
-	seq, err := RunEndToEnd(context.Background(), cfg, ws, Schemes())
+	seq, err := RunEndToEnd(context.Background(), Harness{}, cfg, ws, Schemes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Parallel = 4
 	cfg.Artifacts = NewArtifacts()
-	par, err := RunEndToEnd(context.Background(), cfg, ws, Schemes())
+	par, err := RunEndToEnd(context.Background(), Harness{Parallel: 4}, cfg, ws, Schemes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,13 +209,12 @@ func TestTimeToAccuracyEmptyStats(t *testing.T) {
 func TestSchedulerErrorPropagation(t *testing.T) {
 	cfg := microConfig()
 	cfg.Rounds = 2
-	cfg.Parallel = 4
 	grid := []GridRun{
 		{Cfg: cfg.named(CNNWorkload(), "fedavg")},
 		{Cfg: cfg.named(CNNWorkload(), "no-such-scheme")},
 		{Cfg: cfg.named(CNNWorkload(), "fedsu")},
 	}
-	_, err := NewScheduler(cfg).Run(context.Background(), grid)
+	_, err := Harness{Parallel: 4}.Run(context.Background(), grid)
 	if err == nil {
 		t.Fatal("bad scheme must fail the grid")
 	}
@@ -242,7 +229,7 @@ func TestSchedulerCancelledContext(t *testing.T) {
 	cfg := microConfig()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := NewScheduler(cfg).Run(ctx, endToEndGrid(cfg, []Workload{CNNWorkload()}, Schemes()))
+	_, err := Harness{}.Run(ctx, endToEndGrid(cfg, []Workload{CNNWorkload()}, Schemes()))
 	if err == nil {
 		t.Fatal("cancelled context must error")
 	}
@@ -256,18 +243,17 @@ func TestSchedulerVerbosePrefixing(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := microConfig()
 	cfg.Rounds = 2
-	cfg.Parallel = 4
-	cfg.Verbose = lockedWriter{mu: &mu, w: &buf}
 	var tick int64
 	var clockMu sync.Mutex
-	cfg.Clock = func() time.Time {
+	h := Harness{Parallel: 4, Verbose: lockedWriter{mu: &mu, w: &buf}}
+	h.Clock = func() time.Time {
 		clockMu.Lock()
 		defer clockMu.Unlock()
 		tick += 250
 		return time.Unix(0, tick*int64(time.Millisecond))
 	}
 	grid := endToEndGrid(cfg, []Workload{CNNWorkload()}, Schemes())
-	if _, err := NewScheduler(cfg).Run(context.Background(), grid); err != nil {
+	if _, err := h.Run(context.Background(), grid); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()

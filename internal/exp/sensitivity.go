@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"fedsu/internal/core"
 	"fedsu/internal/trace"
 )
 
@@ -26,28 +27,23 @@ func Fig9Thresholds() []float64 { return []float64{0.1, 0.01, 0.001, 0.0001} }
 func Fig10Thresholds() []float64 { return []float64{0.1, 1, 10, 100} }
 
 // RunFig9 sweeps the linearity-diagnosis threshold T_ℛ.
-func RunFig9(ctx context.Context, cfg Config, workloads []Workload) (*SweepResult, error) {
-	return runSweep(ctx, cfg, workloads, "TR", Fig9Thresholds())
+func RunFig9(ctx context.Context, h Harness, cfg Config, workloads []Workload) (*SweepResult, error) {
+	return runSweep(ctx, h, cfg, workloads, "TR", Fig9Thresholds(), func(o *core.Options, v float64) { o.TR = v })
 }
 
 // RunFig10 sweeps the error-feedback threshold T_𝒮.
-func RunFig10(ctx context.Context, cfg Config, workloads []Workload) (*SweepResult, error) {
-	return runSweep(ctx, cfg, workloads, "TS", Fig10Thresholds())
+func RunFig10(ctx context.Context, h Harness, cfg Config, workloads []Workload) (*SweepResult, error) {
+	return runSweep(ctx, h, cfg, workloads, "TS", Fig10Thresholds(), func(o *core.Options, v float64) { o.TS = v })
 }
 
-func runSweep(ctx context.Context, cfg Config, workloads []Workload, param string, values []float64) (*SweepResult, error) {
+// runSweep trains FedSU on every workload once per value, set writing the
+// value into the FedSU options as param.
+func runSweep(ctx context.Context, h Harness, cfg Config, workloads []Workload, param string, values []float64, set func(*core.Options, float64)) (*SweepResult, error) {
 	var grid []GridRun
 	for _, w := range workloads {
 		for _, v := range values {
 			c := cfg
-			switch param {
-			case "TR":
-				c.FedSU.TR = v
-			case "TS":
-				c.FedSU.TS = v
-			default:
-				return nil, fmt.Errorf("exp: unknown sweep parameter %q", param)
-			}
+			set(&c.FedSU, v)
 			label := fmt.Sprintf("%s=%g", param, v)
 			// The swept threshold does not change the training data, so
 			// every cell of a workload's sweep shares one cached dataset
@@ -55,7 +51,7 @@ func runSweep(ctx context.Context, cfg Config, workloads []Workload, param strin
 			grid = append(grid, GridRun{Cfg: c.named(w, "fedsu"), Label: w.Name + "/" + label})
 		}
 	}
-	runs, err := NewScheduler(cfg).Run(ctx, grid)
+	runs, err := h.Run(ctx, grid)
 	if err != nil {
 		return nil, err
 	}

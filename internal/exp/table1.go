@@ -19,12 +19,12 @@ type EndToEndResult struct {
 }
 
 // RunEndToEnd executes every (workload, scheme) pair of the paper's
-// end-to-end evaluation on the grid scheduler (cfg.Parallel runs in
+// end-to-end evaluation on the grid scheduler (h.Parallel runs in
 // flight, shared dataset/partition cache). The same result feeds Table I
 // and Fig. 5.
-func RunEndToEnd(ctx context.Context, cfg Config, workloads []Workload, schemes []string) (*EndToEndResult, error) {
+func RunEndToEnd(ctx context.Context, h Harness, cfg Config, workloads []Workload, schemes []string) (*EndToEndResult, error) {
 	grid := endToEndGrid(cfg, workloads, schemes)
-	runs, err := NewScheduler(cfg).Run(ctx, grid)
+	runs, err := h.Run(ctx, grid)
 	if err != nil {
 		return nil, err
 	}
