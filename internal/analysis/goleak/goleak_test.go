@@ -8,5 +8,5 @@ import (
 )
 
 func TestGoleak(t *testing.T) {
-	analysistest.Run(t, "testdata", goleak.Analyzer, "fedsu/internal/fl")
+	analysistest.Run(t, "testdata", goleak.Analyzer, "fedsu/internal/fl", "fedsu/internal/core")
 }

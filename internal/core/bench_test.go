@@ -4,20 +4,39 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
+
+	"fedsu/internal/sparse"
 )
 
 // BenchmarkSyncScale times one steady-state Sync — stage, both collectives
 // against an aggregator that copies, commit — at the tcp_fedsu_chain
-// workload's model size and a tenth of it, on the benchmark generator's class
-// mix (bench/gen.go: of every ten parameters six drift linearly, two revert
-// to the mean, two walk), so the round has the workload's blend of
-// speculative, checking and regular parameters. Trajectory generation is off
-// the clock. ns/param is the number to compare across sizes: equal means the
-// pass is instruction-bound, not memory-bound.
+// workload's model size, a tenth of it and a model below diagnoseGrain (one
+// inline chunk), on the benchmark generator's class mix (bench/gen.go: of
+// every ten parameters six drift linearly, two revert to the mean, two
+// walk), so the round has the workload's blend of speculative, checking and
+// regular parameters. Trajectory generation is off the clock. ns/param is
+// the number to compare across sizes: equal means the pass is
+// instruction-bound, not memory-bound. The latency arm holds every
+// collective for a fixed 1 ms, as a network would: with both legs in
+// flight at once a checking round pays it once, not twice. "latencies" is
+// the round's time in units of the hold.
 func BenchmarkSyncScale(b *testing.B) {
-	for _, n := range []int{15_000, 150_000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			m, err := NewManager(0, n, &reuseAgg{}, DefaultOptions())
+	for _, c := range []struct {
+		n     int
+		delay time.Duration
+	}{{2_000, 0}, {15_000, 0}, {150_000, 0}, {15_000, time.Millisecond}} {
+		name := fmt.Sprintf("n=%d", c.n)
+		if c.delay > 0 {
+			name = fmt.Sprintf("latency=%v/n=%d", c.delay, c.n)
+		}
+		b.Run(name, func(b *testing.B) {
+			var agg sparse.Aggregator = &reuseAgg{}
+			if c.delay > 0 {
+				agg = delayAgg{inner: agg, delay: c.delay}
+			}
+			n := c.n
+			m, err := NewManager(0, n, agg, DefaultOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -59,6 +78,27 @@ func BenchmarkSyncScale(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/param")
 			b.ReportMetric(float64(m.PredictableCount())/float64(n), "speculative")
+			if c.delay > 0 {
+				b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(c.delay), "latencies")
+			}
 		})
 	}
 }
+
+// delayAgg holds every collective call for delay before answering.
+type delayAgg struct {
+	inner sparse.Aggregator
+	delay time.Duration
+}
+
+func (a delayAgg) AggregateModel(id, round int, v []float64) ([]float64, error) {
+	time.Sleep(a.delay)
+	return a.inner.AggregateModel(id, round, v)
+}
+
+func (a delayAgg) AggregateError(id, round int, v []float64) ([]float64, error) {
+	time.Sleep(a.delay)
+	return a.inner.AggregateError(id, round, v)
+}
+
+func (a delayAgg) ConcurrentLegs() bool { return sparse.ConcurrentLegs(a.inner) }

@@ -29,6 +29,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 
 	"fedsu/internal/par"
 	"fedsu/internal/sparse"
@@ -191,6 +193,33 @@ type Manager struct {
 	scratchRecv    []float64
 	scratchOut     []float64
 	ranks          [][2]int32
+
+	// regBits and chkBits are stage's partition of the round, one bit per
+	// parameter in words of 64: regular, and checking (speculative with an
+	// expiring no-checking period). They are derived from Mode and
+	// NoCheckLeft every round, so they are not state.
+	regBits, chkBits []uint64
+
+	// The error collective's call: SyncCtx fills errLeg and, when the
+	// aggregator takes both legs at once (together), launches sibling —
+	// m.runErrLeg, bound once, so the launch allocates nothing — beside the
+	// model collective and joins it on legs before reading errLeg back.
+	// Otherwise it calls collectErr itself after the model collective.
+	errLeg   legCall
+	together bool
+	sibling  func()
+	legs     sync.WaitGroup
+}
+
+// legCall is one collective call's arguments and results, handed to the
+// goroutine that runs it.
+type legCall struct {
+	ctx       context.Context
+	round     int
+	send, dst []float64
+	res       []float64
+	up, down  int
+	err       error
 }
 
 var _ sparse.ContextSyncer = (*Manager)(nil)
@@ -211,7 +240,10 @@ func NewManager(clientID, size int, agg sparse.Aggregator, opts Options) (*Manag
 		scratchRecv:    make([]float64, size),
 		scratchOut:     make([]float64, size),
 		ranks:          make([][2]int32, (size+diagnoseGrain-1)/diagnoseGrain),
+		regBits:        make([]uint64, (size+63)/64),
+		chkBits:        make([]uint64, (size+63)/64),
 	}
+	m.together, m.sibling = sparse.ConcurrentLegs(agg), m.runErrLeg
 	sparse.MakeFields(&m.st, size)
 	for i := range m.st.Mode {
 		m.st.Mode[i] = modeRegular
@@ -306,8 +338,10 @@ func (m *Manager) Sync(round int, local []float64, contributor bool) ([]float64,
 // manager-owned scratch — see Sync.
 //
 // A round is two passes around its two collectives. stage reads the state
-// and builds both submissions; the collectives run; commit then moves every
-// parameter's state, once, in index order. Nothing the manager remembers
+// and builds both submissions; the collectives run — at once, the error
+// collective on a goroutine of its own, when the aggregator takes both legs
+// together (sparse.LegAggregator), else one after the other; commit then
+// moves every parameter's state, once. Nothing the manager remembers
 // changes before both collectives have returned, so a round that fails in
 // either one can be retried as if it had never been tried.
 func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contributor bool) ([]float64, sparse.Traffic, error) {
@@ -334,9 +368,14 @@ func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contr
 	}
 	nReg, nChk := m.stage(local, contributor, delta)
 
-	// Collective 1: the regular parameters' values. The submission's wire
-	// image comes back in the tail of scratchErrSend; the error submission
-	// sits at its head and nReg + nChk ≤ size, so the two never meet.
+	// The model collective carries the regular parameters' values, and its
+	// submission's wire image comes back in the tail of scratchErrSend. The
+	// error collective carries, from the head of scratchErrSend, the
+	// accumulated error of every parameter whose no-checking period expires
+	// this round (full FedSU only), and its result lands in scratchSend
+	// behind the model submission. nReg + nChk ≤ size, so none of these
+	// meet. A round without checks runs no error collective and adds nothing
+	// to the traffic (no message, not even a header).
 	var send, img, errSend []float64
 	if contributor {
 		send, errSend = m.scratchSend[:nReg], m.scratchErrSend[:nChk]
@@ -344,30 +383,31 @@ func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contr
 			img = m.scratchErrSend[m.size-nReg:]
 		}
 	}
-	aggModel, upBytes, downBytes, err := m.wire.Collect(ctx, sparse.AggModel, m.agg, m.id, round, send, img, m.scratchRecv)
+	m.errLeg = legCall{ctx: ctx, round: round, send: errSend, dst: m.scratchSend[nReg:]}
+	if nChk > 0 && m.together {
+		m.legs.Add(1)
+		go m.sibling()
+	}
+	aggModel, upBytes, downBytes, err := m.wire.Collect(ctx, sparse.ModelLeg, m.agg, m.id, round, send, img, m.scratchRecv)
+	if nChk > 0 && !m.together && err == nil {
+		m.collectErr()
+	}
+	m.legs.Wait()
+	el := m.errLeg
+	m.errLeg = legCall{}
+	// When both legs fail, the model leg's error is the one reported.
 	if err != nil {
 		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: aggregate model round %d: %w", round, err)
+	}
+	if el.err != nil {
+		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: aggregate error round %d: %w", round, el.err)
 	}
 	if aggModel != nil && len(aggModel) != nReg {
 		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: model aggregate returned %d values for %d regular params", len(aggModel), nReg)
 	}
-
-	// Collective 2: error feedback for parameters whose no-checking period
-	// expires this round (full FedSU only). A round where it never runs
-	// adds nothing to the traffic (no message, not even a header). Its
-	// result may land behind the model submission, which is spent.
-	var aggErr []float64
-	if nChk > 0 {
-		var up, down int
-		aggErr, up, down, err = m.wire.Collect(ctx, sparse.AggError, m.agg, m.id, round, errSend, nil, m.scratchSend[nReg:])
-		if err != nil {
-			return nil, sparse.Traffic{}, fmt.Errorf("fedsu: aggregate error round %d: %w", round, err)
-		}
-		if aggErr != nil && len(aggErr) != nChk {
-			return nil, sparse.Traffic{}, fmt.Errorf("fedsu: error aggregate returned %d values for %d checking params", len(aggErr), nChk)
-		}
-		upBytes += up
-		downBytes += down
+	aggErr := el.res
+	if aggErr != nil && len(aggErr) != nChk {
+		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: error aggregate returned %d values for %d checking params", len(aggErr), nChk)
 	}
 
 	// Every parameter's step touches only its own slots, so the commit fans
@@ -390,8 +430,8 @@ func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contr
 	// non-contributor uploads framing only, and a collective with no
 	// contributors answers with a header-only downlink.
 	tr := sparse.Traffic{
-		UpBytes:       upBytes,
-		DownBytes:     downBytes,
+		UpBytes:       upBytes + el.up,
+		DownBytes:     downBytes + el.down,
 		SyncedParams:  nReg,
 		CheckedParams: nChk,
 		TotalParams:   m.size,
@@ -400,47 +440,80 @@ func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contr
 	return m.scratchOut, tr, nil
 }
 
+// runErrLeg is the goroutine SyncCtx launches for the error collective.
+func (m *Manager) runErrLeg() {
+	defer m.legs.Done()
+	m.collectErr()
+}
+
+// collectErr runs the error collective SyncCtx put in errLeg.
+func (m *Manager) collectErr() {
+	l := &m.errLeg
+	l.res, l.up, l.down, l.err = m.wire.Collect(l.ctx, sparse.ErrorLeg, m.agg, m.id, l.round, l.send, nil, l.dst)
+}
+
 // diagnoseGrain is the number of parameters per chunk of a round's commit,
 // and so the spacing of the ranks stage records. Every parameter's update
 // touches only its own slots, so the chunk decomposition cannot change the
 // arithmetic; the grain exists purely so models below a few thousand
 // parameters run inline (keeping small-model Sync allocation-free) while
-// paper-scale vectors fan the O(d) scan across the worker pool.
+// paper-scale vectors fan the O(d) scan across the worker pool. It is a
+// multiple of 64, so no word of stage's bitmaps straddles two chunks.
 const diagnoseGrain = 2048
 
 // stage is a round's read-only pass: it partitions the parameters into
 // regular (synchronized), speculative (predicted) and — full FedSU only —
-// speculative with an expiring no-checking period, and fills a contributor's
-// two submissions, compacted in index order: the regular parameters' values
-// (local − prevGlobal plus the carried residual under a lossy chain) into
-// scratchSend, and for every checking parameter the accumulated error this
-// round's commit will leave, Σe_r + (local − predicted), into
-// scratchErrSend. It returns both counts, having recorded them as they stood
-// at each diagnoseGrain boundary.
+// checking (speculative with an expiring no-checking period), records the
+// regular and the checking set in regBits and chkBits, and fills a
+// contributor's two submissions, compacted in index order: the regular
+// parameters' values (local − prevGlobal plus the carried residual under a
+// lossy chain) into scratchSend, and for every checking parameter the
+// accumulated error this round's commit will leave, Σe_r + (local −
+// predicted), into scratchErrSend. It returns both counts, having recorded
+// them as they stood at each diagnoseGrain boundary.
 func (m *Manager) stage(local []float64, contributor, delta bool) (nReg, nChk int) {
 	p := m.st
 	send, errSend := m.scratchSend, m.scratchErrSend
 	full, quantize := m.opts.Variant == VariantFull, m.opts.Quantize
-	for b0 := 0; b0 < m.size; b0 += diagnoseGrain {
-		m.ranks[b0/diagnoseGrain] = [2]int32{int32(nReg), int32(nChk)}
-		for i := b0; i < min(b0+diagnoseGrain, m.size); i++ {
-			switch {
-			case p.Mode[i] == modeRegular:
-				if contributor {
-					v := local[i]
-					if delta {
-						v = v - p.PrevGlobal[i] + p.WireErr[i]
-					}
-					send[nReg] = v
+	for w := range m.regBits {
+		b := 64 * w
+		if b%diagnoseGrain == 0 {
+			m.ranks[b/diagnoseGrain] = [2]int32{int32(nReg), int32(nChk)}
+		}
+		n := min(64, m.size-b)
+		mode, left := p.Mode[b:b+n], p.NoCheckLeft[b:b+n]
+		var reg, expiring uint64
+		for k := range mode {
+			reg |= bit(mode[k] == modeRegular) << k
+			expiring |= bit(left[k] <= 1) << k
+		}
+		var chk uint64
+		if full {
+			chk = expiring &^ reg
+		}
+		m.regBits[w], m.chkBits[w] = reg, chk
+
+		if contributor {
+			loc, prev := local[b:b+n], p.PrevGlobal[b:b+n]
+			j := nReg
+			for x := reg; x != 0; x &= x - 1 {
+				k := bits.TrailingZeros64(x)
+				v := loc[k]
+				if delta {
+					v = v - prev[k] + p.WireErr[b+k]
 				}
-				nReg++
-			case full && p.NoCheckLeft[i] <= 1:
-				if contributor {
-					errSend[nChk] = p.AccumErr[i] + (local[i] - wireImage(quantize, p.PrevGlobal[i]+p.Slope[i]))
-				}
-				nChk++
+				send[j] = v
+				j++
+			}
+			c := nChk
+			for x := chk; x != 0; x &= x - 1 {
+				k := bits.TrailingZeros64(x)
+				errSend[c] = p.AccumErr[b+k] + (loc[k] - wireImage(quantize, prev[k]+p.Slope[b+k]))
+				c++
 			}
 		}
+		nReg += bits.OnesCount64(reg)
+		nChk += bits.OnesCount64(chk)
 	}
 	return nReg, nChk
 }
@@ -457,123 +530,143 @@ func (m *Manager) stage(local []float64, contributor, delta bool) (nReg, nChk in
 // or rectifies the value and returns the parameter to regular updating; v1
 // and v2 leave after their fixed period instead. A parameter promoted or
 // reverted this round is next looked at in its new mode next round.
+//
+// The pass walks stage's bitmaps a word at a time, the word's regular and
+// then its speculative parameters, each set in index order over views of
+// the state re-sliced to the word. The regular and the checking parameters
+// keep their own ranks into their collectives' results, so every parameter
+// takes the step a single index-order loop would give it.
 func (m *Manager) commit(round int, local, aggModel, aggErr, img []float64, lo, hi int) {
 	o, p := m.opts, m.st
 	full, quantize, th := o.Variant == VariantFull, o.Quantize, o.Theta
+	rt := newRatioTest(o.TR)
 	delta := m.wire.Enabled()
-	out, prev, send := m.scratchOut, p.PrevGlobal, m.scratchSend
+	send := m.scratchSend
 	j, c := int(m.ranks[lo/diagnoseGrain][0]), int(m.ranks[lo/diagnoseGrain][1])
-	for i := lo; i < hi; i++ {
-		if p.Mode[i] != modeRegular {
-			// Under Quantize the prediction itself is snapped to the wire
-			// image, so the value the client stores (and trains from next
-			// round) is exactly the value the manager accounted for.
-			x := wireImage(quantize, prev[i]+p.Slope[i])
-			// e_r = g̃_r − g_k, with the local update standing in for the
-			// true gradient until aggregation.
-			acc := p.AccumErr[i] + (local[i] - x)
-			p.SpecRounds[i]++
-			p.SpecTotal[i]++
+	for b := lo; b < hi; b += 64 {
+		n := min(64, hi-b)
+		reg, chk := m.regBits[b/64], m.chkBits[b/64]
+		loc, out, prev := local[b:b+n], m.scratchOut[b:b+n], p.PrevGlobal[b:b+n]
+		slope, accum := p.Slope[b:b+n], p.AccumErr[b:b+n]
+		specRounds, specTotal := p.SpecRounds[b:b+n], p.SpecTotal[b:b+n]
+		period, left := p.NoCheckPeriod[b:b+n], p.NoCheckLeft[b:b+n]
+		lastG, hasLastG, history := p.LastG[b:b+n], p.HasLastG[b:b+n], p.History[b:b+n]
+		emaG, emaAbsG := p.EmaG[b:b+n], p.EmaAbsG[b:b+n]
+		emaG2, emaAbsG2, emaSeen := p.EmaG2[b:b+n], p.EmaAbsG2[b:b+n], p.EmaSeen[b:b+n]
+		mode := p.Mode[b : b+n]
+
+		for x := reg; x != 0; x &= x - 1 {
+			k := bits.TrailingZeros64(x)
+			var v float64
 			switch {
-			case full && p.NoCheckLeft[i] <= 1:
+			case aggModel == nil:
+				v = wireImage(quantize, loc[k])
+			case delta:
+				v = wireImage(quantize, prev[k]+aggModel[j])
+			default:
+				v = wireImage(quantize, aggModel[j])
+			}
+			if img != nil {
+				// Error feedback: img is what the transport's one encode of
+				// the submission decodes to, on either transport.
+				p.WireErr[b+k] = send[j] - img[j]
+			}
+			j++
+
+			g := v - prev[k]
+			ag := math.Abs(g)
+			seen := emaSeen[k]
+			if !hasLastG[k] {
+				emaG[k], emaAbsG[k] = g, ag
+				hasLastG[k] = true
+			} else {
+				g2 := g - lastG[k]
+				// Second differences at the float64 roundoff floor of the
+				// gradient scale are measurement noise, not oscillation;
+				// without the clamp a perfectly linear trajectory would show a
+				// ratio made of pure rounding error.
+				if math.Abs(g2) < 1e-9*ag {
+					g2 = 0
+				}
+				if !seen {
+					emaG2[k], emaAbsG2[k] = g2, math.Abs(g2)
+					emaSeen[k], seen = true, true
+				} else {
+					emaG2[k] = th*emaG2[k] + (1-th)*g2
+					emaAbsG2[k] = th*emaAbsG2[k] + (1-th)*math.Abs(g2)
+				}
+				emaG[k] = th*emaG[k] + (1-th)*g
+				emaAbsG[k] = th*emaAbsG[k] + (1-th)*ag
+			}
+			lastG[k] = g
+			history[k]++
+			out[k], prev[k] = v, v
+
+			var promote bool
+			if o.Variant == VariantV2 {
+				promote = launchDraw(o.Seed, round, b+k) < o.LaunchProb
+			} else {
+				// ℛ < T_ℛ; a zero denominator is a perfectly linear trajectory
+				// (see OscillationRatio).
+				promote = int(history[k]) >= o.MinHistory && seen && g != 0 &&
+					rt.below(math.Abs(emaG2[k]), emaAbsG2[k])
+			}
+			if promote {
+				per := int32(1)
+				if !full {
+					per = int32(o.FixedPeriod)
+				}
+				mode[k] = modeSpeculative
+				slope[k] = emaG[k]
+				if o.RawSlope {
+					slope[k] = g
+				}
+				accum[k], specRounds[k] = 0, 0
+				period[k], left[k] = per, per
+			}
+		}
+
+		// A speculative parameter's value is the prediction, which under
+		// Quantize is itself snapped to the wire image, so the value the
+		// client stores (and trains from next round) is exactly the value the
+		// manager accounted for. e_r = g̃_r − g_k, with the local update
+		// standing in for the true gradient until aggregation.
+		for x := ^reg & (^uint64(0) >> (64 - n)); x != 0; x &= x - 1 {
+			k := bits.TrailingZeros64(x)
+			v := wireImage(quantize, prev[k]+slope[k])
+			acc := accum[k] + (loc[k] - v)
+			specRounds[k]++
+			specTotal[k]++
+			switch {
+			case chk>>k&1 != 0:
 				e := acc
 				if aggErr != nil {
 					e = aggErr[c]
 				}
 				c++
-				if m.feedbackSignal(i, e, p.Slope[i]) < o.TS {
+				if m.feedbackSignal(b+k, e, slope[k]) < o.TS {
 					// Linear pattern persists: extend the no-checking period
 					// by one round and keep speculating.
-					p.NoCheckPeriod[i]++
-					p.NoCheckLeft[i] = p.NoCheckPeriod[i]
-					acc = 0
+					period[k]++
+					left[k] = period[k]
 				} else {
 					// Prediction diverged: rectify with the aggregated error
 					// and return the parameter to regular updating.
-					x = wireImage(quantize, x+e)
-					acc = 0
-					m.revertToRegular(i)
+					v = wireImage(quantize, v+e)
+					m.revertToRegular(b + k)
 				}
+				acc = 0
 			case full:
-				p.NoCheckLeft[i]--
-			case p.NoCheckLeft[i] <= 1:
+				left[k]--
+			case left[k] <= 1:
 				// v1/v2 leave when their fixed period has run.
 				acc = 0
-				m.revertToRegular(i)
+				m.revertToRegular(b + k)
 			default:
-				p.NoCheckLeft[i]--
+				left[k]--
 			}
-			p.AccumErr[i] = acc
-			out[i], prev[i] = x, x
-			continue
-		}
-
-		var x float64
-		switch {
-		case aggModel == nil:
-			x = wireImage(quantize, local[i])
-		case delta:
-			x = wireImage(quantize, prev[i]+aggModel[j])
-		default:
-			x = wireImage(quantize, aggModel[j])
-		}
-		if img != nil {
-			// Error feedback: img is what the transport's one encode of the
-			// submission decodes to, on either transport.
-			p.WireErr[i] = send[j] - img[j]
-		}
-		j++
-
-		g := x - prev[i]
-		ag := math.Abs(g)
-		seen := p.EmaSeen[i]
-		if !p.HasLastG[i] {
-			p.EmaG[i], p.EmaAbsG[i] = g, ag
-			p.HasLastG[i] = true
-		} else {
-			g2 := g - p.LastG[i]
-			// Second differences at the float64 roundoff floor of the
-			// gradient scale are measurement noise, not oscillation;
-			// without the clamp a perfectly linear trajectory would show a
-			// ratio made of pure rounding error.
-			if math.Abs(g2) < 1e-9*ag {
-				g2 = 0
-			}
-			if !seen {
-				p.EmaG2[i], p.EmaAbsG2[i] = g2, math.Abs(g2)
-				p.EmaSeen[i], seen = true, true
-			} else {
-				p.EmaG2[i] = th*p.EmaG2[i] + (1-th)*g2
-				p.EmaAbsG2[i] = th*p.EmaAbsG2[i] + (1-th)*math.Abs(g2)
-			}
-			p.EmaG[i] = th*p.EmaG[i] + (1-th)*g
-			p.EmaAbsG[i] = th*p.EmaAbsG[i] + (1-th)*ag
-		}
-		p.LastG[i] = g
-		p.History[i]++
-		out[i], prev[i] = x, x
-
-		var promote bool
-		if o.Variant == VariantV2 {
-			promote = launchDraw(o.Seed, round, i) < o.LaunchProb
-		} else {
-			// ℛ < T_ℛ; a zero denominator is a perfectly linear trajectory
-			// (see OscillationRatio).
-			promote = int(p.History[i]) >= o.MinHistory && seen && g != 0 &&
-				(p.EmaAbsG2[i] == 0 || math.Abs(p.EmaG2[i])/p.EmaAbsG2[i] < o.TR)
-		}
-		if promote {
-			period := int32(1)
-			if !full {
-				period = int32(o.FixedPeriod)
-			}
-			p.Mode[i] = modeSpeculative
-			p.Slope[i] = p.EmaG[i]
-			if o.RawSlope {
-				p.Slope[i] = g
-			}
-			p.AccumErr[i], p.SpecRounds[i] = 0, 0
-			p.NoCheckPeriod[i], p.NoCheckLeft[i] = period, period
+			accum[k] = acc
+			out[k], prev[k] = v, v
 		}
 	}
 }
@@ -585,7 +678,7 @@ func (m *Manager) bootstrap(ctx context.Context, round int, local []float64, con
 		send = m.scratchSend[:m.size]
 		copy(send, local)
 	}
-	agg, up, down, err := m.wire.Collect(ctx, sparse.AggModel, m.agg, m.id, round, send, nil, m.scratchRecv)
+	agg, up, down, err := m.wire.Collect(ctx, sparse.ModelLeg, m.agg, m.id, round, send, nil, m.scratchRecv)
 	if err != nil {
 		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: bootstrap aggregate: %w", err)
 	}
@@ -626,6 +719,14 @@ func (m *Manager) revertToRegular(i int) {
 	m.st.SpecRounds[i] = 0
 }
 
+// bit is b as 0 or 1; the compiler makes it a flag move, not a branch.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // wireImage maps v to its wire image under Options.Quantize (identity
 // otherwise). Every value written to the sync output goes through it, so a
 // float32 model loads the output exactly.
@@ -644,6 +745,40 @@ func wireImage(quantize bool, v float64) float64 {
 func launchDraw(seed int64, round, i int) float64 {
 	x := codec.Mix64(uint64(seed) + codec.Mix64(uint64(round)+codec.Mix64(uint64(i))))
 	return float64(x>>11) / (1 << 53)
+}
+
+// ratioTest is the promotion test ℛ < T_ℛ, ℛ = a/d with a = |⟨g′⟩θ| and
+// d = ⟨|g′|⟩θ (d = 0 passes: see OscillationRatio), decided without
+// dividing where it can be. Outside a relative band of ratioBand around
+// the threshold, a < T_ℛ·d decides: the band is far wider than the
+// rounding of the product and of the division it stands in for, so the
+// product cannot disagree with the division there. Inside the band, and
+// whenever the products are not normal finite numbers (a zero, subnormal,
+// infinite or NaN operand), it divides. Either way the answer is the
+// division's, bit for bit (FuzzRatioTest).
+type ratioTest struct{ t, lo, hi float64 }
+
+const ratioBand = 0x1p-40
+
+func newRatioTest(t float64) ratioTest {
+	r := ratioTest{t: t, lo: t * (1 - ratioBand), hi: t * (1 + ratioBand)}
+	if !(r.lo >= 0x1p-1022 && r.hi <= math.MaxFloat64) {
+		r.lo = math.NaN() // no band fits around this threshold: always divide
+	}
+	return r
+}
+
+// below reports d == 0 || a/d < t.
+func (r ratioTest) below(a, d float64) bool {
+	if lo, hi := r.lo*d, r.hi*d; lo >= 0x1p-1022 && hi <= math.MaxFloat64 {
+		if a < lo {
+			return true
+		}
+		if a > hi {
+			return false
+		}
+	}
+	return d == 0 || a/d < r.t
 }
 
 // feedbackSignal computes 𝒮 = |Σe_r| / |g_k| (Eq. 3). Unless RawErrorNorm

@@ -76,7 +76,7 @@ func (m *Manager) refSync(round int, local []float64, contributor bool) ([]float
 		// send scratch, which is idle until that collective is built below.
 		img = make([]float64, len(send))
 	}
-	aggModel, upBytes, downBytes, err := m.wire.Collect(ctx, sparse.AggModel, m.agg, m.id, round, send, img, nil)
+	aggModel, upBytes, downBytes, err := m.wire.Collect(ctx, sparse.ModelLeg, m.agg, m.id, round, send, img, nil)
 	if err != nil {
 		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: aggregate model round %d: %w", round, err)
 	}
@@ -138,7 +138,7 @@ func (m *Manager) refSync(round int, local []float64, contributor bool) ([]float
 				errSend[j] = m.st.AccumErr[i]
 			}
 		}
-		aggErr, up, down, err := m.wire.Collect(ctx, sparse.AggError, m.agg, m.id, round, errSend, nil, nil)
+		aggErr, up, down, err := m.wire.Collect(ctx, sparse.ErrorLeg, m.agg, m.id, round, errSend, nil, nil)
 		if err != nil {
 			return nil, sparse.Traffic{}, fmt.Errorf("fedsu: aggregate error round %d: %w", round, err)
 		}

@@ -379,9 +379,13 @@ func (e *Engine) wireParams() int {
 	return e.evalModel.Size()
 }
 
-// wire is the engine's negotiated wire: the parsed Compress chain, or the
-// legacy default codec when none was configured.
-func (e *Engine) wire() sparse.Wire { return sparse.Wire{Chain: e.chain} }
+// denseBytes is one dense model message's size on the engine's negotiated
+// wire: the parsed Compress chain, or the legacy default codec when none was
+// configured.
+func (e *Engine) denseBytes() int {
+	w := sparse.Wire{Chain: e.chain}
+	return w.DenseBytes(e.evalModel.Size())
+}
 
 // Chain exposes the negotiated compression chain (nil for the default
 // wire) so drivers can report its per-stage byte counters.
@@ -410,7 +414,7 @@ func (e *Engine) RunRound(ctx context.Context, evaluate bool) (RoundStats, error
 	// bytes (full model on the first round) scaled to wire-parameter size.
 	scale := float64(e.wireParams()) / float64(e.evalModel.Size())
 	computeSec := netem.DefaultComputeModel().RoundCompute(e.wireParams(), e.cfg.LocalIters)
-	full := int(float64(e.wire().DenseBytes(e.evalModel.Size())) * scale)
+	full := int(float64(e.denseBytes()) * scale)
 	stats, isParticipant := e.admit(k, full, computeSec)
 	evictionsBefore, timeoutsBefore := e.server.EvictionCount(), e.server.TimeoutCount()
 	var tierBefore TierStats

@@ -36,7 +36,7 @@ func (e *Engine) runAsync(ctx context.Context, applies, evalEvery int) ([]RoundS
 
 	scale := float64(e.wireParams()) / float64(e.evalModel.Size())
 	computeSec := netem.DefaultComputeModel().RoundCompute(e.wireParams(), e.cfg.LocalIters)
-	full := int(float64(e.wire().DenseBytes(e.evalModel.Size())) * scale)
+	full := int(float64(e.denseBytes()) * scale)
 	loads := make([]netem.ClientLoad, n)
 	for i := range loads {
 		// First cycle: full dense exchange, like the sync driver's first

@@ -29,6 +29,8 @@ func (p *slotProxy) AggregateError(clientID, round int, values []float64) ([]flo
 	return sparse.AggError(context.Background(), p.agg, p.memberID, round, values)
 }
 
+func (p *slotProxy) ConcurrentLegs() bool { return sparse.ConcurrentLegs(p.agg) }
+
 func (p *slotProxy) AggregateModelCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
 	return sparse.AggModel(ctx, p.agg, p.memberID, round, values)
 }

@@ -421,6 +421,10 @@ func (t *Tree) AggregateError(clientID, round int, values []float64) ([]float64,
 	return t.aggregate(context.Background(), clientID, round, "error", values)
 }
 
+// ConcurrentLegs implements sparse.LegAggregator: a round's model and error
+// collectives are separate barriers, keyed by (round, kind).
+func (t *Tree) ConcurrentLegs() bool { return true }
+
 // AggregateModelCtx implements sparse.ContextAggregator: the barrier wait
 // aborts with ctx.Err() on cancellation. The submission itself stays
 // registered (as a detached copy, so the caller's slice is safe to reuse

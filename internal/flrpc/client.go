@@ -97,6 +97,7 @@ type Client struct {
 var (
 	_ sparse.Aggregator        = (*Client)(nil)
 	_ sparse.ContextAggregator = (*Client)(nil)
+	_ sparse.LegAggregator     = (*Client)(nil)
 )
 
 // Dial connects to a coordinator and joins the session with default
@@ -317,6 +318,10 @@ func (c *Client) AggregateError(clientID, round int, values []float64) ([]float6
 	return c.call(context.Background(), "error", clientID, round, values)
 }
 
+// ConcurrentLegs implements sparse.LegAggregator: calls are multiplexed over
+// the one connection, each waiting for its own reply.
+func (c *Client) ConcurrentLegs() bool { return true }
+
 // AggregateModelCtx implements sparse.ContextAggregator.
 func (c *Client) AggregateModelCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
 	return c.call(ctx, "model", clientID, round, values)
@@ -357,8 +362,7 @@ func (c *Client) call(ctx context.Context, kind string, clientID, round int, val
 		req.flags, req.payload = 0, *wireBuf
 		c.counters.Add("agg_tx_bytes", int64(len(req.payload)))
 	}
-	desc := fmt.Sprintf("aggregate %s round %d", kind, round)
-	out, down, err := c.doAgg(ctx, desc, &req, r.Dst)
+	out, down, err := c.doAgg(ctx, kind, &req, r.Dst)
 	if err != nil {
 		return nil, err
 	}
@@ -381,7 +385,7 @@ func (c *Client) SubmitPartial(ctx context.Context, round int, kind string, p sp
 	*wireBuf = sparse.AppendPartialPayload(*wireBuf, p)
 	req := frame{typ: typePartial, kind: kindByte(kind), id: c.ClientID(), round: round, payload: *wireBuf}
 	c.counters.Add("agg_tx_bytes", int64(len(req.payload)))
-	out, _, err := c.doAgg(ctx, fmt.Sprintf("partial %s round %d", kind, round), &req, nil)
+	out, _, err := c.doAgg(ctx, kind, &req, nil)
 	return out, err
 }
 
@@ -394,16 +398,17 @@ func (c *Client) SubmitPartial(ctx context.Context, round int, kind string, p sp
 // otherwise (a direct Aggregate* call, a relay's SubmitPartial); the pooled
 // buffer the reply was read into is released here. Application-level errors
 // (a *remoteError: eviction, stale round, unknown kind, malformed payload)
-// are terminal: retrying them cannot succeed. desc labels errors (e.g.
-// "aggregate model round 3").
-func (c *Client) doAgg(ctx context.Context, desc string, req *frame, dst []float64) ([]float64, int, error) {
+// are terminal: retrying them cannot succeed. Errors are labelled with the
+// call (e.g. "aggregate model round 3"), kind being the collective's name;
+// the label is formatted only when there is an error to label.
+func (c *Client) doAgg(ctx context.Context, kind string, req *frame, dst []float64) ([]float64, int, error) {
 	backoff := c.cfg.RetryBase
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			c.counters.Inc("retries")
 			if err := sleepCtx(ctx, jitter(backoff)); err != nil {
-				return nil, 0, fmt.Errorf("flrpc: %s: %w", desc, err)
+				return nil, 0, fmt.Errorf("flrpc: %s: %w", callLabel(kind, req), err)
 			}
 			backoff = min(2*backoff, c.cfg.RetryMax)
 		}
@@ -419,15 +424,15 @@ func (c *Client) doAgg(ctx context.Context, desc string, req *frame, dst []float
 			c.counters.Add("agg_rx_bytes", int64(n))
 			out, err := AggReply{Payload: rep.payload, Nil: rep.flags&flagNil != 0}.contribution(dst, c.ModelSize())
 			if err != nil {
-				return nil, 0, fmt.Errorf("flrpc: %s: %w", desc, err)
+				return nil, 0, fmt.Errorf("flrpc: %s: %w", callLabel(kind, req), err)
 			}
 			return out, n, nil
 		}
 		if ctx.Err() != nil {
-			return nil, 0, fmt.Errorf("flrpc: %s: %w", desc, ctx.Err())
+			return nil, 0, fmt.Errorf("flrpc: %s: %w", callLabel(kind, req), ctx.Err())
 		}
 		if app := (*remoteError)(nil); errors.As(err, &app) {
-			return nil, 0, fmt.Errorf("flrpc: %s: %w", desc, err)
+			return nil, 0, fmt.Errorf("flrpc: %s: %w", callLabel(kind, req), err)
 		}
 		// Transport failure: drop the connection and retry; the rejoin on
 		// reconnect plus the coordinator's idempotent resubmission makes
@@ -435,7 +440,17 @@ func (c *Client) doAgg(ctx context.Context, desc string, req *frame, dst []float
 		lastErr = err
 		c.invalidate(rc)
 	}
-	return nil, 0, fmt.Errorf("flrpc: %s after %d retries: %w", desc, c.cfg.MaxRetries, lastErr)
+	return nil, 0, fmt.Errorf("flrpc: %s after %d retries: %w", callLabel(kind, req), c.cfg.MaxRetries, lastErr)
+}
+
+// callLabel names a collective call in an error: "aggregate model round 3",
+// "partial error round 5".
+func callLabel(kind string, req *frame) string {
+	op := "aggregate"
+	if req.typ == typePartial {
+		op = "partial"
+	}
+	return fmt.Sprintf("%s %s round %d", op, kind, req.round)
 }
 
 // jitter spreads a backoff interval over [d/2, d) so a fleet knocked over

@@ -40,8 +40,10 @@ const (
 	preJoinLimit = 4096
 	// maxInFlight bounds the collective calls one connection may have
 	// running; at the bound the coordinator stops reading the connection and
-	// TCP pushes back on the peer. A client needs one per strategy call plus
-	// one per call it abandoned whose barrier is still open.
+	// TCP pushes back on the peer. A client needs one per strategy call it
+	// has in flight — two for a FedSU round, whose model and error
+	// collectives run at once — plus one per call it abandoned whose barrier
+	// is still open.
 	maxInFlight = 8
 )
 

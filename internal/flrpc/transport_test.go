@@ -374,7 +374,7 @@ func TestTransportSteadyStateAllocs(t *testing.T) {
 						var out []float64
 						var err error
 						if arm.receipt {
-							out, _, _, err = wires[i].Collect(context.Background(), sparse.AggModel, c, i, r, vecs[i], nil, dsts[i])
+							out, _, _, err = wires[i].Collect(context.Background(), sparse.ModelLeg, c, i, r, vecs[i], nil, dsts[i])
 							if err == nil && &out[0] != &dsts[i][0] {
 								t.Errorf("round %d client %d: the reply was not decoded into the lent destination", r, i)
 							}

@@ -133,7 +133,7 @@ func (a *APF) SyncCtx(ctx context.Context, round int, local []float64, contribut
 			}
 		}
 	}
-	agg, up, down, err := a.wire.Collect(ctx, AggModel, a.agg, a.id, round, send, nil, nil)
+	agg, up, down, err := a.wire.Collect(ctx, ModelLeg, a.agg, a.id, round, send, nil, nil)
 	if err != nil {
 		return nil, Traffic{}, fmt.Errorf("apf: aggregate round %d: %w", round, err)
 	}

@@ -11,17 +11,20 @@ import (
 // default wire — the PR 4 bitmap/index codec — so existing constructions
 // keep their historical byte counts untouched. Strategies issue their
 // collectives through Collect; Bytes, ReplyBytes and Image compute what it
-// reports from a vector, for a leg nothing encoded and for probes.
+// reports from a vector, for a leg nothing encoded and for probes. The
+// methods take a pointer, so that none copies the receipt of a leg in
+// flight.
 type Wire struct {
 	Chain *codec.Chain
-	// rc is Collect's per-call receipt, reused call after call.
-	rc Receipt
+	// rc holds Collect's receipt per leg, reused call after call: a round's
+	// two legs may be in flight at once, each writing only its own.
+	rc [2]Receipt
 }
 
 // Enabled reports whether a non-default chain is attached: the cue for
 // strategies that otherwise use analytic size models (QSGD) to charge
 // measured chain bytes instead.
-func (w Wire) Enabled() bool {
+func (w *Wire) Enabled() bool {
 	return w.Chain != nil && !w.Chain.IsDefault()
 }
 
@@ -29,7 +32,7 @@ func (w Wire) Enabled() bool {
 // this wire's chain: HeaderBytes of framing plus the chain's exact
 // encoded payload size. A nil vec (abstention) is framing only. With a
 // nil chain this is exactly MessageBytes.
-func (w Wire) Bytes(vec []float64) int {
+func (w *Wire) Bytes(vec []float64) int {
 	if vec == nil {
 		return HeaderBytes
 	}
@@ -43,7 +46,7 @@ func (w Wire) Bytes(vec []float64) int {
 // collective reply ships under the chain's Reply variant (quantizers
 // widened to 8 bits — see codec.Chain.Reply). With a nil chain this is
 // exactly MessageBytes, like Bytes.
-func (w Wire) ReplyBytes(vec []float64) int {
+func (w *Wire) ReplyBytes(vec []float64) int {
 	if vec == nil {
 		return HeaderBytes
 	}
@@ -56,7 +59,7 @@ func (w Wire) ReplyBytes(vec []float64) int {
 // DenseBytes is the wire's reference cost for a fully-dense n-parameter
 // message (see codec.Chain.DensePayloadSize for why entropy and low-rank
 // stages are excluded from the reference).
-func (w Wire) DenseBytes(n int) int {
+func (w *Wire) DenseBytes(n int) int {
 	if w.Chain == nil {
 		return DenseMessageBytes(n)
 	}
@@ -66,7 +69,7 @@ func (w Wire) DenseBytes(n int) int {
 // FullRef is the full-model exchange reference — one dense uplink plus
 // one dense downlink (at the reply chain's cost) — that
 // SparsificationRatio charges savings against.
-func (w Wire) FullRef(n int) int {
+func (w *Wire) FullRef(n int) int {
 	if w.Chain == nil {
 		return 2 * DenseMessageBytes(n)
 	}
@@ -77,7 +80,7 @@ func (w Wire) FullRef(n int) int {
 // receiver observes after one encode→decode trip. With a nil chain the
 // image is the identity here — the legacy float32 rounding is applied by
 // the transport itself (QuantizeWire), not by the strategy layer.
-func (w Wire) RoundTrip(values []float64) []float64 {
+func (w *Wire) RoundTrip(values []float64) []float64 {
 	if w.Chain == nil {
 		return values
 	}
@@ -88,7 +91,7 @@ func (w Wire) RoundTrip(values []float64) []float64 {
 // strategies probe the wire image of a pending submission (to carry its
 // loss forward as an error-feedback residual) without it registering as
 // wire traffic.
-func (w Wire) Image(values []float64) []float64 {
+func (w *Wire) Image(values []float64) []float64 {
 	if w.Chain == nil {
 		return values
 	}
@@ -113,10 +116,10 @@ type Receipt struct {
 	// transport decoding the result for this caller alone decodes into, when
 	// its capacity suffices.
 	Dst []float64
-	// Owned says the result is the caller's alone to keep and mutate:
-	// flrpc.Client sets it, having decoded the reply into Dst's storage or a
-	// fresh slice. The in-process aggregators hand every client one shared
-	// slice and leave it unset.
+	// Owned says the result is the caller's alone to keep and mutate: the
+	// encoders (flrpc.Client, ChainAggregator) set it, having decoded the
+	// reply into Dst's storage or a fresh slice. The plain in-process
+	// aggregators hand every client one shared slice and leave it unset.
 	Owned bool
 }
 
@@ -136,22 +139,24 @@ func ReceiptFrom(ctx context.Context) *Receipt {
 	return r
 }
 
-// Collect runs one collective for a strategy — dispatch is AggModel or
-// AggError — and reports what it cost on the wire: the encoder's receipt
-// when the call path encoded the legs, the sizes computed under this wire
-// when nothing did (an in-process default-wire run). A non-nil image
-// (len(send) long) receives the upload's wire image the same way. The
-// result is shared and must not be mutated, unless the receipt says Owned —
-// then it is the caller's, in dst's storage when a transport decoded it and
-// dst had the capacity (dst may be nil).
-func (w *Wire) Collect(ctx context.Context, dispatch Dispatcher, agg Aggregator, clientID, round int, send, image, dst []float64) (res []float64, up, down int, err error) {
-	w.rc = Receipt{Context: ctx, Image: image, Dst: dst}
-	res, err = dispatch(&w.rc, agg, clientID, round, send)
+// Collect runs one leg's collective for a strategy and reports what it
+// cost on the wire: the encoder's receipt when the call path encoded the
+// legs, the sizes computed under this wire when nothing did (an in-process
+// default-wire run). A non-nil image (len(send) long) receives the upload's
+// wire image the same way. The result is shared and must not be mutated,
+// unless the leg's receipt says Owned — then it is the caller's, in dst's
+// storage when an encoder decoded it and dst had the capacity (dst may be
+// nil). The two legs may run at once on one Wire; two calls of the same leg
+// may not.
+func (w *Wire) Collect(ctx context.Context, leg Leg, agg Aggregator, clientID, round int, send, image, dst []float64) (res []float64, up, down int, err error) {
+	rc := &w.rc[leg]
+	*rc = Receipt{Context: ctx, Image: image, Dst: dst}
+	res, err = leg.dispatch(rc, agg, clientID, round, send)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if w.rc.UpBytes != 0 {
-		return res, w.rc.UpBytes, w.rc.DownBytes, nil
+	if rc.UpBytes != 0 {
+		return res, rc.UpBytes, rc.DownBytes, nil
 	}
 	if image != nil {
 		copy(image, w.Image(send))
@@ -199,41 +204,54 @@ func WrapAggregator(agg Aggregator, chain *codec.Chain) Aggregator {
 	return &ChainAggregator{agg: agg, chain: chain}
 }
 
+// ConcurrentLegs implements LegAggregator: the wrapper takes both legs at
+// once when the aggregator it wraps does.
+func (c *ChainAggregator) ConcurrentLegs() bool { return ConcurrentLegs(c.agg) }
+
 // AggregateModel implements Aggregator.
 func (c *ChainAggregator) AggregateModel(clientID, round int, values []float64) ([]float64, error) {
-	return c.collect(context.Background(), AggModel, clientID, round, values)
+	return c.collect(context.Background(), ModelLeg, clientID, round, values)
 }
 
 // AggregateError implements Aggregator.
 func (c *ChainAggregator) AggregateError(clientID, round int, values []float64) ([]float64, error) {
-	return c.collect(context.Background(), AggError, clientID, round, values)
+	return c.collect(context.Background(), ErrorLeg, clientID, round, values)
 }
 
 // AggregateModelCtx implements ContextAggregator.
 func (c *ChainAggregator) AggregateModelCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
-	return c.collect(ctx, AggModel, clientID, round, values)
+	return c.collect(ctx, ModelLeg, clientID, round, values)
 }
 
 // AggregateErrorCtx implements ContextAggregator.
 func (c *ChainAggregator) AggregateErrorCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
-	return c.collect(ctx, AggError, clientID, round, values)
+	return c.collect(ctx, ErrorLeg, clientID, round, values)
 }
 
 // collect round-trips the submission through the session chain and the
 // result through its Reply variant, exactly what the TCP coordinator's
-// reply encoder ships. The inner aggregator reads the submission only
-// until it returns, so the caller's Image buffer can stage it.
-func (c *ChainAggregator) collect(ctx context.Context, dispatch Dispatcher, clientID, round int, values []float64) ([]float64, error) {
+// reply encoder ships, decoding the result into the caller's Dst when it
+// has the capacity. The inner aggregator reads the submission only until it
+// returns, so the caller's Image buffer — or a pooled one, when the caller
+// asked for no image — can stage it.
+func (c *ChainAggregator) collect(ctx context.Context, leg Leg, clientID, round int, values []float64) ([]float64, error) {
 	r := ReceiptFrom(ctx)
 	if r == nil {
 		r = &Receipt{} // nobody is asking; filled and dropped
 	}
-	sent, up := c.chain.RoundTripSized(r.Image, values)
-	out, err := dispatch(ctx, c.agg, clientID, round, sent)
+	image := r.Image
+	if image == nil && values != nil {
+		staged := codec.GetVals(len(values))
+		defer codec.PutVals(staged)
+		image = *staged
+	}
+	sent, up := c.chain.RoundTripSized(image, values)
+	out, err := leg.dispatch(ctx, c.agg, clientID, round, sent)
 	if err != nil {
 		return nil, err
 	}
-	res, down := c.chain.Reply().RoundTripSized(nil, out)
+	res, down := c.chain.Reply().RoundTripSized(r.Dst, out)
 	r.UpBytes, r.DownBytes = HeaderBytes+up, HeaderBytes+down
+	r.Owned = true // decoded for this caller alone
 	return res, nil
 }

@@ -251,7 +251,7 @@ func TestCollect(t *testing.T) {
 	send := []float64{0, 1.25, -3.5, 0, 0.125, 9}
 	image := make([]float64, len(send))
 
-	res, up, down, err := w.Collect(context.Background(), AggModel, identityAgg{}, 0, 0, send, image, nil)
+	res, up, down, err := w.Collect(context.Background(), ModelLeg, identityAgg{}, 0, 0, send, image, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,19 +263,19 @@ func TestCollect(t *testing.T) {
 			t.Errorf("nothing encoded: image[%d] = %v, the wire computes %v", i, image[i], v)
 		}
 	}
-	if _, up, down, _ := w.Collect(context.Background(), AggError, identityAgg{}, 0, 0, nil, nil, nil); up != HeaderBytes || down != HeaderBytes {
+	if _, up, down, _ := w.Collect(context.Background(), ErrorLeg, identityAgg{}, 0, 0, nil, nil, nil); up != HeaderBytes || down != HeaderBytes {
 		t.Errorf("abstention into an empty collective charged %d/%d, want the header both ways", up, down)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	agg := &reportingAgg{}
-	if _, up, down, _ := w.Collect(ctx, AggModel, agg, 0, 0, send, image, nil); up != 1000 || down != 2000 || image[0] != 1 {
+	if _, up, down, _ := w.Collect(ctx, ModelLeg, agg, 0, 0, send, image, nil); up != 1000 || down != 2000 || image[0] != 1 {
 		t.Errorf("encoder's receipt not reported: %d/%d, image[0] = %v", up, down, image[0])
 	}
 	before := ch.Encodes()
 	if allocs := testing.AllocsPerRun(20, func() {
-		if _, _, _, err := w.Collect(ctx, AggError, agg, 0, 0, send, image, nil); err != nil {
+		if _, _, _, err := w.Collect(ctx, ErrorLeg, agg, 0, 0, send, image, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {

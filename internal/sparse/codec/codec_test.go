@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -509,6 +510,71 @@ func TestChainDeterministicConcurrent(t *testing.T) {
 	}
 	if want := int64(workers*per + 1); msgs != want {
 		t.Fatalf("topk stage counted %d msgs, want %d", msgs, want)
+	}
+}
+
+// TestChainTwoLegsConcurrent encodes two different vectors through one
+// chain and its Reply() from two goroutines at once, as a TCP client's two
+// collective legs do: every payload and wire image must equal the serial
+// encode's, and each stage's counters must be the sum of what the two
+// streams charge serially.
+func TestChainTwoLegsConcurrent(t *testing.T) {
+	const per = 40
+	vecs := testVectors(t)
+	legs := [2][]float64{vecs["dense"], vecs["structured"]}
+	for _, spec := range []string{"topk,q4,rans", "q4", "lowrank,rans"} {
+		t.Run(spec, func(t *testing.T) {
+			serial, err := Parse(spec, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared, _ := Parse(spec, 11)
+			var want [2][]byte
+			var wantImg [2][]float64
+			var wantReply [2][]byte
+			for i := 0; i < per; i++ {
+				for l, v := range legs {
+					want[l], wantImg[l] = serial.AppendEncodeImage(nil, v, make([]float64, len(v)))
+					wantReply[l] = serial.Reply().AppendEncode(nil, v)
+				}
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, 2)
+			for l, v := range legs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					img := make([]float64, len(v))
+					for i := 0; i < per; i++ {
+						got, gotImg := shared.AppendEncodeImage(nil, v, img)
+						if !bytes.Equal(got, want[l]) {
+							errs <- fmt.Errorf("leg %d, encode %d: payload differs from the serial encode", l, i)
+							return
+						}
+						for j := range gotImg {
+							if math.Float64bits(gotImg[j]) != math.Float64bits(wantImg[l][j]) {
+								errs <- fmt.Errorf("leg %d, encode %d: image[%d] = %v, serial %v", l, i, j, gotImg[j], wantImg[l][j])
+								return
+							}
+						}
+						if got := shared.Reply().AppendEncode(nil, v); !bytes.Equal(got, wantReply[l]) {
+							errs <- fmt.Errorf("leg %d, encode %d: reply payload differs from the serial encode", l, i)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			for _, c := range [][2]*Chain{{serial, shared}, {serial.Reply(), shared.Reply()}} {
+				if a, b := c[0].Counters(), c[1].Counters(); !reflect.DeepEqual(a, b) {
+					t.Errorf("counters: concurrent %+v, serial %+v", b, a)
+				}
+			}
+		})
 	}
 }
 

@@ -119,7 +119,7 @@ func (q *QSGD) SyncCtx(ctx context.Context, round int, local []float64, contribu
 		if contributor {
 			send = append([]float64(nil), local...)
 		}
-		agg, up, down, err := q.wire.Collect(ctx, AggModel, q.agg, q.id, round, send, nil, nil)
+		agg, up, down, err := q.wire.Collect(ctx, ModelLeg, q.agg, q.id, round, send, nil, nil)
 		if err != nil {
 			return nil, Traffic{}, fmt.Errorf("qsgd: bootstrap: %w", err)
 		}
@@ -150,7 +150,7 @@ func (q *QSGD) SyncCtx(ctx context.Context, round int, local []float64, contribu
 	if contributor {
 		send = q.Quantize(round, update)
 	}
-	aggUpd, up, down, err := q.wire.Collect(ctx, AggModel, q.agg, q.id, round, send, nil, nil)
+	aggUpd, up, down, err := q.wire.Collect(ctx, ModelLeg, q.agg, q.id, round, send, nil, nil)
 	if err != nil {
 		return nil, Traffic{}, fmt.Errorf("qsgd: aggregate round %d: %w", round, err)
 	}

@@ -73,10 +73,12 @@ func (t Traffic) SparsificationRatio() float64 {
 }
 
 // Aggregator is the server-side collective the strategies call into. All
-// clients of a round must issue the same sequence of collective calls; a
-// nil values slice abstains from contributing while still participating in
-// the collective (used by CMFL's irrelevant clients and by clients outside
-// the round's participation quorum).
+// clients of a round must issue the same set of collective calls; a nil
+// values slice abstains from contributing while still participating in the
+// collective (used by CMFL's irrelevant clients and by clients outside the
+// round's participation quorum). A client issues its model and error
+// collectives of one round one after the other, unless the aggregator
+// declares that it takes them at once (LegAggregator).
 type Aggregator interface {
 	// AggregateModel submits model values for element-wise averaging across
 	// the round's contributors and returns the average. The returned slice
@@ -115,6 +117,24 @@ type ContextAggregator interface {
 	AggregateErrorCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error)
 }
 
+// LegAggregator is an optional extension of Aggregator. One whose
+// ConcurrentLegs reports true accepts a client's model and error
+// collectives of one round in flight at once, from two goroutines, and
+// answers neither later for the other having been issued: core.Manager then
+// issues them together and pays one round trip for both. Through any other
+// aggregator — a wrapper that does not forward the method included — the
+// legs run one after the other.
+type LegAggregator interface {
+	ConcurrentLegs() bool
+}
+
+// ConcurrentLegs reports whether agg declares that it takes both of a
+// round's collectives at once.
+func ConcurrentLegs(agg Aggregator) bool {
+	la, ok := agg.(LegAggregator)
+	return ok && la.ConcurrentLegs()
+}
+
 // AggModel submits to the model collective, routing through the
 // aggregator's context-aware path when it has one.
 func AggModel(ctx context.Context, agg Aggregator, clientID, round int, values []float64) ([]float64, error) {
@@ -133,8 +153,24 @@ func AggError(ctx context.Context, agg Aggregator, clientID, round int, values [
 	return agg.AggregateError(clientID, round, values)
 }
 
-// Dispatcher is AggModel or AggError as a value (Wire.Collect runs either).
-type Dispatcher func(ctx context.Context, agg Aggregator, clientID, round int, values []float64) ([]float64, error)
+// Leg names one of the two collectives a round may run: Wire.Collect takes
+// it to pick the dispatch (AggModel or AggError) and the receipt.
+type Leg uint8
+
+const (
+	// ModelLeg is the model collective (AggModel).
+	ModelLeg Leg = iota
+	// ErrorLeg is FedSU's error-feedback collective (AggError).
+	ErrorLeg
+)
+
+// dispatch submits values to the leg's collective.
+func (l Leg) dispatch(ctx context.Context, agg Aggregator, clientID, round int, values []float64) ([]float64, error) {
+	if l == ErrorLeg {
+		return AggError(ctx, agg, clientID, round, values)
+	}
+	return AggModel(ctx, agg, clientID, round, values)
+}
 
 // ContextSyncer is an optional extension of Syncer whose synchronization
 // accepts a context, propagated into the aggregator's collectives. All
@@ -200,7 +236,7 @@ func (f *FedAvg) SyncCtx(ctx context.Context, round int, local []float64, contri
 	if !contributor {
 		send = nil
 	}
-	global, up, down, err := f.wire.Collect(ctx, AggModel, f.agg, f.id, round, send, nil, f.out)
+	global, up, down, err := f.wire.Collect(ctx, ModelLeg, f.agg, f.id, round, send, nil, f.out)
 	if err != nil {
 		return nil, Traffic{}, fmt.Errorf("fedavg: aggregate round %d: %w", round, err)
 	}
@@ -210,7 +246,7 @@ func (f *FedAvg) SyncCtx(ctx context.Context, round int, local []float64, contri
 		copy(f.out, local)
 	case len(global) != f.size:
 		return nil, Traffic{}, fmt.Errorf("fedavg: model aggregate returned %d values for %d", len(global), f.size)
-	case f.wire.rc.Owned:
+	case f.wire.rc[ModelLeg].Owned:
 		// Decoded for this client alone: into f.out when it had the capacity.
 		f.out = global
 	default:
