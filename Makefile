@@ -36,9 +36,18 @@ tier1-purego:
 
 # Non-test line count, the ROADMAP's method: tracked .go and .s files
 # minus _test.go, bench/ and testdata/. A simplicity PR states its line
-# claim as this number before and after.
+# claim as this number before and after: `make loc BASE=<rev>` prints the
+# count at <rev>, the tree's count and the delta.
+LOC_FILTER = grep -v -e '_test\.go$$' -e '^bench/' -e 'testdata/'
 loc:
-	@git ls-files '*.go' '*.s' | grep -v -e '_test\.go$$' -e '^bench/' -e 'testdata/' | xargs cat | wc -l
+ifneq ($(filter command line environment,$(origin BASE)),)
+	@git rev-parse -q --verify '$(BASE)^{commit}' >/dev/null || { echo "loc: no commit $(BASE)" >&2; exit 1; }
+	@base=$$(git ls-tree -r --name-only $(BASE) | grep -e '\.go$$' -e '\.s$$' | $(LOC_FILTER) | sed 's|^|$(BASE):|' | xargs -r git show | wc -l) && \
+	tree=$$(git ls-files '*.go' '*.s' | $(LOC_FILTER) | xargs cat | wc -l) && \
+	echo "base $(BASE): $$base" && echo "tree: $$tree" && echo "delta: $$((tree - base))"
+else
+	@git ls-files '*.go' '*.s' | $(LOC_FILTER) | xargs cat | wc -l
+endif
 
 # `go vet` includes asmdecl, which checks internal/tensor/kernel_amd64.s —
 # the tile, the element-wise and convert heads, which take slices, and the

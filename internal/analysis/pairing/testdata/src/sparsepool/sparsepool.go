@@ -46,8 +46,9 @@ func branchLocalDefer(abstain bool, n int) int {
 	return len(*vecBuf)
 }
 
-// transferToMap hands ownership to a map that outlives the call — the
-// fl.Server stray-contribution pattern, drained at barrier completion.
+// transferToMap hands ownership to a map that outlives the call, whose
+// owner releases the buffer later: a store that escapes is a transfer, not
+// a leak.
 func (c *coordinator) transferToMap(clientID int, values []float64) {
 	buf := codec.GetVals(len(values))
 	copy(*buf, values)

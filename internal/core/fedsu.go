@@ -178,11 +178,10 @@ type Manager struct {
 	st State
 
 	// Per-sync scratch, reused across rounds so a steady-state Sync
-	// performs no allocation. scratchOut backs the vector returned to the
-	// caller — see the ownership note on Sync. scratchSend/scratchErrSend
-	// back the collective submissions, compacted to their heads; the
-	// aggregator only reads them for the duration of the call (the fl.Server
-	// contract), so reusing them the following round is safe. Each collective
+	// performs no allocation. scratchSend/scratchErrSend back the collective
+	// submissions, compacted to their heads; the aggregator only reads them
+	// for the duration of the call (the fl.Server contract), so reusing them
+	// the following round is safe. Each collective
 	// also lends the transport storage to decode its result into: the model
 	// collective scratchRecv, the error collective what scratchSend has left
 	// behind the model submission; the model submission's wire image comes
@@ -191,7 +190,6 @@ type Manager struct {
 	scratchSend    []float64
 	scratchErrSend []float64
 	scratchRecv    []float64
-	scratchOut     []float64
 	ranks          [][2]int32
 
 	// regBits and chkBits are stage's partition of the round, one bit per
@@ -238,7 +236,6 @@ func NewManager(clientID, size int, agg sparse.Aggregator, opts Options) (*Manag
 		scratchSend:    make([]float64, size),
 		scratchErrSend: make([]float64, size),
 		scratchRecv:    make([]float64, size),
-		scratchOut:     make([]float64, size),
 		ranks:          make([][2]int32, (size+diagnoseGrain-1)/diagnoseGrain),
 		regBits:        make([]uint64, (size+63)/64),
 		chkBits:        make([]uint64, (size+63)/64),
@@ -326,16 +323,17 @@ func (m *Manager) LinearFractions() []float64 {
 // Sync implements sparse.Syncer, following Algorithm 1 and the Fig. 3
 // workflow. local is the client's post-training parameter vector x.
 //
-// The returned vector is owned by the Manager: it stays valid until the
-// next Sync/SyncCtx call on the same Manager, which reuses its storage.
-// Callers that keep per-round outputs across rounds must copy.
+// The returned vector is the manager's state, the post-sync global
+// (State.PrevGlobal): it is read-only, and valid until the next Sync/SyncCtx
+// call on the same Manager, which updates it in place. Callers that keep
+// per-round outputs across rounds must copy.
 func (m *Manager) Sync(round int, local []float64, contributor bool) ([]float64, sparse.Traffic, error) {
 	return m.SyncCtx(context.Background(), round, local, contributor)
 }
 
 // SyncCtx implements sparse.ContextSyncer: the collectives honour ctx
-// cancellation when the aggregator supports it. The returned vector is
-// manager-owned scratch — see Sync.
+// cancellation when the aggregator supports it. The returned vector is the
+// manager's state — see Sync.
 //
 // A round is two passes around its two collectives. stage reads the state
 // and builds both submissions; the collectives run — at once, the error
@@ -437,7 +435,7 @@ func (m *Manager) SyncCtx(ctx context.Context, round int, local []float64, contr
 		TotalParams:   m.size,
 		FullBytes:     m.wire.FullRef(m.size),
 	}
-	return m.scratchOut, tr, nil
+	return m.st.PrevGlobal, tr, nil
 }
 
 // runErrLeg is the goroutine SyncCtx launches for the error collective.
@@ -546,7 +544,7 @@ func (m *Manager) commit(round int, local, aggModel, aggErr, img []float64, lo, 
 	for b := lo; b < hi; b += 64 {
 		n := min(64, hi-b)
 		reg, chk := m.regBits[b/64], m.chkBits[b/64]
-		loc, out, prev := local[b:b+n], m.scratchOut[b:b+n], p.PrevGlobal[b:b+n]
+		loc, prev := local[b:b+n], p.PrevGlobal[b:b+n]
 		slope, accum := p.Slope[b:b+n], p.AccumErr[b:b+n]
 		specRounds, specTotal := p.SpecRounds[b:b+n], p.SpecTotal[b:b+n]
 		period, left := p.NoCheckPeriod[b:b+n], p.NoCheckLeft[b:b+n]
@@ -600,7 +598,7 @@ func (m *Manager) commit(round int, local, aggModel, aggErr, img []float64, lo, 
 			}
 			lastG[k] = g
 			history[k]++
-			out[k], prev[k] = v, v
+			prev[k] = v
 
 			var promote bool
 			if o.Variant == VariantV2 {
@@ -666,7 +664,7 @@ func (m *Manager) commit(round int, local, aggModel, aggErr, img []float64, lo, 
 				left[k]--
 			}
 			accum[k] = acc
-			out[k], prev[k] = v, v
+			prev[k] = v
 		}
 	}
 }
@@ -682,7 +680,7 @@ func (m *Manager) bootstrap(ctx context.Context, round int, local []float64, con
 	if err != nil {
 		return nil, sparse.Traffic{}, fmt.Errorf("fedsu: bootstrap aggregate: %w", err)
 	}
-	out := m.scratchOut
+	out := m.st.PrevGlobal
 	if agg != nil {
 		copy(out, agg)
 	} else {
@@ -693,7 +691,6 @@ func (m *Manager) bootstrap(ctx context.Context, round int, local []float64, con
 			out[i] = sparse.QuantizeWire(v)
 		}
 	}
-	copy(m.st.PrevGlobal, out)
 	m.st.Started = true
 	m.st.SeenTotal++
 	return out, sparse.Traffic{

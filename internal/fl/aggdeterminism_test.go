@@ -305,44 +305,6 @@ func TestAggregateEvictionMidStreamBits(t *testing.T) {
 	}
 }
 
-// TestAggregateStrayContribution: a participant outside the barrier's
-// roster snapshot still counts, interleaved at its id position — the
-// refold path. Client 5 (stray, lowest... highest id) and roster client 0
-// fill the need of a {0,1} roster; client 1 arrives after the close and
-// receives the already-computed result.
-func TestAggregateStrayContribution(t *testing.T) {
-	const size = 2600
-	v0 := contributionFor(0, size)
-	v5 := contributionFor(5, size)
-	// The stray-forced refold ranks the combined contributors densely in
-	// ascending id order (roster positions are meaningless once an outside
-	// id interleaves), so the reference is the canonical tree over [v0, v5].
-	want := canonicalMean([][]float64{v0, v5})
-
-	s := NewServer(6)
-	s.SetRoster([]int{0, 1})
-	s.BeginRound(0, []int{0, 1, 5})
-
-	// Stray first, then a roster client; need=2 is met by the pair.
-	results, errs := submitInOrder(t, s, 0, []int{5, 0}, map[int][]float64{5: v5, 0: v0})
-	for _, id := range []int{0, 5} {
-		if errs[id] != nil {
-			t.Fatalf("client %d: %v", id, errs[id])
-		}
-		if !sameBits(results[id], want) {
-			t.Fatalf("client %d: stray-interleaved mean deviates from reference", id)
-		}
-	}
-	// Late roster client: the barrier already closed; it gets the result.
-	late, err := s.AggregateModel(1, 0, contributionFor(1, size))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameBits(late, want) {
-		t.Fatal("late submission received a different result than the barrier published")
-	}
-}
-
 // TestAggregateCallerSliceNotAliased is the satellite aliasing fix: the
 // server must stage its own copy, so mutating the submitted slice after an
 // abandoned (cancelled) wait cannot corrupt the still-open barrier.

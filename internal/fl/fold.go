@@ -11,7 +11,7 @@ import (
 )
 
 // This file holds the streaming fold node: the component that accepts
-// contributions for an ordered roster of positions, folds them
+// contributions for an ordered run of positions, folds them
 // incrementally as the resolution frontier advances, and produces the
 // collective sum. The collective (tree.go) composes one per tier node —
 // the flat collective is the topology with a single node — which is what
@@ -117,10 +117,10 @@ type levelSlot struct {
 // state is guarded by mu (the per-collective fold lock); the status array
 // is the atomic publish point between stagers and the drain path.
 type foldNode struct {
-	// Immutable after arm(): the roster in ascending id order and the
-	// id → rank index.
-	order []int
-	pos   map[int]int
+	// ids names a leaf's positions (its block of roster ids, ascending) in
+	// a length failure; a tier above the leaves has none, and its
+	// positions are child ranks. Immutable after arm.
+	ids []int
 
 	// status[p] is written by stagers and evictions (atomic release) and
 	// read by the fold path (atomic acquire); staged[p] is published by
@@ -132,9 +132,9 @@ type foldNode struct {
 	staged   [][]float64
 	ownedPtr []*[]float64
 
-	// weights[p] scales position p's contribution count toward the mean
-	// divisor (nil ⇒ every contribution weighs 1). Tree tiers stage child
-	// partials whose weight is the child's own contributor count.
+	// weights[p] is position p's contribution count toward the mean
+	// divisor: 1 for a member, the child's own contributor count for a
+	// partial staged into a tier above the leaves.
 	weights []int
 
 	mu       sync.Mutex
@@ -142,7 +142,6 @@ type foldNode struct {
 	folded   int // weighted contribution count (the mean divisor)
 	sumLen   int
 	lenFail  error
-	strays   map[int]strayEntry
 
 	// Binary-counter state: rank is the number of roster positions
 	// consumed; levels[k] the pending 2^k-subtree sum.
@@ -163,14 +162,9 @@ type foldNode struct {
 	result []float64
 }
 
-type strayEntry struct {
-	buf    *[]float64
-	weight int
-}
-
 // newFoldNode constructs a node with its persistent parallel kernels.
 func newFoldNode() *foldNode {
-	f := &foldNode{pos: map[int]int{}, sumLen: -1}
+	f := &foldNode{sumLen: -1}
 	f.planFn = func(lo, hi int) {
 		// The whole plan on one grain before the next: a destination stays
 		// in L1 from the op that writes it to the op that adds it on.
@@ -195,61 +189,33 @@ func newFoldNode() *foldNode {
 	return f
 }
 
-// arm readies the node for a new collective over ids, the ascending slice
-// of roster ids it covers (a leaf's rank block; the whole roster for the
-// flat collective). ids is copied, so the caller may reuse it.
-func (f *foldNode) arm(ids []int) {
-	f.order = append(f.order[:0], ids...)
-	for p, id := range f.order {
-		f.pos[id] = p
-	}
-	f.armSlots(len(ids))
-	f.weights = nil
-}
-
-// armRanks is arm for a roster that is already the dense rank sequence
-// 0..n-1 (the tiers above the leaves), with per-rank weights: a child's
-// partial counts its own contributor total toward the mean divisor.
-func (f *foldNode) armRanks(n int) {
-	f.order = f.order[:0]
-	for id := 0; id < n; id++ {
-		f.order = append(f.order, id)
-		f.pos[id] = id
-	}
-	f.armSlots(n)
-	if cap(f.weights) >= n {
-		f.weights = f.weights[:n]
-	} else {
-		f.weights = make([]int, n)
-	}
-	for i := range f.weights {
-		f.weights[i] = 1
-	}
-}
-
-// armSlots sizes the per-position arrays for n pending positions,
-// recycling their storage across collectives.
-func (f *foldNode) armSlots(n int) {
+// arm readies the node for a new collective over n positions, each
+// weighing 1 until staged otherwise. ids, copied so the caller may reuse
+// it, names a leaf's positions; a tier above the leaves passes nil.
+func (f *foldNode) arm(n int, ids []int) {
+	f.ids = append(f.ids[:0], ids...)
 	if cap(f.status) >= n {
 		f.status = f.status[:n]
 		f.staged = f.staged[:n]
 		f.ownedPtr = f.ownedPtr[:n]
+		f.weights = f.weights[:n]
 	} else {
 		f.status = make([]atomic.Uint32, n)
 		f.staged = make([][]float64, n)
 		f.ownedPtr = make([]*[]float64, n)
+		f.weights = make([]int, n)
 	}
 	for i := range f.status {
 		f.status[i].Store(posPending)
 		f.staged[i] = nil
 		f.ownedPtr[i] = nil
+		f.weights[i] = 1
 	}
 }
 
 // reset clears per-collective fold state (called from arm sites and
 // recycling). Caller must ensure no waiter still references the node.
 func (f *foldNode) reset() {
-	clear(f.pos)
 	f.frontier, f.folded, f.rank = 0, 0, 0
 	f.sumLen = -1
 	f.lenFail = nil
@@ -258,52 +224,23 @@ func (f *foldNode) reset() {
 	f.releaseStagedLocked()
 }
 
-// stage publishes the contribution (or, when not contributing, the skip)
-// of roster member id and opportunistically drains. Returns the caller's
-// detach position, -1 when nothing was reference-staged.
-func (f *foldNode) stage(id int, values []float64, contributing bool) int {
-	p := f.pos[id]
-	if !contributing {
+// stage publishes position p's contribution — values, counting weight
+// toward the mean divisor — or, with values nil, its resolution without
+// one (an abstention, a non-participant, an empty child), and
+// opportunistically drains. A non-nil own is the pooled buffer behind
+// values, and the node takes it over. Returns the caller's detach
+// position, -1 when nothing was reference-staged.
+func (f *foldNode) stage(p int, values []float64, own *[]float64, weight int) int {
+	if values == nil || weight <= 0 {
 		f.status[p].Store(posSkip)
 		f.tryDrain()
 		return -1
 	}
-	f.staged[p] = values
+	f.weights[p] = weight
+	f.staged[p], f.ownedPtr[p] = values, own
 	f.status[p].Store(posStaged)
 	f.tryDrain()
 	return p
-}
-
-// stageWeighted stages a tree-tier partial: the contribution counts
-// weight toward the mean divisor. A non-nil own is the pooled buffer behind
-// values, and the node takes it over. Caller must have armed with weights.
-func (f *foldNode) stageWeighted(rank int, values []float64, own *[]float64, weight int) int {
-	if values == nil || weight <= 0 {
-		f.status[rank].Store(posSkip)
-		f.tryDrain()
-		return -1
-	}
-	f.weights[rank] = weight
-	f.staged[rank], f.ownedPtr[rank] = values, own
-	f.status[rank].Store(posStaged)
-	f.tryDrain()
-	return rank
-}
-
-// addStray records a contribution from an id that is not a pending member
-// (readmitted mid-round, or a participant excluded from SetRoster). Its id
-// can interleave anywhere in the fold order, so its presence forces a full
-// ordered refold at completion. Strays are rare: copy eagerly rather than
-// wiring them into the detach path.
-func (f *foldNode) addStray(id int, values []float64, weight int) {
-	buf := codec.GetVals(len(values))
-	copy(*buf, values)
-	f.mu.Lock()
-	if f.strays == nil {
-		f.strays = map[int]strayEntry{}
-	}
-	f.strays[id] = strayEntry{buf: buf, weight: weight}
-	f.mu.Unlock()
 }
 
 // tryDrain folds whatever the frontier allows if the fold lock is free;
@@ -318,16 +255,15 @@ func (f *foldNode) tryDrain() {
 
 // drainLocked advances the frontier over resolved positions, consuming
 // each rank into the binary counter in ascending order. With final set
-// (completion), positions that never resolved — possible when stray
-// submissions filled the quorum — consume their rank as the identity,
-// matching the contributors-only mean. Caller holds mu.
+// (completion, once every position resolved) it takes the whole remainder
+// in one pass. Caller holds mu.
 func (f *foldNode) drainLocked(final bool) {
 	for {
 		fr := f.frontier
 		contribs := 0
-		for fr < len(f.order) {
+		for fr < len(f.status) {
 			st := f.status[fr].Load()
-			if st == posPending && !final {
+			if st == posPending {
 				break
 			}
 			if st == posStaged {
@@ -360,7 +296,7 @@ func (f *foldNode) drainLocked(final bool) {
 func (f *foldNode) advanceSkipsLocked(limit int) bool {
 	advanced := false
 	for f.frontier < limit && f.status[f.frontier].Load() == posSkip {
-		f.insertLocked(nil, -1, 0, 0)
+		f.insertLocked(-1)
 		f.frontier++
 		advanced = true
 	}
@@ -372,42 +308,42 @@ func (f *foldNode) advanceSkipsLocked(limit int) bool {
 func (f *foldNode) consumeRunLocked(fr int) {
 	for p := f.frontier; p < fr; p++ {
 		if f.status[p].Load() == posStaged {
-			w := 1
-			if f.weights != nil {
-				w = f.weights[p]
-			}
-			f.insertLocked(f.staged[p], p, w, f.order[p])
+			f.insertLocked(p)
 		} else {
-			f.insertLocked(nil, -1, 0, 0)
+			f.insertLocked(-1)
 		}
 	}
 	f.frontier = fr
 }
 
-// insertLocked consumes one rank: vec == nil is the ⊥ identity (the rank
-// still advances the counter — alignment is rank-based). The trailing-one
-// chain of the old rank index determines which pending subtrees merge.
-// Caller holds mu.
-func (f *foldNode) insertLocked(vec []float64, aliasPos, weight, id int) {
+// insertLocked consumes one rank: the contribution staged at position p,
+// or with p < 0 the ⊥ identity (the rank still advances the counter —
+// alignment is rank-based). The trailing-one chain of the old rank index
+// determines which pending subtrees merge. Caller holds mu.
+func (f *foldNode) insertLocked(p int) {
 	r := f.rank
 	f.rank++
 	cur := levelSlot{alias: -1}
-	if vec != nil && f.lenFail == nil {
+	if p >= 0 && f.lenFail == nil {
+		vec := f.staged[p]
 		if f.sumLen < 0 {
 			f.sumLen = len(vec)
 		}
 		if len(vec) != f.sumLen {
+			id := p
+			if p < len(f.ids) {
+				id = f.ids[p]
+			}
 			f.lenFail = fmt.Errorf("fl: client %d submitted %d values, others %d", id, len(vec), f.sumLen)
 		} else {
-			cur = levelSlot{vec: vec, alias: aliasPos}
-			if f.weights != nil && aliasPos >= 0 && f.ownedPtr[aliasPos] != nil {
-				// A tier above the leaves never refolds (strays need the
-				// spanning leaf), so a staged buffer it owns moves into the
-				// counter and merges accumulate into it in place.
-				cur = levelSlot{vec: vec, owned: f.ownedPtr[aliasPos], alias: -1}
-				f.staged[aliasPos], f.ownedPtr[aliasPos] = nil, nil
+			cur = levelSlot{vec: vec, alias: p}
+			if own := f.ownedPtr[p]; own != nil {
+				// A staged buffer the node owns moves into the counter, and
+				// merges accumulate into it in place.
+				cur = levelSlot{vec: vec, owned: own, alias: -1}
+				f.staged[p], f.ownedPtr[p] = nil, nil
 			}
-			f.folded += weight
+			f.folded += f.weights[p]
 		}
 	}
 	k := 0
@@ -556,71 +492,21 @@ func (f *foldNode) scaleResultLocked(weight int) {
 	par.ParallelizeGrain(f.sumLen, foldGrain, f.scaleFn)
 }
 
-// refoldLocked recomputes the fold from scratch over every retained
-// contribution — roster positions and strays together, ascending by id —
-// restoring the canonical rank order over the combined contributor list
-// when stray ids would otherwise have interleaved below the already-
-// consumed frontier. With strays present the rank structure is the dense
-// index over the combined ascending contributors (single-leaf topologies
-// only; aligned-block trees reject strays). Caller holds mu.
-func (f *foldNode) refoldLocked() {
-	// Drop counter state; owned buffers become spares for the replay.
-	for i := range f.levels {
-		if f.levels[i].owned != nil {
-			f.spare = append(f.spare, f.levels[i].owned)
-		}
-		f.levels[i] = levelSlot{alias: -1}
-	}
-	f.levels = f.levels[:0]
-	f.dropPlan()
-	f.rank, f.folded = 0, 0
-	f.sumLen = -1
-	f.lenFail = nil
-
-	ids := make([]int, 0, len(f.order)+len(f.strays))
-	vecs := make(map[int][]float64, len(f.order)+len(f.strays))
-	ws := make(map[int]int, len(f.strays))
-	for p, id := range f.order {
-		if f.status[p].Load() == posStaged {
-			ids = append(ids, id)
-			vecs[id] = f.staged[p]
-			if f.weights != nil {
-				ws[id] = f.weights[p]
-			} else {
-				ws[id] = 1
-			}
-		}
-	}
-	for id, s := range f.strays {
-		ids = append(ids, id)
-		vecs[id] = *s.buf
-		ws[id] = s.weight
-	}
-	sortInts(ids)
-	for _, id := range ids {
-		f.insertLocked(vecs[id], -1, ws[id], id)
-	}
-	f.execPlanLocked()
-}
-
 // complete drains the remaining work and produces the collective result
 // (the raw canonical sum, or the mean when scaleMean is set) plus the
 // weighted contributor count, or the deterministic length-mismatch
 // failure. res is a pooled buffer and the caller's from here on: a parent
-// node takes it over (stageWeighted), a relay returns it once forwarded, and
+// node takes it over (stage), a relay returns it once forwarded, and
 // the root's published mean stays with its collective, which returns it when
 // every reader was counted (Hold) and leaves it to the collector otherwise.
 // It releases every staged reference before returning — caller
-// slices go back to their owners, pooled copies and strays to the pool —
+// slices go back to their owners, pooled copies to the pool —
 // so a post-completion detach sees nil and does nothing. It must run on
 // exactly one goroutine per collective (the owner's finished flag).
 func (f *foldNode) complete(scaleMean bool) (res *[]float64, weight int, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.drainLocked(true)
-	if len(f.strays) > 0 {
-		f.refoldLocked()
-	}
 	if f.lenFail != nil {
 		err = f.lenFail
 	} else {
@@ -643,10 +529,6 @@ func (f *foldNode) releaseStagedLocked() {
 		f.ownedPtr[p] = nil
 		f.staged[p] = nil
 	}
-	for id, s := range f.strays {
-		codec.PutVals(s.buf)
-		delete(f.strays, id)
-	}
 	for i := range f.levels {
 		codec.PutVals(f.levels[i].owned)
 		f.levels[i] = levelSlot{alias: -1}
@@ -662,7 +544,7 @@ func (f *foldNode) releaseStagedLocked() {
 // detach replaces a reference-staged contribution with a pooled copy: the
 // abandoning caller may legally reuse its slice the moment its wait
 // returns, while the barrier is still open. The copy substitutes both in
-// the staged slot (the refold path) and in any counter level that still
+// the staged slot and in any counter level that still
 // aliases the caller's slice. After completion the staged slot is nil and
 // the slice is no longer needed.
 func (f *foldNode) detach(p int) {
@@ -682,10 +564,8 @@ func (f *foldNode) detach(p int) {
 	f.mu.Unlock()
 }
 
-// skip resolves an id's position without a contribution (eviction path).
-// Safe to call from bookkeeping code; the next drain consumes the rank.
-func (f *foldNode) skip(id int) {
-	if p, ok := f.pos[id]; ok {
-		f.status[p].Store(posSkip)
-	}
+// skip resolves position p without a contribution (eviction path). Safe
+// to call from bookkeeping code; the next drain consumes the rank.
+func (f *foldNode) skip(p int) {
+	f.status[p].Store(posSkip)
 }

@@ -44,11 +44,7 @@ func TestFusedPlanKeepsGrouping(t *testing.T) {
 		defer func(prev bool) { fusePairAdd = prev }(fusePairAdd)
 		fusePairAdd = fuse
 		f := newFoldNode()
-		ids := make([]int, n)
-		for r := range ids {
-			ids[r] = 10 + 3*r
-		}
-		f.arm(ids)
+		f.arm(n, nil)
 		for k := 0; k < n; k++ {
 			r := k
 			if reverse {
@@ -56,11 +52,11 @@ func TestFusedPlanKeepsGrouping(t *testing.T) {
 			}
 			switch {
 			case !skip[r]:
-				f.stage(ids[r], vecFor(r), true)
+				f.stage(r, vecFor(r), nil, 1)
 			case r%2 == 1:
-				f.stage(ids[r], nil, false)
+				f.stage(r, nil, nil, 1)
 			default:
-				f.skip(ids[r])
+				f.skip(r)
 			}
 		}
 		res, weight, err := f.complete(false)

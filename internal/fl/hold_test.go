@@ -126,16 +126,16 @@ func TestHoldReturnsTheResultBuffer(t *testing.T) {
 // and spare lists either, which on a recycled node would pin callers' slices
 // and buffers already back in the pool past every collection.
 func TestReleasedFoldNodeReferencesNothing(t *testing.T) {
+	const n = 8
 	f := newFoldNode()
-	ids := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	f.arm(ids)
-	for _, id := range ids {
+	f.arm(n, nil)
+	for p := 0; p < n; p++ {
 		vec := make([]float64, 100)
-		vec[0] = float64(id)
-		f.stage(id, vec, true)
+		vec[0] = float64(p)
+		f.stage(p, vec, nil, 1)
 	}
 	res, weight, err := f.complete(false)
-	if err != nil || weight != len(ids) || (*res)[0] != 28 {
+	if err != nil || weight != n || (*res)[0] != 28 {
 		t.Fatalf("fold: %v, weight %d, %v", err, weight, (*res)[0])
 	}
 	if cap(f.plan) == 0 || cap(f.spare) == 0 {

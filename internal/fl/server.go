@@ -31,37 +31,29 @@ func (e *EvictedError) Error() string {
 // Unwrap makes errors.Is(err, ErrEvicted) hold.
 func (e *EvictedError) Unwrap() error { return ErrEvicted }
 
+// ErrNotMember refuses a submission from an id the collective is not
+// waiting for: one outside its roster, or one resolved by an eviction and
+// readmitted since. Match with errors.Is.
+var ErrNotMember = errors.New("not a pending member of the collective")
+
 // Server is the flat collective: the Tree (tree.go, where the barrier state
 // machine is documented) whose single leaf spans the whole roster. It is
 // the same type — every setter and getter of one is available on the other
-// — and the only things the flat topology has to itself are the implied
-// roster {0..n-1}, stray contributions (one spanning leaf can refold them
-// in id order; aligned blocks cannot rank them) and the buffered-async
-// discipline of server_async.go, which bypasses barriers altogether.
+// — and the only thing the flat topology has to itself is the
+// buffered-async discipline of server_async.go, which bypasses barriers
+// altogether.
 type Server = Tree
 
-// NewServer constructs the flat collective expecting submissions from
-// clients {0..numClients-1} per barrier, until SetRoster declares another
-// roster.
+// NewServer constructs the flat collective with the roster
+// {0..numClients-1}, until SetRoster declares another.
 func NewServer(numClients int) *Server {
 	s := newTree(0)
-	s.SetNumClients(numClients)
-	return s
-}
-
-// SetNumClients declares the implied roster {0..n-1}, used when clients
-// join or leave between rounds. Unlike SetRoster it keeps evicted ids in
-// their rank slots (resolved as skips at every barrier), so Readmit takes
-// effect at the next collective without a roster call. It must not be
-// called while a round's collectives are in flight.
-func (t *Tree) SetNumClients(n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.roster = t.roster[:0]
-	for id := 0; id < n; id++ {
-		t.roster = append(t.roster, id)
+	ids := make([]int, numClients)
+	for i := range ids {
+		ids[i] = i
 	}
-	t.rankRosterLocked()
+	s.SetRoster(ids)
+	return s
 }
 
 func sortInts(a []int) {

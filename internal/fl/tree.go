@@ -14,11 +14,14 @@ import (
 // collective (model-average or error-average, per round) is a barrier:
 // every roster member must resolve (submit, abstain, or be evicted) before
 // any waiter receives the element-wise mean over the contributing
-// participants. There is ONE barrier state machine, built over tiers of
-// fold nodes (fold.go); the topology decides everything else:
+// participants. Only a pending member may submit: any other id — outside
+// the roster, or resolved by an eviction and readmitted since — is refused
+// with ErrNotMember, on every topology. There is ONE barrier state
+// machine, built over tiers of fold nodes (fold.go); the topology decides
+// everything else:
 //
 //   - NewServer(n), the flat collective, is the topology with a single leaf
-//     spanning the whole roster, implied as {0..n-1} until SetRoster.
+//     spanning the whole roster, {0..n-1} until SetRoster declares another.
 //   - NewTree(f) cuts the roster into ALIGNED blocks of f ranks (f rounded
 //     up to a power of two), one leaf aggregator per block. Each leaf folds
 //     its block locally and forwards ONE partial — (canonical sum,
@@ -67,14 +70,10 @@ import (
 //
 // # What the topology enables
 //
-// Stray contributions (ids that are not pending members: outside the
-// roster, or readmitted mid-round) fold only into a single spanning leaf,
-// which can refold everything in id order at completion; an aligned-block
-// tree cannot rank a stray and rejects it. Remote partials
-// (AggregatePartial) need a parent tier to stage into, hence two tiers or
-// more. The implied roster belongs to NewServer. Buffered-async mode
-// (SetAsync, server_async.go) bypasses the barrier entirely; the mode table
-// (modes.go) says which topologies offer it.
+// Remote partials (AggregatePartial) need a parent tier to stage into,
+// hence two tiers or more. Buffered-async mode (SetAsync, server_async.go)
+// bypasses the barrier entirely; the mode table (modes.go) says which
+// topologies offer it.
 type Tree struct {
 	mu sync.Mutex
 
@@ -282,11 +281,6 @@ func (t *Tree) SetRoster(ids []int) {
 		}
 	}
 	sortInts(t.roster)
-	t.rankRosterLocked()
-}
-
-// rankRosterLocked rebuilds the id → rank index. Caller holds t.mu.
-func (t *Tree) rankRosterLocked() {
 	clear(t.pos)
 	for p, id := range t.roster {
 		t.pos[id] = p
@@ -295,12 +289,13 @@ func (t *Tree) rankRosterLocked() {
 
 // Readmit clears a client's evicted status (a rejoin after reconnecting).
 // It does NOT edit the roster: an id SetRoster dropped re-enters at the
-// next SetRoster that lists it, and one that still holds a rank slot (the
-// implied roster, or an eviction since the last SetRoster) is expected
-// again from the next collective armed. Injecting the id straight into the
-// active roster would make later barriers of the in-flight session require
-// a submission from a client the caller's roster never listed, which
-// ghost-blocks the barrier when that client makes no further calls.
+// next SetRoster that lists it, and one that still holds a rank slot (an
+// eviction since the last SetRoster) is expected again from the next
+// collective armed; the collectives it was evicted from refuse it.
+// Injecting the id straight into the active roster would make later
+// barriers of the in-flight session require a submission from a client the
+// caller's roster never listed, which ghost-blocks the barrier when that
+// client makes no further calls.
 func (t *Tree) Readmit(clientID int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -471,13 +466,13 @@ func (t *Tree) colLocked(key opKey) (*treeCol, []*tierNode) {
 	for l := 0; l < width; l++ {
 		lo := l * span
 		hi := min(lo+span, n)
-		t.addNodeLocked(c, 0, hi-lo).fold.arm(t.roster[lo:hi])
+		t.addNodeLocked(c, 0, hi-lo).fold.arm(hi-lo, t.roster[lo:hi])
 	}
 	for tier := 1; width > 1; tier++ {
 		parents := (width + span - 1) / span
 		for i := 0; i < parents; i++ {
 			children := min((i+1)*span, width) - i*span
-			t.addNodeLocked(c, tier, children).fold.armRanks(children)
+			t.addNodeLocked(c, tier, children).fold.arm(children, nil)
 		}
 		width = parents
 	}
@@ -541,12 +536,14 @@ func (t *Tree) recycleColLocked(c *treeCol) {
 	t.colFree = append(t.colFree, c)
 }
 
-// leafLocked maps a roster rank to its leaf node. Caller holds t.mu.
-func (t *Tree) leafLocked(c *treeCol, rank int) *tierNode {
+// leafLocked maps a roster member to its leaf node and its position in
+// that leaf's fold. Caller holds t.mu.
+func (t *Tree) leafLocked(c *treeCol, id int) (*tierNode, int) {
+	rank := t.pos[id]
 	if t.fanout == 0 {
-		return c.tiers[0][0]
+		return c.tiers[0][0], rank
 	}
-	return c.tiers[0][rank/t.fanout]
+	return c.tiers[0][rank/t.fanout], rank % t.fanout
 }
 
 func (t *Tree) aggregate(ctx context.Context, clientID, round int, kind string, values []float64) ([]float64, error) {
@@ -572,43 +569,34 @@ func (t *Tree) aggregate(ctx context.Context, clientID, round int, kind string, 
 		// in the barrier; just wait for (or return) the result.
 		return t.wait(ctx, c, nil, -1)
 	}
-	// A member is a roster id this collective still waits for. Anything
-	// else — outside the roster, or resolved by an eviction and readmitted
-	// since — is a stray: it still counts toward the mean, but only a
-	// single spanning leaf can place it.
-	member := c.pending[clientID]
-	if !member && t.fanout != 0 {
+	// Only a roster id this collective still waits for may submit; its
+	// leaf is then still open.
+	if !c.pending[clientID] {
 		t.mu.Unlock()
 		t.cascade(ready)
-		return nil, fmt.Errorf("fl: client %d is not a pending member of the tree roster (stray contributions need the flat collective)", clientID)
+		return nil, fmt.Errorf("fl: client %d in %s collective of round %d: %w", clientID, kind, round, ErrNotMember)
 	}
 	c.submitted[clientID] = true
 	delete(c.pending, clientID)
-	contributing := values != nil && t.participants[clientID]
-	leaf := t.leafLocked(c, t.pos[clientID])
-	closed := leaf.done
+	if !t.participants[clientID] {
+		values = nil
+	}
+	leaf, p := t.leafLocked(c, clientID)
 	t.mu.Unlock()
 
-	detach := -1
+	// O(model) work — staging and any opportunistic fold — happens here,
+	// outside t.mu. A contribution is staged by reference: the submitting
+	// caller stays blocked until the barrier closes, so its slice is stable
+	// for the fold's lifetime, and an abandoned wait detaches a copy first
+	// (see wait).
+	detach := leaf.fold.stage(p, values, nil, 1)
 	var closing *tierNode
-	if !closed {
-		// O(model) work — staging and any opportunistic fold — happens
-		// here, outside t.mu. Member contributions are staged by reference:
-		// the submitting caller stays blocked until the barrier closes, so
-		// its slice is stable for the fold's lifetime, and an abandoned wait
-		// detaches a copy first (see wait).
-		if member {
-			detach = leaf.fold.stage(clientID, values, contributing)
-		} else if contributing {
-			leaf.fold.addStray(clientID, values, 1)
-		}
-		t.mu.Lock()
-		leaf.subs++
-		if t.nodeReadyLocked(leaf) {
-			closing = leaf
-		}
-		t.mu.Unlock()
+	t.mu.Lock()
+	leaf.subs++
+	if t.nodeReadyLocked(leaf) {
+		closing = leaf
 	}
+	t.mu.Unlock()
 	t.cascade(ready)
 	t.climb(closing)
 	return t.wait(ctx, c, leaf, detach)
@@ -675,7 +663,7 @@ func (t *Tree) completeNode(node *tierNode) *tierNode {
 		node.failure = err
 	}
 	forwarded := res != nil // an error or an empty node returns no sum
-	parent.fold.stageWeighted(node.index%span, vals(res), res, weight)
+	parent.fold.stage(node.index%span, vals(res), res, weight)
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -821,8 +809,8 @@ func (t *Tree) evictLocked(clientID int, ready []*tierNode) []*tierNode {
 // ready if that was its last input). Caller holds t.mu.
 func (t *Tree) resolveLocked(c *treeCol, id int, ready []*tierNode) []*tierNode {
 	delete(c.pending, id)
-	leaf := t.leafLocked(c, t.pos[id])
-	leaf.fold.skip(id)
+	leaf, p := t.leafLocked(c, id)
+	leaf.fold.skip(p)
 	leaf.subs++
 	if t.nodeReadyLocked(leaf) {
 		ready = append(ready, leaf)

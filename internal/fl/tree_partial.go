@@ -84,7 +84,7 @@ func (t *Tree) AggregatePartialCtx(ctx context.Context, round int, kind string, 
 	c, ready := t.colLocked(opKey{round: round, kind: kind})
 	c.holders.Add(1)
 	defer c.holders.Add(-1)
-	leaf := t.leafLocked(c, rankLo)
+	leaf, _ := t.leafLocked(c, t.roster[rankLo])
 	var err error
 	switch {
 	case leaf.done && leaf.remote && t.idempotent:
@@ -128,7 +128,7 @@ func (t *Tree) AggregatePartialCtx(ctx context.Context, round int, kind string, 
 	// wait until the collective closes, exactly the Aggregate ownership
 	// contract, so the caller's buffer is recyclable on return. An
 	// abandoned wait detaches it from the parent fold first.
-	detach := parent.fold.stageWeighted(leaf.index%t.fanout, sum, nil, weight)
+	detach := parent.fold.stage(leaf.index%t.fanout, sum, nil, weight)
 	t.mu.Lock()
 	parent.subs++
 	var closing *tierNode

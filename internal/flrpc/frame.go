@@ -80,8 +80,8 @@ func kindByte(kind string) byte {
 }
 
 // Sentinel errors an application-level failure carries across the wire as
-// its status byte. Match with errors.Is; all are terminal for the client's
-// retry loop.
+// its status byte, as does fl.ErrNotMember. Match with errors.Is; all are
+// terminal for the client's retry loop.
 var (
 	// ErrEvicted aliases fl.ErrEvicted: the coordinator evicted this client
 	// after a missed collective deadline.
@@ -109,6 +109,7 @@ const (
 	statusMalformed
 	statusSessionFull
 	statusVersion
+	statusNotMember
 	numStatus
 )
 
@@ -116,6 +117,7 @@ var statusErrs = [numStatus]error{
 	statusEvicted: ErrEvicted, statusStale: ErrStaleRound, statusUnknownClient: ErrUnknownClient,
 	statusUnknownKind: ErrUnknownKind, statusMalformed: ErrMalformed,
 	statusSessionFull: ErrSessionFull, statusVersion: ErrVersion,
+	statusNotMember: fl.ErrNotMember,
 }
 
 func statusOf(err error) byte {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"fedsu/internal/fl"
 	"fedsu/internal/sparse"
 	"fedsu/internal/sparse/codec"
 )
@@ -309,6 +310,53 @@ func TestTypedErrorsEndToEnd(t *testing.T) {
 	}
 	if n := a.Counters().Get("retries") + b.Counters().Get("retries"); n != 0 {
 		t.Errorf("%d retries; application errors are terminal", n)
+	}
+}
+
+// TestLateJoinerRefused: a client that joins after its round opened is not
+// a member of that round's collectives. Its upload is refused with
+// fl.ErrNotMember, carried by the status byte; the members' barrier still
+// waits for both of them and averages their uploads alone.
+func TestLateJoinerRefused(t *testing.T) {
+	coord, addr := startCoordinatorWith(t, Config{NumClients: 3, ModelSize: 1})
+	var members [2]*Client
+	for i := range members {
+		c, err := Dial(addr, "member")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		members[i] = c
+	}
+	a, b := members[0], members[1]
+	type result struct {
+		v   []float64
+		err error
+	}
+	first := make(chan result, 1)
+	go func() {
+		v, err := a.AggregateModel(a.ClientID(), 0, []float64{2})
+		first <- result{v, err}
+	}()
+	awaitWaiting(t, coord, 1) // round 0 is open over {a, b}
+
+	late, err := Dial(addr, "late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Close()
+	if v, err := late.AggregateModel(late.ClientID(), 0, []float64{100}); !errors.Is(err, fl.ErrNotMember) {
+		t.Fatalf("late joiner's upload: %v, %v; want fl.ErrNotMember", v, err)
+	}
+	vb, err := b.AggregateModel(b.ClientID(), 0, []float64{4})
+	ra := <-first
+	for _, r := range []result{ra, {vb, err}} {
+		if r.err != nil || len(r.v) != 1 || r.v[0] != 3 {
+			t.Fatalf("member got %v, %v; want [3], the mean of the members' uploads", r.v, r.err)
+		}
+	}
+	if n := late.Counters().Get("retries"); n != 0 {
+		t.Errorf("%d retries; a refusal is terminal", n)
 	}
 }
 

@@ -76,21 +76,13 @@ func (w *Wire) FullRef(n int) int {
 	return w.DenseBytes(n) + HeaderBytes + w.Chain.Reply().DensePayloadSize(n)
 }
 
-// RoundTrip is the wire image of values under this wire's chain: what a
-// receiver observes after one encode→decode trip. With a nil chain the
-// image is the identity here — the legacy float32 rounding is applied by
-// the transport itself (QuantizeWire), not by the strategy layer.
-func (w *Wire) RoundTrip(values []float64) []float64 {
-	if w.Chain == nil {
-		return values
-	}
-	return w.Chain.RoundTrip(values)
-}
-
-// Image is RoundTrip without charging the chain's per-stage counters:
-// strategies probe the wire image of a pending submission (to carry its
-// loss forward as an error-feedback residual) without it registering as
-// wire traffic.
+// Image is the wire image of values under this wire's chain: what a
+// receiver observes after one encode→decode trip, computed without charging
+// the chain's per-stage counters. Strategies probe the image of a pending
+// submission (to carry its loss forward as an error-feedback residual)
+// without it registering as wire traffic. With a nil chain the image is the
+// identity here — the legacy float32 rounding is applied by the transport
+// itself (QuantizeWire), not by the strategy layer.
 func (w *Wire) Image(values []float64) []float64 {
 	if w.Chain == nil {
 		return values

@@ -79,7 +79,7 @@ func entropyShapes(tb testing.TB) []entropyShape {
 	// Statistics that drift from one 128-byte block to the next are the
 	// block model's worst case and get a budget of their own: the workload's
 	// captured error-collective payloads, 7 % of its bytes, measured
-	// ×1.08–1.16 (EXPERIMENTS.md "Chain hot path").
+	// ×1.08–1.16 (CHANGES.md, "Half the chain leg").
 	shapes = append(shapes, entropyShape{"q4-heavy-8k", enc(q4, updateVector(rng, 8283, true)), 1.08})
 	sparse := updateVector(rng, 131159, false)
 	for i := range sparse {
