@@ -12,7 +12,7 @@ GO ?= go
 FUZZTIME ?= 10s
 
 .PHONY: tier1 vet lint race fuzz verify tier1-f32 race-f32 verify-f32 \
-	bench-check bench-pair tier1-purego loc
+	bench-check bench-pair tier1-purego loc paper-smoke
 
 tier1:
 	$(GO) build ./...
@@ -139,6 +139,15 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 verify: tier1 tier1-purego vet lint race fuzz bench-check
+
+# The paper's record is deterministic: fedsu-bench -exp
+# all,async,popscale,compose runs twice at 2 rounds, and the two stdouts
+# (minus the wall-clock footers and Table II's self-timing block) and the
+# two -out directories must match (scripts/paper-smoke.sh). BIN=<binary>
+# checks a prebuilt fedsu-bench instead of the working tree's.
+BIN ?=
+paper-smoke:
+	bash scripts/paper-smoke.sh $(BIN)
 
 # Paired before/after run of the BENCHMARK.json benchmark (choosing-metrics
 # §8): PAIRS alternating pairs of BASE (unpacked with git archive under

@@ -42,30 +42,21 @@ func benchConfig() exp.Config {
 	return cfg
 }
 
-func BenchmarkFig1ParameterTrajectories(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Rounds = 10
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig1(context.Background(), cfg, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Trajectories) != 2 {
-			b.Fatal("expected trajectories for cnn and densenet121")
-		}
-	}
-}
-
-func BenchmarkFig2NormalizedDifference(b *testing.B) {
+// BenchmarkFig1And2 times the one driver of Figs. 1 and 2: two FedAvg
+// runs, sampled parameter trajectories and normalized differences.
+func BenchmarkFig1And2(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Rounds = 10
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig2(context.Background(), cfg)
+		res, err := exp.RunFig12(context.Background(), cfg, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
-		frac = res.FracBelow["cnn"]
+		if len(res.Workloads) != 2 {
+			b.Fatal("expected trajectories for cnn and densenet121")
+		}
+		frac = res.Workloads[0].FracBelow
 	}
 	b.ReportMetric(frac, "frac-below-0.05")
 }
@@ -79,8 +70,8 @@ func BenchmarkTable1TimeToAccuracy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fedsuT, _, _ = res.Runs["cnn"]["fedsu"].TimeToAccuracy(0.30)
-		fedavgT, _, _ = res.Runs["cnn"]["fedavg"].TimeToAccuracy(0.30)
+		fedsuT, _, _ = res.Lookup("cnn", "fedsu").TimeToAccuracy(0.30)
+		fedavgT, _, _ = res.Lookup("cnn", "fedavg").TimeToAccuracy(0.30)
 	}
 	b.ReportMetric(fedsuT, "fedsu-s-to-acc")
 	b.ReportMetric(fedavgT, "fedavg-s-to-acc")
@@ -130,7 +121,7 @@ func BenchmarkFig7LinearShare(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		share = res.ShareLinearMajority["cnn"]
+		share = res.ShareLinearMajority[0]
 	}
 	b.ReportMetric(100*share, "linear-majority-%")
 }
@@ -145,8 +136,8 @@ func BenchmarkFig8Ablation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fullAcc = res.FinalAccuracy["cnn"]["fedsu"]
-		v2Acc = res.FinalAccuracy["cnn"]["fedsu-v2"]
+		fullAcc = res.Lookup("cnn", "fedsu").FinalAccuracy()
+		v2Acc = res.Lookup("cnn", "fedsu-v2").FinalAccuracy()
 	}
 	b.ReportMetric(fullAcc, "fedsu-final-acc")
 	b.ReportMetric(v2Acc, "v2-final-acc")

@@ -1,6 +1,8 @@
 // Command fedsu-bench regenerates the paper's tables and figures on the
-// emulated cluster. Each experiment prints the paper-style rows/series and
-// optionally writes CSVs for plotting.
+// emulated cluster. Every experiment's result is one exp.Report, rendered
+// the same way: its tables on stdout, then its figures, each plotted on
+// stdout when titled and written as a CSV under -out (plot the CSVs with
+// fedsu-plot).
 //
 // Usage:
 //
@@ -10,15 +12,21 @@
 //
 // The experiment ids are the rows of the experiments table below; "all" is
 // the paper's own figure set, which leaves out async, popscale and compose.
-// Every id is checked before the first experiment runs.
+// Every id is checked before the first experiment runs. Ids that share a
+// driver share its output: fig1, fig2 and fig1+fig2 train the same two
+// FedAvg runs and print both figures, as table1, fig5 and table1+fig5 do
+// for Table I and Fig. 5. "all" runs each shared driver once.
 //
 // Grid experiments (table1/fig5, fig7, fig8, fig9/fig10, async, popscale,
 // compose) fan their independent runs across -parallel slots sharing one
 // dataset/partition cache; results are bit-identical to -parallel 1 at any
-// slot count (the contract of internal/exp's Harness).
+// slot count (the contract of internal/exp's Harness), and every table row
+// and figure series follows grid order, so two invocations print the same
+// document.
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -71,16 +79,17 @@ type experiment struct {
 
 // experiments is the one table of -exp ids, in the order "all" runs them.
 var experiments = []experiment{
-	{"fig1", true, runFig1, 0},
-	{"fig2", true, runFig2, 0},
+	{"fig1", false, runFig12, 0},
+	{"fig2", false, runFig12, 0},
+	{"fig1+fig2", true, runFig12, 0},
 	{"table1", false, runEndToEnd, 0},
 	{"fig5", false, runEndToEnd, 0},
 	{"table1+fig5", true, runEndToEnd, 0},
 	{"fig6", true, runFig6, 0},
 	{"fig7", true, runFig7, 0},
 	{"fig8", true, runFig8, 0},
-	{"fig9", true, runSweep(exp.RunFig9), 0},
-	{"fig10", true, runSweep(exp.RunFig10), 0},
+	{"fig9", true, runFig9, 0},
+	{"fig10", true, runFig10, 0},
 	{"table2", true, runTable2, 0},
 	{"async", false, runAsync, 0},
 	{"popscale", false, runPopScale, 0},
@@ -217,83 +226,53 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-func runFig1(ctx context.Context, cfg exp.Config, e env) error {
-	res, err := exp.RunFig1(ctx, cfg, 2)
+// render writes an experiment's report: its tables, then its figures,
+// each plotted when titled and written as a CSV under -out.
+func (e env) render(res interface{ Report() exp.Report }, err error) error {
 	if err != nil {
 		return err
 	}
-	for name, series := range res.Trajectories {
-		fmt.Fprintf(e.stdout, "Fig 1 (%s): parameter trajectories\n", name)
-		if err := trace.AsciiPlot(e.stdout, 72, 14, series...); err != nil {
+	rep := res.Report()
+	for i, t := range rep.Tables {
+		if i > 0 {
+			fmt.Fprintln(e.stdout)
+		}
+		if err := t.Render(e.stdout); err != nil {
 			return err
 		}
-		if err := writeCSV(e.outDir, "fig1_"+name+".csv", series...); err != nil {
+	}
+	for _, f := range rep.Figures {
+		if f.Title != "" {
+			fmt.Fprintf(e.stdout, "\n%s\n", f.Title)
+			if err := trace.AsciiPlot(e.stdout, 72, 14, f.Series...); err != nil {
+				return err
+			}
+		}
+		if e.outDir == "" || len(f.Series) == 0 {
+			continue
+		}
+		var csv bytes.Buffer
+		if err := trace.WriteCSVMulti(&csv, f.Series...); err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(e.outDir, f.File), csv.Bytes(), 0o666); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func runFig2(ctx context.Context, cfg exp.Config, e env) error {
-	res, err := exp.RunFig2(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	res.Report(e.stdout)
-	if res.Instantaneous != nil {
-		if err := trace.AsciiPlot(e.stdout, 72, 10, res.Instantaneous); err != nil {
-			return err
-		}
-		if err := writeCSV(e.outDir, "fig2_instantaneous.csv", res.Instantaneous); err != nil {
-			return err
-		}
-	}
-	for name, cdf := range res.CDFs {
-		if err := writeCSV(e.outDir, "fig2_cdf_"+name+".csv", cdf); err != nil {
-			return err
-		}
-	}
-	return nil
+func runFig12(ctx context.Context, cfg exp.Config, e env) error {
+	return e.render(exp.RunFig12(ctx, cfg, 2))
 }
 
 // runEndToEnd is Table I and Fig. 5: one grid, two renderings.
 func runEndToEnd(ctx context.Context, cfg exp.Config, e env) error {
-	ws := exp.Workloads()
-	res, err := exp.RunEndToEnd(ctx, e.h, cfg, ws, exp.Schemes())
-	if err != nil {
-		return err
-	}
-	if err := res.Report(e.stdout, ws); err != nil {
-		return err
-	}
-	for _, w := range ws {
-		acc, ratio := res.Fig5Series(w.Name)
-		fmt.Fprintf(e.stdout, "\nFig 5 (%s): time-to-accuracy\n", w.Name)
-		if err := trace.AsciiPlot(e.stdout, 72, 14, acc...); err != nil {
-			return err
-		}
-		if err := writeCSV(e.outDir, "fig5_acc_"+w.Name+".csv", acc...); err != nil {
-			return err
-		}
-		if err := writeCSV(e.outDir, "fig5_ratio_"+w.Name+".csv", ratio...); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.render(exp.RunEndToEnd(ctx, e.h, cfg, exp.Workloads(), exp.Schemes()))
 }
 
 func runFig6(ctx context.Context, cfg exp.Config, e env) error {
-	res, err := exp.RunFig6(ctx, cfg, exp.CNNWorkload())
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(e.stdout, "Fig 6 (%s, param %d): FedSU vs FedAvg trajectory\n", res.Workload, res.ParamIndex)
-	fmt.Fprintf(e.stdout, "  speculative periods start=%v end=%v\n", res.SpecStart, res.SpecEnd)
-	fmt.Fprintf(e.stdout, "  normalized approximation error: %.4f\n", res.ApproximationError())
-	if err := trace.AsciiPlot(e.stdout, 72, 14, res.FedSU, res.FedAvg); err != nil {
-		return err
-	}
-	return writeCSV(e.outDir, "fig6_"+res.Workload+".csv", res.FedSU, res.FedAvg)
+	return e.render(exp.RunFig6(ctx, cfg, exp.CNNWorkload()))
 }
 
 func runFig7(ctx context.Context, cfg exp.Config, e env) error {
@@ -301,49 +280,19 @@ func runFig7(ctx context.Context, cfg exp.Config, e env) error {
 	if e.light {
 		ws = e.sweepSet()
 	}
-	res, err := exp.RunFig7(ctx, e.h, cfg, ws)
-	if err != nil {
-		return err
-	}
-	res.Report(e.stdout)
-	for name, cdf := range res.CDFs {
-		if err := writeCSV(e.outDir, "fig7_cdf_"+name+".csv", cdf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.render(exp.RunFig7(ctx, e.h, cfg, ws))
 }
 
 func runFig8(ctx context.Context, cfg exp.Config, e env) error {
-	ws := e.sweepSet()
-	res, err := exp.RunFig8(ctx, e.h, cfg, ws)
-	if err != nil {
-		return err
-	}
-	res.Report(e.stdout)
-	for _, w := range ws {
-		var acc []*trace.Series
-		for _, v := range exp.Variants() {
-			acc = append(acc, res.Accuracy[w.Name][v])
-		}
-		if err := writeCSV(e.outDir, "fig8_acc_"+w.Name+".csv", acc...); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.render(exp.RunFig8(ctx, e.h, cfg, e.sweepSet()))
 }
 
-// runSweep is the runner of one sensitivity sweep (Fig. 9 or 10) over the
-// sweep set.
-func runSweep(sweep func(context.Context, exp.Harness, exp.Config, []exp.Workload) (*exp.SweepResult, error)) func(context.Context, exp.Config, env) error {
-	return func(ctx context.Context, cfg exp.Config, e env) error {
-		res, err := sweep(ctx, e.h, cfg, e.sweepSet())
-		if err != nil {
-			return err
-		}
-		res.Report(e.stdout)
-		return nil
-	}
+func runFig9(ctx context.Context, cfg exp.Config, e env) error {
+	return e.render(exp.RunFig9(ctx, e.h, cfg, e.sweepSet()))
+}
+
+func runFig10(ctx context.Context, cfg exp.Config, e env) error {
+	return e.render(exp.RunFig10(ctx, e.h, cfg, e.sweepSet()))
 }
 
 // runTable2 measures per-round overhead against the netem calibration's
@@ -353,44 +302,11 @@ func runTable2(ctx context.Context, cfg exp.Config, e env) error {
 	for _, w := range exp.Workloads() {
 		base[w.Name] = 1.2e-7 * float64(w.WireParams) * float64(cfg.LocalIters)
 	}
-	res, err := exp.RunTable2(ctx, cfg, exp.Workloads(), base)
-	if err != nil {
-		return err
-	}
-	res.Report(e.stdout)
-	return nil
+	return e.render(exp.RunTable2(ctx, cfg, exp.Workloads(), base))
 }
 
 func runAsync(ctx context.Context, cfg exp.Config, e env) error {
-	w := exp.CNNWorkload()
-	res, err := exp.RunAsyncCompare(ctx, e.h, cfg, w)
-	if err != nil {
-		return err
-	}
-	res.Report(e.stdout)
-	var acc []*trace.Series
-	for _, mode := range exp.AsyncModes() {
-		acc = append(acc, res.Accuracy[w.Name][mode])
-	}
-	fmt.Fprintf(e.stdout, "\nAsync (%s): sync vs async time-to-accuracy\n", w.Name)
-	if err := trace.AsciiPlot(e.stdout, 72, 14, acc...); err != nil {
-		return err
-	}
-	if err := writeCSV(e.outDir, "async_acc_"+w.Name+".csv", acc...); err != nil {
-		return err
-	}
-	if e.outDir == "" {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(e.outDir, "async_acc_"+w.Name+".svg"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return trace.WriteSVG(f, trace.SVGOptions{
-		Title:  "Sync vs buffered-async time-to-accuracy (" + w.Name + ")",
-		XLabel: "emulated seconds", YLabel: "accuracy",
-	}, acc...)
+	return e.render(exp.RunAsyncCompare(ctx, e.h, cfg, exp.CNNWorkload()))
 }
 
 // runPopScale is a Table-I-style run at population scale: a cohort sampled
@@ -400,11 +316,7 @@ func runPopScale(ctx context.Context, cfg exp.Config, e env) error {
 	if cfg.Population == 0 {
 		cfg.Population = 100_000
 	}
-	res, err := exp.RunPopScale(ctx, e.h, cfg, exp.CNNWorkload(), "fedavg", e.fanouts)
-	if err != nil {
-		return err
-	}
-	return res.Table().Render(e.stdout)
+	return e.render(exp.RunPopScale(ctx, e.h, cfg, exp.CNNWorkload(), "fedavg", e.fanouts))
 }
 
 // runCompose is the composable-compression grid: FedSU alone and under
@@ -414,15 +326,7 @@ func runPopScale(ctx context.Context, cfg exp.Config, e env) error {
 // to reach the converged plateau, so the accuracy column isolates the
 // chains' asymptotic cost, not a mid-training snapshot.
 func runCompose(ctx context.Context, cfg exp.Config, e env) error {
-	res, err := exp.RunComposition(ctx, e.h, cfg, exp.CNNWorkload(), exp.ComposeCells())
-	if err != nil {
-		return err
-	}
-	if err := res.Table().Render(e.stdout); err != nil {
-		return err
-	}
-	fmt.Fprintln(e.stdout)
-	return res.StageTable().Render(e.stdout)
+	return e.render(exp.RunComposition(ctx, e.h, cfg, exp.CNNWorkload(), exp.ComposeCells()))
 }
 
 // preset returns the configuration a -scale name selects.
@@ -454,18 +358,6 @@ func parseFanouts(s string) ([]int, error) {
 		return nil, fmt.Errorf("empty -fanout list")
 	}
 	return out, nil
-}
-
-func writeCSV(dir, name string, series ...*trace.Series) error {
-	if dir == "" || len(series) == 0 {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return trace.WriteCSVMulti(f, series...)
 }
 
 // peakRSS reads the process peak resident set (Linux VmHWM) in bytes.

@@ -108,7 +108,7 @@ func TestExperimentHorizon(t *testing.T) {
 // the order given, "all" expands to the paper's figure set in table order,
 // and a list with any id outside the table selects nothing.
 func TestSelectExperiments(t *testing.T) {
-	paperSet := []string{"fig1", "fig2", "table1+fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table2"}
+	paperSet := []string{"fig1+fig2", "table1+fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table2"}
 	for _, c := range []struct {
 		name, list string
 		want       []string // nil: refused

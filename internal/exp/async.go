@@ -3,36 +3,21 @@ package exp
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"fedsu/internal/fl"
 	"fedsu/internal/netem"
 	"fedsu/internal/trace"
 )
 
-// AsyncModes returns the arm labels of the sync-vs-async comparison, in
-// presentation order.
-func AsyncModes() []string { return []string{"sync", "async", "async-event"} }
-
 // AsyncResult compares synchronous barrier rounds against buffered-async
 // rounds (and async plus event-triggered uploads) on the same heterogeneous
 // device population: time-to-accuracy under straggler-heavy compute,
-// diverse uplinks, and transient dropout.
+// diverse uplinks, and transient dropout. Its cells are labelled by mode:
+// sync, async, async-event.
 type AsyncResult struct {
-	// Workload names the compared workload.
-	Workload string
-	// Curves map the compared workload → mode.
-	Curves
-	// TimeToTarget maps mode → emulated seconds to the workload target
-	// (full-run time when the target was not reached; see Reached).
-	TimeToTarget map[string]float64
-	Reached      map[string]bool
-	// UpGB maps mode → total encoded uplink gigabytes (emulated model
-	// scale, as accounted by the strategies' traffic counters).
-	UpGB map[string]float64
-	// StaleDrops maps mode → contributions dropped for exceeding the
-	// async staleness bound (zero for sync).
-	StaleDrops map[string]int
+	// Workload is the compared workload.
+	Workload Workload
+	Grid
 }
 
 // HeterogeneousNetem returns the straggler-heavy cluster profile the async
@@ -83,51 +68,43 @@ func RunAsyncCompare(ctx context.Context, h Harness, cfg Config, w Workload) (*A
 	// late (converged) ones abstain.
 	eventCfg.EventThreshold = 0.05
 
-	grid := []GridRun{
-		{Cfg: syncCfg.named(w, "fedavg"), Label: w.Name + "/sync"},
-		{Cfg: asyncCfg.named(w, "fedavg"), Label: w.Name + "/async"},
-		{Cfg: eventCfg.named(w, "fedavg"), Label: w.Name + "/async-event"},
-	}
-	runs, err := h.Run(ctx, grid)
+	g, err := runGrid(ctx, h, []GridRun{
+		{Cfg: syncCfg.named(w, "fedavg"), Label: "sync"},
+		{Cfg: asyncCfg.named(w, "fedavg"), Label: "async"},
+		{Cfg: eventCfg.named(w, "fedavg"), Label: "async-event"},
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	res := &AsyncResult{
-		Workload:     w.Name,
-		TimeToTarget: map[string]float64{},
-		Reached:      map[string]bool{},
-		UpGB:         map[string]float64{},
-		StaleDrops:   map[string]int{},
-	}
-	for i, mode := range AsyncModes() {
-		run := runs[i]
-		res.add(w.Name, mode, run)
-		upBytes, drops := 0.0, 0
-		for _, st := range run.Stats {
-			upBytes += float64(st.Traffic.UpBytes)
-			drops += st.StaleDrops
-		}
-		secs, _, reached := run.TimeToAccuracy(w.TargetAccuracy)
-		res.TimeToTarget[mode] = secs
-		res.Reached[mode] = reached
-		res.UpGB[mode] = upBytes / 1e9
-		res.StaleDrops[mode] = drops
-	}
-	return res, nil
+	return &AsyncResult{Workload: w, Grid: g}, nil
 }
 
-// Report prints the comparison summary.
-func (r *AsyncResult) Report(w io.Writer) {
-	t := trace.NewTable(fmt.Sprintf("Async rounds: sync vs buffered-async (%s)", r.Workload),
+// Report is the comparison table — time to the workload target (full-run
+// time when unreached), final accuracy, total encoded uplink gigabytes
+// (emulated model scale) and contributions dropped for exceeding the
+// staleness bound, per mode — and the modes' accuracy curves.
+func (r *AsyncResult) Report() Report {
+	t := trace.NewTable(fmt.Sprintf("Async rounds: sync vs buffered-async (%s)", r.Workload.Name),
 		"Mode", "Time to Target (s)", "Reached", "Final Acc", "Uplink GB", "Stale Drops")
-	for _, mode := range AsyncModes() {
-		t.AddRow(mode,
-			fmt.Sprintf("%.0f", r.TimeToTarget[mode]),
-			r.Reached[mode],
-			fmt.Sprintf("%.3f", r.FinalAccuracy[r.Workload][mode]),
-			fmt.Sprintf("%.2f", r.UpGB[mode]),
-			r.StaleDrops[mode])
+	var acc []*trace.Series
+	for i, c := range r.Cells {
+		run := r.Runs[i]
+		secs, _, reached := run.TimeToAccuracy(r.Workload.TargetAccuracy)
+		up, _ := run.Traffic()
+		drops := 0
+		for _, st := range run.Stats {
+			drops += st.StaleDrops
+		}
+		t.AddRow(c.Label,
+			fmt.Sprintf("%.0f", secs),
+			reached,
+			fmt.Sprintf("%.3f", run.FinalAccuracy()),
+			fmt.Sprintf("%.2f", float64(up)/1e9),
+			drops)
+		acc = append(acc, run.AccuracyCurve(c.Label))
 	}
-	t.Render(w)
+	return Report{Tables: []*trace.Table{t}, Figures: []Figure{{
+		File: "async_acc_" + r.Workload.Name + ".csv", Title: fmt.Sprintf("Async (%s): sync vs async time-to-accuracy", r.Workload.Name),
+		Series: acc,
+	}}}
 }

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"context"
 	"testing"
 )
@@ -26,12 +25,13 @@ func TestRunAsyncCompareSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Workload != "cnn" {
-		t.Fatalf("workload = %q", res.Workload)
+	if res.Workload.Name != "cnn" {
+		t.Fatalf("workload = %q", res.Workload.Name)
 	}
-	for _, mode := range AsyncModes() {
-		s := res.Accuracy["cnn"][mode]
-		if s == nil || s.Len() == 0 {
+	for i, c := range res.Cells {
+		mode, run := c.Label, res.Runs[i]
+		s := run.AccuracyCurve(mode)
+		if s.Len() == 0 {
 			t.Fatalf("%s: empty accuracy series", mode)
 		}
 		prev := -1.0
@@ -41,23 +41,23 @@ func TestRunAsyncCompareSmoke(t *testing.T) {
 			}
 			prev = x
 		}
-		if res.TimeToTarget[mode] <= 0 {
-			t.Errorf("%s: TimeToTarget = %v, want > 0", mode, res.TimeToTarget[mode])
+		if secs, _, _ := run.TimeToAccuracy(res.Workload.TargetAccuracy); secs <= 0 {
+			t.Errorf("%s: time to target = %v, want > 0", mode, secs)
 		}
-		if res.UpGB[mode] <= 0 {
-			t.Errorf("%s: UpGB = %v, want > 0", mode, res.UpGB[mode])
+		if up, _ := run.Traffic(); up <= 0 {
+			t.Errorf("%s: uplink bytes = %v, want > 0", mode, up)
 		}
-		if acc := res.FinalAccuracy["cnn"][mode]; acc <= 0 || acc > 1 {
+		if acc := run.FinalAccuracy(); acc <= 0 || acc > 1 {
 			t.Errorf("%s: FinalAccuracy = %v out of (0, 1]", mode, acc)
 		}
 	}
-	if res.StaleDrops["sync"] != 0 {
-		t.Errorf("sync arm reported %d stale drops", res.StaleDrops["sync"])
+	for _, st := range res.Lookup("cnn", "sync").Stats {
+		if st.StaleDrops != 0 {
+			t.Errorf("sync arm reported %d stale drops in round %d", st.StaleDrops, st.Round)
+		}
 	}
 
-	var buf bytes.Buffer
-	res.Report(&buf)
-	if buf.Len() == 0 {
+	if render(t, res.Report()) == "" {
 		t.Fatal("empty report")
 	}
 }

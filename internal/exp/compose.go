@@ -58,8 +58,7 @@ func RunComposition(ctx context.Context, h Harness, cfg Config, w Workload, cell
 	for _, cell := range cells {
 		run := cfg
 		run.Compress = cell.Compress
-		label := fmt.Sprintf("%s/%s", w.Name, cell.Name)
-		grid = append(grid, GridRun{Cfg: run.named(w, cell.Scheme), Label: label})
+		grid = append(grid, GridRun{Cfg: run.named(w, cell.Scheme), Label: cell.Name})
 	}
 	runs, err := h.Run(ctx, grid)
 	if err != nil {
@@ -71,15 +70,11 @@ func RunComposition(ctx context.Context, h Harness, cfg Config, w Workload, cell
 // TotalBytes returns cell i's measured up+down wire bytes over the
 // whole run.
 func (r *ComposeResult) TotalBytes(i int) int64 {
-	run := r.Runs[i]
-	if run == nil {
+	if r.Runs[i] == nil {
 		return 0
 	}
-	var total int64
-	for _, st := range run.Stats {
-		total += int64(st.Traffic.UpBytes) + int64(st.Traffic.DownBytes)
-	}
-	return total
+	up, down := r.Runs[i].Traffic()
+	return up + down
 }
 
 // Reduction returns the reference cell's total bytes divided by cell
@@ -94,25 +89,49 @@ func (r *ComposeResult) Reduction(i int) float64 {
 	return float64(ref) / float64(b)
 }
 
-// Table renders the composition comparison: accuracy, measured bytes,
-// and the byte reduction over the uncompressed reference.
-func (r *ComposeResult) Table() *trace.Table {
+// Report is the composition comparison — accuracy, measured bytes, and
+// the byte reduction over the uncompressed reference — then the per-stage
+// byte accounting of every chained cell: messages encoded, bytes in, bytes
+// out, and the stage's own compression factor, where in the pipeline the
+// savings come from.
+func (r *ComposeResult) Report() Report {
 	t := trace.NewTable(
 		fmt.Sprintf("Compression composition: %s, %d clients, %d rounds",
 			r.Workload.Name, r.Cfg.Clients, r.Cfg.Rounds),
 		"Cell", "Chain", "Final Acc", "ΔAcc", "Up MB", "Down MB", "Bytes ×", "Sparsification",
 	)
+	stages := trace.NewTable(
+		"Per-stage byte accounting (encoder side, whole run)",
+		"Cell", "Stage", "Msgs", "In MB", "Out MB", "In/Out",
+	)
+	addStages := func(cell string, counters []codec.StageBytes, leg string) {
+		for _, sb := range counters {
+			factor := math.NaN()
+			if sb.OutBytes > 0 {
+				factor = float64(sb.InBytes) / float64(sb.OutBytes)
+			}
+			stages.AddRow(cell, sb.Stage+leg, sb.Msgs,
+				float64(sb.InBytes)/1e6, float64(sb.OutBytes)/1e6, fmt.Sprintf("%.2f", factor))
+		}
+	}
 	refAcc := r.Runs[0].FinalAccuracy()
 	for i, cell := range r.Cells {
 		run := r.Runs[i]
-		if run == nil || len(run.Stats) == 0 {
+		if run == nil {
 			continue
 		}
-		var up, down int64
-		for _, st := range run.Stats {
-			up += int64(st.Traffic.UpBytes)
-			down += int64(st.Traffic.DownBytes)
+		if chain := run.Engine.Chain(); chain != nil && cell.Compress != "" {
+			addStages(cell.Name, chain.Counters(), "")
+			if reply := chain.Reply(); reply != chain {
+				// Asymmetric session: the downlink ships the widened reply
+				// chain, with its own counters.
+				addStages(cell.Name, reply.Counters(), " ↓")
+			}
 		}
+		if len(run.Stats) == 0 {
+			continue
+		}
+		up, down := run.Traffic()
 		chain := cell.Compress
 		if chain == "" {
 			chain = "(f32 sparse)"
@@ -129,48 +148,5 @@ func (r *ComposeResult) Table() *trace.Table {
 			fmt.Sprintf("%.3f", run.MeanSparsification()),
 		)
 	}
-	return t
-}
-
-// StageTable renders the per-stage byte accounting of every chained
-// cell: messages encoded, bytes in, bytes out, and the stage's own
-// compression factor — where in the pipeline the savings come from.
-func (r *ComposeResult) StageTable() *trace.Table {
-	t := trace.NewTable(
-		"Per-stage byte accounting (encoder side, whole run)",
-		"Cell", "Stage", "Msgs", "In MB", "Out MB", "In/Out",
-	)
-	for i, cell := range r.Cells {
-		run := r.Runs[i]
-		if run == nil || cell.Compress == "" {
-			continue
-		}
-		chain := run.Engine.Chain()
-		if chain == nil {
-			continue
-		}
-		addRows := func(counters []codec.StageBytes, leg string) {
-			for _, sb := range counters {
-				factor := math.NaN()
-				if sb.OutBytes > 0 {
-					factor = float64(sb.InBytes) / float64(sb.OutBytes)
-				}
-				t.AddRow(
-					cell.Name,
-					sb.Stage+leg,
-					sb.Msgs,
-					float64(sb.InBytes)/1e6,
-					float64(sb.OutBytes)/1e6,
-					fmt.Sprintf("%.2f", factor),
-				)
-			}
-		}
-		addRows(chain.Counters(), "")
-		if reply := chain.Reply(); reply != chain {
-			// Asymmetric session: the downlink ships the widened reply
-			// chain, with its own counters.
-			addRows(reply.Counters(), " ↓")
-		}
-	}
-	return t
+	return Report{Tables: []*trace.Table{t, stages}}
 }

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
@@ -44,14 +43,7 @@ func TestComposeCellsRun(t *testing.T) {
 	if red := res.Reduction(2); red <= 1.5 {
 		t.Errorf("FedSU×Q4×entropy reduction = %.2f×, want > 1.5× at micro scale", red)
 	}
-	var buf bytes.Buffer
-	if err := res.Table().Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.StageTable().Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
+	if rep := res.Report(); len(rep.Tables) != 2 || render(t, rep) == "" {
 		t.Fatal("tables rendered nothing")
 	}
 }

@@ -37,18 +37,18 @@ func TestDriversTrainTheRunOneRun(t *testing.T) {
 			}
 		}
 		for _, w := range []Workload{CNNWorkload(), DenseNetWorkload()} {
-			_, _, e, err := trackTrajectories(ctx, cfg.named(w, "fedavg"), 1)
+			tr, err := track(ctx, cfg.named(w, "fedavg"), func(int) []int { return nil })
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("fig1/2 "+w.Name, w, "fedavg", e.GlobalVector())
+			check("fig1/2 "+w.Name, w, "fedavg", tr.engine.GlobalVector())
 		}
 		for _, scheme := range []string{"fedsu", "fedavg"} {
-			_, _, e, err := trackParams(ctx, cfg.named(CNNWorkload(), scheme), func(int) []int { return nil })
+			tr, err := track(ctx, cfg.named(CNNWorkload(), scheme), func(int) []int { return nil })
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("fig6 "+scheme, CNNWorkload(), scheme, e.GlobalVector())
+			check("fig6 "+scheme, CNNWorkload(), scheme, tr.engine.GlobalVector())
 		}
 	}
 }

@@ -3,11 +3,13 @@ package exp
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
 
 	"fedsu/internal/tensor"
+	"fedsu/internal/trace"
 )
 
 // testDType is the compute precision for this test process. The float32 CI
@@ -89,6 +91,42 @@ func TestRunOneAllSchemes(t *testing.T) {
 	}
 }
 
+// render writes rep the way cmd/fedsu-bench lays it out — tables, then
+// each figure's plot when titled — with each figure's CSV inline under its
+// file name, so one string holds the whole record.
+func render(t testing.TB, rep Report) string {
+	t.Helper()
+	var b bytes.Buffer
+	for _, tb := range rep.Tables {
+		if err := tb.Render(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range rep.Figures {
+		if f.Title != "" {
+			fmt.Fprintln(&b, f.Title)
+			if err := trace.AsciiPlot(&b, 72, 14, f.Series...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fmt.Fprintf(&b, "--- %s\n", f.File)
+		if err := trace.WriteCSVMulti(&b, f.Series...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.String()
+}
+
+// figure returns rep's figure written as file, nil when it has none.
+func figure(rep Report, file string) *Figure {
+	for i := range rep.Figures {
+		if rep.Figures[i].File == file {
+			return &rep.Figures[i]
+		}
+	}
+	return nil
+}
+
 func TestEndToEndAndTable1(t *testing.T) {
 	cfg := microConfig()
 	ws := []Workload{CNNWorkload()}
@@ -96,68 +134,50 @@ func TestEndToEndAndTable1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b bytes.Buffer
-	if err := res.Report(&b, ws); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"Table I", "fedsu", "apf", "cmfl", "fedavg", "sparsification"} {
+	rep := res.Report()
+	out := render(t, rep)
+	for _, want := range []string{"Table I", "fedsu", "apf", "cmfl", "fedavg", "Sparsification"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
 	}
-	acc, ratio := res.Fig5Series("cnn")
-	if len(acc) != 4 {
-		t.Errorf("Fig5 accuracy series = %d, want 4", len(acc))
+	if acc := figure(rep, "fig5_acc_cnn.csv"); acc == nil || len(acc.Series) != 4 {
+		t.Errorf("Fig5 accuracy series = %v, want 4", acc)
 	}
-	if len(ratio) != 2 {
-		t.Errorf("Fig5 ratio series = %d, want 2 (apf + fedsu)", len(ratio))
+	if ratio := figure(rep, "fig5_ratio_cnn.csv"); ratio == nil || len(ratio.Series) != 2 {
+		t.Errorf("Fig5 ratio series = %v, want 2 (apf + fedsu)", ratio)
 	}
 }
 
-func TestFig1(t *testing.T) {
+func TestFig12(t *testing.T) {
 	cfg := microConfig()
-	cfg.Rounds = 4
-	res, err := RunFig1(context.Background(), cfg, 2)
+	cfg.Rounds = 6
+	res, err := RunFig12(context.Background(), cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"cnn", "densenet121"} {
-		series := res.Trajectories[name]
-		if len(series) != 2 {
-			t.Fatalf("%s: %d series, want 2", name, len(series))
+	for i, name := range []string{"cnn", "densenet121"} {
+		w := res.Workloads[i]
+		if w.Name != name {
+			t.Fatalf("workload %d = %s, want %s", i, w.Name, name)
 		}
-		for _, s := range series {
+		if len(w.Trajectories) != 2 {
+			t.Fatalf("%s: %d series, want 2", name, len(w.Trajectories))
+		}
+		for _, s := range w.Trajectories {
 			if s.Len() != cfg.Rounds {
 				t.Errorf("%s: series len %d, want %d", name, s.Len(), cfg.Rounds)
 			}
 		}
-	}
-}
-
-func TestFig2(t *testing.T) {
-	cfg := microConfig()
-	cfg.Rounds = 6
-	res, err := RunFig2(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Instantaneous == nil || res.Instantaneous.Len() == 0 {
-		t.Fatal("missing instantaneous series")
-	}
-	for _, name := range []string{"cnn", "densenet121"} {
-		cdf := res.CDFs[name]
-		if cdf == nil || cdf.Len() == 0 {
-			t.Fatalf("%s: missing CDF", name)
+		if w.Instantaneous.Len() != cfg.Rounds-1 {
+			t.Errorf("%s: %d normalized differences, want %d", name, w.Instantaneous.Len(), cfg.Rounds-1)
 		}
 		// CDF y must be monotone from ~0 to 1.
-		if cdf.Y[len(cdf.Y)-1] != 1 {
+		if w.CDF.Len() == 0 || w.CDF.Y[len(w.CDF.Y)-1] != 1 {
 			t.Errorf("%s: CDF does not reach 1", name)
 		}
 	}
-	var b bytes.Buffer
-	res.Report(&b)
-	if !strings.Contains(b.String(), "normalized difference") {
+	if !strings.Contains(render(t, res.Report()), "normalized difference") {
 		t.Error("report missing summary")
 	}
 }
@@ -184,17 +204,14 @@ func TestFig7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdf := res.CDFs["cnn"]
-	if cdf == nil || cdf.Len() == 0 {
+	if len(res.CDFs) != 1 || res.CDFs[0].Name != "cnn" || res.CDFs[0].Len() == 0 {
 		t.Fatal("missing CDF")
 	}
-	share := res.ShareLinearMajority["cnn"]
+	share := res.ShareLinearMajority[0]
 	if share < 0 || share > 1 {
 		t.Errorf("share = %v outside [0,1]", share)
 	}
-	var b bytes.Buffer
-	res.Report(&b)
-	if !strings.Contains(b.String(), "linear") {
+	if !strings.Contains(render(t, res.Report()), "linear") {
 		t.Error("report missing summary")
 	}
 }
@@ -208,13 +225,11 @@ func TestFig8(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range Variants() {
-		if res.Accuracy["cnn"][v] == nil {
-			t.Fatalf("missing accuracy series for %s", v)
+		if res.Lookup("cnn", v) == nil {
+			t.Fatalf("missing run for %s", v)
 		}
 	}
-	var b bytes.Buffer
-	res.Report(&b)
-	if !strings.Contains(b.String(), "fedsu-v2") {
+	if !strings.Contains(render(t, res.Report()), "fedsu-v2") {
 		t.Error("report missing variant rows")
 	}
 }
@@ -237,10 +252,7 @@ func TestFig9And10(t *testing.T) {
 	if len(r10.Values) != 4 || r10.Param != "TS" {
 		t.Errorf("Fig10 sweep malformed: %+v", r10.Values)
 	}
-	var b bytes.Buffer
-	r9.Report(&b)
-	r10.Report(&b)
-	if !strings.Contains(b.String(), "TR") || !strings.Contains(b.String(), "TS") {
+	if !strings.Contains(render(t, r9.Report()), "TR") || !strings.Contains(render(t, r10.Report()), "TS") {
 		t.Error("sweep reports missing parameter labels")
 	}
 }
@@ -265,9 +277,7 @@ func TestTable2(t *testing.T) {
 	if row.ComputeInflationSec < 0 {
 		t.Error("compute inflation negative")
 	}
-	var b bytes.Buffer
-	res.Report(&b)
-	if !strings.Contains(b.String(), "Table II") {
+	if !strings.Contains(render(t, res.Report()), "Table II") {
 		t.Error("report missing title")
 	}
 }

@@ -3,11 +3,9 @@ package exp
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 
 	"fedsu/internal/core"
-	"fedsu/internal/fl"
 	"fedsu/internal/sparse"
 	"fedsu/internal/stats"
 	"fedsu/internal/trace"
@@ -34,10 +32,9 @@ type Fig6Result struct {
 func RunFig6(ctx context.Context, cfg Config, w Workload) (*Fig6Result, error) {
 	// FedSU run with per-round mask tracking over a pool of candidate
 	// parameters; the most-speculative candidate is reported.
-	var cand []int
-	traj, masks, _, err := trackParams(ctx, cfg.named(w, "fedsu"), func(size int) []int {
+	tr, err := track(ctx, cfg.named(w, "fedsu"), func(size int) []int {
 		rng := rand.New(rand.NewSource(cfg.Seed + 17))
-		cand = make([]int, 32)
+		cand := make([]int, 32)
 		for i := range cand {
 			cand[i] = rng.Intn(size)
 		}
@@ -48,9 +45,9 @@ func RunFig6(ctx context.Context, cfg Config, w Workload) (*Fig6Result, error) {
 	}
 	// Pick the candidate with the most speculative rounds.
 	best, bestSpec := 0, -1
-	for i := range cand {
+	for i := range tr.params {
 		n := 0
-		for _, m := range masks[i] {
+		for _, m := range tr.masks[i] {
 			if m {
 				n++
 			}
@@ -60,13 +57,10 @@ func RunFig6(ctx context.Context, cfg Config, w Workload) (*Fig6Result, error) {
 		}
 	}
 
-	res := &Fig6Result{Workload: w.Name, ParamIndex: cand[best]}
-	res.FedSU = trace.NewSeries("fedsu", "round", "value")
-	for k, v := range traj[best] {
-		res.FedSU.Add(float64(k), v)
-	}
+	res := &Fig6Result{Workload: w.Name, ParamIndex: tr.params[best]}
+	res.FedSU = roundSeries("fedsu", tr.values[best])
 	prev := false
-	for k, m := range masks[best] {
+	for k, m := range tr.masks[best] {
 		if m && !prev {
 			res.SpecStart = append(res.SpecStart, k)
 		}
@@ -77,47 +71,25 @@ func RunFig6(ctx context.Context, cfg Config, w Workload) (*Fig6Result, error) {
 	}
 
 	// FedAvg reference trajectory on the identical workload and seed.
-	ref, _, _, err := trackParams(ctx, cfg.named(w, "fedavg"), func(int) []int { return []int{cand[best]} })
+	ref, err := track(ctx, cfg.named(w, "fedavg"), func(int) []int { return []int{res.ParamIndex} })
 	if err != nil {
 		return nil, err
 	}
-	res.FedAvg = trace.NewSeries("fedavg", "round", "value")
-	for k, v := range ref[0] {
-		res.FedAvg.Add(float64(k), v)
-	}
+	res.FedAvg = roundSeries("fedavg", ref.values[0])
 	return res, nil
 }
 
-// trackParams trains the run cfg names — the engine RunOne trains — for
-// cfg.Rounds rounds without evaluation. pick chooses the parameters to
-// follow from the model size; every round records their global values and,
-// under FedSU, their predictability-mask bits. The finished engine is
-// returned too.
-func trackParams(ctx context.Context, cfg Config, pick func(size int) []int) ([][]float64, [][]bool, *fl.Engine, error) {
-	engine, err := NewEngine(cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	params := pick(len(engine.GlobalVector()))
-	traj := make([][]float64, len(params))
-	masks := make([][]bool, len(params))
-	for k := 0; k < cfg.Rounds; k++ {
-		if _, err := engine.RunRound(ctx, false); err != nil {
-			return nil, nil, nil, err
-		}
-		vec := engine.GlobalVector()
-		var mask []bool
-		if mgr, ok := sparse.UnwrapSyncer(engine.Clients()[0].Syncer()).(*core.Manager); ok {
-			mask = mgr.PredictableMask()
-		}
-		for i, p := range params {
-			traj[i] = append(traj[i], vec[p])
-			if mask != nil {
-				masks[i] = append(masks[i], mask[p])
-			}
-		}
-	}
-	return traj, masks, engine, nil
+// Report is Fig. 6's summary table and the two trajectories.
+func (r *Fig6Result) Report() Report {
+	t := trace.NewTable(fmt.Sprintf("Fig 6 (%s, param %d): FedSU vs FedAvg trajectory", r.Workload, r.ParamIndex),
+		"Measure", "Value")
+	t.AddRow("speculative periods start", fmt.Sprint(r.SpecStart))
+	t.AddRow("speculative periods end", fmt.Sprint(r.SpecEnd))
+	t.AddRow("normalized approximation error", fmt.Sprintf("%.4f", r.ApproximationError()))
+	return Report{Tables: []*trace.Table{t}, Figures: []Figure{{
+		File: "fig6_" + r.Workload + ".csv", Title: fmt.Sprintf("Fig 6 (%s): trajectories", r.Workload),
+		Series: []*trace.Series{r.FedSU, r.FedAvg},
+	}}}
 }
 
 // ApproximationError returns the mean absolute gap between the FedSU and
@@ -156,59 +128,55 @@ func (r *Fig6Result) ApproximationError() float64 {
 }
 
 // Fig7Result holds the CDF of per-parameter linear-time fractions under
-// FedSU, the paper's Fig. 7.
+// FedSU, the paper's Fig. 7, one entry per workload in grid order.
 type Fig7Result struct {
-	// CDFs maps workload to the CDF series (x = linear fraction,
-	// y = cumulative share of parameters).
-	CDFs map[string]*trace.Series
-	// ShareLinearMajority maps workload to the share of parameters that
+	// CDFs are the CDF series, each named by its workload (x = linear
+	// fraction, y = cumulative share of parameters).
+	CDFs []*trace.Series
+	// ShareLinearMajority aligns with CDFs: the share of parameters that
 	// were speculative for more than half the run (paper: > 80 %).
-	ShareLinearMajority map[string]float64
+	ShareLinearMajority []float64
 }
 
 // RunFig7 runs FedSU on the given workloads, on the grid scheduler, and
 // collects each parameter's diagnosed-as-linear time fraction.
 func RunFig7(ctx context.Context, h Harness, cfg Config, workloads []Workload) (*Fig7Result, error) {
-	res := &Fig7Result{
-		CDFs:                map[string]*trace.Series{},
-		ShareLinearMajority: map[string]float64{},
-	}
-	grid := make([]GridRun, len(workloads))
-	for i, w := range workloads {
-		grid[i] = GridRun{Cfg: cfg.named(w, "fedsu")}
-	}
-	runs, err := h.Run(ctx, grid)
+	g, err := runGrid(ctx, h, schemeGrid(cfg, workloads, []string{"fedsu"}))
 	if err != nil {
 		return nil, err
 	}
-	for i, w := range workloads {
-		mgr, ok := sparse.UnwrapSyncer(runs[i].Engine.Clients()[0].Syncer()).(*core.Manager)
+	res := &Fig7Result{}
+	for i, c := range g.Cells {
+		mgr, ok := sparse.UnwrapSyncer(g.Runs[i].Engine.Clients()[0].Syncer()).(*core.Manager)
 		if !ok {
 			return nil, fmt.Errorf("exp: fig7 requires a FedSU manager")
 		}
 		fr := mgr.LinearFractions()
-		cdf := stats.NewCDF(fr)
-		xs, ys := cdf.Points(64)
-		s := trace.NewSeries(w.Name, "linear_fraction", "cdf")
-		for i := range xs {
-			s.Add(xs[i], ys[i])
+		xs, ys := stats.NewCDF(fr).Points(64)
+		s := trace.NewSeries(c.Cfg.Workload, "linear_fraction", "cdf")
+		for j := range xs {
+			s.Add(xs[j], ys[j])
 		}
-		res.CDFs[w.Name] = s
 		over := 0
 		for _, f := range fr {
 			if f > 0.5 {
 				over++
 			}
 		}
-		res.ShareLinearMajority[w.Name] = float64(over) / float64(len(fr))
+		res.CDFs = append(res.CDFs, s)
+		res.ShareLinearMajority = append(res.ShareLinearMajority, float64(over)/float64(len(fr)))
 	}
 	return res, nil
 }
 
-// Report summarizes Fig. 7.
-func (r *Fig7Result) Report(w io.Writer) {
-	fmt.Fprintln(w, "Fig 7: share of parameters linear for > 50% of training")
-	for name, share := range r.ShareLinearMajority {
-		fmt.Fprintf(w, "  %s: %.0f%%\n", name, 100*share)
+// Report is Fig. 7's summary table and each workload's CDF.
+func (r *Fig7Result) Report() Report {
+	t := trace.NewTable("Fig 7: share of parameters linear for > 50% of training", "Model", "Share")
+	var rep Report
+	for i, cdf := range r.CDFs {
+		t.AddRow(cdf.Name, fmt.Sprintf("%.0f%%", 100*r.ShareLinearMajority[i]))
+		rep.Figures = append(rep.Figures, Figure{File: "fig7_cdf_" + cdf.Name + ".csv", Series: []*trace.Series{cdf}})
 	}
+	rep.Tables = []*trace.Table{t}
+	return rep
 }

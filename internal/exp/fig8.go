@@ -2,8 +2,6 @@ package exp
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"math"
 
 	"fedsu/internal/trace"
@@ -11,8 +9,9 @@ import (
 
 // Fig8Result holds the ablation comparison of FedSU against FedSU-v1 (no
 // error feedback) and FedSU-v2 (neither error feedback nor linearity
-// diagnosis) — the paper's Fig. 8. Its curves map workload → variant.
-type Fig8Result struct{ Curves }
+// diagnosis) — the paper's Fig. 8: one cell per (workload, variant),
+// labelled by its variant.
+type Fig8Result struct{ Grid }
 
 // Variants returns the ablation set.
 func Variants() []string { return []string{"fedsu", "fedsu-v1", "fedsu-v2"} }
@@ -22,28 +21,18 @@ func Variants() []string { return []string{"fedsu", "fedsu-v1", "fedsu-v2"} }
 // come from cfg.FedSU (the paper sets 43/0.53 % for CNN and 58/0.81 % for
 // DenseNet, profiled from standard FedSU runs).
 func RunFig8(ctx context.Context, h Harness, cfg Config, workloads []Workload) (*Fig8Result, error) {
-	var grid []GridRun
-	for _, w := range workloads {
-		for _, v := range Variants() {
-			grid = append(grid, GridRun{Cfg: cfg.named(w, v)})
-		}
-	}
-	runs, err := h.Run(ctx, grid)
+	g, err := runGrid(ctx, h, schemeGrid(cfg, workloads, Variants()))
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig8Result{}
-	for i, g := range grid {
-		res.add(g.Cfg.Workload, g.Cfg.Scheme, runs[i])
-	}
-	return res, nil
+	return &Fig8Result{g}, nil
 }
 
-// AccuracyStd is the standard deviation of the round-to-round changes of
-// workload w's accuracy curve under variant v, a fluctuation measure: v2
-// is expected to be markedly less stable.
-func (r *Fig8Result) AccuracyStd(w, v string) float64 {
-	acc := r.Accuracy[w][v].Y
+// accuracyStd is the standard deviation of the round-to-round changes of
+// run's accuracy curve, a fluctuation measure: v2 is expected to be
+// markedly less stable.
+func accuracyStd(run *Run) float64 {
+	acc := run.AccuracyCurve("").Y
 	if len(acc) < 2 {
 		return 0
 	}
@@ -65,17 +54,19 @@ func (r *Fig8Result) AccuracyStd(w, v string) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// Report prints the ablation summary.
-func (r *Fig8Result) Report(w io.Writer) {
+// Report is the ablation table and each workload's accuracy curves.
+func (r *Fig8Result) Report() Report {
 	t := trace.NewTable("Fig 8: ablation (FedSU vs v1 vs v2)",
 		"Model", "Variant", "Final Acc", "Mean Sparsification", "Acc Fluctuation")
-	for name := range r.FinalAccuracy {
-		for _, v := range Variants() {
-			t.AddRow(name, v,
-				r.FinalAccuracy[name][v],
-				fmt.Sprintf("%.1f%%", 100*r.MeanRatio[name][v]),
-				r.AccuracyStd(name, v))
+	var figs []Figure
+	for _, w := range r.workloads() {
+		labels, runs := r.of(w)
+		var acc []*trace.Series
+		for i, v := range labels {
+			t.AddRow(w, v, runs[i].FinalAccuracy(), pct(runs[i].MeanSparsification()), accuracyStd(runs[i]))
+			acc = append(acc, runs[i].AccuracyCurve(v))
 		}
+		figs = append(figs, Figure{File: "fig8_acc_" + w + ".csv", Series: acc})
 	}
-	t.Render(w)
+	return Report{Tables: []*trace.Table{t}, Figures: figs}
 }

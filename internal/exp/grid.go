@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,9 +17,65 @@ import (
 // Config so sweeps can vary hyper-parameters per cell.
 type GridRun struct {
 	Cfg Config
-	// Label tags the cell's progress lines; empty derives
-	// "workload/scheme".
+	// Label names the cell within its workload ("fedsu", "TR=0.1",
+	// "async-event"); empty is the scheme. Progress lines are tagged
+	// "workload/label".
 	Label string
+}
+
+// label returns the cell's name within its workload.
+func (g GridRun) label() string {
+	if g.Label == "" {
+		return g.Cfg.Scheme
+	}
+	return g.Label
+}
+
+// Grid is a grid driver's cells and the runs they trained, aligned and in
+// grid order. Every row and series a result renders from it follows that
+// order, so a report never depends on map iteration.
+type Grid struct {
+	Cells []GridRun
+	Runs  []*Run
+}
+
+// runGrid trains cells on h.
+func runGrid(ctx context.Context, h Harness, cells []GridRun) (Grid, error) {
+	runs, err := h.Run(ctx, cells)
+	return Grid{Cells: cells, Runs: runs}, err
+}
+
+// workloads returns the workloads of the grid's cells in grid order, each
+// once.
+func (g Grid) workloads() []string {
+	var ws []string
+	for _, c := range g.Cells {
+		if !slices.Contains(ws, c.Cfg.Workload) {
+			ws = append(ws, c.Cfg.Workload)
+		}
+	}
+	return ws
+}
+
+// of returns workload w's cell labels and runs, in grid order.
+func (g Grid) of(w string) (labels []string, runs []*Run) {
+	for i, c := range g.Cells {
+		if c.Cfg.Workload == w {
+			labels = append(labels, c.label())
+			runs = append(runs, g.Runs[i])
+		}
+	}
+	return labels, runs
+}
+
+// Lookup returns the run of workload w's cell label, nil when the grid has
+// none.
+func (g Grid) Lookup(w, label string) *Run {
+	labels, runs := g.of(w)
+	if i := slices.Index(labels, label); i >= 0 {
+		return runs[i]
+	}
+	return nil
 }
 
 // Harness runs the independent cells of an experiment grid across a
@@ -133,11 +190,7 @@ func (h Harness) runCell(ctx context.Context, gr GridRun, arts *Artifacts) (*Run
 	}
 	var verbose io.Writer
 	if h.Verbose != nil {
-		label := gr.Label
-		if label == "" {
-			label = cfg.Workload + "/" + cfg.Scheme
-		}
-		pw := trace.NewPrefixWriter(h.Verbose, "["+label+"] ")
+		pw := trace.NewPrefixWriter(h.Verbose, "["+cfg.Workload+"/"+gr.label()+"] ")
 		defer pw.Flush()
 		verbose = pw
 		logf(verbose, "run %s/%s: %d clients, %d rounds", cfg.Workload, cfg.Scheme, cfg.Clients, cfg.Rounds)

@@ -41,9 +41,9 @@ func RunPopScale(ctx context.Context, h Harness, cfg Config, w Workload, scheme 
 	for _, f := range withFlat {
 		cell := cfg
 		cell.Fanout = f
-		label := fmt.Sprintf("%s/%s/flat", w.Name, scheme)
+		label := scheme + "/flat"
 		if f > 0 {
-			label = fmt.Sprintf("%s/%s/fanout=%d", w.Name, scheme, f)
+			label = fmt.Sprintf("%s/fanout=%d", scheme, f)
 		}
 		grid = append(grid, GridRun{Cfg: cell.named(w, scheme), Label: label})
 	}
@@ -73,11 +73,11 @@ func (r *PopScaleResult) flatRun() *Run {
 	return nil
 }
 
-// Table renders the comparison: convergence plus the per-tier systems
+// Report is the comparison table: convergence plus the per-tier systems
 // columns at equal cohorts — what a Table-I row looks like when the
 // registered population is 10^5–10^6 and the root no longer ingests every
 // member's upload.
-func (r *PopScaleResult) Table() *trace.Table {
+func (r *PopScaleResult) Report() Report {
 	t := trace.NewTable(
 		fmt.Sprintf("Population-scale aggregation: %s/%s, %d registered, cohort %d",
 			r.Workload.Name, r.Scheme, r.Cfg.Population, r.Cfg.Clients),
@@ -115,5 +115,5 @@ func (r *PopScaleResult) Table() *trace.Table {
 			r.BitIdentical(i),
 		)
 	}
-	return t
+	return Report{Tables: []*trace.Table{t}}
 }

@@ -119,40 +119,35 @@ type Run struct {
 	Engine *fl.Engine
 }
 
-// Curves holds a grid's runs, their curves over emulated time and their
-// summaries, each keyed workload → cell label.
-type Curves struct {
-	Runs                     map[string]map[string]*Run
-	Accuracy, Ratio          map[string]map[string]*trace.Series
-	FinalAccuracy, MeanRatio map[string]map[string]float64
-}
-
-// add records run as the cell label of workload w.
-func (c *Curves) add(w, label string, run *Run) {
-	acc := trace.NewSeries(label, "time_s", "accuracy")
-	ratio := trace.NewSeries(label+"-ratio", "time_s", "sparsification_ratio")
-	for _, st := range run.Stats {
+// AccuracyCurve returns the run's held-out accuracy over emulated time as
+// a series named name.
+func (r *Run) AccuracyCurve(name string) *trace.Series {
+	acc := trace.NewSeries(name, "time_s", "accuracy")
+	for _, st := range r.Stats {
 		if st.Accuracy >= 0 {
 			acc.Add(st.SimTime, st.Accuracy)
 		}
-		ratio.Add(st.SimTime, st.SparsificationRatio)
 	}
-	put(&c.Runs, w, label, run)
-	put(&c.Accuracy, w, label, acc)
-	put(&c.Ratio, w, label, ratio)
-	put(&c.FinalAccuracy, w, label, acc.LastY())
-	put(&c.MeanRatio, w, label, run.MeanSparsification())
+	return acc
 }
 
-// put sets (*m)[w][label], making the maps on first use.
-func put[V any](m *map[string]map[string]V, w, label string, v V) {
-	if *m == nil {
-		*m = map[string]map[string]V{}
+// RatioCurve returns the run's per-round sparsification ratio over emulated
+// time as a series named name+"-ratio".
+func (r *Run) RatioCurve(name string) *trace.Series {
+	ratio := trace.NewSeries(name+"-ratio", "time_s", "sparsification_ratio")
+	for _, st := range r.Stats {
+		ratio.Add(st.SimTime, st.SparsificationRatio)
 	}
-	if (*m)[w] == nil {
-		(*m)[w] = map[string]V{}
+	return ratio
+}
+
+// Traffic returns the run's total up and down wire bytes.
+func (r *Run) Traffic() (up, down int64) {
+	for _, st := range r.Stats {
+		up += int64(st.Traffic.UpBytes)
+		down += int64(st.Traffic.DownBytes)
 	}
-	(*m)[w][label] = v
+	return up, down
 }
 
 // TimeToAccuracy returns the emulated seconds until the held-out accuracy

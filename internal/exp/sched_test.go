@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"fedsu/internal/tensor"
-	"fedsu/internal/trace"
 )
 
 // fingerprint reduces a run to a bit-exact digest string: every RoundStats
@@ -61,7 +60,7 @@ func bitIdentGrid(t *testing.T) (Config, []Workload) {
 // start order shuffled.
 func TestGridBitIdentity(t *testing.T) {
 	cfg, workloads := bitIdentGrid(t)
-	grid := endToEndGrid(cfg, workloads, Schemes())
+	grid := schemeGrid(cfg, workloads, Schemes())
 
 	want, err := Harness{Parallel: 1}.Run(context.Background(), grid)
 	if err != nil {
@@ -112,7 +111,7 @@ func TestGridBitIdentityFloat32(t *testing.T) {
 	cfg, workloads := bitIdentGrid(t)
 	cfg.DType = tensor.Float32
 	cfg.Rounds = 4
-	grid := endToEndGrid(cfg, workloads, Schemes())
+	grid := schemeGrid(cfg, workloads, Schemes())
 
 	want, err := Harness{Parallel: 1}.Run(context.Background(), grid)
 	if err != nil {
@@ -132,7 +131,7 @@ func TestGridBitIdentityFloat32(t *testing.T) {
 }
 
 // TestEndToEndParallelMatchesSequential checks the full driver (grid build,
-// scheduler, map assembly) end to end at both settings, including that the
+// scheduler, report) end to end at both settings, including that the
 // shared cache synthesized each distinct corpus once.
 func TestEndToEndParallelMatchesSequential(t *testing.T) {
 	cfg := microConfig()
@@ -150,38 +149,15 @@ func TestEndToEndParallelMatchesSequential(t *testing.T) {
 	}
 	for _, w := range ws {
 		for _, s := range Schemes() {
-			if fingerprint(seq.Runs[w.Name][s]) != fingerprint(par.Runs[w.Name][s]) {
+			if fingerprint(seq.Lookup(w.Name, s)) != fingerprint(par.Lookup(w.Name, s)) {
 				t.Fatalf("%s/%s diverged between sequential and parallel", w.Name, s)
 			}
 		}
 	}
 	// The rendered deliverables match byte for byte: the Table I report and
 	// the Fig. 5 CSVs are what the harness actually ships.
-	var seqRep, parRep bytes.Buffer
-	if err := seq.Report(&seqRep, ws); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.Report(&parRep, ws); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seqRep.Bytes(), parRep.Bytes()) {
-		t.Fatalf("Table I report differs between sequential and parallel:\nseq:\n%s\npar:\n%s", seqRep.String(), parRep.String())
-	}
-	for _, w := range ws {
-		seqAcc, seqRatio := seq.Fig5Series(w.Name)
-		parAcc, parRatio := par.Fig5Series(w.Name)
-		for _, pair := range [][2][]*trace.Series{{seqAcc, parAcc}, {seqRatio, parRatio}} {
-			var a, b bytes.Buffer
-			if err := trace.WriteCSVMulti(&a, pair[0]...); err != nil {
-				t.Fatal(err)
-			}
-			if err := trace.WriteCSVMulti(&b, pair[1]...); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Fatalf("Fig 5 CSV for %s differs between sequential and parallel", w.Name)
-			}
-		}
+	if seqRep, parRep := render(t, seq.Report()), render(t, par.Report()); seqRep != parRep {
+		t.Fatalf("Table I / Fig 5 report differs between sequential and parallel:\nseq:\n%s\npar:\n%s", seqRep, parRep)
 	}
 	// 2 distinct corpora for 8 runs: each synthesized exactly once.
 	if got := cfg.Artifacts.DatasetBuilds(); got != int64(len(ws)) {
@@ -229,7 +205,7 @@ func TestSchedulerCancelledContext(t *testing.T) {
 	cfg := microConfig()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Harness{}.Run(ctx, endToEndGrid(cfg, []Workload{CNNWorkload()}, Schemes()))
+	_, err := Harness{}.Run(ctx, schemeGrid(cfg, []Workload{CNNWorkload()}, Schemes()))
 	if err == nil {
 		t.Fatal("cancelled context must error")
 	}
@@ -252,7 +228,7 @@ func TestSchedulerVerbosePrefixing(t *testing.T) {
 		tick += 250
 		return time.Unix(0, tick*int64(time.Millisecond))
 	}
-	grid := endToEndGrid(cfg, []Workload{CNNWorkload()}, Schemes())
+	grid := schemeGrid(cfg, []Workload{CNNWorkload()}, Schemes())
 	if _, err := h.Run(context.Background(), grid); err != nil {
 		t.Fatal(err)
 	}

@@ -3,21 +3,20 @@ package exp
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"fedsu/internal/core"
 	"fedsu/internal/trace"
 )
 
 // SweepResult holds one hyper-parameter sensitivity sweep (Fig. 9 for T_ℛ,
-// Fig. 10 for T_𝒮).
+// Fig. 10 for T_𝒮): one cell per (workload, value), labelled
+// "Param=value".
 type SweepResult struct {
 	// Param is "TR" or "TS".
 	Param string
 	// Values are the swept threshold values.
 	Values []float64
-	// Curves map workload → threshold label.
-	Curves
+	Grid
 }
 
 // Fig9Thresholds are the paper's T_ℛ sweep values.
@@ -44,36 +43,33 @@ func runSweep(ctx context.Context, h Harness, cfg Config, workloads []Workload, 
 		for _, v := range values {
 			c := cfg
 			set(&c.FedSU, v)
-			label := fmt.Sprintf("%s=%g", param, v)
 			// The swept threshold does not change the training data, so
 			// every cell of a workload's sweep shares one cached dataset
 			// and partition.
-			grid = append(grid, GridRun{Cfg: c.named(w, "fedsu"), Label: w.Name + "/" + label})
+			grid = append(grid, GridRun{Cfg: c.named(w, "fedsu"), Label: sweepLabel(param, v)})
 		}
 	}
-	runs, err := h.Run(ctx, grid)
+	g, err := runGrid(ctx, h, grid)
 	if err != nil {
 		return nil, err
 	}
-	res := &SweepResult{Param: param, Values: values}
-	for i, g := range grid {
-		res.add(g.Cfg.Workload, g.Label[len(g.Cfg.Workload)+1:], runs[i])
-	}
-	return res, nil
+	return &SweepResult{Param: param, Values: values, Grid: g}, nil
 }
 
-// Report prints the sweep summary table.
-func (r *SweepResult) Report(w io.Writer) {
+// sweepLabel names the cell of value v of a param sweep.
+func sweepLabel(param string, v float64) string { return fmt.Sprintf("%s=%g", param, v) }
+
+// Report is the sweep summary table.
+func (r *SweepResult) Report() Report {
 	t := trace.NewTable(
 		fmt.Sprintf("Sensitivity to %s", r.Param),
 		"Model", r.Param, "Final Acc", "Mean Sparsification")
-	for name := range r.FinalAccuracy {
+	for _, w := range r.workloads() {
 		for _, v := range r.Values {
-			label := fmt.Sprintf("%s=%g", r.Param, v)
-			t.AddRow(name, fmt.Sprintf("%g", v),
-				r.FinalAccuracy[name][label],
-				fmt.Sprintf("%.1f%%", 100*r.MeanRatio[name][label]))
+			if run := r.Lookup(w, sweepLabel(r.Param, v)); run != nil {
+				t.AddRow(w, fmt.Sprintf("%g", v), run.FinalAccuracy(), pct(run.MeanSparsification()))
+			}
 		}
 	}
-	t.Render(w)
+	return Report{Tables: []*trace.Table{t}}
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"fedsu/internal/trace"
 )
@@ -11,11 +10,11 @@ import (
 // Schemes returns the paper's end-to-end comparison set in Table I order.
 func Schemes() []string { return []string{"fedsu", "apf", "cmfl", "fedavg"} }
 
-// EndToEndResult bundles the runs behind Table I and Fig. 5.
+// EndToEndResult bundles the runs behind Table I and Fig. 5: one cell per
+// (workload, scheme), labelled by its scheme.
 type EndToEndResult struct {
-	Cfg Config
-	// Curves map workload → scheme.
-	Curves
+	Workloads []Workload
+	Grid
 }
 
 // RunEndToEnd executes every (workload, scheme) pair of the paper's
@@ -23,17 +22,16 @@ type EndToEndResult struct {
 // flight, shared dataset/partition cache). The same result feeds Table I
 // and Fig. 5.
 func RunEndToEnd(ctx context.Context, h Harness, cfg Config, workloads []Workload, schemes []string) (*EndToEndResult, error) {
-	grid := endToEndGrid(cfg, workloads, schemes)
-	runs, err := h.Run(ctx, grid)
+	g, err := runGrid(ctx, h, schemeGrid(cfg, workloads, schemes))
 	if err != nil {
 		return nil, err
 	}
-	return assembleEndToEnd(cfg, grid, runs), nil
+	return &EndToEndResult{Workloads: workloads, Grid: g}, nil
 }
 
-// endToEndGrid flattens the (workload × scheme) matrix into grid cells in
-// the sequential loop's iteration order.
-func endToEndGrid(cfg Config, workloads []Workload, schemes []string) []GridRun {
+// schemeGrid flattens the (workload × scheme) matrix into grid cells,
+// workload-major.
+func schemeGrid(cfg Config, workloads []Workload, schemes []string) []GridRun {
 	grid := make([]GridRun, 0, len(workloads)*len(schemes))
 	for _, w := range workloads {
 		for _, s := range schemes {
@@ -43,81 +41,56 @@ func endToEndGrid(cfg Config, workloads []Workload, schemes []string) []GridRun 
 	return grid
 }
 
-// assembleEndToEnd indexes the scheduler's input-ordered results back into
-// the workload→scheme map.
-func assembleEndToEnd(cfg Config, grid []GridRun, runs []*Run) *EndToEndResult {
-	res := &EndToEndResult{Cfg: cfg}
-	for i, g := range grid {
-		res.add(g.Cfg.Workload, g.Cfg.Scheme, runs[i])
-	}
-	return res
-}
-
-// Table1 renders the time-to-target-accuracy comparison: per-round time,
-// number of rounds, and total time per (model, scheme) — the paper's
-// Table I.
-func (r *EndToEndResult) Table1(workloads []Workload) *trace.Table {
-	t := trace.NewTable(
+// Report is Table I — per-round time, number of rounds and total time to
+// the target accuracy per (model, scheme) — then FedSU's mean
+// sparsification and speedup against APF per model, and per model Fig. 5:
+// the time-to-accuracy curves and the sparsification-ratio curves of APF
+// and FedSU.
+func (r *EndToEndResult) Report() Report {
+	t1 := trace.NewTable(
 		"Table I: time to reach the target accuracy",
 		"Model", "Target", "Scheme", "Per-round Time (s)", "# of Rounds", "Total Time (h)", "Reached",
 	)
-	for _, w := range workloads {
-		for _, s := range Schemes() {
-			run, ok := r.Runs[w.Name][s]
-			if !ok {
-				continue
-			}
-			secs, rounds, reached := run.TimeToAccuracy(w.TargetAccuracy)
-			t.AddRow(
-				w.Name,
-				fmt.Sprintf("%.2f", w.TargetAccuracy),
-				s,
-				secs/float64(rounds),
-				rounds,
-				secs/3600,
-				reached,
-			)
-		}
-	}
-	return t
-}
-
-// Fig5Series extracts the time-to-accuracy curves and (for apf/fedsu) the
-// instantaneous sparsification-ratio curves of one workload, the content of
-// Fig. 5.
-func (r *EndToEndResult) Fig5Series(workload string) (acc, ratio []*trace.Series) {
-	for _, s := range Schemes() {
-		if a, ok := r.Accuracy[workload][s]; ok {
-			acc = append(acc, a)
+	vs := trace.NewTable("FedSU vs APF: mean sparsification and speedup to the target",
+		"Model", "FedSU Sparsification", "APF Sparsification", "Speedup vs APF")
+	var figs []Figure
+	for _, w := range r.Workloads {
+		labels, runs := r.of(w.Name)
+		var acc, ratio []*trace.Series
+		for i, s := range labels {
+			secs, rounds, reached := runs[i].TimeToAccuracy(w.TargetAccuracy)
+			t1.AddRow(w.Name, fmt.Sprintf("%.2f", w.TargetAccuracy), s,
+				secs/float64(rounds), rounds, secs/3600, reached)
+			acc = append(acc, runs[i].AccuracyCurve(s))
 			if s == "apf" || s == "fedsu" {
-				ratio = append(ratio, r.Ratio[workload][s])
+				ratio = append(ratio, runs[i].RatioCurve(s))
 			}
 		}
+		if fedsu := r.Lookup(w.Name, "fedsu"); fedsu != nil {
+			apfSparse, speedup := "-", "-"
+			if apf := r.Lookup(w.Name, "apf"); apf != nil {
+				apfSparse, speedup = pct(apf.MeanSparsification()), speedupVs(fedsu, apf, w.TargetAccuracy)
+			}
+			vs.AddRow(w.Name, pct(fedsu.MeanSparsification()), apfSparse, speedup)
+		}
+		figs = append(figs,
+			Figure{File: "fig5_acc_" + w.Name + ".csv", Title: fmt.Sprintf("Fig 5 (%s): time-to-accuracy", w.Name), Series: acc},
+			Figure{File: "fig5_ratio_" + w.Name + ".csv", Series: ratio})
 	}
-	return acc, ratio
+	return Report{Tables: []*trace.Table{t1, vs}, Figures: figs}
 }
 
-// Report writes Table I, the per-workload Fig. 5 summaries, and the FedSU
-// speedup factors versus the second-best scheme.
-func (r *EndToEndResult) Report(w io.Writer, workloads []Workload) error {
-	if err := r.Table1(workloads).Render(w); err != nil {
-		return err
+// speedupVs is how much sooner fedsu reached target than base, as a
+// percentage of base's time, or "not reached" unless both reached it: a
+// run that missed the target only has its full-run time to offer.
+func speedupVs(fedsu, base *Run, target float64) string {
+	ts, _, okS := fedsu.TimeToAccuracy(target)
+	tb, _, okB := base.TimeToAccuracy(target)
+	if !okS || !okB {
+		return "not reached"
 	}
-	for _, wl := range workloads {
-		fedsu, ok := r.Runs[wl.Name]["fedsu"]
-		if !ok {
-			continue
-		}
-		fmt.Fprintf(w, "\n%s: FedSU mean sparsification %.1f%%", wl.Name, 100*fedsu.MeanSparsification())
-		if apf, ok := r.Runs[wl.Name]["apf"]; ok {
-			fmt.Fprintf(w, " (APF %.1f%%)", 100*apf.MeanSparsification())
-			ts, _, _ := fedsu.TimeToAccuracy(wl.TargetAccuracy)
-			ta, _, _ := apf.TimeToAccuracy(wl.TargetAccuracy)
-			if ts > 0 {
-				fmt.Fprintf(w, "; speedup vs APF %.1f%%", 100*(ta-ts)/ta)
-			}
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
+	return pct((tb - ts) / tb)
 }
+
+// pct formats a fraction as a percentage with one decimal.
+func pct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }

@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"fedsu/internal/core"
@@ -138,8 +137,8 @@ type passthroughAgg struct{}
 func (passthroughAgg) AggregateModel(_, _ int, v []float64) ([]float64, error) { return v, nil }
 func (passthroughAgg) AggregateError(_, _ int, v []float64) ([]float64, error) { return v, nil }
 
-// Report renders Table II.
-func (r *Table2Result) Report(w io.Writer) {
+// Report is Table II.
+func (r *Table2Result) Report() Report {
 	t := trace.NewTable("Table II: FedSU computation and memory overheads",
 		"Model", "Compute Inflation (s)", "Compute Ratio", "Memory Inflation (MB)", "Memory Ratio")
 	for _, row := range r.Rows {
@@ -149,5 +148,5 @@ func (r *Table2Result) Report(w io.Writer) {
 			fmt.Sprintf("%.0f", row.MemoryInflationMB),
 			fmt.Sprintf("%.2f%%", 100*row.MemoryInflationRatio))
 	}
-	t.Render(w)
+	return Report{Tables: []*trace.Table{t}}
 }

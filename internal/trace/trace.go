@@ -44,19 +44,6 @@ func (s *Series) LastY() float64 {
 	return s.Y[len(s.Y)-1]
 }
 
-// WriteCSV emits the series as two-column CSV.
-func (s *Series) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%s,%s\n", s.XLabel, s.YLabel); err != nil {
-		return err
-	}
-	for i := range s.X {
-		if _, err := fmt.Fprintf(w, "%g,%g\n", s.X[i], s.Y[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteCSVMulti writes several series sharing an x axis as one CSV: the
 // union of x values with one y column per series (empty cells where a
 // series lacks the x).
@@ -164,19 +151,6 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// WriteCSV emits the table as CSV.
-func (t *Table) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, strings.Join(t.headers, ",")); err != nil {
-		return err
-	}
-	for _, r := range t.rows {
-		if _, err := fmt.Fprintln(w, strings.Join(r, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // AsciiPlot renders series as a crude terminal plot (rows top-to-bottom =

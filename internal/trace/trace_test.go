@@ -23,19 +23,6 @@ func TestSeriesBasics(t *testing.T) {
 	}
 }
 
-func TestSeriesWriteCSV(t *testing.T) {
-	s := NewSeries("acc", "time", "accuracy")
-	s.Add(1, 0.5)
-	var b bytes.Buffer
-	if err := s.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	want := "time,accuracy\n1,0.5\n"
-	if b.String() != want {
-		t.Errorf("CSV = %q, want %q", b.String(), want)
-	}
-}
-
 func TestWriteCSVMulti(t *testing.T) {
 	a := NewSeries("a", "x", "y")
 	a.Add(1, 10)
@@ -71,13 +58,6 @@ func TestTableRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
-	}
-	var csv bytes.Buffer
-	if err := tb.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(csv.String(), "Model,Scheme,Time\n") {
-		t.Errorf("CSV header wrong: %q", csv.String())
 	}
 }
 
