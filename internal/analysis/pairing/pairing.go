@@ -79,15 +79,14 @@ var pairs = []pair{
 
 // barriers maps defining package path -> function/method names whose call
 // is a blocking rendezvous with other token holders: the client's
-// collective round, the sync dispatchers and Wire.Collect, which runs
-// either for a strategy, and the tree's relay ingest, which parks until
-// the root publishes.
+// collective round, the sync dispatchers, Leg.Dispatch and Wire.Collect,
+// which runs either leg for a strategy, and the tree's relay ingest, which
+// parks until the root publishes.
 var barriers = map[string]map[string]bool{
-	"fedsu/internal/fl": {
-		"SyncRound": true, "SyncRoundCtx": true,
-		"AggregatePartial": true, "AggregatePartialCtx": true,
+	"fedsu/internal/fl": {"SyncRoundCtx": true, "AggregatePartialCtx": true},
+	"fedsu/internal/sparse": {
+		"SyncContext": true, "AggModel": true, "AggError": true, "Dispatch": true, "Collect": true,
 	},
-	"fedsu/internal/sparse": {"SyncContext": true, "AggModel": true, "AggError": true, "Collect": true},
 }
 
 // lookup returns the row fn belongs to and whether fn acquires (true) or

@@ -22,6 +22,14 @@ func AggModel(ctx context.Context, agg Aggregator, clientID, round int, values [
 	return nil, nil
 }
 
+type Leg uint8
+
+const ModelLeg Leg = 0
+
+func (l Leg) Dispatch(ctx context.Context, agg Aggregator, clientID, round int, values []float64) ([]float64, error) {
+	return nil, nil
+}
+
 type Dispatcher func(ctx context.Context, agg Aggregator, clientID, round int, values []float64) ([]float64, error)
 
 type Wire struct{}

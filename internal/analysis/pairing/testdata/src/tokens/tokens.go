@@ -138,6 +138,12 @@ func badHoldAcrossAggModel(ctx context.Context, agg sparse.Aggregator, vec []flo
 	sparse.AggModel(ctx, agg, 0, 1, vec) // want `compute token held across collective barrier AggModel`
 }
 
+func badHoldAcrossDispatch(ctx context.Context, agg sparse.Aggregator, vec []float64) {
+	par.AcquireToken()
+	defer par.ReleaseToken()
+	sparse.ModelLeg.Dispatch(ctx, agg, 0, 1, vec) // want `compute token held across collective barrier Dispatch`
+}
+
 // The strategies' accounting front of the same two collectives.
 func badHoldAcrossCollect(ctx context.Context, w *sparse.Wire, agg sparse.Aggregator, vec []float64) {
 	par.AcquireToken()
@@ -170,25 +176,25 @@ func okAnnotatedHold(ch chan float64) {
 
 // The relay pattern: fold the block under the token, release, THEN park
 // on the partial ingest (which blocks until the root publishes).
-func okReleaseBeforePartial(t *fl.Tree, sum []float64) ([]float64, error) {
+func okReleaseBeforePartial(ctx context.Context, t *fl.Tree, sum []float64) ([]float64, error) {
 	par.AcquireToken()
 	train()
 	par.ReleaseToken()
-	return t.AggregatePartial(0, "model", 0, sum, 8)
+	return t.AggregatePartialCtx(ctx, 0, sparse.ModelLeg, 0, sum, 8)
 }
 
 // Holding the token across the tree barrier starves the cohort exactly
-// like the flat SyncRound case: the root cannot publish until every
+// like the flat SyncRoundCtx case: the root cannot publish until every
 // block's partial lands, and the other submitters need tokens to fold.
-func badHoldAcrossPartial(t *fl.Tree, sum []float64) {
+func badHoldAcrossPartial(ctx context.Context, t *fl.Tree, sum []float64) {
 	par.AcquireToken()
 	train()
-	t.AggregatePartial(0, "model", 0, sum, 8) // want `compute token held across collective barrier AggregatePartial`
+	t.AggregatePartialCtx(ctx, 0, sparse.ModelLeg, 0, sum, 8) // want `compute token held across collective barrier AggregatePartialCtx`
 	par.ReleaseToken()
 }
 
-func badHoldAcrossPartialCtx(ctx context.Context, t *fl.Tree, sum []float64) ([]float64, error) {
+func badHoldAcrossPartialDeferred(ctx context.Context, t *fl.Tree, sum []float64) ([]float64, error) {
 	par.AcquireToken()
 	defer par.ReleaseToken()
-	return t.AggregatePartialCtx(ctx, 0, "model", 0, sum, 8) // want `compute token held across collective barrier AggregatePartialCtx`
+	return t.AggregatePartialCtx(ctx, 0, sparse.ModelLeg, 0, sum, 8) // want `compute token held across collective barrier AggregatePartialCtx`
 }

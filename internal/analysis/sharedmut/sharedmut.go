@@ -5,14 +5,14 @@
 // version — fl.Server.AsyncGlobal, the AggregateModel/AggregateError
 // entry points (whose op.result is likewise one slice delivered to every
 // barrier participant), and the sparse dispatch helpers (AggModel,
-// AggError, Wire.Collect, SyncContext) that forward them. A caller that writes through
+// AggError, Leg.Dispatch, Wire.Collect, SyncContext) that forward them. A caller that writes through
 // such a slice corrupts the model under every other client simultaneously
 // — silently, because each client's own view stays self-consistent.
 //
 // The hierarchical collective (PR 9) widens the surface: fl.Tree's
 // Aggregate entry points publish the root global the same way, and
-// Tree.AggregatePartial / AggregatePartialCtx — the relay ingest path —
-// hand the identical slice back to every block submitter.
+// Tree.AggregatePartialCtx — the relay ingest path — hands the identical
+// slice back to every block submitter.
 //
 // The check taints, per function, every variable that may alias a shared
 // aggregation result (via the cfg def-use index: direct assignment,
@@ -49,21 +49,24 @@ var Analyzer = &analysis.Analyzer{
 
 // sources maps defining package path -> name -> tuple index of the shared
 // slice among the call's results.
+// The Aggregate* methods every in-tree aggregator exposes are defined once,
+// on sparse.Collective, and promoted into fl.Tree: they are listed under
+// sparse, where a method promoted through an embedded field is defined.
 var sources = map[string]map[string]int{
 	"fedsu/internal/fl": {
 		"AsyncGlobal":         0,
-		"AggregateModel":      0,
-		"AggregateError":      0,
-		"AggregateModelCtx":   0,
-		"AggregateErrorCtx":   0,
-		"AggregatePartial":    0,
 		"AggregatePartialCtx": 0,
 	},
 	"fedsu/internal/sparse": {
-		"AggModel":    0,
-		"AggError":    0,
-		"Collect":     0,
-		"SyncContext": 0,
+		"AggregateModel":    0,
+		"AggregateError":    0,
+		"AggregateModelCtx": 0,
+		"AggregateErrorCtx": 0,
+		"AggModel":          0,
+		"AggError":          0,
+		"Dispatch":          0,
+		"Collect":           0,
+		"SyncContext":       0,
 	},
 }
 

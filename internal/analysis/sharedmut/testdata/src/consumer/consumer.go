@@ -56,7 +56,8 @@ func badDirectWrite(s *fl.Server) {
 	s.AsyncGlobal()[0] = 1 // want `write through the aggregation result`
 }
 
-// The aggregate entry points hand out the same shared slice.
+// The aggregate entry points hand out the same shared slice. The tree's
+// are promoted from sparse.Collective: defined in sparse, not fl.
 func badAggregateWrite(s *fl.Server, vec []float64) error {
 	res, err := s.AggregateModel(0, 1, vec)
 	if err != nil {
@@ -64,6 +65,17 @@ func badAggregateWrite(s *fl.Server, vec []float64) error {
 	}
 	res[0] = 0 // want `write through "res", a shared aggregation result`
 	return nil
+}
+
+func badAggregateCtxWrite(ctx context.Context, t *fl.Tree, vec []float64) {
+	res, _ := t.AggregateModelCtx(ctx, 0, 1, vec)
+	res[2] += 1 // want `write through "res", a shared aggregation result`
+}
+
+// The leg's dispatcher forwards the collective's shared result.
+func badDispatchWrite(ctx context.Context, vec []float64) {
+	res, _ := sparse.ModelLeg.Dispatch(ctx, nil, 0, 1, vec)
+	res[0] = 1 // want `write through "res", a shared aggregation result`
 }
 
 // Tuple results through the dispatcher: only result 0 is the shared
@@ -151,7 +163,7 @@ func okAnnotatedWrite(s *fl.Server) {
 // The relay ingest path hands back the same root global as the member
 // entry points: a relay "normalising" through it corrupts every tier.
 func badPartialWrite(t *fl.Tree, sum []float64) error {
-	global, err := t.AggregatePartial(0, "model", 0, sum, 8)
+	global, err := t.AggregatePartialCtx(context.Background(), 0, sparse.ModelLeg, 0, sum, 8)
 	if err != nil {
 		return err
 	}
@@ -160,7 +172,7 @@ func badPartialWrite(t *fl.Tree, sum []float64) error {
 }
 
 func badPartialSubsliceWrite(ctx context.Context, t *fl.Tree, sum []float64) {
-	global, _ := t.AggregatePartialCtx(ctx, 0, "model", 0, sum, 8)
+	global, _ := t.AggregatePartialCtx(ctx, 0, sparse.ModelLeg, 0, sum, 8)
 	head := global[:4]
 	copy(head, sum) // want `copy into "head", a shared aggregation result`
 }
@@ -168,7 +180,7 @@ func badPartialSubsliceWrite(ctx context.Context, t *fl.Tree, sum []float64) {
 // The relay's own forwarding copy is its private buffer: fold into it,
 // ship it, recycle it — only the returned global is shared.
 func okPartialCopyOut(t *fl.Tree, sum []float64) []float64 {
-	global, _ := t.AggregatePartial(0, "model", 0, sum, 8)
+	global, _ := t.AggregatePartialCtx(context.Background(), 0, sparse.ModelLeg, 0, sum, 8)
 	next := append([]float64(nil), global...)
 	next[0] += 1
 	return next

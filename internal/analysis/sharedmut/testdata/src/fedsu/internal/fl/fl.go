@@ -2,32 +2,27 @@
 // sharedmut analyzer matches by package path + name.
 package fl
 
-import "context"
+import (
+	"context"
 
-type Server struct {
-	global []float64
-}
+	"fedsu/internal/sparse"
+)
 
-func (s *Server) AsyncGlobal() []float64 { return s.global }
+type collective = sparse.Collective
 
-func (s *Server) AggregateModel(clientID, round int, values []float64) ([]float64, error) {
-	return s.global, nil
-}
-
-func (s *Server) AggregateModelCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
-	return s.global, nil
-}
-
-// Tree is the hierarchical collective's stub: the partial ingest path
-// publishes the same shared root global to every block submitter.
+// Tree is the collective's stub. Its Aggregate* methods are promoted from
+// sparse.Collective, so the analyzer sees them defined in sparse; the
+// partial ingest path publishes the same shared root global to every block
+// submitter.
 type Tree struct {
+	collective
 	global []float64
 }
 
-func (t *Tree) AggregatePartial(round int, kind string, rankLo int, sum []float64, weight int) ([]float64, error) {
-	return t.global, nil
-}
+type Server = Tree
 
-func (t *Tree) AggregatePartialCtx(ctx context.Context, round int, kind string, rankLo int, sum []float64, weight int) ([]float64, error) {
+func (t *Tree) AsyncGlobal() []float64 { return t.global }
+
+func (t *Tree) AggregatePartialCtx(ctx context.Context, round int, leg sparse.Leg, rankLo int, sum []float64, weight int) ([]float64, error) {
 	return t.global, nil
 }

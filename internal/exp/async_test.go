@@ -2,25 +2,31 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"testing"
 )
 
 // TestRunAsyncCompareSmoke runs the three-arm sync/async/async-event
 // comparison at micro scale: all arms complete, every mode reports a
 // non-empty accuracy series over nondecreasing emulated time, and the
-// async arms account their staleness drops. The model is one-eighth width,
-// not microConfig's one-32nd, because of a stall in the async-event arm that
-// predates the hashed batch draws: an event-gated client that abstains
-// reloads the unchanged global, so once every client's one-cycle drift (an
-// L2 norm over the whole model) sits under the arm's fixed 0.05 threshold,
-// the buffer never fills and runAsync gives up. At one-32nd width that
-// happens on 4 of seeds 1–12 with stream-drawn batches (2, 4, 5, 8) and on
-// 5 with hashed ones (1 joins, the default seed); at one-eighth on none
-// either way.
+// async arms account their staleness drops. The seeds are the ones on
+// which the async-event arm used to stall at microConfig's width: an
+// event-gated client that abstained reloaded the unchanged global, so once
+// every client's one-cycle drift sat under the arm's threshold the buffer
+// never filled. An abstention with a current pull now gets nil and keeps
+// its local progress, so drift accumulates until the client contributes.
 func TestRunAsyncCompareSmoke(t *testing.T) {
-	cfg := microConfig()
-	cfg.Rounds = 4
-	cfg.ModelScale = 8
+	for _, seed := range []int64{1, 2, 4, 5, 8} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cfg := microConfig()
+			cfg.Rounds = 4
+			cfg.Seed = seed
+			checkAsyncCompare(t, cfg)
+		})
+	}
+}
+
+func checkAsyncCompare(t *testing.T, cfg Config) {
 	res, err := RunAsyncCompare(context.Background(), Harness{}, cfg, CNNWorkload())
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fedsu/internal/par"
+	"fedsu/internal/sparse"
 )
 
 // These tests enforce the tentpole invariant of the streaming sharded
@@ -132,7 +133,7 @@ func submitInOrder(t *testing.T, s *Server, round int, order []int, vecs map[int
 			results[id], errs[id] = res, err
 			mu.Unlock()
 		}(id)
-		waitSubs(t, s, round, "model", k+1)
+		waitSubs(t, s, round, sparse.ModelLeg, k+1)
 	}
 	wg.Wait()
 	return results, errs
@@ -140,13 +141,13 @@ func submitInOrder(t *testing.T, s *Server, round int, order []int, vecs map[int
 
 // waitSubs polls until the collective's leaves have resolved want inputs
 // (staged submissions and evictions alike).
-func waitSubs(t *testing.T, s *Server, round int, kind string, want int) {
+func waitSubs(t *testing.T, s *Server, round int, leg sparse.Leg, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		s.mu.Lock()
 		subs := -1
-		if c := s.cols[opKey{round: round, kind: kind}]; c != nil {
+		if c := s.cols[opKey{round: round, leg: leg}]; c != nil {
 			subs = 0
 			for _, leaf := range c.tiers[0] {
 				subs += leaf.subs
@@ -157,7 +158,7 @@ func waitSubs(t *testing.T, s *Server, round int, kind string, want int) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %d submissions to %s/%d", want, kind, round)
+			t.Fatalf("timed out waiting for %d submissions to %s/%d", want, leg, round)
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
@@ -322,7 +323,7 @@ func TestAggregateCallerSliceNotAliased(t *testing.T) {
 			panic("cancelled wait returned no error")
 		}
 	}()
-	waitSubs(t, s, 0, "model", 1)
+	waitSubs(t, s, 0, sparse.ModelLeg, 1)
 	cancel()
 	<-done
 	// The caller reuses its buffer while the barrier is still open — the

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -82,7 +83,7 @@ func BenchmarkTreeRootFold(b *testing.B) {
 					wg.Add(1)
 					go func(blk block) {
 						defer wg.Done()
-						if _, err := tr.AggregatePartial(n, "model", blk.rankLo, blk.sum, blk.weight); err != nil {
+						if _, err := tr.AggregatePartialCtx(context.Background(), n, sparse.ModelLeg, blk.rankLo, blk.sum, blk.weight); err != nil {
 							b.Error(err)
 						}
 					}(blk)

@@ -137,16 +137,12 @@ func proximalGrad[E tensor.Elem](v, g []E, anchor []float64, mu E) {
 	}
 }
 
-// SyncRound extracts the post-training vector, runs the strategy's
+// SyncRoundCtx extracts the post-training vector, runs the strategy's
 // synchronization for the round, loads the resulting vector back into the
-// model, and returns the traffic accounting.
-func (c *Client) SyncRound(round int, contributor bool) (sparse.Traffic, error) {
-	return c.SyncRoundCtx(context.Background(), round, contributor)
-}
-
-// SyncRoundCtx is SyncRound with a context propagated into the strategy's
-// collectives (when both the strategy and the aggregator support it), so a
-// cancelled round does not leave the client parked on a barrier forever.
+// model, and returns the traffic accounting. ctx propagates into the
+// strategy's collectives (when both the strategy and the aggregator support
+// it), so a cancelled round does not leave the client parked on a barrier
+// forever.
 func (c *Client) SyncRoundCtx(ctx context.Context, round int, contributor bool) (sparse.Traffic, error) {
 	c.model.ExtractVector(c.vec)
 	out, tr, err := sparse.SyncContext(ctx, c.syncer, round, c.vec, contributor)

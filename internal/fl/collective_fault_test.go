@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fedsu/internal/sparse"
 )
 
 // The fault-side contract of the collective — deadlines, eviction, the
@@ -81,9 +83,9 @@ type batch struct {
 }
 
 // launch submits vecs[id] for every id concurrently and returns at once.
-func launch(c *Tree, round int, kind string, ids []int, vecs map[int][]float64) *batch {
+func launch(c *Tree, round int, leg sparse.Leg, ids []int, vecs map[int][]float64) *batch {
 	b := &batch{
-		what:    kind,
+		what:    leg.String(),
 		results: make(map[int][]float64, len(ids)),
 		errs:    make(map[int]error, len(ids)),
 		done:    make(chan struct{}),
@@ -95,7 +97,7 @@ func launch(c *Tree, round int, kind string, ids []int, vecs map[int][]float64) 
 			defer wg.Done()
 			var res []float64
 			var err error
-			if kind == "error" {
+			if leg == sparse.ErrorLeg {
 				res, err = c.AggregateError(id, round, vecs[id])
 			} else {
 				res, err = c.AggregateModel(id, round, vecs[id])
@@ -122,9 +124,9 @@ func (b *batch) wait(t *testing.T) (map[int][]float64, map[int]error) {
 }
 
 // submitAll is launch followed by wait.
-func submitAll(t *testing.T, c *Tree, round int, kind string, ids []int, vecs map[int][]float64) (map[int][]float64, map[int]error) {
+func submitAll(t *testing.T, c *Tree, round int, leg sparse.Leg, ids []int, vecs map[int][]float64) (map[int][]float64, map[int]error) {
 	t.Helper()
-	return launch(c, round, kind, ids, vecs).wait(t)
+	return launch(c, round, leg, ids, vecs).wait(t)
 }
 
 // wantAll asserts every id got want, bit for bit, and no error.
@@ -147,7 +149,7 @@ func TestDeadlineEvictsMissingClient(t *testing.T) {
 		c.SetDeadline(50 * time.Millisecond)
 		vecs, want := faultVecs(survivors())
 		start := time.Now()
-		results, errs := submitAll(t, c, 0, "model", survivors(), vecs)
+		results, errs := submitAll(t, c, 0, sparse.ModelLeg, survivors(), vecs)
 		if el := time.Since(start); el > 2*time.Second {
 			t.Fatalf("barrier took %v, deadline not enforced", el)
 		}
@@ -180,11 +182,11 @@ func TestEvictedMemberCostsRoundOneDeadline(t *testing.T) {
 		const d = 150 * time.Millisecond
 		c.SetDeadline(d)
 		vecs, want := faultVecs(survivors())
-		results, errs := submitAll(t, c, 0, "error", survivors(), vecs)
+		results, errs := submitAll(t, c, 0, sparse.ErrorLeg, survivors(), vecs)
 		wantAll(t, "error collective", results, errs, want)
 
 		start := time.Now()
-		results, errs = submitAll(t, c, 0, "model", survivors(), vecs)
+		results, errs = submitAll(t, c, 0, sparse.ModelLeg, survivors(), vecs)
 		if el := time.Since(start); el > d/2 {
 			t.Errorf("model collective took %v: it waited on a client the round already evicted", el)
 		}
@@ -209,13 +211,13 @@ func TestWholeLeafEvictedBeforeArming(t *testing.T) {
 	c.BeginRound(0, roster)
 	vecs := map[int][]float64{0: {2}, 1: {4}}
 	want := []float64{3}
-	results, errs := submitAll(t, c, 0, "error", []int{0, 1}, vecs)
+	results, errs := submitAll(t, c, 0, sparse.ErrorLeg, []int{0, 1}, vecs)
 	wantAll(t, "error collective", results, errs, want)
 	if got := c.Evicted(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("Evicted() = %v, want [2 3]", got)
 	}
 	c.SetDeadline(0) // a model collective that waited on the dead leaf would hang
-	results, errs = submitAll(t, c, 0, "model", []int{0, 1}, vecs)
+	results, errs = submitAll(t, c, 0, sparse.ModelLeg, []int{0, 1}, vecs)
 	wantAll(t, "model collective", results, errs, want)
 }
 
@@ -225,8 +227,8 @@ func TestEvictionReleasesAllInFlightCollectives(t *testing.T) {
 	forTopologies(t, func(t *testing.T, c *Tree) {
 		c.SetDeadline(40 * time.Millisecond)
 		vecs, want := faultVecs(survivors())
-		model := launch(c, 0, "model", survivors(), vecs)
-		errc := launch(c, 0, "error", survivors(), vecs)
+		model := launch(c, 0, sparse.ModelLeg, survivors(), vecs)
+		errc := launch(c, 0, sparse.ErrorLeg, survivors(), vecs)
 		results, errs := model.wait(t)
 		wantAll(t, "model collective", results, errs, want)
 		results, errs = errc.wait(t)
@@ -247,7 +249,7 @@ func TestAliveProbeExtendsDeadlineOnce(t *testing.T) {
 		c.SetAliveProbe(func(int) bool { return true })
 		vecs, want := faultVecs(faultRoster)
 
-		fast := launch(c, 0, "model", survivors(), vecs)
+		fast := launch(c, 0, sparse.ModelLeg, survivors(), vecs)
 
 		// Miss the first deadline but land within the extension.
 		time.Sleep(d + d/2)
@@ -274,7 +276,7 @@ func TestAliveProbeExtensionIsBounded(t *testing.T) {
 		c.SetAliveProbe(func(int) bool { return true })
 		vecs, want := faultVecs(survivors())
 		start := time.Now()
-		results, errs := submitAll(t, c, 0, "model", survivors(), vecs)
+		results, errs := submitAll(t, c, 0, sparse.ModelLeg, survivors(), vecs)
 		if el := time.Since(start); el > 2*time.Second {
 			t.Fatalf("barrier took %v despite the bounded extension", el)
 		}
@@ -300,12 +302,12 @@ func TestIdempotentResubmission(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			// Wait for the first submission to land, then resubmit.
-			waitSubs(t, c, 0, "model", 1)
+			waitSubs(t, c, 0, sparse.ModelLeg, 1)
 			dup, _ = c.AggregateModel(first, 0, []float64{999})
 		}()
-		waitSubs(t, c, 0, "model", 1)
+		waitSubs(t, c, 0, sparse.ModelLeg, 1)
 		// Fill the barrier.
-		results, errs := submitAll(t, c, 0, "model", faultRoster[1:], vecs)
+		results, errs := submitAll(t, c, 0, sparse.ModelLeg, faultRoster[1:], vecs)
 		wg.Wait()
 		wantAll(t, "filler", results, errs, want)
 		for _, r := range [][]float64{orig, dup} {
@@ -321,7 +323,7 @@ func TestReadmitAfterEviction(t *testing.T) {
 	forTopologies(t, func(t *testing.T, c *Tree) {
 		c.SetDeadline(40 * time.Millisecond)
 		vecs, want := faultVecs(survivors())
-		results, errs := submitAll(t, c, 0, "model", survivors(), vecs)
+		results, errs := submitAll(t, c, 0, sparse.ModelLeg, survivors(), vecs)
 		wantAll(t, "round 0", results, errs, want)
 		if got := c.Evicted(); len(got) != 1 || got[0] != faultDead {
 			t.Fatalf("Evicted() = %v, want [%d]", got, faultDead)
@@ -331,7 +333,7 @@ func TestReadmitAfterEviction(t *testing.T) {
 		c.SetRoster(faultRoster)
 		c.BeginRound(1, faultRoster)
 		vecs, want = faultVecs(faultRoster)
-		results, errs = submitAll(t, c, 1, "model", faultRoster, vecs)
+		results, errs = submitAll(t, c, 1, sparse.ModelLeg, faultRoster, vecs)
 		wantAll(t, "post-readmit", results, errs, want)
 	})
 }
@@ -348,7 +350,7 @@ func TestAggregateCtxCancelAbortsWait(t *testing.T) {
 			_, err := c.AggregateModelCtx(ctx, first, 0, vecs[first])
 			errc <- err
 		}()
-		waitSubs(t, c, 0, "model", 1)
+		waitSubs(t, c, 0, sparse.ModelLeg, 1)
 		cancel()
 		select {
 		case err := <-errc:
@@ -361,7 +363,7 @@ func TestAggregateCtxCancelAbortsWait(t *testing.T) {
 
 		// The cancelled client's submission survives; the rest fill the
 		// barrier and get the mean over everyone.
-		results, errs := submitAll(t, c, 0, "model", faultRoster[1:], vecs)
+		results, errs := submitAll(t, c, 0, sparse.ModelLeg, faultRoster[1:], vecs)
 		wantAll(t, "filler", results, errs, want)
 	})
 }
@@ -387,17 +389,17 @@ func TestRosterWithNonContiguousIDs(t *testing.T) {
 
 // The remaining cases pin the deadline-timer lifecycle: a timer firing for
 // a barrier that has since completed — and whose shell may already have
-// been recycled into a NEW collective, even at the same (round, kind) key —
+// been recycled into a NEW collective, even at the same (round, leg) key —
 // must be a strict no-op. The arming generation (treeCol.gen) is what makes
 // the stale firing detectable; before it, a recycled shell at the same key
 // passed the identity check and the stale timer could evict clients from a
 // barrier it was never armed for.
 
 // colState snapshots a collective's pointer and generation under the lock.
-func colState(c *Tree, round int, kind string) (*treeCol, uint64) {
+func colState(c *Tree, round int, leg sparse.Leg) (*treeCol, uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	col := c.cols[opKey{round: round, kind: kind}]
+	col := c.cols[opKey{round: round, leg: leg}]
 	if col == nil {
 		return nil, 0
 	}
@@ -416,11 +418,11 @@ func TestExpireAfterCompleteIsNoOp(t *testing.T) {
 				t.Fatalf("client %d: %v", id, err)
 			}
 		}
-		col, gen := colState(c, 0, "model")
+		col, gen := colState(c, 0, sparse.ModelLeg)
 		if col == nil {
 			t.Fatal("completed collective already gone before BeginRound")
 		}
-		c.expire(opKey{round: 0, kind: "model"}, col, gen)
+		c.expire(opKey{round: 0, leg: sparse.ModelLeg}, col, gen)
 		if n := c.TimeoutCount(); n != 0 {
 			t.Fatalf("stale expiry on a finished barrier counted a timeout (%d)", n)
 		}
@@ -443,7 +445,7 @@ func TestStaleExpireOnRecycledShellIsNoOp(t *testing.T) {
 				t.Fatalf("round 0 client %d: %v", id, err)
 			}
 		}
-		oldCol, oldGen := colState(c, 0, "model")
+		oldCol, oldGen := colState(c, 0, sparse.ModelLeg)
 
 		// Recycle: the round-0 shell goes to the free list and is reused for
 		// the round-0 collective of the "replayed" session (same key — the
@@ -455,9 +457,9 @@ func TestStaleExpireOnRecycledShellIsNoOp(t *testing.T) {
 			_, err := c.AggregateModel(first, 0, vecs[first])
 			done <- err
 		}()
-		waitSubs(t, c, 0, "model", 1)
+		waitSubs(t, c, 0, sparse.ModelLeg, 1)
 
-		newCol, newGen := colState(c, 0, "model")
+		newCol, newGen := colState(c, 0, sparse.ModelLeg)
 		if newCol != oldCol {
 			t.Skip("free list did not reuse the shell; generation scenario not exercised")
 		}
@@ -466,7 +468,7 @@ func TestStaleExpireOnRecycledShellIsNoOp(t *testing.T) {
 		}
 
 		// The old timer fires now: same key, same pointer, old generation.
-		c.expire(opKey{round: 0, kind: "model"}, oldCol, oldGen)
+		c.expire(opKey{round: 0, leg: sparse.ModelLeg}, oldCol, oldGen)
 		if n := c.EvictionCount(); n != 0 {
 			t.Fatalf("stale timer evicted %d clients from the new barrier", n)
 		}
@@ -477,7 +479,7 @@ func TestStaleExpireOnRecycledShellIsNoOp(t *testing.T) {
 		}
 
 		// The new barrier still works normally.
-		_, errs2 := submitAll(t, c, 0, "model", faultRoster[1:], vecs)
+		_, errs2 := submitAll(t, c, 0, sparse.ModelLeg, faultRoster[1:], vecs)
 		for id, err := range errs2 {
 			if err != nil {
 				t.Fatalf("client %d: %v", id, err)
@@ -496,10 +498,10 @@ func TestExpireWithCurrentGenerationEvicts(t *testing.T) {
 	forTopologies(t, func(t *testing.T, c *Tree) {
 		c.SetDeadline(time.Hour)
 		vecs, _ := faultVecs(faultRoster)
-		parked := launch(c, 0, "model", survivors(), vecs)
-		waitSubs(t, c, 0, "model", len(faultRoster)-1)
-		col, gen := colState(c, 0, "model")
-		c.expire(opKey{round: 0, kind: "model"}, col, gen)
+		parked := launch(c, 0, sparse.ModelLeg, survivors(), vecs)
+		waitSubs(t, c, 0, sparse.ModelLeg, len(faultRoster)-1)
+		col, gen := colState(c, 0, sparse.ModelLeg)
+		c.expire(opKey{round: 0, leg: sparse.ModelLeg}, col, gen)
 		_, errs := parked.wait(t)
 		for id, err := range errs {
 			if err != nil {
@@ -567,7 +569,7 @@ func TestDeadlineExpiryRacesCompletion(t *testing.T) {
 		c.SetDeadline(0)
 		c.SetRoster(alive)
 		c.BeginRound(1, alive)
-		_, errs1 := submitAll(t, c, 1, "model", alive, vecs)
+		_, errs1 := submitAll(t, c, 1, sparse.ModelLeg, alive, vecs)
 		for id, err := range errs1 {
 			if err != nil {
 				t.Errorf("%s iter %d round 1 client %d: %v", tp.name, it, id, err)

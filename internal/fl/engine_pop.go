@@ -17,27 +17,23 @@ import (
 // strictly before the round's slot goroutines are spawned (the goroutine
 // start is the happens-before edge), and never during a round.
 type slotProxy struct {
+	collective
 	agg      sparse.Aggregator
 	memberID int
 }
 
-func (p *slotProxy) AggregateModel(clientID, round int, values []float64) ([]float64, error) {
-	return sparse.AggModel(context.Background(), p.agg, p.memberID, round, values)
+func newSlotProxy(agg sparse.Aggregator) *slotProxy {
+	p := &slotProxy{agg: agg}
+	p.collective = p.aggregate
+	return p
 }
 
-func (p *slotProxy) AggregateError(clientID, round int, values []float64) ([]float64, error) {
-	return sparse.AggError(context.Background(), p.agg, p.memberID, round, values)
+// aggregate submits to the leg's collective as the slot's current member.
+func (p *slotProxy) aggregate(ctx context.Context, leg sparse.Leg, _, round int, values []float64) ([]float64, error) {
+	return leg.Dispatch(ctx, p.agg, p.memberID, round, values)
 }
 
 func (p *slotProxy) ConcurrentLegs() bool { return sparse.ConcurrentLegs(p.agg) }
-
-func (p *slotProxy) AggregateModelCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
-	return sparse.AggModel(ctx, p.agg, p.memberID, round, values)
-}
-
-func (p *slotProxy) AggregateErrorCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
-	return sparse.AggError(ctx, p.agg, p.memberID, round, values)
-}
 
 // setupPopulation builds the registry and the population timing model (the
 // mode table has already passed the configuration). Called once from
@@ -79,7 +75,7 @@ func (e *Engine) Population() *Population { return e.pop }
 func (e *Engine) slotCollective() sparse.Aggregator {
 	var agg sparse.Aggregator = e.server
 	if e.pop != nil {
-		p := &slotProxy{agg: e.server}
+		p := newSlotProxy(e.server)
 		e.proxies = append(e.proxies, p)
 		agg = p
 	}

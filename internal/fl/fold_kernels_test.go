@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"fedsu/internal/par"
+	"fedsu/internal/sparse"
 )
 
 // What PR 22 must not change about the fold: its grouping (the fused pair-add
@@ -243,7 +244,7 @@ func TestTreeSteadyStateAllocs(t *testing.T) {
 	const members, size, rounds = 64, 4096, 20
 	global := make([]float64, size)
 	relay := NewTree(8)
-	relay.SetUpstream(0, func(round int, kind string, rankLo int, sum []float64, weight int) ([]float64, error) {
+	relay.SetUpstream(0, func(round int, leg sparse.Leg, rankLo int, sum []float64, weight int) ([]float64, error) {
 		return global, nil
 	})
 	for _, c := range []struct {

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"fedsu/internal/par"
+	"fedsu/internal/sparse"
 )
 
 // AsyncConfig parameterizes the buffered-async aggregation mode
@@ -48,8 +49,8 @@ func (c AsyncConfig) withDefaults() AsyncConfig {
 	return c
 }
 
-// asyncChan is one async accumulation channel (one per collective kind:
-// "model" and "error"), guarded by Server.amu. It is the async counterpart
+// asyncChan is one async accumulation channel (one per sparse.Leg),
+// guarded by Server.amu. It is the async counterpart
 // of an op: a running weighted sum that applies every K contributions.
 type asyncChan struct {
 	// ver counts applied globals; it is the staleness clock.
@@ -113,11 +114,14 @@ func newAsyncChan() *asyncChan {
 
 // SetAsync switches the server into buffered-async aggregation (cfg.K >= 1)
 // or back to barrier mode (zero cfg). In async mode Aggregate* calls never
-// block on a barrier: a submission folds into the per-kind accumulator
+// block on a barrier: a submission folds into the per-leg accumulator
 // immediately, weighted by StalenessWeight^staleness, and returns the
 // current global (nil before the first apply — strategies treat a nil
 // global as "keep local", exactly the bootstrap contract of the barrier
-// path). BeginRound/SetRoster participant sets are ignored: any
+// path). An abstention (nil values) from a client that already holds the
+// current global is answered with nil too: no contributor since its pull
+// means nothing to pull, the barrier path's contract for a round nobody
+// contributed to, so the client keeps its local progress. BeginRound/SetRoster participant sets are ignored: any
 // non-evicted client that submits non-nil values contributes.
 //
 // Determinism contract: the fold is bit-identical across par worker counts
@@ -146,30 +150,29 @@ func (s *Server) SetAsync(cfg AsyncConfig) error {
 	}
 	s.async = true
 	s.acfg = cfg.withDefaults()
-	s.amu.Lock()
-	if s.achan == nil {
-		s.achan = map[string]*asyncChan{}
-	}
-	s.amu.Unlock()
 	return nil
 }
 
-// asyncSubmit folds one submission into the kind's channel. Caller has
+// asyncSubmit folds one submission into the leg's channel. Caller has
 // already cleared the eviction check under s.mu and released it.
-func (s *Server) asyncSubmit(ctx context.Context, clientID int, kind string, values []float64) ([]float64, error) {
+func (s *Server) asyncSubmit(ctx context.Context, clientID int, leg sparse.Leg, values []float64) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	s.amu.Lock()
 	defer s.amu.Unlock()
-	ch := s.achan[kind]
-	if ch == nil {
-		ch = newAsyncChan()
-		s.achan[kind] = ch
-	}
+	ch := s.achan[leg]
 
-	stale := ch.ver - ch.base[clientID]
-	if _, seen := ch.base[clientID]; !seen {
+	base, seen := ch.base[clientID]
+	if values == nil && seen && base == ch.ver {
+		// An abstention with a current pull: nothing applied since, so
+		// nothing to hand back. Reloading the global it already holds
+		// would discard the client's local progress, and an event-gated
+		// client whose drift never accumulates never contributes again.
+		return nil, nil
+	}
+	stale := ch.ver - base
+	if !seen {
 		// First contact: the client trained from the freshest pull it
 		// could have made, so it folds at full weight.
 		stale = 0
@@ -236,10 +239,7 @@ func (c *asyncChan) apply() {
 func (s *Server) AsyncVersion() int {
 	s.amu.Lock()
 	defer s.amu.Unlock()
-	if ch := s.achan["model"]; ch != nil {
-		return ch.ver
-	}
-	return 0
+	return s.achan[sparse.ModelLeg].ver
 }
 
 // AsyncGlobal returns the current async global model (nil before the first
@@ -248,10 +248,7 @@ func (s *Server) AsyncVersion() int {
 func (s *Server) AsyncGlobal() []float64 {
 	s.amu.Lock()
 	defer s.amu.Unlock()
-	if ch := s.achan["model"]; ch != nil {
-		return ch.global
-	}
-	return nil
+	return s.achan[sparse.ModelLeg].global
 }
 
 // StaleDropCount reports contributions discarded for exceeding

@@ -1,10 +1,12 @@
 package fl
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"fedsu/internal/par"
+	"fedsu/internal/sparse"
 )
 
 func newAsyncServer(t *testing.T, clients int, cfg AsyncConfig) *Server {
@@ -174,6 +176,50 @@ func TestAsyncAbstainSynchronizes(t *testing.T) {
 	mustSubmit(t, s, 1, contributionFor(1, 8)) // fresh now
 	if s.AsyncVersion() != 4 {
 		t.Fatalf("version = %d, want 4", s.AsyncVersion())
+	}
+}
+
+// TestAsyncAbstainWithCurrentPull: an abstention from a client that already
+// holds the current global gets nil — no contributor since its pull, the
+// barrier path's contract — so FedAvg keeps its local vector and the
+// downlink is header-only. After an apply the same abstention pulls the new
+// global.
+func TestAsyncAbstainWithCurrentPull(t *testing.T) {
+	const size = 8
+	s := newAsyncServer(t, 2, AsyncConfig{K: 1, StalenessWeight: 1})
+	f := sparse.NewFedAvg(1, size, s)
+	local := contributionFor(1, size)
+	sync := func(round int) ([]float64, sparse.Traffic) {
+		t.Helper()
+		out, tr, err := sparse.SyncContext(context.Background(), f, round, local, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, tr
+	}
+	mustSubmit(t, s, 0, contributionFor(0, size)) // version 1
+
+	// First contact pulls version 1.
+	if out, _ := sync(0); !sameBits(out, s.AsyncGlobal()) {
+		t.Fatal("first-contact abstention did not pull the current global")
+	}
+	// Nothing applied since.
+	if g := mustSubmit(t, s, 1, nil); g != nil {
+		t.Fatal("abstention with a current pull returned the global it already holds")
+	}
+	if out, tr := sync(1); !sameBits(out, local) || tr.DownBytes != sparse.HeaderBytes {
+		t.Fatalf("abstention with a current pull: kept local %v, downlink %d bytes, want true and %d",
+			sameBits(out, local), tr.DownBytes, sparse.HeaderBytes)
+	}
+
+	mustSubmit(t, s, 0, contributionFor(0, size)) // version 2
+	out, tr := sync(2)
+	if g := s.AsyncGlobal(); s.AsyncVersion() != 2 || !sameBits(out, g) || tr.DownBytes <= sparse.HeaderBytes {
+		t.Fatalf("abstention after an apply: version %d, pulled the global %v, downlink %d bytes",
+			s.AsyncVersion(), sameBits(out, g), tr.DownBytes)
+	}
+	if g := mustSubmit(t, s, 1, nil); g != nil {
+		t.Fatal("abstention right after a pull returned a global")
 	}
 }
 

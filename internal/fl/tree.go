@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fedsu/internal/sparse"
 	"fedsu/internal/sparse/codec"
 )
 
@@ -70,11 +71,15 @@ import (
 //
 // # What the topology enables
 //
-// Remote partials (AggregatePartial) need a parent tier to stage into,
+// Remote partials (AggregatePartialCtx) need a parent tier to stage into,
 // hence two tiers or more. Buffered-async mode (SetAsync, server_async.go)
 // bypasses the barrier entirely; the mode table (modes.go) says which
 // topologies offer it.
 type Tree struct {
+	// collective is aggregate, bound at construction: it implements
+	// sparse.Aggregator and sparse.ContextAggregator.
+	collective
+
 	mu sync.Mutex
 
 	// fanout is the leaf block width in roster ranks; zero is the flat
@@ -122,28 +127,31 @@ type Tree struct {
 
 	// Buffered-async aggregation mode (see SetAsync / server_async.go).
 	// When enabled, submissions bypass the barrier machinery entirely:
-	// they fold into per-kind weighted accumulators as they arrive and the
+	// they fold into per-leg weighted accumulators as they arrive and the
 	// global applies every acfg.K contributions.
 	async  bool
 	acfg   AsyncConfig
 	amu    sync.Mutex
-	achan  map[string]*asyncChan
+	achan  [2]*asyncChan // indexed by sparse.Leg
 	astale int
 }
 
+// collective embeds sparse.Collective without exporting the field.
+type collective = sparse.Collective
+
 type opKey struct {
 	round int
-	kind  string
+	leg   sparse.Leg
 }
 
-// treeCol is one collective (round, kind): the tier topology plus the
+// treeCol is one collective (round, leg): the tier topology plus the
 // barrier bookkeeping, all guarded by Tree.mu except the fold nodes.
 type treeCol struct {
 	// gen is the arming generation. A deadline timer captures the
 	// generation it was armed for, and expire ignores a firing whose
 	// generation no longer matches: a timer that outlives its barrier
 	// (fires after the shell returned to the free list, or was recycled
-	// into a new collective — even one at the same (round, kind) key,
+	// into a new collective — even one at the same (round, leg) key,
 	// which a checkpoint replay can produce) must be a no-op instead of
 	// evicting the new barrier's clients.
 	gen       uint64
@@ -179,7 +187,7 @@ type Hold struct{ col *treeCol }
 
 type holdKey struct{}
 
-// WithHold returns ctx carrying h for one Aggregate*Ctx or
+// WithHold returns ctx carrying h for one context-taking Aggregate call or
 // AggregatePartialCtx call.
 func WithHold(ctx context.Context, h *Hold) context.Context {
 	return context.WithValue(ctx, holdKey{}, h)
@@ -204,7 +212,7 @@ type tierNode struct {
 	need    int
 	subs    int
 	done    bool
-	remote  bool // resolved by a remote partial (AggregatePartial)
+	remote  bool // resolved by a remote partial (AggregatePartialCtx)
 	failure error
 }
 
@@ -221,13 +229,16 @@ func NewTree(fanout int) *Tree {
 }
 
 func newTree(fanout int) *Tree {
-	return &Tree{
+	t := &Tree{
 		fanout:       fanout,
 		pos:          map[int]int{},
 		participants: map[int]bool{},
 		cols:         map[opKey]*treeCol{},
 		evicted:      map[int]bool{},
+		achan:        [2]*asyncChan{newAsyncChan(), newAsyncChan()},
 	}
+	t.collective = t.aggregate
+	return t
 }
 
 // Fanout returns the effective (power-of-two) leaf block width; zero for
@@ -401,38 +412,9 @@ func (t *Tree) BeginRound(round int, participants []int) {
 	}
 }
 
-// AggregateModel implements sparse.Aggregator. values is only read for the
-// duration of the call — it is staged by reference while the caller blocks,
-// and an abandoned wait detaches a copy — so callers may reuse the slice
-// immediately after return. The returned slice is shared by every waiter
-// of the collective and must not be mutated.
-func (t *Tree) AggregateModel(clientID, round int, values []float64) ([]float64, error) {
-	return t.aggregate(context.Background(), clientID, round, "model", values)
-}
-
-// AggregateError implements sparse.Aggregator, with the same ownership
-// contract as AggregateModel.
-func (t *Tree) AggregateError(clientID, round int, values []float64) ([]float64, error) {
-	return t.aggregate(context.Background(), clientID, round, "error", values)
-}
-
 // ConcurrentLegs implements sparse.LegAggregator: a round's model and error
-// collectives are separate barriers, keyed by (round, kind).
+// collectives are separate barriers, keyed by (round, leg).
 func (t *Tree) ConcurrentLegs() bool { return true }
-
-// AggregateModelCtx implements sparse.ContextAggregator: the barrier wait
-// aborts with ctx.Err() on cancellation. The submission itself stays
-// registered (as a detached copy, so the caller's slice is safe to reuse
-// even after an abandoned wait), and the collective still completes for
-// the other clients.
-func (t *Tree) AggregateModelCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
-	return t.aggregate(ctx, clientID, round, "model", values)
-}
-
-// AggregateErrorCtx implements sparse.ContextAggregator.
-func (t *Tree) AggregateErrorCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
-	return t.aggregate(ctx, clientID, round, "error", values)
-}
 
 // colLocked returns the collective for key, arming it (topology, pending
 // set, deadline timer) on first touch. Leaves cover aligned fanout-sized
@@ -546,7 +528,17 @@ func (t *Tree) leafLocked(c *treeCol, id int) (*tierNode, int) {
 	return c.tiers[0][rank/t.fanout], rank % t.fanout
 }
 
-func (t *Tree) aggregate(ctx context.Context, clientID, round int, kind string, values []float64) ([]float64, error) {
+// aggregate is the Tree's collective, which the embedded sparse.Collective
+// exposes as AggregateModel, AggregateError and their Ctx forms: clientID's
+// submission to the leg's barrier of round. values is only read for the
+// duration of the call — it is staged by reference while the caller blocks,
+// and an abandoned wait detaches a copy — so callers may reuse the slice
+// immediately after return. The returned slice is shared by every waiter
+// of the collective and must not be mutated. The barrier wait aborts with
+// ctx.Err() on cancellation; the submission itself stays registered (as
+// the detached copy), and the collective still completes for the other
+// clients.
+func (t *Tree) aggregate(ctx context.Context, leg sparse.Leg, clientID, round int, values []float64) ([]float64, error) {
 	t.mu.Lock()
 	if t.evicted[clientID] {
 		t.mu.Unlock()
@@ -554,16 +546,16 @@ func (t *Tree) aggregate(ctx context.Context, clientID, round int, kind string, 
 	}
 	if t.async {
 		t.mu.Unlock()
-		return t.asyncSubmit(ctx, clientID, kind, values)
+		return t.asyncSubmit(ctx, clientID, leg, values)
 	}
-	c, ready := t.colLocked(opKey{round: round, kind: kind})
+	c, ready := t.colLocked(opKey{round: round, leg: leg})
 	c.holders.Add(1)
 	defer c.holders.Add(-1)
 	if c.submitted[clientID] {
 		strict := !t.idempotent
 		t.mu.Unlock()
 		if strict {
-			return nil, fmt.Errorf("fl: client %d double-submitted %s collective of round %d", clientID, kind, round)
+			return nil, fmt.Errorf("fl: client %d double-submitted %s collective of round %d", clientID, leg, round)
 		}
 		// Retry after a dropped connection: the first submission is already
 		// in the barrier; just wait for (or return) the result.
@@ -574,7 +566,7 @@ func (t *Tree) aggregate(ctx context.Context, clientID, round int, kind string, 
 	if !c.pending[clientID] {
 		t.mu.Unlock()
 		t.cascade(ready)
-		return nil, fmt.Errorf("fl: client %d in %s collective of round %d: %w", clientID, kind, round, ErrNotMember)
+		return nil, fmt.Errorf("fl: client %d in %s collective of round %d: %w", clientID, leg, round, ErrNotMember)
 	}
 	c.submitted[clientID] = true
 	delete(c.pending, clientID)
@@ -650,7 +642,7 @@ func (t *Tree) completeNode(node *tierNode) *tierNode {
 		sum, weight, err := node.fold.complete(false)
 		var global []float64
 		if err == nil {
-			global, err = up(c.key.round, c.key.kind, base, vals(sum), weight)
+			global, err = up(c.key.round, c.key.leg, base, vals(sum), weight)
 		}
 		codec.PutVals(sum)
 		t.finishRoot(c, node, global, nil, err)

@@ -3,6 +3,8 @@ package fl
 import (
 	"context"
 	"fmt"
+
+	"fedsu/internal/sparse"
 )
 
 // Remote tiers. A Tree normally folds every tier in-process, but the
@@ -11,7 +13,7 @@ import (
 // ONE (sum, weight) partial to the coordinator, which injects it here in
 // place of the block's member submissions. Two pieces make that work:
 //
-//   - AggregatePartial, the receiving side: the partial resolves the
+//   - AggregatePartialCtx, the receiving side: the partial resolves the
 //     whole leaf block at once — its members are marked submitted, the
 //     partial is staged into the leaf's parent at the leaf's child rank,
 //     and the caller blocks until the root publishes, exactly like a
@@ -34,7 +36,7 @@ import (
 // member was evicted). sum is not retained past the call: its buffer is
 // recycled when the hook returns. The hook runs on the completing submitter's
 // goroutine with no Tree lock held, so it may block on network I/O.
-type UpstreamFunc func(round int, kind string, rankLo int, sum []float64, weight int) ([]float64, error)
+type UpstreamFunc func(round int, leg sparse.Leg, rankLo int, sum []float64, weight int) ([]float64, error)
 
 // SetUpstream switches the tree into subtree (relay) mode: the root
 // forwards its raw partial through fn instead of scaling a mean, and
@@ -49,11 +51,6 @@ func (t *Tree) SetUpstream(rankLo int, fn UpstreamFunc) {
 	t.upstreamBase = rankLo
 }
 
-// AggregatePartial is AggregatePartialCtx without cancellation.
-func (t *Tree) AggregatePartial(round int, kind string, rankLo int, sum []float64, weight int) ([]float64, error) {
-	return t.AggregatePartialCtx(context.Background(), round, kind, rankLo, sum, weight)
-}
-
 // AggregatePartialCtx stages an already-folded partial for the aligned
 // leaf block starting at roster rank rankLo, resolving that block's
 // members in one message, and blocks until the collective's global is
@@ -66,7 +63,7 @@ func (t *Tree) AggregatePartial(round int, kind string, rankLo int, sum []float6
 // retry-after-reconnect contract of flrpc); otherwise it is an error, as is
 // a partial for a block with direct member submissions or one that
 // expired.
-func (t *Tree) AggregatePartialCtx(ctx context.Context, round int, kind string, rankLo int, sum []float64, weight int) ([]float64, error) {
+func (t *Tree) AggregatePartialCtx(ctx context.Context, round int, leg sparse.Leg, rankLo int, sum []float64, weight int) ([]float64, error) {
 	t.mu.Lock()
 	n := len(t.roster)
 	if n == 0 {
@@ -81,7 +78,7 @@ func (t *Tree) AggregatePartialCtx(ctx context.Context, round int, kind string, 
 		t.mu.Unlock()
 		return nil, fmt.Errorf("fl: partial rank %d is not an aligned leaf block of a %d-member roster (fanout %d)", rankLo, n, t.fanout)
 	}
-	c, ready := t.colLocked(opKey{round: round, kind: kind})
+	c, ready := t.colLocked(opKey{round: round, leg: leg})
 	c.holders.Add(1)
 	defer c.holders.Add(-1)
 	leaf, _ := t.leafLocked(c, t.roster[rankLo])

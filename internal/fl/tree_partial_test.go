@@ -1,13 +1,16 @@
 package fl
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
+
+	"fedsu/internal/sparse"
 )
 
 // TestTreePartialBitIdentity: a tree where some leaf blocks are folded by
-// remote subtrees (SetUpstream -> AggregatePartial) and the rest by
+// remote subtrees (SetUpstream -> AggregatePartialCtx) and the rest by
 // direct member submissions must publish the same global, to the bit, as
 // a flat fold over the whole cohort — the distributed-tier deployment
 // cannot perturb the canonical pairwise order.
@@ -61,8 +64,8 @@ func TestTreePartialBitIdentity(t *testing.T) {
 		sub := NewTree(fanout)
 		sub.SetRoster(block)
 		sub.BeginRound(0, block)
-		sub.SetUpstream(lo, func(round int, kind string, rankLo int, sum []float64, weight int) ([]float64, error) {
-			return root.AggregatePartial(round, kind, rankLo, sum, weight)
+		sub.SetUpstream(lo, func(round int, leg sparse.Leg, rankLo int, sum []float64, weight int) ([]float64, error) {
+			return root.AggregatePartialCtx(context.Background(), round, leg, rankLo, sum, weight)
 		})
 		for _, id := range block {
 			wg.Add(1)
@@ -106,7 +109,7 @@ func testTreePartialResubmission(t *testing.T, idempotent bool) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := tr.AggregatePartial(0, "model", 0, sum, 2); err != nil {
+		if _, err := tr.AggregatePartialCtx(context.Background(), 0, sparse.ModelLeg, 0, sum, 2); err != nil {
 			t.Errorf("first partial: %v", err)
 		}
 	}()
@@ -120,7 +123,7 @@ func testTreePartialResubmission(t *testing.T, idempotent bool) {
 		}(id)
 	}
 	wg.Wait()
-	res, err := tr.AggregatePartial(0, "model", 0, sum, 2)
+	res, err := tr.AggregatePartialCtx(context.Background(), 0, sparse.ModelLeg, 0, sum, 2)
 	if !idempotent {
 		if err == nil {
 			t.Fatal("strict collective accepted a resubmitted partial")
@@ -143,16 +146,16 @@ func TestTreePartialValidation(t *testing.T) {
 	tr := NewTree(2)
 	tr.SetRoster(roster)
 	tr.BeginRound(0, roster)
-	if _, err := tr.AggregatePartial(0, "model", 1, []float64{1}, 1); err == nil {
+	if _, err := tr.AggregatePartialCtx(context.Background(), 0, sparse.ModelLeg, 1, []float64{1}, 1); err == nil {
 		t.Fatal("misaligned rank accepted")
 	}
-	if _, err := tr.AggregatePartial(0, "model", 8, []float64{1}, 1); err == nil {
+	if _, err := tr.AggregatePartialCtx(context.Background(), 0, sparse.ModelLeg, 8, []float64{1}, 1); err == nil {
 		t.Fatal("out-of-roster rank accepted")
 	}
-	if _, err := tr.AggregatePartial(0, "model", 0, []float64{1}, 3); err == nil {
+	if _, err := tr.AggregatePartialCtx(context.Background(), 0, sparse.ModelLeg, 0, []float64{1}, 3); err == nil {
 		t.Fatal("weight above block size accepted")
 	}
-	if _, err := tr.AggregatePartial(0, "model", 0, nil, 1); err == nil {
+	if _, err := tr.AggregatePartialCtx(context.Background(), 0, sparse.ModelLeg, 0, nil, 1); err == nil {
 		t.Fatal("positive weight with nil sum accepted")
 	}
 
@@ -163,8 +166,8 @@ func TestTreePartialValidation(t *testing.T) {
 		defer wg.Done()
 		_, _ = tr.AggregateModel(10, 0, []float64{1})
 	}()
-	waitSubs(t, tr, 0, "model", 1)
-	if _, err := tr.AggregatePartial(0, "model", 0, []float64{5}, 2); err == nil {
+	waitSubs(t, tr, 0, sparse.ModelLeg, 1)
+	if _, err := tr.AggregatePartialCtx(context.Background(), 0, sparse.ModelLeg, 0, []float64{5}, 2); err == nil {
 		t.Fatal("partial over a partially folded block accepted")
 	}
 	for _, id := range []int{11, 12, 13, 14, 15} {
@@ -180,7 +183,7 @@ func TestTreePartialValidation(t *testing.T) {
 	small := NewTree(4)
 	small.SetRoster([]int{1, 2, 3})
 	small.BeginRound(0, []int{1, 2, 3})
-	if _, err := small.AggregatePartial(0, "model", 0, []float64{1}, 1); err == nil {
+	if _, err := small.AggregatePartialCtx(context.Background(), 0, sparse.ModelLeg, 0, []float64{1}, 1); err == nil {
 		t.Fatal("single-tier partial accepted")
 	}
 
@@ -198,7 +201,7 @@ func TestTreePartialValidation(t *testing.T) {
 		}(id)
 	}
 	lw.Wait()
-	if _, err := late.AggregatePartial(1, "model", 0, []float64{9, 9}, 2); err == nil {
+	if _, err := late.AggregatePartialCtx(context.Background(), 1, sparse.ModelLeg, 0, []float64{9, 9}, 2); err == nil {
 		t.Fatal("partial for an expired block accepted")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fedsu/internal/par"
+	"fedsu/internal/sparse"
 )
 
 // TestTreeFlatBitIdentity is the tentpole acceptance bar: over the same
@@ -185,7 +186,7 @@ func TestTreeDoubleSubmit(t *testing.T) {
 		defer wg.Done()
 		_, _ = tr.AggregateModel(0, 0, []float64{1, 2})
 	}()
-	waitSubs(t, tr, 0, "model", 1)
+	waitSubs(t, tr, 0, sparse.ModelLeg, 1)
 	if _, err := tr.AggregateModel(0, 0, []float64{1, 2}); err == nil {
 		t.Fatal("double submission was accepted")
 	}
@@ -233,7 +234,7 @@ func TestTreeCallerSliceNotAliased(t *testing.T) {
 			panic("cancelled wait returned no error")
 		}
 	}()
-	waitSubs(t, tr, 0, "model", 1)
+	waitSubs(t, tr, 0, sparse.ModelLeg, 1)
 	cancel()
 	<-done
 	vec[0], vec[1], vec[2] = -1e9, -1e9, -1e9
@@ -321,19 +322,19 @@ func TestBeginRoundSparesAHeldCollective(t *testing.T) {
 	ids := []int{0, 1}
 	s := NewServer(2)
 	s.BeginRound(0, ids)
-	results, errs := submitAll(t, s, 0, "model", ids, map[int][]float64{0: {2}, 1: {4}})
+	results, errs := submitAll(t, s, 0, sparse.ModelLeg, ids, map[int][]float64{0: {2}, 1: {4}})
 	wantAll(t, "round 0", results, errs, []float64{3})
 
 	s.mu.Lock()
-	held := s.cols[opKey{round: 0, kind: "model"}]
+	held := s.cols[opKey{round: 0, leg: sparse.ModelLeg}]
 	held.holders.Add(1) // a waiter between the barrier closing and its return
 	s.mu.Unlock()
 
 	s.BeginRound(1, ids)
-	results, errs = submitAll(t, s, 1, "model", ids, map[int][]float64{0: {10}, 1: {20}})
+	results, errs = submitAll(t, s, 1, sparse.ModelLeg, ids, map[int][]float64{0: {10}, 1: {20}})
 	wantAll(t, "round 1", results, errs, []float64{15})
 	s.mu.Lock()
-	reused := s.cols[opKey{round: 1, kind: "model"}] == held
+	reused := s.cols[opKey{round: 1, leg: sparse.ModelLeg}] == held
 	s.mu.Unlock()
 	if reused {
 		t.Fatal("a held collective's shell was recycled into the next round")

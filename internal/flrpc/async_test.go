@@ -9,7 +9,7 @@ import (
 
 // Tests for the buffered-async wire path: no per-round barrier bootstrap,
 // abstentions costing header-only bytes, the nil-vs-abstain distinction
-// surviving the gob envelope, and bit-exact agreement with an in-process
+// surviving the frame header, and bit-exact agreement with an in-process
 // async fold fed the same (quantized) submissions in the same order.
 
 func startAsyncCoordinator(t *testing.T, n, size int, acfg fl.AsyncConfig) (addr string, coord *Coordinator) {
@@ -137,6 +137,54 @@ func TestAsyncNilVsAbstainDistinct(t *testing.T) {
 	}
 	if res == nil || len(res) != 1 || res[0] != 0 {
 		t.Fatalf("post-apply abstention = %v, want the non-nil zero global [0]", res)
+	}
+}
+
+// TestAsyncAbstainCurrentPullOverTCP: an abstention from a client that
+// already holds the current global is answered with the Nil flag and no
+// payload; once another global applied, the same abstention pulls it.
+func TestAsyncAbstainCurrentPullOverTCP(t *testing.T) {
+	addr, coord := startAsyncCoordinator(t, 2, 2, fl.AsyncConfig{K: 1, StalenessWeight: 1})
+	cn := rawDial(t, addr)
+	id := rawJoin(t, cn)
+	seq := uint32(0)
+	send := func(values []float64) frame {
+		t.Helper()
+		seq++
+		req := frame{seq: seq, typ: typeAggregate, flags: flagAbstain, kind: kindOf(sparse.ModelLeg), id: id}
+		if values != nil {
+			req.flags, req.payload = 0, sparse.EncodeVectorPayload(values)
+		}
+		rep := exchange(t, cn, req)
+		if err := rep.err(); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	other := func(values []float64) {
+		t.Helper()
+		var reply AggReply
+		if err := coord.Aggregate(AggArgs{ClientID: 1 - id, Kind: "model", Payload: sparse.EncodeVectorPayload(values)}, &reply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := Dial(addr, "b") // holds the other seat, which coord.Aggregate submits as
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	if rep := send([]float64{2, 4}); rep.flags&flagNil != 0 || len(rep.payload) == 0 {
+		t.Fatalf("contribution that applied: flags %#x, %d payload bytes; want the global", rep.flags, len(rep.payload))
+	}
+	if rep := send(nil); rep.flags&flagNil == 0 || len(rep.payload) != 0 {
+		t.Fatalf("abstention with a current pull: flags %#x, %d payload bytes; want Nil and none", rep.flags, len(rep.payload))
+	}
+	other([]float64{6, 8})
+	rep := send(nil)
+	got, err := decodeVector(rep.flags&flagNil != 0, rep.payload, nil, 2)
+	if err != nil || len(got) != 2 || got[0] != 6 || got[1] != 8 {
+		t.Fatalf("abstention after an apply = %v, %v; want the version-2 global [6 8]", got, err)
 	}
 }
 

@@ -75,6 +75,10 @@ func (c *DialConfig) fillDefaults() {
 // sparse.ContextAggregator, so strategies can abort a blocked collective
 // through context cancellation.
 type Client struct {
+	// collective is call, bound at construction: it implements
+	// sparse.Aggregator and sparse.ContextAggregator over the wire.
+	collective
+
 	addr     string
 	cfg      DialConfig
 	counters *trace.Counters
@@ -94,6 +98,9 @@ type Client struct {
 	hbDone chan struct{}
 }
 
+// collective embeds sparse.Collective without exporting the field.
+type collective = sparse.Collective
+
 var (
 	_ sparse.Aggregator        = (*Client)(nil)
 	_ sparse.ContextAggregator = (*Client)(nil)
@@ -112,6 +119,7 @@ func Dial(addr, name string) (*Client, error) {
 func DialWith(addr string, cfg DialConfig) (*Client, error) {
 	cfg.fillDefaults()
 	c := &Client{addr: addr, cfg: cfg, counters: trace.NewCounters()}
+	c.collective = c.call
 	if cfg.Compress != "" {
 		chain, err := codec.Parse(cfg.Compress, cfg.CompressSeed)
 		if err != nil {
@@ -308,36 +316,16 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// AggregateModel implements sparse.Aggregator over the wire.
-func (c *Client) AggregateModel(clientID, round int, values []float64) ([]float64, error) {
-	return c.call(context.Background(), "model", clientID, round, values)
-}
-
-// AggregateError implements sparse.Aggregator over the wire.
-func (c *Client) AggregateError(clientID, round int, values []float64) ([]float64, error) {
-	return c.call(context.Background(), "error", clientID, round, values)
-}
-
 // ConcurrentLegs implements sparse.LegAggregator: calls are multiplexed over
 // the one connection, each waiting for its own reply.
 func (c *Client) ConcurrentLegs() bool { return true }
-
-// AggregateModelCtx implements sparse.ContextAggregator.
-func (c *Client) AggregateModelCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
-	return c.call(ctx, "model", clientID, round, values)
-}
-
-// AggregateErrorCtx implements sparse.ContextAggregator.
-func (c *Client) AggregateErrorCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
-	return c.call(ctx, "error", clientID, round, values)
-}
 
 // call submits to a collective, retrying transport failures with
 // exponential backoff + jitter and transparent reconnect-and-rejoin.
 // Application-level errors (eviction, unknown kind, length mismatch) are
 // terminal: retrying them cannot succeed.
-func (c *Client) call(ctx context.Context, kind string, clientID, round int, values []float64) ([]float64, error) {
-	req := frame{typ: typeAggregate, flags: flagAbstain, kind: kindByte(kind), id: clientID, round: round}
+func (c *Client) call(ctx context.Context, leg sparse.Leg, clientID, round int, values []float64) ([]float64, error) {
+	req := frame{typ: typeAggregate, flags: flagAbstain, kind: kindOf(leg), id: clientID, round: round}
 	r := sparse.ReceiptFrom(ctx)
 	if r == nil {
 		r = &sparse.Receipt{} // a direct Aggregate* call: filled and dropped
@@ -362,7 +350,7 @@ func (c *Client) call(ctx context.Context, kind string, clientID, round int, val
 		req.flags, req.payload = 0, *wireBuf
 		c.counters.Add("agg_tx_bytes", int64(len(req.payload)))
 	}
-	out, down, err := c.doAgg(ctx, kind, &req, r.Dst)
+	out, down, err := c.doAgg(ctx, leg, &req, r.Dst)
 	if err != nil {
 		return nil, err
 	}
@@ -379,13 +367,13 @@ func (c *Client) call(ctx context.Context, kind string, clientID, round int, val
 // backoff + reconnect treatment as Aggregate. The coordinator treats a
 // resubmission after a reconnect idempotently, so a retried partial
 // whose first copy landed is safe.
-func (c *Client) SubmitPartial(ctx context.Context, round int, kind string, p sparse.Partial) ([]float64, error) {
+func (c *Client) SubmitPartial(ctx context.Context, round int, leg sparse.Leg, p sparse.Partial) ([]float64, error) {
 	wireBuf := codec.GetBuf(sparse.PartialPayloadSize(len(p.Sum)))
 	defer codec.PutBuf(wireBuf)
 	*wireBuf = sparse.AppendPartialPayload(*wireBuf, p)
-	req := frame{typ: typePartial, kind: kindByte(kind), id: c.ClientID(), round: round, payload: *wireBuf}
+	req := frame{typ: typePartial, kind: kindOf(leg), id: c.ClientID(), round: round, payload: *wireBuf}
 	c.counters.Add("agg_tx_bytes", int64(len(req.payload)))
-	out, _, err := c.doAgg(ctx, kind, &req, nil)
+	out, _, err := c.doAgg(ctx, leg, &req, nil)
 	return out, err
 }
 
@@ -399,16 +387,16 @@ func (c *Client) SubmitPartial(ctx context.Context, round int, kind string, p sp
 // buffer the reply was read into is released here. Application-level errors
 // (a *remoteError: eviction, stale round, unknown kind, malformed payload)
 // are terminal: retrying them cannot succeed. Errors are labelled with the
-// call (e.g. "aggregate model round 3"), kind being the collective's name;
-// the label is formatted only when there is an error to label.
-func (c *Client) doAgg(ctx context.Context, kind string, req *frame, dst []float64) ([]float64, int, error) {
+// call (e.g. "aggregate model round 3"); the label is formatted only when
+// there is an error to label.
+func (c *Client) doAgg(ctx context.Context, leg sparse.Leg, req *frame, dst []float64) ([]float64, int, error) {
 	backoff := c.cfg.RetryBase
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			c.counters.Inc("retries")
 			if err := sleepCtx(ctx, jitter(backoff)); err != nil {
-				return nil, 0, fmt.Errorf("flrpc: %s: %w", callLabel(kind, req), err)
+				return nil, 0, fmt.Errorf("flrpc: %s: %w", callLabel(leg, req), err)
 			}
 			backoff = min(2*backoff, c.cfg.RetryMax)
 		}
@@ -422,17 +410,17 @@ func (c *Client) doAgg(ctx context.Context, kind string, req *frame, dst []float
 			defer rep.release()
 			n := len(rep.payload)
 			c.counters.Add("agg_rx_bytes", int64(n))
-			out, err := AggReply{Payload: rep.payload, Nil: rep.flags&flagNil != 0}.contribution(dst, c.ModelSize())
+			out, err := decodeVector(rep.flags&flagNil != 0, rep.payload, dst, c.ModelSize())
 			if err != nil {
-				return nil, 0, fmt.Errorf("flrpc: %s: %w", callLabel(kind, req), err)
+				return nil, 0, fmt.Errorf("flrpc: %s: %w", callLabel(leg, req), err)
 			}
 			return out, n, nil
 		}
 		if ctx.Err() != nil {
-			return nil, 0, fmt.Errorf("flrpc: %s: %w", callLabel(kind, req), ctx.Err())
+			return nil, 0, fmt.Errorf("flrpc: %s: %w", callLabel(leg, req), ctx.Err())
 		}
 		if app := (*remoteError)(nil); errors.As(err, &app) {
-			return nil, 0, fmt.Errorf("flrpc: %s: %w", callLabel(kind, req), err)
+			return nil, 0, fmt.Errorf("flrpc: %s: %w", callLabel(leg, req), err)
 		}
 		// Transport failure: drop the connection and retry; the rejoin on
 		// reconnect plus the coordinator's idempotent resubmission makes
@@ -440,17 +428,17 @@ func (c *Client) doAgg(ctx context.Context, kind string, req *frame, dst []float
 		lastErr = err
 		c.invalidate(rc)
 	}
-	return nil, 0, fmt.Errorf("flrpc: %s after %d retries: %w", callLabel(kind, req), c.cfg.MaxRetries, lastErr)
+	return nil, 0, fmt.Errorf("flrpc: %s after %d retries: %w", callLabel(leg, req), c.cfg.MaxRetries, lastErr)
 }
 
 // callLabel names a collective call in an error: "aggregate model round 3",
 // "partial error round 5".
-func callLabel(kind string, req *frame) string {
+func callLabel(leg sparse.Leg, req *frame) string {
 	op := "aggregate"
 	if req.typ == typePartial {
 		op = "partial"
 	}
-	return fmt.Sprintf("%s %s round %d", op, kind, req.round)
+	return fmt.Sprintf("%s %s round %d", op, leg, req.round)
 }
 
 // jitter spreads a backoff interval over [d/2, d) so a fleet knocked over

@@ -86,7 +86,8 @@ type JoinReply struct {
 type AggArgs struct {
 	ClientID int
 	Round    int
-	// Kind selects the collective: "model" or "error".
+	// Kind names the collective as sparse.Leg's String does; Aggregate
+	// parses it, and the framed transport carries the leg itself.
 	Kind string
 	// Payload is the contribution encoded with the sparse vector codec
 	// (sparse.AppendVectorPayload). Abstain — a header flag, not an empty
@@ -94,19 +95,6 @@ type AggArgs struct {
 	// the zero-length one included, encodes to a non-empty payload.
 	Payload []byte
 	Abstain bool
-}
-
-// contribution decodes the submitted vector, resolving the abstention
-// ambiguity: Abstain returns nil (no contribution), everything else
-// decodes the payload — a zero-length contribution comes back empty but
-// non-nil, exactly as sent. dst and maxParams follow
-// sparse.DecodeVectorPayloadInto. Both the coordinator and the wire fuzz
-// target route through this single normalization point.
-func (a AggArgs) contribution(dst []float64, maxParams int) ([]float64, error) {
-	if a.Abstain {
-		return nil, nil
-	}
-	return sparse.DecodeVectorPayloadInto(dst, a.Payload, maxParams)
 }
 
 // AggReply returns the collective result.
@@ -118,15 +106,18 @@ type AggReply struct {
 	Nil     bool
 }
 
-// contribution decodes the collective result with the same ambiguity
-// resolved in the reply direction: Nil is the truth for "no contributors",
-// and a non-nil-but-empty mean decodes back to empty but non-nil. dst
-// follows sparse.DecodeVectorPayloadInto.
-func (r AggReply) contribution(dst []float64, maxParams int) ([]float64, error) {
-	if r.Nil {
+// decodeVector decodes one collective message's vector, resolving the
+// abstention ambiguity in either direction: none set (Abstain on a
+// submission, Nil on a reply) returns nil — no contribution, no
+// contributors — and everything else decodes the payload, so a zero-length
+// vector comes back empty but non-nil, exactly as sent. dst and maxParams
+// follow sparse.DecodeVectorPayloadInto. The coordinator, the client and
+// the wire fuzz target all route through this single normalization point.
+func decodeVector(none bool, payload []byte, dst []float64, maxParams int) ([]float64, error) {
+	if none {
 		return nil, nil
 	}
-	return sparse.DecodeVectorPayloadInto(dst, r.Payload, maxParams)
+	return sparse.DecodeVectorPayloadInto(dst, payload, maxParams)
 }
 
 // Config assembles a fault-tolerant coordinator.
@@ -181,7 +172,7 @@ type Config struct {
 // aggKey identifies one collective for the reply-encoding cache.
 type aggKey struct {
 	round int
-	kind  string
+	leg   sparse.Leg
 }
 
 // replyEntry is one collective's encoded mean. Whoever inserts the entry
@@ -418,7 +409,7 @@ func (c *Coordinator) known(id int, asBlock bool) bool {
 // ErrStaleRound; only with nothing in flight (a whole fleet resuming from a
 // checkpoint) does an older round reopen, which also forgets the first
 // pass's cached replies from that round on.
-func (c *Coordinator) enter(clientID, round int, kind string) (*replyEntry, error) {
+func (c *Coordinator) enter(clientID, round int, leg sparse.Leg) (*replyEntry, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.cfg.Async.Enabled() && round != c.latest {
@@ -426,7 +417,7 @@ func (c *Coordinator) enter(clientID, round int, kind string) (*replyEntry, erro
 			if slices.Contains(c.coll.Evicted(), clientID) {
 				return nil, &fl.EvictedError{ClientID: clientID}
 			}
-			if e := c.replyEnc[aggKey{round, kind}]; e != nil {
+			if e := c.replyEnc[aggKey{round, leg}]; e != nil {
 				return e, nil
 			}
 			if c.waiting > 0 {
@@ -454,26 +445,32 @@ func (c *Coordinator) leave() {
 	c.mu.Unlock()
 }
 
-// Aggregate implements the blocking collective call.
+// Aggregate implements the blocking collective call. args.Kind names the
+// collective's leg; any other string is ErrUnknownKind.
 func (c *Coordinator) Aggregate(args AggArgs, reply *AggReply) error {
-	return c.submit(context.Background(), false, args, nil, reply)
+	var leg sparse.Leg
+	switch args.Kind {
+	case "model":
+	case "error":
+		leg = sparse.ErrorLeg
+	default:
+		return fmt.Errorf("flrpc: %w %q", ErrUnknownKind, args.Kind)
+	}
+	return c.submit(context.Background(), false, leg, args, nil, reply)
 }
 
-// submit runs one collective call under the calling connection's context:
-// a member's upload, or (partial) the tier call of a leaf relay, which
-// ships its block's already-folded (sum, weight) in place of the members'
-// submissions — tree mode only — and blocks until the round's global mean
-// is published, which it then serves to its own clients. A resubmission
-// after a reconnect is idempotent in both. frame, when non-nil, is the
-// pooled buffer args.Payload aliases: it is released once the payload is
-// decoded, before the barrier wait.
-func (c *Coordinator) submit(ctx context.Context, partial bool, args AggArgs, frame *[]byte, reply *AggReply) error {
+// submit runs one collective call — the leg's; args.Kind is not read —
+// under the calling connection's context: a member's upload, or (partial)
+// the tier call of a leaf relay, which ships its block's already-folded
+// (sum, weight) in place of the members' submissions — tree mode only — and
+// blocks until the round's global mean is published, which it then serves
+// to its own clients. A resubmission after a reconnect is idempotent in
+// both. frame, when non-nil, is the pooled buffer args.Payload aliases: it
+// is released once the payload is decoded, before the barrier wait.
+func (c *Coordinator) submit(ctx context.Context, partial bool, leg sparse.Leg, args AggArgs, frame *[]byte, reply *AggReply) error {
 	defer func() { codec.PutBuf(frame) }()
 	if !c.known(args.ClientID, partial) {
 		return fmt.Errorf("flrpc: %w %d (as a relay's block base: %v)", ErrUnknownClient, args.ClientID, partial)
-	}
-	if args.Kind != "model" && args.Kind != "error" {
-		return fmt.Errorf("flrpc: %w %q", ErrUnknownKind, args.Kind)
 	}
 	c.heard(args.ClientID)
 	c.counters.Add("agg_rx_bytes", int64(len(args.Payload)))
@@ -497,20 +494,20 @@ func (c *Coordinator) submit(ctx context.Context, partial bool, args AggArgs, fr
 			err = fmt.Errorf("partial is for rank %d; blocks are keyed by base id", p.RankLo)
 		}
 	} else {
-		values, err = args.contribution(dst, c.modelSize)
+		values, err = decodeVector(args.Abstain, args.Payload, dst, c.modelSize)
 	}
 	codec.PutBuf(frame)
 	frame = nil
 	if err != nil {
 		return fmt.Errorf("flrpc: client %d round %d: %w: %w", args.ClientID, args.Round, ErrMalformed, err)
 	}
-	cached, err := c.enter(args.ClientID, args.Round, args.Kind)
+	cached, err := c.enter(args.ClientID, args.Round, leg)
 	if cached != nil || err != nil {
 		c.serveCached(cached, reply)
 		return err
 	}
 	c.counters.Add("relay_traffic_bytes", p.Traffic)
-	// Members route through the ctx-aware dispatchers (the ctxdispatch
+	// Members route through the ctx-aware dispatcher (the ctxdispatch
 	// contract); ctx is the connection's, so a dead peer's wait detaches.
 	// This handler reads the mean only to encode the reply, so it waits as a
 	// counted reader and the mean's buffer can return to the pool.
@@ -518,19 +515,16 @@ func (c *Coordinator) submit(ctx context.Context, partial bool, args AggArgs, fr
 	defer hold.Release()
 	ctx = fl.WithHold(ctx, &hold)
 	var res []float64
-	switch {
-	case partial:
-		res, err = c.coll.AggregatePartialCtx(ctx, args.Round, args.Kind, p.RankLo, p.Sum, p.Weight)
-	case args.Kind == "model":
-		res, err = sparse.AggModel(ctx, c.coll, args.ClientID, args.Round, values)
-	default:
-		res, err = sparse.AggError(ctx, c.coll, args.ClientID, args.Round, values)
+	if partial {
+		res, err = c.coll.AggregatePartialCtx(ctx, args.Round, leg, p.RankLo, p.Sum, p.Weight)
+	} else {
+		res, err = leg.Dispatch(ctx, c.coll, args.ClientID, args.Round, values)
 	}
 	c.leave()
 	if err != nil {
 		return err
 	}
-	c.encodeReply(args.Round, args.Kind, res, reply)
+	c.encodeReply(args.Round, leg, res, reply)
 	return nil
 }
 
@@ -549,10 +543,10 @@ func (c *Coordinator) serveCached(e *replyEntry, reply *AggReply) {
 // barrier receives the same mean: the first to arrive inserts the cache
 // entry and encodes — outside the coordinator lock — and the rest wait on
 // the entry, so a collective is encoded exactly once.
-func (c *Coordinator) encodeReply(round int, kind string, res []float64, reply *AggReply) {
+func (c *Coordinator) encodeReply(round int, leg sparse.Leg, res []float64, reply *AggReply) {
 	if c.cfg.Async.Enabled() {
 		// No reply cache in async mode: the global evolves with every K-th
-		// submission, so a (round, kind) key does not identify one stable
+		// submission, so a (round, leg) key does not identify one stable
 		// result the way a closed barrier's mean does.
 		if reply.Nil = res == nil; !reply.Nil {
 			reply.Payload = c.encodeVector(res)
@@ -560,7 +554,7 @@ func (c *Coordinator) encodeReply(round int, kind string, res []float64, reply *
 		}
 		return
 	}
-	k := aggKey{round: round, kind: kind}
+	k := aggKey{round: round, leg: leg}
 	c.mu.Lock()
 	e, ok := c.replyEnc[k]
 	if !ok {
@@ -666,14 +660,18 @@ func (c *Coordinator) join(req *frame, reply *JoinReply) error {
 }
 
 // serveAgg runs one collective call and writes its reply; a failed write
-// leaves the stream mid-frame, so it ends the connection.
+// leaves the stream mid-frame, so it ends the connection. A kind byte that
+// names no leg (see kindOf) is refused with ErrUnknownKind.
 func (c *Coordinator) serveAgg(ctx context.Context, cn *conn, req *frame) {
 	args := AggArgs{ClientID: req.id, Round: req.round, Payload: req.payload, Abstain: req.flags&flagAbstain != 0}
-	if int(req.kind) < len(kindNames) {
-		args.Kind = kindNames[req.kind]
-	}
 	var reply AggReply
-	err := c.submit(ctx, req.typ == typePartial, args, req.buf, &reply)
+	var err error
+	if leg := sparse.Leg(req.kind - 1); leg > sparse.ErrorLeg { // kind 0 wraps around
+		req.release()
+		err = fmt.Errorf("flrpc: %w byte %d", ErrUnknownKind, req.kind)
+	} else {
+		err = c.submit(ctx, req.typ == typePartial, leg, args, req.buf, &reply)
+	}
 	var flags byte
 	if reply.Nil {
 		flags = flagNil

@@ -1,6 +1,7 @@
 package flrpc
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -172,7 +173,7 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 				go func(c *fl.Client) {
 					defer wg.Done()
 					c.TrainLocal(k, localIters, batch)
-					if _, err := c.SyncRound(k, true); err != nil {
+					if _, err := c.SyncRoundCtx(context.Background(), k, true); err != nil {
 						t.Error(err)
 					}
 				}(c)

@@ -61,23 +61,10 @@ const (
 	flagRejoin       // join: re-admit the header's client id
 )
 
-const (
-	kindModel byte = 1 + iota
-	kindError
-)
-
-var kindNames = [...]string{kindModel: "model", kindError: "error"}
-
-// kindByte maps a collective kind to its wire byte; an unknown kind maps to
-// zero, which the coordinator rejects with ErrUnknownKind.
-func kindByte(kind string) byte {
-	for b, name := range kindNames {
-		if name == kind {
-			return byte(b)
-		}
-	}
-	return 0
-}
+// kindOf is a collective's kind byte in the frame header: its sparse.Leg
+// plus one, so 1 is the model leg, 2 the error leg, and a zeroed header
+// names none.
+func kindOf(leg sparse.Leg) byte { return byte(leg) + 1 }
 
 // Sentinel errors an application-level failure carries across the wire as
 // its status byte, as does fl.ErrNotMember. Match with errors.Is; all are

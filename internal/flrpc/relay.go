@@ -92,7 +92,7 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 // forward ships the block's completed partial upstream and returns the
 // round's global; it runs on the completing submitter's RPC handler
 // goroutine, outside every coordinator lock.
-func (r *Relay) forward(round int, kind string, rankLo int, sum []float64, weight int) ([]float64, error) {
+func (r *Relay) forward(round int, leg sparse.Leg, rankLo int, sum []float64, weight int) ([]float64, error) {
 	// Traffic: the encoded upload bytes this relay ingested since its
 	// last forward, carried upward for the root's RoundStats accounting.
 	cur := r.coord.Counters().Get("agg_rx_bytes")
@@ -101,7 +101,7 @@ func (r *Relay) forward(round int, kind string, rankLo int, sum []float64, weigh
 	r.lastTraffic = cur
 	r.mu.Unlock()
 	p := sparse.Partial{RankLo: rankLo, Weight: weight, Traffic: delta, Sum: sum}
-	return r.up.SubmitPartial(context.Background(), round, kind, p)
+	return r.up.SubmitPartial(context.Background(), round, leg, p)
 }
 
 // Coordinator returns the member-facing service; register it with

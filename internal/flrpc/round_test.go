@@ -50,7 +50,7 @@ func (s *submission) mean(t *testing.T) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		out, err := s.reply.contribution(nil, 1)
+		out, err := decodeVector(s.reply.Nil, s.reply.Payload, nil, 1)
 		if err != nil || len(out) != 1 {
 			t.Fatalf("reply decodes to %v, %v", out, err)
 		}

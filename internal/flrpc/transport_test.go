@@ -70,7 +70,7 @@ func TestGiantLengthPrefixRefused(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	giant := frameBytes(t, frame{seq: 9, typ: typeAggregate, kind: kindModel, id: id})
+	giant := frameBytes(t, frame{seq: 9, typ: typeAggregate, kind: kindOf(sparse.ModelLeg), id: id})
 	binary.LittleEndian.PutUint32(giant, 1<<30)
 	if _, err := cn.nc.Write(giant); err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestTruncatedFrameIsATransportError(t *testing.T) {
 	_, addr := startCoordinatorWith(t, Config{NumClients: 1, ModelSize: 4})
 	cn := rawDial(t, addr)
 	id := rawJoin(t, cn)
-	full := frameBytes(t, frame{seq: 1, typ: typeAggregate, kind: kindModel, id: id, payload: sparse.EncodeVectorPayload([]float64{1, 2, 3, 4})})
+	full := frameBytes(t, frame{seq: 1, typ: typeAggregate, kind: kindOf(sparse.ModelLeg), id: id, payload: sparse.EncodeVectorPayload([]float64{1, 2, 3, 4})})
 	if _, err := cn.nc.Write(full[:len(full)-5]); err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +178,12 @@ func TestUnknownTypeKindStatusAreTypedErrors(t *testing.T) {
 	}{
 		{"type", frame{seq: 1, typ: 99, id: id}, ErrMalformed},
 		{"kind", frame{seq: 2, typ: typeAggregate, kind: 9, id: id, payload: vec}, ErrUnknownKind},
-		{"client", frame{seq: 3, typ: typeAggregate, kind: kindModel, id: 41, payload: vec}, ErrUnknownClient},
-		{"payload", frame{seq: 4, typ: typeAggregate, kind: kindModel, id: id, payload: []byte{0xff, 1, 2}}, ErrMalformed},
-		{"oversize vector", frame{seq: 5, typ: typeAggregate, kind: kindModel, id: id, payload: sparse.EncodeVectorPayload(make([]float64, 5))}, ErrMalformed},
-		{"partial on a flat session", frame{seq: 6, typ: typePartial, kind: kindModel, id: id, payload: vec}, ErrUnknownClient},
+		{"kind 0", frame{seq: 8, typ: typeAggregate, kind: 0, id: id, payload: vec}, ErrUnknownKind},
+		{"kind 3", frame{seq: 9, typ: typePartial, kind: 3, id: id, payload: vec}, ErrUnknownKind},
+		{"client", frame{seq: 3, typ: typeAggregate, kind: kindOf(sparse.ModelLeg), id: 41, payload: vec}, ErrUnknownClient},
+		{"payload", frame{seq: 4, typ: typeAggregate, kind: kindOf(sparse.ModelLeg), id: id, payload: []byte{0xff, 1, 2}}, ErrMalformed},
+		{"oversize vector", frame{seq: 5, typ: typeAggregate, kind: kindOf(sparse.ModelLeg), id: id, payload: sparse.EncodeVectorPayload(make([]float64, 5))}, ErrMalformed},
+		{"partial on a flat session", frame{seq: 6, typ: typePartial, kind: kindOf(sparse.ModelLeg), id: id, payload: vec}, ErrUnknownClient},
 	} {
 		rep := exchange(t, cn, tc.req)
 		var app *remoteError
@@ -271,7 +273,9 @@ func TestTypedErrorsEndToEnd(t *testing.T) {
 	if _, err := a.AggregateModel(57, 0, []float64{1}); !errors.Is(err, ErrUnknownClient) {
 		t.Errorf("submission as client 57: %v, want ErrUnknownClient", err)
 	}
-	if _, err := a.call(context.Background(), "bogus", a.ClientID(), 0, []float64{1}); !errors.Is(err, ErrUnknownKind) {
+	// The string form of a collective is parsed once, at Aggregate.
+	bogus := AggArgs{ClientID: a.ClientID(), Kind: "bogus", Payload: sparse.EncodeVectorPayload([]float64{1})}
+	if err := coord.Aggregate(bogus, &AggReply{}); !errors.Is(err, ErrUnknownKind) {
 		t.Errorf("kind bogus: %v, want ErrUnknownKind", err)
 	}
 

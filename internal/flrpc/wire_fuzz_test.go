@@ -59,7 +59,10 @@ func FuzzAggWire(f *testing.F) {
 			values = bytesToFloats(raw)
 		}
 		for _, reply := range []bool{false, true} {
-			sent := frame{typ: typeAggregate, kind: kindByte(kind), id: clientID, round: round}
+			sent := frame{typ: typeAggregate, id: clientID, round: round}
+			if leg, ok := map[string]sparse.Leg{"model": sparse.ModelLeg, "error": sparse.ErrorLeg}[kind]; ok {
+				sent.kind = kindOf(leg)
+			}
 			none := flagAbstain
 			if reply {
 				sent.flags, none = flagReply, flagNil
@@ -89,15 +92,10 @@ func FuzzAggWire(f *testing.F) {
 			if got.id != clientID || got.round != round || got.typ != sent.typ || got.flags != sent.flags || got.status != statusOK {
 				t.Fatalf("header %+v came back as %+v", sent, got)
 			}
-			if want := map[string]string{"model": "model", "error": "error"}[kind]; kindNames[got.kind] != want {
-				t.Fatalf("kind %q came back as %q", kind, kindNames[got.kind])
+			if got.kind != sent.kind {
+				t.Fatalf("kind %q (byte %d) came back as byte %d", kind, sent.kind, got.kind)
 			}
-			var vec []float64
-			if reply {
-				vec, err = AggReply{Payload: got.payload, Nil: got.flags&flagNil != 0}.contribution(nil, len(values))
-			} else {
-				vec, err = AggArgs{Payload: got.payload, Abstain: got.flags&flagAbstain != 0}.contribution(nil, len(values))
-			}
+			vec, err := decodeVector(got.flags&none != 0, got.payload, nil, len(values))
 			got.release()
 			if err != nil {
 				t.Fatalf("decode (reply=%v): %v", reply, err)
@@ -116,16 +114,16 @@ func FuzzAggWire(f *testing.F) {
 // is always an error, an unknown one a malformed message.
 func FuzzFrame(f *testing.F) {
 	vec := sparse.EncodeVectorPayload([]float64{1.5, 0, -2})
-	f.Add(frameBytes(f, frame{seq: 1, typ: typeAggregate, kind: kindModel, id: 2, round: 3, payload: vec}), uint16(3))
-	f.Add(frameBytes(f, frame{seq: 2, typ: typeAggregate, flags: flagAbstain, kind: kindError, round: 1}), uint16(3))
-	f.Add(frameBytes(f, frame{seq: 3, typ: typeAggregate, flags: flagReply | flagNil, kind: kindModel}), uint16(0))
+	f.Add(frameBytes(f, frame{seq: 1, typ: typeAggregate, kind: kindOf(sparse.ModelLeg), id: 2, round: 3, payload: vec}), uint16(3))
+	f.Add(frameBytes(f, frame{seq: 2, typ: typeAggregate, flags: flagAbstain, kind: kindOf(sparse.ErrorLeg), round: 1}), uint16(3))
+	f.Add(frameBytes(f, frame{seq: 3, typ: typeAggregate, flags: flagReply | flagNil, kind: kindOf(sparse.ModelLeg)}), uint16(0))
 	f.Add(frameBytes(f, frame{seq: 4, typ: typeAggregate, flags: flagReply, status: statusEvicted, payload: []byte("evicted")}), uint16(8))
 	f.Add(frameBytes(f, frame{seq: 5, typ: 200, flags: 0xff, status: 200, kind: 9, id: -1, round: -1, payload: []byte{0xff}}), uint16(1))
-	f.Add(frameBytes(f, frame{seq: 6, typ: typePartial, kind: kindModel, payload: sparse.AppendPartialPayload(nil, sparse.Partial{Weight: 2, Sum: []float64{1, 2}})}), uint16(2))
-	giant := frameBytes(f, frame{seq: 7, typ: typeAggregate, kind: kindModel})
+	f.Add(frameBytes(f, frame{seq: 6, typ: typePartial, kind: kindOf(sparse.ModelLeg), payload: sparse.AppendPartialPayload(nil, sparse.Partial{Weight: 2, Sum: []float64{1, 2}})}), uint16(2))
+	giant := frameBytes(f, frame{seq: 7, typ: typeAggregate, kind: kindOf(sparse.ModelLeg)})
 	binary.LittleEndian.PutUint32(giant, 1<<30)
 	f.Add(giant, uint16(4))
-	f.Add(frameBytes(f, frame{seq: 8, typ: typeAggregate, kind: kindModel, payload: vec})[:headerSize+3], uint16(3)) // truncated
+	f.Add(frameBytes(f, frame{seq: 8, typ: typeAggregate, kind: kindOf(sparse.ModelLeg), payload: vec})[:headerSize+3], uint16(3)) // truncated
 	f.Fuzz(func(t *testing.T, data []byte, modelSize uint16) {
 		n := int(modelSize) + 1
 		m := &memConn{}
@@ -148,7 +146,7 @@ func FuzzFrame(f *testing.F) {
 		}
 
 		// The coordinator's decoders.
-		vals, err := AggArgs{Payload: fr.payload, Abstain: fr.flags&flagAbstain != 0}.contribution(nil, n)
+		vals, err := decodeVector(fr.flags&flagAbstain != 0, fr.payload, nil, n)
 		if err == nil && (fr.flags&flagAbstain != 0) != (vals == nil) {
 			t.Fatalf("abstain flag %v decoded to %v", fr.flags&flagAbstain != 0, vals)
 		}
@@ -168,7 +166,7 @@ func FuzzFrame(f *testing.F) {
 		case fr.status >= numStatus && !errors.Is(err, ErrMalformed):
 			t.Fatalf("unknown status %d is not a malformed message: %v", fr.status, err)
 		case err == nil:
-			vals, err := AggReply{Payload: fr.payload, Nil: fr.flags&flagNil != 0}.contribution(nil, n)
+			vals, err := decodeVector(fr.flags&flagNil != 0, fr.payload, nil, n)
 			if err == nil && (fr.flags&flagNil != 0) != (vals == nil) {
 				t.Fatalf("nil flag %v decoded to %v", fr.flags&flagNil != 0, vals)
 			}

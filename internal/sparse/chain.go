@@ -143,7 +143,7 @@ func ReceiptFrom(ctx context.Context) *Receipt {
 func (w *Wire) Collect(ctx context.Context, leg Leg, agg Aggregator, clientID, round int, send, image, dst []float64) (res []float64, up, down int, err error) {
 	rc := &w.rc[leg]
 	*rc = Receipt{Context: ctx, Image: image, Dst: dst}
-	res, err = leg.dispatch(rc, agg, clientID, round, send)
+	res, err = leg.Dispatch(rc, agg, clientID, round, send)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -173,16 +173,20 @@ func SetSyncerWire(s Syncer, w Wire) {
 
 // ChainAggregator applies a chain's wire image to an in-process
 // aggregator: every submission and every aggregated result is passed
-// through Chain.RoundTrip, exactly what a TCP transport's encode→decode
-// does on each leg. Wrapping the aggregator — rather than having
-// strategies pre-image their sends — means values are encoded exactly
-// once on either transport, so in-process and TCP runs stay bit-identical
-// even for stages whose re-encoding is not a fixed point (low-rank). As the
-// party that encodes, it fills the caller's Receipt.
+// through the chain's encode→decode round trip (Chain.RoundTripSized),
+// exactly what a TCP transport does on each leg. Wrapping the aggregator —
+// rather than having strategies pre-image their sends — means values are
+// encoded exactly once on either transport, so in-process and TCP runs stay
+// bit-identical even for stages whose re-encoding is not a fixed point
+// (low-rank). As the party that encodes, it fills the caller's Receipt.
 type ChainAggregator struct {
+	collective
 	agg   Aggregator
 	chain *codec.Chain
 }
+
+// collective embeds a Collective without exporting the field.
+type collective = Collective
 
 var _ ContextAggregator = (*ChainAggregator)(nil)
 
@@ -193,32 +197,14 @@ func WrapAggregator(agg Aggregator, chain *codec.Chain) Aggregator {
 	if agg == nil || chain == nil || chain.IsDefault() {
 		return agg
 	}
-	return &ChainAggregator{agg: agg, chain: chain}
+	c := &ChainAggregator{agg: agg, chain: chain}
+	c.collective = c.collect
+	return c
 }
 
 // ConcurrentLegs implements LegAggregator: the wrapper takes both legs at
 // once when the aggregator it wraps does.
 func (c *ChainAggregator) ConcurrentLegs() bool { return ConcurrentLegs(c.agg) }
-
-// AggregateModel implements Aggregator.
-func (c *ChainAggregator) AggregateModel(clientID, round int, values []float64) ([]float64, error) {
-	return c.collect(context.Background(), ModelLeg, clientID, round, values)
-}
-
-// AggregateError implements Aggregator.
-func (c *ChainAggregator) AggregateError(clientID, round int, values []float64) ([]float64, error) {
-	return c.collect(context.Background(), ErrorLeg, clientID, round, values)
-}
-
-// AggregateModelCtx implements ContextAggregator.
-func (c *ChainAggregator) AggregateModelCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
-	return c.collect(ctx, ModelLeg, clientID, round, values)
-}
-
-// AggregateErrorCtx implements ContextAggregator.
-func (c *ChainAggregator) AggregateErrorCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
-	return c.collect(ctx, ErrorLeg, clientID, round, values)
-}
 
 // collect round-trips the submission through the session chain and the
 // result through its Reply variant, exactly what the TCP coordinator's
@@ -238,7 +224,7 @@ func (c *ChainAggregator) collect(ctx context.Context, leg Leg, clientID, round 
 		image = *staged
 	}
 	sent, up := c.chain.RoundTripSized(image, values)
-	out, err := leg.dispatch(ctx, c.agg, clientID, round, sent)
+	out, err := leg.Dispatch(ctx, c.agg, clientID, round, sent)
 	if err != nil {
 		return nil, err
 	}

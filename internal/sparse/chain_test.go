@@ -115,7 +115,7 @@ func TestChainAggregatorAppliesWireImage(t *testing.T) {
 	}
 	// identityAgg echoes its input, so the result is the double image;
 	// q4's grid is idempotent, so that equals the single image.
-	want := ch.RoundTrip(vals)
+	want, _ := ch.RoundTripSized(nil, vals)
 	if len(got) != len(want) {
 		t.Fatalf("len = %d, want %d", len(got), len(want))
 	}

@@ -79,7 +79,7 @@ func BenchmarkChainRoundTrip(b *testing.B) {
 		b.Run(spec, func(b *testing.B) {
 			b.SetBytes(8 * benchParams)
 			for i := 0; i < b.N; i++ {
-				ch.RoundTrip(vec)
+				ch.RoundTripSized(nil, vec)
 			}
 		})
 	}

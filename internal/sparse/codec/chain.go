@@ -325,26 +325,21 @@ func (c *Chain) DensePayloadSize(n int) int {
 	return DenseBaseSize(n)
 }
 
-// RoundTrip returns the wire image of values: the vector a receiver
-// observes after one encode→decode trip through the chain (the chain
-// generalization of sparse.QuantizeWire). nil stays nil — an abstention
-// carries no payload. The per-stage counters are charged: an in-process
-// round-trip stands in for a real wire message.
-func (c *Chain) RoundTrip(values []float64) []float64 {
-	out, _ := c.roundTrip(nil, values, true)
-	return out
-}
-
-// RoundTripSized is RoundTrip that also reports the encoded payload's
-// length — what the message cost, from the one encode — and decodes the
-// image into dst when its capacity suffices. nil values: (nil, 0).
+// RoundTripSized returns the wire image of values — the vector a receiver
+// observes after one encode→decode trip through the chain, the chain
+// generalization of sparse.QuantizeWire — and the encoded payload's length,
+// what the message cost, from the one encode. The image lands in dst when
+// its capacity suffices. nil values (an abstention carries no payload):
+// (nil, 0). The per-stage counters are charged: an in-process round trip
+// stands in for a real wire message.
 func (c *Chain) RoundTripSized(dst, values []float64) ([]float64, int) {
 	return c.roundTrip(dst, values, true)
 }
 
-// WireImage is RoundTrip without charging the per-stage counters: a
-// strategy-side probe of what the receiver will observe (the error-
-// feedback residual computation), not a wire message.
+// WireImage is the wire image RoundTripSized computes, in a fresh slice and
+// without charging the per-stage counters: a strategy-side probe of what
+// the receiver will observe (the error-feedback residual computation), not
+// a wire message.
 func (c *Chain) WireImage(values []float64) []float64 {
 	out, _ := c.roundTrip(nil, values, false)
 	return out

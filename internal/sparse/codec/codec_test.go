@@ -446,9 +446,9 @@ func TestChainRoundTripAllSpecs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: decode: %v", spec, name, err)
 			}
-			rt := ch.RoundTrip(vec)
+			rt, _ := ch.RoundTripSized(nil, vec)
 			if !reflect.DeepEqual(dec, rt) {
-				t.Fatalf("%s %s: DecodeInto and RoundTrip disagree", spec, name)
+				t.Fatalf("%s %s: DecodeInto and RoundTripSized disagree", spec, name)
 			}
 			if got := ch.PayloadSize(vec); got != len(enc) {
 				t.Fatalf("%s %s: PayloadSize=%d, encoded %d", spec, name, got, len(enc))
@@ -461,7 +461,7 @@ func TestChainRoundTripAllSpecs(t *testing.T) {
 			if strings.Contains(spec, "lowrank") {
 				continue
 			}
-			rt2 := ch.RoundTrip(rt)
+			rt2, _ := ch.RoundTripSized(nil, rt)
 			for i := range rt {
 				if rt2[i] != rt[i] {
 					t.Fatalf("%s %s[%d]: wire image not idempotent: %v -> %v", spec, name, i, rt[i], rt2[i])

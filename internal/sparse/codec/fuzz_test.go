@@ -206,7 +206,7 @@ var fuzzChainSpecs = []string{
 
 // FuzzChainRoundTrip: for a random chain over a random vector, the
 // encoded payload must be self-describing (DecodeInto with no chain in
-// hand equals the chain's RoundTrip bit-for-bit), sizes must agree, and
+// hand equals the chain's RoundTripSized bit-for-bit), sizes must agree, and
 // the wire image must be idempotent for grid-based chains.
 func FuzzChainRoundTrip(f *testing.F) {
 	f.Add(uint8(0), []byte{})
@@ -227,13 +227,13 @@ func FuzzChainRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s: canonical encoding rejected: %v", spec, err)
 		}
-		rt := ch.RoundTrip(vec)
+		rt, _ := ch.RoundTripSized(nil, vec)
 		if len(dec) != len(vec) || len(rt) != len(vec) {
 			t.Fatalf("%s: length changed: dec=%d rt=%d want %d", spec, len(dec), len(rt), len(vec))
 		}
 		for i := range dec {
 			if math.Float64bits(dec[i]) != math.Float64bits(rt[i]) {
-				t.Fatalf("%s[%d]: DecodeInto %v != RoundTrip %v", spec, i, dec[i], rt[i])
+				t.Fatalf("%s[%d]: DecodeInto %v != RoundTripSized %v", spec, i, dec[i], rt[i])
 			}
 		}
 	})

@@ -83,17 +83,6 @@ func AppendPartialPayload(dst []byte, p Partial) []byte {
 	return dst
 }
 
-// EncodePartialPayload encodes p into a fresh buffer.
-func EncodePartialPayload(p Partial) []byte {
-	return AppendPartialPayload(nil, p)
-}
-
-// DecodePartialPayload decodes a partial payload with the default length
-// cap.
-func DecodePartialPayload(b []byte) (Partial, error) {
-	return DecodePartialPayloadInto(nil, b, 0)
-}
-
 // DecodePartialPayloadInto decodes a partial payload, reusing dst's
 // storage for the sum when its capacity suffices (a pooled codec.GetVals slice
 // makes steady-state decoding allocation-free). maxParams bounds the

@@ -16,11 +16,11 @@ func TestPartialPayloadRoundTrip(t *testing.T) {
 	sum[8] = -0.0
 	p := Partial{RankLo: 64, Weight: 17, Traffic: 123456789, Sum: sum}
 
-	enc := EncodePartialPayload(p)
+	enc := AppendPartialPayload(nil, p)
 	if len(enc) != PartialPayloadSize(len(sum)) {
 		t.Fatalf("encoded %d bytes, PartialPayloadSize says %d", len(enc), PartialPayloadSize(len(sum)))
 	}
-	got, err := DecodePartialPayload(enc)
+	got, err := DecodePartialPayloadInto(nil, enc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +38,8 @@ func TestPartialPayloadRoundTrip(t *testing.T) {
 }
 
 func TestPartialPayloadIdentity(t *testing.T) {
-	enc := EncodePartialPayload(Partial{RankLo: 3})
-	got, err := DecodePartialPayload(enc)
+	enc := AppendPartialPayload(nil, Partial{RankLo: 3})
+	got, err := DecodePartialPayloadInto(nil, enc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestPartialPayloadDecodeIntoReuse(t *testing.T) {
 	for i := range sum {
 		sum[i] = float64(i)
 	}
-	enc := EncodePartialPayload(Partial{Weight: 4, Sum: sum})
+	enc := AppendPartialPayload(nil, Partial{Weight: 4, Sum: sum})
 	allocs := testing.AllocsPerRun(100, func() {
 		buf := codec.GetVals(len(sum))
 		p, err := DecodePartialPayloadInto(*buf, enc, len(sum))
@@ -76,15 +76,15 @@ func TestPartialPayloadHostileHeaders(t *testing.T) {
 		{partialFormatV1, 0, 0}, // truncated metadata
 	}
 	// Hostile span: claims 2^40 elements with no bytes behind it.
-	huge := EncodePartialPayload(Partial{Weight: 1, Sum: []float64{1}})
+	huge := AppendPartialPayload(nil, Partial{Weight: 1, Sum: []float64{1}})
 	huge[9], huge[10], huge[11], huge[12], huge[13], huge[14] = 0, 0, 0, 0, 0, 1
 	cases = append(cases, huge)
 	// Weight with no sum.
-	w := EncodePartialPayload(Partial{})
+	w := AppendPartialPayload(nil, Partial{})
 	w[17] = 9
 	cases = append(cases, w)
 	// Trailing garbage.
-	g := EncodePartialPayload(Partial{Weight: 1, Sum: []float64{1, 2}})
+	g := AppendPartialPayload(nil, Partial{Weight: 1, Sum: []float64{1, 2}})
 	cases = append(cases, append(g, 0xff))
 	for i, raw := range cases {
 		if _, err := DecodePartialPayloadInto(nil, raw, 1<<16); err == nil {
@@ -96,9 +96,9 @@ func TestPartialPayloadHostileHeaders(t *testing.T) {
 func FuzzPartialPayload(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{partialFormatV1})
-	f.Add(EncodePartialPayload(Partial{RankLo: 2}))
-	f.Add(EncodePartialPayload(Partial{RankLo: 8, Weight: 3, Traffic: 999, Sum: []float64{1.5, -2.25, 0, 4096}}))
-	f.Add(EncodePartialPayload(Partial{Weight: 1, Sum: make([]float64, 64)}))
+	f.Add(AppendPartialPayload(nil, Partial{RankLo: 2}))
+	f.Add(AppendPartialPayload(nil, Partial{RankLo: 8, Weight: 3, Traffic: 999, Sum: []float64{1.5, -2.25, 0, 4096}}))
+	f.Add(AppendPartialPayload(nil, Partial{Weight: 1, Sum: make([]float64, 64)}))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// Decoding arbitrary bytes must never panic, and the span bound
 		// must keep hostile headers from allocating beyond the input size.
@@ -111,7 +111,7 @@ func FuzzPartialPayload(f *testing.F) {
 		}
 		// Whatever decoded must round-trip losslessly (raw float64 — even
 		// NaN payload bits survive).
-		enc := EncodePartialPayload(p)
+		enc := AppendPartialPayload(nil, p)
 		back, err := DecodePartialPayloadInto(nil, enc, 1<<16)
 		if err != nil {
 			t.Fatalf("re-decode of canonical encoding failed: %v", err)

@@ -153,8 +153,10 @@ func AggError(ctx context.Context, agg Aggregator, clientID, round int, values [
 	return agg.AggregateError(clientID, round, values)
 }
 
-// Leg names one of the two collectives a round may run: Wire.Collect takes
-// it to pick the dispatch (AggModel or AggError) and the receipt.
+// Leg names one of the two collectives a round may run. It is the one name
+// of a collective below the strategy: Wire.Collect dispatches on it, the
+// in-process collective keys its barriers by (round, leg), and flrpc ships
+// it as the frame's kind byte.
 type Leg uint8
 
 const (
@@ -164,12 +166,47 @@ const (
 	ErrorLeg
 )
 
-// dispatch submits values to the leg's collective.
-func (l Leg) dispatch(ctx context.Context, agg Aggregator, clientID, round int, values []float64) ([]float64, error) {
+// String names the leg as errors and call labels print it.
+func (l Leg) String() string {
+	if l == ErrorLeg {
+		return "error"
+	}
+	return "model"
+}
+
+// Dispatch submits values to the leg's collective: AggModel or AggError.
+func (l Leg) Dispatch(ctx context.Context, agg Aggregator, clientID, round int, values []float64) ([]float64, error) {
 	if l == ErrorLeg {
 		return AggError(ctx, agg, clientID, round, values)
 	}
 	return AggModel(ctx, agg, clientID, round, values)
+}
+
+// Collective is an aggregator written as one function of the leg. Its
+// methods are the four of Aggregator and ContextAggregator, each a call with
+// its leg fixed, so an aggregator implements its collective once and embeds
+// the bound function (through an unexported alias, which keeps the field
+// unexported) to implement both interfaces.
+type Collective func(ctx context.Context, leg Leg, clientID, round int, values []float64) ([]float64, error)
+
+// AggregateModel implements Aggregator.
+func (c Collective) AggregateModel(clientID, round int, values []float64) ([]float64, error) {
+	return c(context.Background(), ModelLeg, clientID, round, values)
+}
+
+// AggregateError implements Aggregator.
+func (c Collective) AggregateError(clientID, round int, values []float64) ([]float64, error) {
+	return c(context.Background(), ErrorLeg, clientID, round, values)
+}
+
+// AggregateModelCtx implements ContextAggregator.
+func (c Collective) AggregateModelCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
+	return c(ctx, ModelLeg, clientID, round, values)
+}
+
+// AggregateErrorCtx implements ContextAggregator.
+func (c Collective) AggregateErrorCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
+	return c(ctx, ErrorLeg, clientID, round, values)
 }
 
 // ContextSyncer is an optional extension of Syncer whose synchronization

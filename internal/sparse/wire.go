@@ -16,7 +16,7 @@ import "fedsu/internal/sparse/codec"
 // zero) are elided and decode as +0; nonzero values round-trip through
 // float32. Tests comparing values across the wire must compare against
 // QuantizeWire(sent), not sent. Under a non-default chain the wire
-// image is the chain's round-trip instead (codec.Chain.RoundTrip).
+// image is the chain's round trip instead (codec.Chain.RoundTripSized).
 
 const (
 	vecFormatBitmap = codec.FormatBitmap

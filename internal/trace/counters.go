@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -46,10 +45,12 @@ func (c *Counters) Get(name string) int64 {
 	return c.m[name]
 }
 
-// Names returns the counter names in ascending order.
-func (c *Counters) Names() []string {
+// String renders the counters as "name=value" pairs in name order, e.g.
+// "evictions=1 retries=3" — empty for an empty (or nil) set. Names and
+// values are read in one locked pass, so they come from one instant.
+func (c *Counters) String() string {
 	if c == nil {
-		return nil
+		return ""
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -58,55 +59,8 @@ func (c *Counters) Names() []string {
 		names = append(names, k)
 	}
 	sort.Strings(names)
-	return names
-}
-
-// Snapshot returns a copy of the current counter values.
-func (c *Counters) Snapshot() map[string]int64 {
-	if c == nil {
-		return map[string]int64{}
+	for i, n := range names {
+		names[i] = fmt.Sprintf("%s=%d", n, c.m[n])
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
-	}
-	return out
-}
-
-// String renders the counters as "name=value" pairs in name order, e.g.
-// "evictions=1 retries=3" — empty for an empty (or nil) set.
-func (c *Counters) String() string {
-	snap := c.Snapshot()
-	names := c.Names()
-	parts := make([]string, 0, len(names))
-	for _, n := range names {
-		parts = append(parts, fmt.Sprintf("%s=%d", n, snap[n]))
-	}
-	return strings.Join(parts, " ")
-}
-
-// Render writes the counters as an aligned table with the given title.
-func (c *Counters) Render(w io.Writer, title string) error {
-	t := NewTable(title, "counter", "value")
-	snap := c.Snapshot()
-	for _, n := range c.Names() {
-		t.AddRow(n, snap[n])
-	}
-	return t.Render(w)
-}
-
-// WriteCSV emits the counters as two-column CSV in name order.
-func (c *Counters) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "counter,value"); err != nil {
-		return err
-	}
-	snap := c.Snapshot()
-	for _, n := range c.Names() {
-		if _, err := fmt.Fprintf(w, "%s,%d\n", n, snap[n]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return strings.Join(names, " ")
 }
