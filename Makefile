@@ -20,19 +20,21 @@ tier1:
 
 # The Go lane: internal/tensor has two implementations of each kernel
 # contract (DESIGN.md §5c) — the matmul tile, the element-wise family the
-# fold runs (AddTo, AddPair, AddPairTo, Scale), ReLU's pair (ReLUInto,
-# ReLUGateInto) and the float64↔float32 trio
-# the default wire converts on (NonzeroMask, NarrowLE, WidenLE) — AVX2
+# fold runs (AddTo, AddPair, AddPairTo, Scale), the training step's heads
+# (ReLU's pair ReLUInto and ReLUGateInto, the 2×2/2 pool forward and
+# backward, col2im's row add, the SGD update SGDUpdate) and the float64↔float32
+# trio the default wire converts on (NonzeroMask, NarrowLE, WidenLE) — AVX2
 # assembly and Go, and a runner with AVX2 never executes the second. The
 # purego tag compiles the assembly out, so the Go code carries the packages
 # whose tests prove bit-identity (tensor: against the retired scalar kernels
 # and a naive loop; nn, fl: across worker counts, replicas, topologies and
-# transports; sparse, flrpc: the codec against its per-bit and per-element
-# references and its pinned payloads, TCP against in-process; core: Manager
-# against the Algorithm 1 oracle, through the chain on the Go lane too).
+# transports; opt: SGD.Step against the retired two-pass update; sparse,
+# flrpc: the codec against its per-bit and per-element references and its
+# pinned payloads, TCP against in-process; core: Manager against the
+# Algorithm 1 oracle, through the chain on the Go lane too).
 tier1-purego:
 	$(GO) build -tags purego ./...
-	$(GO) test -tags purego -shuffle=on ./internal/tensor/... ./internal/nn/... ./internal/fl/... ./internal/sparse/... ./internal/core/... ./internal/flrpc/...
+	$(GO) test -tags purego -shuffle=on ./internal/tensor/... ./internal/nn/... ./internal/opt/... ./internal/fl/... ./internal/sparse/... ./internal/core/... ./internal/flrpc/...
 
 # Non-test line count, the ROADMAP's method: tracked .go and .s files
 # minus _test.go, bench/ and testdata/. A simplicity PR states its line
@@ -100,12 +102,15 @@ verify-f32: tier1-f32 race-f32
 # over (shape, operand strides, seed), or one tile over random and
 # overlapping offset tables, and holds the selected micro-kernel and the Go
 # tile to a naive ordered sum; FuzzVecKernels drives the element-wise
-# kernels over (length, operand offsets, seed, operation) and holds the
-# selected lane and the Go loops to a naive loop, NaN payloads included;
+# kernels — the fold's adds, Scale, the ReLU pair, the SGD update and
+# col2im's row add — over (length, operand offsets, seed, operation, and the
+# row add's row count, row width and strides) and holds the selected lane
+# and the Go loops to a naive loop, NaN payloads included;
 # FuzzConvertKernels does the same for the float64↔float32 trio over (length,
 # offset, raw bit patterns) against v != 0, float32(v) and float64(f).
-# FuzzLayerPasses drives the step passes — ReLU, MaxPool2D on both paths,
-# and a whole Conv2D against its im2col lowering — over (NCHW shape, kernel,
+# FuzzLayerPasses drives the step passes — ReLU, MaxPool2D on both paths
+# (the 2×2/2 forward and backward heads among them), and a whole Conv2D
+# against its im2col lowering — over (NCHW shape, kernel,
 # stride, pad, seed, raw bit patterns) against the retired loops
 # (nn/passes_ref_test.go).
 # FuzzQuantStage also holds the block encoder and decoder to the per-element

@@ -55,8 +55,9 @@ func BenchmarkLinearForwardBackward(b *testing.B)    { benchLinearForwardBackwar
 func BenchmarkLinearForwardBackwardF32(b *testing.B) { benchLinearForwardBackward[float32](b) }
 
 // benchPaperCNNStep times one local SGD iteration of sim_cnn's model at its
-// shape — the paper's CNN at Scale 4, batch 8, one worker — so the step's
-// number is one `go test -bench` away instead of a benchmark run.
+// shape — the paper's CNN at Scale 4, batch 8, one worker, and the update
+// opt.SGD makes with the engine's weight decay — so the step's number is one
+// `go test -bench` away instead of a benchmark run.
 func benchPaperCNNStep(b *testing.B, dt tensor.DType) {
 	defer par.SetWorkers(par.SetWorkers(1))
 	m := benchCNN(dt)
@@ -65,7 +66,21 @@ func benchPaperCNNStep(b *testing.B, dt tensor.DType) {
 	for i := 0; i < b.N; i++ {
 		m.ZeroGrad()
 		m.TrainStep(x, labels)
-		sgdStep(m, 0.01)
+		engineSGDStep(m)
+	}
+}
+
+// engineSGDStep is opt.SGD's update at learning rate 0.01 and the engine's
+// weight decay, 0.001: opt imports nn, so it calls the tensor function
+// SGD.Step calls.
+func engineSGDStep(m *Model) {
+	const lr, wd = 0.01, 0.001
+	for _, p := range m.Params() {
+		if p.Value.DType() == tensor.Float32 {
+			tensor.SGDUpdate(tensor.DataOf[float32](p.Value), tensor.DataOf[float32](p.Grad), lr, wd)
+			continue
+		}
+		tensor.SGDUpdate(tensor.DataOf[float64](p.Value), tensor.DataOf[float64](p.Grad), lr, wd)
 	}
 }
 

@@ -134,20 +134,7 @@ func (c *Conv2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.plan.WeightGrad(c.weight.Grad, c.lastX, grad)
 	c.lastX = nil
 	if c.useBias {
-		// The bias gradient sums N*OH*OW terms per channel, image by image:
-		// widen to a float64 accumulator and round once into the stored
-		// gradient.
-		n, plane := grad.Dim(0), grad.Dim(2)*grad.Dim(3)
-		gd, bd := tensor.DataOf[E](grad), tensor.DataOf[E](c.bias.Grad)
-		for oc := 0; oc < c.outC; oc++ {
-			s := 0.0
-			for ni := 0; ni < n; ni++ {
-				for _, v := range gd[(ni*c.outC+oc)*plane : (ni*c.outC+oc+1)*plane] {
-					s += toF64(v)
-				}
-			}
-			bd[oc] += roundE[E](s)
-		}
+		biasGrad(tensor.DataOf[E](c.bias.Grad), tensor.DataOf[E](grad), grad.Dim(0), c.outC, grad.Dim(2)*grad.Dim(3))
 	}
 	if c.noInputGrad {
 		return nil
@@ -156,6 +143,42 @@ func (c *Conv2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.dx = stepScratch(c.dx, tensor.DTypeOf[E](), grad.Dim(0), c.inC, h, w)
 	c.plan.InputGrad(c.dx, c.weight.Value, grad)
 	return c.dx
+}
+
+// biasGrad adds each channel's sum of g (n, outC, plane) into bd. A sum runs
+// over its N·plane terms image by image, widened to a float64 accumulator
+// and rounded once into the stored gradient. Four channels' sums advance
+// side by side, each in its own (n, s) order, so the adds of one do not wait
+// on another's.
+func biasGrad[E tensor.Elem](bd, g []E, n, outC, plane int) {
+	oc := 0
+	for ; oc+4 <= outC; oc += 4 {
+		var s0, s1, s2, s3 float64
+		for ni := 0; ni < n; ni++ {
+			base := (ni*outC + oc) * plane
+			g0, g1 := g[base:base+plane], g[base+plane:base+2*plane]
+			g2, g3 := g[base+2*plane:base+3*plane], g[base+3*plane:base+4*plane]
+			for j, v := range g0 {
+				s0 += toF64(v)
+				s1 += toF64(g1[j])
+				s2 += toF64(g2[j])
+				s3 += toF64(g3[j])
+			}
+		}
+		bd[oc] += roundE[E](s0)
+		bd[oc+1] += roundE[E](s1)
+		bd[oc+2] += roundE[E](s2)
+		bd[oc+3] += roundE[E](s3)
+	}
+	for ; oc < outC; oc++ {
+		s := 0.0
+		for ni := 0; ni < n; ni++ {
+			for _, v := range g[(ni*outC+oc)*plane : (ni*outC+oc+1)*plane] {
+				s += toF64(v)
+			}
+		}
+		bd[oc] += roundE[E](s)
+	}
 }
 
 // checkGeometry refuses, when a layer is built, a window or stride below 1

@@ -233,48 +233,106 @@ func conv(kh, kw, sh, sw, ph, pw int) tensor.ConvParams {
 	return tensor.ConvParams{KernelH: kh, KernelW: kw, StrideH: sh, StrideW: sw, PadH: ph, PadW: pw}
 }
 
+// passCases are the shapes and geometries TestLayerPassesMatchReference runs
+// every pass over, at both widths.
+var passCases = []passCase{
+	{8, 1, 28, 28, conv(5, 5, 1, 1, 0, 0)}, // the CNN's first convolution
+	{8, 8, 12, 12, conv(5, 5, 1, 1, 0, 0)}, // its second
+	{8, 8, 24, 24, conv(2, 2, 2, 2, 0, 0)}, // its first pool's input
+	{2, 4, 8, 8, conv(3, 3, 1, 1, 1, 1)},   // ResNet's padded 3×3
+	{2, 4, 8, 8, conv(3, 3, 2, 2, 1, 1)},   // and its strided one
+	{2, 4, 7, 7, conv(1, 1, 2, 2, 0, 0)},   // the 1×1 projection, odd plane
+	{1, 2, 9, 7, conv(2, 2, 2, 2, 0, 0)},   // odd height and width under 2×2/2
+	{3, 2, 5, 6, conv(3, 3, 2, 2, 0, 0)},   // overlapping pool windows
+	{1, 1, 3, 3, conv(3, 3, 1, 1, 2, 2)},   // padding past every tap's reach
+	{1, 1, 5, 7, conv(2, 4, 2, 1, 0, 1)},   // rectangular kernel and stride
+	{2, 3, 1, 1, conv(1, 1, 1, 1, 0, 0)},   // one pixel
+	{2, 1, 4, 9, conv(2, 3, 1, 3, 1, 0)},   // stride wider than the kernel
+	{1, 2, 16, 16, conv(3, 3, 1, 1, 1, 1)}, // a long stride-1 row
+	{1, 1, 30, 33, conv(5, 5, 1, 1, 2, 2)}, // and a longer one, padded
+	{1, 1, 11, 11, conv(3, 3, 3, 3, 0, 0)}, // non-overlapping 3×3 windows
+	{2, 2, 6, 6, conv(1, 1, 1, 1, 0, 0)},   // 1×1, every tap full width
+	{1, 3, 10, 10, conv(4, 4, 1, 1, 3, 3)}, // pad 3 of a 4-wide kernel
+	{1, 1, 13, 2, conv(2, 2, 2, 2, 0, 0)},  // a plane two wide
+	{1, 1, 2, 13, conv(2, 2, 2, 2, 0, 0)},  // and two high
+	{3, 1, 12, 12, conv(2, 2, 1, 1, 0, 0)}, // 2×2 windows at stride 1
+	{1, 2, 8, 8, conv(8, 8, 1, 1, 0, 0)},   // a window the size of the plane
+	{2, 2, 7, 9, conv(3, 2, 3, 2, 1, 1)},   // everything odd
+	{1, 1, 17, 17, conv(5, 5, 4, 4, 2, 2)}, // large stride, padded
+	{4, 3, 6, 5, conv(2, 2, 2, 2, 0, 0)},   // odd width only
+	{4, 3, 5, 6, conv(2, 2, 2, 2, 0, 0)},   // odd height only
+	{1, 1, 1, 40, conv(1, 3, 1, 1, 0, 1)},  // one row
+	{1, 1, 40, 1, conv(3, 1, 1, 1, 1, 0)},  // one column
+	{2, 2, 3, 3, conv(3, 3, 1, 1, 0, 0)},   // one output per image
+	{1, 4, 4, 4, conv(2, 2, 2, 2, 1, 1)},   // padded 2×2/2
+	{1, 1, 9, 9, conv(5, 5, 2, 2, 4, 4)},   // pad one short of the kernel
+	{1, 1, 24, 24, conv(2, 2, 2, 2, 0, 0)}, // the CNN's pool, one plane
+	{8, 16, 8, 8, conv(2, 2, 2, 2, 0, 0)},  // its second pool's input
+	{1, 2, 6, 6, conv(3, 3, 2, 2, 2, 2)},   // stride 2, pad 2
+	{1, 1, 8, 8, conv(1, 1, 3, 3, 0, 0)},   // 1×1 at stride 3
+	{2, 1, 10, 10, conv(5, 5, 5, 5, 0, 0)}, // non-overlapping 5×5
+}
+
 func TestLayerPassesMatchReference(t *testing.T) {
-	cases := []passCase{
-		{8, 1, 28, 28, conv(5, 5, 1, 1, 0, 0)}, // the CNN's first convolution
-		{8, 8, 12, 12, conv(5, 5, 1, 1, 0, 0)}, // its second
-		{8, 8, 24, 24, conv(2, 2, 2, 2, 0, 0)}, // its first pool's input
-		{2, 4, 8, 8, conv(3, 3, 1, 1, 1, 1)},   // ResNet's padded 3×3
-		{2, 4, 8, 8, conv(3, 3, 2, 2, 1, 1)},   // and its strided one
-		{2, 4, 7, 7, conv(1, 1, 2, 2, 0, 0)},   // the 1×1 projection, odd plane
-		{1, 2, 9, 7, conv(2, 2, 2, 2, 0, 0)},   // odd height and width under 2×2/2
-		{3, 2, 5, 6, conv(3, 3, 2, 2, 0, 0)},   // overlapping pool windows
-		{1, 1, 3, 3, conv(3, 3, 1, 1, 2, 2)},   // padding past every tap's reach
-		{1, 1, 5, 7, conv(2, 4, 2, 1, 0, 1)},   // rectangular kernel and stride
-		{2, 3, 1, 1, conv(1, 1, 1, 1, 0, 0)},   // one pixel
-		{2, 1, 4, 9, conv(2, 3, 1, 3, 1, 0)},   // stride wider than the kernel
-		{1, 2, 16, 16, conv(3, 3, 1, 1, 1, 1)}, // a long stride-1 row
-		{1, 1, 30, 33, conv(5, 5, 1, 1, 2, 2)}, // and a longer one, padded
-		{1, 1, 11, 11, conv(3, 3, 3, 3, 0, 0)}, // non-overlapping 3×3 windows
-		{2, 2, 6, 6, conv(1, 1, 1, 1, 0, 0)},   // 1×1, every tap full width
-		{1, 3, 10, 10, conv(4, 4, 1, 1, 3, 3)}, // pad 3 of a 4-wide kernel
-		{1, 1, 13, 2, conv(2, 2, 2, 2, 0, 0)},  // a plane two wide
-		{1, 1, 2, 13, conv(2, 2, 2, 2, 0, 0)},  // and two high
-		{3, 1, 12, 12, conv(2, 2, 1, 1, 0, 0)}, // 2×2 windows at stride 1
-		{1, 2, 8, 8, conv(8, 8, 1, 1, 0, 0)},   // a window the size of the plane
-		{2, 2, 7, 9, conv(3, 2, 3, 2, 1, 1)},   // everything odd
-		{1, 1, 17, 17, conv(5, 5, 4, 4, 2, 2)}, // large stride, padded
-		{4, 3, 6, 5, conv(2, 2, 2, 2, 0, 0)},   // odd width only
-		{4, 3, 5, 6, conv(2, 2, 2, 2, 0, 0)},   // odd height only
-		{1, 1, 1, 40, conv(1, 3, 1, 1, 0, 1)},  // one row
-		{1, 1, 40, 1, conv(3, 1, 1, 1, 1, 0)},  // one column
-		{2, 2, 3, 3, conv(3, 3, 1, 1, 0, 0)},   // one output per image
-		{1, 4, 4, 4, conv(2, 2, 2, 2, 1, 1)},   // padded 2×2/2
-		{1, 1, 9, 9, conv(5, 5, 2, 2, 4, 4)},   // pad one short of the kernel
-		{1, 1, 24, 24, conv(2, 2, 2, 2, 0, 0)}, // the CNN's pool, one plane
-		{8, 16, 8, 8, conv(2, 2, 2, 2, 0, 0)},  // its second pool's input
-		{1, 2, 6, 6, conv(3, 3, 2, 2, 2, 2)},   // stride 2, pad 2
-		{1, 1, 8, 8, conv(1, 1, 3, 3, 0, 0)},   // 1×1 at stride 3
-		{2, 1, 10, 10, conv(5, 5, 5, 5, 0, 0)}, // non-overlapping 5×5
-	}
-	for _, pc := range cases {
+	for _, pc := range passCases {
 		for seed := int64(1); seed <= 3; seed++ {
 			checkPasses[float64](t, pc, seed, nil)
 			checkPasses[float32](t, pc, seed, nil)
+		}
+	}
+}
+
+// TestLayerPassCasesReachEveryPath holds passCases to the paths the passes
+// split into, so a geometry dropped from the list cannot quietly leave one
+// untested. col2im's scatter at stride 1 adds each tap's runs with a head
+// that takes the leading multiple of 4 values and a Go loop for the rest: a
+// run of 1–3 values is the Go loop's alone, a multiple of 4 the head's alone,
+// and a longer run that is not a multiple of 4 both; a wider stride is Go
+// only. The 2×2/2 pool's backward head takes four windows a step: an odd
+// plane (a last row or column in no window) with a head step, an even one,
+// and a row whose window count is not a multiple of 4.
+func TestLayerPassCasesReachEveryPath(t *testing.T) {
+	reached := map[string]bool{}
+	for _, pc := range passCases {
+		oh, ow := pc.p.OutSize(pc.h, pc.w)
+		if pc.p.StrideW > 1 {
+			reached["scatter at stride 2 or more"] = true
+		}
+		for kh := 0; kh < pc.p.KernelH && pc.p.StrideW == 1; kh++ {
+			if lo, hi := validRangeRef(kh, pc.p.PadH, pc.p.StrideH, pc.h, oh); lo > hi {
+				continue
+			}
+			for kw := 0; kw < pc.p.KernelW; kw++ {
+				lo, hi := validRangeRef(kw, pc.p.PadW, 1, pc.w, ow)
+				switch run := hi - lo + 1; {
+				case run >= 1 && run <= 3:
+					reached["scatter run of 1-3 values"] = true
+				case run > 0 && run%4 == 0:
+					reached["scatter run of a multiple of 4"] = true
+				case run > 4:
+					reached["scatter run over 4, not a multiple of 4"] = true
+				}
+			}
+		}
+		if pc.h < 2 || pc.w < 2 {
+			continue
+		}
+		if pw := pc.w / 2; pw >= 4 && (pc.h%2 == 1 || pc.w%2 == 1) {
+			reached["pool backward head on an odd plane"] = true
+		} else if pw >= 4 {
+			reached["pool backward head on an even plane"] = true
+		}
+		if pc.w/2%4 != 0 {
+			reached["pool backward windows past the head"] = true
+		}
+	}
+	for _, path := range []string{
+		"scatter at stride 2 or more", "scatter run of 1-3 values", "scatter run of a multiple of 4",
+		"scatter run over 4, not a multiple of 4", "pool backward head on an odd plane",
+		"pool backward head on an even plane", "pool backward windows past the head",
+	} {
+		if !reached[path] {
+			t.Errorf("no case in passCases reaches %s", path)
 		}
 	}
 }

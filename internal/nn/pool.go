@@ -94,41 +94,16 @@ func (m *MaxPool2D[E]) is2x2() bool {
 func (m *MaxPool2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	s := m.inShape
 	m.dx = stepScratch(m.dx, tensor.DTypeOf[E](), s[0], s[1], s[2], s[3])
-	dd, gd := tensor.DataOf[E](m.dx), tensor.DataOf[E](grad)
 	if m.is2x2() {
-		maxPool2x2Backward(dd, gd, m.argmax, s[0]*s[1], s[2], s[3])
+		tensor.MaxPool2x2Backward(m.dx, grad, m.argmax)
 		return m.dx
 	}
+	dd, gd := tensor.DataOf[E](m.dx), tensor.DataOf[E](grad)
 	m.dx.Zero()
 	for oi, idx := range m.argmax {
 		dd[idx] += gd[oi]
 	}
 	return m.dx
-}
-
-// maxPool2x2Backward writes every tap once — 2×2/2 windows do not overlap —
-// as +0, then 0 + g at the window's argmax: the bits that zeroing the plane
-// and accumulating g into it stored (0 + −0 is +0; a NaN comes back quieted),
-// in one pass instead of two. Only an odd plane's last row and column lie in
-// no window; they are cleared.
-func maxPool2x2Backward[E tensor.Elem](dd, gd []E, argmax []int, planes, h, w int) {
-	oh, ow := h/2, w/2
-	oi := 0
-	for pl := 0; pl < planes; pl++ {
-		plane := dd[pl*h*w : (pl+1)*h*w]
-		for oy := 0; oy < oh; oy++ {
-			r0, r1 := plane[2*oy*w:(2*oy+1)*w], plane[(2*oy+1)*w:(2*oy+2)*w]
-			clear(r0[2*ow:])
-			clear(r1[2*ow:])
-			g, a := gd[oi:oi+ow], argmax[oi:oi+ow]
-			for ox := range g {
-				r0[2*ox], r0[2*ox+1], r1[2*ox], r1[2*ox+1] = 0, 0, 0, 0
-				dd[a[ox]] = 0 + g[ox]
-			}
-			oi += ow
-		}
-		clear(plane[2*oh*w:])
-	}
 }
 
 func (m *MaxPool2D[E]) releaseScratch() {

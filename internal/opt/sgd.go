@@ -68,25 +68,13 @@ func (s *SGD) Step(params []*nn.Param) {
 			continue
 		}
 		if p.Value.DType() == tensor.Float32 {
-			sgdUpdate(tensor.DataOf[float32](p.Value), tensor.DataOf[float32](p.Grad),
+			tensor.SGDUpdate(tensor.DataOf[float32](p.Value), tensor.DataOf[float32](p.Grad),
 				float32(lr), float32(s.weightDecay)) //lint:allow precision -- optimizer scalars round once per step at the dispatch boundary
 			continue
 		}
-		sgdUpdate(tensor.DataOf[float64](p.Value), tensor.DataOf[float64](p.Grad), lr, s.weightDecay)
+		tensor.SGDUpdate(tensor.DataOf[float64](p.Value), tensor.DataOf[float64](p.Grad), lr, s.weightDecay)
 	}
 	s.step++
-}
-
-// sgdUpdate applies the storage-width SGD update to one parameter.
-func sgdUpdate[E tensor.Elem](v, g []E, lr, weightDecay E) {
-	if weightDecay != 0 {
-		for i := range g {
-			g[i] += weightDecay * v[i]
-		}
-	}
-	for i := range v {
-		v[i] -= lr * g[i]
-	}
 }
 
 // Schedule maps a step index to a multiplier on the base learning rate.

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -115,5 +116,121 @@ func TestSGDMatchesManualLoop(t *testing.T) {
 		if math.Abs(p1.Value.At(i)-p2.Value.At(i)) > 1e-12 {
 			t.Fatalf("optimizer diverged from manual SGD at %d", i)
 		}
+	}
+}
+
+// sgdRef is the update Step made before it became one pass: the decay folded
+// into the whole gradient first, then the step.
+func sgdRef[E tensor.Elem](v, g []E, lr, weightDecay E) {
+	if weightDecay != 0 {
+		for i := range g {
+			g[i] += weightDecay * v[i]
+		}
+	}
+	for i := range v {
+		v[i] -= lr * g[i]
+	}
+}
+
+// Bit patterns salted among the operands: ±0, quiet NaNs of either sign and
+// distinct payloads, a signalling NaN, ±Inf, the smallest subnormal and the
+// most negative one.
+var (
+	sgdSpecials64 = []uint64{0, 1 << 63, 0x7ff8_0000_0000_0a0a, 0xfff8_0000_0000_0b0b, 0x7ff0_0000_0000_0c0c,
+		0x7ff0_0000_0000_0000, 0xfff0_0000_0000_0000, 1, 0x800f_ffff_ffff_ffff}
+	sgdSpecials32 = []uint32{0, 1 << 31, 0x7fc0_0a0a, 0xffc0_0b0b, 0x7f80_0c0c, 0x7f80_0000, 0xff80_0000, 1, 0x807f_ffff}
+)
+
+// saltedValues draws n values of width E: normal draws, and one in four a
+// special bit pattern.
+func saltedValues[E tensor.Elem](rng *rand.Rand, n int) []E {
+	out := make([]E, n)
+	for i := range out {
+		out[i] = E(rng.NormFloat64())
+		if rng.Intn(4) == 0 {
+			switch p := any(&out[i]).(type) {
+			case *float64:
+				*p = math.Float64frombits(sgdSpecials64[rng.Intn(len(sgdSpecials64))])
+			case *float32:
+				*p = math.Float32frombits(sgdSpecials32[rng.Intn(len(sgdSpecials32))])
+			}
+		}
+	}
+	return out
+}
+
+func sgdBits[E tensor.Elem](v E) uint64 {
+	switch x := any(v).(type) {
+	case float32:
+		return uint64(math.Float32bits(x))
+	case float64:
+		return math.Float64bits(x)
+	}
+	panic("unreachable")
+}
+
+// TestSGDMatchesRetiredUpdate holds Step to sgdRef bit for bit — the values
+// and the gradient Step leaves — at both widths, at every length 0–67 (so
+// the vector head's 16-element steps and every tail length run), with the
+// parameter and its gradient starting at different element offsets, with and
+// without weight decay, on operands salted with NaN payloads, ±0, ±Inf and
+// subnormals. Length 0 goes straight to tensor.SGDUpdate, which Step calls
+// per parameter: a tensor holds at least one element.
+func TestSGDMatchesRetiredUpdate(t *testing.T) {
+	checkSGDRef[float64](t)
+	checkSGDRef[float32](t)
+}
+
+func checkSGDRef[E tensor.Elem](t *testing.T) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	for _, wd := range []float64{0, 0.001} {
+		s := NewSGD(0.05, WithWeightDecay(wd))
+		lr, decay := E(s.LR()), E(wd) //lint:allow precision -- the scalars Step rounds once at its dispatch
+		for n := 0; n <= 67; n++ {
+			for off := 0; off < 4; off++ {
+				v0, g0 := saltedValues[E](rng, n), saltedValues[E](rng, n)
+				vb, gb := make([]E, off+n), make([]E, 3-off+n)
+				v, g := vb[off:], gb[3-off:]
+				copy(v, v0)
+				copy(g, g0)
+				if n == 0 {
+					tensor.SGDUpdate(v, g, lr, decay)
+				} else {
+					s.Step([]*nn.Param{{Name: "p", Value: tensor.FromSliceOf(v, n), Grad: tensor.FromSliceOf(g, n)}})
+				}
+				sgdRef(v0, g0, lr, decay)
+				what := fmt.Sprintf("%s n=%d offsets=%d,%d wd=%g", tensor.DTypeOf[E](), n, off, 3-off, wd)
+				for i := range v0 {
+					if sgdBits(v[i]) != sgdBits(v0[i]) || sgdBits(g[i]) != sgdBits(g0[i]) {
+						t.Fatalf("%s: element %d is v %#x g %#x, the retired update gives v %#x g %#x",
+							what, i, sgdBits(v[i]), sgdBits(g[i]), sgdBits(v0[i]), sgdBits(g0[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSGDStep times one optimizer step with the engine's weight decay
+// over two parameter lists: sim_cnn's model (the paper's CNN at Scale 4,
+// 42,383 parameters) and the default-width CNN (601,007).
+func BenchmarkSGDStep(b *testing.B) {
+	for _, scale := range []int{4, 1} {
+		m := nn.NewPaperCNN(nn.ModelConfig{InChannels: 1, ImageSize: 28, NumClasses: 47, Scale: scale, Seed: 104})
+		rng := rand.New(rand.NewSource(1))
+		params := m.Params()
+		size := 0
+		for _, p := range params {
+			p.Grad.RandNormal(rng, 0, 1)
+			size += p.Value.Len()
+		}
+		b.Run(fmt.Sprintf("params=%d", size), func(b *testing.B) {
+			s := NewSGD(1e-6, WithWeightDecay(0.001))
+			b.SetBytes(int64(8 * 4 * size)) // reads and writes both vectors
+			for i := 0; i < b.N; i++ {
+				s.Step(params)
+			}
+		})
 	}
 }

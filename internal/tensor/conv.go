@@ -93,3 +93,45 @@ func maxPool2x2[E Elem](od []E, argmax []int, xd []E, planes, h, w int, head fun
 		}
 	}
 }
+
+// MaxPool2x2Backward writes dx (N, C, H, W), fully overwritten, from the
+// gradient g of MaxPool2x2Into's output and the argmax it returned. 2×2/2
+// windows do not overlap, so every tap is written once: +0, and 0 + g at
+// the window's argmax — the bits that zeroing dx and accumulating g into it
+// stored (0 + −0 is +0; a NaN comes back quieted), in one pass instead of
+// two. Only an odd plane's last row and column lie in no window; they are
+// cleared.
+func MaxPool2x2Backward(dx, g *Tensor, argmax []int) {
+	n, c, h, w := dx.shape[0], dx.shape[1], dx.shape[2], dx.shape[3]
+	if len(g.shape) != 4 || g.shape[0] != n || g.shape[1] != c || g.shape[2] != h/2 || g.shape[3] != w/2 || len(argmax) != g.Len() {
+		panic(fmt.Sprintf("tensor: MaxPool2x2Backward g %v with %d argmax slots, input gradient %v", g.shape, len(argmax), dx.shape))
+	}
+	checkSameDType("MaxPool2x2Backward", dx, g)
+	if dx.dt == Float32 {
+		maxPool2x2Backward(dx.data32, g.data32, argmax, n*c, h, w, noPoolBackHead[float32])
+		return
+	}
+	maxPool2x2Backward(dx.data, g.data, argmax, n*c, h, w, headMaxPool2x2Back)
+}
+
+// maxPool2x2Backward goes plane by plane: the head takes what it can of
+// every row pair, then the Go loop finishes each.
+func maxPool2x2Backward[E Elem](dd, gd []E, argmax []int, planes, h, w int, head func(g []E, argmax []int, dd []E, top, w, ow, rows int) int) {
+	oh, ow := h/2, w/2
+	for pl := 0; pl < planes; pl++ {
+		plane := dd[pl*h*w : (pl+1)*h*w]
+		g, a := gd[pl*oh*ow:(pl+1)*oh*ow], argmax[pl*oh*ow:(pl+1)*oh*ow]
+		ox0 := head(g, a, plane, pl*h*w, w, ow, oh)
+		for oy := 0; oy < oh && (ox0 < ow || w%2 != 0); oy++ {
+			r0, r1 := plane[2*oy*w:(2*oy+1)*w], plane[(2*oy+1)*w:(2*oy+2)*w]
+			clear(r0[2*ow:])
+			clear(r1[2*ow:])
+			gr, ar := g[oy*ow:(oy+1)*ow], a[oy*ow:(oy+1)*ow]
+			for ox := ox0; ox < ow; ox++ {
+				r0[2*ox], r0[2*ox+1], r1[2*ox], r1[2*ox+1] = 0, 0, 0, 0
+				dd[ar[ox]] = 0 + gr[ox]
+			}
+		}
+		clear(plane[2*oh*w:])
+	}
+}

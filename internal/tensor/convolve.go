@@ -205,10 +205,10 @@ func (pl *ConvPlan) InputGrad(dx, w, g *Tensor) {
 	pl.checkShape("InputGrad", "input gradient", dx, n, pl.c, pl.h, pl.w)
 	pl.checkShape("InputGrad", "weight", w, pl.outC, pl.k)
 	if pl.dt == Float32 {
-		convInputGrad(pl, tile32, dx.data32, w.data32, g.data32, n)
+		convInputGrad(pl, tile32, noAddRowsHead[float32], dx.data32, w.data32, g.data32, n)
 		return
 	}
-	convInputGrad(pl, tile64, dx.data, w.data, g.data, n)
+	convInputGrad(pl, tile64, headAddRows, dx.data, w.data, g.data, n)
 }
 
 // convForward splits the batch over the worker pool; images write disjoint
@@ -270,21 +270,15 @@ func convForwardImages[E Elem](pl *ConvPlan, tile tileFunc[E], y, x, w, bias []E
 }
 
 // convWeightGrad builds gᵀ (N·OH·OW × mp, zero columns past outC) in one
-// pass over g, runs the transposed product into ct (split over the pool by
-// row tiles, which write disjoint rows) and adds ct's transpose into dw.
+// pass over g (transposeGrad), runs the transposed product into ct (split
+// over the pool by row tiles, which write disjoint rows) and adds ct's
+// transpose into dw.
 func convWeightGrad[E Elem](pl *ConvPlan, tile tileFunc[E], dw, x, g []E, n int) {
 	ohow, outC, mp, k, kp := pl.oh*pl.ow, pl.outC, pl.mp, pl.k, len(pl.tap)
 	gts, cts := GetScratchOf(pl.dt, n*ohow, mp), GetScratchOf(pl.dt, kp, mp)
 	gt, ct := DataOf[E](gts), DataOf[E](cts)
 	for ni := 0; ni < n; ni++ {
-		gn := g[ni*outC*ohow : (ni+1)*outC*ohow]
-		for s := 0; s < ohow; s++ {
-			row := gt[(ni*ohow+s)*mp : (ni*ohow+s+1)*mp]
-			for oc := range row[:outC] {
-				row[oc] = gn[oc*ohow+s]
-			}
-			clear(row[outC:])
-		}
+		transposeGrad(gt[ni*ohow*mp:(ni+1)*ohow*mp], g[ni*outC*ohow:(ni+1)*outC*ohow], outC, ohow, mp)
 	}
 	if parallelWorthwhile(int64(n) * int64(ohow) * int64(k) * int64(outC)) {
 		par.ParallelizeGrain(kp, tileRows, func(lo, hi int) { convWeightGradRows(pl, tile, ct, x, gt, n, lo, hi) })
@@ -299,6 +293,30 @@ func convWeightGrad[E Elem](pl *ConvPlan, tile tileFunc[E], dw, x, g []E, n int)
 	}
 	PutScratch(gts)
 	PutScratch(cts)
+}
+
+// transposeGrad writes one image's gradient gn (outC × ohow) into gt as
+// gᵀ (ohow × mp, zero past outC): eight channels at a time, each a
+// sequential read, into the contiguous run they make of every gᵀ row (a
+// whole cache line at float64), then any channels left one by one.
+func transposeGrad[E Elem](gt, gn []E, outC, ohow, mp int) {
+	oc := 0
+	for ; oc+8 <= outC; oc += 8 {
+		g0 := gn[oc*ohow : (oc+1)*ohow]
+		g1, g2, g3 := gn[(oc+1)*ohow:][:len(g0)], gn[(oc+2)*ohow:][:len(g0)], gn[(oc+3)*ohow:][:len(g0)]
+		g4, g5, g6, g7 := gn[(oc+4)*ohow:][:len(g0)], gn[(oc+5)*ohow:][:len(g0)], gn[(oc+6)*ohow:][:len(g0)], gn[(oc+7)*ohow:][:len(g0)]
+		for s, v := range g0 {
+			q := (*[8]E)(gt[s*mp+oc:])
+			q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7] = v, g1[s], g2[s], g3[s], g4[s], g5[s], g6[s], g7[s]
+		}
+	}
+	for s := 0; s < ohow && oc < mp; s++ {
+		row := gt[s*mp : (s+1)*mp]
+		for c := oc; c < outC; c++ {
+			row[c] = gn[c*ohow+s]
+		}
+		clear(row[outC:])
+	}
 }
 
 // convWeightGradRows computes the ct rows [lo, hi), whole tiles: image 0
@@ -323,17 +341,17 @@ func convWeightGradRows[E Elem](pl *ConvPlan, tile tileFunc[E], ct, x, gt []E, n
 
 // convInputGrad splits the batch over the worker pool; images write
 // disjoint slabs of dx.
-func convInputGrad[E Elem](pl *ConvPlan, tile tileFunc[E], dx, w, g []E, n int) {
+func convInputGrad[E Elem](pl *ConvPlan, tile tileFunc[E], head rowsHead[E], dx, w, g []E, n int) {
 	if n > 1 && parallelWorthwhile(int64(n)*int64(pl.outC)*int64(pl.k)*int64(pl.oh*pl.ow)) {
-		par.Parallelize(n, func(lo, hi int) { convInputGradImages(pl, tile, dx, w, g, lo, hi) })
+		par.Parallelize(n, func(lo, hi int) { convInputGradImages(pl, tile, head, dx, w, g, lo, hi) })
 		return
 	}
-	convInputGradImages(pl, tile, dx, w, g, 0, n)
+	convInputGradImages(pl, tile, head, dx, w, g, 0, n)
 }
 
 // convInputGradImages computes images [lo, hi): four taps' rows of Wᵀ × g at
 // a time into buf, then each row added into dx in tap order.
-func convInputGradImages[E Elem](pl *ConvPlan, tile tileFunc[E], dx, w, g []E, lo, hi int) {
+func convInputGradImages[E Elem](pl *ConvPlan, tile tileFunc[E], head rowsHead[E], dx, w, g []E, lo, hi int) {
 	tw := tileCols[E]()
 	k, outC, ohow := pl.k, pl.outC, pl.oh*pl.ow
 	inVol, full := pl.c*pl.h*pl.w, ohow-ohow%tw
@@ -353,7 +371,7 @@ func convInputGradImages[E Elem](pl *ConvPlan, tile tileFunc[E], dx, w, g []E, l
 				goBlock(buf[full:], ohow, w, arow, pl.wrow, gn[full:], pl.gcol, tileRows, ohow-full, tileStore)
 			}
 			for r := 0; r < tileRows && q0+r < k; r++ {
-				scatterTap(dn, buf[r*ohow:(r+1)*ohow], pl.scatter[q0+r], pl.ow, step, sw)
+				scatterTap(dn, buf[r*ohow:(r+1)*ohow], pl.scatter[q0+r], pl.ow, step, sw, head)
 			}
 		}
 	}
@@ -361,21 +379,22 @@ func convInputGradImages[E Elem](pl *ConvPlan, tile tileFunc[E], dx, w, g []E, l
 }
 
 // scatterTap adds one tap's row of the input gradient into an image of dx,
-// col2im's inner loop.
-func scatterTap[E Elem](dn, row []E, t tapRange, ow, step, sw int) {
+// col2im's inner loop: at stride 1 every run of the tap in one addRows call
+// (the head takes the leading multiple of 4 of each run), otherwise in Go.
+func scatterTap[E Elem](dn, row []E, t tapRange, ow, step, sw int, head rowsHead[E]) {
+	if t.o1 < t.o0 {
+		return
+	}
+	if sw == 1 {
+		addRows(dn[t.dst:], row[t.o0:], (t.o1-t.o0)/ow+1, t.valid, step, ow, head)
+		return
+	}
 	dst := t.dst
 	for o := t.o0; o <= t.o1; o += ow {
 		s := row[o : o+t.valid]
-		if sw == 1 {
-			d := dn[dst : dst+t.valid]
-			for j := range d {
-				d[j] += s[j]
-			}
-		} else {
-			d := dn[dst : dst+(t.valid-1)*sw+1]
-			for j := range s {
-				d[j*sw] += s[j]
-			}
+		d := dn[dst : dst+(t.valid-1)*sw+1]
+		for j := range s {
+			d[j*sw] += s[j]
 		}
 		dst += step
 	}

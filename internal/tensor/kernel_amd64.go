@@ -29,6 +29,20 @@ func vecAddPairTo(dst, a, b []float64) int
 //go:noescape
 func vecScale(dst []float64, s float64) int
 
+// The SGD heads (contract: vec.go, SGDUpdate), over the leading len(v)&^15
+// elements, g at least as long as v.
+
+//go:noescape
+func vecSGD(v, g []float64, lr float64) int
+
+//go:noescape
+func vecSGDDecay(v, g []float64, lr, wd float64) int
+
+// The row-add head (contract: vec.go); avx2AddRows is its only caller.
+//
+//go:noescape
+func vecAddRows(dst, src []float64, rows, n, dstep, sstep int) int
+
 // The ReLU heads (contract: vec.go), over the same leading len(dst)&^15
 // elements, the other operands at least as long as dst.
 
@@ -43,6 +57,12 @@ func vecReLUGate(dst, g, y []float64) int
 //
 //go:noescape
 func vecMaxPool2x2(od []float64, argmax []int, r0, r1 []float64, top, w int) int
+
+// The 2×2/2 max-pool backward head (contract: vec.go): g and argmax hold at
+// least rows·ow values, dd at least 2w·rows, and ow ≤ w/2.
+//
+//go:noescape
+func vecMaxPool2x2Back(g []float64, argmax []int, dd []float64, top, w, ow, rows int) int
 
 // The float64↔float32 kernels (contract: vec.go): the mask of one 64-value
 // word, and the convert heads, which work the leading multiple of 16 values,
@@ -86,7 +106,19 @@ func init() {
 		headAddTo, headAddPair, headAddPairTo, headScale = vecAddTo, vecAddPair, vecAddPairTo, vecScale
 		maskWord, headNarrowLE, headWidenLE = vecMaskWord, vecNarrowLE, vecWidenLE
 		headReLU, headReLUGate, headMaxPool2x2 = vecReLU, vecReLUGate, vecMaxPool2x2
+		headSGD, headSGDDecay, headAddRows, headMaxPool2x2Back = vecSGD, vecSGDDecay, avx2AddRows, vecMaxPool2x2Back
 	}
+}
+
+// avx2AddRows touches the last element of each operand's last row in Go, as
+// avx2Tile64 does its corners, and enters the row-add head.
+func avx2AddRows(dst, src []float64, rows, n, dstep, sstep int) int {
+	if rows < 1 || n < 4 {
+		return 0
+	}
+	_ = dst[(rows-1)*dstep+n-1]
+	_ = src[(rows-1)*sstep+n-1]
+	return vecAddRows(dst, src, rows, n, dstep, sstep)
 }
 
 // avx2Tile64 touches the far corner of each operand in Go — so a call the

@@ -202,6 +202,85 @@ TEXT ·vecScale(SB), NOSPLIT, $0-40
 	VBROADCASTSD s+24(FP), Y2
 	VEC(SCALE, ret+32(FP))
 
+// The SGD heads (contract: vec.go, SGDUpdate), over the leading len(v)&^15
+// elements, lr broadcast in Y2 and wd in Y3. Without decay a lane is
+// v − g·lr and g is only read; with it, g + v·wd is stored to g and then
+// v − g·lr. A separate multiply, add and subtract each — never an FMA — and
+// the first sources SGDUpdate states.
+#define SGD(o) \
+	VMOVUPD o(SI)(AX*1), Y0; \
+	VMULPD  Y2, Y0, Y0; \
+	VMOVUPD o(DI)(AX*1), Y1; \
+	VSUBPD  Y0, Y1, Y1; \
+	VMOVUPD Y1, o(DI)(AX*1)
+
+#define SGDDECAY(o) \
+	VMOVUPD o(DI)(AX*1), Y1; \
+	VMULPD  Y3, Y1, Y0; \
+	VMOVUPD o(SI)(AX*1), Y4; \
+	VADDPD  Y0, Y4, Y4; \
+	VMOVUPD Y4, o(SI)(AX*1); \
+	VMULPD  Y2, Y4, Y0; \
+	VSUBPD  Y0, Y1, Y1; \
+	VMOVUPD Y1, o(DI)(AX*1)
+
+// func vecSGD(v, g []float64, lr float64) int
+TEXT ·vecSGD(SB), NOSPLIT, $0-64
+	MOVQ         v_base+0(FP), DI
+	MOVQ         v_len+8(FP), CX
+	MOVQ         g_base+24(FP), SI
+	VBROADCASTSD lr+48(FP), Y2
+	VEC(SGD, ret+56(FP))
+
+// func vecSGDDecay(v, g []float64, lr, wd float64) int
+TEXT ·vecSGDDecay(SB), NOSPLIT, $0-72
+	MOVQ         v_base+0(FP), DI
+	MOVQ         v_len+8(FP), CX
+	MOVQ         g_base+24(FP), SI
+	VBROADCASTSD lr+48(FP), Y2
+	VBROADCASTSD wd+56(FP), Y3
+	VEC(SGDDECAY, ret+64(FP))
+
+// The row-add head (contract: vec.go): rows rows of the leading n&^3
+// columns, 32 bytes a step, dst advancing dstep and src sstep elements a
+// row. dst is the first source, as in AddTo.
+//
+// func vecAddRows(dst, src []float64, rows, n, dstep, sstep int) int
+TEXT ·vecAddRows(SB), NOSPLIT, $0-88
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  src_base+24(FP), SI
+	MOVQ  rows+48(FP), DX
+	MOVQ  n+56(FP), CX
+	MOVQ  dstep+64(FP), R8
+	MOVQ  sstep+72(FP), R9
+	ANDQ  $~3, CX
+	MOVQ  CX, ret+80(FP)
+	JZ    rowsdone
+	TESTQ DX, DX
+	JLE   rowsdone
+	SHLQ  $3, CX
+	SHLQ  $3, R8
+	SHLQ  $3, R9
+
+row:
+	XORQ AX, AX
+
+col:
+	VMOVUPD (DI)(AX*1), Y0
+	VADDPD  (SI)(AX*1), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     col
+	ADDQ    R8, DI
+	ADDQ    R9, SI
+	DECQ    DX
+	JNZ     row
+
+rowsdone:
+	VZEROUPPER
+	RET
+
 // The ReLU heads (contract: vec.go). VCMPPD with predicate GT_OQ (0x1e)
 // against Y15 = +0 is all ones in a lane whose value is greater than +0 —
 // false for NaN and for −0 — and VANDPD keeps the value's (or, gated on y,
@@ -302,6 +381,88 @@ loop:
 	JLT       loop
 
 done:
+	VZEROUPPER
+	RET
+
+// The 2×2/2 max-pool backward head (contract: vec.go): rows row pairs of
+// dd, four windows a step. A step adds g to +0 (Y15 the first source, as the
+// Go `0 + g`), and each tap keeps that sum where the argmax minus
+// top + 2·window (Y8) equals the tap's offset — 0, 1, w, w+1; VPCMPEQQ — and
+// is +0 elsewhere (VANDPD). VUNPCKLPD/VUNPCKHPD interleave a row's two taps
+// and VPERM2F128 puts the windows back in order. A row pair moves g and the
+// argmax on by ow, dd and top by 2w.
+//
+// func vecMaxPool2x2Back(g []float64, argmax []int, dd []float64, top, w, ow, rows int) int
+TEXT ·vecMaxPool2x2Back(SB), NOSPLIT, $0-112
+	MOVQ         g_base+0(FP), SI
+	MOVQ         argmax_base+24(FP), R8
+	MOVQ         dd_base+48(FP), DI
+	MOVQ         w+80(FP), R11
+	MOVQ         ow+88(FP), R10
+	MOVQ         rows+96(FP), R9
+	MOVQ         R10, CX
+	ANDQ         $~3, CX
+	MOVQ         CX, ret+104(FP)
+	JZ           backdone
+	TESTQ        R9, R9
+	JLE          backdone
+	SHLQ         $3, CX
+	SHLQ         $3, R10
+	LEAQ         (DI)(R11*8), DX // the second row of the pair
+	SHLQ         $4, R11
+	VXORPD       Y15, Y15, Y15
+	VPBROADCASTQ pool2x2k<>+32(SB), Y10 // tap b's offset, 1
+	VPBROADCASTQ w+80(FP), Y11          // tap c's, w
+	VPADDQ       Y10, Y11, Y12          // tap d's, w+1
+	VPADDQ       Y11, Y11, Y9           // a row pair, 2w
+	VPBROADCASTQ top+72(FP), Y13
+	VPADDQ       pool2x2k<>(SB), Y13, Y13 // top + 2·window of the row pair
+	VPBROADCASTQ pool2x2k<>+40(SB), Y14 // its step, 8
+
+backrow:
+	VMOVDQU Y13, Y8
+	XORQ    AX, AX
+	XORQ    BX, BX
+
+backloop:
+	VMOVUPD    (SI)(AX*1), Y0
+	VADDPD     Y0, Y15, Y0
+	VMOVDQU    (R8)(AX*1), Y1
+	VPSUBQ     Y8, Y1, Y1
+	VPCMPEQQ   Y15, Y1, Y2
+	VPCMPEQQ   Y10, Y1, Y3
+	VPCMPEQQ   Y11, Y1, Y4
+	VPCMPEQQ   Y12, Y1, Y5
+	VANDPD     Y0, Y2, Y2
+	VANDPD     Y0, Y3, Y3
+	VANDPD     Y0, Y4, Y4
+	VANDPD     Y0, Y5, Y5
+	VUNPCKLPD  Y3, Y2, Y6
+	VUNPCKHPD  Y3, Y2, Y7
+	VPERM2F128 $0x20, Y7, Y6, Y2
+	VPERM2F128 $0x31, Y7, Y6, Y3
+	VMOVUPD    Y2, (DI)(BX*1)
+	VMOVUPD    Y3, 32(DI)(BX*1)
+	VUNPCKLPD  Y5, Y4, Y6
+	VUNPCKHPD  Y5, Y4, Y7
+	VPERM2F128 $0x20, Y7, Y6, Y4
+	VPERM2F128 $0x31, Y7, Y6, Y5
+	VMOVUPD    Y4, (DX)(BX*1)
+	VMOVUPD    Y5, 32(DX)(BX*1)
+	VPADDQ     Y14, Y8, Y8
+	ADDQ       $64, BX
+	ADDQ       $32, AX
+	CMPQ       AX, CX
+	JLT        backloop
+	ADDQ       R10, SI
+	ADDQ       R10, R8
+	ADDQ       R11, DI
+	ADDQ       R11, DX
+	VPADDQ     Y9, Y13, Y13
+	DECQ       R9
+	JNZ        backrow
+
+backdone:
 	VZEROUPPER
 	RET
 

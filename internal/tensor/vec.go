@@ -63,6 +63,84 @@ func Scale(dst []float64, s float64) {
 	}
 }
 
+// The SGD heads work the leading multiple of 16 elements of one parameter,
+// and the row-add head the leading multiple of 4 columns of every row (its
+// only caller is col2im's scatter, convolve.go, whose rows are the CNN's 8
+// wide).
+var (
+	headSGD      = func(v, g []float64, lr float64) int { return 0 }
+	headSGDDecay = func(v, g []float64, lr, wd float64) int { return 0 }
+	headAddRows  = noAddRowsHead[float64]
+)
+
+// rowsHead is a row-add head at width E.
+type rowsHead[E Elem] func(dst, src []E, rows, n, dstep, sstep int) int
+
+func noAddRowsHead[E Elem](dst, src []E, rows, n, dstep, sstep int) int { return 0 }
+
+// SGDUpdate is one SGD step of a parameter v with gradient g at its storage
+// width: with a weight decay wd ≠ 0, g[i] = g[i] + v[i]·wd (g is written: the
+// decayed gradient is what the step applied) and then v[i] = v[i] − g[i]·lr;
+// with wd = 0, only v[i] = v[i] − g[i]·lr, and g is only read — g + 0·v would
+// turn an Inf in v into a NaN in g. v and g do not overlap.
+//
+// Every element is the update's two passes over the whole parameter used to
+// make, bits and first sources included (of two NaNs x86 returns the first
+// source's payload; the compiler made those loops' first sources g in the
+// decay's add and in the step's product, v in the decay's product). The head
+// makes both on an element in one visit. The Go loop does the same 64
+// elements at a time; the decayed term goes through memory, as AddPairTo's
+// pair sum does, so the add keeps g as its first source.
+func SGDUpdate[E Elem](v, g []E, lr, wd E) {
+	g = g[:len(v)]
+	i := 0
+	if v64, ok := any(v).([]float64); ok {
+		g64, lr64, wd64 := any(g).([]float64), any(lr).(float64), any(wd).(float64)
+		if wd != 0 {
+			i = headSGDDecay(v64, g64, lr64, wd64)
+		} else {
+			i = headSGD(v64, g64, lr64)
+		}
+	}
+	if wd == 0 {
+		for ; i < len(v); i++ {
+			v[i] -= g[i] * lr
+		}
+		return
+	}
+	var t [64]E
+	for ; i < len(v); i += len(t) {
+		vb := v[i:min(i+len(t), len(v))]
+		gb := g[i : i+len(vb)]
+		for j, x := range vb {
+			t[j] = x * wd
+		}
+		for j := range gb {
+			gb[j] += t[j]
+		}
+		for j := range vb {
+			vb[j] -= gb[j] * lr
+		}
+	}
+}
+
+// addRows sets dst[r·dstep+j] = dst[r·dstep+j] + src[r·sstep+j] for r < rows
+// and j < n: the head takes the leading columns of every row, the Go loop
+// the rest of each. dstep ≥ n, so no two rows of dst overlap and the split
+// cannot change which add an element sees first.
+func addRows[E Elem](dst, src []E, rows, n, dstep, sstep int, head rowsHead[E]) {
+	j0 := head(dst, src, rows, n, dstep, sstep)
+	if j0 == n {
+		return
+	}
+	for r := 0; r < rows; r++ {
+		d, s := dst[r*dstep+j0:r*dstep+n], src[r*sstep+j0:r*sstep+n]
+		for j := range d {
+			d[j] += s[j]
+		}
+	}
+}
+
 // The float64↔float32 members (the default wire's conversions; contract:
 // DESIGN §5c, "Element-wise kernels"). The packed converts round the way the
 // scalar ones do — the same MXCSR nearest-even, NaNs quieted with the payload
@@ -132,6 +210,16 @@ var (
 var headMaxPool2x2 = noPoolHead[float64]
 
 func noPoolHead[E Elem](od []E, argmax []int, r0, r1 []E, top, w int) int { return 0 }
+
+// The 2×2/2 max-pool backward head (contract: conv.go, MaxPool2x2Backward)
+// writes the leading ow&^3 windows of each of rows row pairs, four to a
+// step, and returns that count: row pair r is dd[2w·r:2w·(r+1)], its first
+// value at flat index top + 2w·r, and its gradients and argmaxes are
+// g[ow·r:ow·(r+1)] and argmax[ow·r:ow·(r+1)]. Every argmax is one of its
+// window's four taps.
+var headMaxPool2x2Back = noPoolBackHead[float64]
+
+func noPoolBackHead[E Elem](g []E, argmax []int, dd []E, top, w, ow, rows int) int { return 0 }
 
 // ReLUInto sets dst[i] to x[i] where x[i] > 0 and to +0 everywhere else.
 func ReLUInto(dst, x *Tensor) {

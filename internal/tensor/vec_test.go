@@ -10,8 +10,10 @@ import (
 // The element-wise kernels against the loops they replace. Three
 // implementations of each operation must agree on every bit: the selected one
 // (the AVX2 heads plus the Go tail on amd64, the Go loops under purego and
-// elsewhere), the Go loops alone, and a naive loop over refAdd/refMul written
-// here — for AddPairTo, the two unfused passes it stands for.
+// elsewhere), the Go loops alone, and a naive loop over refAdd/refMul/refSub
+// written here — for AddPairTo, the two unfused passes it stands for; for
+// SGDUpdate, the two passes of the update it replaced; for the row add,
+// col2im's scatter one element at a time.
 
 // withGoVec runs f with the assembly heads uninstalled.
 func withGoVec(f func()) {
@@ -28,10 +30,16 @@ func withGoVec(f func()) {
 	headReLU = func(dst, x []float64) int { return 0 }
 	headReLUGate = func(dst, g, y []float64) int { return 0 }
 	headMaxPool2x2 = noPoolHead[float64]
+	s1, s2, s3, s4 := headSGD, headSGDDecay, headAddRows, headMaxPool2x2Back
+	headSGD = func(v, g []float64, lr float64) int { return 0 }
+	headSGDDecay = func(v, g []float64, lr, wd float64) int { return 0 }
+	headAddRows = noAddRowsHead[float64]
+	headMaxPool2x2Back = noPoolBackHead[float64]
 	defer func() {
 		headAddTo, headAddPair, headAddPairTo, headScale = p1, p2, p3, p4
 		maskWord, headNarrowLE, headWidenLE = c1, c2, c3
 		headReLU, headReLUGate, headMaxPool2x2 = r1, r2, r3
+		headSGD, headSGDDecay, headAddRows, headMaxPool2x2Back = s1, s2, s3, s4
 	}()
 	f()
 }
@@ -58,6 +66,13 @@ func refMul(x, y float64) float64 {
 		return f
 	}
 	return x * y
+}
+
+func refSub(x, y float64) float64 {
+	if f, ok := firstNaN(x, y); ok {
+		return f
+	}
+	return x - y
 }
 
 func firstNaN(x, y float64) (float64, bool) {
@@ -116,6 +131,65 @@ var vecOps = []vecOp{
 				dst[i] = v
 			}
 		}},
+	// SGDUpdate at learning rate s, dst the parameter and a its gradient; with
+	// decay, the parameter, then (dst the gradient, a the parameter) the
+	// decayed gradient it writes back.
+	{"SGD", func(dst, a, _ []float64, s float64) { SGDUpdate(dst, a, s, 0) },
+		func(dst, a, _ []float64, s float64) {
+			for i := range dst {
+				dst[i] = refSub(dst[i], refMul(a[i], s))
+			}
+		}},
+	{"SGDDecay", func(dst, a, _ []float64, s float64) { SGDUpdate(dst, append([]float64(nil), a...), s, sgdDecay) },
+		func(dst, a, _ []float64, s float64) {
+			for i := range dst {
+				dst[i] = refSub(dst[i], refMul(refAdd(a[i], refMul(dst[i], sgdDecay)), s))
+			}
+		}},
+	{"SGDDecayGrad", func(dst, a, _ []float64, s float64) { SGDUpdate(append([]float64(nil), a...), dst, s, sgdDecay) },
+		func(dst, a, _ []float64, _ float64) {
+			for i := range dst {
+				dst[i] = refAdd(dst[i], refMul(a[i], sgdDecay))
+			}
+		}},
+}
+
+// sgdDecay is the engine's weight decay.
+const sgdDecay = 0.001
+
+// rowsGeom is the geometry of one row add: rows runs of n values, dst's
+// dstep (≥ n) and src's sstep elements apart.
+type rowsGeom struct{ rows, n, dstep, sstep int }
+
+// extent is how many elements dst and src must hold.
+func (g rowsGeom) extent() (d, s int) {
+	if g.rows == 0 {
+		return 0, 0
+	}
+	return (g.rows-1)*g.dstep + g.n, (g.rows-1)*g.sstep + g.n
+}
+
+// op is the row add as a vecOp over dst and a, against col2im's scatter one
+// element at a time; elements between the rows must come back untouched.
+func (g rowsGeom) op() vecOp {
+	return vecOp{fmt.Sprintf("AddRows(rows=%d n=%d dstep=%d sstep=%d)", g.rows, g.n, g.dstep, g.sstep),
+		func(dst, a, _ []float64, _ float64) { addRows(dst, a, g.rows, g.n, g.dstep, g.sstep, headAddRows) },
+		func(dst, a, _ []float64, _ float64) {
+			for r := 0; r < g.rows; r++ {
+				for j := 0; j < g.n; j++ {
+					dst[r*g.dstep+j] = refAdd(dst[r*g.dstep+j], a[r*g.sstep+j])
+				}
+			}
+		}}
+}
+
+// rowsGeoms are the row adds the matrix test runs: the CNN's 8-wide rows
+// and 24-wide ones (the head only), runs of 1–3 (the Go loop only), of 5, 7,
+// 9, 13 and 37 (head and loop), one row, no rows, rows that touch
+// (dstep = n) and a source read with overlapping rows.
+var rowsGeoms = []rowsGeom{
+	{8, 8, 12, 8}, {24, 24, 28, 24}, {3, 1, 4, 1}, {5, 2, 9, 3}, {4, 3, 3, 3},
+	{6, 5, 7, 6}, {2, 7, 11, 7}, {3, 13, 13, 20}, {1, 37, 37, 37}, {0, 8, 8, 8}, {4, 9, 10, 2},
 }
 
 // Two quiet NaNs of different payload and sign, and a signalling one.
@@ -207,6 +281,13 @@ func TestVecKernelsMatchScalar(t *testing.T) {
 			checkVecOp(t, vecOps[3], dst, a, b, nanB, 0, what)
 		}
 	}
+	for _, g := range rowsGeoms {
+		nd, ns := g.extent()
+		for off := 0; off < 16; off++ {
+			dst, a, _ := vecOperands(rng, max(nd, ns), off&3, off>>2, 0)
+			checkVecOp(t, g.op(), dst[:nd], a[:ns], nil, 0, 0, fmt.Sprintf("offsets=%d,%d", off&3, off>>2))
+		}
+	}
 }
 
 // TestVecKernelsNaNOperandOrder is the operand-order rule stated on its own,
@@ -235,6 +316,14 @@ func TestVecKernelsNaNOperandOrder(t *testing.T) {
 		{"AddPairTo", func(dst []float64) { AddPairTo(dst, fill(1), fill(nanB)) }, nanS, nanS},
 		{"AddPairTo", func(dst []float64) { AddPairTo(dst, fill(nanB), fill(nanA)) }, 1, nanB},
 		{"Scale", func(dst []float64) { Scale(dst, nanB) }, nanA, nanA},
+		{"SGD", func(dst []float64) { SGDUpdate(dst, fill(nanB), 1, 0) }, nanA, nanA},
+		{"SGD", func(dst []float64) { SGDUpdate(dst, fill(nanA), nanB, 0) }, 1, nanA},
+		{"SGDDecay", func(dst []float64) { SGDUpdate(dst, fill(nanA), 1, sgdDecay) }, nanB, nanB},
+		{"SGDDecay", func(dst []float64) { SGDUpdate(dst, fill(nanB), nanA, sgdDecay) }, 1, nanB},
+		{"SGDDecayGrad", func(dst []float64) { SGDUpdate(fill(nanB), dst, 1, sgdDecay) }, nanA, nanA},
+		{"SGDDecayGrad", func(dst []float64) { SGDUpdate(fill(nanB), dst, 1, nanA) }, 1, nanB},
+		{"AddRows", func(dst []float64) { addRows(dst, fill(nanB), 1, n, n, n, headAddRows) }, nanA, nanA},
+		{"AddRows", func(dst []float64) { addRows(dst, fill(nanA), 2, n/2, n/2, n/2, headAddRows) }, nanB, nanB},
 	} {
 		for _, impl := range []string{"selected", "go"} {
 			dst := fill(c.dst)
@@ -253,24 +342,41 @@ func TestVecKernelsNaNOperandOrder(t *testing.T) {
 }
 
 // FuzzVecKernels fuzzes length, operand offsets, seed and operation (the
-// adds, Scale and the ReLU pair).
+// adds, Scale, the ReLU pair, the SGD update and the row add: op's low three
+// bits and its top bit pick it) and, for the row add, the row count, row
+// width and both strides (geom).
 func FuzzVecKernels(f *testing.F) {
-	f.Add(uint16(0), uint8(0), int64(1), uint8(0))
-	f.Add(uint16(15), uint8(0b011011), int64(2), uint8(1))
-	f.Add(uint16(16), uint8(0b000001), int64(3), uint8(2))
-	f.Add(uint16(1029), uint8(0b111001), int64(4), uint8(3))
-	f.Add(uint16(37), uint8(0b100110), int64(5), uint8(4))
-	f.Add(uint16(100), uint8(0b010101), int64(6), uint8(5))
-	f.Fuzz(func(t *testing.T, n uint16, offs uint8, seed int64, op uint8) {
+	f.Add(uint16(0), uint8(0), int64(1), uint8(0), uint32(0))
+	f.Add(uint16(15), uint8(0b011011), int64(2), uint8(1), uint32(0))
+	f.Add(uint16(16), uint8(0b000001), int64(3), uint8(2), uint32(0))
+	f.Add(uint16(1029), uint8(0b111001), int64(4), uint8(3), uint32(0))
+	f.Add(uint16(37), uint8(0b100110), int64(5), uint8(4), uint32(0))
+	f.Add(uint16(100), uint8(0b010101), int64(6), uint8(5), uint32(0))
+	f.Add(uint16(67), uint8(0b001101), int64(7), uint8(6|2<<3), uint32(0))   // SGD at lr NaN
+	f.Add(uint16(35), uint8(0b110010), int64(8), uint8(7), uint32(0))        // SGDDecay
+	f.Add(uint16(50), uint8(0b000111), int64(9), uint8(0x80), uint32(0))     // SGDDecayGrad
+	f.Add(uint16(0), uint8(0b100101), int64(10), uint8(0x81), uint32(69768)) // AddRows: the CNN's 8 rows of 8, 12 apart
+	f.Fuzz(func(t *testing.T, n uint16, offs uint8, seed int64, op uint8, geom uint32) {
 		rng := rand.New(rand.NewSource(seed))
-		dst, a, b := vecOperands(rng, int(n%4200), int(offs&3), int(offs>>2&3), int(offs>>4&3))
-		o := vecOps[int(op%8)%len(vecOps)]
+		od, oa, ob := int(offs&3), int(offs>>2&3), int(offs>>4&3)
+		what := fmt.Sprintf("n=%d offs=%06b seed=%d geom=%d", n%4200, offs, seed, geom)
+		k := (int(op&7) | int(op>>7)<<3) % (len(vecOps) + 1)
+		if k == len(vecOps) {
+			w := int(geom >> 4 % 41)
+			g := rowsGeom{rows: int(geom % 9), n: w, dstep: w + int(geom>>10%8), sstep: int(geom >> 13 % 48)}
+			nd, ns := g.extent()
+			dst, a, _ := vecOperands(rng, max(nd, ns), od, oa, ob)
+			checkVecOp(t, g.op(), dst[:nd], a[:ns], nil, 0, 0, what)
+			return
+		}
+		dst, a, b := vecOperands(rng, int(n%4200), od, oa, ob)
+		o := vecOps[k]
 		s := []float64{0.125, 1.0 / 7, nanB, math.Inf(1)}[op>>3%4]
 		alias := 0
 		if o.name == "AddPair" {
 			alias = int(op >> 5 % 3)
 		}
-		checkVecOp(t, o, dst, a, b, s, alias, fmt.Sprintf("n=%d offs=%06b seed=%d", n%4200, offs, seed))
+		checkVecOp(t, o, dst, a, b, s, alias, what)
 	})
 }
 
