@@ -19,12 +19,16 @@ tier1:
 	$(GO) test -shuffle=on ./...
 
 # The Go lane: internal/tensor has two implementations of each kernel
-# contract (DESIGN.md §5c) — the matmul tile, the element-wise family the
-# fold runs (AddTo, AddPair, AddPairTo, Scale), the training step's heads
-# (ReLU's pair ReLUInto and ReLUGateInto, the 2×2/2 pool forward and
-# backward, col2im's row add, the SGD update SGDUpdate) and the float64↔float32
-# trio the default wire converts on (NonzeroMask, NarrowLE, WidenLE) — AVX2
-# assembly and Go, and a runner with AVX2 never executes the second. The
+# contract (DESIGN.md §5c) — the element-wise family the fold runs (AddTo,
+# AddPair, AddPairTo, Scale), the training step's heads (ReLU's pair
+# ReLUInto and ReLUGateInto, the 2×2/2 pool forward and backward, col2im's
+# row add, the SGD update SGDUpdate) and the float64↔float32 trio the
+# default wire converts on (NonzeroMask, NarrowLE, WidenLE) — AVX2 assembly
+# and Go, and a runner with AVX2 never executes the second. The matmul tile
+# has three, Go, AVX2 and AVX-512, and init picks the widest the CPU runs;
+# internal/tensor's tile tests run every tile the host has (AVX-512 only on
+# a host with it), but every other test runs the selected one, so only this
+# lane runs the layers above on the Go tile. The
 # purego tag compiles the assembly out, so the Go code carries the packages
 # whose tests prove bit-identity (tensor: against the retired scalar kernels
 # and a naive loop; nn, fl: across worker counts, replicas, topologies and
@@ -100,8 +104,8 @@ verify-f32: tier1-f32 race-f32
 # FuzzQuantStage checks the dense mode against the bitmap form. The last
 # two targets are not wire codecs: FuzzMicroKernel drives the matmul driver
 # over (shape, operand strides, seed), or one tile over random and
-# overlapping offset tables, and holds the selected micro-kernel and the Go
-# tile to a naive ordered sum; FuzzVecKernels drives the element-wise
+# overlapping offset tables, and holds every tile the host runs — the Go
+# tile, AVX2, and AVX-512 only on a host with it — to a naive ordered sum; FuzzVecKernels drives the element-wise
 # kernels — the fold's adds, Scale, the ReLU pair, the SGD update and
 # col2im's row add — over (length, operand offsets, seed, operation, and the
 # row add's row count, row width and strides) and holds the selected lane

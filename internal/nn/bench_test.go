@@ -57,17 +57,38 @@ func BenchmarkLinearForwardBackwardF32(b *testing.B) { benchLinearForwardBackwar
 // benchPaperCNNStep times one local SGD iteration of sim_cnn's model at its
 // shape — the paper's CNN at Scale 4, batch 8, one worker, and the update
 // opt.SGD makes with the engine's weight decay — so the step's number is one
-// `go test -bench` away instead of a benchmark run.
+// `go test -bench` away instead of a benchmark run. GFLOP/s is the step's
+// product arithmetic (stepFlops) over the whole step's time.
 func benchPaperCNNStep(b *testing.B, dt tensor.DType) {
 	defer par.SetWorkers(par.SetWorkers(1))
 	m := benchCNN(dt)
 	x, labels := randBatch(dt, 1, 8, 1, 28, 47)
+	flops := stepFlops(m, x)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.ZeroGrad()
 		m.TrainStep(x, labels)
 		engineSGDStep(m)
 	}
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// stepFlops counts the flops of a training step's products on batch x, 2 a
+// multiply-add. It runs x forward through m's layers: a layer with a weight
+// does K multiply-adds per output element y (K = weight.Len()/y.Dim(1): C·KH·KW
+// for a Conv2D, its input width for a Linear), as many again for its weight
+// gradient and, except at the input layer, as many for its input gradient.
+func stepFlops(m *Model, x *tensor.Tensor) float64 {
+	macs, passes := 0, 2
+	for _, l := range m.net.(*Sequential).layers {
+		y := l.Forward(x, false)
+		if ps := l.Params(); len(ps) > 0 {
+			macs += passes * y.Len() * (ps[0].Value.Len() / y.Dim(1))
+			passes = 3
+		}
+		x = y
+	}
+	return 2 * float64(macs)
 }
 
 // engineSGDStep is opt.SGD's update at learning rate 0.01 and the engine's

@@ -109,7 +109,8 @@ func TestParallelKernelsBitDeterministic(t *testing.T) {
 
 // TestParallelConvLoweringBitDeterministic covers the convolution's three
 // products the same way: serial and parallel executions agree bitwise at
-// both widths, and both give the im2col lowering's bits.
+// both widths and on every tile this host runs, and all give the im2col
+// lowering's bits.
 func TestParallelConvLoweringBitDeterministic(t *testing.T) {
 	prevCut := SetParallelCutoff(0)
 	defer SetParallelCutoff(prevCut)
@@ -151,12 +152,16 @@ func TestParallelConvLoweringBitDeterministic(t *testing.T) {
 					pl.InputGrad(dxt, w, g)
 					return f64Of(yt), f64Of(dwt), f64Of(dxt)
 				}
-				for _, w := range []int{1, 4, 7} {
-					y, dw, dx := run(w)
-					tag := fmt.Sprintf("case=%d workers=%d", ci, w)
-					sameBits(t, "Forward "+tag, wantY, y)
-					sameBits(t, "WeightGrad "+tag, wantDw, dw)
-					sameBits(t, "InputGrad "+tag, wantDx, dx)
+				for _, l := range runnableLanes() {
+					withTile(l, func() {
+						for _, w := range []int{1, 4, 7} {
+							y, dw, dx := run(w)
+							tag := fmt.Sprintf("case=%d workers=%d tile=%s", ci, w, l.name)
+							sameBits(t, "Forward "+tag, wantY, y)
+							sameBits(t, "WeightGrad "+tag, wantDw, dw)
+							sameBits(t, "InputGrad "+tag, wantDx, dx)
+						}
+					})
 				}
 			}
 		})

@@ -2,8 +2,9 @@
 
 package tensor
 
-// Assembly micro-kernels (kernel_amd64.s). Both take raw pointers; k may be
-// 0. They read A at a[arow[r]+acol[p]] (r < 4, p < k), B at
+// Assembly micro-kernels (kernel_amd64.s): the AVX2 pair in YMM registers
+// and the AVX-512 pair in ZMM registers. All four take raw pointers; k may
+// be 0. They read A at a[arow[r]+acol[p]] (r < 4, p < k), B at
 // b[boff[p] .. boff[p]+W) and read/write C at c[r*ldc .. r*ldc+W),
 // W = 8 / 16 — nothing else. The wrappers below are the only callers.
 
@@ -12,6 +13,12 @@ func kernel4x8F64(c *float64, ldc int, a *float64, arow, acol *int, b *float64, 
 
 //go:noescape
 func kernel4x16F32(c *float32, ldc int, a *float32, arow, acol *int, b *float32, boff *int, k, mode int)
+
+//go:noescape
+func kernel4x8F64ZMM(c *float64, ldc int, a *float64, arow, acol *int, b *float64, boff *int, k, mode int)
+
+//go:noescape
+func kernel4x16F32ZMM(c *float32, ldc int, a *float32, arow, acol *int, b *float32, boff *int, k, mode int)
 
 // Element-wise heads (contract: vec.go). Each works the leading len(dst)&^15
 // elements, 32 bytes a step with unaligned loads and stores, and returns that
@@ -80,33 +87,57 @@ func vecWidenLE(dst []float64, src []byte) int
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
-// hasAVX2 reports whether the CPU implements AVX2 and the OS saves the YMM
-// state across context switches (the two halves of "AVX2 is usable").
-func hasAVX2() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
+// The bits cpuLanes reads: leaf 1's ECX (OSXSAVE, AVX), leaf 7's EBX (AVX2,
+// AVX512F), and XCR0's state masks — XMM and YMM for AVX2, and for AVX-512
+// also the opmask registers, the upper halves of ZMM0–15 and ZMM16–31.
+const (
+	cpuOSXSAVE, cpuAVX  = 1 << 27, 1 << 28
+	cpuAVX2, cpuAVX512F = 1 << 5, 1 << 16
+	xcr0YMM, xcr0ZMM    = 0x06, 0xE6
+)
+
+// cpuLanes says which assembly lanes a CPU can run, from CPUID leaf 0's EAX
+// (the highest leaf), leaf 1's ECX, leaf 7's EBX and XCR0. A lane is usable
+// when the CPU implements its instructions and the OS saves its register
+// state across context switches: AVX2 needs OSXSAVE, AVX and the XMM and YMM
+// state; AVX-512 needs AVX2, AVX512F and the opmask and ZMM state too.
+func cpuLanes(maxLeaf, ecx1, ebx7, xcr0 uint32) (avx2, avx512 bool) {
+	if maxLeaf < 7 || ecx1&cpuOSXSAVE == 0 || ecx1&cpuAVX == 0 {
+		return false, false
 	}
-	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 { // XMM and YMM state enabled
-		return false
-	}
-	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&(1<<5) != 0
+	avx2 = xcr0&xcr0YMM == xcr0YMM && ebx7&cpuAVX2 != 0
+	avx512 = avx2 && xcr0&xcr0ZMM == xcr0ZMM && ebx7&cpuAVX512F != 0
+	return avx2, avx512
 }
 
-// The assembly replaces the Go tile when the CPU can run it.
+// hostLanes is cpuLanes of this CPU. XGETBV faults unless the OS set
+// OSXSAVE, so XCR0 reads as 0 without it.
+func hostLanes() (avx2, avx512 bool) {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	var ecx1, ebx7, xcr0 uint32
+	if maxLeaf >= 7 {
+		_, _, ecx1, _ = cpuid(1, 0)
+		_, ebx7, _, _ = cpuid(7, 0)
+	}
+	if ecx1&cpuOSXSAVE != 0 {
+		xcr0, _ = xgetbv()
+	}
+	return cpuLanes(maxLeaf, ecx1, ebx7, xcr0)
+}
+
+// The assembly replaces the Go code when the CPU can run it: the AVX2 heads
+// and tile, then the AVX-512 tile over the AVX2 one.
 func init() {
-	if hasAVX2() {
+	avx2, avx512 := hostLanes()
+	if avx2 {
 		tile64, tile32, tileImpl = avx2Tile64, avx2Tile32, "avx2"
 		headAddTo, headAddPair, headAddPairTo, headScale = vecAddTo, vecAddPair, vecAddPairTo, vecScale
 		maskWord, headNarrowLE, headWidenLE = vecMaskWord, vecNarrowLE, vecWidenLE
 		headReLU, headReLUGate, headMaxPool2x2 = vecReLU, vecReLUGate, vecMaxPool2x2
 		headSGD, headSGDDecay, headAddRows, headMaxPool2x2Back = vecSGD, vecSGDDecay, avx2AddRows, vecMaxPool2x2Back
+	}
+	if avx512 {
+		tile64, tile32, tileImpl = avx512Tile64, avx512Tile32, "avx512"
 	}
 }
 
@@ -121,12 +152,13 @@ func avx2AddRows(dst, src []float64, rows, n, dstep, sstep int) int {
 	return vecAddRows(dst, src, rows, n, dstep, sstep)
 }
 
-// avx2Tile64 touches the far corner of each operand in Go — so a call the
-// driver got wrong panics here with an index error instead of the assembly
-// reading or writing past a slice — and enters the kernel. Every driver
-// builds non-decreasing, non-negative tables, so the corners are the last
-// entries; a caller with other tables (the kernel tests) keeps every offset
-// in range itself. k >= 1: the driver settles an empty inner dimension.
+// The tile wrappers touch the far corner of each operand in Go — so a call
+// the driver got wrong panics here with an index error instead of the
+// assembly reading or writing past a slice — and enter the kernel. Every
+// driver builds non-decreasing, non-negative tables, so the corners are the
+// last entries; a caller with other tables (the kernel tests) keeps every
+// offset in range itself. k >= 1: the driver settles an empty inner
+// dimension.
 func avx2Tile64(c []float64, ldc int, a []float64, arow, acol []int, b []float64, boff []int, k int, mode tileMode) {
 	_ = c[3*ldc+7]
 	_ = a[arow[3]+acol[k-1]]
@@ -139,4 +171,18 @@ func avx2Tile32(c []float32, ldc int, a []float32, arow, acol []int, b []float32
 	_ = a[arow[3]+acol[k-1]]
 	_ = b[boff[k-1]+15]
 	kernel4x16F32(&c[0], ldc, &a[0], &arow[0], &acol[0], &b[0], &boff[0], k, int(mode))
+}
+
+func avx512Tile64(c []float64, ldc int, a []float64, arow, acol []int, b []float64, boff []int, k int, mode tileMode) {
+	_ = c[3*ldc+7]
+	_ = a[arow[3]+acol[k-1]]
+	_ = b[boff[k-1]+7]
+	kernel4x8F64ZMM(&c[0], ldc, &a[0], &arow[0], &acol[0], &b[0], &boff[0], k, int(mode))
+}
+
+func avx512Tile32(c []float32, ldc int, a []float32, arow, acol []int, b []float32, boff []int, k int, mode tileMode) {
+	_ = c[3*ldc+15]
+	_ = a[arow[3]+acol[k-1]]
+	_ = b[boff[k-1]+15]
+	kernel4x16F32ZMM(&c[0], ldc, &a[0], &arow[0], &acol[0], &b[0], &boff[0], k, int(mode))
 }

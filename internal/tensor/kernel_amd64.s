@@ -2,34 +2,91 @@
 
 #include "textflag.h"
 
-// The AVX2 register-tile micro-kernel (contract: matmul.go, DESIGN §5c).
+// The register-tile micro-kernels (contract: matmul.go, DESIGN §5c), one
+// body at two register widths.
 //
-// One call computes a 4-row × 2-register tile of C: eight YMM accumulators
-// (Y0..Y7, row-major: row r lives in Y(2r), Y(2r+1)), each lane a different
-// output column. Every p step reads its two offsets from the tables, loads
-// the two B registers once from b + boff[p], broadcasts one A element per
-// row from a + arow[r] + acol[p], and applies a separate multiply and add —
-// never an FMA, whose single rounding would change bits against the scalar
-// code.
+// One call computes a 4-row × W-column tile of C in accumulators whose lanes
+// are different output columns: with AVX2 eight YMM registers (Y0..Y7,
+// row-major: row r lives in Y(2r), Y(2r+1)), with AVX-512 four ZMM
+// registers (row r in Z(r)). Every p step reads its two offsets from the
+// tables, loads the row of B once from b + boff[p] (two YMM loads or one ZMM
+// load), broadcasts one A element per row from a + arow[r] + acol[p], and
+// applies a separate multiply and add — never an FMA, whose single rounding
+// would change bits against the scalar code. The two widths run the same
+// instructions on each lane, so they produce the same bits.
 //
-// Register use, shared by both element widths:
+// Register use, shared by every kernel:
 //
 //	DI  &C[0][0]      R8  ldc in bytes      BX  3*ldc, then acol[p]
 //	SI, R9, R12, R13  &A[arow[0..3]]        R10 &acol[k]    R11 &boff[k]
 //	DX  &B            CX  p - k, counting up to 0
 //	AX  mode (0 store, 1 seed, 2 add-to), then boff[p]
 
-// ROW does one row of one p step: acc(lo,hi) += bcast(a) * (Y8,Y9).
-#define ROW(BCAST, MUL, ADD, aaddr, lo, hi) \
+// YACCS and ZACCS apply OP(ins, address, register) to each accumulator and
+// the C address it lands at; BX holds 3*ldc. The ACC* macros are the OPs.
+#define YACCS(OP, ins) \
+	OP(ins, (DI), Y0); \
+	OP(ins, 32(DI), Y1); \
+	OP(ins, (DI)(R8*1), Y2); \
+	OP(ins, 32(DI)(R8*1), Y3); \
+	OP(ins, (DI)(R8*2), Y4); \
+	OP(ins, 32(DI)(R8*2), Y5); \
+	OP(ins, (DI)(BX*1), Y6); \
+	OP(ins, 32(DI)(BX*1), Y7)
+
+#define ZACCS(OP, ins) \
+	OP(ins, (DI), Z0); \
+	OP(ins, (DI)(R8*1), Z1); \
+	OP(ins, (DI)(R8*2), Z2); \
+	OP(ins, (DI)(BX*1), Z3)
+
+#define ACCLOAD(ins, m, r) ins m, r
+#define ACCZERO(ins, m, r) ins r, r, r
+#define ACCADD(ins, m, r) ins m, r, r
+#define ACCSTORE(ins, m, r) ins r, m
+
+// YSTEP and ZSTEP are one p step, AX = boff[p] and BX = acol[p]: load B's
+// row, then per row acc += bcast(a) * B.
+#define YROW(BCAST, MUL, ADD, aaddr, lo, hi) \
 	BCAST aaddr, Y10; \
 	MUL   Y8, Y10, Y11; \
 	MUL   Y9, Y10, Y12; \
 	ADD   Y11, lo, lo; \
 	ADD   Y12, hi, hi
 
-// TILE is the whole kernel body after the arguments are in registers, ldc
-// is scaled to bytes and BX points at arow. SCALE is the element size.
-#define TILE(MOVU, BCAST, MUL, ADD, XOR, SCALE) \
+#define YSTEP(MOVU, BCAST, MUL, ADD, SCALE) \
+	MOVU (DX)(AX*SCALE), Y8; \
+	MOVU 32(DX)(AX*SCALE), Y9; \
+	YROW(BCAST, MUL, ADD, (SI)(BX*SCALE), Y0, Y1); \
+	YROW(BCAST, MUL, ADD, (R9)(BX*SCALE), Y2, Y3); \
+	YROW(BCAST, MUL, ADD, (R12)(BX*SCALE), Y4, Y5); \
+	YROW(BCAST, MUL, ADD, (R13)(BX*SCALE), Y6, Y7)
+
+#define ZROW(BCAST, MUL, ADD, aaddr, acc) \
+	BCAST aaddr, Z10; \
+	MUL   Z8, Z10, Z11; \
+	ADD   Z11, acc, acc
+
+#define ZSTEP(MOVU, BCAST, MUL, ADD, SCALE) \
+	MOVU (DX)(AX*SCALE), Z8; \
+	ZROW(BCAST, MUL, ADD, (SI)(BX*SCALE), Z0); \
+	ZROW(BCAST, MUL, ADD, (R9)(BX*SCALE), Z1); \
+	ZROW(BCAST, MUL, ADD, (R12)(BX*SCALE), Z2); \
+	ZROW(BCAST, MUL, ADD, (R13)(BX*SCALE), Z3)
+
+// TILE is a whole kernel: ACCS and STEP pick the register width, ZERO clears
+// an accumulator, SCALE is the element size and SHIFT its log2.
+#define TILE(ACCS, STEP, MOVU, BCAST, MUL, ADD, ZERO, SCALE, SHIFT) \
+	MOVQ c+0(FP), DI; \
+	MOVQ ldc+8(FP), R8; \
+	MOVQ a+16(FP), SI; \
+	MOVQ arow+24(FP), BX; \
+	MOVQ acol+32(FP), R10; \
+	MOVQ b+40(FP), DX; \
+	MOVQ boff+48(FP), R11; \
+	MOVQ k+56(FP), CX; \
+	MOVQ mode+64(FP), AX; \
+	SHLQ $SHIFT, R8; \
 	MOVQ 8(BX), R9; \
 	MOVQ 16(BX), R12; \
 	MOVQ 24(BX), R13; \
@@ -44,36 +101,17 @@
 	LEAQ (R8)(R8*2), BX; \
 	CMPQ AX, $1; \
 	JNE  zero; \
-	MOVU (DI), Y0; \
-	MOVU 32(DI), Y1; \
-	MOVU (DI)(R8*1), Y2; \
-	MOVU 32(DI)(R8*1), Y3; \
-	MOVU (DI)(R8*2), Y4; \
-	MOVU 32(DI)(R8*2), Y5; \
-	MOVU (DI)(BX*1), Y6; \
-	MOVU 32(DI)(BX*1), Y7; \
+	ACCS(ACCLOAD, MOVU); \
 	JMP  start; \
 zero: \
-	XOR  Y0, Y0, Y0; \
-	XOR  Y1, Y1, Y1; \
-	XOR  Y2, Y2, Y2; \
-	XOR  Y3, Y3, Y3; \
-	XOR  Y4, Y4, Y4; \
-	XOR  Y5, Y5, Y5; \
-	XOR  Y6, Y6, Y6; \
-	XOR  Y7, Y7, Y7; \
+	ACCS(ACCZERO, ZERO); \
 start: \
 	CMPQ CX, $0; \
 	JGE  done; \
 loop: \
 	MOVQ (R11)(CX*8), AX; \
-	MOVU (DX)(AX*SCALE), Y8; \
-	MOVU 32(DX)(AX*SCALE), Y9; \
 	MOVQ (R10)(CX*8), BX; \
-	ROW(BCAST, MUL, ADD, (SI)(BX*SCALE), Y0, Y1); \
-	ROW(BCAST, MUL, ADD, (R9)(BX*SCALE), Y2, Y3); \
-	ROW(BCAST, MUL, ADD, (R12)(BX*SCALE), Y4, Y5); \
-	ROW(BCAST, MUL, ADD, (R13)(BX*SCALE), Y6, Y7); \
+	STEP(MOVU, BCAST, MUL, ADD, SCALE); \
 	INCQ CX; \
 	JNZ  loop; \
 done: \
@@ -81,53 +119,33 @@ done: \
 	MOVQ mode+64(FP), AX; \
 	CMPQ AX, $2; \
 	JNE  store; \
-	ADD  (DI), Y0, Y0; \
-	ADD  32(DI), Y1, Y1; \
-	ADD  (DI)(R8*1), Y2, Y2; \
-	ADD  32(DI)(R8*1), Y3, Y3; \
-	ADD  (DI)(R8*2), Y4, Y4; \
-	ADD  32(DI)(R8*2), Y5, Y5; \
-	ADD  (DI)(BX*1), Y6, Y6; \
-	ADD  32(DI)(BX*1), Y7, Y7; \
+	ACCS(ACCADD, ADD); \
 store: \
-	MOVU Y0, (DI); \
-	MOVU Y1, 32(DI); \
-	MOVU Y2, (DI)(R8*1); \
-	MOVU Y3, 32(DI)(R8*1); \
-	MOVU Y4, (DI)(R8*2); \
-	MOVU Y5, 32(DI)(R8*2); \
-	MOVU Y6, (DI)(BX*1); \
-	MOVU Y7, 32(DI)(BX*1); \
+	ACCS(ACCSTORE, MOVU); \
 	VZEROUPPER; \
 	RET
 
+// The AVX2 kernels, 4×8 float64 and 4×16 float32 in YMM registers.
+
 // func kernel4x8F64(c *float64, ldc int, a *float64, arow, acol *int, b *float64, boff *int, k, mode int)
 TEXT ·kernel4x8F64(SB), NOSPLIT, $0-72
-	MOVQ c+0(FP), DI
-	MOVQ ldc+8(FP), R8
-	MOVQ a+16(FP), SI
-	MOVQ arow+24(FP), BX
-	MOVQ acol+32(FP), R10
-	MOVQ b+40(FP), DX
-	MOVQ boff+48(FP), R11
-	MOVQ k+56(FP), CX
-	MOVQ mode+64(FP), AX
-	SHLQ $3, R8
-	TILE(VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VXORPD, 8)
+	TILE(YACCS, YSTEP, VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VXORPD, 8, 3)
 
 // func kernel4x16F32(c *float32, ldc int, a *float32, arow, acol *int, b *float32, boff *int, k, mode int)
 TEXT ·kernel4x16F32(SB), NOSPLIT, $0-72
-	MOVQ c+0(FP), DI
-	MOVQ ldc+8(FP), R8
-	MOVQ a+16(FP), SI
-	MOVQ arow+24(FP), BX
-	MOVQ acol+32(FP), R10
-	MOVQ b+40(FP), DX
-	MOVQ boff+48(FP), R11
-	MOVQ k+56(FP), CX
-	MOVQ mode+64(FP), AX
-	SHLQ $2, R8
-	TILE(VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VXORPS, 4)
+	TILE(YACCS, YSTEP, VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VXORPS, 4, 2)
+
+// The AVX-512 kernels, the same tiles in ZMM registers. Only AVX512F
+// instructions: VPXORQ clears a register (VXORPD on ZMM would need
+// AVX512DQ).
+
+// func kernel4x8F64ZMM(c *float64, ldc int, a *float64, arow, acol *int, b *float64, boff *int, k, mode int)
+TEXT ·kernel4x8F64ZMM(SB), NOSPLIT, $0-72
+	TILE(ZACCS, ZSTEP, VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VPXORQ, 8, 3)
+
+// func kernel4x16F32ZMM(c *float32, ldc int, a *float32, arow, acol *int, b *float32, boff *int, k, mode int)
+TEXT ·kernel4x16F32ZMM(SB), NOSPLIT, $0-72
+	TILE(ZACCS, ZSTEP, VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VPXORQ, 4, 2)
 
 // The element-wise heads (contract: vec.go). One step of each works 32 bytes
 // at offset o from AX: a separate load, then the add with the Go statement's

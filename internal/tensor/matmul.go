@@ -21,11 +21,11 @@ import (
 // add (never a fused multiply-add, whose single rounding would change bits),
 // taken in p = 0..k-1 order; and the accumulators start from zero or from C.
 // Each output element is therefore the same ordered sum of rounded products
-// the scalar code computes, and there are exactly two implementations of the
-// contract: Go assembly for amd64 with AVX2 (kernel_amd64.s) and goTile
-// below, which is also what the drivers' fringes run on. They agree bit for
-// bit (microkernel_test.go, which also holds them against the scalar kernels
-// this design retired).
+// the scalar code computes, and there are three implementations of the
+// contract: Go assembly for amd64 at two register widths, AVX-512 and AVX2
+// (kernel_amd64.s), and goTile below, which is also what the drivers'
+// fringes run on. They agree bit for bit (microkernel_test.go, which also
+// holds each against the scalar kernels this design retired).
 //
 // The matrix products are the strided driver gemm, whose tables are
 // arithmetic (arow[r] = r·ars, acol[p] = p·acs, boff[p] = p·ldb):
@@ -62,7 +62,7 @@ import (
 const tileRows = 4
 
 // tileCols is the micro-kernel's width W in output columns: two 256-bit
-// registers of E.
+// registers of E, or one 512-bit register.
 func tileCols[E Elem]() int {
 	if dtypeOf[E]() == Float32 {
 		return 16
@@ -88,7 +88,7 @@ type tileFunc[E Elem] func(c []E, ldc int, a []E, arow, acol []int, b []E, boff 
 
 // tile64 and tile32 are the micro-kernels the driver calls: the Go tile,
 // unless kernel_amd64.go's init found a CPU for the assembly (build tag
-// amd64 && !purego). Nothing else but a test reassigns them; tileImpl names
+// amd64 && !purego), the AVX-512 tile over the AVX2 one. Nothing else but a test reassigns them; tileImpl names
 // the choice for test logs.
 var (
 	tile64   tileFunc[float64] = goTile[float64]

@@ -4,14 +4,50 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
-// withGoTile runs f with the driver forced onto the Go tile at both widths —
-// the test-only hook for comparing the two implementations of the contract.
-func withGoTile(f func()) {
+// tileLane is one implementation of the tile contract at both widths; skip
+// says why this host cannot run it, and is empty when it can.
+type tileLane struct {
+	name string
+	t64  tileFunc[float64]
+	t32  tileFunc[float32]
+	skip string
+}
+
+// tileLanes is every tile implementation in the order init prefers them,
+// last wins: the Go tile, then the assembly lanes (asmLanes), which carry a
+// skip reason where the CPU lacks the feature or the build compiled them out.
+var tileLanes = append([]tileLane{{name: "go", t64: goTile[float64], t32: goTile[float32]}}, asmLanes()...)
+
+// runnableLanes is tileLanes without the lanes this host cannot run; the Go
+// tile comes first.
+func runnableLanes() []tileLane {
+	var ls []tileLane
+	for _, l := range tileLanes {
+		if l.skip == "" {
+			ls = append(ls, l)
+		}
+	}
+	return ls
+}
+
+// laneTile is l's tile at E's width.
+func laneTile[E Elem](l tileLane) tileFunc[E] {
+	var f any = l.t64
+	if dtypeOf[E]() == Float32 {
+		f = l.t32
+	}
+	return f.(tileFunc[E])
+}
+
+// withTile runs f with the driver forced onto l's tile at both widths — the
+// test-only hook for comparing the implementations of the contract.
+func withTile(l tileLane, f func()) {
 	p64, p32 := tile64, tile32
-	tile64, tile32 = goTile[float64], goTile[float32]
+	tile64, tile32 = l.t64, l.t32
 	defer func() { tile64, tile32 = p64, p32 }()
 	f()
 }
@@ -107,12 +143,29 @@ var (
 
 const kernelTestWork = 1 << 20
 
-// TestMicroKernelMatchesReference holds the selected micro-kernel (the
-// assembly where the CPU has AVX2), the Go tile and the retired scalar
-// kernels to the same bits, through every entry point and at both widths.
-// k = 0 cannot be a tensor shape, so it goes through the driver directly.
+// TestMicroKernelMatchesReference holds every tile this host can run (the Go
+// tile, and the AVX2 and AVX-512 assembly where the CPU has them) and the
+// retired scalar kernels to the same bits, through every entry point and at
+// both widths. k = 0 cannot be a tensor shape, so it goes through the driver
+// directly. It logs which lanes ran, which were skipped and why, and checks
+// that init selected the last lane the host runs.
 func TestMicroKernelMatchesReference(t *testing.T) {
-	t.Logf("selected micro-kernel: %s", tileImpl)
+	lanes := runnableLanes()
+	var ran, skipped []string
+	for _, l := range tileLanes {
+		if l.skip == "" {
+			ran = append(ran, l.name)
+		} else {
+			skipped = append(skipped, l.name+" ("+l.skip+")")
+		}
+	}
+	if len(skipped) == 0 {
+		skipped = []string{"none"}
+	}
+	t.Logf("tile lanes: ran %s; skipped %s; selected %s", strings.Join(ran, ", "), strings.Join(skipped, ", "), tileImpl)
+	if want := lanes[len(lanes)-1].name; tileImpl != want {
+		t.Errorf("init selected the %s tile, want %s, the last lane this host runs", tileImpl, want)
+	}
 	for _, dt := range dtypes {
 		t.Run(dt.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(2105))
@@ -138,15 +191,16 @@ func TestMicroKernelMatchesReference(t *testing.T) {
 							}
 							tag := fmt.Sprintf("%s m=%d k=%d n=%d", p.name, m, k, n)
 							want := f64Of(p.reference(a, b, c0, m, k, n))
-							sameBits(t, tag+" selected vs retired", want, f64Of(p.compute(a, b, c0)))
-							withGoTile(func() {
-								sameBits(t, tag+" go tile vs retired", want, f64Of(p.compute(a, b, c0)))
-							})
+							for _, l := range lanes {
+								withTile(l, func() {
+									sameBits(t, tag+" "+l.name+" tile vs retired", want, f64Of(p.compute(a, b, c0)))
+								})
+							}
 						}
 					}
 				}
 			}
-			t.Logf("%d shapes × %d entry points", shapes, len(products))
+			t.Logf("%d shapes × %d entry points × %d lanes", shapes, len(products), len(lanes))
 			checkTileTables(t, dt, rng, fill, sameBits)
 		})
 	}
@@ -195,8 +249,8 @@ func naiveTile[E Elem](c []E, ldc int, a []E, arow, acol []int, b []E, boff []in
 }
 
 // checkTileTables runs table-addressed tiles — k ∈ {1, 2, 8, 25, 200}, every
-// mode, random and overlapping B rows — on the selected kernel, on goTile and
-// through naiveTile from one C, and holds the three to each other with cmp.
+// mode, random and overlapping B rows — on every runnable lane and through
+// naiveTile from one C, and holds each lane to the contract with cmp.
 // C has two columns of slack per row, which no tile may touch.
 func checkTileTables(t *testing.T, dt DType, rng *rand.Rand, fill func(*Tensor), cmp func(*testing.T, string, []float64, []float64)) {
 	t.Helper()
@@ -225,19 +279,15 @@ func checkTileTables(t *testing.T, dt DType, rng *rand.Rand, fill func(*Tensor),
 						naiveTile(c.data, w+2, a.data, arow, acol, b.data, boff, w, mode)
 					}
 				})
-				type tiles struct {
-					t64 tileFunc[float64]
-					t32 tileFunc[float32]
-				}
-				for name, tile := range map[string]tiles{"selected": {tile64, tile32}, "go": {goTile[float64], goTile[float32]}} {
+				for _, l := range runnableLanes() {
 					got := run(func(c *Tensor) {
 						if dt == Float32 {
-							tile.t32(c.data32, w+2, a.data32, arow, acol, b.data32, boff, k, mode)
+							l.t32(c.data32, w+2, a.data32, arow, acol, b.data32, boff, k, mode)
 						} else {
-							tile.t64(c.data, w+2, a.data, arow, acol, b.data, boff, k, mode)
+							l.t64(c.data, w+2, a.data, arow, acol, b.data, boff, k, mode)
 						}
 					})
-					cmp(t, tag+" "+name+" vs contract", want, got)
+					cmp(t, tag+" "+l.name+" vs contract", want, got)
 				}
 			}
 		}
@@ -282,11 +332,11 @@ func sameBitsOrNaN(t *testing.T, name string, a, b []float64) {
 	}
 }
 
-// TestMicroKernelNonFinite pins the two implementations to each other on
-// operands holding NaN and ±Inf, and writes down the one intended difference
-// from the retired kernels: those skipped a p step whose A values were all
-// zero, which hid 0·Inf = NaN (and kept a −0 in C that adding +0 turns into
-// +0). The micro-kernel skips nothing.
+// TestMicroKernelNonFinite pins every runnable assembly lane to the Go tile
+// on operands holding NaN and ±Inf, and writes down the one intended
+// difference from the retired kernels: those skipped a p step whose A
+// values were all zero, which hid 0·Inf = NaN (and kept a −0 in C that
+// adding +0 turns into +0). The micro-kernel skips nothing.
 func TestMicroKernelNonFinite(t *testing.T) {
 	for _, dt := range dtypes {
 		t.Run(dt.String(), func(t *testing.T) {
@@ -303,10 +353,13 @@ func TestMicroKernelNonFinite(t *testing.T) {
 				for _, p := range products {
 					a, b, c0 := p.operands(dt, m, k, n, fill)
 					fillRand(c0, rng)
-					got := f64Of(p.compute(a, b, c0))
-					withGoTile(func() {
-						sameBitsOrNaN(t, fmt.Sprintf("%s m=%d k=%d n=%d", p.name, m, k, n), f64Of(p.compute(a, b, c0)), got)
-					})
+					var want []float64
+					withTile(tileLanes[0], func() { want = f64Of(p.compute(a, b, c0)) })
+					for _, l := range runnableLanes()[1:] {
+						withTile(l, func() {
+							sameBitsOrNaN(t, fmt.Sprintf("%s m=%d k=%d n=%d %s", p.name, m, k, n, l.name), want, f64Of(p.compute(a, b, c0)))
+						})
+					}
 				}
 			}
 
@@ -368,10 +421,10 @@ func naiveGemm[E Elem](c []E, ldc int, a []E, ars, acs int, b []E, ldb, m, k, n 
 	}
 }
 
-// fuzzGemm runs one strided product through the driver on the selected tile
-// and on the Go tile and through naiveGemm, and checks that all three agree
-// and that nothing outside the m×n block of C was written.
-func fuzzGemm[E Elem](t *testing.T, sel tileFunc[E], m, k, n, padC, padA, padB int, transA bool, mode tileMode, seed int64) {
+// fuzzGemm runs one strided product through the driver on every runnable
+// lane and through naiveGemm, and checks that they all agree and that
+// nothing outside the m×n block of C was written.
+func fuzzGemm[E Elem](t *testing.T, m, k, n, padC, padA, padB int, transA bool, mode tileMode, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	ldc, ldb := n+padC, n+padB
 	ars, acs := k+padA, 1
@@ -394,20 +447,20 @@ func fuzzGemm[E Elem](t *testing.T, sel tileFunc[E], m, k, n, padC, padA, padB i
 		return c
 	}
 	want := run(func(c []E) { naiveGemm(c, ldc, a, ars, acs, b, ldb, m, k, n, mode) })
-	for name, tile := range map[string]tileFunc[E]{"selected": sel, "go": goTile[E]} {
-		got := run(func(c []E) { gemm(tile, c, ldc, a, ars, acs, b, ldb, m, k, n, mode) })
+	for _, l := range runnableLanes() {
+		got := run(func(c []E) { gemm(laneTile[E](l), c, ldc, a, ars, acs, b, ldb, m, k, n, mode) })
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%s tile: m=%d k=%d n=%d ldc=%d ars=%d acs=%d ldb=%d mode=%d: element %d is %v, want %v",
-					name, m, k, n, ldc, ars, acs, ldb, mode, i, got[i], want[i])
+					l.name, m, k, n, ldc, ars, acs, ldb, mode, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 // fuzzTables runs one table-addressed tile, as checkTileTables draws them,
-// on the selected tile and on the Go tile against naiveTile.
-func fuzzTables[E Elem](t *testing.T, sel tileFunc[E], k int, mode tileMode, seed int64) {
+// on every runnable lane against naiveTile.
+func fuzzTables[E Elem](t *testing.T, k int, mode tileMode, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	w := tileCols[E]()
 	draw := func(n int) []E {
@@ -421,12 +474,12 @@ func fuzzTables[E Elem](t *testing.T, sel tileFunc[E], k int, mode tileMode, see
 	arow, acol, boff := tileTables(rng, w, k, len(a), len(b), rng.Intn(2) == 0)
 	want := append([]E(nil), c0...)
 	naiveTile(want, w+3, a, arow, acol, b, boff, w, mode)
-	for name, tile := range map[string]tileFunc[E]{"selected": sel, "go": goTile[E]} {
+	for _, l := range runnableLanes() {
 		got := append([]E(nil), c0...)
-		tile(got, w+3, a, arow, acol, b, boff, k, mode)
+		laneTile[E](l)(got, w+3, a, arow, acol, b, boff, k, mode)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%s tile: tables k=%d mode=%d arow=%v: element %d is %v, want %v", name, k, mode, arow, i, got[i], want[i])
+				t.Fatalf("%s tile: tables k=%d mode=%d arow=%v: element %d is %v, want %v", l.name, k, mode, arow, i, got[i], want[i])
 			}
 		}
 	}
@@ -443,13 +496,13 @@ func FuzzMicroKernel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, m, k uint8, n uint16, padC, padA, padB uint8, transA bool, mode uint8, seed int64, tables bool) {
 		md := tileMode(mode % 3)
 		if tables {
-			fuzzTables(t, tile64, 1+int(k), md, seed)
-			fuzzTables(t, tile32, 1+int(k), md, seed)
+			fuzzTables[float64](t, 1+int(k), md, seed)
+			fuzzTables[float32](t, 1+int(k), md, seed)
 			return
 		}
 		mi, ki, ni := 1+int(m), int(k), 1+int(n%300)
 		pc, pa, pb := int(padC%4), int(padA%4), int(padB%4)
-		fuzzGemm(t, tile64, mi, ki, ni, pc, pa, pb, transA, md, seed)
-		fuzzGemm(t, tile32, mi, ki, ni, pc, pa, pb, transA, md, seed)
+		fuzzGemm[float64](t, mi, ki, ni, pc, pa, pb, transA, md, seed)
+		fuzzGemm[float32](t, mi, ki, ni, pc, pa, pb, transA, md, seed)
 	})
 }
