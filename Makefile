@@ -70,12 +70,13 @@ vet:
 lint:
 	$(GO) run ./cmd/fedsu-lint ./...
 
-# `./...` keeps both lanes current as packages grow: tier1 picks up the
-# async-mode suites (fl server/engine async, netem arrival processes,
-# flrpc async wire) automatically, and the race lane hammers the
-# deadline-expiry-vs-completion path, the async submit/apply interleaving
-# (fl TestAsyncSubmitApplyRace, which also proves handed-out globals stay
-# immutable), and the internal/exp grid scheduler under the detector.
+# `./...` keeps both lanes current as packages grow: tier1 picks up new
+# suites automatically, and the race lane hammers the
+# deadline-expiry-vs-completion path (fl TestDeadlineExpiryRacesCompletion),
+# a kept collective result under a recycling fleet (fl
+# TestEscapedResultIsNeverRecycled), the TCP clients' free-running rounds
+# (examples/tcp_cluster), and the internal/exp grid scheduler under the
+# detector.
 race:
 	$(GO) test -race ./...
 
@@ -150,7 +151,7 @@ bench-check:
 verify: tier1 tier1-purego vet lint race fuzz bench-check
 
 # The paper's record is deterministic: fedsu-bench -exp
-# all,async,popscale,compose runs twice at 2 rounds, and the two stdouts
+# all,popscale,compose runs twice at 2 rounds, and the two stdouts
 # (minus the wall-clock footers and Table II's self-timing block) and the
 # two -out directories must match (scripts/paper-smoke.sh). BIN=<binary>
 # checks a prebuilt fedsu-bench instead of the working tree's.

@@ -11,14 +11,14 @@
 //	fedsu-bench -exp fig9 -rounds 120
 //
 // The experiment ids are the rows of the experiments table below; "all" is
-// the paper's own figure set, which leaves out async, popscale and compose.
+// the paper's own figure set, which leaves out popscale and compose.
 // Every id is checked before the first experiment runs. Ids that share a
 // driver share its output: fig1, fig2 and fig1+fig2 train the same two
 // FedAvg runs and print both figures, as table1, fig5 and table1+fig5 do
 // for Table I and Fig. 5. "all" runs each shared driver once.
 //
-// Grid experiments (table1/fig5, fig7, fig8, fig9/fig10, async, popscale,
-// compose) fan their independent runs across -parallel slots sharing one
+// Grid experiments (table1/fig5, fig7, fig8, fig9/fig10, popscale, compose)
+// fan their independent runs across -parallel slots sharing one
 // dataset/partition cache; results are bit-identical to -parallel 1 at any
 // slot count (the contract of internal/exp's Harness), and every table row
 // and figure series follows grid order, so two invocations print the same
@@ -91,7 +91,6 @@ var experiments = []experiment{
 	{"fig9", true, runFig9, 0},
 	{"fig10", true, runFig10, 0},
 	{"table2", true, runTable2, 0},
-	{"async", false, runAsync, 0},
 	{"popscale", false, runPopScale, 0},
 	// Quantized compose cells converge slower (error feedback carries the
 	// rounding loss forward, it doesn't erase it); every cell gets time to
@@ -303,10 +302,6 @@ func runTable2(ctx context.Context, cfg exp.Config, e env) error {
 		base[w.Name] = 1.2e-7 * float64(w.WireParams) * float64(cfg.LocalIters)
 	}
 	return e.render(exp.RunTable2(ctx, cfg, exp.Workloads(), base))
-}
-
-func runAsync(ctx context.Context, cfg exp.Config, e env) error {
-	return e.render(exp.RunAsyncCompare(ctx, e.h, cfg, exp.CNNWorkload()))
 }
 
 // runPopScale is a Table-I-style run at population scale: a cohort sampled

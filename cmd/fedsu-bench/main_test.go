@@ -117,9 +117,10 @@ func TestSelectExperiments(t *testing.T) {
 		{"order-kept", "table2,fig1", []string{"table2", "fig1"}},
 		{"grid-renderings", "table1,fig5", []string{"table1", "fig5"}},
 		{"all", "all", paperSet},
-		{"all-plus-extension", "all,async", append(append([]string(nil), paperSet...), "async")},
-		{"extensions", "async,popscale,compose", []string{"async", "popscale", "compose"}},
+		{"all-plus-extension", "all,popscale", append(append([]string(nil), paperSet...), "popscale")},
+		{"extensions", "popscale,compose", []string{"popscale", "compose"}},
 		{"unknown", "fig3", nil},
+		{"retired", "async", nil},
 		{"unknown-after-known", "fig1,fig4", nil},
 		{"case-sensitive", "Fig1", nil},
 		{"empty-id", "fig1,", nil},

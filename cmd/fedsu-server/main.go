@@ -39,8 +39,7 @@ import (
 func main() { exp.Main("fedsu-server", run) }
 
 // relayFlags are the flags a relay (-upstream) reads: it serves its block
-// synchronously with the default codec and adopts the model size from the
-// root.
+// with the default codec and adopts the model size from the root.
 var relayFlags = map[string]bool{"upstream": true, "addr": true, "clients": true, "deadline": true, "hb-grace": true}
 
 // options are the coordinator's own flags, beside the session's exp.Config.
@@ -55,7 +54,7 @@ type options struct {
 func newFlags(session *exp.Config, o *options) *flag.FlagSet {
 	*session = exp.Config{Workload: "cnn", Clients: 2, Seed: 1}
 	fs := flag.NewFlagSet("fedsu-server", flag.ContinueOnError)
-	exp.BindFlags(fs, session, "clients", "workload", "scale", "seed", "async", "k", "staleness", "staleness-weight", "fanout", "compress")
+	exp.BindFlags(fs, session, "clients", "workload", "scale", "seed", "fanout", "compress")
 	fs.StringVar(&o.addr, "addr", ":7070", "listen address")
 	fs.DurationVar(&o.deadline, "deadline", 0, "collective barrier deadline; clients missing it are evicted (0 = wait forever)")
 	fs.DurationVar(&o.hbGrace, "hb-grace", 0, "treat clients heard from this recently as alive at deadline expiry (0 = deadline)")
@@ -86,9 +85,6 @@ func run(args []string, stdout io.Writer) error {
 	if o.upstream != "" {
 		return runRelay(stdout, o.upstream, o.addr, session.Clients, o.deadline, o.hbGrace)
 	}
-	if err := exp.CheckFlags(fs, &session); err != nil {
-		return err
-	}
 	size, err := exp.ModelSize(session)
 	if err != nil {
 		return err
@@ -101,7 +97,6 @@ func run(args []string, stdout io.Writer) error {
 		Fanout:         session.Fanout,
 		Compress:       session.Compress,
 		CompressSeed:   session.Seed,
-		Async:          session.Async,
 	}
 	coord, err := flrpc.NewCoordinatorWith(cfg)
 	if err != nil {
@@ -112,9 +107,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	mode := "sync barriers"
-	if cfg.Async.Enabled() {
-		mode = fmt.Sprintf("async K=%d maxStale=%d w=%.2f", cfg.Async.K, cfg.Async.MaxStaleness, cfg.Async.StalenessWeight)
-	}
 	if cfg.Fanout >= 2 {
 		mode += fmt.Sprintf(", tree fanout %d", cfg.Fanout)
 	}
@@ -128,10 +120,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if n := coord.EvictionCount(); n > 0 {
 		fmt.Fprintf(stdout, "fedsu-server: evicted clients %v\n", coord.Evicted())
-	}
-	if cfg.Async.Enabled() {
-		fmt.Fprintf(stdout, "fedsu-server: async applied %d globals, dropped %d stale contributions\n",
-			coord.AsyncVersion(), coord.StaleDropCount())
 	}
 	if cfg.Fanout >= 2 {
 		st := coord.TierStats()

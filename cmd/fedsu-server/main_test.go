@@ -19,13 +19,6 @@ var noListen = []string{"-addr", "127.0.0.1:-1"}
 // dropped — one row per flag.
 func TestModeFlagsRefused(t *testing.T) {
 	for _, c := range []struct{ flag, value, mode string }{
-		{"-k", "2", "-async"},
-		{"-staleness", "3", "-async"},
-		{"-staleness-weight", "0.7", "-async"},
-		{"-async", "true", "-upstream"},
-		{"-k", "2", "-upstream"},
-		{"-staleness", "3", "-upstream"},
-		{"-staleness-weight", "0.7", "-upstream"},
 		{"-fanout", "4", "-upstream"},
 		{"-compress", "topk,q4,rans", "-upstream"},
 		{"-workload", "resnet18", "-upstream"},
@@ -40,6 +33,26 @@ func TestModeFlagsRefused(t *testing.T) {
 			err := run(args, io.Discard)
 			if err == nil || !strings.Contains(err.Error(), c.flag+" ") || !strings.Contains(err.Error(), c.mode) {
 				t.Errorf("got %v, want an error naming %s and %s", err, c.flag, c.mode)
+			}
+		})
+	}
+}
+
+// TestRetiredFlagsRefused: a flag the command no longer has is refused by
+// name, not ignored by a coordinator that then serves without it. -async,
+// -k, -staleness and -staleness-weight configured buffered-async rounds,
+// which are gone.
+func TestRetiredFlagsRefused(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"-async", "true"},
+		{"-k", "2"},
+		{"-staleness", "3"},
+		{"-staleness-weight", "0.7"},
+	} {
+		t.Run(strings.TrimPrefix(c.flag, "-"), func(t *testing.T) {
+			err := run(append([]string{c.flag + "=" + c.value}, noListen...), io.Discard)
+			if want := "flag provided but not defined: " + c.flag; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s=%s: got %v, want %q", c.flag, c.value, err, want)
 			}
 		})
 	}

@@ -17,7 +17,6 @@ import (
 
 	"fedsu"
 	"fedsu/internal/exp"
-	"fedsu/internal/fl"
 )
 
 func main() { exp.Main("fedsu-sim", run) }
@@ -35,7 +34,7 @@ func newFlags(cfg *exp.Config, f *files) *flag.FlagSet {
 	}
 	fs := flag.NewFlagSet("fedsu-sim", flag.ContinueOnError)
 	exp.BindFlags(fs, cfg, "workload", "scheme", "clients", "rounds", "iters", "batch", "samples", "scale", "seed",
-		"dtype", "async", "k", "staleness", "staleness-weight", "population", "fanout", "compress")
+		"dtype", "population", "fanout", "compress")
 	fs.Float64Var(&cfg.FedSU.TR, "tr", cfg.FedSU.TR, "FedSU linearity threshold T_R")
 	fs.Float64Var(&cfg.FedSU.TS, "ts", cfg.FedSU.TS, "FedSU error-feedback threshold T_S")
 	fs.Float64Var(&cfg.FedSU.Theta, "theta", cfg.FedSU.Theta, "FedSU EMA decay factor")
@@ -43,7 +42,7 @@ func newFlags(cfg *exp.Config, f *files) *flag.FlagSet {
 	fs.Float64Var(&cfg.ProxMu, "prox", 0, "FedProx proximal coefficient (0 disables)")
 	fs.Float64Var(&cfg.EventThreshold, "event-threshold", 0, "event-triggered uploads: contribute only when the L2 norm of accumulated change crosses this (0 disables)")
 	fs.StringVar(&f.csv, "csv", "", "write per-round stats CSV to this path")
-	fs.StringVar(&f.checkpoint, "checkpoint", "", "save a checkpoint here after the final round (synchronous runs)")
+	fs.StringVar(&f.checkpoint, "checkpoint", "", "save a checkpoint here after the final round")
 	fs.StringVar(&f.resume, "resume", "", "resume from a checkpoint before training and run on to -rounds")
 	return fs
 }
@@ -56,16 +55,8 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := exp.CheckFlags(fs, &cfg); err != nil {
-		return err
-	}
 	if cfg.EvalEvery < 1 {
 		return fmt.Errorf("-eval-every must be at least 1, got %d", cfg.EvalEvery)
-	}
-	if f.checkpoint != "" {
-		if err := fl.CheckMode(fl.Config{Async: cfg.Async}, "Checkpoint"); err != nil {
-			return fmt.Errorf("-checkpoint: %w", err)
-		}
 	}
 
 	sim, err := fedsu.NewSimulation(cfg)
@@ -91,10 +82,8 @@ func run(args []string, stdout io.Writer) error {
 
 	fmt.Fprintf(stdout, "%-6s %-10s %-9s %-9s %-9s %-8s %-8s\n",
 		"round", "time(s)", "acc", "loss", "trainloss", "sparse", "predict")
-	// Sync and async runs both go through the simulation's driver, which
-	// finishes the -rounds horizon (from wherever -resume left the run) and
-	// evaluates on absolute rounds; async stats arrive per global
-	// application.
+	// The simulation's driver finishes the -rounds horizon (from wherever
+	// -resume left the run) and evaluates on absolute rounds.
 	stats, err := sim.Run(context.Background())
 	if err != nil {
 		return err

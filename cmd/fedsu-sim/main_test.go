@@ -24,29 +24,19 @@ func TestEvalEveryRejectsNonPositive(t *testing.T) {
 	}
 }
 
-// TestAsyncCheckpointRefused: an async run cannot resume, so -checkpoint
-// with -async is refused before training rather than writing a file every
-// -resume would reject.
-func TestAsyncCheckpointRefused(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "async.ckpt")
-	err := run([]string{"-async", "-checkpoint", path, "-rounds", "1", "-clients", "2", "-samples", "64", "-iters", "1"}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "-checkpoint") {
-		t.Errorf("got %v, want an error naming -checkpoint", err)
-	}
-}
-
-// TestModeFlagsNeedTheirMode: a flag that only means something in one mode
-// is refused, naming the missing mode flag, when that mode is off — not
-// silently dropped from a run that then trains without it. -cohort, a
+// TestRetiredFlagsRefused: a flag the command no longer has is refused by
+// name, not ignored by a run that then trains without it. -cohort was a
 // second name for -clients that silently dropped -clients when both were
-// set, is no flag at all.
-func TestModeFlagsNeedTheirMode(t *testing.T) {
+// set; -async, -k, -staleness and -staleness-weight configured buffered-async
+// rounds, which are gone.
+func TestRetiredFlagsRefused(t *testing.T) {
 	tiny := []string{"-rounds", "1", "-clients", "2", "-samples", "64", "-iters", "1"}
 	for _, c := range []struct{ flag, value, want string }{
 		{"-cohort", "2", "flag provided but not defined: -cohort"},
-		{"-k", "1", "-k applies only with -async"},
-		{"-staleness", "3", "-staleness applies only with -async"},
-		{"-staleness-weight", "0.7", "-staleness-weight applies only with -async"},
+		{"-async", "true", "flag provided but not defined: -async"},
+		{"-k", "1", "flag provided but not defined: -k"},
+		{"-staleness", "3", "flag provided but not defined: -staleness"},
+		{"-staleness-weight", "0.7", "flag provided but not defined: -staleness-weight"},
 	} {
 		t.Run(strings.TrimPrefix(c.flag, "-"), func(t *testing.T) {
 			err := run(append([]string{c.flag, c.value}, tiny...), io.Discard)

@@ -119,11 +119,6 @@ func NewQSGD(clientID, size int, agg Aggregator, bits int, seed int64) (Syncer, 
 // RoundStats reports one round of an emulated run.
 type RoundStats = fl.RoundStats
 
-// AsyncConfig parameterizes buffered-async aggregation: the buffer size K,
-// the staleness bound (in global versions, never wall-clock), and the
-// per-version weight decay.
-type AsyncConfig = fl.AsyncConfig
-
 // SimulationConfig describes an emulated federated run over one of the
 // paper's workloads. It is exp.Config, the one description of a run that
 // the experiment drivers, the facade and the TCP client all build from;
@@ -176,12 +171,8 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 
 // SaveCheckpoint persists everything the simulation's next round reads
 // (global model, round counter, emulated clock, and every client's strategy
-// state) atomically to path. The mode table refuses an async simulation
-// with fl.ErrAsyncResume, writing nothing: no checkpoint could resume it.
+// state) atomically to path.
 func (s *Simulation) SaveCheckpoint(path string) error {
-	if err := fl.CheckMode(fl.Config{Async: s.cfg.Async}, "Checkpoint"); err != nil {
-		return err
-	}
 	c := s.engine.Checkpoint()
 	c.Workload = s.cfg.Workload
 	return ckpt.Save(path, c)

@@ -2,12 +2,8 @@ package fedsu
 
 import (
 	"context"
-	"errors"
-	"os"
 	"path/filepath"
 	"testing"
-
-	"fedsu/internal/fl"
 )
 
 func TestSimulationCheckpointRoundTrip(t *testing.T) {
@@ -61,25 +57,5 @@ func TestSimulationCheckpointRoundTrip(t *testing.T) {
 	}
 	if err := other.LoadCheckpoint(path); err == nil {
 		t.Error("loading a fedsu checkpoint into a fedavg simulation must fail")
-	}
-}
-
-// TestSimulationAsyncCheckpointRefused: an async simulation's SaveCheckpoint
-// returns fl.ErrAsyncResume, the error LoadCheckpoint would give, and
-// writes nothing.
-func TestSimulationAsyncCheckpointRefused(t *testing.T) {
-	sim, err := NewSimulation(SimulationConfig{
-		Workload: "cnn", Scheme: "fedavg", Clients: 2, Rounds: 1,
-		Samples: 64, ModelScale: 32, Async: AsyncConfig{K: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "async.ckpt")
-	if err := sim.SaveCheckpoint(path); !errors.Is(err, fl.ErrAsyncResume) {
-		t.Fatalf("got %v, want fl.ErrAsyncResume", err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("a checkpoint file was written: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 // Package determinism guards the bit-reproducibility contract of the
-// numeric kernel packages (internal/tensor, internal/nn, internal/sparse)
-// and of the experiment harness (internal/exp): the same inputs must
+// numeric kernel packages (internal/tensor, internal/nn, internal/sparse),
+// of the engine's barrier fold (internal/fl) and of the experiment harness
+// (internal/exp): the same inputs must
 // produce bit-identical outputs regardless of GOMAXPROCS, wall-clock, or
 // scheduling — the property tensor/determinism_test.go asserts for
 // serial-vs-parallel kernels, exp/sched_test.go asserts for the parallel
@@ -44,17 +45,18 @@ var Analyzer = &analysis.Analyzer{
 		"internal/exp must stay bit-deterministic: no wall-clock, no global " +
 		"rand, no GOMAXPROCS dependence, and no numeric reduction in map " +
 		"iteration order. Experiment wall-clock reporting goes through the " +
-		"injected Harness.Clock; async staleness is measured in global " +
-		"versions, never time.Now.",
+		"injected Harness.Clock; a barrier folds in rank order, never by " +
+		"arrival time.",
 	Run: run,
 }
 
 // scope is the set of packages under the bit-identity contract.
-// internal/fl joined with the buffered-async mode: staleness must be
-// measured in global versions (rounds), never wall-clock — a time.Now
-// staleness clock would weight contributions by scheduler timing and break
-// seed-replay. The engine's legitimate time uses (barrier deadline timers
-// via time.AfterFunc, time.Duration config) are not banned names.
+// internal/fl is in it for the barrier fold: a collective's mean depends
+// on the submissions and their ranks, never on arrival time — a time.Now
+// stamp that ordered or weighted submissions would tie the mean to
+// scheduler timing and break seed replay. The engine's legitimate time
+// uses (barrier deadline timers via time.AfterFunc, time.Duration config)
+// are not banned names.
 var scope = map[string]bool{
 	"fedsu/internal/tensor": true,
 	"fedsu/internal/nn":     true,

@@ -1,35 +1,37 @@
-// Package fl is the engine half of the determinism corpus. It entered the
-// analyzer's scope with the buffered-async aggregation mode: staleness must
-// be measured in global versions (a counter the seeded replay reproduces),
-// never wall-clock — timestamping submissions with time.Now would weight
-// contributions by scheduler timing and break bit-identical seed replay.
-// Deadline timers (time.AfterFunc) and duration configuration remain legal:
-// only the banned environmental readers are flagged.
+// Package fl is the engine half of the determinism corpus. The barrier
+// fold is under the bit-identity contract: a collective's mean depends only
+// on the submissions and their members' ranks, never on when they arrived.
+// Ordering or weighting submissions by a wall-clock stamp would tie the
+// mean to scheduler timing and break bit-identical seed replay. Deadline
+// timers (time.AfterFunc) and duration configuration remain legal: only
+// the banned environmental readers are flagged.
 package fl
 
 import "time"
 
-// asyncChan mimics the async accumulator: version counting is the
-// sanctioned staleness clock.
-type asyncChan struct {
-	ver  int
-	base map[int]int
+// barrier mimics a collective's staging: one slot per member rank.
+type barrier struct {
+	staged [][]float64
 }
 
-// stalenessByVersion measures rounds-behind from the version counter — the
-// deterministic pattern server_async.go uses.
-func (c *asyncChan) stalenessByVersion(clientID int) int {
-	return c.ver - c.base[clientID]
+// foldByRank sums the staged submissions in rank order, whichever landed
+// first — the deterministic pattern of the real fold.
+func (b *barrier) foldByRank(dst []float64) {
+	for _, v := range b.staged {
+		for i := range dst {
+			dst[i] += v[i]
+		}
+	}
 }
 
-// stalenessByWallClock timestamps submissions with ambient time: the decay
-// weight then depends on scheduler timing, not the seeded arrival order.
-func stalenessByWallClock(submitted time.Time) float64 {
-	return time.Since(submitted).Seconds() // want `call to time.Since in deterministic kernel package`
+// arrivalWeight discounts a submission by how long ago it landed: the mean
+// then depends on scheduler timing, not on the submissions.
+func arrivalWeight(submitted time.Time) float64 {
+	return 1 / (1 + time.Since(submitted).Seconds()) // want `call to time.Since in deterministic kernel package`
 }
 
-// stampSubmission reads the wall clock to record a submission: same issue
-// on the producing side.
+// stampSubmission reads the wall clock to order submissions by arrival:
+// the same fault on the producing side.
 func stampSubmission() time.Time {
 	return time.Now() // want `call to time.Now in deterministic kernel package`
 }

@@ -12,7 +12,8 @@
 //     — the par pool workers and the flrpc heartbeat loop;
 //   - completing: the body's final action (directly or via defer) is a
 //     channel send or close, signalling termination to a consumer — the
-//     async engine's loss futures and the flrpc serve loop's done close.
+//     flrpc connection's read loop (a deferred close of its done channel)
+//     and the serve loop's done close.
 //
 // Everything else is a fire-and-forget goroutine: it outlives its
 // spawning call with nothing observing its termination, which is exactly

@@ -40,7 +40,7 @@ func okDeferredRelease() float64 {
 	return train()
 }
 
-// The async-engine future: release before the completion send.
+// A future that trains under the token: release before the completion send.
 func okReleaseBeforeSend(ch chan float64) {
 	par.AcquireToken()
 	loss := train()

@@ -1,13 +1,12 @@
-// Package sharedmut enforces the PR 7 "apply allocates fresh" contract:
-// aggregation results handed out by the server are shared, immutable
-// snapshots. The async accumulator's apply() publishes a freshly allocated
-// global and then hands the SAME slice to every caller that asks for that
-// version — fl.Server.AsyncGlobal, the AggregateModel/AggregateError
-// entry points (whose op.result is likewise one slice delivered to every
-// barrier participant), and the sparse dispatch helpers (AggModel,
-// AggError, Leg.Dispatch, Wire.Collect, SyncContext) that forward them. A caller that writes through
-// such a slice corrupts the model under every other client simultaneously
-// — silently, because each client's own view stays self-consistent.
+// Package sharedmut enforces the "one result, many readers" contract:
+// aggregation results handed out by the collective are shared, immutable
+// snapshots. A barrier publishes its mean once and hands the SAME slice to
+// every participant — through the AggregateModel/AggregateError entry
+// points and the sparse dispatch helpers (AggModel, AggError,
+// Leg.Dispatch, Wire.Collect, SyncContext) that forward them. A caller
+// that writes through such a slice corrupts the model under every other
+// client simultaneously — silently, because each client's own view stays
+// self-consistent.
 //
 // The hierarchical collective (PR 9) widens the surface: fl.Tree's
 // Aggregate entry points publish the root global the same way, and
@@ -40,7 +39,7 @@ import (
 // Analyzer is the sharedmut check.
 var Analyzer = &analysis.Analyzer{
 	Name: "sharedmut",
-	Doc: "flag writes through shared aggregation results (AsyncGlobal, AggregateModel*, sparse dispatchers)\n\n" +
+	Doc: "flag writes through shared aggregation results (AggregateModel*, AggregatePartialCtx, sparse dispatchers)\n\n" +
 		"The server hands every caller the same immutable snapshot slice; " +
 		"element writes, copy-into, and append through an alias corrupt the " +
 		"model under every other client. Copy before mutating.",
@@ -54,7 +53,6 @@ var Analyzer = &analysis.Analyzer{
 // sparse, where a method promoted through an embedded field is defined.
 var sources = map[string]map[string]int{
 	"fedsu/internal/fl": {
-		"AsyncGlobal":         0,
 		"AggregatePartialCtx": 0,
 	},
 	"fedsu/internal/sparse": {
@@ -106,12 +104,13 @@ func check(pass *analysis.Pass, body *ast.BlockStmt) {
 	tainted := du.Taint(pass.TypesInfo, func(e ast.Expr, result int) bool {
 		return isSource(pass, e, result)
 	})
-	if len(tainted) == 0 && !mentionsSourceCall(pass, body) {
+	if len(tainted) == 0 {
 		return
 	}
 	// sharedBase resolves an expression to the tainted variable (through
-	// parens and subslices) or to a direct source call, returning the name
-	// to report.
+	// parens and subslices), returning the name to report. Every source
+	// returns a tuple, so no call expression can be written through
+	// directly.
 	sharedBase := func(e ast.Expr) (string, bool) {
 		for {
 			switch x := e.(type) {
@@ -129,11 +128,6 @@ func check(pass *analysis.Pass, body *ast.BlockStmt) {
 				}
 				_, isTainted := tainted[obj]
 				return x.Name, isTainted
-			case *ast.CallExpr:
-				if isSource(pass, x, 0) {
-					return "the aggregation result", true
-				}
-				return "", false
 			default:
 				return "", false
 			}
@@ -148,13 +142,13 @@ func check(pass *analysis.Pass, body *ast.BlockStmt) {
 					continue
 				}
 				if name, shared := sharedBase(idx.X); shared {
-					pass.Reportf(lhs.Pos(), "write through %s, a shared aggregation result: apply hands every caller the same immutable snapshot; copy before mutating", nameQ(name))
+					pass.Reportf(lhs.Pos(), "write through %q, a shared aggregation result: the collective hands every caller the same immutable snapshot; copy before mutating", name)
 				}
 			}
 		case *ast.IncDecStmt:
 			if idx, ok := n.X.(*ast.IndexExpr); ok {
 				if name, shared := sharedBase(idx.X); shared {
-					pass.Reportf(n.Pos(), "write through %s, a shared aggregation result: apply hands every caller the same immutable snapshot; copy before mutating", nameQ(name))
+					pass.Reportf(n.Pos(), "write through %q, a shared aggregation result: the collective hands every caller the same immutable snapshot; copy before mutating", name)
 				}
 			}
 		case *ast.CallExpr:
@@ -168,35 +162,14 @@ func check(pass *analysis.Pass, body *ast.BlockStmt) {
 			switch id.Name {
 			case "copy":
 				if name, shared := sharedBase(n.Args[0]); shared {
-					pass.Reportf(n.Pos(), "copy into %s, a shared aggregation result: the destination backing array is visible to every other caller; copy into a fresh slice instead", nameQ(name))
+					pass.Reportf(n.Pos(), "copy into %q, a shared aggregation result: the destination backing array is visible to every other caller; copy into a fresh slice instead", name)
 				}
 			case "append":
 				if name, shared := sharedBase(n.Args[0]); shared {
-					pass.Reportf(n.Pos(), "append to %s, a shared aggregation result: append may write the shared backing array in place; start from a fresh copy (append([]float64(nil), g...))", nameQ(name))
+					pass.Reportf(n.Pos(), "append to %q, a shared aggregation result: append may write the shared backing array in place; start from a fresh copy (append([]float64(nil), g...))", name)
 				}
 			}
 		}
 		return true
 	})
-}
-
-// mentionsSourceCall reports whether the body contains a direct source
-// call at all (covers `fl.Server.AsyncGlobal()[0] = v` style writes with
-// no variable to taint).
-func mentionsSourceCall(pass *analysis.Pass, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isSource(pass, call, 0) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-func nameQ(name string) string {
-	if name == "the aggregation result" {
-		return name
-	}
-	return "\"" + name + "\""
 }

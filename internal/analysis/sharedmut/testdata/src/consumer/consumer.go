@@ -12,48 +12,50 @@ import (
 
 // --- positive cases ---
 
-func badElementWrite(s *fl.Server) {
-	g := s.AsyncGlobal()
+func badElementWrite(s *fl.Server, vec []float64) {
+	g, _ := s.AggregateModel(0, 1, vec)
 	g[0] = 1 // want `write through "g", a shared aggregation result`
 }
 
-func badCompoundWrite(s *fl.Server) {
-	g := s.AsyncGlobal()
+func badCompoundWrite(s *fl.Server, vec []float64) {
+	g, _ := s.AggregateModel(0, 1, vec)
 	g[3] += 0.5 // want `write through "g", a shared aggregation result`
 }
 
-func badIncDec(s *fl.Server) {
-	g := s.AsyncGlobal()
+func badIncDec(s *fl.Server, vec []float64) {
+	g, _ := s.AggregateModel(0, 1, vec)
 	g[1]++ // want `write through "g", a shared aggregation result`
 }
 
 // Aliases stay shared: an identifier copy ...
-func badAliasWrite(s *fl.Server) {
-	g := s.AsyncGlobal()
+func badAliasWrite(s *fl.Server, vec []float64) {
+	g, _ := s.AggregateModel(0, 1, vec)
 	h := g
 	h[0] = 1 // want `write through "h", a shared aggregation result`
 }
 
 // ... and a subslice share the backing array.
-func badSubsliceWrite(s *fl.Server) {
-	g := s.AsyncGlobal()
+func badSubsliceWrite(s *fl.Server, vec []float64) {
+	g, _ := s.AggregateModel(0, 1, vec)
 	tail := g[1:]
 	tail[0] = 1 // want `write through "tail", a shared aggregation result`
 }
 
-func badCopyInto(s *fl.Server, src []float64) {
-	g := s.AsyncGlobal()
+func badCopyInto(s *fl.Server, vec, src []float64) {
+	g, _ := s.AggregateModel(0, 1, vec)
 	copy(g, src) // want `copy into "g", a shared aggregation result`
 }
 
-func badAppend(s *fl.Server) []float64 {
-	g := s.AsyncGlobal()
+func badAppend(s *fl.Server, vec []float64) []float64 {
+	g, _ := s.AggregateModel(0, 1, vec)
 	return append(g, 1) // want `append to "g", a shared aggregation result`
 }
 
-// Direct write through the call result, no variable involved.
-func badDirectWrite(s *fl.Server) {
-	s.AsyncGlobal()[0] = 1 // want `write through the aggregation result`
+// A plain assignment taints like a definition.
+func badReassignedWrite(s *fl.Server, vec []float64) {
+	var g []float64
+	g, _ = s.AggregateModel(0, 1, vec)
+	g[0] = 1 // want `write through "g", a shared aggregation result`
 }
 
 // The aggregate entry points hand out the same shared slice. The tree's
@@ -93,8 +95,8 @@ func badCollectWrite(ctx context.Context, w *sparse.Wire, vec []float64) {
 }
 
 // A closure-captured alias is still an alias.
-func badClosureWrite(s *fl.Server) func() {
-	g := s.AsyncGlobal()
+func badClosureWrite(s *fl.Server, vec []float64) func() {
+	g, _ := s.AggregateModel(0, 1, vec)
 	return func() {
 		g[0] = 1 // want `write through "g", a shared aggregation result`
 	}
@@ -103,8 +105,8 @@ func badClosureWrite(s *fl.Server) func() {
 // --- negative cases ---
 
 // Reading is fine.
-func okRead(s *fl.Server) float64 {
-	g := s.AsyncGlobal()
+func okRead(s *fl.Server, vec []float64) float64 {
+	g, _ := s.AggregateModel(0, 1, vec)
 	total := 0.0
 	for _, v := range g {
 		total += v
@@ -113,8 +115,8 @@ func okRead(s *fl.Server) float64 {
 }
 
 // Copying OUT of the shared slice is fine.
-func okCopyOut(s *fl.Server) []float64 {
-	g := s.AsyncGlobal()
+func okCopyOut(s *fl.Server, vec []float64) []float64 {
+	g, _ := s.AggregateModel(0, 1, vec)
 	own := make([]float64, len(g))
 	copy(own, g)
 	own[0] = 1
@@ -122,8 +124,8 @@ func okCopyOut(s *fl.Server) []float64 {
 }
 
 // The canonical private copy: append from a nil base.
-func okFreshAppend(s *fl.Server) []float64 {
-	g := s.AsyncGlobal()
+func okFreshAppend(s *fl.Server, vec []float64) []float64 {
+	g, _ := s.AggregateModel(0, 1, vec)
 	own := append([]float64(nil), g...)
 	own[0] = 1
 	return own
@@ -153,8 +155,8 @@ func okCollectSizesAndImage(ctx context.Context, w *sparse.Wire, vec, image []fl
 }
 
 // Sanctioned exception, annotated with a reason.
-func okAnnotatedWrite(s *fl.Server) {
-	g := s.AsyncGlobal()
+func okAnnotatedWrite(s *fl.Server, vec []float64) {
+	g, _ := s.AggregateModel(0, 1, vec)
 	g[0] = 1 //lint:allow sharedmut -- corpus replica of a single-owner test fixture that never shares the snapshot
 }
 

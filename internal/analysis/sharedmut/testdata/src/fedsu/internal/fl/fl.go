@@ -21,8 +21,6 @@ type Tree struct {
 
 type Server = Tree
 
-func (t *Tree) AsyncGlobal() []float64 { return t.global }
-
 func (t *Tree) AggregatePartialCtx(ctx context.Context, round int, leg sparse.Leg, rankLo int, sum []float64, weight int) ([]float64, error) {
 	return t.global, nil
 }

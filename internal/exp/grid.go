@@ -18,7 +18,7 @@ import (
 type GridRun struct {
 	Cfg Config
 	// Label names the cell within its workload ("fedsu", "TR=0.1",
-	// "async-event"); empty is the scheme. Progress lines are tagged
+	// "FedSU×Q4"); empty is the scheme. Progress lines are tagged
 	// "workload/label".
 	Label string
 }

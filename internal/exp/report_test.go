@@ -19,7 +19,6 @@ func stubRun(w, scheme string, k int) *Run {
 			SimTime:             float64((i + 1) * (k + 2)),
 			Accuracy:            float64(k+i) / 40,
 			SparsificationRatio: float64(k%5) / 10,
-			StaleDrops:          k % 2,
 			Traffic:             sparse.Traffic{UpBytes: 1000 * (k + 1), DownBytes: 500 * (k + 1)},
 		})
 	}
@@ -68,10 +67,6 @@ func TestReportsAreDeterministic(t *testing.T) {
 		return &SweepResult{Param: param, Values: values, Grid: stubGrid(cells)}
 	}
 	cnn := CNNWorkload()
-	var asyncCells []GridRun
-	for _, mode := range []string{"sync", "async", "async-event"} {
-		asyncCells = append(asyncCells, GridRun{Cfg: cfg.named(cnn, "fedavg"), Label: mode})
-	}
 	// Compose and popscale read their runs' engines: one untrained engine
 	// serves every stub.
 	engine, err := NewEngine(cfg.named(cnn, "fedavg"))
@@ -102,7 +97,6 @@ func TestReportsAreDeterministic(t *testing.T) {
 		{"fig8", &Fig8Result{stubGrid(schemeGrid(cfg, ws, Variants()))}, names},
 		{"fig9", sweep("TR", Fig9Thresholds()), names},
 		{"fig10", sweep("TS", Fig10Thresholds()), names},
-		{"async", &AsyncResult{Workload: cnn, Grid: stubGrid(asyncCells)}, []string{"sync", "async", "async-event"}},
 		{"compose", compose, []string{"FedSU", "FedSU×Q4", "FedSU×Q4×entropy", "FedSU×low-rank", "QSGD×entropy"}},
 		{"popscale", pop, []string{"flat", "8", "32"}},
 	} {

@@ -59,9 +59,6 @@ type Config struct {
 	// ProxMu adds a FedProx proximal term to every client's local
 	// objective (fl.Config.ProxMu); zero, the paper's setup, disables it.
 	ProxMu float64
-	// Async switches runs to buffered-async rounds (fl.Config.Async);
-	// Rounds then counts global applications. Zero keeps sync barriers.
-	Async fl.AsyncConfig
 	// EventThreshold enables event-triggered uploads (fl.Config
 	// counterpart); zero disables gating.
 	EventThreshold float64
@@ -303,7 +300,6 @@ func newRecipe(cfg Config) (recipe, error) {
 		Netem:          cfg.Netem,
 		WireParams:     w.WireParams,
 		DType:          cfg.DType,
-		Async:          cfg.Async,
 		EventThreshold: cfg.EventThreshold,
 		Population:     cfg.Population,
 		Fanout:         cfg.Fanout,

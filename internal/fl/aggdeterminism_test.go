@@ -74,34 +74,6 @@ func canonicalSum(ranked [][]float64) ([]float64, int) {
 	return rec(0, span), n
 }
 
-// referenceMean is the historical serial finish(): a left fold over
-// contributions in ascending client-id order, scaled by 1/n. The
-// buffered-async path still folds in arrival order and its K=N special
-// case is pinned to this algorithm (see server_async_test.go); the
-// barrier path has moved to the canonical pairwise order above.
-func referenceMean(byID map[int][]float64) []float64 {
-	ids := make([]int, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
-	}
-	sortInts(ids)
-	if len(ids) == 0 {
-		return nil
-	}
-	sum := make([]float64, len(byID[ids[0]]))
-	for _, id := range ids {
-		v := byID[id]
-		for i := range sum {
-			sum[i] += v[i]
-		}
-	}
-	inv := 1.0 / float64(len(ids))
-	for i := range sum {
-		sum[i] *= inv
-	}
-	return sum
-}
-
 // contributionFor builds a reproducible, rounding-sensitive vector for a
 // client: mixed magnitudes make the float64 fold order observable, so any
 // deviation from ascending-id left-fold changes bits.

@@ -33,9 +33,6 @@ func (e *Engine) Checkpoint() *ckpt.Checkpoint {
 // must decode before anything is installed: an error leaves the engine as it
 // was.
 func (e *Engine) Restore(c *ckpt.Checkpoint) error {
-	if err := CheckMode(e.cfg, "Restore"); err != nil {
-		return err
-	}
 	n := e.clients[0].model.Size()
 	switch {
 	case c.Scheme != "" && c.Scheme != e.strategy:

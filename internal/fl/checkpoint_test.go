@@ -52,29 +52,38 @@ func resumeEngine(strategy string, mut func(*Config)) (*Engine, error) {
 
 // TestResumeAtEveryRound is the mode matrix: strategy × {default wire,
 // topk,q4,rans} × {fixed fleet, population flat, population fanout 8} ×
-// {f64, f32} × {sync, async}, plus a FedSU cell under LRDecayWarm and an
-// event trigger. Each cell sets its own dtype. A cell either builds or is
-// refused by the mode table (ErrModeRefused), and no other failure passes.
-// A sync cell must resume exactly: for every round r, a checkpoint taken
-// before round r, written, read back and restored into a freshly built
-// engine finishes the run (Engine.Run to the same horizon) with every
-// RoundStats and the final global bit-equal to the run that never stopped.
-// An async cell runs two applications, then Restore returns ErrAsyncResume.
-// A population cell refuses AddClient and RemoveClient.
+// {f64, f32} × {plain SGD, FedProx under a decaying rate}, plus a FedSU
+// cell under LRDecayWarm and an event trigger. Each cell sets its own dtype.
+// A cell either builds or is refused by the mode table (ErrModeRefused), and
+// no other failure passes. A cell that builds must resume exactly: for every
+// round r, a checkpoint taken before round r, written, read back and
+// restored into a freshly built engine finishes the run (Engine.Run to the
+// same horizon) with every RoundStats and the final global bit-equal to the
+// run that never stopped. A FedProx cell's run must differ from its plain
+// twin's, so the local objective is not silently dropped in any mode. A
+// population cell refuses AddClient and RemoveClient.
 func TestResumeAtEveryRound(t *testing.T) {
 	const rounds, evalEvery = 7, 2
 	type cell struct {
 		name, strategy string
 		mut            func(*Config)
+		// plain names the same cell under plain SGD, whose straight run
+		// this cell's must differ from.
+		plain string
 	}
 	var cells []cell
 	for _, s := range StrategyNames() {
 		for _, topo := range []string{"fixed", "pop-flat", "pop-tree"} {
 			for _, dt := range []tensor.DType{tensor.Float64, tensor.Float32} {
 				for _, spec := range []string{"", "topk,q4,rans"} {
-					for _, async := range []bool{false, true} {
-						topo, dt, spec, async := topo, dt, spec, async
-						cells = append(cells, cell{fmt.Sprintf("%s/%s/%v/%q/async=%v", s, topo, dt, spec, async), s, func(c *Config) {
+					for _, local := range []string{"sgd", "prox+decay"} {
+						topo, dt, spec, local := topo, dt, spec, local
+						name := fmt.Sprintf("%s/%s/%v/%q/", s, topo, dt, spec)
+						plain := ""
+						if local != "sgd" {
+							plain = name + "sgd"
+						}
+						cells = append(cells, cell{name + local, s, func(c *Config) {
 							c.DType, c.Compress = dt, spec
 							switch topo {
 							case "pop-flat":
@@ -82,16 +91,17 @@ func TestResumeAtEveryRound(t *testing.T) {
 							case "pop-tree":
 								c.NumClients, c.Population, c.Fanout = 10, 40, 8
 							}
-							if async {
-								c.Async = AsyncConfig{K: 2}
+							if local != "sgd" {
+								c.ProxMu, c.LRDecayWarm = 0.1, 4
 							}
-						}})
+						}, plain})
 					}
 				}
 			}
 		}
 	}
-	cells = append(cells, cell{"fedsu/lr-decay+event", "fedsu", func(c *Config) { c.LRDecayWarm, c.EventThreshold = 4, 0.1 }})
+	cells = append(cells, cell{"fedsu/lr-decay+event", "fedsu", func(c *Config) { c.LRDecayWarm, c.EventThreshold = 4, 0.1 }, ""})
+	runs := map[string]string{} // cell name → its straight run's stats
 
 	ctx := context.Background()
 	var ran, refused int
@@ -116,16 +126,6 @@ func TestResumeAtEveryRound(t *testing.T) {
 					t.Errorf("RemoveClient in population mode: got %v, want ErrModeRefused", err)
 				}
 			}
-			if cfg.Async.Enabled() {
-				stats, err := e.Run(ctx, 2, 1)
-				if err != nil || len(stats) != 2 {
-					t.Fatalf("async run: %d applications, %v", len(stats), err)
-				}
-				if err := e.Restore(e.Checkpoint()); !errors.Is(err, ErrAsyncResume) {
-					t.Fatalf("async Restore: got %v, want ErrAsyncResume", err)
-				}
-				return
-			}
 			var cks [][]byte
 			var straight []string
 			speculated := false
@@ -147,6 +147,10 @@ func TestResumeAtEveryRound(t *testing.T) {
 			}
 			if strings.HasPrefix(c.strategy, "fedsu") && !speculated {
 				t.Fatal("vacuous run: nothing ever speculated")
+			}
+			runs[c.name] = strings.Join(straight, "\n")
+			if prev, ok := runs[c.plain]; ok && prev == runs[c.name] {
+				t.Fatal("vacuous run: the proximal term and the decaying rate changed no round")
 			}
 			want := e.GlobalVector()
 			for r, b := range cks {
@@ -183,8 +187,8 @@ func TestResumeAtEveryRound(t *testing.T) {
 	}
 	if ran+refused == len(cells) {
 		t.Logf("%d cells: %d ran, %d refused by the mode table", len(cells), ran, refused)
-		if ran != 73 || refused != 96 {
-			t.Errorf("%d cells ran and %d were refused, want 73 and 96", ran, refused)
+		if ran != 127 || refused != 42 {
+			t.Errorf("%d cells ran and %d were refused, want 127 and 42", ran, refused)
 		}
 	}
 }
@@ -224,7 +228,6 @@ func TestRestoreValidations(t *testing.T) {
 		{"infinite clock", e, e, func(c *ckpt.Checkpoint) { c.SimTime = math.Inf(1) }},
 		{"negative load bytes", e, e, func(c *ckpt.Checkpoint) { c.Loads[1].UpBytes = -1 }},
 		{"NaN load compute", e, e, func(c *ckpt.Checkpoint) { c.Loads[2].ComputeSeconds = math.NaN() }},
-		{"async", e, mk("fedavg", func(c *Config) { c.Async = AsyncConfig{K: 2} }), func(*ckpt.Checkpoint) {}},
 	} {
 		before := encodeCheckpoint(t, tc.into.Checkpoint())
 		ck := tc.from.Checkpoint()
@@ -232,9 +235,6 @@ func TestRestoreValidations(t *testing.T) {
 		err := tc.into.Restore(ck)
 		if err == nil {
 			t.Errorf("%s: restore succeeded", tc.name)
-		}
-		if tc.name == "async" && !errors.Is(err, ErrAsyncResume) {
-			t.Errorf("async: got %v, want ErrAsyncResume", err)
 		}
 		if !bytes.Equal(encodeCheckpoint(t, tc.into.Checkpoint()), before) {
 			t.Errorf("%s: a failed restore changed the engine", tc.name)

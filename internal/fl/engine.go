@@ -54,17 +54,11 @@ type Config struct {
 	// accounting, letting scaled-down models report paper-scale traffic.
 	// Zero means the actual model size.
 	WireParams int
-	// Async switches the run to buffered-async rounds (Async.K >= 1):
-	// clients become independent arrival processes and the server applies
-	// a staleness-weighted global every K contributions. The zero value
-	// keeps synchronous barrier rounds. What async combines with is the
-	// mode table's (modes.go).
-	Async AsyncConfig
 	// EventThreshold enables event-triggered participation: a client
 	// offers an upload only when the L2 norm of its accumulated change
 	// since its last offer crosses the threshold, abstaining with
 	// header-only traffic otherwise. Zero disables gating. Composes with
-	// every strategy and with both sync and async rounds.
+	// every strategy.
 	EventThreshold float64
 	// Population enables population-scale cohort rounds: Population
 	// registered descriptors form the device registry (10^5–10^6 in
@@ -150,10 +144,6 @@ type RoundStats struct {
 	// Timeouts is the number of collectives this round that were closed by
 	// deadline expiry instead of filling naturally.
 	Timeouts int
-	// StaleDrops is the number of contributions discarded for exceeding
-	// AsyncConfig.MaxStaleness during this async version window (zero in
-	// synchronous mode).
-	StaleDrops int
 	// CohortSize is the sampled cohort size (population mode; zero in
 	// classic fixed-fleet rounds).
 	CohortSize int
@@ -270,9 +260,6 @@ func NewEngineWithShards(cfg Config, builder nn.Builder, ds *data.Dataset, shard
 	} else {
 		server = NewServer(cfg.NumClients)
 	}
-	if err := server.SetAsync(cfg.Async); err != nil {
-		return nil, err
-	}
 	if cfg.EventThreshold < 0 {
 		return nil, fmt.Errorf("fl: EventThreshold = %v must be >= 0", cfg.EventThreshold)
 	}
@@ -326,9 +313,6 @@ func BuildClient(cfg Config, id int, model *nn.Model, shard *data.Subset, factor
 	}
 	syncer := factory(id, model.Size(), agg)
 	sparse.SetSyncerWire(syncer, sparse.Wire{Chain: chain})
-	if err := checkMode(cfg, sparse.UnwrapSyncer(syncer).Name(), "NewEngine"); err != nil {
-		return nil, err
-	}
 	if cfg.EventThreshold > 0 {
 		syncer = sparse.NewEventTrigger(syncer, cfg.EventThreshold)
 	}
@@ -398,9 +382,6 @@ func (e *Engine) RunRound(ctx context.Context, evaluate bool) (RoundStats, error
 	// Bail before spawning any training goroutines: a cancelled context must
 	// not burn a full round of local SGD first.
 	if err := ctx.Err(); err != nil {
-		return RoundStats{}, err
-	}
-	if err := CheckMode(e.cfg, "RunRound"); err != nil {
 		return RoundStats{}, err
 	}
 	// Dynamic departures (RemoveClient) can drain the roster entirely; every
@@ -594,11 +575,6 @@ func (e *Engine) Run(ctx context.Context, rounds, evalEvery int) ([]RoundStats, 
 	if evalEvery <= 0 {
 		evalEvery = 1
 	}
-	if e.cfg.Async.Enabled() {
-		// Async mode: `rounds` counts global applications (versions), the
-		// async analogue of a round.
-		return e.runAsync(ctx, rounds, evalEvery)
-	}
 	var out []RoundStats
 	for k := e.round; k < rounds; k++ {
 		if err := ctx.Err(); err != nil {
@@ -622,12 +598,7 @@ func (e *Engine) EvaluateGlobal() (acc, loss float64) {
 		nan := math.NaN()
 		return nan, nan
 	}
-	return e.evaluateVector(e.clients[0].model.Vector())
-}
-
-// evaluateVector scores an arbitrary parameter vector on the held-out set.
-func (e *Engine) evaluateVector(vec []float64) (acc, loss float64) {
-	e.evalModel.LoadVector(vec)
+	e.evalModel.LoadVector(e.clients[0].model.Vector())
 	var accSum, lossSum float64
 	n := 0
 	for _, b := range e.evalX {

@@ -130,7 +130,6 @@ func TestEnginePopulationValidation(t *testing.T) {
 	fails("fanout without population", func(c *Config) { c.Fanout = 4 })
 	fails("population below cohort", func(c *Config) { c.Population = 2 })
 	fails("fanout of 1", func(c *Config) { c.Population = 32; c.Fanout = 1 })
-	fails("async population", func(c *Config) { c.Population = 32; c.Async = AsyncConfig{K: 2} })
 
 	e := popEngine(t, nil)
 	if _, err := e.AddClientFromDataset(8, 1); err == nil {

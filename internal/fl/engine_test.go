@@ -199,3 +199,66 @@ func defaultConfig(numClients int) Config {
 		Seed:           1,
 	}
 }
+
+// TestEngineRejectsNegativeEventThreshold: misconfiguration fails fast.
+func TestEngineRejectsNegativeEventThreshold(t *testing.T) {
+	ds := data.Synthesize(data.SynthConfig{
+		Name: "tiny", Channels: 1, Size: 8, Classes: 4,
+		Samples: 256, Noise: 0.2, Jitter: 1, Seed: 11,
+	})
+	builder := func() *nn.Model {
+		return nn.NewMLP(nn.ModelConfig{InChannels: 1, ImageSize: 8, NumClasses: 4, Seed: 5}, 24)
+	}
+	factory, err := StrategyFactory("fedavg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		NumClients: 4, LocalIters: 2, BatchSize: 8, LR: 0.05,
+		DirichletAlpha: 1.0, EvalSamples: 64, EvalBatch: 64, Seed: 3,
+		EventThreshold: -0.1,
+	}
+	if _, err := NewEngine(cfg, builder, ds, factory); err == nil {
+		t.Fatal("negative EventThreshold accepted")
+	}
+}
+
+// TestEngineSyncEventTriggerAllStrategies: in synchronous mode the event
+// trigger wraps every strategy, including the probe-heavy ones (FedSU state
+// transfer, APF) — the unwrapping middleware must keep their internals
+// reachable.
+func TestEngineSyncEventTriggerAllStrategies(t *testing.T) {
+	ds := data.Synthesize(data.SynthConfig{
+		Name: "tiny", Channels: 1, Size: 8, Classes: 4,
+		Samples: 256, Noise: 0.2, Jitter: 1, Seed: 11,
+	})
+	builder := func() *nn.Model {
+		return nn.NewMLP(nn.ModelConfig{InChannels: 1, ImageSize: 8, NumClasses: 4, Seed: 5}, 24)
+	}
+	for _, strategy := range StrategyNames() {
+		strategy := strategy
+		t.Run(strategy, func(t *testing.T) {
+			t.Parallel()
+			factory, err := StrategyFactory(strategy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{
+				NumClients: 4, LocalIters: 2, BatchSize: 8, LR: 0.05,
+				DirichletAlpha: 1.0, EvalSamples: 64, EvalBatch: 64, Seed: 3,
+				EventThreshold: 0.5,
+			}
+			e, err := NewEngine(cfg, builder, ds, factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := e.Run(context.Background(), 4, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(stats) != 4 {
+				t.Fatalf("got %d rounds", len(stats))
+			}
+		})
+	}
+}

@@ -8,21 +8,19 @@ import (
 )
 
 // strategies is the strategy list, sorted by name: a baseline's factory or a
-// FedSU variant, and whether the strategy submits the full vector every
-// round, as the async fold needs (the Async×subset strategy row in modes.go).
+// FedSU variant.
 var strategies = []struct {
-	name       string
-	baseline   sparse.Factory
-	variant    core.Variant
-	fullVector bool
+	name     string
+	baseline sparse.Factory
+	variant  core.Variant
 }{
-	{"apf", sparse.APFFactory, 0, false},
-	{"cmfl", sparse.CMFLFactory, 0, true},
-	{"fedavg", sparse.FedAvgFactory, 0, true},
-	{"fedsu", nil, core.VariantFull, false},
-	{"fedsu-v1", nil, core.VariantV1, false},
-	{"fedsu-v2", nil, core.VariantV2, false},
-	{"qsgd", sparse.QSGDFactory, 0, true},
+	{"apf", sparse.APFFactory, 0},
+	{"cmfl", sparse.CMFLFactory, 0},
+	{"fedavg", sparse.FedAvgFactory, 0},
+	{"fedsu", nil, core.VariantFull},
+	{"fedsu-v1", nil, core.VariantV1},
+	{"fedsu-v2", nil, core.VariantV2},
+	{"qsgd", sparse.QSGDFactory, 0},
 }
 
 // StrategyFactory resolves a strategy name (one of StrategyNames) to its

@@ -1,9 +1,8 @@
 // Package fl implements the federated-learning engine: the collective
 // (Algorithm 1's Central_Server — one barrier state machine, Tree, whose
-// flat topology is Server and whose buffered-async discipline bypasses the
-// barrier), the client local-training loop, and the round driver that
-// couples them with the netem timing model and a synchronization strategy
-// (FedAvg, CMFL, APF, or FedSU).
+// flat topology is Server), the client local-training loop, and the round
+// driver that couples them with the netem timing model and a
+// synchronization strategy (FedAvg, CMFL, APF, or FedSU).
 package fl
 
 import (
@@ -21,9 +20,9 @@ type EvictedError struct {
 	ClientID int
 }
 
-// Error implements error. The "evicted from session" marker is part of the
-// wire contract: net/rpc flattens errors to strings, and flrpc recovers
-// the typed error by matching it.
+// Error implements error. Over TCP the error travels as flrpc's eviction
+// status byte, which the client maps back to ErrEvicted; the text is only
+// the message.
 func (e *EvictedError) Error() string {
 	return fmt.Sprintf("fl: client %d evicted from session (missed collective deadline)", e.ClientID)
 }
@@ -38,10 +37,9 @@ var ErrNotMember = errors.New("not a pending member of the collective")
 
 // Server is the flat collective: the Tree (tree.go, where the barrier state
 // machine is documented) whose single leaf spans the whole roster. It is
-// the same type — every setter and getter of one is available on the other
-// — and the only thing the flat topology has to itself is the
-// buffered-async discipline of server_async.go, which bypasses barriers
-// altogether.
+// the same type — every setter and getter of one is available on the other.
+// Server is the flat constructor's name, and the alias stays because the
+// benchmark program calls NewServer.
 type Server = Tree
 
 // NewServer constructs the flat collective with the roster

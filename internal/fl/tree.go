@@ -72,9 +72,7 @@ import (
 // # What the topology enables
 //
 // Remote partials (AggregatePartialCtx) need a parent tier to stage into,
-// hence two tiers or more. Buffered-async mode (SetAsync, server_async.go)
-// bypasses the barrier entirely; the mode table (modes.go) says which
-// topologies offer it.
+// hence two tiers or more.
 type Tree struct {
 	// collective is aggregate, bound at construction: it implements
 	// sparse.Aggregator and sparse.ContextAggregator.
@@ -124,16 +122,6 @@ type Tree struct {
 	gen      uint64
 	nodeFree []*tierNode
 	colFree  []*treeCol
-
-	// Buffered-async aggregation mode (see SetAsync / server_async.go).
-	// When enabled, submissions bypass the barrier machinery entirely:
-	// they fold into per-leg weighted accumulators as they arrive and the
-	// global applies every acfg.K contributions.
-	async  bool
-	acfg   AsyncConfig
-	amu    sync.Mutex
-	achan  [2]*asyncChan // indexed by sparse.Leg
-	astale int
 }
 
 // collective embeds sparse.Collective without exporting the field.
@@ -235,7 +223,6 @@ func newTree(fanout int) *Tree {
 		participants: map[int]bool{},
 		cols:         map[opKey]*treeCol{},
 		evicted:      map[int]bool{},
-		achan:        [2]*asyncChan{newAsyncChan(), newAsyncChan()},
 	}
 	t.collective = t.aggregate
 	return t
@@ -543,10 +530,6 @@ func (t *Tree) aggregate(ctx context.Context, leg sparse.Leg, clientID, round in
 	if t.evicted[clientID] {
 		t.mu.Unlock()
 		return nil, &EvictedError{ClientID: clientID}
-	}
-	if t.async {
-		t.mu.Unlock()
-		return t.asyncSubmit(ctx, clientID, leg, values)
 	}
 	c, ready := t.colLocked(opKey{round: round, leg: leg})
 	c.holders.Add(1)

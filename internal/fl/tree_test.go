@@ -2,7 +2,6 @@ package fl
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -148,29 +147,6 @@ func TestTreeStrayRejected(t *testing.T) {
 	tr.BeginRound(0, []int{1, 2})
 	if _, err := tr.AggregateModel(7, 0, []float64{1}); err == nil {
 		t.Fatal("stray submission was accepted")
-	}
-}
-
-// TestTreeSetAsyncRefused: a tree (fanout >= 2) refuses async mode with the
-// mode table's error and still runs barrier collectives afterwards; the
-// flat collective takes it, and switching async off is never refused.
-func TestTreeSetAsyncRefused(t *testing.T) {
-	for _, fanout := range []int{2, 8} {
-		tr := NewTree(fanout)
-		if err := tr.SetAsync(AsyncConfig{K: 2}); !errors.Is(err, ErrModeRefused) {
-			t.Fatalf("NewTree(%d).SetAsync: got %v, want ErrModeRefused", fanout, err)
-		}
-		if err := tr.SetAsync(AsyncConfig{}); err != nil {
-			t.Fatalf("NewTree(%d): switching async off: %v", fanout, err)
-		}
-		tr.SetRoster([]int{0})
-		tr.BeginRound(0, []int{0})
-		if got, err := tr.AggregateModel(0, 0, []float64{3}); err != nil || len(got) != 1 || got[0] != 3 {
-			t.Fatalf("NewTree(%d): barrier after the refusal: %v, %v", fanout, got, err)
-		}
-	}
-	if err := NewServer(2).SetAsync(AsyncConfig{K: 2}); err != nil {
-		t.Fatalf("flat SetAsync: %v", err)
 	}
 }
 

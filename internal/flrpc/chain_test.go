@@ -17,12 +17,12 @@ import (
 // Tests for the chained wire path: a compression chain negotiated on both
 // ends of the TCP session must reproduce the in-process engine's
 // chain-wrapped fold bit-for-bit — the chain generalization of
-// TestDistributedMatchesInProcess / TestAsyncWireMatchesInProcess.
+// TestDistributedMatchesInProcess.
 
-func startChainedCoordinator(t *testing.T, n, size int, spec string, seed int64, acfg fl.AsyncConfig) (addr string, coord *Coordinator) {
+func startChainedCoordinator(t *testing.T, n, size int, spec string, seed int64) (addr string, coord *Coordinator) {
 	t.Helper()
 	coord, err := NewCoordinatorWith(Config{
-		NumClients: n, ModelSize: size, Async: acfg,
+		NumClients: n, ModelSize: size,
 		Compress: spec, CompressSeed: seed,
 	})
 	if err != nil {
@@ -121,7 +121,7 @@ func TestChainedDistributedMatchesInProcess(t *testing.T) {
 	)
 
 	size := builder().Size()
-	addr, _ := startChainedCoordinator(t, numClients, size, spec, chainSeed, fl.AsyncConfig{})
+	addr, _ := startChainedCoordinator(t, numClients, size, spec, chainSeed)
 	conns := make([]*Client, numClients)
 	for range conns {
 		c := dialChained(t, addr, "client", spec, chainSeed)
@@ -139,88 +139,5 @@ func TestChainedDistributedMatchesInProcess(t *testing.T) {
 					i, j, refVecs[i][j], tcpVecs[i][j])
 			}
 		}
-	}
-}
-
-// TestChainedAsyncWireMatchesInProcess extends TestAsyncWireMatchesInProcess
-// to a chained session: the TCP async fold under "topk,q4" must agree
-// bit-for-bit with an in-process server whose submissions and replies pass
-// through the same chain's round trip.
-func TestChainedAsyncWireMatchesInProcess(t *testing.T) {
-	const (
-		size      = 33
-		spec      = "topk,q4"
-		chainSeed = int64(11)
-	)
-	acfg := fl.AsyncConfig{K: 2, MaxStaleness: 4, StalenessWeight: 0.5}
-	chain, err := codec.Parse(spec, chainSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ref := fl.NewServer(2)
-	if err := ref.SetAsync(acfg); err != nil {
-		t.Fatal(err)
-	}
-	refAgg := sparse.WrapAggregator(ref, chain)
-
-	addr, coord := startChainedCoordinator(t, 2, size, spec, chainSeed, acfg)
-	a := dialChained(t, addr, "a", spec, chainSeed)
-	b := dialChained(t, addr, "b", spec, chainSeed)
-	clients := []*Client{a, b}
-
-	vec := func(clientID, cycle int) []float64 {
-		v := make([]float64, size)
-		for i := range v {
-			v[i] = float64((clientID+1)*(i+3)) * 0.125 * float64(cycle+1)
-		}
-		return v
-	}
-
-	schedule := []int{0, 1, 0, 0, 1, 1, 0, 1}
-	var lastWire, lastRef []float64
-	for cycle, id := range schedule {
-		v := vec(id, cycle)
-		wire, err := clients[id].AggregateModel(clients[id].ClientID(), 0, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inproc, err := refAgg.AggregateModel(id, 0, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (wire == nil) != (inproc == nil) {
-			t.Fatalf("cycle %d: wire nil=%v, in-process nil=%v", cycle, wire == nil, inproc == nil)
-		}
-		lastWire, lastRef = wire, inproc
-	}
-	if lastWire == nil {
-		t.Fatal("schedule produced no apply")
-	}
-	for i := range lastWire {
-		if lastWire[i] != lastRef[i] {
-			t.Fatalf("wire global deviates from chained in-process fold at %d: %v vs %v",
-				i, lastWire[i], lastRef[i])
-		}
-	}
-	if coord.AsyncVersion() != ref.AsyncVersion() {
-		t.Fatalf("version mismatch: wire %d, in-process %d", coord.AsyncVersion(), ref.AsyncVersion())
-	}
-}
-
-// TestChainedAbstainHeaderOnly: a chained session's abstention still ships
-// zero payload bytes — the chain never encodes a nil vector.
-func TestChainedAbstainHeaderOnly(t *testing.T) {
-	addr, _ := startChainedCoordinator(t, 2, 4, "topk,q4", 3, fl.AsyncConfig{K: 2})
-	a := dialChained(t, addr, "a", "topk,q4", 3)
-	res, err := a.AggregateModel(a.ClientID(), 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != nil {
-		t.Fatalf("abstention before first apply returned %v, want nil", res)
-	}
-	if got := a.Counters().Get("agg_tx_bytes"); got != 0 {
-		t.Errorf("abstention charged %d payload tx bytes, want 0 (header-only)", got)
 	}
 }

@@ -136,15 +136,6 @@ type Config struct {
 	// alive straggler buys the barrier one deadline extension. Zero
 	// defaults to Deadline. Ignored without a Deadline.
 	HeartbeatGrace time.Duration
-	// Async switches the coordinator to buffered-async aggregation
-	// (fl.SetAsync): Aggregate calls return immediately with the current
-	// global instead of blocking on a round barrier, and the server
-	// applies a staleness-weighted global every Async.K contributions.
-	// The zero value keeps synchronous barriers. Note that over a real
-	// network the arrival order is wall-clock — the bit-level
-	// seed-determinism contract applies to the netem-driven emulation,
-	// not this transport.
-	Async fl.AsyncConfig
 	// Fanout, when >= 2, switches the coordinator's collective to the
 	// hierarchical fl.Tree: leaf-aggregator relays reserve aligned id
 	// blocks (JoinArgs.BlockSize) and submit one partial per collective
@@ -235,7 +226,7 @@ func NewCoordinatorWith(cfg Config) (*Coordinator, error) {
 	if cfg.NumClients <= 0 {
 		return nil, fmt.Errorf("flrpc: numClients = %d", cfg.NumClients)
 	}
-	if err := fl.CheckMode(fl.Config{Async: cfg.Async, Fanout: cfg.Fanout}, "NewCoordinator"); err != nil {
+	if err := fl.CheckMode(fl.Config{Fanout: cfg.Fanout}, ""); err != nil {
 		return nil, err
 	}
 	if cfg.HeartbeatGrace <= 0 {
@@ -272,18 +263,8 @@ func NewCoordinatorWith(cfg Config) (*Coordinator, error) {
 		c.coll.SetDeadline(cfg.Deadline)
 		c.coll.SetAliveProbe(c.alive)
 	}
-	if err := c.coll.SetAsync(cfg.Async); err != nil {
-		return nil, err
-	}
 	return c, nil
 }
-
-// AsyncVersion returns the number of async global applications (zero in
-// synchronous mode).
-func (c *Coordinator) AsyncVersion() int { return c.coll.AsyncVersion() }
-
-// StaleDropCount returns contributions dropped for exceeding MaxStaleness.
-func (c *Coordinator) StaleDropCount() int { return c.coll.StaleDropCount() }
 
 // TierStats returns the collective's per-tier telemetry (a single tier and
 // no forwarded partials in flat mode).
@@ -412,7 +393,7 @@ func (c *Coordinator) known(id int, asBlock bool) bool {
 func (c *Coordinator) enter(clientID, round int, leg sparse.Leg) (*replyEntry, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.cfg.Async.Enabled() && round != c.latest {
+	if round != c.latest {
 		if round < c.latest {
 			if slices.Contains(c.coll.Evicted(), clientID) {
 				return nil, &fl.EvictedError{ClientID: clientID}
@@ -544,16 +525,6 @@ func (c *Coordinator) serveCached(e *replyEntry, reply *AggReply) {
 // entry and encodes — outside the coordinator lock — and the rest wait on
 // the entry, so a collective is encoded exactly once.
 func (c *Coordinator) encodeReply(round int, leg sparse.Leg, res []float64, reply *AggReply) {
-	if c.cfg.Async.Enabled() {
-		// No reply cache in async mode: the global evolves with every K-th
-		// submission, so a (round, leg) key does not identify one stable
-		// result the way a closed barrier's mean does.
-		if reply.Nil = res == nil; !reply.Nil {
-			reply.Payload = c.encodeVector(res)
-			c.counters.Add("agg_tx_bytes", int64(len(reply.Payload)))
-		}
-		return
-	}
 	k := aggKey{round: round, leg: leg}
 	c.mu.Lock()
 	e, ok := c.replyEnc[k]

@@ -11,6 +11,7 @@ import (
 	"fedsu/internal/nn"
 	"fedsu/internal/opt"
 	"fedsu/internal/sparse"
+	"fedsu/internal/trace"
 )
 
 func startCoordinator(t *testing.T, n, size int) (addr string) {
@@ -82,20 +83,58 @@ func TestAggregateOverTCP(t *testing.T) {
 	}
 }
 
+// TestAbstainOverTCP: an abstention (nil values) costs its frame header
+// only. A barrier where every member abstains hands each nil, and no
+// payload byte crosses the wire in either direction, on the default wire
+// and under a chain. On the default wire, a barrier with one contributor
+// hands both members its values, and a zero vector comes back as a
+// present vector, not as nil.
 func TestAbstainOverTCP(t *testing.T) {
-	addr := startCoordinator(t, 2, 1)
-	a, _ := Dial(addr, "a")
-	defer a.Close()
-	b, _ := Dial(addr, "b")
-	defer b.Close()
-	var wg sync.WaitGroup
-	var ra, rb []float64
-	wg.Add(2)
-	go func() { defer wg.Done(); ra, _ = a.AggregateModel(a.ClientID(), 0, []float64{7}) }()
-	go func() { defer wg.Done(); rb, _ = b.AggregateModel(b.ClientID(), 0, nil) }()
-	wg.Wait()
-	if len(ra) != 1 || ra[0] != 7 || len(rb) != 1 || rb[0] != 7 {
-		t.Fatalf("abstain aggregation = %v / %v, want [7] both", ra, rb)
+	if sparse.MessageBytes(nil) != sparse.HeaderBytes {
+		t.Fatalf("MessageBytes(nil) = %d, want HeaderBytes %d", sparse.MessageBytes(nil), sparse.HeaderBytes)
+	}
+	for _, spec := range []string{"", "topk,q4"} {
+		t.Run("wire="+spec, func(t *testing.T) {
+			addr, coord := startChainedCoordinator(t, 2, 1, spec, 3)
+			a := dialChained(t, addr, "a", spec, 3)
+			b := dialChained(t, addr, "b", spec, 3)
+			round := func(r int, va, vb []float64) (ra, rb []float64) {
+				t.Helper()
+				var wg sync.WaitGroup
+				var ea, eb error
+				wg.Add(2)
+				go func() { defer wg.Done(); ra, ea = a.AggregateModel(a.ClientID(), r, va) }()
+				go func() { defer wg.Done(); rb, eb = b.AggregateModel(b.ClientID(), r, vb) }()
+				wg.Wait()
+				if ea != nil || eb != nil {
+					t.Fatalf("round %d: %v / %v", r, ea, eb)
+				}
+				return ra, rb
+			}
+
+			if ra, rb := round(0, nil, nil); ra != nil || rb != nil {
+				t.Fatalf("every member abstained: got %v / %v, want nil both", ra, rb)
+			}
+			for _, cn := range []struct {
+				name     string
+				counters *trace.Counters
+			}{{"client a", a.Counters()}, {"client b", b.Counters()}, {"coordinator", coord.Counters()}} {
+				for _, k := range []string{"agg_tx_bytes", "agg_rx_bytes"} {
+					if got := cn.counters.Get(k); got != 0 {
+						t.Errorf("%s: %s = %d after an all-abstain barrier, want 0 (header-only)", cn.name, k, got)
+					}
+				}
+			}
+			if spec != "" {
+				return
+			}
+			if ra, rb := round(1, []float64{7}, nil); len(ra) != 1 || ra[0] != 7 || len(rb) != 1 || rb[0] != 7 {
+				t.Fatalf("abstain aggregation = %v / %v, want [7] both", ra, rb)
+			}
+			if ra, rb := round(2, []float64{0}, nil); len(ra) != 1 || ra[0] != 0 || len(rb) != 1 || rb[0] != 0 {
+				t.Fatalf("zero mean = %v / %v, want the present vector [0] both", ra, rb)
+			}
+		})
 	}
 }
 

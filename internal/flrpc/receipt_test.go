@@ -103,7 +103,7 @@ func inProcess(t *testing.T, spec string) *transport {
 // overTCP connects them to a coordinator over loopback.
 func overTCP(t *testing.T, spec string) *transport {
 	t.Helper()
-	addr, coord := startChainedCoordinator(t, receiptK, receiptSize, spec, receiptSeed, fl.AsyncConfig{})
+	addr, coord := startChainedCoordinator(t, receiptK, receiptSize, spec, receiptSeed)
 	tr := &transport{coord: coord, aggs: make([]sparse.Aggregator, receiptK), clientChains: make([]*codec.Chain, receiptK)}
 	for range tr.aggs {
 		c := dialChained(t, addr, "client", spec, receiptSeed)

@@ -161,10 +161,6 @@ func TestBlockJoinValidation(t *testing.T) {
 	if err := big.Join(JoinArgs{Name: "r", BlockSize: 5}, &reply); err == nil {
 		t.Fatal("block larger than fanout accepted")
 	}
-	// Async + tree is rejected at construction.
-	if _, err := NewCoordinatorWith(Config{NumClients: 4, ModelSize: 8, Fanout: 2, Async: fl.AsyncConfig{K: 2}}); err == nil {
-		t.Fatal("tree+async coordinator accepted")
-	}
 	// Fanout 1 and negative fanouts are refused, not served flat.
 	for _, f := range []int{1, -1, -8} {
 		if _, err := NewCoordinatorWith(Config{NumClients: 4, ModelSize: 8, Fanout: f}); !errors.Is(err, fl.ErrModeRefused) {

@@ -1,9 +1,6 @@
 package netem
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // quorumOracle computes ⌈n·(a/b)⌉ in exact integer arithmetic, the ground
 // truth the float64 quorumSize must match for every rational participation.
@@ -92,64 +89,5 @@ func TestRoundQuorumNeverUnderCounts(t *testing.T) {
 		if len(out.Participants) != tc.want {
 			t.Errorf("n=%d P=%v: %d participants, want %d", tc.n, tc.p, len(out.Participants), tc.want)
 		}
-	}
-}
-
-// TestAsyncProcessDeterministicPerSeed: two processes derived from
-// identically-configured clusters draw bit-identical cycle times and
-// dropout decisions regardless of interleaving across clients.
-func TestAsyncProcessDeterministicPerSeed(t *testing.T) {
-	cfg := DefaultConfig(6)
-	cfg.BandwidthSigma = 0.4
-	cfg.DropoutProb = 0.2
-	mk := func() *AsyncProcess {
-		cl, err := NewCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cl.AsyncProcess()
-	}
-	a, b := mk(), mk()
-	load := ClientLoad{DownBytes: 50_000, UpBytes: 50_000, ComputeSeconds: 2}
-
-	// a draws client-major, b cycle-major: per-client streams must make
-	// the interleaving irrelevant.
-	type draw struct {
-		t float64
-		d bool
-	}
-	const cycles = 5
-	got := map[[2]int]draw{}
-	for i := 0; i < cfg.NumClients; i++ {
-		for k := 0; k < cycles; k++ {
-			got[[2]int{i, k}] = draw{t: a.CycleTime(i, load), d: a.Dropped(i)}
-		}
-	}
-	for k := 0; k < cycles; k++ {
-		for i := 0; i < cfg.NumClients; i++ {
-			w := draw{t: b.CycleTime(i, load), d: b.Dropped(i)}
-			g := got[[2]int{i, k}]
-			if math.Float64bits(g.t) != math.Float64bits(w.t) || g.d != w.d {
-				t.Fatalf("client %d cycle %d: draws diverge (%v,%v) vs (%v,%v)", i, k, g.t, g.d, w.t, w.d)
-			}
-		}
-	}
-}
-
-// TestAsyncCycleTimeMatchesRoundFormula: the per-cycle formula must agree
-// with the synchronous Round model for a jitter-free, homogeneous cluster.
-func TestAsyncCycleTimeMatchesRoundFormula(t *testing.T) {
-	cfg := DefaultConfig(4)
-	cfg.ComputeHeterogeneity = 0
-	cfg.RoundJitter = 0
-	cl, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := cl.AsyncProcess()
-	load := ClientLoad{DownBytes: 100_000, UpBytes: 100_000, ComputeSeconds: 3}
-	want := cl.Round(0, cl.UniformLoad(load.DownBytes, load.UpBytes, load.ComputeSeconds)).ClientTimes[0]
-	if got := p.CycleTime(0, load); math.Abs(got-want) > 1e-9 {
-		t.Errorf("CycleTime = %v, Round per-client time = %v", got, want)
 	}
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the paper's record twice and requires the two passes to match:
-# fedsu-bench -exp all,async,popscale,compose at 2 rounds, 4 clients and 2
+# fedsu-bench -exp all,popscale,compose at 2 rounds, 4 clients and 2
 # run slots, then a diff of the two stdouts and a diff -r of the two -out
 # directories. Each experiment's "--- <id>: wall ..." footer and the whole
 # Table II block are dropped from stdout first: both time themselves on the
@@ -21,7 +21,7 @@ if [ -z "$bin" ]; then
 	go build -o "$bin" ./cmd/fedsu-bench
 fi
 for pass in 1 2; do
-	if ! "$bin" -exp all,async,popscale,compose -rounds 2 -clients 4 -parallel 2 \
+	if ! "$bin" -exp all,popscale,compose -rounds 2 -clients 4 -parallel 2 \
 		-out "$tmp/out$pass" >"$tmp/raw$pass" 2>"$tmp/stderr$pass"; then
 		cat "$tmp/stderr$pass" >&2
 		echo "paper-smoke: pass $pass failed" >&2
