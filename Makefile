@@ -11,8 +11,8 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: tier1 vet lint race fuzz verify tier1-f32 race-f32 verify-f32 \
-	bench-check bench-pair tier1-purego loc paper-smoke
+.PHONY: tier1 vet lint race fuzz verify bench-check bench-pair tier1-purego \
+	loc paper-smoke
 
 tier1:
 	$(GO) build ./...
@@ -62,7 +62,7 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific static analysis: the syntactic/type-based checks
-# (ctxdispatch, determinism, errwrap, precision; DESIGN.md §5e) plus the
+# (ctxdispatch, determinism, errwrap; DESIGN.md §5e) plus the
 # pairing and concurrency-discipline checks (pairing, lockhold, goleak,
 # sharedmut; DESIGN.md §5j). Suppress a finding with
 # `//lint:allow <analyzer> -- <reason>` on or above the offending line;
@@ -79,20 +79,6 @@ lint:
 # detector.
 race:
 	$(GO) test -race ./...
-
-# Float32 compute lane: the same tier-1 and race gates with the experiment
-# suite's test helpers switched to the float32 kernel instantiation
-# (FEDSU_DTYPE is read only by _test.go helpers, never by library code).
-# The grid bit-identity proofs then run against the float32 path, with the
-# FedSU managers in Quantize mode.
-tier1-f32:
-	$(GO) build ./...
-	FEDSU_DTYPE=float32 $(GO) test -shuffle=on ./...
-
-race-f32:
-	FEDSU_DTYPE=float32 $(GO) test -race ./...
-
-verify-f32: tier1-f32 race-f32
 
 # Short fuzz smoke over the flrpc wire contract (the nil-vs-abstain-vs-empty
 # property on the header flags, then raw bytes into the frame reader and

@@ -148,7 +148,7 @@ func newFlags(set *exp.Config, o *options) *flag.FlagSet {
 	fs.BoolVar(&o.light, "light", false, "restrict the ablation and sensitivity sweeps to the CNN workload")
 	fs.IntVar(&o.slots, "parallel", runtime.GOMAXPROCS(0), "experiment runs in flight at once in the grid experiments (1 = sequential)")
 	fs.StringVar(&o.fanouts, "fanout", "8,32", "comma-separated tree fanouts the popscale experiment compares against the flat fold")
-	exp.BindFlags(fs, set, "seed", "dtype", "population", "compress")
+	exp.BindFlags(fs, set, "seed", "population", "compress")
 	return fs
 }
 
@@ -177,7 +177,7 @@ func run(args []string, stdout io.Writer) error {
 	if o.modelScale > 0 {
 		cfg.ModelScale = o.modelScale
 	}
-	cfg.Seed, cfg.DType, cfg.Population, cfg.Compress = set.Seed, set.DType, set.Population, set.Compress
+	cfg.Seed, cfg.Population, cfg.Compress = set.Seed, set.Population, set.Compress
 	popFanouts, err := parseFanouts(o.fanouts)
 	if err != nil {
 		return err

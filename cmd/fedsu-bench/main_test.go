@@ -71,6 +71,15 @@ func TestCohortFlagRemoved(t *testing.T) {
 	}
 }
 
+// TestDTypeFlagRemoved: compute is float64 only; -dtype float32 selected
+// the float32 compute lane, which is gone.
+func TestDTypeFlagRemoved(t *testing.T) {
+	err := run([]string{"-dtype", "float32", "-exp", "fig3"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -dtype") {
+		t.Fatalf("got %v, want -dtype refused as an unknown flag", err)
+	}
+}
+
 // TestExperimentHorizon: an experiment's own horizon applies whenever
 // -rounds is unset, wherever its id sits in -exp, and -rounds overrides
 // every experiment's. compose once kept its 96 rounds only when it was the

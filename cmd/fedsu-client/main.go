@@ -30,7 +30,6 @@ import (
 
 	"fedsu"
 	"fedsu/internal/exp"
-	"fedsu/internal/fl"
 	"fedsu/internal/sparse"
 )
 
@@ -52,7 +51,7 @@ func newFlags(cfg *exp.Config, o *options) *flag.FlagSet {
 		Samples: 1024, Seed: 1, FedSU: fedsu.DefaultOptions(),
 	}
 	fs := flag.NewFlagSet("fedsu-client", flag.ContinueOnError)
-	exp.BindFlags(fs, cfg, "workload", "scheme", "rounds", "iters", "batch", "samples", "scale", "seed", "dtype", "compress")
+	exp.BindFlags(fs, cfg, "workload", "scheme", "rounds", "iters", "batch", "samples", "scale", "seed", "compress")
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:7070", "coordinator address")
 	fs.StringVar(&o.name, "name", "client", "client label")
 	fs.IntVar(&o.retries, "retries", 4, "collective-call retries on transport failure (-1 disables)")
@@ -70,9 +69,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	if _, err := exp.WorkloadByName(cfg.Workload); err != nil {
-		return err
-	}
-	if err := fl.CheckMode(fl.Config{DType: cfg.DType, Compress: cfg.Compress}, ""); err != nil {
 		return err
 	}
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -16,15 +17,14 @@ import (
 // TestClientIsBuiltLikeTheEngine: the client fedsu-client builds from its
 // flags for id k is client k of the engine the same config builds — the
 // same learning rate, the same strategy type, and the same vector bits
-// after one local round — at both precisions, under a compression chain,
-// and on every workload. The client once rebuilt the engine's recipe by
-// hand and trained at the paper's real-corpus rate instead of the
-// emulation rate (resnet18: 0.001, not 0.02).
+// after one local round — under a compression chain and on every
+// workload. The client once rebuilt the engine's recipe by hand and trained
+// at the paper's real-corpus rate instead of the emulation rate (resnet18:
+// 0.001, not 0.02).
 func TestClientIsBuiltLikeTheEngine(t *testing.T) {
 	const fleet = 3
 	for _, extra := range []string{
 		"-workload cnn",
-		"-workload cnn -dtype float32",
 		"-workload cnn -compress topk,q4,rans",
 		"-workload resnet18",
 		"-workload densenet121",
@@ -68,6 +68,15 @@ func TestClientIsBuiltLikeTheEngine(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDTypeFlagRemoved: compute is float64 only; -dtype float32 selected
+// the float32 compute lane, which is gone. The parse fails before any dial.
+func TestDTypeFlagRemoved(t *testing.T) {
+	err := run([]string{"-dtype", "float32"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -dtype") {
+		t.Fatalf("got %v, want -dtype refused as an unknown flag", err)
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"fedsu/internal/analysis/goleak"
 	"fedsu/internal/analysis/lockhold"
 	"fedsu/internal/analysis/pairing"
-	"fedsu/internal/analysis/precision"
 	"fedsu/internal/analysis/sharedmut"
 )
 
@@ -42,7 +41,6 @@ var analyzers = []*analysis.Analyzer{
 	ctxdispatch.Analyzer,
 	determinism.Analyzer,
 	errwrap.Analyzer,
-	precision.Analyzer,
 	lockhold.Analyzer,
 	goleak.Analyzer,
 	sharedmut.Analyzer,

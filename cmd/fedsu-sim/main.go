@@ -34,7 +34,7 @@ func newFlags(cfg *exp.Config, f *files) *flag.FlagSet {
 	}
 	fs := flag.NewFlagSet("fedsu-sim", flag.ContinueOnError)
 	exp.BindFlags(fs, cfg, "workload", "scheme", "clients", "rounds", "iters", "batch", "samples", "scale", "seed",
-		"dtype", "population", "fanout", "compress")
+		"population", "fanout", "compress")
 	fs.Float64Var(&cfg.FedSU.TR, "tr", cfg.FedSU.TR, "FedSU linearity threshold T_R")
 	fs.Float64Var(&cfg.FedSU.TS, "ts", cfg.FedSU.TS, "FedSU error-feedback threshold T_S")
 	fs.Float64Var(&cfg.FedSU.Theta, "theta", cfg.FedSU.Theta, "FedSU EMA decay factor")

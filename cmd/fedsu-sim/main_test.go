@@ -28,7 +28,8 @@ func TestEvalEveryRejectsNonPositive(t *testing.T) {
 // name, not ignored by a run that then trains without it. -cohort was a
 // second name for -clients that silently dropped -clients when both were
 // set; -async, -k, -staleness and -staleness-weight configured buffered-async
-// rounds, which are gone.
+// rounds, which are gone; -dtype float32 selected the float32 compute lane,
+// which is gone too.
 func TestRetiredFlagsRefused(t *testing.T) {
 	tiny := []string{"-rounds", "1", "-clients", "2", "-samples", "64", "-iters", "1"}
 	for _, c := range []struct{ flag, value, want string }{
@@ -37,6 +38,7 @@ func TestRetiredFlagsRefused(t *testing.T) {
 		{"-k", "1", "flag provided but not defined: -k"},
 		{"-staleness", "3", "flag provided but not defined: -staleness"},
 		{"-staleness-weight", "0.7", "flag provided but not defined: -staleness-weight"},
+		{"-dtype", "float32", "flag provided but not defined: -dtype"},
 	} {
 		t.Run(strings.TrimPrefix(c.flag, "-"), func(t *testing.T) {
 			err := run(append([]string{c.flag, c.value}, tiny...), io.Discard)

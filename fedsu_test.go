@@ -71,26 +71,6 @@ func TestSimulationEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSimulationFloat32: the facade's own Float32 selects the precision of
-// every replica, so a caller outside the module can ask for it.
-func TestSimulationFloat32(t *testing.T) {
-	sim, err := NewSimulation(SimulationConfig{
-		Workload: "cnn", Scheme: "fedsu", Clients: 2, Rounds: 1, LocalIters: 1,
-		BatchSize: 4, Samples: 64, ModelScale: 32, Seed: 1, DType: Float32,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range sim.Engine().Clients() {
-		if got := c.Model().DType(); got != Float32 {
-			t.Fatalf("client %d computes in %v, want float32", c.ID, got)
-		}
-	}
-	if _, err := sim.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSimulationHonoursPartialNetem: a Netem override that leaves
 // NumClients zero is used as given, with NumClients and Seed filled from
 // the run — not silently replaced by the 13.7 Mbps testbed defaults.

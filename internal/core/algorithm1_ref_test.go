@@ -11,8 +11,8 @@ import (
 // with Eqs. 2–3, plus exactly the deviations DESIGN.md §3 lists, written
 // down one parameter at a time with no regard for speed — a struct per
 // parameter, fresh slices per round, one pass per sentence of the paper. It
-// shares no code with fedsu.go beyond Options, the wire-image rounding and
-// the v2 lottery hash (both are the spec, not an implementation of it), and
+// shares no code with fedsu.go beyond Options and the v2 lottery hash (the
+// spec, not an implementation of it), and
 // it speaks to the fleet through the plain sparse.Aggregator interface on the
 // default wire.
 type algorithm1 struct {
@@ -54,13 +54,6 @@ func newAlgorithm1(id, size int, agg sparse.Aggregator, opts Options) *algorithm
 		panic(err)
 	}
 	return &algorithm1{id: id, opts: opts, agg: agg, p: make([]paramState, size)}
-}
-
-func (a *algorithm1) image(v float64) float64 {
-	if a.opts.Quantize {
-		return sparse.QuantizeWire(v)
-	}
-	return v
 }
 
 // ratio is ℛ of Eq. 2; all-zero second differences are a perfectly linear
@@ -106,7 +99,6 @@ func (a *algorithm1) sync(round int, local []float64, contributor bool) (out []f
 			if global != nil {
 				out[i] = global[i]
 			}
-			out[i] = a.image(out[i])
 			a.p[i].x = out[i]
 		}
 		a.started = true
@@ -149,14 +141,13 @@ func (a *algorithm1) sync(round int, local []float64, contributor bool) (out []f
 		if global != nil {
 			out[i] = global[j]
 		}
-		out[i] = a.image(out[i])
 	}
 
 	// Masked replacement: predictable parameters move by their profiled
 	// slope, and the prediction error e_r accumulates locally.
 	for _, i := range speculative {
 		s := &a.p[i]
-		out[i] = a.image(s.x + s.slope)
+		out[i] = s.x + s.slope
 		s.sumErr += local[i] - out[i]
 		s.specRounds++
 		s.specTotal++
@@ -200,7 +191,7 @@ func (a *algorithm1) sync(round int, local []float64, contributor bool) (out []f
 				s.left = s.period
 				s.sumErr = 0
 			} else {
-				out[i] = a.image(out[i] + e)
+				out[i] += e
 				s.revert()
 			}
 			checkedNow[i] = true

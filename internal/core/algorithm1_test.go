@@ -277,7 +277,10 @@ func sameFields(va, vb reflect.Value) error {
 }
 
 // algorithm1Cases are the option sets the lock-step suites sweep: the three
-// variants, each ablation switch, and Quantize.
+// variants, each ablation switch alone and both together, and the churning
+// thresholds FuzzAlgorithm1's flags&8 sets (a loose T_ℛ, a tight T_𝒮 and a
+// one-round history, so parameters promote and revert often) under full FedSU
+// and v1.
 func algorithm1Cases() map[string]Options {
 	full := DefaultOptions()
 	v1 := DefaultOptions()
@@ -286,11 +289,14 @@ func algorithm1Cases() map[string]Options {
 	v2.Variant, v2.FixedPeriod, v2.LaunchProb, v2.Seed = VariantV2, 3, 0.2, 9
 	raw := DefaultOptions()
 	raw.RawSlope, raw.RawErrorNorm, raw.TS, raw.MinHistory = true, true, 0.5, 2
-	quant := DefaultOptions()
-	quant.Quantize = true
-	quantV2 := v2
-	quantV2.Quantize = true
-	return map[string]Options{"full": full, "v1": v1, "v2": v2, "raw": raw, "full-f32": quant, "v2-f32": quantV2}
+	rawSlope, rawNorm := raw, raw
+	rawSlope.RawErrorNorm, rawNorm.RawSlope = false, false
+	churn := DefaultOptions()
+	churn.TS, churn.TR, churn.MinHistory = 0.05, 0.2, 1
+	v1Churn := v1
+	v1Churn.TS, v1Churn.TR, v1Churn.MinHistory = 0.05, 0.2, 1
+	return map[string]Options{"full": full, "v1": v1, "v2": v2, "raw": raw, "churn": churn, "v1-churn": v1Churn,
+		"raw-slope": rawSlope, "raw-norm": rawNorm}
 }
 
 // runFleetLockStep drives K managers and K oracles, each fleet behind its own
@@ -379,7 +385,7 @@ func runFleetLockStep(t *testing.T, opts Options, clients, size, rounds int, see
 
 // TestAlgorithm1LockStep is the oracle suite: Manager against the paper's
 // Algorithm 1 on a K = 4 fleet with abstainers, over every variant and
-// ablation switch, Quantize on and off, on a vector that fans the commit out
+// ablation switch, on a vector that fans the commit out
 // (workers 2 and 8) and on the inline path (workers 1).
 func TestAlgorithm1LockStep(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(1))
@@ -539,7 +545,7 @@ func FuzzAlgorithm1(f *testing.F) {
 		opts.Seed = seed
 		opts.RawSlope = flags&1 != 0
 		opts.RawErrorNorm = flags&2 != 0
-		opts.Quantize = flags&4 != 0
+		// flags&4 is unused: it set the retired float32 wire-image snap.
 		if flags&8 != 0 {
 			opts.TS, opts.TR, opts.MinHistory = 0.05, 0.2, 1
 		}

@@ -101,15 +101,6 @@ type Options struct {
 	// slope draw cannot make 𝒮 explode for a correctly stagnating
 	// parameter.
 	RawErrorNorm bool
-	// Quantize rounds every synchronized output value through
-	// sparse.QuantizeWire, keeping the manager's view of the global
-	// trajectory inside the float32-representable set. Float32 engines set
-	// it so that loading the sync result into a float32 model is exact:
-	// predictions, aggregated means, and therefore prevGlobal/slope state
-	// all live in the wire image, and speculative refinement accumulates no
-	// storage-rounding error. Float64 engines leave it off (the historical
-	// behaviour, bit-for-bit).
-	Quantize bool
 }
 
 // DefaultOptions returns the paper's evaluation configuration
@@ -472,7 +463,7 @@ const diagnoseGrain = 2048
 func (m *Manager) stage(local []float64, contributor, delta bool) (nReg, nChk int) {
 	p := m.st
 	send, errSend := m.scratchSend, m.scratchErrSend
-	full, quantize := m.opts.Variant == VariantFull, m.opts.Quantize
+	full := m.opts.Variant == VariantFull
 	for w := range m.regBits {
 		b := 64 * w
 		if b%diagnoseGrain == 0 {
@@ -506,7 +497,7 @@ func (m *Manager) stage(local []float64, contributor, delta bool) (nReg, nChk in
 			c := nChk
 			for x := chk; x != 0; x &= x - 1 {
 				k := bits.TrailingZeros64(x)
-				errSend[c] = p.AccumErr[b+k] + (loc[k] - wireImage(quantize, prev[k]+p.Slope[b+k]))
+				errSend[c] = p.AccumErr[b+k] + (loc[k] - (prev[k] + p.Slope[b+k]))
 				c++
 			}
 		}
@@ -536,7 +527,7 @@ func (m *Manager) stage(local []float64, contributor, delta bool) (nReg, nChk in
 // takes the step a single index-order loop would give it.
 func (m *Manager) commit(round int, local, aggModel, aggErr, img []float64, lo, hi int) {
 	o, p := m.opts, m.st
-	full, quantize, th := o.Variant == VariantFull, o.Quantize, o.Theta
+	full, th := o.Variant == VariantFull, o.Theta
 	rt := newRatioTest(o.TR)
 	delta := m.wire.Enabled()
 	send := m.scratchSend
@@ -558,11 +549,11 @@ func (m *Manager) commit(round int, local, aggModel, aggErr, img []float64, lo, 
 			var v float64
 			switch {
 			case aggModel == nil:
-				v = wireImage(quantize, loc[k])
+				v = loc[k]
 			case delta:
-				v = wireImage(quantize, prev[k]+aggModel[j])
+				v = prev[k] + aggModel[j]
 			default:
-				v = wireImage(quantize, aggModel[j])
+				v = aggModel[j]
 			}
 			if img != nil {
 				// Error feedback: img is what the transport's one encode of
@@ -624,14 +615,13 @@ func (m *Manager) commit(round int, local, aggModel, aggErr, img []float64, lo, 
 			}
 		}
 
-		// A speculative parameter's value is the prediction, which under
-		// Quantize is itself snapped to the wire image, so the value the
+		// A speculative parameter's value is the prediction, so the value the
 		// client stores (and trains from next round) is exactly the value the
 		// manager accounted for. e_r = g̃_r − g_k, with the local update
 		// standing in for the true gradient until aggregation.
 		for x := ^reg & (^uint64(0) >> (64 - n)); x != 0; x &= x - 1 {
 			k := bits.TrailingZeros64(x)
-			v := wireImage(quantize, prev[k]+slope[k])
+			v := prev[k] + slope[k]
 			acc := accum[k] + (loc[k] - v)
 			specRounds[k]++
 			specTotal[k]++
@@ -650,7 +640,7 @@ func (m *Manager) commit(round int, local, aggModel, aggErr, img []float64, lo, 
 				} else {
 					// Prediction diverged: rectify with the aggregated error
 					// and return the parameter to regular updating.
-					v = wireImage(quantize, v+e)
+					v += e
 					m.revertToRegular(b + k)
 				}
 				acc = 0
@@ -686,11 +676,6 @@ func (m *Manager) bootstrap(ctx context.Context, round int, local []float64, con
 	} else {
 		copy(out, local)
 	}
-	if m.opts.Quantize {
-		for i, v := range out {
-			out[i] = sparse.QuantizeWire(v)
-		}
-	}
 	m.st.Started = true
 	m.st.SeenTotal++
 	return out, sparse.Traffic{
@@ -722,16 +707,6 @@ func bit(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// wireImage maps v to its wire image under Options.Quantize (identity
-// otherwise). Every value written to the sync output goes through it, so a
-// float32 model loads the output exactly.
-func wireImage(quantize bool, v float64) float64 {
-	if quantize {
-		return sparse.QuantizeWire(v)
-	}
-	return v
 }
 
 // launchDraw is v2's launch lottery: a uniform [0,1) draw that is a pure

@@ -101,24 +101,21 @@ func (m *Manager) refSync(round int, local []float64, contributor bool) ([]float
 	for j, i := range regular {
 		switch {
 		case aggModel == nil:
-			out[i] = wireImage(m.opts.Quantize, local[i])
+			out[i] = local[i]
 		case delta:
-			out[i] = wireImage(m.opts.Quantize, m.st.PrevGlobal[i]+aggModel[j])
+			out[i] = m.st.PrevGlobal[i] + aggModel[j]
 		default:
-			out[i] = wireImage(m.opts.Quantize, aggModel[j])
+			out[i] = aggModel[j]
 		}
 	}
 
 	// Speculative parameters are refined by the predicted per-round update
 	// (masked replacement), and their local prediction error accumulates.
-	// Under Quantize the prediction itself is snapped to the wire image, so
-	// the value the client stores (and trains from next round) is exactly
-	// the value the manager accounted for.
 	for i := 0; i < m.size; i++ {
 		if m.st.Mode[i] != modeSpeculative {
 			continue
 		}
-		predicted := wireImage(m.opts.Quantize, m.st.PrevGlobal[i]+m.st.Slope[i])
+		predicted := m.st.PrevGlobal[i] + m.st.Slope[i]
 		out[i] = predicted
 		// e_r = g̃_r − g_k, with the local update standing in for the true
 		// gradient until aggregation.
@@ -164,7 +161,7 @@ func (m *Manager) refSync(round int, local []float64, contributor bool) ([]float
 			} else {
 				// Prediction diverged: rectify with the aggregated error
 				// and return the parameter to regular updating.
-				out[i] = wireImage(m.opts.Quantize, out[i]+e)
+				out[i] += e
 				m.revertToRegular(i)
 			}
 		}

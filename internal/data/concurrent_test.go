@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"fedsu/internal/tensor"
 )
 
 // TestConcurrentReadSharing exercises the immutability contract the
@@ -53,7 +51,7 @@ func TestConcurrentReadSharing(t *testing.T) {
 					}
 				}
 				// Sampling only reads the subset; the rng is goroutine-local.
-				subsets[g%4].SampleBatchOf(tensor.Float64, rng, 6)
+				subsets[g%4].SampleBatch(rng, 6)
 				subsets[g%4].LabelHistogram()
 				// Re-partitioning the shared dataset must also be read-only.
 				PartitionDirichlet(ds, 3, 1.0, int64(iter))

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"fedsu/internal/tensor"
 )
 
 func tinySet(t *testing.T) *Dataset {
@@ -194,9 +192,9 @@ func TestSubsetBatchAndSample(t *testing.T) {
 		t.Error("subset batch must map relative to absolute indices")
 	}
 	rng := rand.New(rand.NewSource(1))
-	xs, ls := s.SampleBatchOf(tensor.Float64, rng, 16)
+	xs, ls := s.SampleBatch(rng, 16)
 	if xs.Dim(0) != 16 || len(ls) != 16 {
-		t.Fatal("SampleBatchOf wrong size")
+		t.Fatal("SampleBatch wrong size")
 	}
 }
 

@@ -46,32 +46,13 @@ func (d *Dataset) Len() int { return len(d.labels) }
 // Label returns the label of sample i.
 func (d *Dataset) Label(i int) int { return d.labels[i] }
 
-// Batch assembles the samples at the given indices into a float64 input
-// tensor and label slice ready for Model.TrainStep.
+// Batch assembles the samples at the given indices into an input tensor and
+// label slice ready for Model.TrainStep.
 func (d *Dataset) Batch(indices []int) (*tensor.Tensor, []int) {
-	return d.BatchOf(tensor.Float64, indices)
-}
-
-// BatchOf is Batch at an explicit input dtype. The stored images stay
-// float64 (one shared immutable copy per corpus whatever the training
-// precision); a float32 batch rounds each pixel once on assembly, the same
-// conversion the model's float32 forward pass would otherwise apply.
-func (d *Dataset) BatchOf(dt tensor.DType, indices []int) (*tensor.Tensor, []int) {
 	n := len(indices)
 	sz := d.Channels * d.Size * d.Size
-	x := tensor.NewOf(dt, n, d.Channels, d.Size, d.Size)
+	x := tensor.New(n, d.Channels, d.Size, d.Size)
 	labels := make([]int, n)
-	if dt == tensor.Float32 {
-		xd := x.Data32()
-		for bi, i := range indices {
-			dst := xd[bi*sz : (bi+1)*sz]
-			for j, v := range d.images[i] {
-				dst[j] = float32(v) //lint:allow precision -- pixels round once at batch assembly
-			}
-			labels[bi] = d.labels[i]
-		}
-		return x, labels
-	}
 	xd := x.Data()
 	for bi, i := range indices {
 		copy(xd[bi*sz:(bi+1)*sz], d.images[i])
@@ -86,7 +67,7 @@ func (d *Dataset) BatchOf(dt tensor.DType, indices []int) (*tensor.Tensor, []int
 // Like Dataset, a Subset is immutable after construction: NewSubset copies
 // the index slice and no method writes to it or to the parent. Sharing one
 // Subset (or one partition of Subsets) across engines is safe; per-call
-// randomness is injected via SampleBatchOf's rng parameter, so the Subset
+// randomness is injected via SampleBatch's rng parameter, so the Subset
 // itself holds no mutable sampling state.
 type Subset struct {
 	parent  *Dataset
@@ -101,30 +82,30 @@ func NewSubset(parent *Dataset, indices []int) *Subset {
 // Len returns the number of samples in the subset.
 func (s *Subset) Len() int { return len(s.indices) }
 
-// Batch assembles a float64 batch from subset-relative indices.
+// Batch assembles a batch from subset-relative indices.
 func (s *Subset) Batch(rel []int) (*tensor.Tensor, []int) {
-	return s.BatchOf(tensor.Float64, rel)
-}
-
-// BatchOf is Batch at an explicit input dtype.
-func (s *Subset) BatchOf(dt tensor.DType, rel []int) (*tensor.Tensor, []int) {
 	abs := make([]int, len(rel))
 	for i, r := range rel {
 		abs[i] = s.indices[r]
 	}
-	return s.parent.BatchOf(dt, abs)
+	return s.parent.Batch(abs)
 }
 
-// SampleBatchOf draws a uniform batch of the given size and input dtype
-// with replacement from the subset using rng. The index draws consume rng
-// identically at either width, so replicas differing only in precision
-// train on the same sample sequence.
-func (s *Subset) SampleBatchOf(dt tensor.DType, rng *rand.Rand, size int) (*tensor.Tensor, []int) {
+// SampleBatch draws a uniform batch of the given size with replacement from
+// the subset using rng.
+func (s *Subset) SampleBatch(rng *rand.Rand, size int) (*tensor.Tensor, []int) {
 	rel := make([]int, size)
 	for i := range rel {
 		rel[i] = rng.Intn(len(s.indices))
 	}
-	return s.BatchOf(dt, rel)
+	return s.Batch(rel)
+}
+
+// SampleBatchOf is SampleBatch under the spelling bench/ calls, which names
+// the one element type. It remains only for bench/; ROADMAP item 14 deletes
+// it.
+func (s *Subset) SampleBatchOf(_ tensor.DType, rng *rand.Rand, size int) (*tensor.Tensor, []int) {
+	return s.SampleBatch(rng, size)
 }
 
 // LabelHistogram counts subset samples per class.

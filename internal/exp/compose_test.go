@@ -3,16 +3,11 @@ package exp
 import (
 	"context"
 	"testing"
-
-	"fedsu/internal/tensor"
 )
 
-// composeConfig is the micro-scale composition config. Chains require
-// float64 compute (wire images are not float32-exact), so the dtype is
-// pinned regardless of the FEDSU_DTYPE test lane.
+// composeConfig is the micro-scale composition config.
 func composeConfig() Config {
 	cfg := microConfig()
-	cfg.DType = tensor.Float64
 	cfg.Rounds = 6
 	return cfg
 }

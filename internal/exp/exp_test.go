@@ -4,26 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
-	"fedsu/internal/tensor"
 	"fedsu/internal/trace"
 )
-
-// testDType is the compute precision for this test process. The float32 CI
-// lane (make tier1-f32 / race-f32) sets FEDSU_DTYPE=float32 so the whole
-// experiment suite — including the bit-identity proofs — runs against the
-// second kernel instantiation; unset it runs the historical float64 path.
-// Only this test helper reads the environment; library code never does.
-func testDType() tensor.DType {
-	dt, err := tensor.ParseDType(os.Getenv("FEDSU_DTYPE"))
-	if err != nil {
-		panic("FEDSU_DTYPE: " + err.Error())
-	}
-	return dt
-}
 
 // microConfig is the smallest configuration that still exercises every
 // experiment code path.
@@ -36,7 +21,6 @@ func microConfig() Config {
 	cfg.Samples = 188 // exercises uneven shard sizes
 	cfg.ModelScale = 32
 	cfg.EvalEvery = 2
-	cfg.DType = testDType()
 	return cfg
 }
 
@@ -46,7 +30,7 @@ func TestWorkloads(t *testing.T) {
 		t.Fatalf("Workloads = %d, want 3", len(ws))
 	}
 	for _, w := range ws {
-		m := w.ModelOf(tensor.Float64, 32, 1)
+		m := w.Model(32, 1)
 		if m.Size() <= 0 {
 			t.Errorf("%s: empty model", w.Name)
 		}

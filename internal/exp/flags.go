@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"fedsu/internal/fl"
-	"fedsu/internal/tensor"
 )
 
 // BindFlags defines the named run flags on fs, each writing straight into
@@ -37,9 +36,6 @@ func BindFlags(fs *flag.FlagSet, cfg *Config, names ...string) {
 			fs.IntVar(&cfg.ModelScale, name, cfg.ModelScale, "model width divisor (0 = per-workload default, 1 = paper scale; equal on every party of a TCP session)")
 		case "seed":
 			fs.Int64Var(&cfg.Seed, name, cfg.Seed, "random seed (equal on every party of a TCP session)")
-		case "dtype":
-			fs.Func(name, "compute precision: float64 (the default, bit-identical legacy results) or float32 (half the memory bandwidth, lossless wire)",
-				func(s string) (err error) { cfg.DType, err = tensor.ParseDType(s); return err })
 		case "compress":
 			fs.StringVar(&cfg.Compress, name, cfg.Compress, "wire compression chain spec, e.g. topk,q4,rans (stages: topk, q2..q8, lowrank[N], rans; empty = default codec; equal on every party of a TCP session)")
 		case "population":

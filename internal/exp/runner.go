@@ -11,7 +11,6 @@ import (
 	"fedsu/internal/netem"
 	"fedsu/internal/nn"
 	"fedsu/internal/sparse"
-	"fedsu/internal/tensor"
 	"fedsu/internal/trace"
 )
 
@@ -39,13 +38,6 @@ type Config struct {
 	Samples int
 	// ModelScale divides model widths (1 = paper scale).
 	ModelScale int
-	// DType selects the compute precision for every model replica in the
-	// grid. The zero value (tensor.Float64) reproduces the historical
-	// results bit-for-bit; tensor.Float32 halves model/scratch memory and
-	// makes the wire codec lossless. Under float32 the FedSU managers run
-	// with Quantize set so the speculative state machine operates entirely
-	// in the wire image the clients actually store.
-	DType tensor.DType
 	// EvalEvery evaluates the global model every n rounds.
 	EvalEvery int
 	// Seed drives all randomness.
@@ -270,19 +262,13 @@ type recipe struct {
 	factory sparse.Factory
 }
 
-// newRecipe resolves cfg. Under float32 the FedSU managers run with
-// Quantize set, so the speculative state machine works in the wire image
-// the clients actually store.
+// newRecipe resolves cfg.
 func newRecipe(cfg Config) (recipe, error) {
 	w, err := WorkloadByName(cfg.Workload)
 	if err != nil {
 		return recipe{}, err
 	}
-	fedsuOpts := cfg.FedSU
-	if cfg.DType == tensor.Float32 {
-		fedsuOpts.Quantize = true
-	}
-	factory, err := fl.StrategyFactoryWith(cfg.Scheme, fedsuOpts)
+	factory, err := fl.StrategyFactoryWith(cfg.Scheme, cfg.FedSU)
 	if err != nil {
 		return recipe{}, err
 	}
@@ -299,7 +285,6 @@ func newRecipe(cfg Config) (recipe, error) {
 		Seed:           cfg.Seed,
 		Netem:          cfg.Netem,
 		WireParams:     w.WireParams,
-		DType:          cfg.DType,
 		EventThreshold: cfg.EventThreshold,
 		Population:     cfg.Population,
 		Fanout:         cfg.Fanout,
@@ -309,7 +294,7 @@ func newRecipe(cfg Config) (recipe, error) {
 
 // model builds one replica; every replica of a run starts from one seed.
 func (r recipe) model() *nn.Model {
-	return r.w.ModelOf(r.cfg.DType, r.w.EffectiveScale(r.cfg.ModelScale), r.cfg.Seed+97)
+	return r.w.Model(r.w.EffectiveScale(r.cfg.ModelScale), r.cfg.Seed+97)
 }
 
 // data returns the dataset and its Dirichlet partition over the fleet. With

@@ -12,8 +12,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"fedsu/internal/tensor"
 )
 
 // fingerprint reduces a run to a bit-exact digest string: every RoundStats
@@ -99,35 +97,6 @@ func TestGridBitIdentity(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestGridBitIdentityFloat32 pins the determinism contract to the float32
-// instantiation regardless of the FEDSU_DTYPE lane this process runs under:
-// the reduced grid (with the FedSU managers in their Quantize mode) produces
-// bit-identical statistics and final models sequentially and with 4 slots.
-// Worker goroutines must not perturb float32 kernels any more than float64
-// ones — rounding happens at fixed per-value points, never reassociation.
-func TestGridBitIdentityFloat32(t *testing.T) {
-	cfg, workloads := bitIdentGrid(t)
-	cfg.DType = tensor.Float32
-	cfg.Rounds = 4
-	grid := schemeGrid(cfg, workloads, Schemes())
-
-	want, err := Harness{Parallel: 1}.Run(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := Harness{Parallel: 4}.Run(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if seq, par := fingerprint(want[i]), fingerprint(got[i]); seq != par {
-			t.Fatalf("float32 run %d (%s/%s) diverged from sequential\nseq:  %.120s\npar:  %.120s",
-				i, grid[i].Cfg.Workload, grid[i].Cfg.Scheme, seq, par)
-		}
-	}
 }
 
 // TestEndToEndParallelMatchesSequential checks the full driver (grid build,

@@ -57,7 +57,7 @@ func RunTable2(ctx context.Context, cfg Config, workloads []Workload, computeSec
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		model := w.ModelOf(cfg.DType, cfg.ModelScale, cfg.Seed)
+		model := w.Model(cfg.ModelScale, cfg.Seed)
 		inflation, err := measureSyncOverhead(w.WireParams, cfg.FedSU)
 		if err != nil {
 			return nil, err

@@ -57,14 +57,17 @@ type Workload struct {
 	// back to Name.
 	DataName string
 
-	buildModel   func(scale int, seed int64, dt tensor.DType) *nn.Model
+	buildModel   func(scale int, seed int64) *nn.Model
 	buildDataset func(samples int, seed int64) *data.Dataset
 }
 
-// ModelOf builds a fresh model replica at compute precision dt and the
-// given width-reduction scale.
-func (w Workload) ModelOf(dt tensor.DType, scale int, seed int64) *nn.Model {
-	return w.buildModel(scale, seed, dt)
+// Model builds a fresh model replica at the given width-reduction scale.
+func (w Workload) Model(scale int, seed int64) *nn.Model { return w.buildModel(scale, seed) }
+
+// ModelOf is Model under the spelling bench/ calls, which names the one
+// element type. It remains only for bench/; ROADMAP item 14 deletes it.
+func (w Workload) ModelOf(_ tensor.DType, scale int, seed int64) *nn.Model {
+	return w.buildModel(scale, seed)
 }
 
 // EffectiveLR returns the emulation learning rate (EmuLR, falling back to
@@ -121,9 +124,9 @@ func CNNWorkload() Workload {
 		EmuLR:          0.01,
 		EmuScale:       8,
 		WireParams:     WireParamsCNN,
-		buildModel: func(scale int, seed int64, dt tensor.DType) *nn.Model {
+		buildModel: func(scale int, seed int64) *nn.Model {
 			return nn.NewPaperCNN(nn.ModelConfig{
-				InChannels: 1, ImageSize: 28, NumClasses: 47, Scale: scale, Seed: seed, DType: dt,
+				InChannels: 1, ImageSize: 28, NumClasses: 47, Scale: scale, Seed: seed,
 			})
 		},
 		buildDataset: func(samples int, seed int64) *data.Dataset {
@@ -143,9 +146,9 @@ func ResNetWorkload() Workload {
 		EmuLR:          0.02,
 		EmuScale:       16,
 		WireParams:     WireParamsResNet18,
-		buildModel: func(scale int, seed int64, dt tensor.DType) *nn.Model {
+		buildModel: func(scale int, seed int64) *nn.Model {
 			return nn.NewResNet18(nn.ModelConfig{
-				InChannels: 1, ImageSize: 28, NumClasses: 10, Scale: scale, Seed: seed, DType: dt,
+				InChannels: 1, ImageSize: 28, NumClasses: 10, Scale: scale, Seed: seed,
 			})
 		},
 		buildDataset: func(samples int, seed int64) *data.Dataset {
@@ -165,9 +168,9 @@ func DenseNetWorkload() Workload {
 		EmuLR:          0.02,
 		EmuScale:       12,
 		WireParams:     WireParamsDenseNet121,
-		buildModel: func(scale int, seed int64, dt tensor.DType) *nn.Model {
+		buildModel: func(scale int, seed int64) *nn.Model {
 			return nn.NewDenseNet121(nn.ModelConfig{
-				InChannels: 3, ImageSize: 32, NumClasses: 10, Scale: scale, Seed: seed, DType: dt,
+				InChannels: 3, ImageSize: 32, NumClasses: 10, Scale: scale, Seed: seed,
 			})
 		},
 		buildDataset: func(samples int, seed int64) *data.Dataset {

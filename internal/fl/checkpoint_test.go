@@ -16,7 +16,6 @@ import (
 	"fedsu/internal/core"
 	"fedsu/internal/data"
 	"fedsu/internal/nn"
-	"fedsu/internal/tensor"
 )
 
 var resumeData = sync.OnceValue(func() *data.Dataset {
@@ -39,26 +38,25 @@ func resumeEngine(strategy string, mut func(*Config)) (*Engine, error) {
 	}
 	opts := core.DefaultOptions()
 	opts.TR, opts.FixedPeriod, opts.LaunchProb = 0.3, 3, 0.05
-	opts.Quantize = cfg.DType == tensor.Float32
 	factory, err := StrategyFactoryWith(strategy, opts)
 	if err != nil {
 		return nil, err
 	}
 	builder := func() *nn.Model {
-		return nn.NewMLP(nn.ModelConfig{InChannels: 1, ImageSize: 8, NumClasses: 4, Seed: 5, DType: cfg.DType}, 16)
+		return nn.NewMLP(nn.ModelConfig{InChannels: 1, ImageSize: 8, NumClasses: 4, Seed: 5}, 16)
 	}
 	return NewEngine(cfg, builder, resumeData(), factory)
 }
 
 // TestResumeAtEveryRound is the mode matrix: strategy × {default wire,
-// topk,q4,rans} × {fixed fleet, population flat, population fanout 8} ×
-// {f64, f32} × {plain SGD, FedProx under a decaying rate}, plus a FedSU
-// cell under LRDecayWarm and an event trigger. Each cell sets its own dtype.
-// A cell either builds or is refused by the mode table (ErrModeRefused), and
-// no other failure passes. A cell that builds must resume exactly: for every
-// round r, a checkpoint taken before round r, written, read back and
-// restored into a freshly built engine finishes the run (Engine.Run to the
-// same horizon) with every RoundStats and the final global bit-equal to the
+// topk,q4,rans, lowrank, rans} (the compose grid's wires but topk,q4, whose
+// values topk,q4,rans repeats) × {fixed fleet, population flat, population
+// fanout 8} × {plain SGD, FedProx under a decaying rate}, plus a FedSU cell under LRDecayWarm and
+// an event trigger. A cell either builds or is refused by the mode table
+// (ErrModeRefused), and no other failure passes. A cell that builds must resume
+// exactly: for every round r, a checkpoint taken before round r, written, read
+// back and restored into a freshly built engine finishes the run (Engine.Run to
+// the same horizon) with every RoundStats and the final global bit-equal to the
 // run that never stopped. A FedProx cell's run must differ from its plain
 // twin's, so the local objective is not silently dropped in any mode. A
 // population cell refuses AddClient and RemoveClient.
@@ -74,28 +72,26 @@ func TestResumeAtEveryRound(t *testing.T) {
 	var cells []cell
 	for _, s := range StrategyNames() {
 		for _, topo := range []string{"fixed", "pop-flat", "pop-tree"} {
-			for _, dt := range []tensor.DType{tensor.Float64, tensor.Float32} {
-				for _, spec := range []string{"", "topk,q4,rans"} {
-					for _, local := range []string{"sgd", "prox+decay"} {
-						topo, dt, spec, local := topo, dt, spec, local
-						name := fmt.Sprintf("%s/%s/%v/%q/", s, topo, dt, spec)
-						plain := ""
-						if local != "sgd" {
-							plain = name + "sgd"
-						}
-						cells = append(cells, cell{name + local, s, func(c *Config) {
-							c.DType, c.Compress = dt, spec
-							switch topo {
-							case "pop-flat":
-								c.NumClients, c.Population = 10, 40
-							case "pop-tree":
-								c.NumClients, c.Population, c.Fanout = 10, 40, 8
-							}
-							if local != "sgd" {
-								c.ProxMu, c.LRDecayWarm = 0.1, 4
-							}
-						}, plain})
+			for _, spec := range []string{"", "topk,q4,rans", "lowrank", "rans"} {
+				for _, local := range []string{"sgd", "prox+decay"} {
+					topo, spec, local := topo, spec, local
+					name := fmt.Sprintf("%s/%s/%q/", s, topo, spec)
+					plain := ""
+					if local != "sgd" {
+						plain = name + "sgd"
 					}
+					cells = append(cells, cell{name + local, s, func(c *Config) {
+						c.Compress = spec
+						switch topo {
+						case "pop-flat":
+							c.NumClients, c.Population = 10, 40
+						case "pop-tree":
+							c.NumClients, c.Population, c.Fanout = 10, 40, 8
+						}
+						if local != "sgd" {
+							c.ProxMu, c.LRDecayWarm = 0.1, 4
+						}
+					}, plain})
 				}
 			}
 		}
@@ -187,8 +183,8 @@ func TestResumeAtEveryRound(t *testing.T) {
 	}
 	if ran+refused == len(cells) {
 		t.Logf("%d cells: %d ran, %d refused by the mode table", len(cells), ran, refused)
-		if ran != 127 || refused != 42 {
-			t.Errorf("%d cells ran and %d were refused, want 127 and 42", ran, refused)
+		if ran != 169 || refused != 0 {
+			t.Errorf("%d cells ran and %d were refused, want 169 and 0", ran, refused)
 		}
 	}
 }

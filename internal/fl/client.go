@@ -10,7 +10,6 @@ import (
 	"fedsu/internal/opt"
 	"fedsu/internal/sparse"
 	"fedsu/internal/sparse/codec"
-	"fedsu/internal/tensor"
 )
 
 // Client is one federated participant: a private model replica, an
@@ -20,7 +19,6 @@ type Client struct {
 	ID int
 
 	model  *nn.Model
-	dt     tensor.DType
 	opt    *opt.SGD
 	shard  *data.Subset
 	syncer sparse.Syncer
@@ -43,7 +41,6 @@ func NewClient(id int, model *nn.Model, optimizer *opt.SGD, shard *data.Subset, 
 	return &Client{
 		ID:     id,
 		model:  model,
-		dt:     model.DType(),
 		opt:    optimizer,
 		shard:  shard,
 		syncer: syncer,
@@ -96,7 +93,7 @@ func (c *Client) TrainLocal(round, iters, batchSize int) float64 {
 	c.opt.SetStep(round * iters)
 	total := 0.0
 	for it := 0; it < iters; it++ {
-		x, labels := c.shard.SampleBatchOf(c.dt, c.rng, batchSize)
+		x, labels := c.shard.SampleBatch(c.rng, batchSize)
 		c.model.ZeroGrad()
 		total += c.model.TrainStep(x, labels)
 		if c.proxMu > 0 {
@@ -111,29 +108,17 @@ func (c *Client) TrainLocal(round, iters, batchSize int) float64 {
 }
 
 // addProximalGrad accumulates μ(x − x_round) into the parameter gradients.
-// The arithmetic runs at the parameter storage width (the same policy as
-// the SGD update it augments); the float64 anchor values were extracted
-// from the same-width model, so narrowing them back is exact.
 func (c *Client) addProximalGrad() {
 	off := 0
 	for _, p := range c.model.Params() {
-		n := p.Value.Len()
+		v, g := p.Value.Data(), p.Grad.Data()
 		if !p.NoOpt {
-			anchor := c.roundVec[off : off+n]
-			if c.dt == tensor.Float32 {
-				proximalGrad(tensor.DataOf[float32](p.Value), tensor.DataOf[float32](p.Grad), anchor, float32(c.proxMu)) //lint:allow precision -- proximal coefficient rounds once at the dispatch boundary
-			} else {
-				proximalGrad(tensor.DataOf[float64](p.Value), tensor.DataOf[float64](p.Grad), anchor, c.proxMu)
+			anchor := c.roundVec[off : off+len(v)]
+			for i := range v {
+				g[i] += c.proxMu * (v[i] - anchor[i])
 			}
 		}
-		off += n
-	}
-}
-
-// proximalGrad adds mu·(v − anchor) to g at storage width.
-func proximalGrad[E tensor.Elem](v, g []E, anchor []float64, mu E) {
-	for i := range v {
-		g[i] += mu * (v[i] - E(anchor[i])) //lint:allow precision -- anchor narrows exactly: it was extracted from this same-width model
+		off += len(v)
 	}
 }
 

@@ -90,14 +90,6 @@ type Config struct {
 	// partials are unaffected — chains compress the member-upload boundary,
 	// not the raw float64 partial cascade.
 	Compress string
-	// DType declares the compute precision the model builder was configured
-	// for. The engine derives the actual precision from the built replicas
-	// (batches, evaluation, and the optimizer all follow the model's
-	// storage width automatically); a non-zero DType here is a cross-check
-	// that fails engine construction loudly when the builder disagrees,
-	// instead of silently training at the wrong width. The zero value
-	// (tensor.Float64) accepts the historical default.
-	DType tensor.DType
 }
 
 // Chain parses the Compress spec; nil is the default wire, which the
@@ -246,9 +238,6 @@ func NewEngineWithShards(cfg Config, builder nn.Builder, ds *data.Dataset, shard
 	}
 
 	probe := builder()
-	if probe.DType() != cfg.DType {
-		return nil, fmt.Errorf("fl: config DType %v but builder produces %v models", cfg.DType, probe.DType())
-	}
 	chain, err := cfg.Chain()
 	if err != nil {
 		return nil, err
@@ -349,7 +338,7 @@ func (e *Engine) buildEvalSet() {
 		for i := range idx {
 			idx[i] = lo + i
 		}
-		x, labels := e.dataset.BatchOf(e.evalModel.DType(), idx)
+		x, labels := e.dataset.Batch(idx)
 		e.evalX = append(e.evalX, evalBatch{x: x, labels: labels})
 	}
 }

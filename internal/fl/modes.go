@@ -3,8 +3,6 @@ package fl
 import (
 	"errors"
 	"fmt"
-
-	"fedsu/internal/tensor"
 )
 
 // ErrModeRefused is the mode table's error: every refusal it makes wraps
@@ -15,7 +13,6 @@ var ErrModeRefused = errors.New("mode combination refused")
 // switches that do not combine, or a switch and an operation it forbids,
 // with the reason. Every combination no row names runs.
 var modeTable = []struct{ a, b, reason string }{
-	{"Float32", "Compress", "the float32 path needs a wire lossless for float32 values, and chain wire images are not float32-exact"},
 	{"Fanout", "Fanout below 2", "a fanout is 0 (flat) or at least 2"},
 	{"Fanout", "fixed-fleet engine", "the in-process tree collective is the population-scale path"},
 	{"Population", "AddClient", "the slots are the cohort, and membership churn is modeled by cohort sampling"},
@@ -23,15 +20,13 @@ var modeTable = []struct{ a, b, reason string }{
 }
 
 // CheckMode asks the mode table whether op may run under cfg's switches
-// (Population, Fanout, DType, Compress; the other fields are ignored). It
+// (Population, Fanout; the other fields are ignored). It
 // returns nil or the first refusing row's error, which wraps
 // ErrModeRefused. op is "NewEngine", "AddClient", "RemoveClient", or "" for
 // the switches alone.
 func CheckMode(cfg Config, op string) error {
 	on := map[string]bool{
 		op:                   op != "",
-		"Float32":            cfg.DType == tensor.Float32,
-		"Compress":           cfg.Compress != "",
 		"Population":         cfg.Population > 0,
 		"Fanout":             cfg.Fanout != 0,
 		"Fanout below 2":     cfg.Fanout < 2,

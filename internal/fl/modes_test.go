@@ -6,8 +6,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	"fedsu/internal/tensor"
 )
 
 // TestModeTableMatchesDesign: the table DESIGN.md §5n prints is modeTable,
@@ -66,9 +64,6 @@ func TestModeTableRowsRefuse(t *testing.T) {
 		}
 	}
 	cases := map[string]func() error{
-		"Float32×Compress": func() error {
-			return build(func(c *Config) { c.DType, c.Compress = tensor.Float32, "topk,q4,rans" })
-		},
 		"Fanout×Fanout below 2": func() error {
 			return build(func(c *Config) { pop(c); c.Fanout = 1 })
 		},

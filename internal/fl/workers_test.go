@@ -8,12 +8,13 @@ import (
 	"fedsu/internal/core"
 	"fedsu/internal/nn"
 	"fedsu/internal/par"
-	"fedsu/internal/tensor"
 )
 
 // TestEngineDeterministicAcrossWorkers: a synchronous run is bit-identical
 // at 1, 2 and 7 par workers — local training, the barrier or tree fold and
-// every strategy's state alike — for each strategy, fleet shape and dtype.
+// every strategy's state alike — for each strategy and fleet shape, on the
+// default wire and through the topk,q4,rans and rans chains (per-client
+// encodes, the delta-domain fold and the error-feedback residual).
 // Every round's stats and the final global must equal the single-worker
 // run's. The 4.4k-parameter MLP spans several fold and FedSU commit chunks,
 // so the sharded passes do fan out.
@@ -21,14 +22,14 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	const rounds, evalEvery = 4, 2
 	for _, s := range StrategyNames() {
 		for _, topo := range []string{"fixed", "pop-flat", "pop-tree"} {
-			for _, dt := range []tensor.DType{tensor.Float64, tensor.Float32} {
-				s, topo, dt := s, topo, dt
-				t.Run(fmt.Sprintf("%s/%s/%v", s, topo, dt), func(t *testing.T) {
+			for _, spec := range []string{"", "topk,q4,rans", "rans"} {
+				s, topo, spec := s, topo, spec
+				t.Run(fmt.Sprintf("%s/%s/%q", s, topo, spec), func(t *testing.T) {
 					run := func(workers int) (string, []float64) {
 						defer par.SetWorkers(par.SetWorkers(workers))
 						cfg := Config{
 							NumClients: 4, LocalIters: 3, BatchSize: 8, LR: 0.05, WeightDecay: 0.0005,
-							DirichletAlpha: 1.0, EvalSamples: 32, EvalBatch: 32, Seed: 3, DType: dt,
+							DirichletAlpha: 1.0, EvalSamples: 32, EvalBatch: 32, Seed: 3, Compress: spec,
 						}
 						switch topo {
 						case "pop-flat":
@@ -38,13 +39,12 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 						}
 						opts := core.DefaultOptions()
 						opts.TR, opts.FixedPeriod, opts.LaunchProb = 0.3, 3, 0.05
-						opts.Quantize = dt == tensor.Float32
 						factory, err := StrategyFactoryWith(s, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
 						builder := func() *nn.Model {
-							return nn.NewMLP(nn.ModelConfig{InChannels: 1, ImageSize: 8, NumClasses: 4, Seed: 5, DType: dt}, 64)
+							return nn.NewMLP(nn.ModelConfig{InChannels: 1, ImageSize: 8, NumClasses: 4, Seed: 5}, 64)
 						}
 						e, err := NewEngine(cfg, builder, resumeData(), factory)
 						if err != nil {

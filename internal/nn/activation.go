@@ -2,48 +2,42 @@ package nn
 
 import "fedsu/internal/tensor"
 
-// ReLU is the rectified-linear activation, applied element-wise at the
-// storage width E. It keeps no mask: Backward gates the gradient on the
+// ReLU is the rectified-linear activation, applied element-wise. It keeps
+// no mask: Backward gates the gradient on the
 // saved output, which is positive exactly where the input was.
-type ReLU[E tensor.Elem] struct {
+type ReLU struct {
 	y, g *tensor.Tensor // step buffers (scratch.go)
 }
 
-var (
-	_ Layer = (*ReLU[float64])(nil)
-	_ Layer = (*ReLU[float32])(nil)
-)
+var _ Layer = (*ReLU)(nil)
 
-// NewReLU constructs a float64 ReLU activation layer.
-func NewReLU() *ReLU[float64] { return newReLUOf[float64]() }
-
-func newReLUOf[E tensor.Elem]() *ReLU[E] { return &ReLU[E]{} }
+// NewReLU constructs a ReLU activation layer.
+func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward implements Layer.
-func (r *ReLU[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	r.y = stepScratchLike(r.y, x)
 	tensor.ReLUInto(r.y, x)
 	return r.y
 }
 
 // Backward implements Layer.
-func (r *ReLU[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	r.g = stepScratchLike(r.g, grad)
 	tensor.ReLUGateInto(r.g, grad, r.y)
 	return r.g
 }
 
-func (r *ReLU[E]) releaseScratch() {
+func (r *ReLU) releaseScratch() {
 	putScratch(&r.y)
 	putScratch(&r.g)
 }
 
 // Params implements Layer.
-func (r *ReLU[E]) Params() []*Param { return nil }
+func (r *ReLU) Params() []*Param { return nil }
 
 // Flatten reshapes (N, C, H, W) activations to (N, C*H*W) row vectors on the
-// way into fully-connected layers. It moves no data, so it needs no type
-// parameter: Reshape preserves the dtype of its input.
+// way into fully-connected layers. It moves no data.
 type Flatten struct {
 	lastShape []int
 }

@@ -7,11 +7,10 @@ import (
 	"fedsu/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over NCHW tensors, parameterized over the
-// storage width E. Its three products read the input, the weight and the
-// output gradient in place through a tensor.ConvPlan; no column matrix is
-// built.
-type Conv2D[E tensor.Elem] struct {
+// Conv2D is a 2-D convolution over NCHW tensors. Its three products read the
+// input, the weight and the output gradient in place through a tensor.ConvPlan;
+// no column matrix is built.
+type Conv2D struct {
 	weight *Param // (outC, inC*KH*KW)
 	bias   *Param // (outC)
 
@@ -34,67 +33,45 @@ type Conv2D[E tensor.Elem] struct {
 	xpad, out, dx *tensor.Tensor // step buffers (scratch.go); xpad is the zero-bordered input
 }
 
-var (
-	_ Layer = (*Conv2D[float64])(nil)
-	_ Layer = (*Conv2D[float32])(nil)
-)
-
-// convConfig collects the option-settable construction knobs. Options mutate
-// this dtype-independent struct rather than the generic layer, so one ConvOpt
-// value works for every instantiation width.
-type convConfig struct {
-	p       tensor.ConvParams
-	useBias bool
-}
+var _ Layer = (*Conv2D)(nil)
 
 // ConvOpt customizes a Conv2D at construction time.
-type ConvOpt func(*convConfig)
+type ConvOpt func(*Conv2D)
 
 // WithStride sets both spatial strides.
 func WithStride(s int) ConvOpt {
-	return func(c *convConfig) { c.p.StrideH, c.p.StrideW = s, s }
+	return func(c *Conv2D) { c.p.StrideH, c.p.StrideW = s, s }
 }
 
 // WithPadding sets both spatial paddings.
 func WithPadding(p int) ConvOpt {
-	return func(c *convConfig) { c.p.PadH, c.p.PadW = p, p }
+	return func(c *Conv2D) { c.p.PadH, c.p.PadW = p, p }
 }
 
 // WithoutBias disables the additive bias, the norm for conv layers followed
 // by batch normalization.
 func WithoutBias() ConvOpt {
-	return func(c *convConfig) { c.useBias = false }
+	return func(c *Conv2D) { c.useBias = false }
 }
 
-// NewConv2D constructs a float64 convolution with a square kernel and
+// NewConv2D constructs a convolution with a square kernel and
 // He-normal weight initialization. Stride defaults to 1 and padding to 0.
-func NewConv2D(rng *rand.Rand, inC, outC, kernel int, opts ...ConvOpt) *Conv2D[float64] {
-	return newConv2DOf[float64](rng, inC, outC, kernel, opts...)
-}
-
-func newConv2DOf[E tensor.Elem](rng *rand.Rand, inC, outC, kernel int, opts ...ConvOpt) *Conv2D[E] {
-	cfg := convConfig{
-		useBias: true,
-		p: tensor.ConvParams{
-			KernelH: kernel, KernelW: kernel,
-			StrideH: 1, StrideW: 1,
-		},
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	checkGeometry("conv", cfg.p)
-	c := &Conv2D[E]{
+func NewConv2D(rng *rand.Rand, inC, outC, kernel int, opts ...ConvOpt) *Conv2D {
+	c := &Conv2D{
 		inC:     inC,
 		outC:    outC,
-		useBias: cfg.useBias,
-		p:       cfg.p,
+		useBias: true,
+		p:       tensor.ConvParams{KernelH: kernel, KernelW: kernel, StrideH: 1, StrideW: 1},
 	}
+	for _, o := range opts {
+		o(c)
+	}
+	checkGeometry("conv", c.p)
 	k := inC * kernel * kernel
-	c.weight = newParamOf[E]("weight", outC, k)
+	c.weight = newParam("weight", outC, k)
 	c.weight.Value.KaimingNormal(rng, k)
 	if c.useBias {
-		c.bias = newParamOf[E]("bias", outC)
+		c.bias = newParam("bias", outC)
 	}
 	return c
 }
@@ -102,24 +79,23 @@ func newConv2DOf[E tensor.Elem](rng *rand.Rand, inC, outC, kernel int, opts ...C
 // Forward implements Layer. It panics unless x is NCHW with inC channels:
 // the products read x through offset tables, which would silently read the
 // wrong memory for a narrower input.
-func (c *Conv2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	if x.Dims() != 4 || x.Dim(1) != c.inC {
 		panic(fmt.Sprintf("nn: conv input %v, want 4-D NCHW with %d channels", x.Shape(), c.inC))
 	}
-	dt := tensor.DTypeOf[E]()
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	if c.plan == nil || !c.plan.Fits(x) {
-		c.plan = tensor.NewConvPlan(dt, c.inC, h, w, c.outC, c.p)
+		c.plan = tensor.NewConvPlan(c.inC, h, w, c.outC, c.p)
 	}
 	src := x
 	if c.plan.Padded() {
-		c.xpad = stepScratch(c.xpad, dt, n, c.inC, h+2*c.p.PadH, w+2*c.p.PadW)
+		c.xpad = stepScratch(c.xpad, n, c.inC, h+2*c.p.PadH, w+2*c.p.PadW)
 		tensor.PadInto(c.xpad, x, c.p.PadH, c.p.PadW)
 		src = c.xpad
 	}
 	c.lastX = src
 	oh, ow := c.p.OutSize(h, w)
-	c.out = stepScratch(c.out, dt, n, c.outC, oh, ow)
+	c.out = stepScratch(c.out, n, c.outC, oh, ow)
 	var bias *tensor.Tensor
 	if c.useBias {
 		bias = c.bias.Value
@@ -130,27 +106,27 @@ func (c *Conv2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 
 // Backward implements Layer. It reads the input Forward read, in place; the
 // returned input gradient is a step buffer.
-func (c *Conv2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.plan.WeightGrad(c.weight.Grad, c.lastX, grad)
 	c.lastX = nil
 	if c.useBias {
-		biasGrad(tensor.DataOf[E](c.bias.Grad), tensor.DataOf[E](grad), grad.Dim(0), c.outC, grad.Dim(2)*grad.Dim(3))
+		biasGrad(c.bias.Grad.Data(), grad.Data(), grad.Dim(0), c.outC, grad.Dim(2)*grad.Dim(3))
 	}
 	if c.noInputGrad {
 		return nil
 	}
 	h, w := c.plan.Plane()
-	c.dx = stepScratch(c.dx, tensor.DTypeOf[E](), grad.Dim(0), c.inC, h, w)
+	c.dx = stepScratch(c.dx, grad.Dim(0), c.inC, h, w)
 	c.plan.InputGrad(c.dx, c.weight.Value, grad)
 	return c.dx
 }
 
 // biasGrad adds each channel's sum of g (n, outC, plane) into bd. A sum runs
-// over its N·plane terms image by image, widened to a float64 accumulator
-// and rounded once into the stored gradient. Four channels' sums advance
+// over its N·plane terms image by image into an accumulator that is added
+// once into the stored gradient. Four channels' sums advance
 // side by side, each in its own (n, s) order, so the adds of one do not wait
 // on another's.
-func biasGrad[E tensor.Elem](bd, g []E, n, outC, plane int) {
+func biasGrad(bd, g []float64, n, outC, plane int) {
 	oc := 0
 	for ; oc+4 <= outC; oc += 4 {
 		var s0, s1, s2, s3 float64
@@ -159,25 +135,25 @@ func biasGrad[E tensor.Elem](bd, g []E, n, outC, plane int) {
 			g0, g1 := g[base:base+plane], g[base+plane:base+2*plane]
 			g2, g3 := g[base+2*plane:base+3*plane], g[base+3*plane:base+4*plane]
 			for j, v := range g0 {
-				s0 += toF64(v)
-				s1 += toF64(g1[j])
-				s2 += toF64(g2[j])
-				s3 += toF64(g3[j])
+				s0 += v
+				s1 += g1[j]
+				s2 += g2[j]
+				s3 += g3[j]
 			}
 		}
-		bd[oc] += roundE[E](s0)
-		bd[oc+1] += roundE[E](s1)
-		bd[oc+2] += roundE[E](s2)
-		bd[oc+3] += roundE[E](s3)
+		bd[oc] += s0
+		bd[oc+1] += s1
+		bd[oc+2] += s2
+		bd[oc+3] += s3
 	}
 	for ; oc < outC; oc++ {
 		s := 0.0
 		for ni := 0; ni < n; ni++ {
 			for _, v := range g[(ni*outC+oc)*plane : (ni*outC+oc+1)*plane] {
-				s += toF64(v)
+				s += v
 			}
 		}
-		bd[oc] += roundE[E](s)
+		bd[oc] += s
 	}
 }
 
@@ -191,9 +167,9 @@ func checkGeometry(layer string, p tensor.ConvParams) {
 	}
 }
 
-func (c *Conv2D[E]) skipInputGrad() { c.noInputGrad = true }
+func (c *Conv2D) skipInputGrad() { c.noInputGrad = true }
 
-func (c *Conv2D[E]) releaseScratch() {
+func (c *Conv2D) releaseScratch() {
 	c.lastX = nil // a view of the previous layer's buffer, or xpad
 	putScratch(&c.xpad)
 	putScratch(&c.out)
@@ -201,7 +177,7 @@ func (c *Conv2D[E]) releaseScratch() {
 }
 
 // Params implements Layer.
-func (c *Conv2D[E]) Params() []*Param {
+func (c *Conv2D) Params() []*Param {
 	if c.useBias {
 		return []*Param{c.weight, c.bias}
 	}

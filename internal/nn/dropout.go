@@ -9,36 +9,25 @@ import (
 // Dropout randomly zeroes activations during training with probability p,
 // scaling the survivors by 1/(1−p) (inverted dropout) so inference needs no
 // adjustment.
-//
-// The mask draws consume rng.Float64() regardless of the storage width, so a
-// float32 and a float64 replica sharing a seed drop the same elements; the
-// survivor scaling computes in float64 and rounds once per element.
-type Dropout[E tensor.Elem] struct {
+type Dropout struct {
 	p    float64
 	rng  *rand.Rand
 	keep []bool
 }
 
-var (
-	_ Layer = (*Dropout[float64])(nil)
-	_ Layer = (*Dropout[float32])(nil)
-)
+var _ Layer = (*Dropout)(nil)
 
-// NewDropout constructs a float64 dropout layer with drop probability
+// NewDropout constructs a dropout layer with drop probability
 // p ∈ [0, 1).
-func NewDropout(rng *rand.Rand, p float64) *Dropout[float64] {
-	return newDropoutOf[float64](rng, p)
-}
-
-func newDropoutOf[E tensor.Elem](rng *rand.Rand, p float64) *Dropout[E] {
+func NewDropout(rng *rand.Rand, p float64) *Dropout {
 	if p < 0 || p >= 1 {
 		panic("nn: dropout probability must be in [0, 1)")
 	}
-	return &Dropout[E]{p: p, rng: rng}
+	return &Dropout{p: p, rng: rng}
 }
 
 // Forward implements Layer.
-func (d *Dropout[E]) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train || d.p == 0 {
 		return x
 	}
@@ -48,30 +37,30 @@ func (d *Dropout[E]) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	d.keep = d.keep[:y.Len()]
 	scale := 1.0 / (1.0 - d.p)
-	data := tensor.DataOf[E](y)
+	data := y.Data()
 	for i := range data {
 		if d.rng.Float64() < d.p {
 			d.keep[i] = false
 			data[i] = 0
 		} else {
 			d.keep[i] = true
-			data[i] = roundE[E](toF64(data[i]) * scale)
+			data[i] = data[i] * scale
 		}
 	}
 	return y
 }
 
 // Backward implements Layer.
-func (d *Dropout[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.p == 0 {
 		return grad
 	}
 	g := grad.Clone()
 	scale := 1.0 / (1.0 - d.p)
-	data := tensor.DataOf[E](g)
+	data := g.Data()
 	for i := range data {
 		if d.keep[i] {
-			data[i] = roundE[E](toF64(data[i]) * scale)
+			data[i] = data[i] * scale
 		} else {
 			data[i] = 0
 		}
@@ -80,4 +69,4 @@ func (d *Dropout[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer.
-func (d *Dropout[E]) Params() []*Param { return nil }
+func (d *Dropout) Params() []*Param { return nil }

@@ -118,7 +118,7 @@ func TestConv2DGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tests := []struct {
 		name string
-		l    *Conv2D[float64]
+		l    *Conv2D
 	}{
 		{"valid5x5", NewConv2D(rng, 2, 3, 5)},
 		{"same3x3", NewConv2D(rng, 2, 3, 3, WithPadding(1))},

@@ -29,14 +29,12 @@ type Param struct {
 	NoOpt bool
 }
 
-// newParamOf constructs a parameter at the storage width of the enclosing
-// layer's instantiation; value and gradient always share one dtype.
-func newParamOf[E tensor.Elem](name string, shape ...int) *Param {
-	dt := tensor.DTypeOf[E]()
+// newParam constructs a zero parameter and its gradient of one shape.
+func newParam(name string, shape ...int) *Param {
 	return &Param{
 		Name:  name,
-		Value: tensor.NewOf(dt, shape...),
-		Grad:  tensor.NewOf(dt, shape...),
+		Value: tensor.New(shape...),
+		Grad:  tensor.New(shape...),
 	}
 }
 

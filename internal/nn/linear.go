@@ -7,9 +7,8 @@ import (
 )
 
 // Linear is a fully-connected layer computing y = xW + b over batched row
-// vectors: x is (N, in), W is (in, out), b is (out). The type parameter
-// selects the storage and compute width of its parameters and activations.
-type Linear[E tensor.Elem] struct {
+// vectors: x is (N, in), W is (in, out), b is (out).
+type Linear struct {
 	weight *Param
 	bias   *Param
 
@@ -20,21 +19,14 @@ type Linear[E tensor.Elem] struct {
 	y, dx       *tensor.Tensor // step buffers (scratch.go)
 }
 
-var (
-	_ Layer = (*Linear[float64])(nil)
-	_ Layer = (*Linear[float32])(nil)
-)
+var _ Layer = (*Linear)(nil)
 
-// NewLinear constructs a float64 fully-connected layer with Xavier-uniform
-// weights, the historical default width.
-func NewLinear(rng *rand.Rand, in, out int) *Linear[float64] {
-	return newLinearOf[float64](rng, in, out)
-}
-
-func newLinearOf[E tensor.Elem](rng *rand.Rand, in, out int) *Linear[E] {
-	l := &Linear[E]{
-		weight: newParamOf[E]("weight", in, out),
-		bias:   newParamOf[E]("bias", out),
+// NewLinear constructs a fully-connected layer with Xavier-uniform
+// weights.
+func NewLinear(rng *rand.Rand, in, out int) *Linear {
+	l := &Linear{
+		weight: newParam("weight", in, out),
+		bias:   newParam("bias", out),
 		in:     in,
 		out:    out,
 	}
@@ -43,23 +35,23 @@ func newLinearOf[E tensor.Elem](rng *rand.Rand, in, out int) *Linear[E] {
 }
 
 // In returns the input feature count.
-func (l *Linear[E]) In() int { return l.in }
+func (l *Linear) In() int { return l.in }
 
 // Out returns the output feature count.
-func (l *Linear[E]) Out() int { return l.out }
+func (l *Linear) Out() int { return l.out }
 
 // Forward implements Layer.
-func (l *Linear[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (l *Linear) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	n := x.Dim(0)
 	x2 := x
 	if x.Dims() != 2 {
 		x2 = x.Reshape(n, x.Len()/n)
 	}
 	l.lastX = x2
-	l.y = stepScratch(l.y, tensor.DTypeOf[E](), n, l.out)
+	l.y = stepScratch(l.y, n, l.out)
 	tensor.MatMulInto(l.y, x2, l.weight.Value)
-	bd := tensor.DataOf[E](l.bias.Value)
-	yd := tensor.DataOf[E](l.y)
+	bd := l.bias.Value.Data()
+	yd := l.y.Data()
 	for i := 0; i < n; i++ {
 		row := yd[i*l.out : (i+1)*l.out]
 		for j := range row {
@@ -70,14 +62,13 @@ func (l *Linear[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (l *Linear[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n := grad.Dim(0)
 	// dW += xᵀ × grad, accumulated in place (no temporary + Add pass).
 	tensor.MatMulTransAAcc(l.weight.Grad, l.lastX, grad)
-	// db = column sums of grad, accumulated at storage width — the same
-	// accumulator policy as dW, whose matmul accumulates in E.
-	gd := tensor.DataOf[E](grad)
-	bd := tensor.DataOf[E](l.bias.Grad)
+	// db = column sums of grad.
+	gd := grad.Data()
+	bd := l.bias.Grad.Data()
 	for i := 0; i < n; i++ {
 		row := gd[i*l.out : (i+1)*l.out]
 		for j := range row {
@@ -88,18 +79,18 @@ func (l *Linear[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		return nil
 	}
 	// dx = grad × Wᵀ, with W stored (in, out): use MatMulTransB.
-	l.dx = stepScratch(l.dx, tensor.DTypeOf[E](), n, l.in)
+	l.dx = stepScratch(l.dx, n, l.in)
 	tensor.MatMulTransBInto(l.dx, grad, l.weight.Value)
 	return l.dx
 }
 
-func (l *Linear[E]) skipInputGrad() { l.noInputGrad = true }
+func (l *Linear) skipInputGrad() { l.noInputGrad = true }
 
-func (l *Linear[E]) releaseScratch() {
+func (l *Linear) releaseScratch() {
 	l.lastX = nil // a view of the previous layer's buffer
 	putScratch(&l.y)
 	putScratch(&l.dx)
 }
 
 // Params implements Layer.
-func (l *Linear[E]) Params() []*Param { return []*Param{l.weight, l.bias} }
+func (l *Linear) Params() []*Param { return []*Param{l.weight, l.bias} }

@@ -6,69 +6,39 @@ import (
 	"fedsu/internal/tensor"
 )
 
-// lossHead is the classification loss attached to a Model. It is an
-// interface (rather than a concrete type) so the model can carry the loss
-// instantiation matching its parameter width.
-type lossHead interface {
-	// Forward computes the mean loss of logits against labels and caches
-	// what Backward needs.
-	Forward(logits *tensor.Tensor, labels []int) float64
-	// Backward returns dLoss/dLogits for the cached batch.
-	Backward() *tensor.Tensor
-	scratchHolder
-}
-
 // Model couples a network with a classification loss and exposes the flat
 // parameter-vector view the federated synchronization layer works over.
-//
-// The synchronization vector is always float64 whatever the parameter
-// storage width: ExtractVector widens float32 parameters exactly, and
-// LoadVector rounds incoming values with the same round-to-nearest
-// conversion the wire codec applies, so the float64 sync domain and the
-// storage domain stay bit-consistent.
 type Model struct {
 	// Name identifies the architecture, e.g. "cnn" or "resnet18".
 	Name string
 
 	net    Layer
-	loss   lossHead
+	loss   *SoftmaxCrossEntropy
 	params []*Param
 
 	size       int // total scalar count across all params
 	optSize    int // scalar count across optimizer-visible params
 	numClasses int
-	dtype      tensor.DType
 }
 
-// NewModel wraps a network and records its parameter layout. The parameter
-// order is the construction order of the layers and is therefore identical
-// across model replicas built with the same constructor, which is what
-// allows clients to exchange flat vectors. The loss head is instantiated at
-// the parameter storage width. A model never reads the gradient with respect
-// to its own input, so the first parameterised layer of a Sequential net is
-// told not to compute it.
+// NewModel wraps a network and records its parameter layout. The parameter order
+// is the construction order of the layers and is therefore identical across
+// model replicas built with the same constructor, which is what allows clients
+// to exchange flat vectors. A model never reads the gradient with respect to its
+// own input, so the first parameterised layer of a Sequential net is told not to
+// compute it.
 func NewModel(name string, net Layer, numClasses int) *Model {
 	m := &Model{
 		Name:       name,
 		net:        net,
 		params:     net.Params(),
 		numClasses: numClasses,
+		loss:       NewSoftmaxCrossEntropy(),
 	}
 	if seq, ok := net.(*Sequential); ok {
 		seq.markInputLayer()
 	}
-	if len(m.params) > 0 {
-		m.dtype = m.params[0].Value.DType()
-	}
-	if m.dtype == tensor.Float32 {
-		m.loss = newSoftmaxCrossEntropyOf[float32]()
-	} else {
-		m.loss = newSoftmaxCrossEntropyOf[float64]()
-	}
 	for _, p := range m.params {
-		if p.Value.DType() != m.dtype {
-			panic(fmt.Sprintf("nn: model %s mixes parameter dtypes (%s vs %s)", name, m.dtype, p.Value.DType()))
-		}
 		m.size += p.Value.Len()
 		if !p.NoOpt {
 			m.optSize += p.Value.Len()
@@ -86,9 +56,6 @@ func (m *Model) Size() int { return m.size }
 
 // OptSize returns the number of optimizer-updated scalar parameters.
 func (m *Model) OptSize() int { return m.optSize }
-
-// DType returns the storage width of the model's parameters.
-func (m *Model) DType() tensor.DType { return m.dtype }
 
 // Params returns the model parameters in synchronization order.
 func (m *Model) Params() []*Param { return m.params }
@@ -141,31 +108,26 @@ func (m *Model) Evaluate(x *tensor.Tensor, labels []int) (acc, loss float64) {
 }
 
 // ExtractVector copies every parameter value into dst in synchronization
-// order, widening float32 parameters exactly. dst must have length Size.
+// order. dst must have length Size.
 func (m *Model) ExtractVector(dst []float64) {
 	if len(dst) != m.size {
 		panic(fmt.Sprintf("nn: ExtractVector length %d, model size %d", len(dst), m.size))
 	}
 	off := 0
 	for _, p := range m.params {
-		n := p.Value.Len()
-		p.Value.CopyToF64(dst[off : off+n])
-		off += n
+		off += copy(dst[off:], p.Value.Data())
 	}
 }
 
-// LoadVector copies src into the parameter values in synchronization order,
-// rounding to the storage dtype (the wire codec's float32 conversion in
-// float32 mode). src must have length Size.
+// LoadVector copies src into the parameter values in synchronization order.
+// src must have length Size.
 func (m *Model) LoadVector(src []float64) {
 	if len(src) != m.size {
 		panic(fmt.Sprintf("nn: LoadVector length %d, model size %d", len(src), m.size))
 	}
 	off := 0
 	for _, p := range m.params {
-		n := p.Value.Len()
-		p.Value.CopyFromF64(src[off : off+n])
-		off += n
+		off += copy(p.Value.Data(), src[off:])
 	}
 }
 

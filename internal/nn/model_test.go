@@ -199,8 +199,8 @@ func TestConcatSplitRoundTrip(t *testing.T) {
 		b := tensor.New(2, 2, 4, 4)
 		a.RandNormal(rng, 0, 1)
 		b.RandNormal(rng, 0, 1)
-		cat := concatChannels[float64](a, b)
-		ga, gb := splitChannels[float64](cat, 3)
+		cat := concatChannels(a, b)
+		ga, gb := splitChannels(cat, 3)
 		for i := range a.Data() {
 			if ga.Data()[i] != a.Data()[i] {
 				return false

@@ -3,8 +3,6 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-
-	"fedsu/internal/tensor"
 )
 
 // ModelConfig parameterizes the paper's model zoo. Scale shrinks channel
@@ -23,10 +21,6 @@ type ModelConfig struct {
 	// Seed drives weight initialization so every federated client can
 	// build an identical replica.
 	Seed int64
-	// DType selects the parameter/activation storage width. The zero value
-	// is tensor.Float64, the historical default; tensor.Float32 halves the
-	// model's memory footprint and makes the wire codec lossless.
-	DType tensor.DType
 }
 
 func (c ModelConfig) scaled(ch int) int {
@@ -45,13 +39,6 @@ func (c ModelConfig) scaled(ch int) int {
 // (each followed by ReLU and 2x2 max-pooling) and two fully-connected
 // layers.
 func NewPaperCNN(cfg ModelConfig) *Model {
-	if cfg.DType == tensor.Float32 {
-		return buildPaperCNN[float32](cfg)
-	}
-	return buildPaperCNN[float64](cfg)
-}
-
-func buildPaperCNN[E tensor.Elem](cfg ModelConfig) *Model {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	c1, c2 := cfg.scaled(32), cfg.scaled(64)
 	fc := cfg.scaled(512)
@@ -62,16 +49,16 @@ func buildPaperCNN[E tensor.Elem](cfg ModelConfig) *Model {
 		panic(fmt.Sprintf("nn: image size %d too small for PaperCNN", cfg.ImageSize))
 	}
 	net := NewSequential(
-		newConv2DOf[E](rng, cfg.InChannels, c1, 5),
-		newReLUOf[E](),
-		newMaxPool2DOf[E](2, 2),
-		newConv2DOf[E](rng, c1, c2, 5),
-		newReLUOf[E](),
-		newMaxPool2DOf[E](2, 2),
+		NewConv2D(rng, cfg.InChannels, c1, 5),
+		NewReLU(),
+		NewMaxPool2D(2, 2),
+		NewConv2D(rng, c1, c2, 5),
+		NewReLU(),
+		NewMaxPool2D(2, 2),
 		NewFlatten(),
-		newLinearOf[E](rng, c2*s2*s2, fc),
-		newReLUOf[E](),
-		newLinearOf[E](rng, fc, cfg.NumClasses),
+		NewLinear(rng, c2*s2*s2, fc),
+		NewReLU(),
+		NewLinear(rng, fc, cfg.NumClasses),
 	)
 	m := NewModel("cnn", net, cfg.NumClasses)
 	namePrefix(m)
@@ -83,19 +70,12 @@ func buildPaperCNN[E tensor.Elem](cfg ModelConfig) *Model {
 // four stages of two basic residual blocks with channel widths
 // 64-128-256-512, global average pooling, and a linear classifier.
 func NewResNet18(cfg ModelConfig) *Model {
-	if cfg.DType == tensor.Float32 {
-		return buildResNet18[float32](cfg)
-	}
-	return buildResNet18[float64](cfg)
-}
-
-func buildResNet18[E tensor.Elem](cfg ModelConfig) *Model {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := []int{cfg.scaled(64), cfg.scaled(128), cfg.scaled(256), cfg.scaled(512)}
 	seq := NewSequential(
-		newConv2DOf[E](rng, cfg.InChannels, w[0], 3, WithPadding(1), WithoutBias()),
-		newBatchNorm2DOf[E](w[0]),
-		newReLUOf[E](),
+		NewConv2D(rng, cfg.InChannels, w[0], 3, WithPadding(1), WithoutBias()),
+		NewBatchNorm2D(w[0]),
+		NewReLU(),
 	)
 	inC := w[0]
 	for stage, outC := range w {
@@ -104,14 +84,14 @@ func buildResNet18[E tensor.Elem](cfg ModelConfig) *Model {
 			stride = 2
 		}
 		seq.Append(
-			newResidualBlockOf[E](rng, inC, outC, stride),
-			newResidualBlockOf[E](rng, outC, outC, 1),
+			NewResidualBlock(rng, inC, outC, stride),
+			NewResidualBlock(rng, outC, outC, 1),
 		)
 		inC = outC
 	}
 	seq.Append(
-		newGlobalAvgPool2DOf[E](),
-		newLinearOf[E](rng, inC, cfg.NumClasses),
+		NewGlobalAvgPool2D(),
+		NewLinear(rng, inC, cfg.NumClasses),
 	)
 	m := NewModel("resnet18", seq, cfg.NumClasses)
 	namePrefix(m)
@@ -125,13 +105,6 @@ func buildResNet18[E tensor.Elem](cfg ModelConfig) *Model {
 // source of DenseNet's distinctive per-parameter trajectories — survives at
 // laptop scale.
 func NewDenseNet121(cfg ModelConfig) *Model {
-	if cfg.DType == tensor.Float32 {
-		return buildDenseNet121[float32](cfg)
-	}
-	return buildDenseNet121[float64](cfg)
-}
-
-func buildDenseNet121[E tensor.Elem](cfg ModelConfig) *Model {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	growth := cfg.scaled(32)
 	blocks := []int{6, 12, 24, 16}
@@ -142,32 +115,32 @@ func buildDenseNet121[E tensor.Elem](cfg ModelConfig) *Model {
 	}
 	stem := 2 * growth
 	seq := NewSequential(
-		newConv2DOf[E](rng, cfg.InChannels, stem, 3, WithPadding(1), WithoutBias()),
-		newBatchNorm2DOf[E](stem),
-		newReLUOf[E](),
+		NewConv2D(rng, cfg.InChannels, stem, 3, WithPadding(1), WithoutBias()),
+		NewBatchNorm2D(stem),
+		NewReLU(),
 	)
 	c := stem
 	for i, depth := range blocks {
-		db := newDenseBlockOf[E](rng, c, growth, depth)
+		db := NewDenseBlock(rng, c, growth, depth)
 		seq.Append(db)
 		c = db.OutChannels()
 		if i < len(blocks)-1 {
 			// Transition: BN-ReLU-1x1 conv (half compression)-2x2 avg pool.
 			outC := c / 2
 			seq.Append(
-				newBatchNorm2DOf[E](c),
-				newReLUOf[E](),
-				newConv2DOf[E](rng, c, outC, 1, WithoutBias()),
-				newAvgPool2DOf[E](2, 2),
+				NewBatchNorm2D(c),
+				NewReLU(),
+				NewConv2D(rng, c, outC, 1, WithoutBias()),
+				NewAvgPool2D(2, 2),
 			)
 			c = outC
 		}
 	}
 	seq.Append(
-		newBatchNorm2DOf[E](c),
-		newReLUOf[E](),
-		newGlobalAvgPool2DOf[E](),
-		newLinearOf[E](rng, c, cfg.NumClasses),
+		NewBatchNorm2D(c),
+		NewReLU(),
+		NewGlobalAvgPool2D(),
+		NewLinear(rng, c, cfg.NumClasses),
 	)
 	m := NewModel("densenet121", seq, cfg.NumClasses)
 	namePrefix(m)
@@ -177,22 +150,15 @@ func buildDenseNet121[E tensor.Elem](cfg ModelConfig) *Model {
 // NewMLP builds a small multi-layer perceptron; it is not one of the
 // paper's models but serves as a fast workload for tests and examples.
 func NewMLP(cfg ModelConfig, hidden ...int) *Model {
-	if cfg.DType == tensor.Float32 {
-		return buildMLP[float32](cfg, hidden...)
-	}
-	return buildMLP[float64](cfg, hidden...)
-}
-
-func buildMLP[E tensor.Elem](cfg ModelConfig, hidden ...int) *Model {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	in := cfg.InChannels * cfg.ImageSize * cfg.ImageSize
 	seq := NewSequential(NewFlatten())
 	prev := in
 	for _, h := range hidden {
-		seq.Append(newLinearOf[E](rng, prev, h), newReLUOf[E]())
+		seq.Append(NewLinear(rng, prev, h), NewReLU())
 		prev = h
 	}
-	seq.Append(newLinearOf[E](rng, prev, cfg.NumClasses))
+	seq.Append(NewLinear(rng, prev, cfg.NumClasses))
 	m := NewModel("mlp", seq, cfg.NumClasses)
 	namePrefix(m)
 	return m

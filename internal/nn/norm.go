@@ -14,11 +14,8 @@ import (
 // the optimizer skips them, but federated synchronization includes them so
 // every client evaluates with the same statistics — mirroring how FedAvg
 // deployments average batch-norm buffers.
-//
-// Batch moments sum N·H·W terms per channel, so they accumulate in float64
-// at either storage width (the "widen O(n) reductions" policy in math.go);
-// the normalized activations round to E once on the way out.
-type BatchNorm2D[E tensor.Elem] struct {
+
+type BatchNorm2D struct {
 	gamma, beta             *Param
 	runningMean, runningVar *Param
 
@@ -32,23 +29,16 @@ type BatchNorm2D[E tensor.Elem] struct {
 	lastShape  []int
 }
 
-var (
-	_ Layer = (*BatchNorm2D[float64])(nil)
-	_ Layer = (*BatchNorm2D[float32])(nil)
-)
+var _ Layer = (*BatchNorm2D)(nil)
 
-// NewBatchNorm2D constructs float64 batch normalization over c channels with
+// NewBatchNorm2D constructs batch normalization over c channels with
 // the conventional momentum 0.1 and epsilon 1e-5.
-func NewBatchNorm2D(c int) *BatchNorm2D[float64] {
-	return newBatchNorm2DOf[float64](c)
-}
-
-func newBatchNorm2DOf[E tensor.Elem](c int) *BatchNorm2D[E] {
-	b := &BatchNorm2D[E]{
-		gamma:       newParamOf[E]("gamma", c),
-		beta:        newParamOf[E]("beta", c),
-		runningMean: newParamOf[E]("running_mean", c),
-		runningVar:  newParamOf[E]("running_var", c),
+func NewBatchNorm2D(c int) *BatchNorm2D {
+	b := &BatchNorm2D{
+		gamma:       newParam("gamma", c),
+		beta:        newParam("beta", c),
+		runningMean: newParam("running_mean", c),
+		runningVar:  newParam("running_var", c),
 		c:           c,
 		momentum:    0.1,
 		eps:         1e-5,
@@ -61,52 +51,51 @@ func newBatchNorm2DOf[E tensor.Elem](c int) *BatchNorm2D[E] {
 }
 
 // Forward implements Layer.
-func (b *BatchNorm2D[E]) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	b.lastShape = x.Shape()
 	plane := h * w
 	count := float64(n * plane)
-	dt := tensor.DTypeOf[E]()
-	out := tensor.NewOf(dt, n, c, h, w)
-	xd, od := tensor.DataOf[E](x), tensor.DataOf[E](out)
-	gd, bd := tensor.DataOf[E](b.gamma.Value), tensor.DataOf[E](b.beta.Value)
+	out := tensor.New(n, c, h, w)
+	xd, od := x.Data(), out.Data()
+	gd, bd := b.gamma.Value.Data(), b.beta.Value.Data()
 
 	if train {
-		xhat := tensor.NewOf(dt, n, c, h, w)
-		xh := tensor.DataOf[E](xhat)
+		xhat := tensor.New(n, c, h, w)
+		xh := xhat.Data()
 		if cap(b.lastInvStd) < c {
 			b.lastInvStd = make([]float64, c)
 		}
 		b.lastInvStd = b.lastInvStd[:c]
-		rm, rv := tensor.DataOf[E](b.runningMean.Value), tensor.DataOf[E](b.runningVar.Value)
+		rm, rv := b.runningMean.Value.Data(), b.runningVar.Value.Data()
 		for ci := 0; ci < c; ci++ {
 			mean, varr := 0.0, 0.0
 			for ni := 0; ni < n; ni++ {
 				base := (ni*c + ci) * plane
 				for _, v := range xd[base : base+plane] {
-					mean += toF64(v)
+					mean += v
 				}
 			}
 			mean /= count
 			for ni := 0; ni < n; ni++ {
 				base := (ni*c + ci) * plane
 				for _, v := range xd[base : base+plane] {
-					d := toF64(v) - mean
+					d := v - mean
 					varr += d * d
 				}
 			}
 			varr /= count
 			invStd := 1.0 / math.Sqrt(varr+b.eps)
 			b.lastInvStd[ci] = invStd
-			rm[ci] = roundE[E]((1-b.momentum)*toF64(rm[ci]) + b.momentum*mean)
-			rv[ci] = roundE[E]((1-b.momentum)*toF64(rv[ci]) + b.momentum*varr)
-			g, be := toF64(gd[ci]), toF64(bd[ci])
+			rm[ci] = (1-b.momentum)*rm[ci] + b.momentum*mean
+			rv[ci] = (1-b.momentum)*rv[ci] + b.momentum*varr
+			g, be := gd[ci], bd[ci]
 			for ni := 0; ni < n; ni++ {
 				base := (ni*c + ci) * plane
 				for j := base; j < base+plane; j++ {
-					xn := (toF64(xd[j]) - mean) * invStd
-					xh[j] = roundE[E](xn)
-					od[j] = roundE[E](g*xn + be)
+					xn := (xd[j] - mean) * invStd
+					xh[j] = xn
+					od[j] = g*xn + be
 				}
 			}
 		}
@@ -114,14 +103,14 @@ func (b *BatchNorm2D[E]) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		return out
 	}
 
-	rm, rv := tensor.DataOf[E](b.runningMean.Value), tensor.DataOf[E](b.runningVar.Value)
+	rm, rv := b.runningMean.Value.Data(), b.runningVar.Value.Data()
 	for ci := 0; ci < c; ci++ {
-		invStd := 1.0 / math.Sqrt(toF64(rv[ci])+b.eps)
-		mean, g, be := toF64(rm[ci]), toF64(gd[ci]), toF64(bd[ci])
+		invStd := 1.0 / math.Sqrt(rv[ci]+b.eps)
+		mean, g, be := rm[ci], gd[ci], bd[ci]
 		for ni := 0; ni < n; ni++ {
 			base := (ni*c + ci) * plane
 			for j := base; j < base+plane; j++ {
-				od[j] = roundE[E](g*(toF64(xd[j])-mean)*invStd + be)
+				od[j] = g*(xd[j]-mean)*invStd + be
 			}
 		}
 	}
@@ -131,33 +120,33 @@ func (b *BatchNorm2D[E]) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer. It uses the standard batch-norm gradient:
 // dx = (gamma * invStd / m) * (m*dy − sum(dy) − xhat * sum(dy*xhat)),
 // with both channel sums accumulated in float64.
-func (b *BatchNorm2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := b.lastShape[0], b.lastShape[1], b.lastShape[2], b.lastShape[3]
 	plane := h * w
 	m := float64(n * plane)
-	dx := tensor.NewOf(tensor.DTypeOf[E](), b.lastShape...)
-	gd := tensor.DataOf[E](grad)
-	xh := tensor.DataOf[E](b.lastXHat)
-	dd := tensor.DataOf[E](dx)
-	ggrad, bgrad := tensor.DataOf[E](b.gamma.Grad), tensor.DataOf[E](b.beta.Grad)
-	gval := tensor.DataOf[E](b.gamma.Value)
+	dx := tensor.New(b.lastShape...)
+	gd := grad.Data()
+	xh := b.lastXHat.Data()
+	dd := dx.Data()
+	ggrad, bgrad := b.gamma.Grad.Data(), b.beta.Grad.Data()
+	gval := b.gamma.Value.Data()
 
 	for ci := 0; ci < c; ci++ {
 		sumDy, sumDyXhat := 0.0, 0.0
 		for ni := 0; ni < n; ni++ {
 			base := (ni*c + ci) * plane
 			for j := base; j < base+plane; j++ {
-				sumDy += toF64(gd[j])
-				sumDyXhat += toF64(gd[j]) * toF64(xh[j])
+				sumDy += gd[j]
+				sumDyXhat += gd[j] * xh[j]
 			}
 		}
-		ggrad[ci] = roundE[E](toF64(ggrad[ci]) + sumDyXhat)
-		bgrad[ci] = roundE[E](toF64(bgrad[ci]) + sumDy)
-		k := toF64(gval[ci]) * b.lastInvStd[ci] / m
+		ggrad[ci] = ggrad[ci] + sumDyXhat
+		bgrad[ci] = bgrad[ci] + sumDy
+		k := gval[ci] * b.lastInvStd[ci] / m
 		for ni := 0; ni < n; ni++ {
 			base := (ni*c + ci) * plane
 			for j := base; j < base+plane; j++ {
-				dd[j] = roundE[E](k * (m*toF64(gd[j]) - sumDy - toF64(xh[j])*sumDyXhat))
+				dd[j] = k * (m*gd[j] - sumDy - xh[j]*sumDyXhat)
 			}
 		}
 	}
@@ -168,6 +157,6 @@ func (b *BatchNorm2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer.
-func (b *BatchNorm2D[E]) Params() []*Param {
+func (b *BatchNorm2D) Params() []*Param {
 	return []*Param{b.gamma, b.beta, b.runningMean, b.runningVar}
 }

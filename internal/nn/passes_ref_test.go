@@ -10,7 +10,7 @@ import "fedsu/internal/tensor"
 // oracle passes_test.go holds the library to, bit for bit. Never edit them
 // to match the library.
 
-func reluForwardRef[E tensor.Elem](yd []E, mask []bool, xd []E) {
+func reluForwardRef(yd []float64, mask []bool, xd []float64) {
 	for i, v := range xd {
 		pos := v > 0
 		mask[i] = pos
@@ -21,7 +21,7 @@ func reluForwardRef[E tensor.Elem](yd []E, mask []bool, xd []E) {
 	}
 }
 
-func reluBackwardRef[E tensor.Elem](od []E, mask []bool, gd []E) {
+func reluBackwardRef(od []float64, mask []bool, gd []float64) {
 	for i, v := range gd {
 		if !mask[i] {
 			v = 0
@@ -32,7 +32,7 @@ func reluBackwardRef[E tensor.Elem](od []E, mask []bool, gd []E) {
 
 // maxPoolForwardRef is MaxPool2D.Forward's two paths: the 2×2/2 loop and the
 // general one.
-func maxPoolForwardRef[E tensor.Elem](od []E, argmax []int, xd []E, p tensor.ConvParams, n, c, h, w int) {
+func maxPoolForwardRef(od []float64, argmax []int, xd []float64, p tensor.ConvParams, n, c, h, w int) {
 	oh, ow := p.OutSize(h, w)
 	if p.KernelH == 2 && p.KernelW == 2 && p.StrideH == 2 && p.StrideW == 2 {
 		maxPool2x2Ref(od, argmax, xd, n*c, h, w, oh, ow)
@@ -44,7 +44,7 @@ func maxPoolForwardRef[E tensor.Elem](od []E, argmax []int, xd []E, p tensor.Con
 			base := (ni*c + ci) * h * w
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
-					var best E
+					var best float64
 					bidx := -1
 					for ky := 0; ky < p.KernelH; ky++ {
 						iy := oy*p.StrideH + ky
@@ -71,7 +71,7 @@ func maxPoolForwardRef[E tensor.Elem](od []E, argmax []int, xd []E, p tensor.Con
 	}
 }
 
-func maxPool2x2Ref[E tensor.Elem](od []E, argmax []int, xd []E, planes, h, w, oh, ow int) {
+func maxPool2x2Ref(od []float64, argmax []int, xd []float64, planes, h, w, oh, ow int) {
 	oi := 0
 	for pl := 0; pl < planes; pl++ {
 		for oy := 0; oy < oh; oy++ {
@@ -97,7 +97,7 @@ func maxPool2x2Ref[E tensor.Elem](od []E, argmax []int, xd []E, planes, h, w, oh
 	}
 }
 
-func maxPoolBackwardRef[E tensor.Elem](dd []E, argmax []int, gd []E) {
+func maxPoolBackwardRef(dd []float64, argmax []int, gd []float64) {
 	for i := range dd {
 		dd[i] = 0
 	}
@@ -112,16 +112,16 @@ func maxPoolBackwardRef[E tensor.Elem](dd []E, argmax []int, gd []E) {
 // is its plain product added to dW once), the bias gradient summed at
 // float64 per channel, dCols = Wᵀ × g and col2im. It returns y without and
 // with the bias, dW and db after one backward onto dW0 and db0, and dx.
-func convRef[E tensor.Elem](x, wt, bias, g, dW0, db0 []E, p tensor.ConvParams, n, c, h, w, outC int) (y, yb, dW, db, dx []E) {
+func convRef(x, wt, bias, g, dW0, db0 []float64, p tensor.ConvParams, n, c, h, w, outC int) (y, yb, dW, db, dx []float64) {
 	oh, ow := p.OutSize(h, w)
 	k, plane := c*p.KernelH*p.KernelW, oh*ow
 	spatial := n * plane
-	cols := make([]E, k*spatial)
+	cols := make([]float64, k*spatial)
 	im2colRef(cols, x, p, n, c, h, w)
-	colsT, wT := tensor.FromSliceOf(cols, k, spatial), tensor.FromSliceOf(wt, outC, k)
-	yc := tensor.DataOf[E](tensor.MatMul(wT, colsT))
-	y, yb = make([]E, n*outC*plane), make([]E, n*outC*plane)
-	gr := make([]E, outC*spatial)
+	colsT, wT := tensor.FromSlice(cols, k, spatial), tensor.FromSlice(wt, outC, k)
+	yc := tensor.MatMul(wT, colsT).Data()
+	y, yb = make([]float64, n*outC*plane), make([]float64, n*outC*plane)
+	gr := make([]float64, outC*spatial)
 	for oc := 0; oc < outC; oc++ {
 		for ni := 0; ni < n; ni++ {
 			for i := 0; i < plane; i++ {
@@ -132,27 +132,27 @@ func convRef[E tensor.Elem](x, wt, bias, g, dW0, db0 []E, p tensor.ConvParams, n
 			}
 		}
 	}
-	grT := tensor.FromSliceOf(gr, outC, spatial)
-	dW = append([]E(nil), dW0...)
-	for i, v := range tensor.DataOf[E](tensor.MatMulTransB(grT, colsT)) {
+	grT := tensor.FromSlice(gr, outC, spatial)
+	dW = append([]float64(nil), dW0...)
+	for i, v := range tensor.MatMulTransB(grT, colsT).Data() {
 		dW[i] += v
 	}
-	db = append([]E(nil), db0...)
+	db = append([]float64(nil), db0...)
 	for oc := range db {
 		s := 0.0
 		for _, v := range gr[oc*spatial : (oc+1)*spatial] {
-			s += toF64(v)
+			s += v
 		}
-		db[oc] += roundE[E](s)
+		db[oc] += s
 	}
-	dx = make([]E, n*c*h*w)
-	col2imRef(dx, tensor.DataOf[E](tensor.MatMulTransA(wT, grT)), p, n, c, h, w)
+	dx = make([]float64, n*c*h*w)
+	col2imRef(dx, tensor.MatMulTransA(wT, grT).Data(), p, n, c, h, w)
 	return y, yb, dW, db, dx
 }
 
 // im2colRef and col2imRef are the serial bodies of tensor's retired
 // Im2ColInto and Col2ImInto.
-func im2colRef[E tensor.Elem](od, xd []E, p tensor.ConvParams, n, c, h, w int) {
+func im2colRef(od, xd []float64, p tensor.ConvParams, n, c, h, w int) {
 	oh, ow := p.OutSize(h, w)
 	cols := n * oh * ow
 	for row := 0; row < c*p.KernelH*p.KernelW; row++ {
@@ -194,7 +194,7 @@ func im2colRef[E tensor.Elem](od, xd []E, p tensor.ConvParams, n, c, h, w int) {
 	}
 }
 
-func col2imRef[E tensor.Elem](xd, cd []E, p tensor.ConvParams, n, c, h, w int) {
+func col2imRef(xd, cd []float64, p tensor.ConvParams, n, c, h, w int) {
 	oh, ow := p.OutSize(h, w)
 	colN := n * oh * ow
 	for ci := 0; ci < c; ci++ {

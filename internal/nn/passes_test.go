@@ -12,7 +12,7 @@ import (
 )
 
 // The step passes against the retired loops of passes_ref_test.go, bit for
-// bit at both widths: ReLU forward and backward, MaxPool2D forward (values
+// bit: ReLU forward and backward, MaxPool2D forward (values
 // and argmax) and backward on the 2×2/2 path and the general one, and a
 // whole Conv2D against its im2col lowering. Operands are normal draws with
 // small integers among them (ties for the pool) and, one value in four, a
@@ -27,58 +27,34 @@ var (
 		0x7ff0_0000_0000_0000, 0xfff0_0000_0000_0000, // ±Inf
 		1, 0x800f_ffff_ffff_ffff, // the smallest subnormal, the most negative one
 	}
-	passSpecials32 = []uint32{0, 1 << 31, 0x7fc0_0a0a, 0xffc0_0b0b, 0x7f80_0c0c, 0x7f80_0000, 0xff80_0000, 1, 0x807f_ffff}
 )
 
-// fromBits reads a value of width E from the low bytes of raw (8 or 4).
-func fromBits[E tensor.Elem](raw []byte) E {
-	var v E
-	switch p := any(&v).(type) {
-	case *float64:
-		*p = math.Float64frombits(binary.LittleEndian.Uint64(raw))
-	case *float32:
-		*p = math.Float32frombits(binary.LittleEndian.Uint32(raw))
-	}
-	return v
-}
+// fromBits reads a value from the low 8 bytes of raw.
+func fromBits(raw []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(raw)) }
 
-func bitsOf[E tensor.Elem](v E) uint64 {
-	switch x := any(v).(type) {
-	case float32:
-		return uint64(math.Float32bits(x))
-	case float64:
-		return math.Float64bits(x)
-	}
-	panic("unreachable")
-}
-
-// passValues draws n values of width E as the file comment says, then lays
-// raw over positions 5i mod n, one value per 8 (float64) or 4 (float32) bytes.
-func passValues[E tensor.Elem](rng *rand.Rand, n int, raw []byte) []E {
-	width := tensor.DTypeOf[E]().Bytes()
-	out := make([]E, n)
-	var b [8]byte
+// passValues draws n values as the file comment says, then lays raw over
+// positions 5i mod n, one value per 8 bytes.
+func passValues(rng *rand.Rand, n int, raw []byte) []float64 {
+	out := make([]float64, n)
 	for i := range out {
 		switch rng.Intn(8) {
 		case 0, 1:
-			binary.LittleEndian.PutUint64(b[:], passSpecials64[rng.Intn(len(passSpecials64))])
-			if width == 4 {
-				binary.LittleEndian.PutUint32(b[:], passSpecials32[rng.Intn(len(passSpecials32))])
-			}
-			out[i] = fromBits[E](b[:])
+			out[i] = math.Float64frombits(passSpecials64[rng.Intn(len(passSpecials64))])
 		case 2:
-			out[i] = E(rng.Intn(3) - 1)
+			out[i] = float64(rng.Intn(3) - 1)
 		default:
-			out[i] = E(rng.NormFloat64())
+			out[i] = rng.NormFloat64()
 		}
 	}
-	for i := 0; width*i+width <= len(raw) && n > 0; i++ {
-		out[(5*i)%n] = fromBits[E](raw[width*i:])
+	for i := 0; 8*i+8 <= len(raw) && n > 0; i++ {
+		out[(5*i)%n] = fromBits(raw[8*i:])
 	}
 	return out
 }
 
-func sameElems[E tensor.Elem](t *testing.T, what string, got, want []E) {
+func bitsOf(v float64) uint64 { return math.Float64bits(v) }
+
+func sameElems(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	for i := range want {
 		if bitsOf(got[i]) != bitsOf(want[i]) {
@@ -99,25 +75,24 @@ func (pc passCase) String() string {
 		pc.p.KernelH, pc.p.KernelW, pc.p.StrideH, pc.p.StrideW, pc.p.PadH, pc.p.PadW)
 }
 
-// checkPasses runs every pass of one case at width E against its reference.
-func checkPasses[E tensor.Elem](t *testing.T, pc passCase, seed int64, raw []byte) {
+// checkPasses runs every pass of one case against its reference.
+func checkPasses(t *testing.T, pc passCase, seed int64, raw []byte) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	dt := tensor.DTypeOf[E]()
 	n, c, h, w := pc.n, pc.c, pc.h, pc.w
 	vol := n * c * h * w
-	what := fmt.Sprintf("%s %v seed %d", dt, pc, seed)
-	x := tensor.FromSliceOf(passValues[E](rng, vol, raw), n, c, h, w)
-	xd := tensor.DataOf[E](x)
+	what := fmt.Sprintf("%v seed %d", pc, seed)
+	x := tensor.FromSlice(passValues(rng, vol, raw), n, c, h, w)
+	xd := x.Data()
 
-	relu := newReLUOf[E]()
-	wantY, mask := make([]E, vol), make([]bool, vol)
+	relu := NewReLU()
+	wantY, mask := make([]float64, vol), make([]bool, vol)
 	reluForwardRef(wantY, mask, xd)
-	sameElems(t, "ReLU forward "+what, tensor.DataOf[E](relu.Forward(x, true)), wantY)
-	g := passValues[E](rng, vol, raw)
-	wantG := make([]E, vol)
+	sameElems(t, "ReLU forward "+what, relu.Forward(x, true).Data(), wantY)
+	g := passValues(rng, vol, raw)
+	wantG := make([]float64, vol)
 	reluBackwardRef(wantG, mask, g)
-	sameElems(t, "ReLU backward "+what, tensor.DataOf[E](relu.Backward(tensor.FromSliceOf(g, n, c, h, w))), wantG)
+	sameElems(t, "ReLU backward "+what, relu.Backward(tensor.FromSlice(g, n, c, h, w)).Data(), wantG)
 
 	for _, pg := range [][2]int{{pc.p.KernelH, pc.p.StrideH}, {2, 2}} {
 		window, stride := pg[0], pg[1]
@@ -126,38 +101,38 @@ func checkPasses[E tensor.Elem](t *testing.T, pc passCase, seed int64, raw []byt
 		}
 		p := tensor.ConvParams{KernelH: window, KernelW: window, StrideH: stride, StrideW: stride}
 		oh, ow := p.OutSize(h, w)
-		pool := newMaxPool2DOf[E](window, stride)
+		pool := NewMaxPool2D(window, stride)
 		pwhat := fmt.Sprintf("MaxPool2D(%d, %d) %s", window, stride, what)
-		wantOut, wantArg := make([]E, n*c*oh*ow), make([]int, n*c*oh*ow)
+		wantOut, wantArg := make([]float64, n*c*oh*ow), make([]int, n*c*oh*ow)
 		maxPoolForwardRef(wantOut, wantArg, xd, p, n, c, h, w)
-		sameElems(t, pwhat+" forward", tensor.DataOf[E](pool.Forward(x, true)), wantOut)
+		sameElems(t, pwhat+" forward", pool.Forward(x, true).Data(), wantOut)
 		for i, a := range pool.argmax {
 			if a != wantArg[i] {
 				t.Fatalf("%s: argmax %d is %d, the retired loop gives %d", pwhat, i, a, wantArg[i])
 			}
 		}
-		gp := passValues[E](rng, len(wantOut), raw)
-		wantDx := make([]E, vol)
+		gp := passValues(rng, len(wantOut), raw)
+		wantDx := make([]float64, vol)
 		maxPoolBackwardRef(wantDx, wantArg, gp)
-		sameElems(t, pwhat+" backward", tensor.DataOf[E](pool.Backward(tensor.FromSliceOf(gp, n, c, oh, ow))), wantDx)
+		sameElems(t, pwhat+" backward", pool.Backward(tensor.FromSlice(gp, n, c, oh, ow)).Data(), wantDx)
 	}
 
-	checkConv[E](t, pc, rng, x, g, what)
-	finite := func(v []E) []E {
+	checkConv(t, pc, rng, x, g, what)
+	finite := func(v []float64) []float64 {
 		for i, e := range v {
-			if f := toF64(e); math.IsNaN(f) || math.IsInf(f, 0) {
-				v[i] = E(rng.NormFloat64())
+			if math.IsNaN(e) || math.IsInf(e, 0) {
+				v[i] = rng.NormFloat64()
 			}
 		}
 		return v
 	}
-	checkConv[E](t, pc, rng, tensor.FromSliceOf(finite(append([]E(nil), xd...)), n, c, h, w), finite(g), what+" finite")
+	checkConv(t, pc, rng, tensor.FromSlice(finite(append([]float64(nil), xd...)), n, c, h, w), finite(g), what+" finite")
 }
 
 // sameElemsOrNaN is sameElems except that a NaN matches any NaN: which
 // operand's payload a product or a sum forwards follows operand order, and
 // the products do not keep the lowering's operand roles (DESIGN.md §5c).
-func sameElemsOrNaN[E tensor.Elem](t *testing.T, what string, got, want []E) {
+func sameElemsOrNaN(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d elements, the lowering gives %d", what, len(got), len(want))
@@ -174,48 +149,48 @@ func sameElemsOrNaN[E tensor.Elem](t *testing.T, what string, got, want []E) {
 // from gv (cycled to the output's size) onto nonzero dW and db, once with
 // the input gradient and once as a noInputGrad layer, which must return nil
 // and leave the parameter gradients as the other does.
-func checkConv[E tensor.Elem](t *testing.T, pc passCase, rng *rand.Rand, x *tensor.Tensor, gv []E, what string) {
+func checkConv(t *testing.T, pc passCase, rng *rand.Rand, x *tensor.Tensor, gv []float64, what string) {
 	t.Helper()
 	n, c, h, w := pc.n, pc.c, pc.h, pc.w
 	oh, ow := pc.p.OutSize(h, w)
 	k := c * pc.p.KernelH * pc.p.KernelW
-	normal := func(m int) []E {
-		v := make([]E, m)
+	normal := func(m int) []float64 {
+		v := make([]float64, m)
 		for i := range v {
-			v[i] = E(rng.NormFloat64())
+			v[i] = rng.NormFloat64()
 		}
 		return v
 	}
 	for _, outC := range []int{1, 3, 5, 17} {
 		wt, bias, dW0, db0 := normal(outC*k), normal(outC), normal(outC*k), normal(outC)
-		g := make([]E, n*outC*oh*ow)
+		g := make([]float64, n*outC*oh*ow)
 		for i := range g {
 			g[i] = gv[i%len(gv)]
 		}
-		y, yb, dW, db, dx := convRef(tensor.DataOf[E](x), wt, bias, g, dW0, db0, pc.p, n, c, h, w, outC)
+		y, yb, dW, db, dx := convRef(x.Data(), wt, bias, g, dW0, db0, pc.p, n, c, h, w, outC)
 		for _, useBias := range []bool{false, true} {
 			for _, skip := range []bool{false, true} {
-				cv := &Conv2D[E]{inC: c, outC: outC, p: pc.p, useBias: useBias, noInputGrad: skip}
-				cv.weight = newParamOf[E]("weight", outC, k)
-				copy(tensor.DataOf[E](cv.weight.Value), wt)
-				copy(tensor.DataOf[E](cv.weight.Grad), dW0)
+				cv := &Conv2D{inC: c, outC: outC, p: pc.p, useBias: useBias, noInputGrad: skip}
+				cv.weight = newParam("weight", outC, k)
+				copy(cv.weight.Value.Data(), wt)
+				copy(cv.weight.Grad.Data(), dW0)
 				want := y
 				if useBias {
-					cv.bias = newParamOf[E]("bias", outC)
-					copy(tensor.DataOf[E](cv.bias.Value), bias)
-					copy(tensor.DataOf[E](cv.bias.Grad), db0)
+					cv.bias = newParam("bias", outC)
+					copy(cv.bias.Value.Data(), bias)
+					copy(cv.bias.Grad.Data(), db0)
 					want = yb
 				}
 				cwhat := fmt.Sprintf("Conv2D outC=%d bias=%v noInputGrad=%v %s", outC, useBias, skip, what)
-				cv.out = tensor.NewOf(tensor.DTypeOf[E](), n, outC, oh, ow)
-				cv.dx = tensor.NewOf(tensor.DTypeOf[E](), n, c, h, w)
+				cv.out = tensor.New(n, outC, oh, ow)
+				cv.dx = tensor.New(n, c, h, w)
 				cv.out.Fill(math.NaN()) // outputs the passes must overwrite everywhere
 				cv.dx.Fill(math.NaN())
-				sameElemsOrNaN(t, cwhat+" forward", tensor.DataOf[E](cv.Forward(x, true)), want)
-				gotDx := cv.Backward(tensor.FromSliceOf(g, n, outC, oh, ow))
-				sameElemsOrNaN(t, cwhat+" dW", tensor.DataOf[E](cv.weight.Grad), dW)
+				sameElemsOrNaN(t, cwhat+" forward", cv.Forward(x, true).Data(), want)
+				gotDx := cv.Backward(tensor.FromSlice(g, n, outC, oh, ow))
+				sameElemsOrNaN(t, cwhat+" dW", cv.weight.Grad.Data(), dW)
 				if useBias {
-					sameElemsOrNaN(t, cwhat+" db", tensor.DataOf[E](cv.bias.Grad), db)
+					sameElemsOrNaN(t, cwhat+" db", cv.bias.Grad.Data(), db)
 				}
 				if skip {
 					if gotDx != nil {
@@ -223,7 +198,7 @@ func checkConv[E tensor.Elem](t *testing.T, pc passCase, rng *rand.Rand, x *tens
 					}
 					continue
 				}
-				sameElemsOrNaN(t, cwhat+" dx", tensor.DataOf[E](gotDx), dx)
+				sameElemsOrNaN(t, cwhat+" dx", gotDx.Data(), dx)
 			}
 		}
 	}
@@ -234,7 +209,7 @@ func conv(kh, kw, sh, sw, ph, pw int) tensor.ConvParams {
 }
 
 // passCases are the shapes and geometries TestLayerPassesMatchReference runs
-// every pass over, at both widths.
+// every pass over.
 var passCases = []passCase{
 	{8, 1, 28, 28, conv(5, 5, 1, 1, 0, 0)}, // the CNN's first convolution
 	{8, 8, 12, 12, conv(5, 5, 1, 1, 0, 0)}, // its second
@@ -276,8 +251,7 @@ var passCases = []passCase{
 func TestLayerPassesMatchReference(t *testing.T) {
 	for _, pc := range passCases {
 		for seed := int64(1); seed <= 3; seed++ {
-			checkPasses[float64](t, pc, seed, nil)
-			checkPasses[float32](t, pc, seed, nil)
+			checkPasses(t, pc, seed, nil)
 		}
 	}
 }
@@ -353,8 +327,7 @@ func FuzzLayerPasses(f *testing.F) {
 		if pc.h+2*pc.p.PadH < pc.p.KernelH || pc.w+2*pc.p.PadW < pc.p.KernelW {
 			return
 		}
-		checkPasses[float64](t, pc, seed, raw)
-		checkPasses[float32](t, pc, seed, raw)
+		checkPasses(t, pc, seed, raw)
 	})
 }
 

@@ -3,10 +3,10 @@ package nn
 import "fedsu/internal/tensor"
 
 // MaxPool2D is a max-pooling layer over NCHW tensors. Windows are compared
-// at storage width, first tap first: the output is the first tap unless a
+// first tap first: the output is the first tap unless a
 // later one is strictly greater, so ties keep the earliest tap and a window
 // whose first tap is NaN (every later comparison is false) yields NaN.
-type MaxPool2D[E tensor.Elem] struct {
+type MaxPool2D struct {
 	p tensor.ConvParams
 
 	argmax  []int  // flat input index chosen for each output element
@@ -15,19 +15,12 @@ type MaxPool2D[E tensor.Elem] struct {
 	out, dx *tensor.Tensor // step buffers (scratch.go)
 }
 
-var (
-	_ Layer = (*MaxPool2D[float64])(nil)
-	_ Layer = (*MaxPool2D[float32])(nil)
-)
+var _ Layer = (*MaxPool2D)(nil)
 
-// NewMaxPool2D constructs a square float64 max-pool with the given window
+// NewMaxPool2D constructs a square max-pool with the given window
 // and stride. The common "pool 2" is NewMaxPool2D(2, 2).
-func NewMaxPool2D(window, stride int) *MaxPool2D[float64] {
-	return newMaxPool2DOf[float64](window, stride)
-}
-
-func newMaxPool2DOf[E tensor.Elem](window, stride int) *MaxPool2D[E] {
-	return &MaxPool2D[E]{p: poolGeometry("max-pool", window, stride)}
+func NewMaxPool2D(window, stride int) *MaxPool2D {
+	return &MaxPool2D{p: poolGeometry("max-pool", window, stride)}
 }
 
 // poolGeometry is a square window and stride with no padding, checked.
@@ -38,11 +31,11 @@ func poolGeometry(layer string, window, stride int) tensor.ConvParams {
 }
 
 // Forward implements Layer.
-func (m *MaxPool2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (m *MaxPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := m.p.OutSize(h, w)
 	m.inShape = [4]int{n, c, h, w}
-	m.out = stepScratch(m.out, tensor.DTypeOf[E](), n, c, oh, ow)
+	m.out = stepScratch(m.out, n, c, oh, ow)
 	if cap(m.argmax) < m.out.Len() {
 		m.argmax = make([]int, m.out.Len())
 	}
@@ -51,14 +44,14 @@ func (m *MaxPool2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 		tensor.MaxPool2x2Into(m.out, m.argmax, x)
 		return m.out
 	}
-	xd, od := tensor.DataOf[E](x), tensor.DataOf[E](m.out)
+	xd, od := x.Data(), m.out.Data()
 	oi := 0
 	for ni := 0; ni < n; ni++ {
 		for ci := 0; ci < c; ci++ {
 			base := (ni*c + ci) * h * w
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
-					var best E
+					var best float64
 					bidx := -1
 					for ky := 0; ky < m.p.KernelH; ky++ {
 						iy := oy*m.p.StrideH + ky
@@ -86,19 +79,19 @@ func (m *MaxPool2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return m.out
 }
 
-func (m *MaxPool2D[E]) is2x2() bool {
+func (m *MaxPool2D) is2x2() bool {
 	return m.p.KernelH == 2 && m.p.KernelW == 2 && m.p.StrideH == 2 && m.p.StrideW == 2
 }
 
 // Backward implements Layer.
-func (m *MaxPool2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (m *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	s := m.inShape
-	m.dx = stepScratch(m.dx, tensor.DTypeOf[E](), s[0], s[1], s[2], s[3])
+	m.dx = stepScratch(m.dx, s[0], s[1], s[2], s[3])
 	if m.is2x2() {
 		tensor.MaxPool2x2Backward(m.dx, grad, m.argmax)
 		return m.dx
 	}
-	dd, gd := tensor.DataOf[E](m.dx), tensor.DataOf[E](grad)
+	dd, gd := m.dx.Data(), grad.Data()
 	m.dx.Zero()
 	for oi, idx := range m.argmax {
 		dd[idx] += gd[oi]
@@ -106,44 +99,36 @@ func (m *MaxPool2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return m.dx
 }
 
-func (m *MaxPool2D[E]) releaseScratch() {
+func (m *MaxPool2D) releaseScratch() {
 	putScratch(&m.out)
 	putScratch(&m.dx)
 }
 
 // Params implements Layer.
-func (m *MaxPool2D[E]) Params() []*Param { return nil }
+func (m *MaxPool2D) Params() []*Param { return nil }
 
-// AvgPool2D is an average-pooling layer over NCHW tensors; window sums
-// accumulate in float64 and round once per output element.
-type AvgPool2D[E tensor.Elem] struct {
+// AvgPool2D is an average-pooling layer over NCHW tensors.
+type AvgPool2D struct {
 	p         tensor.ConvParams
 	lastShape []int
 }
 
-var (
-	_ Layer = (*AvgPool2D[float64])(nil)
-	_ Layer = (*AvgPool2D[float32])(nil)
-)
+var _ Layer = (*AvgPool2D)(nil)
 
-// NewAvgPool2D constructs a square float64 average pool with the given
+// NewAvgPool2D constructs a square average pool with the given
 // window and stride.
-func NewAvgPool2D(window, stride int) *AvgPool2D[float64] {
-	return newAvgPool2DOf[float64](window, stride)
-}
-
-func newAvgPool2DOf[E tensor.Elem](window, stride int) *AvgPool2D[E] {
-	return &AvgPool2D[E]{p: poolGeometry("avg-pool", window, stride)}
+func NewAvgPool2D(window, stride int) *AvgPool2D {
+	return &AvgPool2D{p: poolGeometry("avg-pool", window, stride)}
 }
 
 // Forward implements Layer.
-func (a *AvgPool2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (a *AvgPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := a.p.OutSize(h, w)
 	a.lastShape = x.Shape()
-	out := tensor.NewOf(tensor.DTypeOf[E](), n, c, oh, ow)
+	out := tensor.New(n, c, oh, ow)
 	inv := 1.0 / float64(a.p.KernelH*a.p.KernelW)
-	xd, od := tensor.DataOf[E](x), tensor.DataOf[E](out)
+	xd, od := x.Data(), out.Data()
 	oi := 0
 	for ni := 0; ni < n; ni++ {
 		for ci := 0; ci < c; ci++ {
@@ -155,10 +140,10 @@ func (a *AvgPool2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 						iy := oy*a.p.StrideH + ky
 						for kx := 0; kx < a.p.KernelW; kx++ {
 							ix := ox*a.p.StrideW + kx
-							s += toF64(xd[base+iy*w+ix])
+							s += xd[base+iy*w+ix]
 						}
 					}
-					od[oi] = roundE[E](s * inv)
+					od[oi] = s * inv
 					oi++
 				}
 			}
@@ -168,19 +153,21 @@ func (a *AvgPool2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (a *AvgPool2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (a *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := a.lastShape[0], a.lastShape[1], a.lastShape[2], a.lastShape[3]
 	oh, ow := a.p.OutSize(h, w)
-	dx := tensor.NewOf(tensor.DTypeOf[E](), a.lastShape...)
+	dx := tensor.New(a.lastShape...)
 	inv := 1.0 / float64(a.p.KernelH*a.p.KernelW)
-	dd, gd := tensor.DataOf[E](dx), tensor.DataOf[E](grad)
+	dd, gd := dx.Data(), grad.Data()
 	oi := 0
 	for ni := 0; ni < n; ni++ {
 		for ci := 0; ci < c; ci++ {
 			base := (ni*c + ci) * h * w
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
-					g := roundE[E](toF64(gd[oi]) * inv)
+					// The conversion keeps the product from fusing into the
+					// adds below on architectures that fuse.
+					g := float64(gd[oi] * inv)
 					for ky := 0; ky < a.p.KernelH; ky++ {
 						iy := oy*a.p.StrideH + ky
 						for kx := 0; kx < a.p.KernelW; kx++ {
@@ -197,54 +184,46 @@ func (a *AvgPool2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer.
-func (a *AvgPool2D[E]) Params() []*Param { return nil }
+func (a *AvgPool2D) Params() []*Param { return nil }
 
 // GlobalAvgPool2D reduces each (H, W) plane to its mean, producing (N, C)
 // feature vectors; it is the classifier head pooling in ResNet and DenseNet.
-// Plane sums accumulate in float64 like AvgPool2D.
-type GlobalAvgPool2D[E tensor.Elem] struct {
+type GlobalAvgPool2D struct {
 	lastShape []int
 }
 
-var (
-	_ Layer = (*GlobalAvgPool2D[float64])(nil)
-	_ Layer = (*GlobalAvgPool2D[float32])(nil)
-)
+var _ Layer = (*GlobalAvgPool2D)(nil)
 
-// NewGlobalAvgPool2D constructs a float64 global average pool.
-func NewGlobalAvgPool2D() *GlobalAvgPool2D[float64] {
-	return newGlobalAvgPool2DOf[float64]()
-}
-
-func newGlobalAvgPool2DOf[E tensor.Elem]() *GlobalAvgPool2D[E] {
-	return &GlobalAvgPool2D[E]{}
+// NewGlobalAvgPool2D constructs a global average pool.
+func NewGlobalAvgPool2D() *GlobalAvgPool2D {
+	return &GlobalAvgPool2D{}
 }
 
 // Forward implements Layer.
-func (g *GlobalAvgPool2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (g *GlobalAvgPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	g.lastShape = x.Shape()
-	out := tensor.NewOf(tensor.DTypeOf[E](), n, c)
+	out := tensor.New(n, c)
 	inv := 1.0 / float64(h*w)
-	xd, od := tensor.DataOf[E](x), tensor.DataOf[E](out)
+	xd, od := x.Data(), out.Data()
 	for i := 0; i < n*c; i++ {
 		s := 0.0
 		for _, v := range xd[i*h*w : (i+1)*h*w] {
-			s += toF64(v)
+			s += v
 		}
-		od[i] = roundE[E](s * inv)
+		od[i] = s * inv
 	}
 	return out
 }
 
 // Backward implements Layer.
-func (g *GlobalAvgPool2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (g *GlobalAvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := g.lastShape[0], g.lastShape[1], g.lastShape[2], g.lastShape[3]
-	dx := tensor.NewOf(tensor.DTypeOf[E](), g.lastShape...)
+	dx := tensor.New(g.lastShape...)
 	inv := 1.0 / float64(h*w)
-	dd, gd := tensor.DataOf[E](dx), tensor.DataOf[E](grad)
+	dd, gd := dx.Data(), grad.Data()
 	for i := 0; i < n*c; i++ {
-		v := roundE[E](toF64(gd[i]) * inv)
+		v := gd[i] * inv
 		row := dd[i*h*w : (i+1)*h*w]
 		for j := range row {
 			row[j] = v
@@ -254,4 +233,4 @@ func (g *GlobalAvgPool2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer.
-func (g *GlobalAvgPool2D[E]) Params() []*Param { return nil }
+func (g *GlobalAvgPool2D) Params() []*Param { return nil }

@@ -29,12 +29,12 @@ func releaseScratchOf(l Layer) {
 // stepScratch returns t if it already has the wanted shape; otherwise it
 // releases t and draws a tensor of that shape from the arena. Contents are
 // unspecified either way.
-func stepScratch(t *tensor.Tensor, dt tensor.DType, shape ...int) *tensor.Tensor {
+func stepScratch(t *tensor.Tensor, shape ...int) *tensor.Tensor {
 	if t != nil && hasShape(t, shape) {
 		return t
 	}
 	tensor.PutScratch(t)
-	return tensor.GetScratchOf(dt, shape...)
+	return tensor.GetScratch(shape...)
 }
 
 func hasShape(t *tensor.Tensor, shape []int) bool {
@@ -49,7 +49,7 @@ func hasShape(t *tensor.Tensor, shape []int) bool {
 	return true
 }
 
-// stepScratchLike is stepScratch for the shape (and dtype) of x.
+// stepScratchLike is stepScratch for the shape of x.
 func stepScratchLike(t, x *tensor.Tensor) *tensor.Tensor {
 	if t != nil && t.SameShape(x) {
 		return t

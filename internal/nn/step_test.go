@@ -14,16 +14,14 @@ import (
 	"fedsu/internal/tensor"
 )
 
-var stepDTypes = []tensor.DType{tensor.Float64, tensor.Float32}
-
 // benchCNN is the sim_cnn benchmark's model: the paper's CNN at scale 4.
-func benchCNN(dt tensor.DType) *Model {
-	return NewPaperCNN(ModelConfig{InChannels: 1, ImageSize: 28, NumClasses: 47, Scale: 4, Seed: 104, DType: dt})
+func benchCNN() *Model {
+	return NewPaperCNN(ModelConfig{InChannels: 1, ImageSize: 28, NumClasses: 47, Scale: 4, Seed: 104})
 }
 
-func randBatch(dt tensor.DType, seed int64, n, c, size, classes int) (*tensor.Tensor, []int) {
+func randBatch(seed int64, n, c, size, classes int) (*tensor.Tensor, []int) {
 	rng := rand.New(rand.NewSource(seed))
-	x := tensor.NewOf(dt, n, c, size, size)
+	x := tensor.New(n, c, size, size)
 	x.RandNormal(rng, 0, 1)
 	labels := make([]int, n)
 	for i := range labels {
@@ -56,32 +54,28 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-	// Below the smallest tensor of the step (the float32 logits, 8×47×4 B),
+	// Below the smallest tensor of the step (the logits, 8×47×8 B),
 	// above the ~340 B of view headers and the arena pools' own bookkeeping.
 	const stepBudget = 1024
-	for _, dt := range stepDTypes {
-		t.Run(dt.String(), func(t *testing.T) {
-			m := benchCNN(dt)
-			x, labels := randBatch(dt, 1, 8, 1, 28, 47)
-			step := func() {
-				m.ZeroGrad()
-				m.TrainStep(x, labels)
-				sgdStep(m, 0.01)
-			}
-			step()
-			const steps = 20
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < steps; i++ {
-				step()
-			}
-			runtime.ReadMemStats(&after)
-			perStep := (after.TotalAlloc - before.TotalAlloc) / steps
-			t.Logf("%d B/step", perStep)
-			if perStep > stepBudget {
-				t.Errorf("a steady-state TrainStep allocates %d B, budget %d B", perStep, stepBudget)
-			}
-		})
+	m := benchCNN()
+	x, labels := randBatch(1, 8, 1, 28, 47)
+	step := func() {
+		m.ZeroGrad()
+		m.TrainStep(x, labels)
+		sgdStep(m, 0.01)
+	}
+	step()
+	const steps = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < steps; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	perStep := (after.TotalAlloc - before.TotalAlloc) / steps
+	t.Logf("%d B/step", perStep)
+	if perStep > stepBudget {
+		t.Errorf("a steady-state TrainStep allocates %d B, budget %d B", perStep, stepBudget)
 	}
 }
 
@@ -94,13 +88,9 @@ func unmarkInputLayer(t *testing.T, m *Model) {
 		t.Fatal("NewModel marked no input layer")
 	}
 	switch l := seq.layers[seq.inputLayers-1].(type) {
-	case *Conv2D[float64]:
+	case *Conv2D:
 		l.noInputGrad = false
-	case *Conv2D[float32]:
-		l.noInputGrad = false
-	case *Linear[float64]:
-		l.noInputGrad = false
-	case *Linear[float32]:
+	case *Linear:
 		l.noInputGrad = false
 	default:
 		t.Fatalf("unexpected input layer %T", l)
@@ -113,51 +103,47 @@ func unmarkInputLayer(t *testing.T, m *Model) {
 // layer must leave every parameter gradient, and so every parameter, bit for
 // bit what it was.
 func TestInputLayerGradSkipKeepsParamGrads(t *testing.T) {
-	builds := map[string]func(dt tensor.DType) *Model{
+	builds := map[string]func() *Model{
 		"cnn": benchCNN,
-		"mlp": func(dt tensor.DType) *Model { // the marked layer sits behind a Flatten
-			return NewMLP(ModelConfig{InChannels: 1, ImageSize: 28, NumClasses: 47, Seed: 9, DType: dt}, 32)
+		"mlp": func() *Model { // the marked layer sits behind a Flatten
+			return NewMLP(ModelConfig{InChannels: 1, ImageSize: 28, NumClasses: 47, Seed: 9}, 32)
 		},
-		"resnet18": func(dt tensor.DType) *Model {
-			return NewResNet18(ModelConfig{InChannels: 1, ImageSize: 28, NumClasses: 47, Scale: 16, Seed: 9, DType: dt})
+		"resnet18": func() *Model {
+			return NewResNet18(ModelConfig{InChannels: 1, ImageSize: 28, NumClasses: 47, Scale: 16, Seed: 9})
 		},
 	}
 	for name, build := range builds {
-		for _, dt := range stepDTypes {
-			t.Run(name+"/"+dt.String(), func(t *testing.T) {
-				marked, plain := build(dt), build(dt)
-				unmarkInputLayer(t, plain)
-				for step := 0; step < 3; step++ {
-					x, labels := randBatch(dt, int64(step), 4, 1, 28, 47)
-					// TrainStep, keeping what it throws away.
-					inputGrad := func(m *Model) *tensor.Tensor {
-						m.ZeroGrad()
-						m.loss.Forward(m.net.Forward(x, true), labels)
-						return m.net.Backward(m.loss.Backward())
-					}
-					if g := inputGrad(marked); g != nil {
-						t.Fatal("the marked model still returns an input gradient")
-					}
-					if g := inputGrad(plain); g == nil || !g.SameShape(x) {
-						t.Fatal("the unmarked model returns no input gradient")
-					}
-					mp, pp := marked.Params(), plain.Params()
-					for i := range mp {
-						sameTensorBits(t, fmt.Sprintf("step %d grad %s", step, mp[i].Name), mp[i].Grad, pp[i].Grad)
-					}
-					sgdStep(marked, 0.05)
-					sgdStep(plain, 0.05)
+		t.Run(name, func(t *testing.T) {
+			marked, plain := build(), build()
+			unmarkInputLayer(t, plain)
+			for step := 0; step < 3; step++ {
+				x, labels := randBatch(int64(step), 4, 1, 28, 47)
+				// TrainStep, keeping what it throws away.
+				inputGrad := func(m *Model) *tensor.Tensor {
+					m.ZeroGrad()
+					m.loss.Forward(m.net.Forward(x, true), labels)
+					return m.net.Backward(m.loss.Backward())
 				}
-			})
-		}
+				if g := inputGrad(marked); g != nil {
+					t.Fatal("the marked model still returns an input gradient")
+				}
+				if g := inputGrad(plain); g == nil || !g.SameShape(x) {
+					t.Fatal("the unmarked model returns no input gradient")
+				}
+				mp, pp := marked.Params(), plain.Params()
+				for i := range mp {
+					sameTensorBits(t, fmt.Sprintf("step %d grad %s", step, mp[i].Name), mp[i].Grad, pp[i].Grad)
+				}
+				sgdStep(marked, 0.05)
+				sgdStep(plain, 0.05)
+			}
+		})
 	}
 }
 
 func sameTensorBits(t *testing.T, name string, a, b *tensor.Tensor) {
 	t.Helper()
-	av, bv := make([]float64, a.Len()), make([]float64, b.Len())
-	a.CopyToF64(av)
-	b.CopyToF64(bv)
+	av, bv := a.Data(), b.Data()
 	if len(av) != len(bv) {
 		t.Fatalf("%s: length %d != %d", name, len(av), len(bv))
 	}
@@ -172,38 +158,34 @@ func sameTensorBits(t *testing.T, name string, a, b *tensor.Tensor) {
 // buffer lifetime: a released model holds no step buffer, and releasing
 // between steps changes no result.
 func TestReleaseScratchLeavesNothingAndChangesNothing(t *testing.T) {
-	for _, dt := range stepDTypes {
-		t.Run(dt.String(), func(t *testing.T) {
-			held, released := benchCNN(dt), benchCNN(dt)
-			for step := 0; step < 3; step++ {
-				x, labels := randBatch(dt, int64(10+step), 8, 1, 28, 47)
-				var losses [2]float64
-				for i, m := range []*Model{held, released} {
-					m.ZeroGrad()
-					losses[i] = m.TrainStep(x, labels)
-					sgdStep(m, 0.05)
-				}
-				if losses[0] != losses[1] {
-					t.Fatalf("step %d: loss %v with buffers held, %v after a release", step, losses[0], losses[1])
-				}
-				released.ReleaseScratch()
-				// An evaluation at another batch size re-draws the buffers.
-				ex, elabels := randBatch(dt, 99, 5, 1, 28, 47)
-				if a, b := held.Loss(ex, elabels), released.Loss(ex, elabels); a != b {
-					t.Fatalf("step %d: eval loss %v vs %v", step, a, b)
-				}
-				released.ReleaseScratch()
-				if n := heldBuffers(released); n != 0 {
-					t.Fatalf("step %d: %d step buffers survive ReleaseScratch", step, n)
-				}
-			}
-			if n := heldBuffers(held); n == 0 {
-				t.Fatal("heldBuffers sees no buffer on a model that was never released")
-			}
-			for i, p := range held.Params() {
-				sameTensorBits(t, p.Name, p.Value, released.Params()[i].Value)
-			}
-		})
+	held, released := benchCNN(), benchCNN()
+	for step := 0; step < 3; step++ {
+		x, labels := randBatch(int64(10+step), 8, 1, 28, 47)
+		var losses [2]float64
+		for i, m := range []*Model{held, released} {
+			m.ZeroGrad()
+			losses[i] = m.TrainStep(x, labels)
+			sgdStep(m, 0.05)
+		}
+		if losses[0] != losses[1] {
+			t.Fatalf("step %d: loss %v with buffers held, %v after a release", step, losses[0], losses[1])
+		}
+		released.ReleaseScratch()
+		// An evaluation at another batch size re-draws the buffers.
+		ex, elabels := randBatch(99, 5, 1, 28, 47)
+		if a, b := held.Loss(ex, elabels), released.Loss(ex, elabels); a != b {
+			t.Fatalf("step %d: eval loss %v vs %v", step, a, b)
+		}
+		released.ReleaseScratch()
+		if n := heldBuffers(released); n != 0 {
+			t.Fatalf("step %d: %d step buffers survive ReleaseScratch", step, n)
+		}
+	}
+	if n := heldBuffers(held); n == 0 {
+		t.Fatal("heldBuffers sees no buffer on a model that was never released")
+	}
+	for i, p := range held.Params() {
+		sameTensorBits(t, p.Name, p.Value, released.Params()[i].Value)
 	}
 }
 
@@ -219,30 +201,17 @@ func heldBuffers(m *Model) int {
 	}
 	for _, l := range m.net.(*Sequential).layers {
 		switch l := l.(type) {
-		case *Conv2D[float64]:
+		case *Conv2D:
 			count(l.lastX, l.xpad, l.out, l.dx)
-		case *Conv2D[float32]:
-			count(l.lastX, l.xpad, l.out, l.dx)
-		case *ReLU[float64]:
+		case *ReLU:
 			count(l.y, l.g)
-		case *ReLU[float32]:
-			count(l.y, l.g)
-		case *MaxPool2D[float64]:
+		case *MaxPool2D:
 			count(l.out, l.dx)
-		case *MaxPool2D[float32]:
-			count(l.out, l.dx)
-		case *Linear[float64]:
-			count(l.y, l.dx, l.lastX)
-		case *Linear[float32]:
+		case *Linear:
 			count(l.y, l.dx, l.lastX)
 		}
 	}
-	switch s := m.loss.(type) {
-	case *SoftmaxCrossEntropy[float64]:
-		count(s.lastProbs, s.grad)
-	case *SoftmaxCrossEntropy[float32]:
-		count(s.lastProbs, s.grad)
-	}
+	count(m.loss.lastProbs, m.loss.grad)
 	return n
 }
 
@@ -251,8 +220,7 @@ func heldBuffers(m *Model) int {
 func maxPoolReference(x *tensor.Tensor, window, stride int) (out []float64, argmax []int) {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := (h-window)/stride+1, (w-window)/stride+1
-	xd := make([]float64, x.Len())
-	x.CopyToF64(xd)
+	xd := x.Data()
 	for pl := 0; pl < n*c; pl++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
@@ -272,73 +240,61 @@ func maxPoolReference(x *tensor.Tensor, window, stride int) (out []float64, argm
 	return out, argmax
 }
 
-func poolOf(dt tensor.DType, window, stride int) (Layer, func() []int) {
-	if dt == tensor.Float32 {
-		p := newMaxPool2DOf[float32](window, stride)
-		return p, func() []int { return p.argmax }
-	}
-	p := newMaxPool2DOf[float64](window, stride)
-	return p, func() []int { return p.argmax }
-}
-
 // TestMaxPoolNonFiniteWindows is the regression test for windows holding no
 // finite value: all-NaN and all-−Inf windows used to leave the argmax at −1,
 // emit −Inf for NaN and panic in Backward. Both the 2×2/2 fast path and the
 // general path are held to maxPoolReference on inputs salted with NaN, ±Inf
 // and ties, on odd sizes whose last row and column no window covers.
 func TestMaxPoolNonFiniteWindows(t *testing.T) {
-	for _, dt := range stepDTypes {
-		for _, geom := range [][2]int{{2, 2}, {3, 2}, {2, 1}} {
-			window, stride := geom[0], geom[1]
-			t.Run(fmt.Sprintf("%s/w%ds%d", dt, window, stride), func(t *testing.T) {
-				for _, v := range []float64{math.NaN(), math.Inf(-1)} {
-					pool, argmax := poolOf(dt, window, stride)
-					x := tensor.NewOf(dt, 1, 1, window, window)
-					x.Fill(v)
-					y := pool.Forward(x, true)
-					if got := y.At(0, 0, 0, 0); !(got == v || math.IsNaN(got) && math.IsNaN(v)) {
-						t.Errorf("window of %v pools to %v", v, got)
-					}
-					if argmax()[0] != 0 {
-						t.Errorf("window of %v: argmax %d, want the first tap", v, argmax()[0])
-					}
-					g := tensor.NewOf(dt, 1, 1, 1, 1)
-					g.Fill(1)
-					if dx := pool.Backward(g); dx.At(0, 0, 0, 0) != 1 {
-						t.Errorf("window of %v: the gradient did not reach the first tap", v)
-					}
-				}
-
-				rng := rand.New(rand.NewSource(3))
-				pool, argmax := poolOf(dt, window, stride)
-				x := tensor.NewOf(dt, 2, 3, 9, 7)
-				salt := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0.5, 0.5, math.Copysign(0, -1), 0}
-				for i := 0; i < x.Len(); i++ {
-					v := float64(rng.Intn(4)) // few distinct values: many ties
-					if rng.Intn(3) == 0 {
-						v = salt[rng.Intn(len(salt))]
-					}
-					x.Set(v, i/(3*9*7), i/(9*7)%3, i/7%9, i%7)
-				}
-				wantOut, wantArg := maxPoolReference(x, window, stride)
+	for _, geom := range [][2]int{{2, 2}, {3, 2}, {2, 1}} {
+		window, stride := geom[0], geom[1]
+		t.Run(fmt.Sprintf("w%ds%d", window, stride), func(t *testing.T) {
+			for _, v := range []float64{math.NaN(), math.Inf(-1)} {
+				pool := NewMaxPool2D(window, stride)
+				x := tensor.New(1, 1, window, window)
+				x.Fill(v)
 				y := pool.Forward(x, true)
-				got := make([]float64, y.Len())
-				y.CopyToF64(got)
-				for i := range wantOut {
-					if math.Float64bits(got[i]) != math.Float64bits(wantOut[i]) && !(math.IsNaN(got[i]) && math.IsNaN(wantOut[i])) {
-						t.Fatalf("output %d: %v, want %v", i, got[i], wantOut[i])
-					}
-					if argmax()[i] != wantArg[i] {
-						t.Fatalf("argmax %d: %d, want %d", i, argmax()[i], wantArg[i])
-					}
+				if got := y.At(0, 0, 0, 0); !(got == v || math.IsNaN(got) && math.IsNaN(v)) {
+					t.Errorf("window of %v pools to %v", v, got)
 				}
-			})
-		}
+				if pool.argmax[0] != 0 {
+					t.Errorf("window of %v: argmax %d, want the first tap", v, pool.argmax[0])
+				}
+				g := tensor.New(1, 1, 1, 1)
+				g.Fill(1)
+				if dx := pool.Backward(g); dx.At(0, 0, 0, 0) != 1 {
+					t.Errorf("window of %v: the gradient did not reach the first tap", v)
+				}
+			}
+
+			rng := rand.New(rand.NewSource(3))
+			pool := NewMaxPool2D(window, stride)
+			x := tensor.New(2, 3, 9, 7)
+			salt := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0.5, 0.5, math.Copysign(0, -1), 0}
+			for i := 0; i < x.Len(); i++ {
+				v := float64(rng.Intn(4)) // few distinct values: many ties
+				if rng.Intn(3) == 0 {
+					v = salt[rng.Intn(len(salt))]
+				}
+				x.Set(v, i/(3*9*7), i/(9*7)%3, i/7%9, i%7)
+			}
+			wantOut, wantArg := maxPoolReference(x, window, stride)
+			y := pool.Forward(x, true)
+			got := y.Data()
+			for i := range wantOut {
+				if math.Float64bits(got[i]) != math.Float64bits(wantOut[i]) && !(math.IsNaN(got[i]) && math.IsNaN(wantOut[i])) {
+					t.Fatalf("output %d: %v, want %v", i, got[i], wantOut[i])
+				}
+				if pool.argmax[i] != wantArg[i] {
+					t.Fatalf("argmax %d: %d, want %d", i, pool.argmax[i], wantArg[i])
+				}
+			}
+		})
 	}
 }
 
 // TestPaperCNNStepPinned holds a training step to fixed bits: three
-// TrainStep + SGD steps of benchCNN at each width, and one ResNet-18 step
+// TrainStep + SGD steps of benchCNN, and one ResNet-18 step
 // (padded and strided convolutions — the general im2col path — and ReLU
 // inside residual blocks), every loss and then every parameter hashed with
 // FNV-64a. The constants were recorded before the step passes went
@@ -347,46 +303,40 @@ func TestMaxPoolNonFiniteWindows(t *testing.T) {
 // must land on the same constants.
 func TestPaperCNNStepPinned(t *testing.T) {
 	pins := map[string]uint64{
-		"cnn/float64":      0x27357a47134e7a2b,
-		"cnn/float32":      0x3cb70b8557d76392,
-		"resnet18/float64": 0x8b8ef9aa77656a87,
-		"resnet18/float32": 0xebe38eb2237087b2,
+		"cnn":      0x27357a47134e7a2b,
+		"resnet18": 0x8b8ef9aa77656a87,
 	}
-	resnet := func(dt tensor.DType) *Model {
-		return NewResNet18(ModelConfig{InChannels: 1, ImageSize: 28, NumClasses: 47, Scale: 16, Seed: 9, DType: dt})
+	resnet := func() *Model {
+		return NewResNet18(ModelConfig{InChannels: 1, ImageSize: 28, NumClasses: 47, Scale: 16, Seed: 9})
 	}
 	for _, mc := range []struct {
 		name         string
-		build        func(tensor.DType) *Model
+		build        func() *Model
 		batch, steps int
 	}{{"cnn", benchCNN, 8, 3}, {"resnet18", resnet, 4, 1}} {
-		for _, dt := range stepDTypes {
-			name := mc.name + "/" + dt.String()
-			t.Run(name, func(t *testing.T) {
-				m := mc.build(dt)
-				h := fnv.New64a()
-				put := func(v float64) {
-					var b [8]byte
-					binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-					h.Write(b[:])
+		name := mc.name
+		t.Run(name, func(t *testing.T) {
+			m := mc.build()
+			h := fnv.New64a()
+			put := func(v float64) {
+				var b [8]byte
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+			for step := 0; step < mc.steps; step++ {
+				x, labels := randBatch(int64(40+step), mc.batch, 1, 28, 47)
+				m.ZeroGrad()
+				put(m.TrainStep(x, labels))
+				sgdStep(m, 0.05)
+			}
+			for _, p := range m.Params() {
+				for _, x := range p.Value.Data() {
+					put(x)
 				}
-				for step := 0; step < mc.steps; step++ {
-					x, labels := randBatch(dt, int64(40+step), mc.batch, 1, 28, 47)
-					m.ZeroGrad()
-					put(m.TrainStep(x, labels))
-					sgdStep(m, 0.05)
-				}
-				for _, p := range m.Params() {
-					v := make([]float64, p.Value.Len())
-					p.Value.CopyToF64(v)
-					for _, x := range v {
-						put(x)
-					}
-				}
-				if got := h.Sum64(); got != pins[name] {
-					t.Errorf("step hash %#016x, pinned %#016x", got, pins[name])
-				}
-			})
-		}
+			}
+			if got := h.Sum64(); got != pins[name] {
+				t.Errorf("step hash %#016x, pinned %#016x", got, pins[name])
+			}
+		})
 	}
 }

@@ -13,11 +13,6 @@ import (
 // SGD is stochastic gradient descent with L2 weight decay, matching the
 // paper's training setup (SGD, weight decay 0.001). Apart from the step
 // count its schedule reads, it keeps no state between steps.
-//
-// The update runs at the parameter storage width: scalars (learning rate,
-// weight decay) round once per Step and the per-element arithmetic stays in
-// the parameter's dtype. At float64 it is the historical update
-// bit-for-bit.
 type SGD struct {
 	lr          float64
 	weightDecay float64
@@ -59,20 +54,14 @@ func (s *SGD) LR() float64 { return s.lr * s.schedule(s.step) }
 
 // Step applies one update to every optimizer-visible parameter using the
 // gradients accumulated since the last ZeroGrad, then advances the step
-// counter. Parameters of both widths may appear in one call; each updates
-// at its own storage width.
+// counter.
 func (s *SGD) Step(params []*nn.Param) {
 	lr := s.LR()
 	for _, p := range params {
 		if p.NoOpt {
 			continue
 		}
-		if p.Value.DType() == tensor.Float32 {
-			tensor.SGDUpdate(tensor.DataOf[float32](p.Value), tensor.DataOf[float32](p.Grad),
-				float32(lr), float32(s.weightDecay)) //lint:allow precision -- optimizer scalars round once per step at the dispatch boundary
-			continue
-		}
-		tensor.SGDUpdate(tensor.DataOf[float64](p.Value), tensor.DataOf[float64](p.Grad), lr, s.weightDecay)
+		tensor.SGDUpdate(p.Value.Data(), p.Grad.Data(), lr, s.weightDecay)
 	}
 	s.step++
 }

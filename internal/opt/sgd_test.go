@@ -121,7 +121,7 @@ func TestSGDMatchesManualLoop(t *testing.T) {
 
 // sgdRef is the update Step made before it became one pass: the decay folded
 // into the whole gradient first, then the step.
-func sgdRef[E tensor.Elem](v, g []E, lr, weightDecay E) {
+func sgdRef(v, g []float64, lr, weightDecay float64) {
 	if weightDecay != 0 {
 		for i := range g {
 			g[i] += weightDecay * v[i]
@@ -138,73 +138,52 @@ func sgdRef[E tensor.Elem](v, g []E, lr, weightDecay E) {
 var (
 	sgdSpecials64 = []uint64{0, 1 << 63, 0x7ff8_0000_0000_0a0a, 0xfff8_0000_0000_0b0b, 0x7ff0_0000_0000_0c0c,
 		0x7ff0_0000_0000_0000, 0xfff0_0000_0000_0000, 1, 0x800f_ffff_ffff_ffff}
-	sgdSpecials32 = []uint32{0, 1 << 31, 0x7fc0_0a0a, 0xffc0_0b0b, 0x7f80_0c0c, 0x7f80_0000, 0xff80_0000, 1, 0x807f_ffff}
 )
 
-// saltedValues draws n values of width E: normal draws, and one in four a
-// special bit pattern.
-func saltedValues[E tensor.Elem](rng *rand.Rand, n int) []E {
-	out := make([]E, n)
+// saltedValues draws n values: normal draws, and one in four a special bit
+// pattern.
+func saltedValues(rng *rand.Rand, n int) []float64 {
+	out := make([]float64, n)
 	for i := range out {
-		out[i] = E(rng.NormFloat64())
+		out[i] = rng.NormFloat64()
 		if rng.Intn(4) == 0 {
-			switch p := any(&out[i]).(type) {
-			case *float64:
-				*p = math.Float64frombits(sgdSpecials64[rng.Intn(len(sgdSpecials64))])
-			case *float32:
-				*p = math.Float32frombits(sgdSpecials32[rng.Intn(len(sgdSpecials32))])
-			}
+			out[i] = math.Float64frombits(sgdSpecials64[rng.Intn(len(sgdSpecials64))])
 		}
 	}
 	return out
 }
 
-func sgdBits[E tensor.Elem](v E) uint64 {
-	switch x := any(v).(type) {
-	case float32:
-		return uint64(math.Float32bits(x))
-	case float64:
-		return math.Float64bits(x)
-	}
-	panic("unreachable")
-}
-
 // TestSGDMatchesRetiredUpdate holds Step to sgdRef bit for bit — the values
-// and the gradient Step leaves — at both widths, at every length 0–67 (so
+// and the gradient Step leaves — at every length 0–67 (so
 // the vector head's 16-element steps and every tail length run), with the
 // parameter and its gradient starting at different element offsets, with and
 // without weight decay, on operands salted with NaN payloads, ±0, ±Inf and
 // subnormals. Length 0 goes straight to tensor.SGDUpdate, which Step calls
 // per parameter: a tensor holds at least one element.
 func TestSGDMatchesRetiredUpdate(t *testing.T) {
-	checkSGDRef[float64](t)
-	checkSGDRef[float32](t)
-}
-
-func checkSGDRef[E tensor.Elem](t *testing.T) {
-	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	for _, wd := range []float64{0, 0.001} {
 		s := NewSGD(0.05, WithWeightDecay(wd))
-		lr, decay := E(s.LR()), E(wd) //lint:allow precision -- the scalars Step rounds once at its dispatch
+		lr, decay := s.LR(), wd
 		for n := 0; n <= 67; n++ {
 			for off := 0; off < 4; off++ {
-				v0, g0 := saltedValues[E](rng, n), saltedValues[E](rng, n)
-				vb, gb := make([]E, off+n), make([]E, 3-off+n)
+				v0, g0 := saltedValues(rng, n), saltedValues(rng, n)
+				vb, gb := make([]float64, off+n), make([]float64, 3-off+n)
 				v, g := vb[off:], gb[3-off:]
 				copy(v, v0)
 				copy(g, g0)
 				if n == 0 {
 					tensor.SGDUpdate(v, g, lr, decay)
 				} else {
-					s.Step([]*nn.Param{{Name: "p", Value: tensor.FromSliceOf(v, n), Grad: tensor.FromSliceOf(g, n)}})
+					s.Step([]*nn.Param{{Name: "p", Value: tensor.FromSlice(v, n), Grad: tensor.FromSlice(g, n)}})
 				}
 				sgdRef(v0, g0, lr, decay)
-				what := fmt.Sprintf("%s n=%d offsets=%d,%d wd=%g", tensor.DTypeOf[E](), n, off, 3-off, wd)
+				what := fmt.Sprintf("n=%d offsets=%d,%d wd=%g", n, off, 3-off, wd)
+				bits := math.Float64bits
 				for i := range v0 {
-					if sgdBits(v[i]) != sgdBits(v0[i]) || sgdBits(g[i]) != sgdBits(g0[i]) {
+					if bits(v[i]) != bits(v0[i]) || bits(g[i]) != bits(g0[i]) {
 						t.Fatalf("%s: element %d is v %#x g %#x, the retired update gives v %#x g %#x",
-							what, i, sgdBits(v[i]), sgdBits(g[i]), sgdBits(v0[i]), sgdBits(g0[i]))
+							what, i, bits(v[i]), bits(g[i]), bits(v0[i]), bits(g0[i]))
 					}
 				}
 			}

@@ -144,12 +144,10 @@ func countNonzero(vec []float64) (nnz int) {
 
 // putF32 and getF32 are the base wire format's only value conversions.
 func putF32(dst []byte, v float64) {
-	//lint:allow precision -- the base wire format stores values as f32 by contract (PR 4 byte-identity)
 	binary.LittleEndian.PutUint32(dst, math.Float32bits(float32(v)))
 }
 
 func getF32(src []byte) float64 {
-	//lint:allow precision -- widening the f32 wire value back to the f64 vector, exact
 	return float64(math.Float32frombits(binary.LittleEndian.Uint32(src)))
 }
 

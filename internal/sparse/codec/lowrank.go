@@ -80,12 +80,10 @@ func (s *lowRankStage) Encode(dst []byte, v Vector) ([]byte, error) {
 	binary.LittleEndian.PutUint64(body[16:], uint64(r))
 	fp := body[24:]
 	for i, x := range U {
-		//lint:allow precision -- factors ship as f32 by format: the stage is lossy by design
 		binary.LittleEndian.PutUint32(fp[4*i:], math.Float32bits(float32(x)))
 	}
 	fp = fp[4*len(U):]
 	for i, x := range V {
-		//lint:allow precision -- factors ship as f32 by format: the stage is lossy by design
 		binary.LittleEndian.PutUint32(fp[4*i:], math.Float32bits(float32(x)))
 	}
 	return dst, nil
@@ -234,13 +232,11 @@ func decodeLowRank(dst []float64, b []byte, maxParams int) ([]float64, error) {
 	}
 	U := make([]float64, m*r)
 	for i := range U {
-		//lint:allow precision -- widening the f32 factor back to f64, exact
 		U[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
 	}
 	V := make([]float64, n*r)
 	vb := b[4*m*r:]
 	for i := range V {
-		//lint:allow precision -- widening the f32 factor back to f64, exact
 		V[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(vb[4*i:])))
 	}
 	out := SizeVector(dst, m*n)

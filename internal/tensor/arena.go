@@ -22,12 +22,10 @@ import (
 
 // arenaClasses covers 2^0 .. 2^(arenaClasses-1) elements; 2^26 float64s is
 // 512 MiB, far beyond any model in the zoo — larger requests bypass the
-// arena and fall to the GC. Each dtype has its own pool array: a recycled
-// float32 buffer is half the footprint of its float64 peer and must never
-// satisfy a float64 request.
+// arena and fall to the GC.
 const arenaClasses = 27
 
-var arenas [numDTypes][arenaClasses]sync.Pool
+var arenas [arenaClasses]sync.Pool
 
 func sizeClass(n int) int {
 	if n <= 1 {
@@ -56,55 +54,34 @@ func (t *Tensor) setShape(shape []int) {
 	}
 }
 
-// GetScratch returns a float64 tensor of the given shape backed by pooled
-// storage. The contents are unspecified; callers must overwrite before
-// reading.
+// GetScratch returns a tensor of the given shape backed by pooled storage.
+// The contents are unspecified; callers must overwrite before reading.
 func GetScratch(shape ...int) *Tensor {
-	return GetScratchOf(Float64, shape...)
-}
-
-// GetScratchOf is GetScratch at an explicit dtype — the variant the
-// precision-parameterized layers use so their scratch matches their
-// parameter storage width.
-func GetScratchOf(dt DType, shape ...int) *Tensor {
 	n := checkShape(shape)
 	c := sizeClass(n)
 	if c >= arenaClasses { // beyond the largest class: plain allocation
-		return NewOf(dt, shape...)
+		return New(shape...)
 	}
-	t, ok := arenas[dt][c].Get().(*Tensor)
+	t, ok := arenas[c].Get().(*Tensor)
 	if !ok {
-		t = &Tensor{dt: dt}
-		if dt == Float32 {
-			t.data32 = make([]float32, 1<<uint(c))
-		} else {
-			t.data = make([]float64, 1<<uint(c))
-		}
+		t = &Tensor{data: make([]float64, 1<<uint(c))}
 	}
-	if dt == Float32 {
-		t.data32 = t.data32[:n]
-	} else {
-		t.data = t.data[:n]
-	}
+	t.data = t.data[:n]
 	t.setShape(shape)
 	return t
 }
 
-// GetScratchLike returns a scratch tensor of x's dtype and shape.
-func GetScratchLike(x *Tensor) *Tensor { return GetScratchOf(x.dt, x.shape...) }
+// GetScratchLike returns a scratch tensor of x's shape.
+func GetScratchLike(x *Tensor) *Tensor { return GetScratch(x.shape...) }
 
-// PutScratch returns a tensor to its dtype's arena; the arena will recycle
-// the whole object. Passing nil is a no-op so callers can release
-// optimistically. The tensor (and any view of it) must not be used
-// afterwards.
+// PutScratch returns a tensor to the arena, which will recycle the whole
+// object. Passing nil is a no-op so callers can release optimistically. The
+// tensor (and any view of it) must not be used afterwards.
 func PutScratch(t *Tensor) {
 	if t == nil {
 		return
 	}
 	c := cap(t.data)
-	if t.dt == Float32 {
-		c = cap(t.data32)
-	}
 	if c == 0 {
 		return
 	}
@@ -112,10 +89,6 @@ func PutScratch(t *Tensor) {
 	if cls >= arenaClasses {
 		return
 	}
-	if t.dt == Float32 {
-		t.data32 = t.data32[:c]
-	} else {
-		t.data = t.data[:c]
-	}
-	arenas[t.dt][cls].Put(t)
+	t.data = t.data[:c]
+	arenas[cls].Put(t)
 }

@@ -12,18 +12,16 @@ func reportGFLOPs(b *testing.B, flops float64) {
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
-// benchMatMul times C = A × B for square n×n operands at the given storage
-// width and reports GFLOP/s. Run with -benchmem: the kernel itself must not
-// allocate beyond the output tensor. The F32 variants are the float32
-// compute path's headline numbers: same FLOP count, half the bytes moved per
-// operand.
-func benchMatMul(b *testing.B, dt DType, n int) {
+// benchMatMul times C = A × B for square n×n operands and reports GFLOP/s.
+// Run with -benchmem: the kernel itself must not allocate beyond the output
+// tensor.
+func benchMatMul(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(1))
-	a := NewOf(dt, n, n)
+	a := New(n, n)
 	a.RandNormal(rng, 0, 1)
-	bb := NewOf(dt, n, n)
+	bb := New(n, n)
 	bb.RandNormal(rng, 0, 1)
-	c := NewOf(dt, n, n)
+	c := New(n, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMulInto(c, a, bb)
@@ -31,18 +29,15 @@ func benchMatMul(b *testing.B, dt DType, n int) {
 	reportGFLOPs(b, 2*float64(n*n*n))
 }
 
-func BenchmarkMatMul64(b *testing.B)     { benchMatMul(b, Float64, 64) }
-func BenchmarkMatMul256(b *testing.B)    { benchMatMul(b, Float64, 256) }
-func BenchmarkMatMul512(b *testing.B)    { benchMatMul(b, Float64, 512) }
-func BenchmarkMatMul64F32(b *testing.B)  { benchMatMul(b, Float32, 64) }
-func BenchmarkMatMul256F32(b *testing.B) { benchMatMul(b, Float32, 256) }
-func BenchmarkMatMul512F32(b *testing.B) { benchMatMul(b, Float32, 512) }
+func BenchmarkMatMul64(b *testing.B)  { benchMatMul(b, 64) }
+func BenchmarkMatMul256(b *testing.B) { benchMatMul(b, 256) }
+func BenchmarkMatMul512(b *testing.B) { benchMatMul(b, 512) }
 
-func benchMatMulTrans(b *testing.B, dt DType, n int, f func(a, b *Tensor) *Tensor) {
+func benchMatMulTrans(b *testing.B, n int, f func(a, b *Tensor) *Tensor) {
 	rng := rand.New(rand.NewSource(1))
-	a := NewOf(dt, n, n)
+	a := New(n, n)
 	a.RandNormal(rng, 0, 1)
-	bb := NewOf(dt, n, n)
+	bb := New(n, n)
 	bb.RandNormal(rng, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -51,10 +46,8 @@ func benchMatMulTrans(b *testing.B, dt DType, n int, f func(a, b *Tensor) *Tenso
 	reportGFLOPs(b, 2*float64(n*n*n))
 }
 
-func BenchmarkMatMulTransA256(b *testing.B)    { benchMatMulTrans(b, Float64, 256, MatMulTransA) }
-func BenchmarkMatMulTransB256(b *testing.B)    { benchMatMulTrans(b, Float64, 256, MatMulTransB) }
-func BenchmarkMatMulTransA256F32(b *testing.B) { benchMatMulTrans(b, Float32, 256, MatMulTransA) }
-func BenchmarkMatMulTransB256F32(b *testing.B) { benchMatMulTrans(b, Float32, 256, MatMulTransB) }
+func BenchmarkMatMulTransA256(b *testing.B) { benchMatMulTrans(b, 256, MatMulTransA) }
+func BenchmarkMatMulTransB256(b *testing.B) { benchMatMulTrans(b, 256, MatMulTransB) }
 
 // convShape is a convolution the conv benchmarks time at batch 8: c input
 // channels of an h×h plane to outC output channels, a kh×kh kernel at
@@ -67,8 +60,7 @@ var (
 	cifarConv = convShape{16, 16, 16, 3, 1}
 	// paperConv1 and paperConv2 are sim_cnn's layers, the paper's CNN at
 	// Scale 4 on 28×28 images: 1→8 channels at 5×5 (K = 25, 24-wide output
-	// rows) and 8→16 at 5×5 on 12×12 (K = 200, 8-wide rows). Their strips
-	// and tiles fit the two widths differently (ROADMAP 11).
+	// rows) and 8→16 at 5×5 on 12×12 (K = 200, 8-wide rows).
 	paperConv1 = convShape{1, 28, 8, 5, 0}
 	paperConv2 = convShape{8, 12, 16, 5, 0}
 )
@@ -77,19 +69,19 @@ var (
 // padded as the layer pads it, and reports GFLOP/s: each product is 2·K
 // flops per output element, K = C·KH·KW, counted over y's elements — the
 // forward's output, and equally many terms for either gradient.
-func benchConv(b *testing.B, dt DType, sh convShape, product string) {
+func benchConv(b *testing.B, sh convShape, product string) {
 	rng := rand.New(rand.NewSource(1))
 	p := ConvParams{KernelH: sh.kh, KernelW: sh.kh, StrideH: 1, StrideW: 1, PadH: sh.pad, PadW: sh.pad}
-	pl := NewConvPlan(dt, sh.c, sh.h, sh.h, sh.outC, p)
+	pl := NewConvPlan(sh.c, sh.h, sh.h, sh.outC, p)
 	oh, _ := p.OutSize(sh.h, sh.h)
 	hp := sh.h + 2*sh.pad
-	x, src := NewOf(dt, 8, sh.c, sh.h, sh.h), NewOf(dt, 8, sh.c, hp, hp)
+	x, src := New(8, sh.c, sh.h, sh.h), New(8, sh.c, hp, hp)
 	x.RandNormal(rng, 0, 1)
 	PadInto(src, x, sh.pad, sh.pad)
 	k := sh.c * sh.kh * sh.kh
-	w, dw := NewOf(dt, sh.outC, k), NewOf(dt, sh.outC, k)
+	w, dw := New(sh.outC, k), New(sh.outC, k)
 	w.RandNormal(rng, 0, 1)
-	y, g := NewOf(dt, 8, sh.outC, oh, oh), NewOf(dt, 8, sh.outC, oh, oh)
+	y, g := New(8, sh.outC, oh, oh), New(8, sh.outC, oh, oh)
 	g.RandNormal(rng, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -105,22 +97,14 @@ func benchConv(b *testing.B, dt DType, sh convShape, product string) {
 	reportGFLOPs(b, 2*float64(y.Len()*k))
 }
 
-func BenchmarkConvForward(b *testing.B)       { benchConv(b, Float64, cifarConv, "forward") }
-func BenchmarkConvForwardF32(b *testing.B)    { benchConv(b, Float32, cifarConv, "forward") }
-func BenchmarkConvWeightGrad(b *testing.B)    { benchConv(b, Float64, cifarConv, "weight") }
-func BenchmarkConvWeightGradF32(b *testing.B) { benchConv(b, Float32, cifarConv, "weight") }
-func BenchmarkConvInputGrad(b *testing.B)     { benchConv(b, Float64, cifarConv, "input") }
-func BenchmarkConvInputGradF32(b *testing.B)  { benchConv(b, Float32, cifarConv, "input") }
+func BenchmarkConvForward(b *testing.B)    { benchConv(b, cifarConv, "forward") }
+func BenchmarkConvWeightGrad(b *testing.B) { benchConv(b, cifarConv, "weight") }
+func BenchmarkConvInputGrad(b *testing.B)  { benchConv(b, cifarConv, "input") }
 
 // The paper CNN's first layer computes no input gradient (nn.Conv2D's
 // noInputGrad), so conv1 has no InputGrad benchmark.
-func BenchmarkPaperConv1Forward(b *testing.B)       { benchConv(b, Float64, paperConv1, "forward") }
-func BenchmarkPaperConv1ForwardF32(b *testing.B)    { benchConv(b, Float32, paperConv1, "forward") }
-func BenchmarkPaperConv1WeightGrad(b *testing.B)    { benchConv(b, Float64, paperConv1, "weight") }
-func BenchmarkPaperConv1WeightGradF32(b *testing.B) { benchConv(b, Float32, paperConv1, "weight") }
-func BenchmarkPaperConv2Forward(b *testing.B)       { benchConv(b, Float64, paperConv2, "forward") }
-func BenchmarkPaperConv2ForwardF32(b *testing.B)    { benchConv(b, Float32, paperConv2, "forward") }
-func BenchmarkPaperConv2WeightGrad(b *testing.B)    { benchConv(b, Float64, paperConv2, "weight") }
-func BenchmarkPaperConv2WeightGradF32(b *testing.B) { benchConv(b, Float32, paperConv2, "weight") }
-func BenchmarkPaperConv2InputGrad(b *testing.B)     { benchConv(b, Float64, paperConv2, "input") }
-func BenchmarkPaperConv2InputGradF32(b *testing.B)  { benchConv(b, Float32, paperConv2, "input") }
+func BenchmarkPaperConv1Forward(b *testing.B)    { benchConv(b, paperConv1, "forward") }
+func BenchmarkPaperConv1WeightGrad(b *testing.B) { benchConv(b, paperConv1, "weight") }
+func BenchmarkPaperConv2Forward(b *testing.B)    { benchConv(b, paperConv2, "forward") }
+func BenchmarkPaperConv2WeightGrad(b *testing.B) { benchConv(b, paperConv2, "weight") }
+func BenchmarkPaperConv2InputGrad(b *testing.B)  { benchConv(b, paperConv2, "input") }

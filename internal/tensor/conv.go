@@ -57,20 +57,15 @@ func MaxPool2x2Into(out *Tensor, argmax []int, x *Tensor) {
 	if len(out.shape) != 4 || out.shape[0] != n || out.shape[1] != c || out.shape[2] != h/2 || out.shape[3] != w/2 || len(argmax) != out.Len() {
 		panic(fmt.Sprintf("tensor: MaxPool2x2Into out %v with %d argmax slots, input %v", out.shape, len(argmax), x.shape))
 	}
-	checkSameDType("MaxPool2x2Into", out, x)
-	if x.dt == Float32 {
-		maxPool2x2(out.data32, argmax, x.data32, n*c, h, w, noPoolHead[float32])
-		return
-	}
-	maxPool2x2(out.data, argmax, x.data, n*c, h, w, headMaxPool2x2)
+	maxPool2x2(out.data, argmax, x.data, n*c, h, w)
 }
 
 // maxPool2x2 pools row by row: the head takes what it can of a row, then the
 // Go loop finishes it without a branch on a value — all six tap-to-tap
 // comparisons of a window are made as 0/1 (b2i), the winner so far picks
 // which of them decides the next step, and the output is the winning tap.
-func maxPool2x2[E Elem](od []E, argmax []int, xd []E, planes, h, w int, head func(od []E, argmax []int, r0, r1 []E, top, w int) int) {
-	oh, ow := h/2, w/2
+func maxPool2x2(od []float64, argmax []int, xd []float64, planes, h, w int) {
+	oh, ow, head := h/2, w/2, headMaxPool2x2
 	oi := 0
 	for pl := 0; pl < planes; pl++ {
 		for oy := 0; oy < oh; oy++ {
@@ -106,18 +101,13 @@ func MaxPool2x2Backward(dx, g *Tensor, argmax []int) {
 	if len(g.shape) != 4 || g.shape[0] != n || g.shape[1] != c || g.shape[2] != h/2 || g.shape[3] != w/2 || len(argmax) != g.Len() {
 		panic(fmt.Sprintf("tensor: MaxPool2x2Backward g %v with %d argmax slots, input gradient %v", g.shape, len(argmax), dx.shape))
 	}
-	checkSameDType("MaxPool2x2Backward", dx, g)
-	if dx.dt == Float32 {
-		maxPool2x2Backward(dx.data32, g.data32, argmax, n*c, h, w, noPoolBackHead[float32])
-		return
-	}
-	maxPool2x2Backward(dx.data, g.data, argmax, n*c, h, w, headMaxPool2x2Back)
+	maxPool2x2Backward(dx.data, g.data, argmax, n*c, h, w)
 }
 
 // maxPool2x2Backward goes plane by plane: the head takes what it can of
 // every row pair, then the Go loop finishes each.
-func maxPool2x2Backward[E Elem](dd, gd []E, argmax []int, planes, h, w int, head func(g []E, argmax []int, dd []E, top, w, ow, rows int) int) {
-	oh, ow := h/2, w/2
+func maxPool2x2Backward(dd, gd []float64, argmax []int, planes, h, w int) {
+	oh, ow, head := h/2, w/2, headMaxPool2x2Back
 	for pl := 0; pl < planes; pl++ {
 		plane := dd[pl*h*w : (pl+1)*h*w]
 		g, a := gd[pl*oh*ow:(pl+1)*oh*ow], argmax[pl*oh*ow:(pl+1)*oh*ow]

@@ -10,12 +10,8 @@ func im2col(x *Tensor, p ConvParams) *Tensor {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	oh, ow := p.OutSize(h, w)
 	rows := c * p.KernelH * p.KernelW
-	out := NewOf(x.dt, rows, n*oh*ow)
-	if x.dt == Float32 {
-		im2colRows(out.data32, x.data32, p, n, c, h, w, oh, ow, 0, rows)
-	} else {
-		im2colRows(out.data, x.data, p, n, c, h, w, oh, ow, 0, rows)
-	}
+	out := New(rows, n*oh*ow)
+	im2colRows(out.data, x.data, p, n, c, h, w, oh, ow, 0, rows)
 	return out
 }
 
@@ -23,12 +19,8 @@ func im2col(x *Tensor, p ConvParams) *Tensor {
 // overlapping taps: the adjoint of im2col.
 func col2im(cols *Tensor, n, c, h, w int, p ConvParams) *Tensor {
 	oh, ow := p.OutSize(h, w)
-	x := NewOf(cols.dt, n, c, h, w)
-	if x.dt == Float32 {
-		col2imChannels(x.data32, cols.data32, p, n, c, h, w, oh, ow, 0, c)
-	} else {
-		col2imChannels(x.data, cols.data, p, n, c, h, w, oh, ow, 0, c)
-	}
+	x := New(n, c, h, w)
+	col2imChannels(x.data, cols.data, p, n, c, h, w, oh, ow, 0, c)
 	return x
 }
 
@@ -36,7 +28,7 @@ func col2im(cols *Tensor, n, c, h, w int, p ConvParams) *Tensor {
 // (channel, kernel-tap) pair r = (ci*KH + kh)*KW + kw. A row holds, per
 // image, OH segments of OW values: zeros where the tap lands in the padding,
 // the tap's input row in between.
-func im2colRows[E Elem](od, xd []E, p ConvParams, n, c, h, w, oh, ow, rLo, rHi int) {
+func im2colRows(od, xd []float64, p ConvParams, n, c, h, w, oh, ow, rLo, rHi int) {
 	cols, outPlane, inPlane := n*oh*ow, oh*ow, h*w
 	for row := rLo; row < rHi; row++ {
 		kw := row % p.KernelW
@@ -77,7 +69,7 @@ func im2colRows[E Elem](od, xd []E, p ConvParams, n, c, h, w, oh, ow, rLo, rHi i
 // col2imChannels accumulates channels [cLo, cHi) of the output. Every input
 // element starts at +0 and receives its taps in (kh, kw) order, the order that
 // fixes its bits.
-func col2imChannels[E Elem](xd, cd []E, p ConvParams, n, c, h, w, oh, ow, cLo, cHi int) {
+func col2imChannels(xd, cd []float64, p ConvParams, n, c, h, w, oh, ow, cLo, cHi int) {
 	colN, plane := n*oh*ow, h*w
 	for ci := cLo; ci < cHi; ci++ {
 		for ni := 0; ni < n; ni++ {
@@ -133,27 +125,17 @@ func convLowered(x, w, bias, g, dw0 *Tensor, p ConvParams) (y, dw, dx []float64)
 			for i := 0; i < plane; i++ {
 				v := yc[(oc*n+ni)*plane+i]
 				if bias != nil {
-					v = roundTo(x.dt, v+bias.flatAt(oc))
+					v += bias.data[oc]
 				}
 				y[(ni*outC+oc)*plane+i] = v
 				gc[(oc*n+ni)*plane+i] = gd[(ni*outC+oc)*plane+i]
 			}
 		}
 	}
-	gt := NewOf(x.dt, outC, n*plane)
-	gt.CopyFromF64(gc)
+	gt := FromSlice(gc, outC, n*plane)
 	dw = f64Of(dw0)
 	for i, v := range f64Of(MatMulTransB(gt, cols)) {
-		dw[i] = roundTo(x.dt, dw[i]+v)
+		dw[i] += v
 	}
 	return y, dw, f64Of(col2im(MatMulTransA(w, gt), n, c, h, wd, p))
-}
-
-// roundTo rounds a float64 sum of two dt values to dt: exact for the one
-// addition it follows.
-func roundTo(dt DType, v float64) float64 {
-	if dt == Float32 {
-		return float64(float32(v))
-	}
-	return v
 }

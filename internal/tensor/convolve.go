@@ -34,7 +34,6 @@ import (
 // input plane. It depends on neither the batch size nor the values, so a
 // layer builds it once per input shape.
 type ConvPlan struct {
-	dt      DType
 	c, h, w int // input channels and plane
 	outC    int
 	p       ConvParams
@@ -59,16 +58,13 @@ type ConvPlan struct {
 type tapRange struct{ dst, o0, o1, valid int }
 
 // NewConvPlan builds the tables of a convolution of geometry p from c input
-// channels of an h×w plane to outC output channels, at storage width dt.
-func NewConvPlan(dt DType, c, h, w, outC int, p ConvParams) *ConvPlan {
+// channels of an h×w plane to outC output channels.
+func NewConvPlan(c, h, w, outC int, p ConvParams) *ConvPlan {
 	oh, ow := p.OutSize(h, w)
 	k := c * p.KernelH * p.KernelW
-	tw := 8
-	if dt == Float32 {
-		tw = 16
-	}
+	tw := tileCols
 	pl := &ConvPlan{
-		dt: dt, c: c, h: h, w: w, outC: outC, p: p, oh: oh, ow: ow,
+		c: c, h: h, w: w, outC: outC, p: p, oh: oh, ow: ow,
 		hp: h + 2*p.PadH, wp: w + 2*p.PadW, k: k, mp: (outC + tw - 1) / tw * tw,
 	}
 	kp := (k + tileRows - 1) / tileRows * tileRows
@@ -122,14 +118,11 @@ func (pl *ConvPlan) Plane() (h, w int) { return pl.h, pl.w }
 // rather than the input itself.
 func (pl *ConvPlan) Padded() bool { return pl.p.PadH > 0 || pl.p.PadW > 0 }
 
-// checkShape panics unless t has the plan's dtype and the given shape. The
-// message takes a copy of shape, so the slice stays on the caller's stack.
+// checkShape panics unless t has the given shape. The message takes a copy
+// of shape, so the slice stays on the caller's stack.
 func (pl *ConvPlan) checkShape(op, name string, t *Tensor, shape ...int) {
 	if !hasShape(t, shape) {
 		panic(fmt.Sprintf("tensor: ConvPlan.%s %s shape %v, want %v", op, name, t.shape, append([]int(nil), shape...)))
-	}
-	if t.dt != pl.dt {
-		panic(fmt.Sprintf("tensor: ConvPlan.%s %s is %v, the plan %v", op, name, t.dt, pl.dt))
 	}
 }
 
@@ -166,19 +159,11 @@ func (pl *ConvPlan) Forward(y, src, w, bias *Tensor) {
 	if bias != nil {
 		pl.checkShape("Forward", "bias", bias, pl.outC)
 	}
-	if pl.dt == Float32 {
-		var bd []float32
-		if bias != nil {
-			bd = bias.data32
-		}
-		convForward(pl, tile32, y.data32, src.data32, w.data32, bd, n)
-		return
-	}
 	var bd []float64
 	if bias != nil {
 		bd = bias.data
 	}
-	convForward(pl, tile64, y.data, src.data, w.data, bd, n)
+	convForward(pl, y.data, src.data, w.data, bd, n)
 }
 
 // WeightGrad accumulates dw += ∂loss/∂W from src, the tensor Forward read,
@@ -187,11 +172,7 @@ func (pl *ConvPlan) WeightGrad(dw, src, g *Tensor) {
 	n := pl.batch("WeightGrad", src)
 	pl.checkShape("WeightGrad", "gradient", g, n, pl.outC, pl.oh, pl.ow)
 	pl.checkShape("WeightGrad", "weight gradient", dw, pl.outC, pl.k)
-	if pl.dt == Float32 {
-		convWeightGrad(pl, tile32, dw.data32, src.data32, g.data32, n)
-		return
-	}
-	convWeightGrad(pl, tile64, dw.data, src.data, g.data, n)
+	convWeightGrad(pl, dw.data, src.data, g.data, n)
 }
 
 // InputGrad writes dx = ∂loss/∂x (N, C, H, W), fully overwritten, from the
@@ -204,27 +185,23 @@ func (pl *ConvPlan) InputGrad(dx, w, g *Tensor) {
 	pl.checkShape("InputGrad", "gradient", g, n, pl.outC, pl.oh, pl.ow)
 	pl.checkShape("InputGrad", "input gradient", dx, n, pl.c, pl.h, pl.w)
 	pl.checkShape("InputGrad", "weight", w, pl.outC, pl.k)
-	if pl.dt == Float32 {
-		convInputGrad(pl, tile32, noAddRowsHead[float32], dx.data32, w.data32, g.data32, n)
-		return
-	}
-	convInputGrad(pl, tile64, headAddRows, dx.data, w.data, g.data, n)
+	convInputGrad(pl, dx.data, w.data, g.data, n)
 }
 
 // convForward splits the batch over the worker pool; images write disjoint
 // slabs of y.
-func convForward[E Elem](pl *ConvPlan, tile tileFunc[E], y, x, w, bias []E, n int) {
+func convForward(pl *ConvPlan, y, x, w, bias []float64, n int) {
 	if n > 1 && parallelWorthwhile(int64(n)*int64(pl.outC)*int64(pl.k)*int64(pl.oh*pl.ow)) {
-		par.Parallelize(n, func(lo, hi int) { convForwardImages(pl, tile, y, x, w, bias, lo, hi) })
+		par.Parallelize(n, func(lo, hi int) { convForwardImages(pl, y, x, w, bias, lo, hi) })
 		return
 	}
-	convForwardImages(pl, tile, y, x, w, bias, 0, n)
+	convForwardImages(pl, y, x, w, bias, 0, n)
 }
 
 // convForwardImages computes images [lo, hi) strip by strip, so one strip's
 // B operand serves every row tile.
-func convForwardImages[E Elem](pl *ConvPlan, tile tileFunc[E], y, x, w, bias []E, lo, hi int) {
-	tw := tileCols[E]()
+func convForwardImages(pl *ConvPlan, y, x, w, bias []float64, lo, hi int) {
+	tw, tile := tileCols, microTile
 	k, outC, ohow, ow := pl.k, pl.outC, pl.oh*pl.ow, pl.ow
 	inVol, full := pl.c*pl.hp*pl.wp, outC-outC%tileRows
 	acol := pl.ident[:k]
@@ -232,8 +209,8 @@ func convForwardImages[E Elem](pl *ConvPlan, tile tileFunc[E], y, x, w, bias []E
 	if bias != nil {
 		mode = tileAddTo
 	}
-	ps := GetScratchOf(pl.dt, k, tw)
-	panel := DataOf[E](ps)
+	ps := GetScratch(k, tw)
+	panel := ps.data
 	for ni := lo; ni < hi; ni++ {
 		xn := x[ni*inVol : (ni+1)*inVol]
 		yn := y[ni*outC*ohow : (ni+1)*outC*ohow]
@@ -273,17 +250,17 @@ func convForwardImages[E Elem](pl *ConvPlan, tile tileFunc[E], y, x, w, bias []E
 // pass over g (transposeGrad), runs the transposed product into ct (split
 // over the pool by row tiles, which write disjoint rows) and adds ct's
 // transpose into dw.
-func convWeightGrad[E Elem](pl *ConvPlan, tile tileFunc[E], dw, x, g []E, n int) {
+func convWeightGrad(pl *ConvPlan, dw, x, g []float64, n int) {
 	ohow, outC, mp, k, kp := pl.oh*pl.ow, pl.outC, pl.mp, pl.k, len(pl.tap)
-	gts, cts := GetScratchOf(pl.dt, n*ohow, mp), GetScratchOf(pl.dt, kp, mp)
-	gt, ct := DataOf[E](gts), DataOf[E](cts)
+	gts, cts := GetScratch(n*ohow, mp), GetScratch(kp, mp)
+	gt, ct := gts.data, cts.data
 	for ni := 0; ni < n; ni++ {
 		transposeGrad(gt[ni*ohow*mp:(ni+1)*ohow*mp], g[ni*outC*ohow:(ni+1)*outC*ohow], outC, ohow, mp)
 	}
 	if parallelWorthwhile(int64(n) * int64(ohow) * int64(k) * int64(outC)) {
-		par.ParallelizeGrain(kp, tileRows, func(lo, hi int) { convWeightGradRows(pl, tile, ct, x, gt, n, lo, hi) })
+		par.ParallelizeGrain(kp, tileRows, func(lo, hi int) { convWeightGradRows(pl, ct, x, gt, n, lo, hi) })
 	} else {
-		convWeightGradRows(pl, tile, ct, x, gt, n, 0, kp)
+		convWeightGradRows(pl, ct, x, gt, n, 0, kp)
 	}
 	for oc := 0; oc < outC; oc++ {
 		row := dw[oc*k : (oc+1)*k]
@@ -298,15 +275,15 @@ func convWeightGrad[E Elem](pl *ConvPlan, tile tileFunc[E], dw, x, g []E, n int)
 // transposeGrad writes one image's gradient gn (outC × ohow) into gt as
 // gᵀ (ohow × mp, zero past outC): eight channels at a time, each a
 // sequential read, into the contiguous run they make of every gᵀ row (a
-// whole cache line at float64), then any channels left one by one.
-func transposeGrad[E Elem](gt, gn []E, outC, ohow, mp int) {
+// whole cache line), then any channels left one by one.
+func transposeGrad(gt, gn []float64, outC, ohow, mp int) {
 	oc := 0
 	for ; oc+8 <= outC; oc += 8 {
 		g0 := gn[oc*ohow : (oc+1)*ohow]
 		g1, g2, g3 := gn[(oc+1)*ohow:][:len(g0)], gn[(oc+2)*ohow:][:len(g0)], gn[(oc+3)*ohow:][:len(g0)]
 		g4, g5, g6, g7 := gn[(oc+4)*ohow:][:len(g0)], gn[(oc+5)*ohow:][:len(g0)], gn[(oc+6)*ohow:][:len(g0)], gn[(oc+7)*ohow:][:len(g0)]
 		for s, v := range g0 {
-			q := (*[8]E)(gt[s*mp+oc:])
+			q := (*[8]float64)(gt[s*mp+oc:])
 			q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7] = v, g1[s], g2[s], g3[s], g4[s], g5[s], g6[s], g7[s]
 		}
 	}
@@ -321,8 +298,8 @@ func transposeGrad[E Elem](gt, gn []E, outC, ohow, mp int) {
 
 // convWeightGradRows computes the ct rows [lo, hi), whole tiles: image 0
 // stores, every later image seeds from what the earlier ones summed.
-func convWeightGradRows[E Elem](pl *ConvPlan, tile tileFunc[E], ct, x, gt []E, n, lo, hi int) {
-	tw := tileCols[E]()
+func convWeightGradRows(pl *ConvPlan, ct, x, gt []float64, n, lo, hi int) {
+	tw, tile := tileCols, microTile
 	ohow, mp, inVol := pl.oh*pl.ow, pl.mp, pl.c*pl.hp*pl.wp
 	for ni := 0; ni < n; ni++ {
 		mode := tileSeed
@@ -341,23 +318,23 @@ func convWeightGradRows[E Elem](pl *ConvPlan, tile tileFunc[E], ct, x, gt []E, n
 
 // convInputGrad splits the batch over the worker pool; images write
 // disjoint slabs of dx.
-func convInputGrad[E Elem](pl *ConvPlan, tile tileFunc[E], head rowsHead[E], dx, w, g []E, n int) {
+func convInputGrad(pl *ConvPlan, dx, w, g []float64, n int) {
 	if n > 1 && parallelWorthwhile(int64(n)*int64(pl.outC)*int64(pl.k)*int64(pl.oh*pl.ow)) {
-		par.Parallelize(n, func(lo, hi int) { convInputGradImages(pl, tile, head, dx, w, g, lo, hi) })
+		par.Parallelize(n, func(lo, hi int) { convInputGradImages(pl, dx, w, g, lo, hi) })
 		return
 	}
-	convInputGradImages(pl, tile, head, dx, w, g, 0, n)
+	convInputGradImages(pl, dx, w, g, 0, n)
 }
 
 // convInputGradImages computes images [lo, hi): four taps' rows of Wᵀ × g at
 // a time into buf, then each row added into dx in tap order.
-func convInputGradImages[E Elem](pl *ConvPlan, tile tileFunc[E], head rowsHead[E], dx, w, g []E, lo, hi int) {
-	tw := tileCols[E]()
+func convInputGradImages(pl *ConvPlan, dx, w, g []float64, lo, hi int) {
+	tw, tile := tileCols, microTile
 	k, outC, ohow := pl.k, pl.outC, pl.oh*pl.ow
 	inVol, full := pl.c*pl.h*pl.w, ohow-ohow%tw
 	step, sw := pl.p.StrideH*pl.w, pl.p.StrideW
-	bs := GetScratchOf(pl.dt, tileRows, ohow)
-	buf := DataOf[E](bs)
+	bs := GetScratch(tileRows, ohow)
+	buf := bs.data
 	for ni := lo; ni < hi; ni++ {
 		dn := dx[ni*inVol : (ni+1)*inVol]
 		gn := g[ni*outC*ohow : (ni+1)*outC*ohow]
@@ -371,7 +348,7 @@ func convInputGradImages[E Elem](pl *ConvPlan, tile tileFunc[E], head rowsHead[E
 				goBlock(buf[full:], ohow, w, arow, pl.wrow, gn[full:], pl.gcol, tileRows, ohow-full, tileStore)
 			}
 			for r := 0; r < tileRows && q0+r < k; r++ {
-				scatterTap(dn, buf[r*ohow:(r+1)*ohow], pl.scatter[q0+r], pl.ow, step, sw, head)
+				scatterTap(dn, buf[r*ohow:(r+1)*ohow], pl.scatter[q0+r], pl.ow, step, sw)
 			}
 		}
 	}
@@ -381,12 +358,12 @@ func convInputGradImages[E Elem](pl *ConvPlan, tile tileFunc[E], head rowsHead[E
 // scatterTap adds one tap's row of the input gradient into an image of dx,
 // col2im's inner loop: at stride 1 every run of the tap in one addRows call
 // (the head takes the leading multiple of 4 of each run), otherwise in Go.
-func scatterTap[E Elem](dn, row []E, t tapRange, ow, step, sw int, head rowsHead[E]) {
+func scatterTap(dn, row []float64, t tapRange, ow, step, sw int) {
 	if t.o1 < t.o0 {
 		return
 	}
 	if sw == 1 {
-		addRows(dn[t.dst:], row[t.o0:], (t.o1-t.o0)/ow+1, t.valid, step, ow, head)
+		addRows(dn[t.dst:], row[t.o0:], (t.o1-t.o0)/ow+1, t.valid, step, ow)
 		return
 	}
 	dst := t.dst
@@ -407,16 +384,8 @@ func PadInto(dst, x *Tensor, padH, padW int) {
 		dst.shape[2] != x.shape[2]+2*padH || dst.shape[3] != x.shape[3]+2*padW {
 		panic(fmt.Sprintf("tensor: PadInto dst %v, x %v, pad %dx%d", dst.shape, x.shape, padH, padW))
 	}
-	checkSameDType("PadInto", dst, x)
-	planes, h, w := x.shape[0]*x.shape[1], x.shape[2], x.shape[3]
-	if x.dt == Float32 {
-		padInto(dst.data32, x.data32, planes, h, w, padH, padW)
-		return
-	}
-	padInto(dst.data, x.data, planes, h, w, padH, padW)
-}
-
-func padInto[E Elem](d, x []E, planes, h, w, ph, pw int) {
+	planes, h, w, ph, pw := x.shape[0]*x.shape[1], x.shape[2], x.shape[3], padH, padW
+	d, xd := dst.data, x.data
 	hp, wp := h+2*ph, w+2*pw
 	for pl := 0; pl < planes; pl++ {
 		dp := d[pl*hp*wp : (pl+1)*hp*wp]
@@ -424,7 +393,7 @@ func padInto[E Elem](d, x []E, planes, h, w, ph, pw int) {
 		for y := 0; y < h; y++ {
 			row := dp[(ph+y)*wp : (ph+y+1)*wp]
 			clear(row[:pw])
-			copy(row[pw:pw+w], x[(pl*h+y)*w:(pl*h+y+1)*w])
+			copy(row[pw:pw+w], xd[(pl*h+y)*w:(pl*h+y+1)*w])
 			clear(row[pw+w:])
 		}
 		clear(dp[(ph+h)*wp:])

@@ -2,23 +2,17 @@
 
 package tensor
 
-// Assembly micro-kernels (kernel_amd64.s): the AVX2 pair in YMM registers
-// and the AVX-512 pair in ZMM registers. All four take raw pointers; k may
-// be 0. They read A at a[arow[r]+acol[p]] (r < 4, p < k), B at
-// b[boff[p] .. boff[p]+W) and read/write C at c[r*ldc .. r*ldc+W),
-// W = 8 / 16 — nothing else. The wrappers below are the only callers.
+// Assembly micro-kernels (kernel_amd64.s): the AVX2 tile in YMM registers
+// and the AVX-512 tile in ZMM registers. Both take raw pointers; k may be 0.
+// They read A at a[arow[r]+acol[p]] (r < 4, p < k), B at
+// b[boff[p] .. boff[p]+8) and read/write C at c[r*ldc .. r*ldc+8) — nothing
+// else. The wrappers below are the only callers.
 
 //go:noescape
 func kernel4x8F64(c *float64, ldc int, a *float64, arow, acol *int, b *float64, boff *int, k, mode int)
 
 //go:noescape
-func kernel4x16F32(c *float32, ldc int, a *float32, arow, acol *int, b *float32, boff *int, k, mode int)
-
-//go:noescape
 func kernel4x8F64ZMM(c *float64, ldc int, a *float64, arow, acol *int, b *float64, boff *int, k, mode int)
-
-//go:noescape
-func kernel4x16F32ZMM(c *float32, ldc int, a *float32, arow, acol *int, b *float32, boff *int, k, mode int)
 
 // Element-wise heads (contract: vec.go). Each works the leading len(dst)&^15
 // elements, 32 bytes a step with unaligned loads and stores, and returns that
@@ -130,19 +124,19 @@ func hostLanes() (avx2, avx512 bool) {
 func init() {
 	avx2, avx512 := hostLanes()
 	if avx2 {
-		tile64, tile32, tileImpl = avx2Tile64, avx2Tile32, "avx2"
+		microTile, tileImpl = avx2Tile, "avx2"
 		headAddTo, headAddPair, headAddPairTo, headScale = vecAddTo, vecAddPair, vecAddPairTo, vecScale
 		maskWord, headNarrowLE, headWidenLE = vecMaskWord, vecNarrowLE, vecWidenLE
 		headReLU, headReLUGate, headMaxPool2x2 = vecReLU, vecReLUGate, vecMaxPool2x2
 		headSGD, headSGDDecay, headAddRows, headMaxPool2x2Back = vecSGD, vecSGDDecay, avx2AddRows, vecMaxPool2x2Back
 	}
 	if avx512 {
-		tile64, tile32, tileImpl = avx512Tile64, avx512Tile32, "avx512"
+		microTile, tileImpl = avx512Tile, "avx512"
 	}
 }
 
 // avx2AddRows touches the last element of each operand's last row in Go, as
-// avx2Tile64 does its corners, and enters the row-add head.
+// avx2Tile does its corners, and enters the row-add head.
 func avx2AddRows(dst, src []float64, rows, n, dstep, sstep int) int {
 	if rows < 1 || n < 4 {
 		return 0
@@ -159,30 +153,16 @@ func avx2AddRows(dst, src []float64, rows, n, dstep, sstep int) int {
 // last entries; a caller with other tables (the kernel tests) keeps every
 // offset in range itself. k >= 1: the driver settles an empty inner
 // dimension.
-func avx2Tile64(c []float64, ldc int, a []float64, arow, acol []int, b []float64, boff []int, k int, mode tileMode) {
+func avx2Tile(c []float64, ldc int, a []float64, arow, acol []int, b []float64, boff []int, k int, mode tileMode) {
 	_ = c[3*ldc+7]
 	_ = a[arow[3]+acol[k-1]]
 	_ = b[boff[k-1]+7]
 	kernel4x8F64(&c[0], ldc, &a[0], &arow[0], &acol[0], &b[0], &boff[0], k, int(mode))
 }
 
-func avx2Tile32(c []float32, ldc int, a []float32, arow, acol []int, b []float32, boff []int, k int, mode tileMode) {
-	_ = c[3*ldc+15]
-	_ = a[arow[3]+acol[k-1]]
-	_ = b[boff[k-1]+15]
-	kernel4x16F32(&c[0], ldc, &a[0], &arow[0], &acol[0], &b[0], &boff[0], k, int(mode))
-}
-
-func avx512Tile64(c []float64, ldc int, a []float64, arow, acol []int, b []float64, boff []int, k int, mode tileMode) {
+func avx512Tile(c []float64, ldc int, a []float64, arow, acol []int, b []float64, boff []int, k int, mode tileMode) {
 	_ = c[3*ldc+7]
 	_ = a[arow[3]+acol[k-1]]
 	_ = b[boff[k-1]+7]
 	kernel4x8F64ZMM(&c[0], ldc, &a[0], &arow[0], &acol[0], &b[0], &boff[0], k, int(mode))
-}
-
-func avx512Tile32(c []float32, ldc int, a []float32, arow, acol []int, b []float32, boff []int, k int, mode tileMode) {
-	_ = c[3*ldc+15]
-	_ = a[arow[3]+acol[k-1]]
-	_ = b[boff[k-1]+15]
-	kernel4x16F32ZMM(&c[0], ldc, &a[0], &arow[0], &acol[0], &b[0], &boff[0], k, int(mode))
 }

@@ -5,9 +5,9 @@
 // The register-tile micro-kernels (contract: matmul.go, DESIGN §5c), one
 // body at two register widths.
 //
-// One call computes a 4-row × W-column tile of C in accumulators whose lanes
-// are different output columns: with AVX2 eight YMM registers (Y0..Y7,
-// row-major: row r lives in Y(2r), Y(2r+1)), with AVX-512 four ZMM
+// One call computes a 4-row × 8-column float64 tile of C in accumulators
+// whose lanes are different output columns: with AVX2 eight YMM registers
+// (Y0..Y7, row-major: row r lives in Y(2r), Y(2r+1)), with AVX-512 four ZMM
 // registers (row r in Z(r)). Every p step reads its two offsets from the
 // tables, loads the row of B once from b + boff[p] (two YMM loads or one ZMM
 // load), broadcasts one A element per row from a + arow[r] + acol[p], and
@@ -47,36 +47,36 @@
 
 // YSTEP and ZSTEP are one p step, AX = boff[p] and BX = acol[p]: load B's
 // row, then per row acc += bcast(a) * B.
-#define YROW(BCAST, MUL, ADD, aaddr, lo, hi) \
-	BCAST aaddr, Y10; \
-	MUL   Y8, Y10, Y11; \
-	MUL   Y9, Y10, Y12; \
-	ADD   Y11, lo, lo; \
-	ADD   Y12, hi, hi
+#define YROW(aaddr, lo, hi) \
+	VBROADCASTSD aaddr, Y10; \
+	VMULPD       Y8, Y10, Y11; \
+	VMULPD       Y9, Y10, Y12; \
+	VADDPD       Y11, lo, lo; \
+	VADDPD       Y12, hi, hi
 
-#define YSTEP(MOVU, BCAST, MUL, ADD, SCALE) \
-	MOVU (DX)(AX*SCALE), Y8; \
-	MOVU 32(DX)(AX*SCALE), Y9; \
-	YROW(BCAST, MUL, ADD, (SI)(BX*SCALE), Y0, Y1); \
-	YROW(BCAST, MUL, ADD, (R9)(BX*SCALE), Y2, Y3); \
-	YROW(BCAST, MUL, ADD, (R12)(BX*SCALE), Y4, Y5); \
-	YROW(BCAST, MUL, ADD, (R13)(BX*SCALE), Y6, Y7)
+#define YSTEP \
+	VMOVUPD (DX)(AX*8), Y8; \
+	VMOVUPD 32(DX)(AX*8), Y9; \
+	YROW((SI)(BX*8), Y0, Y1); \
+	YROW((R9)(BX*8), Y2, Y3); \
+	YROW((R12)(BX*8), Y4, Y5); \
+	YROW((R13)(BX*8), Y6, Y7)
 
-#define ZROW(BCAST, MUL, ADD, aaddr, acc) \
-	BCAST aaddr, Z10; \
-	MUL   Z8, Z10, Z11; \
-	ADD   Z11, acc, acc
+#define ZROW(aaddr, acc) \
+	VBROADCASTSD aaddr, Z10; \
+	VMULPD       Z8, Z10, Z11; \
+	VADDPD       Z11, acc, acc
 
-#define ZSTEP(MOVU, BCAST, MUL, ADD, SCALE) \
-	MOVU (DX)(AX*SCALE), Z8; \
-	ZROW(BCAST, MUL, ADD, (SI)(BX*SCALE), Z0); \
-	ZROW(BCAST, MUL, ADD, (R9)(BX*SCALE), Z1); \
-	ZROW(BCAST, MUL, ADD, (R12)(BX*SCALE), Z2); \
-	ZROW(BCAST, MUL, ADD, (R13)(BX*SCALE), Z3)
+#define ZSTEP \
+	VMOVUPD (DX)(AX*8), Z8; \
+	ZROW((SI)(BX*8), Z0); \
+	ZROW((R9)(BX*8), Z1); \
+	ZROW((R12)(BX*8), Z2); \
+	ZROW((R13)(BX*8), Z3)
 
 // TILE is a whole kernel: ACCS and STEP pick the register width, ZERO clears
-// an accumulator, SCALE is the element size and SHIFT its log2.
-#define TILE(ACCS, STEP, MOVU, BCAST, MUL, ADD, ZERO, SCALE, SHIFT) \
+// an accumulator.
+#define TILE(ACCS, STEP, ZERO) \
 	MOVQ c+0(FP), DI; \
 	MOVQ ldc+8(FP), R8; \
 	MOVQ a+16(FP), SI; \
@@ -86,22 +86,22 @@
 	MOVQ boff+48(FP), R11; \
 	MOVQ k+56(FP), CX; \
 	MOVQ mode+64(FP), AX; \
-	SHLQ $SHIFT, R8; \
+	SHLQ $3, R8; \
 	MOVQ 8(BX), R9; \
 	MOVQ 16(BX), R12; \
 	MOVQ 24(BX), R13; \
 	MOVQ (BX), BX; \
-	LEAQ (SI)(R9*SCALE), R9; \
-	LEAQ (SI)(R12*SCALE), R12; \
-	LEAQ (SI)(R13*SCALE), R13; \
-	LEAQ (SI)(BX*SCALE), SI; \
+	LEAQ (SI)(R9*8), R9; \
+	LEAQ (SI)(R12*8), R12; \
+	LEAQ (SI)(R13*8), R13; \
+	LEAQ (SI)(BX*8), SI; \
 	LEAQ (R10)(CX*8), R10; \
 	LEAQ (R11)(CX*8), R11; \
 	NEGQ CX; \
 	LEAQ (R8)(R8*2), BX; \
 	CMPQ AX, $1; \
 	JNE  zero; \
-	ACCS(ACCLOAD, MOVU); \
+	ACCS(ACCLOAD, VMOVUPD); \
 	JMP  start; \
 zero: \
 	ACCS(ACCZERO, ZERO); \
@@ -111,7 +111,7 @@ start: \
 loop: \
 	MOVQ (R11)(CX*8), AX; \
 	MOVQ (R10)(CX*8), BX; \
-	STEP(MOVU, BCAST, MUL, ADD, SCALE); \
+	STEP; \
 	INCQ CX; \
 	JNZ  loop; \
 done: \
@@ -119,33 +119,25 @@ done: \
 	MOVQ mode+64(FP), AX; \
 	CMPQ AX, $2; \
 	JNE  store; \
-	ACCS(ACCADD, ADD); \
+	ACCS(ACCADD, VADDPD); \
 store: \
-	ACCS(ACCSTORE, MOVU); \
+	ACCS(ACCSTORE, VMOVUPD); \
 	VZEROUPPER; \
 	RET
 
-// The AVX2 kernels, 4×8 float64 and 4×16 float32 in YMM registers.
+// The AVX2 kernel, the 4×8 tile in YMM registers.
 
 // func kernel4x8F64(c *float64, ldc int, a *float64, arow, acol *int, b *float64, boff *int, k, mode int)
 TEXT ·kernel4x8F64(SB), NOSPLIT, $0-72
-	TILE(YACCS, YSTEP, VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VXORPD, 8, 3)
+	TILE(YACCS, YSTEP, VXORPD)
 
-// func kernel4x16F32(c *float32, ldc int, a *float32, arow, acol *int, b *float32, boff *int, k, mode int)
-TEXT ·kernel4x16F32(SB), NOSPLIT, $0-72
-	TILE(YACCS, YSTEP, VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VXORPS, 4, 2)
-
-// The AVX-512 kernels, the same tiles in ZMM registers. Only AVX512F
+// The AVX-512 kernel, the same tile in ZMM registers. Only AVX512F
 // instructions: VPXORQ clears a register (VXORPD on ZMM would need
 // AVX512DQ).
 
 // func kernel4x8F64ZMM(c *float64, ldc int, a *float64, arow, acol *int, b *float64, boff *int, k, mode int)
 TEXT ·kernel4x8F64ZMM(SB), NOSPLIT, $0-72
-	TILE(ZACCS, ZSTEP, VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VPXORQ, 8, 3)
-
-// func kernel4x16F32ZMM(c *float32, ldc int, a *float32, arow, acol *int, b *float32, boff *int, k, mode int)
-TEXT ·kernel4x16F32ZMM(SB), NOSPLIT, $0-72
-	TILE(ZACCS, ZSTEP, VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VPXORQ, 4, 2)
+	TILE(ZACCS, ZSTEP, VPXORQ)
 
 // The element-wise heads (contract: vec.go). One step of each works 32 bytes
 // at offset o from AX: a separate load, then the add with the Go statement's

@@ -9,8 +9,8 @@ import "testing"
 func asmLanes() []tileLane {
 	avx2, avx512 := hostLanes()
 	lanes := []tileLane{
-		{name: "avx2", t64: avx2Tile64, t32: avx2Tile32},
-		{name: "avx512", t64: avx512Tile64, t32: avx512Tile32},
+		{name: "avx2", tile: avx2Tile},
+		{name: "avx512", tile: avx512Tile},
 	}
 	if !avx2 {
 		lanes[0].skip = "no usable AVX2"

@@ -11,15 +11,15 @@ import (
 // Every matrix product in this package is one register-tile micro-kernel
 // under a driver. The kernel's contract (tileFunc) is
 //
-//	C[4×W] (= | +=) Σ_p a[arow[r] + acol[p]] · b[boff[p] + j … j+W)
+//	C[4×8] (= | +=) Σ_p a[arow[r] + acol[p]] · b[boff[p] + j … j+8)
 //
-// with W = 8 at float64 and 16 at float32: the operands' addresses come from
-// offset tables, per row of A (arow) and per p step (acol, boff), so one
-// kernel reads a row-major matrix, a transposed one or an NCHW tensor in
-// place. Vector lanes are different output columns, so each lane carries one
-// element's private sum; every p step is a separate multiply then a separate
-// add (never a fused multiply-add, whose single rounding would change bits),
-// taken in p = 0..k-1 order; and the accumulators start from zero or from C.
+// The operands' addresses come from offset tables, per row of A (arow) and
+// per p step (acol, boff), so one kernel reads a row-major matrix, a
+// transposed one or an NCHW tensor in place. Vector lanes are different
+// output columns, so each lane carries one element's private sum; every p
+// step is a separate multiply then a separate add (never a fused
+// multiply-add, whose single rounding would change bits), taken in
+// p = 0..k-1 order; and the accumulators start from zero or from C.
 // Each output element is therefore the same ordered sum of rounded products
 // the scalar code computes, and there are three implementations of the
 // contract: Go assembly for amd64 at two register widths, AVX-512 and AVX2
@@ -43,15 +43,9 @@ import (
 //
 //   - Bit-determinism: an element's value depends on nothing but its own
 //     ordered sum, so results are bitwise identical at every worker count,
-//     tile decomposition and kernel implementation — at both precisions.
+//     tile decomposition and kernel implementation.
 //   - No hidden allocation: the *Into and *Acc variants write caller-owned
 //     storage, which the nn layers draw from the scratch arena.
-//   - Accumulator width = storage width: each dot product sums k terms into
-//     an E-typed lane (standard practice for f32 GEMM — per-element error is
-//     O(√k)·ulp on random data, dominated by the f32 storage rounding
-//     itself). O(n)-term statistics reductions elsewhere (loss, norms,
-//     batchnorm moments) do widen to float64; see tensor.Sum and the nn
-//     layer notes.
 //
 // Non-finite inputs propagate by IEEE rules: 0·Inf is NaN and reaches the
 // output. Small products run serially so eval-scale tensors do not pay
@@ -62,13 +56,8 @@ import (
 const tileRows = 4
 
 // tileCols is the micro-kernel's width W in output columns: two 256-bit
-// registers of E, or one 512-bit register.
-func tileCols[E Elem]() int {
-	if dtypeOf[E]() == Float32 {
-		return 16
-	}
-	return 8
-}
+// registers of float64, or one 512-bit register.
+const tileCols = 8
 
 // tileMode says where a tile's accumulators start and how they land in C.
 // The values are shared with the assembly.
@@ -84,16 +73,15 @@ const (
 // first element, A element (r, p) is a[arow[r]+acol[p]] and B row p is
 // b[boff[p] … +W); arow holds at least 4 entries, acol and boff at least k,
 // k >= 1.
-type tileFunc[E Elem] func(c []E, ldc int, a []E, arow, acol []int, b []E, boff []int, k int, mode tileMode)
+type tileFunc func(c []float64, ldc int, a []float64, arow, acol []int, b []float64, boff []int, k int, mode tileMode)
 
-// tile64 and tile32 are the micro-kernels the driver calls: the Go tile,
-// unless kernel_amd64.go's init found a CPU for the assembly (build tag
-// amd64 && !purego), the AVX-512 tile over the AVX2 one. Nothing else but a test reassigns them; tileImpl names
-// the choice for test logs.
+// microTile is the micro-kernel the drivers call: the Go tile, unless
+// kernel_amd64.go's init found a CPU for the assembly (build tag
+// amd64 && !purego), the AVX-512 tile over the AVX2 one. Nothing else but a
+// test reassigns it; tileImpl names the choice for test logs.
 var (
-	tile64   tileFunc[float64] = goTile[float64]
-	tile32   tileFunc[float32] = goTile[float32]
-	tileImpl                   = "go"
+	microTile tileFunc = goTile
+	tileImpl           = "go"
 )
 
 // parallelCutoff is the minimum work size (multiply-adds for matmul,
@@ -133,7 +121,7 @@ func putOffsets(t *[]int) { offsetPools[bits.Len(uint(cap(*t)))-1].Put(t) }
 // gemm is the strided driver: C (m×n, row stride ldc) from A addressed as
 // a[i*ars+p*acs] and row-major B (k×n, row stride ldb). Rows are split over
 // the worker pool in whole tiles; any split gives the same bits.
-func gemm[E Elem](tile tileFunc[E], c []E, ldc int, a []E, ars, acs int, b []E, ldb, m, k, n int, mode tileMode) {
+func gemm(c []float64, ldc int, a []float64, ars, acs int, b []float64, ldb, m, k, n int, mode tileMode) {
 	if k == 0 {
 		if mode == tileStore {
 			for i := 0; i < m; i++ {
@@ -152,10 +140,10 @@ func gemm[E Elem](tile tileFunc[E], c []E, ldc int, a []E, ars, acs int, b []E, 
 	}
 	if parallelWorthwhile(int64(m) * int64(k) * int64(n)) {
 		par.ParallelizeGrain(m, tileRows, func(lo, hi int) {
-			gemmRows(tile, c, ldc, a, ars, arow, acol, b, boff, lo, hi, n, mode)
+			gemmRows(c, ldc, a, ars, arow, acol, b, boff, lo, hi, n, mode)
 		})
 	} else {
-		gemmRows(tile, c, ldc, a, ars, arow, acol, b, boff, 0, m, n, mode)
+		gemmRows(c, ldc, a, ars, arow, acol, b, boff, 0, m, n, mode)
 	}
 	putOffsets(t)
 }
@@ -165,8 +153,8 @@ func gemm[E Elem](tile tileFunc[E], c []E, ldc int, a []E, ars, acs int, b []E, 
 // cache while the row tiles pass over it, then the n mod W columns and the
 // (hi-lo) mod 4 rows that are left through goBlock. Row i of A starts at
 // a[i*ars], so one 4-entry arow serves every tile.
-func gemmRows[E Elem](tile tileFunc[E], c []E, ldc int, a []E, ars int, arow, acol []int, b []E, boff []int, lo, hi, n int, mode tileMode) {
-	k, w := len(acol), tileCols[E]()
+func gemmRows(c []float64, ldc int, a []float64, ars int, arow, acol []int, b []float64, boff []int, lo, hi, n int, mode tileMode) {
+	k, w, tile := len(acol), tileCols, microTile
 	full := lo + (hi-lo)/tileRows*tileRows
 	nt := n - n%w
 	for j := 0; j < nt; j += w {
@@ -184,14 +172,14 @@ func gemmRows[E Elem](tile tileFunc[E], c []E, ldc int, a []E, ars int, arow, ac
 
 // goTile is the micro-kernel in Go: the tile every build without the
 // assembly runs on, and the reference the assembly is held to.
-func goTile[E Elem](c []E, ldc int, a []E, arow, acol []int, b []E, boff []int, k int, mode tileMode) {
-	goBlock(c, ldc, a, arow, acol[:k], b, boff, tileRows, tileCols[E](), mode)
+func goTile(c []float64, ldc int, a []float64, arow, acol []int, b []float64, boff []int, k int, mode tileMode) {
+	goBlock(c, ldc, a, arow, acol[:k], b, boff, tileRows, tileCols, mode)
 }
 
 // goBlock computes a rows×cols block (rows <= len(arow)) by the
 // micro-kernel's contract, a row at a time; the inner dimension is
 // len(acol).
-func goBlock[E Elem](c []E, ldc int, a []E, arow, acol []int, b []E, boff []int, rows, cols int, mode tileMode) {
+func goBlock(c []float64, ldc int, a []float64, arow, acol []int, b []float64, boff []int, rows, cols int, mode tileMode) {
 	for i := 0; i < rows; i++ {
 		goRow(c[i*ldc:i*ldc+cols], a[arow[i]:], acol, b, boff[:len(acol)], mode)
 	}
@@ -199,28 +187,28 @@ func goBlock[E Elem](c []E, ldc int, a []E, arow, acol []int, b []E, boff []int,
 
 // goRow computes one output row, eight columns at a time: eight independent
 // sums in registers hide the add latency, and their B values are one window
-// of a row of B. The E(…) conversions round each product before it is added:
-// on architectures where the compiler would otherwise fuse the pair, the
-// language guarantees an explicit conversion is not fused through.
-func goRow[E Elem](ci, a []E, acol []int, b []E, boff []int, mode tileMode) {
+// of a row of B. The float64(…) conversions round each product before it is
+// added: on architectures where the compiler would otherwise fuse the pair,
+// the language guarantees an explicit conversion is not fused through.
+func goRow(ci, a []float64, acol []int, b []float64, boff []int, mode tileMode) {
 	j := 0
 	for ; j+8 <= len(ci); j += 8 {
 		cj := ci[j : j+8 : j+8]
-		var s0, s1, s2, s3, s4, s5, s6, s7 E
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
 		if mode == tileSeed {
 			s0, s1, s2, s3, s4, s5, s6, s7 = cj[0], cj[1], cj[2], cj[3], cj[4], cj[5], cj[6], cj[7]
 		}
 		for p, ao := range acol {
 			bi := boff[p] + j
 			av, bp := a[ao], b[bi:bi+8:bi+8]
-			s0 += E(av * bp[0])
-			s1 += E(av * bp[1])
-			s2 += E(av * bp[2])
-			s3 += E(av * bp[3])
-			s4 += E(av * bp[4])
-			s5 += E(av * bp[5])
-			s6 += E(av * bp[6])
-			s7 += E(av * bp[7])
+			s0 += float64(av * bp[0])
+			s1 += float64(av * bp[1])
+			s2 += float64(av * bp[2])
+			s3 += float64(av * bp[3])
+			s4 += float64(av * bp[4])
+			s5 += float64(av * bp[5])
+			s6 += float64(av * bp[6])
+			s7 += float64(av * bp[7])
 		}
 		if mode == tileAddTo { // Σ first, as the assembly adds
 			s0, s1, s2, s3 = s0+cj[0], s1+cj[1], s2+cj[2], s3+cj[3]
@@ -229,12 +217,12 @@ func goRow[E Elem](ci, a []E, acol []int, b []E, boff []int, mode tileMode) {
 		cj[0], cj[1], cj[2], cj[3], cj[4], cj[5], cj[6], cj[7] = s0, s1, s2, s3, s4, s5, s6, s7
 	}
 	for ; j < len(ci); j++ {
-		var s E
+		var s float64
 		if mode == tileSeed {
 			s = ci[j]
 		}
 		for p, ao := range acol {
-			s += E(a[ao] * b[boff[p]+j])
+			s += float64(a[ao] * b[boff[p]+j])
 		}
 		if mode == tileAddTo {
 			s += ci[j]
@@ -244,7 +232,7 @@ func goRow[E Elem](ci, a []E, acol []int, b []E, boff []int, mode tileMode) {
 }
 
 // MatMul computes C = A × B for 2-D tensors A (m×k) and B (k×n), returning a
-// new m×n tensor of the operands' dtype.
+// new m×n tensor.
 func MatMul(a, b *Tensor) *Tensor {
 	if a.Dims() != 2 || b.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul requires 2-D operands, got %v × %v", a.shape, b.shape))
@@ -254,13 +242,8 @@ func MatMul(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v × %v", a.shape, b.shape))
 	}
-	checkSameDType("MatMul", a, b)
-	c := NewOf(a.dt, m, n)
-	if a.dt == Float32 {
-		matmul(tile32, c.data32, a.data32, b.data32, m, k, n)
-	} else {
-		matmul(tile64, c.data, a.data, b.data, m, k, n)
-	}
+	c := New(m, n)
+	matmul(c.data, a.data, b.data, m, k, n)
 	return c
 }
 
@@ -273,16 +256,11 @@ func MatMulInto(dst, a, b *Tensor) {
 	if b.shape[0] != k || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch dst=%v a=%v b=%v", dst.shape, a.shape, b.shape))
 	}
-	checkSameDType("MatMulInto", dst, a, b)
-	if dst.dt == Float32 {
-		matmul(tile32, dst.data32, a.data32, b.data32, m, k, n)
-	} else {
-		matmul(tile64, dst.data, a.data, b.data, m, k, n)
-	}
+	matmul(dst.data, a.data, b.data, m, k, n)
 }
 
-func matmul[E Elem](tile tileFunc[E], c, a, b []E, m, k, n int) {
-	gemm(tile, c, n, a, k, 1, b, n, m, k, n, tileStore)
+func matmul(c, a, b []float64, m, k, n int) {
+	gemm(c, n, a, k, 1, b, n, m, k, n, tileStore)
 }
 
 func checkTransA(a, b *Tensor) (k, m, n int) {
@@ -298,13 +276,8 @@ func checkTransA(a, b *Tensor) (k, m, n int) {
 // m×n without materializing the transpose.
 func MatMulTransA(a, b *Tensor) *Tensor {
 	k, m, n := checkTransA(a, b)
-	checkSameDType("MatMulTransA", a, b)
-	c := NewOf(a.dt, m, n)
-	if a.dt == Float32 {
-		matmulTransA(tile32, c.data32, a.data32, b.data32, k, m, n, tileStore)
-	} else {
-		matmulTransA(tile64, c.data, a.data, b.data, k, m, n, tileStore)
-	}
+	c := New(m, n)
+	matmulTransA(c.data, a.data, b.data, k, m, n, tileStore)
 	return c
 }
 
@@ -316,18 +289,13 @@ func MatMulTransAAcc(dst, a, b *Tensor) {
 	if dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransAAcc shape mismatch dst=%v a=%v b=%v", dst.shape, a.shape, b.shape))
 	}
-	checkSameDType("MatMulTransAAcc", dst, a, b)
-	if dst.dt == Float32 {
-		matmulTransA(tile32, dst.data32, a.data32, b.data32, k, m, n, tileSeed)
-	} else {
-		matmulTransA(tile64, dst.data, a.data, b.data, k, m, n, tileSeed)
-	}
+	matmulTransA(dst.data, a.data, b.data, k, m, n, tileSeed)
 }
 
 // matmulTransA is the micro-kernel walking A (k×m) down its columns: output
 // row i reads a[p*m+i].
-func matmulTransA[E Elem](tile tileFunc[E], c, a, b []E, k, m, n int, mode tileMode) {
-	gemm(tile, c, n, a, 1, m, b, n, m, k, n, mode)
+func matmulTransA(c, a, b []float64, k, m, n int, mode tileMode) {
+	gemm(c, n, a, 1, m, b, n, m, k, n, mode)
 }
 
 func checkTransB(a, b *Tensor) (m, k, n int) {
@@ -342,13 +310,8 @@ func checkTransB(a, b *Tensor) (m, k, n int) {
 // MatMulTransB computes C = A × Bᵀ where A is m×k and B is n×k, yielding m×n.
 func MatMulTransB(a, b *Tensor) *Tensor {
 	m, k, n := checkTransB(a, b)
-	checkSameDType("MatMulTransB", a, b)
-	c := NewOf(a.dt, m, n)
-	if a.dt == Float32 {
-		matmulTransB(tile32, c.data32, a.data32, b.data32, m, k, n)
-	} else {
-		matmulTransB(tile64, c.data, a.data, b.data, m, k, n)
-	}
+	c := New(m, n)
+	matmulTransB(c.data, a.data, b.data, m, k, n)
 	return c
 }
 
@@ -358,12 +321,7 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	if dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransBInto shape mismatch dst=%v a=%v b=%v", dst.shape, a.shape, b.shape))
 	}
-	checkSameDType("MatMulTransBInto", dst, a, b)
-	if dst.dt == Float32 {
-		matmulTransB(tile32, dst.data32, a.data32, b.data32, m, k, n)
-	} else {
-		matmulTransB(tile64, dst.data, a.data, b.data, m, k, n)
-	}
+	matmulTransB(dst.data, a.data, b.data, m, k, n)
 }
 
 // matmulTransB computes C = A × Bᵀ for A m×k and B n×k. The micro-kernel
@@ -373,21 +331,19 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 // rows are padded to whole tiles (so a narrow m still fills vector lanes),
 // and is copied back element by element. Either way an element is its k
 // products summed from zero.
-func matmulTransB[E Elem](tile tileFunc[E], c, a, b []E, m, k, n int) {
-	dt := dtypeOf[E]()
+func matmulTransB(c, a, b []float64, m, k, n int) {
 	if n <= m {
-		bts := GetScratchOf(dt, k, n)
-		transposeInto(DataOf[E](bts), n, b, n, k)
-		gemm(tile, c, n, a, k, 1, DataOf[E](bts), n, m, k, n, tileStore)
+		bts := GetScratch(k, n)
+		transposeInto(bts.data, n, b, n, k)
+		gemm(c, n, a, k, 1, bts.data, n, m, k, n, tileStore)
 		PutScratch(bts)
 		return
 	}
-	w := tileCols[E]()
-	mp := (m + w - 1) / w * w
-	ats, cts := GetScratchOf(dt, k, mp), GetScratchOf(dt, n, mp)
-	ct := DataOf[E](cts)
-	transposeInto(DataOf[E](ats), mp, a, m, k)
-	gemm(tile, ct, mp, b, k, 1, DataOf[E](ats), mp, n, k, mp, tileStore)
+	mp := (m + tileCols - 1) / tileCols * tileCols
+	ats, cts := GetScratch(k, mp), GetScratch(n, mp)
+	ct := cts.data
+	transposeInto(ats.data, mp, a, m, k)
+	gemm(ct, mp, b, k, 1, ats.data, mp, n, k, mp, tileStore)
 	for i := 0; i < m; i++ {
 		ci := c[i*n : (i+1)*n]
 		for j := range ci {
@@ -401,7 +357,7 @@ func matmulTransB[E Elem](tile tileFunc[E], c, a, b []E, m, k, n int) {
 // transposeInto writes the r×c matrix src transposed into dst (c rows of
 // stride ldd >= r), zeroing the ldd-r columns of padding, using
 // cache-friendly square tiles. Pure data movement — layout only.
-func transposeInto[E Elem](dst []E, ldd int, src []E, r, c int) {
+func transposeInto(dst []float64, ldd int, src []float64, r, c int) {
 	const tile = 32
 	if parallelWorthwhile(int64(r) * int64(c) * 8) {
 		par.ParallelizeGrain(c, tile, func(lo, hi int) {
@@ -412,7 +368,7 @@ func transposeInto[E Elem](dst []E, ldd int, src []E, r, c int) {
 	transposeTiles(dst, ldd, src, r, c, 0, c)
 }
 
-func transposeTiles[E Elem](dst []E, ldd int, src []E, r, c, jLo, jHi int) {
+func transposeTiles(dst []float64, ldd int, src []float64, r, c, jLo, jHi int) {
 	const tile = 32
 	for j0 := jLo; j0 < jHi; j0 += tile {
 		j1 := min(j0+tile, jHi)

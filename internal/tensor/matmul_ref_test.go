@@ -25,25 +25,25 @@ const (
 // refPackCutoff is the work size above which the retired MatMul packed Bᵀ.
 const refPackCutoff = 1 << 15
 
-func refMatmul[E Elem](c, a, b []E, m, k, n int, acc bool) {
+func refMatmul(c, a, b []float64, m, k, n int, acc bool) {
 	if int64(m)*int64(k)*int64(n) < refPackCutoff {
 		matmulBlock(c, a, b, 0, m, 0, n, k, n, acc)
 		return
 	}
-	bt := make([]E, n*k)
+	bt := make([]float64, n*k)
 	refTransposeTiles(bt, b, k, n, 0, n)
 	matmulPackedRows(c, a, bt, 0, m, k, n, acc)
 }
 
-func refMatmulTransA[E Elem](c, a, b []E, k, m, n int, acc bool) {
+func refMatmulTransA(c, a, b []float64, k, m, n int, acc bool) {
 	matmulTransACols(c, a, b, k, m, n, 0, n, acc)
 }
 
-func refMatmulTransB[E Elem](c, a, b []E, m, k, n int, acc bool) {
+func refMatmulTransB(c, a, b []float64, m, k, n int, acc bool) {
 	matmulPackedRows(c, a, b, 0, m, k, n, acc)
 }
 
-func refTransposeTiles[E Elem](dst, src []E, r, c, jLo, jHi int) {
+func refTransposeTiles(dst, src []float64, r, c, jLo, jHi int) {
 	const tile = 32
 	for j0 := jLo; j0 < jHi; j0 += tile {
 		j1 := j0 + tile
@@ -69,8 +69,7 @@ func refTransposeTiles[E Elem](dst, src []E, r, c, jLo, jHi int) {
 // Bᵀ: each element is one contiguous dot product accumulated in registers,
 // with a 4-column register tile sharing every streamed A row. Elements are
 // independent ordered reductions, so any chunking yields identical bits.
-// Accumulators are E-typed (storage width) — see the file comment.
-func matmulPackedRows[E Elem](c, a, bt []E, lo, hi, k, n int, acc bool) {
+func matmulPackedRows(c, a, bt []float64, lo, hi, k, n int, acc bool) {
 	// 4×2 register tile: four A rows share every streamed Bᵀ row, so the
 	// packed matrix is pulled through the cache hierarchy once per four
 	// output rows instead of once per row. Each of the eight sums is still
@@ -85,7 +84,7 @@ func matmulPackedRows[E Elem](c, a, bt []E, lo, hi, k, n int, acc bool) {
 		for ; j+2 <= n; j += 2 {
 			bA := bt[(j+0)*k:][:len(a0)]
 			bB := bt[(j+1)*k:][:len(a0)]
-			var s00, s01, s10, s11, s20, s21, s30, s31 E
+			var s00, s01, s10, s11, s20, s21, s30, s31 float64
 			for p, bv0 := range bA {
 				bv1 := bB[p]
 				v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
@@ -116,7 +115,7 @@ func matmulPackedRows[E Elem](c, a, bt []E, lo, hi, k, n int, acc bool) {
 		}
 		for ; j < n; j++ {
 			bj := bt[j*k:][:len(a0)]
-			var s0, s1, s2, s3 E
+			var s0, s1, s2, s3 float64
 			for p, bv := range bj {
 				s0 += a0[p] * bv
 				s1 += a1[p] * bv
@@ -144,7 +143,7 @@ func matmulPackedRows[E Elem](c, a, bt []E, lo, hi, k, n int, acc bool) {
 			b1 := bt[(j+1)*k:][:len(ai)]
 			b2 := bt[(j+2)*k:][:len(ai)]
 			b3 := bt[(j+3)*k:][:len(ai)]
-			var s0, s1, s2, s3 E
+			var s0, s1, s2, s3 float64
 			for p, av := range ai {
 				s0 += av * b0[p]
 				s1 += av * b1[p]
@@ -162,7 +161,7 @@ func matmulPackedRows[E Elem](c, a, bt []E, lo, hi, k, n int, acc bool) {
 		}
 		for ; j < n; j++ {
 			bj := bt[j*k:][:len(ai)]
-			var s E
+			var s float64
 			for p, av := range ai {
 				s += av * bj[p]
 			}
@@ -182,7 +181,7 @@ func matmulPackedRows[E Elem](c, a, bt []E, lo, hi, k, n int, acc bool) {
 // dimensions in refTileK×refTileJ cache panels, so every element accumulates its
 // k products in exactly the order p = 0..k-1 regardless of chunking or
 // panel boundaries.
-func matmulBlock[E Elem](c, a, b []E, iLo, iHi, jLo, jHi, k, n int, acc bool) {
+func matmulBlock(c, a, b []float64, iLo, iHi, jLo, jHi, k, n int, acc bool) {
 	if !acc {
 		for i := iLo; i < iHi; i++ {
 			row := c[i*n+jLo : i*n+jHi]
@@ -251,8 +250,8 @@ func matmulBlock[E Elem](c, a, b []E, iLo, iHi, jLo, jHi, k, n int, acc bool) {
 // reorder whole-element groups, so results are chunk-invariant. This kernel
 // accumulates directly into C at storage width: each element receives its k
 // contributions in p order, matching the dot-kernel rounding sequence
-// exactly, so both code paths agree bitwise per precision.
-func matmulTransACols[E Elem](c, a, b []E, k, m, n, jlo, jhi int, acc bool) {
+// exactly, so both code paths agree bitwise.
+func matmulTransACols(c, a, b []float64, k, m, n, jlo, jhi int, acc bool) {
 	if !acc {
 		for i := 0; i < m; i++ {
 			row := c[i*n+jlo : i*n+jhi]

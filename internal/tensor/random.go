@@ -5,20 +5,8 @@ import (
 	"math/rand"
 )
 
-// The initializers draw every sample from rng in float64 and round once to
-// the storage dtype. Drawing at full width regardless of dtype keeps the
-// generator stream identical across precisions, so a float32 model's
-// initial parameters are exactly round(float64 init) — the property the
-// cross-precision parity tests pin down.
-
 // RandNormal fills t with samples from N(mean, std²) drawn from rng.
 func (t *Tensor) RandNormal(rng *rand.Rand, mean, std float64) {
-	if t.dt == Float32 {
-		for i := range t.data32 {
-			t.data32[i] = float32(mean + std*rng.NormFloat64()) //lint:allow precision -- initializer rounds the shared f64 draw once
-		}
-		return
-	}
 	for i := range t.data {
 		t.data[i] = mean + std*rng.NormFloat64()
 	}
@@ -26,12 +14,6 @@ func (t *Tensor) RandNormal(rng *rand.Rand, mean, std float64) {
 
 // RandUniform fills t with samples from U[lo, hi) drawn from rng.
 func (t *Tensor) RandUniform(rng *rand.Rand, lo, hi float64) {
-	if t.dt == Float32 {
-		for i := range t.data32 {
-			t.data32[i] = float32(lo + (hi-lo)*rng.Float64()) //lint:allow precision -- initializer rounds the shared f64 draw once
-		}
-		return
-	}
 	for i := range t.data {
 		t.data[i] = lo + (hi-lo)*rng.Float64()
 	}

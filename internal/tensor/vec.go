@@ -70,17 +70,12 @@ func Scale(dst []float64, s float64) {
 var (
 	headSGD      = func(v, g []float64, lr float64) int { return 0 }
 	headSGDDecay = func(v, g []float64, lr, wd float64) int { return 0 }
-	headAddRows  = noAddRowsHead[float64]
+	headAddRows  = func(dst, src []float64, rows, n, dstep, sstep int) int { return 0 }
 )
 
-// rowsHead is a row-add head at width E.
-type rowsHead[E Elem] func(dst, src []E, rows, n, dstep, sstep int) int
-
-func noAddRowsHead[E Elem](dst, src []E, rows, n, dstep, sstep int) int { return 0 }
-
-// SGDUpdate is one SGD step of a parameter v with gradient g at its storage
-// width: with a weight decay wd ≠ 0, g[i] = g[i] + v[i]·wd (g is written: the
-// decayed gradient is what the step applied) and then v[i] = v[i] − g[i]·lr;
+// SGDUpdate is one SGD step of a parameter v with gradient g: with a weight
+// decay wd ≠ 0, g[i] = g[i] + v[i]·wd (g is written: the decayed gradient is
+// what the step applied) and then v[i] = v[i] − g[i]·lr;
 // with wd = 0, only v[i] = v[i] − g[i]·lr, and g is only read — g + 0·v would
 // turn an Inf in v into a NaN in g. v and g do not overlap.
 //
@@ -91,25 +86,16 @@ func noAddRowsHead[E Elem](dst, src []E, rows, n, dstep, sstep int) int { return
 // makes both on an element in one visit. The Go loop does the same 64
 // elements at a time; the decayed term goes through memory, as AddPairTo's
 // pair sum does, so the add keeps g as its first source.
-func SGDUpdate[E Elem](v, g []E, lr, wd E) {
+func SGDUpdate(v, g []float64, lr, wd float64) {
 	g = g[:len(v)]
-	i := 0
-	if v64, ok := any(v).([]float64); ok {
-		g64, lr64, wd64 := any(g).([]float64), any(lr).(float64), any(wd).(float64)
-		if wd != 0 {
-			i = headSGDDecay(v64, g64, lr64, wd64)
-		} else {
-			i = headSGD(v64, g64, lr64)
-		}
-	}
 	if wd == 0 {
-		for ; i < len(v); i++ {
+		for i := headSGD(v, g, lr); i < len(v); i++ {
 			v[i] -= g[i] * lr
 		}
 		return
 	}
-	var t [64]E
-	for ; i < len(v); i += len(t) {
+	var t [64]float64
+	for i := headSGDDecay(v, g, lr, wd); i < len(v); i += len(t) {
 		vb := v[i:min(i+len(t), len(v))]
 		gb := g[i : i+len(vb)]
 		for j, x := range vb {
@@ -128,8 +114,8 @@ func SGDUpdate[E Elem](v, g []E, lr, wd E) {
 // and j < n: the head takes the leading columns of every row, the Go loop
 // the rest of each. dstep ≥ n, so no two rows of dst overlap and the split
 // cannot change which add an element sees first.
-func addRows[E Elem](dst, src []E, rows, n, dstep, sstep int, head rowsHead[E]) {
-	j0 := head(dst, src, rows, n, dstep, sstep)
+func addRows(dst, src []float64, rows, n, dstep, sstep int) {
+	j0 := headAddRows(dst, src, rows, n, dstep, sstep)
 	if j0 == n {
 		return
 	}
@@ -178,7 +164,6 @@ func goMaskWord(c *[64]float64) uint64 {
 func NarrowLE(dst []byte, src []float64) {
 	dst = dst[:4*len(src)]
 	for i := headNarrowLE(dst, src); i < len(src); i++ {
-		//lint:allow precision -- narrowing is this kernel's contract (the base wire format stores f32)
 		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(float32(src[i])))
 	}
 }
@@ -187,7 +172,6 @@ func NarrowLE(dst []byte, src []float64) {
 func WidenLE(dst []float64, src []byte) {
 	src = src[:4*len(dst)]
 	for i := headWidenLE(dst, src); i < len(dst); i++ {
-		//lint:allow precision -- widening the f32 wire value back to f64, exact
 		dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
 	}
 }
@@ -196,9 +180,8 @@ func WidenLE(dst []float64, src []byte) {
 // keeps a value's bits where a test against +0 holds and is +0 where it does
 // not, through a mask — bits & -(v > 0) — never a branch on the value. The
 // test is the ordered `>`, false for NaN and for both zeros, so a lane is
-// exactly the scalar `if !(v > 0) { v = 0 }`. The float64 heads are VCMPPD
-// GT_OQ and VANDPD; the Go loops are their tails, the float32 kernels and the
-// purego lane.
+// exactly the scalar `if !(v > 0) { v = 0 }`. The heads are VCMPPD GT_OQ
+// and VANDPD; the Go loops are their tails and the purego lane.
 var (
 	headReLU     = func(dst, x []float64) int { return 0 }
 	headReLUGate = func(dst, g, y []float64) int { return 0 }
@@ -207,9 +190,7 @@ var (
 // The 2×2/2 max-pool head (contract: conv.go, MaxPool2x2Into) pools the
 // leading len(od)&^3 windows of one output row, four to a step, and returns
 // that count; the AVX2 one keeps the Go rule with VCMPPD GT_OQ and VBLENDVPD.
-var headMaxPool2x2 = noPoolHead[float64]
-
-func noPoolHead[E Elem](od []E, argmax []int, r0, r1 []E, top, w int) int { return 0 }
+var headMaxPool2x2 = func(od []float64, argmax []int, r0, r1 []float64, top, w int) int { return 0 }
 
 // The 2×2/2 max-pool backward head (contract: conv.go, MaxPool2x2Backward)
 // writes the leading ow&^3 windows of each of rows row pairs, four to a
@@ -217,18 +198,12 @@ func noPoolHead[E Elem](od []E, argmax []int, r0, r1 []E, top, w int) int { retu
 // value at flat index top + 2w·r, and its gradients and argmaxes are
 // g[ow·r:ow·(r+1)] and argmax[ow·r:ow·(r+1)]. Every argmax is one of its
 // window's four taps.
-var headMaxPool2x2Back = noPoolBackHead[float64]
-
-func noPoolBackHead[E Elem](g []E, argmax []int, dd []E, top, w, ow, rows int) int { return 0 }
+var headMaxPool2x2Back = func(g []float64, argmax []int, dd []float64, top, w, ow, rows int) int { return 0 }
 
 // ReLUInto sets dst[i] to x[i] where x[i] > 0 and to +0 everywhere else.
 func ReLUInto(dst, x *Tensor) {
 	checkSameLen("ReLUInto", dst, x)
-	if dst.dt == Float32 {
-		relu32(dst.data32, x.data32)
-		return
-	}
-	relu64(dst.data, x.data)
+	relu(dst.data, x.data)
 }
 
 // ReLUGateInto sets dst[i] to g[i] where y[i] > 0 and to +0 everywhere else:
@@ -236,15 +211,10 @@ func ReLUInto(dst, x *Tensor) {
 // exactly where the input was (it is the input there and +0 elsewhere).
 func ReLUGateInto(dst, g, y *Tensor) {
 	checkSameLen("ReLUGateInto", dst, g, y)
-	if dst.dt == Float32 {
-		reluGate32(dst.data32, g.data32, y.data32)
-		return
-	}
-	reluGate64(dst.data, g.data, y.data)
+	reluGate(dst.data, g.data, y.data)
 }
 
 func checkSameLen(op string, ts ...*Tensor) {
-	checkSameDType(op, ts...)
 	for _, t := range ts[1:] {
 		if t.Len() != ts[0].Len() {
 			panic(fmt.Sprintf("tensor: %s length mismatch (%d vs %d)", op, ts[0].Len(), t.Len()))
@@ -261,7 +231,7 @@ func b2i(c bool) int {
 	return 0
 }
 
-func relu64(dst, x []float64) {
+func relu(dst, x []float64) {
 	x = x[:len(dst)]
 	for i := headReLU(dst, x); i < len(dst); i++ {
 		v := x[i]
@@ -269,23 +239,9 @@ func relu64(dst, x []float64) {
 	}
 }
 
-func reluGate64(dst, g, y []float64) {
+func reluGate(dst, g, y []float64) {
 	g, y = g[:len(dst)], y[:len(dst)]
 	for i := headReLUGate(dst, g, y); i < len(dst); i++ {
 		dst[i] = math.Float64frombits(math.Float64bits(g[i]) & -uint64(b2i(y[i] > 0)))
-	}
-}
-
-func relu32(dst, x []float32) {
-	x = x[:len(dst)]
-	for i, v := range x {
-		dst[i] = math.Float32frombits(math.Float32bits(v) & -uint32(b2i(v > 0)))
-	}
-}
-
-func reluGate32(dst, g, y []float32) {
-	g, y = g[:len(dst)], y[:len(dst)]
-	for i, v := range g {
-		dst[i] = math.Float32frombits(math.Float32bits(v) & -uint32(b2i(y[i] > 0)))
 	}
 }

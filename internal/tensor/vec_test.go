@@ -29,12 +29,12 @@ func withGoVec(f func()) {
 	r1, r2, r3 := headReLU, headReLUGate, headMaxPool2x2
 	headReLU = func(dst, x []float64) int { return 0 }
 	headReLUGate = func(dst, g, y []float64) int { return 0 }
-	headMaxPool2x2 = noPoolHead[float64]
+	headMaxPool2x2 = func([]float64, []int, []float64, []float64, int, int) int { return 0 }
 	s1, s2, s3, s4 := headSGD, headSGDDecay, headAddRows, headMaxPool2x2Back
 	headSGD = func(v, g []float64, lr float64) int { return 0 }
 	headSGDDecay = func(v, g []float64, lr, wd float64) int { return 0 }
-	headAddRows = noAddRowsHead[float64]
-	headMaxPool2x2Back = noPoolBackHead[float64]
+	headAddRows = func(dst, src []float64, rows, n, dstep, sstep int) int { return 0 }
+	headMaxPool2x2Back = func([]float64, []int, []float64, int, int, int, int) int { return 0 }
 	defer func() {
 		headAddTo, headAddPair, headAddPairTo, headScale = p1, p2, p3, p4
 		maskWord, headNarrowLE, headWidenLE = c1, c2, c3
@@ -113,7 +113,7 @@ var vecOps = []vecOp{
 		}},
 	// The ReLU pair against the branch they replace: a kept lane is a copy of
 	// its bits (a NaN payload included), a cleared one is +0.
-	{"ReLU", func(dst, a, _ []float64, _ float64) { relu64(dst, a) },
+	{"ReLU", func(dst, a, _ []float64, _ float64) { relu(dst, a) },
 		func(dst, a, _ []float64, _ float64) {
 			for i, v := range a {
 				if !(v > 0) {
@@ -122,7 +122,7 @@ var vecOps = []vecOp{
 				dst[i] = v
 			}
 		}},
-	{"ReLUGate", func(dst, a, b []float64, _ float64) { reluGate64(dst, b, a) },
+	{"ReLUGate", func(dst, a, b []float64, _ float64) { reluGate(dst, b, a) },
 		func(dst, a, b []float64, _ float64) {
 			for i, v := range b {
 				if !(a[i] > 0) {
@@ -173,7 +173,7 @@ func (g rowsGeom) extent() (d, s int) {
 // element at a time; elements between the rows must come back untouched.
 func (g rowsGeom) op() vecOp {
 	return vecOp{fmt.Sprintf("AddRows(rows=%d n=%d dstep=%d sstep=%d)", g.rows, g.n, g.dstep, g.sstep),
-		func(dst, a, _ []float64, _ float64) { addRows(dst, a, g.rows, g.n, g.dstep, g.sstep, headAddRows) },
+		func(dst, a, _ []float64, _ float64) { addRows(dst, a, g.rows, g.n, g.dstep, g.sstep) },
 		func(dst, a, _ []float64, _ float64) {
 			for r := 0; r < g.rows; r++ {
 				for j := 0; j < g.n; j++ {
@@ -322,8 +322,8 @@ func TestVecKernelsNaNOperandOrder(t *testing.T) {
 		{"SGDDecay", func(dst []float64) { SGDUpdate(dst, fill(nanB), nanA, sgdDecay) }, 1, nanB},
 		{"SGDDecayGrad", func(dst []float64) { SGDUpdate(fill(nanB), dst, 1, sgdDecay) }, nanA, nanA},
 		{"SGDDecayGrad", func(dst []float64) { SGDUpdate(fill(nanB), dst, 1, nanA) }, 1, nanB},
-		{"AddRows", func(dst []float64) { addRows(dst, fill(nanB), 1, n, n, n, headAddRows) }, nanA, nanA},
-		{"AddRows", func(dst []float64) { addRows(dst, fill(nanA), 2, n/2, n/2, n/2, headAddRows) }, nanB, nanB},
+		{"AddRows", func(dst []float64) { addRows(dst, fill(nanB), 1, n, n, n) }, nanA, nanA},
+		{"AddRows", func(dst []float64) { addRows(dst, fill(nanA), 2, n/2, n/2, n/2) }, nanB, nanB},
 	} {
 		for _, impl := range []string{"selected", "go"} {
 			dst := fill(c.dst)
