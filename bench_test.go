@@ -20,9 +20,7 @@ import (
 	"testing"
 
 	"fedsu/internal/core"
-	"fedsu/internal/data"
 	"fedsu/internal/exp"
-	"fedsu/internal/fl"
 	"fedsu/internal/nn"
 	"fedsu/internal/sparse"
 	"fedsu/internal/tensor"
@@ -272,48 +270,6 @@ func BenchmarkAblationSlope(b *testing.B) {
 				ratio = run.MeanSparsification()
 			}
 			b.ReportMetric(100*ratio, "sparse-%")
-		})
-	}
-}
-
-// BenchmarkTheorem1Schedule compares constant learning rate against the
-// 1/√T schedule satisfying Theorem 1's convergence conditions (Eq. 13),
-// reporting the final training loss of each.
-func BenchmarkTheorem1Schedule(b *testing.B) {
-	for _, warm := range []int{0, 50} {
-		name := "constant"
-		if warm > 0 {
-			name = "inverse-sqrt"
-		}
-		b.Run(name, func(b *testing.B) {
-			var final float64
-			for i := 0; i < b.N; i++ {
-				ds := data.Synthesize(data.SynthConfig{
-					Name: "thm", Channels: 1, Size: 8, Classes: 4,
-					Samples: 512, Noise: 0.2, Jitter: 1, Seed: 11,
-				})
-				cfg := fl.Config{
-					NumClients: 4, LocalIters: 5, BatchSize: 8, LR: 0.05, WeightDecay: 0.001,
-					DirichletAlpha: 1.0, EvalSamples: 64, EvalBatch: 64, Seed: 1, LRDecayWarm: warm,
-				}
-				builder := func() *nn.Model {
-					return nn.NewMLP(nn.ModelConfig{InChannels: 1, ImageSize: 8, NumClasses: 4, Seed: 5}, 24)
-				}
-				factory, err := fl.StrategyFactory("fedsu")
-				if err != nil {
-					b.Fatal(err)
-				}
-				e, err := fl.NewEngine(cfg, builder, ds, factory)
-				if err != nil {
-					b.Fatal(err)
-				}
-				stats, err := e.Run(context.Background(), 20, 20)
-				if err != nil {
-					b.Fatal(err)
-				}
-				final = stats[len(stats)-1].TrainLoss
-			}
-			b.ReportMetric(final, "final-train-loss")
 		})
 	}
 }

@@ -39,8 +39,6 @@ func newFlags(cfg *exp.Config, f *files) *flag.FlagSet {
 	fs.Float64Var(&cfg.FedSU.TS, "ts", cfg.FedSU.TS, "FedSU error-feedback threshold T_S")
 	fs.Float64Var(&cfg.FedSU.Theta, "theta", cfg.FedSU.Theta, "FedSU EMA decay factor")
 	fs.IntVar(&cfg.EvalEvery, "eval-every", cfg.EvalEvery, "evaluate the global model every n rounds")
-	fs.Float64Var(&cfg.ProxMu, "prox", 0, "FedProx proximal coefficient (0 disables)")
-	fs.Float64Var(&cfg.EventThreshold, "event-threshold", 0, "event-triggered uploads: contribute only when the L2 norm of accumulated change crosses this (0 disables)")
 	fs.StringVar(&f.csv, "csv", "", "write per-round stats CSV to this path")
 	fs.StringVar(&f.checkpoint, "checkpoint", "", "save a checkpoint here after the final round")
 	fs.StringVar(&f.resume, "resume", "", "resume from a checkpoint before training and run on to -rounds")

@@ -29,7 +29,9 @@ func TestEvalEveryRejectsNonPositive(t *testing.T) {
 // second name for -clients that silently dropped -clients when both were
 // set; -async, -k, -staleness and -staleness-weight configured buffered-async
 // rounds, which are gone; -dtype float32 selected the float32 compute lane,
-// which is gone too.
+// which is gone too; -prox added a FedProx proximal term and
+// -event-threshold gated uploads on accumulated drift, both retired as
+// extensions no recorded run used.
 func TestRetiredFlagsRefused(t *testing.T) {
 	tiny := []string{"-rounds", "1", "-clients", "2", "-samples", "64", "-iters", "1"}
 	for _, c := range []struct{ flag, value, want string }{
@@ -39,6 +41,8 @@ func TestRetiredFlagsRefused(t *testing.T) {
 		{"-staleness", "3", "flag provided but not defined: -staleness"},
 		{"-staleness-weight", "0.7", "flag provided but not defined: -staleness-weight"},
 		{"-dtype", "float32", "flag provided but not defined: -dtype"},
+		{"-prox", "0.1", "flag provided but not defined: -prox"},
+		{"-event-threshold", "0.5", "flag provided but not defined: -event-threshold"},
 	} {
 		t.Run(strings.TrimPrefix(c.flag, "-"), func(t *testing.T) {
 			err := run(append([]string{c.flag, c.value}, tiny...), io.Discard)

@@ -48,12 +48,6 @@ type Config struct {
 	// netem.DefaultConfig at the run's client count); NumClients and Seed
 	// are filled from the run when left zero.
 	Netem netem.Config
-	// ProxMu adds a FedProx proximal term to every client's local
-	// objective (fl.Config.ProxMu); zero, the paper's setup, disables it.
-	ProxMu float64
-	// EventThreshold enables event-triggered uploads (fl.Config
-	// counterpart); zero disables gating.
-	EventThreshold float64
 	// Population switches runs to population-scale cohort rounds
 	// (fl.Config.Population): Population registered devices, a
 	// Clients-sized cohort sampled per round, timed by the population
@@ -239,7 +233,7 @@ func NewClient(cfg Config, id int, agg sparse.Aggregator) (*fl.Client, error) {
 		return nil, err
 	}
 	_, shards := r.data()
-	return fl.BuildClient(r.fl, id, r.model(), shards[id], r.factory, agg, chain)
+	return fl.BuildClient(r.fl, id, r.model(), shards[id], r.factory, agg, chain), nil
 }
 
 // ModelSize is the parameter count of cfg's model, which reads only its
@@ -278,14 +272,12 @@ func newRecipe(cfg Config) (recipe, error) {
 		BatchSize:      cfg.BatchSize,
 		LR:             w.EffectiveLR(),
 		WeightDecay:    0.001,
-		ProxMu:         cfg.ProxMu,
 		DirichletAlpha: 1.0,
 		EvalSamples:    256,
 		EvalBatch:      64,
 		Seed:           cfg.Seed,
 		Netem:          cfg.Netem,
 		WireParams:     w.WireParams,
-		EventThreshold: cfg.EventThreshold,
 		Population:     cfg.Population,
 		Fanout:         cfg.Fanout,
 		Compress:       cfg.Compress,

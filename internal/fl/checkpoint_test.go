@@ -16,6 +16,7 @@ import (
 	"fedsu/internal/core"
 	"fedsu/internal/data"
 	"fedsu/internal/nn"
+	"fedsu/internal/sparse"
 )
 
 var resumeData = sync.OnceValue(func() *data.Dataset {
@@ -29,6 +30,12 @@ var resumeData = sync.OnceValue(func() *data.Dataset {
 // train: four clients of a 1.1k-parameter MLP, FedSU tuned to speculate
 // within a few rounds, mut applied to the config last.
 func resumeEngine(strategy string, mut func(*Config)) (*Engine, error) {
+	return resumeEngineThrough(strategy, mut, nil)
+}
+
+// resumeEngineThrough is resumeEngine with every client's syncer wrapped by
+// wrap, when it is not nil.
+func resumeEngineThrough(strategy string, mut func(*Config), wrap func(sparse.Syncer) sparse.Syncer) (*Engine, error) {
 	cfg := Config{
 		NumClients: 4, LocalIters: 3, BatchSize: 8, LR: 0.05, WeightDecay: 0.0005,
 		DirichletAlpha: 1.0, EvalSamples: 32, EvalBatch: 32, Seed: 3,
@@ -42,6 +49,10 @@ func resumeEngine(strategy string, mut func(*Config)) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	if wrap != nil {
+		inner := factory
+		factory = func(id, size int, agg sparse.Aggregator) sparse.Syncer { return wrap(inner(id, size, agg)) }
+	}
 	builder := func() *nn.Model {
 		return nn.NewMLP(nn.ModelConfig{InChannels: 1, ImageSize: 8, NumClasses: 4, Seed: 5}, 16)
 	}
@@ -51,34 +62,36 @@ func resumeEngine(strategy string, mut func(*Config)) (*Engine, error) {
 // TestResumeAtEveryRound is the mode matrix: strategy × {default wire,
 // topk,q4,rans, lowrank, rans} (the compose grid's wires but topk,q4, whose
 // values topk,q4,rans repeats) × {fixed fleet, population flat, population
-// fanout 8} × {plain SGD, FedProx under a decaying rate}, plus a FedSU cell under LRDecayWarm and
-// an event trigger. A cell either builds or is refused by the mode table
-// (ErrModeRefused), and no other failure passes. A cell that builds must resume
+// fanout 8} × {the paper's SGD with weight decay, SGD without it}. A cell
+// either builds or is refused by the mode table (ErrModeRefused), and no
+// other failure passes. A cell that builds must resume
 // exactly: for every round r, a checkpoint taken before round r, written, read
 // back and restored into a freshly built engine finishes the run (Engine.Run to
 // the same horizon) with every RoundStats and the final global bit-equal to the
-// run that never stopped. A FedProx cell's run must differ from its plain
-// twin's, so the local objective is not silently dropped in any mode. A
+// run that never stopped. A cell without weight decay must run differently
+// from its twin with it, so the decay term is not silently dropped in any
+// mode. Every round of the straight run has a participant:
+// the quorum floor is one, so no in-tree run aggregates an empty round. A
 // population cell refuses AddClient and RemoveClient.
 func TestResumeAtEveryRound(t *testing.T) {
 	const rounds, evalEvery = 7, 2
 	type cell struct {
 		name, strategy string
 		mut            func(*Config)
-		// plain names the same cell under plain SGD, whose straight run
+		// twin names the same cell with weight decay, whose straight run
 		// this cell's must differ from.
-		plain string
+		twin string
 	}
 	var cells []cell
 	for _, s := range StrategyNames() {
 		for _, topo := range []string{"fixed", "pop-flat", "pop-tree"} {
 			for _, spec := range []string{"", "topk,q4,rans", "lowrank", "rans"} {
-				for _, local := range []string{"sgd", "prox+decay"} {
+				for _, local := range []string{"sgd", "no-decay"} {
 					topo, spec, local := topo, spec, local
 					name := fmt.Sprintf("%s/%s/%q/", s, topo, spec)
-					plain := ""
+					twin := ""
 					if local != "sgd" {
-						plain = name + "sgd"
+						twin = name + "sgd"
 					}
 					cells = append(cells, cell{name + local, s, func(c *Config) {
 						c.Compress = spec
@@ -89,14 +102,13 @@ func TestResumeAtEveryRound(t *testing.T) {
 							c.NumClients, c.Population, c.Fanout = 10, 40, 8
 						}
 						if local != "sgd" {
-							c.ProxMu, c.LRDecayWarm = 0.1, 4
+							c.WeightDecay = 0
 						}
-					}, plain})
+					}, twin})
 				}
 			}
 		}
 	}
-	cells = append(cells, cell{"fedsu/lr-decay+event", "fedsu", func(c *Config) { c.LRDecayWarm, c.EventThreshold = 4, 0.1 }, ""})
 	runs := map[string]string{} // cell name → its straight run's stats
 
 	ctx := context.Background()
@@ -138,6 +150,9 @@ func TestResumeAtEveryRound(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if st.Participants < 1 {
+					t.Fatalf("round %d aggregated %d participants", k, st.Participants)
+				}
 				straight = append(straight, fmt.Sprintf("%+v", st))
 				speculated = speculated || st.PredictableFraction > 0
 			}
@@ -145,8 +160,8 @@ func TestResumeAtEveryRound(t *testing.T) {
 				t.Fatal("vacuous run: nothing ever speculated")
 			}
 			runs[c.name] = strings.Join(straight, "\n")
-			if prev, ok := runs[c.plain]; ok && prev == runs[c.name] {
-				t.Fatal("vacuous run: the proximal term and the decaying rate changed no round")
+			if prev, ok := runs[c.twin]; ok && prev == runs[c.name] {
+				t.Fatal("vacuous run: weight decay changed no round")
 			}
 			want := e.GlobalVector()
 			for r, b := range cks {
@@ -183,9 +198,116 @@ func TestResumeAtEveryRound(t *testing.T) {
 	}
 	if ran+refused == len(cells) {
 		t.Logf("%d cells: %d ran, %d refused by the mode table", len(cells), ran, refused)
-		if ran != 169 || refused != 0 {
-			t.Errorf("%d cells ran and %d were refused, want 169 and 0", ran, refused)
+		if ran != 168 || refused != 0 {
+			t.Errorf("%d cells ran and %d were refused, want 168 and 0", ran, refused)
 		}
+	}
+}
+
+// passThrough is syncer middleware that adds nothing: it forwards Sync, the
+// context, the wire and Unwrap, as bench's span recorder does.
+type passThrough struct{ inner sparse.Syncer }
+
+var (
+	_ sparse.ContextSyncer = passThrough{}
+	_ sparse.Unwrapper     = passThrough{}
+	_ sparse.WireSetter    = passThrough{}
+)
+
+func (p passThrough) Name() string          { return p.inner.Name() }
+func (p passThrough) Unwrap() sparse.Syncer { return p.inner }
+func (p passThrough) SetWire(w sparse.Wire) { sparse.SetSyncerWire(p.inner, w) }
+
+func (p passThrough) Sync(round int, local []float64, contributor bool) ([]float64, sparse.Traffic, error) {
+	return p.SyncCtx(context.Background(), round, local, contributor)
+}
+
+func (p passThrough) SyncCtx(ctx context.Context, round int, local []float64, contributor bool) ([]float64, sparse.Traffic, error) {
+	return sparse.SyncContext(ctx, p.inner, round, local, contributor)
+}
+
+// TestSyncMiddlewareIsTransparent: under every strategy, a run whose
+// syncers sit behind passThrough computes what the bare run computes. The
+// engine still finds the strategy underneath (PredictableFraction), the wire
+// chain still reaches it, and the state seam walks through it: every
+// RoundStats, every checkpoint and the final global are bit-equal to the bare
+// run's, and the bare run's checkpoint resumes behind the middleware to the
+// same final global.
+func TestSyncMiddlewareIsTransparent(t *testing.T) {
+	const rounds = 4
+	mut := func(c *Config) { c.Compress = "topk,q4,rans" }
+	wrap := func(s sparse.Syncer) sparse.Syncer { return passThrough{s} }
+	checkpoint := func(t *testing.T, e *Engine) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := ckpt.Write(&buf, e.Checkpoint()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, s := range StrategyNames() {
+		s := s
+		t.Run(s, func(t *testing.T) {
+			t.Parallel()
+			bare, err := resumeEngine(s, mut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wrapped, err := resumeEngineThrough(s, mut, wrap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := wrapped.Clients()[0].Syncer().(passThrough); !ok {
+				t.Fatalf("client syncs through %T, not the middleware", wrapped.Clients()[0].Syncer())
+			}
+			ctx := context.Background()
+			var mid []byte
+			for k := 0; k < rounds; k++ {
+				b, w := checkpoint(t, bare), checkpoint(t, wrapped)
+				if !bytes.Equal(b, w) {
+					t.Fatalf("checkpoint before round %d differs behind the middleware", k)
+				}
+				if k == rounds/2 {
+					mid = b
+				}
+				sb, err := bare.RunRound(ctx, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sw, err := wrapped.RunRound(ctx, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := fmt.Sprintf("%+v", sw), fmt.Sprintf("%+v", sb); got != want {
+					t.Fatalf("round %d behind the middleware:\n got %s\nwant %s", k, got, want)
+				}
+			}
+			want := bare.GlobalVector()
+			for i, v := range wrapped.GlobalVector() {
+				if math.Float64bits(v) != math.Float64bits(want[i]) {
+					t.Fatalf("final global differs behind the middleware at parameter %d", i)
+				}
+			}
+			ck, err := ckpt.Read(bytes.NewReader(mid))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := resumeEngineThrough(s, mut, wrap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.Restore(ck); err != nil {
+				t.Fatalf("bare checkpoint behind the middleware: %v", err)
+			}
+			if _, err := fresh.Run(ctx, rounds, 1); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range fresh.GlobalVector() {
+				if math.Float64bits(v) != math.Float64bits(want[i]) {
+					t.Fatalf("resumed behind the middleware: final global differs at parameter %d", i)
+				}
+			}
+		})
 	}
 }
 
@@ -201,7 +323,6 @@ func TestRestoreValidations(t *testing.T) {
 		return e
 	}
 	e := mk("fedsu", nil)
-	trig := mk("fedsu", func(c *Config) { c.EventThreshold = 0.3 })
 	fresh, err := resumeEngine("fedsu", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -217,8 +338,7 @@ func TestRestoreValidations(t *testing.T) {
 		{"truncated shared state", e, e, func(c *ckpt.Checkpoint) { c.Shared = c.Shared[:len(c.Shared)-1] }},
 		{"trailing local state", e, e, func(c *ckpt.Checkpoint) { c.Local[2] = append(c.Local[2], 0) }},
 		{"corrupt last client", e, fresh, func(c *ckpt.Checkpoint) { c.Local[3] = c.Local[3][:len(c.Local[3])-1] }},
-		{"event trigger state", e, trig, func(*ckpt.Checkpoint) {}},
-		{"trigger reference length", trig, trig, func(c *ckpt.Checkpoint) { c.Local[0] = shortRef(c.Local[0]) }},
+		{"local slice length", e, e, func(c *ckpt.Checkpoint) { c.Local[0] = shortFirstSlice(c.Local[0]) }},
 		{"NaN clock", e, e, func(c *ckpt.Checkpoint) { c.SimTime = math.NaN() }},
 		{"negative clock", e, e, func(c *ckpt.Checkpoint) { c.SimTime = -1 }},
 		{"infinite clock", e, e, func(c *ckpt.Checkpoint) { c.SimTime = math.Inf(1) }},
@@ -261,24 +381,25 @@ func encodeCheckpoint(t *testing.T, c *ckpt.Checkpoint) []byte {
 	return buf.Bytes()
 }
 
-// shortRef rewrites an event trigger's local blob, which leads with Ref, so
-// that Ref is one element short but the blob still decodes to its end.
-func shortRef(b []byte) []byte {
+// shortFirstSlice rewrites a state blob that leads with a slice (FedSU's
+// local view leads with AccumErr) so that the slice is one element short
+// but the blob still decodes to its end.
+func shortFirstSlice(b []byte) []byte {
 	n := binary.LittleEndian.Uint64(b)
 	return append(binary.LittleEndian.AppendUint64(nil, n-1), b[16:]...)
 }
 
 // FuzzCheckpointRead: raw bytes through ckpt.Read into Engine.Restore on a
-// two-client, 46-parameter FedSU engine behind an event trigger and a lossy
-// chain (every view, the lazy residual included; small, so seeds stay a few
-// kilobytes and the mutator stays fast). Either an error comes back, or the
+// two-client, 46-parameter FedSU engine over a lossy chain (every view, the
+// lazy wire residual included; small, so seeds stay a few kilobytes and the
+// mutator stays fast). Either an error comes back, or the
 // engine restored exactly what the bytes said: its own checkpoint reads
 // them back. Never a panic.
 func FuzzCheckpointRead(f *testing.F) {
 	ds := data.Synthesize(data.SynthConfig{Name: "fuzz", Channels: 1, Size: 4, Classes: 2, Samples: 32, Noise: 0.2, Seed: 1})
 	cfg := Config{
 		NumClients: 2, LocalIters: 1, BatchSize: 4, LR: 0.05, DirichletAlpha: 1.0, EvalSamples: 8, Seed: 3,
-		Compress: "topk,q4,rans", EventThreshold: 0.01,
+		Compress: "topk,q4,rans",
 	}
 	opts := core.DefaultOptions()
 	opts.TR = 0.3

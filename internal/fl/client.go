@@ -26,12 +26,6 @@ type Client struct {
 	rng    *rand.Rand // re-seeded every round (TrainLocal)
 
 	vec []float64
-
-	// proxMu enables a FedProx-style proximal term μ/2·‖x − x_round‖² in
-	// the local objective (Li et al., MLSys 2020), the non-IID mitigation
-	// the paper notes FedSU composes with. Zero disables it.
-	proxMu   float64
-	roundVec []float64
 }
 
 // NewClient assembles a client. The model must be a fresh replica with the
@@ -63,18 +57,12 @@ func (c *Client) Syncer() sparse.Syncer { return c.syncer }
 // ShardSize returns the number of local samples.
 func (c *Client) ShardSize() int { return c.shard.Len() }
 
-// SetProximal enables the FedProx proximal term with coefficient mu
-// (0 disables it).
-func (c *Client) SetProximal(mu float64) { c.proxMu = mu }
-
 // TrainLocal runs round's iters mini-batch SGD iterations on the local
-// shard and returns the mean training loss. With a proximal coefficient
-// set, each iteration's gradient is augmented with μ(x − x_round),
-// anchoring local training to the round-start (global) model.
+// shard and returns the mean training loss.
 //
 // The round fixes the batches, drawn from a stream seeded with a hash of
-// (seed, client, round), and the schedule's step, round·iters: a joiner or
-// a restart trains exactly as a client that ran from the start.
+// (seed, client, round): a joiner or a restart trains exactly as a client
+// that ran from the start.
 func (c *Client) TrainLocal(round, iters, batchSize int) float64 {
 	// A client whose shard is empty — possible once cohorts are sampled
 	// from a population far larger than the corpus — trains nothing and
@@ -83,43 +71,18 @@ func (c *Client) TrainLocal(round, iters, batchSize int) float64 {
 	if c.shard.Len() == 0 {
 		return 0
 	}
-	if c.proxMu > 0 {
-		if c.roundVec == nil {
-			c.roundVec = make([]float64, c.model.Size())
-		}
-		c.model.ExtractVector(c.roundVec)
-	}
 	c.rng.Seed(int64(codec.Mix64(uint64(c.seed) + codec.Mix64(uint64(c.ID)+codec.Mix64(uint64(round))))))
-	c.opt.SetStep(round * iters)
 	total := 0.0
 	for it := 0; it < iters; it++ {
 		x, labels := c.shard.SampleBatch(c.rng, batchSize)
 		c.model.ZeroGrad()
 		total += c.model.TrainStep(x, labels)
-		if c.proxMu > 0 {
-			c.addProximalGrad()
-		}
 		c.opt.Step(c.model.Params())
 	}
 	// Between rounds a replica keeps parameters only: its activations go
 	// back to the arena for whichever client trains next.
 	c.model.ReleaseScratch()
 	return total / float64(iters)
-}
-
-// addProximalGrad accumulates μ(x − x_round) into the parameter gradients.
-func (c *Client) addProximalGrad() {
-	off := 0
-	for _, p := range c.model.Params() {
-		v, g := p.Value.Data(), p.Grad.Data()
-		if !p.NoOpt {
-			anchor := c.roundVec[off : off+len(v)]
-			for i := range v {
-				g[i] += c.proxMu * (v[i] - anchor[i])
-			}
-		}
-		off += len(v)
-	}
 }
 
 // SyncRoundCtx extracts the post-training vector, runs the strategy's

@@ -29,10 +29,7 @@ func (e *Engine) AddClient(shard *data.Subset) (*Client, error) {
 	id := e.nextID
 	e.nextID++
 
-	c, err := e.newClient(id, shard)
-	if err != nil {
-		return nil, err
-	}
+	c := e.newClient(id, shard)
 	c.model.LoadVector(e.clients[0].model.Vector())
 	shared := sparse.AppendState(nil, e.clients[0].syncer, sparse.Shared)
 	install, err := sparse.DecodeState(c.syncer, shared, sparse.Shared, c.model.Size())

@@ -1,13 +1,16 @@
 package fl
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"fedsu/internal/core"
 	"fedsu/internal/data"
 	"fedsu/internal/nn"
+	"fedsu/internal/sparse"
 )
 
 func TestAddClientMidTraining(t *testing.T) {
@@ -101,33 +104,27 @@ func TestAddClientV2JoinerMaskAgrees(t *testing.T) {
 }
 
 // TestJoinerIsBuiltLikeTheFleet: a mid-run joiner is an ordinary client
-// that receives the fleet's model and mask (PAPER.md §V). Built by a second
-// recipe, it uploaded every round ungated under an event trigger and
-// trained at a constant rate while the fleet's learning rate decayed. Its
-// schedule is the round's, not its own: after its first round it trains at
-// the rate every fleet client trains at in that round.
+// that receives the fleet's model and mask (PAPER.md §V), syncs through the
+// fleet's strategy and trains at the fleet's rate, under every strategy.
+// After its first round it holds the fleet's model and shared strategy
+// state bit for bit.
 func TestJoinerIsBuiltLikeTheFleet(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"event-trigger", func(c *Config) { c.EventThreshold = 0.5 }},
-		{"lr-decay", func(c *Config) { c.LRDecayWarm = 3 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ds := data.Synthesize(data.SynthConfig{
-				Name: "tiny", Channels: 1, Size: 8, Classes: 4,
-				Samples: 256, Noise: 0.2, Jitter: 1, Seed: 11,
-			})
+	ds := data.Synthesize(data.SynthConfig{
+		Name: "tiny", Channels: 1, Size: 8, Classes: 4,
+		Samples: 256, Noise: 0.2, Jitter: 1, Seed: 11,
+	})
+	builder := func() *nn.Model {
+		return nn.NewMLP(nn.ModelConfig{InChannels: 1, ImageSize: 8, NumClasses: 4, Seed: 5}, 16)
+	}
+	for _, s := range StrategyNames() {
+		s := s
+		t.Run(s, func(t *testing.T) {
+			t.Parallel()
 			cfg := Config{
 				NumClients: 3, LocalIters: 4, BatchSize: 8, LR: 0.05, WeightDecay: 0.0005,
-				ProxMu: 0.01, DirichletAlpha: 1.0, EvalSamples: 32, Seed: 3,
+				DirichletAlpha: 1.0, EvalSamples: 32, Seed: 3,
 			}
-			tc.mut(&cfg)
-			builder := func() *nn.Model {
-				return nn.NewMLP(nn.ModelConfig{InChannels: 1, ImageSize: 8, NumClasses: 4, Seed: 5}, 16)
-			}
-			factory, err := StrategyFactory("fedsu")
+			factory, err := StrategyFactory(s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,10 +148,17 @@ func TestJoinerIsBuiltLikeTheFleet(t *testing.T) {
 				t.Errorf("joiner syncs through %s, the fleet through %s", got, want)
 			}
 			if got, want := joiner.opt.LR(), fleet.opt.LR(); got != want {
-				t.Errorf("joiner's rate after its first round = %v, a fleet client's = %v", got, want)
+				t.Errorf("joiner's rate = %v, a fleet client's = %v", got, want)
 			}
-			if joiner.proxMu != fleet.proxMu {
-				t.Errorf("joiner's proximal term = %v, the fleet's = %v", joiner.proxMu, fleet.proxMu)
+			jv, fv := joiner.Model().Vector(), fleet.Model().Vector()
+			for i := range fv {
+				if math.Float64bits(jv[i]) != math.Float64bits(fv[i]) {
+					t.Fatalf("joiner's model differs from the fleet's at parameter %d", i)
+				}
+			}
+			got, want := sparse.AppendState(nil, joiner.Syncer(), sparse.Shared), sparse.AppendState(nil, fleet.Syncer(), sparse.Shared)
+			if !bytes.Equal(got, want) {
+				t.Error("joiner's shared strategy state differs from the fleet's after its first round")
 			}
 		})
 	}

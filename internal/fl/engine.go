@@ -30,13 +30,6 @@ type Config struct {
 	// LR and WeightDecay configure the client optimizer, plain SGD as in
 	// the paper.
 	LR, WeightDecay float64
-	// ProxMu adds a FedProx proximal term μ/2·‖x − x_round‖² to each
-	// client's local objective; zero (the paper's setup) disables it.
-	ProxMu float64
-	// LRDecayWarm, when positive, applies the 1/√(1+step/warm) learning
-	// rate schedule that satisfies Theorem 1's convergence conditions
-	// (Eq. 13); zero keeps the paper's constant rate.
-	LRDecayWarm int
 	// DirichletAlpha controls non-IID label skew (1.0 in the paper).
 	DirichletAlpha float64
 	// EvalSamples is the held-out evaluation set size.
@@ -54,12 +47,6 @@ type Config struct {
 	// accounting, letting scaled-down models report paper-scale traffic.
 	// Zero means the actual model size.
 	WireParams int
-	// EventThreshold enables event-triggered participation: a client
-	// offers an upload only when the L2 norm of its accumulated change
-	// since its last offer crosses the threshold, abstaining with
-	// header-only traffic otherwise. Zero disables gating. Composes with
-	// every strategy.
-	EventThreshold float64
 	// Population enables population-scale cohort rounds: Population
 	// registered descriptors form the device registry (10^5–10^6 in
 	// cross-device deployments), and each round trains the NumClients-sized
@@ -249,9 +236,6 @@ func NewEngineWithShards(cfg Config, builder nn.Builder, ds *data.Dataset, shard
 	} else {
 		server = NewServer(cfg.NumClients)
 	}
-	if cfg.EventThreshold < 0 {
-		return nil, fmt.Errorf("fl: EventThreshold = %v must be >= 0", cfg.EventThreshold)
-	}
 	if shards == nil {
 		shards = data.PartitionDirichlet(ds, cfg.NumClients, cfg.DirichletAlpha, cfg.Seed)
 	} else if len(shards) != cfg.NumClients {
@@ -273,11 +257,7 @@ func NewEngineWithShards(cfg Config, builder nn.Builder, ds *data.Dataset, shard
 		return nil, err
 	}
 	for i := 0; i < cfg.NumClients; i++ {
-		c, err := e.newClient(i, shards[i])
-		if err != nil {
-			return nil, err
-		}
-		e.clients = append(e.clients, c)
+		e.clients = append(e.clients, e.newClient(i, shards[i]))
 	}
 	e.strategy = e.clients[0].syncer.Name()
 	e.buildEvalSet()
@@ -286,28 +266,20 @@ func NewEngineWithShards(cfg Config, builder nn.Builder, ds *data.Dataset, shard
 
 // newClient builds client id over shard exactly as every member of the
 // fleet is built, whether at construction or when it joins mid-run.
-func (e *Engine) newClient(id int, shard *data.Subset) (*Client, error) {
+func (e *Engine) newClient(id int, shard *data.Subset) *Client {
 	return BuildClient(e.cfg, id, e.builder(), shard, e.factory, e.slotCollective(), e.chain)
 }
 
 // BuildClient assembles client id of a run configured by cfg, the one
 // recipe of an engine's fleet and of a TCP client (exp.NewClient): model, a
-// fresh replica, trains on shard with cfg's optimizer and proximal term;
-// factory's strategy syncs over agg (behind the event trigger when one is
-// configured) and charges its traffic at chain's message sizes.
-func BuildClient(cfg Config, id int, model *nn.Model, shard *data.Subset, factory sparse.Factory, agg sparse.Aggregator, chain *codec.Chain) (*Client, error) {
-	optOpts := []opt.SGDOpt{opt.WithWeightDecay(cfg.WeightDecay)}
-	if cfg.LRDecayWarm > 0 {
-		optOpts = append(optOpts, opt.WithSchedule(opt.InverseSqrt(cfg.LRDecayWarm)))
-	}
+// fresh replica, trains on shard with SGD at cfg's rate and weight decay;
+// factory's strategy syncs over agg and charges its traffic at chain's
+// message sizes.
+func BuildClient(cfg Config, id int, model *nn.Model, shard *data.Subset, factory sparse.Factory, agg sparse.Aggregator, chain *codec.Chain) *Client {
 	syncer := factory(id, model.Size(), agg)
 	sparse.SetSyncerWire(syncer, sparse.Wire{Chain: chain})
-	if cfg.EventThreshold > 0 {
-		syncer = sparse.NewEventTrigger(syncer, cfg.EventThreshold)
-	}
-	c := NewClient(id, model, opt.NewSGD(cfg.LR, optOpts...), shard, syncer, cfg.Seed)
-	c.SetProximal(cfg.ProxMu)
-	return c, nil
+	sgd := opt.NewSGD(cfg.LR, opt.WithWeightDecay(cfg.WeightDecay))
+	return NewClient(id, model, sgd, shard, syncer, cfg.Seed)
 }
 
 // Strategy returns the active strategy name.

@@ -2,7 +2,9 @@ package fl
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"fedsu/internal/data"
@@ -83,26 +85,104 @@ func TestEngineAllStrategiesRun(t *testing.T) {
 	}
 }
 
+// TestEngineClientsStayConsistent: after every round all clients hold the
+// identical model — the invariant FedSU's client-local mask bookkeeping
+// depends on — under every strategy, in the fixed fleet and in population
+// mode flat and under a tree, while the 70 % quorum churns. On equal
+// devices the round's jitter alone picks the stragglers, so the participant
+// set changes from round to round and the abstention path runs; the quorum
+// floor is one, so every round has a participant.
 func TestEngineClientsStayConsistent(t *testing.T) {
-	// After every round all clients must hold the identical model — the
-	// invariant FedSU's client-local mask bookkeeping depends on.
-	for _, s := range []string{"fedavg", "apf", "fedsu"} {
+	for _, s := range StrategyNames() {
 		s := s
 		t.Run(s, func(t *testing.T) {
 			t.Parallel()
-			e, _ := tinyEngine(t, s, 6)
-			ref := e.Clients()[0].Model().Vector()
-			for _, c := range e.Clients()[1:] {
-				v := c.Model().Vector()
-				for i := range ref {
-					if v[i] != ref[i] {
-						t.Fatalf("client %d diverged from client 0 at param %d: %v vs %v",
-							c.ID, i, v[i], ref[i])
-					}
-				}
+			for _, topo := range []string{"fixed", "pop-flat", "pop-tree"} {
+				topo := topo
+				t.Run(topo, func(t *testing.T) {
+					t.Parallel()
+					checkClientsStayConsistent(t, s, topo)
+				})
 			}
 		})
 	}
+}
+
+// checkClientsStayConsistent runs twelve rounds of strategy s on topology
+// topo (fixed, pop-flat or pop-tree) and checks TestEngineClientsStayConsistent's
+// invariants after each.
+func checkClientsStayConsistent(t *testing.T, s, topo string) {
+	ds := data.Synthesize(data.SynthConfig{
+		Name: "churn", Channels: 1, Size: 8, Classes: 3,
+		Samples: 192, Noise: 0.2, Seed: 17,
+	})
+	builder := func() *nn.Model {
+		return nn.NewMLP(nn.ModelConfig{InChannels: 1, ImageSize: 8, NumClasses: 3, Seed: 2}, 12)
+	}
+	cfg := defaultConfig(6)
+	cfg.LocalIters, cfg.BatchSize = 3, 4
+	cfg.EvalSamples = 32
+	cfg.Seed = 5
+	switch topo {
+	case "fixed":
+		cfg.Netem = netem.DefaultConfig(6)
+		cfg.Netem.ComputeHeterogeneity = 0
+	case "pop-flat":
+		cfg.Population = 24
+	case "pop-tree":
+		cfg.Population, cfg.Fanout = 24, 4
+	}
+	factory, err := StrategyFactory(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(cfg, builder, ds, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := map[string]bool{}
+	abstained := false
+	for k := 0; k < 12; k++ {
+		st, err := e.RunRound(context.Background(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Participants < 1 {
+			t.Fatalf("round %d aggregated %d participants", k, st.Participants)
+		}
+		abstained = abstained || st.Participants < cfg.NumClients
+		sets[participantSet(e.server)] = true
+		ref := e.Clients()[0].Model().Vector()
+		for _, c := range e.Clients()[1:] {
+			v := c.Model().Vector()
+			for i := range ref {
+				if v[i] != ref[i] {
+					t.Fatalf("round %d: client %d diverged from client 0 at param %d: %v vs %v",
+						k, c.ID, i, v[i], ref[i])
+				}
+			}
+		}
+	}
+	if len(sets) < 2 {
+		t.Fatalf("one participant set in 12 rounds, %v: the quorum never churned", sets)
+	}
+	if !abstained {
+		t.Fatal("every client took part in every round: the abstention path never ran")
+	}
+}
+
+// participantSet is the current round's participant ids, sorted.
+func participantSet(s *Server) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var ids []int
+	for id, in := range s.participants {
+		if in {
+			ids = append(ids, id)
+		}
+	}
+	sort.Ints(ids)
+	return fmt.Sprint(ids)
 }
 
 func TestEngineFedSUSparsifies(t *testing.T) {
@@ -197,68 +277,5 @@ func defaultConfig(numClients int) Config {
 		EvalSamples:    512,
 		EvalBatch:      64,
 		Seed:           1,
-	}
-}
-
-// TestEngineRejectsNegativeEventThreshold: misconfiguration fails fast.
-func TestEngineRejectsNegativeEventThreshold(t *testing.T) {
-	ds := data.Synthesize(data.SynthConfig{
-		Name: "tiny", Channels: 1, Size: 8, Classes: 4,
-		Samples: 256, Noise: 0.2, Jitter: 1, Seed: 11,
-	})
-	builder := func() *nn.Model {
-		return nn.NewMLP(nn.ModelConfig{InChannels: 1, ImageSize: 8, NumClasses: 4, Seed: 5}, 24)
-	}
-	factory, err := StrategyFactory("fedavg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		NumClients: 4, LocalIters: 2, BatchSize: 8, LR: 0.05,
-		DirichletAlpha: 1.0, EvalSamples: 64, EvalBatch: 64, Seed: 3,
-		EventThreshold: -0.1,
-	}
-	if _, err := NewEngine(cfg, builder, ds, factory); err == nil {
-		t.Fatal("negative EventThreshold accepted")
-	}
-}
-
-// TestEngineSyncEventTriggerAllStrategies: in synchronous mode the event
-// trigger wraps every strategy, including the probe-heavy ones (FedSU state
-// transfer, APF) — the unwrapping middleware must keep their internals
-// reachable.
-func TestEngineSyncEventTriggerAllStrategies(t *testing.T) {
-	ds := data.Synthesize(data.SynthConfig{
-		Name: "tiny", Channels: 1, Size: 8, Classes: 4,
-		Samples: 256, Noise: 0.2, Jitter: 1, Seed: 11,
-	})
-	builder := func() *nn.Model {
-		return nn.NewMLP(nn.ModelConfig{InChannels: 1, ImageSize: 8, NumClasses: 4, Seed: 5}, 24)
-	}
-	for _, strategy := range StrategyNames() {
-		strategy := strategy
-		t.Run(strategy, func(t *testing.T) {
-			t.Parallel()
-			factory, err := StrategyFactory(strategy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := Config{
-				NumClients: 4, LocalIters: 2, BatchSize: 8, LR: 0.05,
-				DirichletAlpha: 1.0, EvalSamples: 64, EvalBatch: 64, Seed: 3,
-				EventThreshold: 0.5,
-			}
-			e, err := NewEngine(cfg, builder, ds, factory)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats, err := e.Run(context.Background(), 4, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(stats) != 4 {
-				t.Fatalf("got %d rounds", len(stats))
-			}
-		})
 	}
 }

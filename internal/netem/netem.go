@@ -39,19 +39,8 @@ type Config struct {
 	// ComputeHeterogeneity is the relative spread of per-client compute
 	// speed (0.3 means speeds uniform in [0.7, 1.3] of nominal).
 	ComputeHeterogeneity float64
-	// BandwidthSigma is the standard deviation of a per-client lognormal
-	// multiplier on the access-link bandwidth, modelling the device
-	// diversity FedScale reports (0 = homogeneous links, the paper's
-	// wondershaper setup).
-	BandwidthSigma float64
 	// RoundJitter is the per-round multiplicative compute noise.
 	RoundJitter float64
-	// DropoutProb is the per-round probability that a client fails to
-	// return at all (crash, network partition, battery death). Dropped
-	// clients are excluded from the round's quorum regardless of speed;
-	// they rejoin automatically next round, matching transient mobile
-	// failures.
-	DropoutProb float64
 	// Seed drives the deterministic heterogeneity and jitter draws.
 	Seed int64
 }
@@ -75,7 +64,6 @@ func DefaultConfig(numClients int) Config {
 type Cluster struct {
 	cfg    Config
 	speeds []float64 // per-client compute-speed multiplier (1 = nominal)
-	bwMult []float64 // per-client bandwidth multiplier (1 = nominal)
 }
 
 // NewCluster builds a cluster from the config, drawing each client's
@@ -92,16 +80,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	speeds := make([]float64, cfg.NumClients)
-	bwMult := make([]float64, cfg.NumClients)
 	for i := range speeds {
 		speeds[i] = 1 + cfg.ComputeHeterogeneity*(2*rng.Float64()-1)
-		bwMult[i] = 1.0
-		if cfg.BandwidthSigma > 0 {
-			// Lognormal with median 1: exp(sigma*N(0,1)).
-			bwMult[i] = math.Exp(cfg.BandwidthSigma * rng.NormFloat64())
-		}
 	}
-	return &Cluster{cfg: cfg, speeds: speeds, bwMult: bwMult}, nil
+	return &Cluster{cfg: cfg, speeds: speeds}, nil
 }
 
 // Config returns the cluster configuration.
@@ -134,10 +116,10 @@ type RoundOutcome struct {
 //
 // where transfer times are bounded by both the client access link and the
 // client's fair share of the server link. The round closes when the
-// earliest ⌈participation·N⌉ clients have finished. A client's jitter and
-// dropout draws hash (seed, client, round), as the population model's do,
-// so a round's outcome does not depend on which rounds this cluster timed
-// before it.
+// earliest ⌈participation·N⌉ clients have finished; the quorum is never
+// below one, so every round has a participant. A client's jitter draw
+// hashes (seed, client, round), as the population model's do, so a round's
+// outcome does not depend on which rounds this cluster timed before it.
 func (c *Cluster) Round(round int, loads []ClientLoad) RoundOutcome {
 	if len(loads) != c.cfg.NumClients {
 		panic(fmt.Sprintf("netem: Round got %d loads for %d clients", len(loads), c.cfg.NumClients))
@@ -148,40 +130,21 @@ func (c *Cluster) Round(round int, loads []ClientLoad) RoundOutcome {
 	serverShare := Mbps(c.cfg.ServerBandwidthMbps) / float64(n)
 
 	times := make([]float64, n)
-	order := make([]int, 0, n)
+	order := make([]int, n)
 	for i, l := range loads {
-		// Streams "fleetjit" and "fleetdrp".
+		// Stream "fleetjit".
 		jitter := 1 + c.cfg.RoundJitter*(2*hashUnit(c.cfg.Seed, 0x666c6565746a6974, uint64(i), uint64(round))-1)
-		down := minf(Mbps(c.cfg.ClientDownlinkMbps)*c.bwMult[i], serverShare)
-		up := minf(Mbps(c.cfg.ClientUplinkMbps)*c.bwMult[i], serverShare)
-		t := float64(l.DownBytes)/down +
+		down := minf(Mbps(c.cfg.ClientDownlinkMbps), serverShare)
+		up := minf(Mbps(c.cfg.ClientUplinkMbps), serverShare)
+		times[i] = float64(l.DownBytes)/down +
 			l.ComputeSeconds/c.speeds[i]*jitter +
 			float64(l.UpBytes)/up +
 			2*c.cfg.LatencySeconds
-		times[i] = t
-		if c.cfg.DropoutProb > 0 && hashUnit(c.cfg.Seed, 0x666c656574647270, uint64(i), uint64(round)) < c.cfg.DropoutProb {
-			continue // dropped: crash, partition, battery death
-		}
-		order = append(order, i)
+		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return times[order[a]] < times[order[b]] })
 
 	quorum := quorumSize(n, c.cfg.Participation)
-	if quorum > len(order) {
-		// Mass dropout: the server settles for whoever survived. An empty
-		// round (everyone dropped) keeps the slowest client's time as the
-		// wasted-round duration.
-		quorum = len(order)
-	}
-	if quorum == 0 {
-		worst := 0.0
-		for _, t := range times {
-			if t > worst {
-				worst = t
-			}
-		}
-		return RoundOutcome{Duration: worst, ClientTimes: times}
-	}
 	participants := append([]int(nil), order[:quorum]...)
 	return RoundOutcome{
 		Duration:     times[participants[quorum-1]],

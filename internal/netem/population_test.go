@@ -177,3 +177,73 @@ func TestParticipantsTopologyIndependent(t *testing.T) {
 		t.Fatalf("flat duration %v not above tree duration %v", outs[2].Duration, outs[0].Duration)
 	}
 }
+
+// TestPopulationBandwidthSpreadsTimes: with compute, jitter and latency
+// equal across devices, BandwidthSigma alone spreads member completion
+// times; at 0 every member finishes together.
+func TestPopulationBandwidthSpreadsTimes(t *testing.T) {
+	spread := func(sigma float64) float64 {
+		cfg := DefaultPopulationConfig(1000, 8)
+		cfg.BandwidthSigma = sigma
+		cfg.ComputeHeterogeneity = 0
+		cfg.RoundJitter = 0
+		cfg.LatencySeconds = 0
+		cfg.Participation = 1
+		m, err := NewPopulationModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cohort := make([]int, 32)
+		for i := range cohort {
+			cohort[i] = i * 31
+		}
+		out := m.CohortRound(0, cohort, UniformCohortLoad(len(cohort), 1_000_000, 1_000_000, 0), 4096)
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, v := range out.MemberTimes {
+			lo, hi = math.Min(lo, v), math.Max(hi, v)
+		}
+		return hi / lo
+	}
+	if homo := spread(0); math.Abs(homo-1) > 1e-9 {
+		t.Errorf("homogeneous spread = %v, want 1", homo)
+	}
+	if hetero := spread(0.6); hetero < 1.5 {
+		t.Errorf("lognormal σ=0.6 spread = %v, want > 1.5", hetero)
+	}
+}
+
+// TestPopulationBandwidthMedianNearOne: the per-device bandwidth multiplier
+// is lognormal with median 1 and scales both directions of a device's link
+// alike; at σ = 0 every device has the nominal links.
+func TestPopulationBandwidthMedianNearOne(t *testing.T) {
+	cfg := DefaultPopulationConfig(2000, 8)
+	cfg.BandwidthSigma = 0.5
+	m, err := NewPopulationModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up, down := Mbps(cfg.ClientUplinkMbps), Mbps(cfg.ClientDownlinkMbps)
+	above := 0
+	for id := 0; id < 2000; id++ {
+		p := m.Profile(id)
+		if math.Abs(p.UplinkBps/up-p.DownlinkBps/down) > 1e-12 {
+			t.Fatalf("device %d: uplink ×%v, downlink ×%v", id, p.UplinkBps/up, p.DownlinkBps/down)
+		}
+		if p.UplinkBps > up {
+			above++
+		}
+	}
+	if frac := float64(above) / 2000; frac < 0.45 || frac > 0.55 {
+		t.Errorf("fraction above median = %v, want ≈0.5", frac)
+	}
+	cfg.BandwidthSigma = 0
+	flat, err := NewPopulationModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{0, 1, 1999} {
+		if p := flat.Profile(id); p.UplinkBps != up || p.DownlinkBps != down {
+			t.Errorf("device %d at σ = 0: %+v, want the nominal links", id, p)
+		}
+	}
+}

@@ -71,14 +71,14 @@ func TestQuorumSizeTiePolicy(t *testing.T) {
 }
 
 // TestRoundQuorumNeverUnderCounts re-checks through the public Round path:
-// with no dropout the participant count must be exactly ⌈P·n⌉ for the
+// the participant count must be exactly ⌈P·n⌉ for the
 // near-integer participations the fudge factor used to mishandle.
 func TestRoundQuorumNeverUnderCounts(t *testing.T) {
 	for _, tc := range []struct {
 		n    int
 		p    float64
 		want int
-	}{{10, 0.7, 7}, {30, 0.3, 9}, {64, 0.015625, 1}, {128, 0.7, 90}} {
+	}{{10, 0.7, 7}, {30, 0.3, 9}, {64, 0.015625, 1}, {128, 0.7, 90}, {10, 1, 10}} {
 		cfg := DefaultConfig(tc.n)
 		cfg.Participation = tc.p
 		cl, err := NewCluster(cfg)
@@ -88,6 +88,30 @@ func TestRoundQuorumNeverUnderCounts(t *testing.T) {
 		out := cl.Round(0, cl.UniformLoad(1000, 1000, 1))
 		if len(out.Participants) != tc.want {
 			t.Errorf("n=%d P=%v: %d participants, want %d", tc.n, tc.p, len(out.Participants), tc.want)
+		}
+	}
+}
+
+// TestRoundAlwaysHasAParticipant: the quorum floor is one, so however small
+// the participation, a round of any fleet size admits its earliest client
+// and never closes empty.
+func TestRoundAlwaysHasAParticipant(t *testing.T) {
+	for n := 1; n <= 64; n++ {
+		cfg := DefaultConfig(n)
+		cfg.Participation = 1e-9
+		cl, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := cl.Round(3, cl.UniformLoad(1000, 1000, 1))
+		if len(out.Participants) != 1 {
+			t.Fatalf("n=%d: %d participants, want 1", n, len(out.Participants))
+		}
+		first := out.Participants[0]
+		for i, v := range out.ClientTimes {
+			if v < out.ClientTimes[first] {
+				t.Fatalf("n=%d: admitted client %d, but client %d finished first", n, first, i)
+			}
 		}
 	}
 }

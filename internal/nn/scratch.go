@@ -54,8 +54,7 @@ func stepScratchLike(t, x *tensor.Tensor) *tensor.Tensor {
 	if t != nil && t.SameShape(x) {
 		return t
 	}
-	tensor.PutScratch(t)
-	return tensor.GetScratchLike(x)
+	return stepScratch(t, x.Shape()...)
 }
 
 // putScratch releases *t and clears it.

@@ -53,48 +53,6 @@ func TestSGDSkipsNoOpt(t *testing.T) {
 	}
 }
 
-func TestSchedules(t *testing.T) {
-	t.Run("constant", func(t *testing.T) {
-		s := Constant()
-		if s(0) != 1 || s(1000) != 1 {
-			t.Error("constant schedule must always be 1")
-		}
-	})
-	t.Run("inverse-sqrt", func(t *testing.T) {
-		s := InverseSqrt(100)
-		if s(0) != 1 {
-			t.Errorf("inverse-sqrt at 0 = %v, want 1", s(0))
-		}
-		if got := s(300); math.Abs(got-0.5) > 1e-12 {
-			t.Errorf("inverse-sqrt at 300 = %v, want 0.5", got)
-		}
-		// Must be monotonically non-increasing.
-		prev := math.Inf(1)
-		for i := 0; i < 1000; i += 37 {
-			if v := s(i); v > prev {
-				t.Fatalf("schedule increased at step %d", i)
-			} else {
-				prev = v
-			}
-		}
-	})
-}
-
-func TestSGDScheduleApplied(t *testing.T) {
-	p := makeParam(0)
-	halving := func(step int) float64 { return math.Pow(0.5, float64(step)) }
-	s := NewSGD(1, WithSchedule(halving))
-	for i := 0; i < 3; i++ {
-		p.Grad.Data()[0] = 1
-		s.Step([]*nn.Param{p})
-		p.ZeroGrad()
-	}
-	// Updates: 1*1 + 0.5 + 0.25 = 1.75.
-	if got := p.Value.At(0); math.Abs(got+1.75) > 1e-12 {
-		t.Errorf("value = %v, want -1.75", got)
-	}
-}
-
 func TestSGDMatchesManualLoop(t *testing.T) {
 	// Cross-check the optimizer against the manual update used in nn tests.
 	rng := rand.New(rand.NewSource(3))
@@ -211,5 +169,24 @@ func BenchmarkSGDStep(b *testing.B) {
 				s.Step(params)
 			}
 		})
+	}
+}
+
+// TestSGDRateIsConstantAcrossSteps: every step applies the base rate, so
+// three unit-gradient steps move a parameter by exactly 3·lr and LR reports
+// the base rate throughout.
+func TestSGDRateIsConstantAcrossSteps(t *testing.T) {
+	p := makeParam(0)
+	s := NewSGD(0.25)
+	for i := 0; i < 3; i++ {
+		p.Grad.Data()[0] = 1
+		s.Step([]*nn.Param{p})
+		p.ZeroGrad()
+		if s.LR() != 0.25 {
+			t.Fatalf("LR after step %d = %v, want 0.25", i+1, s.LR())
+		}
+	}
+	if got := p.Value.At(0); got != -0.75 {
+		t.Errorf("value = %v, want -0.75", got)
 	}
 }

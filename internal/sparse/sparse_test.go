@@ -336,3 +336,33 @@ func TestNonContributorAbstains(t *testing.T) {
 		}
 	}
 }
+
+// passThrough is stateless syncer middleware, as bench's span recorder is.
+type passThrough struct{ Syncer }
+
+func (p passThrough) Unwrap() Syncer { return p.Syncer }
+
+// TestUnwrapSyncerPeelsMiddleware: UnwrapSyncer reaches the strategy under
+// any number of layers, and the state seam walks through them to its state.
+func TestUnwrapSyncerPeelsMiddleware(t *testing.T) {
+	inner := NewCMFL(0, 4, identityAgg{}, 0.8)
+	if _, _, err := inner.Sync(0, []float64{1, 2, 3, 4}, true); err != nil {
+		t.Fatal(err)
+	}
+	wrapped := passThrough{passThrough{inner}}
+	if got := UnwrapSyncer(wrapped); got != Syncer(inner) {
+		t.Fatalf("UnwrapSyncer returned %T, want the inner strategy", got)
+	}
+	if got := UnwrapSyncer(inner); got != Syncer(inner) {
+		t.Fatal("UnwrapSyncer changed a bare strategy")
+	}
+	for _, v := range []View{Shared, Local} {
+		want := AppendState(nil, inner, v)
+		if got := AppendState(nil, wrapped, v); string(got) != string(want) {
+			t.Fatalf("view %d through middleware: %d bytes, want the strategy's %d", v, len(got), len(want))
+		}
+	}
+	if len(AppendState(nil, wrapped, Shared)) == 0 {
+		t.Fatal("CMFL's shared state is empty: the walk is not exercised")
+	}
+}

@@ -19,8 +19,8 @@ const (
 	// information, APF's freezing, CMFL's and QSGD's reference globals.
 	Shared View = iota
 	// Local is what only this client's submissions produced: FedSU's
-	// accumulated error, the chain residual and the Fig. 7 counters, an
-	// event trigger's reference vector. A joiner starts it empty.
+	// accumulated error, the chain residual and the Fig. 7 counters. A
+	// joiner starts it empty.
 	Local
 )
 
@@ -33,6 +33,33 @@ const (
 // field, so a field added to it needs no other edit.
 type Stateful interface {
 	State(v View) any
+}
+
+// Unwrapper is implemented by syncer middleware to expose the strategy
+// underneath; the benchmark's span recorder (bench/span.go's tracedSyncer)
+// is the one in the module. The state seam (AppendState, DecodeState) walks
+// every layer through it.
+type Unwrapper interface {
+	Unwrap() Syncer
+}
+
+// UnwrapSyncer peels syncer middleware until it reaches the underlying
+// strategy. Code that probes for a concrete strategy calls it first: the
+// engine's predictability accounting, the Fig. 6/7 and Fig. 12 drivers and
+// the benchmark's TCP workload (bench/tcp.go).
+func UnwrapSyncer(s Syncer) Syncer {
+	for u := unwrap(s); u != nil; u = unwrap(s) {
+		s = u
+	}
+	return s
+}
+
+// unwrap is the layer under s, or nil when s is the strategy itself.
+func unwrap(s Syncer) Syncer {
+	if u, ok := s.(Unwrapper); ok {
+		return u.Unwrap()
+	}
+	return nil
 }
 
 // states lists view v of every Stateful layer of s, walking Unwrap from the

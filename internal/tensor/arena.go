@@ -71,9 +71,6 @@ func GetScratch(shape ...int) *Tensor {
 	return t
 }
 
-// GetScratchLike returns a scratch tensor of x's shape.
-func GetScratchLike(x *Tensor) *Tensor { return GetScratch(x.shape...) }
-
 // PutScratch returns a tensor to the arena, which will recycle the whole
 // object. Passing nil is a no-op so callers can release optimistically. The
 // tensor (and any view of it) must not be used afterwards.
