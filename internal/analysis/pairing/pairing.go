@@ -9,8 +9,8 @@
 // A leaked pool resource crashes nothing: it silently demotes the pool to
 // plain allocation, which the steady-state allocation tests
 // (TestSyncSteadyStateAllocs, TestTreeSteadyStateAllocs,
-// TestTransportSteadyStateAllocs, TestTrainStepSteadyStateAllocs) notice
-// only on the paths they drive. A leaked token permanently shrinks the
+// TestTransportSteadyStateAllocs, TestTrainStepSteadyStateAllocs,
+// TestTrainLocalSteadyStateAllocs) notice only on the paths they drive. A leaked token permanently shrinks the
 // budget.
 //
 // Each function body gets one forward dataflow over the cfg package's

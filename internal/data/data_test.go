@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fedsu/internal/tensor"
 )
 
 func tinySet(t *testing.T) *Dataset {
@@ -195,6 +197,46 @@ func TestSubsetBatchAndSample(t *testing.T) {
 	xs, ls := s.SampleBatch(rng, 16)
 	if xs.Dim(0) != 16 || len(ls) != 16 {
 		t.Fatal("SampleBatch wrong size")
+	}
+}
+
+// SampleBatchInto and SampleBatch draw the batch the subset's indices name
+// for one rng.Intn per sample, in order: from the same rng state, the same
+// pixels bit for bit and the same labels as Batch over those draws, leaving
+// the rng where the draws leave it.
+func TestSampleBatchIntoMatchesDraws(t *testing.T) {
+	d := tinySet(t)
+	s := NewSubset(d, []int{3, 17, 42, 99, 150, 151, 199})
+	const size = 11
+	x := tensor.New(size, d.Channels, d.Size, d.Size)
+	labels := make([]int, size)
+	ref, into, plain := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	for step := 0; step < 3; step++ {
+		rel := make([]int, size)
+		for i := range rel {
+			rel[i] = ref.Intn(s.Len())
+		}
+		want, wantLabels := s.Batch(rel)
+		s.SampleBatchInto(into, x, labels)
+		xs, ls := s.SampleBatch(plain, size)
+		for name, got := range map[string]struct {
+			x      *tensor.Tensor
+			labels []int
+		}{"SampleBatchInto": {x, labels}, "SampleBatch": {xs, ls}} {
+			for i, v := range want.Data() {
+				if math.Float64bits(got.x.Data()[i]) != math.Float64bits(v) {
+					t.Fatalf("%s step %d: pixel %d = %v, want %v", name, step, i, got.x.Data()[i], v)
+				}
+			}
+			for i, l := range wantLabels {
+				if got.labels[i] != l {
+					t.Fatalf("%s step %d: label %d = %d, want %d", name, step, i, got.labels[i], l)
+				}
+			}
+		}
+	}
+	if r, a, b := ref.Int63(), into.Int63(), plain.Int63(); a != r || b != r {
+		t.Errorf("the streams part after three batches: %d (draws), %d (SampleBatchInto), %d (SampleBatch)", r, a, b)
 	}
 }
 

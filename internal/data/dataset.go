@@ -94,11 +94,32 @@ func (s *Subset) Batch(rel []int) (*tensor.Tensor, []int) {
 // SampleBatch draws a uniform batch of the given size with replacement from
 // the subset using rng.
 func (s *Subset) SampleBatch(rng *rand.Rand, size int) (*tensor.Tensor, []int) {
-	rel := make([]int, size)
-	for i := range rel {
-		rel[i] = rng.Intn(len(s.indices))
+	ch, side := s.ImageShape()
+	x, labels := tensor.New(size, ch, side, side), make([]int, size)
+	s.SampleBatchInto(rng, x, labels)
+	return x, labels
+}
+
+// SampleBatchInto is SampleBatch into storage the caller owns: x, shaped
+// (len(labels), Channels, Size, Size), and labels. One rng.Intn over the
+// subset per sample, in batch order.
+func (s *Subset) SampleBatchInto(rng *rand.Rand, x *tensor.Tensor, labels []int) {
+	d := s.parent
+	sz := d.Channels * d.Size * d.Size
+	if x.Dims() != 4 || x.Dim(0) != len(labels) || x.Len() != len(labels)*sz {
+		panic(fmt.Sprintf("data: batch tensor %v for %d samples of %d×%d×%d", x.Shape(), len(labels), d.Channels, d.Size, d.Size))
 	}
-	return s.Batch(rel)
+	xd := x.Data()
+	for bi := range labels {
+		i := s.indices[rng.Intn(len(s.indices))]
+		copy(xd[bi*sz:(bi+1)*sz], d.images[i])
+		labels[bi] = d.labels[i]
+	}
+}
+
+// ImageShape returns the channels and the side of the subset's images.
+func (s *Subset) ImageShape() (channels, size int) {
+	return s.parent.Channels, s.parent.Size
 }
 
 // SampleBatchOf is SampleBatch under the spelling bench/ calls, which names

@@ -10,6 +10,7 @@ import (
 	"fedsu/internal/opt"
 	"fedsu/internal/sparse"
 	"fedsu/internal/sparse/codec"
+	"fedsu/internal/tensor"
 )
 
 // Client is one federated participant: a private model replica, an
@@ -25,7 +26,8 @@ type Client struct {
 	seed   int64
 	rng    *rand.Rand // re-seeded every round (TrainLocal)
 
-	vec []float64
+	vec    []float64
+	labels []int // TrainLocal's batch labels
 }
 
 // NewClient assembles a client. The model must be a fresh replica with the
@@ -72,13 +74,22 @@ func (c *Client) TrainLocal(round, iters, batchSize int) float64 {
 		return 0
 	}
 	c.rng.Seed(int64(codec.Mix64(uint64(c.seed) + codec.Mix64(uint64(c.ID)+codec.Mix64(uint64(round))))))
+	// Every step's batch is drawn into one arena tensor and the client's
+	// own labels.
+	ch, side := c.shard.ImageShape()
+	x := tensor.GetScratch(batchSize, ch, side, side)
+	if cap(c.labels) < batchSize {
+		c.labels = make([]int, batchSize)
+	}
+	labels := c.labels[:batchSize]
 	total := 0.0
 	for it := 0; it < iters; it++ {
-		x, labels := c.shard.SampleBatch(c.rng, batchSize)
+		c.shard.SampleBatchInto(c.rng, x, labels)
 		c.model.ZeroGrad()
 		total += c.model.TrainStep(x, labels)
 		c.opt.Step(c.model.Params())
 	}
+	tensor.PutScratch(x)
 	// Between rounds a replica keeps parameters only: its activations go
 	// back to the arena for whichever client trains next.
 	c.model.ReleaseScratch()

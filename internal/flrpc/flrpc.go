@@ -12,8 +12,9 @@
 // pooled buffer sized from the frame's length prefix, and released as soon
 // as it is decoded (into a pooled vector on the coordinator), so a
 // steady-state collective round allocates nothing per message; the
-// coordinator additionally encodes each collective's reply exactly once and
-// serves the cached bytes to every waiter.
+// coordinator additionally encodes each collective's reply exactly once,
+// into a reference-counted pooled buffer, and serves the cached bytes to
+// every waiter.
 //
 // The in-process engine (internal/fl) and this package share the exact same
 // strategy code: a FedSU manager cannot tell whether its Aggregator is the
@@ -43,6 +44,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fedsu/internal/fl"
@@ -168,10 +170,27 @@ type aggKey struct {
 
 // replyEntry is one collective's encoded mean. Whoever inserts the entry
 // encodes, then closes ready; every other waiter blocks on ready, not on the
-// coordinator lock. A nil payload records that no client contributed.
+// coordinator lock. A nil buf records that no client contributed.
+//
+// refs counts the entry's holders: the reply cache while the entry is in
+// it, and each responder from the moment it finds the entry until its reply
+// frame is written. A reference is only ever taken under Coordinator.mu
+// while the cache still holds its own, so once the count reaches zero
+// nothing can find the entry again, and whoever dropped the last reference
+// recycles buf (Coordinator.release).
 type replyEntry struct {
-	ready   chan struct{}
-	payload []byte
+	ready chan struct{}
+	refs  atomic.Int32
+	buf   *[]byte
+}
+
+// payload is the encoded mean (nil: no contributors, or no entry). Read it
+// after ready is closed, while holding a reference.
+func (e *replyEntry) payload() []byte {
+	if e == nil || e.buf == nil {
+		return nil
+	}
+	return *e.buf
 }
 
 // Coordinator is the TCP-facing aggregation service.
@@ -189,11 +208,16 @@ type Coordinator struct {
 	latest  int
 	waiting int
 	// replyEnc caches each collective's encoded mean so N waiters ship the
-	// same bytes instead of paying N encodes. Entries are plain allocations
-	// (not pooled buffers): they outlive the handlers that made them — a
-	// late duplicate is served from here up to two rounds later — so
-	// reclamation is left to the GC. Guarded by mu.
+	// same bytes instead of paying N encodes; a late duplicate is served
+	// from here up to two rounds later. Each entry's buffer is recycled when
+	// its last reference goes (replyEntry). Guarded by mu.
 	replyEnc map[aggKey]*replyEntry
+	// replyPool recycles the default wire's reply buffers, each of exactly
+	// DenseBaseSize(ModelSize) bytes: the cache holds two collectives'
+	// replies at once, and a power-of-two class would round each up by as
+	// much as 70 %. Chain replies are sized by their data and go to codec's
+	// pool instead.
+	replyPool sync.Pool
 
 	// hbMu guards lastSeen alone. It is never held while calling into coll,
 	// and coll's deadline expiry calls alive() while holding its own lock —
@@ -399,6 +423,7 @@ func (c *Coordinator) enter(clientID, round int, leg sparse.Leg) (*replyEntry, e
 				return nil, &fl.EvictedError{ClientID: clientID}
 			}
 			if e := c.replyEnc[aggKey{round, leg}]; e != nil {
+				e.refs.Add(1)
 				return e, nil
 			}
 			if c.waiting > 0 {
@@ -409,9 +434,10 @@ func (c *Coordinator) enter(clientID, round int, leg sparse.Leg) (*replyEntry, e
 		c.coll.SetRoster(ids)
 		c.coll.BeginRound(round, ids)
 		c.latest = round
-		for k := range c.replyEnc {
+		for k, e := range c.replyEnc {
 			if k.round <= round-2 || k.round >= round {
 				delete(c.replyEnc, k)
+				c.release(e)
 			}
 		}
 	}
@@ -427,7 +453,9 @@ func (c *Coordinator) leave() {
 }
 
 // Aggregate implements the blocking collective call. args.Kind names the
-// collective's leg; any other string is ErrUnknownKind.
+// collective's leg; any other string is ErrUnknownKind. reply.Payload stays
+// valid for good: the reference this call takes on the reply's buffer is
+// never dropped, so the buffer is never recycled, only collected.
 func (c *Coordinator) Aggregate(args AggArgs, reply *AggReply) error {
 	var leg sparse.Leg
 	switch args.Kind {
@@ -437,7 +465,11 @@ func (c *Coordinator) Aggregate(args AggArgs, reply *AggReply) error {
 	default:
 		return fmt.Errorf("flrpc: %w %q", ErrUnknownKind, args.Kind)
 	}
-	return c.submit(context.Background(), false, leg, args, nil, reply)
+	e, err := c.submit(context.Background(), false, leg, args, nil)
+	if e != nil {
+		reply.Payload, reply.Nil = e.payload(), e.buf == nil
+	}
+	return err
 }
 
 // submit runs one collective call — the leg's; args.Kind is not read —
@@ -448,10 +480,14 @@ func (c *Coordinator) Aggregate(args AggArgs, reply *AggReply) error {
 // to its own clients. A resubmission after a reconnect is idempotent in
 // both. frame, when non-nil, is the pooled buffer args.Payload aliases: it
 // is released once the payload is decoded, before the barrier wait.
-func (c *Coordinator) submit(ctx context.Context, partial bool, leg sparse.Leg, args AggArgs, frame *[]byte, reply *AggReply) error {
+//
+// The result is the reply-cache entry of the call's collective, encoded,
+// with a reference taken for the caller (see release); it is nil exactly
+// when the call failed.
+func (c *Coordinator) submit(ctx context.Context, partial bool, leg sparse.Leg, args AggArgs, frame *[]byte) (*replyEntry, error) {
 	defer func() { codec.PutBuf(frame) }()
 	if !c.known(args.ClientID, partial) {
-		return fmt.Errorf("flrpc: %w %d (as a relay's block base: %v)", ErrUnknownClient, args.ClientID, partial)
+		return nil, fmt.Errorf("flrpc: %w %d (as a relay's block base: %v)", ErrUnknownClient, args.ClientID, partial)
 	}
 	c.heard(args.ClientID)
 	c.counters.Add("agg_rx_bytes", int64(len(args.Payload)))
@@ -480,12 +516,11 @@ func (c *Coordinator) submit(ctx context.Context, partial bool, leg sparse.Leg, 
 	codec.PutBuf(frame)
 	frame = nil
 	if err != nil {
-		return fmt.Errorf("flrpc: client %d round %d: %w: %w", args.ClientID, args.Round, ErrMalformed, err)
+		return nil, fmt.Errorf("flrpc: client %d round %d: %w: %w", args.ClientID, args.Round, ErrMalformed, err)
 	}
 	cached, err := c.enter(args.ClientID, args.Round, leg)
 	if cached != nil || err != nil {
-		c.serveCached(cached, reply)
-		return err
+		return c.serve(cached), err
 	}
 	c.counters.Add("relay_traffic_bytes", p.Traffic)
 	// Members route through the ctx-aware dispatcher (the ctxdispatch
@@ -503,57 +538,91 @@ func (c *Coordinator) submit(ctx context.Context, partial bool, leg sparse.Leg, 
 	}
 	c.leave()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c.encodeReply(args.Round, leg, res, reply)
-	return nil
+	return c.encodeReply(args.Round, leg, res), nil
 }
 
-// serveCached answers from a reply-cache entry once it is encoded; a nil
-// entry (the submission was refused) leaves reply alone.
-func (c *Coordinator) serveCached(e *replyEntry, reply *AggReply) {
-	if e == nil {
+// serve waits until a reply-cache entry the caller holds a reference to is
+// encoded and counts the bytes it is about to ship; a nil entry (the
+// submission was refused) passes through.
+func (c *Coordinator) serve(e *replyEntry) *replyEntry {
+	if e != nil {
+		<-e.ready
+		c.counters.Add("agg_tx_bytes", int64(len(e.payload())))
+	}
+	return e
+}
+
+// release drops one reference to e (nil: none taken). The last one
+// returns the buffer to the pool it came from; after that no holder is
+// left to read it.
+func (c *Coordinator) release(e *replyEntry) {
+	if e == nil || e.refs.Add(-1) != 0 || e.buf == nil {
 		return
 	}
-	<-e.ready
-	reply.Payload, reply.Nil = e.payload, e.payload == nil
-	c.counters.Add("agg_tx_bytes", int64(len(e.payload)))
+	if c.chain != nil {
+		codec.PutBuf(e.buf)
+	} else if cap(*e.buf) == codec.DenseBaseSize(c.modelSize) {
+		c.replyPool.Put(e.buf)
+	}
+	e.buf = nil
 }
 
-// encodeReply fills reply with the collective result. Every waiter of a
-// barrier receives the same mean: the first to arrive inserts the cache
-// entry and encodes — outside the coordinator lock — and the rest wait on
-// the entry, so a collective is encoded exactly once.
-func (c *Coordinator) encodeReply(round int, leg sparse.Leg, res []float64, reply *AggReply) {
+// encodeReply returns the collective result's reply-cache entry with a
+// reference taken for the caller. Every waiter of a barrier receives the
+// same mean: the first to arrive inserts the entry and encodes — outside
+// the coordinator lock — and the rest wait on the entry, so a collective
+// is encoded exactly once.
+func (c *Coordinator) encodeReply(round int, leg sparse.Leg, res []float64) *replyEntry {
 	k := aggKey{round: round, leg: leg}
 	c.mu.Lock()
 	e, ok := c.replyEnc[k]
-	if !ok {
+	if ok {
+		e.refs.Add(1)
+	} else {
 		e = &replyEntry{ready: make(chan struct{})}
+		e.refs.Store(2) // the cache's and this caller's
 		c.replyEnc[k] = e
 	}
 	c.mu.Unlock()
 	if !ok {
 		if res != nil {
-			e.payload = c.encodeVector(res)
+			e.buf = c.encodeVector(res)
 		}
 		close(e.ready)
 	}
-	c.serveCached(e, reply)
+	return c.serve(e)
 }
 
 // encodeVector encodes a collective result with the configured chain's
 // Reply variant (quantizers widened to 8 bits — the mean of K k-bit
 // uploads needs the finer grid), or the default vector codec when no
 // chain is configured: into dense capacity, which lets the encoder work in
-// one pass instead of sizing the vector first. The returned slice is a plain
-// allocation (never pooled): reply-cache entries outlive the handler, and a
-// responder to a stale retry may still be writing one after enter dropped it.
-func (c *Coordinator) encodeVector(res []float64) []byte {
+// one pass instead of sizing the vector first. The buffer belongs to the
+// reply-cache entry it is stored in, and release recycles it: a default
+// wire reply of the session's model size comes from replyPool, any other
+// is a plain allocation; a chain reply is encoded into pooled scratch and
+// copied into a codec buffer of its exact length.
+func (c *Coordinator) encodeVector(res []float64) *[]byte {
 	if c.chain != nil {
-		return c.chain.Reply().AppendEncode(nil, res)
+		scratch := codec.GetBuf(c.chain.Reply().DensePayloadSize(len(res)))
+		defer codec.PutBuf(scratch)
+		*scratch = c.chain.Reply().AppendEncode((*scratch)[:0], res)
+		buf := codec.GetBuf(len(*scratch))
+		*buf = append(*buf, *scratch...)
+		return buf
 	}
-	return sparse.AppendVectorPayload(make([]byte, 0, codec.DenseBaseSize(len(res))), res)
+	var buf *[]byte
+	if len(res) == c.modelSize {
+		buf, _ = c.replyPool.Get().(*[]byte)
+	}
+	if buf == nil {
+		b := make([]byte, 0, codec.DenseBaseSize(len(res)))
+		buf = &b
+	}
+	*buf = sparse.AppendVectorPayload((*buf)[:0], res)
+	return buf
 }
 
 // serveConn runs one connection until it fails, the peer hangs up or
@@ -635,19 +704,20 @@ func (c *Coordinator) join(req *frame, reply *JoinReply) error {
 // names no leg (see kindOf) is refused with ErrUnknownKind.
 func (c *Coordinator) serveAgg(ctx context.Context, cn *conn, req *frame) {
 	args := AggArgs{ClientID: req.id, Round: req.round, Payload: req.payload, Abstain: req.flags&flagAbstain != 0}
-	var reply AggReply
+	var e *replyEntry
 	var err error
 	if leg := sparse.Leg(req.kind - 1); leg > sparse.ErrorLeg { // kind 0 wraps around
 		req.release()
 		err = fmt.Errorf("flrpc: %w byte %d", ErrUnknownKind, req.kind)
 	} else {
-		err = c.submit(ctx, req.typ == typePartial, leg, args, req.buf, &reply)
+		e, err = c.submit(ctx, req.typ == typePartial, leg, args, req.buf)
 	}
+	defer c.release(e) // once the frame is written: the write reads the entry's buffer
 	var flags byte
-	if reply.Nil {
+	if e != nil && e.buf == nil {
 		flags = flagNil
 	}
-	if cn.respond(ctx, req, flags, req.id, reply.Payload, err) != nil {
+	if cn.respond(ctx, req, flags, req.id, e.payload(), err) != nil {
 		cn.nc.Close()
 	}
 }
